@@ -11,12 +11,19 @@
 //! * **hmac** — one-shot `HmacSha256::mac` (re-expands the RFC 2104 key
 //!   schedule per message) vs the cached [`HmacKey`] state that
 //!   `SigningKey` now holds (≥ 1.5× on small payloads), plus a per-backend
-//!   sweep: cached-key MAC throughput (MB/s) on the scalar and multi-block
-//!   compress backends, and the SIMD shared-schedule batch path's per-MAC
-//!   cost at batch 8.
+//!   sweep: cached-key MAC throughput (MB/s) on the scalar oracle and on
+//!   the SIMD backend's sequential kernel, and the SIMD batch path's
+//!   per-MAC cost at batch 8.  The report names the kernel the SIMD backend
+//!   resolved to on this host (`sha256_kernel`: `sha-ni`, `avx2-lanes` or
+//!   `portable`).
 //! * **verify_batch** — `Signature::verify_batch_uncached` across an
 //!   authenticator vector (one message, n MACs, shared inner schedule):
 //!   per-MAC nanoseconds must fall as the batch grows.
+//! * **cosign_resume** — what a wrapper pays to sign an output for its
+//!   partner and later counter-sign the partner's copy: two full MAC passes
+//!   over the content (`Signature::sign` + `FsOutput::counter_sign_with`)
+//!   vs the co-signature resumed from the signing midstate
+//!   (`Signature::sign_resumable` + `FsOutput::counter_sign_resumed`).
 //! * **encode** — `Wire::to_wire` (one sized allocation, refcount-shared
 //!   `Bytes`) vs the legacy `Wire::to_wire_vec` growth-from-zero path, on
 //!   the candidate frames the wrapper pair exchanges.
@@ -58,7 +65,12 @@
 //! fails (exit 3) if the 3-member pipeline's ordered-deliveries/host-sec —
 //! unbatched, or batched when the reference carries that row — drops more
 //! than `FS_BENCH_HOTPATH_MAX_REGRESSION` (default 0.20, i.e. 20%) below
-//! the reference.  References that carry the `send_contention` section also
+//! the reference.  The crypto rows (10 kB SIMD-backend MAC throughput,
+//! batched verification) are guarded the same way, but only against a
+//! reference measured on the same SHA-256 kernel: otherwise the guard prints
+//! `skipped: kernel mismatch (ref X, host Y)` — a reference regenerated on a
+//! SHA-NI box must not fail a runner without the extensions, and must never
+//! silently pass one either.  References that carry the `send_contention` section also
 //! arm a guard on the gated row's sends/host-sec, so a contended-send-path
 //! regression fails the run the same way.
 
@@ -80,7 +92,7 @@ use fs_common::time::SimTime;
 use fs_common::Bytes;
 use fs_crypto::hmac::{HmacKey, HmacSha256, MacSchedule};
 use fs_crypto::keys::{provision, SignerId};
-use fs_crypto::sha256::CompressBackend;
+use fs_crypto::sha256::{kernel_name, CompressBackend};
 use fs_crypto::sig::Signature;
 use fs_harness::Protocol;
 use fs_newtop::app::TrafficConfig;
@@ -126,13 +138,12 @@ struct HmacRow {
     speedup: f64,
     /// Cached-key MAC pinned to the scalar (oracle) backend.
     scalar_ns: f64,
-    /// Cached-key MAC pinned to the multi-block backend.
-    multiblock_ns: f64,
-    /// Per-MAC cost of the SIMD shared-schedule batch path at batch 8
-    /// (one message, 8 keys).
+    /// Cached-key MAC pinned to the SIMD backend (its sequential kernel).
+    simd_ns: f64,
+    /// Per-MAC cost of the SIMD batch path at batch 8 (one message, 8 keys).
     simd_batch8_per_mac_ns: f64,
     scalar_mb_per_s: f64,
-    multiblock_mb_per_s: f64,
+    simd_mb_per_s: f64,
     simd_batch8_mb_per_s: f64,
 }
 
@@ -145,6 +156,16 @@ struct VerifyBatchRow {
     /// total_ns / batch — must fall as the batch grows (schedule sharing +
     /// lane-parallel rounds).
     per_mac_ns: f64,
+}
+
+#[derive(Debug, Serialize)]
+struct CosignResumeRow {
+    payload_bytes: usize,
+    /// Sign, then counter-sign by hashing `content ‖ suffix` from scratch.
+    two_pass_ns: f64,
+    /// Sign keeping the midstate, then counter-sign from it.
+    resumed_ns: f64,
+    speedup: f64,
 }
 
 #[derive(Debug, Serialize)]
@@ -223,8 +244,12 @@ struct ContentionRow {
 struct HotpathReport {
     id: String,
     iterations: u64,
+    /// The kernel the SIMD backend resolved to on this host; crypto rows
+    /// from different kernels are not comparable.
+    sha256_kernel: String,
     hmac: Vec<HmacRow>,
     verify_batch: Vec<VerifyBatchRow>,
+    cosign_resume: Vec<CosignResumeRow>,
     encode: Vec<EncodeRow>,
     sign_verify: Vec<SignVerifyRow>,
     scheduler: Vec<SchedulerRow>,
@@ -243,7 +268,7 @@ fn bench_hmac(iters: u64) -> Vec<HmacRow> {
     let key_bytes = [0xa5u8; 32];
     let cached = HmacKey::new(&key_bytes);
     let scalar_key = HmacKey::new_with_backend(CompressBackend::Scalar, &key_bytes);
-    let multiblock_key = HmacKey::new_with_backend(CompressBackend::MultiBlock, &key_bytes);
+    let simd_key = HmacKey::new_with_backend(CompressBackend::Simd, &key_bytes);
     let batch_keys: Vec<HmacKey> = (0..8u8)
         .map(|i| HmacKey::new_with_backend(CompressBackend::Simd, &[0xa5 ^ i; 32]))
         .collect();
@@ -263,11 +288,12 @@ fn bench_hmac(iters: u64) -> Vec<HmacRow> {
             let scalar_ns = time_ns_per_op(n, || {
                 black_box(scalar_key.mac(black_box(&msg)));
             });
-            let multiblock_ns = time_ns_per_op(n, || {
-                black_box(multiblock_key.mac(black_box(&msg)));
+            let simd_ns = time_ns_per_op(n, || {
+                black_box(simd_key.mac(black_box(&msg)));
             });
-            // The batch path amortizes one schedule expansion over 8 keys
-            // and runs their rounds lane-parallel; report per-MAC cost.
+            // On the lane kernels the batch path amortizes one schedule
+            // expansion over 8 keys and runs their rounds lane-parallel; on
+            // sha-ni it is 8 sequential passes.  Report per-MAC cost.
             let simd_batch8_per_mac_ns = time_ns_per_op(n, || {
                 let schedule =
                     MacSchedule::new_with_backend(CompressBackend::Simd, black_box(&msg));
@@ -279,10 +305,10 @@ fn bench_hmac(iters: u64) -> Vec<HmacRow> {
                 cached_key_ns,
                 speedup: one_shot_ns / cached_key_ns,
                 scalar_ns,
-                multiblock_ns,
+                simd_ns,
                 simd_batch8_per_mac_ns,
                 scalar_mb_per_s: mb_per_s(size, scalar_ns),
-                multiblock_mb_per_s: mb_per_s(size, multiblock_ns),
+                simd_mb_per_s: mb_per_s(size, simd_ns),
                 simd_batch8_mb_per_s: mb_per_s(size, simd_batch8_per_mac_ns),
             }
         })
@@ -320,6 +346,62 @@ fn bench_verify_batch(iters: u64) -> Vec<VerifyBatchRow> {
         }
     }
     rows
+}
+
+/// Prices the wrapper's sign-then-counter-sign sequence under one key, with
+/// and without resuming the co-signature from the signing midstate.  Both
+/// arms produce the identical double-signed output (asserted once per size).
+fn bench_cosign_resume(iters: u64) -> Vec<CosignResumeRow> {
+    let mut rng = DetRng::new(13);
+    let (mut keys, _dir) = provision([ProcessId(0), ProcessId(1)], &mut rng);
+    let local = keys.remove(&SignerId(ProcessId(0))).unwrap();
+    let remote = keys.remove(&SignerId(ProcessId(1))).unwrap();
+    let fs = FsId(1);
+    PAYLOAD_SIZES
+        .iter()
+        .map(|&size| {
+            let content = FsContent::Output {
+                output_seq: 7,
+                dest: Endpoint::LocalApp,
+                bytes: Bytes::from(vec![0x33u8; size]),
+            };
+            let content_bytes = signing_bytes(fs, &content);
+            let first = Signature::sign(&remote, &content_bytes);
+            let two_pass = || {
+                black_box(Signature::sign(&local, black_box(&content_bytes)));
+                FsOutput::counter_sign_with(
+                    fs,
+                    content.clone(),
+                    &content_bytes,
+                    first.clone(),
+                    &local,
+                )
+            };
+            let resumed = || {
+                let (sig, signed) = Signature::sign_resumable(&local, black_box(&content_bytes));
+                black_box(sig);
+                FsOutput::counter_sign_resumed(fs, content.clone(), &signed, first.clone())
+            };
+            assert_eq!(
+                two_pass(),
+                resumed(),
+                "resumed co-signature must be identical"
+            );
+            let n = scaled_iters(iters, size);
+            let two_pass_ns = time_ns_per_op(n, || {
+                black_box(two_pass());
+            });
+            let resumed_ns = time_ns_per_op(n, || {
+                black_box(resumed());
+            });
+            CosignResumeRow {
+                payload_bytes: size,
+                two_pass_ns,
+                resumed_ns,
+                speedup: two_pass_ns / resumed_ns,
+            }
+        })
+        .collect()
 }
 
 fn bench_encode(iters: u64) -> Vec<EncodeRow> {
@@ -704,8 +786,24 @@ struct ReferenceReportContention {
     send_contention: Vec<ReferenceContentionRow>,
 }
 
+/// The crypto subset of a reference report: the kernel it was measured on
+/// and the SIMD-backend MAC throughput per payload.  Parsed on its own —
+/// references written before the kernel was recorded (including those with
+/// the retired multi-block column) simply do not carry it.
+#[derive(Debug, Deserialize)]
+struct ReferenceCrypto {
+    sha256_kernel: String,
+    hmac: Vec<ReferenceHmacRow>,
+}
+
+#[derive(Debug, Deserialize)]
+struct ReferenceHmacRow {
+    payload_bytes: usize,
+    simd_mb_per_s: f64,
+}
+
 /// The reference numbers the regression guard compares against.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Default)]
 struct RegressionReference {
     unbatched: f64,
     batched: Option<f64>,
@@ -714,11 +812,29 @@ struct RegressionReference {
     verify_batch: Option<(usize, usize, f64)>,
     /// Gated-row sends/host-sec of the send-contention section.
     contention_gated: Option<f64>,
+    /// The SHA-256 kernel the reference's crypto rows were measured on.
+    kernel: Option<String>,
+    /// `(payload_bytes, MB/s)` of the largest-payload SIMD-backend MAC row.
+    hmac_simd: Option<(usize, f64)>,
 }
 
 /// Extracts the guard references from a reference report, newest layout
 /// first — every older layout still parses, it just arms fewer guards.
 fn reference_deliveries_per_sec(json: &str) -> Option<RegressionReference> {
+    let mut reference = reference_pipeline_layers(json)?;
+    if let Ok(crypto) = serde_json::from_str::<ReferenceCrypto>(json) {
+        reference.hmac_simd = crypto
+            .hmac
+            .iter()
+            .max_by_key(|row| row.payload_bytes)
+            .map(|row| (row.payload_bytes, row.simd_mb_per_s));
+        reference.kernel = Some(crypto.sha256_kernel);
+    }
+    Some(reference)
+}
+
+/// The pipeline, verify-batch and contention layers of a reference report.
+fn reference_pipeline_layers(json: &str) -> Option<RegressionReference> {
     if let Ok(r) = serde_json::from_str::<ReferenceReportContention>(json) {
         let vb = r
             .verify_batch
@@ -734,6 +850,7 @@ fn reference_deliveries_per_sec(json: &str) -> Option<RegressionReference> {
                 .iter()
                 .find(|row| row.gated)
                 .map(|row| row.sends_per_host_sec),
+            ..Default::default()
         });
     }
     if let Ok(r) = serde_json::from_str::<ReferenceReportVerifyBatch>(json) {
@@ -747,6 +864,7 @@ fn reference_deliveries_per_sec(json: &str) -> Option<RegressionReference> {
             batched: Some(r.pipeline_batched.deliveries_per_host_sec),
             verify_batch: vb,
             contention_gated: None,
+            ..Default::default()
         });
     }
     if let Ok(r) = serde_json::from_str::<ReferenceReportBatched>(json) {
@@ -755,6 +873,7 @@ fn reference_deliveries_per_sec(json: &str) -> Option<RegressionReference> {
             batched: Some(r.pipeline_batched.deliveries_per_host_sec),
             verify_batch: None,
             contention_gated: None,
+            ..Default::default()
         });
     }
     serde_json::from_str::<ReferenceReport>(json)
@@ -764,6 +883,7 @@ fn reference_deliveries_per_sec(json: &str) -> Option<RegressionReference> {
             batched: None,
             verify_batch: None,
             contention_gated: None,
+            ..Default::default()
         })
 }
 
@@ -791,26 +911,34 @@ fn load_regression_reference() -> Option<RegressionReference> {
     }
 }
 
-/// One pipeline row of the regression guard: fails the run when the fresh
-/// throughput drops more than the allowed fraction below the committed
-/// reference captured at start-up.
-fn check_regression(label: &str, fresh: &PipelineReport, reference: f64) {
+/// A throughput guard: fails the run (exit 3) when `fresh` drops more than
+/// the allowed fraction below the committed reference captured at start-up.
+fn check_floor(label: &str, what: &str, unit: &str, fresh: f64, reference: f64, blame: &str) {
     let max_regression = env_f64("FS_BENCH_HOTPATH_MAX_REGRESSION", 0.20);
     let floor = reference * (1.0 - max_regression);
-    if fresh.deliveries_per_host_sec < floor {
+    if fresh < floor {
         eprintln!(
-            "regression guard [{label}]: pipeline throughput {:.0}/s is more than {:.0}% below \
-             the reference {:.0}/s (floor {:.0}/s) — scheduler or receive-path regression",
-            fresh.deliveries_per_host_sec,
+            "regression guard [{label}]: {what} {fresh:.0} {unit} is more than {:.0}% below the \
+             reference {reference:.0} {unit} (floor {floor:.0} {unit}) — {blame}",
             max_regression * 100.0,
-            reference,
-            floor,
         );
         std::process::exit(3);
     }
     eprintln!(
-        "regression guard [{label}]: {:.0}/s vs reference {:.0}/s (floor {:.0}/s) — ok",
-        fresh.deliveries_per_host_sec, reference, floor
+        "regression guard [{label}]: {fresh:.0} {unit} vs reference {reference:.0} {unit} \
+         (floor {floor:.0} {unit}) — ok"
+    );
+}
+
+/// One pipeline row of the regression guard.
+fn check_regression(label: &str, fresh: &PipelineReport, reference: f64) {
+    check_floor(
+        label,
+        "pipeline throughput",
+        "deliveries/s",
+        fresh.deliveries_per_host_sec,
+        reference,
+        "scheduler or receive-path regression",
     );
 }
 
@@ -826,6 +954,8 @@ fn main() {
     let hmac = bench_hmac(iters);
     eprintln!("hotpath: batched signature verification...");
     let verify_batch = bench_verify_batch(iters / 4);
+    eprintln!("hotpath: co-signature resume...");
+    let cosign_resume = bench_cosign_resume(iters / 4);
     eprintln!("hotpath: encode...");
     let encode = bench_encode(iters);
     eprintln!("hotpath: sign/verify...");
@@ -863,17 +993,16 @@ fn main() {
             row.payload_bytes, row.one_shot_ns, row.cached_key_ns, row.speedup
         );
     }
+    let sha256_kernel = kernel_name();
+    println!("\nsha256 kernel: {sha256_kernel}");
     println!(
-        "\n{:<16} {:>13} {:>13} {:>16}",
-        "hmac backends", "scalar MB/s", "multi MB/s", "simd-b8 MB/s"
+        "{:<16} {:>13} {:>13} {:>16}",
+        "hmac backends", "scalar MB/s", "simd MB/s", "simd-b8 MB/s"
     );
     for row in &hmac {
         println!(
             "{:<16} {:>13.0} {:>13.0} {:>16.0}",
-            row.payload_bytes,
-            row.scalar_mb_per_s,
-            row.multiblock_mb_per_s,
-            row.simd_batch8_mb_per_s
+            row.payload_bytes, row.scalar_mb_per_s, row.simd_mb_per_s, row.simd_batch8_mb_per_s
         );
     }
     println!(
@@ -884,6 +1013,16 @@ fn main() {
         println!(
             "{:<16} {:>6} {:>14.0} {:>14.0}",
             row.payload_bytes, row.batch, row.total_ns, row.per_mac_ns
+        );
+    }
+    println!(
+        "\n{:<16} {:>14} {:>14} {:>9}",
+        "cosign payload", "two-pass ns", "resumed ns", "speedup"
+    );
+    for row in &cosign_resume {
+        println!(
+            "{:<16} {:>14.0} {:>14.0} {:>8.2}x",
+            row.payload_bytes, row.two_pass_ns, row.resumed_ns, row.speedup
         );
     }
     println!(
@@ -959,8 +1098,10 @@ fn main() {
     let report = HotpathReport {
         id: "bench-hotpath".to_string(),
         iterations: iters,
+        sha256_kernel: sha256_kernel.to_string(),
         hmac,
         verify_batch,
+        cosign_resume,
         encode,
         sign_verify,
         scheduler,
@@ -994,13 +1135,51 @@ fn main() {
         if let Some(batched) = reference.batched {
             check_regression("batched", &report.pipeline_batched, batched);
         }
-        if let Some((payload, batch, ref_per_mac_ns)) = reference.verify_batch {
-            check_verify_batch_regression(&report.verify_batch, payload, batch, ref_per_mac_ns);
-        }
+        check_crypto_regression(&report, &reference);
         if let Some(gated_ref) = reference.contention_gated {
             check_contention_regression(&report.send_contention, gated_ref);
         }
     }
+}
+
+/// The crypto-row guards.  A MAC or batch-verify number means nothing across
+/// SHA-256 kernels (a SHA-NI host is ~6x a lane host on these rows), so they
+/// compare only against a reference measured on the kernel this host runs —
+/// and say so, loudly, when they cannot.
+fn check_crypto_regression(fresh: &HotpathReport, reference: &RegressionReference) {
+    let ref_kernel = reference.kernel.as_deref().unwrap_or("unrecorded");
+    if ref_kernel != fresh.sha256_kernel {
+        eprintln!(
+            "regression guard [crypto]: skipped: kernel mismatch (ref {ref_kernel}, host {})",
+            fresh.sha256_kernel
+        );
+        return;
+    }
+    if let Some((payload, ref_mb_per_s)) = reference.hmac_simd {
+        check_hmac_regression(&fresh.hmac, payload, ref_mb_per_s);
+    }
+    if let Some((payload, batch, ref_per_mac_ns)) = reference.verify_batch {
+        check_verify_batch_regression(&fresh.verify_batch, payload, batch, ref_per_mac_ns);
+    }
+}
+
+/// The backend-sweep guard: the SIMD backend's cached-key MAC throughput at
+/// the reference's largest payload.
+fn check_hmac_regression(fresh: &[HmacRow], payload: usize, reference: f64) {
+    let Some(row) = fresh.iter().find(|r| r.payload_bytes == payload) else {
+        eprintln!(
+            "regression guard [hmac]: fresh report lacks the {payload} B row the reference carries"
+        );
+        std::process::exit(3);
+    };
+    check_floor(
+        "hmac",
+        &format!("{payload} B simd-backend MAC throughput"),
+        "MB/s",
+        row.simd_mb_per_s,
+        reference,
+        "compress-kernel regression",
+    );
 }
 
 /// The time-domain guard for batched verification: the per-MAC cost of the
@@ -1043,31 +1222,59 @@ fn check_verify_batch_regression(
     );
 }
 
-/// The contended-send-path guard: the gated row's sends/host-sec must not
-/// fall more than the allowed fraction below the committed reference — a
-/// drop here means the snapshot gate (or the node wakeup path under it)
-/// got more expensive under contention.
+/// The contended-send-path guard: a drop in the gated row's sends/host-sec
+/// means the snapshot gate (or the node wakeup path under it) got more
+/// expensive under contention.
 fn check_contention_regression(fresh: &[ContentionRow], reference: f64) {
     let Some(row) = fresh.iter().find(|r| r.gated) else {
         eprintln!("regression guard [send_contention]: fresh report lacks the gated row");
         std::process::exit(3);
     };
-    let max_regression = env_f64("FS_BENCH_HOTPATH_MAX_REGRESSION", 0.20);
-    let floor = reference * (1.0 - max_regression);
-    if row.sends_per_host_sec < floor {
-        eprintln!(
-            "regression guard [send_contention]: gated send path moved {:.0} sends/s, more \
-             than {:.0}% below the reference {:.0}/s (floor {:.0}/s) — link-gate or \
-             send-path contention regression",
-            row.sends_per_host_sec,
-            max_regression * 100.0,
-            reference,
-            floor,
-        );
-        std::process::exit(3);
-    }
-    eprintln!(
-        "regression guard [send_contention]: {:.0} sends/s vs reference {:.0}/s (floor {:.0}/s) — ok",
-        row.sends_per_host_sec, reference, floor
+    check_floor(
+        "send_contention",
+        "gated send path",
+        "sends/s",
+        row.sends_per_host_sec,
+        reference,
+        "link-gate or send-path contention regression",
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::reference_deliveries_per_sec;
+
+    const PIPELINES: &str = r#""pipeline": {"deliveries_per_host_sec": 100.0},
+        "pipeline_batched": {"deliveries_per_host_sec": 400.0},
+        "verify_batch": [{"payload_bytes": 10240, "batch": 16, "total_ns": 16.0, "per_mac_ns": 1.0}],
+        "send_contention": [{"gated": true, "sends_per_host_sec": 9.0}]"#;
+
+    /// A report written before the kernel was recorded (it still carries the
+    /// retired multi-block column) arms the pipeline guards and leaves the
+    /// crypto guards to report a kernel mismatch.
+    #[test]
+    fn reference_with_multiblock_column_still_parses() {
+        let old = format!(
+            r#"{{"id": "bench-hotpath", "hmac": [{{"payload_bytes": 10240, "scalar_mb_per_s": 228.0,
+                "multiblock_ns": 48964.8, "multiblock_mb_per_s": 209.1}}], {PIPELINES}}}"#
+        );
+        let reference = reference_deliveries_per_sec(&old).expect("old layout parses");
+        assert_eq!(reference.unbatched, 100.0);
+        assert_eq!(reference.batched, Some(400.0));
+        assert_eq!(reference.verify_batch, Some((10240, 16, 1.0)));
+        assert_eq!(reference.contention_gated, Some(9.0));
+        assert_eq!(reference.kernel, None);
+        assert_eq!(reference.hmac_simd, None);
+    }
+
+    #[test]
+    fn reference_with_kernel_arms_the_crypto_guards() {
+        let new = format!(
+            r#"{{"sha256_kernel": "sha-ni", "hmac": [{{"payload_bytes": 3, "simd_mb_per_s": 18.0}},
+                {{"payload_bytes": 10240, "simd_mb_per_s": 1400.0}}], {PIPELINES}}}"#
+        );
+        let reference = reference_deliveries_per_sec(&new).expect("new layout parses");
+        assert_eq!(reference.kernel.as_deref(), Some("sha-ni"));
+        assert_eq!(reference.hmac_simd, Some((10240, 1400.0)));
+    }
 }

@@ -15,7 +15,7 @@ use fs_common::id::{FsId, MemberId};
 use fs_common::{Bytes, SignatureError};
 use fs_crypto::keys::{KeyDirectory, SignerId, SigningKey};
 use fs_crypto::sha256::Digest;
-use fs_crypto::sig::{verify_cosign_pair, verify_cosign_pair_uncached, Signature};
+use fs_crypto::sig::{verify_cosign_pair, verify_cosign_pair_uncached, Signature, SignedPrefix};
 use fs_smr::machine::Endpoint;
 
 /// Encodes a logical endpoint (defined in `fs-smr`) onto the wire.
@@ -205,6 +205,29 @@ impl FsOutput {
         second_key: &SigningKey,
     ) -> Self {
         let second = Signature::sign(second_key, &co_signing_bytes(content_bytes, &first));
+        Self {
+            fs,
+            content,
+            first,
+            second,
+        }
+    }
+
+    /// [`FsOutput::counter_sign_with`] for the wrapper's own case — the
+    /// counter-signing key is the one that already signed the same content
+    /// for the partner — resumed from that signature's midstate so the
+    /// content is not hashed a second time.  Byte-identical to
+    /// `counter_sign_with(fs, content, signed.message(), first, key)`.
+    ///
+    /// `signed` must come from signing `signing_bytes(fs, &content)`;
+    /// anything else produces an output that fails verification.
+    pub fn counter_sign_resumed(
+        fs: FsId,
+        content: FsContent,
+        signed: &SignedPrefix,
+        first: Signature,
+    ) -> Self {
+        let second = signed.co_sign(&first);
         Self {
             fs,
             content,
@@ -659,6 +682,40 @@ mod tests {
         let signal = FsOutput::counter_sign(fs, FsContent::FailSignal, first, &a);
         assert!(signal.is_fail_signal());
         assert!(signal.verify(&dir, (a.signer, b.signer)).is_ok());
+    }
+
+    /// The resumed counter-signature is the two-pass one, byte for byte, at
+    /// every content length around the block and padding boundaries.
+    #[test]
+    fn resumed_counter_signature_equals_two_pass() {
+        let (a, b, _, dir) = keys();
+        let fs = FsId(4);
+        let pair = (a.signer, b.signer);
+        for len in (0..=200).chain([10_240]) {
+            let content = FsContent::Output {
+                output_seq: 11,
+                dest: Endpoint::Peer(MemberId(1)),
+                bytes: (0..len)
+                    .map(|i| (i % 251) as u8)
+                    .collect::<Vec<u8>>()
+                    .into(),
+            };
+            let bytes = signing_bytes(fs, &content);
+            // `b` signs its own copy for the partner, then counter-signs
+            // `a`'s signature over the same content.
+            let (own, signed) = Signature::sign_resumable(&b, &bytes);
+            assert_eq!(own, Signature::sign(&b, &bytes), "payload {len}");
+            let first = Signature::sign(&a, &bytes);
+            let resumed =
+                FsOutput::counter_sign_resumed(fs, content.clone(), &signed, first.clone());
+            let two_pass = FsOutput::counter_sign_with(fs, content, &bytes, first, &b);
+            assert_eq!(resumed, two_pass, "payload {len}");
+            assert!(resumed.verify(&dir, pair).is_ok(), "payload {len}");
+            assert!(
+                resumed.verify_with_uncached(&dir, &bytes, pair).is_ok(),
+                "payload {len}"
+            );
+        }
     }
 
     #[test]

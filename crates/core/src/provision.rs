@@ -497,15 +497,30 @@ mod tests {
             pair.leader.on_timer(&mut pair.leader_ctx, t);
         }
         assert!(pair.leader.has_failed());
-        pair.leader_ctx.take_sent();
-        // Any later message gets the fail-signal back.
+        // The failure broadcast follows whatever pair traffic preceded it.
+        let sent = pair.leader_ctx.take_sent();
+        let signal = sent.last().expect("failure broadcasts").payload.clone();
+        let broadcasts = sent.iter().filter(|o| o.payload == signal).count();
+        // Any later message gets the fail-signal back — the very frame that
+        // was broadcast on failure, not a re-signed, re-encoded copy.
+        pair.leader
+            .on_message(&mut pair.leader_ctx, CLIENT, wire.clone());
         pair.leader.on_message(&mut pair.leader_ctx, CLIENT, wire);
         let replies = pair.leader_ctx.sent_to(CLIENT);
-        assert_eq!(replies.len(), 1);
-        let Ok(FsoInbound::External(out)) = FsoInbound::from_wire(&replies[0].payload) else {
-            panic!("expected an external fail-signal reply");
-        };
-        assert!(out.is_fail_signal());
+        assert_eq!(replies.len(), 2);
+        for reply in &replies {
+            let Ok(FsoInbound::External(out)) = FsoInbound::from_wire(&reply.payload) else {
+                panic!("expected an external fail-signal reply");
+            };
+            assert!(out.is_fail_signal());
+            assert_eq!(reply.payload, signal);
+            assert_eq!(
+                reply.payload.as_ptr(),
+                signal.as_ptr(),
+                "replies share the one encoded frame"
+            );
+        }
+        assert_eq!(pair.leader.stats().fail_signals_sent, broadcasts as u64 + 2);
     }
 
     #[test]

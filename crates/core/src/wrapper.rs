@@ -27,7 +27,7 @@ use fs_common::id::{FsId, ProcessId, Role};
 use fs_common::time::SimDuration;
 use fs_common::Bytes;
 use fs_crypto::sha256::{Digest, Sha256};
-use fs_crypto::sig::Signature;
+use fs_crypto::sig::{Signature, SignedPrefix};
 use fs_simnet::actor::{Actor, Context, TimerId};
 use fs_smr::machine::{DeterministicMachine, Endpoint, MachineInput, MachineOutput};
 
@@ -57,10 +57,11 @@ pub struct FsoStats {
 struct IcmpEntry {
     dest: Endpoint,
     bytes: Bytes,
-    /// The signing bytes of the corresponding [`FsContent::Output`], encoded
-    /// once in `produce_output` and reused for the counter-signature when
-    /// the comparison completes — the content is never re-encoded.
-    content_bytes: Bytes,
+    /// The signing bytes of the corresponding [`FsContent::Output`] plus
+    /// this wrapper's HMAC midstate after signing them in `produce_output`:
+    /// when the comparison completes, the counter-signature resumes from it
+    /// — the content is neither re-encoded nor re-hashed.
+    signed: SignedPrefix,
     timer: TimerId,
 }
 
@@ -97,6 +98,9 @@ pub struct FsoActor {
     seen_external: BTreeSet<(FsId, u64)>,
     /// Source FS processes whose fail-signal has already been converted.
     fail_signals_seen: BTreeSet<FsId>,
+    /// The encoded, counter-signed fail-signal frame, built when the
+    /// wrapper fails and refcount-cloned to every recipient thereafter.
+    fail_signal_frame: Option<Bytes>,
     /// Follower only: externally received inputs awaiting the leader's order.
     irmp: BTreeMap<Digest, IrmpEntry>,
     /// Locally produced outputs awaiting comparison.
@@ -131,6 +135,7 @@ impl FsoActor {
             seen_inputs: BTreeSet::new(),
             seen_external: BTreeSet::new(),
             fail_signals_seen: BTreeSet::new(),
+            fail_signal_frame: None,
             irmp: BTreeMap::new(),
             icmp: BTreeMap::new(),
             ecmp: BTreeMap::new(),
@@ -230,13 +235,22 @@ impl FsoActor {
         ctx.send(self.config.partner, FsoInbound::Pair(message).to_wire());
     }
 
-    fn fail_signal_output(&self) -> FsOutput {
-        FsOutput::counter_sign(
-            self.config.fs,
-            FsContent::FailSignal,
-            self.config.prearmed_fail_signal.clone(),
-            &self.config.key,
-        )
+    /// The pair's pre-armed fail-signal, counter-signed and encoded once.
+    /// The frame is a pure function of the configuration, so every
+    /// transmission — the broadcast in `fail()` and each fs1 reply — shares
+    /// the same bytes.
+    fn fail_signal_frame(&mut self) -> Bytes {
+        self.fail_signal_frame
+            .get_or_insert_with(|| {
+                FsoInbound::External(FsOutput::counter_sign(
+                    self.config.fs,
+                    FsContent::FailSignal,
+                    self.config.prearmed_fail_signal.clone(),
+                    &self.config.key,
+                ))
+                .to_wire()
+            })
+            .clone()
     }
 
     fn fail(&mut self, ctx: &mut dyn Context, reason: &str) {
@@ -246,7 +260,7 @@ impl FsoActor {
         self.failed = true;
         ctx.trace(&format!("fail-signal: {reason}"));
         ctx.charge_cpu(self.config.crypto_costs.sign_cost(64));
-        let signal = FsoInbound::External(self.fail_signal_output()).to_wire();
+        let signal = self.fail_signal_frame();
         for process in self.config.routes.all_processes() {
             ctx.send(process, signal.clone());
             self.stats.fail_signals_sent += 1;
@@ -258,7 +272,7 @@ impl FsoActor {
     }
 
     fn reply_with_fail_signal(&mut self, ctx: &mut dyn Context, to: ProcessId) {
-        let signal = FsoInbound::External(self.fail_signal_output()).to_wire();
+        let signal = self.fail_signal_frame();
         ctx.send(to, signal);
         self.stats.fail_signals_sent += 1;
     }
@@ -346,7 +360,7 @@ impl FsoActor {
         let content_bytes = signing_bytes(self.config.fs, &content);
         let tau = self.config.crypto_costs.sign_cost(content_bytes.len());
         ctx.charge_cpu(tau);
-        let signature = Signature::sign(&self.config.key, &content_bytes);
+        let (signature, signed) = Signature::sign_resumable(&self.config.key, &content_bytes);
 
         self.send_pair(
             ctx,
@@ -359,7 +373,7 @@ impl FsoActor {
         );
 
         if let Some(remote) = self.ecmp.remove(&output_seq) {
-            self.complete_comparison(ctx, output_seq, dest, bytes, &content_bytes, remote);
+            self.complete_comparison(ctx, output_seq, dest, bytes, &signed, remote);
             return;
         }
 
@@ -375,7 +389,7 @@ impl FsoActor {
             IcmpEntry {
                 dest,
                 bytes,
-                content_bytes,
+                signed,
                 timer,
             },
         );
@@ -390,7 +404,7 @@ impl FsoActor {
         output_seq: u64,
         dest: Endpoint,
         bytes: Bytes,
-        content_bytes: &[u8],
+        signed: &SignedPrefix,
         remote: EcmpEntry,
     ) {
         if remote.dest != dest || remote.bytes != bytes {
@@ -398,21 +412,17 @@ impl FsoActor {
             self.fail(ctx, "output comparison mismatch");
             return;
         }
-        // Counter-sign the remote's (already verified) signature over the
-        // signing bytes cached when the output was produced — no re-encoding.
+        // Counter-sign the remote's (already verified) signature, resuming
+        // from the midstate saved when this wrapper signed the same content
+        // — no re-encoding, no second pass over the content.
         let content = FsContent::Output {
             output_seq,
             dest,
             bytes,
         };
         ctx.charge_cpu(self.config.crypto_costs.sign_cost(64));
-        let output = FsOutput::counter_sign_with(
-            self.config.fs,
-            content,
-            content_bytes,
-            remote.signature,
-            &self.config.key,
-        );
+        let output =
+            FsOutput::counter_sign_resumed(self.config.fs, content, signed, remote.signature);
         // One encode of the external frame, refcount-shared across every
         // routed destination.
         let wire = FsoInbound::External(output).to_wire();
@@ -483,13 +493,12 @@ impl FsoActor {
                 if let Some(local) = self.icmp.remove(&output_seq) {
                     ctx.cancel_timer(local.timer);
                     self.timers.remove(&local.timer);
-                    let content_bytes = local.content_bytes;
                     self.complete_comparison(
                         ctx,
                         output_seq,
                         local.dest,
                         local.bytes,
-                        &content_bytes,
+                        &local.signed,
                         EcmpEntry {
                             dest,
                             bytes,

@@ -9,10 +9,10 @@
 //! from a trusted [`crate::keys::KeyDirectory`].
 
 use crate::sha256::{
-    compress_with_schedule, ct_eq, expand_schedule, state_to_digest, CompressBackend, Digest,
-    Sha256, BLOCK_LEN, DIGEST_LEN,
+    compress_blocks, compress_with_schedule, ct_eq, expand_schedule, state_to_digest,
+    CompressBackend, Digest, Sha256, BLOCK_LEN, DIGEST_LEN,
 };
-use crate::simd;
+use crate::{shani, simd};
 
 /// The length of an HMAC-SHA-256 tag in bytes.
 pub const TAG_LEN: usize = DIGEST_LEN;
@@ -103,9 +103,10 @@ impl HmacKey {
     /// Computes the tags of `message` under every key in `keys` in one pass
     /// (one message schedule expansion shared across the whole batch).
     ///
-    /// `result[i]` is the tag under `keys[i]`; equivalent to — and on the
-    /// SIMD backend several times faster than — calling
-    /// [`HmacKey::mac`] per key.
+    /// `result[i]` is the tag under `keys[i]`; equivalent to calling
+    /// [`HmacKey::mac`] per key, and several times faster on the SIMD
+    /// backend's lane kernels (on a SHA-extensions CPU it *is* one
+    /// sequential kernel pass per key — see [`MacSchedule`]).
     pub fn mac_batch(keys: &[&HmacKey], message: &[u8]) -> Vec<Digest> {
         MacSchedule::new(message).mac_batch(keys)
     }
@@ -148,6 +149,11 @@ impl HmacKey {
 /// where the batch-verify speedup in `results/bench-hotpath.json` comes
 /// from.
 ///
+/// None of that pays on a CPU with the SHA extensions, whose sequential
+/// kernel hashes a block faster than a precomputed schedule can be replayed:
+/// there (and on the scalar oracle backend) no schedule is expanded and
+/// every MAC is one sequential pass under the key — same tags, same API.
+///
 /// # Examples
 ///
 /// ```
@@ -163,10 +169,10 @@ impl HmacKey {
 /// ```
 pub struct MacSchedule<'m> {
     message: &'m [u8],
-    backend: CompressBackend,
     /// Expanded schedules for every post-ipad inner-hash block: the full
-    /// message blocks, then the padded tail block(s).  Empty on the scalar
-    /// backend, which takes the original per-key path untouched.
+    /// message blocks, then the padded tail block(s).  Empty in sequential
+    /// mode (scalar oracle backend, or a SHA-extensions CPU), where every
+    /// MAC takes the per-key incremental path instead.
     schedules: Vec<[u32; 64]>,
     /// How many leading entries of `schedules` cover full message blocks
     /// (the prefix that [`MacSchedule::mac_with_suffix`] can reuse).
@@ -182,12 +188,10 @@ impl<'m> MacSchedule<'m> {
 
     /// [`MacSchedule::new`] pinned to an explicit backend.
     pub fn new_with_backend(backend: CompressBackend, message: &'m [u8]) -> Self {
-        if backend == CompressBackend::Scalar {
-            // Oracle mode: no precompute; every MAC takes the original
-            // incremental per-key path.
+        if backend == CompressBackend::Scalar || shani::available() {
+            // Sequential mode: no precompute.
             return Self {
                 message,
-                backend,
                 schedules: Vec::new(),
                 full_blocks: 0,
             };
@@ -217,7 +221,6 @@ impl<'m> MacSchedule<'m> {
         }
         Self {
             message,
-            backend,
             schedules,
             full_blocks,
         }
@@ -228,10 +231,16 @@ impl<'m> MacSchedule<'m> {
         self.message
     }
 
+    /// Sequential mode: nothing was precomputed (a padded message always
+    /// has at least one tail schedule otherwise).
+    fn sequential(&self) -> bool {
+        self.schedules.is_empty()
+    }
+
     /// Computes the tag under one key, replaying the precomputed schedules
     /// against the key's inner state.
     pub fn mac(&self, key: &HmacKey) -> Digest {
-        if self.backend == CompressBackend::Scalar {
+        if self.sequential() {
             return key.mac(self.message);
         }
         let mut state = key.inner.state();
@@ -241,12 +250,13 @@ impl<'m> MacSchedule<'m> {
         outer_finalize(key, &state_to_digest(&state))
     }
 
-    /// Computes the tag under every key, lane-parallel on the SIMD backend.
+    /// Computes the tag under every key — lane-parallel over the shared
+    /// schedule, or one sequential pass per key in sequential mode.
     ///
     /// `result[i]` is the tag under `keys[i]`.
     pub fn mac_batch(&self, keys: &[&HmacKey]) -> Vec<Digest> {
-        if self.backend != CompressBackend::Simd {
-            return keys.iter().map(|k| self.mac(k)).collect();
+        if self.sequential() {
+            return keys.iter().map(|k| k.mac(self.message)).collect();
         }
         let mut out = Vec::with_capacity(keys.len());
         let mut rest = keys;
@@ -272,7 +282,7 @@ impl<'m> MacSchedule<'m> {
     /// suffix naming the first signer, so all full content blocks are shared
     /// with the first signature's verification.
     pub fn mac_with_suffix(&self, key: &HmacKey, suffix: &[u8]) -> Digest {
-        if self.backend == CompressBackend::Scalar {
+        if self.sequential() {
             let mut h = key.hasher();
             h.update(self.message);
             h.update(suffix);
@@ -283,7 +293,7 @@ impl<'m> MacSchedule<'m> {
             compress_with_schedule(&mut state, w);
         }
         let full = self.full_blocks * BLOCK_LEN;
-        let mut h = Sha256::resume(state, (BLOCK_LEN + full) as u64, self.backend);
+        let mut h = Sha256::resume(state, (BLOCK_LEN + full) as u64, CompressBackend::Simd);
         h.update(&self.message[full..]);
         h.update(suffix);
         outer_finalize(key, &h.finalize())
@@ -325,8 +335,7 @@ fn outer_tail_block(inner_digest: &Digest) -> [u8; BLOCK_LEN] {
 #[inline]
 fn outer_finalize(key: &HmacKey, inner_digest: &Digest) -> Digest {
     let mut state = key.outer.state();
-    let w = expand_schedule(&outer_tail_block(inner_digest));
-    compress_with_schedule(&mut state, &w);
+    compress_blocks(&mut state, &outer_tail_block(inner_digest));
     state_to_digest(&state)
 }
 
@@ -549,11 +558,7 @@ mod tests {
         let refs: Vec<&HmacKey> = keys.iter().collect();
         for len in [0usize, 3, 55, 56, 63, 64, 65, 127, 128, 129, 1000] {
             let msg: Vec<u8> = (0..len).map(|x| (x % 251) as u8).collect();
-            for backend in [
-                CompressBackend::Scalar,
-                CompressBackend::MultiBlock,
-                CompressBackend::Simd,
-            ] {
+            for backend in [CompressBackend::Scalar, CompressBackend::Simd] {
                 let schedule = MacSchedule::new_with_backend(backend, &msg);
                 let tags = schedule.mac_batch(&refs);
                 assert_eq!(tags.len(), keys.len());
@@ -574,11 +579,7 @@ mod tests {
             let mut concat = msg.clone();
             concat.extend_from_slice(&suffix);
             let expected = key.mac(&concat);
-            for backend in [
-                CompressBackend::Scalar,
-                CompressBackend::MultiBlock,
-                CompressBackend::Simd,
-            ] {
+            for backend in [CompressBackend::Scalar, CompressBackend::Simd] {
                 let schedule = MacSchedule::new_with_backend(backend, &msg);
                 assert_eq!(
                     schedule.mac_with_suffix(&key, &suffix),

@@ -14,15 +14,43 @@
 //! ## Compression backends
 //!
 //! SHA-256 compression is pluggable behind [`sha256::CompressBackend`]:
-//! `Scalar` (the original path, kept as the differential oracle),
-//! `MultiBlock` (whole-run compression with no per-block state churn), and
-//! `Simd` (the default: multi-block sequential hashing plus portable
-//! lane-parallel 4-way/8-way compression for the batch APIs — see
-//! [`simd`]).  Select process-wide with the `FS_CRYPTO_BACKEND` environment
-//! variable (`scalar` | `multiblock` | `simd`) or per call site with the
-//! `*_with_backend` constructors.  All backends compute the identical
-//! function, so backend choice can affect host wall-clock only — never a
-//! simulated clock, trace, or digest.
+//! `Scalar` (the original path, kept as the differential oracle) and `Simd`
+//! (the default), which means "the best kernel this CPU has" — detected at
+//! run time, never configured: the x86-64 SHA extensions where present,
+//! otherwise the portable multi-block loop for sequential hashing plus
+//! portable lane-parallel 4-way/8-way compression (compiled under AVX2 where
+//! available) for the batch APIs — see the table in [`sha256`] and
+//! [`sha256::kernel_name`].  Select process-wide with the
+//! `FS_CRYPTO_BACKEND` environment variable (`scalar` | `simd`; any other
+//! value aborts at first use) or per call site with the `*_with_backend`
+//! constructors.  Every backend and kernel computes the identical function,
+//! so the choice can affect host wall-clock only — never a simulated clock,
+//! trace, or digest.
+//!
+//! ## Unsafe policy
+//!
+//! The crate is `#![deny(unsafe_code)]`.  Exactly two modules carry a scoped
+//! `#![allow(unsafe_code)]`, each with its safety argument in its module
+//! docs:
+//!
+//! * [`simd`] — an AVX2 recompilation of the *portable* lane loops (no
+//!   intrinsics), entered only after `is_x86_feature_detected!("avx2")`;
+//! * `shani` (crate-private) — the SHA-extensions kernel: CPU features
+//!   detected before every call, unaligned `loadu`/`storeu` accesses only,
+//!   input length a checked (`assert!`) multiple of 64, and everything
+//!   behind `cfg(target_arch = "x86_64")` — other targets compile the
+//!   portable path and no `unsafe` at all from that module.
+//!
+//! Both are differential-tested against the scalar oracle; neither has a
+//! Cargo feature or a switch of its own.
+//!
+//! ## Resumed co-signatures
+//!
+//! A fail-signal wrapper signs `HMAC(k, content)` for its partner and later
+//! co-signs `HMAC(k, content ‖ suffix)` under the same key.
+//! [`sig::Signature::sign_resumable`] returns the signing midstate
+//! ([`sig::SignedPrefix`]) so the co-signature absorbs only the 36-byte
+//! suffix; tags are bit-for-bit those of signing the concatenation.
 //!
 //! ## Batch verification contract
 //!
@@ -65,9 +93,8 @@
 //!     .expect("valid FS output");
 //! ```
 
-// `deny` rather than `forbid`: the one sanctioned exception is the
-// feature-probed AVX2 recompilation of the portable lane code in
-// [`simd`], which carries a scoped `allow` and no intrinsics.
+// `deny` rather than `forbid`: the two sanctioned exceptions (`simd`,
+// `shani`) carry scoped `allow`s — see "Unsafe policy" above.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -75,6 +102,7 @@ pub mod cost;
 pub mod hmac;
 pub mod keys;
 pub mod sha256;
+mod shani;
 pub mod sig;
 pub mod simd;
 
@@ -82,4 +110,4 @@ pub use cost::CryptoCostModel;
 pub use hmac::{HmacKey, HmacSha256, MacSchedule};
 pub use keys::{provision, KeyDirectory, SignerId, SigningKey, VerifyingKey};
 pub use sha256::{CompressBackend, Digest, Sha256};
-pub use sig::{DoubleSigned, Signature, SingleSigned};
+pub use sig::{DoubleSigned, Signature, SignedPrefix, SingleSigned};

@@ -6,31 +6,32 @@
 //! implemented here and validated against the standard test vectors
 //! (RFC 6234 / NIST).
 //!
-//! ## Backends
+//! ## Backends and kernels
 //!
-//! Three [`CompressBackend`]s produce byte-identical digests:
+//! Two [`CompressBackend`]s produce byte-identical digests:
 //!
 //! * [`CompressBackend::Scalar`] — the original one-block-at-a-time path,
 //!   kept as the differential oracle (`FS_CRYPTO_BACKEND=scalar` forces it
 //!   process-wide, which is how CI keeps it tested);
-//! * [`CompressBackend::MultiBlock`] — compresses whole block runs straight
-//!   from the input slice: the chaining state lives in registers across the
-//!   run and no per-block copy into the hasher's buffer happens;
-//! * [`CompressBackend::Simd`] — the multi-block path for sequential
-//!   hashing, plus lane-parallel compression (portable 4-way/8-way `u32`
-//!   lanes, see [`crate::simd`]) for the batch APIs
-//!   ([`Sha256::digest_batch`], [`crate::hmac::MacSchedule`]) that hash
-//!   several independent streams in one pass.
+//! * [`CompressBackend::Simd`] — the default: "the best kernel this CPU
+//!   has".  Which kernel that is gets detected at run time, never
+//!   configured ([`kernel_name`] reports it):
 //!
-//! Because every backend computes the same function, backend selection can
-//! never change a simulation result — only host wall-clock.
+//! | detected kernel | sequential hashing (`update`, `digest`, `HmacKey::mac`) | batch APIs ([`Sha256::digest_batch`], [`crate::hmac::MacSchedule`]) |
+//! |---|---|---|
+//! | `sha-ni` (x86-64 SHA extensions) | the `sha256rnds2` kernel, whole block runs straight from the input slice | one sequential kernel pass per key/message — faster than any lane layout on such a CPU |
+//! | `avx2-lanes` | portable multi-block loop (state in locals across the run, no per-block copy) | shared message schedule + 4/8-way `u32` lanes compiled under AVX2 (see [`crate::simd`]) |
+//! | `portable` (anything else, every non-x86-64 target) | portable multi-block loop | the same lane code at the target's baseline |
+//!
+//! Because every backend and kernel computes the same function, the choice
+//! can never change a simulation result — only host wall-clock.
 
 use core::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use serde::{Deserialize, Serialize};
 
-use crate::simd;
+use crate::{shani, simd};
 
 /// The size of a SHA-256 digest in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -48,35 +49,39 @@ pub(crate) const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-const H0: [u32; 8] = [
+pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
 /// Which SHA-256 compression implementation the process uses.
 ///
-/// All backends compute the identical function (the differential suite in
+/// Both backends compute the identical function (the differential suite in
 /// `tests/backends.rs` proves byte-identity on boundary vectors and random
 /// inputs), so the choice only affects host wall-clock — never simulated
 /// clocks, traces or digests.
 ///
 /// Selection: the first call to [`CompressBackend::active`] reads the
-/// `FS_CRYPTO_BACKEND` environment variable (`scalar`, `multiblock`,
-/// `simd`); unrecognised or absent values default to [`CompressBackend::Simd`].
-/// Tests and benchmarks can override per hasher
-/// ([`Sha256::new_with_backend`]) or process-wide
+/// `FS_CRYPTO_BACKEND` environment variable (`scalar` or `simd`).  Unset
+/// means [`CompressBackend::Simd`]; set to anything else aborts the process
+/// (exit code 2) naming the variable, the value and the accepted names — a
+/// typo must not silently run the accelerated path under a job that
+/// believes it pinned the oracle.  Tests and benchmarks can override per
+/// hasher ([`Sha256::new_with_backend`]) or process-wide
 /// ([`CompressBackend::set_process_default`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompressBackend {
     /// One block at a time through the hasher's internal buffer — the
     /// original implementation, kept as the differential oracle.
     Scalar,
-    /// Whole block runs compressed straight from the input slice; the
-    /// chaining state stays in locals across the run.
-    MultiBlock,
-    /// [`CompressBackend::MultiBlock`] for sequential hashing plus portable
-    /// lane-parallel (4-way/8-way) compression for the batch APIs.
+    /// The best kernel the running CPU has (see the module docs): the SHA
+    /// extensions where present, otherwise the portable multi-block loop
+    /// for sequential hashing plus lane-parallel compression for the batch
+    /// APIs.
     Simd,
 }
+
+/// The environment variable that pins the process-wide backend.
+const BACKEND_ENV: &str = "FS_CRYPTO_BACKEND";
 
 /// Process-wide backend override: 0 = unset (read the environment on first
 /// use), otherwise `backend as u8 + 1`.
@@ -87,23 +92,44 @@ impl CompressBackend {
     pub fn parse(name: &str) -> Option<Self> {
         match name.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(Self::Scalar),
-            "multiblock" | "multi-block" | "multi_block" => Some(Self::MultiBlock),
             "simd" => Some(Self::Simd),
             _ => None,
         }
     }
 
+    /// Resolves the `FS_CRYPTO_BACKEND` setting: unset is the default, set
+    /// must parse.  `Err` carries the user-facing message.
+    fn from_env_value(value: Result<String, std::env::VarError>) -> Result<Self, String> {
+        let raw = match value {
+            Err(std::env::VarError::NotPresent) => return Ok(Self::Simd),
+            Err(std::env::VarError::NotUnicode(raw)) => raw.to_string_lossy().into_owned(),
+            Ok(raw) => match Self::parse(&raw) {
+                Some(backend) => return Ok(backend),
+                None => raw,
+            },
+        };
+        Err(format!(
+            "unknown {BACKEND_ENV} backend `{raw}` (expected one of: scalar, simd)"
+        ))
+    }
+
     /// The backend newly constructed hashers use.
     ///
     /// Resolved once per process from `FS_CRYPTO_BACKEND` (default
-    /// [`CompressBackend::Simd`]); subsequently a single atomic load.
+    /// [`CompressBackend::Simd`]; a set-but-unrecognised value exits with
+    /// code 2); subsequently a single atomic load.
     pub fn active() -> Self {
         match ACTIVE_BACKEND.load(Ordering::Relaxed) {
             0 => {
-                let resolved = std::env::var("FS_CRYPTO_BACKEND")
-                    .ok()
-                    .and_then(|v| Self::parse(&v))
-                    .unwrap_or(Self::Simd);
+                let resolved =
+                    Self::from_env_value(std::env::var(BACKEND_ENV)).unwrap_or_else(|message| {
+                        // Straight to the stream: `eprintln!` would land in
+                        // the test harness's capture buffer, which `exit`
+                        // discards — exactly where this message matters.
+                        use std::io::Write;
+                        let _ = writeln!(std::io::stderr(), "{message}");
+                        std::process::exit(2);
+                    });
                 ACTIVE_BACKEND.store(resolved.encode(), Ordering::Relaxed);
                 resolved
             }
@@ -124,17 +150,29 @@ impl CompressBackend {
     fn encode(self) -> u8 {
         match self {
             Self::Scalar => 1,
-            Self::MultiBlock => 2,
-            Self::Simd => 3,
+            Self::Simd => 2,
         }
     }
 
     fn decode(v: u8) -> Self {
         match v {
             1 => Self::Scalar,
-            2 => Self::MultiBlock,
             _ => Self::Simd,
         }
+    }
+}
+
+/// The kernel [`CompressBackend::Simd`] resolves to on the running CPU:
+/// `"sha-ni"`, `"avx2-lanes"` or `"portable"` (see the module docs).
+/// Reported by the benchmarks so numbers from different hosts are never
+/// compared as if they came from the same kernel.
+pub fn kernel_name() -> &'static str {
+    if shani::available() {
+        "sha-ni"
+    } else if simd::avx2_available() {
+        "avx2-lanes"
+    } else {
+        "portable"
     }
 }
 
@@ -196,10 +234,21 @@ pub(crate) fn compress_with_schedule(state: &mut [u32; 8], w: &[u32; 64]) {
 }
 
 /// Compresses a whole run of blocks (`data.len()` must be a multiple of 64)
-/// straight from the input slice: the chaining state is loaded into locals
-/// once per run instead of once per block, and no bytes are copied into an
-/// intermediate block buffer.
+/// straight from the input slice — the single choke point of every
+/// non-oracle hash.  Runs the SHA-extensions kernel where the CPU has it
+/// (probed per call; the probe is one cached atomic load) and the portable
+/// multi-block loop otherwise.
+#[inline]
 pub(crate) fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
+    if !shani::try_compress_blocks(state, data) {
+        compress_blocks_portable(state, data);
+    }
+}
+
+/// The portable body of [`compress_blocks`]: the chaining state is loaded
+/// into locals once per run instead of once per block, and no bytes are
+/// copied into an intermediate block buffer.
+pub(crate) fn compress_blocks_portable(state: &mut [u32; 8], data: &[u8]) {
     debug_assert_eq!(data.len() % BLOCK_LEN, 0);
     let mut s = *state;
     for block in data.chunks_exact(BLOCK_LEN) {
@@ -376,8 +425,7 @@ impl Sha256 {
 
     /// One-shot digest on an explicit backend.
     ///
-    /// On the multi-block and SIMD backends this path never touches a
-    /// hasher: full blocks compress straight from `data` and only the final
+    /// On the SIMD backend this path never touches a hasher: full blocks compress straight from `data` and only the final
     /// padded block(s) are assembled on the stack — no per-block buffer
     /// copies and no final state copy/reset.
     pub fn digest_with_backend(backend: CompressBackend, data: &[u8]) -> Digest {
@@ -407,9 +455,11 @@ impl Sha256 {
 
     /// Hashes `messages.len()` independent messages in one pass.
     ///
-    /// On the SIMD backend, equal-length messages are grouped into 8-way
-    /// (then 4-way) lanes whose message schedules are expanded lane-wise and
-    /// compressed together; other backends hash sequentially.  Output order
+    /// On the SIMD backend without the SHA extensions, equal-length messages
+    /// are grouped into 8-way (then 4-way) lanes whose message schedules are
+    /// expanded lane-wise and compressed together; the scalar backend, and
+    /// a CPU whose sequential kernel outruns the lanes, hash one message
+    /// after another.  Output order
     /// matches input order and every digest equals
     /// [`Sha256::digest`] of the same message on any backend.
     pub fn digest_batch(messages: &[&[u8]]) -> Vec<Digest> {
@@ -418,7 +468,7 @@ impl Sha256 {
 
     /// [`Sha256::digest_batch`] on an explicit backend.
     pub fn digest_batch_with_backend(backend: CompressBackend, messages: &[&[u8]]) -> Vec<Digest> {
-        if backend != CompressBackend::Simd {
+        if backend == CompressBackend::Scalar || shani::available() {
             return messages
                 .iter()
                 .map(|m| Self::digest_with_backend(backend, m))
@@ -728,6 +778,27 @@ mod tests {
             // that reason; single-byte ones must hit the nibble table.
             assert_eq!(Digest::from_hex(&bad), None, "{bad_char:?}");
         }
+    }
+
+    #[test]
+    fn backend_environment_value_is_strict() {
+        use std::env::VarError;
+        let resolve = CompressBackend::from_env_value;
+        assert_eq!(
+            resolve(Err(VarError::NotPresent)),
+            Ok(CompressBackend::Simd)
+        );
+        assert_eq!(resolve(Ok("scalar".into())), Ok(CompressBackend::Scalar));
+        assert_eq!(resolve(Ok(" SIMD ".into())), Ok(CompressBackend::Simd));
+        // A typo, the empty string and the retired backend all refuse, and
+        // the message names the variable, the value and the accepted names.
+        for bad in ["scaler", "", "multiblock"] {
+            let message = resolve(Ok(bad.into())).unwrap_err();
+            assert!(message.contains("FS_CRYPTO_BACKEND"), "{message}");
+            assert!(message.contains(&format!("`{bad}`")), "{message}");
+            assert!(message.contains("scalar, simd"), "{message}");
+        }
+        assert!(resolve(Err(VarError::NotUnicode("\u{fffd}".into()))).is_err());
     }
 
     #[test]

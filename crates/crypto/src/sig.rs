@@ -19,9 +19,9 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use fs_common::SignatureError;
+use fs_common::{Bytes, SignatureError};
 
-use crate::hmac::{HmacKey, MacSchedule};
+use crate::hmac::{HmacKey, HmacSha256, MacSchedule};
 use crate::keys::{KeyDirectory, SignerId, SigningKey};
 use crate::sha256::{ct_eq, Digest};
 
@@ -138,13 +138,36 @@ impl Signature {
     /// later.  Its check then becomes a hash-map probe instead of a second
     /// HMAC computation over the same bytes.
     pub fn sign(key: &SigningKey, message: &[u8]) -> Signature {
-        let tag = key.hmac().mac(message);
+        Self::seeded(key, key.hmac().mac(message), message)
+    }
+
+    /// Wraps a freshly computed `tag = HMAC(key, message)` as a signature
+    /// and seeds the verification memo with it.
+    fn seeded(key: &SigningKey, tag: Digest, message: &[u8]) -> Signature {
         let memo_key = (key.signer, key.hmac().fingerprint(), tag);
         VERIFY_MEMO.with(|memo| memo.borrow_mut().insert(memo_key, message));
         Signature {
             signer: key.signer,
             tag,
         }
+    }
+
+    /// [`Signature::sign`] that also returns the signing midstate, so a later
+    /// co-signature *by the same key* over `message ‖ suffix` costs one or
+    /// two compressions instead of a second pass over the whole message
+    /// (see [`SignedPrefix::co_sign`]).  The signature — and the memo entry
+    /// seeded for it — are exactly those of [`Signature::sign`].
+    pub fn sign_resumable(key: &SigningKey, message: &Bytes) -> (Signature, SignedPrefix) {
+        let mut state = key.hmac().hasher();
+        state.update(message);
+        let signature = Self::seeded(key, state.clone().finalize(), message);
+        let prefix = SignedPrefix {
+            message: message.clone(),
+            state,
+            signer: key.signer,
+            fingerprint: key.hmac().fingerprint(),
+        };
+        (signature, prefix)
     }
 
     /// Verifies this signature over `message` against the key directory.
@@ -302,6 +325,62 @@ fn cosign_suffix(first: &Signature) -> [u8; 36] {
     suffix[..4].copy_from_slice(&(first.signer.0).0.to_le_bytes());
     suffix[4..].copy_from_slice(first.tag.as_bytes());
     suffix
+}
+
+/// A signer's HMAC state after absorbing a message it has just signed,
+/// together with (a refcount of) that message: everything needed to
+/// counter-sign a peer's signature over the same message without hashing
+/// the message again.
+///
+/// A fail-signal wrapper signs each output once for its partner and, when
+/// the partner's copy matches, co-signs `content ‖ suffix(partner's
+/// signature)` with the *same key*.  The two MAC inputs share the whole
+/// content as a prefix, so the second tag is the saved state plus the
+/// 36-byte suffix.  Tags are bit-for-bit those of
+/// [`Signature::sign`] over the concatenation.
+///
+/// The state is key-equivalent material; it never leaves the signer and is
+/// not printed by `Debug`.
+#[derive(Clone)]
+pub struct SignedPrefix {
+    message: Bytes,
+    state: HmacSha256,
+    signer: SignerId,
+    fingerprint: u64,
+}
+
+impl std::fmt::Debug for SignedPrefix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "SignedPrefix({}, {} B)", self.signer, self.message.len())
+    }
+}
+
+impl SignedPrefix {
+    /// The message whose signature this state resumes from.
+    pub fn message(&self) -> &Bytes {
+        &self.message
+    }
+
+    /// Counter-signs `first` (another signer's signature over the same
+    /// message): the result equals `Signature::sign(key, message ‖
+    /// suffix(first))` under the key that produced this prefix, and seeds
+    /// the verification memo the same way.
+    pub fn co_sign(&self, first: &Signature) -> Signature {
+        let suffix = cosign_suffix(first);
+        let mut state = self.state.clone();
+        state.update(&suffix);
+        let tag = state.finalize();
+        VERIFY_MEMO.with(|memo| {
+            memo.borrow_mut().insert_parts(
+                (self.signer, self.fingerprint, tag),
+                &[&self.message, &suffix],
+            )
+        });
+        Signature {
+            signer: self.signer,
+            tag,
+        }
+    }
 }
 
 /// A [`MacSchedule`] built only when a memo miss actually needs it, then
@@ -840,6 +919,97 @@ mod tests {
             DoubleSigned::verify_batch(&[&dup, &d1], &dir, &bytes, pair).unwrap_err(),
             SignatureError::DuplicateSigner
         );
+    }
+
+    /// Splits `data` into a prefix and a trailing 36 bytes reinterpreted as
+    /// the co-signature suffix of some first signature, so arbitrary test
+    /// vectors can be pushed through [`SignedPrefix::co_sign`].
+    fn split_as_cosign(data: &[u8]) -> (Bytes, Signature) {
+        let (prefix, suffix) = data.split_at(data.len() - 36);
+        let first = Signature {
+            signer: SignerId(ProcessId(u32::from_le_bytes(
+                suffix[..4].try_into().unwrap(),
+            ))),
+            tag: Digest(suffix[4..].try_into().unwrap()),
+        };
+        assert_eq!(cosign_suffix(&first), suffix);
+        (Bytes::copy_from_slice(prefix), first)
+    }
+
+    #[test]
+    fn resumed_cosign_equals_signing_the_concatenation() {
+        let (a, b, _, dir) = setup();
+        for len in (0..=200).chain([10_240]) {
+            let content: Bytes = (0..len)
+                .map(|i| (i % 251) as u8)
+                .collect::<Vec<u8>>()
+                .into();
+            let (sig, prefix) = Signature::sign_resumable(&b, &content);
+            assert_eq!(sig, Signature::sign(&b, &content), "len {len}");
+            assert_eq!(prefix.message(), &content);
+            let first = Signature::sign(&a, &content);
+            let second = prefix.co_sign(&first);
+            assert_eq!(
+                second,
+                Signature::sign(&b, &co_sign_bytes(&content, &first)),
+                "len {len}"
+            );
+            // The pair is a valid double signature, memoised or not.
+            assert!(verify_cosign_pair(&dir, &content, &first, &second).is_ok());
+            assert!(verify_cosign_pair_uncached(&dir, &content, &first, &second).is_ok());
+        }
+    }
+
+    /// RFC 4231 HMAC-SHA-256 vectors through the resumable path.  HMAC
+    /// zero-pads short keys and hashes long ones, so each RFC key has an
+    /// equivalent 32-byte `SigningKey`.
+    #[test]
+    fn rfc4231_vectors_through_the_resumed_path() {
+        fn short_key(key: &[u8]) -> [u8; 32] {
+            let mut k = [0u8; 32];
+            k[..key.len()].copy_from_slice(key);
+            k
+        }
+        let long_key = crate::sha256::Sha256::digest(&[0xaa; 131]).0;
+        let vectors: Vec<([u8; 32], Vec<u8>, &str)> = vec![
+            (
+                short_key(&[0x0b; 20]),
+                b"Hi There".to_vec(),
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                short_key(b"Jefe"),
+                b"what do ya want for nothing?".to_vec(),
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                short_key(&[0xaa; 20]),
+                vec![0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                long_key,
+                b"Test Using Larger Than Block-Size Key - Hash Key First".to_vec(),
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+            (
+                long_key,
+                b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm.".to_vec(),
+                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+            ),
+        ];
+        for (secret, data, expected) in vectors {
+            let key = SigningKey::from_bytes(SignerId(ProcessId(1)), secret);
+            // The whole vector as the signed message...
+            let (sig, _) = Signature::sign_resumable(&key, &Bytes::copy_from_slice(&data));
+            assert_eq!(sig.tag.to_hex(), expected);
+            // ...and, where it is long enough, as prefix ‖ co-sign suffix.
+            if data.len() >= 36 {
+                let (prefix, first) = split_as_cosign(&data);
+                let (_, signed) = Signature::sign_resumable(&key, &prefix);
+                assert_eq!(signed.co_sign(&first).tag.to_hex(), expected);
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! a second compilation of the **same portable body** under
 //! `#[target_feature(enable = "avx2")]`, selected at runtime with
 //! `is_x86_feature_detected!`.  That is the only `unsafe` in the module, it
-//! is guarded by the feature probe, and no intrinsics are involved — the
+//! is guarded by the feature probe (`avx2_available`), and no intrinsics
+//! are involved — the
 //! attribute merely lets the autovectorizer use the registers the CPU
 //! actually has.  Every other architecture (and pre-AVX2 x86) runs the
 //! baseline-compiled portable body, so results are bit-identical
@@ -26,6 +27,10 @@
 //! seeds — the whole loop silently scalarizes (measured at parity with the
 //! scalar backend instead of the ~4× the wide registers give).
 //!
+//! On a CPU with the SHA extensions none of this runs: one sequential pass of
+//! the `sha256rnds2` kernel (the crate-private `shani` module) per message
+//! or key outruns every lane layout, so the batch APIs take that instead.
+//!
 //! Two entry points serve the two batch shapes the authenticator stack
 //! needs:
 //!
@@ -38,8 +43,9 @@
 //!   verifying the same message — roughly a third of the scalar compress
 //!   work amortizes across the batch).
 
-// The only unsafe in the crate: `#[target_feature]` twins of the portable
-// bodies plus their probe-guarded calls (see the module docs).
+// One of the crate's two unsafe modules (the other is `shani`):
+// `#[target_feature]` twins of the portable bodies plus their probe-guarded
+// calls (see the module docs).
 #![allow(unsafe_code)]
 
 use crate::sha256::{BLOCK_LEN, K};
@@ -98,6 +104,20 @@ impl<const N: usize> Lanes<N> {
     }
 }
 
+/// Whether the lane loops run under their AVX2 recompilation on this CPU
+/// (always `false` off x86-64, where the baseline-compiled body runs).
+#[inline]
+pub(crate) fn avx2_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 /// Runs the 64 SHA-256 rounds on `N` chains at once and folds the results
 /// into the per-lane states.  `kw[i]` must already hold `w[i] + K[i]` per
 /// lane (the callers fuse the constant add into schedule setup).
@@ -108,7 +128,7 @@ impl<const N: usize> Lanes<N> {
 /// boundary must sit exactly here).
 fn rounds_with_kw<const N: usize>(states: &mut [[u32; 8]; N], kw: &[Lanes<N>; 64]) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if avx2_available() {
         // SAFETY: the feature probe above guarantees AVX2 is available, and
         // the attributed function uses no intrinsics beyond what the
         // autovectorizer emits for it.

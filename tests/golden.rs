@@ -1,0 +1,96 @@
+//! Golden bytes: digests of signed wire frames and of one simulator trace,
+//! generated on the commit *before* the SHA-NI kernel and the resumed
+//! co-signature landed.  Every tag, frame byte and trace event the protocol
+//! emits is a pure function of (keys, content, seed), so any change that
+//! alters one of these digests changed what the system says on the wire —
+//! not merely how fast the host computes it.
+
+use fs_smr_suite::common::codec::Wire;
+use fs_smr_suite::common::id::{FsId, MemberId, ProcessId};
+use fs_smr_suite::common::rng::DetRng;
+use fs_smr_suite::common::time::{SimDuration, SimTime};
+use fs_smr_suite::common::Bytes;
+use fs_smr_suite::crypto::keys::{provision, SignerId};
+use fs_smr_suite::crypto::sha256::{CompressBackend, Sha256};
+use fs_smr_suite::crypto::sig::Signature;
+use fs_smr_suite::failsignal::message::{
+    signing_bytes, FsContent, FsOutput, FsoInbound, PairMessage,
+};
+use fs_smr_suite::harness::{NewTopService, Protocol, Scenario, Workload};
+use fs_smr_suite::smr::machine::Endpoint;
+
+/// Hashes on the scalar oracle so the golden check never depends on the
+/// kernel under test.
+fn oracle_hex(bytes: &[u8]) -> String {
+    Sha256::digest_with_backend(CompressBackend::Scalar, bytes).to_hex()
+}
+
+/// The `(External, Candidate)` frames for one payload size under fixed keys.
+fn frames(payload_len: usize) -> (Bytes, Bytes) {
+    let mut rng = DetRng::new(0x601d);
+    let (mut keys, _dir) = provision([ProcessId(0), ProcessId(1)], &mut rng);
+    let leader = keys.remove(&SignerId(ProcessId(0))).unwrap();
+    let follower = keys.remove(&SignerId(ProcessId(1))).unwrap();
+    let fs = FsId(3);
+    let payload: Bytes = (0..payload_len)
+        .map(|i| (i % 251) as u8)
+        .collect::<Vec<u8>>()
+        .into();
+    let content = FsContent::Output {
+        output_seq: 7,
+        dest: Endpoint::Peer(MemberId(2)),
+        bytes: payload.clone(),
+    };
+    let external = FsoInbound::External(FsOutput::sign(fs, content.clone(), &leader, &follower));
+    let candidate = FsoInbound::Pair(PairMessage::Candidate {
+        output_seq: 7,
+        dest: Endpoint::Peer(MemberId(2)),
+        bytes: payload,
+        signature: Signature::sign(&follower, &signing_bytes(fs, &content)),
+    });
+    (external.to_wire(), candidate.to_wire())
+}
+
+#[test]
+fn signed_frames_match_golden_digests() {
+    let golden = [
+        (
+            3usize,
+            "cbd9ecd53cca29356110dd16b48d8b0fae6cac0a52592e6417c1687883b98202",
+            "0090adaf244351d42abf97232c290a3fcc978908c1206c69a1ce64f3ec8399fd",
+        ),
+        (
+            10_240,
+            "1caf4d36d6be29fbdd32c590adb20b2751db52e7aab965a0ecda31bd64ff8f15",
+            "c130e95a00b8ecfeef68d0eadd9ab3740a3037b808edddf4aa75562609b061d3",
+        ),
+    ];
+    for (len, external_hex, candidate_hex) in golden {
+        let (external, candidate) = frames(len);
+        assert_eq!(oracle_hex(&external), external_hex, "External, {len} B");
+        assert_eq!(oracle_hex(&candidate), candidate_hex, "Candidate, {len} B");
+    }
+}
+
+#[test]
+fn fs_newtop_trace_matches_golden_digest() {
+    let mut run = Scenario::new(NewTopService::new())
+        .members(3)
+        .protocol(Protocol::FailSignal)
+        .workload(
+            Workload::paper_default()
+                .messages(4)
+                .interval(SimDuration::from_millis(25)),
+        )
+        .seed(2003)
+        .build();
+    run.enable_trace();
+    run.run_until(SimTime::from_secs(120));
+    let logs = run.delivery_logs();
+    assert_eq!(logs[0].len(), 12, "3 members x 4 messages");
+    let trace_json = serde_json::to_string(run.trace().expect("tracing enabled")).unwrap();
+    assert_eq!(
+        oracle_hex(trace_json.as_bytes()),
+        "0459e57ebf845dba43746d2617b4e532bcb6902d027d9e2533ec80df5d083a07"
+    );
+}
