@@ -53,6 +53,12 @@
 //!   ungated/gated delta prices the gate itself, and the gate row's
 //!   gate-wait p99 bounds the per-send snapshot-revalidation cost.
 //!
+//! * **ack_path** — the per-ack and per-input bookkeeping around the
+//!   cryptography: nanoseconds per `SymmetricOrder::on_ack` in a 9-member
+//!   view with 8, 64 and 512 messages pending (the curve must be flat in
+//!   the pending count), and per hit probe of a `DIGEST_MEMO`-shaped table
+//!   (`(Endpoint, payload) → Digest`) with a 10 KiB key.
+//!
 //! `FS_BENCH_HOTPATH_ITERS` scales the micro-benchmark iteration counts
 //! (default 100 000); `FS_BENCH_HOTPATH_MESSAGES` the per-member pipeline
 //! message count (default 100); `FS_BENCH_HOTPATH_LARGE_MEMBERS` the large
@@ -72,7 +78,11 @@
 //! SHA-NI box must not fail a runner without the extensions, and must never
 //! silently pass one either.  References that carry the `send_contention` section also
 //! arm a guard on the gated row's sends/host-sec, so a contended-send-path
-//! regression fails the run the same way.
+//! regression fails the run the same way.  Whenever a reference is
+//! configured, the `ack_path` section is also held to two ceilings of its
+//! own, independent of what the reference carries: `on_ack` at 512 pending
+//! messages costs at most 1.5× what it costs at 8, and the 10 KiB memo probe
+//! at most 1 µs.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -86,16 +96,19 @@ use failsignal::receiver::FsReceiver;
 use fs_bench::env::{env_f64, env_u64};
 use fs_bench::report::results_dir;
 use fs_common::codec::Wire;
-use fs_common::id::{FsId, NodeId, ProcessId};
+use fs_common::fasthash::FastMap;
+use fs_common::id::{FsId, MemberId, NodeId, ProcessId};
 use fs_common::rng::DetRng;
 use fs_common::time::SimTime;
 use fs_common::Bytes;
 use fs_crypto::hmac::{HmacKey, HmacSha256, MacSchedule};
 use fs_crypto::keys::{provision, SignerId};
-use fs_crypto::sha256::{kernel_name, CompressBackend};
+use fs_crypto::sha256::{kernel_name, CompressBackend, Digest, Sha256};
 use fs_crypto::sig::Signature;
 use fs_harness::Protocol;
 use fs_newtop::app::TrafficConfig;
+use fs_newtop::total_sym::SymmetricOrder;
+use fs_newtop::view::View;
 use fs_newtop_bft::deployment::{Deployment, DeploymentParams};
 use fs_simnet::sched::{EventQueue, ScheduledEvent, SchedulerKind};
 use fs_simnet::{
@@ -241,6 +254,22 @@ struct ContentionRow {
 }
 
 #[derive(Debug, Serialize)]
+struct OnAckRow {
+    /// Messages awaiting order while the acks arrive.
+    pending: usize,
+    on_ack_ns: f64,
+}
+
+#[derive(Debug, Serialize)]
+struct AckPathReport {
+    /// `SymmetricOrder::on_ack` in a 9-member view, by pending count.
+    on_ack: Vec<OnAckRow>,
+    /// One hit probe of a `DIGEST_MEMO`-shaped table with a 10 KiB key:
+    /// the bucket hash over the whole key plus the full-content compare.
+    memo_probe_10k_ns: f64,
+}
+
+#[derive(Debug, Serialize)]
 struct HotpathReport {
     id: String,
     iterations: u64,
@@ -262,6 +291,8 @@ struct HotpathReport {
     /// The threaded cross-node send path under contention, ungated then
     /// gated (see the module docs).
     send_contention: Vec<ContentionRow>,
+    /// Per-ack and per-input bookkeeping (see the module docs).
+    ack_path: AckPathReport,
 }
 
 fn bench_hmac(iters: u64) -> Vec<HmacRow> {
@@ -702,6 +733,84 @@ fn bench_send_contention(pairs: u32, rounds: u64, gated: bool) -> ContentionRow 
     }
 }
 
+/// The per-ack and per-input bookkeeping rows.  The ceilings these feed are
+/// ratios between rows and an absolute time, and this class of host runs the
+/// same code at two speeds for stretches far longer than one pass — so the
+/// rows are timed in interleaved rounds and each keeps its fastest pass: a
+/// slow stretch only ever adds, and it adds to every row of the round alike.
+fn bench_ack_path(iters: u64) -> AckPathReport {
+    const MEMBERS: u32 = 9;
+    const ROUNDS: usize = 15;
+    let view = View::initial((0..MEMBERS).map(MemberId));
+    // Member 0 holds `pending` messages of the other members; acks then
+    // arrive from everyone but the last member, so nothing is ever
+    // delivered and the pending set keeps its size.
+    let mut orders: Vec<(Vec<(MemberId, u64)>, SymmetricOrder)> = [8u64, 64, 512]
+        .iter()
+        .map(|&pending| {
+            let mut order = SymmetricOrder::new(MemberId(0));
+            let keys: Vec<(MemberId, u64)> = (0..pending)
+                .map(|i| (MemberId(1 + (i % 7) as u32), i / 7))
+                .collect();
+            for (i, &(origin, seq)) in keys.iter().enumerate() {
+                order.on_data(origin, seq, 1 + i as u64, vec![0u8; 3], &view);
+            }
+            (keys, order)
+        })
+        .collect();
+    // The wrapper's input-digest memo in miniature: a working set of
+    // distinct 10 KiB inputs, probed (and hit) through refcount clones.
+    let mut memo: FastMap<(Endpoint, Bytes), Digest> = FastMap::default();
+    let probes: Vec<(Endpoint, Bytes)> = (0..64u32)
+        .map(|i| {
+            let payload: Vec<u8> = (0..10_240u32)
+                .map(|j| (i ^ j.wrapping_mul(31)) as u8)
+                .collect();
+            (Endpoint::Peer(MemberId(i % 3)), Bytes::from(payload))
+        })
+        .collect();
+    for (endpoint, payload) in &probes {
+        let stored = (*endpoint, Bytes::copy_from_slice(payload));
+        memo.insert(stored, Sha256::digest(payload));
+    }
+
+    let mut on_ack_ns = [f64::INFINITY; 3];
+    let mut memo_probe_10k_ns = f64::INFINITY;
+    let mut next = 0usize;
+    for _ in 0..ROUNDS {
+        for ((keys, order), best) in orders.iter_mut().zip(&mut on_ack_ns) {
+            let pass = time_ns_per_op(iters.max(1_000), || {
+                let (origin, seq) = keys[next % keys.len()];
+                let from = MemberId(1 + (next / keys.len()) as u32 % (MEMBERS - 2));
+                next += 1;
+                black_box(order.on_ack(origin, seq, from, 1, &view));
+            });
+            *best = best.min(pass);
+        }
+        let pass = time_ns_per_op((iters / 10).max(1_000), || {
+            let probe = probes[next % probes.len()].clone();
+            next += 1;
+            black_box(memo.get(&probe).copied().expect("probe hits"));
+        });
+        memo_probe_10k_ns = memo_probe_10k_ns.min(pass);
+    }
+    let on_ack = orders
+        .iter()
+        .zip(on_ack_ns)
+        .map(|((keys, order), on_ack_ns)| {
+            assert_eq!(order.pending_count(), keys.len(), "nothing may deliver");
+            OnAckRow {
+                pending: keys.len(),
+                on_ack_ns,
+            }
+        })
+        .collect();
+    AckPathReport {
+        on_ack,
+        memo_probe_10k_ns,
+    }
+}
+
 /// Sanity-check the FS-NewTOP pipeline end to end before trusting the
 /// numbers: every member must see every message, double-signed and verified.
 fn check_pipeline_correctness() {
@@ -930,6 +1039,48 @@ fn check_floor(label: &str, what: &str, unit: &str, fresh: f64, reference: f64, 
     );
 }
 
+/// The time-domain counterpart of [`check_floor`] for costs with a ceiling
+/// of their own rather than a reference row: fails the run (exit 3) when
+/// `fresh` exceeds `ceiling`.
+fn check_ceiling(label: &str, what: &str, fresh: f64, ceiling: f64, blame: &str) {
+    if fresh > ceiling {
+        eprintln!(
+            "regression guard [{label}]: {what} {fresh:.1} ns is above its ceiling \
+             {ceiling:.1} ns — {blame}"
+        );
+        std::process::exit(3);
+    }
+    eprintln!("regression guard [{label}]: {what} {fresh:.1} ns (ceiling {ceiling:.1} ns) — ok");
+}
+
+/// The bookkeeping guards: an ack costs the same whether 8 or 512 messages
+/// are pending (a scan of the pending set would make it ~linear), and a
+/// memo probe over a 10 KiB key stays well under the hash pass it saves.
+fn check_ack_path(fresh: &AckPathReport) {
+    let at = |pending: usize| {
+        fresh
+            .on_ack
+            .iter()
+            .find(|row| row.pending == pending)
+            .map(|row| row.on_ack_ns)
+            .expect("the on_ack sweep covers 8 and 512 pending")
+    };
+    check_ceiling(
+        "ack_path",
+        "on_ack at 512 pending",
+        at(512),
+        1.5 * at(8),
+        "per-ack work grows with the pending set",
+    );
+    check_ceiling(
+        "ack_path",
+        "10 KiB memo probe",
+        fresh.memo_probe_10k_ns,
+        1_000.0,
+        "memo bucket hash regression",
+    );
+}
+
 /// One pipeline row of the regression guard.
 fn check_regression(label: &str, fresh: &PipelineReport, reference: f64) {
     check_floor(
@@ -982,6 +1133,8 @@ fn main() {
         bench_send_contention(contention_pairs, contention_rounds, false),
         bench_send_contention(contention_pairs, contention_rounds, true),
     ];
+    eprintln!("hotpath: ack path...");
+    let ack_path = bench_ack_path(iters);
 
     println!(
         "{:<16} {:>14} {:>14} {:>9}",
@@ -1087,6 +1240,17 @@ fn main() {
         );
     }
 
+    for row in &ack_path.on_ack {
+        println!(
+            "ack_path: on_ack with {:>3} pending  {:>7.1} ns",
+            row.pending, row.on_ack_ns
+        );
+    }
+    println!(
+        "ack_path: 10 KiB memo probe        {:>7.1} ns",
+        ack_path.memo_probe_10k_ns
+    );
+
     let small_speedup = hmac.first().map(|r| r.speedup).unwrap_or(0.0);
     if small_speedup < 1.5 {
         eprintln!(
@@ -1110,6 +1274,7 @@ fn main() {
         pipeline_large,
         pipeline_batched,
         send_contention,
+        ack_path,
     };
     let dir = results_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {
@@ -1139,6 +1304,7 @@ fn main() {
         if let Some(gated_ref) = reference.contention_gated {
             check_contention_regression(&report.send_contention, gated_ref);
         }
+        check_ack_path(&report.ack_path);
     }
 }
 
@@ -1267,11 +1433,16 @@ mod tests {
         assert_eq!(reference.hmac_simd, None);
     }
 
+    /// The `ack_path` section carries ceilings of its own, so the guard
+    /// reads nothing of it from the reference: references with the section
+    /// (here) and without it (above) arm the same guards.
     #[test]
     fn reference_with_kernel_arms_the_crypto_guards() {
         let new = format!(
             r#"{{"sha256_kernel": "sha-ni", "hmac": [{{"payload_bytes": 3, "simd_mb_per_s": 18.0}},
-                {{"payload_bytes": 10240, "simd_mb_per_s": 1400.0}}], {PIPELINES}}}"#
+                {{"payload_bytes": 10240, "simd_mb_per_s": 1400.0}}],
+                "ack_path": {{"on_ack": [{{"pending": 8, "on_ack_ns": 21.0}}],
+                "memo_probe_10k_ns": 650.0}}, {PIPELINES}}}"#
         );
         let reference = reference_deliveries_per_sec(&new).expect("new layout parses");
         assert_eq!(reference.kernel.as_deref(), Some("sha-ni"));

@@ -35,6 +35,7 @@
 pub mod codec;
 pub mod config;
 pub mod error;
+pub mod fasthash;
 pub mod id;
 pub mod rng;
 pub mod time;

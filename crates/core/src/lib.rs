@@ -71,6 +71,7 @@ pub mod interceptor;
 pub mod message;
 pub mod provision;
 pub mod receiver;
+mod seqwindow;
 pub mod service;
 pub mod wrapper;
 

@@ -11,6 +11,7 @@
 
 use fs_common::codec::{Decoder, Encoder, Wire};
 use fs_common::error::CodecError;
+use fs_common::fasthash::FastMap;
 use fs_common::id::{FsId, MemberId};
 use fs_common::{Bytes, SignatureError};
 use fs_crypto::keys::{KeyDirectory, SignerId, SigningKey};
@@ -262,10 +263,10 @@ impl FsOutput {
         const OUTPUT_MEMO_MAX_BYTES: usize = 32 * 1024 * 1024;
         type OutputMemoKey = (FsId, Signature, Signature, (SignerId, SignerId), (u64, u64));
         /// The memo map plus the running total of retained content bytes.
-        type OutputMemo = (std::collections::HashMap<OutputMemoKey, FsContent>, usize);
+        type OutputMemo = (FastMap<OutputMemoKey, FsContent>, usize);
         thread_local! {
             static OUTPUT_MEMO: std::cell::RefCell<OutputMemo> =
-                std::cell::RefCell::new((std::collections::HashMap::new(), 0));
+                std::cell::RefCell::new((FastMap::default(), 0));
         }
         // Tie the memo entry to the concrete key material: a verdict cached
         // under one key directory must never satisfy another.

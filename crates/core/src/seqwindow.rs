@@ -1,0 +1,93 @@
+//! Duplicate suppression for sequence-numbered inputs in memory proportional
+//! to the reorder window.
+
+use fs_common::fasthash::FastSet;
+
+/// The set of sequence numbers accepted from one source, stored as a
+/// contiguous watermark plus the sparse numbers above it.
+///
+/// Membership answers are exactly those of a plain set of every number ever
+/// inserted, under any insertion order.  When a source's numbers arrive
+/// contiguously up to reordering (FIFO links, two senders per source), only
+/// the numbers that overtook a missing one are held.  A number that never
+/// arrives — e.g. one the source spent on an output for another destination
+/// — pins the watermark, and everything above it stays in the sparse set.
+#[derive(Debug, Default)]
+pub(crate) struct SeqWindow {
+    /// Every sequence number below this one has been inserted.
+    next: u64,
+    /// Inserted sequence numbers above `next`.  Never iterated.
+    above: FastSet<u64>,
+}
+
+impl SeqWindow {
+    /// Records `seq`; returns `true` when it had not been recorded before.
+    pub(crate) fn insert(&mut self, seq: u64) -> bool {
+        if seq < self.next {
+            return false;
+        }
+        if seq > self.next {
+            return self.above.insert(seq);
+        }
+        self.next += 1;
+        while self.above.remove(&self.next) {
+            self.next += 1;
+        }
+        true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
+
+    use super::*;
+
+    #[test]
+    fn in_order_and_mildly_reordered_streams_hold_only_the_overtakers() {
+        let mut window = SeqWindow::default();
+        for seq in [0u64, 1, 3, 4, 2, 5, 7, 6] {
+            assert!(window.insert(seq));
+            assert!(!window.insert(seq));
+        }
+        assert_eq!(window.next, 8);
+        assert!(window.above.is_empty());
+        // A permanent gap pins the watermark; answers stay exact.
+        for seq in 9..100 {
+            assert!(window.insert(seq));
+        }
+        assert_eq!(window.next, 8);
+        assert_eq!(window.above.len(), 91);
+        assert!(!window.insert(50));
+        assert!(window.insert(8));
+        assert_eq!(window.next, 100);
+        assert!(window.above.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary order, duplicates and gaps: every answer equals the
+        /// model set's, and the representation stays canonical.
+        #[test]
+        fn answers_match_a_set_model(
+            seqs in proptest::collection::vec(0u64..48, 0..200),
+            far in proptest::collection::vec(any::<u64>(), 0..4),
+        ) {
+            let mut window = SeqWindow::default();
+            let mut model = BTreeSet::new();
+            // `u64::MAX` itself can only follow 2^64 - 1 other insertions.
+            for seq in seqs.into_iter().chain(far.into_iter().map(|s| s >> 1)) {
+                prop_assert_eq!(window.insert(seq), model.insert(seq), "seq {}", seq);
+                prop_assert!(!window.above.contains(&window.next));
+                prop_assert!((0..window.next).all(|s| model.contains(&s)));
+                prop_assert_eq!(
+                    window.above.len() as u64 + window.next,
+                    model.len() as u64
+                );
+            }
+        }
+    }
+}

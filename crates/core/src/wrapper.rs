@@ -23,6 +23,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use fs_common::codec::Wire;
+use fs_common::fasthash::{FastMap, FastSet};
 use fs_common::id::{FsId, ProcessId, Role};
 use fs_common::time::SimDuration;
 use fs_common::Bytes;
@@ -33,6 +34,7 @@ use fs_smr::machine::{DeterministicMachine, Endpoint, MachineInput, MachineOutpu
 
 use crate::config::{FsoConfig, SourceSpec};
 use crate::message::{signing_bytes, FsContent, FsOutput, FsoInbound, PairMessage};
+use crate::seqwindow::SeqWindow;
 
 /// Counters describing what a wrapper has done; used by tests and benches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -85,6 +87,30 @@ enum TimerPurpose {
 }
 
 /// One fail-signal wrapper object hosting a replica of the target machine.
+///
+/// # Dedup state and its bounds
+///
+/// Two structures suppress duplicates.  `seen_external` keeps, per source FS
+/// process, a contiguous watermark over its output sequence numbers plus the
+/// sparse set of numbers above it: memory follows the reorder window wherever
+/// the numbers a source addresses to this wrapper are contiguous, and a
+/// number that never arrives pins the watermark (a source that also emits
+/// outputs for other destinations — FS-NewTOP's local upcalls — skips the
+/// numbers it spent on them, so there the sparse set still grows by eight
+/// bytes per accepted output; compacting across such gaps needs a
+/// per-destination sequence on the wire).
+/// `seen_inputs` is **still unbounded**: it identifies an input by the digest
+/// of its content, which carries no sequence to compact on — the leader's
+/// external copy, the follower's `ForwardNew` copy and the leader's `Ordered`
+/// relay of one input share nothing else — so it grows by 32 bytes per input
+/// ordered for the lifetime of the wrapper.  Bounding it needs a horizon
+/// agreed by the pair (e.g. the order index below which both halves have
+/// processed everything); that is left to the hardening pass (ROADMAP item 3).
+///
+/// Both are hashed tables whose bucket order depends on a per-thread random
+/// seed; they answer membership only and are never iterated.  Everything
+/// that *is* iterated (`irmp`, `icmp` on recovery) is ordered, so timer ids
+/// and therefore traces cannot depend on the host's hash seed.
 pub struct FsoActor {
     config: FsoConfig,
     machine: Box<dyn DeterministicMachine>,
@@ -93,9 +119,10 @@ pub struct FsoActor {
     /// Inputs already ordered/processed (by content digest) — merges the
     /// leader's external receipt with the follower's `ForwardNew` copy and
     /// the follower's external receipt with the leader's `Ordered` relay.
-    seen_inputs: BTreeSet<Digest>,
-    /// External FS outputs already accepted, keyed by `(fs, output_seq)`.
-    seen_external: BTreeSet<(FsId, u64)>,
+    seen_inputs: FastSet<Digest>,
+    /// External FS outputs already accepted: per source FS process, the
+    /// output sequence numbers seen.
+    seen_external: BTreeMap<FsId, SeqWindow>,
     /// Source FS processes whose fail-signal has already been converted.
     fail_signals_seen: BTreeSet<FsId>,
     /// The encoded, counter-signed fail-signal frame, built when the
@@ -132,8 +159,8 @@ impl FsoActor {
             config,
             machine,
             order_index: 0,
-            seen_inputs: BTreeSet::new(),
-            seen_external: BTreeSet::new(),
+            seen_inputs: FastSet::default(),
+            seen_external: BTreeMap::new(),
             fail_signals_seen: BTreeSet::new(),
             fail_signal_frame: None,
             irmp: BTreeMap::new(),
@@ -193,10 +220,10 @@ impl FsoActor {
         const DIGEST_MEMO_MAX: usize = 16 * 1024;
         const DIGEST_MEMO_MAX_BYTES: usize = 32 * 1024 * 1024;
         /// The memo map plus the running total of retained input bytes.
-        type DigestMemo = (std::collections::HashMap<(Endpoint, Bytes), Digest>, usize);
+        type DigestMemo = (FastMap<(Endpoint, Bytes), Digest>, usize);
         thread_local! {
             static DIGEST_MEMO: std::cell::RefCell<DigestMemo> =
-                std::cell::RefCell::new((std::collections::HashMap::new(), 0));
+                std::cell::RefCell::new((FastMap::default(), 0));
         }
         // Probe with a refcount clone of the live frame (hash and equality
         // are by content, so it matches the detached stored key).
@@ -552,7 +579,7 @@ impl FsoActor {
             FsContent::Output {
                 output_seq, bytes, ..
             } => {
-                if !self.seen_external.insert((fs, output_seq)) {
+                if !self.seen_external.entry(fs).or_default().insert(output_seq) {
                     self.stats.duplicates_suppressed += 1;
                     return;
                 }

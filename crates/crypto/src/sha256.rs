@@ -269,8 +269,18 @@ pub(crate) fn state_to_digest(state: &[u32; 8]) -> Digest {
 }
 
 /// A SHA-256 digest.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Digest(pub [u8; DIGEST_LEN]);
+
+/// A digest is its own table hash: SHA-256 output is uniform, so a hashed
+/// table keyed by one feeds its hasher the first eight bytes and leaves the
+/// other 24 to the equality check, instead of hashing 32 bytes a second time.
+impl std::hash::Hash for Digest {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        let [a, b, c, d, e, f, g, h, ..] = self.0;
+        state.write_u64(u64::from_le_bytes([a, b, c, d, e, f, g, h]));
+    }
+}
 
 /// Lowercase hexadecimal alphabet indexed by nibble value.
 const HEX_CHARS: &[u8; 16] = b"0123456789abcdef";
@@ -507,6 +517,18 @@ impl Sha256 {
         out
     }
 
+    /// Compresses a run of whole blocks on this hasher's backend: one block
+    /// at a time on the scalar oracle, the detected kernel otherwise.
+    fn compress_run(&mut self, blocks: &[u8]) {
+        if self.backend == CompressBackend::Scalar {
+            for block in blocks.chunks_exact(BLOCK_LEN) {
+                self.compress(block.try_into().expect("block sized"));
+            }
+        } else {
+            compress_blocks(&mut self.state, blocks);
+        }
+    }
+
     /// Feeds more data to the hasher.
     pub fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
@@ -518,23 +540,14 @@ impl Sha256 {
             data = &data[take..];
             if self.buffer_len == BLOCK_LEN {
                 let block = self.buffer;
-                self.compress(&block);
+                self.compress_run(&block);
                 self.buffer_len = 0;
             }
         }
-        if self.backend == CompressBackend::Scalar {
-            while data.len() >= BLOCK_LEN {
-                let mut block = [0u8; BLOCK_LEN];
-                block.copy_from_slice(&data[..BLOCK_LEN]);
-                self.compress(&block);
-                data = &data[BLOCK_LEN..];
-            }
-        } else {
-            let full = data.len() - data.len() % BLOCK_LEN;
-            if full > 0 {
-                compress_blocks(&mut self.state, &data[..full]);
-                data = &data[full..];
-            }
+        let full = data.len() - data.len() % BLOCK_LEN;
+        if full > 0 {
+            self.compress_run(&data[..full]);
+            data = &data[full..];
         }
         if !data.is_empty() {
             self.buffer[..data.len()].copy_from_slice(data);
@@ -558,15 +571,7 @@ impl Sha256 {
             2 * BLOCK_LEN
         };
         tail[total - 8..total].copy_from_slice(&bit_len.to_be_bytes());
-        if self.backend == CompressBackend::Scalar {
-            let (first, second) = tail.split_at(BLOCK_LEN);
-            self.compress(first.try_into().expect("block sized"));
-            if total == 2 * BLOCK_LEN {
-                self.compress(second.try_into().expect("block sized"));
-            }
-        } else {
-            compress_blocks(&mut self.state, &tail[..total]);
-        }
+        self.compress_run(&tail[..total]);
         state_to_digest(&self.state)
     }
 

@@ -15,10 +15,10 @@
 //! payload; the envelope types live in the `failsignal` crate.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
+use fs_common::fasthash::FastMap;
 use fs_common::{Bytes, SignatureError};
 
 use crate::hmac::{HmacKey, HmacSha256, MacSchedule};
@@ -37,7 +37,7 @@ const VERIFY_MEMO_MAX_BYTES: usize = 32 * 1024 * 1024;
 /// message bytes (both bounds trigger a wholesale clear).
 #[derive(Default)]
 struct VerifyMemoStore {
-    map: HashMap<(SignerId, u64, Digest), Vec<u8>>,
+    map: FastMap<(SignerId, u64, Digest), Vec<u8>>,
     bytes: usize,
 }
 

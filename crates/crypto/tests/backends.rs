@@ -209,6 +209,43 @@ fn incremental_hashing_is_backend_independent_at_boundaries() {
     }
 }
 
+/// Every way of splitting a short message into two or three `update`s must
+/// equal the one-shot digest: a split inside a block leaves a buffered
+/// partial block for the next `update` to complete, which is the one place
+/// a hasher compresses out of its own buffer instead of the caller's slice.
+#[test]
+fn every_two_and_three_way_split_equals_one_shot() {
+    for backend in BACKENDS {
+        for len in 0..=200usize {
+            let msg = pattern(len);
+            let expected = Sha256::digest_with_backend(CompressBackend::Scalar, &msg);
+            for i in 0..=len {
+                let mut two = Sha256::new_with_backend(backend);
+                two.update(&msg[..i]);
+                two.update(&msg[i..]);
+                assert_eq!(
+                    two.finalize(),
+                    expected,
+                    "{backend:?}, {len} B split at {i}"
+                );
+                // Three-way splits at a stride that still lands on every
+                // residue of the second cut relative to the block size.
+                for j in (i..=len).step_by(7) {
+                    let mut three = Sha256::new_with_backend(backend);
+                    three.update(&msg[..i]);
+                    three.update(&msg[i..j]);
+                    three.update(&msg[j..]);
+                    assert_eq!(
+                        three.finalize(),
+                        expected,
+                        "{backend:?}, {len} B split at {i} and {j}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn digest_batch_matches_sequential_on_every_backend() {
     // Mixed lengths force the SIMD path through its group-by-length and

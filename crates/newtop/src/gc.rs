@@ -183,8 +183,13 @@ impl GcMachine {
 
     fn deliver_up(&mut self, deliveries: Vec<AppDeliver>, outputs: &mut Vec<MachineOutput>) {
         for d in deliveries {
-            outputs.push(MachineOutput::to_app(Upcall::Deliver(d.clone()).to_wire()));
-            self.delivered.push(d);
+            // Wrapped for the encoding and unwrapped again: the payload is
+            // never copied on its way into the delivery log.
+            let upcall = Upcall::Deliver(d);
+            outputs.push(MachineOutput::to_app(upcall.to_wire()));
+            if let Upcall::Deliver(d) = upcall {
+                self.delivered.push(d);
+            }
         }
     }
 
@@ -196,14 +201,12 @@ impl GcMachine {
         let AppRequest { service, payload } = request;
         match service {
             ServiceKind::SymmetricTotal => {
-                let view = self.membership.view().clone();
-                let (data, dels) = self.sym.multicast(payload, &view);
+                let (data, dels) = self.sym.multicast(payload, self.membership.view());
                 self.multicast_to_view(&data, &mut outputs);
                 self.deliver_up(dels, &mut outputs);
             }
             ServiceKind::AsymmetricTotal => {
-                let view = self.membership.view().clone();
-                let (msgs, dels) = self.asym.multicast(payload, &view);
+                let (msgs, dels) = self.asym.multicast(payload, self.membership.view());
                 for m in &msgs {
                     self.multicast_to_view(m, &mut outputs);
                 }
@@ -244,14 +247,16 @@ impl GcMachine {
                 payload,
             } => match service {
                 ServiceKind::SymmetricTotal => {
-                    let view = self.membership.view().clone();
-                    let (ack, dels) = self.sym.on_data(origin, seq, ts, payload, &view);
+                    let (ack, dels) =
+                        self.sym
+                            .on_data(origin, seq, ts, payload, self.membership.view());
                     self.multicast_to_view(&ack, &mut outputs);
                     self.deliver_up(dels, &mut outputs);
                 }
                 ServiceKind::AsymmetricTotal => {
-                    let view = self.membership.view().clone();
-                    let (msgs, dels) = self.asym.on_data(origin, seq, payload, &view);
+                    let (msgs, dels) =
+                        self.asym
+                            .on_data(origin, seq, payload, self.membership.view());
                     for m in &msgs {
                         self.multicast_to_view(m, &mut outputs);
                     }
@@ -294,8 +299,9 @@ impl GcMachine {
                 from: acker,
                 clock,
             } => {
-                let view = self.membership.view().clone();
-                let dels = self.sym.on_ack(origin, seq, acker, clock, &view);
+                let dels = self
+                    .sym
+                    .on_ack(origin, seq, acker, clock, self.membership.view());
                 self.deliver_up(dels, &mut outputs);
             }
             GcMessage::Order {

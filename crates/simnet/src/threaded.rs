@@ -604,7 +604,8 @@ impl ThreadedBuilder {
     /// non-empty link schedule), a control thread is started alongside the
     /// node threads: it applies scheduled faults at their offsets by
     /// publishing successor topology snapshots and ships scheduled lifecycle
-    /// events to their hosting nodes.
+    /// events to their hosting nodes.  Link faults scheduled at time zero
+    /// are applied (and counted) before this returns.
     pub fn start(self) -> ThreadedRuntime {
         let epoch = Instant::now();
         let mut node_of: HashMap<ProcessId, usize> = HashMap::new();
@@ -653,12 +654,28 @@ impl ThreadedBuilder {
         // and spawn no control thread.
         let gate = (self.topology.has_faults() || !self.schedule.is_empty())
             .then(|| Arc::new(LinkGate::new(self.topology)));
+        // Faults scheduled at time zero are in force before the first send,
+        // as on the simulator: applied here, before any thread exists, not
+        // left to race the control thread against the caller's first send.
+        let mut schedule = self.schedule.in_order();
+        let due_at_start = schedule
+            .iter()
+            .take_while(|event| event.at == SimTime::ZERO)
+            .count();
+        for event in schedule.drain(..due_at_start) {
+            if let Some(gate) = &gate {
+                gate.apply(&event.scope, &event.fault);
+            }
+            shared
+                .external()
+                .link_faults
+                .fetch_add(1, Ordering::Relaxed);
+        }
         let (control_stop, control_handle) = if gate.is_some() || !lifecycle.is_empty() {
             let (stop_tx, stop_rx) = unbounded();
             let gate = gate.clone();
             let ctl_txs = Arc::clone(&txs);
             let ctl_shared = Arc::clone(&shared);
-            let schedule = self.schedule.in_order();
             // Publish the first pending fault/lifecycle event before
             // anything can probe for quiescence (the control thread keeps
             // this up to date).
@@ -1922,6 +1939,56 @@ mod tests {
         assert_eq!(stats.link_faults, 2, "both scheduled faults executed");
         assert_eq!(stats.dropped_link, 1);
         rt.shutdown();
+    }
+
+    /// The race the test above used to lose about one run in six: a fault
+    /// scheduled at time zero must already be in force when `start()`
+    /// returns, not whenever the control thread first runs.
+    #[test]
+    fn zero_time_link_faults_are_in_force_when_start_returns() {
+        for round in 0..50 {
+            let shared = Arc::new(AtomicUsize::new(0));
+            let schedule = LinkSchedule::new().then(
+                SimTime::ZERO,
+                crate::link::LinkScope::Pair {
+                    a: NodeId(0),
+                    b: NodeId(1),
+                },
+                LinkFault::Delay {
+                    extra: SimDuration::from_millis(20),
+                    jitter: SimDuration::ZERO,
+                },
+            );
+            let mut builder = ThreadedBuilder::default().with_link_schedule(schedule);
+            let n0 = builder.add_node();
+            let n1 = builder.add_node();
+            builder.add_with_on(
+                ProcessId(0),
+                n0,
+                Box::new(Multicaster {
+                    dests: vec![ProcessId(1)],
+                }),
+            );
+            builder.add_with_on(
+                ProcessId(1),
+                n1,
+                Box::new(Counter {
+                    seen: 0,
+                    shared: Arc::clone(&shared),
+                }),
+            );
+            let rt = builder.start();
+            assert_eq!(rt.net_stats().link_faults, 1, "round {round}");
+            let t0 = Instant::now();
+            rt.send(ProcessId(99), ProcessId(0), b"early".to_vec())
+                .unwrap();
+            assert!(wait_for(&shared, 1, 2_000));
+            assert!(
+                t0.elapsed() >= Duration::from_millis(20),
+                "round {round}: delivery must pay the injected delay"
+            );
+            rt.shutdown();
+        }
     }
 
     /// Records the first payload byte of every delivery, in arrival order.

@@ -72,10 +72,11 @@ fn signed_frames_match_golden_digests() {
     }
 }
 
-#[test]
-fn fs_newtop_trace_matches_golden_digest() {
+/// The scalar-oracle digest of the full simulator trace of one FS-NewTOP
+/// run: `members` members, 4 multicasts each, seed 2003.
+fn fs_newtop_trace_hex(members: u32) -> String {
     let mut run = Scenario::new(NewTopService::new())
-        .members(3)
+        .members(members)
         .protocol(Protocol::FailSignal)
         .workload(
             Workload::paper_default()
@@ -87,10 +88,30 @@ fn fs_newtop_trace_matches_golden_digest() {
     run.enable_trace();
     run.run_until(SimTime::from_secs(120));
     let logs = run.delivery_logs();
-    assert_eq!(logs[0].len(), 12, "3 members x 4 messages");
-    let trace_json = serde_json::to_string(run.trace().expect("tracing enabled")).unwrap();
     assert_eq!(
-        oracle_hex(trace_json.as_bytes()),
+        logs[0].len(),
+        members as usize * 4,
+        "{members} members x 4 messages"
+    );
+    let trace_json = serde_json::to_string(run.trace().expect("tracing enabled")).unwrap();
+    oracle_hex(trace_json.as_bytes())
+}
+
+#[test]
+fn fs_newtop_trace_matches_golden_digest() {
+    assert_eq!(
+        fs_newtop_trace_hex(3),
         "0459e57ebf845dba43746d2617b4e532bcb6902d027d9e2533ec80df5d083a07"
+    );
+}
+
+/// The same pin at the group size where the ordering bookkeeping dominates
+/// (9 members: 36 pending messages, 288 acks per member), generated on the
+/// commit *before* the symmetric-order core was indexed.
+#[test]
+fn fs_newtop_n9_trace_matches_golden_digest() {
+    assert_eq!(
+        fs_newtop_trace_hex(9),
+        "69f6842b0ad5bd8620205b4d12f7280bbc96d66867c0447bd326366836197bed"
     );
 }
