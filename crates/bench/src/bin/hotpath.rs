@@ -23,7 +23,7 @@
 //!   partner and later counter-sign the partner's copy: two full MAC passes
 //!   over the content (`Signature::sign` + `FsOutput::counter_sign_with`)
 //!   vs the co-signature resumed from the signing midstate
-//!   (`Signature::sign_resumable` + `FsOutput::counter_sign_resumed`).
+//!   (`Signature::sign_parts` + `FsOutput::counter_sign_resumed`).
 //! * **encode** — `Wire::to_wire` (one sized allocation, refcount-shared
 //!   `Bytes`) vs the legacy `Wire::to_wire_vec` growth-from-zero path, on
 //!   the candidate frames the wrapper pair exchanges.
@@ -59,6 +59,20 @@
 //!   the pending count), and per hit probe of a `DIGEST_MEMO`-shaped table
 //!   (`(Endpoint, payload) → Digest`) with a 10 KiB key.
 //!
+//! * **frame_path** — one machine output through one wrapper pair and one
+//!   destination — leader signs and encodes the candidate frame; follower
+//!   decodes it, verifies it, signs its own copy, compares, co-signs and
+//!   encodes the external frame; destination decodes and verifies — at 3 B,
+//!   1 KiB and 10 KiB, two ways: the *contiguous reference*, where the pair
+//!   materialises contiguous bytes at every step (`signing_bytes`,
+//!   `to_wire`, `from_wire_shared`), and the *spliced* path the wrappers run
+//!   (`signing_parts`, `to_frame`, `from_frame`); the destination's
+//!   `FsOutput::verify` is the same call in both.  Per round: nanoseconds
+//!   (fastest of interleaved passes) and payload bytes copied, counted at
+//!   the allocator as the bytes of every allocation at least as large as
+//!   the payload.  Every round signs a fresh output, so both arms pay the
+//!   pair's two real HMAC passes; what differs is the bytes moved.
+//!
 //! `FS_BENCH_HOTPATH_ITERS` scales the micro-benchmark iteration counts
 //! (default 100 000); `FS_BENCH_HOTPATH_MESSAGES` the per-member pipeline
 //! message count (default 100); `FS_BENCH_HOTPATH_LARGE_MEMBERS` the large
@@ -82,7 +96,10 @@
 //! configured, the `ack_path` section is also held to two ceilings of its
 //! own, independent of what the reference carries: `on_ack` at 512 pending
 //! messages costs at most 1.5× what it costs at 8, and the 10 KiB memo probe
-//! at most 1 µs.
+//! at most 1 µs.  So is `frame_path`: the spliced 10 KiB round copies no
+//! payload byte and costs no more than the contiguous reference, and the
+//! spliced 3 B round — which takes the contiguous path inside the codec —
+//! costs at most 1.1× the reference.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -91,8 +108,11 @@ use serde::{Deserialize, Serialize};
 
 use std::collections::BTreeMap;
 
-use failsignal::message::{signing_bytes, FsContent, FsOutput, FsoInbound, PairMessage};
+use failsignal::message::{
+    signing_bytes, signing_parts, FsContent, FsOutput, FsoInbound, PairMessage,
+};
 use failsignal::receiver::FsReceiver;
+use fs_bench::alloc_count::{count_allocs, CountingAlloc};
 use fs_bench::env::{env_f64, env_u64};
 use fs_bench::report::results_dir;
 use fs_common::codec::Wire;
@@ -100,7 +120,7 @@ use fs_common::fasthash::FastMap;
 use fs_common::id::{FsId, MemberId, NodeId, ProcessId};
 use fs_common::rng::DetRng;
 use fs_common::time::SimTime;
-use fs_common::Bytes;
+use fs_common::{Bytes, Frame};
 use fs_crypto::hmac::{HmacKey, HmacSha256, MacSchedule};
 use fs_crypto::keys::{provision, SignerId};
 use fs_crypto::sha256::{kernel_name, CompressBackend, Digest, Sha256};
@@ -115,6 +135,11 @@ use fs_simnet::{
     Actor, Context, LinkFault, LinkSchedule, LinkScope, ThreadedBuilder, ThreadedConfig,
 };
 use fs_smr::machine::Endpoint;
+
+/// Counts what the `frame_path` section allocates (one thread-local read
+/// per allocation everywhere else).
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Payload sizes exercised by the micro sections: the paper's "0k" 3-byte
 /// message, a cache-line-ish frame, 1 kB and the paper's 10 kB maximum.
@@ -270,6 +295,22 @@ struct AckPathReport {
 }
 
 #[derive(Debug, Serialize)]
+struct FramePathRow {
+    payload_bytes: usize,
+    /// One output round with every step materialising contiguous bytes.
+    contiguous_ns: f64,
+    /// The same round on the path the wrappers run.
+    spliced_ns: f64,
+    /// spliced_ns / contiguous_ns.
+    ratio: f64,
+    /// Bytes of every allocation at least as large as the payload, per
+    /// contiguous round.
+    contiguous_payload_bytes_copied: f64,
+    /// The same count per spliced round.
+    spliced_payload_bytes_copied: f64,
+}
+
+#[derive(Debug, Serialize)]
 struct HotpathReport {
     id: String,
     iterations: u64,
@@ -293,6 +334,9 @@ struct HotpathReport {
     send_contention: Vec<ContentionRow>,
     /// Per-ack and per-input bookkeeping (see the module docs).
     ack_path: AckPathReport,
+    /// One output round, contiguous reference vs spliced (see the module
+    /// docs).
+    frame_path: Vec<FramePathRow>,
 }
 
 fn bench_hmac(iters: u64) -> Vec<HmacRow> {
@@ -397,6 +441,7 @@ fn bench_cosign_resume(iters: u64) -> Vec<CosignResumeRow> {
                 bytes: Bytes::from(vec![0x33u8; size]),
             };
             let content_bytes = signing_bytes(fs, &content);
+            let content_parts = signing_parts(fs, &content);
             let first = Signature::sign(&remote, &content_bytes);
             let two_pass = || {
                 black_box(Signature::sign(&local, black_box(&content_bytes)));
@@ -409,7 +454,7 @@ fn bench_cosign_resume(iters: u64) -> Vec<CosignResumeRow> {
                 )
             };
             let resumed = || {
-                let (sig, signed) = Signature::sign_resumable(&local, black_box(&content_bytes));
+                let (sig, signed) = Signature::sign_parts(&local, black_box(&content_parts));
                 black_box(sig);
                 FsOutput::counter_sign_resumed(fs, content.clone(), &signed, first.clone())
             };
@@ -669,7 +714,7 @@ fn bench_send_contention(pairs: u32, rounds: u64, gated: bool) -> ContentionRow 
                 ctx.send(peer, b"ping"[..].into());
             }
         }
-        fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, _payload: Bytes) {
+        fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, _payload: Frame) {
             if self.rounds_left > 0 {
                 self.rounds_left -= 1;
                 ctx.send(from, b"pong"[..].into());
@@ -809,6 +854,163 @@ fn bench_ack_path(iters: u64) -> AckPathReport {
         on_ack,
         memo_probe_10k_ns,
     }
+}
+
+/// One machine output through one wrapper pair and one destination (see the
+/// module docs), spliced or as the contiguous reference.  `leader_copy` and
+/// `follower_copy` are the two replicas' equal outputs, each in a buffer of
+/// its own, as two machines produce them.
+struct OutputRound {
+    fs: FsId,
+    leader: fs_crypto::keys::SigningKey,
+    follower: fs_crypto::keys::SigningKey,
+    directory: std::sync::Arc<fs_crypto::keys::KeyDirectory>,
+    leader_copy: Bytes,
+    follower_copy: Bytes,
+}
+
+impl OutputRound {
+    fn new(payload: usize) -> Self {
+        let mut rng = DetRng::new(17);
+        let (mut keys, directory) = provision([ProcessId(0), ProcessId(1)], &mut rng);
+        let body: Vec<u8> = (0..payload).map(|i| (i % 251) as u8).collect();
+        Self {
+            fs: FsId(1),
+            leader: keys.remove(&SignerId(ProcessId(0))).unwrap(),
+            follower: keys.remove(&SignerId(ProcessId(1))).unwrap(),
+            directory,
+            leader_copy: body.clone().into(),
+            follower_copy: body.into(),
+        }
+    }
+
+    fn content(&self, output_seq: u64, bytes: &Bytes) -> FsContent {
+        FsContent::Output {
+            output_seq,
+            dest: Endpoint::Broadcast,
+            bytes: bytes.clone(),
+        }
+    }
+
+    /// The round; returns the bytes the destination accepted.
+    fn run(&self, output_seq: u64, spliced: bool) -> Bytes {
+        let pair = (self.leader.signer, self.follower.signer);
+        let signing = |content: &FsContent| {
+            if spliced {
+                signing_parts(self.fs, content)
+            } else {
+                signing_bytes(self.fs, content).into()
+            }
+        };
+        let encode = |message: FsoInbound| {
+            if spliced {
+                message.to_frame()
+            } else {
+                message.to_wire().into()
+            }
+        };
+        let decode = |frame: &Frame| {
+            let decoded = if spliced {
+                FsoInbound::from_frame(frame)
+            } else {
+                FsoInbound::from_wire_shared(&frame.to_bytes())
+            };
+            decoded.expect("own frame decodes")
+        };
+
+        // Leader: sign its copy for the partner.
+        let (signature, _) = Signature::sign_parts(
+            &self.leader,
+            &signing(&self.content(output_seq, &self.leader_copy)),
+        );
+        let candidate = encode(FsoInbound::Pair(PairMessage::Candidate {
+            output_seq,
+            dest: Endpoint::Broadcast,
+            bytes: self.leader_copy.clone(),
+            signature,
+        }));
+
+        // Follower: check the candidate, sign its own copy, compare, co-sign.
+        let FsoInbound::Pair(PairMessage::Candidate {
+            output_seq,
+            dest,
+            bytes,
+            signature,
+        }) = decode(&candidate)
+        else {
+            unreachable!("a candidate was encoded");
+        };
+        let remote = FsContent::Output {
+            output_seq,
+            dest,
+            bytes,
+        };
+        signature
+            .verify_parts(&self.directory, &signing(&remote))
+            .expect("the leader's signature verifies");
+        let own = self.content(output_seq, &self.follower_copy);
+        let (_, signed) = Signature::sign_parts(&self.follower, &signing(&own));
+        assert!(own == remote, "the replicas agree");
+        let output = FsOutput::counter_sign_resumed(self.fs, own, &signed, signature);
+        let external = encode(FsoInbound::External(output));
+
+        // Destination: decode, verify, take the bytes.
+        let FsoInbound::External(output) = decode(&external) else {
+            unreachable!("an external output was encoded");
+        };
+        // One destination check for both arms: the library has only the
+        // one, and it is not what the arms compare.
+        let verdict = output.verify(&self.directory, pair);
+        verdict.expect("the double signature verifies");
+        match output.content {
+            FsContent::Output { bytes, .. } => bytes,
+            FsContent::FailSignal => unreachable!("an output was signed"),
+        }
+    }
+}
+
+/// The `frame_path` rows: interleaved passes of both arms, fastest pass
+/// kept (see [`bench_ack_path`] for why), then one counted pass of each.
+fn bench_frame_path(iters: u64) -> Vec<FramePathRow> {
+    const PASSES: usize = 15;
+    [3usize, 1024, 10 * 1024]
+        .into_iter()
+        .map(|payload| {
+            let round = OutputRound::new(payload);
+            assert_eq!(round.run(0, true), round.run(1, false));
+            let per_pass = (scaled_iters(iters, payload) / 8).max(50);
+            let mut next_seq = 2u64;
+            let mut best = [f64::INFINITY; 2];
+            for _ in 0..PASSES {
+                for (arm, spliced) in [false, true].into_iter().enumerate() {
+                    let pass = time_ns_per_op(per_pass, || {
+                        next_seq += 1;
+                        black_box(round.run(next_seq, spliced));
+                    });
+                    best[arm] = best[arm].min(pass);
+                }
+            }
+            let mut copied = [0.0f64; 2];
+            for (arm, spliced) in [false, true].into_iter().enumerate() {
+                let ((), counts) = count_allocs(payload, || {
+                    for _ in 0..per_pass {
+                        next_seq += 1;
+                        black_box(round.run(next_seq, spliced));
+                    }
+                });
+                assert!(counts.allocs > 0, "the counting allocator is installed");
+                copied[arm] = counts.large_bytes as f64 / per_pass as f64;
+            }
+            FramePathRow {
+                payload_bytes: payload,
+                contiguous_ns: best[0],
+                spliced_ns: best[1],
+                ratio: best[1] / best[0],
+                contiguous_payload_bytes_copied: copied[0],
+                spliced_payload_bytes_copied: copied[1],
+            }
+        })
+        .collect()
 }
 
 /// Sanity-check the FS-NewTOP pipeline end to end before trusting the
@@ -1042,15 +1244,17 @@ fn check_floor(label: &str, what: &str, unit: &str, fresh: f64, reference: f64, 
 /// The time-domain counterpart of [`check_floor`] for costs with a ceiling
 /// of their own rather than a reference row: fails the run (exit 3) when
 /// `fresh` exceeds `ceiling`.
-fn check_ceiling(label: &str, what: &str, fresh: f64, ceiling: f64, blame: &str) {
+fn check_ceiling(label: &str, what: &str, unit: &str, fresh: f64, ceiling: f64, blame: &str) {
     if fresh > ceiling {
         eprintln!(
-            "regression guard [{label}]: {what} {fresh:.1} ns is above its ceiling \
-             {ceiling:.1} ns — {blame}"
+            "regression guard [{label}]: {what} {fresh:.1} {unit} is above its ceiling \
+             {ceiling:.1} {unit} — {blame}"
         );
         std::process::exit(3);
     }
-    eprintln!("regression guard [{label}]: {what} {fresh:.1} ns (ceiling {ceiling:.1} ns) — ok");
+    eprintln!(
+        "regression guard [{label}]: {what} {fresh:.1} {unit} (ceiling {ceiling:.1} {unit}) — ok"
+    );
 }
 
 /// The bookkeeping guards: an ack costs the same whether 8 or 512 messages
@@ -1068,6 +1272,7 @@ fn check_ack_path(fresh: &AckPathReport) {
     check_ceiling(
         "ack_path",
         "on_ack at 512 pending",
+        "ns",
         at(512),
         1.5 * at(8),
         "per-ack work grows with the pending set",
@@ -1075,9 +1280,49 @@ fn check_ack_path(fresh: &AckPathReport) {
     check_ceiling(
         "ack_path",
         "10 KiB memo probe",
+        "ns",
         fresh.memo_probe_10k_ns,
         1_000.0,
         "memo bucket hash regression",
+    );
+}
+
+/// The frame-path guards: the spliced 10 KiB round moves no payload byte
+/// and is no slower than the contiguous reference; below the splice size
+/// the two arms run the same codec path and the part-wise signatures must
+/// not cost more than a tenth on top.
+fn check_frame_path(fresh: &[FramePathRow]) {
+    let at = |payload: usize| {
+        fresh
+            .iter()
+            .find(|row| row.payload_bytes == payload)
+            .expect("the frame_path sweep covers 3 B and 10 KiB")
+    };
+    let large = at(10 * 1024);
+    check_ceiling(
+        "frame_path",
+        "payload copied per spliced 10 KiB round",
+        "B",
+        large.spliced_payload_bytes_copied,
+        0.0,
+        "a payload copy is back on the wrapper path",
+    );
+    check_ceiling(
+        "frame_path",
+        "spliced 10 KiB round",
+        "ns",
+        large.spliced_ns,
+        large.contiguous_ns,
+        "splicing costs more than the copies it saves",
+    );
+    let small = at(3);
+    check_ceiling(
+        "frame_path",
+        "spliced 3 B round",
+        "ns",
+        small.spliced_ns,
+        1.1 * small.contiguous_ns,
+        "small frames pay for the splice machinery",
     );
 }
 
@@ -1135,6 +1380,8 @@ fn main() {
     ];
     eprintln!("hotpath: ack path...");
     let ack_path = bench_ack_path(iters);
+    eprintln!("hotpath: frame path...");
+    let frame_path = bench_frame_path(iters);
 
     println!(
         "{:<16} {:>14} {:>14} {:>9}",
@@ -1251,6 +1498,27 @@ fn main() {
         ack_path.memo_probe_10k_ns
     );
 
+    println!(
+        "\n{:<16} {:>14} {:>12} {:>7} {:>16} {:>14}",
+        "frame_path",
+        "contiguous ns",
+        "spliced ns",
+        "ratio",
+        "contig. copied B",
+        "spliced copied B"
+    );
+    for row in &frame_path {
+        println!(
+            "{:<16} {:>14.0} {:>12.0} {:>6.2}x {:>16.0} {:>14.0}",
+            row.payload_bytes,
+            row.contiguous_ns,
+            row.spliced_ns,
+            row.ratio,
+            row.contiguous_payload_bytes_copied,
+            row.spliced_payload_bytes_copied,
+        );
+    }
+
     let small_speedup = hmac.first().map(|r| r.speedup).unwrap_or(0.0);
     if small_speedup < 1.5 {
         eprintln!(
@@ -1275,6 +1543,7 @@ fn main() {
         pipeline_batched,
         send_contention,
         ack_path,
+        frame_path,
     };
     let dir = results_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {
@@ -1305,6 +1574,7 @@ fn main() {
             check_contention_regression(&report.send_contention, gated_ref);
         }
         check_ack_path(&report.ack_path);
+        check_frame_path(&report.frame_path);
     }
 }
 

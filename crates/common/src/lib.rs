@@ -41,7 +41,7 @@ pub mod rng;
 pub mod time;
 
 pub use bytes::Bytes;
-pub use codec::{Decoder, Encoder, Wire};
+pub use codec::{Decoder, Encoder, Frame, Wire};
 pub use config::{NodeBudget, TimingAssumptions};
 pub use error::{CodecError, Error, Result, SignatureError};
 pub use id::{FsId, GroupId, IdAllocator, MemberId, MsgId, NodeId, ProcessId, Role};

@@ -279,7 +279,7 @@ pub fn build_fs_group<H: GroupHost>(
 mod tests {
     use super::*;
     use fs_common::time::{SimDuration, SimTime};
-    use fs_common::Bytes;
+    use fs_common::Frame;
     use fs_simnet::actor::{Context, TimerId};
     use fs_simnet::link::{LinkModel, Topology};
     use fs_smr::machine::{DeterministicMachine, EchoMachine};
@@ -316,7 +316,7 @@ mod tests {
                 ctx.set_timer(SimDuration::from_millis(10), TimerId(1));
             }
         }
-        fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Bytes) {
+        fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Frame) {
             self.echoes += 1;
         }
     }

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use fs_common::codec::Wire;
 use fs_common::id::{FsId, ProcessId};
 use fs_common::time::SimDuration;
-use fs_common::Bytes;
+use fs_common::Frame;
 use fs_crypto::keys::{KeyDirectory, SignerId};
 use fs_simnet::actor::{Actor, Context};
 
@@ -96,14 +96,16 @@ impl FsInterceptor {
 }
 
 impl Actor for FsInterceptor {
-    fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Bytes) {
+    fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Frame) {
         if from == self.app {
             // A request from the invocation layer: submit it to both wrapper
             // objects (the leader orders it, the follower checks the
-            // ordering).
+            // ordering).  The request becomes one opaque byte string here —
+            // the only copy of a spliced request on its way to the machines
+            // — and the envelope is then spliced around it.
             self.requests_forwarded += 1;
             ctx.charge_cpu(SimDuration::from_micros(50));
-            let wrapped = FsoInbound::Raw(payload).to_wire();
+            let wrapped = FsoInbound::Raw(payload.into_bytes()).to_frame();
             ctx.send(self.leader, wrapped.clone());
             ctx.send(self.follower, wrapped);
             return;
@@ -113,10 +115,10 @@ impl Actor for FsInterceptor {
         }
         // A (claimed) double-signed response from the local pair.
         ctx.charge_cpu(SimDuration::from_micros(100));
-        match self.receiver.accept(&payload) {
+        match self.receiver.accept_frame(&payload) {
             Some(FsDelivery::Output { bytes, .. }) => {
                 self.upcalls_delivered += 1;
-                ctx.send(self.app, bytes);
+                ctx.send(self.app, bytes.into());
             }
             Some(FsDelivery::FailSignal { fs }) if fs == self.local_fs => {
                 self.local_fail_signalled = true;
@@ -172,7 +174,7 @@ mod tests {
         assert_eq!(ctx.sent_to(FOLLOWER).len(), 1);
         assert_eq!(i.requests_forwarded(), 1);
         // Both copies carry the raw request inside the FS envelope.
-        let decoded = FsoInbound::from_wire(&ctx.sent[0].payload).unwrap();
+        let decoded = FsoInbound::from_frame(&ctx.sent[0].payload).unwrap();
         assert_eq!(decoded, FsoInbound::Raw(b"request"[..].into()));
     }
 
@@ -189,12 +191,12 @@ mod tests {
         i.on_message(
             &mut ctx,
             LEADER,
-            FsoInbound::External(from_leader).to_wire(),
+            FsoInbound::External(from_leader).to_frame(),
         );
         i.on_message(
             &mut ctx,
             FOLLOWER,
-            FsoInbound::External(from_follower).to_wire(),
+            FsoInbound::External(from_follower).to_frame(),
         );
         let to_app = ctx.sent_to(APP);
         assert_eq!(to_app.len(), 1);
@@ -209,7 +211,7 @@ mod tests {
         let bytes = signing_bytes(FsId(0), &FsContent::FailSignal);
         let first = Signature::sign(&follower_key, &bytes);
         let signal = FsOutput::counter_sign(FsId(0), FsContent::FailSignal, first, &leader_key);
-        i.on_message(&mut ctx, LEADER, FsoInbound::External(signal).to_wire());
+        i.on_message(&mut ctx, LEADER, FsoInbound::External(signal).to_frame());
         assert!(i.local_fail_signalled());
         assert!(ctx.sent_to(APP).is_empty());
     }
@@ -231,7 +233,7 @@ mod tests {
             &leader_key,
             &leader_key,
         );
-        i.on_message(&mut ctx, LEADER, FsoInbound::External(forged).to_wire());
+        i.on_message(&mut ctx, LEADER, FsoInbound::External(forged).to_frame());
         assert!(ctx.sent_to(APP).is_empty());
         assert_eq!(i.receiver_stats().rejected, 1);
         assert_eq!(i.name(), "fs-interceptor-0");

@@ -16,7 +16,10 @@ use fs_common::id::{FsId, MemberId};
 use fs_common::{Bytes, SignatureError};
 use fs_crypto::keys::{KeyDirectory, SignerId, SigningKey};
 use fs_crypto::sha256::Digest;
-use fs_crypto::sig::{verify_cosign_pair, verify_cosign_pair_uncached, Signature, SignedPrefix};
+use fs_crypto::sig::{
+    verify_cosign_pair, verify_cosign_pair_parts, verify_cosign_pair_uncached, Parts, Signature,
+    SignedPrefix,
+};
 use fs_smr::machine::Endpoint;
 
 /// Encodes a logical endpoint (defined in `fs-smr`) onto the wire.
@@ -84,7 +87,7 @@ impl Wire for FsContent {
                 enc.put_u8(0);
                 enc.put_u64(*output_seq);
                 encode_endpoint(*dest, enc);
-                enc.put_bytes(bytes);
+                enc.put_shared(bytes);
             }
             FsContent::FailSignal => enc.put_u8(1),
         }
@@ -131,16 +134,47 @@ fn get_signature(dec: &mut Decoder<'_>) -> Result<Signature, CodecError> {
 }
 
 /// The bytes over which an FS-process output is signed: the FS identity plus
-/// the canonical encoding of the content.
+/// the canonical encoding of the content, as one buffer.
 ///
-/// Returned as refcount-shared [`Bytes`] so one encoding can be threaded
-/// through sign → co-sign → verify without re-encoding the content at each
-/// step (the `*_with` constructors and verifiers below accept it).
+/// This materialises a copy of the output bytes; the wrapper, interceptor
+/// and receiver never call it — they sign and verify over
+/// [`signing_parts`].  It remains the definition those parts must
+/// concatenate to, and what the `*_with` constructors and verifiers below
+/// accept.
 pub fn signing_bytes(fs: FsId, content: &FsContent) -> Bytes {
     let mut enc = Encoder::with_capacity(4 + content.encoded_len());
     enc.put_u32(fs.0);
     content.encode(&mut enc);
     enc.finish()
+}
+
+/// [`signing_bytes`] without the copy: the signed header (FS identity, tag,
+/// sequence number, destination, length prefix) freshly encoded, and the
+/// output bytes as the refcounted buffer `content` already holds.
+/// `signing_parts(fs, c).to_bytes() == signing_bytes(fs, c)`.
+pub fn signing_parts(fs: FsId, content: &FsContent) -> Parts {
+    let mut enc = Encoder::with_capacity(4 + 1 + 8 + 5 + 4);
+    enc.put_u32(fs.0);
+    match content {
+        FsContent::Output {
+            output_seq,
+            dest,
+            bytes,
+        } => {
+            enc.put_u8(0);
+            enc.put_u64(*output_seq);
+            encode_endpoint(*dest, &mut enc);
+            enc.put_u32(bytes.len() as u32);
+            Parts {
+                head: enc.finish(),
+                body: bytes.clone(),
+            }
+        }
+        FsContent::FailSignal => {
+            enc.put_u8(1);
+            enc.finish().into()
+        }
+    }
 }
 
 fn co_signing_bytes(content_bytes: &[u8], first: &Signature) -> Vec<u8> {
@@ -168,16 +202,16 @@ pub struct FsOutput {
 
 impl FsOutput {
     /// Builds a double-signed output: `first_key` signs the content, then
-    /// `second_key` counter-signs.  The content is encoded exactly once.
+    /// `second_key` counter-signs.  Both signatures stream the signed header
+    /// and the output bytes; the content is never copied.
     pub fn sign(
         fs: FsId,
         content: FsContent,
         first_key: &SigningKey,
         second_key: &SigningKey,
     ) -> Self {
-        let bytes = signing_bytes(fs, &content);
-        let first = Signature::sign(first_key, &bytes);
-        Self::counter_sign_with(fs, content, &bytes, first, second_key)
+        let (first, _) = Signature::sign_parts(first_key, &signing_parts(fs, &content));
+        Self::counter_sign(fs, content, first, second_key)
     }
 
     /// Counter-signs a content already signed once by the remote wrapper
@@ -188,8 +222,13 @@ impl FsOutput {
         first: Signature,
         second_key: &SigningKey,
     ) -> Self {
-        let bytes = signing_bytes(fs, &content);
-        Self::counter_sign_with(fs, content, &bytes, first, second_key)
+        let second = Signature::co_sign_parts(second_key, &signing_parts(fs, &content), &first);
+        Self {
+            fs,
+            content,
+            first,
+            second,
+        }
     }
 
     /// Like [`FsOutput::counter_sign`], but takes the content's signing
@@ -218,9 +257,9 @@ impl FsOutput {
     /// counter-signing key is the one that already signed the same content
     /// for the partner — resumed from that signature's midstate so the
     /// content is not hashed a second time.  Byte-identical to
-    /// `counter_sign_with(fs, content, signed.message(), first, key)`.
+    /// `counter_sign_with(fs, content, &signing_bytes(fs, &content), first, key)`.
     ///
-    /// `signed` must come from signing `signing_bytes(fs, &content)`;
+    /// `signed` must come from signing `signing_parts(fs, &content)`;
     /// anything else produces an output that fails verification.
     pub fn counter_sign_resumed(
         fs: FsId,
@@ -244,11 +283,18 @@ impl FsOutput {
     /// keyed by `(fs, both signatures, expected pair)` with the content held
     /// in the entry: the same double-signed frame is checked at every
     /// co-hosted simulated destination, and for the duplicates this skips
-    /// the content re-encoding and both HMAC probes.  Verification is a pure
+    /// the header encoding and both HMAC probes.  Verification is a pure
     /// function of the key-plus-content (the underlying signature layer
     /// additionally ties its own memo to the key material), so the verdict —
     /// and therefore every simulation result — is identical with or without
     /// the memo.  Failures are never cached.
+    ///
+    /// Where the output bytes are a buffer of their own — the spliced body
+    /// of a frame, i.e. the very buffer the signer signed and the signature
+    /// memo already pins — the entry holds a refcount of it, and a re-check
+    /// of the same frame compares pointers, not bytes.  A window into a
+    /// contiguous frame is stored as a compact copy instead: a memo entry
+    /// must not keep whole frames alive.
     ///
     /// # Errors
     ///
@@ -274,8 +320,7 @@ impl FsOutput {
             directory.lookup(self.first.signer),
             directory.lookup(self.second.signer),
         ) else {
-            let bytes = signing_bytes(self.fs, &self.content);
-            return self.verify_with(directory, &bytes, pair);
+            return self.verify_parts(directory, pair);
         };
         let fingerprints = (first_key.hmac_fingerprint(), second_key.hmac_fingerprint());
         // Normalise the expected pair so the two delivery orders share an
@@ -301,28 +346,15 @@ impl FsOutput {
         if hit {
             return Ok(());
         }
-        let bytes = signing_bytes(self.fs, &self.content);
-        self.verify_with(directory, &bytes, pair)?;
-        // Store a compact copy of the content: the decoded content's byte
-        // field is a zero-copy view into the (possibly large) delivered
-        // frame, and a memo entry must not keep whole frames alive.  Both
-        // the entry count and the retained bytes are bounded.
-        let compact = match &self.content {
-            FsContent::Output {
-                output_seq,
-                dest,
-                bytes,
-            } => FsContent::Output {
-                output_seq: *output_seq,
-                dest: *dest,
-                bytes: Bytes::copy_from_slice(bytes),
-            },
-            FsContent::FailSignal => FsContent::FailSignal,
-        };
-        let stored = match &compact {
-            FsContent::Output { bytes, .. } => bytes.len(),
-            FsContent::FailSignal => 0,
-        };
+        self.verify_parts(directory, pair)?;
+        // Keep the output bytes themselves when they are a buffer of their
+        // own, a detached copy when they are a window into a frame.
+        let mut kept = self.content.clone();
+        let mut stored = 0;
+        if let FsContent::Output { bytes, .. } = &mut kept {
+            *bytes = bytes.compact();
+            stored = bytes.len();
+        }
         OUTPUT_MEMO.with(|memo| {
             let (map, bytes_held) = &mut *memo.borrow_mut();
             if map.len() >= OUTPUT_MEMO_MAX || *bytes_held >= OUTPUT_MEMO_MAX_BYTES {
@@ -330,9 +362,28 @@ impl FsOutput {
                 *bytes_held = 0;
             }
             *bytes_held += stored;
-            map.insert(key, compact);
+            map.insert(key, kept);
         });
         Ok(())
+    }
+
+    /// The uncached half of [`FsOutput::verify`]: the signer-pair check and
+    /// both signatures over [`signing_parts`].
+    fn verify_parts(
+        &self,
+        directory: &KeyDirectory,
+        pair: (SignerId, SignerId),
+    ) -> Result<(), SignatureError> {
+        self.check_signer_pair(pair)?;
+        // Both MACs share the content's message schedule (the co-signature
+        // differs only in a 36-byte suffix), and each memo composes as
+        // before: a hit answers without touching the schedule.
+        verify_cosign_pair_parts(
+            directory,
+            &signing_parts(self.fs, &self.content),
+            &self.first,
+            &self.second,
+        )
     }
 
     /// The structural half of a destination-side check: distinct signers,
@@ -379,9 +430,6 @@ impl FsOutput {
         pair: (SignerId, SignerId),
     ) -> Result<(), SignatureError> {
         self.check_signer_pair(pair)?;
-        // Both MACs share the content's message schedule (the co-signature
-        // differs only in a 36-byte suffix), and each memo composes as
-        // before: a hit answers without touching the schedule.
         verify_cosign_pair(directory, content_bytes, &self.first, &self.second)
     }
 
@@ -474,12 +522,12 @@ impl Wire for PairMessage {
                 enc.put_u8(0);
                 enc.put_u64(*order_index);
                 encode_endpoint(*source, enc);
-                enc.put_bytes(bytes);
+                enc.put_shared(bytes);
             }
             PairMessage::ForwardNew { source, bytes } => {
                 enc.put_u8(1);
                 encode_endpoint(*source, enc);
-                enc.put_bytes(bytes);
+                enc.put_shared(bytes);
             }
             PairMessage::Candidate {
                 output_seq,
@@ -490,7 +538,7 @@ impl Wire for PairMessage {
                 enc.put_u8(2);
                 enc.put_u64(*output_seq);
                 encode_endpoint(*dest, enc);
-                enc.put_bytes(bytes);
+                enc.put_shared(bytes);
                 put_signature(signature, enc);
             }
         }
@@ -554,7 +602,7 @@ impl Wire for FsoInbound {
             }
             FsoInbound::Raw(bytes) => {
                 enc.put_u8(2);
-                enc.put_bytes(bytes);
+                enc.put_shared(bytes);
             }
         }
     }
@@ -704,7 +752,9 @@ mod tests {
             let bytes = signing_bytes(fs, &content);
             // `b` signs its own copy for the partner, then counter-signs
             // `a`'s signature over the same content.
-            let (own, signed) = Signature::sign_resumable(&b, &bytes);
+            let parts = signing_parts(fs, &content);
+            assert_eq!(parts.to_bytes(), bytes, "payload {len}");
+            let (own, signed) = Signature::sign_parts(&b, &parts);
             assert_eq!(own, Signature::sign(&b, &bytes), "payload {len}");
             let first = Signature::sign(&a, &bytes);
             let resumed =

@@ -189,6 +189,7 @@ mod tests {
     use crate::receiver::{FsDelivery, FsReceiver};
     use fs_common::codec::Wire;
     use fs_common::rng::DetRng;
+    use fs_common::Frame;
     use fs_crypto::keys::provision;
     use fs_simnet::actor::{Actor, Outgoing, TestContext, TimerId};
     use fs_smr::machine::{EchoMachine, MachineInput, MachineOutput};
@@ -206,7 +207,7 @@ mod tests {
         leader_ctx: TestContext,
         follower_ctx: TestContext,
         /// Messages that left the pair towards external destinations.
-        external: Vec<(ProcessId, Bytes)>,
+        external: Vec<(ProcessId, Frame)>,
         receiver: FsReceiver,
     }
 
@@ -249,7 +250,7 @@ mod tests {
         /// Delivers the client's raw input to both wrappers (as the source
         /// FS process would) and relays pair traffic until quiescence.
         fn client_input(&mut self, bytes: &[u8]) {
-            let wire = FsoInbound::Raw(bytes.to_vec().into()).to_wire();
+            let wire = FsoInbound::Raw(bytes.to_vec().into()).to_frame();
             self.leader
                 .on_message(&mut self.leader_ctx, CLIENT, wire.clone());
             self.follower
@@ -290,7 +291,7 @@ mod tests {
         fn accepted(&mut self) -> Vec<FsDelivery> {
             self.external
                 .iter()
-                .filter_map(|(_, payload)| self.receiver.accept(payload))
+                .filter_map(|(_, payload)| self.receiver.accept_frame(payload))
                 .collect()
         }
     }
@@ -335,7 +336,7 @@ mod tests {
     fn input_reaching_only_the_follower_is_forwarded_and_processed() {
         let mut pair = Pair::new();
         // The client copy to the leader is lost; only the follower hears it.
-        let wire = FsoInbound::Raw(b"lonely".to_vec().into()).to_wire();
+        let wire = FsoInbound::Raw(b"lonely".to_vec().into()).to_frame();
         pair.follower
             .on_message(&mut pair.follower_ctx, CLIENT, wire);
         pair.settle();
@@ -395,7 +396,7 @@ mod tests {
         let mut pair = Pair::new();
         // Deliver the input to the leader only and do NOT relay pair traffic,
         // simulating a follower that has stopped responding.
-        let wire = FsoInbound::Raw(b"unanswered".to_vec().into()).to_wire();
+        let wire = FsoInbound::Raw(b"unanswered".to_vec().into()).to_frame();
         pair.leader.on_message(&mut pair.leader_ctx, CLIENT, wire);
         // The leader armed a comparison timer for its pending output.
         let timers: Vec<TimerId> = pair.leader_ctx.timers_set.iter().map(|(_, t)| *t).collect();
@@ -412,7 +413,7 @@ mod tests {
             .iter()
             .filter(|o| {
                 matches!(
-                    FsoInbound::from_wire(&o.payload),
+                    FsoInbound::from_frame(&o.payload),
                     Ok(FsoInbound::External(out)) if out.is_fail_signal()
                 )
             })
@@ -423,7 +424,7 @@ mod tests {
     #[test]
     fn follower_detects_leader_that_never_orders() {
         let mut pair = Pair::new();
-        let wire = FsoInbound::Raw(b"ignored-by-leader".to_vec().into()).to_wire();
+        let wire = FsoInbound::Raw(b"ignored-by-leader".to_vec().into()).to_frame();
         pair.follower
             .on_message(&mut pair.follower_ctx, CLIENT, wire);
         // The follower forwarded the input and armed the t2 = 2δ timer; the
@@ -443,7 +444,7 @@ mod tests {
     #[test]
     fn recovery_rearms_pending_comparison_deadlines() {
         let mut pair = Pair::new();
-        let wire = FsoInbound::Raw(b"in-flight".to_vec().into()).to_wire();
+        let wire = FsoInbound::Raw(b"in-flight".to_vec().into()).to_frame();
         pair.leader.on_message(&mut pair.leader_ctx, CLIENT, wire);
         assert_eq!(pair.leader_ctx.timers_set.len(), 1);
         // A warm restart loses the armed deadline (the runtime drops every
@@ -469,7 +470,7 @@ mod tests {
     #[test]
     fn recovery_rearms_the_follower_ordering_deadline() {
         let mut pair = Pair::new();
-        let wire = FsoInbound::Raw(b"unordered".to_vec().into()).to_wire();
+        let wire = FsoInbound::Raw(b"unordered".to_vec().into()).to_frame();
         pair.follower
             .on_message(&mut pair.follower_ctx, CLIENT, wire);
         assert_eq!(pair.follower_ctx.timers_set.len(), 1);
@@ -489,7 +490,7 @@ mod tests {
     #[test]
     fn failed_wrapper_replies_with_fail_signal() {
         let mut pair = Pair::new();
-        let wire = FsoInbound::Raw(b"x".to_vec().into()).to_wire();
+        let wire = FsoInbound::Raw(b"x".to_vec().into()).to_frame();
         pair.leader
             .on_message(&mut pair.leader_ctx, CLIENT, wire.clone());
         let timers: Vec<TimerId> = pair.leader_ctx.timers_set.iter().map(|(_, t)| *t).collect();
@@ -509,14 +510,13 @@ mod tests {
         let replies = pair.leader_ctx.sent_to(CLIENT);
         assert_eq!(replies.len(), 2);
         for reply in &replies {
-            let Ok(FsoInbound::External(out)) = FsoInbound::from_wire(&reply.payload) else {
+            let Ok(FsoInbound::External(out)) = FsoInbound::from_frame(&reply.payload) else {
                 panic!("expected an external fail-signal reply");
             };
             assert!(out.is_fail_signal());
             assert_eq!(reply.payload, signal);
-            assert_eq!(
-                reply.payload.as_ptr(),
-                signal.as_ptr(),
+            assert!(
+                reply.payload.to_bytes().same_view(&signal.to_bytes()),
                 "replies share the one encoded frame"
             );
         }
@@ -536,7 +536,7 @@ mod tests {
             bytes: b"evil".to_vec().into(),
             signature: Signature::sign(&attacker_key, b"evil"),
         };
-        let wire = FsoInbound::Pair(candidate).to_wire();
+        let wire = FsoInbound::Pair(candidate).to_frame();
         pair.leader
             .on_message(&mut pair.leader_ctx, ProcessId(66), wire);
         // Not from the partner: rejected outright, no failure.
@@ -559,7 +559,7 @@ mod tests {
                 tag: fs_crypto::sha256::Sha256::digest(b"garbage"),
             },
         };
-        let wire = FsoInbound::Pair(candidate).to_wire();
+        let wire = FsoInbound::Pair(candidate).to_frame();
         pair.leader.on_message(&mut pair.leader_ctx, FOLLOWER, wire);
         assert!(pair.leader.has_failed());
     }
@@ -601,14 +601,18 @@ mod tests {
         leader.on_message(
             &mut ctx,
             upstream_a,
-            FsoInbound::External(signal.clone()).to_wire(),
+            FsoInbound::External(signal.clone()).to_frame(),
         );
         // The configured environment input went through the machine: the echo
         // machine echoes it back to the environment... which is unrouted, but
         // the input was processed and a candidate was sent to the partner.
         assert_eq!(leader.stats().inputs_processed, 1);
         // Receiving the duplicate copy of the same fail-signal does nothing.
-        leader.on_message(&mut ctx, upstream_b, FsoInbound::External(signal).to_wire());
+        leader.on_message(
+            &mut ctx,
+            upstream_b,
+            FsoInbound::External(signal).to_frame(),
+        );
         assert_eq!(leader.stats().inputs_processed, 1);
     }
 
@@ -655,7 +659,11 @@ mod tests {
             &attacker_key,
             &attacker_key,
         );
-        leader.on_message(&mut ctx, upstream_a, FsoInbound::External(forged).to_wire());
+        leader.on_message(
+            &mut ctx,
+            upstream_a,
+            FsoInbound::External(forged).to_frame(),
+        );
         assert_eq!(leader.stats().rejected_inputs, 1);
         assert_eq!(leader.stats().inputs_processed, 0);
         assert!(!leader.has_failed());

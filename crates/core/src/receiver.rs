@@ -13,10 +13,11 @@ use std::sync::Arc;
 
 use fs_common::codec::Wire;
 use fs_common::id::FsId;
-use fs_common::Bytes;
+use fs_common::{Bytes, Frame};
 use fs_crypto::keys::{KeyDirectory, SignerId};
 
 use crate::message::{FsContent, FsOutput, FsoInbound};
+use crate::seqwindow::SeqWindow;
 
 /// What a destination learns from one accepted message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,7 +59,12 @@ pub struct FsReceiver {
     /// The wrapper signer pair of every FS process this destination accepts
     /// messages from.
     known_pairs: BTreeMap<FsId, (SignerId, SignerId)>,
-    seen_outputs: BTreeSet<(FsId, u64)>,
+    /// Output sequence numbers already accepted, per source: a watermark
+    /// plus the numbers above it, so memory follows the reorder window
+    /// wherever a source's numbers reach this destination contiguously (the
+    /// wrapper's `seen_external` has the same shape and the same caveat
+    /// about numbers a source spends on other destinations).
+    seen_outputs: BTreeMap<FsId, SeqWindow>,
     failed_sources: BTreeSet<FsId>,
     stats: ReceiverStats,
 }
@@ -69,7 +75,7 @@ impl FsReceiver {
         Self {
             directory,
             known_pairs: BTreeMap::new(),
-            seen_outputs: BTreeSet::new(),
+            seen_outputs: BTreeMap::new(),
             failed_sources: BTreeSet::new(),
             stats: ReceiverStats::default(),
         }
@@ -90,14 +96,21 @@ impl FsReceiver {
         self.stats
     }
 
+    /// [`FsReceiver::accept_frame`] for a message held as one contiguous
+    /// buffer.
+    pub fn accept(&mut self, payload: &Bytes) -> Option<FsDelivery> {
+        self.accept_frame(&payload.clone().into())
+    }
+
     /// Processes one raw message addressed to this destination.  Returns the
     /// delivery it produces, if any.
     ///
-    /// The payload is the refcount-shared frame exactly as delivered by the
-    /// transport; the decoded output bytes handed back in
-    /// [`FsDelivery::Output`] are zero-copy views of that frame.
-    pub fn accept(&mut self, payload: &Bytes) -> Option<FsDelivery> {
-        let output = match FsoInbound::from_wire_shared(payload) {
+    /// The payload is the frame exactly as delivered by the transport; the
+    /// decoded output bytes handed back in [`FsDelivery::Output`] are a
+    /// zero-copy view of it (of its spliced body — the sender's own buffer —
+    /// when it has one).
+    pub fn accept_frame(&mut self, payload: &Frame) -> Option<FsDelivery> {
+        let output = match FsoInbound::from_frame(payload) {
             Ok(FsoInbound::External(output)) => output,
             Ok(_) | Err(_) => {
                 // Destinations outside the pair only ever accept external
@@ -132,7 +145,12 @@ impl FsReceiver {
             FsContent::Output {
                 output_seq, bytes, ..
             } => {
-                if self.seen_outputs.insert((output.fs, output_seq)) {
+                if self
+                    .seen_outputs
+                    .entry(output.fs)
+                    .or_default()
+                    .insert(output_seq)
+                {
                     self.stats.accepted += 1;
                     Some(FsDelivery::Output {
                         fs: output.fs,
@@ -215,9 +233,52 @@ mod tests {
         };
         // Zero payload copies on the receive path: the delivered bytes share
         // the frame's storage — refcount bumps only (the delivered view,
-        // plus the verification memo pinning the content), no new allocation.
+        // plus the verification memos pinning the content), no new allocation.
         assert!(bytes.shares_storage(&frame));
         assert!(frame.ref_count() > refs_before);
+    }
+
+    #[test]
+    fn spliced_frames_deliver_the_senders_own_buffer() {
+        let (a, b, _, dir) = setup();
+        let mut r = FsReceiver::new(dir);
+        r.register_source(FsId(1), (a.signer, b.signer));
+        let payload: Bytes = vec![7u8; 10 * 1024].into();
+        let o = FsOutput::sign(
+            FsId(1),
+            FsContent::Output {
+                output_seq: 0,
+                dest: Endpoint::LocalApp,
+                bytes: payload.clone(),
+            },
+            &a,
+            &b,
+        );
+        let frame = FsoInbound::External(o).to_frame();
+        assert!(!frame.is_contiguous());
+        let Some(FsDelivery::Output { bytes, .. }) = r.accept_frame(&frame) else {
+            panic!("valid output must be accepted");
+        };
+        assert!(bytes.same_view(&payload));
+        // The contiguous form of the same frame is the same message: a
+        // duplicate.
+        assert_eq!(r.accept(&frame.to_bytes()), None);
+        assert_eq!(r.stats().duplicates, 1);
+    }
+
+    #[test]
+    fn reordered_outputs_of_two_sources_are_each_accepted_once() {
+        let (a, b, c, dir) = setup();
+        let mut r = FsReceiver::new(dir);
+        r.register_source(FsId(1), (a.signer, b.signer));
+        r.register_source(FsId(2), (b.signer, c.signer));
+        for (i, seq) in [2u64, 0, 1, 5, 3, 0, 5].into_iter().enumerate() {
+            let fresh = i < 5;
+            assert_eq!(r.accept_output(output(1, seq, &a, &b)).is_some(), fresh);
+            assert_eq!(r.accept_output(output(2, seq, &b, &c)).is_some(), fresh);
+        }
+        assert_eq!(r.stats().accepted, 10);
+        assert_eq!(r.stats().duplicates, 4);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use fs_common::fasthash::FastSet;
 /// the numbers that overtook a missing one are held.  A number that never
 /// arrives — e.g. one the source spent on an output for another destination
 /// — pins the watermark, and everything above it stays in the sparse set.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct SeqWindow {
     /// Every sequence number below this one has been inserted.
     next: u64,

@@ -26,14 +26,14 @@ use fs_common::codec::Wire;
 use fs_common::fasthash::{FastMap, FastSet};
 use fs_common::id::{FsId, ProcessId, Role};
 use fs_common::time::SimDuration;
-use fs_common::Bytes;
+use fs_common::{Bytes, Frame};
 use fs_crypto::sha256::{Digest, Sha256};
 use fs_crypto::sig::{Signature, SignedPrefix};
 use fs_simnet::actor::{Actor, Context, TimerId};
 use fs_smr::machine::{DeterministicMachine, Endpoint, MachineInput, MachineOutput};
 
 use crate::config::{FsoConfig, SourceSpec};
-use crate::message::{signing_bytes, FsContent, FsOutput, FsoInbound, PairMessage};
+use crate::message::{signing_parts, FsContent, FsOutput, FsoInbound, PairMessage};
 use crate::seqwindow::SeqWindow;
 
 /// Counters describing what a wrapper has done; used by tests and benches.
@@ -59,7 +59,7 @@ pub struct FsoStats {
 struct IcmpEntry {
     dest: Endpoint,
     bytes: Bytes,
-    /// The signing bytes of the corresponding [`FsContent::Output`] plus
+    /// The signing parts of the corresponding [`FsContent::Output`] plus
     /// this wrapper's HMAC midstate after signing them in `produce_output`:
     /// when the comparison completes, the counter-signature resumes from it
     /// — the content is neither re-encoded nor re-hashed.
@@ -127,7 +127,7 @@ pub struct FsoActor {
     fail_signals_seen: BTreeSet<FsId>,
     /// The encoded, counter-signed fail-signal frame, built when the
     /// wrapper fails and refcount-cloned to every recipient thereafter.
-    fail_signal_frame: Option<Bytes>,
+    fail_signal_frame: Option<Frame>,
     /// Follower only: externally received inputs awaiting the leader's order.
     irmp: BTreeMap<Digest, IrmpEntry>,
     /// Locally produced outputs awaiting comparison.
@@ -213,9 +213,13 @@ impl FsoActor {
     /// pair (and again when the leader's `Ordered` relay arrives), so the
     /// digest is memoised host-side per thread, making a repeat lookup a
     /// hash-map probe instead of a SHA-256 run.  The digest value is a pure
-    /// function of the key, so memoisation cannot change simulation results;
-    /// stored keys are compact copies (never views of delivered frames) and
-    /// both the entry count and retained bytes are bounded.
+    /// function of the key, so memoisation cannot change simulation results.
+    /// A stored key is a refcount of the input where that is a buffer of
+    /// its own (the spliced body the frames carry, which the pair's relay
+    /// then presents again: the probe's equality check is a pointer
+    /// comparison) and a compact copy where it is a window into a
+    /// contiguous frame, which a memo must not keep alive; both the entry
+    /// count and retained bytes are bounded.
     fn input_digest(endpoint: Endpoint, bytes: &Bytes) -> Digest {
         const DIGEST_MEMO_MAX: usize = 16 * 1024;
         const DIGEST_MEMO_MAX_BYTES: usize = 32 * 1024 * 1024;
@@ -225,8 +229,8 @@ impl FsoActor {
             static DIGEST_MEMO: std::cell::RefCell<DigestMemo> =
                 std::cell::RefCell::new((FastMap::default(), 0));
         }
-        // Probe with a refcount clone of the live frame (hash and equality
-        // are by content, so it matches the detached stored key).
+        // Hash and equality are by content (equality short-cuts on the
+        // same buffer), so a copy of the input in other storage still hits.
         let probe = (endpoint, bytes.clone());
         if let Some(digest) = DIGEST_MEMO.with(|memo| memo.borrow().0.get(&probe).copied()) {
             return digest;
@@ -243,9 +247,6 @@ impl FsoActor {
         }
         h.update(bytes);
         let digest = h.finalize();
-        // Store a compact copy of the input, not a view: a memo key must
-        // not keep the whole delivered frame alive.
-        let stored_key = (endpoint, Bytes::copy_from_slice(bytes));
         DIGEST_MEMO.with(|memo| {
             let (map, bytes_held) = &mut *memo.borrow_mut();
             if map.len() >= DIGEST_MEMO_MAX || *bytes_held >= DIGEST_MEMO_MAX_BYTES {
@@ -253,20 +254,20 @@ impl FsoActor {
                 *bytes_held = 0;
             }
             *bytes_held += bytes.len();
-            map.insert(stored_key, digest);
+            map.insert((endpoint, bytes.compact()), digest);
         });
         digest
     }
 
     fn send_pair(&self, ctx: &mut dyn Context, message: PairMessage) {
-        ctx.send(self.config.partner, FsoInbound::Pair(message).to_wire());
+        ctx.send(self.config.partner, FsoInbound::Pair(message).to_frame());
     }
 
     /// The pair's pre-armed fail-signal, counter-signed and encoded once.
     /// The frame is a pure function of the configuration, so every
     /// transmission — the broadcast in `fail()` and each fs1 reply — shares
     /// the same bytes.
-    fn fail_signal_frame(&mut self) -> Bytes {
+    fn fail_signal_frame(&mut self) -> Frame {
         self.fail_signal_frame
             .get_or_insert_with(|| {
                 FsoInbound::External(FsOutput::counter_sign(
@@ -275,7 +276,7 @@ impl FsoActor {
                     self.config.prearmed_fail_signal.clone(),
                     &self.config.key,
                 ))
-                .to_wire()
+                .to_frame()
             })
             .clone()
     }
@@ -374,20 +375,20 @@ impl FsoActor {
         let output_seq = self.output_seq;
         self.output_seq += 1;
 
-        // Encode the signing bytes exactly once per output; every later step
-        // (candidate signature, counter-signature when the comparison
-        // completes) reuses this buffer.  The payload itself is only ever
-        // refcount-cloned into the content, the candidate message and the
-        // comparison pool.
+        // Sign over the header and the output bytes as they are: the
+        // payload is only ever refcount-cloned — into the content, the
+        // signature memo, the candidate frame and the comparison pool — and
+        // the counter-signature, when the comparison completes, resumes
+        // from the midstate kept here.
         let content = FsContent::Output {
             output_seq,
             dest,
             bytes: bytes.clone(),
         };
-        let content_bytes = signing_bytes(self.config.fs, &content);
-        let tau = self.config.crypto_costs.sign_cost(content_bytes.len());
+        let signing = signing_parts(self.config.fs, &content);
+        let tau = self.config.crypto_costs.sign_cost(signing.len());
         ctx.charge_cpu(tau);
-        let (signature, signed) = Signature::sign_resumable(&self.config.key, &content_bytes);
+        let (signature, signed) = Signature::sign_parts(&self.config.key, &signing);
 
         self.send_pair(
             ctx,
@@ -450,9 +451,10 @@ impl FsoActor {
         ctx.charge_cpu(self.config.crypto_costs.sign_cost(64));
         let output =
             FsOutput::counter_sign_resumed(self.config.fs, content, signed, remote.signature);
-        // One encode of the external frame, refcount-shared across every
-        // routed destination.
-        let wire = FsoInbound::External(output).to_wire();
+        // One encode of the external frame (header and signatures around
+        // the spliced output bytes), refcount-shared across every routed
+        // destination.
+        let wire = FsoInbound::External(output).to_frame();
         for process in self.config.routes.lookup(dest) {
             ctx.send(*process, wire.clone());
         }
@@ -506,11 +508,11 @@ impl FsoActor {
                     dest,
                     bytes: bytes.clone(),
                 };
-                let content_bytes = signing_bytes(self.config.fs, &content);
-                ctx.charge_cpu(self.config.crypto_costs.verify_cost(content_bytes.len()));
+                let signing = signing_parts(self.config.fs, &content);
+                ctx.charge_cpu(self.config.crypto_costs.verify_cost(signing.len()));
                 if signature.signer != self.config.partner_signer
                     || signature
-                        .verify(&self.config.directory, &content_bytes)
+                        .verify_parts(&self.config.directory, &signing)
                         .is_err()
                 {
                     self.stats.rejected_inputs += 1;
@@ -590,15 +592,16 @@ impl FsoActor {
 }
 
 impl Actor for FsoActor {
-    fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Bytes) {
+    fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Frame) {
         if self.failed {
             // fs1: a failed FS process answers everything with its fail-signal.
             self.reply_with_fail_signal(ctx, from);
             return;
         }
         // Zero-copy decode: byte-string fields of the inbound message are
-        // sub-slice views sharing the delivered frame's storage.
-        let Ok(inbound) = FsoInbound::from_wire_shared(&payload) else {
+        // views of the delivered frame's segments (a spliced body is the
+        // sender's own buffer).
+        let Ok(inbound) = FsoInbound::from_frame(&payload) else {
             self.stats.rejected_inputs += 1;
             return;
         };

@@ -48,9 +48,20 @@
 //!
 //! A fail-signal wrapper signs `HMAC(k, content)` for its partner and later
 //! co-signs `HMAC(k, content ‖ suffix)` under the same key.
-//! [`sig::Signature::sign_resumable`] returns the signing midstate
+//! [`sig::Signature::sign_parts`] returns the signing midstate
 //! ([`sig::SignedPrefix`]) so the co-signature absorbs only the 36-byte
 //! suffix; tags are bit-for-bit those of signing the concatenation.
+//!
+//! ## Messages in parts
+//!
+//! A signed output is a few header bytes followed by a payload the caller
+//! already holds in a refcounted buffer.  [`sig::Parts`] hands the signature
+//! layer those two buffers as they are: `sign_parts`, `co_sign_parts`,
+//! `verify_parts`, `verify_batch_parts` and `verify_cosign_pair_parts`
+//! stream them through the hash (on the lane backend through
+//! [`hmac::MacSchedule::over_parts`]) and the host-side verification memo
+//! keeps refcounts of them.  Tags and verdicts are those of the contiguous
+//! calls over the concatenation, for every split point.
 //!
 //! ## Batch verification contract
 //!
@@ -110,4 +121,4 @@ pub use cost::CryptoCostModel;
 pub use hmac::{HmacKey, HmacSha256, MacSchedule};
 pub use keys::{provision, KeyDirectory, SignerId, SigningKey, VerifyingKey};
 pub use sha256::{CompressBackend, Digest, Sha256};
-pub use sig::{DoubleSigned, Signature, SignedPrefix, SingleSigned};
+pub use sig::{DoubleSigned, Parts, Signature, SignedPrefix, SingleSigned};

@@ -18,6 +18,7 @@ use std::cell::RefCell;
 
 use serde::{Deserialize, Serialize};
 
+use fs_common::codec::segments_eq;
 use fs_common::fasthash::FastMap;
 use fs_common::{Bytes, SignatureError};
 
@@ -33,64 +34,211 @@ const VERIFY_MEMO_MAX: usize = 16 * 1024;
 /// payloads cannot pin unbounded memory between clears.
 const VERIFY_MEMO_MAX_BYTES: usize = 32 * 1024 * 1024;
 
+/// A message handed to the signature layer as the two shared buffers it
+/// already lives in — the logical message is `head ‖ body`.
+///
+/// A fail-signal output is signed over a few header bytes followed by the
+/// machine's output bytes; the wrapper holds the latter as a refcounted
+/// buffer that also travels in the frames and sits in the comparison pools.
+/// Signing, co-signing and verifying over `Parts` streams the two buffers
+/// through the hash instead of first copying them into one, and the
+/// host-side memos keep refcounts of them instead of copies.  Every tag is
+/// the tag of the concatenation, wherever the split falls.
+#[derive(Debug, Clone)]
+pub struct Parts {
+    /// The leading bytes (for a fail-signal output: its signed header).
+    pub head: Bytes,
+    /// The trailing bytes (the payload the header frames); may be empty.
+    pub body: Bytes,
+}
+
+impl Parts {
+    /// The length of the logical message.
+    pub fn len(&self) -> usize {
+        self.head.len() + self.body.len()
+    }
+
+    /// True when the logical message is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The logical message as one buffer (a copy unless `body` is empty).
+    pub fn to_bytes(&self) -> Bytes {
+        if self.body.is_empty() {
+            return self.head.clone();
+        }
+        [&self.head[..], &self.body[..]].concat().into()
+    }
+}
+
+impl From<Bytes> for Parts {
+    /// A contiguous message: everything in `head`.
+    fn from(head: Bytes) -> Self {
+        Self {
+            head,
+            body: Bytes::new(),
+        }
+    }
+}
+
+/// A message as a public entry point received it: borrowed contiguous
+/// bytes, or shared parts.  The private implementations below are written
+/// once over this.
+#[derive(Clone, Copy)]
+enum Message<'a> {
+    Slice(&'a [u8]),
+    Parts(&'a Parts),
+}
+
+impl<'a> Message<'a> {
+    fn slices(self) -> [&'a [u8]; 2] {
+        match self {
+            Message::Slice(message) => [message, &[]],
+            Message::Parts(parts) => [&parts.head, &parts.body],
+        }
+    }
+
+    /// The message as owned parts: refcounts, or — for borrowed bytes,
+    /// which nothing else keeps alive — a copy.
+    fn to_parts(self) -> Parts {
+        match self {
+            Message::Slice(message) => Bytes::copy_from_slice(message).into(),
+            Message::Parts(parts) => parts.clone(),
+        }
+    }
+
+    fn schedule(self) -> MacSchedule<'a> {
+        let [head, body] = self.slices();
+        MacSchedule::over_parts(head, body)
+    }
+}
+
+type MemoKey = (SignerId, u64, Digest);
+
+/// The smallest message the verification memo keeps by refcount.  Below it
+/// an entry is one compact copy, exactly as before messages came in parts:
+/// a small copy costs less than keeping a header buffer of its own alive
+/// per entry (and small payloads are windows of contiguous frames, which a
+/// memo must not pin, anyway).  From here up the copy — the payload-sized
+/// allocation, the `memcpy`, and on a hit the `memcmp` — is what the memo
+/// avoids.  Same order as the codec's splice size, for the same reason.
+const MEMO_SHARE_MIN: usize = 1024;
+
+/// One memoised message: the bytes `message ‖ suffix`, where `suffix` is
+/// the 36-byte co-signature trailer (absent for a first signature).
+enum MemoEntry {
+    /// A compact copy of the whole message.
+    Compact(Box<[u8]>),
+    /// Refcounts of the message's own buffers (boxed: the table's entries
+    /// stay as small as when they all were compact copies).
+    Shared(Box<SharedMessage>),
+}
+
+struct SharedMessage {
+    message: Parts,
+    suffix: Option<[u8; 36]>,
+}
+
+fn trailer(suffix: Option<&[u8; 36]>) -> &[u8] {
+    suffix.map_or(&[], |s| s)
+}
+
+impl MemoEntry {
+    fn new(message: Message<'_>, suffix: Option<&[u8; 36]>) -> Self {
+        let [head, body] = message.slices();
+        match message {
+            Message::Parts(parts) if head.len() + body.len() >= MEMO_SHARE_MIN => {
+                MemoEntry::Shared(Box::new(SharedMessage {
+                    // A part that is a window into a larger buffer (a field
+                    // of a contiguous frame) is detached: a memo must not
+                    // keep whole frames alive.
+                    message: Parts {
+                        head: parts.head.compact(),
+                        body: parts.body.compact(),
+                    },
+                    suffix: suffix.copied(),
+                }))
+            }
+            _ => MemoEntry::Compact([head, body, trailer(suffix)].concat().into()),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            MemoEntry::Compact(bytes) => bytes.len(),
+            MemoEntry::Shared(shared) => {
+                shared.message.len() + trailer(shared.suffix.as_ref()).len()
+            }
+        }
+    }
+}
+
 /// The verification memo: entry map plus the running total of stored
 /// message bytes (both bounds trigger a wholesale clear).
 #[derive(Default)]
 struct VerifyMemoStore {
-    map: FastMap<(SignerId, u64, Digest), Vec<u8>>,
+    map: FastMap<MemoKey, MemoEntry>,
     bytes: usize,
 }
 
 impl VerifyMemoStore {
-    fn matches(&self, key: &(SignerId, u64, Digest), message: &[u8]) -> bool {
-        self.map
-            .get(key)
-            .is_some_and(|cached| cached.as_slice() == message)
-    }
-
-    /// [`VerifyMemoStore::matches`] against the logical concatenation of
-    /// `parts`, compared piecewise so probing for a suffixed message (the
-    /// co-signature shape) never allocates the concatenation.
-    fn matches_parts(&self, key: &(SignerId, u64, Digest), parts: &[&[u8]]) -> bool {
+    /// True when `key` is memoised for exactly the bytes `message ‖ suffix`.
+    /// The comparison is piecewise and skips stretches that are the very
+    /// buffer the entry holds (the normal case for a large message: the
+    /// verifier decoded a view of the buffer the signer signed), so a hit on
+    /// a 10 kB message reads only its header.
+    fn matches(&self, key: &MemoKey, message: Message<'_>, suffix: Option<&[u8; 36]>) -> bool {
         let Some(cached) = self.map.get(key) else {
             return false;
         };
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        if cached.len() != total {
-            return false;
-        }
-        let mut off = 0;
-        for part in parts {
-            if &cached[off..off + part.len()] != *part {
-                return false;
+        let [head, body] = message.slices();
+        let probe = [head, body, trailer(suffix)];
+        match cached {
+            // One stored buffer: walk the probe's parts along it.
+            MemoEntry::Compact(bytes) => {
+                let mut rest = &bytes[..];
+                probe
+                    .iter()
+                    .all(|part| match rest.split_at_checked(part.len()) {
+                        Some((stored, tail)) => {
+                            rest = tail;
+                            stored == *part
+                        }
+                        None => false,
+                    })
+                    && rest.is_empty()
             }
-            off += part.len();
+            MemoEntry::Shared(shared) => segments_eq(
+                &[
+                    &shared.message.head,
+                    &shared.message.body,
+                    trailer(shared.suffix.as_ref()),
+                ],
+                &probe,
+            ),
         }
-        true
     }
 
-    fn insert(&mut self, key: (SignerId, u64, Digest), message: &[u8]) {
-        self.insert_owned(key, message.to_vec());
-    }
-
-    fn insert_parts(&mut self, key: (SignerId, u64, Digest), parts: &[&[u8]]) {
-        let mut message = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
-        for part in parts {
-            message.extend_from_slice(part);
-        }
-        self.insert_owned(key, message);
-    }
-
-    fn insert_owned(&mut self, key: (SignerId, u64, Digest), message: Vec<u8>) {
+    fn insert(&mut self, key: MemoKey, entry: MemoEntry) {
         if self.map.len() >= VERIFY_MEMO_MAX || self.bytes >= VERIFY_MEMO_MAX_BYTES {
             self.map.clear();
             self.bytes = 0;
         }
-        self.bytes += message.len();
-        if let Some(old) = self.map.insert(key, message) {
+        self.bytes += entry.len();
+        if let Some(old) = self.map.insert(key, entry) {
             self.bytes -= old.len();
         }
     }
+}
+
+fn memo_matches(key: &MemoKey, message: Message<'_>, suffix: Option<&[u8; 36]>) -> bool {
+    VERIFY_MEMO.with(|memo| memo.borrow().matches(key, message, suffix))
+}
+
+fn memo_insert(key: MemoKey, message: Message<'_>, suffix: Option<&[u8; 36]>) {
+    let entry = MemoEntry::new(message, suffix);
+    VERIFY_MEMO.with(|memo| memo.borrow_mut().insert(key, entry));
 }
 
 thread_local! {
@@ -107,8 +255,11 @@ thread_local! {
     /// the memo on or off (and `Signature::verify_uncached` bypasses it,
     /// which is what the benchmarks measure).
     ///
-    /// Keyed by `(signer, key fingerprint, tag)` with the message stored in
-    /// the entry: a hit requires the exact message bytes to match, and the
+    /// Keyed by `(signer, key fingerprint, tag)` with the message held in
+    /// the entry — a large message that arrived as shared [`Parts`] by
+    /// refcount, so the memo pins the buffers that flow anyway instead of
+    /// copies of them, a small one as a compact copy: a
+    /// hit requires the exact message bytes to match, and the
     /// fingerprint ties the verdict to the concrete key material so caches
     /// can never leak across key directories.  Failures are never cached.
     /// Entry count and retained bytes are both bounded.  (In the threaded
@@ -138,36 +289,43 @@ impl Signature {
     /// later.  Its check then becomes a hash-map probe instead of a second
     /// HMAC computation over the same bytes.
     pub fn sign(key: &SigningKey, message: &[u8]) -> Signature {
-        Self::seeded(key, key.hmac().mac(message), message)
+        Self::sign_message(key, Message::Slice(message)).0
     }
 
-    /// Wraps a freshly computed `tag = HMAC(key, message)` as a signature
-    /// and seeds the verification memo with it.
-    fn seeded(key: &SigningKey, tag: Digest, message: &[u8]) -> Signature {
-        let memo_key = (key.signer, key.hmac().fingerprint(), tag);
-        VERIFY_MEMO.with(|memo| memo.borrow_mut().insert(memo_key, message));
-        Signature {
+    /// [`Signature::sign`] over shared [`Parts`]: the two buffers are
+    /// streamed through the hash, never concatenated, and the memo entry
+    /// seeded for the signature holds refcounts of them.
+    ///
+    /// Also returns the signing midstate, so a later co-signature *by the
+    /// same key* over `message ‖ suffix` costs one or two compressions
+    /// instead of a second pass over the whole message (see
+    /// [`SignedPrefix::co_sign`]).
+    pub fn sign_parts(key: &SigningKey, message: &Parts) -> (Signature, SignedPrefix) {
+        Self::sign_message(key, Message::Parts(message))
+    }
+
+    fn sign_message(key: &SigningKey, message: Message<'_>) -> (Signature, SignedPrefix) {
+        let prefix = SignedPrefix::absorb(key, message);
+        let tag = prefix.state.clone().finalize();
+        memo_insert(
+            (prefix.signer, prefix.fingerprint, tag),
+            Message::Parts(&prefix.message),
+            None,
+        );
+        let signature = Signature {
             signer: key.signer,
             tag,
-        }
-    }
-
-    /// [`Signature::sign`] that also returns the signing midstate, so a later
-    /// co-signature *by the same key* over `message ‖ suffix` costs one or
-    /// two compressions instead of a second pass over the whole message
-    /// (see [`SignedPrefix::co_sign`]).  The signature — and the memo entry
-    /// seeded for it — are exactly those of [`Signature::sign`].
-    pub fn sign_resumable(key: &SigningKey, message: &Bytes) -> (Signature, SignedPrefix) {
-        let mut state = key.hmac().hasher();
-        state.update(message);
-        let signature = Self::seeded(key, state.clone().finalize(), message);
-        let prefix = SignedPrefix {
-            message: message.clone(),
-            state,
-            signer: key.signer,
-            fingerprint: key.hmac().fingerprint(),
         };
         (signature, prefix)
+    }
+
+    /// Counter-signs `first` (another signer's signature over `message`)
+    /// with `key`: the signature over `message ‖ suffix(first)`, streamed —
+    /// the concatenation is never built.  A wrapper that signed `message`
+    /// itself a moment ago resumes from that midstate instead
+    /// ([`SignedPrefix::co_sign`]); the tags are identical.
+    pub fn co_sign_parts(key: &SigningKey, message: &Parts, first: &Signature) -> Signature {
+        SignedPrefix::absorb(key, Message::Parts(message)).co_sign(first)
     }
 
     /// Verifies this signature over `message` against the key directory.
@@ -185,14 +343,39 @@ impl Signature {
     ///   directory.
     /// * [`SignatureError::Invalid`] — the tag does not verify.
     pub fn verify(&self, directory: &KeyDirectory, message: &[u8]) -> Result<(), SignatureError> {
+        self.verify_message(directory, Message::Slice(message))
+    }
+
+    /// [`Signature::verify`] over shared [`Parts`]: streamed on a miss, and
+    /// memoised by refcount.
+    ///
+    /// # Errors
+    ///
+    /// See [`Signature::verify`].
+    pub fn verify_parts(
+        &self,
+        directory: &KeyDirectory,
+        message: &Parts,
+    ) -> Result<(), SignatureError> {
+        self.verify_message(directory, Message::Parts(message))
+    }
+
+    fn verify_message(
+        &self,
+        directory: &KeyDirectory,
+        message: Message<'_>,
+    ) -> Result<(), SignatureError> {
         let key = directory.lookup(self.signer)?;
         let memo_key = (self.signer, key.hmac().fingerprint(), self.tag);
-        let hit = VERIFY_MEMO.with(|memo| memo.borrow().matches(&memo_key, message));
-        if hit {
+        if memo_matches(&memo_key, message, None) {
             return Ok(());
         }
-        if key.hmac().verify(message, self.tag.as_bytes()) {
-            VERIFY_MEMO.with(|memo| memo.borrow_mut().insert(memo_key, message));
+        let mut state = key.hmac().hasher();
+        for part in message.slices() {
+            state.update(part);
+        }
+        if ct_eq(state.finalize().as_bytes(), self.tag.as_bytes()) {
+            memo_insert(memo_key, message, None);
             Ok(())
         } else {
             Err(SignatureError::Invalid)
@@ -238,6 +421,27 @@ impl Signature {
         directory: &KeyDirectory,
         message: &[u8],
     ) -> Result<(), SignatureError> {
+        Self::verify_batch_message(sigs, directory, Message::Slice(message))
+    }
+
+    /// [`Signature::verify_batch`] over shared [`Parts`].
+    ///
+    /// # Errors
+    ///
+    /// See [`Signature::verify`].
+    pub fn verify_batch_parts(
+        sigs: &[&Signature],
+        directory: &KeyDirectory,
+        message: &Parts,
+    ) -> Result<(), SignatureError> {
+        Self::verify_batch_message(sigs, directory, Message::Parts(message))
+    }
+
+    fn verify_batch_message(
+        sigs: &[&Signature],
+        directory: &KeyDirectory,
+        message: Message<'_>,
+    ) -> Result<(), SignatureError> {
         // Resolve keys and probe the memo in index order.  A lookup failure
         // stops resolution (the sequential loop never looks past it), but
         // lower-indexed misses must still be verified first: an Invalid
@@ -253,8 +457,7 @@ impl Signature {
                 }
                 Ok(key) => {
                     let memo_key = (sig.signer, key.hmac().fingerprint(), sig.tag);
-                    let hit = VERIFY_MEMO.with(|memo| memo.borrow().matches(&memo_key, message));
-                    if !hit {
+                    if !memo_matches(&memo_key, message, None) {
                         miss_sigs.push(sig);
                         miss_keys.push(key.hmac());
                     }
@@ -262,18 +465,15 @@ impl Signature {
             }
         }
         if !miss_sigs.is_empty() {
-            let expected = HmacKey::mac_batch(&miss_keys, message);
+            let expected = message.schedule().mac_batch(&miss_keys);
             for (sig, tag) in miss_sigs.iter().zip(&expected) {
                 if !ct_eq(tag.as_bytes(), sig.tag.as_bytes()) {
                     return Err(SignatureError::Invalid);
                 }
             }
-            VERIFY_MEMO.with(|memo| {
-                let mut memo = memo.borrow_mut();
-                for (sig, key) in miss_sigs.iter().zip(&miss_keys) {
-                    memo.insert((sig.signer, key.fingerprint(), sig.tag), message);
-                }
-            });
+            for (sig, key) in miss_sigs.iter().zip(&miss_keys) {
+                memo_insert((sig.signer, key.fingerprint(), sig.tag), message, None);
+            }
         }
         match lookup_err {
             Some(e) => Err(e),
@@ -343,7 +543,7 @@ fn cosign_suffix(first: &Signature) -> [u8; 36] {
 /// not printed by `Debug`.
 #[derive(Clone)]
 pub struct SignedPrefix {
-    message: Bytes,
+    message: Parts,
     state: HmacSha256,
     signer: SignerId,
     fingerprint: u64,
@@ -356,26 +556,39 @@ impl std::fmt::Debug for SignedPrefix {
 }
 
 impl SignedPrefix {
+    /// `key`'s HMAC state after absorbing `message`.
+    fn absorb(key: &SigningKey, message: Message<'_>) -> Self {
+        let mut state = key.hmac().hasher();
+        for part in message.slices() {
+            state.update(part);
+        }
+        Self {
+            message: message.to_parts(),
+            state,
+            signer: key.signer,
+            fingerprint: key.hmac().fingerprint(),
+        }
+    }
+
     /// The message whose signature this state resumes from.
-    pub fn message(&self) -> &Bytes {
+    pub fn message(&self) -> &Parts {
         &self.message
     }
 
     /// Counter-signs `first` (another signer's signature over the same
     /// message): the result equals `Signature::sign(key, message ‖
     /// suffix(first))` under the key that produced this prefix, and seeds
-    /// the verification memo the same way.
+    /// the verification memo the same way (with refcounts of the message).
     pub fn co_sign(&self, first: &Signature) -> Signature {
         let suffix = cosign_suffix(first);
         let mut state = self.state.clone();
         state.update(&suffix);
         let tag = state.finalize();
-        VERIFY_MEMO.with(|memo| {
-            memo.borrow_mut().insert_parts(
-                (self.signer, self.fingerprint, tag),
-                &[&self.message, &suffix],
-            )
-        });
+        memo_insert(
+            (self.signer, self.fingerprint, tag),
+            Message::Parts(&self.message),
+            Some(&suffix),
+        );
         Signature {
             signer: self.signer,
             tag,
@@ -386,12 +599,12 @@ impl SignedPrefix {
 /// A [`MacSchedule`] built only when a memo miss actually needs it, then
 /// shared by every subsequent MAC over the same content bytes.
 struct LazyMacSchedule<'m> {
-    message: &'m [u8],
+    message: Message<'m>,
     schedule: Option<MacSchedule<'m>>,
 }
 
 impl<'m> LazyMacSchedule<'m> {
-    fn new(message: &'m [u8]) -> Self {
+    fn new(message: Message<'m>) -> Self {
         Self {
             message,
             schedule: None,
@@ -399,8 +612,7 @@ impl<'m> LazyMacSchedule<'m> {
     }
 
     fn get(&mut self) -> &MacSchedule<'m> {
-        self.schedule
-            .get_or_insert_with(|| MacSchedule::new(self.message))
+        self.schedule.get_or_insert_with(|| self.message.schedule())
     }
 }
 
@@ -424,7 +636,24 @@ pub fn verify_cosign_pair(
     first: &Signature,
     second: &Signature,
 ) -> Result<(), SignatureError> {
-    let mut schedule = LazyMacSchedule::new(content_bytes);
+    let mut schedule = LazyMacSchedule::new(Message::Slice(content_bytes));
+    verify_cosign_pair_with(directory, &mut schedule, first, second)
+}
+
+/// [`verify_cosign_pair`] over shared [`Parts`]: what a destination of a
+/// double-signed output runs on the buffers it decoded, without building
+/// the signing bytes.
+///
+/// # Errors
+///
+/// See [`Signature::verify`].
+pub fn verify_cosign_pair_parts(
+    directory: &KeyDirectory,
+    content: &Parts,
+    first: &Signature,
+    second: &Signature,
+) -> Result<(), SignatureError> {
+    let mut schedule = LazyMacSchedule::new(Message::Parts(content));
     verify_cosign_pair_with(directory, &mut schedule, first, second)
 }
 
@@ -437,33 +666,25 @@ fn verify_cosign_pair_with(
     first: &Signature,
     second: &Signature,
 ) -> Result<(), SignatureError> {
-    let content_bytes = schedule.message;
+    let content = schedule.message;
     let key1 = directory.lookup(first.signer)?;
     let memo1 = (first.signer, key1.hmac().fingerprint(), first.tag);
-    let hit1 = VERIFY_MEMO.with(|memo| memo.borrow().matches(&memo1, content_bytes));
-    if !hit1 {
+    if !memo_matches(&memo1, content, None) {
         let tag = schedule.get().mac(key1.hmac());
         if !ct_eq(tag.as_bytes(), first.tag.as_bytes()) {
             return Err(SignatureError::Invalid);
         }
-        VERIFY_MEMO.with(|memo| memo.borrow_mut().insert(memo1, content_bytes));
+        memo_insert(memo1, content, None);
     }
     let key2 = directory.lookup(second.signer)?;
     let suffix = cosign_suffix(first);
     let memo2 = (second.signer, key2.hmac().fingerprint(), second.tag);
-    let hit2 = VERIFY_MEMO.with(|memo| {
-        memo.borrow()
-            .matches_parts(&memo2, &[content_bytes, &suffix])
-    });
-    if !hit2 {
+    if !memo_matches(&memo2, content, Some(&suffix)) {
         let tag = schedule.get().mac_with_suffix(key2.hmac(), &suffix);
         if !ct_eq(tag.as_bytes(), second.tag.as_bytes()) {
             return Err(SignatureError::Invalid);
         }
-        VERIFY_MEMO.with(|memo| {
-            memo.borrow_mut()
-                .insert_parts(memo2, &[content_bytes, &suffix])
-        });
+        memo_insert(memo2, content, Some(&suffix));
     }
     Ok(())
 }
@@ -613,7 +834,7 @@ impl<T> DoubleSigned<T> {
         content_bytes: &[u8],
         expected_pair: (SignerId, SignerId),
     ) -> Result<(), SignatureError> {
-        let mut schedule = LazyMacSchedule::new(content_bytes);
+        let mut schedule = LazyMacSchedule::new(Message::Slice(content_bytes));
         for item in items {
             item.check_pair(expected_pair)?;
             verify_cosign_pair_with(directory, &mut schedule, &item.first, &item.second)?;
@@ -924,7 +1145,7 @@ mod tests {
     /// Splits `data` into a prefix and a trailing 36 bytes reinterpreted as
     /// the co-signature suffix of some first signature, so arbitrary test
     /// vectors can be pushed through [`SignedPrefix::co_sign`].
-    fn split_as_cosign(data: &[u8]) -> (Bytes, Signature) {
+    fn split_as_cosign(data: &[u8]) -> (Vec<u8>, Signature) {
         let (prefix, suffix) = data.split_at(data.len() - 36);
         let first = Signature {
             signer: SignerId(ProcessId(u32::from_le_bytes(
@@ -933,7 +1154,7 @@ mod tests {
             tag: Digest(suffix[4..].try_into().unwrap()),
         };
         assert_eq!(cosign_suffix(&first), suffix);
-        (Bytes::copy_from_slice(prefix), first)
+        (prefix.to_vec(), first)
     }
 
     #[test]
@@ -944,9 +1165,9 @@ mod tests {
                 .map(|i| (i % 251) as u8)
                 .collect::<Vec<u8>>()
                 .into();
-            let (sig, prefix) = Signature::sign_resumable(&b, &content);
+            let (sig, prefix) = Signature::sign_parts(&b, &content.clone().into());
             assert_eq!(sig, Signature::sign(&b, &content), "len {len}");
-            assert_eq!(prefix.message(), &content);
+            assert_eq!(prefix.message().to_bytes(), content);
             let first = Signature::sign(&a, &content);
             let second = prefix.co_sign(&first);
             assert_eq!(
@@ -1001,15 +1222,179 @@ mod tests {
         for (secret, data, expected) in vectors {
             let key = SigningKey::from_bytes(SignerId(ProcessId(1)), secret);
             // The whole vector as the signed message...
-            let (sig, _) = Signature::sign_resumable(&key, &Bytes::copy_from_slice(&data));
+            let whole = Bytes::copy_from_slice(&data);
+            let (sig, _) = Signature::sign_parts(&key, &whole.clone().into());
             assert_eq!(sig.tag.to_hex(), expected);
+            // ...split in two at every offset...
+            for split in 0..=data.len() {
+                let (sig, _) = Signature::sign_parts(&key, &parts_at(&whole, split));
+                assert_eq!(sig.tag.to_hex(), expected, "split {split}");
+            }
             // ...and, where it is long enough, as prefix ‖ co-sign suffix.
             if data.len() >= 36 {
                 let (prefix, first) = split_as_cosign(&data);
-                let (_, signed) = Signature::sign_resumable(&key, &prefix);
-                assert_eq!(signed.co_sign(&first).tag.to_hex(), expected);
+                for split in 0..=prefix.len() {
+                    let message = parts_at(&prefix, split);
+                    let (_, signed) = Signature::sign_parts(&key, &message);
+                    assert_eq!(signed.co_sign(&first).tag.to_hex(), expected);
+                    assert_eq!(
+                        Signature::co_sign_parts(&key, &message, &first)
+                            .tag
+                            .to_hex(),
+                        expected
+                    );
+                }
             }
         }
+    }
+
+    /// `message` as the parts `message[..split] ‖ message[split..]`, each
+    /// in storage of its own (as a header and a payload are).
+    fn parts_at(message: &[u8], split: usize) -> Parts {
+        Parts {
+            head: Bytes::copy_from_slice(&message[..split]),
+            body: Bytes::copy_from_slice(&message[split..]),
+        }
+    }
+
+    fn forget_memo() {
+        VERIFY_MEMO.with(|memo| *memo.borrow_mut() = VerifyMemoStore::default());
+    }
+
+    /// Part-wise sign / co-sign / verify / batch verify / pair verify give
+    /// the tags and verdicts of the contiguous calls at every split point,
+    /// memo cold and warm.  (CI runs this under `FS_CRYPTO_BACKEND=scalar`
+    /// too.)
+    #[test]
+    fn part_wise_operations_equal_the_contiguous_ones() {
+        let (a, b, c, dir) = setup();
+        for len in (0..=200).chain([10_240]) {
+            let content: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let first = Signature::sign(&a, &content);
+            let second = Signature::sign(&b, &co_sign_bytes(&content, &first));
+            let third = Signature::sign(&c, &content);
+            let splits: Vec<usize> = if len <= 200 {
+                (0..=len).collect()
+            } else {
+                vec![0, 1, 22, 63, 64, 65, 5_000, len - 1, len]
+            };
+            for split in splits {
+                let parts = parts_at(&content, split);
+                assert_eq!(parts.len(), len);
+                assert_eq!(parts.to_bytes(), content);
+                forget_memo();
+                // Cold memo: every check really hashes the two parts.
+                assert!(first.verify_parts(&dir, &parts).is_ok(), "{len}/{split}");
+                forget_memo();
+                assert!(verify_cosign_pair_parts(&dir, &parts, &first, &second).is_ok());
+                forget_memo();
+                assert!(Signature::verify_batch_parts(&[&first, &third], &dir, &parts).is_ok());
+                // Warm memo (seeded through parts): the contiguous calls hit it
+                // and agree, and so do the part-wise ones.
+                assert!(first.verify(&dir, &content).is_ok());
+                assert!(verify_cosign_pair(&dir, &content, &first, &second).is_ok());
+                assert!(Signature::verify_batch(&[&first, &third], &dir, &content).is_ok());
+                assert!(third.verify_parts(&dir, &parts).is_ok());
+                // Signing.
+                let (signed, prefix) = Signature::sign_parts(&a, &parts);
+                assert_eq!(signed, first, "{len}/{split}");
+                assert_eq!(Signature::co_sign_parts(&b, &parts, &first), second);
+                let (_, b_prefix) = Signature::sign_parts(&b, &parts);
+                assert_eq!(b_prefix.co_sign(&first), second);
+                assert_eq!(prefix.message().to_bytes(), content);
+                // A wrong tag fails the same way on both paths.
+                assert_eq!(
+                    third.verify_parts(&dir, &parts_at(&co_sign_bytes(&content, &first), split)),
+                    Err(SignatureError::Invalid)
+                );
+                assert_eq!(
+                    verify_cosign_pair_parts(&dir, &parts, &first, &third),
+                    verify_cosign_pair_uncached(&dir, &content, &first, &third),
+                );
+                assert_eq!(
+                    Signature::verify_batch_parts(&[&first, &second], &dir, &parts),
+                    Signature::verify_batch_uncached(&[&first, &second], &dir, &content),
+                );
+            }
+        }
+    }
+
+    /// A memo hit requires the exact bytes: flipping any one byte of any
+    /// part (or of the co-sign suffix) of a memoised message misses the
+    /// memo and fails the real check, whatever the split of either side.
+    #[test]
+    fn memo_hit_never_accepts_a_message_differing_in_one_byte() {
+        let (a, b, _, dir) = setup();
+        let content: Vec<u8> = (0..90u8).collect();
+        let stored = parts_at(&content, 22);
+        let (first, prefix_a) = Signature::sign_parts(&a, &stored);
+        let (_, prefix_b) = Signature::sign_parts(&b, &stored);
+        let second = prefix_b.co_sign(&first);
+        drop(prefix_a);
+        // The untouched message hits, at any split.
+        for split in [0, 22, 57, 90] {
+            let probe = parts_at(&content, split);
+            assert!(first.verify_parts(&dir, &probe).is_ok());
+            assert!(verify_cosign_pair_parts(&dir, &probe, &first, &second).is_ok());
+        }
+        for flip in 0..content.len() {
+            let mut forged = content.clone();
+            forged[flip] ^= 0x40;
+            for split in [0, 22, 57, 90] {
+                let probe = parts_at(&forged, split);
+                assert_eq!(
+                    first.verify_parts(&dir, &probe),
+                    Err(SignatureError::Invalid),
+                    "byte {flip}, split {split}"
+                );
+                assert_eq!(first.verify(&dir, &forged), Err(SignatureError::Invalid));
+                assert_eq!(
+                    verify_cosign_pair_parts(&dir, &probe, &first, &second),
+                    Err(SignatureError::Invalid)
+                );
+                assert_eq!(
+                    Signature::verify_batch_parts(&[&first], &dir, &probe),
+                    Err(SignatureError::Invalid)
+                );
+            }
+        }
+        // A different first signature changes the co-sign suffix only.
+        let mut other_first = first.clone();
+        other_first.tag.0[7] ^= 1;
+        assert_eq!(
+            verify_cosign_pair_parts(&dir, &stored, &other_first, &second),
+            Err(SignatureError::Invalid)
+        );
+        // Shifting the boundary between message and suffix is still the
+        // same bytes, and still a hit: the memo records bytes, not shapes.
+        let suffixed = co_sign_bytes(&content, &first);
+        assert!(second.verify(&dir, &suffixed).is_ok());
+        // The entries hold refcounts of the signer's buffers, not copies.
+        // A small message is kept as one compact copy; a large one by
+        // refcounts of the signer's own buffers.
+        let entry_of = |sig: &Signature| {
+            VERIFY_MEMO.with(|memo| {
+                match &memo.borrow().map[&(a.signer, a.hmac().fingerprint(), sig.tag)] {
+                    MemoEntry::Compact(_) => None,
+                    MemoEntry::Shared(shared) => Some(shared.message.clone()),
+                }
+            })
+        };
+        assert!(entry_of(&first).is_none());
+        let large = parts_at(&vec![0x42u8; MEMO_SHARE_MIN], 22);
+        let (large_sig, _) = Signature::sign_parts(&a, &large);
+        let kept = entry_of(&large_sig).expect("kept by refcount");
+        assert!(kept.head.same_view(&large.head) && kept.body.same_view(&large.body));
+        // A part that is a window into a larger buffer is detached.
+        let frame: Bytes = vec![0x42u8; MEMO_SHARE_MIN + 100].into();
+        let windowed = Parts {
+            head: frame.slice(..30),
+            body: frame.slice(30..MEMO_SHARE_MIN + 30),
+        };
+        let (windowed_sig, _) = Signature::sign_parts(&a, &windowed);
+        let kept = entry_of(&windowed_sig).expect("kept by refcount");
+        assert_eq!(kept.to_bytes(), windowed.to_bytes());
+        assert!(!kept.body.shares_storage(&frame) && !kept.head.shares_storage(&frame));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use fs_common::id::ProcessId;
 use fs_common::rng::DetRng;
 use fs_common::time::{SimDuration, SimTime};
-use fs_common::Bytes;
+use fs_common::{Bytes, Frame};
 use fs_simnet::actor::{Actor, Context, TimerId};
 
 /// What kind of misbehaviour to inject.
@@ -172,7 +172,7 @@ impl Context for FaultyContext<'_> {
     fn me(&self) -> ProcessId {
         self.inner.me()
     }
-    fn send(&mut self, to: ProcessId, payload: Bytes) {
+    fn send(&mut self, to: ProcessId, payload: Frame) {
         if !self.active {
             self.inner.send(to, payload);
             return;
@@ -180,9 +180,10 @@ impl Context for FaultyContext<'_> {
         match self.kind {
             FaultKind::CorruptOutputs { probability } => {
                 if self.rng.chance(*probability) && !payload.is_empty() {
-                    // The frame is an immutable shared buffer; a corrupting
-                    // fault is the one place that must copy it to mutate it.
-                    let mut corrupted = payload.to_vec();
+                    // The frame is immutable and shared (and possibly a
+                    // rope); a corrupting fault is the one place that must
+                    // flatten and copy it to mutate it.
+                    let mut corrupted = payload.to_bytes().to_vec();
                     let idx = self.rng.below(corrupted.len() as u64) as usize;
                     corrupted[idx] ^= 0xff;
                     self.stats.corrupted += 1;
@@ -235,7 +236,7 @@ impl Actor for FaultyActor {
         self.inner.on_start(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Bytes) {
+    fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Frame) {
         let active = self.active();
         self.handled += 1;
         if active {
@@ -253,7 +254,7 @@ impl Actor for FaultyActor {
                 payload: garbage,
             } = &self.plan.kind
             {
-                ctx.send(*target, garbage.clone());
+                ctx.send(*target, garbage.clone().into());
                 self.stats.babbled += 1;
             }
         }
@@ -302,7 +303,7 @@ mod tests {
     /// Echoes every message back to its sender.
     struct Echo;
     impl Actor for Echo {
-        fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Bytes) {
+        fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Frame) {
             ctx.send(from, payload);
         }
     }
@@ -342,8 +343,7 @@ mod tests {
         assert_eq!(actor.stats().corrupted, 4);
         for (i, out) in ctx.sent.iter().enumerate() {
             assert_ne!(
-                out.payload,
-                vec![i as u8; 4],
+                out.payload, &[i as u8; 4],
                 "payload {i} should be corrupted"
             );
         }
@@ -403,7 +403,7 @@ mod tests {
             recovered: bool,
         }
         impl Actor for Recoverable {
-            fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Bytes) {
+            fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Frame) {
                 ctx.send(from, payload);
             }
             fn on_recover(&mut self, _ctx: &mut dyn Context) {

@@ -27,13 +27,13 @@
 //!
 //! ```
 //! use fs_common::id::ProcessId;
-//! use fs_common::Bytes;
+//! use fs_common::Frame;
 //! use fs_faults::{FaultKind, FaultPlan, FaultyActor};
 //! use fs_simnet::actor::{Actor, Context, TestContext};
 //!
 //! struct Echo;
 //! impl Actor for Echo {
-//!     fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Bytes) {
+//!     fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Frame) {
 //!         ctx.send(from, payload);
 //!     }
 //! }

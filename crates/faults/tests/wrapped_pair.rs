@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use fs_common::Bytes;
+use fs_common::Frame;
 
 use failsignal::message::FsoInbound;
 use failsignal::provision::{FsPairBuilder, FsPairSpec};
@@ -38,8 +38,8 @@ struct Destination {
 }
 
 impl Actor for Destination {
-    fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, payload: Bytes) {
-        match self.receiver.accept(&payload) {
+    fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, payload: Frame) {
+        match self.receiver.accept_frame(&payload) {
             Some(FsDelivery::Output { bytes, .. }) => self.outputs.push(bytes.to_vec()),
             Some(FsDelivery::FailSignal { fs }) => self.fail_signals.push(fs),
             None => {}
@@ -56,12 +56,12 @@ impl Actor for Client {
     fn on_start(&mut self, ctx: &mut dyn Context) {
         ctx.set_timer(SimDuration::from_millis(5), TimerId(1));
     }
-    fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Bytes) {}
+    fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Frame) {}
     fn on_timer(&mut self, ctx: &mut dyn Context, _timer: TimerId) {
         if self.sent >= REQUESTS {
             return;
         }
-        let request = FsoInbound::Raw(format!("req-{}", self.sent).into()).to_wire();
+        let request = FsoInbound::Raw(format!("req-{}", self.sent).into()).to_frame();
         ctx.send(LEADER, request.clone());
         ctx.send(FOLLOWER, request);
         self.sent += 1;

@@ -57,7 +57,7 @@ use fs_common::error::CodecError;
 use fs_common::id::{MemberId, ProcessId};
 use fs_common::rng::DetRng;
 use fs_common::time::{SimDuration, SimTime};
-use fs_common::Bytes;
+use fs_common::Frame;
 use fs_simnet::actor::{Actor, Context, TimerId};
 use fs_simnet::lifecycle::LifecycleSchedule;
 use fs_simnet::link::{LinkModel, LinkSchedule, Topology};
@@ -532,7 +532,8 @@ impl ClusterRouter {
                 key,
                 value,
             }
-            .to_wire(),
+            .to_wire()
+            .into(),
         );
     }
 
@@ -565,7 +566,8 @@ impl ClusterRouter {
                         key: entry.key.clone(),
                         value: entry.value.clone(),
                     }
-                    .to_wire(),
+                    .to_wire()
+                    .into(),
                 );
             } else {
                 self.pending.remove(&seq);
@@ -593,7 +595,7 @@ impl ClusterRouter {
         self.snap_requested_at.insert(req, ctx.now());
         self.snap_pending.insert(req, BTreeMap::new());
         for &entry in &self.entries {
-            ctx.send(entry, ClusterMsg::SnapRead { req }.to_wire());
+            ctx.send(entry, ClusterMsg::SnapRead { req }.to_wire().into());
         }
     }
 
@@ -644,7 +646,8 @@ impl Actor for ClusterRouter {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Bytes) {
+    fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Frame) {
+        let payload = payload.into_bytes();
         let Some(&shard) = self.shard_of_entry.get(&from) else {
             return; // not a shard entry: dropped
         };

@@ -25,7 +25,7 @@ use fs_common::codec::Wire;
 use fs_common::id::{MemberId, ProcessId};
 use fs_common::rng::DetRng;
 use fs_common::time::{SimDuration, SimTime};
-use fs_common::Bytes;
+use fs_common::{Bytes, Frame};
 use fs_newtop::app::{AppProcess, TrafficConfig};
 use fs_newtop::gc::{GcConfig, GcCosts, GcMachine};
 use fs_newtop::message::{ControlInput, ServiceKind};
@@ -427,7 +427,8 @@ impl PlainHost {
 }
 
 impl Actor for PlainHost {
-    fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Bytes) {
+    fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Frame) {
+        let payload = payload.into_bytes();
         let Some(&endpoint) = self.sources.get(&from) else {
             return; // unknown sender: dropped
         };
@@ -435,7 +436,7 @@ impl Actor for PlainHost {
         ctx.charge_cpu(self.machine.processing_cost(&input));
         for output in self.machine.handle(&input) {
             for &to in self.routes.lookup(output.dest) {
-                ctx.send(to, output.bytes.clone());
+                ctx.send(to, output.bytes.clone().into());
             }
         }
     }
@@ -681,7 +682,7 @@ impl SmrDriver {
                 commands: std::mem::take(&mut self.batch),
             }
         };
-        ctx.send(self.middleware, frame.to_wire());
+        ctx.send(self.middleware, frame.to_wire().into());
     }
 
     /// Accounts one applied command from a delivery upcall.
@@ -692,7 +693,7 @@ impl SmrDriver {
         }
         if let Some(router) = self.workload.router {
             if let Some(router_seq) = self.routed_of_seq.remove(&entry.seq) {
-                ctx.send(router, ClusterMsg::Done { router_seq }.to_wire());
+                ctx.send(router, ClusterMsg::Done { router_seq }.to_wire().into());
                 return;
             }
             if let Some(req) = self.snap_of_seq.remove(&entry.seq) {
@@ -710,7 +711,8 @@ impl SmrDriver {
                             keys,
                             digest,
                         }
-                        .to_wire(),
+                        .to_wire()
+                        .into(),
                     );
                 }
                 return;
@@ -732,7 +734,7 @@ impl Actor for SmrDriver {
     fn on_start(&mut self, ctx: &mut dyn Context) {
         if self.rejoin_on_start {
             self.recover_sent_at = Some(ctx.now());
-            ctx.send(self.middleware, SmrClientMsg::Recover.to_wire());
+            ctx.send(self.middleware, SmrClientMsg::Recover.to_wire().into());
         }
         if self.workload.messages > 0 {
             ctx.set_timer(self.workload.start_delay, TIMER_SEND);
@@ -764,7 +766,7 @@ impl Actor for SmrDriver {
             ctx.set_timer(self.pacer.next_gap_from(ctx.now()), TIMER_SEND);
         }
         self.recover_sent_at = Some(ctx.now());
-        ctx.send(self.middleware, SmrClientMsg::Recover.to_wire());
+        ctx.send(self.middleware, SmrClientMsg::Recover.to_wire().into());
     }
 
     fn on_timer(&mut self, ctx: &mut dyn Context, timer: TimerId) {
@@ -775,7 +777,8 @@ impl Actor for SmrDriver {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Bytes) {
+    fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Frame) {
+        let payload = payload.into_bytes();
         if self.workload.router == Some(from) {
             self.on_router_msg(ctx, &payload);
             return;
@@ -871,7 +874,8 @@ mod tests {
         assert_eq!(ctx.sent_to(ProcessId(9)).len(), 2);
 
         // A delivery of its own first command records a latency sample.
-        let SmrClientMsg::Request(request) = SmrClientMsg::from_wire(&ctx.sent[0].payload).unwrap()
+        let SmrClientMsg::Request(request) =
+            SmrClientMsg::from_frame(&ctx.sent[0].payload).unwrap()
         else {
             panic!("unbatched workloads submit single requests");
         };
@@ -881,13 +885,13 @@ mod tests {
             seq: request.seq,
             response: Bytes::from(&b"ok"[..]),
         });
-        driver.on_message(&mut ctx, ProcessId(9), upcall.to_wire());
+        driver.on_message(&mut ctx, ProcessId(9), upcall.to_frame());
         assert_eq!(driver.delivery_log(), &[(MemberId(1), 0)]);
         assert_eq!(driver.latencies().len(), 1);
         assert!(driver.last_delivery().is_some());
         // Strangers and malformed payloads are ignored.
-        driver.on_message(&mut ctx, ProcessId(5), Bytes::from(&b"junk"[..]));
-        driver.on_message(&mut ctx, ProcessId(9), Bytes::from(&b"junk"[..]));
+        driver.on_message(&mut ctx, ProcessId(5), Frame::from(&b"junk"[..]));
+        driver.on_message(&mut ctx, ProcessId(9), Frame::from(&b"junk"[..]));
         assert_eq!(driver.delivery_log().len(), 1);
         assert_eq!(driver.name(), "smr-driver-1");
     }
@@ -910,12 +914,12 @@ mod tests {
             }
             .to_wire(),
         });
-        host.on_message(&mut ctx, ProcessId(2), request.to_wire());
+        host.on_message(&mut ctx, ProcessId(2), request.to_frame());
         assert_eq!(ctx.sent_to(ProcessId(3)).len(), 1, "Ordered multicast");
         assert_eq!(ctx.sent_to(ProcessId(2)).len(), 1, "local delivery upcall");
         // Unknown senders are dropped.
         let before = ctx.sent.len();
-        host.on_message(&mut ctx, ProcessId(77), Bytes::from(&b"x"[..]));
+        host.on_message(&mut ctx, ProcessId(77), Frame::from(&b"x"[..]));
         assert_eq!(ctx.sent.len(), before);
     }
 }

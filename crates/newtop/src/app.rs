@@ -17,7 +17,7 @@ use fs_common::codec::{Decoder, Encoder};
 use fs_common::id::{MemberId, ProcessId};
 use fs_common::rng::DetRng;
 use fs_common::time::{SimDuration, SimTime};
-use fs_common::Bytes;
+use fs_common::{Bytes, Frame};
 use fs_simnet::actor::{Actor, Context, TimerId};
 use fs_simnet::load::{Admission, AdmissionGate, Arrival, ArrivalPacer, LoadStats};
 use fs_simnet::trace::LatencyRecorder;
@@ -163,9 +163,10 @@ pub fn build_batch_payload(items: &[Vec<u8>]) -> Vec<u8> {
     enc.finish_vec()
 }
 
-/// Expands a batched multicast payload built by [`build_batch_payload`].
-pub fn parse_batch_payload(bytes: &[u8]) -> Option<Vec<Bytes>> {
-    let mut dec = Decoder::new(bytes);
+/// Expands a batched multicast payload built by [`build_batch_payload`];
+/// the items are views of `bytes`.
+pub fn parse_batch_payload(bytes: &Bytes) -> Option<Vec<Bytes>> {
+    let mut dec = Decoder::from_shared(bytes);
     let count = dec.get_u32().ok()?;
     let mut items = Vec::with_capacity(count as usize);
     for _ in 0..count {
@@ -373,7 +374,7 @@ impl Actor for AppProcess {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Bytes) {
+    fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Frame) {
         if from != self.middleware {
             return;
         }
@@ -475,18 +476,18 @@ mod tests {
             seq: 0,
             order: 0,
             service: ServiceKind::SymmetricTotal,
-            payload: build_payload(MemberId(0), 0, 3),
+            payload: build_payload(MemberId(0), 0, 3).into(),
         });
-        app.on_message(&mut ctx, ProcessId(5), own.to_wire());
+        app.on_message(&mut ctx, ProcessId(5), own.to_frame());
         // Someone else's message too.
         let other = Upcall::Deliver(AppDeliver {
             origin: MemberId(1),
             seq: 0,
             order: 1,
             service: ServiceKind::SymmetricTotal,
-            payload: build_payload(MemberId(1), 0, 3),
+            payload: build_payload(MemberId(1), 0, 3).into(),
         });
-        app.on_message(&mut ctx, ProcessId(5), other.to_wire());
+        app.on_message(&mut ctx, ProcessId(5), other.to_frame());
 
         assert_eq!(app.delivered_total(), 2);
         assert_eq!(app.delivered_own(), 1);
@@ -506,7 +507,7 @@ mod tests {
             view_id: 2,
             members: vec![MemberId(0)],
         });
-        app.on_message(&mut ctx, ProcessId(5), view.to_wire());
+        app.on_message(&mut ctx, ProcessId(5), view.to_frame());
         assert_eq!(app.views_seen(), &[2]);
     }
 
@@ -517,11 +518,11 @@ mod tests {
             build_payload(MemberId(0), 1, 3),
         ];
         let packed = build_batch_payload(&items);
-        let unpacked = parse_batch_payload(&packed).unwrap();
+        let unpacked = parse_batch_payload(&packed.into()).unwrap();
         assert_eq!(unpacked.len(), 2);
         assert_eq!(&unpacked[0][..], &items[0][..]);
         assert_eq!(&unpacked[1][..], &items[1][..]);
-        assert!(parse_batch_payload(&[7]).is_none());
+        assert!(parse_batch_payload(&vec![7].into()).is_none());
     }
 
     #[test]
@@ -547,9 +548,10 @@ mod tests {
             payload: build_batch_payload(&[
                 build_payload(MemberId(0), 0, 3),
                 build_payload(MemberId(0), 1, 3),
-            ]),
+            ])
+            .into(),
         });
-        app.on_message(&mut ctx, ProcessId(5), delivered.to_wire());
+        app.on_message(&mut ctx, ProcessId(5), delivered.to_frame());
         assert_eq!(app.delivered_total(), 2);
         assert_eq!(app.delivered_own(), 2);
         assert_eq!(app.latencies().len(), 2);
@@ -590,9 +592,9 @@ mod tests {
             seq: 0,
             order: 0,
             service: ServiceKind::SymmetricTotal,
-            payload: build_payload(MemberId(0), 0, 3),
+            payload: build_payload(MemberId(0), 0, 3).into(),
         });
-        app.on_message(&mut ctx, ProcessId(5), own.to_wire());
+        app.on_message(&mut ctx, ProcessId(5), own.to_frame());
         assert_eq!(app.load_stats().completed, 1);
     }
 
@@ -621,9 +623,9 @@ mod tests {
             seq: 0,
             order: 0,
             service: ServiceKind::SymmetricTotal,
-            payload: vec![],
+            payload: vec![].into(),
         });
-        app.on_message(&mut ctx, ProcessId(99), junk.to_wire());
+        app.on_message(&mut ctx, ProcessId(99), junk.to_frame());
         assert_eq!(app.delivered_total(), 0);
         // Malformed upcalls from the right middleware are also ignored.
         app.on_message(&mut ctx, ProcessId(5), vec![0xff, 0xff].into());

@@ -7,6 +7,7 @@
 //! locally too.  Messages that arrive early are held back.
 
 use fs_common::id::MemberId;
+use fs_common::Bytes;
 
 use crate::message::{AppDeliver, GcMessage, ServiceKind};
 
@@ -20,7 +21,7 @@ pub struct CausalOrder {
     /// (for `me`'s own index: number of messages multicast).
     vc: Vec<u64>,
     /// Held-back messages: `(origin, origin's vc at send time, payload)`.
-    holdback: Vec<(MemberId, Vec<u64>, Vec<u8>, u64)>,
+    holdback: Vec<(MemberId, Vec<u64>, Bytes, u64)>,
     delivered: u64,
     next_seq: u64,
 }
@@ -66,7 +67,8 @@ impl CausalOrder {
     /// Multicasts `payload`; returns the data message to send and the local
     /// self-delivery (a member always delivers its own causal multicasts
     /// immediately).
-    pub fn multicast(&mut self, payload: Vec<u8>) -> (GcMessage, AppDeliver) {
+    pub fn multicast(&mut self, payload: impl Into<Bytes>) -> (GcMessage, AppDeliver) {
+        let payload: Bytes = payload.into();
         let my_index = self.index_of(self.me).expect("checked in new");
         self.vc[my_index] += 1;
         let seq = self.next_seq;
@@ -100,8 +102,9 @@ impl CausalOrder {
         origin: MemberId,
         seq: u64,
         vc: Vec<u64>,
-        payload: Vec<u8>,
+        payload: impl Into<Bytes>,
     ) -> Vec<AppDeliver> {
+        let payload: Bytes = payload.into();
         if origin == self.me {
             return Vec::new(); // own messages are self-delivered at multicast time
         }

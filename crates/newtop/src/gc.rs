@@ -17,6 +17,7 @@ use std::collections::BTreeMap;
 use fs_common::codec::Wire;
 use fs_common::id::MemberId;
 use fs_common::time::SimDuration;
+use fs_common::Bytes;
 use fs_smr::machine::{DeterministicMachine, Endpoint, MachineInput, MachineOutput};
 
 use crate::causal::CausalOrder;
@@ -97,6 +98,21 @@ impl GcConfig {
     }
 }
 
+/// One entry of a GC object's delivery log: what was delivered, not the
+/// bytes — the payload went up to the application, and a log that kept it
+/// would pin every payload of the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Delivered {
+    /// The member that multicast the message.
+    pub origin: MemberId,
+    /// The origin's per-member sequence number.
+    pub seq: u64,
+    /// The service that carried the message.
+    pub service: ServiceKind,
+    /// The length of the delivered payload.
+    pub payload_len: usize,
+}
+
 /// The NewTOP group-communication object.
 pub struct GcMachine {
     member: MemberId,
@@ -107,7 +123,7 @@ pub struct GcMachine {
     causal: CausalOrder,
     reliable: ReliableMulticast,
     simple: SimpleMulticast,
-    delivered: Vec<AppDeliver>,
+    delivered: Vec<Delivered>,
     views_delivered: Vec<u64>,
     message_counts: BTreeMap<&'static str, u64>,
 }
@@ -160,7 +176,7 @@ impl GcMachine {
     }
 
     /// The messages delivered to the local application so far, in order.
-    pub fn delivered(&self) -> &[AppDeliver] {
+    pub fn delivered(&self) -> &[Delivered] {
         &self.delivered
     }
 
@@ -183,19 +199,21 @@ impl GcMachine {
 
     fn deliver_up(&mut self, deliveries: Vec<AppDeliver>, outputs: &mut Vec<MachineOutput>) {
         for d in deliveries {
-            // Wrapped for the encoding and unwrapped again: the payload is
-            // never copied on its way into the delivery log.
-            let upcall = Upcall::Deliver(d);
-            outputs.push(MachineOutput::to_app(upcall.to_wire()));
-            if let Upcall::Deliver(d) = upcall {
-                self.delivered.push(d);
-            }
+            self.delivered.push(Delivered {
+                origin: d.origin,
+                seq: d.seq,
+                service: d.service,
+                payload_len: d.payload.len(),
+            });
+            // A machine output is a new byte string around the payload: the
+            // one copy on the delivery path.
+            outputs.push(MachineOutput::to_app(Upcall::Deliver(d).to_wire()));
         }
     }
 
-    fn handle_app_request(&mut self, bytes: &[u8]) -> Vec<MachineOutput> {
+    fn handle_app_request(&mut self, bytes: &Bytes) -> Vec<MachineOutput> {
         let mut outputs = Vec::new();
-        let Ok(request) = AppRequest::from_wire(bytes) else {
+        let Ok(request) = AppRequest::from_wire_shared(bytes) else {
             return outputs; // a malformed local request is dropped
         };
         let AppRequest { service, payload } = request;
@@ -231,9 +249,10 @@ impl GcMachine {
         outputs
     }
 
-    fn handle_peer_message(&mut self, from: MemberId, bytes: &[u8]) -> Vec<MachineOutput> {
+    fn handle_peer_message(&mut self, from: MemberId, bytes: &Bytes) -> Vec<MachineOutput> {
         let mut outputs = Vec::new();
-        let Ok(message) = GcMessage::from_wire(bytes) else {
+        // Zero-copy decode: a `Data` payload is a view of the input.
+        let Ok(message) = GcMessage::from_wire_shared(bytes) else {
             return outputs; // a malformed peer message cannot be processed
         };
         *self.message_counts.entry(message.kind()).or_insert(0) += 1;
@@ -423,6 +442,8 @@ mod tests {
     pub(crate) struct GcHarness {
         pub machines: Vec<GcMachine>,
         pub drop_to: Vec<MemberId>,
+        /// What each machine handed up to its application, in order.
+        pub upcalls: Vec<Vec<AppDeliver>>,
     }
 
     impl GcHarness {
@@ -437,6 +458,7 @@ mod tests {
             Self {
                 machines,
                 drop_to: Vec::new(),
+                upcalls: vec![Vec::new(); n as usize],
             }
         }
 
@@ -475,9 +497,13 @@ mod tests {
                             queue.extend(more.into_iter().map(|o| (dest, o)));
                         }
                     }
-                    Endpoint::LocalApp | Endpoint::Environment => {
-                        // Deliveries are recorded inside the machine; nothing to route.
+                    Endpoint::LocalApp => {
+                        if let Ok(Upcall::Deliver(d)) = Upcall::from_wire_shared(&output.bytes) {
+                            let idx = self.index_of(src);
+                            self.upcalls[idx].push(d);
+                        }
                     }
+                    Endpoint::Environment => {}
                 }
             }
         }
@@ -485,7 +511,7 @@ mod tests {
         pub fn app_multicast(&mut self, sender: u32, service: ServiceKind, payload: &[u8]) {
             let request = AppRequest {
                 service,
-                payload: payload.to_vec(),
+                payload: payload.to_vec().into(),
             }
             .to_wire();
             let sender_id = MemberId(sender);
@@ -560,13 +586,22 @@ mod tests {
         h.app_multicast(1, ServiceKind::Reliable, b"news");
         for m in 0..3 {
             let idx = h.index_of(MemberId(m));
-            let reliable: Vec<&AppDeliver> = h.machines[idx]
-                .delivered()
+            let reliable: Vec<&AppDeliver> = h.upcalls[idx]
                 .iter()
                 .filter(|d| d.service == ServiceKind::Reliable)
                 .collect();
             assert_eq!(reliable.len(), 1, "member {m}");
             assert_eq!(reliable[0].payload, b"news");
+            // The machine's own log records the delivery, not the bytes.
+            assert_eq!(
+                h.machines[idx].delivered(),
+                &[Delivered {
+                    origin: MemberId(1),
+                    seq: 0,
+                    service: ServiceKind::Reliable,
+                    payload_len: 4,
+                }]
+            );
         }
     }
 
@@ -588,11 +623,10 @@ mod tests {
 
         for m in 0..3 {
             let idx = h.index_of(MemberId(m));
-            let mut payloads: Vec<&[u8]> = h.machines[idx]
-                .delivered()
+            let mut payloads: Vec<&[u8]> = h.upcalls[idx]
                 .iter()
                 .filter(|d| d.service == ServiceKind::Reliable)
-                .map(|d| d.payload.as_slice())
+                .map(|d| &d.payload[..])
                 .collect();
             payloads.sort();
             assert_eq!(
@@ -732,7 +766,7 @@ mod tests {
             MachineInput::from_app(
                 AppRequest {
                     service: ServiceKind::SymmetricTotal,
-                    payload: b"a".to_vec(),
+                    payload: b"a".to_vec().into(),
                 }
                 .to_wire(),
             ),
@@ -744,7 +778,7 @@ mod tests {
                     ts: 1,
                     vc: vec![],
                     service: ServiceKind::SymmetricTotal,
-                    payload: b"b".to_vec(),
+                    payload: b"b".to_vec().into(),
                 }
                 .to_wire(),
             ),

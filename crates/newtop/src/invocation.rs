@@ -9,7 +9,7 @@
 
 use fs_common::codec::Wire;
 use fs_common::error::{CodecError, Result};
-use fs_common::{Bytes, Error};
+use fs_common::{Bytes, Error, Frame};
 
 use crate::message::{AppRequest, ServiceKind, Upcall};
 
@@ -30,10 +30,11 @@ impl InvocationService {
     }
 
     /// Marshals an application payload into the request submitted to the GC
-    /// object.
-    pub fn marshal(&mut self, service: ServiceKind, payload: Vec<u8>) -> Bytes {
+    /// object: the request header around the payload, which a large payload
+    /// joins by refcount.
+    pub fn marshal(&mut self, service: ServiceKind, payload: impl Into<Bytes>) -> Frame {
         self.marshalled += 1;
-        AppRequest { service, payload }.to_wire()
+        marshal_request(service, payload)
     }
 
     /// Unmarshals a delivery received from the GC object.
@@ -42,8 +43,8 @@ impl InvocationService {
     ///
     /// Returns [`Error::Codec`] when the bytes are not a valid upcall (which
     /// can only happen if the middleware below is faulty).
-    pub fn unmarshal(&mut self, bytes: &[u8]) -> Result<Upcall> {
-        match Upcall::from_wire(bytes) {
+    pub fn unmarshal(&mut self, frame: &Frame) -> Result<Upcall> {
+        match unmarshal_upcall(frame) {
             Ok(upcall) => {
                 self.unmarshalled += 1;
                 Ok(upcall)
@@ -72,8 +73,12 @@ impl InvocationService {
 }
 
 /// Convenience free function: marshal a request without tracking counters.
-pub fn marshal_request(service: ServiceKind, payload: Vec<u8>) -> Bytes {
-    AppRequest { service, payload }.to_wire()
+pub fn marshal_request(service: ServiceKind, payload: impl Into<Bytes>) -> Frame {
+    AppRequest {
+        service,
+        payload: payload.into(),
+    }
+    .to_frame()
 }
 
 /// Convenience free function: unmarshal an upcall without tracking counters.
@@ -81,8 +86,8 @@ pub fn marshal_request(service: ServiceKind, payload: Vec<u8>) -> Bytes {
 /// # Errors
 ///
 /// Returns the underlying [`CodecError`] when the bytes are malformed.
-pub fn unmarshal_upcall(bytes: &[u8]) -> std::result::Result<Upcall, CodecError> {
-    Upcall::from_wire(bytes)
+pub fn unmarshal_upcall(frame: &Frame) -> std::result::Result<Upcall, CodecError> {
+    Upcall::from_frame(frame)
 }
 
 #[cfg(test)]
@@ -95,7 +100,7 @@ mod tests {
     fn marshal_unmarshal_round_trip() {
         let mut inv = InvocationService::new();
         let req_bytes = inv.marshal(ServiceKind::SymmetricTotal, b"order me".to_vec());
-        let req = AppRequest::from_wire(&req_bytes).unwrap();
+        let req = AppRequest::from_frame(&req_bytes).unwrap();
         assert_eq!(req.service, ServiceKind::SymmetricTotal);
         assert_eq!(req.payload, b"order me");
 
@@ -104,9 +109,9 @@ mod tests {
             seq: 0,
             order: 0,
             service: ServiceKind::SymmetricTotal,
-            payload: b"order me".to_vec(),
+            payload: b"order me"[..].into(),
         });
-        let up = inv.unmarshal(&upcall.to_wire()).unwrap();
+        let up = inv.unmarshal(&upcall.to_frame()).unwrap();
         assert_eq!(up, upcall);
         assert_eq!(inv.marshalled(), 1);
         assert_eq!(inv.unmarshalled(), 1);
@@ -116,7 +121,7 @@ mod tests {
     #[test]
     fn malformed_upcall_is_counted_and_rejected() {
         let mut inv = InvocationService::new();
-        assert!(inv.unmarshal(&[0xde, 0xad, 0xbe, 0xef]).is_err());
+        assert!(inv.unmarshal(&vec![0xde, 0xad, 0xbe, 0xef].into()).is_err());
         assert_eq!(inv.malformed(), 1);
     }
 
@@ -126,6 +131,6 @@ mod tests {
         let mut inv = InvocationService::new();
         let b = inv.marshal(ServiceKind::Causal, vec![1, 2]);
         assert_eq!(a, b);
-        assert!(unmarshal_upcall(&[1]).is_err());
+        assert!(unmarshal_upcall(&vec![1].into()).is_err());
     }
 }

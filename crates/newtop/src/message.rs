@@ -15,6 +15,7 @@
 use fs_common::codec::{Decoder, Encoder, Wire};
 use fs_common::error::CodecError;
 use fs_common::id::MemberId;
+use fs_common::Bytes;
 
 /// Which NewTOP service a multicast requests (§3: the Invocation service
 /// "allows the application to specify the type of NewTOP service needed").
@@ -78,19 +79,20 @@ impl Wire for ServiceKind {
 pub struct AppRequest {
     /// The service requested.
     pub service: ServiceKind,
-    /// The opaque application payload.
-    pub payload: Vec<u8>,
+    /// The opaque application payload (refcount-shared: decoded as a view
+    /// of the request frame, spliced into the frames that carry it on).
+    pub payload: Bytes,
 }
 
 impl Wire for AppRequest {
     fn encode(&self, enc: &mut Encoder) {
         self.service.encode(enc);
-        enc.put_bytes(&self.payload);
+        enc.put_shared(&self.payload);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(Self {
             service: ServiceKind::decode(dec)?,
-            payload: dec.get_bytes_owned()?,
+            payload: dec.get_bytes_shared()?,
         })
     }
     fn encoded_len(&self) -> usize {
@@ -111,8 +113,8 @@ pub struct AppDeliver {
     pub order: u64,
     /// The service that carried the message.
     pub service: ServiceKind,
-    /// The application payload.
-    pub payload: Vec<u8>,
+    /// The application payload (a view of the frame it was decoded from).
+    pub payload: Bytes,
 }
 
 impl Wire for AppDeliver {
@@ -121,7 +123,7 @@ impl Wire for AppDeliver {
         enc.put_u64(self.seq);
         enc.put_u64(self.order);
         self.service.encode(enc);
-        enc.put_bytes(&self.payload);
+        enc.put_shared(&self.payload);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(Self {
@@ -129,7 +131,7 @@ impl Wire for AppDeliver {
             seq: dec.get_u64()?,
             order: dec.get_u64()?,
             service: ServiceKind::decode(dec)?,
-            payload: dec.get_bytes_owned()?,
+            payload: dec.get_bytes_shared()?,
         })
     }
     fn encoded_len(&self) -> usize {
@@ -221,8 +223,9 @@ pub enum GcMessage {
         vc: Vec<u64>,
         /// The service this message was submitted under.
         service: ServiceKind,
-        /// The application payload.
-        payload: Vec<u8>,
+        /// The application payload (a view of the frame it was decoded
+        /// from; held by refcount while the message awaits its order).
+        payload: Bytes,
     },
     /// A symmetric-total-order acknowledgement of `(origin, seq)` by `from`.
     Ack {
@@ -285,6 +288,22 @@ pub enum GcMessage {
 }
 
 impl GcMessage {
+    /// The wire tag of [`GcMessage::Pong`].
+    const TAG_PONG: u8 = 4;
+
+    /// `Some((from, nonce))` when `bytes` encode a [`GcMessage::Pong`].
+    /// Looks at the tag first, so asking this of a `Data` message costs one
+    /// byte compare — the hosting adapter asks it of every peer message.
+    pub fn decode_pong(bytes: &[u8]) -> Option<(MemberId, u64)> {
+        if bytes.first() != Some(&Self::TAG_PONG) {
+            return None;
+        }
+        match Self::from_wire(bytes) {
+            Ok(GcMessage::Pong { from, nonce }) => Some((from, nonce)),
+            _ => None,
+        }
+    }
+
     /// A short tag naming the variant, for traces and statistics.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -319,7 +338,7 @@ impl Wire for GcMessage {
                     enc.put_u64(*v);
                 }
                 service.encode(enc);
-                enc.put_bytes(payload);
+                enc.put_shared(payload);
             }
             GcMessage::Ack {
                 origin,
@@ -351,7 +370,7 @@ impl Wire for GcMessage {
                 enc.put_u64(*nonce);
             }
             GcMessage::Pong { from, nonce } => {
-                enc.put_u8(4);
+                enc.put_u8(Self::TAG_PONG);
                 enc.put_member(*from);
                 enc.put_u64(*nonce);
             }
@@ -387,7 +406,7 @@ impl Wire for GcMessage {
                     vc.push(dec.get_u64()?);
                 }
                 let service = ServiceKind::decode(dec)?;
-                let payload = dec.get_bytes_owned()?;
+                let payload = dec.get_bytes_shared()?;
                 Ok(GcMessage::Data {
                     origin,
                     seq,
@@ -413,7 +432,7 @@ impl Wire for GcMessage {
                 from: dec.get_member()?,
                 nonce: dec.get_u64()?,
             }),
-            4 => Ok(GcMessage::Pong {
+            Self::TAG_PONG => Ok(GcMessage::Pong {
                 from: dec.get_member()?,
                 nonce: dec.get_u64()?,
             }),
@@ -490,7 +509,7 @@ mod tests {
     fn app_request_round_trip() {
         let r = AppRequest {
             service: ServiceKind::SymmetricTotal,
-            payload: vec![1, 2, 3],
+            payload: vec![1, 2, 3].into(),
         };
         assert_eq!(AppRequest::from_wire(&r.to_wire()).unwrap(), r);
     }
@@ -502,7 +521,7 @@ mod tests {
             seq: 7,
             order: 41,
             service: ServiceKind::Causal,
-            payload: b"bid 100".to_vec(),
+            payload: b"bid 100".to_vec().into(),
         };
         assert_eq!(AppDeliver::from_wire(&d.to_wire()).unwrap(), d);
 
@@ -527,7 +546,7 @@ mod tests {
                 ts: 33,
                 vc: vec![1, 2, 3],
                 service: ServiceKind::SymmetricTotal,
-                payload: vec![0xab; 10],
+                payload: vec![0xab; 10].into(),
             },
             GcMessage::Ack {
                 origin: MemberId(1),
@@ -578,7 +597,7 @@ mod tests {
                 ts: 0,
                 vc: vec![],
                 service: ServiceKind::Reliable,
-                payload: vec![],
+                payload: vec![].into(),
             }
             .kind(),
             GcMessage::Ack {

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use fs_common::codec::Wire;
 use fs_common::id::{MemberId, ProcessId};
-use fs_common::Bytes;
+use fs_common::Frame;
 use fs_simnet::actor::{Actor, Context, TimerId};
 use fs_smr::machine::{DeterministicMachine, Endpoint, MachineInput, MachineOutput};
 
@@ -93,15 +93,15 @@ impl NsoActor {
     fn route_outputs(&mut self, ctx: &mut dyn Context, outputs: Vec<MachineOutput>) {
         for output in outputs {
             match output.dest {
-                Endpoint::LocalApp => ctx.send(self.addresses.app, output.bytes),
+                Endpoint::LocalApp => ctx.send(self.addresses.app, output.bytes.into()),
                 Endpoint::Peer(member) => {
                     if let Some(process) = self.addresses.process_of(member) {
-                        ctx.send(process, output.bytes);
+                        ctx.send(process, output.bytes.into());
                     }
                 }
                 Endpoint::Broadcast => {
                     for (_, process) in self.addresses.peers.iter() {
-                        ctx.send(*process, output.bytes.clone());
+                        ctx.send(*process, output.bytes.clone().into());
                     }
                 }
                 Endpoint::Environment => {
@@ -125,7 +125,10 @@ impl Actor for NsoActor {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Bytes) {
+    fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Frame) {
+        // The machine takes one contiguous buffer: free for a frame that is
+        // one (every peer message), the one copy of a spliced request.
+        let payload = payload.into_bytes();
         if from == self.addresses.app {
             self.feed_machine(ctx, MachineInput::from_app(payload));
             return;
@@ -135,12 +138,9 @@ impl Actor for NsoActor {
             return;
         };
         // The suspector watches pongs at the adapter level; everything is
-        // still forwarded to the deterministic machine.
-        if let Ok(GcMessage::Pong {
-            from: ponger,
-            nonce,
-        }) = GcMessage::from_wire(&payload)
-        {
+        // still forwarded to the deterministic machine, which decodes the
+        // message itself — so only a pong is decoded here.
+        if let Some((ponger, nonce)) = GcMessage::decode_pong(&payload) {
             self.suspector.on_pong(ponger, nonce);
         }
         self.feed_machine(ctx, MachineInput::from_peer(member, payload));
@@ -164,7 +164,7 @@ impl Actor for NsoActor {
                     from: self.machine.member(),
                     nonce,
                 };
-                ctx.send(process, ping.to_wire());
+                ctx.send(process, ping.to_wire().into());
             }
         }
         for suspect in actions.suspicions {
@@ -225,9 +225,9 @@ mod tests {
         let mut ctx = TestContext::new(ProcessId(20));
         let request = AppRequest {
             service: ServiceKind::SymmetricTotal,
-            payload: b"hi".to_vec(),
+            payload: b"hi".to_vec().into(),
         };
-        nso.on_message(&mut ctx, ProcessId(10), request.to_wire());
+        nso.on_message(&mut ctx, ProcessId(10), request.to_frame());
         // One data message to each of the two peers.
         assert_eq!(ctx.sent_to(ProcessId(11)).len(), 1);
         assert_eq!(ctx.sent_to(ProcessId(12)).len(), 1);
@@ -249,16 +249,16 @@ mod tests {
             ts: 1,
             vc: vec![],
             service: ServiceKind::SymmetricTotal,
-            payload: b"x".to_vec(),
+            payload: b"x".to_vec().into(),
         };
-        nso.on_message(&mut ctx, ProcessId(11), data.to_wire());
+        nso.on_message(&mut ctx, ProcessId(11), data.to_frame());
         // The ack goes back to the peer; with both acks in hand the delivery
         // goes up to the app.
         assert_eq!(ctx.sent_to(ProcessId(11)).len(), 1);
         let to_app = ctx.sent_to(ProcessId(10));
         assert_eq!(to_app.len(), 1);
         assert!(matches!(
-            Upcall::from_wire(&to_app[0].payload).unwrap(),
+            Upcall::from_frame(&to_app[0].payload).unwrap(),
             Upcall::Deliver(_)
         ));
 
@@ -293,7 +293,7 @@ mod tests {
         let view_upcalls = ctx
             .sent_to(ProcessId(10))
             .iter()
-            .filter(|o| matches!(Upcall::from_wire(&o.payload), Ok(Upcall::View(_))))
+            .filter(|o| matches!(Upcall::from_frame(&o.payload), Ok(Upcall::View(_))))
             .count();
         assert_eq!(view_upcalls, 1);
     }
@@ -313,7 +313,7 @@ mod tests {
             from: MemberId(1),
             nonce: 0,
         };
-        nso.on_message(&mut ctx, ProcessId(11), pong.to_wire());
+        nso.on_message(&mut ctx, ProcessId(11), pong.to_frame());
         ctx.advance(SimDuration::from_millis(500));
         nso.on_timer(&mut ctx, TIMER_SUSPECTOR);
         assert!(nso.suspector().suspected().is_empty());

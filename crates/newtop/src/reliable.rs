@@ -19,6 +19,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use fs_common::id::MemberId;
+use fs_common::Bytes;
 
 use crate::message::{AppDeliver, GcMessage, ServiceKind};
 
@@ -43,7 +44,7 @@ pub struct ReliableMulticast {
     /// starts here, so detection stays O(gap) rather than O(history).
     contiguous: BTreeMap<MemberId, u64>,
     /// Delivered payloads, retained to answer NACKs.
-    retained: BTreeMap<(MemberId, u64), Vec<u8>>,
+    retained: BTreeMap<(MemberId, u64), Bytes>,
     delivered: u64,
     next_seq: u64,
     relayed: u64,
@@ -79,7 +80,12 @@ impl ReliableMulticast {
 
     /// Multicasts `payload` as member `me`; returns the data message to send
     /// and the local self-delivery.
-    pub fn multicast(&mut self, me: MemberId, payload: Vec<u8>) -> (GcMessage, AppDeliver) {
+    pub fn multicast(
+        &mut self,
+        me: MemberId,
+        payload: impl Into<Bytes>,
+    ) -> (GcMessage, AppDeliver) {
+        let payload: Bytes = payload.into();
         let seq = self.next_seq;
         self.next_seq += 1;
         self.seen.insert((me, seq));
@@ -109,7 +115,13 @@ impl ReliableMulticast {
     /// Handles an incoming reliable data message: relays and delivers on
     /// first receipt, and reports any per-origin gap the receipt revealed so
     /// the caller can NACK it.
-    pub fn on_data(&mut self, origin: MemberId, seq: u64, payload: Vec<u8>) -> ReliableReceipt {
+    pub fn on_data(
+        &mut self,
+        origin: MemberId,
+        seq: u64,
+        payload: impl Into<Bytes>,
+    ) -> ReliableReceipt {
+        let payload: Bytes = payload.into();
         if !self.seen.insert((origin, seq)) {
             return ReliableReceipt::default(); // duplicate or retransmit of a seen message
         }
@@ -186,7 +198,12 @@ impl SimpleMulticast {
 
     /// Multicasts `payload` as member `me`; returns the data message and the
     /// local self-delivery.
-    pub fn multicast(&mut self, me: MemberId, payload: Vec<u8>) -> (GcMessage, AppDeliver) {
+    pub fn multicast(
+        &mut self,
+        me: MemberId,
+        payload: impl Into<Bytes>,
+    ) -> (GcMessage, AppDeliver) {
+        let payload: Bytes = payload.into();
         let seq = self.next_seq;
         self.next_seq += 1;
         let data = GcMessage::Data {
@@ -213,7 +230,8 @@ impl SimpleMulticast {
 
     /// Handles an incoming simple data message: always delivered, never
     /// relayed.
-    pub fn on_data(&mut self, origin: MemberId, seq: u64, payload: Vec<u8>) -> AppDeliver {
+    pub fn on_data(&mut self, origin: MemberId, seq: u64, payload: impl Into<Bytes>) -> AppDeliver {
+        let payload: Bytes = payload.into();
         let order = self.delivered;
         self.delivered += 1;
         AppDeliver {

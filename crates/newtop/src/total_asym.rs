@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 
 use fs_common::id::MemberId;
+use fs_common::Bytes;
 
 use crate::message::{AppDeliver, GcMessage, ServiceKind};
 use crate::view::View;
@@ -25,7 +26,7 @@ pub struct SequencerOrder {
     /// Next global sequence number to deliver locally.
     next_deliver: u64,
     /// Data messages waiting for their order, keyed by `(origin, seq)`.
-    waiting_data: BTreeMap<(MemberId, u64), Vec<u8>>,
+    waiting_data: BTreeMap<(MemberId, u64), Bytes>,
     /// Order decisions waiting for their data, keyed by the global sequence.
     orders: BTreeMap<u64, (MemberId, u64)>,
     /// Messages already sequenced by this node while acting as sequencer, to
@@ -61,9 +62,10 @@ impl SequencerOrder {
     /// members and any local deliveries that become possible.
     pub fn multicast(
         &mut self,
-        payload: Vec<u8>,
+        payload: impl Into<Bytes>,
         view: &View,
     ) -> (Vec<GcMessage>, Vec<AppDeliver>) {
+        let payload: Bytes = payload.into();
         let seq = self.next_seq;
         self.next_seq += 1;
         let data = GcMessage::Data {
@@ -88,9 +90,10 @@ impl SequencerOrder {
         &mut self,
         origin: MemberId,
         seq: u64,
-        payload: Vec<u8>,
+        payload: impl Into<Bytes>,
         view: &View,
     ) -> (Vec<GcMessage>, Vec<AppDeliver>) {
+        let payload: Bytes = payload.into();
         self.waiting_data.entry((origin, seq)).or_insert(payload);
         let mut to_send = Vec::new();
         if self.is_sequencer(view) {

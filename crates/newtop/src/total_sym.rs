@@ -22,6 +22,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use fs_common::fasthash::FastMap;
 use fs_common::id::MemberId;
+use fs_common::Bytes;
 
 use crate::message::{AppDeliver, GcMessage, ServiceKind};
 use crate::view::View;
@@ -41,7 +42,7 @@ pub struct SymmetricOrder {
     lamport: u64,
     next_seq: u64,
     /// Payloads of the messages awaiting order, in delivery order.
-    pending: BTreeMap<OrderKey, Vec<u8>>,
+    pending: BTreeMap<OrderKey, Bytes>,
     /// Who has acknowledged each pending message: exactly one entry per
     /// entry of `pending`, inserted and removed with it.  Hashed, and
     /// therefore never iterated.
@@ -92,7 +93,7 @@ impl SymmetricOrder {
         origin: MemberId,
         seq: u64,
         ts: u64,
-        payload: Vec<u8>,
+        payload: Bytes,
     ) -> &mut BTreeSet<MemberId> {
         match self.acks.entry((origin, seq)) {
             Entry::Occupied(known) => known.into_mut(),
@@ -106,7 +107,12 @@ impl SymmetricOrder {
     /// Multicasts `payload`: returns the `Data` message to send to every
     /// other view member, plus any deliveries that become possible
     /// immediately (e.g. in a singleton view).
-    pub fn multicast(&mut self, payload: Vec<u8>, view: &View) -> (GcMessage, Vec<AppDeliver>) {
+    pub fn multicast(
+        &mut self,
+        payload: impl Into<Bytes>,
+        view: &View,
+    ) -> (GcMessage, Vec<AppDeliver>) {
+        let payload: Bytes = payload.into();
         self.lamport += 1;
         let ts = self.lamport;
         let seq = self.next_seq;
@@ -132,9 +138,10 @@ impl SymmetricOrder {
         origin: MemberId,
         seq: u64,
         ts: u64,
-        payload: Vec<u8>,
+        payload: impl Into<Bytes>,
         view: &View,
     ) -> (GcMessage, Vec<AppDeliver>) {
+        let payload: Bytes = payload.into();
         self.lamport = self.lamport.max(ts) + 1;
         let me = self.me;
         let acks = self.track(origin, seq, ts, payload);

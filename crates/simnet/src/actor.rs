@@ -11,24 +11,36 @@
 //!
 //! # Payload convention
 //!
-//! Message payloads are immutable, refcount-shared [`Bytes`] buffers, not
-//! `Vec<u8>`.  A sender encodes a frame **once** (`Wire::to_wire`) and hands
-//! the same buffer to every recipient; [`Context::send`] and the runtimes
-//! only ever clone the refcount, never the bytes.  On the receive side the
-//! destination decodes the delivered frame with `Wire::from_wire_shared`,
-//! and every byte-string field extracted from it is a zero-copy sub-slice
-//! *view* of the frame (`Bytes::slice` via `Decoder::get_bytes_shared`) —
-//! no payload byte is copied anywhere between the sender's encoder and the
-//! application upcall.  Actors that need to mutate a payload (e.g. fault
-//! injectors corrupting a frame) must copy it out explicitly with
-//! `to_vec()`.
+//! The transport payload is a [`Frame`]: immutable, refcount-shared, and
+//! either one contiguous buffer or a rope `head ‖ body ‖ tail` whose body is
+//! a byte string the sender already held.  A sender encodes a message
+//! **once** with `Wire::to_frame` — which writes only the header and trailer
+//! bytes around a large payload and takes the payload itself by refcount —
+//! and hands the same frame to every recipient; [`Context::send`] and the
+//! runtimes only ever clone refcounts, never bytes.  `Bytes`, `Vec<u8>` and
+//! `&[u8]` convert with `.into()` (a machine output that is already one
+//! buffer is sent as it is).  On the receive side the destination decodes
+//! the delivered frame with `Wire::from_frame`, and every byte-string field
+//! extracted from it is a zero-copy *view* of the segment it lies in — so a
+//! payload relayed through several hops (client → wrapper → partner →
+//! destination) is the same buffer at every hop, and the only copies left
+//! are the ones a protocol step asks for: encoding a *new* byte string
+//! around it (a machine's output), or [`Frame::to_bytes`] where a consumer
+//! needs one contiguous buffer from a spliced frame.
+//!
+//! What the transport charges and reports is the frame's wire length,
+//! [`Frame::len`]: link delay, marshalling cost, `NetStats`, and
+//! `TraceEvent::Send { size }` cannot tell a spliced frame from a copied
+//! one.  Actors that need to mutate a payload (e.g. fault injectors
+//! corrupting a frame) flatten it and copy it out explicitly
+//! (`to_bytes().to_vec()`).
 
 use std::any::Any;
 
 use fs_common::id::ProcessId;
 use fs_common::rng::DetRng;
 use fs_common::time::{SimDuration, SimTime};
-use fs_common::Bytes;
+use fs_common::Frame;
 
 /// An application-defined timer identifier.
 ///
@@ -61,10 +73,10 @@ pub trait Context {
     /// Sends `payload` to `to`.  Delivery time is determined by the link
     /// between the two hosting nodes plus the destination node's queueing.
     ///
-    /// The payload is an immutable [`Bytes`] buffer: multicasting the same
-    /// frame to several destinations is a refcount clone per recipient, not
-    /// a copy (see the module docs for the payload convention).
-    fn send(&mut self, to: ProcessId, payload: Bytes);
+    /// The payload is an immutable [`Frame`]: multicasting the same frame to
+    /// several destinations is a refcount clone per recipient, not a copy
+    /// (see the module docs for the payload convention).
+    fn send(&mut self, to: ProcessId, payload: Frame);
 
     /// Arms (or re-arms) timer `timer` to fire `delay` after this handler
     /// completes.  Re-arming an already armed timer replaces its deadline.
@@ -100,9 +112,9 @@ pub trait Actor: Any + Send {
     fn on_start(&mut self, _ctx: &mut dyn Context) {}
 
     /// Called for every message delivered to this actor.  The payload is
-    /// the same shared buffer the sender encoded — decode it in place, do
-    /// not copy it.
-    fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Bytes);
+    /// the very frame the sender encoded — decode it in place
+    /// (`Wire::from_frame`), do not copy it.
+    fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Frame);
 
     /// Called when a timer armed by this actor fires.
     fn on_timer(&mut self, _ctx: &mut dyn Context, _timer: TimerId) {}
@@ -129,9 +141,8 @@ pub trait Actor: Any + Send {
 pub struct Outgoing {
     /// Destination process.
     pub to: ProcessId,
-    /// Message bytes (refcount-shared with every other recipient of the
-    /// same frame).
-    pub payload: Bytes,
+    /// The frame (refcount-shared with every other recipient of it).
+    pub payload: Frame,
 }
 
 /// A minimal [`Context`] implementation backed by plain vectors.
@@ -196,7 +207,7 @@ impl Context for TestContext {
     fn me(&self) -> ProcessId {
         self.id
     }
-    fn send(&mut self, to: ProcessId, payload: Bytes) {
+    fn send(&mut self, to: ProcessId, payload: Frame) {
         self.sent.push(Outgoing { to, payload });
     }
     fn set_timer(&mut self, delay: SimDuration, timer: TimerId) {
@@ -225,7 +236,7 @@ mod tests {
     }
 
     impl Actor for Echo {
-        fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Bytes) {
+        fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Frame) {
             self.seen += 1;
             ctx.charge_cpu(SimDuration::from_micros(10));
             ctx.send(from, payload);
@@ -240,13 +251,13 @@ mod tests {
     fn test_context_records_effects() {
         let mut ctx = TestContext::new(ProcessId(1));
         let mut echo = Echo { seen: 0 };
-        echo.on_message(&mut ctx, ProcessId(2), Bytes::from(&b"ping"[..]));
+        echo.on_message(&mut ctx, ProcessId(2), Frame::from(&b"ping"[..]));
         assert_eq!(echo.seen, 1);
         assert_eq!(
             ctx.sent,
             vec![Outgoing {
                 to: ProcessId(2),
-                payload: Bytes::from(&b"ping"[..])
+                payload: Frame::from(&b"ping"[..])
             }]
         );
         assert_eq!(
@@ -285,7 +296,7 @@ mod tests {
     fn default_name_and_hooks() {
         struct Quiet;
         impl Actor for Quiet {
-            fn on_message(&mut self, _: &mut dyn Context, _: ProcessId, _: Bytes) {}
+            fn on_message(&mut self, _: &mut dyn Context, _: ProcessId, _: Frame) {}
         }
         let mut q = Quiet;
         let mut ctx = TestContext::new(ProcessId(9));

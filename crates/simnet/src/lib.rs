@@ -30,16 +30,16 @@
 //! ```
 //! use fs_common::id::ProcessId;
 //! use fs_common::time::{SimDuration, SimTime};
-//! use fs_common::Bytes;
+//! use fs_common::Frame;
 //! use fs_simnet::actor::{Actor, Context};
 //! use fs_simnet::node::NodeConfig;
 //! use fs_simnet::sim::Simulation;
 //!
 //! struct Echo;
 //! impl Actor for Echo {
-//!     fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Bytes) {
+//!     fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Frame) {
 //!         ctx.charge_cpu(SimDuration::from_micros(100));
-//!         // Payloads are refcount-shared `Bytes`: echoing the frame back
+//!         // Payloads are refcount-shared `Frame`s: echoing the frame back
 //!         // reuses the sender's buffer without copying it.
 //!         ctx.send(from, payload);
 //!     }
@@ -50,7 +50,7 @@
 //!     fn on_start(&mut self, ctx: &mut dyn Context) {
 //!         ctx.send(self.server, b"hello"[..].into());
 //!     }
-//!     fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Bytes) {
+//!     fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Frame) {
 //!         self.replies += 1;
 //!     }
 //! }

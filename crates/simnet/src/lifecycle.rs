@@ -126,11 +126,11 @@ impl LifecycleSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fs_common::Bytes;
+    use fs_common::Frame;
 
     struct Nop;
     impl Actor for Nop {
-        fn on_message(&mut self, _: &mut dyn crate::actor::Context, _: ProcessId, _: Bytes) {}
+        fn on_message(&mut self, _: &mut dyn crate::actor::Context, _: ProcessId, _: Frame) {}
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use fs_common::id::{NodeId, ProcessId};
 use fs_common::rng::DetRng;
 use fs_common::time::{SimDuration, SimTime};
-use fs_common::Bytes;
+use fs_common::Frame;
 
 use crate::actor::{Actor, Context, Outgoing, TimerId};
 use crate::link::{LinkEvent, LinkFault, LinkSchedule, LinkScope, Topology};
@@ -54,7 +54,7 @@ enum EventKind {
         /// destination did not exist at enqueue time.
         to_slot: u32,
         from: ProcessId,
-        payload: Bytes,
+        payload: Frame,
     },
     Timer {
         slot: u32,
@@ -158,7 +158,7 @@ impl Context for SimContext<'_> {
     fn me(&self) -> ProcessId {
         self.me
     }
-    fn send(&mut self, to: ProcessId, payload: Bytes) {
+    fn send(&mut self, to: ProcessId, payload: Frame) {
         self.outgoing.push(Outgoing { to, payload });
     }
     fn set_timer(&mut self, delay: SimDuration, timer: TimerId) {
@@ -376,7 +376,7 @@ impl Simulation {
         at: SimTime,
         from: ProcessId,
         to: ProcessId,
-        payload: impl Into<Bytes>,
+        payload: impl Into<Frame>,
     ) {
         let at = at.max(self.clock);
         // Destination resolution is deferred to dispatch: an actor spawned
@@ -395,7 +395,7 @@ impl Simulation {
     }
 
     /// Injects a message for delivery as soon as possible.
-    pub fn inject_now(&mut self, from: ProcessId, to: ProcessId, payload: impl Into<Bytes>) {
+    pub fn inject_now(&mut self, from: ProcessId, to: ProcessId, payload: impl Into<Frame>) {
         self.inject_at(self.clock, from, to, payload);
     }
 
@@ -897,7 +897,7 @@ impl Simulation {
 enum HandlerKind {
     Start,
     Recover,
-    Message { from: ProcessId, payload: Bytes },
+    Message { from: ProcessId, payload: Frame },
     Timer { timer: TimerId },
 }
 
@@ -909,7 +909,7 @@ mod tests {
 
     /// Replies to every message with the same payload and counts deliveries.
     struct Echo {
-        received: Vec<(ProcessId, Bytes)>,
+        received: Vec<(ProcessId, Frame)>,
         cpu_per_msg: SimDuration,
     }
 
@@ -929,10 +929,10 @@ mod tests {
     }
 
     impl Actor for Echo {
-        fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Bytes) {
+        fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Frame) {
             ctx.charge_cpu(self.cpu_per_msg);
             // A refcount clone: the echoed reply shares the received buffer.
-            let reply = Bytes::clone(&payload);
+            let reply = Frame::clone(&payload);
             self.received.push((from, payload));
             ctx.send(from, reply);
         }
@@ -952,7 +952,7 @@ mod tests {
                 ctx.send(self.dest, vec![i as u8].into());
             }
         }
-        fn on_message(&mut self, ctx: &mut dyn Context, _from: ProcessId, _payload: Bytes) {
+        fn on_message(&mut self, ctx: &mut dyn Context, _from: ProcessId, _payload: Frame) {
             self.replies += 1;
             self.reply_times.push(ctx.now());
         }
@@ -965,7 +965,7 @@ mod tests {
     }
 
     impl Actor for TimerUser {
-        fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Bytes) {}
+        fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Frame) {}
         fn on_start(&mut self, ctx: &mut dyn Context) {
             ctx.set_timer(SimDuration::from_millis(10), TimerId(1));
             ctx.set_timer(SimDuration::from_millis(20), TimerId(2));
@@ -1206,7 +1206,7 @@ mod tests {
                 ctx.set_timer(self.interval, TimerId(7));
             }
         }
-        fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Bytes) {
+        fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Frame) {
             self.replies += 1;
         }
     }
@@ -1270,7 +1270,7 @@ mod tests {
             self.recovered += 1;
             ctx.set_timer(SimDuration::from_millis(10), TimerId(1));
         }
-        fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Bytes) {
+        fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Frame) {
             self.received += 1;
         }
         fn on_timer(&mut self, ctx: &mut dyn Context, _timer: TimerId) {
@@ -1385,7 +1385,7 @@ mod tests {
         sim.inject_at(SimTime::from_millis(5), external, echo, &b"hello"[..]);
         sim.run_until(SimTime::from_secs(1));
         let e = sim.actor::<Echo>(echo).unwrap();
-        assert_eq!(e.received, vec![(external, Bytes::from(&b"hello"[..]))]);
+        assert_eq!(e.received, vec![(external, Frame::from(&b"hello"[..]))]);
         // The reply to the external process is dropped (unknown destination).
         assert_eq!(sim.stats().messages_dropped, 1);
     }

@@ -99,7 +99,7 @@ use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use fs_common::id::{NodeId, ProcessId};
 use fs_common::rng::DetRng;
 use fs_common::time::{SimDuration, SimTime};
-use fs_common::Bytes;
+use fs_common::Frame;
 
 use crate::actor::{Actor, Context, TimerId};
 use crate::lifecycle::{LifecycleSchedule, ProcessFate};
@@ -130,7 +130,7 @@ enum Envelope {
     /// all sharing their payload buffers with the sender (refcount clones).
     Batch {
         from: ProcessId,
-        items: Vec<(ProcessId, Bytes)>,
+        items: Vec<(ProcessId, Frame)>,
     },
     /// A scheduled lifecycle action for one actor hosted on this node,
     /// injected by the control thread at the scheduled offset.
@@ -780,7 +780,7 @@ impl ThreadedRuntime {
         &self,
         from: ProcessId,
         to: ProcessId,
-        payload: impl Into<Bytes>,
+        payload: impl Into<Frame>,
     ) -> fs_common::Result<()> {
         let node = *self
             .node_of
@@ -954,7 +954,7 @@ struct ThreadContext<'a> {
     epoch: Instant,
     /// Sends buffered during the handler; flushed as one batch per
     /// destination node when the handler returns.
-    outgoing: &'a mut Vec<(ProcessId, Bytes)>,
+    outgoing: &'a mut Vec<(ProcessId, Frame)>,
     rng: &'a mut DetRng,
     timers: &'a mut TimerState,
     cpu_scale: f64,
@@ -1004,7 +1004,7 @@ impl Context for ThreadContext<'_> {
     fn me(&self) -> ProcessId {
         self.me
     }
-    fn send(&mut self, to: ProcessId, payload: Bytes) {
+    fn send(&mut self, to: ProcessId, payload: Frame) {
         self.outgoing.push((to, payload));
     }
     fn set_timer(&mut self, delay: SimDuration, timer: TimerId) {
@@ -1062,7 +1062,7 @@ struct WheelEntry {
     node: usize,
     from: ProcessId,
     to: ProcessId,
-    payload: Bytes,
+    payload: Frame,
 }
 
 impl PartialEq for WheelEntry {
@@ -1093,7 +1093,7 @@ struct SenderLocal {
     wheel_seq: u64,
     /// Flush scratch: per-destination-node batches, drained every flush
     /// (the outer vector's capacity is retained across flushes).
-    batches: Vec<(usize, Vec<(ProcessId, Bytes)>)>,
+    batches: Vec<(usize, Vec<(ProcessId, Frame)>)>,
 }
 
 impl SenderLocal {
@@ -1154,7 +1154,7 @@ impl SenderLocal {
 /// accumulated locally and published with one relaxed add each per flush.
 fn flush_outgoing(
     from: ProcessId,
-    outgoing: &mut Vec<(ProcessId, Bytes)>,
+    outgoing: &mut Vec<(ProcessId, Frame)>,
     env: &NodeEnv,
     local: &mut SenderLocal,
 ) {
@@ -1345,7 +1345,7 @@ fn process_envelope(
     env: &NodeEnv,
     actors: &mut [NodeActor],
     local_index: &HashMap<ProcessId, usize>,
-    outgoing: &mut Vec<(ProcessId, Bytes)>,
+    outgoing: &mut Vec<(ProcessId, Frame)>,
     local: &mut SenderLocal,
 ) -> bool {
     let cell = env.shared.cell(env.idx);
@@ -1462,7 +1462,7 @@ fn node_main(
         .collect();
     let local_index: HashMap<ProcessId, usize> =
         actors.iter().enumerate().map(|(i, a)| (a.id, i)).collect();
-    let mut outgoing: Vec<(ProcessId, Bytes)> = Vec::new();
+    let mut outgoing: Vec<(ProcessId, Frame)> = Vec::new();
     let mut local = SenderLocal::new(&env);
 
     if !actors.is_empty() {
@@ -1604,7 +1604,7 @@ mod tests {
     }
 
     impl Actor for Counter {
-        fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Bytes) {
+        fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Frame) {
             self.seen += 1;
             self.shared.fetch_add(1, Ordering::SeqCst);
         }
@@ -1622,7 +1622,7 @@ mod tests {
                 ctx.send(peer, b"ping"[..].into());
             }
         }
-        fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, _payload: Bytes) {
+        fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, _payload: Frame) {
             if self.rounds_left > 0 {
                 self.rounds_left -= 1;
                 ctx.send(from, b"pong"[..].into());
@@ -1638,7 +1638,7 @@ mod tests {
     }
 
     impl Actor for TimerOnce {
-        fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Bytes) {}
+        fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Frame) {}
         fn on_start(&mut self, ctx: &mut dyn Context) {
             ctx.set_timer(SimDuration::from_millis(5), TimerId(1));
         }
@@ -1770,11 +1770,11 @@ mod tests {
     }
 
     impl Actor for Multicaster {
-        fn on_message(&mut self, ctx: &mut dyn Context, _from: ProcessId, payload: Bytes) {
+        fn on_message(&mut self, ctx: &mut dyn Context, _from: ProcessId, payload: Frame) {
             for d in &self.dests {
                 // Refcount clone: all recipients share one buffer, and the
                 // co-hosted ones share one channel message.
-                ctx.send(*d, Bytes::clone(&payload));
+                ctx.send(*d, Frame::clone(&payload));
             }
         }
     }
@@ -1998,8 +1998,8 @@ mod tests {
     }
 
     impl Actor for Recorder {
-        fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, payload: Bytes) {
-            self.order.push(payload.as_ref()[0]);
+        fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, payload: Frame) {
+            self.order.push(payload.to_bytes()[0]);
             self.shared.fetch_add(1, Ordering::SeqCst);
         }
     }
@@ -2011,7 +2011,7 @@ mod tests {
     }
 
     impl Actor for BurstSender {
-        fn on_message(&mut self, ctx: &mut dyn Context, _from: ProcessId, _payload: Bytes) {
+        fn on_message(&mut self, ctx: &mut dyn Context, _from: ProcessId, _payload: Frame) {
             for i in 0..self.count {
                 ctx.send(self.dest, vec![i].into());
             }
@@ -2114,7 +2114,7 @@ mod tests {
     }
 
     impl Actor for LifeCounter {
-        fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Bytes) {
+        fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Frame) {
             self.seen += 1;
             self.shared.fetch_add(1, Ordering::SeqCst);
         }
@@ -2233,7 +2233,7 @@ mod tests {
     fn armed_timer_before_horizon_defeats_quiescence() {
         struct SlowTimer;
         impl Actor for SlowTimer {
-            fn on_message(&mut self, _: &mut dyn Context, _: ProcessId, _: Bytes) {}
+            fn on_message(&mut self, _: &mut dyn Context, _: ProcessId, _: Frame) {}
             fn on_start(&mut self, ctx: &mut dyn Context) {
                 ctx.set_timer(SimDuration::from_secs(600), TimerId(1));
             }

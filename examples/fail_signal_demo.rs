@@ -15,7 +15,7 @@ use fs_smr_suite::common::codec::Wire;
 use fs_smr_suite::common::id::{FsId, ProcessId};
 use fs_smr_suite::common::rng::DetRng;
 use fs_smr_suite::common::time::{SimDuration, SimTime};
-use fs_smr_suite::common::Bytes;
+use fs_smr_suite::common::Frame;
 use fs_smr_suite::crypto::cost::CryptoCostModel;
 use fs_smr_suite::crypto::keys::{provision, KeyDirectory, SignerId};
 use fs_smr_suite::failsignal::message::FsoInbound;
@@ -41,8 +41,8 @@ struct Destination {
 }
 
 impl Actor for Destination {
-    fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, payload: Bytes) {
-        match self.receiver.accept(&payload) {
+    fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, payload: Frame) {
+        match self.receiver.accept_frame(&payload) {
             Some(FsDelivery::Output { bytes, .. }) => self.outputs.push(bytes.to_vec()),
             Some(FsDelivery::FailSignal { fs }) => self.fail_signals.push(fs),
             None => {}
@@ -64,12 +64,12 @@ impl Actor for Client {
             fs_smr_suite::simnet::TimerId(1),
         );
     }
-    fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Bytes) {}
+    fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Frame) {}
     fn on_timer(&mut self, ctx: &mut dyn Context, _timer: fs_smr_suite::simnet::TimerId) {
         if self.sent >= self.to_send {
             return;
         }
-        let request = FsoInbound::Raw(format!("request-{}", self.sent).into()).to_wire();
+        let request = FsoInbound::Raw(format!("request-{}", self.sent).into()).to_frame();
         ctx.send(self.targets.0, request.clone());
         ctx.send(self.targets.1, request);
         self.sent += 1;

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use fs_smr_suite::common::Bytes;
+use fs_smr_suite::common::Frame;
 
 use fs_smr_suite::common::codec::Wire;
 use fs_smr_suite::common::config::TimingAssumptions;
@@ -41,8 +41,8 @@ struct Destination {
 }
 
 impl Actor for Destination {
-    fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, payload: Bytes) {
-        match self.receiver.accept(&payload) {
+    fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, payload: Frame) {
+        match self.receiver.accept_frame(&payload) {
             Some(FsDelivery::Output { bytes, .. }) => self.outputs.push(bytes.to_vec()),
             Some(FsDelivery::FailSignal { fs }) => self.fail_signals.push(fs),
             None => {}
@@ -60,12 +60,12 @@ impl Actor for Client {
     fn on_start(&mut self, ctx: &mut dyn Context) {
         ctx.set_timer(SimDuration::from_millis(5), TimerId(1));
     }
-    fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Bytes) {}
+    fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Frame) {}
     fn on_timer(&mut self, ctx: &mut dyn Context, _timer: TimerId) {
         if self.sent >= self.requests {
             return;
         }
-        let request = FsoInbound::Raw(format!("req-{}", self.sent).into()).to_wire();
+        let request = FsoInbound::Raw(format!("req-{}", self.sent).into()).to_frame();
         ctx.send(LEADER, request.clone());
         ctx.send(FOLLOWER, request);
         self.sent += 1;

@@ -53,7 +53,7 @@ impl Actor for Chatter {
         &mut self,
         ctx: &mut dyn Context,
         from: fs_smr_suite::common::id::ProcessId,
-        _payload: fs_smr_suite::common::Bytes,
+        _payload: fs_smr_suite::common::Frame,
     ) {
         if self.sends_left == 0 {
             return;
@@ -133,7 +133,7 @@ fn run_group(
     for (sender, payload) in multicasts {
         let request = AppRequest {
             service,
-            payload: payload.clone(),
+            payload: payload.clone().into(),
         }
         .to_wire();
         let outputs = machines[*sender as usize].handle(&MachineInput::from_app(request));
@@ -220,7 +220,7 @@ proptest! {
         for (i, payload) in payloads.iter().enumerate() {
             let input = if i % 2 == 0 {
                 MachineInput::from_app(
-                    AppRequest { service: ServiceKind::SymmetricTotal, payload: payload.clone() }.to_wire(),
+                    AppRequest { service: ServiceKind::SymmetricTotal, payload: payload.clone().into() }.to_wire(),
                 )
             } else {
                 MachineInput::from_peer(
@@ -231,7 +231,7 @@ proptest! {
                         ts: i as u64 + 1,
                         vc: vec![],
                         service: ServiceKind::SymmetricTotal,
-                        payload: payload.clone(),
+                        payload: payload.clone().into(),
                     }
                     .to_wire(),
                 )
@@ -274,7 +274,7 @@ proptest! {
             ts,
             vc: vec![1, 2, 3],
             service: ServiceKind::SymmetricTotal,
-            payload,
+            payload: payload.into(),
         };
         prop_assert_eq!(GcMessage::from_wire(&m.to_wire()).unwrap(), m);
     }
@@ -365,13 +365,13 @@ proptest! {
         ] {
             check(&service);
         }
-        check(&AppRequest { service: ServiceKind::Causal, payload: payload.clone() });
+        check(&AppRequest { service: ServiceKind::Causal, payload: payload.clone().into() });
         check(&newtop_msg::AppDeliver {
             origin: MemberId(member),
             seq,
             order: seq.wrapping_add(1),
             service: ServiceKind::SymmetricTotal,
-            payload: payload.clone(),
+            payload: payload.clone().into(),
         });
         let view = newtop_msg::ViewDeliver {
             view_id: seq,
@@ -385,7 +385,7 @@ proptest! {
             ts: seq.wrapping_mul(3),
             vc: (0..n_members as u64).collect(),
             service: ServiceKind::SymmetricTotal,
-            payload: payload.clone(),
+            payload: payload.clone().into(),
         });
         check(&GcMessage::Ack { origin: MemberId(member), seq, from: MemberId(member + 1), clock: seq });
         check(&GcMessage::Order { sequencer: MemberId(0), global_seq: seq, origin: MemberId(member), seq });
