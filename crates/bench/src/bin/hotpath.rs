@@ -19,11 +19,14 @@
 //! * **verify_batch** — `Signature::verify_batch_uncached` across an
 //!   authenticator vector (one message, n MACs, shared inner schedule):
 //!   per-MAC nanoseconds must fall as the batch grows.
-//! * **cosign_resume** — what a wrapper pays to sign an output for its
-//!   partner and later counter-sign the partner's copy: two full MAC passes
-//!   over the content (`Signature::sign` + `FsOutput::counter_sign_with`)
-//!   vs the co-signature resumed from the signing midstate
-//!   (`Signature::sign_parts` + `FsOutput::counter_sign_resumed`).
+//! * **sign_digest** — what a wrapper pays on the host per output: digest
+//!   the body (`body_digest`), sign the statement for the partner and later
+//!   counter-sign the partner's signature over it — at 3 B, 1 KiB and
+//!   10 KiB, for each way the digest can be answered: content never seen
+//!   (the SHA-256 pass), equal content in a distinct buffer (the other
+//!   replica's output: one fast hash plus one `memcmp`), and the same buffer
+//!   again (an address lookup).  Below the memo's size floor every body is
+//!   hashed directly and the three coincide.
 //! * **encode** — `Wire::to_wire` (one sized allocation, refcount-shared
 //!   `Bytes`) vs the legacy `Wire::to_wire_vec` growth-from-zero path, on
 //!   the candidate frames the wrapper pair exchanges.
@@ -56,22 +59,23 @@
 //! * **ack_path** — the per-ack and per-input bookkeeping around the
 //!   cryptography: nanoseconds per `SymmetricOrder::on_ack` in a 9-member
 //!   view with 8, 64 and 512 messages pending (the curve must be flat in
-//!   the pending count), and per hit probe of a `DIGEST_MEMO`-shaped table
-//!   (`(Endpoint, payload) → Digest`) with a 10 KiB key.
+//!   the pending count).
 //!
 //! * **frame_path** — one machine output through one wrapper pair and one
 //!   destination — leader signs and encodes the candidate frame; follower
 //!   decodes it, verifies it, signs its own copy, compares, co-signs and
 //!   encodes the external frame; destination decodes and verifies — at 3 B,
-//!   1 KiB and 10 KiB, two ways: the *contiguous reference*, where the pair
-//!   materialises contiguous bytes at every step (`signing_bytes`,
-//!   `to_wire`, `from_wire_shared`), and the *spliced* path the wrappers run
-//!   (`signing_parts`, `to_frame`, `from_frame`); the destination's
-//!   `FsOutput::verify` is the same call in both.  Per round: nanoseconds
-//!   (fastest of interleaved passes) and payload bytes copied, counted at
-//!   the allocator as the bytes of every allocation at least as large as
-//!   the payload.  Every round signs a fresh output, so both arms pay the
-//!   pair's two real HMAC passes; what differs is the bytes moved.
+//!   1 KiB and 10 KiB, two ways: the *contiguous reference*, where every
+//!   frame is one contiguous buffer (`to_wire`, `from_wire_shared`) and a
+//!   decoded body therefore a window into it, and the *spliced* path the
+//!   wrappers run (`to_frame`, `from_frame`), where a body travels as the
+//!   sender's own buffer.  Both arms sign and verify statements over
+//!   `body_digest` and end in the same `FsOutput::verify`.  Per round:
+//!   nanoseconds (fastest of interleaved passes) and payload bytes copied,
+//!   counted at the allocator as the bytes of every allocation at least as
+//!   large as the payload.  Every round signs a fresh output, so both arms
+//!   pay the pair's real MACs; what differs is the bytes moved and how the
+//!   body digest is found (by address when spliced, by content otherwise).
 //!
 //! `FS_BENCH_HOTPATH_ITERS` scales the micro-benchmark iteration counts
 //! (default 100 000); `FS_BENCH_HOTPATH_MESSAGES` the per-member pipeline
@@ -95,11 +99,14 @@
 //! regression fails the run the same way.  Whenever a reference is
 //! configured, the `ack_path` section is also held to two ceilings of its
 //! own, independent of what the reference carries: `on_ack` at 512 pending
-//! messages costs at most 1.5× what it costs at 8, and the 10 KiB memo probe
-//! at most 1 µs.  So is `frame_path`: the spliced 10 KiB round copies no
-//! payload byte and costs no more than the contiguous reference, and the
-//! spliced 3 B round — which takes the contiguous path inside the codec —
-//! costs at most 1.1× the reference.
+//! messages costs at most 1.5× what it costs at 8.  So is `sign_digest`: the
+//! same-buffer 10 KiB round costs at most 1.2× the 3 B round (signing is
+//! flat in the body size once the body has been digested), and finding the
+//! other replica's equal 10 KiB output by content adds at most 1 µs to it.
+//! So is `frame_path`: the spliced 10 KiB round copies no payload byte and
+//! costs no more than the contiguous reference, and the spliced 3 B round —
+//! which takes the contiguous path inside the codec — costs at most 1.1×
+//! the reference.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -108,22 +115,20 @@ use serde::{Deserialize, Serialize};
 
 use std::collections::BTreeMap;
 
-use failsignal::message::{
-    signing_bytes, signing_parts, FsContent, FsOutput, FsoInbound, PairMessage,
-};
+use failsignal::digest::body_digest;
+use failsignal::message::{FsContent, FsOutput, FsoInbound, PairMessage, Statement};
 use failsignal::receiver::FsReceiver;
 use fs_bench::alloc_count::{count_allocs, CountingAlloc};
 use fs_bench::env::{env_f64, env_u64};
 use fs_bench::report::results_dir;
 use fs_common::codec::Wire;
-use fs_common::fasthash::FastMap;
 use fs_common::id::{FsId, MemberId, NodeId, ProcessId};
 use fs_common::rng::DetRng;
 use fs_common::time::SimTime;
 use fs_common::{Bytes, Frame};
 use fs_crypto::hmac::{HmacKey, HmacSha256, MacSchedule};
 use fs_crypto::keys::{provision, SignerId};
-use fs_crypto::sha256::{kernel_name, CompressBackend, Digest, Sha256};
+use fs_crypto::sha256::{kernel_name, CompressBackend};
 use fs_crypto::sig::Signature;
 use fs_harness::Protocol;
 use fs_newtop::app::TrafficConfig;
@@ -197,13 +202,15 @@ struct VerifyBatchRow {
 }
 
 #[derive(Debug, Serialize)]
-struct CosignResumeRow {
+struct SignDigestRow {
     payload_bytes: usize,
-    /// Sign, then counter-sign by hashing `content ‖ suffix` from scratch.
-    two_pass_ns: f64,
-    /// Sign keeping the midstate, then counter-sign from it.
-    resumed_ns: f64,
-    speedup: f64,
+    /// Digest + sign + counter-sign of a body whose content was never seen.
+    miss_ns: f64,
+    /// The same round for known content in a buffer never seen (the other
+    /// replica's copy).
+    equal_content_ns: f64,
+    /// The same round for a buffer seen before.
+    same_buffer_ns: f64,
 }
 
 #[derive(Debug, Serialize)]
@@ -289,9 +296,6 @@ struct OnAckRow {
 struct AckPathReport {
     /// `SymmetricOrder::on_ack` in a 9-member view, by pending count.
     on_ack: Vec<OnAckRow>,
-    /// One hit probe of a `DIGEST_MEMO`-shaped table with a 10 KiB key:
-    /// the bucket hash over the whole key plus the full-content compare.
-    memo_probe_10k_ns: f64,
 }
 
 #[derive(Debug, Serialize)]
@@ -319,7 +323,9 @@ struct HotpathReport {
     sha256_kernel: String,
     hmac: Vec<HmacRow>,
     verify_batch: Vec<VerifyBatchRow>,
-    cosign_resume: Vec<CosignResumeRow>,
+    /// One wrapper output round by how the body digest is answered (see
+    /// the module docs).
+    sign_digest: Vec<SignDigestRow>,
     encode: Vec<EncodeRow>,
     sign_verify: Vec<SignVerifyRow>,
     scheduler: Vec<SchedulerRow>,
@@ -423,58 +429,76 @@ fn bench_verify_batch(iters: u64) -> Vec<VerifyBatchRow> {
     rows
 }
 
-/// Prices the wrapper's sign-then-counter-sign sequence under one key, with
-/// and without resuming the co-signature from the signing midstate.  Both
-/// arms produce the identical double-signed output (asserted once per size).
-fn bench_cosign_resume(iters: u64) -> Vec<CosignResumeRow> {
+/// Prices what a wrapper pays on the host per output — digest the body,
+/// sign the statement, counter-sign the partner's signature over it — by
+/// the way `body_digest` answers.  Interleaved passes, fastest kept (see
+/// [`bench_ack_path`] for why); the bodies of each pass are built before it
+/// is timed.
+fn bench_sign_digest(iters: u64) -> Vec<SignDigestRow> {
+    const PASSES: usize = 15;
+    /// Known contents the equal-content and same-buffer columns draw from.
+    const KNOWN: usize = 16;
     let mut rng = DetRng::new(13);
     let (mut keys, _dir) = provision([ProcessId(0), ProcessId(1)], &mut rng);
     let local = keys.remove(&SignerId(ProcessId(0))).unwrap();
     let remote = keys.remove(&SignerId(ProcessId(1))).unwrap();
     let fs = FsId(1);
-    PAYLOAD_SIZES
-        .iter()
-        .map(|&size| {
-            let content = FsContent::Output {
-                output_seq: 7,
-                dest: Endpoint::LocalApp,
-                bytes: Bytes::from(vec![0x33u8; size]),
-            };
-            let content_bytes = signing_bytes(fs, &content);
-            let content_parts = signing_parts(fs, &content);
-            let first = Signature::sign(&remote, &content_bytes);
-            let two_pass = || {
-                black_box(Signature::sign(&local, black_box(&content_bytes)));
-                FsOutput::counter_sign_with(
-                    fs,
-                    content.clone(),
-                    &content_bytes,
-                    first.clone(),
-                    &local,
-                )
-            };
-            let resumed = || {
-                let (sig, signed) = Signature::sign_parts(&local, black_box(&content_parts));
-                black_box(sig);
-                FsOutput::counter_sign_resumed(fs, content.clone(), &signed, first.clone())
-            };
-            assert_eq!(
-                two_pass(),
-                resumed(),
-                "resumed co-signature must be identical"
-            );
-            let n = scaled_iters(iters, size);
-            let two_pass_ns = time_ns_per_op(n, || {
-                black_box(two_pass());
-            });
-            let resumed_ns = time_ns_per_op(n, || {
-                black_box(resumed());
-            });
-            CosignResumeRow {
-                payload_bytes: size,
-                two_pass_ns,
-                resumed_ns,
-                speedup: two_pass_ns / resumed_ns,
+    let first = Signature::sign(&remote, b"the partner's signature");
+    let mut output_seq = 0u64;
+    let mut round = |body: &Bytes| {
+        output_seq += 1;
+        let digest = body_digest(black_box(body));
+        let statement = Statement::output(fs, output_seq, Endpoint::Broadcast, body.len(), &digest);
+        black_box(Signature::sign(&local, statement.as_bytes()));
+        black_box(Signature::co_sign(&local, statement.as_bytes(), &first));
+    };
+    let mut fresh = 0u64;
+    [3usize, 1024, 10 * 1024]
+        .into_iter()
+        .map(|payload| {
+            // `time_ns_per_op` runs a tenth again as warm-up.
+            let per_pass = (scaled_iters(iters, payload) / 8).max(50);
+            let bodies_per_pass = (per_pass + per_pass / 10 + 1) as usize;
+            let known: Vec<Bytes> = (0..KNOWN)
+                .map(|i| Bytes::from(vec![i as u8 ^ 0x33; payload]))
+                .collect();
+            let mut best = [f64::INFINITY; 3];
+            for _ in 0..PASSES {
+                // Never-seen contents: a counter in the leading bytes (the
+                // 3-byte bodies repeat, but those are never remembered).
+                let unseen: Vec<Bytes> = (0..bodies_per_pass)
+                    .map(|_| {
+                        fresh += 1;
+                        let mut body = vec![0xc3u8; payload];
+                        let stamp = fresh.to_le_bytes();
+                        let n = stamp.len().min(payload);
+                        body[..n].copy_from_slice(&stamp[..n]);
+                        Bytes::from(body)
+                    })
+                    .collect();
+                // Known contents (re-learned here should the memo have
+                // cleared), each in a buffer the memo has never seen.
+                for body in &known {
+                    black_box(body_digest(body));
+                }
+                let copies: Vec<Bytes> = (0..bodies_per_pass)
+                    .map(|i| Bytes::copy_from_slice(&known[i % KNOWN]))
+                    .collect();
+                let pools: [&[Bytes]; 3] = [&unseen, &copies, &known];
+                for (pool, best) in pools.into_iter().zip(&mut best) {
+                    let mut next = 0usize;
+                    let pass = time_ns_per_op(per_pass, || {
+                        round(&pool[next % pool.len()]);
+                        next += 1;
+                    });
+                    *best = best.min(pass);
+                }
+            }
+            SignDigestRow {
+                payload_bytes: payload,
+                miss_ns: best[0],
+                equal_content_ns: best[1],
+                same_buffer_ns: best[2],
             }
         })
         .collect()
@@ -538,17 +562,14 @@ fn bench_sign_verify(iters: u64) -> Vec<SignVerifyRow> {
                 let wire = black_box(&output).to_wire();
                 black_box(FsOutput::from_wire(&wire).expect("round trip"));
             });
-            let content_bytes = signing_bytes(fs, &content);
             let pair = (a.signer, b.signer);
             let verify_ns = time_ns_per_op(n, || {
                 black_box(&output)
-                    .verify_with_uncached(&dir, &content_bytes, pair)
+                    .verify_uncached(&dir, pair)
                     .expect("valid");
             });
             let verify_memo_ns = time_ns_per_op(n, || {
-                black_box(&output)
-                    .verify_with(&dir, &content_bytes, pair)
-                    .expect("valid");
+                black_box(&output).verify(&dir, pair).expect("valid");
             });
             SignVerifyRow {
                 payload_bytes: size,
@@ -778,8 +799,8 @@ fn bench_send_contention(pairs: u32, rounds: u64, gated: bool) -> ContentionRow 
     }
 }
 
-/// The per-ack and per-input bookkeeping rows.  The ceilings these feed are
-/// ratios between rows and an absolute time, and this class of host runs the
+/// The per-ack bookkeeping rows.  The ceiling these feed is a ratio
+/// between rows, and this class of host runs the
 /// same code at two speeds for stretches far longer than one pass — so the
 /// rows are timed in interleaved rounds and each keeps its fastest pass: a
 /// slow stretch only ever adds, and it adds to every row of the round alike.
@@ -803,24 +824,7 @@ fn bench_ack_path(iters: u64) -> AckPathReport {
             (keys, order)
         })
         .collect();
-    // The wrapper's input-digest memo in miniature: a working set of
-    // distinct 10 KiB inputs, probed (and hit) through refcount clones.
-    let mut memo: FastMap<(Endpoint, Bytes), Digest> = FastMap::default();
-    let probes: Vec<(Endpoint, Bytes)> = (0..64u32)
-        .map(|i| {
-            let payload: Vec<u8> = (0..10_240u32)
-                .map(|j| (i ^ j.wrapping_mul(31)) as u8)
-                .collect();
-            (Endpoint::Peer(MemberId(i % 3)), Bytes::from(payload))
-        })
-        .collect();
-    for (endpoint, payload) in &probes {
-        let stored = (*endpoint, Bytes::copy_from_slice(payload));
-        memo.insert(stored, Sha256::digest(payload));
-    }
-
     let mut on_ack_ns = [f64::INFINITY; 3];
-    let mut memo_probe_10k_ns = f64::INFINITY;
     let mut next = 0usize;
     for _ in 0..ROUNDS {
         for ((keys, order), best) in orders.iter_mut().zip(&mut on_ack_ns) {
@@ -832,12 +836,6 @@ fn bench_ack_path(iters: u64) -> AckPathReport {
             });
             *best = best.min(pass);
         }
-        let pass = time_ns_per_op((iters / 10).max(1_000), || {
-            let probe = probes[next % probes.len()].clone();
-            next += 1;
-            black_box(memo.get(&probe).copied().expect("probe hits"));
-        });
-        memo_probe_10k_ns = memo_probe_10k_ns.min(pass);
     }
     let on_ack = orders
         .iter()
@@ -850,10 +848,7 @@ fn bench_ack_path(iters: u64) -> AckPathReport {
             }
         })
         .collect();
-    AckPathReport {
-        on_ack,
-        memo_probe_10k_ns,
-    }
+    AckPathReport { on_ack }
 }
 
 /// One machine output through one wrapper pair and one destination (see the
@@ -895,13 +890,7 @@ impl OutputRound {
     /// The round; returns the bytes the destination accepted.
     fn run(&self, output_seq: u64, spliced: bool) -> Bytes {
         let pair = (self.leader.signer, self.follower.signer);
-        let signing = |content: &FsContent| {
-            if spliced {
-                signing_parts(self.fs, content)
-            } else {
-                signing_bytes(self.fs, content).into()
-            }
-        };
+        let statement = |content: &FsContent| Statement::of(self.fs, content, body_digest);
         let encode = |message: FsoInbound| {
             if spliced {
                 message.to_frame()
@@ -919,9 +908,9 @@ impl OutputRound {
         };
 
         // Leader: sign its copy for the partner.
-        let (signature, _) = Signature::sign_parts(
+        let signature = Signature::sign(
             &self.leader,
-            &signing(&self.content(output_seq, &self.leader_copy)),
+            statement(&self.content(output_seq, &self.leader_copy)).as_bytes(),
         );
         let candidate = encode(FsoInbound::Pair(PairMessage::Candidate {
             output_seq,
@@ -940,26 +929,26 @@ impl OutputRound {
         else {
             unreachable!("a candidate was encoded");
         };
-        let remote = FsContent::Output {
+        let remote = statement(&FsContent::Output {
             output_seq,
             dest,
             bytes,
-        };
+        });
         signature
-            .verify_parts(&self.directory, &signing(&remote))
+            .verify(&self.directory, remote.as_bytes())
             .expect("the leader's signature verifies");
         let own = self.content(output_seq, &self.follower_copy);
-        let (_, signed) = Signature::sign_parts(&self.follower, &signing(&own));
-        assert!(own == remote, "the replicas agree");
-        let output = FsOutput::counter_sign_resumed(self.fs, own, &signed, signature);
+        let own_statement = statement(&own);
+        black_box(Signature::sign(&self.follower, own_statement.as_bytes()));
+        assert!(own_statement == remote, "the replicas agree");
+        let output =
+            FsOutput::counter_sign_over(self.fs, own, &own_statement, signature, &self.follower);
         let external = encode(FsoInbound::External(output));
 
         // Destination: decode, verify, take the bytes.
         let FsoInbound::External(output) = decode(&external) else {
             unreachable!("an external output was encoded");
         };
-        // One destination check for both arms: the library has only the
-        // one, and it is not what the arms compare.
         let verdict = output.verify(&self.directory, pair);
         verdict.expect("the double signature verifies");
         match output.content {
@@ -1257,9 +1246,8 @@ fn check_ceiling(label: &str, what: &str, unit: &str, fresh: f64, ceiling: f64, 
     );
 }
 
-/// The bookkeeping guards: an ack costs the same whether 8 or 512 messages
-/// are pending (a scan of the pending set would make it ~linear), and a
-/// memo probe over a 10 KiB key stays well under the hash pass it saves.
+/// The bookkeeping guard: an ack costs the same whether 8 or 512 messages
+/// are pending (a scan of the pending set would make it ~linear).
 fn check_ack_path(fresh: &AckPathReport) {
     let at = |pending: usize| {
         fresh
@@ -1277,20 +1265,40 @@ fn check_ack_path(fresh: &AckPathReport) {
         1.5 * at(8),
         "per-ack work grows with the pending set",
     );
+}
+
+/// The digest-memo guards: once a 10 KiB body has been digested, signing it
+/// again costs what signing 3 bytes costs, and finding the other replica's
+/// equal copy by content stays well under the hash pass it saves.
+fn check_sign_digest(fresh: &[SignDigestRow]) {
+    let at = |payload: usize| {
+        fresh
+            .iter()
+            .find(|row| row.payload_bytes == payload)
+            .expect("the sign_digest sweep covers 3 B and 10 KiB")
+    };
+    let (small, large) = (at(3), at(10 * 1024));
     check_ceiling(
-        "ack_path",
-        "10 KiB memo probe",
+        "sign_digest",
+        "same-buffer 10 KiB round",
         "ns",
-        fresh.memo_probe_10k_ns,
+        large.same_buffer_ns,
+        1.2 * small.same_buffer_ns,
+        "signing a digested body depends on its size again",
+    );
+    check_ceiling(
+        "sign_digest",
+        "10 KiB equal-content probe",
+        "ns",
+        large.equal_content_ns - large.same_buffer_ns,
         1_000.0,
-        "memo bucket hash regression",
+        "memo bucket hash or compare regression",
     );
 }
 
 /// The frame-path guards: the spliced 10 KiB round moves no payload byte
 /// and is no slower than the contiguous reference; below the splice size
-/// the two arms run the same codec path and the part-wise signatures must
-/// not cost more than a tenth on top.
+/// the two arms run the same codec path and must cost the same.
 fn check_frame_path(fresh: &[FramePathRow]) {
     let at = |payload: usize| {
         fresh
@@ -1350,8 +1358,8 @@ fn main() {
     let hmac = bench_hmac(iters);
     eprintln!("hotpath: batched signature verification...");
     let verify_batch = bench_verify_batch(iters / 4);
-    eprintln!("hotpath: co-signature resume...");
-    let cosign_resume = bench_cosign_resume(iters / 4);
+    eprintln!("hotpath: sign over the body digest...");
+    let sign_digest = bench_sign_digest(iters);
     eprintln!("hotpath: encode...");
     let encode = bench_encode(iters);
     eprintln!("hotpath: sign/verify...");
@@ -1416,13 +1424,13 @@ fn main() {
         );
     }
     println!(
-        "\n{:<16} {:>14} {:>14} {:>9}",
-        "cosign payload", "two-pass ns", "resumed ns", "speedup"
+        "\n{:<16} {:>14} {:>16} {:>14}",
+        "sign_digest", "miss ns", "equal-content ns", "same-buffer ns"
     );
-    for row in &cosign_resume {
+    for row in &sign_digest {
         println!(
-            "{:<16} {:>14.0} {:>14.0} {:>8.2}x",
-            row.payload_bytes, row.two_pass_ns, row.resumed_ns, row.speedup
+            "{:<16} {:>14.0} {:>16.0} {:>14.0}",
+            row.payload_bytes, row.miss_ns, row.equal_content_ns, row.same_buffer_ns
         );
     }
     println!(
@@ -1493,10 +1501,6 @@ fn main() {
             row.pending, row.on_ack_ns
         );
     }
-    println!(
-        "ack_path: 10 KiB memo probe        {:>7.1} ns",
-        ack_path.memo_probe_10k_ns
-    );
 
     println!(
         "\n{:<16} {:>14} {:>12} {:>7} {:>16} {:>14}",
@@ -1533,7 +1537,7 @@ fn main() {
         sha256_kernel: sha256_kernel.to_string(),
         hmac,
         verify_batch,
-        cosign_resume,
+        sign_digest,
         encode,
         sign_verify,
         scheduler,
@@ -1574,6 +1578,7 @@ fn main() {
             check_contention_regression(&report.send_contention, gated_ref);
         }
         check_ack_path(&report.ack_path);
+        check_sign_digest(&report.sign_digest);
         check_frame_path(&report.frame_path);
     }
 }
@@ -1711,8 +1716,7 @@ mod tests {
         let new = format!(
             r#"{{"sha256_kernel": "sha-ni", "hmac": [{{"payload_bytes": 3, "simd_mb_per_s": 18.0}},
                 {{"payload_bytes": 10240, "simd_mb_per_s": 1400.0}}],
-                "ack_path": {{"on_ack": [{{"pending": 8, "on_ack_ns": 21.0}}],
-                "memo_probe_10k_ns": 650.0}}, {PIPELINES}}}"#
+                "ack_path": {{"on_ack": [{{"pending": 8, "on_ack_ns": 21.0}}]}}, {PIPELINES}}}"#
         );
         let reference = reference_deliveries_per_sec(&new).expect("new layout parses");
         assert_eq!(reference.kernel.as_deref(), Some("sha-ni"));

@@ -25,7 +25,8 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`message`] | double-signed [`message::FsOutput`] envelopes, pair-internal [`message::PairMessage`]s |
+//! | [`message`] | double-signed [`message::FsOutput`] envelopes, pair-internal [`message::PairMessage`]s, the signed [`message::Statement`] (`header ‖ SHA-256(body)`) |
+//! | [`digest`]  | [`digest::body_digest`]: the one memoised hash pass over an output's bytes |
 //! | [`config`]  | per-wrapper configuration: sources, routes, timing (δ, κ, σ), crypto costs |
 //! | [`wrapper`] | the FSO actor: Order + Compare + DMQ/IRMP/ICMP/ECMP pools + fail-signal emission |
 //! | [`provision`] | [`provision::FsPairBuilder`]: keys, pre-armed fail-signals, pair construction |
@@ -66,6 +67,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod digest;
 pub mod group;
 pub mod interceptor;
 pub mod message;
@@ -76,10 +78,11 @@ pub mod service;
 pub mod wrapper;
 
 pub use config::{FsoConfig, RouteTable, SourceSpec};
+pub use digest::body_digest;
 pub use group::{build_fs_group, FsGroupParams, FsMemberProcs, GroupHost, PairLayout};
 pub use interceptor::FsInterceptor;
-pub use message::{FsContent, FsOutput, FsoInbound, PairMessage};
+pub use message::{FsContent, FsOutput, FsoInbound, PairMessage, Statement};
 pub use provision::{FsPairBuilder, FsPairSpec};
 pub use receiver::{FsDelivery, FsReceiver, ReceiverStats};
 pub use service::FsService;
-pub use wrapper::{FsoActor, FsoStats};
+pub use wrapper::{FsoActor, FsoPoolSizes, FsoStats};

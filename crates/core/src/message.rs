@@ -8,6 +8,26 @@
 //! * **internal** (leader ↔ follower over the synchronous LAN):
 //!   [`PairMessage`] — input-ordering relays, not-yet-ordered forwards, and
 //!   single-signed output candidates awaiting comparison.
+//!
+//! ## What is signed
+//!
+//! The paper signs with "MD5 using RSA" (§4): hash the message once, sign
+//! the digest.  So does this layer.  The signed [`Statement`] for an output
+//! is its header exactly as the frame encodes it, followed by the SHA-256 of
+//! its bytes:
+//!
+//! ```text
+//! fs:u32 ‖ 0:u8 ‖ output_seq:u64 ‖ dest:1|5 ‖ body_len:u32 ‖ SHA-256(body)     50 or 54 bytes
+//! fs:u32 ‖ 1:u8                                                     the fail-signal, 5 bytes
+//! ```
+//!
+//! (integers little-endian) — that is [`signing_bytes`] with the body
+//! replaced by its digest.  The first signature is `HMAC(key, statement)`,
+//! the counter-signature `HMAC(key, statement ‖ signer(first) ‖ tag(first))`.
+//! One rule for every body size; frames still carry the bytes themselves.
+//! The body is hashed once per content ([`crate::digest::body_digest`]) and
+//! every sign, candidate check, comparison, destination check and duplicate
+//! test runs over at most 90 bytes.
 
 use fs_common::codec::{Decoder, Encoder, Wire};
 use fs_common::error::CodecError;
@@ -15,23 +35,30 @@ use fs_common::fasthash::FastMap;
 use fs_common::id::{FsId, MemberId};
 use fs_common::{Bytes, SignatureError};
 use fs_crypto::keys::{KeyDirectory, SignerId, SigningKey};
-use fs_crypto::sha256::Digest;
-use fs_crypto::sig::{
-    verify_cosign_pair, verify_cosign_pair_parts, verify_cosign_pair_uncached, Parts, Signature,
-    SignedPrefix,
-};
+use fs_crypto::sha256::{Digest, Sha256, DIGEST_LEN};
+use fs_crypto::sig::{verify_cosign_pair, verify_cosign_pair_uncached, Signature};
 use fs_smr::machine::Endpoint;
 
-/// Encodes a logical endpoint (defined in `fs-smr`) onto the wire.
-pub fn encode_endpoint(endpoint: Endpoint, enc: &mut Encoder) {
+use crate::digest::body_digest;
+
+/// The wire form of a logical endpoint (defined in `fs-smr`): a tag byte
+/// and, for a peer, its member number.  The one place the tags are chosen —
+/// the frame codec and the signed [`Statement`] both write this.
+fn endpoint_code(endpoint: Endpoint) -> (u8, Option<MemberId>) {
     match endpoint {
-        Endpoint::LocalApp => enc.put_u8(0),
-        Endpoint::Peer(m) => {
-            enc.put_u8(1);
-            enc.put_member(m);
-        }
-        Endpoint::Environment => enc.put_u8(2),
-        Endpoint::Broadcast => enc.put_u8(3),
+        Endpoint::LocalApp => (0, None),
+        Endpoint::Peer(m) => (1, Some(m)),
+        Endpoint::Environment => (2, None),
+        Endpoint::Broadcast => (3, None),
+    }
+}
+
+/// Encodes a logical endpoint onto the wire.
+pub fn encode_endpoint(endpoint: Endpoint, enc: &mut Encoder) {
+    let (tag, member) = endpoint_code(endpoint);
+    enc.put_u8(tag);
+    if let Some(m) = member {
+        enc.put_member(m);
     }
 }
 
@@ -133,14 +160,14 @@ fn get_signature(dec: &mut Decoder<'_>) -> Result<Signature, CodecError> {
     })
 }
 
-/// The bytes over which an FS-process output is signed: the FS identity plus
-/// the canonical encoding of the content, as one buffer.
+/// The FS identity plus the canonical encoding of the content, as one
+/// buffer: `header ‖ body`.
 ///
-/// This materialises a copy of the output bytes; the wrapper, interceptor
-/// and receiver never call it — they sign and verify over
-/// [`signing_parts`].  It remains the definition those parts must
-/// concatenate to, and what the `*_with` constructors and verifiers below
-/// accept.
+/// This is the definition the signed [`Statement`] is derived from — the
+/// statement is these bytes with the body replaced by its SHA-256 — and the
+/// length the simulated cost model charges a hash pass over.  It
+/// materialises a copy of the output bytes; the wrapper, interceptor and
+/// receiver never call it.
 pub fn signing_bytes(fs: FsId, content: &FsContent) -> Bytes {
     let mut enc = Encoder::with_capacity(4 + content.encoded_len());
     enc.put_u32(fs.0);
@@ -148,41 +175,96 @@ pub fn signing_bytes(fs: FsId, content: &FsContent) -> Bytes {
     enc.finish()
 }
 
-/// [`signing_bytes`] without the copy: the signed header (FS identity, tag,
-/// sequence number, destination, length prefix) freshly encoded, and the
-/// output bytes as the refcounted buffer `content` already holds.
-/// `signing_parts(fs, c).to_bytes() == signing_bytes(fs, c)`.
-pub fn signing_parts(fs: FsId, content: &FsContent) -> Parts {
-    let mut enc = Encoder::with_capacity(4 + 1 + 8 + 5 + 4);
-    enc.put_u32(fs.0);
-    match content {
-        FsContent::Output {
-            output_seq,
-            dest,
-            bytes,
-        } => {
-            enc.put_u8(0);
-            enc.put_u64(*output_seq);
-            encode_endpoint(*dest, &mut enc);
-            enc.put_u32(bytes.len() as u32);
-            Parts {
-                head: enc.finish(),
-                body: bytes.clone(),
-            }
+/// The longest [`Statement`]: the signed header of an output addressed to a
+/// peer (22 bytes) followed by the body digest.
+const STATEMENT_MAX: usize = 4 + 1 + 8 + 5 + 4 + DIGEST_LEN;
+
+/// What a wrapper actually signs for one output (see the module docs): the
+/// signed header of [`signing_bytes`] followed by the SHA-256 of the body —
+/// or, for the fail-signal, `signing_bytes` itself.  Lives on the stack.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Statement {
+    bytes: [u8; STATEMENT_MAX],
+    len: usize,
+    signed_len: usize,
+}
+
+impl Statement {
+    /// The statement for output `output_seq` of `fs`, addressed to `dest`,
+    /// whose body is `body_len` bytes long and hashes to `body_digest`.
+    pub fn output(
+        fs: FsId,
+        output_seq: u64,
+        dest: Endpoint,
+        body_len: usize,
+        body_digest: &Digest,
+    ) -> Self {
+        let mut statement = Self::header(fs, 0);
+        statement.put(&output_seq.to_le_bytes());
+        let (tag, member) = endpoint_code(dest);
+        statement.put(&[tag]);
+        if let Some(m) = member {
+            statement.put(&m.0.to_le_bytes());
         }
-        FsContent::FailSignal => {
-            enc.put_u8(1);
-            enc.finish().into()
+        statement.put(&(body_len as u32).to_le_bytes());
+        statement.signed_len = statement.len + body_len;
+        statement.put(body_digest.as_bytes());
+        statement
+    }
+
+    /// The fail-signal statement of `fs` (no body: identical to
+    /// [`signing_bytes`], so pre-armed signatures never changed).
+    pub fn fail_signal(fs: FsId) -> Self {
+        Self::header(fs, 1)
+    }
+
+    /// The statement for `content`, its body digested by `digest_of` —
+    /// [`body_digest`] on the memoised paths, [`Sha256::digest`] on the
+    /// reference ones.
+    pub fn of(fs: FsId, content: &FsContent, digest_of: impl FnOnce(&Bytes) -> Digest) -> Self {
+        match content {
+            FsContent::Output {
+                output_seq,
+                dest,
+                bytes,
+            } => Self::output(fs, *output_seq, *dest, bytes.len(), &digest_of(bytes)),
+            FsContent::FailSignal => Self::fail_signal(fs),
         }
+    }
+
+    fn header(fs: FsId, tag: u8) -> Self {
+        let mut statement = Self {
+            bytes: [0; STATEMENT_MAX],
+            len: 0,
+            signed_len: 5,
+        };
+        statement.put(&fs.0.to_le_bytes());
+        statement.put(&[tag]);
+        statement
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        self.bytes[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    /// The bytes the signatures cover.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+
+    /// The length of the content this statement stands for —
+    /// `signing_bytes(fs, content).len()` — which is what the simulated
+    /// cost model is charged a hash pass over.
+    pub fn signed_len(&self) -> usize {
+        self.signed_len
     }
 }
 
-fn co_signing_bytes(content_bytes: &[u8], first: &Signature) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(content_bytes.len() + 36);
-    buf.extend_from_slice(content_bytes);
-    buf.extend_from_slice(&(first.signer.0).0.to_le_bytes());
-    buf.extend_from_slice(first.tag.as_bytes());
-    buf
+impl std::fmt::Debug for Statement {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Statement({:02x?})", self.as_bytes())
+    }
 }
 
 /// A double-signed output of a fail-signal process (the only form a
@@ -201,73 +283,50 @@ pub struct FsOutput {
 }
 
 impl FsOutput {
-    /// Builds a double-signed output: `first_key` signs the content, then
-    /// `second_key` counter-signs.  Both signatures stream the signed header
-    /// and the output bytes; the content is never copied.
+    /// Builds a double-signed output: `first_key` signs the content's
+    /// [`Statement`], then `second_key` counter-signs.
+    ///
+    /// This is the reference constructor — what tests, provisioning and the
+    /// benchmarks call: it hashes the body directly, through no memo.  (The
+    /// wrapper signs over [`body_digest`] and [`FsOutput::counter_sign_over`]
+    /// instead; the outputs are identical.)
     pub fn sign(
         fs: FsId,
         content: FsContent,
         first_key: &SigningKey,
         second_key: &SigningKey,
     ) -> Self {
-        let (first, _) = Signature::sign_parts(first_key, &signing_parts(fs, &content));
-        Self::counter_sign(fs, content, first, second_key)
+        let statement = Statement::of(fs, &content, |body| Sha256::digest(body));
+        let first = Signature::sign(first_key, statement.as_bytes());
+        Self::counter_sign_over(fs, content, &statement, first, second_key)
     }
 
     /// Counter-signs a content already signed once by the remote wrapper
-    /// (`first`), producing the valid double-signed output.
+    /// (`first`), producing the valid double-signed output.  Hashes the body
+    /// directly, like [`FsOutput::sign`].
     pub fn counter_sign(
         fs: FsId,
         content: FsContent,
         first: Signature,
         second_key: &SigningKey,
     ) -> Self {
-        let second = Signature::co_sign_parts(second_key, &signing_parts(fs, &content), &first);
-        Self {
-            fs,
-            content,
-            first,
-            second,
-        }
+        let statement = Statement::of(fs, &content, |body| Sha256::digest(body));
+        Self::counter_sign_over(fs, content, &statement, first, second_key)
     }
 
-    /// Like [`FsOutput::counter_sign`], but takes the content's signing
-    /// bytes already encoded by the caller (the wrapper computes them once
-    /// per output and reuses them for sign, co-sign and verify).
+    /// [`FsOutput::counter_sign`] over a statement the caller already holds
+    /// (the wrapper builds it from the body digest it kept when it signed).
     ///
-    /// `content_bytes` must be `signing_bytes(fs, &content)`; passing
-    /// anything else produces an output that fails verification.
-    pub fn counter_sign_with(
+    /// `statement` must be the statement of `(fs, content)`; anything else
+    /// produces an output that fails verification.
+    pub fn counter_sign_over(
         fs: FsId,
         content: FsContent,
-        content_bytes: &[u8],
+        statement: &Statement,
         first: Signature,
         second_key: &SigningKey,
     ) -> Self {
-        let second = Signature::sign(second_key, &co_signing_bytes(content_bytes, &first));
-        Self {
-            fs,
-            content,
-            first,
-            second,
-        }
-    }
-
-    /// [`FsOutput::counter_sign_with`] for the wrapper's own case — the
-    /// counter-signing key is the one that already signed the same content
-    /// for the partner — resumed from that signature's midstate so the
-    /// content is not hashed a second time.  Byte-identical to
-    /// `counter_sign_with(fs, content, &signing_bytes(fs, &content), first, key)`.
-    ///
-    /// `signed` must come from signing `signing_parts(fs, &content)`;
-    /// anything else produces an output that fails verification.
-    pub fn counter_sign_resumed(
-        fs: FsId,
-        content: FsContent,
-        signed: &SignedPrefix,
-        first: Signature,
-    ) -> Self {
-        let second = signed.co_sign(&first);
+        let second = Signature::co_sign(second_key, statement.as_bytes(), &first);
         Self {
             fs,
             content,
@@ -283,18 +342,20 @@ impl FsOutput {
     /// keyed by `(fs, both signatures, expected pair)` with the content held
     /// in the entry: the same double-signed frame is checked at every
     /// co-hosted simulated destination, and for the duplicates this skips
-    /// the header encoding and both HMAC probes.  Verification is a pure
+    /// the statement and both HMAC probes.  Verification is a pure
     /// function of the key-plus-content (the underlying signature layer
     /// additionally ties its own memo to the key material), so the verdict —
     /// and therefore every simulation result — is identical with or without
     /// the memo.  Failures are never cached.
     ///
     /// Where the output bytes are a buffer of their own — the spliced body
-    /// of a frame, i.e. the very buffer the signer signed and the signature
-    /// memo already pins — the entry holds a refcount of it, and a re-check
-    /// of the same frame compares pointers, not bytes.  A window into a
-    /// contiguous frame is stored as a compact copy instead: a memo entry
-    /// must not keep whole frames alive.
+    /// of a frame, i.e. the very buffer the signer signed — the entry holds
+    /// a refcount of it, and a re-check of the same frame compares pointers,
+    /// not bytes.  A window into a contiguous frame is stored as a compact
+    /// copy instead: a memo entry must not keep whole frames alive.
+    ///
+    /// On a miss the body is digested once ([`body_digest`]) and the two
+    /// MACs run over the statement — at most 90 bytes.
     ///
     /// # Errors
     ///
@@ -305,11 +366,24 @@ impl FsOutput {
         directory: &KeyDirectory,
         pair: (SignerId, SignerId),
     ) -> Result<(), SignatureError> {
+        self.verify_digesting(directory, pair).map(drop)
+    }
+
+    /// [`FsOutput::verify`], handing back the body digest (`None` for the
+    /// fail-signal) so a caller that needs it next does not ask for it
+    /// again: a miss computes it to build the statement, and the memo entry
+    /// keeps it for the hits.
+    pub(crate) fn verify_digesting(
+        &self,
+        directory: &KeyDirectory,
+        pair: (SignerId, SignerId),
+    ) -> Result<Option<Digest>, SignatureError> {
         const OUTPUT_MEMO_MAX: usize = 8 * 1024;
         const OUTPUT_MEMO_MAX_BYTES: usize = 32 * 1024 * 1024;
         type OutputMemoKey = (FsId, Signature, Signature, (SignerId, SignerId), (u64, u64));
-        /// The memo map plus the running total of retained content bytes.
-        type OutputMemo = (FastMap<OutputMemoKey, FsContent>, usize);
+        /// The memo map (verified content and its body digest) plus the
+        /// running total of retained content bytes.
+        type OutputMemo = (FastMap<OutputMemoKey, (FsContent, Option<Digest>)>, usize);
         thread_local! {
             static OUTPUT_MEMO: std::cell::RefCell<OutputMemo> =
                 std::cell::RefCell::new((FastMap::default(), 0));
@@ -320,7 +394,7 @@ impl FsOutput {
             directory.lookup(self.first.signer),
             directory.lookup(self.second.signer),
         ) else {
-            return self.verify_parts(directory, pair);
+            return self.verify_statement(directory, pair);
         };
         let fingerprints = (first_key.hmac_fingerprint(), second_key.hmac_fingerprint());
         // Normalise the expected pair so the two delivery orders share an
@@ -337,16 +411,14 @@ impl FsOutput {
             pair_key,
             fingerprints,
         );
-        let hit = OUTPUT_MEMO.with(|memo| {
-            memo.borrow()
-                .0
-                .get(&key)
-                .is_some_and(|cached| *cached == self.content)
+        let hit = OUTPUT_MEMO.with(|memo| match memo.borrow().0.get(&key) {
+            Some((cached, digest)) if *cached == self.content => Some(*digest),
+            _ => None,
         });
-        if hit {
-            return Ok(());
+        if let Some(digest) = hit {
+            return Ok(digest);
         }
-        self.verify_parts(directory, pair)?;
+        let digest = self.verify_statement(directory, pair)?;
         // Keep the output bytes themselves when they are a buffer of their
         // own, a detached copy when they are a window into a frame.
         let mut kept = self.content.clone();
@@ -362,28 +434,26 @@ impl FsOutput {
                 *bytes_held = 0;
             }
             *bytes_held += stored;
-            map.insert(key, kept);
+            map.insert(key, (kept, digest));
         });
-        Ok(())
+        Ok(digest)
     }
 
-    /// The uncached half of [`FsOutput::verify`]: the signer-pair check and
-    /// both signatures over [`signing_parts`].
-    fn verify_parts(
+    /// The part of [`FsOutput::verify`] below the output memo: the
+    /// signer-pair check, the body digest, and both signatures over the
+    /// statement (each through the signature layer's own memo).
+    fn verify_statement(
         &self,
         directory: &KeyDirectory,
         pair: (SignerId, SignerId),
-    ) -> Result<(), SignatureError> {
+    ) -> Result<Option<Digest>, SignatureError> {
         self.check_signer_pair(pair)?;
-        // Both MACs share the content's message schedule (the co-signature
-        // differs only in a 36-byte suffix), and each memo composes as
-        // before: a hit answers without touching the schedule.
-        verify_cosign_pair_parts(
-            directory,
-            &signing_parts(self.fs, &self.content),
-            &self.first,
-            &self.second,
-        )
+        let mut digest = None;
+        let statement = Statement::of(self.fs, &self.content, |body| {
+            *digest.insert(body_digest(body))
+        });
+        verify_cosign_pair(directory, statement.as_bytes(), &self.first, &self.second)?;
+        Ok(digest)
     }
 
     /// The structural half of a destination-side check: distinct signers,
@@ -400,37 +470,22 @@ impl FsOutput {
         Ok(())
     }
 
-    /// Like [`FsOutput::verify_with`], but always recomputes both HMACs,
-    /// bypassing every host-side memo.  The `hotpath` benchmark uses this to
-    /// measure the true cryptographic cost of a destination-side check.
+    /// Like [`FsOutput::verify`], but hashes the body and recomputes both
+    /// HMACs every time, bypassing every host-side memo — the reference
+    /// verdict, and the true cryptographic cost of a destination-side check
+    /// (what the `hotpath` benchmark measures).
     ///
     /// # Errors
     ///
     /// See [`FsOutput::verify`].
-    pub fn verify_with_uncached(
+    pub fn verify_uncached(
         &self,
         directory: &KeyDirectory,
-        content_bytes: &[u8],
         pair: (SignerId, SignerId),
     ) -> Result<(), SignatureError> {
         self.check_signer_pair(pair)?;
-        verify_cosign_pair_uncached(directory, content_bytes, &self.first, &self.second)
-    }
-
-    /// Like [`FsOutput::verify`], but takes the content's signing bytes
-    /// already encoded by the caller.
-    ///
-    /// # Errors
-    ///
-    /// See [`FsOutput::verify`].
-    pub fn verify_with(
-        &self,
-        directory: &KeyDirectory,
-        content_bytes: &[u8],
-        pair: (SignerId, SignerId),
-    ) -> Result<(), SignatureError> {
-        self.check_signer_pair(pair)?;
-        verify_cosign_pair(directory, content_bytes, &self.first, &self.second)
+        let statement = Statement::of(self.fs, &self.content, |body| Sha256::digest(body));
+        verify_cosign_pair_uncached(directory, statement.as_bytes(), &self.first, &self.second)
     }
 
     /// True when this output is the process's fail-signal.
@@ -494,8 +549,8 @@ pub enum PairMessage {
         dest: Endpoint,
         /// The output bytes.
         bytes: Bytes,
-        /// The sender's signature over the corresponding
-        /// [`FsContent::Output`] signing bytes.
+        /// The sender's signature over the [`Statement`] of the
+        /// corresponding [`FsContent::Output`].
         signature: Signature,
     },
 }
@@ -731,42 +786,6 @@ mod tests {
         let signal = FsOutput::counter_sign(fs, FsContent::FailSignal, first, &a);
         assert!(signal.is_fail_signal());
         assert!(signal.verify(&dir, (a.signer, b.signer)).is_ok());
-    }
-
-    /// The resumed counter-signature is the two-pass one, byte for byte, at
-    /// every content length around the block and padding boundaries.
-    #[test]
-    fn resumed_counter_signature_equals_two_pass() {
-        let (a, b, _, dir) = keys();
-        let fs = FsId(4);
-        let pair = (a.signer, b.signer);
-        for len in (0..=200).chain([10_240]) {
-            let content = FsContent::Output {
-                output_seq: 11,
-                dest: Endpoint::Peer(MemberId(1)),
-                bytes: (0..len)
-                    .map(|i| (i % 251) as u8)
-                    .collect::<Vec<u8>>()
-                    .into(),
-            };
-            let bytes = signing_bytes(fs, &content);
-            // `b` signs its own copy for the partner, then counter-signs
-            // `a`'s signature over the same content.
-            let parts = signing_parts(fs, &content);
-            assert_eq!(parts.to_bytes(), bytes, "payload {len}");
-            let (own, signed) = Signature::sign_parts(&b, &parts);
-            assert_eq!(own, Signature::sign(&b, &bytes), "payload {len}");
-            let first = Signature::sign(&a, &bytes);
-            let resumed =
-                FsOutput::counter_sign_resumed(fs, content.clone(), &signed, first.clone());
-            let two_pass = FsOutput::counter_sign_with(fs, content, &bytes, first, &b);
-            assert_eq!(resumed, two_pass, "payload {len}");
-            assert!(resumed.verify(&dir, pair).is_ok(), "payload {len}");
-            assert!(
-                resumed.verify_with_uncached(&dir, &bytes, pair).is_ok(),
-                "payload {len}"
-            );
-        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use fs_crypto::sig::Signature;
 use fs_smr::machine::{DeterministicMachine, Endpoint};
 
 use crate::config::{FsoConfig, RouteTable, SourceSpec};
-use crate::message::{signing_bytes, FsContent};
+use crate::message::Statement;
 use crate::wrapper::FsoActor;
 
 /// The physical identities of a fail-signal pair.
@@ -139,11 +139,12 @@ impl FsPairBuilder {
         directory: Arc<KeyDirectory>,
         machines: (Box<dyn DeterministicMachine>, Box<dyn DeterministicMachine>),
     ) -> (FsoActor, FsoActor) {
-        let fail_bytes = signing_bytes(self.spec.fs, &FsContent::FailSignal);
+        let fail_signal = Statement::fail_signal(self.spec.fs);
+        let fail_bytes = fail_signal.as_bytes();
         // Each wrapper is pre-armed with the fail-signal signed by the OTHER
         // wrapper, so it can emit a valid double-signed fail-signal alone.
-        let leader_prearmed: Signature = Signature::sign(&follower_key, &fail_bytes);
-        let follower_prearmed: Signature = Signature::sign(&leader_key, &fail_bytes);
+        let leader_prearmed: Signature = Signature::sign(&follower_key, fail_bytes);
+        let follower_prearmed: Signature = Signature::sign(&leader_key, fail_bytes);
 
         let leader_config = FsoConfig {
             fs: self.spec.fs,
@@ -185,7 +186,7 @@ impl FsPairBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{FsOutput, FsoInbound, PairMessage};
+    use crate::message::{FsContent, FsOutput, FsoInbound, PairMessage};
     use crate::receiver::{FsDelivery, FsReceiver};
     use fs_common::codec::Wire;
     use fs_common::rng::DetRng;

@@ -19,21 +19,40 @@
 //! A failed wrapper thereafter answers every incoming message with the
 //! fail-signal (property fs1); arbitrary fail-signal emission by a faulty
 //! node (property fs2) is exercised by the fault-injection crate.
+//!
+//! ## Bodies are hashed once; everything else runs over the digest
+//!
+//! What is signed for an output is its [`Statement`] — the signed header
+//! followed by `SHA-256(body)` — so the wrapper asks [`body_digest`] for the
+//! digest of every body it meets and never hashes or compares a body itself.
+//! On one simulation host that function answers in one of three ways (see
+//! [`crate::digest`]): the same buffer again is an O(1) lookup by address,
+//! the other replica's equal output in its own buffer is one fast hash plus
+//! one `memcmp`, and only content never seen before costs a SHA-256 pass —
+//! three per 3-member multicast (the request, `Data`, `Deliver`) where
+//! signing the content itself cost ten.
+//!
+//! The pools hold what that leaves to hold: the ICM pool a local output's
+//! destination, digest and bytes (the bytes only to build the external
+//! frame once the comparison completes); the ECM pool a remote candidate's
+//! destination, length, digest and signature — not its buffer; the IRM pool
+//! and the processed-input set `(endpoint, body digest)` keys.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use fs_common::codec::Wire;
-use fs_common::fasthash::{FastMap, FastSet};
+use fs_common::fasthash::FastSet;
 use fs_common::id::{FsId, ProcessId, Role};
 use fs_common::time::SimDuration;
 use fs_common::{Bytes, Frame};
-use fs_crypto::sha256::{Digest, Sha256};
-use fs_crypto::sig::{Signature, SignedPrefix};
+use fs_crypto::sha256::Digest;
+use fs_crypto::sig::Signature;
 use fs_simnet::actor::{Actor, Context, TimerId};
 use fs_smr::machine::{DeterministicMachine, Endpoint, MachineInput, MachineOutput};
 
 use crate::config::{FsoConfig, SourceSpec};
-use crate::message::{signing_parts, FsContent, FsOutput, FsoInbound, PairMessage};
+use crate::digest::body_digest;
+use crate::message::{FsContent, FsOutput, FsoInbound, PairMessage, Statement};
 use crate::seqwindow::SeqWindow;
 
 /// Counters describing what a wrapper has done; used by tests and benches.
@@ -55,24 +74,43 @@ pub struct FsoStats {
     pub rejected_inputs: u64,
 }
 
+/// A locally produced output awaiting the partner's candidate.
 #[derive(Debug, Clone)]
 struct IcmpEntry {
     dest: Endpoint,
+    /// The output bytes, kept for the external frame.
     bytes: Bytes,
-    /// The signing parts of the corresponding [`FsContent::Output`] plus
-    /// this wrapper's HMAC midstate after signing them in `produce_output`:
-    /// when the comparison completes, the counter-signature resumes from it
-    /// — the content is neither re-encoded nor re-hashed.
-    signed: SignedPrefix,
+    /// `SHA-256(bytes)`, from signing: the comparison and the
+    /// counter-signature run over it, the bytes are not hashed again.
+    digest: Digest,
     timer: TimerId,
 }
 
+/// A verified remote candidate awaiting the local output: what its
+/// signature covers, and the signature.  The candidate's buffer is not kept.
 #[derive(Debug, Clone)]
 struct EcmpEntry {
     dest: Endpoint,
-    bytes: Bytes,
+    len: usize,
+    digest: Digest,
     signature: Signature,
 }
+
+/// How many entries each of a wrapper's pools holds (see
+/// [`FsoActor::pool_sizes`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FsoPoolSizes {
+    /// Follower only: external inputs awaiting the leader's order (IRMP).
+    pub awaiting_order: usize,
+    /// Local outputs awaiting the partner's candidate (ICMP).
+    pub awaiting_candidate: usize,
+    /// Remote candidates awaiting the local output (ECMP).
+    pub awaiting_output: usize,
+}
+
+/// What identifies an external input for ordering and duplicate
+/// suppression: where it came from and the digest of its bytes.
+type InputKey = (Endpoint, Digest);
 
 #[derive(Debug, Clone)]
 struct IrmpEntry {
@@ -82,8 +120,8 @@ struct IrmpEntry {
 enum TimerPurpose {
     /// An ICMP (output-comparison) deadline for the given output sequence.
     OutputCompare(u64),
-    /// An IRMP (input-ordering) deadline for the given input digest.
-    InputOrdering(Digest),
+    /// An IRMP (input-ordering) deadline for the given input.
+    InputOrdering(InputKey),
 }
 
 /// One fail-signal wrapper object hosting a replica of the target machine.
@@ -99,13 +137,14 @@ enum TimerPurpose {
 /// numbers it spent on them, so there the sparse set still grows by eight
 /// bytes per accepted output; compacting across such gaps needs a
 /// per-destination sequence on the wire).
-/// `seen_inputs` is **still unbounded**: it identifies an input by the digest
-/// of its content, which carries no sequence to compact on — the leader's
-/// external copy, the follower's `ForwardNew` copy and the leader's `Ordered`
-/// relay of one input share nothing else — so it grows by 32 bytes per input
-/// ordered for the lifetime of the wrapper.  Bounding it needs a horizon
-/// agreed by the pair (e.g. the order index below which both halves have
-/// processed everything); that is left to the hardening pass (ROADMAP item 3).
+/// `seen_inputs` is **still unbounded**: it identifies an input by its source
+/// endpoint and the digest of its content, which carry no sequence to compact
+/// on — the leader's external copy, the follower's `ForwardNew` copy and the
+/// leader's `Ordered` relay of one input share nothing else — so it grows by
+/// some 40 bytes per input ordered for the lifetime of the wrapper.  Bounding
+/// it needs a horizon agreed by the pair (e.g. the order index below which
+/// both halves have processed everything); that is left to the hardening
+/// pass (ROADMAP item 3).
 ///
 /// Both are hashed tables whose bucket order depends on a per-thread random
 /// seed; they answer membership only and are never iterated.  Everything
@@ -116,10 +155,11 @@ pub struct FsoActor {
     machine: Box<dyn DeterministicMachine>,
     /// Leader: next order index to assign.  Follower: next index expected.
     order_index: u64,
-    /// Inputs already ordered/processed (by content digest) — merges the
-    /// leader's external receipt with the follower's `ForwardNew` copy and
-    /// the follower's external receipt with the leader's `Ordered` relay.
-    seen_inputs: FastSet<Digest>,
+    /// Inputs already ordered/processed (by endpoint and body digest) —
+    /// merges the leader's external receipt with the follower's `ForwardNew`
+    /// copy and the follower's external receipt with the leader's `Ordered`
+    /// relay.
+    seen_inputs: FastSet<InputKey>,
     /// External FS outputs already accepted: per source FS process, the
     /// output sequence numbers seen.
     seen_external: BTreeMap<FsId, SeqWindow>,
@@ -129,7 +169,7 @@ pub struct FsoActor {
     /// wrapper fails and refcount-cloned to every recipient thereafter.
     fail_signal_frame: Option<Frame>,
     /// Follower only: externally received inputs awaiting the leader's order.
-    irmp: BTreeMap<Digest, IrmpEntry>,
+    irmp: BTreeMap<InputKey, IrmpEntry>,
     /// Locally produced outputs awaiting comparison.
     icmp: BTreeMap<u64, IcmpEntry>,
     /// Remote candidates awaiting the corresponding local output.
@@ -194,6 +234,16 @@ impl FsoActor {
         self.stats
     }
 
+    /// How many entries the ordering and comparison pools hold right now.
+    /// A quiescent, correct pair holds none.
+    pub fn pool_sizes(&self) -> FsoPoolSizes {
+        FsoPoolSizes {
+            awaiting_order: self.irmp.len(),
+            awaiting_candidate: self.icmp.len(),
+            awaiting_output: self.ecmp.len(),
+        }
+    }
+
     /// Read access to the wrapped machine (e.g. to inspect a `GcMachine` in
     /// tests); the wrapper never exposes it mutably.
     pub fn machine(&self) -> &dyn DeterministicMachine {
@@ -205,58 +255,6 @@ impl FsoActor {
         let id = TimerId(1000 + self.next_timer);
         self.timers.insert(id, purpose);
         id
-    }
-
-    /// The dedup digest of one external input.
-    ///
-    /// The same `(endpoint, bytes)` pair is digested at both wrappers of the
-    /// pair (and again when the leader's `Ordered` relay arrives), so the
-    /// digest is memoised host-side per thread, making a repeat lookup a
-    /// hash-map probe instead of a SHA-256 run.  The digest value is a pure
-    /// function of the key, so memoisation cannot change simulation results.
-    /// A stored key is a refcount of the input where that is a buffer of
-    /// its own (the spliced body the frames carry, which the pair's relay
-    /// then presents again: the probe's equality check is a pointer
-    /// comparison) and a compact copy where it is a window into a
-    /// contiguous frame, which a memo must not keep alive; both the entry
-    /// count and retained bytes are bounded.
-    fn input_digest(endpoint: Endpoint, bytes: &Bytes) -> Digest {
-        const DIGEST_MEMO_MAX: usize = 16 * 1024;
-        const DIGEST_MEMO_MAX_BYTES: usize = 32 * 1024 * 1024;
-        /// The memo map plus the running total of retained input bytes.
-        type DigestMemo = (FastMap<(Endpoint, Bytes), Digest>, usize);
-        thread_local! {
-            static DIGEST_MEMO: std::cell::RefCell<DigestMemo> =
-                std::cell::RefCell::new((FastMap::default(), 0));
-        }
-        // Hash and equality are by content (equality short-cuts on the
-        // same buffer), so a copy of the input in other storage still hits.
-        let probe = (endpoint, bytes.clone());
-        if let Some(digest) = DIGEST_MEMO.with(|memo| memo.borrow().0.get(&probe).copied()) {
-            return digest;
-        }
-        let mut h = Sha256::new();
-        match endpoint {
-            Endpoint::LocalApp => h.update(&[0]),
-            Endpoint::Peer(m) => {
-                h.update(&[1]);
-                h.update(&m.0.to_le_bytes());
-            }
-            Endpoint::Environment => h.update(&[2]),
-            Endpoint::Broadcast => h.update(&[3]),
-        }
-        h.update(bytes);
-        let digest = h.finalize();
-        DIGEST_MEMO.with(|memo| {
-            let (map, bytes_held) = &mut *memo.borrow_mut();
-            if map.len() >= DIGEST_MEMO_MAX || *bytes_held >= DIGEST_MEMO_MAX_BYTES {
-                map.clear();
-                *bytes_held = 0;
-            }
-            *bytes_held += bytes.len();
-            map.insert((endpoint, bytes.compact()), digest);
-        });
-        digest
     }
 
     fn send_pair(&self, ctx: &mut dyn Context, message: PairMessage) {
@@ -306,16 +304,23 @@ impl FsoActor {
     }
 
     /// Handles an input that has been authenticated (if necessary) and
-    /// attributed to a logical endpoint, but not yet ordered.
-    fn on_external_input(&mut self, ctx: &mut dyn Context, endpoint: Endpoint, bytes: Bytes) {
-        let digest = Self::input_digest(endpoint, &bytes);
-        if self.seen_inputs.contains(&digest) {
+    /// attributed to a logical endpoint, but not yet ordered.  `digest` is
+    /// `body_digest(&bytes)`, which the caller may already hold.
+    fn on_external_input(
+        &mut self,
+        ctx: &mut dyn Context,
+        endpoint: Endpoint,
+        bytes: Bytes,
+        digest: Digest,
+    ) {
+        let key = (endpoint, digest);
+        if self.seen_inputs.contains(&key) {
             self.stats.duplicates_suppressed += 1;
             return;
         }
         match self.config.role {
             Role::Leader => {
-                self.seen_inputs.insert(digest);
+                self.seen_inputs.insert(key);
                 let order_index = self.order_index;
                 self.order_index += 1;
                 self.send_pair(
@@ -331,7 +336,7 @@ impl FsoActor {
             Role::Follower => {
                 // t1 = 0: forward immediately to the leader, then wait up to
                 // t2 = 2δ for the leader to order it.
-                if self.irmp.contains_key(&digest) {
+                if self.irmp.contains_key(&key) {
                     self.stats.duplicates_suppressed += 1;
                     return;
                 }
@@ -342,9 +347,9 @@ impl FsoActor {
                         bytes: bytes.clone(),
                     },
                 );
-                let timer = self.alloc_timer(TimerPurpose::InputOrdering(digest));
+                let timer = self.alloc_timer(TimerPurpose::InputOrdering(key));
                 ctx.set_timer(self.config.timing.delta * 2, timer);
-                self.irmp.insert(digest, IrmpEntry { timer });
+                self.irmp.insert(key, IrmpEntry { timer });
             }
         }
     }
@@ -375,20 +380,16 @@ impl FsoActor {
         let output_seq = self.output_seq;
         self.output_seq += 1;
 
-        // Sign over the header and the output bytes as they are: the
-        // payload is only ever refcount-cloned — into the content, the
-        // signature memo, the candidate frame and the comparison pool — and
-        // the counter-signature, when the comparison completes, resumes
-        // from the midstate kept here.
-        let content = FsContent::Output {
-            output_seq,
-            dest,
-            bytes: bytes.clone(),
-        };
-        let signing = signing_parts(self.config.fs, &content);
-        let tau = self.config.crypto_costs.sign_cost(signing.len());
+        // One pass over the bytes at most (none when this buffer, or the
+        // other replica's equal one, has been digested on this host), then
+        // the signature over the statement.  The payload itself is only
+        // ever refcount-cloned — into the candidate frame and the
+        // comparison pool.
+        let digest = body_digest(&bytes);
+        let statement = Statement::output(self.config.fs, output_seq, dest, bytes.len(), &digest);
+        let tau = self.config.crypto_costs.sign_cost(statement.signed_len());
         ctx.charge_cpu(tau);
-        let (signature, signed) = Signature::sign_parts(&self.config.key, &signing);
+        let signature = Signature::sign(&self.config.key, statement.as_bytes());
 
         self.send_pair(
             ctx,
@@ -401,7 +402,7 @@ impl FsoActor {
         );
 
         if let Some(remote) = self.ecmp.remove(&output_seq) {
-            self.complete_comparison(ctx, output_seq, dest, bytes, &signed, remote);
+            self.complete_comparison(ctx, output_seq, dest, bytes, digest, remote);
             return;
         }
 
@@ -417,40 +418,46 @@ impl FsoActor {
             IcmpEntry {
                 dest,
                 bytes,
-                signed,
+                digest,
                 timer,
             },
         );
     }
 
     /// Compares a local output with the remote candidate of the same
-    /// sequence number; on success emits the double-signed output, on
-    /// mismatch emits the fail-signal.
+    /// sequence number — destination, length and body digest, which is
+    /// everything the candidate's verified signature covers; on success
+    /// emits the double-signed output, on mismatch emits the fail-signal.
     fn complete_comparison(
         &mut self,
         ctx: &mut dyn Context,
         output_seq: u64,
         dest: Endpoint,
         bytes: Bytes,
-        signed: &SignedPrefix,
+        digest: Digest,
         remote: EcmpEntry,
     ) {
-        if remote.dest != dest || remote.bytes != bytes {
+        if remote.dest != dest || remote.len != bytes.len() || remote.digest != digest {
             self.stats.mismatches += 1;
             self.fail(ctx, "output comparison mismatch");
             return;
         }
-        // Counter-sign the remote's (already verified) signature, resuming
-        // from the midstate saved when this wrapper signed the same content
-        // — no re-encoding, no second pass over the content.
+        // Counter-sign the remote's (already verified) signature over the
+        // statement this wrapper signed itself: no pass over the content.
+        let statement = Statement::output(self.config.fs, output_seq, dest, bytes.len(), &digest);
         let content = FsContent::Output {
             output_seq,
             dest,
             bytes,
         };
         ctx.charge_cpu(self.config.crypto_costs.sign_cost(64));
-        let output =
-            FsOutput::counter_sign_resumed(self.config.fs, content, signed, remote.signature);
+        let output = FsOutput::counter_sign_over(
+            self.config.fs,
+            content,
+            &statement,
+            remote.signature,
+            &self.config.key,
+        );
         // One encode of the external frame (header and signatures around
         // the spliced output bytes), refcount-shared across every routed
         // destination.
@@ -478,12 +485,12 @@ impl FsoActor {
                     return;
                 }
                 self.order_index += 1;
-                let digest = Self::input_digest(source, &bytes);
-                if let Some(entry) = self.irmp.remove(&digest) {
+                let key = (source, body_digest(&bytes));
+                if let Some(entry) = self.irmp.remove(&key) {
                     ctx.cancel_timer(entry.timer);
                     self.timers.remove(&entry.timer);
                 }
-                if self.seen_inputs.insert(digest) {
+                if self.seen_inputs.insert(key) {
                     self.process_input(ctx, source, bytes);
                 } else {
                     self.stats.duplicates_suppressed += 1;
@@ -493,7 +500,8 @@ impl FsoActor {
                 if !self.config.is_leader() {
                     return; // only the leader accepts forwards
                 }
-                self.on_external_input(ctx, source, bytes);
+                let digest = body_digest(&bytes);
+                self.on_external_input(ctx, source, bytes, digest);
             }
             PairMessage::Candidate {
                 output_seq,
@@ -502,23 +510,29 @@ impl FsoActor {
                 signature,
             } => {
                 // Verify the partner's single signature before trusting the
-                // candidate (assumption A5: signatures cannot be forged).
-                let content = FsContent::Output {
-                    output_seq,
-                    dest,
-                    bytes: bytes.clone(),
-                };
-                let signing = signing_parts(self.config.fs, &content);
-                ctx.charge_cpu(self.config.crypto_costs.verify_cost(signing.len()));
+                // candidate (assumption A5: signatures cannot be forged) —
+                // over the statement built from the fields and the bytes
+                // *as received*: a candidate whose bytes do not hash to the
+                // digest its sender signed fails right here.
+                let digest = body_digest(&bytes);
+                let statement =
+                    Statement::output(self.config.fs, output_seq, dest, bytes.len(), &digest);
+                ctx.charge_cpu(self.config.crypto_costs.verify_cost(statement.signed_len()));
                 if signature.signer != self.config.partner_signer
                     || signature
-                        .verify_parts(&self.config.directory, &signing)
+                        .verify(&self.config.directory, statement.as_bytes())
                         .is_err()
                 {
                     self.stats.rejected_inputs += 1;
                     self.fail(ctx, "invalid candidate signature");
                     return;
                 }
+                let remote = EcmpEntry {
+                    dest,
+                    len: bytes.len(),
+                    digest,
+                    signature,
+                };
                 if let Some(local) = self.icmp.remove(&output_seq) {
                     ctx.cancel_timer(local.timer);
                     self.timers.remove(&local.timer);
@@ -527,22 +541,16 @@ impl FsoActor {
                         output_seq,
                         local.dest,
                         local.bytes,
-                        &local.signed,
-                        EcmpEntry {
-                            dest,
-                            bytes,
-                            signature,
-                        },
+                        local.digest,
+                        remote,
                     );
+                } else if output_seq < self.output_seq {
+                    // This output was already compared (its ICM entry is
+                    // gone): a duplicate of the candidate that completed it,
+                    // or a replay.  Nothing will ever look it up again.
+                    self.stats.duplicates_suppressed += 1;
                 } else {
-                    self.ecmp.insert(
-                        output_seq,
-                        EcmpEntry {
-                            dest,
-                            bytes,
-                            signature,
-                        },
-                    );
+                    self.ecmp.insert(output_seq, remote);
                 }
             }
         }
@@ -563,10 +571,15 @@ impl FsoActor {
             return;
         };
         ctx.charge_cpu(self.config.crypto_costs.verify_double_cost(64));
-        if output.fs != fs || output.verify(&self.config.directory, signers).is_err() {
+        if output.fs != fs {
             self.stats.rejected_inputs += 1;
             return;
         }
+        // The check hands back the body digest it ran over.
+        let Ok(digest) = output.verify_digesting(&self.config.directory, signers) else {
+            self.stats.rejected_inputs += 1;
+            return;
+        };
         match output.content {
             FsContent::FailSignal => {
                 if self.fail_signals_seen.insert(fs) {
@@ -574,7 +587,8 @@ impl FsoActor {
                     // pre-configured environment input (FS-NewTOP turns it
                     // into a suspicion) and ordered like any other input.
                     if let Some(injected) = self.config.fail_signal_inputs.get(&fs).cloned() {
-                        self.on_external_input(ctx, Endpoint::Environment, injected);
+                        let digest = body_digest(&injected);
+                        self.on_external_input(ctx, Endpoint::Environment, injected, digest);
                     }
                 }
             }
@@ -585,7 +599,8 @@ impl FsoActor {
                     self.stats.duplicates_suppressed += 1;
                     return;
                 }
-                self.on_external_input(ctx, endpoint, bytes);
+                let digest = digest.unwrap_or_else(|| body_digest(&bytes));
+                self.on_external_input(ctx, endpoint, bytes, digest);
             }
         }
     }
@@ -617,7 +632,8 @@ impl Actor for FsoActor {
             FsoInbound::Raw(bytes) => match self.config.sources.get(&from) {
                 Some(SourceSpec::TrustedClient { endpoint }) => {
                     let endpoint = *endpoint;
-                    self.on_external_input(ctx, endpoint, bytes);
+                    let digest = body_digest(&bytes);
+                    self.on_external_input(ctx, endpoint, bytes, digest);
                 }
                 _ => {
                     self.stats.rejected_inputs += 1;
@@ -640,8 +656,8 @@ impl Actor for FsoActor {
                     self.fail(ctx, "output comparison timeout");
                 }
             }
-            TimerPurpose::InputOrdering(digest) => {
-                if self.irmp.remove(&digest).is_some() {
+            TimerPurpose::InputOrdering(key) => {
+                if self.irmp.remove(&key).is_some() {
                     self.stats.timeouts += 1;
                     self.fail(ctx, "leader failed to order an input in time");
                 }
@@ -678,11 +694,11 @@ impl Actor for FsoActor {
                 entry.timer = timer;
             }
         }
-        let pending_inputs: Vec<Digest> = self.irmp.keys().copied().collect();
-        for digest in pending_inputs {
-            let timer = self.alloc_timer(TimerPurpose::InputOrdering(digest));
+        let pending_inputs: Vec<InputKey> = self.irmp.keys().copied().collect();
+        for key in pending_inputs {
+            let timer = self.alloc_timer(TimerPurpose::InputOrdering(key));
             ctx.set_timer(self.config.timing.delta * 2, timer);
-            if let Some(entry) = self.irmp.get_mut(&digest) {
+            if let Some(entry) = self.irmp.get_mut(&key) {
                 entry.timer = timer;
             }
         }

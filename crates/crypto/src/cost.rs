@@ -8,6 +8,17 @@
 //! so the simulator charges the *modelled* cost of the original scheme to the
 //! simulated clock.  The model is configurable so that the benchmark harness
 //! can run ablations (e.g. "what if signatures were free?").
+//!
+//! The model was always hash-then-sign — one hash pass over the message
+//! (`hash_per_byte`, `hash_per_block`) plus a fixed operation on the digest
+//! (`sign_fixed`, `verify_fixed`) — which is the scheme the paper names.
+//! Since the fail-signal layer signs `header ‖ SHA-256(body)`, the host-side
+//! authenticator has that shape too: the body is hashed once and every MAC
+//! runs over at most 90 bytes.  That changed host cost only.  Call sites
+//! still pass the length of the whole signed content (header plus body) to
+//! [`CryptoCostModel::sign_cost`] and [`CryptoCostModel::verify_cost`], so
+//! every simulated charge — and with it every simulated clock, trace and
+//! figure — is what it was when the MAC itself ran over the content.
 
 use serde::{Deserialize, Serialize};
 

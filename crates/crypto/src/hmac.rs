@@ -154,10 +154,6 @@ impl HmacKey {
 /// there (and on the scalar oracle backend) no schedule is expanded and
 /// every MAC is one sequential pass under the key — same tags, same API.
 ///
-/// The message may be handed over as the two buffers it already lives in
-/// ([`MacSchedule::over_parts`]: a signed header and the payload it frames);
-/// tags are those of the concatenation, which is never materialised.
-///
 /// # Examples
 ///
 /// ```
@@ -172,112 +168,59 @@ impl HmacKey {
 /// }
 /// ```
 pub struct MacSchedule<'m> {
-    /// The message, as `parts[0] ‖ parts[1]`.
-    parts: [&'m [u8]; 2],
+    message: &'m [u8],
     /// Expanded schedules for every post-ipad inner-hash block: the full
     /// message blocks, then the padded tail block(s).  Empty in sequential
     /// mode (scalar oracle backend, or a SHA-extensions CPU), where every
     /// MAC takes the per-key incremental path instead.
     schedules: Vec<[u32; 64]>,
-    /// How many leading entries of `schedules` cover full message blocks
-    /// (the prefix that [`MacSchedule::mac_with_suffix`] can reuse).
-    full_blocks: usize,
-    /// The message bytes after its last full block (`tail[..tail_len]`),
-    /// which [`MacSchedule::mac_with_suffix`] re-hashes ahead of the suffix.
-    tail: [u8; BLOCK_LEN],
-    tail_len: usize,
 }
 
 impl<'m> MacSchedule<'m> {
     /// Expands the inner-hash schedule for `message` on the process's active
     /// backend.
     pub fn new(message: &'m [u8]) -> Self {
-        Self::over_parts(message, &[])
+        Self::new_with_backend(CompressBackend::active(), message)
     }
 
     /// [`MacSchedule::new`] pinned to an explicit backend.
     pub fn new_with_backend(backend: CompressBackend, message: &'m [u8]) -> Self {
-        Self::over_parts_with_backend(backend, message, &[])
-    }
-
-    /// [`MacSchedule::new`] for the message `head ‖ body`.
-    pub fn over_parts(head: &'m [u8], body: &'m [u8]) -> Self {
-        Self::over_parts_with_backend(CompressBackend::active(), head, body)
-    }
-
-    /// [`MacSchedule::over_parts`] pinned to an explicit backend.
-    pub fn over_parts_with_backend(
-        backend: CompressBackend,
-        head: &'m [u8],
-        body: &'m [u8],
-    ) -> Self {
         let lanes = backend != CompressBackend::Scalar && !shani::available();
-        Self::build(lanes, head, body)
+        Self::build(lanes, message)
     }
 
     /// Builds the schedule in lane mode (`lanes`: expand every block once)
     /// or in sequential mode (no precompute).
-    fn build(lanes: bool, head: &'m [u8], body: &'m [u8]) -> Self {
+    fn build(lanes: bool, message: &'m [u8]) -> Self {
         let mut schedule = Self {
-            parts: [head, body],
+            message,
             schedules: Vec::new(),
-            full_blocks: 0,
-            tail: [0u8; BLOCK_LEN],
-            tail_len: 0,
         };
         if !lanes {
             return schedule;
         }
-        let len = head.len() + body.len();
-        schedule.schedules.reserve(len / BLOCK_LEN + 2);
-        // Full blocks of the concatenation; `tail[..fill]` carries a block
-        // begun in one part into the next.
-        let mut fill = 0;
-        for mut part in schedule.parts {
-            if fill > 0 {
-                let n = (BLOCK_LEN - fill).min(part.len());
-                schedule.tail[fill..fill + n].copy_from_slice(&part[..n]);
-                fill += n;
-                part = &part[n..];
-                if fill < BLOCK_LEN {
-                    continue;
-                }
-                schedule.schedules.push(expand_schedule(&schedule.tail));
-            }
-            let full = part.len() - part.len() % BLOCK_LEN;
-            for block in part[..full].chunks_exact(BLOCK_LEN) {
-                schedule.schedules.push(expand_schedule(block));
-            }
-            fill = part.len() - full;
-            schedule.tail[..fill].copy_from_slice(&part[full..]);
+        let full = message.len() - message.len() % BLOCK_LEN;
+        schedule.schedules.reserve(full / BLOCK_LEN + 2);
+        for block in message[..full].chunks_exact(BLOCK_LEN) {
+            schedule.schedules.push(expand_schedule(block));
         }
-        schedule.full_blocks = schedule.schedules.len();
-        schedule.tail_len = fill;
         // The inner hash has already absorbed the 64-byte ipad block, so its
         // total length — and therefore the padding — covers 64 + len bytes.
-        let tail_total = if fill + 1 + 8 <= BLOCK_LEN {
+        let rem = message.len() - full;
+        let tail_total = if rem + 1 + 8 <= BLOCK_LEN {
             BLOCK_LEN
         } else {
             2 * BLOCK_LEN
         };
-        let bit_len = ((BLOCK_LEN + len) as u64).wrapping_mul(8);
+        let bit_len = ((BLOCK_LEN + message.len()) as u64).wrapping_mul(8);
         let mut padded = [0u8; 2 * BLOCK_LEN];
-        padded[..fill].copy_from_slice(&schedule.tail[..fill]);
-        padded[fill] = 0x80;
+        padded[..rem].copy_from_slice(&message[full..]);
+        padded[rem] = 0x80;
         padded[tail_total - 8..tail_total].copy_from_slice(&bit_len.to_be_bytes());
         for block in padded[..tail_total].chunks_exact(BLOCK_LEN) {
             schedule.schedules.push(expand_schedule(block));
         }
         schedule
-    }
-
-    /// A hasher under `key` that has absorbed the whole message.
-    fn absorbed(&self, key: &HmacKey) -> HmacSha256 {
-        let mut h = key.hasher();
-        for part in self.parts {
-            h.update(part);
-        }
-        h
     }
 
     /// Sequential mode: nothing was precomputed (a padded message always
@@ -290,7 +233,7 @@ impl<'m> MacSchedule<'m> {
     /// against the key's inner state.
     pub fn mac(&self, key: &HmacKey) -> Digest {
         if self.sequential() {
-            return self.absorbed(key).finalize();
+            return key.mac(self.message);
         }
         let mut state = key.inner.state();
         for w in &self.schedules {
@@ -321,30 +264,6 @@ impl<'m> MacSchedule<'m> {
             out.push(self.mac(key));
         }
         out
-    }
-
-    /// Computes the tag under one key for `message ++ suffix`, reusing the
-    /// precomputed schedules for the message's full blocks.
-    ///
-    /// This is the co-signature shape: the second signature of a
-    /// double-signed output covers the content bytes plus a fixed 36-byte
-    /// suffix naming the first signer, so all full content blocks are shared
-    /// with the first signature's verification.
-    pub fn mac_with_suffix(&self, key: &HmacKey, suffix: &[u8]) -> Digest {
-        if self.sequential() {
-            let mut h = self.absorbed(key);
-            h.update(suffix);
-            return h.finalize();
-        }
-        let mut state = key.inner.state();
-        for w in &self.schedules[..self.full_blocks] {
-            compress_with_schedule(&mut state, w);
-        }
-        let full = self.full_blocks * BLOCK_LEN;
-        let mut h = Sha256::resume(state, (BLOCK_LEN + full) as u64, CompressBackend::Simd);
-        h.update(&self.tail[..self.tail_len]);
-        h.update(suffix);
-        outer_finalize(key, &h.finalize())
     }
 
     /// One lane-parallel group: shared schedule into `N` per-key inner
@@ -619,26 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn mac_with_suffix_matches_concatenation() {
-        let key = HmacKey::new(b"cosign-key");
-        let suffix = [0xa5u8; 36];
-        for len in [0usize, 5, 63, 64, 65, 200, 1000] {
-            let msg: Vec<u8> = (0..len).map(|x| (x % 251) as u8).collect();
-            let mut concat = msg.clone();
-            concat.extend_from_slice(&suffix);
-            let expected = key.mac(&concat);
-            for backend in [CompressBackend::Scalar, CompressBackend::Simd] {
-                let schedule = MacSchedule::new_with_backend(backend, &msg);
-                assert_eq!(
-                    schedule.mac_with_suffix(&key, &suffix),
-                    expected,
-                    "len {len}, backend {backend:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn verify_batch_reports_per_index() {
         let keys: Vec<HmacKey> = (0..6u8).map(|i| HmacKey::new(&[i + 10; 16])).collect();
         let refs: Vec<&HmacKey> = keys.iter().collect();
@@ -651,54 +550,18 @@ mod tests {
         assert_eq!(verdicts, [true, true, false, true, true, false]);
     }
 
-    /// Every two-part split of a message gives the tags of the whole, in
-    /// sequential mode on both backends and in lane mode (built directly:
-    /// on a SHA-extensions host the public constructors never choose it).
+    /// Lane mode gives the tags of the sequential path (built directly: on
+    /// a SHA-extensions host the public constructors never choose it).
     #[test]
-    fn over_parts_matches_contiguous_at_every_split() {
+    fn lane_mode_matches_sequential_mode() {
         let keys: Vec<HmacKey> = (0..9u8).map(|i| HmacKey::new(&[i + 3; 24])).collect();
         let refs: Vec<&HmacKey> = keys.iter().collect();
-        let suffix = [0x3cu8; 36];
         for len in (0..=200).chain([10_240]) {
             let msg: Vec<u8> = (0..len).map(|x| (x % 251) as u8).collect();
-            let mut concat = msg.clone();
-            concat.extend_from_slice(&suffix);
             let expected: Vec<Digest> = keys.iter().map(|k| k.mac(&msg)).collect();
-            let expected_suffixed = keys[0].mac(&concat);
-            let splits: Vec<usize> = if len <= 200 {
-                (0..=len).collect()
-            } else {
-                vec![0, 1, 22, 63, 64, 65, 5_000, len - 1, len]
-            };
-            for split in splits {
-                let (head, body) = msg.split_at(split);
-                let schedules = [
-                    MacSchedule::over_parts_with_backend(CompressBackend::Scalar, head, body),
-                    MacSchedule::over_parts_with_backend(CompressBackend::Simd, head, body),
-                    MacSchedule::build(true, head, body),
-                ];
-                for (mode, schedule) in schedules.iter().enumerate() {
-                    // The 9-key batch (8 lanes + 1) only around the block
-                    // boundaries; one key everywhere.
-                    if split % 32 <= 1 || split == len {
-                        assert_eq!(
-                            schedule.mac_batch(&refs),
-                            expected,
-                            "len {len}/{split}, mode {mode}"
-                        );
-                    }
-                    assert_eq!(
-                        schedule.mac(&keys[0]),
-                        expected[0],
-                        "len {len}/{split}, mode {mode}"
-                    );
-                    assert_eq!(
-                        schedule.mac_with_suffix(&keys[0], &suffix),
-                        expected_suffixed,
-                        "len {len}/{split}, mode {mode}"
-                    );
-                }
-            }
+            let schedule = MacSchedule::build(true, &msg);
+            assert_eq!(schedule.mac_batch(&refs), expected, "len {len}");
+            assert_eq!(schedule.mac(&keys[0]), expected[0], "len {len}");
         }
     }
 }

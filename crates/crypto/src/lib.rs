@@ -44,24 +44,22 @@
 //! Both are differential-tested against the scalar oracle; neither has a
 //! Cargo feature or a switch of its own.
 //!
-//! ## Resumed co-signatures
+//! ## Hash once, sign the digest
 //!
-//! A fail-signal wrapper signs `HMAC(k, content)` for its partner and later
-//! co-signs `HMAC(k, content ‖ suffix)` under the same key.
-//! [`sig::Signature::sign_parts`] returns the signing midstate
-//! ([`sig::SignedPrefix`]) so the co-signature absorbs only the 36-byte
-//! suffix; tags are bit-for-bit those of signing the concatenation.
-//!
-//! ## Messages in parts
-//!
-//! A signed output is a few header bytes followed by a payload the caller
-//! already holds in a refcounted buffer.  [`sig::Parts`] hands the signature
-//! layer those two buffers as they are: `sign_parts`, `co_sign_parts`,
-//! `verify_parts`, `verify_batch_parts` and `verify_cosign_pair_parts`
-//! stream them through the hash (on the lane backend through
-//! [`hmac::MacSchedule::over_parts`]) and the host-side verification memo
-//! keeps refcounts of them.  Tags and verdicts are those of the contiguous
-//! calls over the concatenation, for every split point.
+//! The paper's wrappers sign with "MD5 using RSA" (§4): hash the message
+//! once, then run a fixed-cost operation on the digest.  [`cost`] has always
+//! charged exactly that — one hash pass over the content plus a fixed term
+//! per sign and per verify — and the authenticator now has the same shape.
+//! The `failsignal` crate hands this layer a *statement* of at most 54 bytes
+//! (a signed header followed by `SHA-256(output bytes)`), so
+//! [`sig::Signature::sign`], [`sig::Signature::co_sign`],
+//! [`sig::Signature::verify`] and [`sig::verify_cosign_pair`] each MAC at
+//! most 90 bytes whatever the output's size, and the host-side verification
+//! memo keeps small compact copies only.  The one pass over the content is
+//! the body digest, computed (and memoised by buffer identity) in
+//! `failsignal::digest`.  Simulated charges are untouched: call sites keep
+//! charging [`cost::CryptoCostModel`] for a pass over the whole signed
+//! content — the modelled pass is now simply a real one.
 //!
 //! ## Batch verification contract
 //!
@@ -71,16 +69,17 @@
 //! * **Per-index verdicts:** [`hmac::HmacKey::mac_batch`] and
 //!   [`hmac::HmacKey::verify_batch`] return one entry per input
 //!   (`Vec<Digest>` / `Vec<bool>`); index `i` always reports on input `i`.
-//! * **All-or-nothing:** [`sig::Signature::verify_batch`] and
-//!   [`sig::DoubleSigned::verify_batch`] return `Ok(())` only when *every*
-//!   authenticator in the batch verifies, and otherwise the error for the
-//!   lowest-indexed failing entry — byte-for-byte the same error the
-//!   sequential `verify` loop would have produced first, so callers can
-//!   switch between the two without changing failure handling.
+//! * **All-or-nothing:** [`sig::Signature::verify_batch`] returns `Ok(())`
+//!   only when *every* authenticator in the batch verifies, and otherwise
+//!   the error for the lowest-indexed failing entry — byte-for-byte the same
+//!   error the sequential `verify` loop would have produced first, so
+//!   callers can switch between the two without changing failure handling.
 //!
-//! Both compose with the host-side verify memos: a memo hit is answered
+//! Both compose with the host-side verify memo: a memo hit is answered
 //! before any batch schedule is assembled, so re-verification of an
-//! already-seen authenticator stays O(memo lookup) in a batch too.
+//! already-seen authenticator stays O(memo lookup) in a batch too.  (A
+//! co-signed *pair* is two MACs over at most 90 bytes and shares nothing:
+//! [`sig::verify_cosign_pair`] is two sequential memoised checks.)
 //!
 //! ## Example
 //!
@@ -121,4 +120,4 @@ pub use cost::CryptoCostModel;
 pub use hmac::{HmacKey, HmacSha256, MacSchedule};
 pub use keys::{provision, KeyDirectory, SignerId, SigningKey, VerifyingKey};
 pub use sha256::{CompressBackend, Digest, Sha256};
-pub use sig::{DoubleSigned, Parts, Signature, SignedPrefix, SingleSigned};
+pub use sig::{DoubleSigned, Signature, SingleSigned};

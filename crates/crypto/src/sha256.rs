@@ -27,6 +27,7 @@
 //! can never change a simulation result — only host wall-clock.
 
 use core::fmt;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use serde::{Deserialize, Serialize};
@@ -233,13 +234,37 @@ pub(crate) fn compress_with_schedule(state: &mut [u32; 8], w: &[u32; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
+thread_local! {
+    /// Blocks this thread has compressed sequentially (see
+    /// [`blocks_compressed`]).
+    static BLOCKS_COMPRESSED: Cell<u64> = const { Cell::new(0) };
+}
+
+#[inline]
+fn count_blocks(data: &[u8]) {
+    BLOCKS_COMPRESSED.with(|n| n.set(n.get() + (data.len() / BLOCK_LEN) as u64));
+}
+
+/// How many 64-byte blocks the calling thread has compressed so far through
+/// the sequential hashing paths: every [`Sha256`] update, digest and
+/// [`crate::hmac`] MAC, on either backend (the lane-parallel batch kernels
+/// of [`crate::simd`] are not counted).  Differences of this counter are
+/// how tests count hash passes where they cannot hide — e.g. that an
+/// ordered delivery of a 10 KiB payload costs no more than a stated number
+/// of full-content passes (`tests/hash_passes.rs`).
+pub fn blocks_compressed() -> u64 {
+    BLOCKS_COMPRESSED.with(Cell::get)
+}
+
 /// Compresses a whole run of blocks (`data.len()` must be a multiple of 64)
 /// straight from the input slice — the single choke point of every
-/// non-oracle hash.  Runs the SHA-extensions kernel where the CPU has it
+/// non-oracle hash, and where [`blocks_compressed`] counts.  Runs the
+/// SHA-extensions kernel where the CPU has it
 /// (probed per call; the probe is one cached atomic load) and the portable
 /// multi-block loop otherwise.
 #[inline]
 pub(crate) fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
+    count_blocks(data);
     if !shani::try_compress_blocks(state, data) {
         compress_blocks_portable(state, data);
     }
@@ -409,20 +434,6 @@ impl Sha256 {
         }
     }
 
-    /// Resumes a hasher from a saved chaining state after `bytes_absorbed`
-    /// block-aligned bytes (used by the shared-schedule MAC path to continue
-    /// an inner hash past its precomputed prefix).
-    pub(crate) fn resume(state: [u32; 8], bytes_absorbed: u64, backend: CompressBackend) -> Self {
-        debug_assert_eq!(bytes_absorbed % BLOCK_LEN as u64, 0);
-        Self {
-            state,
-            buffer: [0u8; BLOCK_LEN],
-            buffer_len: 0,
-            total_len: bytes_absorbed,
-            backend,
-        }
-    }
-
     /// The current chaining state (only meaningful at a block boundary).
     pub(crate) fn state(&self) -> [u32; 8] {
         self.state
@@ -521,6 +532,7 @@ impl Sha256 {
     /// at a time on the scalar oracle, the detected kernel otherwise.
     fn compress_run(&mut self, blocks: &[u8]) {
         if self.backend == CompressBackend::Scalar {
+            count_blocks(blocks);
             for block in blocks.chunks_exact(BLOCK_LEN) {
                 self.compress(block.try_into().expect("block sized"));
             }

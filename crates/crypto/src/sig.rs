@@ -12,233 +12,86 @@
 //!   emitted.
 //!
 //! This module provides those building blocks generically over any byte
-//! payload; the envelope types live in the `failsignal` crate.
+//! string; the envelope types live in the `failsignal` crate, which hands
+//! this layer a short *statement* — a signed header followed by the SHA-256
+//! of the output bytes — never the output bytes themselves.
 
 use std::cell::RefCell;
 
 use serde::{Deserialize, Serialize};
 
-use fs_common::codec::segments_eq;
 use fs_common::fasthash::FastMap;
-use fs_common::{Bytes, SignatureError};
+use fs_common::SignatureError;
 
-use crate::hmac::{HmacKey, HmacSha256, MacSchedule};
+use crate::hmac::HmacKey;
 use crate::keys::{KeyDirectory, SignerId, SigningKey};
 use crate::sha256::{ct_eq, Digest};
 
 /// Upper bound on the host-side verification memo entry count; reaching it
 /// clears the memo (the working set of in-flight messages is far smaller).
-const VERIFY_MEMO_MAX: usize = 16 * 1024;
+/// 14 Ki is what a 16 Ki-bucket table holds at its 7/8 load factor: the
+/// table reaches that size once and never grows again.
+const VERIFY_MEMO_MAX: usize = 14 * 1024;
 
-/// Upper bound on the total message bytes retained by the memo, so large
-/// payloads cannot pin unbounded memory between clears.
-const VERIFY_MEMO_MAX_BYTES: usize = 32 * 1024 * 1024;
-
-/// A message handed to the signature layer as the two shared buffers it
-/// already lives in — the logical message is `head ‖ body`.
-///
-/// A fail-signal output is signed over a few header bytes followed by the
-/// machine's output bytes; the wrapper holds the latter as a refcounted
-/// buffer that also travels in the frames and sits in the comparison pools.
-/// Signing, co-signing and verifying over `Parts` streams the two buffers
-/// through the hash instead of first copying them into one, and the
-/// host-side memos keep refcounts of them instead of copies.  Every tag is
-/// the tag of the concatenation, wherever the split falls.
-#[derive(Debug, Clone)]
-pub struct Parts {
-    /// The leading bytes (for a fail-signal output: its signed header).
-    pub head: Bytes,
-    /// The trailing bytes (the payload the header frames); may be empty.
-    pub body: Bytes,
-}
-
-impl Parts {
-    /// The length of the logical message.
-    pub fn len(&self) -> usize {
-        self.head.len() + self.body.len()
-    }
-
-    /// True when the logical message is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The logical message as one buffer (a copy unless `body` is empty).
-    pub fn to_bytes(&self) -> Bytes {
-        if self.body.is_empty() {
-            return self.head.clone();
-        }
-        [&self.head[..], &self.body[..]].concat().into()
-    }
-}
-
-impl From<Bytes> for Parts {
-    /// A contiguous message: everything in `head`.
-    fn from(head: Bytes) -> Self {
-        Self {
-            head,
-            body: Bytes::new(),
-        }
-    }
-}
-
-/// A message as a public entry point received it: borrowed contiguous
-/// bytes, or shared parts.  The private implementations below are written
-/// once over this.
-#[derive(Clone, Copy)]
-enum Message<'a> {
-    Slice(&'a [u8]),
-    Parts(&'a Parts),
-}
-
-impl<'a> Message<'a> {
-    fn slices(self) -> [&'a [u8]; 2] {
-        match self {
-            Message::Slice(message) => [message, &[]],
-            Message::Parts(parts) => [&parts.head, &parts.body],
-        }
-    }
-
-    /// The message as owned parts: refcounts, or — for borrowed bytes,
-    /// which nothing else keeps alive — a copy.
-    fn to_parts(self) -> Parts {
-        match self {
-            Message::Slice(message) => Bytes::copy_from_slice(message).into(),
-            Message::Parts(parts) => parts.clone(),
-        }
-    }
-
-    fn schedule(self) -> MacSchedule<'a> {
-        let [head, body] = self.slices();
-        MacSchedule::over_parts(head, body)
-    }
-}
+/// The longest `message ‖ suffix` the memo remembers.  The fail-signal layer
+/// signs statements of at most 54 bytes and co-signs them with a 36-byte
+/// suffix; anything longer is simply verified afresh every time, so an
+/// entry is a fixed-size value — no allocation to make, none to free when
+/// the memo clears.
+const MEMO_MESSAGE_MAX: usize = 96;
 
 type MemoKey = (SignerId, u64, Digest);
-
-/// The smallest message the verification memo keeps by refcount.  Below it
-/// an entry is one compact copy, exactly as before messages came in parts:
-/// a small copy costs less than keeping a header buffer of its own alive
-/// per entry (and small payloads are windows of contiguous frames, which a
-/// memo must not pin, anyway).  From here up the copy — the payload-sized
-/// allocation, the `memcpy`, and on a hit the `memcmp` — is what the memo
-/// avoids.  Same order as the codec's splice size, for the same reason.
-const MEMO_SHARE_MIN: usize = 1024;
-
-/// One memoised message: the bytes `message ‖ suffix`, where `suffix` is
-/// the 36-byte co-signature trailer (absent for a first signature).
-enum MemoEntry {
-    /// A compact copy of the whole message.
-    Compact(Box<[u8]>),
-    /// Refcounts of the message's own buffers (boxed: the table's entries
-    /// stay as small as when they all were compact copies).
-    Shared(Box<SharedMessage>),
-}
-
-struct SharedMessage {
-    message: Parts,
-    suffix: Option<[u8; 36]>,
-}
 
 fn trailer(suffix: Option<&[u8; 36]>) -> &[u8] {
     suffix.map_or(&[], |s| s)
 }
 
-impl MemoEntry {
-    fn new(message: Message<'_>, suffix: Option<&[u8; 36]>) -> Self {
-        let [head, body] = message.slices();
-        match message {
-            Message::Parts(parts) if head.len() + body.len() >= MEMO_SHARE_MIN => {
-                MemoEntry::Shared(Box::new(SharedMessage {
-                    // A part that is a window into a larger buffer (a field
-                    // of a contiguous frame) is detached: a memo must not
-                    // keep whole frames alive.
-                    message: Parts {
-                        head: parts.head.compact(),
-                        body: parts.body.compact(),
-                    },
-                    suffix: suffix.copied(),
-                }))
-            }
-            _ => MemoEntry::Compact([head, body, trailer(suffix)].concat().into()),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            MemoEntry::Compact(bytes) => bytes.len(),
-            MemoEntry::Shared(shared) => {
-                shared.message.len() + trailer(shared.suffix.as_ref()).len()
-            }
-        }
-    }
+/// One memoised `message ‖ suffix` (`suffix` is the 36-byte co-signature
+/// trailer, absent for a first signature), stored inline.
+#[derive(Clone, Copy)]
+struct Memoised {
+    len: usize,
+    bytes: [u8; MEMO_MESSAGE_MAX],
 }
 
-/// The verification memo: entry map plus the running total of stored
-/// message bytes (both bounds trigger a wholesale clear).
+/// The verification memo: per `(signer, key fingerprint, tag)` the bytes the
+/// tag was computed over.
 #[derive(Default)]
 struct VerifyMemoStore {
-    map: FastMap<MemoKey, MemoEntry>,
-    bytes: usize,
+    map: FastMap<MemoKey, Memoised>,
 }
 
 impl VerifyMemoStore {
     /// True when `key` is memoised for exactly the bytes `message ‖ suffix`.
-    /// The comparison is piecewise and skips stretches that are the very
-    /// buffer the entry holds (the normal case for a large message: the
-    /// verifier decoded a view of the buffer the signer signed), so a hit on
-    /// a 10 kB message reads only its header.
-    fn matches(&self, key: &MemoKey, message: Message<'_>, suffix: Option<&[u8; 36]>) -> bool {
-        let Some(cached) = self.map.get(key) else {
-            return false;
-        };
-        let [head, body] = message.slices();
-        let probe = [head, body, trailer(suffix)];
-        match cached {
-            // One stored buffer: walk the probe's parts along it.
-            MemoEntry::Compact(bytes) => {
-                let mut rest = &bytes[..];
-                probe
-                    .iter()
-                    .all(|part| match rest.split_at_checked(part.len()) {
-                        Some((stored, tail)) => {
-                            rest = tail;
-                            stored == *part
-                        }
-                        None => false,
-                    })
-                    && rest.is_empty()
-            }
-            MemoEntry::Shared(shared) => segments_eq(
-                &[
-                    &shared.message.head,
-                    &shared.message.body,
-                    trailer(shared.suffix.as_ref()),
-                ],
-                &probe,
-            ),
-        }
+    fn matches(&self, key: &MemoKey, message: &[u8], suffix: Option<&[u8; 36]>) -> bool {
+        self.map
+            .get(key)
+            .and_then(|stored| stored.bytes[..stored.len].split_at_checked(message.len()))
+            .is_some_and(|(head, tail)| head == message && tail == trailer(suffix))
     }
 
-    fn insert(&mut self, key: MemoKey, entry: MemoEntry) {
-        if self.map.len() >= VERIFY_MEMO_MAX || self.bytes >= VERIFY_MEMO_MAX_BYTES {
+    fn insert(&mut self, key: MemoKey, message: &[u8], suffix: Option<&[u8; 36]>) {
+        let suffix = trailer(suffix);
+        let len = message.len() + suffix.len();
+        if len > MEMO_MESSAGE_MAX {
+            return;
+        }
+        if self.map.len() >= VERIFY_MEMO_MAX {
             self.map.clear();
-            self.bytes = 0;
         }
-        self.bytes += entry.len();
-        if let Some(old) = self.map.insert(key, entry) {
-            self.bytes -= old.len();
-        }
+        let mut bytes = [0u8; MEMO_MESSAGE_MAX];
+        bytes[..message.len()].copy_from_slice(message);
+        bytes[message.len()..len].copy_from_slice(suffix);
+        self.map.insert(key, Memoised { len, bytes });
     }
 }
 
-fn memo_matches(key: &MemoKey, message: Message<'_>, suffix: Option<&[u8; 36]>) -> bool {
+fn memo_matches(key: &MemoKey, message: &[u8], suffix: Option<&[u8; 36]>) -> bool {
     VERIFY_MEMO.with(|memo| memo.borrow().matches(key, message, suffix))
 }
 
-fn memo_insert(key: MemoKey, message: Message<'_>, suffix: Option<&[u8; 36]>) {
-    let entry = MemoEntry::new(message, suffix);
-    VERIFY_MEMO.with(|memo| memo.borrow_mut().insert(key, entry));
+fn memo_insert(key: MemoKey, message: &[u8], suffix: Option<&[u8; 36]>) {
+    VERIFY_MEMO.with(|memo| memo.borrow_mut().insert(key, message, suffix));
 }
 
 thread_local! {
@@ -255,17 +108,17 @@ thread_local! {
     /// the memo on or off (and `Signature::verify_uncached` bypasses it,
     /// which is what the benchmarks measure).
     ///
-    /// Keyed by `(signer, key fingerprint, tag)` with the message held in
-    /// the entry — a large message that arrived as shared [`Parts`] by
-    /// refcount, so the memo pins the buffers that flow anyway instead of
-    /// copies of them, a small one as a compact copy: a
-    /// hit requires the exact message bytes to match, and the
-    /// fingerprint ties the verdict to the concrete key material so caches
-    /// can never leak across key directories.  Failures are never cached.
-    /// Entry count and retained bytes are both bounded.  (In the threaded
-    /// runtime each thread has its own memo, so signer-side seeding cannot
-    /// help remote verifiers there — it is bounded pure overhead, a few
-    /// percent of the HMAC it accompanies.)
+    /// Keyed by `(signer, key fingerprint, tag)` with a copy of the message
+    /// held inline in the entry: a hit requires the exact message bytes to
+    /// match, and the fingerprint ties the verdict to the concrete key
+    /// material so caches can never leak across key directories.  Messages
+    /// longer than 96 bytes are not remembered (nothing in the suite signs
+    /// one on a hot path: the fail-signal layer signs statements, not
+    /// contents).  Failures are never cached.  The entry count is bounded,
+    /// and with it the memory.  (In the threaded runtime each thread has
+    /// its own memo, so signer-side seeding cannot help remote verifiers
+    /// there — it is bounded pure overhead, a few percent of the HMAC it
+    /// accompanies.)
     static VERIFY_MEMO: RefCell<VerifyMemoStore> = RefCell::new(VerifyMemoStore::default());
 }
 
@@ -282,56 +135,42 @@ impl Signature {
     /// Signs `message` with `key`, resuming from the key's precomputed HMAC
     /// state (the RFC 2104 key schedule is never re-expanded per message).
     ///
-    /// Signing also seeds the host-side verification memo: the produced tag
-    /// *is* `HMAC(key, message)`, which is exactly the invariant a memo
-    /// entry records, and on a simulation host the verifier of this very
-    /// signature runs in the same process a few simulated microseconds
-    /// later.  Its check then becomes a hash-map probe instead of a second
-    /// HMAC computation over the same bytes.
+    /// Signing also seeds the host-side verification memo (for messages of
+    /// at most 96 bytes): the produced tag *is* `HMAC(key, message)`, which
+    /// is exactly the invariant a memo entry records, and on a simulation
+    /// host the verifier of this very signature runs in the same process a
+    /// few simulated microseconds later.  Its check then becomes a hash-map
+    /// probe instead of a second HMAC computation over the same bytes.
     pub fn sign(key: &SigningKey, message: &[u8]) -> Signature {
-        Self::sign_message(key, Message::Slice(message)).0
-    }
-
-    /// [`Signature::sign`] over shared [`Parts`]: the two buffers are
-    /// streamed through the hash, never concatenated, and the memo entry
-    /// seeded for the signature holds refcounts of them.
-    ///
-    /// Also returns the signing midstate, so a later co-signature *by the
-    /// same key* over `message ‖ suffix` costs one or two compressions
-    /// instead of a second pass over the whole message (see
-    /// [`SignedPrefix::co_sign`]).
-    pub fn sign_parts(key: &SigningKey, message: &Parts) -> (Signature, SignedPrefix) {
-        Self::sign_message(key, Message::Parts(message))
-    }
-
-    fn sign_message(key: &SigningKey, message: Message<'_>) -> (Signature, SignedPrefix) {
-        let prefix = SignedPrefix::absorb(key, message);
-        let tag = prefix.state.clone().finalize();
-        memo_insert(
-            (prefix.signer, prefix.fingerprint, tag),
-            Message::Parts(&prefix.message),
-            None,
-        );
-        let signature = Signature {
-            signer: key.signer,
-            tag,
-        };
-        (signature, prefix)
+        Self::sign_with_suffix(key, message, None)
     }
 
     /// Counter-signs `first` (another signer's signature over `message`)
-    /// with `key`: the signature over `message ‖ suffix(first)`, streamed —
-    /// the concatenation is never built.  A wrapper that signed `message`
-    /// itself a moment ago resumes from that midstate instead
-    /// ([`SignedPrefix::co_sign`]); the tags are identical.
-    pub fn co_sign_parts(key: &SigningKey, message: &Parts, first: &Signature) -> Signature {
-        SignedPrefix::absorb(key, Message::Parts(message)).co_sign(first)
+    /// with `key`: the signature over `message ‖ suffix(first)`, where the
+    /// suffix is the first signer's id and tag — so the pair of signatures
+    /// cannot be mixed and matched across messages.  The concatenation is
+    /// streamed, never built; the memo is seeded as in [`Signature::sign`].
+    pub fn co_sign(key: &SigningKey, message: &[u8], first: &Signature) -> Signature {
+        Self::sign_with_suffix(key, message, Some(&cosign_suffix(first)))
+    }
+
+    fn sign_with_suffix(key: &SigningKey, message: &[u8], suffix: Option<&[u8; 36]>) -> Signature {
+        let mut state = key.hmac().hasher();
+        state.update(message);
+        state.update(trailer(suffix));
+        let tag = state.finalize();
+        memo_insert((key.signer, key.hmac().fingerprint(), tag), message, suffix);
+        Signature {
+            signer: key.signer,
+            tag,
+        }
     }
 
     /// Verifies this signature over `message` against the key directory.
     ///
-    /// Successful verifications are memoised host-side (in the module-private `VERIFY_MEMO` table):
-    /// re-verifying the same `(key, message, tag)` triple — the normal case
+    /// Successful verifications of messages of at most 96 bytes are memoised
+    /// host-side (in the module-private `VERIFY_MEMO` table): re-verifying
+    /// the same `(key, message, tag)` triple — the normal case
     /// when one multicast frame is checked at several co-hosted simulated
     /// destinations — is a hash-map probe instead of an HMAC computation.
     /// The verdict is identical either way; callers remain responsible for
@@ -343,39 +182,39 @@ impl Signature {
     ///   directory.
     /// * [`SignatureError::Invalid`] — the tag does not verify.
     pub fn verify(&self, directory: &KeyDirectory, message: &[u8]) -> Result<(), SignatureError> {
-        self.verify_message(directory, Message::Slice(message))
+        self.verify_with_suffix(directory, message, None)
     }
 
-    /// [`Signature::verify`] over shared [`Parts`]: streamed on a miss, and
-    /// memoised by refcount.
-    ///
-    /// # Errors
-    ///
-    /// See [`Signature::verify`].
-    pub fn verify_parts(
+    /// [`Signature::verify`] over `message ‖ suffix` (the co-signature's
+    /// shape), streamed.
+    fn verify_with_suffix(
         &self,
         directory: &KeyDirectory,
-        message: &Parts,
-    ) -> Result<(), SignatureError> {
-        self.verify_message(directory, Message::Parts(message))
-    }
-
-    fn verify_message(
-        &self,
-        directory: &KeyDirectory,
-        message: Message<'_>,
+        message: &[u8],
+        suffix: Option<&[u8; 36]>,
     ) -> Result<(), SignatureError> {
         let key = directory.lookup(self.signer)?;
         let memo_key = (self.signer, key.hmac().fingerprint(), self.tag);
-        if memo_matches(&memo_key, message, None) {
+        if memo_matches(&memo_key, message, suffix) {
             return Ok(());
         }
-        let mut state = key.hmac().hasher();
-        for part in message.slices() {
-            state.update(part);
-        }
+        self.check_tag(key.hmac(), message, suffix)?;
+        memo_insert(memo_key, message, suffix);
+        Ok(())
+    }
+
+    /// Recomputes `HMAC(key, message ‖ suffix)` and compares it with this
+    /// signature's tag in constant time.
+    fn check_tag(
+        &self,
+        key: &HmacKey,
+        message: &[u8],
+        suffix: Option<&[u8; 36]>,
+    ) -> Result<(), SignatureError> {
+        let mut state = key.hasher();
+        state.update(message);
+        state.update(trailer(suffix));
         if ct_eq(state.finalize().as_bytes(), self.tag.as_bytes()) {
-            memo_insert(memo_key, message, None);
             Ok(())
         } else {
             Err(SignatureError::Invalid)
@@ -394,12 +233,7 @@ impl Signature {
         directory: &KeyDirectory,
         message: &[u8],
     ) -> Result<(), SignatureError> {
-        let key = directory.lookup(self.signer)?;
-        if key.hmac().verify(message, self.tag.as_bytes()) {
-            Ok(())
-        } else {
-            Err(SignatureError::Invalid)
-        }
+        self.check_tag(directory.lookup(self.signer)?.hmac(), message, None)
     }
 
     /// Verifies every signature in `sigs` over the same `message` — the
@@ -420,27 +254,6 @@ impl Signature {
         sigs: &[&Signature],
         directory: &KeyDirectory,
         message: &[u8],
-    ) -> Result<(), SignatureError> {
-        Self::verify_batch_message(sigs, directory, Message::Slice(message))
-    }
-
-    /// [`Signature::verify_batch`] over shared [`Parts`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Signature::verify`].
-    pub fn verify_batch_parts(
-        sigs: &[&Signature],
-        directory: &KeyDirectory,
-        message: &Parts,
-    ) -> Result<(), SignatureError> {
-        Self::verify_batch_message(sigs, directory, Message::Parts(message))
-    }
-
-    fn verify_batch_message(
-        sigs: &[&Signature],
-        directory: &KeyDirectory,
-        message: Message<'_>,
     ) -> Result<(), SignatureError> {
         // Resolve keys and probe the memo in index order.  A lookup failure
         // stops resolution (the sequential loop never looks past it), but
@@ -465,7 +278,7 @@ impl Signature {
             }
         }
         if !miss_sigs.is_empty() {
-            let expected = message.schedule().mac_batch(&miss_keys);
+            let expected = HmacKey::mac_batch(&miss_keys, message);
             for (sig, tag) in miss_sigs.iter().zip(&expected) {
                 if !ct_eq(tag.as_bytes(), sig.tag.as_bytes()) {
                     return Err(SignatureError::Invalid);
@@ -517,9 +330,8 @@ impl Signature {
 }
 
 /// The fixed 36-byte suffix the second (counter-) signature covers in
-/// addition to the content bytes: the first signer's id (little-endian) and
-/// the first signature's tag.  Must stay byte-identical to the tail of
-/// [`co_sign_bytes`].
+/// addition to the message bytes: the first signer's id (little-endian) and
+/// the first signature's tag.
 fn cosign_suffix(first: &Signature) -> [u8; 36] {
     let mut suffix = [0u8; 36];
     suffix[..4].copy_from_slice(&(first.signer.0).0.to_le_bytes());
@@ -527,105 +339,11 @@ fn cosign_suffix(first: &Signature) -> [u8; 36] {
     suffix
 }
 
-/// A signer's HMAC state after absorbing a message it has just signed,
-/// together with (a refcount of) that message: everything needed to
-/// counter-sign a peer's signature over the same message without hashing
-/// the message again.
-///
-/// A fail-signal wrapper signs each output once for its partner and, when
-/// the partner's copy matches, co-signs `content ‖ suffix(partner's
-/// signature)` with the *same key*.  The two MAC inputs share the whole
-/// content as a prefix, so the second tag is the saved state plus the
-/// 36-byte suffix.  Tags are bit-for-bit those of
-/// [`Signature::sign`] over the concatenation.
-///
-/// The state is key-equivalent material; it never leaves the signer and is
-/// not printed by `Debug`.
-#[derive(Clone)]
-pub struct SignedPrefix {
-    message: Parts,
-    state: HmacSha256,
-    signer: SignerId,
-    fingerprint: u64,
-}
-
-impl std::fmt::Debug for SignedPrefix {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SignedPrefix({}, {} B)", self.signer, self.message.len())
-    }
-}
-
-impl SignedPrefix {
-    /// `key`'s HMAC state after absorbing `message`.
-    fn absorb(key: &SigningKey, message: Message<'_>) -> Self {
-        let mut state = key.hmac().hasher();
-        for part in message.slices() {
-            state.update(part);
-        }
-        Self {
-            message: message.to_parts(),
-            state,
-            signer: key.signer,
-            fingerprint: key.hmac().fingerprint(),
-        }
-    }
-
-    /// The message whose signature this state resumes from.
-    pub fn message(&self) -> &Parts {
-        &self.message
-    }
-
-    /// Counter-signs `first` (another signer's signature over the same
-    /// message): the result equals `Signature::sign(key, message ‖
-    /// suffix(first))` under the key that produced this prefix, and seeds
-    /// the verification memo the same way (with refcounts of the message).
-    pub fn co_sign(&self, first: &Signature) -> Signature {
-        let suffix = cosign_suffix(first);
-        let mut state = self.state.clone();
-        state.update(&suffix);
-        let tag = state.finalize();
-        memo_insert(
-            (self.signer, self.fingerprint, tag),
-            Message::Parts(&self.message),
-            Some(&suffix),
-        );
-        Signature {
-            signer: self.signer,
-            tag,
-        }
-    }
-}
-
-/// A [`MacSchedule`] built only when a memo miss actually needs it, then
-/// shared by every subsequent MAC over the same content bytes.
-struct LazyMacSchedule<'m> {
-    message: Message<'m>,
-    schedule: Option<MacSchedule<'m>>,
-}
-
-impl<'m> LazyMacSchedule<'m> {
-    fn new(message: Message<'m>) -> Self {
-        Self {
-            message,
-            schedule: None,
-        }
-    }
-
-    fn get(&mut self) -> &MacSchedule<'m> {
-        self.schedule.get_or_insert_with(|| self.message.schedule())
-    }
-}
-
 /// Verifies a co-signed pair of signatures over `content_bytes` — the first
 /// over the content itself, the second over the content plus the
-/// `cosign_suffix` naming the first — sharing the content's message
-/// schedule between the two MAC computations (all full content blocks are
-/// common to both).
-///
-/// Verification order, memo behaviour and error precedence are identical to
-/// verifying the two signatures sequentially with [`Signature::verify`]:
-/// first signer lookup, first signature, second signer lookup, second
-/// signature.
+/// `cosign_suffix` naming the first — exactly as two sequential
+/// [`Signature::verify`] calls would: first signer lookup, first signature,
+/// second signer lookup, second signature, each through the memo.
 ///
 /// # Errors
 ///
@@ -636,57 +354,8 @@ pub fn verify_cosign_pair(
     first: &Signature,
     second: &Signature,
 ) -> Result<(), SignatureError> {
-    let mut schedule = LazyMacSchedule::new(Message::Slice(content_bytes));
-    verify_cosign_pair_with(directory, &mut schedule, first, second)
-}
-
-/// [`verify_cosign_pair`] over shared [`Parts`]: what a destination of a
-/// double-signed output runs on the buffers it decoded, without building
-/// the signing bytes.
-///
-/// # Errors
-///
-/// See [`Signature::verify`].
-pub fn verify_cosign_pair_parts(
-    directory: &KeyDirectory,
-    content: &Parts,
-    first: &Signature,
-    second: &Signature,
-) -> Result<(), SignatureError> {
-    let mut schedule = LazyMacSchedule::new(Message::Parts(content));
-    verify_cosign_pair_with(directory, &mut schedule, first, second)
-}
-
-/// [`verify_cosign_pair`] over a caller-held schedule, so a batch of pairs
-/// over the same content shares one schedule (see
-/// [`DoubleSigned::verify_batch`]).
-fn verify_cosign_pair_with(
-    directory: &KeyDirectory,
-    schedule: &mut LazyMacSchedule<'_>,
-    first: &Signature,
-    second: &Signature,
-) -> Result<(), SignatureError> {
-    let content = schedule.message;
-    let key1 = directory.lookup(first.signer)?;
-    let memo1 = (first.signer, key1.hmac().fingerprint(), first.tag);
-    if !memo_matches(&memo1, content, None) {
-        let tag = schedule.get().mac(key1.hmac());
-        if !ct_eq(tag.as_bytes(), first.tag.as_bytes()) {
-            return Err(SignatureError::Invalid);
-        }
-        memo_insert(memo1, content, None);
-    }
-    let key2 = directory.lookup(second.signer)?;
-    let suffix = cosign_suffix(first);
-    let memo2 = (second.signer, key2.hmac().fingerprint(), second.tag);
-    if !memo_matches(&memo2, content, Some(&suffix)) {
-        let tag = schedule.get().mac_with_suffix(key2.hmac(), &suffix);
-        if !ct_eq(tag.as_bytes(), second.tag.as_bytes()) {
-            return Err(SignatureError::Invalid);
-        }
-        memo_insert(memo2, content, Some(&suffix));
-    }
-    Ok(())
+    first.verify(directory, content_bytes)?;
+    second.verify_with_suffix(directory, content_bytes, Some(&cosign_suffix(first)))
 }
 
 /// [`verify_cosign_pair`] bypassing the host-side memo (benchmark path).
@@ -700,20 +369,9 @@ pub fn verify_cosign_pair_uncached(
     first: &Signature,
     second: &Signature,
 ) -> Result<(), SignatureError> {
-    let schedule = MacSchedule::new(content_bytes);
-    let key1 = directory.lookup(first.signer)?;
-    if !ct_eq(schedule.mac(key1.hmac()).as_bytes(), first.tag.as_bytes()) {
-        return Err(SignatureError::Invalid);
-    }
-    let key2 = directory.lookup(second.signer)?;
-    let suffix = cosign_suffix(first);
-    if !ct_eq(
-        schedule.mac_with_suffix(key2.hmac(), &suffix).as_bytes(),
-        second.tag.as_bytes(),
-    ) {
-        return Err(SignatureError::Invalid);
-    }
-    Ok(())
+    first.verify_uncached(directory, content_bytes)?;
+    let key = directory.lookup(second.signer)?;
+    second.check_tag(key.hmac(), content_bytes, Some(&cosign_suffix(first)))
 }
 
 /// A message carrying exactly one signature — the form exchanged *between*
@@ -754,10 +412,7 @@ impl<T> SingleSigned<T> {
     /// Counter-signs this message with a second key, producing the
     /// double-signed form that destinations accept as the FS process output.
     pub fn counter_sign(self, content_bytes: &[u8], key: &SigningKey) -> DoubleSigned<T> {
-        // The second signature covers the content bytes *and* the first
-        // signature, so the pair of signatures cannot be mixed and matched
-        // across messages.
-        let second = Signature::sign(key, &co_sign_bytes(content_bytes, &self.signature));
+        let second = Signature::co_sign(key, content_bytes, &self.signature);
         DoubleSigned {
             content: self.content,
             first: self.signature,
@@ -776,13 +431,6 @@ pub struct DoubleSigned<T> {
     pub first: Signature,
     /// The second signature (by the wrapper that successfully compared it).
     pub second: Signature,
-}
-
-fn co_sign_bytes(content_bytes: &[u8], first: &Signature) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(content_bytes.len() + 36);
-    buf.extend_from_slice(content_bytes);
-    buf.extend_from_slice(&cosign_suffix(first));
-    buf
 }
 
 impl<T> DoubleSigned<T> {
@@ -813,33 +461,6 @@ impl<T> DoubleSigned<T> {
     ) -> Result<(), SignatureError> {
         self.check_pair(expected_pair)?;
         verify_cosign_pair(directory, content_bytes, &self.first, &self.second)
-    }
-
-    /// Verifies every double-signed message in `items` over the same
-    /// `content_bytes` against the same expected pair, sharing the content's
-    /// message schedule across the whole batch (each item adds only its two
-    /// per-key finalizations).
-    ///
-    /// All-or-nothing contract: `Ok(())` only when every item verifies,
-    /// otherwise the error a sequential [`DoubleSigned::verify`] loop would
-    /// have produced first.  Memo hits short-circuit per signature exactly
-    /// as in the sequential path.
-    ///
-    /// # Errors
-    ///
-    /// See [`DoubleSigned::verify`].
-    pub fn verify_batch(
-        items: &[&DoubleSigned<T>],
-        directory: &KeyDirectory,
-        content_bytes: &[u8],
-        expected_pair: (SignerId, SignerId),
-    ) -> Result<(), SignatureError> {
-        let mut schedule = LazyMacSchedule::new(Message::Slice(content_bytes));
-        for item in items {
-            item.check_pair(expected_pair)?;
-            verify_cosign_pair_with(directory, &mut schedule, &item.first, &item.second)?;
-        }
-        Ok(())
     }
 
     /// The structural half of [`DoubleSigned::verify`]: distinct signers,
@@ -901,6 +522,10 @@ mod tests {
         let b = keys.remove(&SignerId(ProcessId(2))).unwrap();
         let c = keys.remove(&SignerId(ProcessId(3))).unwrap();
         (a, b, c, dir)
+    }
+
+    fn co_sign_bytes(content_bytes: &[u8], first: &Signature) -> Vec<u8> {
+        [content_bytes, &cosign_suffix(first)].concat()
     }
 
     #[test]
@@ -1115,61 +740,19 @@ mod tests {
         );
     }
 
-    #[test]
-    fn double_signed_verify_batch() {
-        let (a, b, _, dir) = setup();
-        let bytes = b"one frame, many authenticator pairs".to_vec();
-        let pair = (a.signer, b.signer);
-        // Two distinct valid items over the same content (opposite signing
-        // orders, as the paper notes the two valid copies carry).
-        let d1 = SingleSigned::new((), &bytes, &a).counter_sign(&bytes, &b);
-        let d2 = SingleSigned::new((), &bytes, &b).counter_sign(&bytes, &a);
-        assert!(DoubleSigned::verify_batch(&[&d1, &d2], &dir, &bytes, pair).is_ok());
-        let mut bad = d2.clone();
-        bad.second.tag = crate::sha256::Sha256::digest(b"forged");
-        assert_eq!(
-            DoubleSigned::verify_batch(&[&d1, &bad], &dir, &bytes, pair).unwrap_err(),
-            SignatureError::Invalid
-        );
-        let dup = DoubleSigned {
-            content: (),
-            first: d1.first.clone(),
-            second: d1.first.clone(),
-        };
-        assert_eq!(
-            DoubleSigned::verify_batch(&[&dup, &d1], &dir, &bytes, pair).unwrap_err(),
-            SignatureError::DuplicateSigner
-        );
+    fn forget_memo() {
+        VERIFY_MEMO.with(|memo| *memo.borrow_mut() = VerifyMemoStore::default());
     }
 
-    /// Splits `data` into a prefix and a trailing 36 bytes reinterpreted as
-    /// the co-signature suffix of some first signature, so arbitrary test
-    /// vectors can be pushed through [`SignedPrefix::co_sign`].
-    fn split_as_cosign(data: &[u8]) -> (Vec<u8>, Signature) {
-        let (prefix, suffix) = data.split_at(data.len() - 36);
-        let first = Signature {
-            signer: SignerId(ProcessId(u32::from_le_bytes(
-                suffix[..4].try_into().unwrap(),
-            ))),
-            tag: Digest(suffix[4..].try_into().unwrap()),
-        };
-        assert_eq!(cosign_suffix(&first), suffix);
-        (prefix.to_vec(), first)
-    }
-
+    /// The streamed co-signature is the signature over the concatenation,
+    /// at every message length around the block and padding boundaries.
     #[test]
-    fn resumed_cosign_equals_signing_the_concatenation() {
+    fn co_sign_equals_signing_the_concatenation() {
         let (a, b, _, dir) = setup();
         for len in (0..=200).chain([10_240]) {
-            let content: Bytes = (0..len)
-                .map(|i| (i % 251) as u8)
-                .collect::<Vec<u8>>()
-                .into();
-            let (sig, prefix) = Signature::sign_parts(&b, &content.clone().into());
-            assert_eq!(sig, Signature::sign(&b, &content), "len {len}");
-            assert_eq!(prefix.message().to_bytes(), content);
+            let content: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
             let first = Signature::sign(&a, &content);
-            let second = prefix.co_sign(&first);
+            let second = Signature::co_sign(&b, &content, &first);
             assert_eq!(
                 second,
                 Signature::sign(&b, &co_sign_bytes(&content, &first)),
@@ -1177,224 +760,76 @@ mod tests {
             );
             // The pair is a valid double signature, memoised or not.
             assert!(verify_cosign_pair(&dir, &content, &first, &second).is_ok());
+            forget_memo();
+            assert!(verify_cosign_pair(&dir, &content, &first, &second).is_ok());
             assert!(verify_cosign_pair_uncached(&dir, &content, &first, &second).is_ok());
         }
     }
 
-    /// RFC 4231 HMAC-SHA-256 vectors through the resumable path.  HMAC
-    /// zero-pads short keys and hashes long ones, so each RFC key has an
-    /// equivalent 32-byte `SigningKey`.
-    #[test]
-    fn rfc4231_vectors_through_the_resumed_path() {
-        fn short_key(key: &[u8]) -> [u8; 32] {
-            let mut k = [0u8; 32];
-            k[..key.len()].copy_from_slice(key);
-            k
-        }
-        let long_key = crate::sha256::Sha256::digest(&[0xaa; 131]).0;
-        let vectors: Vec<([u8; 32], Vec<u8>, &str)> = vec![
-            (
-                short_key(&[0x0b; 20]),
-                b"Hi There".to_vec(),
-                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
-            ),
-            (
-                short_key(b"Jefe"),
-                b"what do ya want for nothing?".to_vec(),
-                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
-            ),
-            (
-                short_key(&[0xaa; 20]),
-                vec![0xdd; 50],
-                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
-            ),
-            (
-                long_key,
-                b"Test Using Larger Than Block-Size Key - Hash Key First".to_vec(),
-                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
-            ),
-            (
-                long_key,
-                b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm.".to_vec(),
-                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
-            ),
-        ];
-        for (secret, data, expected) in vectors {
-            let key = SigningKey::from_bytes(SignerId(ProcessId(1)), secret);
-            // The whole vector as the signed message...
-            let whole = Bytes::copy_from_slice(&data);
-            let (sig, _) = Signature::sign_parts(&key, &whole.clone().into());
-            assert_eq!(sig.tag.to_hex(), expected);
-            // ...split in two at every offset...
-            for split in 0..=data.len() {
-                let (sig, _) = Signature::sign_parts(&key, &parts_at(&whole, split));
-                assert_eq!(sig.tag.to_hex(), expected, "split {split}");
-            }
-            // ...and, where it is long enough, as prefix ‖ co-sign suffix.
-            if data.len() >= 36 {
-                let (prefix, first) = split_as_cosign(&data);
-                for split in 0..=prefix.len() {
-                    let message = parts_at(&prefix, split);
-                    let (_, signed) = Signature::sign_parts(&key, &message);
-                    assert_eq!(signed.co_sign(&first).tag.to_hex(), expected);
-                    assert_eq!(
-                        Signature::co_sign_parts(&key, &message, &first)
-                            .tag
-                            .to_hex(),
-                        expected
-                    );
-                }
-            }
-        }
-    }
-
-    /// `message` as the parts `message[..split] ‖ message[split..]`, each
-    /// in storage of its own (as a header and a payload are).
-    fn parts_at(message: &[u8], split: usize) -> Parts {
-        Parts {
-            head: Bytes::copy_from_slice(&message[..split]),
-            body: Bytes::copy_from_slice(&message[split..]),
-        }
-    }
-
-    fn forget_memo() {
-        VERIFY_MEMO.with(|memo| *memo.borrow_mut() = VerifyMemoStore::default());
-    }
-
-    /// Part-wise sign / co-sign / verify / batch verify / pair verify give
-    /// the tags and verdicts of the contiguous calls at every split point,
-    /// memo cold and warm.  (CI runs this under `FS_CRYPTO_BACKEND=scalar`
-    /// too.)
-    #[test]
-    fn part_wise_operations_equal_the_contiguous_ones() {
-        let (a, b, c, dir) = setup();
-        for len in (0..=200).chain([10_240]) {
-            let content: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-            let first = Signature::sign(&a, &content);
-            let second = Signature::sign(&b, &co_sign_bytes(&content, &first));
-            let third = Signature::sign(&c, &content);
-            let splits: Vec<usize> = if len <= 200 {
-                (0..=len).collect()
-            } else {
-                vec![0, 1, 22, 63, 64, 65, 5_000, len - 1, len]
-            };
-            for split in splits {
-                let parts = parts_at(&content, split);
-                assert_eq!(parts.len(), len);
-                assert_eq!(parts.to_bytes(), content);
-                forget_memo();
-                // Cold memo: every check really hashes the two parts.
-                assert!(first.verify_parts(&dir, &parts).is_ok(), "{len}/{split}");
-                forget_memo();
-                assert!(verify_cosign_pair_parts(&dir, &parts, &first, &second).is_ok());
-                forget_memo();
-                assert!(Signature::verify_batch_parts(&[&first, &third], &dir, &parts).is_ok());
-                // Warm memo (seeded through parts): the contiguous calls hit it
-                // and agree, and so do the part-wise ones.
-                assert!(first.verify(&dir, &content).is_ok());
-                assert!(verify_cosign_pair(&dir, &content, &first, &second).is_ok());
-                assert!(Signature::verify_batch(&[&first, &third], &dir, &content).is_ok());
-                assert!(third.verify_parts(&dir, &parts).is_ok());
-                // Signing.
-                let (signed, prefix) = Signature::sign_parts(&a, &parts);
-                assert_eq!(signed, first, "{len}/{split}");
-                assert_eq!(Signature::co_sign_parts(&b, &parts, &first), second);
-                let (_, b_prefix) = Signature::sign_parts(&b, &parts);
-                assert_eq!(b_prefix.co_sign(&first), second);
-                assert_eq!(prefix.message().to_bytes(), content);
-                // A wrong tag fails the same way on both paths.
-                assert_eq!(
-                    third.verify_parts(&dir, &parts_at(&co_sign_bytes(&content, &first), split)),
-                    Err(SignatureError::Invalid)
-                );
-                assert_eq!(
-                    verify_cosign_pair_parts(&dir, &parts, &first, &third),
-                    verify_cosign_pair_uncached(&dir, &content, &first, &third),
-                );
-                assert_eq!(
-                    Signature::verify_batch_parts(&[&first, &second], &dir, &parts),
-                    Signature::verify_batch_uncached(&[&first, &second], &dir, &content),
-                );
-            }
-        }
-    }
-
-    /// A memo hit requires the exact bytes: flipping any one byte of any
-    /// part (or of the co-sign suffix) of a memoised message misses the
-    /// memo and fails the real check, whatever the split of either side.
+    /// A memo hit requires the exact bytes: flipping any one byte of a
+    /// memoised message (or of the co-sign suffix) misses the memo and
+    /// fails the real check.
     #[test]
     fn memo_hit_never_accepts_a_message_differing_in_one_byte() {
         let (a, b, _, dir) = setup();
-        let content: Vec<u8> = (0..90u8).collect();
-        let stored = parts_at(&content, 22);
-        let (first, prefix_a) = Signature::sign_parts(&a, &stored);
-        let (_, prefix_b) = Signature::sign_parts(&b, &stored);
-        let second = prefix_b.co_sign(&first);
-        drop(prefix_a);
-        // The untouched message hits, at any split.
-        for split in [0, 22, 57, 90] {
-            let probe = parts_at(&content, split);
-            assert!(first.verify_parts(&dir, &probe).is_ok());
-            assert!(verify_cosign_pair_parts(&dir, &probe, &first, &second).is_ok());
-        }
+        // The longest statement: with the co-sign suffix, 90 bytes.
+        let content: Vec<u8> = (0..54u8).collect();
+        let first = Signature::sign(&a, &content);
+        let second = Signature::co_sign(&b, &content, &first);
+        // The untouched message hits: both tags were memoised by signing.
+        let memoised = |sig: &Signature, key: &SigningKey, suffix: Option<&[u8; 36]>| {
+            memo_matches(
+                &(sig.signer, key.hmac().fingerprint(), sig.tag),
+                &content,
+                suffix,
+            )
+        };
+        assert!(memoised(&first, &a, None));
+        assert!(memoised(&second, &b, Some(&cosign_suffix(&first))));
+        assert!(first.verify(&dir, &content).is_ok());
+        assert!(verify_cosign_pair(&dir, &content, &first, &second).is_ok());
         for flip in 0..content.len() {
             let mut forged = content.clone();
             forged[flip] ^= 0x40;
-            for split in [0, 22, 57, 90] {
-                let probe = parts_at(&forged, split);
-                assert_eq!(
-                    first.verify_parts(&dir, &probe),
-                    Err(SignatureError::Invalid),
-                    "byte {flip}, split {split}"
-                );
-                assert_eq!(first.verify(&dir, &forged), Err(SignatureError::Invalid));
-                assert_eq!(
-                    verify_cosign_pair_parts(&dir, &probe, &first, &second),
-                    Err(SignatureError::Invalid)
-                );
-                assert_eq!(
-                    Signature::verify_batch_parts(&[&first], &dir, &probe),
-                    Err(SignatureError::Invalid)
-                );
-            }
+            assert_eq!(
+                first.verify(&dir, &forged),
+                Err(SignatureError::Invalid),
+                "byte {flip}"
+            );
+            assert_eq!(
+                verify_cosign_pair(&dir, &forged, &first, &second),
+                Err(SignatureError::Invalid)
+            );
+            assert_eq!(
+                Signature::verify_batch(&[&first], &dir, &forged),
+                Err(SignatureError::Invalid)
+            );
         }
+        // A truncated message is a different message.
+        assert_eq!(
+            first.verify(&dir, &content[..53]),
+            Err(SignatureError::Invalid)
+        );
         // A different first signature changes the co-sign suffix only.
         let mut other_first = first.clone();
         other_first.tag.0[7] ^= 1;
         assert_eq!(
-            verify_cosign_pair_parts(&dir, &stored, &other_first, &second),
+            verify_cosign_pair(&dir, &content, &other_first, &second),
             Err(SignatureError::Invalid)
         );
         // Shifting the boundary between message and suffix is still the
         // same bytes, and still a hit: the memo records bytes, not shapes.
         let suffixed = co_sign_bytes(&content, &first);
         assert!(second.verify(&dir, &suffixed).is_ok());
-        // The entries hold refcounts of the signer's buffers, not copies.
-        // A small message is kept as one compact copy; a large one by
-        // refcounts of the signer's own buffers.
-        let entry_of = |sig: &Signature| {
-            VERIFY_MEMO.with(|memo| {
-                match &memo.borrow().map[&(a.signer, a.hmac().fingerprint(), sig.tag)] {
-                    MemoEntry::Compact(_) => None,
-                    MemoEntry::Shared(shared) => Some(shared.message.clone()),
-                }
-            })
-        };
-        assert!(entry_of(&first).is_none());
-        let large = parts_at(&vec![0x42u8; MEMO_SHARE_MIN], 22);
-        let (large_sig, _) = Signature::sign_parts(&a, &large);
-        let kept = entry_of(&large_sig).expect("kept by refcount");
-        assert!(kept.head.same_view(&large.head) && kept.body.same_view(&large.body));
-        // A part that is a window into a larger buffer is detached.
-        let frame: Bytes = vec![0x42u8; MEMO_SHARE_MIN + 100].into();
-        let windowed = Parts {
-            head: frame.slice(..30),
-            body: frame.slice(30..MEMO_SHARE_MIN + 30),
-        };
-        let (windowed_sig, _) = Signature::sign_parts(&a, &windowed);
-        let kept = entry_of(&windowed_sig).expect("kept by refcount");
-        assert_eq!(kept.to_bytes(), windowed.to_bytes());
-        assert!(!kept.body.shares_storage(&frame) && !kept.head.shares_storage(&frame));
+        // A longer message verifies all the same, and is not remembered.
+        let long = vec![7u8; MEMO_MESSAGE_MAX + 1];
+        let sig = Signature::sign(&a, &long);
+        assert!(sig.verify(&dir, &long).is_ok());
+        assert!(!memo_matches(
+            &(sig.signer, a.hmac().fingerprint(), sig.tag),
+            &long,
+            None
+        ));
     }
 
     #[test]

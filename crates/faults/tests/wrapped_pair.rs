@@ -8,9 +8,10 @@ use std::sync::Arc;
 
 use fs_common::Frame;
 
-use failsignal::message::FsoInbound;
+use failsignal::message::{FsoInbound, PairMessage};
 use failsignal::provision::{FsPairBuilder, FsPairSpec};
 use failsignal::receiver::{FsDelivery, FsReceiver};
+use failsignal::wrapper::{FsoActor, FsoPoolSizes, FsoStats};
 use fs_common::codec::Wire;
 use fs_common::config::TimingAssumptions;
 use fs_common::id::{FsId, ProcessId};
@@ -22,6 +23,7 @@ use fs_faults::{FaultKind, FaultPlan, FaultyActor, InjectionStats};
 use fs_simnet::actor::{Actor, Context, TimerId};
 use fs_simnet::node::NodeConfig;
 use fs_simnet::sim::Simulation;
+use fs_simnet::trace::TraceEvent;
 use fs_smr::machine::{EchoMachine, Endpoint};
 
 const LEADER: ProcessId = ProcessId(0);
@@ -74,12 +76,15 @@ struct Outcome {
     stats: InjectionStats,
     outputs: Vec<Vec<u8>>,
     fail_signals: Vec<FsId>,
+    /// The (unwrapped) leader's counters and pool sizes at the end.
+    leader_stats: FsoStats,
+    leader_pools: FsoPoolSizes,
 }
 
-/// Builds a pair around two echo machines, wraps the follower in a
-/// [`FaultyActor`] with the given plan, runs the campaign, and returns the
-/// injector's counters together with what the destination observed.
-fn run_wrapped_pair(plan: FaultPlan) -> Outcome {
+/// Builds a pair around two echo machines, lets `wrap` put the follower
+/// behind a misbehaving shell, runs the campaign with tracing on, and
+/// returns the simulation for inspection.
+fn run_pair(wrap: impl FnOnce(FsoActor) -> Box<dyn Actor>) -> Simulation {
     let mut rng = DetRng::new(123);
     let (mut keys, directory) = provision([LEADER, FOLLOWER], &mut rng);
     let spec = FsPairSpec::new(FsId(1), LEADER, FOLLOWER);
@@ -97,15 +102,12 @@ fn run_wrapped_pair(plan: FaultPlan) -> Outcome {
         );
 
     let mut sim = Simulation::new(9);
+    sim.enable_trace();
     let node_a = sim.add_node(NodeConfig::era_2003());
     let node_b = sim.add_node(NodeConfig::era_2003());
     let node_c = sim.add_node(NodeConfig::era_2003());
     sim.spawn_with(LEADER, node_a, Box::new(leader));
-    sim.spawn_with(
-        FOLLOWER,
-        node_b,
-        Box::new(FaultyActor::new(Box::new(follower), plan, 77)),
-    );
+    sim.spawn_with(FOLLOWER, node_b, wrap(follower));
     sim.spawn_with(CLIENT, node_c, Box::new(Client { sent: 0 }));
     let mut receiver = FsReceiver::new(directory);
     receiver.register_source(FsId(1), spec.signers());
@@ -120,15 +122,26 @@ fn run_wrapped_pair(plan: FaultPlan) -> Outcome {
     );
 
     sim.run_until(SimTime::from_secs(60));
+    sim
+}
+
+/// [`run_pair`] with the follower wrapped in a [`FaultyActor`] with the
+/// given plan; returns the injector's counters together with what the
+/// destination and the leader observed.
+fn run_wrapped_pair(plan: FaultPlan) -> Outcome {
+    let sim = run_pair(|follower| Box::new(FaultyActor::new(Box::new(follower), plan, 77)));
     let stats = sim
         .actor::<FaultyActor>(FOLLOWER)
         .expect("wrapped follower")
         .stats();
     let destination = sim.actor::<Destination>(DESTINATION).expect("destination");
+    let leader = sim.actor::<FsoActor>(LEADER).expect("leader");
     Outcome {
         stats,
         outputs: destination.outputs.clone(),
         fail_signals: destination.fail_signals.clone(),
+        leader_stats: leader.stats(),
+        leader_pools: leader.pool_sizes(),
     }
 }
 
@@ -190,6 +203,146 @@ fn duplicate_outputs_counts_duplicates_and_is_masked() {
     );
     assert!(outcome.fail_signals.is_empty());
 }
+
+/// A duplicate of a candidate that already completed its comparison has
+/// nothing left to be compared with.  It used to be parked in the ECM pool
+/// — pinning its buffer — for the life of the wrapper; now it is counted as
+/// a duplicate and dropped, and a quiescent pair holds nothing.
+#[test]
+fn duplicated_candidates_do_not_stay_in_the_comparison_pools() {
+    let outcome = run_wrapped_pair(FaultPlan::immediate(FaultKind::DuplicateOutputs));
+    assert!(outcome.stats.duplicated > 0, "duplication fault must fire");
+    assert_eq!(outcome.leader_stats.outputs_validated, u64::from(REQUESTS));
+    assert_eq!(outcome.leader_pools, FsoPoolSizes::default());
+    assert!(
+        outcome.leader_stats.duplicates_suppressed > 0,
+        "the stale copies were seen and counted: {:?}",
+        outcome.leader_stats
+    );
+}
+
+/// A follower shell that, from output `from_seq` on, flips one byte of the
+/// body of every candidate it sends — *after* the wrapper signed it, so
+/// the frame carries bytes that do not hash to the digest the signature
+/// covers.
+struct TamperCandidates {
+    inner: FsoActor,
+    from_seq: u64,
+}
+
+struct TamperContext<'a> {
+    inner: &'a mut dyn Context,
+    from_seq: u64,
+}
+
+impl Context for TamperContext<'_> {
+    fn now(&self) -> SimTime {
+        self.inner.now()
+    }
+    fn me(&self) -> ProcessId {
+        self.inner.me()
+    }
+    fn send(&mut self, to: ProcessId, payload: Frame) {
+        let tampered = match FsoInbound::from_frame(&payload) {
+            Ok(FsoInbound::Pair(PairMessage::Candidate {
+                output_seq,
+                dest,
+                bytes,
+                signature,
+            })) if output_seq >= self.from_seq => {
+                let mut body = bytes.to_vec();
+                *body.last_mut().expect("echo outputs are not empty") ^= 0x01;
+                FsoInbound::Pair(PairMessage::Candidate {
+                    output_seq,
+                    dest,
+                    bytes: body.into(),
+                    signature,
+                })
+                .to_frame()
+            }
+            _ => payload,
+        };
+        self.inner.send(to, tampered);
+    }
+    fn set_timer(&mut self, delay: SimDuration, timer: TimerId) {
+        self.inner.set_timer(delay, timer);
+    }
+    fn cancel_timer(&mut self, timer: TimerId) {
+        self.inner.cancel_timer(timer);
+    }
+    fn charge_cpu(&mut self, amount: SimDuration) {
+        self.inner.charge_cpu(amount);
+    }
+    fn rng(&mut self) -> &mut DetRng {
+        self.inner.rng()
+    }
+    fn trace(&mut self, label: &str) {
+        self.inner.trace(label);
+    }
+}
+
+impl Actor for TamperCandidates {
+    fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Frame) {
+        let mut ctx = TamperContext {
+            inner: ctx,
+            from_seq: self.from_seq,
+        };
+        self.inner.on_message(&mut ctx, from, payload);
+    }
+    fn on_timer(&mut self, ctx: &mut dyn Context, timer: TimerId) {
+        let mut ctx = TamperContext {
+            inner: ctx,
+            from_seq: self.from_seq,
+        };
+        self.inner.on_timer(&mut ctx, timer);
+    }
+}
+
+/// A candidate whose bytes differ from what its signature covers makes the
+/// receiving wrapper fail-signal, for the reason and at the simulated
+/// instant it did when the signature ran over the bytes themselves (both
+/// pinned from a run of this test on the commit before statements): the
+/// check moved from "MAC over the received bytes" to "MAC over the digest of
+/// the received bytes", the verdict and its simulated cost did not.
+#[test]
+fn candidate_bytes_that_differ_from_the_signed_digest_fail_signal_as_before() {
+    let sim = run_pair(|follower| {
+        Box::new(TamperCandidates {
+            inner: follower,
+            from_seq: 3,
+        })
+    });
+    let leader = sim.actor::<FsoActor>(LEADER).expect("leader");
+    assert!(leader.has_failed());
+    assert_eq!(leader.stats().outputs_validated, 3);
+    assert_eq!(leader.stats().mismatches, 0, "never reached the comparison");
+    let fail_labels: Vec<(SimTime, ProcessId, &str)> = sim
+        .trace()
+        .expect("tracing enabled")
+        .events()
+        .iter()
+        .filter_map(|event| match event {
+            TraceEvent::Label { at, process, label } if label.starts_with("fail-signal") => {
+                Some((*at, *process, label.as_str()))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        fail_labels.first(),
+        Some(&(
+            SimTime::from_nanos(PARENT_FAIL_AT_NANOS),
+            LEADER,
+            "fail-signal: invalid candidate signature"
+        )),
+        "{fail_labels:?}"
+    );
+    let destination = sim.actor::<Destination>(DESTINATION).expect("destination");
+    assert_eq!(destination.fail_signals, vec![FsId(1)]);
+}
+
+/// When the leader fail-signalled in the test above on the parent commit.
+const PARENT_FAIL_AT_NANOS: u64 = 54_936_633;
 
 #[test]
 fn crash_counts_swallowed_events_and_triggers_fail_signal() {

@@ -1,6 +1,10 @@
-//! Golden bytes: digests of signed wire frames and of one simulator trace,
-//! generated on the commit *before* the SHA-NI kernel and the resumed
-//! co-signature landed.  Every tag, frame byte and trace event the protocol
+//! Golden bytes: digests of signed wire frames and of one simulator trace.
+//! The trace digests were generated on the commit *before* the SHA-NI kernel
+//! landed and have never moved; the four frame digests were re-pinned once,
+//! deliberately, when the signatures moved from `header ‖ body` to the
+//! statement `header ‖ SHA-256(body)` (tag values changed, frame lengths —
+//! asserted below since the commit before that — did not; old → new in
+//! CHANGES.md).  Every tag, frame byte and trace event the protocol
 //! emits is a pure function of (keys, content, seed), so any change that
 //! alters one of these digests changed what the system says on the wire —
 //! not merely how fast the host computes it.
@@ -13,9 +17,7 @@ use fs_smr_suite::common::Bytes;
 use fs_smr_suite::crypto::keys::{provision, SignerId};
 use fs_smr_suite::crypto::sha256::{CompressBackend, Sha256};
 use fs_smr_suite::crypto::sig::Signature;
-use fs_smr_suite::failsignal::message::{
-    signing_bytes, FsContent, FsOutput, FsoInbound, PairMessage,
-};
+use fs_smr_suite::failsignal::message::{FsContent, FsOutput, FsoInbound, PairMessage, Statement};
 use fs_smr_suite::harness::{NewTopService, Protocol, Scenario, Workload};
 use fs_smr_suite::smr::machine::Endpoint;
 
@@ -46,7 +48,10 @@ fn frames(payload_len: usize) -> (Bytes, Bytes) {
         output_seq: 7,
         dest: Endpoint::Peer(MemberId(2)),
         bytes: payload,
-        signature: Signature::sign(&follower, &signing_bytes(fs, &content)),
+        signature: Signature::sign(
+            &follower,
+            Statement::of(fs, &content, |body| Sha256::digest(body)).as_bytes(),
+        ),
     });
     (external.to_wire(), candidate.to_wire())
 }
@@ -56,17 +61,20 @@ fn signed_frames_match_golden_digests() {
     let golden = [
         (
             3usize,
-            "cbd9ecd53cca29356110dd16b48d8b0fae6cac0a52592e6417c1687883b98202",
-            "0090adaf244351d42abf97232c290a3fcc978908c1206c69a1ce64f3ec8399fd",
+            "c2c993fe44481bb97026690edf3407b94de2967f1d1dae56bde94e14897e72b1",
+            "7c8d12ca0b8c5ccfff80f1e3978a1c8992579ea473c93a4168f06982e43a72a2",
         ),
         (
             10_240,
-            "1caf4d36d6be29fbdd32c590adb20b2751db52e7aab965a0ecda31bd64ff8f15",
-            "c130e95a00b8ecfeef68d0eadd9ab3740a3037b808edddf4aa75562609b061d3",
+            "6d97f34e5ed88bfde653d6fe7a8cd01c578341c12a3b52efa01300af394c35d8",
+            "24d25c46fdffa9edf1392a4ed5fe01539e502a2827dbba5f0c8f886f03e9f75b",
         ),
     ];
     for (len, external_hex, candidate_hex) in golden {
         let (external, candidate) = frames(len);
+        // Tags are part of the frames; their sizes are not theirs to change.
+        assert_eq!(external.len(), 103 + len, "External, {len} B");
+        assert_eq!(candidate.len(), 59 + len, "Candidate, {len} B");
         assert_eq!(oracle_hex(&external), external_hex, "External, {len} B");
         assert_eq!(oracle_hex(&candidate), candidate_hex, "Candidate, {len} B");
     }

@@ -1,0 +1,144 @@
+//! Hash passes per ordered delivery, counted where they cannot hide: at the
+//! compression function.
+//!
+//! `fs_crypto::sha256::blocks_compressed` counts every 64-byte block the
+//! calling thread pushes through SHA-256 — body digests, HMAC inner and
+//! outer hashes, key schedules — on either backend.  The simulator runs
+//! every simulated node on the calling thread, so the difference of that
+//! counter across a window of a run is all the hashing the window did.
+//! One pass over a 10 KiB payload is 160 blocks.
+//!
+//! Measured on the simulator, FS-NewTOP, 3 members, seed 2003, over the
+//! steady-state window 0.8 s – 2.0 s of simulated time (the window of
+//! `tests/zero_copy.rs`; the counts are exact and repeat):
+//!
+//! | | parent commit (PR 15) | this change |
+//! |---|---|---|
+//! | 10 KiB payloads: blocks per ordered delivery | 551.8 = 3.45 passes | 186.3 = 1.16 passes |
+//! | 3 B payloads: blocks per ordered delivery | 23.6 | 36.7 |
+//! | 3 B payloads: signature operations per ordered delivery | 15.8 | 15.8 |
+//!
+//! The parent signed `header ‖ body`: per 3-member multicast, four signed
+//! outputs (`Data`, 3 × `Upcall::Deliver`) × two replicas through HMAC plus
+//! two input digests — ten passes over the body, 3⅓ per ordered delivery,
+//! and the small change it makes around them.  Signing `header ‖
+//! SHA-256(body)` leaves the three passes no scheme can avoid — the
+//! request, `Data` and `Deliver` are three different byte strings — so one
+//! per ordered delivery, plus the same small change.  The 10 KiB ceiling
+//! (1.5 passes) fails on the parent's count.
+//!
+//! At 3 B there is nothing to save and a little to pay: a body under the
+//! digest memo's size floor is hashed afresh (one compression) wherever the
+//! parent hashed it as part of the MAC or answered from a content-keyed
+//! table — 13.1 blocks per delivery more.  The ceiling grants one block per
+//! signature operation on top of the parent's count; an output validated by
+//! a wrapper stands for four of them: that wrapper's signature, its check
+//! of the partner's candidate, its counter-signature, and the check of the
+//! double-signed copy it emits at the first destination to see it (the
+//! other co-hosted destinations are answered by the output memo, digest
+//! included).
+
+use fs_smr_suite::common::time::{SimDuration, SimTime};
+use fs_smr_suite::crypto::sha256::blocks_compressed;
+use fs_smr_suite::failsignal::FsoActor;
+use fs_smr_suite::harness::{NewTopService, Protocol, Running, Scenario, Workload};
+
+/// Blocks in one pass over a 10 KiB payload.
+const PAYLOAD_PASS_BLOCKS: f64 = 160.0;
+
+/// 1.5 passes over the payload per ordered delivery; the parent commit
+/// makes 3.45.
+const PASSES_PER_DELIVERY_MAX: f64 = 1.5;
+
+/// The 23.6 blocks per ordered delivery the parent commit compresses in
+/// [`steady_state`] at 3 B.
+const SMALL_BLOCKS_PER_DELIVERY_PARENT: f64 = 23.6;
+
+/// What one steady-state window did.
+struct Window {
+    deliveries: u64,
+    blocks: u64,
+    /// Signs, candidate checks, counter-signs and first destination
+    /// checks: four per validated output per wrapper.
+    signature_ops: u64,
+}
+
+fn outputs_validated(run: &Running) -> u64 {
+    let sim = run.sim().expect("a simulator run");
+    run.members()
+        .iter()
+        .flat_map(|m| [m.leader, m.follower])
+        .map(|wrapper| {
+            let wrapper = sim.actor::<FsoActor>(wrapper).expect("a wrapper");
+            assert!(!wrapper.has_failed());
+            wrapper.stats().outputs_validated
+        })
+        .sum()
+}
+
+/// FS-NewTOP, 3 members, one multicast per member every 40 simulated ms:
+/// the window 0.8 s – 2.0 s, after the tables, memos and queues have
+/// reached their working size.
+fn steady_state(payload: usize) -> Window {
+    let mut run = Scenario::new(NewTopService::new())
+        .members(3)
+        .protocol(Protocol::FailSignal)
+        .workload(
+            Workload::paper_default()
+                .payload_size(payload)
+                .messages(60)
+                .interval(SimDuration::from_millis(40)),
+        )
+        .seed(2003)
+        .build();
+    let delivered =
+        |run: &mut Running| run.delivery_logs().iter().map(Vec::len).sum::<usize>() as u64;
+    run.run_until(SimTime::from_millis(800));
+    let (deliveries, outputs) = (delivered(&mut run), outputs_validated(&run));
+    let blocks = blocks_compressed();
+    run.run_until(SimTime::from_millis(2_000));
+    let window = Window {
+        blocks: blocks_compressed() - blocks,
+        deliveries: delivered(&mut run) - deliveries,
+        signature_ops: 4 * (outputs_validated(&run) - outputs),
+    };
+    assert!(
+        window.deliveries >= 60,
+        "a steady-state window, not {}",
+        window.deliveries
+    );
+    assert!(window.blocks > 0, "the counter counts on this backend");
+    window
+}
+
+#[test]
+fn a_10k_delivery_costs_at_most_one_and_a_half_passes_over_its_payload() {
+    let window = steady_state(10 * 1024);
+    let blocks = window.blocks as f64 / window.deliveries as f64;
+    let passes = blocks / PAYLOAD_PASS_BLOCKS;
+    println!(
+        "10 KiB: {} blocks over {} deliveries = {blocks:.1} each = {passes:.2} payload passes",
+        window.blocks, window.deliveries
+    );
+    assert!(
+        passes <= PASSES_PER_DELIVERY_MAX,
+        "{passes:.2} passes over the payload per ordered delivery \
+         (ceiling {PASSES_PER_DELIVERY_MAX})"
+    );
+}
+
+#[test]
+fn a_3_byte_delivery_pays_at_most_one_block_per_signature_operation_more() {
+    let window = steady_state(3);
+    let per = |count: u64| count as f64 / window.deliveries as f64;
+    let (blocks, ops) = (per(window.blocks), per(window.signature_ops));
+    println!(
+        "3 B: {} blocks, {} signature operations over {} deliveries = {blocks:.1} and {ops:.1} each",
+        window.blocks, window.signature_ops, window.deliveries
+    );
+    let ceiling = SMALL_BLOCKS_PER_DELIVERY_PARENT + ops;
+    assert!(
+        blocks <= ceiling,
+        "{blocks:.1} blocks per ordered delivery (ceiling {ceiling:.1})"
+    );
+}
