@@ -59,7 +59,8 @@
 //! * **ack_path** — the per-ack and per-input bookkeeping around the
 //!   cryptography: nanoseconds per `SymmetricOrder::on_ack` in a 9-member
 //!   view with 8, 64 and 512 messages pending (the curve must be flat in
-//!   the pending count).
+//!   the pending count), and in a 3-member view (an ack checks the head
+//!   against one clock per view member).
 //!
 //! * **frame_path** — one machine output through one wrapper pair and one
 //!   destination — leader signs and encodes the candidate frame; follower
@@ -287,6 +288,8 @@ struct ContentionRow {
 
 #[derive(Debug, Serialize)]
 struct OnAckRow {
+    /// Members of the view the head is checked against.
+    members: u32,
     /// Messages awaiting order while the acks arrive.
     pending: usize,
     on_ack_ns: f64,
@@ -294,7 +297,8 @@ struct OnAckRow {
 
 #[derive(Debug, Serialize)]
 struct AckPathReport {
-    /// `SymmetricOrder::on_ack` in a 9-member view, by pending count.
+    /// `SymmetricOrder::on_ack` in a 9-member view by pending count, and
+    /// in a 3-member view (the head check is one clock per view member).
     on_ack: Vec<OnAckRow>,
 }
 
@@ -805,47 +809,47 @@ fn bench_send_contention(pairs: u32, rounds: u64, gated: bool) -> ContentionRow 
 /// rows are timed in interleaved rounds and each keeps its fastest pass: a
 /// slow stretch only ever adds, and it adds to every row of the round alike.
 fn bench_ack_path(iters: u64) -> AckPathReport {
-    const MEMBERS: u32 = 9;
     const ROUNDS: usize = 15;
-    let view = View::initial((0..MEMBERS).map(MemberId));
     // Member 0 holds `pending` messages of the other members; acks then
-    // arrive from everyone but the last member, so nothing is ever
+    // arrive, under ever higher clocks, from everyone but the last member,
+    // so every ack checks the head against the whole view, nothing is ever
     // delivered and the pending set keeps its size.
-    let mut orders: Vec<(Vec<(MemberId, u64)>, SymmetricOrder)> = [8u64, 64, 512]
-        .iter()
-        .map(|&pending| {
-            let mut order = SymmetricOrder::new(MemberId(0));
-            let keys: Vec<(MemberId, u64)> = (0..pending)
-                .map(|i| (MemberId(1 + (i % 7) as u32), i / 7))
-                .collect();
-            for (i, &(origin, seq)) in keys.iter().enumerate() {
-                order.on_data(origin, seq, 1 + i as u64, vec![0u8; 3], &view);
-            }
-            (keys, order)
-        })
-        .collect();
-    let mut on_ack_ns = [f64::INFINITY; 3];
-    let mut next = 0usize;
+    let mut orders: Vec<(OnAckRow, View, SymmetricOrder)> =
+        [(9u32, 8usize), (9, 64), (9, 512), (3, 64)]
+            .iter()
+            .map(|&(members, pending)| {
+                let view = View::initial((0..members).map(MemberId));
+                let origins = u64::from(members - 2);
+                let mut order = SymmetricOrder::new(MemberId(0));
+                for i in 0..pending as u64 {
+                    let origin = MemberId(1 + (i % origins) as u32);
+                    order.on_data(origin, i / origins, 1 + i, vec![0u8; 3], &view);
+                }
+                let row = OnAckRow {
+                    members,
+                    pending,
+                    on_ack_ns: f64::INFINITY,
+                };
+                (row, view, order)
+            })
+            .collect();
+    let mut next = 0u64;
     for _ in 0..ROUNDS {
-        for ((keys, order), best) in orders.iter_mut().zip(&mut on_ack_ns) {
+        for (row, view, order) in &mut orders {
+            let ackers = u64::from(row.members - 2);
             let pass = time_ns_per_op(iters.max(1_000), || {
-                let (origin, seq) = keys[next % keys.len()];
-                let from = MemberId(1 + (next / keys.len()) as u32 % (MEMBERS - 2));
+                let from = MemberId(1 + (next % ackers) as u32);
                 next += 1;
-                black_box(order.on_ack(origin, seq, from, 1, &view));
+                black_box(order.on_ack(from, 1_000 + next, 0, view));
             });
-            *best = best.min(pass);
+            row.on_ack_ns = row.on_ack_ns.min(pass);
         }
     }
     let on_ack = orders
-        .iter()
-        .zip(on_ack_ns)
-        .map(|((keys, order), on_ack_ns)| {
-            assert_eq!(order.pending_count(), keys.len(), "nothing may deliver");
-            OnAckRow {
-                pending: keys.len(),
-                on_ack_ns,
-            }
+        .into_iter()
+        .map(|(row, _, order)| {
+            assert_eq!(order.pending_count(), row.pending, "nothing may deliver");
+            row
         })
         .collect();
     AckPathReport { on_ack }
@@ -1253,7 +1257,7 @@ fn check_ack_path(fresh: &AckPathReport) {
         fresh
             .on_ack
             .iter()
-            .find(|row| row.pending == pending)
+            .find(|row| row.members == 9 && row.pending == pending)
             .map(|row| row.on_ack_ns)
             .expect("the on_ack sweep covers 8 and 512 pending")
     };
@@ -1497,8 +1501,8 @@ fn main() {
 
     for row in &ack_path.on_ack {
         println!(
-            "ack_path: on_ack with {:>3} pending  {:>7.1} ns",
-            row.pending, row.on_ack_ns
+            "ack_path: on_ack, {} members, {:>3} pending  {:>7.1} ns",
+            row.members, row.pending, row.on_ack_ns
         );
     }
 

@@ -186,8 +186,16 @@ impl GcMachine {
     }
 
     /// How many protocol messages of each kind this object has received.
+    /// Two further keys count symmetric-order `Data` and `Ack` messages
+    /// among them: `"misattributed"`, those dropped because they named a
+    /// member other than the peer they arrived from, and `"gap"`, those
+    /// that showed a `Data` from their sender never arrived here.
     pub fn message_counts(&self) -> &BTreeMap<&'static str, u64> {
         &self.message_counts
+    }
+
+    fn count(&mut self, what: &'static str) {
+        *self.message_counts.entry(what).or_insert(0) += 1;
     }
 
     fn multicast_to_view(&self, msg: &GcMessage, outputs: &mut Vec<MachineOutput>) {
@@ -255,7 +263,8 @@ impl GcMachine {
         let Ok(message) = GcMessage::from_wire_shared(bytes) else {
             return outputs; // a malformed peer message cannot be processed
         };
-        *self.message_counts.entry(message.kind()).or_insert(0) += 1;
+        self.count(message.kind());
+        let gaps = self.sym.gap_count();
         match message {
             GcMessage::Data {
                 origin,
@@ -266,10 +275,18 @@ impl GcMachine {
                 payload,
             } => match service {
                 ServiceKind::SymmetricTotal => {
+                    // Clocks stand in for acks, so whose clock it is comes
+                    // from the link, never from the body.
+                    if origin != from {
+                        self.count("misattributed");
+                        return outputs;
+                    }
                     let (ack, dels) =
                         self.sym
-                            .on_data(origin, seq, ts, payload, self.membership.view());
-                    self.multicast_to_view(&ack, &mut outputs);
+                            .on_data(from, seq, ts, payload, self.membership.view());
+                    if let Some(ack) = ack {
+                        self.multicast_to_view(&ack, &mut outputs);
+                    }
                     self.deliver_up(dels, &mut outputs);
                 }
                 ServiceKind::AsymmetricTotal => {
@@ -313,14 +330,17 @@ impl GcMachine {
                 }
             },
             GcMessage::Ack {
-                origin,
-                seq,
                 from: acker,
                 clock,
+                sent_count,
             } => {
+                if acker != from {
+                    self.count("misattributed");
+                    return outputs;
+                }
                 let dels = self
                     .sym
-                    .on_ack(origin, seq, acker, clock, self.membership.view());
+                    .on_ack(from, clock, sent_count, self.membership.view());
                 self.deliver_up(dels, &mut outputs);
             }
             GcMessage::Order {
@@ -347,7 +367,6 @@ impl GcMachine {
                 // ping-based suspector); the machine itself has nothing to do.
             }
             GcMessage::Suspect { suspect, .. } => {
-                let _ = from;
                 self.apply_suspicion(suspect, false, &mut outputs);
             }
             GcMessage::Nack {
@@ -359,6 +378,9 @@ impl GcMachine {
                     outputs.push(MachineOutput::to_peer(requester, data.to_wire()));
                 }
             }
+        }
+        if self.sym.gap_count() > gaps {
+            self.count("gap");
         }
         outputs
     }
@@ -565,6 +587,94 @@ mod tests {
                 "member {member} order differs"
             );
         }
+    }
+
+    fn received(h: &GcHarness, kind: &str) -> u64 {
+        h.machines
+            .iter()
+            .map(|m| m.message_counts().get(kind).copied().unwrap_or(0))
+            .sum()
+    }
+
+    /// One sender at a time, whoever sent last: every other member acks
+    /// once, and every ack reaches every other member.
+    #[test]
+    fn isolated_symmetric_multicast_costs_one_ack_per_other_member() {
+        let n = 5;
+        let mut h = GcHarness::new(n);
+        for (sent, sender) in [0, 1, 1, 4, 2, 0, 3].into_iter().enumerate() {
+            h.app_multicast(sender, ServiceKind::SymmetricTotal, b"x");
+            let sent = sent as u64 + 1;
+            assert_eq!(received(&h, "data"), sent * u64::from(n - 1));
+            assert_eq!(received(&h, "ack"), sent * u64::from((n - 1) * (n - 1)));
+            for member in 0..n {
+                assert_eq!(h.delivered_orders(member).len() as u64, sent);
+            }
+        }
+    }
+
+    /// A member that lost a symmetric-order message stops at the hole —
+    /// its log stays a prefix — and the group carries on without it.
+    #[test]
+    fn symmetric_order_outlives_a_message_lost_to_one_member() {
+        let mut h = GcHarness::new(3);
+        h.app_multicast(0, ServiceKind::SymmetricTotal, b"seen by all");
+        h.drop_to = vec![MemberId(2)];
+        h.app_multicast(0, ServiceKind::SymmetricTotal, b"lost to member 2");
+        h.drop_to.clear();
+        h.app_multicast(1, ServiceKind::SymmetricTotal, b"after");
+        h.app_multicast(0, ServiceKind::SymmetricTotal, b"and after");
+        let reference = h.delivered_orders(0);
+        assert_eq!(reference.len(), 4);
+        assert_eq!(h.delivered_orders(1), reference);
+        assert_eq!(h.delivered_orders(2), reference[..1]);
+        assert!(h.machines[2].message_counts()["gap"] > 0);
+        assert_eq!(received(&h, "gap"), h.machines[2].message_counts()["gap"]);
+    }
+
+    /// Whose clock a message carries is read off the link: a body naming
+    /// somebody else is dropped, counted, and moves nothing.
+    #[test]
+    fn symmetric_messages_naming_another_member_are_dropped() {
+        let group: Vec<MemberId> = (0..3).map(MemberId).collect();
+        let mut gc = GcMachine::new(GcConfig::new(MemberId(0), group).with_costs(GcCosts::free()));
+        let request = AppRequest {
+            service: ServiceKind::SymmetricTotal,
+            payload: b"mine".to_vec().into(),
+        };
+        gc.handle(&MachineInput::from_app(request.to_wire()));
+        let ack_as = |from: u32| {
+            GcMessage::Ack {
+                from: MemberId(from),
+                clock: 9,
+                sent_count: 0,
+            }
+            .to_wire()
+        };
+        // Member 1 speaks for itself, then for member 2.
+        assert!(gc
+            .handle(&MachineInput::from_peer(MemberId(1), ack_as(1)))
+            .is_empty());
+        assert!(gc
+            .handle(&MachineInput::from_peer(MemberId(1), ack_as(2)))
+            .is_empty());
+        let forged = GcMessage::Data {
+            origin: MemberId(2),
+            seq: 0,
+            ts: 9,
+            vc: vec![],
+            service: ServiceKind::SymmetricTotal,
+            payload: b"not from 2".to_vec().into(),
+        };
+        assert!(gc
+            .handle(&MachineInput::from_peer(MemberId(1), forged.to_wire()))
+            .is_empty());
+        assert_eq!(gc.message_counts()["misattributed"], 2);
+        assert!(gc.delivered().is_empty());
+        // Member 2's own ack is what was missing.
+        let outputs = gc.handle(&MachineInput::from_peer(MemberId(2), ack_as(2)));
+        assert_eq!(outputs.len(), 1);
+        assert_eq!(gc.delivered().len(), 1);
     }
 
     #[test]

@@ -227,16 +227,17 @@ pub enum GcMessage {
         /// from; held by refcount while the message awaits its order).
         payload: Bytes,
     },
-    /// A symmetric-total-order acknowledgement of `(origin, seq)` by `from`.
+    /// A symmetric-total-order acknowledgement by `from` of everything
+    /// timestamped below `clock`.
     Ack {
-        /// The member whose message is acknowledged.
-        origin: MemberId,
-        /// Its sequence number.
-        seq: u64,
         /// The acknowledging member.
         from: MemberId,
         /// The acknowledging member's Lamport clock after receipt.
         clock: u64,
+        /// How many `Data` messages `from` had multicast before this one
+        /// (its next sequence number): the receiver believes `clock` only
+        /// if it holds them all.
+        sent_count: u64,
     },
     /// A sequencing decision by the asymmetric-order sequencer.
     Order {
@@ -341,16 +342,14 @@ impl Wire for GcMessage {
                 enc.put_shared(payload);
             }
             GcMessage::Ack {
-                origin,
-                seq,
                 from,
                 clock,
+                sent_count,
             } => {
                 enc.put_u8(1);
-                enc.put_member(*origin);
-                enc.put_u64(*seq);
                 enc.put_member(*from);
                 enc.put_u64(*clock);
+                enc.put_u64(*sent_count);
             }
             GcMessage::Order {
                 sequencer,
@@ -417,10 +416,9 @@ impl Wire for GcMessage {
                 })
             }
             1 => Ok(GcMessage::Ack {
-                origin: dec.get_member()?,
-                seq: dec.get_u64()?,
                 from: dec.get_member()?,
                 clock: dec.get_u64()?,
+                sent_count: dec.get_u64()?,
             }),
             2 => Ok(GcMessage::Order {
                 sequencer: dec.get_member()?,
@@ -454,7 +452,7 @@ impl Wire for GcMessage {
             GcMessage::Data { vc, payload, .. } => {
                 4 + 8 + 8 + 4 + 8 * vc.len() + 1 + 4 + payload.len()
             }
-            GcMessage::Ack { .. } => 4 + 8 + 4 + 8,
+            GcMessage::Ack { .. } => 4 + 8 + 8,
             GcMessage::Order { .. } => 4 + 8 + 4 + 8,
             GcMessage::Ping { .. } | GcMessage::Pong { .. } => 4 + 8,
             GcMessage::Suspect { .. } => 4 + 4,
@@ -549,10 +547,9 @@ mod tests {
                 payload: vec![0xab; 10].into(),
             },
             GcMessage::Ack {
-                origin: MemberId(1),
-                seq: 9,
                 from: MemberId(2),
                 clock: 35,
+                sent_count: 9,
             },
             GcMessage::Order {
                 sequencer: MemberId(0),
@@ -601,10 +598,9 @@ mod tests {
             }
             .kind(),
             GcMessage::Ack {
-                origin: MemberId(0),
-                seq: 0,
                 from: MemberId(0),
                 clock: 0,
+                sent_count: 0,
             }
             .kind(),
             GcMessage::Order {

@@ -143,10 +143,9 @@ fn with_every_wire_type(
     );
     check(
         &GcMessage::Ack {
-            origin: MemberId(1),
-            seq,
             from: MemberId(2),
             clock: seq,
+            sent_count: seq,
         },
         None,
     );

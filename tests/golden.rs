@@ -1,10 +1,13 @@
 //! Golden bytes: digests of signed wire frames and of one simulator trace.
-//! The trace digests were generated on the commit *before* the SHA-NI kernel
-//! landed and have never moved; the four frame digests were re-pinned once,
-//! deliberately, when the signatures moved from `header ‖ body` to the
-//! statement `header ‖ SHA-256(body)` (tag values changed, frame lengths —
-//! asserted below since the commit before that — did not; old → new in
-//! CHANGES.md).  Every tag, frame byte and trace event the protocol
+//! Each set was re-pinned once, deliberately, by the one change that meant
+//! to move it (old → new in CHANGES.md both times): the four frame digests
+//! when the signatures moved from `header ‖ body` to the statement
+//! `header ‖ SHA-256(body)` (tag values changed, frame lengths — asserted
+//! below since the commit before that — did not; the traces did not move);
+//! the two trace digests when symmetric total order stopped acknowledging
+//! every message explicitly (fewer, shorter `Ack`s: 1 488 → 1 152 trace
+//! events at n = 3, 36 000 → 10 800 at n = 9; the frames did not move).
+//! Every tag, frame byte and trace event the protocol
 //! emits is a pure function of (keys, content, seed), so any change that
 //! alters one of these digests changed what the system says on the wire —
 //! not merely how fast the host computes it.
@@ -109,17 +112,17 @@ fn fs_newtop_trace_hex(members: u32) -> String {
 fn fs_newtop_trace_matches_golden_digest() {
     assert_eq!(
         fs_newtop_trace_hex(3),
-        "0459e57ebf845dba43746d2617b4e532bcb6902d027d9e2533ec80df5d083a07"
+        "ec832a5246cd10f3fd9ae1381b15e7a8ab4d0754cb2adbc1f914256b8123526b"
     );
 }
 
-/// The same pin at the group size where the ordering bookkeeping dominates
-/// (9 members: 36 pending messages, 288 acks per member), generated on the
-/// commit *before* the symmetric-order core was indexed.
+/// The same pin at the group size where the ordering traffic dominates
+/// (9 members, 36 messages: 288 explicit acks per member before clocks stood
+/// in for them).
 #[test]
 fn fs_newtop_n9_trace_matches_golden_digest() {
     assert_eq!(
         fs_newtop_trace_hex(9),
-        "69f6842b0ad5bd8620205b4d12f7280bbc96d66867c0447bd326366836197bed"
+        "4d62891f424c71b474a334b1925fb8853247a9d494b1fda2d42b4b4497627395"
     );
 }

@@ -387,7 +387,7 @@ proptest! {
             service: ServiceKind::SymmetricTotal,
             payload: payload.clone().into(),
         });
-        check(&GcMessage::Ack { origin: MemberId(member), seq, from: MemberId(member + 1), clock: seq });
+        check(&GcMessage::Ack { from: MemberId(member + 1), clock: seq, sent_count: seq });
         check(&GcMessage::Order { sequencer: MemberId(0), global_seq: seq, origin: MemberId(member), seq });
         check(&GcMessage::Ping { from: MemberId(member), nonce: seq });
         check(&GcMessage::Pong { from: MemberId(member), nonce: seq });
