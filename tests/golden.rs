@@ -7,6 +7,10 @@
 //! the two trace digests when symmetric total order stopped acknowledging
 //! every message explicitly (fewer, shorter `Ack`s: 1 488 → 1 152 trace
 //! events at n = 3, 36 000 → 10 800 at n = 9; the frames did not move).
+//! A third set — the `gated_*` pins: trace digest, `LoadStats` and
+//! latency-sample count of runs under backpressure, batching, a member
+//! restart and router expiry — was computed on the commit before the load
+//! generators and the deployment path were unified, and did not move.
 //! Every tag, frame byte and trace event the protocol
 //! emits is a pure function of (keys, content, seed), so any change that
 //! alters one of these digests changed what the system says on the wire —
@@ -21,7 +25,12 @@ use fs_smr_suite::crypto::keys::{provision, SignerId};
 use fs_smr_suite::crypto::sha256::{CompressBackend, Sha256};
 use fs_smr_suite::crypto::sig::Signature;
 use fs_smr_suite::failsignal::message::{FsContent, FsOutput, FsoInbound, PairMessage, Statement};
-use fs_smr_suite::harness::{NewTopService, Protocol, Scenario, Workload};
+use fs_smr_suite::harness::{
+    Admission, Cluster, FaultSchedule, LoadStats, NewTopService, Protocol, Scenario, SmrKvService,
+    Workload,
+};
+use fs_smr_suite::newtop::suspector::SuspectorConfig;
+use fs_smr_suite::simnet::trace::TraceLog;
 use fs_smr_suite::smr::machine::Endpoint;
 
 /// Hashes on the scalar oracle so the golden check never depends on the
@@ -124,5 +133,120 @@ fn fs_newtop_n9_trace_matches_golden_digest() {
     assert_eq!(
         fs_newtop_trace_hex(9),
         "4d62891f424c71b474a334b1925fb8853247a9d494b1fda2d42b4b4497627395"
+    );
+}
+
+/// One line per pinned run: the scalar-oracle digest of its simulator
+/// trace, its merged [`LoadStats`] and its latency-sample count.  Completion
+/// is deliberately not part of a pin — a crash under load need not give it.
+fn load_pin(trace: &TraceLog, stats: LoadStats, latency_samples: usize) -> String {
+    let trace_json = serde_json::to_string(trace).unwrap();
+    format!(
+        "{} offered={} submitted={} shed={} blocked={} completed={} samples={}",
+        oracle_hex(trace_json.as_bytes()),
+        stats.offered,
+        stats.submitted,
+        stats.shed,
+        stats.blocked,
+        stats.completed,
+        latency_samples,
+    )
+}
+
+/// Runs `scenario` traced to its horizon and pins it.
+fn scenario_pin(scenario: Scenario) -> String {
+    let mut run = scenario.seed(2003).build();
+    run.enable_trace();
+    run.run_until(SimTime::from_secs(600));
+    let (stats, samples) = (run.load_stats(), run.latencies().len());
+    load_pin(run.trace().expect("tracing enabled"), stats, samples)
+}
+
+/// The open-loop load plane under backpressure: Poisson arrivals against a
+/// blocking admission gate, so completions refill the window, and batching
+/// on.  Pinned before the three per-actor copies of this machinery
+/// (`AppProcess`, `SmrDriver`, `ClusterRouter`) were folded into one
+/// `LoadGen`, and untouched by that change: every draw, timer and send
+/// happens in the same order.
+fn gated_workload(
+    messages: u64,
+    interval: SimDuration,
+    (clients, max_in_flight): (u32, u32),
+    batch_max: u32,
+) -> Workload {
+    Workload::paper_default()
+        .messages(messages)
+        .interval(interval)
+        .poisson()
+        .clients(clients)
+        .max_in_flight(max_in_flight)
+        .admission(Admission::Block)
+        .batch_max(batch_max)
+}
+
+/// Pin (a): crash-tolerant NewTOP, 2 clients x 2 in flight, batches of 4.
+#[test]
+fn gated_crash_newtop_trace_matches_golden_pin() {
+    let scenario = Scenario::new(NewTopService::new().suspector(SuspectorConfig::disabled()))
+        .members(3)
+        .protocol(Protocol::Crash)
+        .workload(gated_workload(40, SimDuration::from_millis(2), (2, 2), 4));
+    assert_eq!(
+        scenario_pin(scenario),
+        "637334609e231deee5602c0d495d9360e4c388d2790eb289748c7f57b77bcdc8 \
+         offered=120 submitted=120 shed=0 blocked=104 completed=120 samples=120"
+    );
+}
+
+/// Pin (b): the sequenced KV under both protocols, 8 in flight, batches of
+/// 8.  The crash-protocol run loses a follower mid-load and gets it back:
+/// `SmrDriver::on_recover` abandons its window and re-anchors its pacing.
+#[test]
+fn gated_smr_kv_traces_match_golden_pins() {
+    let scenario = |protocol| {
+        Scenario::new(SmrKvService::new())
+            .members(3)
+            .protocol(protocol)
+            .workload(gated_workload(120, SimDuration::from_micros(50), (1, 8), 8))
+    };
+    assert_eq!(
+        scenario_pin(scenario(Protocol::FailSignal)),
+        "b3dcaa2b3cabec17f03d4451e12ad0896c13e6ddef949dca5f667b753b3b5dc3 \
+         offered=360 submitted=360 shed=0 blocked=336 completed=360 samples=360"
+    );
+    let restart = FaultSchedule::none()
+        .crash_member_at(SimTime::from_millis(12), MemberId(1))
+        .recover_member_at(SimTime::from_millis(14), MemberId(1));
+    assert_eq!(
+        scenario_pin(scenario(Protocol::Crash).faults(restart)),
+        "4f7819cbae104b5ce3af9807607ff57871ccb1c52ec1433173efa5af745bf248 \
+         offered=360 submitted=360 shed=0 blocked=41 completed=360 samples=357"
+    );
+}
+
+/// Pin (c): a 2-shard cluster whose router expires commands stranded by
+/// shard 1's sequencer being down for a stretch (50 ms deadline, one
+/// retry), handing the freed slots to blocked arrivals.
+#[test]
+fn gated_cluster_trace_matches_golden_pin() {
+    let outage = FaultSchedule::none()
+        .crash_member_at(SimTime::from_millis(40), MemberId(0))
+        .recover_member_at(SimTime::from_millis(400), MemberId(0));
+    let mut cluster = Cluster::new(2, 3)
+        .workload(gated_workload(80, SimDuration::from_millis(2), (2, 4), 1))
+        .shard_faults(1, outage)
+        .command_deadline(SimDuration::from_millis(50))
+        .max_retries(1)
+        .seed(2003)
+        .build();
+    cluster.enable_trace();
+    cluster.run_until(SimTime::from_secs(600));
+    let (stats, samples) = (cluster.load_stats(), cluster.router().latencies().len());
+    let loads = cluster.shard_loads();
+    assert!(loads[1].expired > 0, "the outage must expire commands");
+    assert_eq!(
+        load_pin(cluster.trace().expect("tracing enabled"), stats, samples),
+        "463a1651e6131656773a3210c19b0ecb5adbdaa2ad95f6aadb6a5f8f6b792006 \
+         offered=80 submitted=80 shed=0 blocked=51 completed=80 samples=56"
     );
 }
