@@ -2,19 +2,19 @@
 //! group, NewTOP vs FS-NewTOP (a scaled-down Figure 6 point).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fs_bench::measure::{measure, System};
+use fs_bench::measure::{measure, RunMetrics};
 use fs_common::time::SimDuration;
-use fs_newtop::app::TrafficConfig;
+use fs_harness::{NewTopService, Protocol, Scenario, Workload};
 use fs_newtop::suspector::SuspectorConfig;
-use fs_newtop_bft::deployment::DeploymentParams;
 
-fn params(members: u32) -> DeploymentParams {
-    let traffic = TrafficConfig::paper_default()
-        .with_messages(20)
-        .with_interval(SimDuration::from_millis(30));
-    let mut p = DeploymentParams::paper(members).with_traffic(traffic);
-    p.suspector = SuspectorConfig::disabled();
-    p
+fn point(protocol: Protocol, members: u32) -> RunMetrics {
+    let scenario = Scenario::new(NewTopService::new().suspector(SuspectorConfig::disabled()))
+        .members(members)
+        .protocol(protocol);
+    let workload = Workload::paper_default()
+        .messages(20)
+        .interval(SimDuration::from_millis(30));
+    measure(scenario, &workload)
 }
 
 fn bench_order_latency(c: &mut Criterion) {
@@ -22,10 +22,10 @@ fn bench_order_latency(c: &mut Criterion) {
     group.sample_size(10);
     for members in [3u32, 5] {
         group.bench_with_input(BenchmarkId::new("newtop", members), &members, |b, &n| {
-            b.iter(|| measure(System::NewTop, &params(n)))
+            b.iter(|| point(Protocol::Crash, n))
         });
         group.bench_with_input(BenchmarkId::new("fs_newtop", members), &members, |b, &n| {
-            b.iter(|| measure(System::FsNewTop, &params(n)))
+            b.iter(|| point(Protocol::FailSignal, n))
         });
     }
     group.finish();

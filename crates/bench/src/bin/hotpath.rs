@@ -32,22 +32,13 @@
 //!   the candidate frames the wrapper pair exchanges.
 //! * **sign_verify** — the full double-signature round: build an
 //!   [`FsOutput`], wire round-trip it, verify it at a destination — both
-//!   the raw cryptographic cost (`verify_ns`, memo bypassed) and the
-//!   memoised cost a co-hosted duplicate destination pays
-//!   (`verify_memo_ns`).
+//!   the raw cryptographic cost (`verify_ns`, memos bypassed) and what a
+//!   co-hosted duplicate destination pays (`verify_memo_ns`: the body digest
+//!   found by buffer address plus two signature-memo probes).
 //! * **scheduler** — the simulator's future event set under the hold model
 //!   (pop one event, push a successor) at 1 k and 100 k pending events:
 //!   the legacy binary heap vs the calendar queue, plus slab (`Vec` index)
 //!   vs `BTreeMap` actor lookup.
-//! * **pipeline** — a complete 3-member FS-NewTOP deployment (interceptors,
-//!   wrapper pairs, NewTOP GC) driven to quiescence on the discrete-event
-//!   simulator; host wall-clock per ordered delivery and per simulated
-//!   event.  **pipeline_large** repeats it at a larger group size, where
-//!   the pending event set is big enough for the calendar queue to matter.
-//!   **pipeline_batched** repeats the 3-member deployment with request
-//!   batching on (`FS_BENCH_HOTPATH_BATCH`, default 8): one ordering round
-//!   and one signed frame cover a whole batch, so deliveries/host-sec must
-//!   rise well above the unbatched row.
 //! * **send_contention** — the threaded runtime's cross-node send path
 //!   under contention: ping/echo actor pairs on distinct nodes hammer
 //!   bidirectional sends concurrently, ungated (fault-free fast path, the
@@ -78,20 +69,20 @@
 //!   pay the pair's real MACs; what differs is the bytes moved and how the
 //!   body digest is found (by address when spliced, by content otherwise).
 //!
+//! There is no end-to-end row here: what a whole deployment costs per
+//! ordered delivery, and how two commits compare, is `benchmark/`'s job.
+//!
 //! `FS_BENCH_HOTPATH_ITERS` scales the micro-benchmark iteration counts
-//! (default 100 000); `FS_BENCH_HOTPATH_MESSAGES` the per-member pipeline
-//! message count (default 100); `FS_BENCH_HOTPATH_LARGE_MEMBERS` the large
-//! pipeline's group size (default 9); `FS_BENCH_HOTPATH_CONTENTION_PAIRS`
-//! and `FS_BENCH_HOTPATH_CONTENTION_ROUNDS` size the contention section
+//! (default 100 000); `FS_BENCH_HOTPATH_CONTENTION_PAIRS` and
+//! `FS_BENCH_HOTPATH_CONTENTION_ROUNDS` size the contention section
 //! (default 4 pairs × 1 000 round trips).  CI runs everything small.
 //!
 //! **Regression guard:** when `FS_BENCH_HOTPATH_REF` names a reference
 //! report (normally the committed `results/bench-hotpath.json`), the run
-//! fails (exit 3) if the 3-member pipeline's ordered-deliveries/host-sec —
-//! unbatched, or batched when the reference carries that row — drops more
-//! than `FS_BENCH_HOTPATH_MAX_REGRESSION` (default 0.20, i.e. 20%) below
+//! fails (exit 3) if a guarded row is more than
+//! `FS_BENCH_HOTPATH_MAX_REGRESSION` (default 0.20, i.e. 20%) worse than
 //! the reference.  The crypto rows (10 kB SIMD-backend MAC throughput,
-//! batched verification) are guarded the same way, but only against a
+//! batched verification) are guarded only against a
 //! reference measured on the same SHA-256 kernel: otherwise the guard prints
 //! `skipped: kernel mismatch (ref X, host Y)` — a reference regenerated on a
 //! SHA-NI box must not fail a runner without the extensions, and must never
@@ -118,7 +109,6 @@ use std::collections::BTreeMap;
 
 use failsignal::digest::body_digest;
 use failsignal::message::{FsContent, FsOutput, FsoInbound, PairMessage, Statement};
-use failsignal::receiver::FsReceiver;
 use fs_bench::alloc_count::{count_allocs, CountingAlloc};
 use fs_bench::env::{env_f64, env_u64};
 use fs_bench::report::results_dir;
@@ -131,11 +121,8 @@ use fs_crypto::hmac::{HmacKey, HmacSha256, MacSchedule};
 use fs_crypto::keys::{provision, SignerId};
 use fs_crypto::sha256::{kernel_name, CompressBackend};
 use fs_crypto::sig::Signature;
-use fs_harness::Protocol;
-use fs_newtop::app::TrafficConfig;
 use fs_newtop::total_sym::SymmetricOrder;
 use fs_newtop::view::View;
-use fs_newtop_bft::deployment::{Deployment, DeploymentParams};
 use fs_simnet::sched::{EventQueue, ScheduledEvent, SchedulerKind};
 use fs_simnet::{
     Actor, Context, LinkFault, LinkSchedule, LinkScope, ThreadedBuilder, ThreadedConfig,
@@ -230,7 +217,8 @@ struct SignVerifyRow {
     /// True cryptographic cost of a destination-side double verify (memo
     /// bypassed).
     verify_ns: f64,
-    /// Cost a co-hosted duplicate destination pays: the host-side memo hit.
+    /// Cost a co-hosted duplicate destination pays: the body digest found
+    /// by buffer address plus two signature-memo probes.
     verify_memo_ns: f64,
 }
 
@@ -253,20 +241,6 @@ struct ActorLookupRow {
     /// The slab path: a dense `Vec` indexed by the id.
     slab_lookup_ns: f64,
     speedup: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct PipelineReport {
-    members: u32,
-    messages_per_member: u64,
-    /// Requests per ordering round (1 = unbatched).
-    batch_max: u32,
-    total_deliveries: u64,
-    sim_events: u64,
-    host_elapsed_ms: f64,
-    deliveries_per_host_sec: f64,
-    host_us_per_delivery: f64,
-    host_us_per_sim_event: f64,
 }
 
 #[derive(Debug, Serialize)]
@@ -334,11 +308,6 @@ struct HotpathReport {
     sign_verify: Vec<SignVerifyRow>,
     scheduler: Vec<SchedulerRow>,
     actor_lookup: Vec<ActorLookupRow>,
-    pipeline: PipelineReport,
-    pipeline_large: PipelineReport,
-    /// The 3-member pipeline again with request batching on: one ordering
-    /// round (and one signed frame) covers `batch_max` requests.
-    pipeline_batched: PipelineReport,
     /// The threaded cross-node send path under contention, ungated then
     /// gated (see the module docs).
     send_contention: Vec<ContentionRow>,
@@ -686,42 +655,6 @@ fn bench_actor_lookup(iters: u64) -> Vec<ActorLookupRow> {
         .collect()
 }
 
-fn bench_pipeline(members: u32, messages_per_member: u64, batch_max: u32) -> PipelineReport {
-    let mut traffic = TrafficConfig::paper_default().with_messages(messages_per_member);
-    if batch_max > 1 {
-        // A generous linger keeps batch close size-driven: every full batch
-        // holds exactly `batch_max` requests, only each member's final
-        // remainder flushes on the timer.
-        traffic = traffic.with_batching(batch_max, fs_common::time::SimDuration::from_secs(1));
-    }
-    let params = DeploymentParams::paper(members)
-        .with_traffic(traffic)
-        .with_seed(2003);
-    assert_eq!(params.scheduler, SchedulerKind::CalendarQueue);
-    let mut deployment = Deployment::from_running(params.scenario(Protocol::FailSignal).build());
-    // Run far past the workload's simulated duration so the pipeline drains.
-    let start = Instant::now();
-    deployment.run(SimTime::from_secs(3600));
-    let host_elapsed = start.elapsed();
-
-    let total_deliveries: u64 = (0..members)
-        .map(|i| deployment.app(i).delivered_total())
-        .sum();
-    let sim_events = deployment.sim.stats().events_processed;
-    let host_secs = host_elapsed.as_secs_f64().max(f64::EPSILON);
-    PipelineReport {
-        members,
-        messages_per_member,
-        batch_max,
-        total_deliveries,
-        sim_events,
-        host_elapsed_ms: host_secs * 1e3,
-        deliveries_per_host_sec: total_deliveries as f64 / host_secs,
-        host_us_per_delivery: host_secs * 1e6 / total_deliveries.max(1) as f64,
-        host_us_per_sim_event: host_secs * 1e6 / sim_events.max(1) as f64,
-    }
-}
-
 /// Hammers the threaded runtime's cross-node send path: `pairs` ping/echo
 /// actor pairs, each pair on its own two nodes, exchange `rounds` round
 /// trips concurrently.  Fault-free deployments never materialise the link
@@ -1006,54 +939,6 @@ fn bench_frame_path(iters: u64) -> Vec<FramePathRow> {
         .collect()
 }
 
-/// Sanity-check the FS-NewTOP pipeline end to end before trusting the
-/// numbers: every member must see every message, double-signed and verified.
-fn check_pipeline_correctness() {
-    let mut rng = DetRng::new(3);
-    let (mut keys, dir) = provision([ProcessId(0), ProcessId(1)], &mut rng);
-    let a = keys.remove(&SignerId(ProcessId(0))).unwrap();
-    let b = keys.remove(&SignerId(ProcessId(1))).unwrap();
-    let output = FsOutput::sign(
-        FsId(1),
-        FsContent::Output {
-            output_seq: 0,
-            dest: Endpoint::LocalApp,
-            bytes: Bytes::from(&b"probe"[..]),
-        },
-        &a,
-        &b,
-    );
-    let mut receiver = FsReceiver::new(dir);
-    receiver.register_source(FsId(1), (a.signer, b.signer));
-    let wire = FsoInbound::External(output).to_wire();
-    assert!(
-        receiver.accept(&wire).is_some(),
-        "sign → encode → decode → verify round trip must accept"
-    );
-}
-
-/// The subset of a reference report the regression guard needs (unknown
-/// fields in the JSON are ignored by the deserializer, so old and new report
-/// layouts both parse).
-#[derive(Debug, Deserialize)]
-struct ReferencePipeline {
-    deliveries_per_host_sec: f64,
-}
-
-#[derive(Debug, Deserialize)]
-struct ReferenceReport {
-    pipeline: ReferencePipeline,
-}
-
-/// A reference report that also carries the batched-pipeline row.  Reports
-/// written before that row existed parse as plain [`ReferenceReport`]
-/// instead, and the batched guard simply does not fire against them.
-#[derive(Debug, Deserialize)]
-struct ReferenceReportBatched {
-    pipeline: ReferencePipeline,
-    pipeline_batched: ReferencePipeline,
-}
-
 /// The verify-batch subset of a reference row the guard needs.
 #[derive(Debug, Deserialize)]
 struct ReferenceVerifyBatchRow {
@@ -1062,13 +947,11 @@ struct ReferenceVerifyBatchRow {
     per_mac_ns: f64,
 }
 
-/// A reference report that also carries the batched-verification sweep.
-/// Older references without it fall back to the layers below, and the
-/// verify-batch guard simply does not fire against them.
+/// The batched-verification section of a reference report.  Every section
+/// is parsed on its own (unknown fields in the JSON are ignored by the
+/// deserializer): a reference that lacks one simply does not arm its guard.
 #[derive(Debug, Deserialize)]
-struct ReferenceReportVerifyBatch {
-    pipeline: ReferencePipeline,
-    pipeline_batched: ReferencePipeline,
+struct ReferenceVerifyBatch {
     verify_batch: Vec<ReferenceVerifyBatchRow>,
 }
 
@@ -1079,21 +962,16 @@ struct ReferenceContentionRow {
     sends_per_host_sec: f64,
 }
 
-/// A reference report that also carries the threaded send-contention rows.
-/// Older references without them fall back to the layers below, and the
-/// contention guard simply does not fire against them.
+/// The threaded send-contention section of a reference report.
 #[derive(Debug, Deserialize)]
-struct ReferenceReportContention {
-    pipeline: ReferencePipeline,
-    pipeline_batched: ReferencePipeline,
-    verify_batch: Vec<ReferenceVerifyBatchRow>,
+struct ReferenceContention {
     send_contention: Vec<ReferenceContentionRow>,
 }
 
-/// The crypto subset of a reference report: the kernel it was measured on
-/// and the SIMD-backend MAC throughput per payload.  Parsed on its own —
-/// references written before the kernel was recorded (including those with
-/// the retired multi-block column) simply do not carry it.
+/// The crypto section of a reference report: the kernel it was measured on
+/// and the SIMD-backend MAC throughput per payload.  References written
+/// before the kernel was recorded (including those with the retired
+/// multi-block column) do not carry it.
 #[derive(Debug, Deserialize)]
 struct ReferenceCrypto {
     sha256_kernel: String,
@@ -1109,8 +987,6 @@ struct ReferenceHmacRow {
 /// The reference numbers the regression guard compares against.
 #[derive(Debug, Clone, Default)]
 struct RegressionReference {
-    unbatched: f64,
-    batched: Option<f64>,
     /// `(payload_bytes, batch, per_mac_ns)` of the largest-batch,
     /// largest-payload batched-verification row.
     verify_batch: Option<(usize, usize, f64)>,
@@ -1122,10 +998,23 @@ struct RegressionReference {
     hmac_simd: Option<(usize, f64)>,
 }
 
-/// Extracts the guard references from a reference report, newest layout
-/// first — every older layout still parses, it just arms fewer guards.
-fn reference_deliveries_per_sec(json: &str) -> Option<RegressionReference> {
-    let mut reference = reference_pipeline_layers(json)?;
+/// Extracts the guard references a reference report carries.
+fn parse_reference(json: &str) -> RegressionReference {
+    let mut reference = RegressionReference::default();
+    if let Ok(r) = serde_json::from_str::<ReferenceVerifyBatch>(json) {
+        reference.verify_batch = r
+            .verify_batch
+            .iter()
+            .max_by_key(|row| (row.payload_bytes, row.batch))
+            .map(|row| (row.payload_bytes, row.batch, row.per_mac_ns));
+    }
+    if let Ok(r) = serde_json::from_str::<ReferenceContention>(json) {
+        reference.contention_gated = r
+            .send_contention
+            .iter()
+            .find(|row| row.gated)
+            .map(|row| row.sends_per_host_sec);
+    }
     if let Ok(crypto) = serde_json::from_str::<ReferenceCrypto>(json) {
         reference.hmac_simd = crypto
             .hmac
@@ -1134,82 +1023,21 @@ fn reference_deliveries_per_sec(json: &str) -> Option<RegressionReference> {
             .map(|row| (row.payload_bytes, row.simd_mb_per_s));
         reference.kernel = Some(crypto.sha256_kernel);
     }
-    Some(reference)
-}
-
-/// The pipeline, verify-batch and contention layers of a reference report.
-fn reference_pipeline_layers(json: &str) -> Option<RegressionReference> {
-    if let Ok(r) = serde_json::from_str::<ReferenceReportContention>(json) {
-        let vb = r
-            .verify_batch
-            .iter()
-            .max_by_key(|row| (row.payload_bytes, row.batch))
-            .map(|row| (row.payload_bytes, row.batch, row.per_mac_ns));
-        return Some(RegressionReference {
-            unbatched: r.pipeline.deliveries_per_host_sec,
-            batched: Some(r.pipeline_batched.deliveries_per_host_sec),
-            verify_batch: vb,
-            contention_gated: r
-                .send_contention
-                .iter()
-                .find(|row| row.gated)
-                .map(|row| row.sends_per_host_sec),
-            ..Default::default()
-        });
-    }
-    if let Ok(r) = serde_json::from_str::<ReferenceReportVerifyBatch>(json) {
-        let vb = r
-            .verify_batch
-            .iter()
-            .max_by_key(|row| (row.payload_bytes, row.batch))
-            .map(|row| (row.payload_bytes, row.batch, row.per_mac_ns));
-        return Some(RegressionReference {
-            unbatched: r.pipeline.deliveries_per_host_sec,
-            batched: Some(r.pipeline_batched.deliveries_per_host_sec),
-            verify_batch: vb,
-            contention_gated: None,
-            ..Default::default()
-        });
-    }
-    if let Ok(r) = serde_json::from_str::<ReferenceReportBatched>(json) {
-        return Some(RegressionReference {
-            unbatched: r.pipeline.deliveries_per_host_sec,
-            batched: Some(r.pipeline_batched.deliveries_per_host_sec),
-            verify_batch: None,
-            contention_gated: None,
-            ..Default::default()
-        });
-    }
-    serde_json::from_str::<ReferenceReport>(json)
-        .ok()
-        .map(|r| RegressionReference {
-            unbatched: r.pipeline.deliveries_per_host_sec,
-            batched: None,
-            verify_batch: None,
-            contention_gated: None,
-            ..Default::default()
-        })
+    reference
 }
 
 /// Loads the regression-guard reference **before any benchmarking runs**:
 /// `FS_BENCH_HOTPATH_REF` normally points at the committed
 /// `results/bench-hotpath.json`, which this very run overwrites later, so
-/// the reference number must be captured up front (comparing the fresh
+/// the reference numbers must be captured up front (comparing the fresh
 /// report to itself would make the guard vacuous).  Exits 3 when the
 /// reference is configured but unreadable.
 fn load_regression_reference() -> Option<RegressionReference> {
     let ref_path = std::env::var("FS_BENCH_HOTPATH_REF").ok()?;
-    let json = match std::fs::read_to_string(&ref_path) {
-        Ok(json) => json,
+    match std::fs::read_to_string(&ref_path) {
+        Ok(json) => Some(parse_reference(&json)),
         Err(e) => {
             eprintln!("regression guard: cannot read {ref_path}: {e}");
-            std::process::exit(3);
-        }
-    };
-    match reference_deliveries_per_sec(&json) {
-        Some(reference) => Some(reference),
-        None => {
-            eprintln!("regression guard: no pipeline deliveries_per_host_sec in {ref_path}");
             std::process::exit(3);
         }
     }
@@ -1338,25 +1166,10 @@ fn check_frame_path(fresh: &[FramePathRow]) {
     );
 }
 
-/// One pipeline row of the regression guard.
-fn check_regression(label: &str, fresh: &PipelineReport, reference: f64) {
-    check_floor(
-        label,
-        "pipeline throughput",
-        "deliveries/s",
-        fresh.deliveries_per_host_sec,
-        reference,
-        "scheduler or receive-path regression",
-    );
-}
-
 fn main() {
     let iters = env_u64("FS_BENCH_HOTPATH_ITERS", 100_000);
-    let messages = env_u64("FS_BENCH_HOTPATH_MESSAGES", 100);
-    let large_members = env_u64("FS_BENCH_HOTPATH_LARGE_MEMBERS", 9) as u32;
     // Capture the reference before this run overwrites the report file.
     let regression_reference = load_regression_reference();
-    check_pipeline_correctness();
 
     eprintln!("hotpath: hmac ({iters} base iters)...");
     let hmac = bench_hmac(iters);
@@ -1371,15 +1184,6 @@ fn main() {
     eprintln!("hotpath: scheduler (hold model)...");
     let scheduler = bench_scheduler(iters / 4);
     let actor_lookup = bench_actor_lookup(iters);
-    let batch_max = env_u64("FS_BENCH_HOTPATH_BATCH", 8) as u32;
-    eprintln!("hotpath: full FS-NewTOP pipeline ({messages} msgs/member)...");
-    let pipeline = bench_pipeline(3, messages, 1);
-    eprintln!(
-        "hotpath: large FS-NewTOP pipeline ({large_members} members, {messages} msgs/member)..."
-    );
-    let pipeline_large = bench_pipeline(large_members, messages, 1);
-    eprintln!("hotpath: batched FS-NewTOP pipeline (batch {batch_max})...");
-    let pipeline_batched = bench_pipeline(3, messages, batch_max);
     let contention_pairs = env_u64("FS_BENCH_HOTPATH_CONTENTION_PAIRS", 4) as u32;
     let contention_rounds = env_u64("FS_BENCH_HOTPATH_CONTENTION_ROUNDS", 1_000);
     eprintln!(
@@ -1463,29 +1267,6 @@ fn main() {
             row.actors, row.btreemap_lookup_ns, row.slab_lookup_ns, row.speedup
         );
     }
-    println!(
-        "\npipeline: {} deliveries in {:.1} ms host time ({:.0} deliveries/s, {:.1} us/sim event)",
-        pipeline.total_deliveries,
-        pipeline.host_elapsed_ms,
-        pipeline.deliveries_per_host_sec,
-        pipeline.host_us_per_sim_event
-    );
-    println!(
-        "pipeline_large (n={}): {} deliveries in {:.1} ms host time ({:.0} deliveries/s)",
-        pipeline_large.members,
-        pipeline_large.total_deliveries,
-        pipeline_large.host_elapsed_ms,
-        pipeline_large.deliveries_per_host_sec,
-    );
-    println!(
-        "pipeline_batched (batch={}): {} deliveries in {:.1} ms host time \
-         ({:.0} deliveries/s, {:.2}x unbatched)",
-        pipeline_batched.batch_max,
-        pipeline_batched.total_deliveries,
-        pipeline_batched.host_elapsed_ms,
-        pipeline_batched.deliveries_per_host_sec,
-        pipeline_batched.deliveries_per_host_sec / pipeline.deliveries_per_host_sec.max(1.0),
-    );
     for row in &send_contention {
         println!(
             "send_contention ({}, {} pairs): {} cross-node sends in {:.1} ms \
@@ -1546,9 +1327,6 @@ fn main() {
         sign_verify,
         scheduler,
         actor_lookup,
-        pipeline,
-        pipeline_large,
-        pipeline_batched,
         send_contention,
         ack_path,
         frame_path,
@@ -1570,13 +1348,8 @@ fn main() {
         }
     }
     // After the fresh report is on disk (so CI still uploads it), enforce
-    // the scheduler regression guard against the reference captured at
-    // start-up.
+    // the guards against the reference captured at start-up.
     if let Some(reference) = regression_reference {
-        check_regression("unbatched", &report.pipeline, reference.unbatched);
-        if let Some(batched) = reference.batched {
-            check_regression("batched", &report.pipeline_batched, batched);
-        }
         check_crypto_regression(&report, &reference);
         if let Some(gated_ref) = reference.contention_gated {
             check_contention_regression(&report.send_contention, gated_ref);
@@ -1687,25 +1460,23 @@ fn check_contention_regression(fresh: &[ContentionRow], reference: f64) {
 
 #[cfg(test)]
 mod tests {
-    use super::reference_deliveries_per_sec;
+    use super::parse_reference;
 
-    const PIPELINES: &str = r#""pipeline": {"deliveries_per_host_sec": 100.0},
-        "pipeline_batched": {"deliveries_per_host_sec": 400.0},
-        "verify_batch": [{"payload_bytes": 10240, "batch": 16, "total_ns": 16.0, "per_mac_ns": 1.0}],
+    const SECTIONS: &str = r#""verify_batch": [{"payload_bytes": 10240, "batch": 16, "total_ns": 16.0, "per_mac_ns": 1.0}],
         "send_contention": [{"gated": true, "sends_per_host_sec": 9.0}]"#;
 
     /// A report written before the kernel was recorded (it still carries the
-    /// retired multi-block column) arms the pipeline guards and leaves the
-    /// crypto guards to report a kernel mismatch.
+    /// retired multi-block column and the retired pipeline rows) arms the
+    /// verify-batch and contention guards and leaves the crypto guards to
+    /// report a kernel mismatch.
     #[test]
     fn reference_with_multiblock_column_still_parses() {
         let old = format!(
             r#"{{"id": "bench-hotpath", "hmac": [{{"payload_bytes": 10240, "scalar_mb_per_s": 228.0,
-                "multiblock_ns": 48964.8, "multiblock_mb_per_s": 209.1}}], {PIPELINES}}}"#
+                "multiblock_ns": 48964.8, "multiblock_mb_per_s": 209.1}}],
+                "pipeline": {{"deliveries_per_host_sec": 100.0}}, {SECTIONS}}}"#
         );
-        let reference = reference_deliveries_per_sec(&old).expect("old layout parses");
-        assert_eq!(reference.unbatched, 100.0);
-        assert_eq!(reference.batched, Some(400.0));
+        let reference = parse_reference(&old);
         assert_eq!(reference.verify_batch, Some((10240, 16, 1.0)));
         assert_eq!(reference.contention_gated, Some(9.0));
         assert_eq!(reference.kernel, None);
@@ -1720,9 +1491,9 @@ mod tests {
         let new = format!(
             r#"{{"sha256_kernel": "sha-ni", "hmac": [{{"payload_bytes": 3, "simd_mb_per_s": 18.0}},
                 {{"payload_bytes": 10240, "simd_mb_per_s": 1400.0}}],
-                "ack_path": {{"on_ack": [{{"pending": 8, "on_ack_ns": 21.0}}]}}, {PIPELINES}}}"#
+                "ack_path": {{"on_ack": [{{"pending": 8, "on_ack_ns": 21.0}}]}}, {SECTIONS}}}"#
         );
-        let reference = reference_deliveries_per_sec(&new).expect("new layout parses");
+        let reference = parse_reference(&new);
         assert_eq!(reference.kernel.as_deref(), Some("sha-ni"));
         assert_eq!(reference.hmac_simd, Some((10240, 1400.0)));
     }

@@ -9,16 +9,13 @@
 use serde::{Deserialize, Serialize};
 
 use fs_common::config::NodeBudget;
+use fs_common::id::MemberId;
 use fs_common::time::{SimDuration, SimTime};
 use fs_crypto::cost::CryptoCostModel;
-use fs_newtop::app::TrafficConfig;
+use fs_harness::{FaultSchedule, NewTopService, Protocol, Scenario, Workload};
 use fs_newtop::suspector::SuspectorConfig;
-use fs_newtop_bft::deployment::DeploymentParams;
 
-use fs_common::id::MemberId;
-use fs_harness::FaultSchedule;
-
-use crate::measure::{measure, measure_with_faults, RunMetrics, System};
+use crate::measure::{label, measure, system_name, RunMetrics};
 
 /// Common knobs of an experiment sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -48,18 +45,33 @@ pub fn default_messages() -> u64 {
     crate::env::env_u64("FS_BENCH_MESSAGES", 150)
 }
 
-fn params_for(members: u32, payload: usize, config: &ExperimentConfig) -> DeploymentParams {
-    let traffic = TrafficConfig::paper_default()
-        .with_messages(config.messages_per_member)
-        .with_interval(config.send_interval)
-        .with_payload_size(payload);
-    // The paper eliminates false suspicions (large timeouts on a lightly
-    // loaded LAN); ping traffic itself is negligible but we disable it so
-    // message counts reflect the ordering protocol only.
-    DeploymentParams::paper(members)
-        .with_traffic(traffic)
-        .with_seed(config.seed)
-        .with_suspector(SuspectorConfig::disabled())
+/// The paper's experimental set-up (§4) — [`Scenario::new`]'s defaults —
+/// around NewTOP with the given crash-mode suspector.
+fn scenario_for(
+    protocol: Protocol,
+    members: u32,
+    suspector: SuspectorConfig,
+    config: &ExperimentConfig,
+) -> Scenario {
+    Scenario::new(NewTopService::new().suspector(suspector))
+        .members(members)
+        .protocol(protocol)
+        .seed(config.seed)
+}
+
+/// [`scenario_for`] as the figures run it.  The paper eliminates false
+/// suspicions (large timeouts on a lightly loaded LAN); ping traffic itself
+/// is negligible but we disable it so message counts reflect the ordering
+/// protocol only.
+fn quiet_scenario(protocol: Protocol, members: u32, config: &ExperimentConfig) -> Scenario {
+    scenario_for(protocol, members, SuspectorConfig::disabled(), config)
+}
+
+fn workload_for(payload: usize, config: &ExperimentConfig) -> Workload {
+    Workload::paper_default()
+        .messages(config.messages_per_member)
+        .interval(config.send_interval)
+        .payload_size(payload)
 }
 
 /// One row of a figure table.
@@ -68,8 +80,8 @@ pub struct FigureRow {
     /// The x-axis value (group size for Figures 6 and 7, payload bytes for
     /// Figure 8).
     pub x: u64,
-    /// Which system the row belongs to.
-    pub system: System,
+    /// Which system the row belongs to (its [`system_name`]).
+    pub system: String,
     /// The full metrics of the run.
     pub metrics: RunMetrics,
 }
@@ -88,9 +100,12 @@ pub struct Figure {
 }
 
 impl Figure {
-    /// The rows of one system, in x order.
-    pub fn series(&self, system: System) -> Vec<&FigureRow> {
-        self.rows.iter().filter(|r| r.system == system).collect()
+    /// The rows of the system `protocol` deploys, in x order.
+    pub fn series(&self, protocol: Protocol) -> Vec<&FigureRow> {
+        self.rows
+            .iter()
+            .filter(|r| r.system == system_name(protocol))
+            .collect()
     }
 
     /// Renders the figure as an aligned text table (one line per x value).
@@ -99,7 +114,10 @@ impl Figure {
         out.push_str(&format!("# {} — {}\n", self.id, self.title));
         out.push_str(&format!(
             "{:>10}  {:>14}  {:>14}  {:>9}\n",
-            self.x_label, "NewTOP", "FS-NewTOP", "overhead"
+            self.x_label,
+            label(Protocol::Crash),
+            label(Protocol::FailSignal),
+            "overhead"
         ));
         let xs: Vec<u64> = {
             let mut xs: Vec<u64> = self.rows.iter().map(|r| r.x).collect();
@@ -108,16 +126,13 @@ impl Figure {
             xs
         };
         for x in xs {
-            let newtop = self
-                .rows
-                .iter()
-                .find(|r| r.x == x && r.system == System::NewTop)
-                .map(|r| value(&r.metrics));
-            let fs = self
-                .rows
-                .iter()
-                .find(|r| r.x == x && r.system == System::FsNewTop)
-                .map(|r| value(&r.metrics));
+            let at = |protocol| {
+                self.rows
+                    .iter()
+                    .find(|r| r.x == x && r.system == system_name(protocol))
+                    .map(|r| value(&r.metrics))
+            };
+            let (newtop, fs) = (at(Protocol::Crash), at(Protocol::FailSignal));
             let overhead = match (newtop, fs) {
                 (Some(n), Some(f)) if n.is_finite() && n != 0.0 => {
                     format!("{:+.0}%", (f - n) / n * 100.0)
@@ -167,17 +182,22 @@ fn sweep_with_faults(
 ) -> Figure {
     let mut rows = Vec::new();
     for (x, members, payload) in points {
-        let params = params_for(members, payload, config);
-        for system in [System::NewTop, System::FsNewTop] {
-            let metrics = measure_with_faults(system, &params, faults(members));
+        let workload = workload_for(payload, config);
+        for protocol in [Protocol::Crash, Protocol::FailSignal] {
+            let scenario = quiet_scenario(protocol, members, config).faults(faults(members));
+            let metrics = measure(scenario, &workload);
             eprintln!(
                 "  [{id}] x={x} {}: latency {:.1} ms, throughput {:.1} msg/s, complete={}",
-                system.label(),
+                label(protocol),
                 metrics.mean_latency_ms,
                 metrics.throughput_msgs_per_sec,
                 metrics.is_complete()
             );
-            rows.push(FigureRow { x, system, metrics });
+            rows.push(FigureRow {
+                x,
+                system: metrics.system.clone(),
+                metrics,
+            });
         }
     }
     Figure {
@@ -284,14 +304,14 @@ pub fn ablation_sign_cost(config: &ExperimentConfig, members: u32) -> Vec<(Strin
         ("modern-hmac", CryptoCostModel::modern_hmac()),
         ("era-2003-rsa", CryptoCostModel::era_2003()),
     ];
+    let workload = workload_for(3, config);
     let mut out = Vec::new();
     for (name, model) in models {
-        let params = params_for(members, 3, config).with_crypto_costs(model);
-        let metrics = measure(System::FsNewTop, &params);
-        out.push((name.to_string(), metrics));
+        let scenario = quiet_scenario(Protocol::FailSignal, members, config).crypto_costs(model);
+        out.push((name.to_string(), measure(scenario, &workload)));
     }
     // The crash-tolerant baseline for reference.
-    let baseline = measure(System::NewTop, &params_for(members, 3, config));
+    let baseline = measure(quiet_scenario(Protocol::Crash, members, config), &workload);
     out.push(("newtop-baseline".to_string(), baseline));
     out
 }
@@ -317,22 +337,14 @@ pub fn ablation_node_budget(max_faults: u32) -> Vec<(u32, u32, u32, u32)> {
 /// (false) view changes the applications observed; the FS-NewTOP system run
 /// under the same conditions observes none.
 pub fn ablation_false_suspicion(config: &ExperimentConfig) -> (u64, u64) {
-    use fs_harness::Protocol;
     use fs_newtop::app::AppProcess;
-    use fs_newtop_bft::deployment::Deployment;
     use fs_simnet::link::LinkModel;
 
     let members = 4u32;
     // A small ping timeout combined with slow, heavily jittered links makes
     // timeout-based suspicion fire even though nobody has failed.
-    let base = params_for(members, 3, config);
-    let params = base
-        .clone()
-        .with_traffic(
-            base.traffic
-                .with_messages(config.messages_per_member.min(30)),
-        )
-        .with_suspector(SuspectorConfig::aggressive(SimDuration::from_millis(2)));
+    let suspector = SuspectorConfig::aggressive(SimDuration::from_millis(2));
+    let workload = workload_for(3, config).messages(config.messages_per_member.min(30));
 
     // Replace the lightly loaded LAN with a slow, jittery asynchronous
     // network: real delays now exceed the suspector's expectations, which is
@@ -348,37 +360,23 @@ pub fn ablation_false_suspicion(config: &ExperimentConfig) -> (u64, u64) {
         drop_prob: 0.0,
     };
 
-    let count_views = |deployment: &mut Deployment| -> u64 {
-        deployment.run(SimTime::from_secs(600));
-        deployment
-            .members
-            .iter()
-            .map(|h| {
-                deployment
-                    .sim
-                    .actor::<AppProcess>(h.app)
-                    .map(|a| a.views_seen().len() as u64)
-                    .unwrap_or(0)
+    let count_views = |protocol: Protocol| -> u64 {
+        let mut run = scenario_for(protocol, members, suspector, config)
+            .workload(workload)
+            .link_model(slow_net)
+            .build();
+        run.run_until(SimTime::from_secs(600));
+        (0..members)
+            .map(|i| {
+                run.app::<AppProcess>(i)
+                    .map_or(0, |a| a.views_seen().len() as u64)
             })
             .sum()
     };
-
-    let mut newtop = Deployment::from_running(
-        params
-            .scenario(Protocol::Crash)
-            .link_model(slow_net)
-            .build(),
-    );
-    let newtop_views = count_views(&mut newtop);
-
-    let mut fs = Deployment::from_running(
-        params
-            .scenario(Protocol::FailSignal)
-            .link_model(slow_net)
-            .build(),
-    );
-    let fs_views = count_views(&mut fs);
-    (newtop_views, fs_views)
+    (
+        count_views(Protocol::Crash),
+        count_views(Protocol::FailSignal),
+    )
 }
 
 #[cfg(test)]
@@ -412,7 +410,7 @@ mod tests {
             &config,
         );
         assert_eq!(fig.rows.len(), 4);
-        assert_eq!(fig.series(System::NewTop).len(), 2);
+        assert_eq!(fig.series(Protocol::Crash).len(), 2);
         let table = fig.to_table(|m| m.mean_latency_ms, "mean ordering latency, ms");
         assert!(table.contains("NewTOP"));
         assert!(table.contains("FS-NewTOP"));

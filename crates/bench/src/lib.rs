@@ -38,4 +38,4 @@ pub mod measure;
 pub mod report;
 
 pub use experiment::{figure6, figure7, figure8, ExperimentConfig, Figure, FigureRow};
-pub use measure::{measure, run_deployment, RunMetrics, System};
+pub use measure::{label, measure, RunMetrics};

@@ -3,43 +3,32 @@
 use serde::{Deserialize, Serialize};
 
 use fs_common::time::{SimDuration, SimTime};
-use fs_harness::{FaultSchedule, Protocol};
+use fs_harness::{Protocol, Scenario, Workload};
 use fs_newtop::app::AppProcess;
-use fs_newtop_bft::deployment::{Deployment, DeploymentParams};
-use fs_newtop_bft::interceptor::FsInterceptor;
 
-/// Which of the two systems a measurement refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum System {
-    /// The crash-tolerant baseline.
-    NewTop,
-    /// The Byzantine-tolerant, fail-signal-wrapped system.
-    FsNewTop,
+/// The paper's legend for the system a protocol deploys around NewTOP: the
+/// crash-tolerant baseline or its fail-signal-wrapped, Byzantine-tolerant
+/// lift.
+pub fn label(protocol: Protocol) -> &'static str {
+    match protocol {
+        Protocol::Crash => "NewTOP",
+        Protocol::FailSignal => "FS-NewTOP",
+    }
 }
 
-impl System {
-    /// The label used in tables (matches the paper's legends).
-    pub fn label(self) -> &'static str {
-        match self {
-            System::NewTop => "NewTOP",
-            System::FsNewTop => "FS-NewTOP",
-        }
-    }
-
-    /// The scenario-harness protocol this system corresponds to.
-    pub fn protocol(self) -> Protocol {
-        match self {
-            System::NewTop => Protocol::Crash,
-            System::FsNewTop => Protocol::FailSignal,
-        }
+/// The name the same system carries in the figure JSON files.
+pub fn system_name(protocol: Protocol) -> &'static str {
+    match protocol {
+        Protocol::Crash => "NewTop",
+        Protocol::FailSignal => "FsNewTop",
     }
 }
 
 /// The metrics extracted from one run, mirroring what the paper reports.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunMetrics {
-    /// Which system was measured.
-    pub system: System,
+    /// Which system was measured (its [`system_name`]).
+    pub system: String,
     /// Group size (number of members).
     pub members: u32,
     /// Payload size in bytes.
@@ -73,52 +62,37 @@ impl RunMetrics {
     }
 }
 
-/// Runs one deployment to completion (or `horizon`) and extracts the metrics.
-pub fn run_deployment(
-    mut deployment: Deployment,
-    params: &DeploymentParams,
-    system: System,
-    horizon: SimTime,
-) -> RunMetrics {
-    deployment.run(horizon);
+/// Builds `scenario` offering `workload` per member, runs it to completion
+/// on the simulator and extracts the metrics.  The scenario brings every
+/// other axis: service configuration, group size, protocol, seed, faults.
+pub fn measure(scenario: Scenario, workload: &Workload) -> RunMetrics {
+    // Allow generous simulated time: the workload itself lasts
+    // messages × interval, plus drain time for queued work.
+    let duration =
+        workload.interval * workload.messages + SimDuration::from_secs(120) + workload.start_delay;
+    let mut run = scenario.workload(*workload).build();
+    run.run_until(SimTime::ZERO + duration * 10);
 
-    let n = params.members;
-    let messages = params.traffic.messages;
-    let mut latencies = fs_simnet::trace::LatencyRecorder::new();
+    let n = run.members().len() as u32;
+    let messages = workload.messages;
     let mut total_deliveries = 0u64;
     let mut last_delivery = SimTime::ZERO;
-    for handle in &deployment.members {
-        let app = deployment
-            .sim
-            .actor::<AppProcess>(handle.app)
-            .expect("app actor");
-        latencies.merge(app.latencies());
+    for i in 0..n {
+        let app = run.app::<AppProcess>(i).expect("app actor");
         total_deliveries += app.delivered_total();
         if let Some(t) = app.last_delivery() {
             last_delivery = last_delivery.max(t);
         }
     }
 
-    let fail_signals_observed = if deployment.fail_signal {
-        deployment.members.iter().any(|handle| {
-            deployment
-                .sim
-                .actor::<FsInterceptor>(handle.middleware)
-                .map(|i| i.local_fail_signalled())
-                .unwrap_or(false)
-        })
-    } else {
-        false
-    };
-
-    let summary = latencies.summary();
-    let (mean, p95) = summary
+    let (mean, p95) = run
+        .latency_summary()
         .map(|s| (s.mean.as_millis_f64(), s.p95.as_millis_f64()))
         .unwrap_or((f64::NAN, f64::NAN));
 
     // Throughput as in the paper: total ordered messages divided by the time
     // needed to order them (workload start → last delivery).
-    let span = last_delivery.duration_since(SimTime::ZERO + params.traffic.start_delay);
+    let span = last_delivery.duration_since(SimTime::ZERO + workload.start_delay);
     let ordered = u64::from(n) * messages;
     let throughput = if span > SimDuration::ZERO {
         ordered as f64 / span.as_secs_f64()
@@ -127,65 +101,39 @@ pub fn run_deployment(
     };
 
     RunMetrics {
-        system,
+        system: system_name(run.protocol()).to_string(),
         members: n,
-        payload_size: params.traffic.payload_size,
+        payload_size: workload.payload_size,
         messages_per_member: messages,
         mean_latency_ms: mean,
         p95_latency_ms: p95,
         throughput_msgs_per_sec: throughput,
         total_deliveries,
         expected_deliveries: u64::from(n) * u64::from(n) * messages,
-        middleware_messages: deployment.sim.stats().messages_sent,
+        middleware_messages: run.stats().messages_sent,
         finished_at_ms: last_delivery.as_millis_f64(),
-        fail_signals_observed,
+        fail_signals_observed: run.fail_signalled(),
     }
-}
-
-/// Builds and measures one system at the given parameters.
-pub fn measure(system: System, params: &DeploymentParams) -> RunMetrics {
-    measure_with_faults(system, params, FaultSchedule::none())
-}
-
-/// [`measure`], with a fault schedule applied through the scenario harness —
-/// the graceful-degradation variants of the figures run their sweeps under
-/// mild link loss and delay this way.
-pub fn measure_with_faults(
-    system: System,
-    params: &DeploymentParams,
-    faults: FaultSchedule,
-) -> RunMetrics {
-    // Allow generous simulated time: the workload itself lasts
-    // messages × interval, plus drain time for queued work.
-    let workload = params.traffic.interval * params.traffic.messages
-        + SimDuration::from_secs(120)
-        + params.traffic.start_delay;
-    let horizon = SimTime::ZERO + workload * 10;
-    let deployment =
-        Deployment::from_running(params.scenario(system.protocol()).faults(faults).build());
-    run_deployment(deployment, params, system, horizon)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fs_newtop::app::TrafficConfig;
+    use fs_harness::NewTopService;
     use fs_newtop::suspector::SuspectorConfig;
 
-    fn quick_params(members: u32, messages: u64) -> DeploymentParams {
-        DeploymentParams::paper(members)
-            .with_traffic(
-                TrafficConfig::paper_default()
-                    .with_messages(messages)
-                    .with_interval(SimDuration::from_millis(30)),
-            )
-            .with_suspector(SuspectorConfig::disabled())
+    fn quick(protocol: Protocol, messages: u64) -> RunMetrics {
+        let scenario = Scenario::new(NewTopService::new().suspector(SuspectorConfig::disabled()))
+            .protocol(protocol);
+        let workload = Workload::paper_default()
+            .messages(messages)
+            .interval(SimDuration::from_millis(30));
+        measure(scenario, &workload)
     }
 
     #[test]
     fn newtop_run_is_complete_and_failure_free() {
-        let params = quick_params(3, 5);
-        let m = measure(System::NewTop, &params);
+        let m = quick(Protocol::Crash, 5);
         assert!(
             m.is_complete(),
             "delivered {}/{}",
@@ -199,17 +147,15 @@ mod tests {
 
     #[test]
     fn fs_newtop_run_is_complete_and_failure_free() {
-        let params = quick_params(3, 5);
-        let m = measure(System::FsNewTop, &params);
+        let m = quick(Protocol::FailSignal, 5);
         assert!(m.is_complete());
         assert!(!m.fail_signals_observed);
     }
 
     #[test]
     fn fs_newtop_has_higher_latency_and_more_messages_than_newtop() {
-        let params = quick_params(3, 8);
-        let newtop = measure(System::NewTop, &params);
-        let fs = measure(System::FsNewTop, &params);
+        let newtop = quick(Protocol::Crash, 8);
+        let fs = quick(Protocol::FailSignal, 8);
         assert!(
             fs.mean_latency_ms > newtop.mean_latency_ms,
             "FS-NewTOP latency ({}) must exceed NewTOP ({})",
@@ -222,7 +168,7 @@ mod tests {
 
     #[test]
     fn system_labels_match_paper_legends() {
-        assert_eq!(System::NewTop.label(), "NewTOP");
-        assert_eq!(System::FsNewTop.label(), "FS-NewTOP");
+        assert_eq!(label(Protocol::Crash), "NewTOP");
+        assert_eq!(label(Protocol::FailSignal), "FS-NewTOP");
     }
 }

@@ -53,11 +53,10 @@ pub fn ablation_table(title: &str, rows: &[(String, RunMetrics)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measure::System;
 
     fn dummy_metrics() -> RunMetrics {
         RunMetrics {
-            system: System::NewTop,
+            system: "NewTop".to_string(),
             members: 3,
             payload_size: 3,
             messages_per_member: 5,

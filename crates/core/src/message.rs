@@ -31,7 +31,6 @@
 
 use fs_common::codec::{Decoder, Encoder, Wire};
 use fs_common::error::CodecError;
-use fs_common::fasthash::FastMap;
 use fs_common::id::{FsId, MemberId};
 use fs_common::{Bytes, SignatureError};
 use fs_crypto::keys::{KeyDirectory, SignerId, SigningKey};
@@ -338,24 +337,15 @@ impl FsOutput {
     /// Verifies that this is a valid output of the FS process whose wrapper
     /// signers are `pair` (in either order).
     ///
-    /// Outputs that verified successfully are memoised host-side per thread,
-    /// keyed by `(fs, both signatures, expected pair)` with the content held
-    /// in the entry: the same double-signed frame is checked at every
-    /// co-hosted simulated destination, and for the duplicates this skips
-    /// the statement and both HMAC probes.  Verification is a pure
-    /// function of the key-plus-content (the underlying signature layer
-    /// additionally ties its own memo to the key material), so the verdict —
-    /// and therefore every simulation result — is identical with or without
-    /// the memo.  Failures are never cached.
-    ///
-    /// Where the output bytes are a buffer of their own — the spliced body
-    /// of a frame, i.e. the very buffer the signer signed — the entry holds
-    /// a refcount of it, and a re-check of the same frame compares pointers,
-    /// not bytes.  A window into a contiguous frame is stored as a compact
-    /// copy instead: a memo entry must not keep whole frames alive.
-    ///
-    /// On a miss the body is digested once ([`body_digest`]) and the two
-    /// MACs run over the statement — at most 90 bytes.
+    /// The body is digested once ([`body_digest`]: found by buffer address
+    /// when this very buffer was digested before, by content when an equal
+    /// one was) and the two MACs are checked over the statement — at most
+    /// 90 bytes — each through the signature layer's own per-thread memo.
+    /// The same double-signed frame is checked at every co-hosted simulated
+    /// destination; for the duplicates that is one address lookup and two
+    /// memo probes.  Verification is a pure function of keys and content,
+    /// so the verdict — and therefore every simulation result — is
+    /// identical with or without the memos.
     ///
     /// # Errors
     ///
@@ -369,80 +359,10 @@ impl FsOutput {
         self.verify_digesting(directory, pair).map(drop)
     }
 
-    /// [`FsOutput::verify`], handing back the body digest (`None` for the
-    /// fail-signal) so a caller that needs it next does not ask for it
-    /// again: a miss computes it to build the statement, and the memo entry
-    /// keeps it for the hits.
+    /// [`FsOutput::verify`], handing back the body digest it built the
+    /// statement from (`None` for the fail-signal) so a caller that needs it
+    /// next does not ask for it again.
     pub(crate) fn verify_digesting(
-        &self,
-        directory: &KeyDirectory,
-        pair: (SignerId, SignerId),
-    ) -> Result<Option<Digest>, SignatureError> {
-        const OUTPUT_MEMO_MAX: usize = 8 * 1024;
-        const OUTPUT_MEMO_MAX_BYTES: usize = 32 * 1024 * 1024;
-        type OutputMemoKey = (FsId, Signature, Signature, (SignerId, SignerId), (u64, u64));
-        /// The memo map (verified content and its body digest) plus the
-        /// running total of retained content bytes.
-        type OutputMemo = (FastMap<OutputMemoKey, (FsContent, Option<Digest>)>, usize);
-        thread_local! {
-            static OUTPUT_MEMO: std::cell::RefCell<OutputMemo> =
-                std::cell::RefCell::new((FastMap::default(), 0));
-        }
-        // Tie the memo entry to the concrete key material: a verdict cached
-        // under one key directory must never satisfy another.
-        let (Ok(first_key), Ok(second_key)) = (
-            directory.lookup(self.first.signer),
-            directory.lookup(self.second.signer),
-        ) else {
-            return self.verify_statement(directory, pair);
-        };
-        let fingerprints = (first_key.hmac_fingerprint(), second_key.hmac_fingerprint());
-        // Normalise the expected pair so the two delivery orders share an
-        // entry (verification accepts either order).
-        let pair_key = if pair.0 <= pair.1 {
-            pair
-        } else {
-            (pair.1, pair.0)
-        };
-        let key = (
-            self.fs,
-            self.first.clone(),
-            self.second.clone(),
-            pair_key,
-            fingerprints,
-        );
-        let hit = OUTPUT_MEMO.with(|memo| match memo.borrow().0.get(&key) {
-            Some((cached, digest)) if *cached == self.content => Some(*digest),
-            _ => None,
-        });
-        if let Some(digest) = hit {
-            return Ok(digest);
-        }
-        let digest = self.verify_statement(directory, pair)?;
-        // Keep the output bytes themselves when they are a buffer of their
-        // own, a detached copy when they are a window into a frame.
-        let mut kept = self.content.clone();
-        let mut stored = 0;
-        if let FsContent::Output { bytes, .. } = &mut kept {
-            *bytes = bytes.compact();
-            stored = bytes.len();
-        }
-        OUTPUT_MEMO.with(|memo| {
-            let (map, bytes_held) = &mut *memo.borrow_mut();
-            if map.len() >= OUTPUT_MEMO_MAX || *bytes_held >= OUTPUT_MEMO_MAX_BYTES {
-                map.clear();
-                *bytes_held = 0;
-            }
-            *bytes_held += stored;
-            map.insert(key, (kept, digest));
-        });
-        Ok(digest)
-    }
-
-    /// The part of [`FsOutput::verify`] below the output memo: the
-    /// signer-pair check, the body digest, and both signatures over the
-    /// statement (each through the signature layer's own memo).
-    fn verify_statement(
         &self,
         directory: &KeyDirectory,
         pair: (SignerId, SignerId),

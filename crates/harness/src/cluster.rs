@@ -59,17 +59,15 @@ use fs_common::rng::DetRng;
 use fs_common::time::{SimDuration, SimTime};
 use fs_common::Frame;
 use fs_simnet::actor::{Actor, Context, TimerId};
-use fs_simnet::lifecycle::LifecycleSchedule;
-use fs_simnet::link::{LinkModel, LinkSchedule, Topology};
-use fs_simnet::load::{AdmissionGate, ArrivalPacer, LoadStats};
+use fs_simnet::link::Topology;
+use fs_simnet::load::{Admitted, LoadGen, LoadStats};
 use fs_simnet::node::NodeConfig;
 use fs_simnet::sched::SchedulerKind;
-use fs_simnet::sim::Simulation;
-use fs_simnet::threaded::{ThreadedBuilder, ThreadedConfig};
 use fs_simnet::trace::{LatencyRecorder, LatencySummary, NetStats, TraceLog};
 
+use crate::deployment::{deploy, stamp_workload, FrontEnd, RuntimeSlot, ShardAt};
 use crate::faults::FaultSchedule;
-use crate::scenario::{MemberProcs, Protocol, RuntimeKind, RuntimeSlot, Scenario};
+use crate::scenario::{MemberProcs, Protocol, RuntimeKind, Scenario};
 use crate::service::SmrKvService;
 use crate::workload::Workload;
 
@@ -353,24 +351,16 @@ pub struct ClusterRouter {
     entries: Vec<ProcessId>,
     /// Reverse map: entry driver → shard, for classifying completions.
     shard_of_entry: BTreeMap<ProcessId, u32>,
-    pacer: ArrivalPacer,
-    gate: AdmissionGate,
+    load: LoadGen,
     key_rng: DetRng,
-    offered: u64,
-    next_seq: u64,
-    sent_at: BTreeMap<u64, SimTime>,
     shard_of_seq: BTreeMap<u64, u32>,
-    client_of: BTreeMap<u64, u32>,
     /// Per-command deadline and retry budget; `None` disables the retry
     /// plane entirely (no pending copies, no sweep timer).
     retry: Option<(SimDuration, u32)>,
     /// In-flight commands kept for resubmission, by router sequence.
     pending: BTreeMap<u64, PendingCommand>,
     loads: Vec<ShardLoad>,
-    latencies: LatencyRecorder,
     shard_latencies: Vec<LatencyRecorder>,
-    first_submit_at: Option<SimTime>,
-    last_done_at: Option<SimTime>,
     snapshot_at: Option<SimTime>,
     next_snap_req: u64,
     snap_requested_at: BTreeMap<u64, SimTime>,
@@ -382,8 +372,8 @@ impl std::fmt::Debug for ClusterRouter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterRouter")
             .field("shards", &self.entries.len())
-            .field("offered", &self.offered)
-            .field("submitted", &self.next_seq)
+            .field("offered", &self.offered())
+            .field("submitted", &self.submitted())
             .finish()
     }
 }
@@ -398,33 +388,23 @@ impl ClusterRouter {
         retry: Option<(SimDuration, u32)>,
     ) -> Self {
         let shards = entries.len();
-        let pacer_rng = DetRng::new(workload.arrival_seed).derive(0x7075_7465); // "route"
         let shard_of_entry = entries
             .iter()
             .enumerate()
             .map(|(s, &pid)| (pid, s as u32))
             .collect();
         Self {
-            pacer: ArrivalPacer::with_rng(workload.arrival, workload.interval, pacer_rng)
-                .anchored(workload.drift_free_pacing),
-            gate: AdmissionGate::new(workload.clients, workload.max_in_flight, workload.admission),
+            load: LoadGen::new(&workload, 0x7075_7465), // "route"
             key_rng: DetRng::new(workload.arrival_seed ^ 0x6b65_7973),
             workload,
             partitioner,
             entries,
             shard_of_entry,
-            offered: 0,
-            next_seq: 0,
-            sent_at: BTreeMap::new(),
             shard_of_seq: BTreeMap::new(),
-            client_of: BTreeMap::new(),
             retry,
             pending: BTreeMap::new(),
             loads: vec![ShardLoad::default(); shards],
-            latencies: LatencyRecorder::new(),
             shard_latencies: vec![LatencyRecorder::new(); shards],
-            first_submit_at: None,
-            last_done_at: None,
             snapshot_at,
             next_snap_req: 0,
             snap_requested_at: BTreeMap::new(),
@@ -435,12 +415,12 @@ impl ClusterRouter {
 
     /// Arrivals generated so far (admitted or not).
     pub fn offered(&self) -> u64 {
-        self.offered
+        self.load.offered()
     }
 
     /// Commands routed so far, across all shards.
     pub fn submitted(&self) -> u64 {
-        self.next_seq
+        self.load.issued()
     }
 
     /// Completions received so far, across all shards.
@@ -455,7 +435,7 @@ impl ClusterRouter {
 
     /// End-to-end ordering latencies across every shard.
     pub fn latencies(&self) -> &LatencyRecorder {
-        &self.latencies
+        self.load.latencies()
     }
 
     /// End-to-end ordering latencies of one shard.
@@ -463,19 +443,19 @@ impl ClusterRouter {
         self.shard_latencies.get(shard as usize)
     }
 
-    /// The admission counters of the router's gate.
+    /// The admission counters of the router's load generator.
     pub fn load_stats(&self) -> LoadStats {
-        self.gate.stats()
+        self.load.stats()
     }
 
     /// When the first command was routed, if any.
     pub fn first_submit_at(&self) -> Option<SimTime> {
-        self.first_submit_at
+        self.load.first_submit_at()
     }
 
     /// When the last completion arrived, if any.
     pub fn last_done_at(&self) -> Option<SimTime> {
-        self.last_done_at
+        self.load.last_done_at()
     }
 
     /// The completed multi-shard snapshots, in completion order.
@@ -483,24 +463,21 @@ impl ClusterRouter {
         &self.snapshots
     }
 
-    /// One tick of the arrival process, mirroring `SmrDriver::next_arrival`.
+    /// One tick of the arrival process: route the command if it was
+    /// admitted, and re-arm the arrival timer.
     fn next_arrival(&mut self, ctx: &mut dyn Context) {
-        if self.offered >= self.workload.messages {
-            return;
+        let (admitted, rearm) = self.load.on_arrival(ctx.now());
+        if let Some(request) = admitted {
+            self.submit(ctx, request);
         }
-        self.offered += 1;
-        if let Some(client) = self.gate.arrive() {
-            self.submit(ctx, client);
-        }
-        if self.offered < self.workload.messages {
-            ctx.set_timer(self.pacer.next_gap_from(ctx.now()), TIMER_ARRIVAL);
+        if let Some(gap) = rearm {
+            ctx.set_timer(gap, TIMER_ARRIVAL);
         }
     }
 
     /// Keys, routes and tracks one admitted command.
-    fn submit(&mut self, ctx: &mut dyn Context, client: u32) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+    fn submit(&mut self, ctx: &mut dyn Context, request: Admitted) {
+        let seq = request.seq;
         let key = format!("k{:016x}", self.key_rng.next_u64_raw());
         let shard = self.partitioner.shard_of(&key);
         let mut value = vec![0xa5u8; self.workload.payload_size];
@@ -509,10 +486,7 @@ impl ClusterRouter {
             .zip(seq.to_le_bytes())
             .for_each(|(v, b)| *v = b);
         let now = ctx.now();
-        self.first_submit_at.get_or_insert(now);
-        self.sent_at.insert(seq, now);
         self.shard_of_seq.insert(seq, shard);
-        self.client_of.insert(seq, client);
         self.loads[shard as usize].submitted += 1;
         if let Some((deadline, _)) = self.retry {
             self.pending.insert(
@@ -571,19 +545,16 @@ impl ClusterRouter {
                 );
             } else {
                 self.pending.remove(&seq);
-                self.sent_at.remove(&seq);
                 self.shard_of_seq.remove(&seq);
                 self.loads[shard].expired += 1;
-                if let Some(client) = self.client_of.remove(&seq) {
-                    if self.gate.complete(client) {
-                        self.submit(ctx, client);
-                    }
+                if let Some(request) = self.load.abandon(seq, now) {
+                    self.submit(ctx, request);
                 }
             }
         }
         // Keep sweeping while anything can still enter or leave the window;
         // going quiet once the run has drained lets the runtimes settle.
-        if !self.pending.is_empty() || self.offered < self.workload.messages {
+        if !self.pending.is_empty() || self.offered() < self.workload.messages {
             ctx.set_timer(deadline / 2, TIMER_RETRY);
         }
     }
@@ -601,21 +572,16 @@ impl ClusterRouter {
 
     /// Accounts one completion echoed back by shard `shard`.
     fn on_done(&mut self, ctx: &mut dyn Context, shard: u32, router_seq: u64) {
-        let Some(sent) = self.sent_at.remove(&router_seq) else {
+        let Some(done) = self.load.complete(router_seq, ctx.now()) else {
             return; // duplicate or unknown completion
         };
-        let now = ctx.now();
-        self.last_done_at = Some(now);
         self.shard_of_seq.remove(&router_seq);
         self.pending.remove(&router_seq);
         self.loads[shard as usize].completed += 1;
-        self.latencies.record_span(sent, now);
-        self.shard_latencies[shard as usize].record_span(sent, now);
-        if let Some(client) = self.client_of.remove(&router_seq) {
-            if self.gate.complete(client) {
-                // The completion hands its slot to a blocked arrival.
-                self.submit(ctx, client);
-            }
+        self.shard_latencies[shard as usize].record(done.span);
+        if let Some(request) = done.refill {
+            // The completion hands its slot to a blocked arrival.
+            self.submit(ctx, request);
         }
     }
 }
@@ -906,14 +872,7 @@ impl Cluster {
     /// cluster's, or when a shard's fault schedule targets processes its
     /// protocol does not deploy.
     pub fn build(mut self) -> RunningCluster {
-        if self.workload.arrival_seed == 0 {
-            self.workload.arrival_seed = self.seed ^ 0x9E37_79B9_7F4A_7C15;
-        }
-        // Threaded deployments pace against the absolute arrival plan (see
-        // `Workload::drift_free_pacing`); the simulator keeps relative pacing.
-        if self.runtime == RuntimeKind::Threaded {
-            self.workload.drift_free_pacing = true;
-        }
+        stamp_workload(&mut self.workload, self.seed, self.runtime);
         let partitioner = self
             .partitioner
             .clone()
@@ -925,87 +884,34 @@ impl Cluster {
             partitioner.shards(),
             self.shards,
         );
-        for (shard, faults) in &self.shard_faults {
+        for shard in self.shard_faults.keys() {
             assert!(
                 *shard < self.shards,
                 "fault schedule targets shard {shard}, which the cluster does not deploy"
             );
-            for entry in faults.entries() {
-                assert!(
-                    FaultSchedule::target_applies(
-                        entry.target,
-                        self.protocol == Protocol::FailSignal
-                    ),
-                    "shard {shard} fault schedule targets {:?}, which the {:?} protocol does not deploy",
-                    entry.target,
-                    self.protocol,
-                );
-            }
         }
 
-        let topology = self
-            .topology
-            .clone()
-            .unwrap_or_else(|| Topology::new(LinkModel::lan_100mbps()));
         let nodes_per_shard = self.nodes_per_shard();
-        let scenarios: Vec<Scenario> = (0..self.shards).map(|s| self.shard_scenario(s)).collect();
-
-        let mut link_schedule = LinkSchedule::new();
-        let mut lifecycle = LifecycleSchedule::new();
-        let mut shard_members: Vec<Vec<MemberProcs>> = Vec::new();
-
-        let slot = match self.runtime {
-            RuntimeKind::Sim => {
-                let mut sim = Simulation::with_scheduler(self.seed, topology, self.scheduler);
-                let router_node = sim.add_node(self.router_node);
-                for (s, scenario) in scenarios.iter().enumerate() {
-                    let node_base = 1 + s as u32 * nodes_per_shard;
-                    debug_assert_eq!(sim.node_count() as u32, node_base);
-                    let members = scenario.assemble_at(&mut sim, pid_base(s as u32));
-                    for event in scenario
-                        .fault_schedule()
-                        .compile_link_schedule_with_base(node_base)
-                        .in_order()
-                    {
-                        link_schedule.push(event);
-                    }
-                    lifecycle.extend(scenario.compile_lifecycle(&members));
-                    shard_members.push(members);
-                }
-                let router = self.make_router(&partitioner, &shard_members);
-                sim.spawn_with(ROUTER_PID, router_node, Box::new(router));
-                sim.apply_link_schedule(&link_schedule);
-                sim.apply_lifecycle_schedule(lifecycle);
-                RuntimeSlot::from_sim(sim)
-            }
-            RuntimeKind::Threaded => {
-                let mut builder = ThreadedBuilder::new(ThreadedConfig {
-                    cpu_charge_scale: 0.0,
-                    seed: self.seed,
-                })
-                .with_topology(topology);
-                let router_node = builder.add_node();
-                for (s, scenario) in scenarios.iter().enumerate() {
-                    let node_base = 1 + s as u32 * nodes_per_shard;
-                    let members = scenario.assemble_at(&mut builder, pid_base(s as u32));
-                    for event in scenario
-                        .fault_schedule()
-                        .compile_link_schedule_with_base(node_base)
-                        .in_order()
-                    {
-                        link_schedule.push(event);
-                    }
-                    lifecycle.extend(scenario.compile_lifecycle(&members));
-                    shard_members.push(members);
-                }
-                let router = self.make_router(&partitioner, &shard_members);
-                builder.add_with_on(ROUTER_PID, router_node, Box::new(router));
-                builder = builder
-                    .with_link_schedule(link_schedule)
-                    .with_lifecycle_schedule(lifecycle);
-                RuntimeSlot::from_threaded(builder.start())
-            }
+        let router = |shard_members: &[Vec<MemberProcs>]| -> Box<dyn Actor> {
+            Box::new(self.make_router(&partitioner, shard_members))
         };
+        let (slot, shard_members) = deploy(
+            self.runtime,
+            self.seed,
+            self.scheduler,
+            self.topology.clone(),
+            Some(FrontEnd {
+                pid: ROUTER_PID,
+                node: self.router_node,
+                actor: &router,
+            }),
+            (0..self.shards).map(|s| ShardAt {
+                scenario: self.shard_scenario(s),
+                pid_base: pid_base(s),
+                // The router occupies node 0.
+                node_base: 1 + s * nodes_per_shard,
+            }),
+        );
 
         RunningCluster {
             protocol: self.protocol,

@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
+mod deployment;
 pub mod faults;
 pub mod scenario;
 pub mod service;

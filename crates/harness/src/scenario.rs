@@ -22,11 +22,10 @@
 //! assert_eq!(run.delivery_log(1), reference);
 //! ```
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use failsignal::group::{build_fs_group, FsGroupParams, GroupHost, PairLayout};
 use failsignal::interceptor::FsInterceptor;
-use failsignal::wrapper::FsoActor;
 use fs_common::config::TimingAssumptions;
 use fs_common::id::{MemberId, ProcessId};
 use fs_common::time::{SimDuration, SimTime};
@@ -38,11 +37,11 @@ use fs_simnet::link::{LinkModel, Topology};
 use fs_simnet::node::NodeConfig;
 use fs_simnet::sched::SchedulerKind;
 use fs_simnet::sim::Simulation;
-use fs_simnet::threaded::{ThreadedBuilder, ThreadedConfig, ThreadedRuntime};
 use fs_simnet::trace::{NetStats, TraceLog};
 
+use crate::deployment::{deploy, stamp_workload, RuntimeSlot, ShardAt};
 use crate::faults::{FaultSchedule, MemberFate};
-use crate::service::{PlainHost, ServiceSpec};
+use crate::service::ServiceSpec;
 use crate::workload::Workload;
 
 /// The fault-tolerance protocol axis.
@@ -91,9 +90,9 @@ pub struct Scenario {
     service: Box<dyn ServiceSpec>,
     members: u32,
     runtime: RuntimeKind,
-    protocol: Protocol,
+    pub(crate) protocol: Protocol,
     workload: Workload,
-    faults: FaultSchedule,
+    pub(crate) faults: FaultSchedule,
     layout: PairLayout,
     timing: TimingAssumptions,
     crypto_costs: CryptoCostModel,
@@ -237,17 +236,6 @@ impl Scenario {
     #[must_use]
     pub fn link_model(self, link: LinkModel) -> Self {
         self.topology(Topology::new(link))
-    }
-
-    /// Assembles the scenario on `host` and returns the member handles.
-    fn assemble<H: GroupHost>(&self, host: &mut H) -> Vec<MemberProcs> {
-        self.assemble_at(host, 0)
-    }
-
-    /// The scenario's fault schedule (used by the cluster layer to compile
-    /// per-shard link faults against the shard's node base).
-    pub(crate) fn fault_schedule(&self) -> &FaultSchedule {
-        &self.faults
     }
 
     /// Assembles the scenario on `host` with every process identifier
@@ -436,217 +424,27 @@ impl Scenario {
     /// campaign would otherwise run fault-free and pass vacuously — or when
     /// a member-lifecycle entry names a member outside the group.
     pub fn build(mut self) -> Running {
-        // Stamp the arrival-process seed from the scenario seed so open-loop
-        // runs are reproducible per seed without extra configuration (each
-        // member then derives its own independent stream from this value).
-        if self.workload.arrival_seed == 0 {
-            self.workload.arrival_seed = self.seed ^ 0x9E37_79B9_7F4A_7C15;
-        }
-        // Threaded deployments pace against the absolute arrival plan so OS
-        // wakeup lateness cannot accumulate into offered-rate drift; the
-        // simulator keeps relative pacing (its handler latency is modeled).
-        if self.runtime == RuntimeKind::Threaded {
-            self.workload.drift_free_pacing = true;
-        }
-        for entry in self.faults.entries() {
-            assert!(
-                FaultSchedule::target_applies(entry.target, self.protocol == Protocol::FailSignal),
-                "fault schedule targets {:?} of member {}, which the {:?} protocol does not deploy",
-                entry.target,
-                entry.member,
-                self.protocol,
-            );
-        }
-        let topology = self
-            .topology
-            .clone()
-            .unwrap_or_else(|| Topology::new(LinkModel::lan_100mbps()));
-        let link_schedule = self.faults.compile_link_schedule();
-        match self.runtime {
-            RuntimeKind::Sim => {
-                let mut sim = Simulation::with_scheduler(self.seed, topology, self.scheduler);
-                let members = self.assemble(&mut sim);
-                sim.apply_link_schedule(&link_schedule);
-                sim.apply_lifecycle_schedule(self.compile_lifecycle(&members));
-                Running {
-                    service: self.service,
-                    protocol: self.protocol,
-                    runtime: RuntimeKind::Sim,
-                    members,
-                    slot: RuntimeSlot::from_sim(sim),
-                }
-            }
-            RuntimeKind::Threaded => {
-                let mut builder = ThreadedBuilder::new(ThreadedConfig {
-                    cpu_charge_scale: 0.0,
-                    seed: self.seed,
-                })
-                .with_topology(topology)
-                .with_link_schedule(link_schedule);
-                let members = self.assemble(&mut builder);
-                builder = builder.with_lifecycle_schedule(self.compile_lifecycle(&members));
-                Running {
-                    service: self.service,
-                    protocol: self.protocol,
-                    runtime: RuntimeKind::Threaded,
-                    members,
-                    slot: RuntimeSlot::from_threaded(builder.start()),
-                }
-            }
-        }
-    }
-}
-
-/// The runtime-holding half of a running deployment: either a simulator or
-/// a started threaded runtime, plus the actors and statistics collected at
-/// settle time.  [`Running`] and the cluster layer's `RunningCluster` both
-/// contain exactly one slot, so driving, settling, statistics and actor
-/// inspection share this one code path.
-pub(crate) struct RuntimeSlot {
-    sim: Option<Simulation>,
-    threaded: Option<ThreadedRuntime>,
-    collected: HashMap<ProcessId, Box<dyn Actor>>,
-    /// The threaded runtime's final statistics, captured at settle time so
-    /// [`RuntimeSlot::stats`] keeps working after shutdown.
-    collected_stats: Option<NetStats>,
-    /// The threaded runtime's per-node statistics, captured at settle time
-    /// so [`RuntimeSlot::node_stats`] keeps working after shutdown.
-    collected_node_stats: Option<Vec<NetStats>>,
-}
-
-impl RuntimeSlot {
-    pub(crate) fn from_sim(sim: Simulation) -> Self {
-        Self {
-            sim: Some(sim),
-            threaded: None,
-            collected: HashMap::new(),
-            collected_stats: None,
-            collected_node_stats: None,
-        }
-    }
-
-    pub(crate) fn from_threaded(rt: ThreadedRuntime) -> Self {
-        Self {
-            sim: None,
-            threaded: Some(rt),
-            collected: HashMap::new(),
-            collected_stats: None,
-            collected_node_stats: None,
-        }
-    }
-
-    /// Drives the runtime until `horizon` and returns the reached time.
-    pub(crate) fn run_until(&mut self, horizon: SimTime) -> SimTime {
-        if let Some(sim) = self.sim.as_mut() {
-            return sim.run_until(horizon);
-        }
-        if let Some(rt) = self.threaded.as_ref() {
-            return rt.run_until_settled(horizon);
-        }
-        horizon
-    }
-
-    /// Enables event tracing (simulator only).
-    pub(crate) fn enable_trace(&mut self) {
-        if let Some(sim) = self.sim.as_mut() {
-            sim.enable_trace();
-        }
-    }
-
-    /// The recorded trace, when tracing was enabled on the simulator.
-    pub(crate) fn trace(&self) -> Option<&TraceLog> {
-        self.sim.as_ref().and_then(|s| s.trace())
-    }
-
-    /// The runtime-wide network statistics; infallible on both runtimes.
-    pub(crate) fn stats(&self) -> NetStats {
-        if let Some(sim) = self.sim.as_ref() {
-            return sim.stats().clone();
-        }
-        if let Some(rt) = self.threaded.as_ref() {
-            return rt.net_stats();
-        }
-        self.collected_stats
-            .clone()
-            .expect("threaded stats are frozen at settle time")
-    }
-
-    /// The threaded runtime's per-node counter cells (`None` on the
-    /// simulator, which attributes per process instead — see
-    /// `Simulation::counters`).  Node indices follow the deployment order
-    /// of `ThreadedBuilder::add_node`.
-    pub(crate) fn node_stats(&self) -> Option<Vec<NetStats>> {
-        if let Some(rt) = self.threaded.as_ref() {
-            return Some(
-                (0..rt.node_count())
-                    .map(|node| rt.node_net_stats(node))
-                    .collect(),
-            );
-        }
-        self.collected_node_stats.clone()
-    }
-
-    /// Shuts down the threaded runtime (if any) and collects its actors for
-    /// inspection.  Idempotent; a no-op on the simulator.
-    pub(crate) fn settle(&mut self) {
-        if let Some(rt) = self.threaded.take() {
-            self.collected_stats = Some(rt.net_stats());
-            self.collected_node_stats = Some(
-                (0..rt.node_count())
-                    .map(|node| rt.node_net_stats(node))
-                    .collect(),
-            );
-            self.collected = rt.shutdown();
-        }
-    }
-
-    /// The actor registered under `process`, as a trait object.  Call
-    /// [`RuntimeSlot::settle`] first on the threaded runtime.
-    pub(crate) fn actor_ref(&self, process: ProcessId) -> Option<&dyn Actor> {
-        if let Some(sim) = self.sim.as_ref() {
-            return sim.actor_dyn(process);
-        }
-        self.collected.get(&process).map(|b| b.as_ref())
-    }
-
-    /// [`RuntimeSlot::settle`] followed by [`RuntimeSlot::actor_ref`].
-    pub(crate) fn actor_dyn(&mut self, process: ProcessId) -> Option<&dyn Actor> {
-        self.settle();
-        self.actor_ref(process)
-    }
-
-    pub(crate) fn sim(&self) -> Option<&Simulation> {
-        self.sim.as_ref()
-    }
-
-    pub(crate) fn sim_mut(&mut self) -> Option<&mut Simulation> {
-        self.sim.as_mut()
-    }
-
-    pub(crate) fn into_sim(self) -> Option<Simulation> {
-        self.sim
-    }
-
-    /// The service machine of the member described by `procs`, when the
-    /// deployment exposes one: the machine hosted by its [`PlainHost`]
-    /// under [`Protocol::Crash`], the leader replica of its FS pair under
-    /// [`Protocol::FailSignal`].  `None` when the process is wrapped by a
-    /// fault injector or is of another shape.
-    pub(crate) fn machine_at(
-        &mut self,
-        protocol: Protocol,
-        procs: &MemberProcs,
-    ) -> Option<&dyn fs_smr::machine::DeterministicMachine> {
-        self.settle();
-        match protocol {
-            Protocol::Crash => {
-                let any: &dyn std::any::Any = self.actor_ref(procs.middleware)?;
-                Some(any.downcast_ref::<PlainHost>()?.machine())
-            }
-            Protocol::FailSignal => {
-                let any: &dyn std::any::Any = self.actor_ref(procs.leader)?;
-                Some(any.downcast_ref::<FsoActor>()?.machine())
-            }
+        stamp_workload(&mut self.workload, self.seed, self.runtime);
+        let topology = self.topology.take();
+        let placed = ShardAt {
+            scenario: &self,
+            pid_base: 0,
+            node_base: 0,
+        };
+        let (slot, mut shards) = deploy(
+            self.runtime,
+            self.seed,
+            self.scheduler,
+            topology,
+            None,
+            std::iter::once(placed),
+        );
+        Running {
+            protocol: self.protocol,
+            runtime: self.runtime,
+            members: shards.pop().expect("one shard was deployed"),
+            service: self.service,
+            slot,
         }
     }
 }
@@ -880,13 +678,6 @@ impl Running {
             self.interceptor(i)
                 .is_some_and(|x| x.local_fail_signalled())
         })
-    }
-
-    /// Decomposes a simulator-backed run into the raw simulation and member
-    /// handles (used by the legacy deployment forwards).  `None` on the
-    /// threaded runtime.
-    pub fn into_sim(self) -> Option<(Simulation, Vec<MemberProcs>)> {
-        Some((self.slot.into_sim()?, self.members))
     }
 }
 

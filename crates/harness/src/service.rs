@@ -23,16 +23,15 @@ use failsignal::config::RouteTable;
 use failsignal::service::FsService;
 use fs_common::codec::Wire;
 use fs_common::id::{MemberId, ProcessId};
-use fs_common::rng::DetRng;
 use fs_common::time::{SimDuration, SimTime};
 use fs_common::{Bytes, Frame};
-use fs_newtop::app::{AppProcess, TrafficConfig};
+use fs_newtop::app::AppProcess;
 use fs_newtop::gc::{GcConfig, GcCosts, GcMachine};
 use fs_newtop::message::{ControlInput, ServiceKind};
 use fs_newtop::nso::{AddressBook, NsoActor};
 use fs_newtop::suspector::SuspectorConfig;
 use fs_simnet::actor::{Actor, Context, TimerId};
-use fs_simnet::load::{AdmissionGate, ArrivalPacer, LoadStats};
+use fs_simnet::load::{Admitted, LoadGen, LoadStats};
 use fs_simnet::trace::LatencyRecorder;
 use fs_smr::machine::{DeterministicMachine, Endpoint, MachineInput};
 use fs_smr::sequenced::{SequencedKv, SmrClientMsg, SmrDeliverEntry, SmrRequest, SmrUpcall};
@@ -247,21 +246,7 @@ impl ServiceSpec for NewTopService {
         middleware: ProcessId,
         workload: &Workload,
     ) -> Box<dyn Actor> {
-        let traffic = TrafficConfig {
-            service: self.service,
-            payload_size: workload.payload_size,
-            messages: workload.messages,
-            interval: workload.interval,
-            start_delay: workload.start_delay,
-            arrival: workload.arrival,
-            arrival_seed: workload.arrival_seed,
-            clients: workload.clients,
-            max_in_flight: workload.max_in_flight,
-            admission: workload.admission,
-            batch_max: workload.batch_max,
-            batch_linger: workload.batch_linger,
-        };
-        Box::new(AppProcess::new(member, middleware, traffic))
+        Box::new(AppProcess::new(member, middleware, self.service, workload))
     }
 
     fn delivery_log_of(&self, driver: &dyn Actor) -> Option<Vec<(MemberId, u64)>> {
@@ -460,19 +445,13 @@ pub struct SmrDriver {
     member: MemberId,
     middleware: ProcessId,
     workload: Workload,
-    pacer: ArrivalPacer,
-    gate: AdmissionGate,
-    /// Arrivals generated so far (admitted or not).
-    offered: u64,
-    sent: u64,
-    sent_at: BTreeMap<u64, SimTime>,
-    /// The logical client each in-flight command was submitted for.
-    client_of: BTreeMap<u64, u32>,
+    /// The member's own load; router-submitted commands take their sequence
+    /// numbers from the same stream.
+    load: LoadGen,
     /// The open batch: encoded commands with consecutive sequence numbers
     /// starting at `batch_first_seq`.
     batch: Vec<Bytes>,
     batch_first_seq: u64,
-    latencies: LatencyRecorder,
     delivery_log: Vec<(MemberId, u64)>,
     last_delivery: Option<SimTime>,
     /// True for a cold-replacement incarnation: announce the rejoin on
@@ -501,7 +480,7 @@ impl std::fmt::Debug for SmrDriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SmrDriver")
             .field("member", &self.member)
-            .field("sent", &self.sent)
+            .field("sent", &self.sent())
             .field("delivered", &self.delivery_log.len())
             .finish()
     }
@@ -510,21 +489,13 @@ impl std::fmt::Debug for SmrDriver {
 impl SmrDriver {
     /// Creates a driver for `member`, submitting through `middleware`.
     pub fn new(member: MemberId, middleware: ProcessId, workload: Workload) -> Self {
-        let rng = DetRng::new(workload.arrival_seed).derive(u64::from(member.0));
         Self {
             member,
             middleware,
-            pacer: ArrivalPacer::with_rng(workload.arrival, workload.interval, rng)
-                .anchored(workload.drift_free_pacing),
-            gate: AdmissionGate::new(workload.clients, workload.max_in_flight, workload.admission),
+            load: LoadGen::new(&workload, u64::from(member.0)),
             workload,
-            offered: 0,
-            sent: 0,
-            sent_at: BTreeMap::new(),
-            client_of: BTreeMap::new(),
             batch: Vec::new(),
             batch_first_seq: 0,
-            latencies: LatencyRecorder::new(),
             delivery_log: Vec::new(),
             last_delivery: None,
             rejoin_on_start: false,
@@ -553,12 +524,12 @@ impl SmrDriver {
 
     /// Commands submitted so far.
     pub fn sent(&self) -> u64 {
-        self.sent
+        self.load.issued()
     }
 
     /// Ordering latencies of this member's own commands.
     pub fn latencies(&self) -> &LatencyRecorder {
-        &self.latencies
+        self.load.latencies()
     }
 
     /// Time of the last delivery received, if any.
@@ -566,9 +537,9 @@ impl SmrDriver {
         self.last_delivery
     }
 
-    /// The admission counters of this driver's gate.
+    /// The admission counters of this driver's load generator.
     pub fn load_stats(&self) -> LoadStats {
-        self.gate.stats()
+        self.load.stats()
     }
 
     /// The view installs this driver observed, as `(global slot, view id)`
@@ -583,26 +554,21 @@ impl SmrDriver {
         self.rejoin_latency
     }
 
-    /// One tick of the arrival process: offer a command to the admission
-    /// gate, buffer it if admitted, and re-arm the arrival timer.
+    /// One tick of the arrival process: buffer the command if it was
+    /// admitted, and re-arm the arrival timer.
     fn next_arrival(&mut self, ctx: &mut dyn Context) {
-        if self.offered >= self.workload.messages {
-            return;
+        let (admitted, rearm) = self.load.on_arrival(ctx.now());
+        if let Some(request) = admitted {
+            self.enqueue(ctx, request);
         }
-        self.offered += 1;
-        if let Some(client) = self.gate.arrive() {
-            self.enqueue(ctx, client);
-        }
-        if self.offered < self.workload.messages {
-            ctx.set_timer(self.pacer.next_gap_from(ctx.now()), TIMER_SEND);
+        if let Some(gap) = rearm {
+            ctx.set_timer(gap, TIMER_SEND);
         }
     }
 
-    /// Buffers one admitted command into the open batch, flushing when the
-    /// batch is full (a fresh batch arms the linger timer instead).
-    fn enqueue(&mut self, ctx: &mut dyn Context, client: u32) {
-        let seq = self.sent;
-        self.sent += 1;
+    /// Builds the `Put` of one admitted request and buffers it.
+    fn enqueue(&mut self, ctx: &mut dyn Context, request: Admitted) {
+        let seq = request.seq;
         let mut value = vec![0xa5u8; self.workload.payload_size];
         value
             .iter_mut()
@@ -612,8 +578,6 @@ impl SmrDriver {
             key: format!("m{}-{}", self.member.0, seq),
             value,
         };
-        self.sent_at.insert(seq, ctx.now());
-        self.client_of.insert(seq, client);
         self.push_command(ctx, seq, command.to_wire());
     }
 
@@ -650,15 +614,13 @@ impl SmrDriver {
                     // second submission would only double-apply.
                     return;
                 }
-                let seq = self.sent;
-                self.sent += 1;
+                let seq = self.load.reserve_seq();
                 self.routed_of_seq.insert(seq, router_seq);
                 let command = fs_smr::command::KvCommand::Put { key, value };
                 self.push_command(ctx, seq, command.to_wire());
             }
             Ok(ClusterMsg::SnapRead { req }) => {
-                let seq = self.sent;
-                self.sent += 1;
+                let seq = self.load.reserve_seq();
                 self.snap_of_seq.insert(seq, req);
                 self.push_command(ctx, seq, fs_smr::command::KvCommand::Frontier.to_wire());
             }
@@ -718,14 +680,13 @@ impl SmrDriver {
                 return;
             }
         }
-        if let Some(sent_at) = self.sent_at.remove(&entry.seq) {
-            self.latencies.record_span(sent_at, now);
-            if let Some(client) = self.client_of.remove(&entry.seq) {
-                if self.gate.complete(client) {
-                    // The completion hands its slot to a blocked arrival.
-                    self.enqueue(ctx, client);
-                }
-            }
+        if let Some(request) = self
+            .load
+            .complete(entry.seq, now)
+            .and_then(|done| done.refill)
+        {
+            // The completion hands its slot to a blocked arrival.
+            self.enqueue(ctx, request);
         }
     }
 }
@@ -752,20 +713,16 @@ impl Actor for SmrDriver {
         if !self.batch.is_empty() {
             ctx.set_timer(self.workload.batch_linger, TIMER_FLUSH);
         }
-        self.sent_at.clear();
-        let stranded: Vec<u32> = std::mem::take(&mut self.client_of).into_values().collect();
-        for client in stranded {
-            if self.gate.complete(client) {
-                self.enqueue(ctx, client);
-            }
+        let now = ctx.now();
+        for request in self.load.abandon_all(now) {
+            self.enqueue(ctx, request);
         }
-        if self.offered < self.workload.messages {
-            // The downtime is not made up for: re-anchor the pacing plan at
-            // the recovery instant instead of bursting the missed arrivals.
-            self.pacer.resync();
-            ctx.set_timer(self.pacer.next_gap_from(ctx.now()), TIMER_SEND);
+        // The downtime is not made up for: the pacing plan re-anchors at
+        // the recovery instant instead of bursting the missed arrivals.
+        if let Some(gap) = self.load.resync(now) {
+            ctx.set_timer(gap, TIMER_SEND);
         }
-        self.recover_sent_at = Some(ctx.now());
+        self.recover_sent_at = Some(now);
         ctx.send(self.middleware, SmrClientMsg::Recover.to_wire().into());
     }
 

@@ -10,221 +10,13 @@
 //! policy (close a batch at `batch_max` requests or after `batch_linger`,
 //! whichever comes first).
 
-use fs_common::id::{MemberId, ProcessId};
-use fs_common::time::SimDuration;
-
-pub use fs_simnet::load::{Admission, Arrival, LoadStats};
-
-/// A per-member traffic pattern.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Workload {
-    /// Payload size in bytes (the paper uses 3 bytes for "0k", up to 10 kB).
-    pub payload_size: usize,
-    /// How many requests each sending member offers in total (under
-    /// admission control, offered requests may be shed before submission).
-    pub messages: u64,
-    /// Mean interval between consecutive arrivals of one member.
-    pub interval: SimDuration,
-    /// Delay before the first submission (lets the deployment settle).
-    pub start_delay: SimDuration,
-    /// The arrival process generating request arrivals at `interval`.
-    pub arrival: Arrival,
-    /// Seed for the arrival process RNG; 0 means "derive from the scenario
-    /// seed", which the scenario builder stamps before deployment.
-    pub arrival_seed: u64,
-    /// How many of the group's members generate traffic (0 = all of them).
-    /// `senders: 1` gives the classic single-writer load shape.
-    pub senders: u32,
-    /// Logical clients per sending member; arrivals are assigned round-robin.
-    pub clients: u32,
-    /// Bound on submitted-but-uncompleted requests per client (0 = none).
-    pub max_in_flight: u32,
-    /// What happens to an arrival whose client is at `max_in_flight`.
-    pub admission: Admission,
-    /// Requests per batch: a batch closes when it holds `batch_max` requests
-    /// (1 = batching off, every request is its own ordering round).
-    pub batch_max: u32,
-    /// Time policy of the batch close: an open batch is flushed this long
-    /// after its first request even if it never fills.
-    pub batch_linger: SimDuration,
-    /// When set, the member's driver also accepts routed commands from this
-    /// cluster-router process (see `fs_harness::cluster`): the router sends
-    /// it keyed commands and receives a completion echo per ordered
-    /// delivery.  `None` (the default) keeps the driver closed to external
-    /// submitters.
-    pub router: Option<ProcessId>,
-    /// Drift-free pacing: re-arm arrival timers against the absolute planned
-    /// timeline instead of the handler's (possibly late) clock.  The scenario
-    /// and cluster builders switch this on for threaded deployments, where
-    /// late OS wakeups would otherwise accumulate into offered-rate drift; it
-    /// must stay off on the simulator, whose handler-latency model is part of
-    /// the deterministic schedule.
-    pub drift_free_pacing: bool,
-}
-
-impl Default for Workload {
-    fn default() -> Self {
-        Self::paper_default()
-    }
-}
-
-impl Workload {
-    /// The paper's latency/throughput workload: 1000 small messages per
-    /// member at a regular interval.
-    pub fn paper_default() -> Self {
-        Self {
-            payload_size: 3,
-            messages: 1000,
-            interval: SimDuration::from_millis(40),
-            start_delay: SimDuration::from_millis(10),
-            arrival: Arrival::Paced,
-            arrival_seed: 0,
-            senders: 0,
-            clients: 1,
-            max_in_flight: 0,
-            admission: Admission::Shed,
-            batch_max: 1,
-            batch_linger: SimDuration::from_millis(1),
-            router: None,
-            drift_free_pacing: false,
-        }
-    }
-
-    /// A short workload for tests and examples: `messages` small messages
-    /// per member, 25 ms apart.
-    pub fn quick(messages: u64) -> Self {
-        Self {
-            messages,
-            interval: SimDuration::from_millis(25),
-            ..Self::paper_default()
-        }
-    }
-
-    /// Returns a copy with a different message count.
-    #[must_use]
-    pub fn messages(mut self, messages: u64) -> Self {
-        self.messages = messages;
-        self
-    }
-
-    /// Returns a copy with a different payload size.
-    #[must_use]
-    pub fn payload_size(mut self, payload_size: usize) -> Self {
-        self.payload_size = payload_size;
-        self
-    }
-
-    /// Returns a copy with a different send interval.
-    #[must_use]
-    pub fn interval(mut self, interval: SimDuration) -> Self {
-        self.interval = interval;
-        self
-    }
-
-    /// Returns a copy with a different start delay.
-    #[must_use]
-    pub fn start_delay(mut self, start_delay: SimDuration) -> Self {
-        self.start_delay = start_delay;
-        self
-    }
-
-    /// Returns a copy with a different arrival process.
-    #[must_use]
-    pub fn arrival(mut self, arrival: Arrival) -> Self {
-        self.arrival = arrival;
-        self
-    }
-
-    /// Returns a copy with Poisson arrivals (open-loop, exponential gaps
-    /// with mean [`Workload::interval`]).
-    #[must_use]
-    pub fn poisson(self) -> Self {
-        self.arrival(Arrival::Poisson)
-    }
-
-    /// Returns a copy with an explicit arrival-process seed (default 0
-    /// derives it from the scenario seed).
-    #[must_use]
-    pub fn arrival_seed(mut self, arrival_seed: u64) -> Self {
-        self.arrival_seed = arrival_seed;
-        self
-    }
-
-    /// Returns a copy where only the first `senders` members generate
-    /// traffic (0 = all members send).
-    #[must_use]
-    pub fn senders(mut self, senders: u32) -> Self {
-        self.senders = senders;
-        self
-    }
-
-    /// Returns a copy with a different logical client population.
-    #[must_use]
-    pub fn clients(mut self, clients: u32) -> Self {
-        self.clients = clients;
-        self
-    }
-
-    /// Returns a copy with a per-client in-flight bound (0 = unbounded).
-    #[must_use]
-    pub fn max_in_flight(mut self, max_in_flight: u32) -> Self {
-        self.max_in_flight = max_in_flight;
-        self
-    }
-
-    /// Returns a copy with a different admission (overload) policy.
-    #[must_use]
-    pub fn admission(mut self, admission: Admission) -> Self {
-        self.admission = admission;
-        self
-    }
-
-    /// Returns a copy batching up to `batch_max` requests per ordering round
-    /// (1 = off).
-    #[must_use]
-    pub fn batch_max(mut self, batch_max: u32) -> Self {
-        self.batch_max = batch_max.max(1);
-        self
-    }
-
-    /// Returns a copy with a different batch linger (time-based batch close).
-    #[must_use]
-    pub fn batch_linger(mut self, batch_linger: SimDuration) -> Self {
-        self.batch_linger = batch_linger;
-        self
-    }
-
-    /// Returns a copy that accepts routed commands from the given
-    /// cluster-router process (see `fs_harness::cluster`).
-    #[must_use]
-    pub fn router(mut self, router: ProcessId) -> Self {
-        self.router = Some(router);
-        self
-    }
-
-    /// Returns a copy with drift-free (plan-anchored) arrival pacing on or
-    /// off.  The scenario and cluster builders stamp this per runtime; see
-    /// the field docs.
-    #[must_use]
-    pub fn drift_free_pacing(mut self, drift_free_pacing: bool) -> Self {
-        self.drift_free_pacing = drift_free_pacing;
-        self
-    }
-
-    /// The workload as seen by one member: members beyond
-    /// [`Workload::senders`] (when set) generate no traffic.
-    #[must_use]
-    pub fn for_member(mut self, member: MemberId) -> Self {
-        if self.senders > 0 && member.0 >= self.senders {
-            self.messages = 0;
-        }
-        self
-    }
-}
+pub use fs_simnet::load::{Admission, Arrival, LoadStats, Workload};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fs_common::id::MemberId;
+    use fs_common::time::SimDuration;
 
     #[test]
     fn builders_compose() {

@@ -11,15 +11,12 @@
 //! [`crate::nso::NsoActor`] for NewTOP, or at a fail-signal interceptor for
 //! FS-NewTOP.
 
-use std::collections::BTreeMap;
-
 use fs_common::codec::{Decoder, Encoder};
 use fs_common::id::{MemberId, ProcessId};
-use fs_common::rng::DetRng;
-use fs_common::time::{SimDuration, SimTime};
+use fs_common::time::SimTime;
 use fs_common::{Bytes, Frame};
 use fs_simnet::actor::{Actor, Context, TimerId};
-use fs_simnet::load::{Admission, AdmissionGate, Arrival, ArrivalPacer, LoadStats};
+use fs_simnet::load::{Admitted, LoadGen, LoadStats, Workload};
 use fs_simnet::trace::LatencyRecorder;
 
 use crate::invocation::InvocationService;
@@ -30,105 +27,6 @@ pub const TIMER_SEND: TimerId = TimerId(100);
 
 /// Timer closing an open request batch after the configured linger.
 pub const TIMER_FLUSH: TimerId = TimerId(101);
-
-/// Workload configuration for one application process.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrafficConfig {
-    /// The NewTOP service to request.
-    pub service: ServiceKind,
-    /// Payload size in bytes (the paper uses 3 bytes for "0k" and up to 10 kB).
-    pub payload_size: usize,
-    /// How many request arrivals to generate in total (under admission
-    /// control some may be shed before submission).
-    pub messages: u64,
-    /// Mean interval between consecutive arrivals.
-    pub interval: SimDuration,
-    /// Delay before the first arrival (lets the deployment settle).
-    pub start_delay: SimDuration,
-    /// The arrival process: fixed-rate or open-loop Poisson.
-    pub arrival: Arrival,
-    /// Seed of the arrival-process RNG (each member derives its own stream).
-    pub arrival_seed: u64,
-    /// Logical clients of this application; arrivals go round-robin.
-    pub clients: u32,
-    /// Per-client bound on submitted-but-undelivered requests (0 = none).
-    pub max_in_flight: u32,
-    /// What happens to an arrival whose client is at `max_in_flight`.
-    pub admission: Admission,
-    /// Requests per multicast batch (1 = batching off).  When batching is on,
-    /// the multicast payload carries a counted list of application payloads
-    /// and every receiver expands it back into per-request deliveries.
-    pub batch_max: u32,
-    /// An open batch is flushed this long after its first request.
-    pub batch_linger: SimDuration,
-}
-
-impl TrafficConfig {
-    /// The paper's latency/throughput workload: 1000 small messages per
-    /// member at a regular interval, symmetric total order.
-    pub fn paper_default() -> Self {
-        Self {
-            service: ServiceKind::SymmetricTotal,
-            payload_size: 3,
-            messages: 1000,
-            interval: SimDuration::from_millis(40),
-            start_delay: SimDuration::from_millis(10),
-            arrival: Arrival::Paced,
-            arrival_seed: 0,
-            clients: 1,
-            max_in_flight: 0,
-            admission: Admission::Shed,
-            batch_max: 1,
-            batch_linger: SimDuration::from_millis(1),
-        }
-    }
-
-    /// Returns a copy with a different message count (useful for tests).
-    pub fn with_messages(mut self, messages: u64) -> Self {
-        self.messages = messages;
-        self
-    }
-
-    /// Returns a copy with a different payload size.
-    pub fn with_payload_size(mut self, payload_size: usize) -> Self {
-        self.payload_size = payload_size;
-        self
-    }
-
-    /// Returns a copy with a different send interval.
-    pub fn with_interval(mut self, interval: SimDuration) -> Self {
-        self.interval = interval;
-        self
-    }
-
-    /// Returns a copy with a different service kind.
-    pub fn with_service(mut self, service: ServiceKind) -> Self {
-        self.service = service;
-        self
-    }
-
-    /// Returns a copy with a different arrival process.
-    pub fn with_arrival(mut self, arrival: Arrival, arrival_seed: u64) -> Self {
-        self.arrival = arrival;
-        self.arrival_seed = arrival_seed;
-        self
-    }
-
-    /// Returns a copy with an admission-control bound.
-    pub fn with_admission(mut self, clients: u32, max_in_flight: u32, policy: Admission) -> Self {
-        self.clients = clients;
-        self.max_in_flight = max_in_flight;
-        self.admission = policy;
-        self
-    }
-
-    /// Returns a copy batching up to `batch_max` requests per multicast.
-    pub fn with_batching(mut self, batch_max: u32, batch_linger: SimDuration) -> Self {
-        self.batch_max = batch_max.max(1);
-        self.batch_linger = batch_linger;
-        self
-    }
-}
 
 /// Builds the application payload: the sender's member id and application
 /// sequence number, padded to the configured size.
@@ -179,19 +77,13 @@ pub fn parse_batch_payload(bytes: &Bytes) -> Option<Vec<Bytes>> {
 pub struct AppProcess {
     member: MemberId,
     middleware: ProcessId,
-    config: TrafficConfig,
+    /// The NewTOP service class every multicast requests.
+    service: ServiceKind,
+    workload: Workload,
     invocation: InvocationService,
-    pacer: ArrivalPacer,
-    gate: AdmissionGate,
-    /// Arrivals generated so far (admitted or not).
-    offered: u64,
-    sent: u64,
-    sent_at: BTreeMap<u64, SimTime>,
-    /// The logical client each in-flight request was submitted for.
-    client_of: BTreeMap<u64, u32>,
+    load: LoadGen,
     /// The open batch: `(seq, payload)` of buffered requests.
     batch: Vec<(u64, Vec<u8>)>,
-    latencies: LatencyRecorder,
     delivered_total: u64,
     delivered_own: u64,
     first_delivery: Option<SimTime>,
@@ -204,7 +96,7 @@ impl std::fmt::Debug for AppProcess {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AppProcess")
             .field("member", &self.member)
-            .field("sent", &self.sent)
+            .field("sent", &self.sent())
             .field("delivered_total", &self.delivered_total)
             .finish()
     }
@@ -212,22 +104,22 @@ impl std::fmt::Debug for AppProcess {
 
 impl AppProcess {
     /// Creates an application process for `member`, talking to the local
-    /// middleware process `middleware`, generating the given workload.
-    pub fn new(member: MemberId, middleware: ProcessId, config: TrafficConfig) -> Self {
-        let rng = DetRng::new(config.arrival_seed).derive(u64::from(member.0));
+    /// middleware process `middleware`, offering `workload` through the
+    /// NewTOP service class `service`.
+    pub fn new(
+        member: MemberId,
+        middleware: ProcessId,
+        service: ServiceKind,
+        workload: &Workload,
+    ) -> Self {
         Self {
             member,
             middleware,
+            service,
+            workload: *workload,
             invocation: InvocationService::new(),
-            pacer: ArrivalPacer::with_rng(config.arrival, config.interval, rng),
-            gate: AdmissionGate::new(config.clients, config.max_in_flight, config.admission),
-            config,
-            offered: 0,
-            sent: 0,
-            sent_at: BTreeMap::new(),
-            client_of: BTreeMap::new(),
+            load: LoadGen::new(workload, u64::from(member.0)),
             batch: Vec::new(),
-            latencies: LatencyRecorder::new(),
             delivered_total: 0,
             delivered_own: 0,
             first_delivery: None,
@@ -244,7 +136,7 @@ impl AppProcess {
 
     /// Messages multicast so far.
     pub fn sent(&self) -> u64 {
-        self.sent
+        self.load.issued()
     }
 
     /// Total deliveries received (own and others').
@@ -259,7 +151,7 @@ impl AppProcess {
 
     /// Ordering latencies of this application's own messages.
     pub fn latencies(&self) -> &LatencyRecorder {
-        &self.latencies
+        self.load.latencies()
     }
 
     /// Time of the first delivery received, if any.
@@ -284,40 +176,33 @@ impl AppProcess {
         &self.delivery_log
     }
 
-    /// The admission counters of this generator's gate.
+    /// The admission counters of this application's load generator.
     pub fn load_stats(&self) -> LoadStats {
-        self.gate.stats()
+        self.load.stats()
     }
 
-    /// One tick of the arrival process: offer a request to the admission
-    /// gate, buffer it if admitted, and re-arm the arrival timer.
+    /// One tick of the arrival process: buffer the request if it was
+    /// admitted, and re-arm the arrival timer.
     fn next_arrival(&mut self, ctx: &mut dyn Context) {
-        if self.offered >= self.config.messages {
-            return;
+        let (admitted, rearm) = self.load.on_arrival(ctx.now());
+        if let Some(request) = admitted {
+            self.enqueue(ctx, request);
         }
-        self.offered += 1;
-        if let Some(client) = self.gate.arrive() {
-            self.enqueue(ctx, client);
-        }
-        if self.offered < self.config.messages {
-            ctx.set_timer(self.pacer.next_gap(), TIMER_SEND);
+        if let Some(gap) = rearm {
+            ctx.set_timer(gap, TIMER_SEND);
         }
     }
 
     /// Buffers one admitted request into the open batch, flushing when the
     /// batch is full (a fresh batch arms the linger timer instead).
-    fn enqueue(&mut self, ctx: &mut dyn Context, client: u32) {
-        let seq = self.sent;
-        self.sent += 1;
-        let payload = build_payload(self.member, seq, self.config.payload_size);
-        self.sent_at.insert(seq, ctx.now());
-        self.client_of.insert(seq, client);
-        self.batch.push((seq, payload));
-        if self.batch.len() as u32 >= self.config.batch_max {
+    fn enqueue(&mut self, ctx: &mut dyn Context, request: Admitted) {
+        let payload = build_payload(self.member, request.seq, self.workload.payload_size);
+        self.batch.push((request.seq, payload));
+        if self.batch.len() as u32 >= self.workload.batch_max {
             ctx.cancel_timer(TIMER_FLUSH);
             self.flush(ctx);
         } else if self.batch.len() == 1 {
-            ctx.set_timer(self.config.batch_linger, TIMER_FLUSH);
+            ctx.set_timer(self.workload.batch_linger, TIMER_FLUSH);
         }
     }
 
@@ -326,13 +211,13 @@ impl AppProcess {
         if self.batch.is_empty() {
             return;
         }
-        let payload = if self.config.batch_max == 1 {
+        let payload = if self.workload.batch_max == 1 {
             self.batch.pop().expect("one buffered request").1
         } else {
             let items: Vec<Vec<u8>> = self.batch.drain(..).map(|(_, p)| p).collect();
             build_batch_payload(&items)
         };
-        let request = self.invocation.marshal(self.config.service, payload);
+        let request = self.invocation.marshal(self.service, payload);
         ctx.send(self.middleware, request);
     }
 
@@ -343,26 +228,25 @@ impl AppProcess {
             return;
         };
         self.delivery_log.push((member, seq));
-        if member != self.member {
-            return;
+        if member == self.member {
+            self.deliver_own(ctx, now, seq);
         }
+    }
+
+    /// Accounts the delivery of this application's own request `seq`.
+    fn deliver_own(&mut self, ctx: &mut dyn Context, now: SimTime, seq: u64) {
         self.delivered_own += 1;
-        if let Some(sent_at) = self.sent_at.remove(&seq) {
-            self.latencies.record_span(sent_at, now);
-            if let Some(client) = self.client_of.remove(&seq) {
-                if self.gate.complete(client) {
-                    // The completion hands its slot to a blocked arrival.
-                    self.enqueue(ctx, client);
-                }
-            }
+        if let Some(request) = self.load.complete(seq, now).and_then(|done| done.refill) {
+            // The completion hands its slot to a blocked arrival.
+            self.enqueue(ctx, request);
         }
     }
 }
 
 impl Actor for AppProcess {
     fn on_start(&mut self, ctx: &mut dyn Context) {
-        if self.config.messages > 0 {
-            ctx.set_timer(self.config.start_delay, TIMER_SEND);
+        if self.workload.messages > 0 {
+            ctx.set_timer(self.workload.start_delay, TIMER_SEND);
         }
     }
 
@@ -384,7 +268,7 @@ impl Actor for AppProcess {
                 let now = ctx.now();
                 self.first_delivery.get_or_insert(now);
                 self.last_delivery = Some(now);
-                if self.config.batch_max > 1 {
+                if self.workload.batch_max > 1 {
                     // Batched payloads expand into per-request deliveries;
                     // the total count reflects requests, not multicasts.
                     let items = parse_batch_payload(&delivery.payload).unwrap_or_default();
@@ -396,15 +280,7 @@ impl Actor for AppProcess {
                     self.delivery_log.push((delivery.origin, delivery.seq));
                     if let Some((member, seq)) = parse_payload(&delivery.payload) {
                         if member == self.member {
-                            self.delivered_own += 1;
-                            if let Some(sent_at) = self.sent_at.remove(&seq) {
-                                self.latencies.record_span(sent_at, now);
-                                if let Some(client) = self.client_of.remove(&seq) {
-                                    if self.gate.complete(client) {
-                                        self.enqueue(ctx, client);
-                                    }
-                                }
-                            }
+                            self.deliver_own(ctx, now, seq);
                         }
                     }
                 }
@@ -432,8 +308,19 @@ mod tests {
     use fs_common::codec::Wire;
     use fs_simnet::actor::TestContext;
 
-    fn config(messages: u64) -> TrafficConfig {
-        TrafficConfig::paper_default().with_messages(messages)
+    use fs_common::time::SimDuration;
+
+    fn config(messages: u64) -> Workload {
+        Workload::paper_default().messages(messages)
+    }
+
+    fn new_app(member: u32, workload: Workload) -> AppProcess {
+        AppProcess::new(
+            MemberId(member),
+            ProcessId(5),
+            ServiceKind::SymmetricTotal,
+            &workload,
+        )
     }
 
     #[test]
@@ -449,7 +336,7 @@ mod tests {
 
     #[test]
     fn app_sends_paced_messages() {
-        let mut app = AppProcess::new(MemberId(0), ProcessId(5), config(3));
+        let mut app = new_app(0, config(3));
         let mut ctx = TestContext::new(ProcessId(1));
         app.on_start(&mut ctx);
         assert_eq!(ctx.timers_set.len(), 1);
@@ -464,7 +351,7 @@ mod tests {
 
     #[test]
     fn latency_is_recorded_for_own_deliveries_only() {
-        let mut app = AppProcess::new(MemberId(0), ProcessId(5), config(1));
+        let mut app = new_app(0, config(1));
         let mut ctx = TestContext::new(ProcessId(1));
         app.on_start(&mut ctx);
         app.on_timer(&mut ctx, TIMER_SEND);
@@ -499,7 +386,7 @@ mod tests {
 
     #[test]
     fn view_upcalls_are_tracked() {
-        let mut app = AppProcess::new(MemberId(0), ProcessId(5), config(0));
+        let mut app = new_app(0, config(0));
         let mut ctx = TestContext::new(ProcessId(1));
         app.on_start(&mut ctx);
         assert!(ctx.timers_set.is_empty());
@@ -527,8 +414,8 @@ mod tests {
 
     #[test]
     fn full_batch_flushes_in_one_multicast() {
-        let cfg = config(4).with_batching(2, SimDuration::from_millis(1));
-        let mut app = AppProcess::new(MemberId(0), ProcessId(5), cfg);
+        let cfg = config(4).batch_max(2);
+        let mut app = new_app(0, cfg);
         let mut ctx = TestContext::new(ProcessId(1));
         app.on_start(&mut ctx);
         app.on_timer(&mut ctx, TIMER_SEND);
@@ -560,8 +447,10 @@ mod tests {
 
     #[test]
     fn lingering_batch_flushes_on_timer() {
-        let cfg = config(4).with_batching(8, SimDuration::from_micros(200));
-        let mut app = AppProcess::new(MemberId(0), ProcessId(5), cfg);
+        let cfg = config(4)
+            .batch_max(8)
+            .batch_linger(SimDuration::from_micros(200));
+        let mut app = new_app(0, cfg);
         let mut ctx = TestContext::new(ProcessId(1));
         app.on_start(&mut ctx);
         app.on_timer(&mut ctx, TIMER_SEND);
@@ -574,8 +463,8 @@ mod tests {
 
     #[test]
     fn admission_gate_sheds_over_the_bound() {
-        let cfg = config(3).with_admission(1, 1, Admission::Shed);
-        let mut app = AppProcess::new(MemberId(0), ProcessId(5), cfg);
+        let cfg = config(3).max_in_flight(1);
+        let mut app = new_app(0, cfg);
         let mut ctx = TestContext::new(ProcessId(1));
         app.on_start(&mut ctx);
         app.on_timer(&mut ctx, TIMER_SEND);
@@ -600,8 +489,8 @@ mod tests {
 
     #[test]
     fn poisson_arrivals_rearm_with_varying_gaps() {
-        let cfg = config(3).with_arrival(Arrival::Poisson, 11);
-        let mut app = AppProcess::new(MemberId(2), ProcessId(5), cfg);
+        let cfg = config(3).poisson().arrival_seed(11);
+        let mut app = new_app(2, cfg);
         let mut ctx = TestContext::new(ProcessId(1));
         app.on_start(&mut ctx);
         app.on_timer(&mut ctx, TIMER_SEND);
@@ -615,8 +504,28 @@ mod tests {
     }
 
     #[test]
+    fn drift_free_pacing_shortens_the_gap_after_a_late_wakeup() {
+        let interval = SimDuration::from_millis(40);
+        let cfg = config(3).interval(interval).drift_free_pacing(true);
+        let mut app = new_app(0, cfg);
+        let mut ctx = TestContext::new(ProcessId(1));
+        app.on_start(&mut ctx);
+        // The first arrival anchors the plan; the second wakes 15 ms late.
+        app.on_timer(&mut ctx, TIMER_SEND);
+        ctx.advance(interval + SimDuration::from_millis(15));
+        app.on_timer(&mut ctx, TIMER_SEND);
+        let gaps: Vec<_> = ctx.timers_set.iter().map(|(d, _)| *d).collect();
+        assert_eq!(gaps[1], interval);
+        assert_eq!(
+            gaps[2],
+            SimDuration::from_millis(25),
+            "the third arrival stays on the planned timeline"
+        );
+    }
+
+    #[test]
     fn messages_from_strangers_are_ignored() {
-        let mut app = AppProcess::new(MemberId(0), ProcessId(5), config(1));
+        let mut app = new_app(0, config(1));
         let mut ctx = TestContext::new(ProcessId(1));
         let junk = Upcall::Deliver(AppDeliver {
             origin: MemberId(0),

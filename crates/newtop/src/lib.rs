@@ -65,7 +65,7 @@ pub mod total_asym;
 pub mod total_sym;
 pub mod view;
 
-pub use app::{AppProcess, TrafficConfig};
+pub use app::AppProcess;
 pub use gc::{GcConfig, GcCosts, GcMachine};
 pub use invocation::InvocationService;
 pub use message::{

@@ -80,7 +80,10 @@ pub mod trace;
 pub use actor::{Actor, Context, Outgoing, TestContext, TimerId};
 pub use lifecycle::{LifecycleEvent, LifecycleSchedule, ProcessFate};
 pub use link::{LinkDegrade, LinkEvent, LinkFault, LinkModel, LinkSchedule, LinkScope, Topology};
-pub use load::{Admission, AdmissionGate, Arrival, ArrivalPacer, LoadStats};
+pub use load::{
+    Admission, AdmissionGate, Admitted, Arrival, ArrivalPacer, Completed, LoadGen, LoadStats,
+    Workload,
+};
 pub use node::{NodeConfig, NodeState};
 pub use sched::{CalendarQueue, EventQueue, ScheduledEvent, SchedulerKind};
 pub use sim::Simulation;

@@ -1,27 +1,43 @@
-//! Open-loop load generation: arrival processes and admission control.
+//! Open-loop load generation: the workload description, arrival processes,
+//! admission control and the one generator that combines them.
 //!
 //! The paper's cost/benefit story (crash-tolerant vs authenticated-Byzantine
 //! ordering) is about what ordering costs *under load*, so the load drivers
-//! need more than a fixed-cadence closed loop.  This module provides the two
-//! runtime-agnostic building blocks the service drivers share:
+//! need more than a fixed-cadence closed loop.  There is one path from a
+//! description of load to requests in flight:
 //!
-//! * an [`ArrivalPacer`] that turns a configured arrival process
-//!   ([`Arrival::Paced`] fixed-rate or [`Arrival::Poisson`] with
-//!   exponentially distributed gaps from the deterministic RNG) into the next
-//!   inter-arrival gap, and
-//! * an [`AdmissionGate`] that bounds the in-flight requests of a configurable
-//!   client population and applies a shed-or-block [`Admission`] policy when a
-//!   client is at its bound, accumulating [`LoadStats`] so overload is
-//!   observable instead of silently queueing without bound.
+//! * a [`Workload`] says how much traffic a generator offers and at what
+//!   cadence — the knobs of the paper's §4 experiments (message count,
+//!   payload size, send interval) plus the arrival process, the logical
+//!   client population with its in-flight bound, and the batching policy;
+//! * a [`LoadGen`], built from a workload and an RNG stream id, is the
+//!   generator every load-driving actor owns (the NewTOP application
+//!   process, the sequenced-KV driver, the cluster router): it paces
+//!   arrivals, admits them, tracks the in-flight window and records the
+//!   latency of every completion.  The actor keeps only what is its own —
+//!   payloads, wire protocol, batch framing, timer ids.
 //!
-//! Both are plain deterministic state machines — no clocks, no threads — so
-//! the same driver code behaves identically on the discrete-event simulator
-//! and on the threaded runtime.
+//! Underneath, an [`ArrivalPacer`] turns the arrival process
+//! ([`Arrival::Paced`] fixed-rate or [`Arrival::Poisson`] with exponentially
+//! distributed gaps from the deterministic RNG) into inter-arrival gaps, and
+//! an [`AdmissionGate`] bounds the in-flight requests of the client
+//! population and applies a shed-or-block [`Admission`] policy when a client
+//! is at its bound, accumulating [`LoadStats`] so overload is observable
+//! instead of silently queueing without bound.
+//!
+//! All of it is plain deterministic state — no clocks, no threads — so the
+//! same driver code behaves identically on the discrete-event simulator and
+//! on the threaded runtime.
+
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
+use fs_common::id::{MemberId, ProcessId};
 use fs_common::rng::DetRng;
 use fs_common::time::{SimDuration, SimTime};
+
+use crate::trace::LatencyRecorder;
 
 /// The arrival process of an open-loop load generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -47,6 +63,213 @@ pub enum Admission {
     /// completes; the completion hands its slot to the oldest blocked
     /// arrival.
     Block,
+}
+
+/// A per-member traffic pattern.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Workload {
+    /// Payload size in bytes (the paper uses 3 bytes for "0k", up to 10 kB).
+    pub payload_size: usize,
+    /// How many requests each sending member offers in total (under
+    /// admission control, offered requests may be shed before submission).
+    pub messages: u64,
+    /// Mean interval between consecutive arrivals of one member.
+    pub interval: SimDuration,
+    /// Delay before the first submission (lets the deployment settle).
+    pub start_delay: SimDuration,
+    /// The arrival process generating request arrivals at `interval`.
+    pub arrival: Arrival,
+    /// Seed for the arrival process RNG; 0 means "derive from the scenario
+    /// seed", which the scenario builder stamps before deployment.
+    pub arrival_seed: u64,
+    /// How many of the group's members generate traffic (0 = all of them).
+    /// `senders: 1` gives the classic single-writer load shape.
+    pub senders: u32,
+    /// Logical clients per sending member; arrivals are assigned round-robin.
+    pub clients: u32,
+    /// Bound on submitted-but-uncompleted requests per client (0 = none).
+    pub max_in_flight: u32,
+    /// What happens to an arrival whose client is at `max_in_flight`.
+    pub admission: Admission,
+    /// Requests per batch: a batch closes when it holds `batch_max` requests
+    /// (1 = batching off, every request is its own ordering round).
+    pub batch_max: u32,
+    /// Time policy of the batch close: an open batch is flushed this long
+    /// after its first request even if it never fills.
+    pub batch_linger: SimDuration,
+    /// When set, the member's driver also accepts routed commands from this
+    /// cluster-router process (see `fs_harness::cluster`): the router sends
+    /// it keyed commands and receives a completion echo per ordered
+    /// delivery.  `None` (the default) keeps the driver closed to external
+    /// submitters.
+    pub router: Option<ProcessId>,
+    /// Drift-free pacing: re-arm arrival timers against the absolute planned
+    /// timeline instead of the handler's (possibly late) clock.  The scenario
+    /// and cluster builders switch this on for threaded deployments, where
+    /// late OS wakeups would otherwise accumulate into offered-rate drift; it
+    /// must stay off on the simulator, whose handler-latency model is part of
+    /// the deterministic schedule.
+    pub drift_free_pacing: bool,
+}
+
+impl Default for Workload {
+    fn default() -> Self {
+        Self::paper_default()
+    }
+}
+
+impl Workload {
+    /// The paper's latency/throughput workload: 1000 small messages per
+    /// member at a regular interval.
+    pub fn paper_default() -> Self {
+        Self {
+            payload_size: 3,
+            messages: 1000,
+            interval: SimDuration::from_millis(40),
+            start_delay: SimDuration::from_millis(10),
+            arrival: Arrival::Paced,
+            arrival_seed: 0,
+            senders: 0,
+            clients: 1,
+            max_in_flight: 0,
+            admission: Admission::Shed,
+            batch_max: 1,
+            batch_linger: SimDuration::from_millis(1),
+            router: None,
+            drift_free_pacing: false,
+        }
+    }
+
+    /// A short workload for tests and examples: `messages` small messages
+    /// per member, 25 ms apart.
+    pub fn quick(messages: u64) -> Self {
+        Self {
+            messages,
+            interval: SimDuration::from_millis(25),
+            ..Self::paper_default()
+        }
+    }
+
+    /// Returns a copy with a different message count.
+    #[must_use]
+    pub fn messages(mut self, messages: u64) -> Self {
+        self.messages = messages;
+        self
+    }
+
+    /// Returns a copy with a different payload size.
+    #[must_use]
+    pub fn payload_size(mut self, payload_size: usize) -> Self {
+        self.payload_size = payload_size;
+        self
+    }
+
+    /// Returns a copy with a different send interval.
+    #[must_use]
+    pub fn interval(mut self, interval: SimDuration) -> Self {
+        self.interval = interval;
+        self
+    }
+
+    /// Returns a copy with a different start delay.
+    #[must_use]
+    pub fn start_delay(mut self, start_delay: SimDuration) -> Self {
+        self.start_delay = start_delay;
+        self
+    }
+
+    /// Returns a copy with a different arrival process.
+    #[must_use]
+    pub fn arrival(mut self, arrival: Arrival) -> Self {
+        self.arrival = arrival;
+        self
+    }
+
+    /// Returns a copy with Poisson arrivals (open-loop, exponential gaps
+    /// with mean [`Workload::interval`]).
+    #[must_use]
+    pub fn poisson(self) -> Self {
+        self.arrival(Arrival::Poisson)
+    }
+
+    /// Returns a copy with an explicit arrival-process seed (default 0
+    /// derives it from the scenario seed).
+    #[must_use]
+    pub fn arrival_seed(mut self, arrival_seed: u64) -> Self {
+        self.arrival_seed = arrival_seed;
+        self
+    }
+
+    /// Returns a copy where only the first `senders` members generate
+    /// traffic (0 = all members send).
+    #[must_use]
+    pub fn senders(mut self, senders: u32) -> Self {
+        self.senders = senders;
+        self
+    }
+
+    /// Returns a copy with a different logical client population.
+    #[must_use]
+    pub fn clients(mut self, clients: u32) -> Self {
+        self.clients = clients;
+        self
+    }
+
+    /// Returns a copy with a per-client in-flight bound (0 = unbounded).
+    #[must_use]
+    pub fn max_in_flight(mut self, max_in_flight: u32) -> Self {
+        self.max_in_flight = max_in_flight;
+        self
+    }
+
+    /// Returns a copy with a different admission (overload) policy.
+    #[must_use]
+    pub fn admission(mut self, admission: Admission) -> Self {
+        self.admission = admission;
+        self
+    }
+
+    /// Returns a copy batching up to `batch_max` requests per ordering round
+    /// (1 = off).
+    #[must_use]
+    pub fn batch_max(mut self, batch_max: u32) -> Self {
+        self.batch_max = batch_max.max(1);
+        self
+    }
+
+    /// Returns a copy with a different batch linger (time-based batch close).
+    #[must_use]
+    pub fn batch_linger(mut self, batch_linger: SimDuration) -> Self {
+        self.batch_linger = batch_linger;
+        self
+    }
+
+    /// Returns a copy that accepts routed commands from the given
+    /// cluster-router process (see `fs_harness::cluster`).
+    #[must_use]
+    pub fn router(mut self, router: ProcessId) -> Self {
+        self.router = Some(router);
+        self
+    }
+
+    /// Returns a copy with drift-free (plan-anchored) arrival pacing on or
+    /// off.  The scenario and cluster builders stamp this per runtime; see
+    /// the field docs.
+    #[must_use]
+    pub fn drift_free_pacing(mut self, drift_free_pacing: bool) -> Self {
+        self.drift_free_pacing = drift_free_pacing;
+        self
+    }
+
+    /// The workload as seen by one member: members beyond
+    /// [`Workload::senders`] (when set) generate no traffic.
+    #[must_use]
+    pub fn for_member(mut self, member: MemberId) -> Self {
+        if self.senders > 0 && member.0 >= self.senders {
+            self.messages = 0;
+        }
+        self
+    }
 }
 
 /// Produces the gap to the next arrival for a configured [`Arrival`] process.
@@ -249,6 +472,186 @@ impl AdmissionGate {
     /// The accumulated admission counters.
     pub fn stats(&self) -> LoadStats {
         self.stats
+    }
+}
+
+/// A request [`LoadGen`] admitted: the owning actor builds its payload and
+/// submits it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Admitted {
+    /// The request's sequence number in the generator's stream.
+    pub seq: u64,
+    /// The logical client the request was submitted for.
+    pub client: u32,
+}
+
+/// What [`LoadGen::complete`] reports for a request that was in flight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Completed {
+    /// Submission → completion, as recorded in [`LoadGen::latencies`].
+    pub span: SimDuration,
+    /// The blocked arrival that inherited the freed slot, if any: the actor
+    /// submits it now.
+    pub refill: Option<Admitted>,
+}
+
+/// The open-loop load generator every load-driving actor owns: arrival
+/// pacing, admission control, the in-flight window and the latency record
+/// of one [`Workload`].
+///
+/// The generator owns no clock and sends nothing.  The actor arms its own
+/// arrival timer and calls [`LoadGen::on_arrival`] when it fires, submits
+/// what is [`Admitted`], and reports each response with
+/// [`LoadGen::complete`]; the generator says when to re-arm the timer and
+/// which blocked arrival a completion releases.
+#[derive(Debug, Clone)]
+pub struct LoadGen {
+    /// Arrivals to offer in total.
+    messages: u64,
+    pacer: ArrivalPacer,
+    gate: AdmissionGate,
+    /// Arrivals generated so far (admitted or not).
+    offered: u64,
+    next_seq: u64,
+    /// The in-flight window: `seq → (submitted at, client)`.
+    window: BTreeMap<u64, (SimTime, u32)>,
+    latencies: LatencyRecorder,
+    first_submit_at: Option<SimTime>,
+    last_done_at: Option<SimTime>,
+}
+
+impl LoadGen {
+    /// A generator for `workload`, drawing its arrival gaps from stream
+    /// `stream` of the workload's arrival seed (generators sharing a seed
+    /// take distinct streams, e.g. their member id).
+    pub fn new(workload: &Workload, stream: u64) -> Self {
+        let rng = DetRng::new(workload.arrival_seed).derive(stream);
+        Self {
+            messages: workload.messages,
+            pacer: ArrivalPacer::with_rng(workload.arrival, workload.interval, rng)
+                .anchored(workload.drift_free_pacing),
+            gate: AdmissionGate::new(workload.clients, workload.max_in_flight, workload.admission),
+            offered: 0,
+            next_seq: 0,
+            window: BTreeMap::new(),
+            latencies: LatencyRecorder::new(),
+            first_submit_at: None,
+            last_done_at: None,
+        }
+    }
+
+    /// One tick of the arrival process: offers a request to the admission
+    /// gate.  Returns the request to submit, if it was admitted, and the
+    /// delay after which the arrival timer fires next (`None` once every
+    /// arrival has been offered).
+    pub fn on_arrival(&mut self, now: SimTime) -> (Option<Admitted>, Option<SimDuration>) {
+        if self.offered >= self.messages {
+            return (None, None);
+        }
+        self.offered += 1;
+        let admitted = self.gate.arrive().map(|client| self.admit(client, now));
+        (admitted, self.next_gap(now))
+    }
+
+    /// Registers the response to request `seq`: records its latency and
+    /// frees its slot, handing it to a blocked arrival of the same client
+    /// when one waits.  `None` for a sequence number that is not in flight
+    /// (unknown, abandoned or already completed).
+    pub fn complete(&mut self, seq: u64, now: SimTime) -> Option<Completed> {
+        let (sent_at, client) = self.window.remove(&seq)?;
+        let span = now.duration_since(sent_at);
+        self.latencies.record(span);
+        self.last_done_at = Some(now);
+        Some(Completed {
+            span,
+            refill: self.release(client, now),
+        })
+    }
+
+    /// Gives up on request `seq` without a latency sample (its deadline
+    /// passed).  The slot is freed exactly as by a completion — and counted
+    /// as one in [`LoadStats::completed`] — so the blocked arrival that
+    /// inherits it, if any, is returned for submission.
+    pub fn abandon(&mut self, seq: u64, now: SimTime) -> Option<Admitted> {
+        let (_, client) = self.window.remove(&seq)?;
+        self.release(client, now)
+    }
+
+    /// [`LoadGen::abandon`] for the whole window, oldest request first (the
+    /// responses were lost with a restart).  Returns the blocked arrivals
+    /// that took over freed slots, in submission order.
+    pub fn abandon_all(&mut self, now: SimTime) -> Vec<Admitted> {
+        std::mem::take(&mut self.window)
+            .into_values()
+            .filter_map(|(_, client)| self.release(client, now))
+            .collect()
+    }
+
+    /// Resumes pacing after a pause that is not to be made up for: the
+    /// planned timeline is re-anchored at `now` instead of releasing the
+    /// missed arrivals as a burst.  Returns the delay to re-arm the arrival
+    /// timer with (`None` once every arrival has been offered).
+    pub fn resync(&mut self, now: SimTime) -> Option<SimDuration> {
+        self.pacer.resync();
+        self.next_gap(now)
+    }
+
+    /// Takes the next sequence number for a request submitted outside the
+    /// arrival process (it shares the stream's numbering but holds no slot
+    /// and records no latency).
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Arrivals generated so far (admitted or not).
+    pub fn offered(&self) -> u64 {
+        self.offered
+    }
+
+    /// Sequence numbers handed out so far.
+    pub fn issued(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// The admission counters.
+    pub fn stats(&self) -> LoadStats {
+        self.gate.stats()
+    }
+
+    /// Submission → completion latencies, in completion order.
+    pub fn latencies(&self) -> &LatencyRecorder {
+        &self.latencies
+    }
+
+    /// When the first request was admitted, if any.
+    pub fn first_submit_at(&self) -> Option<SimTime> {
+        self.first_submit_at
+    }
+
+    /// When the last completion was registered, if any.
+    pub fn last_done_at(&self) -> Option<SimTime> {
+        self.last_done_at
+    }
+
+    /// The delay to the next arrival, while there is one left to offer.
+    fn next_gap(&mut self, now: SimTime) -> Option<SimDuration> {
+        (self.offered < self.messages).then(|| self.pacer.next_gap_from(now))
+    }
+
+    /// Opens the window entry of a request the gate just admitted.
+    fn admit(&mut self, client: u32, now: SimTime) -> Admitted {
+        let seq = self.reserve_seq();
+        self.first_submit_at.get_or_insert(now);
+        self.window.insert(seq, (now, client));
+        Admitted { seq, client }
+    }
+
+    /// Returns `client`'s slot to the gate, admitting the blocked arrival
+    /// that inherits it.
+    fn release(&mut self, client: u32, now: SimTime) -> Option<Admitted> {
+        self.gate.complete(client).then(|| self.admit(client, now))
     }
 }
 

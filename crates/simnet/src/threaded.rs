@@ -16,10 +16,8 @@
 //! analogue of the simulator's encode-once/share-per-recipient delivery.
 //! Timers are serviced by the owning node's thread between messages.
 //!
-//! CPU charges reported by handlers are ignored by default (they model
-//! 2003-era costs that would only slow the tests down); a scale factor can be
-//! configured to busy-wait a fraction of the charge when realistic pacing is
-//! wanted.
+//! CPU charges reported by handlers are ignored: they model 2003-era costs,
+//! and on real threads a handler costs what it costs.
 //!
 //! ## The contention-free send path
 //!
@@ -445,19 +443,13 @@ impl GateCache {
 /// Configuration of the threaded runtime.
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadedConfig {
-    /// Fraction of each handler's CPU charge that is actually busy-waited.
-    /// `0.0` (the default) ignores charges entirely.
-    pub cpu_charge_scale: f64,
     /// Random seed from which per-actor RNGs are derived.
     pub seed: u64,
 }
 
 impl Default for ThreadedConfig {
     fn default() -> Self {
-        Self {
-            cpu_charge_scale: 0.0,
-            seed: 1,
-        }
+        Self { seed: 1 }
     }
 }
 
@@ -957,7 +949,6 @@ struct ThreadContext<'a> {
     outgoing: &'a mut Vec<(ProcessId, Frame)>,
     rng: &'a mut DetRng,
     timers: &'a mut TimerState,
-    cpu_scale: f64,
 }
 
 #[derive(Default)]
@@ -1014,15 +1005,8 @@ impl Context for ThreadContext<'_> {
     fn cancel_timer(&mut self, timer: TimerId) {
         self.timers.cancel(timer);
     }
-    fn charge_cpu(&mut self, amount: SimDuration) {
-        if self.cpu_scale > 0.0 {
-            let target = Duration::from(amount.mul_f64(self.cpu_scale));
-            let start = Instant::now();
-            while start.elapsed() < target {
-                std::hint::spin_loop();
-            }
-        }
-    }
+    /// A no-op: handlers on real threads cost what they cost.
+    fn charge_cpu(&mut self, _amount: SimDuration) {}
     fn rng(&mut self) -> &mut DetRng {
         self.rng
     }
@@ -1370,7 +1354,6 @@ fn process_envelope(
                     outgoing,
                     rng: &mut a.rng,
                     timers: &mut a.timers,
-                    cpu_scale: env.config.cpu_charge_scale,
                 };
                 a.actor.on_message(&mut ctx, from, payload);
                 delivered += 1;
@@ -1412,7 +1395,6 @@ fn process_envelope(
                                 outgoing,
                                 rng: &mut a.rng,
                                 timers: &mut a.timers,
-                                cpu_scale: env.config.cpu_charge_scale,
                             };
                             a.actor.on_recover(&mut ctx);
                             cell.events_processed.fetch_add(1, Ordering::Relaxed);
@@ -1430,7 +1412,6 @@ fn process_envelope(
                             outgoing,
                             rng: &mut a.rng,
                             timers: &mut a.timers,
-                            cpu_scale: env.config.cpu_charge_scale,
                         };
                         a.actor.on_start(&mut ctx);
                         cell.events_processed.fetch_add(1, Ordering::Relaxed);
@@ -1474,7 +1455,6 @@ fn node_main(
                 outgoing: &mut outgoing,
                 rng: &mut a.rng,
                 timers: &mut a.timers,
-                cpu_scale: env.config.cpu_charge_scale,
             };
             a.actor.on_start(&mut ctx);
             flush_outgoing(a.id, &mut outgoing, &env, &mut local);
@@ -1507,7 +1487,6 @@ fn node_main(
                     outgoing: &mut outgoing,
                     rng: &mut a.rng,
                     timers: &mut a.timers,
-                    cpu_scale: env.config.cpu_charge_scale,
                 };
                 a.actor.on_timer(&mut ctx, timer);
                 fired += 1;

@@ -7,11 +7,10 @@
 //! cargo run --release --example crash_vs_byzantine_cost
 //! ```
 
-use fs_smr_suite::bench::measure::{measure, System};
+use fs_smr_suite::bench::measure::{label, measure};
 use fs_smr_suite::common::time::SimDuration;
 use fs_smr_suite::common::NodeBudget;
-use fs_smr_suite::fsnewtop::deployment::DeploymentParams;
-use fs_smr_suite::newtop::app::TrafficConfig;
+use fs_smr_suite::harness::{NewTopService, Protocol, Scenario, Workload};
 use fs_smr_suite::newtop::suspector::SuspectorConfig;
 
 fn main() {
@@ -33,20 +32,22 @@ fn main() {
     }
 
     println!("\ntime cost (one measurement point of Figure 6, group of 5):");
-    let traffic = TrafficConfig::paper_default()
-        .with_messages(40)
-        .with_interval(SimDuration::from_millis(40));
-    let params = DeploymentParams::paper(5)
-        .with_traffic(traffic)
-        .with_suspector(SuspectorConfig::disabled());
+    let workload = Workload::paper_default()
+        .messages(40)
+        .interval(SimDuration::from_millis(40));
+    let point = |protocol| {
+        let scenario = Scenario::new(NewTopService::new().suspector(SuspectorConfig::disabled()))
+            .members(5)
+            .protocol(protocol);
+        measure(scenario, &workload)
+    };
+    let newtop = point(Protocol::Crash);
+    let fs = point(Protocol::FailSignal);
 
-    let newtop = measure(System::NewTop, &params);
-    let fs = measure(System::FsNewTop, &params);
-
-    for m in [&newtop, &fs] {
+    for (protocol, m) in [(Protocol::Crash, &newtop), (Protocol::FailSignal, &fs)] {
         println!(
             "  {:<10} latency mean {:>8.1} ms, p95 {:>8.1} ms, throughput {:>7.1} msg/s, middleware messages {}",
-            m.system.label(),
+            label(protocol),
             m.mean_latency_ms,
             m.p95_latency_ms,
             m.throughput_msgs_per_sec,

@@ -18,7 +18,6 @@
 //! | [`newtop`] | `fs-newtop` | the crash-tolerant NewTOP group-communication service |
 //! | [`failsignal`] | `failsignal` | the fail-signal wrapper pair and the generic group lift (the paper's contribution) |
 //! | [`harness`] | `fs-harness` | the [`harness::Scenario`] builder: service × runtime × workload × faults × protocol |
-//! | [`fsnewtop`] | `fs-newtop-bft` | FS-NewTOP: NewTOP-flavoured deployment facade over the harness |
 //! | [`faults`] | `fs-faults` | fault injection |
 //! | [`mod@bench`] | `fs-bench` | figure-regeneration harness and ablations |
 //!
@@ -51,6 +50,5 @@ pub use fs_crypto as crypto;
 pub use fs_faults as faults;
 pub use fs_harness as harness;
 pub use fs_newtop as newtop;
-pub use fs_newtop_bft as fsnewtop;
 pub use fs_simnet as simnet;
 pub use fs_smr as smr;
