@@ -46,7 +46,11 @@ pub fn default_messages() -> u64 {
 }
 
 /// The paper's experimental set-up (§4) — [`Scenario::new`]'s defaults —
-/// around NewTOP with the given crash-mode suspector.
+/// around NewTOP with the given crash-mode suspector.  The figures pass
+/// [`SuspectorConfig::disabled`]: the paper eliminates false suspicions
+/// (large timeouts on a lightly loaded LAN); ping traffic itself is
+/// negligible but we disable it so message counts reflect the ordering
+/// protocol only.
 fn scenario_for(
     protocol: Protocol,
     members: u32,
@@ -57,14 +61,6 @@ fn scenario_for(
         .members(members)
         .protocol(protocol)
         .seed(config.seed)
-}
-
-/// [`scenario_for`] as the figures run it.  The paper eliminates false
-/// suspicions (large timeouts on a lightly loaded LAN); ping traffic itself
-/// is negligible but we disable it so message counts reflect the ordering
-/// protocol only.
-fn quiet_scenario(protocol: Protocol, members: u32, config: &ExperimentConfig) -> Scenario {
-    scenario_for(protocol, members, SuspectorConfig::disabled(), config)
 }
 
 fn workload_for(payload: usize, config: &ExperimentConfig) -> Workload {
@@ -184,7 +180,8 @@ fn sweep_with_faults(
     for (x, members, payload) in points {
         let workload = workload_for(payload, config);
         for protocol in [Protocol::Crash, Protocol::FailSignal] {
-            let scenario = quiet_scenario(protocol, members, config).faults(faults(members));
+            let scenario = scenario_for(protocol, members, SuspectorConfig::disabled(), config)
+                .faults(faults(members));
             let metrics = measure(scenario, &workload);
             eprintln!(
                 "  [{id}] x={x} {}: latency {:.1} ms, throughput {:.1} msg/s, complete={}",
@@ -305,13 +302,14 @@ pub fn ablation_sign_cost(config: &ExperimentConfig, members: u32) -> Vec<(Strin
         ("era-2003-rsa", CryptoCostModel::era_2003()),
     ];
     let workload = workload_for(3, config);
+    let quiet = |protocol| scenario_for(protocol, members, SuspectorConfig::disabled(), config);
     let mut out = Vec::new();
     for (name, model) in models {
-        let scenario = quiet_scenario(Protocol::FailSignal, members, config).crypto_costs(model);
+        let scenario = quiet(Protocol::FailSignal).crypto_costs(model);
         out.push((name.to_string(), measure(scenario, &workload)));
     }
     // The crash-tolerant baseline for reference.
-    let baseline = measure(quiet_scenario(Protocol::Crash, members, config), &workload);
+    let baseline = measure(quiet(Protocol::Crash), &workload);
     out.push(("newtop-baseline".to_string(), baseline));
     out
 }

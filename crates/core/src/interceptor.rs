@@ -11,9 +11,9 @@
 //! wrappers of the local FS pair, and it verifies / deduplicates / strips the
 //! pair's double-signed upcalls before handing them to the application,
 //! keeping the wrapping completely transparent to both the application and
-//! the wrapped machine.  (It lived in the FS-NewTOP crate historically, but
-//! contains no NewTOP-specific code — which is why the generic group builder
-//! in [`crate::group`] can reuse it unchanged for every service.)
+//! the wrapped machine.  (It contains no NewTOP-specific code — which is why
+//! the generic group builder in [`crate::group`] reuses it unchanged for
+//! every service.)
 
 use std::sync::Arc;
 

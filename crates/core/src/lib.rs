@@ -19,7 +19,7 @@
 //! fail-signals *trustworthy* failure notifications, so the FLP impossibility
 //! for unannounced crashes no longer applies and deterministic total ordering
 //! terminates without ◇W-style liveness assumptions — the property FS-NewTOP
-//! (crate `fs-newtop-bft`) builds on.
+//! (NewTOP's GC machines lifted by [`group::build_fs_group`]) builds on.
 //!
 //! ## Crate layout
 //!

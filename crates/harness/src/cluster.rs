@@ -892,8 +892,15 @@ impl Cluster {
         }
 
         let nodes_per_shard = self.nodes_per_shard();
+        // The router fronts each shard's entry driver (member 0's).
         let router = |shard_members: &[Vec<MemberProcs>]| -> Box<dyn Actor> {
-            Box::new(self.make_router(&partitioner, shard_members))
+            Box::new(ClusterRouter::new(
+                self.workload,
+                partitioner.clone(),
+                shard_members.iter().map(|members| members[0].app).collect(),
+                self.snapshot_at,
+                self.command_deadline.map(|d| (d, self.max_retries)),
+            ))
         };
         let (slot, shard_members) = deploy(
             self.runtime,
@@ -921,22 +928,6 @@ impl Cluster {
             nodes_per_shard,
             slot,
         }
-    }
-
-    /// Builds the router over each shard's entry driver.
-    fn make_router(
-        &self,
-        partitioner: &Partitioner,
-        shard_members: &[Vec<MemberProcs>],
-    ) -> ClusterRouter {
-        let entries: Vec<ProcessId> = shard_members.iter().map(|members| members[0].app).collect();
-        ClusterRouter::new(
-            self.workload,
-            partitioner.clone(),
-            entries,
-            self.snapshot_at,
-            self.command_deadline.map(|d| (d, self.max_retries)),
-        )
     }
 }
 

@@ -55,13 +55,15 @@ pub(crate) struct ShardAt<S> {
     pub(crate) node_base: u32,
 }
 
+/// Builds a front-end actor from the member handles of the assembled shards.
+pub(crate) type FrontActor<'a> = &'a dyn Fn(&[Vec<MemberProcs>]) -> Box<dyn Actor>;
+
 /// The front end of a sharded deployment: one process on a node of its own,
-/// created before the shards' nodes and spawned — from the assembled
-/// shards' member handles — after them.
+/// created before the shards' nodes and spawned after them.
 pub(crate) struct FrontEnd<'a> {
     pub(crate) pid: ProcessId,
     pub(crate) node: NodeConfig,
-    pub(crate) actor: &'a dyn Fn(&[Vec<MemberProcs>]) -> Box<dyn Actor>,
+    pub(crate) actor: FrontActor<'a>,
 }
 
 /// Assembles `front` and every shard on `host`; returns the member handles
@@ -136,25 +138,35 @@ pub(crate) fn deploy<S: Borrow<Scenario>>(
             let (members, links, lifecycle) = assemble(&mut sim, front, shards);
             sim.apply_link_schedule(&links);
             sim.apply_lifecycle_schedule(lifecycle);
-            (RuntimeSlot::from_sim(sim), members)
+            let slot = RuntimeSlot {
+                sim: Some(sim),
+                ..RuntimeSlot::default()
+            };
+            (slot, members)
         }
         RuntimeKind::Threaded => {
             let mut builder = ThreadedBuilder::new(ThreadedConfig { seed }).with_topology(topology);
             let (members, links, lifecycle) = assemble(&mut builder, front, shards);
-            let runtime = builder
-                .with_link_schedule(links)
-                .with_lifecycle_schedule(lifecycle)
-                .start();
-            (RuntimeSlot::from_threaded(runtime), members)
+            let slot = RuntimeSlot {
+                threaded: Some(
+                    builder
+                        .with_link_schedule(links)
+                        .with_lifecycle_schedule(lifecycle)
+                        .start(),
+                ),
+                ..RuntimeSlot::default()
+            };
+            (slot, members)
         }
     }
 }
 
 /// The runtime-holding half of a running deployment: either a simulator or
 /// a started threaded runtime, plus the actors and statistics collected at
-/// settle time.  [`Running`] and the cluster layer's `RunningCluster` both
+/// settle time.  `Running` and the cluster layer's `RunningCluster` both
 /// contain exactly one slot, so driving, settling, statistics and actor
 /// inspection share this one code path.
+#[derive(Default)]
 pub(crate) struct RuntimeSlot {
     sim: Option<Simulation>,
     threaded: Option<ThreadedRuntime>,
@@ -168,26 +180,6 @@ pub(crate) struct RuntimeSlot {
 }
 
 impl RuntimeSlot {
-    fn from_sim(sim: Simulation) -> Self {
-        Self {
-            sim: Some(sim),
-            threaded: None,
-            collected: HashMap::new(),
-            collected_stats: None,
-            collected_node_stats: None,
-        }
-    }
-
-    fn from_threaded(rt: ThreadedRuntime) -> Self {
-        Self {
-            sim: None,
-            threaded: Some(rt),
-            collected: HashMap::new(),
-            collected_stats: None,
-            collected_node_stats: None,
-        }
-    }
-
     /// Drives the runtime until `horizon` and returns the reached time.
     pub(crate) fn run_until(&mut self, horizon: SimTime) -> SimTime {
         if let Some(sim) = self.sim.as_mut() {

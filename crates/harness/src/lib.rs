@@ -10,11 +10,20 @@
 //! a deployment are orthogonal, pluggable values rather than per-system
 //! builder functions.
 //!
+//! There is one path from a description to a running deployment:
+//! a [`Workload`] describes the load, every load-driving actor owns one
+//! [`fs_simnet::load::LoadGen`] built from it, [`Scenario::build`] (one
+//! group) and [`Cluster::build`] (several groups behind a router) place
+//! their processes through the same internal `deploy`, and the result is
+//! driven and inspected through [`Running`] / [`RunningCluster`].  Crash
+//! tolerance and fail-signal tolerance are two values of the protocol
+//! axis, not two builders.
+//!
 //! | axis | type | shipped values |
 //! |---|---|---|
 //! | service | [`ServiceSpec`] | [`NewTopService`] (the paper's GC), [`SmrKvService`] (sequenced replicated KV) |
 //! | runtime | [`RuntimeKind`] | discrete-event simulator, real threads |
-//! | workload | [`Workload`] | messages × payload × cadence |
+//! | workload | [`Workload`] | messages × payload × cadence, arrival process, admission control, batching |
 //! | faults | [`FaultSchedule`] | any [`fs_faults::FaultKind`] against any wrapper or middleware, timed link faults (partition/heal, loss, delay, throttle) between members, and scheduled member crash / recover / replace events (the recovery plane) |
 //! | protocol | [`Protocol`] | crash-tolerant native, fail-signal lifted |
 //! | topology | [`fs_simnet::link::Topology`] via [`Scenario::topology`] / [`Scenario::link_model`] | the paper's 100 Mb/s LAN by default |

@@ -503,7 +503,7 @@ impl Running {
     /// Threaded runtime: sleeps until the wall clock reaches `horizon`
     /// relative to the runtime's start, returning early once the deployment
     /// has settled — nothing in flight and no timer due before the horizon
-    /// (see [`ThreadedRuntime::run_until_settled`]).
+    /// (see [`fs_simnet::threaded::ThreadedRuntime::run_until_settled`]).
     pub fn run_until(&mut self, horizon: SimTime) -> SimTime {
         self.slot.run_until(horizon)
     }

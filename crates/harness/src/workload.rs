@@ -1,14 +1,8 @@
-//! The workload axis of the scenario matrix.
-//!
-//! A [`Workload`] describes *how much* traffic each member generates and at
-//! what cadence, independently of which service orders it and which runtime
-//! carries it — the knobs of the paper's §4 experiments (message count,
-//! payload size, send interval) plus the open-loop load plane: the arrival
-//! process ([`Arrival::Paced`] or [`Arrival::Poisson`]), the logical client
-//! population with its bounded in-flight admission control
-//! ([`Admission::Shed`] or [`Admission::Block`]), and the request batching
-//! policy (close a batch at `batch_max` requests or after `batch_linger`,
-//! whichever comes first).
+//! The workload axis of the scenario matrix: a [`Workload`] describes *how
+//! much* traffic each member generates and at what cadence, independently
+//! of which service orders it and which runtime carries it.  The type and
+//! its companions are the load plane's own (`fs_simnet::load`), re-exported
+//! here.
 
 pub use fs_simnet::load::{Admission, Arrival, LoadStats, Workload};
 

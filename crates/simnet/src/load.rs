@@ -777,4 +777,166 @@ mod tests {
         assert_eq!(a.blocked, 1);
         assert_eq!(a.completed, 3);
     }
+
+    fn at(ms: u64) -> SimTime {
+        SimTime::ZERO.saturating_add(SimDuration::from_millis(ms))
+    }
+
+    /// A generator over one client with one slot and the given policy.
+    fn one_slot(messages: u64, admission: Admission) -> LoadGen {
+        let workload = Workload::quick(messages)
+            .max_in_flight(1)
+            .admission(admission);
+        LoadGen::new(&workload, 0)
+    }
+
+    #[test]
+    fn loadgen_admits_and_stops_when_exhausted() {
+        let interval = SimDuration::from_millis(25);
+        let mut load = LoadGen::new(&Workload::quick(2), 0);
+        let first = Admitted { seq: 0, client: 0 };
+        assert_eq!(load.on_arrival(at(10)), (Some(first), Some(interval)));
+        // The last arrival is admitted but arms no further timer, and a
+        // stray timer after it offers nothing.
+        let second = Admitted { seq: 1, client: 0 };
+        assert_eq!(load.on_arrival(at(35)), (Some(second), None));
+        assert_eq!(load.on_arrival(at(60)), (None, None));
+        assert_eq!((load.offered(), load.issued()), (2, 2));
+        assert_eq!(load.first_submit_at(), Some(at(10)));
+
+        let done = load.complete(0, at(40)).expect("seq 0 is in flight");
+        assert_eq!(done.span, SimDuration::from_millis(30));
+        assert_eq!(done.refill, None);
+        assert_eq!(load.latencies().samples(), &[done.span]);
+        assert_eq!(load.last_done_at(), Some(at(40)));
+    }
+
+    #[test]
+    fn loadgen_sheds_at_the_bound() {
+        let mut load = one_slot(3, Admission::Shed);
+        assert!(load.on_arrival(at(0)).0.is_some());
+        assert_eq!(load.on_arrival(at(1)).0, None);
+        let stats = load.stats();
+        assert_eq!((stats.offered, stats.submitted, stats.shed), (2, 1, 1));
+        // The completion frees the slot for the next arrival, not for the
+        // shed one.
+        assert_eq!(load.complete(0, at(2)).unwrap().refill, None);
+        assert_eq!(
+            load.on_arrival(at(3)).0,
+            Some(Admitted { seq: 1, client: 0 })
+        );
+    }
+
+    #[test]
+    fn loadgen_blocks_and_refills_on_complete() {
+        let mut load = one_slot(2, Admission::Block);
+        assert!(load.on_arrival(at(0)).0.is_some());
+        assert_eq!(load.on_arrival(at(1)).0, None);
+        assert_eq!(load.stats().blocked, 1);
+        // The completion hands its slot to the blocked arrival, which is
+        // timed from its release.
+        let refill = load.complete(0, at(5)).unwrap().refill;
+        assert_eq!(refill, Some(Admitted { seq: 1, client: 0 }));
+        assert_eq!(
+            load.complete(1, at(9)).unwrap().span,
+            SimDuration::from_millis(4)
+        );
+        let stats = load.stats();
+        assert_eq!((stats.submitted, stats.completed), (2, 2));
+    }
+
+    #[test]
+    fn loadgen_ignores_unknown_and_duplicate_completions() {
+        let mut load = LoadGen::new(&Workload::quick(1), 0);
+        load.on_arrival(at(0));
+        assert_eq!(load.complete(7, at(1)), None);
+        assert!(load.complete(0, at(1)).is_some());
+        assert_eq!(load.complete(0, at(2)), None);
+        assert_eq!(load.latencies().len(), 1);
+        assert_eq!(load.stats().completed, 1);
+        assert_eq!(load.last_done_at(), Some(at(1)));
+    }
+
+    #[test]
+    fn loadgen_abandon_frees_slots_without_latency_samples() {
+        let workload = Workload::quick(5)
+            .clients(2)
+            .max_in_flight(1)
+            .admission(Admission::Block);
+        let mut load = LoadGen::new(&workload, 0);
+        for ms in 0..4 {
+            load.on_arrival(at(ms));
+        }
+        // Clients 0 and 1 each have one request in flight and one blocked.
+        assert_eq!((load.issued(), load.stats().blocked), (2, 2));
+        // A single abandon releases that client's blocked arrival...
+        assert_eq!(
+            load.abandon(1, at(10)),
+            Some(Admitted { seq: 2, client: 1 })
+        );
+        assert_eq!(load.abandon(1, at(10)), None, "no longer in flight");
+        // ...and abandoning the window releases the rest, oldest first; the
+        // refills themselves stay in flight.
+        assert_eq!(
+            load.abandon_all(at(20)),
+            vec![Admitted { seq: 3, client: 0 }]
+        );
+        assert!(load.latencies().is_empty());
+        assert_eq!(load.last_done_at(), None);
+        assert_eq!(load.complete(0, at(21)), None, "abandoned");
+        // An abandoned slot counts as released in the gate's books.
+        let stats = load.stats();
+        assert_eq!((stats.submitted, stats.completed), (4, 3));
+        assert!(load.complete(3, at(22)).is_some());
+        assert_eq!(load.abandon_all(at(23)), vec![]);
+    }
+
+    #[test]
+    fn loadgen_reserved_seqs_share_the_stream_but_hold_no_slot() {
+        let mut load = one_slot(2, Admission::Shed);
+        assert_eq!(load.reserve_seq(), 0);
+        assert_eq!(
+            load.on_arrival(at(0)).0,
+            Some(Admitted { seq: 1, client: 0 })
+        );
+        assert_eq!(load.complete(0, at(1)), None);
+        assert_eq!(load.issued(), 2);
+    }
+
+    #[test]
+    fn loadgen_paces_anchored_or_relative_and_resyncs() {
+        let interval = SimDuration::from_millis(25);
+        let mut anchored = LoadGen::new(&Workload::quick(9).drift_free_pacing(true), 0);
+        let mut relative = LoadGen::new(&Workload::quick(9), 0);
+        for load in [&mut anchored, &mut relative] {
+            assert_eq!(load.on_arrival(at(0)).1, Some(interval));
+        }
+        // A wakeup 10 ms late: the anchored plan still aims at 50 ms.
+        assert_eq!(
+            anchored.on_arrival(at(35)).1,
+            Some(SimDuration::from_millis(15))
+        );
+        assert_eq!(relative.on_arrival(at(35)).1, Some(interval));
+        // After a long pause the backlog would be released as a burst...
+        assert_eq!(anchored.on_arrival(at(500)).1, Some(SimDuration::ZERO));
+        // ...unless the plan is re-anchored first.
+        assert_eq!(anchored.resync(at(900)), Some(interval));
+        assert_eq!(
+            anchored.on_arrival(at(930)).1,
+            Some(SimDuration::from_millis(20))
+        );
+        assert_eq!(relative.resync(at(900)), Some(interval));
+        // Nothing is re-armed once every arrival has been offered.
+        let mut done = LoadGen::new(&Workload::quick(1), 0);
+        done.on_arrival(at(0));
+        assert_eq!(done.resync(at(1)), None);
+    }
+
+    #[test]
+    fn loadgen_streams_draw_independent_poisson_gaps() {
+        let workload = Workload::quick(3).poisson().arrival_seed(11);
+        let gap = |stream| LoadGen::new(&workload, stream).on_arrival(at(0)).1;
+        assert_eq!(gap(2), gap(2));
+        assert_ne!(gap(2), gap(3));
+    }
 }

@@ -5,19 +5,19 @@
 //! Authenticated Byzantine Tolerance: A Structured Approach, the Cost and
 //! Benefits"* (Mpoeleng, Ezhilchelvan & Speirs, DSN 2003).
 //!
-//! The suite is organised as a workspace; this crate re-exports the member
-//! crates under stable module names and hosts the runnable examples and the
+//! The suite is organised as a workspace; this crate re-exports the nine
+//! member crates under stable module names and hosts the runnable examples and the
 //! cross-crate integration tests.
 //!
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`common`] | `fs-common` | identifiers, simulated time, codec, timing assumptions, node budgets |
 //! | [`crypto`] | `fs-crypto` | SHA-256, HMAC, key directory, single/double signatures, cost model |
-//! | [`simnet`] | `fs-simnet` | discrete-event simulator, node/link models, threaded runtime |
+//! | [`simnet`] | `fs-simnet` | discrete-event simulator, node/link models, threaded runtime, the load plane ([`simnet::load::Workload`], [`simnet::load::LoadGen`]) |
 //! | [`smr`] | `fs-smr` | deterministic machines, application replicas, majority voting, sequenced KV |
 //! | [`newtop`] | `fs-newtop` | the crash-tolerant NewTOP group-communication service |
 //! | [`failsignal`] | `failsignal` | the fail-signal wrapper pair and the generic group lift (the paper's contribution) |
-//! | [`harness`] | `fs-harness` | the [`harness::Scenario`] builder: service × runtime × workload × faults × protocol |
+//! | [`harness`] | `fs-harness` | the [`harness::Scenario`] builder: service × runtime × workload × faults × protocol — the only way to deploy NewTOP, FS-NewTOP or any other wrapped service — and the sharded [`harness::Cluster`] |
 //! | [`faults`] | `fs-faults` | fault injection |
 //! | [`mod@bench`] | `fs-bench` | figure-regeneration harness and ablations |
 //!

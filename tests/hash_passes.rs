@@ -34,9 +34,12 @@
 //! signature operation on top of the parent's count; an output validated by
 //! a wrapper stands for four of them: that wrapper's signature, its check
 //! of the partner's candidate, its counter-signature, and the check of the
-//! double-signed copy it emits at the first destination to see it (the
-//! other co-hosted destinations are answered by the output memo, digest
-//! included).
+//! double-signed copy it emits at the first destination to see it.  The
+//! other co-hosted destinations find both MACs in the signature memo; a
+//! body under the floor they hash again — there has been no memo of whole
+//! verified outputs since PR 18, which on today's protocol (logical acks)
+//! reads 34.1 blocks per 3 B delivery where keeping it read 30.2, and 185.2
+//! where it read 183.2 at 10 KiB (1.16 passes), both inside the ceilings.
 
 use fs_smr_suite::common::time::{SimDuration, SimTime};
 use fs_smr_suite::crypto::sha256::blocks_compressed;
