@@ -68,7 +68,7 @@ use fs_simnet::trace::{LatencyRecorder, LatencySummary, NetStats, TraceLog};
 use crate::deployment::{deploy, stamp_workload, FrontEnd, RuntimeSlot, ShardAt};
 use crate::faults::FaultSchedule;
 use crate::scenario::{MemberProcs, Protocol, RuntimeKind, Scenario};
-use crate::service::SmrKvService;
+use crate::service::{put_value, SmrKvService};
 use crate::workload::Workload;
 
 /// The router's fixed process identifier (shard pids start at
@@ -480,11 +480,7 @@ impl ClusterRouter {
         let seq = request.seq;
         let key = format!("k{:016x}", self.key_rng.next_u64_raw());
         let shard = self.partitioner.shard_of(&key);
-        let mut value = vec![0xa5u8; self.workload.payload_size];
-        value
-            .iter_mut()
-            .zip(seq.to_le_bytes())
-            .for_each(|(v, b)| *v = b);
+        let value = put_value(seq, self.workload.payload_size);
         let now = ctx.now();
         self.shard_of_seq.insert(seq, shard);
         self.loads[shard as usize].submitted += 1;
@@ -892,6 +888,7 @@ impl Cluster {
         }
 
         let nodes_per_shard = self.nodes_per_shard();
+        let topology = self.topology.take();
         // The router fronts each shard's entry driver (member 0's).
         let router = |shard_members: &[Vec<MemberProcs>]| -> Box<dyn Actor> {
             Box::new(ClusterRouter::new(
@@ -906,7 +903,7 @@ impl Cluster {
             self.runtime,
             self.seed,
             self.scheduler,
-            self.topology.clone(),
+            topology,
             Some(FrontEnd {
                 pid: ROUTER_PID,
                 node: self.router_node,

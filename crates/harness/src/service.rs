@@ -431,6 +431,17 @@ impl Actor for PlainHost {
     }
 }
 
+/// The value of generated `Put` number `seq`: `size` filler bytes, the
+/// leading ones overwritten by the sequence number.
+pub(crate) fn put_value(seq: u64, size: usize) -> Vec<u8> {
+    let mut value = vec![0xa5u8; size];
+    value
+        .iter_mut()
+        .zip(seq.to_le_bytes())
+        .for_each(|(v, b)| *v = b);
+    value
+}
+
 /// Timer used by [`SmrDriver`] to pace its workload.
 const TIMER_SEND: TimerId = TimerId(200);
 
@@ -569,14 +580,9 @@ impl SmrDriver {
     /// Builds the `Put` of one admitted request and buffers it.
     fn enqueue(&mut self, ctx: &mut dyn Context, request: Admitted) {
         let seq = request.seq;
-        let mut value = vec![0xa5u8; self.workload.payload_size];
-        value
-            .iter_mut()
-            .zip(seq.to_le_bytes())
-            .for_each(|(v, b)| *v = b);
         let command = fs_smr::command::KvCommand::Put {
             key: format!("m{}-{}", self.member.0, seq),
-            value,
+            value: put_value(seq, self.workload.payload_size),
         };
         self.push_command(ctx, seq, command.to_wire());
     }
