@@ -16,7 +16,7 @@
 //! this layer a short *statement* — a signed header followed by the SHA-256
 //! of the output bytes — never the output bytes themselves.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 use serde::{Deserialize, Serialize};
 
@@ -122,6 +122,20 @@ thread_local! {
     static VERIFY_MEMO: RefCell<VerifyMemoStore> = RefCell::new(VerifyMemoStore::default());
 }
 
+thread_local! {
+    /// Signatures this thread has produced (see [`signatures_made`]).
+    static SIGNATURES_MADE: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many signatures the calling thread has *produced* so far — counted
+/// where a tag is made ([`Signature::sign`]), never where one is checked.
+/// The simulator runs every simulated node on the calling thread, so
+/// differences of this counter are how tests count signing operations per
+/// validated output where they cannot hide (`tests/signature_ops.rs`).
+pub fn signatures_made() -> u64 {
+    SIGNATURES_MADE.with(Cell::get)
+}
+
 /// A signature by a single signer over a byte string.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Signature {
@@ -159,6 +173,7 @@ impl Signature {
         state.update(message);
         state.update(trailer(suffix));
         let tag = state.finalize();
+        SIGNATURES_MADE.with(|n| n.set(n.get() + 1));
         memo_insert((key.signer, key.hmac().fingerprint(), tag), message, suffix);
         Signature {
             signer: key.signer,

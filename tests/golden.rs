@@ -92,12 +92,12 @@ fn signed_frames_match_golden_digests() {
     }
 }
 
-/// The scalar-oracle digest of the full simulator trace of one FS-NewTOP
-/// run: `members` members, 4 multicasts each, seed 2003.
-fn fs_newtop_trace_hex(members: u32) -> String {
+/// The scalar-oracle digest of the full simulator trace of one NewTOP run
+/// under `protocol`: `members` members, 4 multicasts each, seed 2003.
+fn newtop_trace_hex(protocol: Protocol, members: u32) -> String {
     let mut run = Scenario::new(NewTopService::new())
         .members(members)
-        .protocol(Protocol::FailSignal)
+        .protocol(protocol)
         .workload(
             Workload::paper_default()
                 .messages(4)
@@ -117,10 +117,21 @@ fn fs_newtop_trace_hex(members: u32) -> String {
     oracle_hex(trace_json.as_bytes())
 }
 
+/// The crash-tolerant protocol runs none of the fail-signal layer: its trace
+/// was pinned on the commit before a double-signed output became two
+/// signature shares, and that change did not move it.
+#[test]
+fn crash_newtop_trace_matches_golden_digest() {
+    assert_eq!(
+        newtop_trace_hex(Protocol::Crash, 3),
+        "add25d6c13c2e060c7e0a5c18aea21b885e7729b1876ec8065441505832246da"
+    );
+}
+
 #[test]
 fn fs_newtop_trace_matches_golden_digest() {
     assert_eq!(
-        fs_newtop_trace_hex(3),
+        newtop_trace_hex(Protocol::FailSignal, 3),
         "ec832a5246cd10f3fd9ae1381b15e7a8ab4d0754cb2adbc1f914256b8123526b"
     );
 }
@@ -131,7 +142,7 @@ fn fs_newtop_trace_matches_golden_digest() {
 #[test]
 fn fs_newtop_n9_trace_matches_golden_digest() {
     assert_eq!(
-        fs_newtop_trace_hex(9),
+        newtop_trace_hex(Protocol::FailSignal, 9),
         "4d62891f424c71b474a334b1925fb8853247a9d494b1fda2d42b4b4497627395"
     );
 }
