@@ -25,7 +25,7 @@ fn bench_crypto(c: &mut Criterion) {
     group.bench_function("sign_1k", |bch| bch.iter(|| Signature::sign(&a, &data)));
     group.bench_function("double_sign_verify_1k", |bch| {
         bch.iter(|| {
-            let double = SingleSigned::new((), &data, &a).counter_sign(&data, &b_key);
+            let double = SingleSigned::new((), &data, &a).with_share(&data, &b_key);
             double
                 .verify(&dir, &data, (a.signer, b_key.signer))
                 .unwrap();

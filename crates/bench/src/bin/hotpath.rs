@@ -19,9 +19,10 @@
 //! * **verify_batch** — `Signature::verify_batch_uncached` across an
 //!   authenticator vector (one message, n MACs, shared inner schedule):
 //!   per-MAC nanoseconds must fall as the batch grows.
-//! * **sign_digest** — what a wrapper pays on the host per output: digest
-//!   the body (`body_digest`), sign the statement for the partner and later
-//!   counter-sign the partner's signature over it — at 3 B, 1 KiB and
+//! * **sign_digest** — what a wrapper pays on the host to sign an output:
+//!   digest the body (`body_digest`) and sign the statement, once — that
+//!   signature is its share of the double-signed output and what it sends
+//!   the partner — at 3 B, 1 KiB and
 //!   10 KiB, for each way the digest can be answered: content never seen
 //!   (the SHA-256 pass), equal content in a distinct buffer (the other
 //!   replica's output: one fast hash plus one `memcmp`), and the same buffer
@@ -29,7 +30,8 @@
 //!   hashed directly and the three coincide.
 //! * **encode** — `Wire::to_wire` (one sized allocation, refcount-shared
 //!   `Bytes`) vs the legacy `Wire::to_wire_vec` growth-from-zero path, on
-//!   the candidate frames the wrapper pair exchanges.
+//!   the `Ordered` relay frames the wrapper pair exchanges (the pair frame
+//!   that carries a body).
 //! * **sign_verify** — the full double-signature round: build an
 //!   [`FsOutput`], wire round-trip it, verify it at a destination — both
 //!   the raw cryptographic cost (`verify_ns`, memos bypassed) and what a
@@ -54,9 +56,10 @@
 //!   against one clock per view member).
 //!
 //! * **frame_path** — one machine output through one wrapper pair and one
-//!   destination — leader signs and encodes the candidate frame; follower
-//!   decodes it, verifies it, signs its own copy, compares, co-signs and
-//!   encodes the external frame; destination decodes and verifies — at 3 B,
+//!   destination — leader signs and encodes the (body-less) candidate
+//!   frame; follower decodes it, verifies the share it carries, signs its
+//!   own copy, compares, and encodes the external frame around the two
+//!   shares; destination decodes and verifies — at 3 B,
 //!   1 KiB and 10 KiB, two ways: the *contiguous reference*, where every
 //!   frame is one contiguous buffer (`to_wire`, `from_wire_shared`) and a
 //!   decoded body therefore a window into it, and the *spliced* path the
@@ -192,7 +195,7 @@ struct VerifyBatchRow {
 #[derive(Debug, Serialize)]
 struct SignDigestRow {
     payload_bytes: usize,
-    /// Digest + sign + counter-sign of a body whose content was never seen.
+    /// Digest + sign of a body whose content was never seen.
     miss_ns: f64,
     /// The same round for known content in a buffer never seen (the other
     /// replica's copy).
@@ -402,9 +405,8 @@ fn bench_verify_batch(iters: u64) -> Vec<VerifyBatchRow> {
     rows
 }
 
-/// Prices what a wrapper pays on the host per output — digest the body,
-/// sign the statement, counter-sign the partner's signature over it — by
-/// the way `body_digest` answers.  Interleaved passes, fastest kept (see
+/// Prices what a wrapper pays on the host to sign an output — digest the
+/// body, sign the statement — by the way `body_digest` answers.  Interleaved passes, fastest kept (see
 /// [`bench_ack_path`] for why); the bodies of each pass are built before it
 /// is timed.
 fn bench_sign_digest(iters: u64) -> Vec<SignDigestRow> {
@@ -414,16 +416,13 @@ fn bench_sign_digest(iters: u64) -> Vec<SignDigestRow> {
     let mut rng = DetRng::new(13);
     let (mut keys, _dir) = provision([ProcessId(0), ProcessId(1)], &mut rng);
     let local = keys.remove(&SignerId(ProcessId(0))).unwrap();
-    let remote = keys.remove(&SignerId(ProcessId(1))).unwrap();
     let fs = FsId(1);
-    let first = Signature::sign(&remote, b"the partner's signature");
     let mut output_seq = 0u64;
     let mut round = |body: &Bytes| {
         output_seq += 1;
         let digest = body_digest(black_box(body));
         let statement = Statement::output(fs, output_seq, Endpoint::Broadcast, body.len(), &digest);
         black_box(Signature::sign(&local, statement.as_bytes()));
-        black_box(Signature::co_sign(&local, statement.as_bytes(), &first));
     };
     let mut fresh = 0u64;
     [3usize, 1024, 10 * 1024]
@@ -478,18 +477,14 @@ fn bench_sign_digest(iters: u64) -> Vec<SignDigestRow> {
 }
 
 fn bench_encode(iters: u64) -> Vec<EncodeRow> {
-    let mut rng = DetRng::new(7);
-    let (mut keys, _dir) = provision([ProcessId(0)], &mut rng);
-    let key = keys.remove(&SignerId(ProcessId(0))).unwrap();
     PAYLOAD_SIZES
         .iter()
         .map(|&size| {
             let payload = Bytes::from(vec![0x5au8; size]);
-            let frame = FsoInbound::Pair(PairMessage::Candidate {
-                output_seq: 42,
-                dest: Endpoint::Broadcast,
+            let frame = FsoInbound::Pair(PairMessage::Ordered {
+                order_index: 42,
+                source: Endpoint::Broadcast,
                 bytes: payload,
-                signature: Signature::sign(&key, b"bench"),
             });
             let frame_bytes = frame.to_wire().len();
             let n = scaled_iters(iters, size);
@@ -844,43 +839,42 @@ impl OutputRound {
             decoded.expect("own frame decodes")
         };
 
-        // Leader: sign its copy for the partner.
-        let signature = Signature::sign(
-            &self.leader,
-            statement(&self.content(output_seq, &self.leader_copy)).as_bytes(),
-        );
+        // Leader: sign its copy; the signature is what the partner gets.
+        let leader_statement = statement(&self.content(output_seq, &self.leader_copy));
         let candidate = encode(FsoInbound::Pair(PairMessage::Candidate {
             output_seq,
             dest: Endpoint::Broadcast,
-            bytes: self.leader_copy.clone(),
-            signature,
+            body_len: self.leader_copy.len() as u32,
+            digest: body_digest(&self.leader_copy),
+            signature: Signature::sign(&self.leader, leader_statement.as_bytes()),
         }));
 
-        // Follower: check the candidate, sign its own copy, compare, co-sign.
+        // Follower: check the leader's share over the fields as received,
+        // sign its own copy, compare, put the two shares side by side.
         let FsoInbound::Pair(PairMessage::Candidate {
             output_seq,
             dest,
-            bytes,
+            body_len,
+            digest,
             signature,
         }) = decode(&candidate)
         else {
             unreachable!("a candidate was encoded");
         };
-        let remote = statement(&FsContent::Output {
-            output_seq,
-            dest,
-            bytes,
-        });
+        let remote = Statement::output(self.fs, output_seq, dest, body_len as usize, &digest);
         signature
             .verify(&self.directory, remote.as_bytes())
             .expect("the leader's signature verifies");
         let own = self.content(output_seq, &self.follower_copy);
         let own_statement = statement(&own);
-        black_box(Signature::sign(&self.follower, own_statement.as_bytes()));
+        let own_share = Signature::sign(&self.follower, own_statement.as_bytes());
         assert!(own_statement == remote, "the replicas agree");
-        let output =
-            FsOutput::counter_sign_over(self.fs, own, &own_statement, signature, &self.follower);
-        let external = encode(FsoInbound::External(output));
+        let external = encode(FsoInbound::External(FsOutput {
+            fs: self.fs,
+            content: own,
+            first: signature,
+            second: own_share,
+        }));
 
         // Destination: decode, verify, take the bytes.
         let FsoInbound::External(output) = decode(&external) else {

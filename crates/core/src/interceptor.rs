@@ -136,10 +136,9 @@ impl Actor for FsInterceptor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{signing_bytes, FsContent, FsOutput};
+    use crate::message::{FsContent, FsOutput};
     use fs_common::rng::DetRng;
     use fs_crypto::keys::provision;
-    use fs_crypto::sig::Signature;
     use fs_simnet::actor::TestContext;
     use fs_smr::machine::Endpoint;
 
@@ -208,9 +207,7 @@ mod tests {
     #[test]
     fn fail_signal_is_noted_not_forwarded() {
         let (mut i, mut ctx, leader_key, follower_key) = setup();
-        let bytes = signing_bytes(FsId(0), &FsContent::FailSignal);
-        let first = Signature::sign(&follower_key, &bytes);
-        let signal = FsOutput::counter_sign(FsId(0), FsContent::FailSignal, first, &leader_key);
+        let signal = FsOutput::sign(FsId(0), FsContent::FailSignal, &leader_key, &follower_key);
         i.on_message(&mut ctx, LEADER, FsoInbound::External(signal).to_frame());
         assert!(i.local_fail_signalled());
         assert!(ctx.sent_to(APP).is_empty());

@@ -7,7 +7,7 @@
 //!   wrapped machine or the process's unique fail-signal);
 //! * **internal** (leader ↔ follower over the synchronous LAN):
 //!   [`PairMessage`] — input-ordering relays, not-yet-ordered forwards, and
-//!   single-signed output candidates awaiting comparison.
+//!   each wrapper's signature share over an output awaiting comparison.
 //!
 //! ## What is signed
 //!
@@ -22,12 +22,23 @@
 //! ```
 //!
 //! (integers little-endian) — that is [`signing_bytes`] with the body
-//! replaced by its digest.  The first signature is `HMAC(key, statement)`,
-//! the counter-signature `HMAC(key, statement ‖ signer(first) ‖ tag(first))`.
+//! replaced by its digest.  Every signature is `HMAC(key, statement)`: a
+//! double-signed output carries two such **shares**, one by each wrapper of
+//! the pair, over the same statement.  Nothing is nested.  A destination
+//! needs to know that *both* wrappers vouched for *this* output, and the
+//! statement names the output completely — FS process, sequence number,
+//! destination, length, digest — so two shares that verify over it cannot
+//! have been taken from two different outputs, which is all that signing
+//! over the partner's signature ever added.  Each wrapper therefore signs
+//! an output exactly once; what it sends its partner for comparison *is* its
+//! share, and the output it transmits is its own share next to the
+//! partner's.  Wrappers write the leader's share first, so both transmit the
+//! same bytes (a destination accepts either order).
+//!
 //! One rule for every body size; frames still carry the bytes themselves.
 //! The body is hashed once per content ([`crate::digest::body_digest`]) and
 //! every sign, candidate check, comparison, destination check and duplicate
-//! test runs over at most 90 bytes.
+//! test runs over at most 54 bytes.
 
 use fs_common::codec::{Decoder, Encoder, Wire};
 use fs_common::error::CodecError;
@@ -35,7 +46,7 @@ use fs_common::id::{FsId, MemberId};
 use fs_common::{Bytes, SignatureError};
 use fs_crypto::keys::{KeyDirectory, SignerId, SigningKey};
 use fs_crypto::sha256::{Digest, Sha256, DIGEST_LEN};
-use fs_crypto::sig::{verify_cosign_pair, verify_cosign_pair_uncached, Signature};
+use fs_crypto::sig::{check_share_signers, Signature};
 use fs_smr::machine::Endpoint;
 
 use crate::digest::body_digest;
@@ -137,25 +148,28 @@ impl Wire for FsContent {
     }
 }
 
+fn put_digest(digest: &Digest, enc: &mut Encoder) {
+    enc.put_bytes(digest.as_bytes());
+}
+
+fn get_digest(dec: &mut Decoder<'_>) -> Result<Digest, CodecError> {
+    let bytes = dec.get_bytes()?;
+    let digest = <[u8; DIGEST_LEN]>::try_from(bytes).map_err(|_| CodecError::UnexpectedEof {
+        wanted: DIGEST_LEN,
+        available: bytes.len(),
+    })?;
+    Ok(Digest(digest))
+}
+
 fn put_signature(sig: &Signature, enc: &mut Encoder) {
     enc.put_process(sig.signer.0);
-    enc.put_bytes(sig.tag.as_bytes());
+    put_digest(&sig.tag, enc);
 }
 
 fn get_signature(dec: &mut Decoder<'_>) -> Result<Signature, CodecError> {
-    let signer = SignerId(dec.get_process()?);
-    let bytes = dec.get_bytes()?;
-    if bytes.len() != 32 {
-        return Err(CodecError::UnexpectedEof {
-            wanted: 32,
-            available: bytes.len(),
-        });
-    }
-    let mut tag = [0u8; 32];
-    tag.copy_from_slice(bytes);
     Ok(Signature {
-        signer,
-        tag: Digest(tag),
+        signer: SignerId(dec.get_process()?),
+        tag: get_digest(dec)?,
     })
 }
 
@@ -267,28 +281,28 @@ impl std::fmt::Debug for Statement {
 }
 
 /// A double-signed output of a fail-signal process (the only form a
-/// destination treats as valid, §2.1).
+/// destination treats as valid, §2.1): the content and the two wrappers'
+/// signature shares over its [`Statement`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FsOutput {
     /// The emitting FS process.
     pub fs: FsId,
     /// The signed content.
     pub content: FsContent,
-    /// The first signature (by the wrapper that produced/holds the content).
+    /// One wrapper's share (wrappers write the leader's here).
     pub first: Signature,
-    /// The counter-signature (by the wrapper that compared it successfully,
-    /// or — for a fail-signal — by the wrapper that is emitting it).
+    /// The other wrapper's share (wrappers write the follower's here).
     pub second: Signature,
 }
 
 impl FsOutput {
-    /// Builds a double-signed output: `first_key` signs the content's
-    /// [`Statement`], then `second_key` counter-signs.
+    /// Builds a double-signed output: `first_key` and `second_key` each sign
+    /// the content's [`Statement`].
     ///
     /// This is the reference constructor — what tests, provisioning and the
-    /// benchmarks call: it hashes the body directly, through no memo.  (The
-    /// wrapper signs over [`body_digest`] and [`FsOutput::counter_sign_over`]
-    /// instead; the outputs are identical.)
+    /// benchmarks call: it hashes the body directly, through no memo.  (A
+    /// wrapper holds one key only: it signs over [`body_digest`] and fills
+    /// in the partner's share as received; the outputs are identical.)
     pub fn sign(
         fs: FsId,
         content: FsContent,
@@ -296,41 +310,11 @@ impl FsOutput {
         second_key: &SigningKey,
     ) -> Self {
         let statement = Statement::of(fs, &content, |body| Sha256::digest(body));
-        let first = Signature::sign(first_key, statement.as_bytes());
-        Self::counter_sign_over(fs, content, &statement, first, second_key)
-    }
-
-    /// Counter-signs a content already signed once by the remote wrapper
-    /// (`first`), producing the valid double-signed output.  Hashes the body
-    /// directly, like [`FsOutput::sign`].
-    pub fn counter_sign(
-        fs: FsId,
-        content: FsContent,
-        first: Signature,
-        second_key: &SigningKey,
-    ) -> Self {
-        let statement = Statement::of(fs, &content, |body| Sha256::digest(body));
-        Self::counter_sign_over(fs, content, &statement, first, second_key)
-    }
-
-    /// [`FsOutput::counter_sign`] over a statement the caller already holds
-    /// (the wrapper builds it from the body digest it kept when it signed).
-    ///
-    /// `statement` must be the statement of `(fs, content)`; anything else
-    /// produces an output that fails verification.
-    pub fn counter_sign_over(
-        fs: FsId,
-        content: FsContent,
-        statement: &Statement,
-        first: Signature,
-        second_key: &SigningKey,
-    ) -> Self {
-        let second = Signature::co_sign(second_key, statement.as_bytes(), &first);
         Self {
             fs,
+            first: Signature::sign(first_key, statement.as_bytes()),
+            second: Signature::sign(second_key, statement.as_bytes()),
             content,
-            first,
-            second,
         }
     }
 
@@ -339,8 +323,8 @@ impl FsOutput {
     ///
     /// The body is digested once ([`body_digest`]: found by buffer address
     /// when this very buffer was digested before, by content when an equal
-    /// one was) and the two MACs are checked over the statement — at most
-    /// 90 bytes — each through the signature layer's own per-thread memo.
+    /// one was) and the two shares are checked over the statement — at most
+    /// 54 bytes — each through the signature layer's own per-thread memo.
     /// The same double-signed frame is checked at every co-hosted simulated
     /// destination; for the duplicates that is one address lookup and two
     /// memo probes.  Verification is a pure function of keys and content,
@@ -367,27 +351,14 @@ impl FsOutput {
         directory: &KeyDirectory,
         pair: (SignerId, SignerId),
     ) -> Result<Option<Digest>, SignatureError> {
-        self.check_signer_pair(pair)?;
+        check_share_signers(&self.first, &self.second, pair)?;
         let mut digest = None;
         let statement = Statement::of(self.fs, &self.content, |body| {
             *digest.insert(body_digest(body))
         });
-        verify_cosign_pair(directory, statement.as_bytes(), &self.first, &self.second)?;
+        self.first.verify(directory, statement.as_bytes())?;
+        self.second.verify(directory, statement.as_bytes())?;
         Ok(digest)
-    }
-
-    /// The structural half of a destination-side check: distinct signers,
-    /// both belonging to `pair` (in either order).
-    fn check_signer_pair(&self, pair: (SignerId, SignerId)) -> Result<(), SignatureError> {
-        if self.first.signer == self.second.signer {
-            return Err(SignatureError::DuplicateSigner);
-        }
-        let pair_ok = (self.first.signer == pair.0 && self.second.signer == pair.1)
-            || (self.first.signer == pair.1 && self.second.signer == pair.0);
-        if !pair_ok {
-            return Err(SignatureError::MissingCoSignature);
-        }
-        Ok(())
     }
 
     /// Like [`FsOutput::verify`], but hashes the body and recomputes both
@@ -403,9 +374,11 @@ impl FsOutput {
         directory: &KeyDirectory,
         pair: (SignerId, SignerId),
     ) -> Result<(), SignatureError> {
-        self.check_signer_pair(pair)?;
+        check_share_signers(&self.first, &self.second, pair)?;
         let statement = Statement::of(self.fs, &self.content, |body| Sha256::digest(body));
-        verify_cosign_pair_uncached(directory, statement.as_bytes(), &self.first, &self.second)
+        self.first
+            .verify_uncached(directory, statement.as_bytes())?;
+        self.second.verify_uncached(directory, statement.as_bytes())
     }
 
     /// True when this output is the process's fail-signal.
@@ -414,9 +387,11 @@ impl FsOutput {
     }
 }
 
-/// The exact encoded length of a [`Signature`] (process id + length prefix +
-/// 32-byte tag).
-const SIGNATURE_LEN: usize = 4 + 4 + 32;
+/// The exact encoded length of a digest (length prefix + 32 bytes).
+const DIGEST_FIELD_LEN: usize = 4 + DIGEST_LEN;
+
+/// The exact encoded length of a [`Signature`] (process id + tag).
+const SIGNATURE_LEN: usize = 4 + DIGEST_FIELD_LEN;
 
 impl Wire for FsOutput {
     fn encode(&self, enc: &mut Encoder) {
@@ -460,17 +435,22 @@ pub enum PairMessage {
         /// The input bytes (already verified and stripped by the follower).
         bytes: Bytes,
     },
-    /// Either direction: a single-signed copy of a locally produced output,
-    /// submitted for comparison by the remote Compare (`receiveSingle`).
+    /// Either direction: the sender's signature share over a locally
+    /// produced output, submitted for comparison by the remote Compare
+    /// (`receiveSingle`).  It names the output by the fields of its
+    /// [`Statement`] — not by its bytes, which the receiver produces itself
+    /// — so it has one size whatever the output's.
     Candidate {
         /// The pair-wide output sequence number.
         output_seq: u64,
         /// The logical destination of the output.
         dest: Endpoint,
-        /// The output bytes.
-        bytes: Bytes,
-        /// The sender's signature over the [`Statement`] of the
-        /// corresponding [`FsContent::Output`].
+        /// The length of the output bytes.
+        body_len: u32,
+        /// The SHA-256 of the output bytes.
+        digest: Digest,
+        /// The sender's signature over [`Statement::output`] of the fields
+        /// above.
         signature: Signature,
     },
 }
@@ -507,13 +487,15 @@ impl Wire for PairMessage {
             PairMessage::Candidate {
                 output_seq,
                 dest,
-                bytes,
+                body_len,
+                digest,
                 signature,
             } => {
                 enc.put_u8(2);
                 enc.put_u64(*output_seq);
                 encode_endpoint(*dest, enc);
-                enc.put_shared(bytes);
+                enc.put_u32(*body_len);
+                put_digest(digest, enc);
                 put_signature(signature, enc);
             }
         }
@@ -532,7 +514,8 @@ impl Wire for PairMessage {
             2 => Ok(PairMessage::Candidate {
                 output_seq: dec.get_u64()?,
                 dest: decode_endpoint(dec)?,
-                bytes: dec.get_bytes_shared()?,
+                body_len: dec.get_u32()?,
+                digest: get_digest(dec)?,
                 signature: get_signature(dec)?,
             }),
             t => Err(CodecError::UnknownTag(t)),
@@ -544,8 +527,8 @@ impl Wire for PairMessage {
                 8 + endpoint_len(*source) + 4 + bytes.len()
             }
             PairMessage::ForwardNew { source, bytes } => endpoint_len(*source) + 4 + bytes.len(),
-            PairMessage::Candidate { dest, bytes, .. } => {
-                8 + endpoint_len(*dest) + 4 + bytes.len() + SIGNATURE_LEN
+            PairMessage::Candidate { dest, .. } => {
+                8 + endpoint_len(*dest) + 4 + DIGEST_FIELD_LEN + SIGNATURE_LEN
             }
         }
     }
@@ -696,16 +679,22 @@ mod tests {
     }
 
     #[test]
-    fn fail_signal_counter_sign_path() {
+    fn fail_signal_share_path() {
         let (a, b, _, dir) = keys();
         let fs = FsId(9);
-        // At start-up, wrapper A is handed the fail-signal single-signed by B.
+        // At start-up, wrapper A is handed B's share of the fail-signal.
         let bytes = signing_bytes(fs, &FsContent::FailSignal);
-        let first = Signature::sign(&b, &bytes);
-        // When A decides to fail it counter-signs and emits.
-        let signal = FsOutput::counter_sign(fs, FsContent::FailSignal, first, &a);
+        let prearmed = Signature::sign(&b, &bytes);
+        // When A decides to fail it adds its own share and emits.
+        let signal = FsOutput {
+            fs,
+            content: FsContent::FailSignal,
+            first: Signature::sign(&a, &bytes),
+            second: prearmed,
+        };
         assert!(signal.is_fail_signal());
         assert!(signal.verify(&dir, (a.signer, b.signer)).is_ok());
+        assert_eq!(signal, FsOutput::sign(fs, FsContent::FailSignal, &a, &b));
     }
 
     #[test]
@@ -734,7 +723,8 @@ mod tests {
             PairMessage::Candidate {
                 output_seq: 7,
                 dest: Endpoint::Peer(MemberId(0)),
-                bytes: vec![9; 40].into(),
+                body_len: 40,
+                digest: Sha256::digest(&[9; 40]),
                 signature: sig,
             },
         ];

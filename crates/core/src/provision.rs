@@ -141,8 +141,8 @@ impl FsPairBuilder {
     ) -> (FsoActor, FsoActor) {
         let fail_signal = Statement::fail_signal(self.spec.fs);
         let fail_bytes = fail_signal.as_bytes();
-        // Each wrapper is pre-armed with the fail-signal signed by the OTHER
-        // wrapper, so it can emit a valid double-signed fail-signal alone.
+        // Each wrapper is pre-armed with the OTHER wrapper's share of the
+        // fail-signal, so it can emit a valid double-signed fail-signal alone.
         let leader_prearmed: Signature = Signature::sign(&follower_key, fail_bytes);
         let follower_prearmed: Signature = Signature::sign(&leader_key, fail_bytes);
 
@@ -188,8 +188,10 @@ mod tests {
     use super::*;
     use crate::message::{FsContent, FsOutput, FsoInbound, PairMessage};
     use crate::receiver::{FsDelivery, FsReceiver};
+    use crate::wrapper::FsoStats;
     use fs_common::codec::Wire;
     use fs_common::rng::DetRng;
+    use fs_common::time::SimDuration;
     use fs_common::Frame;
     use fs_crypto::keys::provision;
     use fs_simnet::actor::{Actor, Outgoing, TestContext, TimerId};
@@ -534,7 +536,8 @@ mod tests {
         let candidate = PairMessage::Candidate {
             output_seq: 0,
             dest: Endpoint::LocalApp,
-            bytes: b"evil".to_vec().into(),
+            body_len: 4,
+            digest: fs_crypto::sha256::Sha256::digest(b"evil"),
             signature: Signature::sign(&attacker_key, b"evil"),
         };
         let wire = FsoInbound::Pair(candidate).to_frame();
@@ -554,7 +557,8 @@ mod tests {
         let candidate = PairMessage::Candidate {
             output_seq: 0,
             dest: Endpoint::LocalApp,
-            bytes: b"tampered".to_vec().into(),
+            body_len: 8,
+            digest: fs_crypto::sha256::Sha256::digest(b"tampered"),
             signature: Signature {
                 signer: SignerId(FOLLOWER),
                 tag: fs_crypto::sha256::Sha256::digest(b"garbage"),
@@ -565,108 +569,149 @@ mod tests {
         assert!(pair.leader.has_failed());
     }
 
+    const UPSTREAM_A: ProcessId = ProcessId(30);
+    const UPSTREAM_B: ProcessId = ProcessId(31);
+    const UPSTREAM: FsId = FsId(7);
+
+    /// A leader that accepts the upstream FS process 7 (wrappers 30 and 31)
+    /// and converts its fail-signal into an environment input, driven by
+    /// hand; plus an attacker who holds a key of its own only.
+    struct Downstream {
+        leader: FsoActor,
+        ctx: TestContext,
+        up_a: SigningKey,
+        up_b: SigningKey,
+        attacker: SigningKey,
+    }
+
+    impl Downstream {
+        fn new(costs: CryptoCostModel) -> Self {
+            let mut rng = DetRng::new(13);
+            let attacker = ProcessId(55);
+            let (mut keys, directory) = provision(
+                [LEADER, FOLLOWER, UPSTREAM_A, UPSTREAM_B, attacker],
+                &mut rng,
+            );
+            let mut key = |p| keys.remove(&SignerId(p)).unwrap();
+            let (leader_key, follower_key) = (key(LEADER), key(FOLLOWER));
+            let (leader, _follower) =
+                FsPairBuilder::new(FsPairSpec::new(FsId(1), LEADER, FOLLOWER))
+                    .crypto_costs(costs)
+                    .accept_fs_source(
+                        (UPSTREAM_A, UPSTREAM_B),
+                        UPSTREAM,
+                        (SignerId(UPSTREAM_A), SignerId(UPSTREAM_B)),
+                        Endpoint::Peer(fs_common::id::MemberId(3)),
+                    )
+                    .on_fail_signal(UPSTREAM, b"SUSPECT:3".to_vec())
+                    .route(Endpoint::LocalApp, vec![DEST_A])
+                    .build(
+                        leader_key,
+                        follower_key,
+                        directory,
+                        (Box::new(EchoMachine::new(0)), Box::new(EchoMachine::new(0))),
+                    );
+            Self {
+                leader,
+                ctx: TestContext::new(LEADER),
+                up_a: key(UPSTREAM_A),
+                up_b: key(UPSTREAM_B),
+                attacker: key(attacker),
+            }
+        }
+
+        /// Output `seq` of the upstream process carrying `body`, signed by
+        /// the given two keys.
+        fn output(&self, seq: u64, body: &[u8], keys: (&SigningKey, &SigningKey)) -> Frame {
+            let content = FsContent::Output {
+                output_seq: seq,
+                dest: Endpoint::LocalApp,
+                bytes: body.to_vec().into(),
+            };
+            FsoInbound::External(FsOutput::sign(UPSTREAM, content, keys.0, keys.1)).to_frame()
+        }
+
+        /// Delivers `frame` as coming from `from`; returns the CPU charged.
+        fn deliver(&mut self, from: ProcessId, frame: Frame) -> SimDuration {
+            let before = self.ctx.cpu;
+            self.leader.on_message(&mut self.ctx, from, frame);
+            self.ctx.cpu - before
+        }
+    }
+
     #[test]
     fn fail_signal_from_upstream_fs_injects_configured_input() {
-        // Build a pair that accepts an upstream FS process (FsId 7) and
-        // converts its fail-signal into an environment input.
-        let mut rng = DetRng::new(13);
-        let upstream_a = ProcessId(30);
-        let upstream_b = ProcessId(31);
-        let (mut keys, directory) = provision([LEADER, FOLLOWER, upstream_a, upstream_b], &mut rng);
-        let leader_key = keys.remove(&SignerId(LEADER)).unwrap();
-        let follower_key = keys.remove(&SignerId(FOLLOWER)).unwrap();
-        let up_a = keys.remove(&SignerId(upstream_a)).unwrap();
-        let up_b = keys.remove(&SignerId(upstream_b)).unwrap();
-
-        let spec = FsPairSpec::new(FsId(1), LEADER, FOLLOWER);
-        let upstream_signers = (SignerId(upstream_a), SignerId(upstream_b));
-        let (mut leader, _follower) = FsPairBuilder::new(spec)
-            .crypto_costs(CryptoCostModel::free())
-            .accept_fs_source(
-                (upstream_a, upstream_b),
-                FsId(7),
-                upstream_signers,
-                Endpoint::Peer(fs_common::id::MemberId(3)),
-            )
-            .on_fail_signal(FsId(7), b"SUSPECT:3".to_vec())
-            .route(Endpoint::LocalApp, vec![DEST_A])
-            .build(
-                leader_key,
-                follower_key,
-                directory,
-                (Box::new(EchoMachine::new(0)), Box::new(EchoMachine::new(0))),
-            );
-
-        let mut ctx = TestContext::new(LEADER);
-        let signal = FsOutput::sign(FsId(7), FsContent::FailSignal, &up_a, &up_b);
-        leader.on_message(
-            &mut ctx,
-            upstream_a,
-            FsoInbound::External(signal.clone()).to_frame(),
-        );
+        let mut d = Downstream::new(CryptoCostModel::era_2003());
+        let signal = FsoInbound::External(FsOutput::sign(
+            UPSTREAM,
+            FsContent::FailSignal,
+            &d.up_a,
+            &d.up_b,
+        ))
+        .to_frame();
+        assert!(d.deliver(UPSTREAM_A, signal.clone()) > SimDuration::ZERO);
         // The configured environment input went through the machine: the echo
         // machine echoes it back to the environment... which is unrouted, but
         // the input was processed and a candidate was sent to the partner.
-        assert_eq!(leader.stats().inputs_processed, 1);
-        // Receiving the duplicate copy of the same fail-signal does nothing.
-        leader.on_message(
-            &mut ctx,
-            upstream_b,
-            FsoInbound::External(signal).to_frame(),
-        );
-        assert_eq!(leader.stats().inputs_processed, 1);
+        assert_eq!(d.leader.stats().inputs_processed, 1);
+        // A failed pair answers every message with its fail-signal (fs1):
+        // the repeats are recognised before they are verified, and cost
+        // nothing.
+        for from in [UPSTREAM_B, UPSTREAM_A, UPSTREAM_B] {
+            assert_eq!(d.deliver(from, signal.clone()), SimDuration::ZERO);
+        }
+        assert_eq!(d.leader.stats().inputs_processed, 1);
+        assert_eq!(d.leader.stats().duplicates_suppressed, 3);
     }
 
     #[test]
     fn forged_external_output_is_rejected() {
-        let mut rng = DetRng::new(17);
-        let upstream_a = ProcessId(30);
-        let upstream_b = ProcessId(31);
-        let attacker = ProcessId(55);
-        let (mut keys, directory) = provision(
-            [LEADER, FOLLOWER, upstream_a, upstream_b, attacker],
-            &mut rng,
-        );
-        let leader_key = keys.remove(&SignerId(LEADER)).unwrap();
-        let follower_key = keys.remove(&SignerId(FOLLOWER)).unwrap();
-        let attacker_key = keys.remove(&SignerId(attacker)).unwrap();
-
-        let spec = FsPairSpec::new(FsId(1), LEADER, FOLLOWER);
-        let (mut leader, _follower) = FsPairBuilder::new(spec)
-            .crypto_costs(CryptoCostModel::free())
-            .accept_fs_source(
-                (upstream_a, upstream_b),
-                FsId(7),
-                (SignerId(upstream_a), SignerId(upstream_b)),
-                Endpoint::Peer(fs_common::id::MemberId(3)),
-            )
-            .route(Endpoint::LocalApp, vec![DEST_A])
-            .build(
-                leader_key,
-                follower_key,
-                directory,
-                (Box::new(EchoMachine::new(0)), Box::new(EchoMachine::new(0))),
-            );
-
-        let mut ctx = TestContext::new(LEADER);
+        let mut d = Downstream::new(CryptoCostModel::free());
         // The attacker forges an "output of FS 7" signed only by itself.
-        let forged = FsOutput::sign(
-            FsId(7),
-            FsContent::Output {
-                output_seq: 0,
-                dest: Endpoint::LocalApp,
-                bytes: b"evil".to_vec().into(),
-            },
-            &attacker_key,
-            &attacker_key,
+        let forged = d.output(0, b"evil", (&d.attacker, &d.attacker));
+        d.deliver(UPSTREAM_A, forged);
+        assert_eq!(d.leader.stats().rejected_inputs, 1);
+        assert_eq!(d.leader.stats().inputs_processed, 0);
+        assert!(!d.leader.has_failed());
+    }
+
+    #[test]
+    fn second_copy_of_an_accepted_output_is_dropped_unverified() {
+        let mut d = Downstream::new(CryptoCostModel::era_2003());
+        let genuine = d.output(0, b"out", (&d.up_a, &d.up_b));
+        let check = CryptoCostModel::era_2003().verify_double_cost(64);
+        assert!(d.deliver(UPSTREAM_A, genuine.clone()) >= check);
+        assert_eq!(d.leader.stats().inputs_processed, 1);
+        // The partner wrapper's copy: the same bytes, not looked at twice.
+        assert_eq!(d.deliver(UPSTREAM_B, genuine), SimDuration::ZERO);
+        assert_eq!(d.leader.stats().duplicates_suppressed, 1);
+        // A forgery re-using the accepted number is the same non-event: it
+        // has nothing left to suppress.
+        let stats = d.leader.stats();
+        let forged = d.output(0, b"evil", (&d.attacker, &d.attacker));
+        assert_eq!(d.deliver(UPSTREAM_A, forged), SimDuration::ZERO);
+        assert_eq!(
+            d.leader.stats(),
+            FsoStats {
+                duplicates_suppressed: 2,
+                ..stats
+            }
         );
-        leader.on_message(
-            &mut ctx,
-            upstream_a,
-            FsoInbound::External(forged).to_frame(),
-        );
-        assert_eq!(leader.stats().rejected_inputs, 1);
-        assert_eq!(leader.stats().inputs_processed, 0);
-        assert!(!leader.has_failed());
+    }
+
+    #[test]
+    fn forged_fresh_sequence_number_cannot_suppress_the_genuine_output() {
+        let mut d = Downstream::new(CryptoCostModel::era_2003());
+        let check = CryptoCostModel::era_2003().verify_double_cost(64);
+        // The forgery claims a number nothing was accepted under, so it is
+        // verified — and rejected, leaving the window as it was.
+        let forged = d.output(0, b"evil", (&d.up_a, &d.attacker));
+        assert_eq!(d.deliver(UPSTREAM_A, forged), check);
+        assert_eq!(d.leader.stats().rejected_inputs, 1);
+        assert_eq!(d.leader.stats().inputs_processed, 0);
+        let genuine = d.output(0, b"out", (&d.up_a, &d.up_b));
+        assert!(d.deliver(UPSTREAM_A, genuine) >= check);
+        assert_eq!(d.leader.stats().inputs_processed, 1);
+        assert_eq!(d.leader.stats().duplicates_suppressed, 0);
     }
 }

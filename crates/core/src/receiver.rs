@@ -2,11 +2,18 @@
 //!
 //! "An output from FS p is valid only if it bears the authentic signatures of
 //! both Compare and Compare'" (§2.1), and when both nodes are correct *two*
-//! valid copies arrive (signed in opposite orders).  [`FsReceiver`] is the
-//! piece a destination embeds to enforce that: it verifies the double
-//! signature, suppresses the duplicate copy, and converts the first valid
-//! fail-signal from each source into a notification — the raw material the
-//! FS-NewTOP suspector turns into (never false) suspicions.
+//! valid copies arrive — byte-identical: both wrappers write the pair's two
+//! signature shares in the same order.  [`FsReceiver`] is the piece a
+//! destination embeds to enforce that: it verifies the two shares over the
+//! output's statement, suppresses the duplicate copy, and converts the first
+//! valid fail-signal from each source into a notification — the raw material
+//! the FS-NewTOP suspector turns into (never false) suspicions.
+//!
+//! An output is verified once.  The `(fs, output_seq)` a frame claims is
+//! looked up before its signatures are: a number already accepted is a
+//! duplicate and is dropped unverified (so is a fail-signal from a source
+//! already recorded as failed).  Only a verified output enters the window,
+//! so a forged frame can suppress nothing that was not already delivered.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -44,7 +51,8 @@ pub enum FsDelivery {
 pub struct ReceiverStats {
     /// Valid, fresh outputs accepted.
     pub accepted: u64,
-    /// Valid duplicates suppressed (the second copy of each output).
+    /// Copies of an already accepted output (or fail-signal) dropped,
+    /// unverified.
     pub duplicates: u64,
     /// Messages rejected: unknown source, bad signatures, malformed bytes.
     pub rejected: u64,
@@ -128,39 +136,40 @@ impl FsReceiver {
             self.stats.rejected += 1;
             return None;
         };
+        let duplicate = match output.content {
+            FsContent::FailSignal => self.failed_sources.contains(&output.fs),
+            FsContent::Output { output_seq, .. } => self
+                .seen_outputs
+                .get(&output.fs)
+                .is_some_and(|seen| seen.contains(output_seq)),
+        };
+        if duplicate {
+            self.stats.duplicates += 1;
+            return None;
+        }
         if output.verify(&self.directory, signers).is_err() {
             self.stats.rejected += 1;
             return None;
         }
         match output.content {
             FsContent::FailSignal => {
-                if self.failed_sources.insert(output.fs) {
-                    self.stats.fail_signals += 1;
-                    Some(FsDelivery::FailSignal { fs: output.fs })
-                } else {
-                    self.stats.duplicates += 1;
-                    None
-                }
+                self.failed_sources.insert(output.fs);
+                self.stats.fail_signals += 1;
+                Some(FsDelivery::FailSignal { fs: output.fs })
             }
             FsContent::Output {
                 output_seq, bytes, ..
             } => {
-                if self
-                    .seen_outputs
+                self.seen_outputs
                     .entry(output.fs)
                     .or_default()
-                    .insert(output_seq)
-                {
-                    self.stats.accepted += 1;
-                    Some(FsDelivery::Output {
-                        fs: output.fs,
-                        output_seq,
-                        bytes,
-                    })
-                } else {
-                    self.stats.duplicates += 1;
-                    None
-                }
+                    .insert(output_seq);
+                self.stats.accepted += 1;
+                Some(FsDelivery::Output {
+                    fs: output.fs,
+                    output_seq,
+                    bytes,
+                })
             }
         }
     }
@@ -213,7 +222,8 @@ mod tests {
                 bytes: vec![0].into()
             })
         );
-        // The second (oppositely signed) copy is suppressed.
+        // The second copy — here with its shares in the other order — is
+        // suppressed.
         let second_copy = output(1, 0, &b, &a);
         assert_eq!(r.accept_output(second_copy), None);
         assert_eq!(r.stats().accepted, 1);
@@ -303,9 +313,66 @@ mod tests {
             r.accept_output(signal.clone()),
             Some(FsDelivery::FailSignal { fs: FsId(1) })
         );
-        assert_eq!(r.accept_output(signal), None);
+        // A failed pair repeats its fail-signal in answer to everything;
+        // once the source is recorded as failed nothing is verified again —
+        // not even a "fail-signal" nobody signed.
+        assert_eq!(r.accept_output(signal.clone()), None);
+        let unsigned = FsOutput {
+            second: signal.first.clone(),
+            ..signal
+        };
+        assert_eq!(r.accept_output(unsigned), None);
         assert!(r.failed_sources().contains(&FsId(1)));
         assert_eq!(r.stats().fail_signals, 1);
+        assert_eq!(r.stats().duplicates, 2);
+        assert_eq!(r.stats().rejected, 0);
+    }
+
+    /// What the second copy of an output costs a destination: nothing is
+    /// hashed, so nothing was verified (a 1-byte body is below the digest
+    /// memo's floor: verifying it would hash it afresh).
+    #[test]
+    fn second_copy_of_an_accepted_output_is_dropped_unverified() {
+        let (a, b, _, dir) = setup();
+        let mut r = FsReceiver::new(dir);
+        r.register_source(FsId(1), (a.signer, b.signer));
+        assert!(r.accept_output(output(1, 0, &a, &b)).is_some());
+        let hashed = fs_crypto::sha256::blocks_compressed();
+        let copy = output(1, 0, &a, &b);
+        let forged = FsOutput {
+            content: FsContent::Output {
+                output_seq: 0,
+                dest: Endpoint::LocalApp,
+                bytes: b"evil".to_vec().into(),
+            },
+            ..output(1, 0, &a, &b)
+        };
+        let signing = fs_crypto::sha256::blocks_compressed() - hashed;
+        assert_eq!(r.accept_output(copy), None);
+        // A forgery re-using the accepted number has nothing to suppress.
+        assert_eq!(r.accept_output(forged), None);
+        assert_eq!(
+            fs_crypto::sha256::blocks_compressed() - hashed,
+            signing,
+            "neither copy was hashed or checked"
+        );
+        assert_eq!(r.stats().accepted, 1);
+        assert_eq!(r.stats().duplicates, 2);
+        assert_eq!(r.stats().rejected, 0);
+    }
+
+    #[test]
+    fn forged_fresh_sequence_number_cannot_suppress_the_genuine_output() {
+        let (a, b, c, dir) = setup();
+        let mut r = FsReceiver::new(dir);
+        r.register_source(FsId(1), (a.signer, b.signer));
+        // Claims a number nothing was accepted under: verified, rejected,
+        // and the window is left as it was.
+        assert_eq!(r.accept_output(output(1, 0, &a, &c)), None);
+        assert_eq!(r.stats().rejected, 1);
+        assert!(r.accept_output(output(1, 0, &a, &b)).is_some());
+        assert_eq!(r.stats().accepted, 1);
+        assert_eq!(r.stats().duplicates, 0);
     }
 
     #[test]

@@ -21,6 +21,11 @@ pub(crate) struct SeqWindow {
 }
 
 impl SeqWindow {
+    /// True when `seq` has been recorded.
+    pub(crate) fn contains(&self, seq: u64) -> bool {
+        seq < self.next || self.above.contains(&seq)
+    }
+
     /// Records `seq`; returns `true` when it had not been recorded before.
     pub(crate) fn insert(&mut self, seq: u64) -> bool {
         if seq < self.next {
@@ -80,7 +85,9 @@ mod tests {
             let mut model = BTreeSet::new();
             // `u64::MAX` itself can only follow 2^64 - 1 other insertions.
             for seq in seqs.into_iter().chain(far.into_iter().map(|s| s >> 1)) {
+                prop_assert_eq!(window.contains(seq), model.contains(&seq), "seq {}", seq);
                 prop_assert_eq!(window.insert(seq), model.insert(seq), "seq {}", seq);
+                prop_assert!(window.contains(seq));
                 prop_assert!(!window.above.contains(&window.next));
                 prop_assert!((0..window.next).all(|s| model.contains(&s)));
                 prop_assert_eq!(

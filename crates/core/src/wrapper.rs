@@ -8,13 +8,18 @@
 //!   relays it to the follower ([`PairMessage::Ordered`]); the follower only
 //!   processes inputs in the leader's order and uses its IRM pool to detect a
 //!   leader that stops ordering (timeout `t2 = 2δ`).
-//! * **Compare**: every output of the wrapped machine is signed once and sent
-//!   to the partner ([`PairMessage::Candidate`]); when the two copies match,
-//!   the local copy of the remote's signature is counter-signed and the
-//!   double-signed output is transmitted to the destination(s).  A mismatch,
-//!   or a comparison that does not complete within `2δ + κπ + στ` (leader)
-//!   or `δ + κπ + στ` (follower), makes the wrapper emit the pair's
-//!   pre-armed, double-signed **fail-signal** and cease normal service.
+//! * **Compare**: every output of the wrapped machine is signed once, and
+//!   that signature — the wrapper's *share* — is sent to the partner with
+//!   the fields it covers ([`PairMessage::Candidate`]: sequence number,
+//!   destination, length, body digest; never the body).  When the partner's
+//!   share names the same destination, length and digest as the local
+//!   output, the two shares side by side *are* the double-signed output,
+//!   which is transmitted to the destination(s): completing a comparison
+//!   signs nothing.  A mismatch, or a comparison that does not complete
+//!   within `2δ + κπ + στ` (leader) or `δ + κπ + στ` (follower), makes the
+//!   wrapper emit the pair's pre-armed, double-signed **fail-signal** — the
+//!   partner's share handed over at start-up plus its own — and cease
+//!   normal service.
 //!
 //! A failed wrapper thereafter answers every incoming message with the
 //! fail-signal (property fs1); arbitrary fail-signal emission by a faulty
@@ -33,10 +38,23 @@
 //! signing the content itself cost ten.
 //!
 //! The pools hold what that leaves to hold: the ICM pool a local output's
-//! destination, digest and bytes (the bytes only to build the external
-//! frame once the comparison completes); the ECM pool a remote candidate's
-//! destination, length, digest and signature — not its buffer; the IRM pool
-//! and the processed-input set `(endpoint, body digest)` keys.
+//! destination, digest, bytes (the bytes only to build the external frame
+//! once the comparison completes) and the wrapper's own share; the ECM pool
+//! a remote candidate as received and verified — destination, length,
+//! digest and the partner's share; the IRM pool and the processed-input set
+//! `(endpoint, body digest)` keys.
+//!
+//! ## Destinations verify an output once
+//!
+//! Both wrappers of a source pair transmit every output, so a destination
+//! wrapper receives each one twice.  The claimed `(fs, output_seq)` of an
+//! incoming frame is looked up *before* anything is verified: a number
+//! already accepted from that source is a duplicate and is dropped unverified
+//! and uncharged (as is a fail-signal from a source already recorded as
+//! failed — a failed pair answers every message with one).  Only a frame
+//! that verifies enters the window, so a forged frame re-using a number can
+//! suppress nothing that has not already been delivered, and one claiming a
+//! fresh number is rejected by the check it cannot skip.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -68,26 +86,36 @@ pub struct FsoStats {
     pub timeouts: u64,
     /// Fail-signal transmissions performed.
     pub fail_signals_sent: u64,
-    /// Duplicate external messages suppressed.
+    /// Duplicates suppressed: inputs already ordered, candidates already
+    /// compared, and copies of external outputs already accepted (dropped
+    /// unverified).
     pub duplicates_suppressed: u64,
     /// External messages rejected because their signatures did not verify.
     pub rejected_inputs: u64,
 }
 
-/// A locally produced output awaiting the partner's candidate.
+/// A locally produced, locally signed output.
 #[derive(Debug, Clone)]
-struct IcmpEntry {
+struct LocalOutput {
     dest: Endpoint,
     /// The output bytes, kept for the external frame.
     bytes: Bytes,
-    /// `SHA-256(bytes)`, from signing: the comparison and the
-    /// counter-signature run over it, the bytes are not hashed again.
+    /// `SHA-256(bytes)`, from signing: the comparison runs over it, the
+    /// bytes are not hashed again.
     digest: Digest,
+    /// This wrapper's share over the output's statement.
+    signature: Signature,
+}
+
+/// A local output awaiting the partner's candidate.
+#[derive(Debug, Clone)]
+struct IcmpEntry {
+    output: LocalOutput,
     timer: TimerId,
 }
 
-/// A verified remote candidate awaiting the local output: what its
-/// signature covers, and the signature.  The candidate's buffer is not kept.
+/// A verified remote candidate awaiting the local output: what the
+/// partner's share covers, and the share.
 #[derive(Debug, Clone)]
 struct EcmpEntry {
     dest: Endpoint,
@@ -165,7 +193,7 @@ pub struct FsoActor {
     seen_external: BTreeMap<FsId, SeqWindow>,
     /// Source FS processes whose fail-signal has already been converted.
     fail_signals_seen: BTreeSet<FsId>,
-    /// The encoded, counter-signed fail-signal frame, built when the
+    /// The encoded, double-signed fail-signal frame, built when the
     /// wrapper fails and refcount-cloned to every recipient thereafter.
     fail_signal_frame: Option<Frame>,
     /// Follower only: externally received inputs awaiting the leader's order.
@@ -261,22 +289,42 @@ impl FsoActor {
         ctx.send(self.config.partner, FsoInbound::Pair(message).to_frame());
     }
 
-    /// The pair's pre-armed fail-signal, counter-signed and encoded once.
-    /// The frame is a pure function of the configuration, so every
-    /// transmission — the broadcast in `fail()` and each fs1 reply — shares
-    /// the same bytes.
+    /// A double-signed output of this pair from its two shares, written in
+    /// the one order both wrappers use — the leader's, then the follower's —
+    /// so the two transmit byte-identical frames.
+    fn assemble(&self, content: FsContent, own: Signature, partner: Signature) -> Frame {
+        let (first, second) = if self.config.is_leader() {
+            (own, partner)
+        } else {
+            (partner, own)
+        };
+        FsoInbound::External(FsOutput {
+            fs: self.config.fs,
+            content,
+            first,
+            second,
+        })
+        .to_frame()
+    }
+
+    /// The pair's fail-signal — the partner's pre-armed share plus this
+    /// wrapper's own — signed and encoded once.  The frame is a pure
+    /// function of the configuration, so every transmission — the broadcast
+    /// in `fail()` and each fs1 reply — shares the same bytes.
     fn fail_signal_frame(&mut self) -> Frame {
-        self.fail_signal_frame
-            .get_or_insert_with(|| {
-                FsoInbound::External(FsOutput::counter_sign(
-                    self.config.fs,
-                    FsContent::FailSignal,
-                    self.config.prearmed_fail_signal.clone(),
-                    &self.config.key,
-                ))
-                .to_frame()
-            })
-            .clone()
+        if let Some(frame) = &self.fail_signal_frame {
+            return frame.clone();
+        }
+        let own = Signature::sign(
+            &self.config.key,
+            Statement::fail_signal(self.config.fs).as_bytes(),
+        );
+        let frame = self.assemble(
+            FsContent::FailSignal,
+            own,
+            self.config.prearmed_fail_signal.clone(),
+        );
+        self.fail_signal_frame.insert(frame).clone()
     }
 
     fn fail(&mut self, ctx: &mut dyn Context, reason: &str) {
@@ -367,9 +415,10 @@ impl FsoActor {
         }
     }
 
-    /// Signs a locally produced output, checks it against any remote
-    /// candidate already received, and otherwise parks it in the ICM pool
-    /// with the paper's comparison timeout.
+    /// Signs a locally produced output — the one signing operation this
+    /// wrapper performs for it — sends the partner that share, checks the
+    /// output against any remote candidate already received, and otherwise
+    /// parks it in the ICM pool with the paper's comparison timeout.
     fn produce_output(
         &mut self,
         ctx: &mut dyn Context,
@@ -382,9 +431,9 @@ impl FsoActor {
 
         // One pass over the bytes at most (none when this buffer, or the
         // other replica's equal one, has been digested on this host), then
-        // the signature over the statement.  The payload itself is only
-        // ever refcount-cloned — into the candidate frame and the
-        // comparison pool.
+        // the signature over the statement.  The payload itself goes to the
+        // comparison pool by refcount and nowhere else until the external
+        // frame is built.
         let digest = body_digest(&bytes);
         let statement = Statement::output(self.config.fs, output_seq, dest, bytes.len(), &digest);
         let tau = self.config.crypto_costs.sign_cost(statement.signed_len());
@@ -396,13 +445,20 @@ impl FsoActor {
             PairMessage::Candidate {
                 output_seq,
                 dest,
-                bytes: bytes.clone(),
-                signature,
+                body_len: bytes.len() as u32,
+                digest,
+                signature: signature.clone(),
             },
         );
 
+        let output = LocalOutput {
+            dest,
+            bytes,
+            digest,
+            signature,
+        };
         if let Some(remote) = self.ecmp.remove(&output_seq) {
-            self.complete_comparison(ctx, output_seq, dest, bytes, digest, remote);
+            self.complete_comparison(ctx, output_seq, output, remote);
             return;
         }
 
@@ -413,56 +469,40 @@ impl FsoActor {
         };
         let timer = self.alloc_timer(TimerPurpose::OutputCompare(output_seq));
         ctx.set_timer(timeout, timer);
-        self.icmp.insert(
-            output_seq,
-            IcmpEntry {
-                dest,
-                bytes,
-                digest,
-                timer,
-            },
-        );
+        self.icmp.insert(output_seq, IcmpEntry { output, timer });
     }
 
     /// Compares a local output with the remote candidate of the same
     /// sequence number — destination, length and body digest, which is
-    /// everything the candidate's verified signature covers; on success
-    /// emits the double-signed output, on mismatch emits the fail-signal.
+    /// everything the candidate's verified share covers.  On success the
+    /// two shares are the double signature: the output is assembled and
+    /// transmitted, and nothing is signed or charged.  On mismatch the
+    /// wrapper emits the fail-signal.
     fn complete_comparison(
         &mut self,
         ctx: &mut dyn Context,
         output_seq: u64,
-        dest: Endpoint,
-        bytes: Bytes,
-        digest: Digest,
+        local: LocalOutput,
         remote: EcmpEntry,
     ) {
-        if remote.dest != dest || remote.len != bytes.len() || remote.digest != digest {
+        if remote.dest != local.dest
+            || remote.len != local.bytes.len()
+            || remote.digest != local.digest
+        {
             self.stats.mismatches += 1;
             self.fail(ctx, "output comparison mismatch");
             return;
         }
-        // Counter-sign the remote's (already verified) signature over the
-        // statement this wrapper signed itself: no pass over the content.
-        let statement = Statement::output(self.config.fs, output_seq, dest, bytes.len(), &digest);
         let content = FsContent::Output {
             output_seq,
-            dest,
-            bytes,
+            dest: local.dest,
+            bytes: local.bytes,
         };
-        ctx.charge_cpu(self.config.crypto_costs.sign_cost(64));
-        let output = FsOutput::counter_sign_over(
-            self.config.fs,
-            content,
-            &statement,
-            remote.signature,
-            &self.config.key,
-        );
-        // One encode of the external frame (header and signatures around
-        // the spliced output bytes), refcount-shared across every routed
+        // One encode of the external frame (header and shares around the
+        // spliced output bytes), refcount-shared across every routed
         // destination.
-        let wire = FsoInbound::External(output).to_frame();
-        for process in self.config.routes.lookup(dest) {
+        let wire = self.assemble(content, local.signature, remote.signature);
+        for process in self.config.routes.lookup(local.dest) {
             ctx.send(*process, wire.clone());
         }
         self.stats.outputs_validated += 1;
@@ -506,18 +546,23 @@ impl FsoActor {
             PairMessage::Candidate {
                 output_seq,
                 dest,
-                bytes,
+                body_len,
+                digest,
                 signature,
             } => {
-                // Verify the partner's single signature before trusting the
-                // candidate (assumption A5: signatures cannot be forged) —
-                // over the statement built from the fields and the bytes
-                // *as received*: a candidate whose bytes do not hash to the
-                // digest its sender signed fails right here.
-                let digest = body_digest(&bytes);
-                let statement =
-                    Statement::output(self.config.fs, output_seq, dest, bytes.len(), &digest);
-                ctx.charge_cpu(self.config.crypto_costs.verify_cost(statement.signed_len()));
+                // Verify the partner's share before trusting the candidate
+                // (assumption A5: signatures cannot be forged) — over the
+                // statement built from the fields *as received*: one MAC
+                // over at most 54 bytes, no body to hold or hash here.  A
+                // candidate altered after signing fails right here; one
+                // whose signer signed a wrong digest fails the comparison.
+                let len = body_len as usize;
+                let statement = Statement::output(self.config.fs, output_seq, dest, len, &digest);
+                let check = self
+                    .config
+                    .crypto_costs
+                    .verify_cost(statement.as_bytes().len());
+                ctx.charge_cpu(check);
                 if signature.signer != self.config.partner_signer
                     || signature
                         .verify(&self.config.directory, statement.as_bytes())
@@ -529,21 +574,14 @@ impl FsoActor {
                 }
                 let remote = EcmpEntry {
                     dest,
-                    len: bytes.len(),
+                    len,
                     digest,
                     signature,
                 };
                 if let Some(local) = self.icmp.remove(&output_seq) {
                     ctx.cancel_timer(local.timer);
                     self.timers.remove(&local.timer);
-                    self.complete_comparison(
-                        ctx,
-                        output_seq,
-                        local.dest,
-                        local.bytes,
-                        local.digest,
-                        remote,
-                    );
+                    self.complete_comparison(ctx, output_seq, local.output, remote);
                 } else if output_seq < self.output_seq {
                     // This output was already compared (its ICM entry is
                     // gone): a duplicate of the candidate that completed it,
@@ -570,11 +608,24 @@ impl FsoActor {
             self.stats.rejected_inputs += 1;
             return;
         };
-        ctx.charge_cpu(self.config.crypto_costs.verify_double_cost(64));
         if output.fs != fs {
             self.stats.rejected_inputs += 1;
             return;
         }
+        // Verify once: what this frame claims to be is looked up before
+        // anything is checked or charged (see the module docs).
+        let duplicate = match output.content {
+            FsContent::FailSignal => self.fail_signals_seen.contains(&fs),
+            FsContent::Output { output_seq, .. } => self
+                .seen_external
+                .get(&fs)
+                .is_some_and(|seen| seen.contains(output_seq)),
+        };
+        if duplicate {
+            self.stats.duplicates_suppressed += 1;
+            return;
+        }
+        ctx.charge_cpu(self.config.crypto_costs.verify_double_cost(64));
         // The check hands back the body digest it ran over.
         let Ok(digest) = output.verify_digesting(&self.config.directory, signers) else {
             self.stats.rejected_inputs += 1;
@@ -582,23 +633,19 @@ impl FsoActor {
         };
         match output.content {
             FsContent::FailSignal => {
-                if self.fail_signals_seen.insert(fs) {
-                    // A validated fail-signal is converted into the
-                    // pre-configured environment input (FS-NewTOP turns it
-                    // into a suspicion) and ordered like any other input.
-                    if let Some(injected) = self.config.fail_signal_inputs.get(&fs).cloned() {
-                        let digest = body_digest(&injected);
-                        self.on_external_input(ctx, Endpoint::Environment, injected, digest);
-                    }
+                self.fail_signals_seen.insert(fs);
+                // A validated fail-signal is converted into the
+                // pre-configured environment input (FS-NewTOP turns it
+                // into a suspicion) and ordered like any other input.
+                if let Some(injected) = self.config.fail_signal_inputs.get(&fs).cloned() {
+                    let digest = body_digest(&injected);
+                    self.on_external_input(ctx, Endpoint::Environment, injected, digest);
                 }
             }
             FsContent::Output {
                 output_seq, bytes, ..
             } => {
-                if !self.seen_external.entry(fs).or_default().insert(output_seq) {
-                    self.stats.duplicates_suppressed += 1;
-                    return;
-                }
+                self.seen_external.entry(fs).or_default().insert(output_seq);
                 let digest = digest.unwrap_or_else(|| body_digest(&bytes));
                 self.on_external_input(ctx, endpoint, bytes, digest);
             }

@@ -52,14 +52,25 @@
 //! per sign and per verify — and the authenticator now has the same shape.
 //! The `failsignal` crate hands this layer a *statement* of at most 54 bytes
 //! (a signed header followed by `SHA-256(output bytes)`), so
-//! [`sig::Signature::sign`], [`sig::Signature::co_sign`],
-//! [`sig::Signature::verify`] and [`sig::verify_cosign_pair`] each MAC at
-//! most 90 bytes whatever the output's size, and the host-side verification
-//! memo keeps small compact copies only.  The one pass over the content is
+//! [`sig::Signature::sign`] and [`sig::Signature::verify`] each MAC at most
+//! 54 bytes whatever the output's size, and the host-side verification memo
+//! keeps small compact copies only.  The one pass over the content is
 //! the body digest, computed (and memoised by buffer identity) in
-//! `failsignal::digest`.  Simulated charges are untouched: call sites keep
-//! charging [`cost::CryptoCostModel`] for a pass over the whole signed
-//! content — the modelled pass is now simply a real one.
+//! `failsignal::digest`.  Simulated charges follow the same shape: call
+//! sites charge [`cost::CryptoCostModel`] a pass over the whole signed
+//! content where a body is hashed, and a pass over the statement where only
+//! the statement is (see "What is charged where" in [`cost`]).
+//!
+//! ## Signature shares
+//!
+//! A double-signed message is two independent signatures — *shares* — by
+//! the two distinct signers of a pair over the same statement
+//! ([`sig::check_share_signers`] plus two [`sig::Signature::verify`] calls;
+//! [`sig::DoubleSigned`] is the generic envelope).  Nothing is nested: the
+//! statement already names the FS process, sequence number, destination,
+//! length and digest, so two shares that verify over it prove that both
+//! signers vouched for that one output, and each signer signs exactly once
+//! ([`sig::signatures_made`] counts it).
 //!
 //! ## Batch verification contract
 //!
@@ -77,9 +88,10 @@
 //!
 //! Both compose with the host-side verify memo: a memo hit is answered
 //! before any batch schedule is assembled, so re-verification of an
-//! already-seen authenticator stays O(memo lookup) in a batch too.  (A
-//! co-signed *pair* is two MACs over at most 90 bytes and shares nothing:
-//! [`sig::verify_cosign_pair`] is two sequential memoised checks.)
+//! already-seen authenticator stays O(memo lookup) in a batch too.  (The two
+//! shares of a double-signed output are two MACs over at most 54 bytes —
+//! too little to amortise a batch schedule — and are checked as two
+//! sequential memoised [`sig::Signature::verify`] calls.)
 //!
 //! ## Example
 //!
@@ -93,9 +105,9 @@
 //! let leader_key = keys.remove(&SignerId(ProcessId(0))).unwrap();
 //! let follower_key = keys.remove(&SignerId(ProcessId(1))).unwrap();
 //!
-//! // Leader's Compare signs an output, follower's Compare counter-signs it.
+//! // Leader's Compare signs an output, follower's Compare adds its share.
 //! let bytes = b"totally ordered message".to_vec();
-//! let double = SingleSigned::new((), &bytes, &leader_key).counter_sign(&bytes, &follower_key);
+//! let double = SingleSigned::new((), &bytes, &leader_key).with_share(&bytes, &follower_key);
 //!
 //! // A destination accepts it only with both authentic signatures.
 //! double

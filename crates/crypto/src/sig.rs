@@ -1,4 +1,4 @@
-//! Message signatures: single and double (co-signed) forms.
+//! Message signatures: single and double (two-share) forms.
 //!
 //! The fail-signal protocol (paper §2.1) requires that:
 //!
@@ -8,13 +8,25 @@
 //!   authentic signatures of *both* Compare processes — a **double-signed**
 //!   message;
 //! * the fail-signal itself is a pre-agreed message, single-signed by each
-//!   Compare at start-up and counter-signed by the other Compare when it is
-//!   emitted.
+//!   Compare at start-up and completed with the other Compare's signature
+//!   when it is emitted.
+//!
+//! ## The share rule
+//!
+//! A double-signed message carries two **signature shares**: plain,
+//! independent signatures by the two distinct signers of the pair over the
+//! *same* bytes.  That proves exactly what a signature nested over the
+//! partner's signature would — both Compare processes vouched for this
+//! message — provided the signed bytes identify the message, and they do:
+//! the `failsignal` crate hands this layer a short *statement* binding the
+//! FS process, the output sequence number, the destination, the body length
+//! and the SHA-256 of the body, so a share of one output verifies over no
+//! other.  Nothing is signed twice: a Compare process signs its own output
+//! once and attaches the share it received from its partner
+//! (`tests/signature_ops.rs` counts this through [`signatures_made`]).
 //!
 //! This module provides those building blocks generically over any byte
-//! string; the envelope types live in the `failsignal` crate, which hands
-//! this layer a short *statement* — a signed header followed by the SHA-256
-//! of the output bytes — never the output bytes themselves.
+//! string; the envelope types live in the `failsignal` crate.
 
 use std::cell::{Cell, RefCell};
 
@@ -33,21 +45,15 @@ use crate::sha256::{ct_eq, Digest};
 /// table reaches that size once and never grows again.
 const VERIFY_MEMO_MAX: usize = 14 * 1024;
 
-/// The longest `message ‖ suffix` the memo remembers.  The fail-signal layer
-/// signs statements of at most 54 bytes and co-signs them with a 36-byte
-/// suffix; anything longer is simply verified afresh every time, so an
-/// entry is a fixed-size value — no allocation to make, none to free when
-/// the memo clears.
-const MEMO_MESSAGE_MAX: usize = 96;
+/// The longest message the memo remembers.  The fail-signal layer signs
+/// statements of at most 54 bytes; anything longer is simply verified afresh
+/// every time, so an entry is a fixed-size value — no allocation to make,
+/// none to free when the memo clears.
+const MEMO_MESSAGE_MAX: usize = 64;
 
 type MemoKey = (SignerId, u64, Digest);
 
-fn trailer(suffix: Option<&[u8; 36]>) -> &[u8] {
-    suffix.map_or(&[], |s| s)
-}
-
-/// One memoised `message ‖ suffix` (`suffix` is the 36-byte co-signature
-/// trailer, absent for a first signature), stored inline.
+/// One memoised message, stored inline.
 #[derive(Clone, Copy)]
 struct Memoised {
     len: usize,
@@ -62,18 +68,15 @@ struct VerifyMemoStore {
 }
 
 impl VerifyMemoStore {
-    /// True when `key` is memoised for exactly the bytes `message ‖ suffix`.
-    fn matches(&self, key: &MemoKey, message: &[u8], suffix: Option<&[u8; 36]>) -> bool {
+    /// True when `key` is memoised for exactly the bytes `message`.
+    fn matches(&self, key: &MemoKey, message: &[u8]) -> bool {
         self.map
             .get(key)
-            .and_then(|stored| stored.bytes[..stored.len].split_at_checked(message.len()))
-            .is_some_and(|(head, tail)| head == message && tail == trailer(suffix))
+            .is_some_and(|stored| &stored.bytes[..stored.len] == message)
     }
 
-    fn insert(&mut self, key: MemoKey, message: &[u8], suffix: Option<&[u8; 36]>) {
-        let suffix = trailer(suffix);
-        let len = message.len() + suffix.len();
-        if len > MEMO_MESSAGE_MAX {
+    fn insert(&mut self, key: MemoKey, message: &[u8]) {
+        if message.len() > MEMO_MESSAGE_MAX {
             return;
         }
         if self.map.len() >= VERIFY_MEMO_MAX {
@@ -81,17 +84,17 @@ impl VerifyMemoStore {
         }
         let mut bytes = [0u8; MEMO_MESSAGE_MAX];
         bytes[..message.len()].copy_from_slice(message);
-        bytes[message.len()..len].copy_from_slice(suffix);
+        let len = message.len();
         self.map.insert(key, Memoised { len, bytes });
     }
 }
 
-fn memo_matches(key: &MemoKey, message: &[u8], suffix: Option<&[u8; 36]>) -> bool {
-    VERIFY_MEMO.with(|memo| memo.borrow().matches(key, message, suffix))
+fn memo_matches(key: &MemoKey, message: &[u8]) -> bool {
+    VERIFY_MEMO.with(|memo| memo.borrow().matches(key, message))
 }
 
-fn memo_insert(key: MemoKey, message: &[u8], suffix: Option<&[u8; 36]>) {
-    VERIFY_MEMO.with(|memo| memo.borrow_mut().insert(key, message, suffix));
+fn memo_insert(key: MemoKey, message: &[u8]) {
+    VERIFY_MEMO.with(|memo| memo.borrow_mut().insert(key, message));
 }
 
 thread_local! {
@@ -112,9 +115,10 @@ thread_local! {
     /// held inline in the entry: a hit requires the exact message bytes to
     /// match, and the fingerprint ties the verdict to the concrete key
     /// material so caches can never leak across key directories.  Messages
-    /// longer than 96 bytes are not remembered (nothing in the suite signs
+    /// longer than 64 bytes are not remembered (nothing in the suite signs
     /// one on a hot path: the fail-signal layer signs statements, not
-    /// contents).  Failures are never cached.  The entry count is bounded,
+    /// contents, and both shares of a double-signed output cover the same
+    /// statement).  Failures are never cached.  The entry count is bounded,
     /// and with it the memory.  (In the threaded runtime each thread has
     /// its own memo, so signer-side seeding cannot help remote verifiers
     /// there — it is bounded pure overhead, a few percent of the HMAC it
@@ -150,31 +154,15 @@ impl Signature {
     /// state (the RFC 2104 key schedule is never re-expanded per message).
     ///
     /// Signing also seeds the host-side verification memo (for messages of
-    /// at most 96 bytes): the produced tag *is* `HMAC(key, message)`, which
+    /// at most 64 bytes): the produced tag *is* `HMAC(key, message)`, which
     /// is exactly the invariant a memo entry records, and on a simulation
     /// host the verifier of this very signature runs in the same process a
     /// few simulated microseconds later.  Its check then becomes a hash-map
     /// probe instead of a second HMAC computation over the same bytes.
     pub fn sign(key: &SigningKey, message: &[u8]) -> Signature {
-        Self::sign_with_suffix(key, message, None)
-    }
-
-    /// Counter-signs `first` (another signer's signature over `message`)
-    /// with `key`: the signature over `message ‖ suffix(first)`, where the
-    /// suffix is the first signer's id and tag — so the pair of signatures
-    /// cannot be mixed and matched across messages.  The concatenation is
-    /// streamed, never built; the memo is seeded as in [`Signature::sign`].
-    pub fn co_sign(key: &SigningKey, message: &[u8], first: &Signature) -> Signature {
-        Self::sign_with_suffix(key, message, Some(&cosign_suffix(first)))
-    }
-
-    fn sign_with_suffix(key: &SigningKey, message: &[u8], suffix: Option<&[u8; 36]>) -> Signature {
-        let mut state = key.hmac().hasher();
-        state.update(message);
-        state.update(trailer(suffix));
-        let tag = state.finalize();
+        let tag = key.hmac().mac(message);
         SIGNATURES_MADE.with(|n| n.set(n.get() + 1));
-        memo_insert((key.signer, key.hmac().fingerprint(), tag), message, suffix);
+        memo_insert((key.signer, key.hmac().fingerprint(), tag), message);
         Signature {
             signer: key.signer,
             tag,
@@ -183,7 +171,7 @@ impl Signature {
 
     /// Verifies this signature over `message` against the key directory.
     ///
-    /// Successful verifications of messages of at most 96 bytes are memoised
+    /// Successful verifications of messages of at most 64 bytes are memoised
     /// host-side (in the module-private `VERIFY_MEMO` table): re-verifying
     /// the same `(key, message, tag)` triple — the normal case
     /// when one multicast frame is checked at several co-hosted simulated
@@ -197,39 +185,20 @@ impl Signature {
     ///   directory.
     /// * [`SignatureError::Invalid`] — the tag does not verify.
     pub fn verify(&self, directory: &KeyDirectory, message: &[u8]) -> Result<(), SignatureError> {
-        self.verify_with_suffix(directory, message, None)
-    }
-
-    /// [`Signature::verify`] over `message ‖ suffix` (the co-signature's
-    /// shape), streamed.
-    fn verify_with_suffix(
-        &self,
-        directory: &KeyDirectory,
-        message: &[u8],
-        suffix: Option<&[u8; 36]>,
-    ) -> Result<(), SignatureError> {
         let key = directory.lookup(self.signer)?;
         let memo_key = (self.signer, key.hmac().fingerprint(), self.tag);
-        if memo_matches(&memo_key, message, suffix) {
+        if memo_matches(&memo_key, message) {
             return Ok(());
         }
-        self.check_tag(key.hmac(), message, suffix)?;
-        memo_insert(memo_key, message, suffix);
+        self.check_tag(key.hmac(), message)?;
+        memo_insert(memo_key, message);
         Ok(())
     }
 
-    /// Recomputes `HMAC(key, message ‖ suffix)` and compares it with this
-    /// signature's tag in constant time.
-    fn check_tag(
-        &self,
-        key: &HmacKey,
-        message: &[u8],
-        suffix: Option<&[u8; 36]>,
-    ) -> Result<(), SignatureError> {
-        let mut state = key.hasher();
-        state.update(message);
-        state.update(trailer(suffix));
-        if ct_eq(state.finalize().as_bytes(), self.tag.as_bytes()) {
+    /// Recomputes `HMAC(key, message)` and compares it with this signature's
+    /// tag in constant time.
+    fn check_tag(&self, key: &HmacKey, message: &[u8]) -> Result<(), SignatureError> {
+        if ct_eq(key.mac(message).as_bytes(), self.tag.as_bytes()) {
             Ok(())
         } else {
             Err(SignatureError::Invalid)
@@ -248,7 +217,7 @@ impl Signature {
         directory: &KeyDirectory,
         message: &[u8],
     ) -> Result<(), SignatureError> {
-        self.check_tag(directory.lookup(self.signer)?.hmac(), message, None)
+        self.check_tag(directory.lookup(self.signer)?.hmac(), message)
     }
 
     /// Verifies every signature in `sigs` over the same `message` — the
@@ -285,7 +254,7 @@ impl Signature {
                 }
                 Ok(key) => {
                     let memo_key = (sig.signer, key.hmac().fingerprint(), sig.tag);
-                    if !memo_matches(&memo_key, message, None) {
+                    if !memo_matches(&memo_key, message) {
                         miss_sigs.push(sig);
                         miss_keys.push(key.hmac());
                     }
@@ -300,7 +269,7 @@ impl Signature {
                 }
             }
             for (sig, key) in miss_sigs.iter().zip(&miss_keys) {
-                memo_insert((sig.signer, key.fingerprint(), sig.tag), message, None);
+                memo_insert((sig.signer, key.fingerprint(), sig.tag), message);
             }
         }
         match lookup_err {
@@ -344,49 +313,28 @@ impl Signature {
     }
 }
 
-/// The fixed 36-byte suffix the second (counter-) signature covers in
-/// addition to the message bytes: the first signer's id (little-endian) and
-/// the first signature's tag.
-fn cosign_suffix(first: &Signature) -> [u8; 36] {
-    let mut suffix = [0u8; 36];
-    suffix[..4].copy_from_slice(&(first.signer.0).0.to_le_bytes());
-    suffix[4..].copy_from_slice(first.tag.as_bytes());
-    suffix
-}
-
-/// Verifies a co-signed pair of signatures over `content_bytes` — the first
-/// over the content itself, the second over the content plus the
-/// `cosign_suffix` naming the first — exactly as two sequential
-/// [`Signature::verify`] calls would: first signer lookup, first signature,
-/// second signer lookup, second signature, each through the memo.
+/// The structural half of the share rule (see the module docs): `first` and
+/// `second` must be by the two distinct signers of `expected_pair`, in
+/// either order.  What remains is that each verifies over the same message.
 ///
 /// # Errors
 ///
-/// See [`Signature::verify`].
-pub fn verify_cosign_pair(
-    directory: &KeyDirectory,
-    content_bytes: &[u8],
+/// * [`SignatureError::DuplicateSigner`] — both shares from the same signer.
+/// * [`SignatureError::MissingCoSignature`] — a signer outside
+///   `expected_pair`.
+pub fn check_share_signers(
     first: &Signature,
     second: &Signature,
+    expected_pair: (SignerId, SignerId),
 ) -> Result<(), SignatureError> {
-    first.verify(directory, content_bytes)?;
-    second.verify_with_suffix(directory, content_bytes, Some(&cosign_suffix(first)))
-}
-
-/// [`verify_cosign_pair`] bypassing the host-side memo (benchmark path).
-///
-/// # Errors
-///
-/// See [`Signature::verify`].
-pub fn verify_cosign_pair_uncached(
-    directory: &KeyDirectory,
-    content_bytes: &[u8],
-    first: &Signature,
-    second: &Signature,
-) -> Result<(), SignatureError> {
-    first.verify_uncached(directory, content_bytes)?;
-    let key = directory.lookup(second.signer)?;
-    second.check_tag(key.hmac(), content_bytes, Some(&cosign_suffix(first)))
+    if first.signer == second.signer {
+        return Err(SignatureError::DuplicateSigner);
+    }
+    let signers = (first.signer, second.signer);
+    if signers != expected_pair && signers != (expected_pair.1, expected_pair.0) {
+        return Err(SignatureError::MissingCoSignature);
+    }
+    Ok(())
 }
 
 /// A message carrying exactly one signature — the form exchanged *between*
@@ -424,27 +372,28 @@ impl<T> SingleSigned<T> {
         self.signature.verify(directory, content_bytes)
     }
 
-    /// Counter-signs this message with a second key, producing the
-    /// double-signed form that destinations accept as the FS process output.
-    pub fn counter_sign(self, content_bytes: &[u8], key: &SigningKey) -> DoubleSigned<T> {
-        let second = Signature::co_sign(key, content_bytes, &self.signature);
+    /// Adds the second signer's share — its own signature over the same
+    /// `content_bytes` — producing the double-signed form that destinations
+    /// accept as the FS process output.
+    pub fn with_share(self, content_bytes: &[u8], key: &SigningKey) -> DoubleSigned<T> {
         DoubleSigned {
+            second: Signature::sign(key, content_bytes),
             content: self.content,
             first: self.signature,
-            second,
         }
     }
 }
 
-/// A message carrying the signatures of both wrappers of a fail-signal pair —
-/// the only form a destination treats as a valid output of the FS process.
+/// A message carrying the signature shares of both wrappers of a fail-signal
+/// pair — the only form a destination treats as a valid output of the FS
+/// process.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DoubleSigned<T> {
     /// The signed content.
     pub content: T,
-    /// The first signature (by the wrapper that produced the output).
+    /// One wrapper's share.
     pub first: Signature,
-    /// The second signature (by the wrapper that successfully compared it).
+    /// The other wrapper's share, over the same content.
     pub second: Signature,
 }
 
@@ -454,11 +403,9 @@ impl<T> DoubleSigned<T> {
     ///
     /// The check enforces everything §2.1 requires of a valid FS output:
     ///
-    /// 1. both signatures verify under the directory,
-    /// 2. the two signers are distinct, and
-    /// 3. both signers belong to `expected_pair` (order does not matter —
-    ///    the paper notes the two valid copies carry the signatures in
-    ///    opposite orders).
+    /// 1. the two signers are distinct,
+    /// 2. both belong to `expected_pair` (order does not matter), and
+    /// 3. each share verifies over `content_bytes` under the directory.
     ///
     /// # Errors
     ///
@@ -474,23 +421,9 @@ impl<T> DoubleSigned<T> {
         content_bytes: &[u8],
         expected_pair: (SignerId, SignerId),
     ) -> Result<(), SignatureError> {
-        self.check_pair(expected_pair)?;
-        verify_cosign_pair(directory, content_bytes, &self.first, &self.second)
-    }
-
-    /// The structural half of [`DoubleSigned::verify`]: distinct signers,
-    /// both members of `expected_pair` (in either order).
-    fn check_pair(&self, expected_pair: (SignerId, SignerId)) -> Result<(), SignatureError> {
-        if self.first.signer == self.second.signer {
-            return Err(SignatureError::DuplicateSigner);
-        }
-        let pair_ok = (self.first.signer == expected_pair.0
-            && self.second.signer == expected_pair.1)
-            || (self.first.signer == expected_pair.1 && self.second.signer == expected_pair.0);
-        if !pair_ok {
-            return Err(SignatureError::MissingCoSignature);
-        }
-        Ok(())
+        check_share_signers(&self.first, &self.second, expected_pair)?;
+        self.first.verify(directory, content_bytes)?;
+        self.second.verify(directory, content_bytes)
     }
 
     /// Returns the pair of signers, first then second.
@@ -539,10 +472,6 @@ mod tests {
         (a, b, c, dir)
     }
 
-    fn co_sign_bytes(content_bytes: &[u8], first: &Signature) -> Vec<u8> {
-        [content_bytes, &cosign_suffix(first)].concat()
-    }
-
     #[test]
     fn single_signature_round_trip() {
         let (a, _, _, dir) = setup();
@@ -582,7 +511,7 @@ mod tests {
         let (a, b, _, dir) = setup();
         let bytes = b"total-order decision".to_vec();
         let single = SingleSigned::new((), &bytes, &a);
-        let double = single.counter_sign(&bytes, &b);
+        let double = single.with_share(&bytes, &b);
         let pair = (a.signer, b.signer);
         assert!(double.verify(&dir, &bytes, pair).is_ok());
         // Order of the expected pair must not matter.
@@ -594,7 +523,7 @@ mod tests {
     fn double_signed_rejects_duplicate_signer() {
         let (a, _, _, dir) = setup();
         let bytes = b"x".to_vec();
-        let double = SingleSigned::new((), &bytes, &a).counter_sign(&bytes, &a);
+        let double = SingleSigned::new((), &bytes, &a).with_share(&bytes, &a);
         assert_eq!(
             double
                 .verify(&dir, &bytes, (a.signer, a.signer))
@@ -607,8 +536,9 @@ mod tests {
     fn double_signed_rejects_outsider() {
         let (a, b, c, dir) = setup();
         let bytes = b"x".to_vec();
-        // c co-signs instead of b: destinations expecting pair (a, b) must reject.
-        let double = SingleSigned::new((), &bytes, &a).counter_sign(&bytes, &c);
+        // c adds the second share instead of b: destinations expecting pair
+        // (a, b) must reject.
+        let double = SingleSigned::new((), &bytes, &a).with_share(&bytes, &c);
         assert_eq!(
             double
                 .verify(&dir, &bytes, (a.signer, b.signer))
@@ -621,7 +551,7 @@ mod tests {
     fn double_signed_rejects_tampered_content() {
         let (a, b, _, dir) = setup();
         let bytes = b"original".to_vec();
-        let double = SingleSigned::new((), &bytes, &a).counter_sign(&bytes, &b);
+        let double = SingleSigned::new((), &bytes, &a).with_share(&bytes, &b);
         assert!(double
             .verify(&dir, b"forged", (a.signer, b.signer))
             .is_err());
@@ -632,9 +562,9 @@ mod tests {
         let (a, b, _, dir) = setup();
         let bytes1 = b"message one".to_vec();
         let bytes2 = b"message two".to_vec();
-        let d1 = SingleSigned::new((), &bytes1, &a).counter_sign(&bytes1, &b);
-        let d2 = SingleSigned::new((), &bytes2, &a).counter_sign(&bytes2, &b);
-        // Splice the co-signature of message two onto message one.
+        let d1 = SingleSigned::new((), &bytes1, &a).with_share(&bytes1, &b);
+        let d2 = SingleSigned::new((), &bytes2, &a).with_share(&bytes2, &b);
+        // Splice b's share of message two onto message one.
         let spliced = DoubleSigned {
             content: (),
             first: d1.first.clone(),
@@ -733,125 +663,76 @@ mod tests {
         assert!(Signature::verify_batch(&refs, &dir, &msg).is_ok());
     }
 
-    #[test]
-    fn cosign_pair_verify_matches_plain_verify() {
-        let (a, b, _, dir) = setup();
-        let bytes: Vec<u8> = (0..300u16).map(|x| (x % 251) as u8).collect();
-        let double = SingleSigned::new((), &bytes, &a).counter_sign(&bytes, &b);
-        assert!(verify_cosign_pair(&dir, &bytes, &double.first, &double.second).is_ok());
-        assert!(verify_cosign_pair_uncached(&dir, &bytes, &double.first, &double.second).is_ok());
-        // The uncached path agrees with the sequential uncached checks.
-        assert!(double.first.verify_uncached(&dir, &bytes).is_ok());
-        assert!(double
-            .second
-            .verify_uncached(&dir, &co_sign_bytes(&bytes, &double.first))
-            .is_ok());
-        // Tampering with either signature is caught.
-        let mut bad = double.clone();
-        bad.second.tag = crate::sha256::Sha256::digest(b"forged");
-        assert_eq!(
-            verify_cosign_pair_uncached(&dir, &bytes, &bad.first, &bad.second).unwrap_err(),
-            SignatureError::Invalid
-        );
-    }
-
-    fn forget_memo() {
-        VERIFY_MEMO.with(|memo| *memo.borrow_mut() = VerifyMemoStore::default());
-    }
-
-    /// The streamed co-signature is the signature over the concatenation,
-    /// at every message length around the block and padding boundaries.
-    #[test]
-    fn co_sign_equals_signing_the_concatenation() {
-        let (a, b, _, dir) = setup();
-        for len in (0..=200).chain([10_240]) {
-            let content: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-            let first = Signature::sign(&a, &content);
-            let second = Signature::co_sign(&b, &content, &first);
-            assert_eq!(
-                second,
-                Signature::sign(&b, &co_sign_bytes(&content, &first)),
-                "len {len}"
-            );
-            // The pair is a valid double signature, memoised or not.
-            assert!(verify_cosign_pair(&dir, &content, &first, &second).is_ok());
-            forget_memo();
-            assert!(verify_cosign_pair(&dir, &content, &first, &second).is_ok());
-            assert!(verify_cosign_pair_uncached(&dir, &content, &first, &second).is_ok());
-        }
-    }
-
     /// A memo hit requires the exact bytes: flipping any one byte of a
-    /// memoised message (or of the co-sign suffix) misses the memo and
-    /// fails the real check.
+    /// memoised message misses the memo and fails the real check.
     #[test]
     fn memo_hit_never_accepts_a_message_differing_in_one_byte() {
         let (a, b, _, dir) = setup();
-        // The longest statement: with the co-sign suffix, 90 bytes.
+        // The longest statement, 54 bytes, shared by both signers.
         let content: Vec<u8> = (0..54u8).collect();
-        let first = Signature::sign(&a, &content);
-        let second = Signature::co_sign(&b, &content, &first);
+        let double = SingleSigned::new((), &content, &a).with_share(&content, &b);
+        let pair = (a.signer, b.signer);
         // The untouched message hits: both tags were memoised by signing.
-        let memoised = |sig: &Signature, key: &SigningKey, suffix: Option<&[u8; 36]>| {
-            memo_matches(
+        for (sig, key) in [(&double.first, &a), (&double.second, &b)] {
+            assert!(memo_matches(
                 &(sig.signer, key.hmac().fingerprint(), sig.tag),
-                &content,
-                suffix,
-            )
-        };
-        assert!(memoised(&first, &a, None));
-        assert!(memoised(&second, &b, Some(&cosign_suffix(&first))));
-        assert!(first.verify(&dir, &content).is_ok());
-        assert!(verify_cosign_pair(&dir, &content, &first, &second).is_ok());
+                &content
+            ));
+        }
+        assert!(double.verify(&dir, &content, pair).is_ok());
         for flip in 0..content.len() {
             let mut forged = content.clone();
             forged[flip] ^= 0x40;
             assert_eq!(
-                first.verify(&dir, &forged),
+                double.first.verify(&dir, &forged),
                 Err(SignatureError::Invalid),
                 "byte {flip}"
             );
             assert_eq!(
-                verify_cosign_pair(&dir, &forged, &first, &second),
+                double.verify(&dir, &forged, pair),
                 Err(SignatureError::Invalid)
             );
             assert_eq!(
-                Signature::verify_batch(&[&first], &dir, &forged),
+                Signature::verify_batch(&[&double.first, &double.second], &dir, &forged),
                 Err(SignatureError::Invalid)
             );
         }
         // A truncated message is a different message.
         assert_eq!(
-            first.verify(&dir, &content[..53]),
+            double.first.verify(&dir, &content[..53]),
             Err(SignatureError::Invalid)
         );
-        // A different first signature changes the co-sign suffix only.
-        let mut other_first = first.clone();
-        other_first.tag.0[7] ^= 1;
-        assert_eq!(
-            verify_cosign_pair(&dir, &content, &other_first, &second),
-            Err(SignatureError::Invalid)
-        );
-        // Shifting the boundary between message and suffix is still the
-        // same bytes, and still a hit: the memo records bytes, not shapes.
-        let suffixed = co_sign_bytes(&content, &first);
-        assert!(second.verify(&dir, &suffixed).is_ok());
+        // Forgetting the memo changes no verdict.
+        VERIFY_MEMO.with(|memo| *memo.borrow_mut() = VerifyMemoStore::default());
+        assert!(double.verify(&dir, &content, pair).is_ok());
+        assert!(double.first.verify_uncached(&dir, &content).is_ok());
         // A longer message verifies all the same, and is not remembered.
         let long = vec![7u8; MEMO_MESSAGE_MAX + 1];
         let sig = Signature::sign(&a, &long);
         assert!(sig.verify(&dir, &long).is_ok());
         assert!(!memo_matches(
             &(sig.signer, a.hmac().fingerprint(), sig.tag),
-            &long,
-            None
+            &long
         ));
+    }
+
+    /// Counted where a tag is produced, never where one is checked.
+    #[test]
+    fn signatures_made_counts_signing_only() {
+        let (a, b, _, dir) = setup();
+        let before = signatures_made();
+        let double = SingleSigned::new((), b"m", &a).with_share(b"m", &b);
+        assert_eq!(signatures_made() - before, 2);
+        assert!(double.verify(&dir, b"m", (a.signer, b.signer)).is_ok());
+        assert!(double.first.verify_uncached(&dir, b"m").is_ok());
+        assert_eq!(signatures_made() - before, 2);
     }
 
     #[test]
     fn map_keeps_signatures() {
         let (a, b, _, _) = setup();
         let bytes = b"content".to_vec();
-        let double = SingleSigned::new(5u32, &bytes, &a).counter_sign(&bytes, &b);
+        let double = SingleSigned::new(5u32, &bytes, &a).with_share(&bytes, &b);
         let mapped = double.clone().map(|v| v as u64 + 1);
         assert_eq!(mapped.content, 6u64);
         assert_eq!(mapped.first, double.first);

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use fs_common::Frame;
 
-use failsignal::message::{FsoInbound, PairMessage};
+use failsignal::message::{FsoInbound, PairMessage, Statement};
 use failsignal::provision::{FsPairBuilder, FsPairSpec};
 use failsignal::receiver::{FsDelivery, FsReceiver};
 use failsignal::wrapper::{FsoActor, FsoPoolSizes, FsoStats};
@@ -18,7 +18,8 @@ use fs_common::id::{FsId, ProcessId};
 use fs_common::rng::DetRng;
 use fs_common::time::{SimDuration, SimTime};
 use fs_crypto::cost::CryptoCostModel;
-use fs_crypto::keys::{provision, SignerId};
+use fs_crypto::keys::{provision, SignerId, SigningKey};
+use fs_crypto::sig::Signature;
 use fs_faults::{FaultKind, FaultPlan, FaultyActor, InjectionStats};
 use fs_simnet::actor::{Actor, Context, TimerId};
 use fs_simnet::node::NodeConfig;
@@ -82,11 +83,13 @@ struct Outcome {
 }
 
 /// Builds a pair around two echo machines, lets `wrap` put the follower
-/// behind a misbehaving shell, runs the campaign with tracing on, and
-/// returns the simulation for inspection.
-fn run_pair(wrap: impl FnOnce(FsoActor) -> Box<dyn Actor>) -> Simulation {
+/// (handed over with a copy of its signing key) behind a misbehaving shell,
+/// runs the campaign with tracing on, and returns the simulation for
+/// inspection.
+fn run_pair(wrap: impl FnOnce(FsoActor, SigningKey) -> Box<dyn Actor>) -> Simulation {
     let mut rng = DetRng::new(123);
     let (mut keys, directory) = provision([LEADER, FOLLOWER], &mut rng);
+    let follower_key = keys.remove(&SignerId(FOLLOWER)).unwrap();
     let spec = FsPairSpec::new(FsId(1), LEADER, FOLLOWER);
     let timing = TimingAssumptions::new(SimDuration::from_millis(50), 3.0, 3.0).unwrap();
     let (leader, follower) = FsPairBuilder::new(spec)
@@ -96,7 +99,7 @@ fn run_pair(wrap: impl FnOnce(FsoActor) -> Box<dyn Actor>) -> Simulation {
         .route(Endpoint::LocalApp, vec![DESTINATION])
         .build(
             keys.remove(&SignerId(LEADER)).unwrap(),
-            keys.remove(&SignerId(FOLLOWER)).unwrap(),
+            follower_key.clone(),
             Arc::clone(&directory),
             (Box::new(EchoMachine::new(0)), Box::new(EchoMachine::new(0))),
         );
@@ -107,7 +110,7 @@ fn run_pair(wrap: impl FnOnce(FsoActor) -> Box<dyn Actor>) -> Simulation {
     let node_b = sim.add_node(NodeConfig::era_2003());
     let node_c = sim.add_node(NodeConfig::era_2003());
     sim.spawn_with(LEADER, node_a, Box::new(leader));
-    sim.spawn_with(FOLLOWER, node_b, wrap(follower));
+    sim.spawn_with(FOLLOWER, node_b, wrap(follower, follower_key));
     sim.spawn_with(CLIENT, node_c, Box::new(Client { sent: 0 }));
     let mut receiver = FsReceiver::new(directory);
     receiver.register_source(FsId(1), spec.signers());
@@ -129,7 +132,7 @@ fn run_pair(wrap: impl FnOnce(FsoActor) -> Box<dyn Actor>) -> Simulation {
 /// given plan; returns the injector's counters together with what the
 /// destination and the leader observed.
 fn run_wrapped_pair(plan: FaultPlan) -> Outcome {
-    let sim = run_pair(|follower| Box::new(FaultyActor::new(Box::new(follower), plan, 77)));
+    let sim = run_pair(|follower, _| Box::new(FaultyActor::new(Box::new(follower), plan, 77)));
     let stats = sim
         .actor::<FaultyActor>(FOLLOWER)
         .expect("wrapped follower")
@@ -221,18 +224,22 @@ fn duplicated_candidates_do_not_stay_in_the_comparison_pools() {
     );
 }
 
-/// A follower shell that, from output `from_seq` on, flips one byte of the
-/// body of every candidate it sends — *after* the wrapper signed it, so
-/// the frame carries bytes that do not hash to the digest the signature
-/// covers.
+/// A follower shell that, from output `from_seq` on, flips one bit of the
+/// body digest in every candidate it sends.  Without `resign` the flip
+/// happens *after* the wrapper signed, so the frame carries a digest its
+/// signature does not cover; with the follower's key in `resign` the shell
+/// signs the statement of the wrong digest afresh — a genuine share of an
+/// output the machines never produced.
 struct TamperCandidates {
     inner: FsoActor,
     from_seq: u64,
+    resign: Option<SigningKey>,
 }
 
 struct TamperContext<'a> {
     inner: &'a mut dyn Context,
     from_seq: u64,
+    resign: Option<&'a SigningKey>,
 }
 
 impl Context for TamperContext<'_> {
@@ -247,15 +254,21 @@ impl Context for TamperContext<'_> {
             Ok(FsoInbound::Pair(PairMessage::Candidate {
                 output_seq,
                 dest,
-                bytes,
-                signature,
+                body_len,
+                mut digest,
+                mut signature,
             })) if output_seq >= self.from_seq => {
-                let mut body = bytes.to_vec();
-                *body.last_mut().expect("echo outputs are not empty") ^= 0x01;
+                digest.0[31] ^= 0x01;
+                if let Some(key) = self.resign {
+                    let wrong =
+                        Statement::output(FsId(1), output_seq, dest, body_len as usize, &digest);
+                    signature = Signature::sign(key, wrong.as_bytes());
+                }
                 FsoInbound::Pair(PairMessage::Candidate {
                     output_seq,
                     dest,
-                    bytes: body.into(),
+                    body_len,
+                    digest,
                     signature,
                 })
                 .to_frame()
@@ -286,6 +299,7 @@ impl Actor for TamperCandidates {
         let mut ctx = TamperContext {
             inner: ctx,
             from_seq: self.from_seq,
+            resign: self.resign.as_ref(),
         };
         self.inner.on_message(&mut ctx, from, payload);
     }
@@ -293,56 +307,71 @@ impl Actor for TamperCandidates {
         let mut ctx = TamperContext {
             inner: ctx,
             from_seq: self.from_seq,
+            resign: self.resign.as_ref(),
         };
         self.inner.on_timer(&mut ctx, timer);
     }
 }
 
-/// A candidate whose bytes differ from what its signature covers makes the
-/// receiving wrapper fail-signal, for the reason and at the simulated
-/// instant it did when the signature ran over the bytes themselves (both
-/// pinned from a run of this test on the commit before statements): the
-/// check moved from "MAC over the received bytes" to "MAC over the digest of
-/// the received bytes", the verdict and its simulated cost did not.
-#[test]
-fn candidate_bytes_that_differ_from_the_signed_digest_fail_signal_as_before() {
-    let sim = run_pair(|follower| {
+/// The leader's first `fail-signal` trace label of a [`TamperCandidates`]
+/// run that starts tampering at output 3, after checking that it validated
+/// exactly the three outputs before and that the destination was told.
+fn leader_failure_after_tampering(resign: bool) -> (SimTime, String, FsoStats) {
+    let sim = run_pair(|follower, key| {
         Box::new(TamperCandidates {
             inner: follower,
             from_seq: 3,
+            resign: resign.then_some(key),
         })
     });
     let leader = sim.actor::<FsoActor>(LEADER).expect("leader");
     assert!(leader.has_failed());
     assert_eq!(leader.stats().outputs_validated, 3);
-    assert_eq!(leader.stats().mismatches, 0, "never reached the comparison");
-    let fail_labels: Vec<(SimTime, ProcessId, &str)> = sim
+    let destination = sim.actor::<Destination>(DESTINATION).expect("destination");
+    assert_eq!(destination.fail_signals, vec![FsId(1)]);
+    let first_label = sim
         .trace()
         .expect("tracing enabled")
         .events()
         .iter()
-        .filter_map(|event| match event {
-            TraceEvent::Label { at, process, label } if label.starts_with("fail-signal") => {
-                Some((*at, *process, label.as_str()))
+        .find_map(|event| match event {
+            TraceEvent::Label { at, process, label }
+                if *process == LEADER && label.starts_with("fail-signal") =>
+            {
+                Some((*at, label.clone()))
             }
             _ => None,
         })
-        .collect();
-    assert_eq!(
-        fail_labels.first(),
-        Some(&(
-            SimTime::from_nanos(PARENT_FAIL_AT_NANOS),
-            LEADER,
-            "fail-signal: invalid candidate signature"
-        )),
-        "{fail_labels:?}"
-    );
-    let destination = sim.actor::<Destination>(DESTINATION).expect("destination");
-    assert_eq!(destination.fail_signals, vec![FsId(1)]);
+        .expect("the leader traced its failure");
+    (first_label.0, first_label.1, leader.stats())
 }
 
-/// When the leader fail-signalled in the test above on the parent commit.
-const PARENT_FAIL_AT_NANOS: u64 = 54_936_633;
+/// A candidate whose digest was altered after it was signed makes the
+/// receiving wrapper fail-signal before any comparison: the share does not
+/// verify over the statement built from the fields as received.  The
+/// simulated instant is pinned (it read 54 936 633 ns while the candidate
+/// carried the body and was charged a hash pass over it).
+#[test]
+fn candidate_bytes_that_differ_from_the_signed_digest_fail_signal_as_before() {
+    let (at, label, stats) = leader_failure_after_tampering(false);
+    assert_eq!(label, "fail-signal: invalid candidate signature");
+    assert_eq!(stats.mismatches, 0, "never reached the comparison");
+    assert_eq!(at, SimTime::from_nanos(FAIL_AT_NANOS));
+}
+
+/// When the leader fail-signals in the test above.
+const FAIL_AT_NANOS: u64 = 54_951_540;
+
+/// A candidate whose signer signed the wrong digest verifies — it *is* the
+/// partner's share, of an output this replica did not produce — and fails
+/// the comparison instead.
+#[test]
+fn candidate_resigned_over_a_wrong_digest_fails_the_comparison() {
+    let (_, label, stats) = leader_failure_after_tampering(true);
+    assert_eq!(label, "fail-signal: output comparison mismatch");
+    assert_eq!(stats.mismatches, 1);
+    assert_eq!(stats.rejected_inputs, 0);
+}
 
 #[test]
 fn crash_counts_swallowed_events_and_triggers_fail_signal() {

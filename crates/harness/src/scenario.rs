@@ -806,14 +806,18 @@ mod tests {
         // Under the fail-signal protocol the whole member — driver,
         // interceptor, both wrappers — goes down and comes back warm; the
         // duplicated machines then run the same catch-up protocol through
-        // the signed wrapper path.
+        // the signed wrapper path.  Rounds start every 40 ms from 10 ms on
+        // and settle in about 20, so the crash at 400 ms finds the pair
+        // quiescent: a warm restart keeps each wrapper's state but loses
+        // whatever the two had in flight to each other, and a pair cut
+        // between a leader's ordering and its relay reports exactly that.
         let faults = FaultSchedule::none()
             .crash_member_at(SimTime::from_millis(400), MemberId(1))
             .recover_member_at(SimTime::from_millis(900), MemberId(1));
         let mut run = Scenario::new(SmrKvService::new())
             .members(3)
             .protocol(Protocol::FailSignal)
-            .workload(Workload::quick(20))
+            .workload(Workload::quick(20).interval(SimDuration::from_millis(40)))
             .faults(faults)
             .build();
         run.run_until(SimTime::from_secs(3600));

@@ -241,5 +241,5 @@ fn isolated_messages_cost_what_they_did_crash() {
 
 #[test]
 fn isolated_messages_cost_what_they_did_fail_signal() {
-    assert_sequential_cost(Protocol::FailSignal, 28_835_487);
+    assert_sequential_cost(Protocol::FailSignal, 23_750_516);
 }

@@ -20,6 +20,7 @@ use fs_smr_suite::common::id::{FsId, MemberId, ProcessId};
 use fs_smr_suite::common::rng::DetRng;
 use fs_smr_suite::common::Bytes;
 use fs_smr_suite::crypto::keys::{provision, SignerId, SigningKey};
+use fs_smr_suite::crypto::sha256::Sha256;
 use fs_smr_suite::crypto::sig::Signature;
 use fs_smr_suite::failsignal::message::{FsContent, FsOutput, FsoInbound, PairMessage};
 use fs_smr_suite::newtop::message::{
@@ -86,7 +87,8 @@ fn with_every_wire_type(
     let candidate = PairMessage::Candidate {
         output_seq: seq,
         dest: endpoint,
-        bytes: body.clone(),
+        body_len: body.len() as u32,
+        digest: Sha256::digest(body),
         signature: Signature::sign(&a, b"candidate"),
     };
     let deliver = AppDeliver {
@@ -109,10 +111,10 @@ fn with_every_wire_type(
     check(&signal, None);
     check(&ordered, spliced);
     check(&forward, spliced);
-    check(&candidate, spliced);
+    check(&candidate, None);
     check(&FsoInbound::Pair(ordered.clone()), spliced);
     check(&FsoInbound::Pair(forward.clone()), spliced);
-    check(&FsoInbound::Pair(candidate.clone()), spliced);
+    check(&FsoInbound::Pair(candidate.clone()), None);
     check(&FsoInbound::External(output.clone()), spliced);
     check(&FsoInbound::External(signal.clone()), None);
     check(&FsoInbound::Raw(body.clone()), spliced);

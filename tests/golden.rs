@@ -1,7 +1,7 @@
-//! Golden bytes: digests of signed wire frames and of one simulator trace.
-//! Each set was re-pinned once, deliberately, by the one change that meant
-//! to move it (old → new in CHANGES.md both times): the four frame digests
-//! when the signatures moved from `header ‖ body` to the statement
+//! Golden bytes: digests of signed wire frames and of simulator traces.
+//! Each set was re-pinned deliberately, by a change that meant to move it
+//! (old → new in CHANGES.md every time): the four frame digests when the
+//! signatures moved from `header ‖ body` to the statement
 //! `header ‖ SHA-256(body)` (tag values changed, frame lengths — asserted
 //! below since the commit before that — did not; the traces did not move);
 //! the two trace digests when symmetric total order stopped acknowledging
@@ -11,6 +11,18 @@
 //! latency-sample count of runs under backpressure, batching, a member
 //! restart and router expiry — was computed on the commit before the load
 //! generators and the deployment path were unified, and did not move.
+//!
+//! When a double-signed output became two signature shares over one
+//! statement — no counter-signature, no body in the candidate, duplicates
+//! dropped before they are verified — everything the *fail-signal* protocol
+//! says moved and was re-pinned: the second tag of each `External` frame
+//! (its length, 103 + body, did not), the `Candidate` frames (now 95 bytes
+//! whatever the body), both FS-NewTOP trace digests and the fail-signal
+//! `gated_*` pin (same events, earlier instants and smaller pair frames).
+//! What the *crash-tolerant* protocol says did not move, and is asserted
+//! first: the two crash `gated_*` pins, and a crash NewTOP n = 3 trace
+//! digest pinned on the commit before.
+//!
 //! Every tag, frame byte and trace event the protocol
 //! emits is a pure function of (keys, content, seed), so any change that
 //! alters one of these digests changed what the system says on the wire —
@@ -55,16 +67,17 @@ fn frames(payload_len: usize) -> (Bytes, Bytes) {
         dest: Endpoint::Peer(MemberId(2)),
         bytes: payload.clone(),
     };
-    let external = FsoInbound::External(FsOutput::sign(fs, content.clone(), &leader, &follower));
     let candidate = FsoInbound::Pair(PairMessage::Candidate {
         output_seq: 7,
         dest: Endpoint::Peer(MemberId(2)),
-        bytes: payload,
+        body_len: payload_len as u32,
+        digest: Sha256::digest(&payload),
         signature: Signature::sign(
             &follower,
             Statement::of(fs, &content, |body| Sha256::digest(body)).as_bytes(),
         ),
     });
+    let external = FsoInbound::External(FsOutput::sign(fs, content, &leader, &follower));
     (external.to_wire(), candidate.to_wire())
 }
 
@@ -73,20 +86,21 @@ fn signed_frames_match_golden_digests() {
     let golden = [
         (
             3usize,
-            "c2c993fe44481bb97026690edf3407b94de2967f1d1dae56bde94e14897e72b1",
-            "7c8d12ca0b8c5ccfff80f1e3978a1c8992579ea473c93a4168f06982e43a72a2",
+            "8f2e0485664bb8fe597dfa48d8bb5392eb05344a08c8c178a5de4d297211bbd4",
+            "e774b7376578908f74ec0cdc2ee7d55b495a964c81a3ec3c0d33f17c7dcf4e2d",
         ),
         (
             10_240,
-            "6d97f34e5ed88bfde653d6fe7a8cd01c578341c12a3b52efa01300af394c35d8",
-            "24d25c46fdffa9edf1392a4ed5fe01539e502a2827dbba5f0c8f886f03e9f75b",
+            "fdcb9db2d1dfe29f83e79ff43d015a9dae929c428e6d78e9270369fcf25d3a67",
+            "b4c2dab52a7ffb3a47c639d14678f4c4e72d326aa939feeb154ef49447995327",
         ),
     ];
     for (len, external_hex, candidate_hex) in golden {
         let (external, candidate) = frames(len);
         // Tags are part of the frames; their sizes are not theirs to change.
+        // A candidate names the body by length and digest, never carries it.
         assert_eq!(external.len(), 103 + len, "External, {len} B");
-        assert_eq!(candidate.len(), 59 + len, "Candidate, {len} B");
+        assert_eq!(candidate.len(), 95, "Candidate, {len} B");
         assert_eq!(oracle_hex(&external), external_hex, "External, {len} B");
         assert_eq!(oracle_hex(&candidate), candidate_hex, "Candidate, {len} B");
     }
@@ -132,7 +146,7 @@ fn crash_newtop_trace_matches_golden_digest() {
 fn fs_newtop_trace_matches_golden_digest() {
     assert_eq!(
         newtop_trace_hex(Protocol::FailSignal, 3),
-        "ec832a5246cd10f3fd9ae1381b15e7a8ab4d0754cb2adbc1f914256b8123526b"
+        "98557b6ac253d73bb56a6b9203ea135c04d13edd70b6906c9884014b0ccae15c"
     );
 }
 
@@ -143,7 +157,7 @@ fn fs_newtop_trace_matches_golden_digest() {
 fn fs_newtop_n9_trace_matches_golden_digest() {
     assert_eq!(
         newtop_trace_hex(Protocol::FailSignal, 9),
-        "4d62891f424c71b474a334b1925fb8853247a9d494b1fda2d42b4b4497627395"
+        "161917ce5644acfd8e3cfd66001bcf8d1319a738b7f9c9f18cb524fd821bf20e"
     );
 }
 
@@ -212,6 +226,8 @@ fn gated_crash_newtop_trace_matches_golden_pin() {
 /// Pin (b): the sequenced KV under both protocols, 8 in flight, batches of
 /// 8.  The crash-protocol run loses a follower mid-load and gets it back:
 /// `SmrDriver::on_recover` abandons its window and re-anchors its pacing.
+/// (The fail-signal run's trace digest was re-pinned with signature shares;
+/// its load statistics and the crash-protocol pin did not move.)
 #[test]
 fn gated_smr_kv_traces_match_golden_pins() {
     let scenario = |protocol| {
@@ -222,7 +238,7 @@ fn gated_smr_kv_traces_match_golden_pins() {
     };
     assert_eq!(
         scenario_pin(scenario(Protocol::FailSignal)),
-        "b3dcaa2b3cabec17f03d4451e12ad0896c13e6ddef949dca5f667b753b3b5dc3 \
+        "d9b16680c33343f4e855ea297d327dca961c52803005ba67b067b4960af37879 \
          offered=360 submitted=360 shed=0 blocked=336 completed=360 samples=360"
     );
     let restart = FaultSchedule::none()

@@ -463,7 +463,8 @@ proptest! {
         check(&PairMessage::Candidate {
             output_seq: seq,
             dest: endpoint,
-            bytes: shared_payload.clone(),
+            body_len: shared_payload.len() as u32,
+            digest: Sha256::digest(&shared_payload),
             signature: Signature::sign(&key_a, &shared_payload),
         });
         check(&FsoInbound::Pair(PairMessage::ForwardNew { source: endpoint, bytes: shared_payload.clone() }));
@@ -576,16 +577,15 @@ proptest! {
         }
 
         // Pair traffic and raw client traffic.
-        let pair = FsoInbound::Pair(PairMessage::Candidate {
-            output_seq: seq,
-            dest: Ep::Broadcast,
+        let pair = FsoInbound::Pair(PairMessage::Ordered {
+            order_index: seq,
+            source: Ep::Broadcast,
             bytes: shared_payload.clone(),
-            signature: Signature::sign(&key_a, &payload),
         });
         let frame = pair.to_wire();
         let shared = FsoInbound::from_wire_shared(&frame).unwrap();
         prop_assert_eq!(&shared, &FsoInbound::from_wire(&frame).unwrap());
-        if let FsoInbound::Pair(PairMessage::Candidate { bytes, .. }) = &shared {
+        if let FsoInbound::Pair(PairMessage::Ordered { bytes, .. }) = &shared {
             prop_assert!(bytes.shares_storage(&frame));
         }
         let raw = FsoInbound::Raw(shared_payload.clone());

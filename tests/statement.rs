@@ -6,9 +6,12 @@
 //! memoised function (`failsignal::digest::body_digest`).  These are the
 //! properties that make that safe, checked through the public API only:
 //! the statement is `signing_bytes` with the body replaced by its digest;
-//! every signed field and every body byte is bound by both signatures;
-//! the fail-signal's signatures are what they always were; and the memoised
-//! digest is the SHA-256 of the bytes whichever way the memo answers.
+//! a double-signed output is two plain signatures — shares — over it, by
+//! the two distinct signers of the pair and nobody else; every signed field
+//! and every body byte is bound by both shares, so shares of two different
+//! outputs never verify together; the fail-signal's signatures are what
+//! they always were; and the memoised digest is the SHA-256 of the bytes
+//! whichever way the memo answers.
 //! (What each way *costs*, and the memo's bounds, are unit-tested beside it.)
 //! CI runs this file under `FS_CRYPTO_BACKEND=scalar` too.
 
@@ -87,10 +90,9 @@ fn statement_is_the_signed_header_then_the_body_digest() {
     assert_eq!(signal.signed_len(), 5);
 }
 
-/// What `FsOutput::sign` produces is `HMAC(statement)` and
-/// `HMAC(statement ‖ suffix(first))`, and the memoised, uncached and
-/// wrapper-side (`counter_sign_over` a digest-built statement) paths
-/// agree with it.
+/// What `FsOutput::sign` produces is two shares, `HMAC(key_a, statement)`
+/// and `HMAC(key_b, statement)` — nothing nested — and the memoised and
+/// uncached checks agree on them, in either order.
 #[test]
 fn output_signatures_cover_the_statement() {
     let (a, b, _, dir) = keys();
@@ -115,17 +117,134 @@ fn output_signatures_cover_the_statement() {
             &Sha256::digest(&body),
         );
         assert_eq!(output.first, Signature::sign(&a, statement.as_bytes()));
-        assert_eq!(
-            output.second,
-            Signature::co_sign(&b, statement.as_bytes(), &output.first)
-        );
-        let memoised = Statement::of(fs, &content, body_digest);
-        assert_eq!(
-            FsOutput::counter_sign_over(fs, content, &memoised, output.first.clone(), &b),
-            output
-        );
-        assert!(output.verify(&dir, pair).is_ok(), "payload {len}");
-        assert!(output.verify_uncached(&dir, pair).is_ok(), "payload {len}");
+        assert_eq!(output.second, Signature::sign(&b, statement.as_bytes()));
+        // The wrapper-side statement (memoised digest) is the same bytes.
+        assert_eq!(Statement::of(fs, &content, body_digest), statement);
+        let swapped = FsOutput {
+            first: output.second.clone(),
+            second: output.first.clone(),
+            ..output.clone()
+        };
+        for copy in [&output, &swapped] {
+            for expected in [pair, (b.signer, a.signer)] {
+                assert!(copy.verify(&dir, expected).is_ok(), "payload {len}");
+                assert!(copy.verify_uncached(&dir, expected).is_ok());
+            }
+        }
+    }
+}
+
+/// The second share is a plain HMAC-SHA-256 of the statement under the
+/// second signer's key: both tags below were computed by an independent
+/// implementation (Python's `hmac`) over the 54 statement bytes spelled
+/// out here.
+#[test]
+fn both_shares_match_an_independent_hmac() {
+    let fs = FsId(0x0102_0304);
+    let content = FsContent::Output {
+        output_seq: 11,
+        dest: Endpoint::Peer(MemberId(1)),
+        bytes: b"out"[..].into(),
+    };
+    let statement = Statement::of(fs, &content, |b| Sha256::digest(b));
+    let hex: String = statement
+        .as_bytes()
+        .iter()
+        .map(|byte| format!("{byte:02x}"))
+        .collect();
+    assert_eq!(
+        hex,
+        "04030201000b00000000000000010100000003000000\
+         762069bc07a6e1b5df123a5ae7bd91c10daa04694fbaa17fba0cd6a8dcce8f22"
+    );
+    let key_a = SigningKey::from_bytes(SignerId(ProcessId(1)), [7u8; 32]);
+    let key_b = SigningKey::from_bytes(SignerId(ProcessId(2)), [9u8; 32]);
+    let output = FsOutput::sign(fs, content, &key_a, &key_b);
+    assert_eq!(
+        output.first.tag.to_hex(),
+        "26e1298fb36ed928d0a6fc9ea131efb75138ab1161e860887da83469aaa2dd1c"
+    );
+    assert_eq!(
+        output.second.tag.to_hex(),
+        "29bbd31273f0ea818aa85c16546d5317c684d651a90946185ca83a035c3016c9"
+    );
+}
+
+/// Who may sign: the two distinct signers of the pair, and only they.
+#[test]
+fn shares_must_come_from_both_signers_of_the_pair_and_nobody_else() {
+    let (a, b, c, dir) = keys();
+    let pair = (a.signer, b.signer);
+    let content = || FsContent::Output {
+        output_seq: 3,
+        dest: Endpoint::LocalApp,
+        bytes: b"out"[..].into(),
+    };
+    for (first, second, verdict) in [
+        (&a, &b, Ok(())),
+        (&b, &a, Ok(())),
+        (&a, &a, Err(SignatureError::DuplicateSigner)),
+        (&c, &c, Err(SignatureError::DuplicateSigner)),
+        (&a, &c, Err(SignatureError::MissingCoSignature)),
+        (&c, &b, Err(SignatureError::MissingCoSignature)),
+    ] {
+        let output = FsOutput::sign(FsId(4), content(), first, second);
+        assert_eq!(output.verify(&dir, pair), verdict);
+        assert_eq!(output.verify_uncached(&dir, pair), verdict);
+    }
+    // A signer the directory has never heard of is no better.
+    let stranger = SigningKey::from_bytes(SignerId(ProcessId(99)), [1u8; 32]);
+    let output = FsOutput::sign(FsId(4), content(), &a, &stranger);
+    assert_eq!(
+        output.verify(&dir, (a.signer, stranger.signer)),
+        Err(SignatureError::UnknownSigner)
+    );
+}
+
+/// Shares of two different statements never verify together: each wrapper's
+/// genuine share of one output next to the partner's genuine share of
+/// another — differing in one field or one body byte — is invalid in both
+/// orders and around either content.
+#[test]
+fn shares_of_two_different_statements_never_verify_together() {
+    let (a, b, _, dir) = keys();
+    let pair = (a.signer, b.signer);
+    let output = |fs: u32, seq: u64, dest: Endpoint, body: &[u8]| {
+        let content = FsContent::Output {
+            output_seq: seq,
+            dest,
+            bytes: body.to_vec().into(),
+        };
+        FsOutput::sign(FsId(fs), content, &a, &b)
+    };
+    let base = output(4, 11, Endpoint::LocalApp, b"out");
+    assert!(base.verify(&dir, pair).is_ok());
+    for other in [
+        output(5, 11, Endpoint::LocalApp, b"out"),
+        output(4, 12, Endpoint::LocalApp, b"out"),
+        output(4, 11, Endpoint::Broadcast, b"out"),
+        output(4, 11, Endpoint::LocalApp, b"ouT"),
+        output(4, 11, Endpoint::LocalApp, b"out!"),
+        FsOutput::sign(FsId(4), FsContent::FailSignal, &a, &b),
+    ] {
+        assert!(other.verify(&dir, pair).is_ok());
+        for (around, first, second) in [
+            (&base, &base.first, &other.second),
+            (&base, &other.first, &base.second),
+            (&other, &base.first, &other.second),
+            (&other, &other.first, &base.second),
+        ] {
+            let mixed = FsOutput {
+                first: first.clone(),
+                second: second.clone(),
+                ..around.clone()
+            };
+            assert_eq!(mixed.verify(&dir, pair), Err(SignatureError::Invalid));
+            assert_eq!(
+                mixed.verify_uncached(&dir, pair),
+                Err(SignatureError::Invalid)
+            );
+        }
     }
 }
 
@@ -207,13 +326,10 @@ fn the_statement_binds_every_field_and_every_body_byte() {
                 forged.verify_uncached(&dir, pair),
                 Err(SignatureError::Invalid)
             );
-            // The second signature alone does not survive either.
+            // Neither share survives on its own.
             let statement = Statement::of(forged.fs, &forged.content, body_digest);
             assert!(forged.first.verify(&dir, statement.as_bytes()).is_err());
-            assert_ne!(
-                Signature::co_sign(&b, statement.as_bytes(), &forged.first),
-                forged.second
-            );
+            assert!(forged.second.verify(&dir, statement.as_bytes()).is_err());
         }
     }
 }
@@ -236,7 +352,7 @@ fn fail_signal_signatures_are_over_the_five_header_bytes() {
     let (a, b, _, dir) = keys();
     let signal = FsOutput::sign(fs, FsContent::FailSignal, &b, &a);
     assert_eq!(signal.first, Signature::sign(&b, &raw));
-    assert_eq!(signal.second, Signature::co_sign(&a, &raw, &signal.first));
+    assert_eq!(signal.second, Signature::sign(&a, &raw));
     assert!(signal.verify(&dir, (a.signer, b.signer)).is_ok());
 }
 
