@@ -28,12 +28,12 @@
 //! needs to know that *both* wrappers vouched for *this* output, and the
 //! statement names the output completely — FS process, sequence number,
 //! destination, length, digest — so two shares that verify over it cannot
-//! have been taken from two different outputs, which is all that signing
-//! over the partner's signature ever added.  Each wrapper therefore signs
-//! an output exactly once; what it sends its partner for comparison *is* its
-//! share, and the output it transmits is its own share next to the
-//! partner's.  Wrappers write the leader's share first, so both transmit the
-//! same bytes (a destination accepts either order).
+//! come from two different outputs, which is all that signing over the
+//! partner's signature ever added.  Each wrapper therefore signs an output
+//! exactly once: what it sends its partner for comparison *is* its share,
+//! and what it transmits is its own share next to the partner's — the
+//! leader's first, so both wrappers transmit the same bytes (a destination
+//! accepts either order).
 //!
 //! One rule for every body size; frames still carry the bytes themselves.
 //! The body is hashed once per content ([`crate::digest::body_digest`]) and

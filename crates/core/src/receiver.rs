@@ -9,11 +9,11 @@
 //! valid fail-signal from each source into a notification — the raw material
 //! the FS-NewTOP suspector turns into (never false) suspicions.
 //!
-//! An output is verified once.  The `(fs, output_seq)` a frame claims is
-//! looked up before its signatures are: a number already accepted is a
-//! duplicate and is dropped unverified (so is a fail-signal from a source
-//! already recorded as failed).  Only a verified output enters the window,
-//! so a forged frame can suppress nothing that was not already delivered.
+//! An output is verified once: the `(fs, output_seq)` a frame claims is
+//! looked up before its signatures are, and a number already accepted (or a
+//! fail-signal from a source already recorded as failed) is dropped
+//! unverified.  Only a verified output enters the window, so a forged frame
+//! can suppress nothing that was not already delivered.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;

@@ -46,15 +46,12 @@
 //!
 //! ## Destinations verify an output once
 //!
-//! Both wrappers of a source pair transmit every output, so a destination
-//! wrapper receives each one twice.  The claimed `(fs, output_seq)` of an
-//! incoming frame is looked up *before* anything is verified: a number
-//! already accepted from that source is a duplicate and is dropped unverified
-//! and uncharged (as is a fail-signal from a source already recorded as
-//! failed — a failed pair answers every message with one).  Only a frame
-//! that verifies enters the window, so a forged frame re-using a number can
-//! suppress nothing that has not already been delivered, and one claiming a
-//! fresh number is rejected by the check it cannot skip.
+//! Both wrappers of a source pair transmit every output.  What an incoming
+//! frame claims to be is looked up *before* anything is verified or charged:
+//! an `(fs, output_seq)` already accepted — or a fail-signal from a source
+//! already recorded as failed, which answers every message with one — is a
+//! duplicate and is dropped.  Only a frame that verifies enters the window,
+//! so a forgery can suppress nothing that was not already delivered.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -86,9 +83,8 @@ pub struct FsoStats {
     pub timeouts: u64,
     /// Fail-signal transmissions performed.
     pub fail_signals_sent: u64,
-    /// Duplicates suppressed: inputs already ordered, candidates already
-    /// compared, and copies of external outputs already accepted (dropped
-    /// unverified).
+    /// Duplicate inputs, candidates and external messages suppressed (the
+    /// last unverified).
     pub duplicates_suppressed: u64,
     /// External messages rejected because their signatures did not verify.
     pub rejected_inputs: u64,
@@ -292,14 +288,19 @@ impl FsoActor {
     /// A double-signed output of this pair from its two shares, written in
     /// the one order both wrappers use — the leader's, then the follower's —
     /// so the two transmit byte-identical frames.
-    fn assemble(&self, content: FsContent, own: Signature, partner: Signature) -> Frame {
-        let (first, second) = if self.config.is_leader() {
+    fn assemble(
+        config: &FsoConfig,
+        content: FsContent,
+        own: Signature,
+        partner: Signature,
+    ) -> Frame {
+        let (first, second) = if config.is_leader() {
             (own, partner)
         } else {
             (partner, own)
         };
         FsoInbound::External(FsOutput {
-            fs: self.config.fs,
+            fs: config.fs,
             content,
             first,
             second,
@@ -312,19 +313,15 @@ impl FsoActor {
     /// function of the configuration, so every transmission — the broadcast
     /// in `fail()` and each fs1 reply — shares the same bytes.
     fn fail_signal_frame(&mut self) -> Frame {
-        if let Some(frame) = &self.fail_signal_frame {
-            return frame.clone();
-        }
-        let own = Signature::sign(
-            &self.config.key,
-            Statement::fail_signal(self.config.fs).as_bytes(),
-        );
-        let frame = self.assemble(
-            FsContent::FailSignal,
-            own,
-            self.config.prearmed_fail_signal.clone(),
-        );
-        self.fail_signal_frame.insert(frame).clone()
+        let config = &self.config;
+        self.fail_signal_frame
+            .get_or_insert_with(|| {
+                let statement = Statement::fail_signal(config.fs);
+                let own = Signature::sign(&config.key, statement.as_bytes());
+                let partner = config.prearmed_fail_signal.clone();
+                Self::assemble(config, FsContent::FailSignal, own, partner)
+            })
+            .clone()
     }
 
     fn fail(&mut self, ctx: &mut dyn Context, reason: &str) {
@@ -431,9 +428,8 @@ impl FsoActor {
 
         // One pass over the bytes at most (none when this buffer, or the
         // other replica's equal one, has been digested on this host), then
-        // the signature over the statement.  The payload itself goes to the
-        // comparison pool by refcount and nowhere else until the external
-        // frame is built.
+        // the signature over the statement.  The payload itself is only
+        // ever refcount-cloned.
         let digest = body_digest(&bytes);
         let statement = Statement::output(self.config.fs, output_seq, dest, bytes.len(), &digest);
         let tau = self.config.crypto_costs.sign_cost(statement.signed_len());
@@ -501,7 +497,7 @@ impl FsoActor {
         // One encode of the external frame (header and shares around the
         // spliced output bytes), refcount-shared across every routed
         // destination.
-        let wire = self.assemble(content, local.signature, remote.signature);
+        let wire = Self::assemble(&self.config, content, local.signature, remote.signature);
         for process in self.config.routes.lookup(local.dest) {
             ctx.send(*process, wire.clone());
         }
@@ -558,11 +554,8 @@ impl FsoActor {
                 // whose signer signed a wrong digest fails the comparison.
                 let len = body_len as usize;
                 let statement = Statement::output(self.config.fs, output_seq, dest, len, &digest);
-                let check = self
-                    .config
-                    .crypto_costs
-                    .verify_cost(statement.as_bytes().len());
-                ctx.charge_cpu(check);
+                let costs = &self.config.crypto_costs;
+                ctx.charge_cpu(costs.verify_cost(statement.as_bytes().len()));
                 if signature.signer != self.config.partner_signer
                     || signature
                         .verify(&self.config.directory, statement.as_bytes())

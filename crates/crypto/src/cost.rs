@@ -11,14 +11,27 @@
 //!
 //! The model was always hash-then-sign — one hash pass over the message
 //! (`hash_per_byte`, `hash_per_block`) plus a fixed operation on the digest
-//! (`sign_fixed`, `verify_fixed`) — which is the scheme the paper names.
-//! Since the fail-signal layer signs `header ‖ SHA-256(body)`, the host-side
-//! authenticator has that shape too: the body is hashed once and every MAC
-//! runs over at most 90 bytes.  That changed host cost only.  Call sites
-//! still pass the length of the whole signed content (header plus body) to
-//! [`CryptoCostModel::sign_cost`] and [`CryptoCostModel::verify_cost`], so
-//! every simulated charge — and with it every simulated clock, trace and
-//! figure — is what it was when the MAC itself ran over the content.
+//! (`sign_fixed`, `verify_fixed`) — which is the scheme the paper names, and
+//! the shape the host-side authenticator has too: the fail-signal layer
+//! signs `header ‖ SHA-256(body)`, hashing a body once.
+//!
+//! ## What is charged where
+//!
+//! Per output of a wrapped machine, a wrapper is charged for what it does:
+//!
+//! * **sign** ([`CryptoCostModel::sign_cost`] of `header ‖ body`): the fixed
+//!   signing operation plus the one pass over the body that digests it —
+//!   once per wrapper per output (and once more to emit the fail-signal);
+//! * **candidate check** ([`CryptoCostModel::verify_cost`] of the
+//!   statement, at most 54 bytes): the partner's signature share arrives
+//!   with the statement's fields, not the body, so checking it hashes
+//!   nothing but those;
+//! * **completion**: nothing — the two shares side by side are the
+//!   double-signed output, no signing operation happens;
+//! * **destination** ([`CryptoCostModel::verify_double_cost`]): two
+//!   signature checks, once per output — the second copy (both wrappers of
+//!   the source transmit) is recognised by its sequence number and dropped
+//!   unverified.
 
 use serde::{Deserialize, Serialize};
 

@@ -64,13 +64,9 @@
 //! ## Signature shares
 //!
 //! A double-signed message is two independent signatures — *shares* — by
-//! the two distinct signers of a pair over the same statement
-//! ([`sig::check_share_signers`] plus two [`sig::Signature::verify`] calls;
-//! [`sig::DoubleSigned`] is the generic envelope).  Nothing is nested: the
-//! statement already names the FS process, sequence number, destination,
-//! length and digest, so two shares that verify over it prove that both
-//! signers vouched for that one output, and each signer signs exactly once
-//! ([`sig::signatures_made`] counts it).
+//! the two distinct signers of a pair over the same statement; nothing is
+//! nested, and each signer signs exactly once.  [`sig`]'s module docs say
+//! why that proves what a counter-signature would.
 //!
 //! ## Batch verification contract
 //!

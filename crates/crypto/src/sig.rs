@@ -19,11 +19,10 @@
 //! partner's signature would — both Compare processes vouched for this
 //! message — provided the signed bytes identify the message, and they do:
 //! the `failsignal` crate hands this layer a short *statement* binding the
-//! FS process, the output sequence number, the destination, the body length
-//! and the SHA-256 of the body, so a share of one output verifies over no
-//! other.  Nothing is signed twice: a Compare process signs its own output
-//! once and attaches the share it received from its partner
-//! (`tests/signature_ops.rs` counts this through [`signatures_made`]).
+//! FS process, output sequence number, destination, body length and body
+//! SHA-256, so a share of one output verifies over no other.  Nothing is
+//! signed twice: a Compare process signs its own output once and attaches
+//! the share its partner sent (counted by [`signatures_made`]).
 //!
 //! This module provides those building blocks generically over any byte
 //! string; the envelope types live in the `failsignal` crate.
@@ -82,9 +81,9 @@ impl VerifyMemoStore {
         if self.map.len() >= VERIFY_MEMO_MAX {
             self.map.clear();
         }
-        let mut bytes = [0u8; MEMO_MESSAGE_MAX];
-        bytes[..message.len()].copy_from_slice(message);
         let len = message.len();
+        let mut bytes = [0u8; MEMO_MESSAGE_MAX];
+        bytes[..len].copy_from_slice(message);
         self.map.insert(key, Memoised { len, bytes });
     }
 }

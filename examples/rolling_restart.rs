@@ -19,7 +19,9 @@
 //!
 //! Three scenario families run on the simulator — rolling restart under the
 //! crash protocol, the same restarts through the fail-signal wrapper path
-//! (warm pair restart, no false fail-signals), and kill-and-replace of the
+//! (warm pair restart, no false fail-signals: each member goes down at an
+//! instant when nothing is in flight to or from its pair), and
+//! kill-and-replace of the
 //! sequencer (a cold replacement member converging via snapshot state
 //! transfer) — plus a rolling restart on the threaded runtime, so the
 //! convergence claim is checked on real threads too.  Every run asserts that
@@ -46,6 +48,7 @@ use fs_smr_suite::common::time::{SimDuration, SimTime};
 use fs_smr_suite::harness::{
     FaultSchedule, Protocol, Running, RuntimeKind, Scenario, SmrDriver, SmrKvService, Workload,
 };
+use fs_smr_suite::simnet::trace::TraceEvent;
 
 const MEMBERS: u32 = 3;
 const SIM_HORIZON: SimTime = SimTime::from_secs(3600);
@@ -116,20 +119,71 @@ fn ms(d: SimDuration) -> f64 {
     d.as_nanos() as f64 / 1e6
 }
 
+/// A planned restart takes its member down while the member's two wrappers
+/// have had nothing to say to anybody for this long, and would have had
+/// nothing to say for as long again.  A fail-signal member that crashes with
+/// frames in flight between its two wrappers loses them, and the pair then —
+/// rightly — converts the crash into its fail-signal: that is the paper's
+/// semantics, not a planned restart's.
+const QUIET_MARGIN: SimDuration = SimDuration::from_millis(5);
+
+/// The first instant at or after `not_before` that lies [`QUIET_MARGIN`]
+/// inside a stretch in which `run`'s trace shows no frame sent or delivered
+/// by either wrapper of `member`.
+fn quiet_instant(run: &Running, member: u32, not_before: SimTime) -> SimTime {
+    let procs = run.members()[member as usize];
+    let pair = [procs.leader, procs.follower];
+    let mut busy: Vec<SimTime> = run
+        .trace()
+        .expect("tracing enabled")
+        .events()
+        .iter()
+        .filter_map(|event| match event {
+            TraceEvent::Send { at, from, to, .. } | TraceEvent::Deliver { at, from, to, .. }
+                if pair.contains(from) || pair.contains(to) =>
+            {
+                Some(*at)
+            }
+            _ => None,
+        })
+        .collect();
+    busy.sort_unstable();
+    let mut quiet_from = not_before;
+    for at in busy {
+        if at >= quiet_from + QUIET_MARGIN {
+            break;
+        }
+        quiet_from = quiet_from.max(at + QUIET_MARGIN);
+    }
+    quiet_from
+}
+
 /// The rolling-restart plan: followers first, the sequencer last, one
-/// member at a time with a full phase gap between outages.
-fn rolling_plan() -> Vec<(SimTime, u32, &'static str)> {
+/// member at a time with a full phase gap between outages — each at the
+/// first quiet instant (see [`QUIET_MARGIN`]) at or after its nominal time,
+/// found in a traced fail-signal run of the plan so far.  Runs repeat
+/// exactly, and nothing before a crash depends on it.
+fn rolling_plan(messages: u64, seed: u64) -> Vec<(SimTime, u32, &'static str)> {
     let mut plan = Vec::new();
     for (k, member) in (1..MEMBERS).chain([0]).enumerate() {
-        let down = SimTime::from_millis(500 + 1_000 * k as u64);
-        plan.push((down, member, "recover"));
+        let nominal = SimTime::from_millis(500 + 1_000 * k as u64);
+        let mut pilot = build_run(
+            Protocol::FailSignal,
+            RuntimeKind::Sim,
+            rolling_faults(&plan),
+            messages,
+            seed,
+        );
+        pilot.enable_trace();
+        pilot.run_until(nominal + OUTAGE);
+        plan.push((quiet_instant(&pilot, member, nominal), member, "recover"));
     }
     plan
 }
 
-fn rolling_faults() -> FaultSchedule {
+fn rolling_faults(plan: &[(SimTime, u32, &'static str)]) -> FaultSchedule {
     let mut faults = FaultSchedule::none();
-    for &(down, member, _) in &rolling_plan() {
+    for &(down, member, _) in plan {
         faults = faults
             .crash_member_at(down, MemberId(member))
             .recover_member_at(down + OUTAGE, MemberId(member));
@@ -150,6 +204,23 @@ fn replace_faults() -> FaultSchedule {
         .replace_member_at(down + OUTAGE, MemberId(member))
 }
 
+fn build_run(
+    protocol: Protocol,
+    runtime: RuntimeKind,
+    faults: FaultSchedule,
+    messages: u64,
+    seed: u64,
+) -> Running {
+    Scenario::new(SmrKvService::new())
+        .members(MEMBERS)
+        .runtime(runtime)
+        .protocol(protocol)
+        .workload(Workload::quick(messages).poisson())
+        .faults(faults)
+        .seed(seed)
+        .build()
+}
+
 /// Runs one scenario cell and extracts the row.
 fn run_cell(
     scenario: &'static str,
@@ -160,14 +231,7 @@ fn run_cell(
     messages: u64,
     seed: u64,
 ) -> Row {
-    let mut run: Running = Scenario::new(SmrKvService::new())
-        .members(MEMBERS)
-        .runtime(runtime)
-        .protocol(protocol)
-        .workload(Workload::quick(messages).poisson())
-        .faults(faults)
-        .seed(seed)
-        .build();
+    let mut run = build_run(protocol, runtime, faults, messages, seed);
     let horizon = match runtime {
         RuntimeKind::Sim => SIM_HORIZON,
         RuntimeKind::Threaded => THREADED_HORIZON,
@@ -240,13 +304,14 @@ fn main() {
     let threaded = env_u64("RR_THREADED", 1) != 0;
     let seed = env_u64("RR_SEED", 2003);
 
+    let rolling = rolling_plan(messages, seed);
     let mut rows = Vec::new();
     rows.push(run_cell(
         "rolling-restart",
         Protocol::Crash,
         RuntimeKind::Sim,
-        rolling_plan(),
-        rolling_faults(),
+        rolling.clone(),
+        rolling_faults(&rolling),
         messages,
         seed,
     ));
@@ -254,8 +319,8 @@ fn main() {
         "rolling-restart",
         Protocol::FailSignal,
         RuntimeKind::Sim,
-        rolling_plan(),
-        rolling_faults(),
+        rolling.clone(),
+        rolling_faults(&rolling),
         messages,
         seed,
     ));
@@ -273,8 +338,8 @@ fn main() {
             "rolling-restart",
             Protocol::Crash,
             RuntimeKind::Threaded,
-            rolling_plan(),
-            rolling_faults(),
+            rolling.clone(),
+            rolling_faults(&rolling),
             messages,
             seed,
         ));

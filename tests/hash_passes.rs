@@ -32,14 +32,20 @@
 //! parent hashed it as part of the MAC or answered from a content-keyed
 //! table — 13.1 blocks per delivery more.  The ceiling grants one block per
 //! signature operation on top of the parent's count; an output validated by
-//! a wrapper stands for four of them: that wrapper's signature, its check
-//! of the partner's candidate, its counter-signature, and the check of the
-//! double-signed copy it emits at the first destination to see it.  The
-//! other co-hosted destinations find both MACs in the signature memo; a
-//! body under the floor they hash again — there has been no memo of whole
-//! verified outputs since PR 18, which on today's protocol (logical acks)
-//! reads 34.1 blocks per 3 B delivery where keeping it read 30.2, and 185.2
-//! where it read 183.2 at 10 KiB (1.16 passes), both inside the ceilings.
+//! a wrapper stands for three of them: that wrapper's signature share, its
+//! check of the partner's share (the candidate), and the check of the
+//! double-signed copy it emits at the first destination to see it.  (It
+//! stood for four while completing a comparison meant counter-signing the
+//! partner's signature; the two shares side by side are the double
+//! signature now, and `tests/signature_ops.rs` counts one signing operation
+//! per wrapper per output.)  The other co-hosted destinations find both
+//! MACs in the signature memo; a body under the floor they hash again —
+//! there has been no memo of whole verified outputs since PR 18.  On
+//! today's protocol — logical acks, signature shares, candidates that carry
+//! a digest instead of the body, second copies dropped before they are
+//! verified — the window reads 17.3 blocks per 3 B delivery and 171.1 at
+//! 10 KiB (1.07 passes), both inside the ceilings (34.1 and 185.2 before
+//! shares).
 
 use fs_smr_suite::common::time::{SimDuration, SimTime};
 use fs_smr_suite::crypto::sha256::blocks_compressed;
@@ -61,8 +67,8 @@ const SMALL_BLOCKS_PER_DELIVERY_PARENT: f64 = 23.6;
 struct Window {
     deliveries: u64,
     blocks: u64,
-    /// Signs, candidate checks, counter-signs and first destination
-    /// checks: four per validated output per wrapper.
+    /// Signs, candidate checks and first destination checks: three per
+    /// validated output per wrapper.
     signature_ops: u64,
 }
 
@@ -103,7 +109,7 @@ fn steady_state(payload: usize) -> Window {
     let window = Window {
         blocks: blocks_compressed() - blocks,
         deliveries: delivered(&mut run) - deliveries,
-        signature_ops: 4 * (outputs_validated(&run) - outputs),
+        signature_ops: 3 * (outputs_validated(&run) - outputs),
     };
     assert!(
         window.deliveries >= 60,
