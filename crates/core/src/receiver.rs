@@ -9,11 +9,8 @@
 //! valid fail-signal from each source into a notification — the raw material
 //! the FS-NewTOP suspector turns into (never false) suspicions.
 //!
-//! An output is verified once: the `(fs, output_seq)` a frame claims is
-//! looked up before its signatures are, and a number already accepted (or a
-//! fail-signal from a source already recorded as failed) is dropped
-//! unverified.  Only a verified output enters the window, so a forged frame
-//! can suppress nothing that was not already delivered.
+//! An output is verified once: a frame claiming an already accepted
+//! `(fs, output_seq)` is dropped unverified (`Accepted` has the rule).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -24,7 +21,7 @@ use fs_common::{Bytes, Frame};
 use fs_crypto::keys::{KeyDirectory, SignerId};
 
 use crate::message::{FsContent, FsOutput, FsoInbound};
-use crate::seqwindow::SeqWindow;
+use crate::seqwindow::Accepted;
 
 /// What a destination learns from one accepted message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,13 +64,8 @@ pub struct FsReceiver {
     /// The wrapper signer pair of every FS process this destination accepts
     /// messages from.
     known_pairs: BTreeMap<FsId, (SignerId, SignerId)>,
-    /// Output sequence numbers already accepted, per source: a watermark
-    /// plus the numbers above it, so memory follows the reorder window
-    /// wherever a source's numbers reach this destination contiguously (the
-    /// wrapper's `seen_external` has the same shape and the same caveat
-    /// about numbers a source spends on other destinations).
-    seen_outputs: BTreeMap<FsId, SeqWindow>,
-    failed_sources: BTreeSet<FsId>,
+    /// What has been accepted so far.
+    accepted: Accepted,
     stats: ReceiverStats,
 }
 
@@ -83,8 +75,7 @@ impl FsReceiver {
         Self {
             directory,
             known_pairs: BTreeMap::new(),
-            seen_outputs: BTreeMap::new(),
-            failed_sources: BTreeSet::new(),
+            accepted: Accepted::default(),
             stats: ReceiverStats::default(),
         }
     }
@@ -96,7 +87,7 @@ impl FsReceiver {
 
     /// The sources whose fail-signal has been received.
     pub fn failed_sources(&self) -> &BTreeSet<FsId> {
-        &self.failed_sources
+        self.accepted.failed()
     }
 
     /// The receiver's counters.
@@ -136,14 +127,7 @@ impl FsReceiver {
             self.stats.rejected += 1;
             return None;
         };
-        let duplicate = match output.content {
-            FsContent::FailSignal => self.failed_sources.contains(&output.fs),
-            FsContent::Output { output_seq, .. } => self
-                .seen_outputs
-                .get(&output.fs)
-                .is_some_and(|seen| seen.contains(output_seq)),
-        };
-        if duplicate {
+        if self.accepted.contains(output.fs, &output.content) {
             self.stats.duplicates += 1;
             return None;
         }
@@ -151,19 +135,15 @@ impl FsReceiver {
             self.stats.rejected += 1;
             return None;
         }
+        self.accepted.insert(output.fs, &output.content);
         match output.content {
             FsContent::FailSignal => {
-                self.failed_sources.insert(output.fs);
                 self.stats.fail_signals += 1;
                 Some(FsDelivery::FailSignal { fs: output.fs })
             }
             FsContent::Output {
                 output_seq, bytes, ..
             } => {
-                self.seen_outputs
-                    .entry(output.fs)
-                    .or_default()
-                    .insert(output_seq);
                 self.stats.accepted += 1;
                 Some(FsDelivery::Output {
                     fs: output.fs,

@@ -1,7 +1,12 @@
 //! Duplicate suppression for sequence-numbered inputs in memory proportional
 //! to the reorder window.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use fs_common::fasthash::FastSet;
+use fs_common::id::FsId;
+
+use crate::message::FsContent;
 
 /// The set of sequence numbers accepted from one source, stored as a
 /// contiguous watermark plus the sparse numbers above it.
@@ -39,6 +44,47 @@ impl SeqWindow {
             self.next += 1;
         }
         true
+    }
+}
+
+/// What a destination has accepted from its source FS processes: per
+/// source the output sequence numbers, and the sources whose fail-signal
+/// arrived.  Both wrappers of a source transmit every output (and a failed
+/// pair answers every message with its fail-signal), so a destination asks
+/// [`Accepted::contains`] *before* it verifies a frame — one already
+/// accepted is dropped unverified — and [`Accepted::insert`]s only what
+/// verified, so a forgery can suppress nothing not already delivered.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Accepted {
+    outputs: BTreeMap<FsId, SeqWindow>,
+    failed: BTreeSet<FsId>,
+}
+
+impl Accepted {
+    /// True when what `content` claims to be was already accepted from `fs`.
+    pub(crate) fn contains(&self, fs: FsId, content: &FsContent) -> bool {
+        match content {
+            FsContent::FailSignal => self.failed.contains(&fs),
+            FsContent::Output { output_seq, .. } => self
+                .outputs
+                .get(&fs)
+                .is_some_and(|seen| seen.contains(*output_seq)),
+        }
+    }
+
+    /// Records a verified `content` of `fs`; `true` when it is new.
+    pub(crate) fn insert(&mut self, fs: FsId, content: &FsContent) -> bool {
+        match content {
+            FsContent::FailSignal => self.failed.insert(fs),
+            FsContent::Output { output_seq, .. } => {
+                self.outputs.entry(fs).or_default().insert(*output_seq)
+            }
+        }
+    }
+
+    /// The sources whose fail-signal has been accepted.
+    pub(crate) fn failed(&self) -> &BTreeSet<FsId> {
+        &self.failed
     }
 }
 

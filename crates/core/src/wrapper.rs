@@ -43,17 +43,8 @@
 //! a remote candidate as received and verified — destination, length,
 //! digest and the partner's share; the IRM pool and the processed-input set
 //! `(endpoint, body digest)` keys.
-//!
-//! ## Destinations verify an output once
-//!
-//! Both wrappers of a source pair transmit every output.  What an incoming
-//! frame claims to be is looked up *before* anything is verified or charged:
-//! an `(fs, output_seq)` already accepted — or a fail-signal from a source
-//! already recorded as failed, which answers every message with one — is a
-//! duplicate and is dropped.  Only a frame that verifies enters the window,
-//! so a forgery can suppress nothing that was not already delivered.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use fs_common::codec::Wire;
 use fs_common::fasthash::FastSet;
@@ -68,7 +59,7 @@ use fs_smr::machine::{DeterministicMachine, Endpoint, MachineInput, MachineOutpu
 use crate::config::{FsoConfig, SourceSpec};
 use crate::digest::body_digest;
 use crate::message::{FsContent, FsOutput, FsoInbound, PairMessage, Statement};
-use crate::seqwindow::SeqWindow;
+use crate::seqwindow::Accepted;
 
 /// Counters describing what a wrapper has done; used by tests and benches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -152,15 +143,13 @@ enum TimerPurpose {
 ///
 /// # Dedup state and its bounds
 ///
-/// Two structures suppress duplicates.  `seen_external` keeps, per source FS
-/// process, a contiguous watermark over its output sequence numbers plus the
-/// sparse set of numbers above it: memory follows the reorder window wherever
-/// the numbers a source addresses to this wrapper are contiguous, and a
-/// number that never arrives pins the watermark (a source that also emits
-/// outputs for other destinations — FS-NewTOP's local upcalls — skips the
-/// numbers it spent on them, so there the sparse set still grows by eight
-/// bytes per accepted output; compacting across such gaps needs a
-/// per-destination sequence on the wire).
+/// Two structures suppress duplicates.  `accepted` keeps, per source FS
+/// process, a watermark over its output sequence numbers plus the sparse
+/// numbers above it: memory follows the reorder window wherever the numbers
+/// a source addresses to this wrapper are contiguous.  A source that also
+/// emits outputs for other destinations (FS-NewTOP's local upcalls) skips
+/// numbers, so there it still grows by eight bytes per accepted output;
+/// compacting across such gaps needs a per-destination sequence on the wire.
 /// `seen_inputs` is **still unbounded**: it identifies an input by its source
 /// endpoint and the digest of its content, which carry no sequence to compact
 /// on — the leader's external copy, the follower's `ForwardNew` copy and the
@@ -184,11 +173,8 @@ pub struct FsoActor {
     /// copy and the follower's external receipt with the leader's `Ordered`
     /// relay.
     seen_inputs: FastSet<InputKey>,
-    /// External FS outputs already accepted: per source FS process, the
-    /// output sequence numbers seen.
-    seen_external: BTreeMap<FsId, SeqWindow>,
-    /// Source FS processes whose fail-signal has already been converted.
-    fail_signals_seen: BTreeSet<FsId>,
+    /// External FS outputs and fail-signals already accepted.
+    accepted: Accepted,
     /// The encoded, double-signed fail-signal frame, built when the
     /// wrapper fails and refcount-cloned to every recipient thereafter.
     fail_signal_frame: Option<Frame>,
@@ -224,8 +210,7 @@ impl FsoActor {
             machine,
             order_index: 0,
             seen_inputs: FastSet::default(),
-            seen_external: BTreeMap::new(),
-            fail_signals_seen: BTreeSet::new(),
+            accepted: Accepted::default(),
             fail_signal_frame: None,
             irmp: BTreeMap::new(),
             icmp: BTreeMap::new(),
@@ -606,15 +591,8 @@ impl FsoActor {
             return;
         }
         // Verify once: what this frame claims to be is looked up before
-        // anything is checked or charged (see the module docs).
-        let duplicate = match output.content {
-            FsContent::FailSignal => self.fail_signals_seen.contains(&fs),
-            FsContent::Output { output_seq, .. } => self
-                .seen_external
-                .get(&fs)
-                .is_some_and(|seen| seen.contains(output_seq)),
-        };
-        if duplicate {
+        // anything is checked or charged (see [`Accepted`]).
+        if self.accepted.contains(fs, &output.content) {
             self.stats.duplicates_suppressed += 1;
             return;
         }
@@ -624,9 +602,9 @@ impl FsoActor {
             self.stats.rejected_inputs += 1;
             return;
         };
+        self.accepted.insert(fs, &output.content);
         match output.content {
             FsContent::FailSignal => {
-                self.fail_signals_seen.insert(fs);
                 // A validated fail-signal is converted into the
                 // pre-configured environment input (FS-NewTOP turns it
                 // into a suspicion) and ordered like any other input.
@@ -635,10 +613,7 @@ impl FsoActor {
                     self.on_external_input(ctx, Endpoint::Environment, injected, digest);
                 }
             }
-            FsContent::Output {
-                output_seq, bytes, ..
-            } => {
-                self.seen_external.entry(fs).or_default().insert(output_seq);
+            FsContent::Output { bytes, .. } => {
                 let digest = digest.unwrap_or_else(|| body_digest(&bytes));
                 self.on_external_input(ctx, endpoint, bytes, digest);
             }

@@ -197,7 +197,7 @@ impl Signature {
     /// Recomputes `HMAC(key, message)` and compares it with this signature's
     /// tag in constant time.
     fn check_tag(&self, key: &HmacKey, message: &[u8]) -> Result<(), SignatureError> {
-        if ct_eq(key.mac(message).as_bytes(), self.tag.as_bytes()) {
+        if key.verify(message, self.tag.as_bytes()) {
             Ok(())
         } else {
             Err(SignatureError::Invalid)
