@@ -1,11 +1,12 @@
-//! Strict environment-knob parsing shared by the benchmark binaries.
+//! Strict environment-knob parsing shared by the figure drivers.
 //!
-//! Every `FS_BENCH_*` knob follows one contract: an *unset* knob takes its
-//! documented default, but a *set* knob must parse — a malformed or
-//! out-of-range value aborts the run with exit code 2 and a message naming
-//! the knob, the offending value and the expected shape.  Benchmarks guard
-//! CI regressions, so a typo'd knob silently falling back to its default
-//! (the old behaviour) could make a guard pass vacuously.
+//! The two `FS_BENCH_*` knobs (`FS_BENCH_MESSAGES`, `FS_BENCH_DEGRADED`)
+//! follow one contract: an *unset* knob takes its documented default, but a
+//! *set* knob must parse — a malformed value aborts the run with exit code 2
+//! and a message naming the knob, the offending value and the expected
+//! shape.  CI diffs the drivers' output against the committed figures, so a
+//! typo'd knob silently falling back to its default would compare the wrong
+//! run.
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -41,61 +42,8 @@ pub fn parse_flag(name: &str, raw: &str) -> Result<bool, String> {
     }
 }
 
-/// Parses a comma-separated list of strictly positive numbers; `Err`
-/// carries the user-facing message.
-pub fn parse_positive_list<T>(name: &str, raw: &str) -> Result<Vec<T>, String>
-where
-    T: FromStr + PartialOrd + Default + Copy,
-    T::Err: Display,
-{
-    let values = raw
-        .split(',')
-        .map(|item| {
-            let value: T = item
-                .trim()
-                .parse()
-                .map_err(|e| format!("invalid {name} entry `{}`: {e}", item.trim()))?;
-            // Explicit partial_cmp so a float NaN (incomparable) is
-            // rejected too, not just values at or below zero.
-            if value.partial_cmp(&T::default()) != Some(std::cmp::Ordering::Greater) {
-                return Err(format!(
-                    "invalid {name} entry `{}`: must be positive",
-                    item.trim()
-                ));
-            }
-            Ok(value)
-        })
-        .collect::<Result<Vec<T>, String>>()?;
-    if values.is_empty() {
-        return Err(format!("invalid {name}=`{raw}`: empty list"));
-    }
-    Ok(values)
-}
-
-/// Validates a knob against a closed set of modes; `Err` carries the
-/// user-facing message.
-pub fn parse_choice(name: &str, raw: &str, allowed: &[&str]) -> Result<String, String> {
-    let value = raw.trim();
-    if allowed.contains(&value) {
-        Ok(value.to_string())
-    } else {
-        Err(format!(
-            "unknown {name} mode `{raw}` (expected one of: {})",
-            allowed.join(", ")
-        ))
-    }
-}
-
 /// A `u64` knob: default when unset, exit 2 when set but malformed.
 pub fn env_u64(name: &str, default: u64) -> u64 {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(raw) => parse_scalar(name, &raw).unwrap_or_else(|m| fail(&m)),
-    }
-}
-
-/// An `f64` knob: default when unset, exit 2 when set but malformed.
-pub fn env_f64(name: &str, default: f64) -> f64 {
     match std::env::var(name) {
         Err(_) => default,
         Ok(raw) => parse_scalar(name, &raw).unwrap_or_else(|m| fail(&m)),
@@ -107,33 +55,6 @@ pub fn env_flag(name: &str, default: bool) -> bool {
     match std::env::var(name) {
         Err(_) => default,
         Ok(raw) => parse_flag(name, &raw).unwrap_or_else(|m| fail(&m)),
-    }
-}
-
-/// A comma-separated positive `f64` list knob: default when unset, exit 2
-/// when set but malformed, non-positive or empty.
-pub fn env_f64_list(name: &str, default: &[f64]) -> Vec<f64> {
-    match std::env::var(name) {
-        Err(_) => default.to_vec(),
-        Ok(raw) => parse_positive_list(name, &raw).unwrap_or_else(|m| fail(&m)),
-    }
-}
-
-/// A comma-separated positive `u64` list knob: default when unset, exit 2
-/// when set but malformed, zero or empty.
-pub fn env_u64_list(name: &str, default: &[u64]) -> Vec<u64> {
-    match std::env::var(name) {
-        Err(_) => default.to_vec(),
-        Ok(raw) => parse_positive_list(name, &raw).unwrap_or_else(|m| fail(&m)),
-    }
-}
-
-/// A closed-set mode knob: default when unset, exit 2 on an unknown mode.
-pub fn env_choice(name: &str, default: &str, allowed: &[&str]) -> String {
-    debug_assert!(allowed.contains(&default));
-    match std::env::var(name) {
-        Err(_) => default.to_string(),
-        Ok(raw) => parse_choice(name, &raw, allowed).unwrap_or_else(|m| fail(&m)),
     }
 }
 
@@ -155,28 +76,5 @@ mod tests {
         assert_eq!(parse_flag("K", "1"), Ok(true));
         assert!(parse_flag("K", "true").is_err());
         assert!(parse_flag("K", "").is_err());
-    }
-
-    #[test]
-    fn lists_reject_junk_instead_of_filtering() {
-        assert_eq!(
-            parse_positive_list::<f64>("K", "25, 50,100"),
-            Ok(vec![25.0, 50.0, 100.0])
-        );
-        // The old behaviour silently dropped the bad entry; now it's fatal.
-        assert!(parse_positive_list::<f64>("K", "25,oops,100").is_err());
-        assert!(parse_positive_list::<f64>("K", "25,-1").is_err());
-        assert!(parse_positive_list::<u64>("K", "1,0").is_err());
-        assert!(parse_positive_list::<f64>("K", "").is_err());
-    }
-
-    #[test]
-    fn choices_name_the_allowed_modes() {
-        assert_eq!(
-            parse_choice("K", "restart", &["none", "restart"]),
-            Ok("restart".to_string())
-        );
-        let err = parse_choice("K", "restrat", &["none", "restart"]).unwrap_err();
-        assert!(err.contains("none, restart"), "{err}");
     }
 }

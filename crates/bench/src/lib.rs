@@ -2,8 +2,7 @@
 //!
 //! The benchmark harness reproducing the paper's evaluation (§4): workload
 //! generation, deployment measurement, per-figure experiment drivers
-//! (Figures 6–8) and the ablations listed in DESIGN.md, plus Criterion
-//! micro-benchmarks.
+//! (Figures 6–8) and the ablations listed in DESIGN.md.
 //!
 //! Regenerate the figures with:
 //!
@@ -16,10 +15,13 @@
 //! Set `FS_BENCH_MESSAGES=1000` to use the paper's full per-member message
 //! count (the default is smaller so that regeneration stays quick).
 //!
-//! Host-side wall-clock cost of the authenticated wire path (encode, sign,
-//! deliver, verify) is tracked separately by the `hotpath` binary, which
-//! writes `results/bench-hotpath.json` (see the README's "Performance"
-//! section):
+//! What the suite costs on the host — capacity, CPU per ordered delivery,
+//! per-layer unit costs — is measured by the standalone `benchmark/` package
+//! and by nothing here.  The one other binary, `hotpath`, checks two
+//! structural properties of the wire path as ratios inside a single run
+//! (`on_ack` flat in the pending count; the spliced frame path copies no
+//! payload and is no slower than the contiguous one), exits 3 when one
+//! breaks, and writes `results/bench-hotpath.json`:
 //!
 //! ```text
 //! cargo run --release -p fs-bench --bin hotpath

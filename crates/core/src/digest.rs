@@ -39,9 +39,9 @@ use fs_common::fasthash::FastMap;
 use fs_common::Bytes;
 use fs_crypto::sha256::{Digest, Sha256};
 
-/// Bodies shorter than this are hashed directly.  Measured with `hotpath`'s
-/// `sign_digest` round (digest + sign + co-sign, `sha-ni`): answered from the
-/// memo it costs 0.55–0.65 µs at every size; hashing afresh costs 0.60 µs at
+/// Bodies shorter than this are hashed directly.  Measured with the
+/// `sign_digest` round `hotpath` carried until PR 21 (digest + sign +
+/// co-sign, `sha-ni`): answered from the memo it costs 0.55–0.65 µs at every size; hashing afresh costs 0.60 µs at
 /// 64 B, 0.75 µs at 256 B, 0.9 µs at 512 B, 1.3 µs at 1 KiB, 7.9 µs at
 /// 10 KiB; and a miss costs ~0.2 µs more than hashing afresh (two table
 /// inserts).  A body presented half a dozen times repays its miss somewhere

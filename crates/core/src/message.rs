@@ -363,8 +363,7 @@ impl FsOutput {
 
     /// Like [`FsOutput::verify`], but hashes the body and recomputes both
     /// HMACs every time, bypassing every host-side memo — the reference
-    /// verdict, and the true cryptographic cost of a destination-side check
-    /// (what the `hotpath` benchmark measures).
+    /// verdict, and the true cryptographic cost of a destination-side check.
     ///
     /// # Errors
     ///

@@ -101,9 +101,9 @@ impl CryptoCostModel {
     }
 
     /// A model charging at compression-block granularity, calibrated to the
-    /// measured scalar backend (`results/bench-hotpath.json`: ~200 MB/s ⇒
-    /// ~300 ns per 64-byte block): no per-byte term, a fixed microsecond,
-    /// and the whole payload-dependent cost on the block term.
+    /// measured scalar backend (~200 MB/s ⇒ ~300 ns per 64-byte block): no
+    /// per-byte term, a fixed microsecond, and the whole payload-dependent
+    /// cost on the block term.
     pub fn scalar_sha256() -> Self {
         Self {
             sign_fixed: SimDuration::from_micros(1),

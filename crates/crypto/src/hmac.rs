@@ -26,7 +26,7 @@ pub const TAG_LEN: usize = DIGEST_LEN;
 /// re-hashing 128 bytes of padded key material on every call.  This is the
 /// classic "keyed state" optimisation every production HMAC implementation
 /// performs, and it is what makes per-output signing cheap on the host
-/// (see `fs-bench`'s `hotpath` report for the measured speedup).
+/// (`crypto.sign_ns` in `benchmark/`).
 ///
 /// # Examples
 ///
@@ -146,8 +146,8 @@ impl HmacKey {
 /// and replayed against each key's precomputed inner state.  Schedule
 /// expansion is roughly a third of the compress work; on the SIMD backend
 /// the remaining per-key rounds also run 4/8 keys lane-parallel, which is
-/// where the batch-verify speedup in `results/bench-hotpath.json` comes
-/// from.
+/// where the batch-verify speedup (`crypto.verify_batch8_ns_per_mac` against
+/// `crypto.verify_ns` in `benchmark/`) comes from.
 ///
 /// None of that pays on a CPU with the SHA extensions, whose sequential
 /// kernel hashes a block faster than a precomputed schedule can be replayed:

@@ -205,8 +205,8 @@ impl Signature {
     }
 
     /// Like [`Signature::verify`] but always recomputes the HMAC, bypassing
-    /// the host-side memo.  The `hotpath` benchmark uses this to measure the
-    /// true cost of a verification.
+    /// the host-side memo.  `benchmark/`'s `crypto.verify_ns` uses this to
+    /// measure the true cost of a verification.
     ///
     /// # Errors
     ///

@@ -827,14 +827,11 @@ impl Cluster {
         self
     }
 
-    /// Nodes one shard occupies under the current protocol and layout.
+    /// Nodes one shard occupies: one per member under either protocol (the
+    /// collapsed FS layout is the scenario default, and the cluster layer
+    /// does not expose the Full layout).
     fn nodes_per_shard(&self) -> u32 {
-        match self.protocol {
-            // Collapsed FS layout: one node per member (the scenario
-            // default; the cluster layer does not expose the Full layout).
-            Protocol::FailSignal => self.members_per_shard,
-            Protocol::Crash => self.members_per_shard,
-        }
+        self.members_per_shard
     }
 
     /// The shard-local [`Scenario`] used to assemble shard `shard`.

@@ -19,7 +19,7 @@
 //! | [`failsignal`] | `failsignal` | the fail-signal wrapper pair and the generic group lift (the paper's contribution) |
 //! | [`harness`] | `fs-harness` | the [`harness::Scenario`] builder: service × runtime × workload × faults × protocol — the only way to deploy NewTOP, FS-NewTOP or any other wrapped service — and the sharded [`harness::Cluster`] |
 //! | [`faults`] | `fs-faults` | fault injection |
-//! | [`mod@bench`] | `fs-bench` | figure-regeneration harness and ablations |
+//! | [`mod@bench`] | `fs-bench` | figure-regeneration harness, ablations and the structural `hotpath` guards (host cost is measured by the standalone `benchmark/` package) |
 //!
 //! ## Quick start
 //!

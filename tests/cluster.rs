@@ -242,7 +242,7 @@ fn restart_cluster_16(runtime: RuntimeKind, protocol: Protocol) -> RunningCluste
 }
 
 /// Sim-vs-threaded parity at 16 shards under Poisson load with one shard
-/// restarting mid-run — the scale cell of the scaling benchmark, exercising
+/// restarting mid-run — a deployment-scale cell exercising
 /// the threaded runtime's contention-free send path (per-node stat cells,
 /// snapshot-published link gate) against the simulator's reference run.
 fn sixteen_shard_parity(protocol: Protocol) {

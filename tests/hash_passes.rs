@@ -46,11 +46,25 @@
 //! verified — the window reads 17.3 blocks per 3 B delivery and 171.1 at
 //! 10 KiB (1.07 passes), both inside the ceilings (34.1 and 185.2 before
 //! shares).
+//!
+//! The last case counts one wrapper's signing round on its own (digest the
+//! body, sign the statement): once a 10 KiB body is known to `body_digest`,
+//! by buffer or by content, the round compresses the statement's blocks and
+//! no other — what signing a 3-byte body does, less that body's one block.
+//! Signing is flat in the body size, by count.
 
+use fs_smr_suite::common::id::{FsId, ProcessId};
+use fs_smr_suite::common::rng::DetRng;
 use fs_smr_suite::common::time::{SimDuration, SimTime};
-use fs_smr_suite::crypto::sha256::blocks_compressed;
+use fs_smr_suite::common::Bytes;
+use fs_smr_suite::crypto::keys::{provision, SignerId};
+use fs_smr_suite::crypto::sha256::{blocks_compressed, Digest};
+use fs_smr_suite::crypto::sig::Signature;
+use fs_smr_suite::failsignal::digest::body_digest;
+use fs_smr_suite::failsignal::message::Statement;
 use fs_smr_suite::failsignal::FsoActor;
 use fs_smr_suite::harness::{NewTopService, Protocol, Running, Scenario, Workload};
+use fs_smr_suite::smr::machine::Endpoint;
 
 /// Blocks in one pass over a 10 KiB payload.
 const PAYLOAD_PASS_BLOCKS: f64 = 160.0;
@@ -150,4 +164,38 @@ fn a_3_byte_delivery_pays_at_most_one_block_per_signature_operation_more() {
         blocks <= ceiling,
         "{blocks:.1} blocks per ordered delivery (ceiling {ceiling:.1})"
     );
+}
+
+#[test]
+fn signing_an_already_digested_10k_body_hashes_no_body_block() {
+    let mut rng = DetRng::new(13);
+    let (keys, _directory) = provision([ProcessId(0)], &mut rng);
+    let key = &keys[&SignerId(ProcessId(0))];
+    let counted = |op: &dyn Fn()| {
+        let before = blocks_compressed();
+        op();
+        blocks_compressed() - before
+    };
+    let sign = |body_len: usize, digest: Digest| {
+        let statement = Statement::output(FsId(1), 7, Endpoint::Broadcast, body_len, &digest);
+        Signature::sign(key, statement.as_bytes());
+    };
+    // One wrapper's signing round: digest the body, sign the statement.
+    let round = |body: &Bytes| counted(&|| sign(body.len(), body_digest(body)));
+
+    let own = Bytes::from(vec![0x33u8; 10 * 1024]);
+    let signing = counted(&|| sign(own.len(), Digest([0u8; 32])));
+    // A 3-byte body is under the memo's floor: its one block, every time.
+    let small = round(&Bytes::from(vec![0x33u8; 3]));
+    let unseen = round(&own);
+    let same_buffer = round(&own);
+    let equal_content = round(&Bytes::copy_from_slice(&own));
+    println!(
+        "blocks per signing round: statement alone {signing}, 3 B {small}, 10 KiB unseen \
+         {unseen}, same buffer {same_buffer}, equal content {equal_content}"
+    );
+    assert_eq!(small, signing + 1);
+    assert!(unseen >= signing + PAYLOAD_PASS_BLOCKS as u64);
+    assert_eq!(same_buffer, signing, "the same buffer again");
+    assert_eq!(equal_content, signing, "equal content, another buffer");
 }
