@@ -2228,6 +2228,67 @@ mod tests {
         rt.shutdown();
     }
 
+    /// Sends one frame to `dest` each time it recovers; otherwise silent.
+    struct AnnounceOnRecover {
+        dest: ProcessId,
+    }
+
+    impl Actor for AnnounceOnRecover {
+        fn on_message(&mut self, _: &mut dyn Context, _: ProcessId, _: Frame) {}
+        fn on_recover(&mut self, ctx: &mut dyn Context) {
+            ctx.send(self.dest, b"back"[..].into());
+        }
+    }
+
+    /// No traffic and no timers: the two schedules are all that can happen.
+    /// A pending scheduled event must hold off quiescence, an idle node must
+    /// wake for it, and each entry must be counted exactly once.
+    #[test]
+    fn idle_deployment_runs_its_schedules_and_settles_only_after_them() {
+        let shared = Arc::new(AtomicUsize::new(0));
+        let scope = LinkScope::Pair {
+            a: NodeId(0),
+            b: NodeId(1),
+        };
+        let schedule = LinkSchedule::new()
+            .then(SimTime::ZERO, scope.clone(), LinkFault::Sever)
+            .then(SimTime::from_millis(100), scope, LinkFault::Heal);
+        let lifecycle = LifecycleSchedule::new()
+            .crash_at(SimTime::from_millis(50), ProcessId(0))
+            .recover_at(SimTime::from_millis(150), ProcessId(0));
+        let mut builder = ThreadedBuilder::default()
+            .with_link_schedule(schedule)
+            .with_lifecycle_schedule(lifecycle);
+        builder.add(Box::new(AnnounceOnRecover { dest: ProcessId(1) }));
+        for _ in 0..2 {
+            builder.add(Box::new(Counter {
+                seen: 0,
+                shared: Arc::clone(&shared),
+            }));
+        }
+        let rt = builder.start();
+        let horizon = SimTime::from_secs(5);
+        assert!(
+            !rt.quiescent_before(horizon),
+            "pending scheduled events hold off quiescence"
+        );
+        let reached = rt.run_until_settled(horizon);
+        assert!(
+            reached >= SimTime::from_millis(150) && reached < SimTime::from_secs(3),
+            "settled at {reached:?}: after the last scheduled event, well before the horizon"
+        );
+        let stats = rt.net_stats();
+        assert_eq!(stats.link_faults, 2, "each link fault counted once");
+        assert_eq!(
+            stats.lifecycle_events, 2,
+            "each lifecycle event counted once"
+        );
+        assert_eq!(stats.dropped_link, 0, "the link healed before the recovery");
+        assert_eq!(stats.messages_delivered, 1);
+        assert_eq!(shared.load(Ordering::SeqCst), 1);
+        rt.shutdown();
+    }
+
     /// The gate-publication contract under races: N reader threads evaluate
     /// verdicts for every directed edge of a partition scope against one
     /// snapshot each, while a writer keeps alternating Sever/Heal on the
