@@ -667,7 +667,6 @@ pub struct Cluster {
     workload: Workload,
     shard_faults: BTreeMap<u32, FaultSchedule>,
     node: NodeConfig,
-    router_node: NodeConfig,
     seed: u64,
     scheduler: SchedulerKind,
     topology: Option<Topology>,
@@ -704,7 +703,6 @@ impl Cluster {
             workload: Workload::paper_default(),
             shard_faults: BTreeMap::new(),
             node: NodeConfig::era_2003(),
-            router_node: NodeConfig::ideal(),
             seed: 2003,
             scheduler: SchedulerKind::default(),
             topology: None,
@@ -784,14 +782,6 @@ impl Cluster {
     #[must_use]
     pub fn node_config(mut self, node: NodeConfig) -> Self {
         self.node = node;
-        self
-    }
-
-    /// Sets the router node's configuration (default
-    /// [`NodeConfig::ideal`]).
-    #[must_use]
-    pub fn router_node_config(mut self, node: NodeConfig) -> Self {
-        self.router_node = node;
         self
     }
 
@@ -903,7 +893,7 @@ impl Cluster {
             topology,
             Some(FrontEnd {
                 pid: ROUTER_PID,
-                node: self.router_node,
+                node: NodeConfig::ideal(),
                 actor: &router,
             }),
             (0..self.shards).map(|s| ShardAt {
@@ -1010,8 +1000,8 @@ impl RunningCluster {
     /// only the send / delivery / byte fields are attributable and the
     /// runtime-global fields stay zero.  On the threaded runtime it folds
     /// the shard's per-node stat cells (every full counter, including
-    /// `busy_ns` and the send-path `gate_wait` histogram), since shard `s`
-    /// owns the contiguous node range after the router's node 0.
+    /// `busy_ns`), since shard `s` owns the contiguous node range after the
+    /// router's node 0.
     pub fn shard_net(&self, shard: u32) -> Option<NetStats> {
         let members = self.shard_members.get(shard as usize)?;
         if let Some(nodes) = self.slot.node_stats() {

@@ -4,9 +4,9 @@
 //! [`crate::link::LinkSchedule`]: a time-ordered list of crash / recover /
 //! replace events that the simulator executes as deterministic events
 //! ([`crate::sim::Simulation::apply_lifecycle_schedule`]) and the threaded
-//! runtime's control thread applies at the same wall-clock offsets
-//! (`ThreadedBuilder::with_lifecycle_schedule`), so the same schedule drives
-//! rolling restarts on both.
+//! runtime's node threads apply, each for the actors it hosts, at the same
+//! wall-clock offsets (`ThreadedBuilder::with_lifecycle_schedule`), so the
+//! same schedule drives rolling restarts on both.
 //!
 //! Semantics:
 //!
@@ -21,9 +21,19 @@
 //!   [`crate::actor::Actor::on_start`] runs.
 
 use fs_common::id::ProcessId;
+use fs_common::rng::DetRng;
 use fs_common::time::SimTime;
 
 use crate::actor::Actor;
+
+/// The deterministic RNG stream of the incarnation that the `index`-th event
+/// of a schedule (in execution order) installs as `process`: derived from the
+/// runtime's root stream, distinct from the original spawn's and from any
+/// other replacement under the same id.  Both runtimes call this, so a
+/// replacement draws the same numbers on either.
+pub(crate) fn replacement_rng(root: &DetRng, process: ProcessId, index: usize) -> DetRng {
+    root.derive(0x5eed_1000 + u64::from(process.0) + ((index as u64 + 1) << 32))
+}
 
 /// What happens to a process at one scheduled lifecycle event.
 pub enum ProcessFate {

@@ -29,6 +29,7 @@ use fs_common::time::{SimDuration, SimTime};
 use fs_common::Frame;
 
 use crate::actor::{Actor, Context, Outgoing, TimerId};
+use crate::lifecycle::replacement_rng;
 use crate::link::{LinkEvent, LinkFault, LinkSchedule, LinkScope, Topology};
 use crate::node::{NodeConfig, NodeState};
 use crate::sched::{EventQueue, ScheduledEvent, SchedulerKind};
@@ -550,13 +551,6 @@ impl Simulation {
         })
     }
 
-    /// Mutable variant of [`Simulation::actor`].
-    pub fn actor_mut<T: Actor>(&mut self, process: ProcessId) -> Option<&mut T> {
-        let slot = self.slot_of(process)?;
-        let any: &mut dyn Any = self.actors[slot].actor.as_mut();
-        any.downcast_mut::<T>()
-    }
-
     /// The actor registered as `process` as a trait object, for callers (such
     /// as the scenario harness) that defer the concrete downcast to a
     /// service-specific inspector.
@@ -579,15 +573,7 @@ impl Simulation {
             let ev = self.queue.pop().expect("peeked");
             self.dispatch(ev);
         }
-        self.clock = self.clock.max(SimTime::ZERO);
         self.clock
-    }
-
-    /// Runs until no events remain (or `limit` is reached); returns the time
-    /// of the last processed event.  Most experiments use this: the workload
-    /// is injected up front and the system is allowed to drain.
-    pub fn run_to_quiescence(&mut self, limit: SimTime) -> SimTime {
-        self.run_until(limit)
     }
 
     /// Processes a single event, if any is pending; returns its time.
@@ -725,12 +711,7 @@ impl Simulation {
                 for g in slot.timer_generation.values_mut() {
                     *g += 1;
                 }
-                // A fresh deterministic RNG stream for the new incarnation,
-                // distinct from the original spawn's and from any earlier
-                // replacement under the same id.
-                slot.rng = self
-                    .rng
-                    .derive(0x5eed_1000 + u64::from(process.0) + ((index as u64 + 1) << 32));
+                slot.rng = replacement_rng(&self.rng, process, index);
                 self.run_handler(at, slot_idx, HandlerKind::Start);
             }
         }

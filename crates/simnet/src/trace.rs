@@ -40,11 +40,6 @@ pub struct NetStats {
     /// the simulator leaves this zero — its handlers execute in zero
     /// wall-clock time by construction).
     pub busy_ns: u64,
-    /// Time spent acquiring the link-gate snapshot on the send path
-    /// (threaded runtime only, and only when a fault plane is configured).
-    /// A contended gate shows up here instead of having to be inferred from
-    /// a throughput regression.
-    pub gate_wait: LatencyHistogram,
 }
 
 impl NetStats {
@@ -84,7 +79,6 @@ impl NetStats {
         self.timers_fired += other.timers_fired;
         self.events_processed += other.events_processed;
         self.busy_ns += other.busy_ns;
-        self.gate_wait.merge(&other.gate_wait);
     }
 }
 
@@ -287,15 +281,6 @@ impl LatencyRecorder {
             p999: nearest_rank(&sorted, 0.999),
             max: sorted[n - 1],
         })
-    }
-
-    /// Folds the samples into a constant-memory [`LatencyHistogram`].
-    pub fn histogram(&self) -> LatencyHistogram {
-        let mut h = LatencyHistogram::new();
-        for s in &self.samples {
-            h.record(*s);
-        }
-        h
     }
 
     /// Merges another recorder's samples into this one.
@@ -537,8 +522,6 @@ mod tests {
 
     #[test]
     fn stats_merge_adds_every_field() {
-        let mut gate_wait = LatencyHistogram::new();
-        gate_wait.record(SimDuration::from_micros(3));
         let mut a = NetStats {
             messages_sent: 1,
             messages_delivered: 2,
@@ -552,12 +535,9 @@ mod tests {
             timers_fired: 7,
             events_processed: 8,
             busy_ns: 9,
-            gate_wait: gate_wait.clone(),
         };
         let b = a.clone();
         a.merge(&b);
-        let mut merged_wait = gate_wait.clone();
-        merged_wait.merge(&gate_wait);
         assert_eq!(
             a,
             NetStats {
@@ -573,7 +553,6 @@ mod tests {
                 timers_fired: 14,
                 events_processed: 16,
                 busy_ns: 18,
-                gate_wait: merged_wait,
             }
         );
     }
