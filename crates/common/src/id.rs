@@ -145,52 +145,6 @@ impl fmt::Display for MsgId {
     }
 }
 
-/// A small helper that hands out sequential identifiers of a given newtype.
-///
-/// # Examples
-///
-/// ```
-/// use fs_common::id::{IdAllocator, ProcessId};
-/// let mut alloc = IdAllocator::<ProcessId>::new();
-/// assert_eq!(alloc.next_id(), ProcessId(0));
-/// assert_eq!(alloc.next_id(), ProcessId(1));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct IdAllocator<T> {
-    next: u32,
-    _marker: core::marker::PhantomData<T>,
-}
-
-impl<T: From<u32>> IdAllocator<T> {
-    /// Creates an allocator starting at 0.
-    pub fn new() -> Self {
-        Self {
-            next: 0,
-            _marker: core::marker::PhantomData,
-        }
-    }
-
-    /// Creates an allocator starting at `start`.
-    pub fn starting_at(start: u32) -> Self {
-        Self {
-            next: start,
-            _marker: core::marker::PhantomData,
-        }
-    }
-
-    /// Returns the next identifier and advances the counter.
-    pub fn next_id(&mut self) -> T {
-        let id = T::from(self.next);
-        self.next += 1;
-        id
-    }
-
-    /// Returns how many identifiers have been handed out.
-    pub fn allocated(&self) -> u32 {
-        self.next
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,24 +170,6 @@ mod tests {
         assert!(a < b);
         assert!(a < c);
         assert!(c < b);
-    }
-
-    #[test]
-    fn id_allocator_sequential() {
-        let mut alloc = IdAllocator::<NodeId>::new();
-        let ids: Vec<NodeId> = (0..5).map(|_| alloc.next_id()).collect();
-        assert_eq!(
-            ids,
-            vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3), NodeId(4)]
-        );
-        assert_eq!(alloc.allocated(), 5);
-    }
-
-    #[test]
-    fn id_allocator_starting_at() {
-        let mut alloc = IdAllocator::<GroupId>::starting_at(10);
-        assert_eq!(alloc.next_id(), GroupId(10));
-        assert_eq!(alloc.next_id(), GroupId(11));
     }
 
     #[test]

@@ -44,6 +44,6 @@ pub use bytes::Bytes;
 pub use codec::{Decoder, Encoder, Frame, Wire};
 pub use config::{NodeBudget, TimingAssumptions};
 pub use error::{CodecError, Error, Result, SignatureError};
-pub use id::{FsId, GroupId, IdAllocator, MemberId, MsgId, NodeId, ProcessId, Role};
+pub use id::{FsId, GroupId, MemberId, MsgId, NodeId, ProcessId, Role};
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};

@@ -91,16 +91,6 @@ impl DetRng {
         (self.next_u64_raw() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Returns a uniformly distributed value in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hi <= lo`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(hi > lo, "empty range");
-        lo + self.unit_f64() * (hi - lo)
-    }
-
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {

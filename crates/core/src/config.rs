@@ -133,11 +133,6 @@ pub struct FsoConfig {
 }
 
 impl FsoConfig {
-    /// The signer pair of this FS process (own signer first).
-    pub fn pair_signers(&self) -> (SignerId, SignerId) {
-        (self.key.signer, self.partner_signer)
-    }
-
     /// True when this wrapper is the pair's leader.
     pub fn is_leader(&self) -> bool {
         self.role.is_leader()

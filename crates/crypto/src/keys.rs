@@ -180,13 +180,6 @@ impl VerifyingKey {
     pub(crate) fn hmac(&self) -> &HmacKey {
         &self.hmac
     }
-
-    /// A 64-bit fingerprint identifying this key's material (see
-    /// [`HmacKey::fingerprint`]); higher layers use it to tie their
-    /// host-side verification memos to the concrete key.
-    pub fn hmac_fingerprint(&self) -> u64 {
-        self.hmac.fingerprint()
-    }
 }
 
 impl SigningKey {

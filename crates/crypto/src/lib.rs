@@ -2,9 +2,9 @@
 //!
 //! Message authentication for the fail-signal suite: a from-scratch SHA-256,
 //! HMAC-SHA-256 keyed authenticators, a start-up-provisioned key directory,
-//! single- and double-signed message envelopes, and a cost model that charges
-//! the simulated clock for the (much more expensive) signature scheme the
-//! original paper used.
+//! message signatures with the two-share rule for double-signed outputs, and
+//! a cost model that charges the simulated clock for the (much more
+//! expensive) signature scheme the original paper used.
 //!
 //! See DESIGN.md §5 for the substitution rationale: the paper's assumption A5
 //! only requires unforgeable, verifiable message signatures, which the keyed
@@ -94,21 +94,23 @@
 //! ```
 //! use fs_common::{id::ProcessId, rng::DetRng};
 //! use fs_crypto::keys::{provision, SignerId};
-//! use fs_crypto::sig::SingleSigned;
+//! use fs_crypto::sig::{check_share_signers, Signature};
 //!
 //! let mut rng = DetRng::new(1);
 //! let (mut keys, directory) = provision([ProcessId(0), ProcessId(1)], &mut rng);
 //! let leader_key = keys.remove(&SignerId(ProcessId(0))).unwrap();
 //! let follower_key = keys.remove(&SignerId(ProcessId(1))).unwrap();
 //!
-//! // Leader's Compare signs an output, follower's Compare adds its share.
+//! // Each Compare signs the output once; the two shares travel with it.
 //! let bytes = b"totally ordered message".to_vec();
-//! let double = SingleSigned::new((), &bytes, &leader_key).with_share(&bytes, &follower_key);
+//! let leader_share = Signature::sign(&leader_key, &bytes);
+//! let follower_share = Signature::sign(&follower_key, &bytes);
 //!
-//! // A destination accepts it only with both authentic signatures.
-//! double
-//!     .verify(&directory, &bytes, (leader_key.signer, follower_key.signer))
-//!     .expect("valid FS output");
+//! // A destination accepts it only with authentic shares of both signers.
+//! let pair = (leader_key.signer, follower_key.signer);
+//! assert!(check_share_signers(&leader_share, &follower_share, pair).is_ok());
+//! assert!(leader_share.verify(&directory, &bytes).is_ok());
+//! assert!(follower_share.verify(&directory, &bytes).is_ok());
 //! ```
 
 // `deny` rather than `forbid`: the two sanctioned exceptions (`simd`,
@@ -128,4 +130,4 @@ pub use cost::CryptoCostModel;
 pub use hmac::{HmacKey, HmacSha256, MacSchedule};
 pub use keys::{provision, KeyDirectory, SignerId, SigningKey, VerifyingKey};
 pub use sha256::{CompressBackend, Digest, Sha256};
-pub use sig::{DoubleSigned, Signature, SingleSigned};
+pub use sig::Signature;

@@ -336,120 +336,6 @@ pub fn check_share_signers(
     Ok(())
 }
 
-/// A message carrying exactly one signature — the form exchanged *between*
-/// the two Compare processes of a pair.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SingleSigned<T> {
-    /// The signed content.
-    pub content: T,
-    /// The signature over the canonical encoding of the content.
-    pub signature: Signature,
-}
-
-impl<T> SingleSigned<T> {
-    /// Signs `content`, whose canonical bytes are `content_bytes`, with `key`.
-    ///
-    /// The caller supplies the canonical encoding explicitly so that the
-    /// signing code never depends on a particular serialisation framework.
-    pub fn new(content: T, content_bytes: &[u8], key: &SigningKey) -> Self {
-        Self {
-            signature: Signature::sign(key, content_bytes),
-            content,
-        }
-    }
-
-    /// Verifies the signature over `content_bytes`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Signature::verify`].
-    pub fn verify(
-        &self,
-        directory: &KeyDirectory,
-        content_bytes: &[u8],
-    ) -> Result<(), SignatureError> {
-        self.signature.verify(directory, content_bytes)
-    }
-
-    /// Adds the second signer's share — its own signature over the same
-    /// `content_bytes` — producing the double-signed form that destinations
-    /// accept as the FS process output.
-    pub fn with_share(self, content_bytes: &[u8], key: &SigningKey) -> DoubleSigned<T> {
-        DoubleSigned {
-            second: Signature::sign(key, content_bytes),
-            content: self.content,
-            first: self.signature,
-        }
-    }
-}
-
-/// A message carrying the signature shares of both wrappers of a fail-signal
-/// pair — the only form a destination treats as a valid output of the FS
-/// process.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DoubleSigned<T> {
-    /// The signed content.
-    pub content: T,
-    /// One wrapper's share.
-    pub first: Signature,
-    /// The other wrapper's share, over the same content.
-    pub second: Signature,
-}
-
-impl<T> DoubleSigned<T> {
-    /// Verifies that the message is a valid output of the FS pair whose
-    /// wrappers are `expected_pair`.
-    ///
-    /// The check enforces everything §2.1 requires of a valid FS output:
-    ///
-    /// 1. the two signers are distinct,
-    /// 2. both belong to `expected_pair` (order does not matter), and
-    /// 3. each share verifies over `content_bytes` under the directory.
-    ///
-    /// # Errors
-    ///
-    /// * [`SignatureError::DuplicateSigner`] — both signatures from the same
-    ///   wrapper.
-    /// * [`SignatureError::MissingCoSignature`] — a signer outside
-    ///   `expected_pair` signed the message.
-    /// * [`SignatureError::Invalid`] / [`SignatureError::UnknownSigner`] — a
-    ///   signature failed to verify.
-    pub fn verify(
-        &self,
-        directory: &KeyDirectory,
-        content_bytes: &[u8],
-        expected_pair: (SignerId, SignerId),
-    ) -> Result<(), SignatureError> {
-        check_share_signers(&self.first, &self.second, expected_pair)?;
-        self.first.verify(directory, content_bytes)?;
-        self.second.verify(directory, content_bytes)
-    }
-
-    /// Returns the pair of signers, first then second.
-    pub fn signers(&self) -> (SignerId, SignerId) {
-        (self.first.signer, self.second.signer)
-    }
-
-    /// Discards the signatures and returns the content (what the interceptor
-    /// does before handing a delivery up to the invocation layer).
-    pub fn into_content(self) -> T {
-        self.content
-    }
-
-    /// Maps the content, keeping the signatures.
-    ///
-    /// Intended for bookkeeping (e.g. attaching receive timestamps); note
-    /// that mapping the content does *not* re-sign it, so the result only
-    /// verifies against the original content bytes.
-    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> DoubleSigned<U> {
-        DoubleSigned {
-            content: f(self.content),
-            first: self.first,
-            second: self.second,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,39 +380,43 @@ mod tests {
         );
     }
 
-    #[test]
-    fn single_signed_envelope() {
-        let (a, _, _, dir) = setup();
-        let content = "output-7".to_string();
-        let bytes = content.as_bytes().to_vec();
-        let signed = SingleSigned::new(content.clone(), &bytes, &a);
-        assert!(signed.verify(&dir, &bytes).is_ok());
-        assert!(signed.verify(&dir, b"tampered").is_err());
-        assert_eq!(signed.content, content);
+    /// Two shares over `bytes`, by `first` and `second`.
+    fn shares(bytes: &[u8], first: &SigningKey, second: &SigningKey) -> (Signature, Signature) {
+        (
+            Signature::sign(first, bytes),
+            Signature::sign(second, bytes),
+        )
+    }
+
+    /// What a destination checks of a double-signed message: the share rule,
+    /// then each share over the same bytes.
+    fn verify_shares(
+        (first, second): &(Signature, Signature),
+        dir: &KeyDirectory,
+        bytes: &[u8],
+        pair: (SignerId, SignerId),
+    ) -> Result<(), SignatureError> {
+        check_share_signers(first, second, pair)?;
+        first.verify(dir, bytes)?;
+        second.verify(dir, bytes)
     }
 
     #[test]
     fn double_signed_happy_path() {
         let (a, b, _, dir) = setup();
         let bytes = b"total-order decision".to_vec();
-        let single = SingleSigned::new((), &bytes, &a);
-        let double = single.with_share(&bytes, &b);
-        let pair = (a.signer, b.signer);
-        assert!(double.verify(&dir, &bytes, pair).is_ok());
+        let double = shares(&bytes, &a, &b);
+        assert!(verify_shares(&double, &dir, &bytes, (a.signer, b.signer)).is_ok());
         // Order of the expected pair must not matter.
-        assert!(double.verify(&dir, &bytes, (b.signer, a.signer)).is_ok());
-        assert_eq!(double.signers(), (a.signer, b.signer));
+        assert!(verify_shares(&double, &dir, &bytes, (b.signer, a.signer)).is_ok());
     }
 
     #[test]
     fn double_signed_rejects_duplicate_signer() {
         let (a, _, _, dir) = setup();
-        let bytes = b"x".to_vec();
-        let double = SingleSigned::new((), &bytes, &a).with_share(&bytes, &a);
+        let double = shares(b"x", &a, &a);
         assert_eq!(
-            double
-                .verify(&dir, &bytes, (a.signer, a.signer))
-                .unwrap_err(),
+            verify_shares(&double, &dir, b"x", (a.signer, a.signer)).unwrap_err(),
             SignatureError::DuplicateSigner
         );
     }
@@ -534,14 +424,11 @@ mod tests {
     #[test]
     fn double_signed_rejects_outsider() {
         let (a, b, c, dir) = setup();
-        let bytes = b"x".to_vec();
         // c adds the second share instead of b: destinations expecting pair
         // (a, b) must reject.
-        let double = SingleSigned::new((), &bytes, &a).with_share(&bytes, &c);
+        let double = shares(b"x", &a, &c);
         assert_eq!(
-            double
-                .verify(&dir, &bytes, (a.signer, b.signer))
-                .unwrap_err(),
+            verify_shares(&double, &dir, b"x", (a.signer, b.signer)).unwrap_err(),
             SignatureError::MissingCoSignature
         );
     }
@@ -549,27 +436,18 @@ mod tests {
     #[test]
     fn double_signed_rejects_tampered_content() {
         let (a, b, _, dir) = setup();
-        let bytes = b"original".to_vec();
-        let double = SingleSigned::new((), &bytes, &a).with_share(&bytes, &b);
-        assert!(double
-            .verify(&dir, b"forged", (a.signer, b.signer))
-            .is_err());
+        let double = shares(b"original", &a, &b);
+        assert!(verify_shares(&double, &dir, b"forged", (a.signer, b.signer)).is_err());
     }
 
     #[test]
     fn double_signed_rejects_mixed_and_matched_signatures() {
         let (a, b, _, dir) = setup();
-        let bytes1 = b"message one".to_vec();
-        let bytes2 = b"message two".to_vec();
-        let d1 = SingleSigned::new((), &bytes1, &a).with_share(&bytes1, &b);
-        let d2 = SingleSigned::new((), &bytes2, &a).with_share(&bytes2, &b);
+        let d1 = shares(b"message one", &a, &b);
+        let d2 = shares(b"message two", &a, &b);
         // Splice b's share of message two onto message one.
-        let spliced = DoubleSigned {
-            content: (),
-            first: d1.first.clone(),
-            second: d2.second.clone(),
-        };
-        assert!(spliced.verify(&dir, &bytes1, (a.signer, b.signer)).is_err());
+        let spliced = (d1.0, d2.1);
+        assert!(verify_shares(&spliced, &dir, b"message one", (a.signer, b.signer)).is_err());
     }
 
     #[test]
@@ -586,12 +464,8 @@ mod tests {
             SignatureError::Invalid
         );
         // And cannot make a convincing double-signed message either.
-        let fake = DoubleSigned {
-            content: (),
-            first: forged,
-            second: Signature::sign(&b, &bytes),
-        };
-        assert!(fake.verify(&dir, &bytes, (a.signer, b.signer)).is_err());
+        let fake = (forged, Signature::sign(&b, &bytes));
+        assert!(verify_shares(&fake, &dir, &bytes, (a.signer, b.signer)).is_err());
     }
 
     #[test]
@@ -669,42 +543,42 @@ mod tests {
         let (a, b, _, dir) = setup();
         // The longest statement, 54 bytes, shared by both signers.
         let content: Vec<u8> = (0..54u8).collect();
-        let double = SingleSigned::new((), &content, &a).with_share(&content, &b);
+        let double = shares(&content, &a, &b);
         let pair = (a.signer, b.signer);
         // The untouched message hits: both tags were memoised by signing.
-        for (sig, key) in [(&double.first, &a), (&double.second, &b)] {
+        for (sig, key) in [(&double.0, &a), (&double.1, &b)] {
             assert!(memo_matches(
                 &(sig.signer, key.hmac().fingerprint(), sig.tag),
                 &content
             ));
         }
-        assert!(double.verify(&dir, &content, pair).is_ok());
+        assert!(verify_shares(&double, &dir, &content, pair).is_ok());
         for flip in 0..content.len() {
             let mut forged = content.clone();
             forged[flip] ^= 0x40;
             assert_eq!(
-                double.first.verify(&dir, &forged),
+                double.0.verify(&dir, &forged),
                 Err(SignatureError::Invalid),
                 "byte {flip}"
             );
             assert_eq!(
-                double.verify(&dir, &forged, pair),
+                verify_shares(&double, &dir, &forged, pair),
                 Err(SignatureError::Invalid)
             );
             assert_eq!(
-                Signature::verify_batch(&[&double.first, &double.second], &dir, &forged),
+                Signature::verify_batch(&[&double.0, &double.1], &dir, &forged),
                 Err(SignatureError::Invalid)
             );
         }
         // A truncated message is a different message.
         assert_eq!(
-            double.first.verify(&dir, &content[..53]),
+            double.0.verify(&dir, &content[..53]),
             Err(SignatureError::Invalid)
         );
         // Forgetting the memo changes no verdict.
         VERIFY_MEMO.with(|memo| *memo.borrow_mut() = VerifyMemoStore::default());
-        assert!(double.verify(&dir, &content, pair).is_ok());
-        assert!(double.first.verify_uncached(&dir, &content).is_ok());
+        assert!(verify_shares(&double, &dir, &content, pair).is_ok());
+        assert!(double.0.verify_uncached(&dir, &content).is_ok());
         // A longer message verifies all the same, and is not remembered.
         let long = vec![7u8; MEMO_MESSAGE_MAX + 1];
         let sig = Signature::sign(&a, &long);
@@ -720,22 +594,10 @@ mod tests {
     fn signatures_made_counts_signing_only() {
         let (a, b, _, dir) = setup();
         let before = signatures_made();
-        let double = SingleSigned::new((), b"m", &a).with_share(b"m", &b);
+        let double = shares(b"m", &a, &b);
         assert_eq!(signatures_made() - before, 2);
-        assert!(double.verify(&dir, b"m", (a.signer, b.signer)).is_ok());
-        assert!(double.first.verify_uncached(&dir, b"m").is_ok());
+        assert!(verify_shares(&double, &dir, b"m", (a.signer, b.signer)).is_ok());
+        assert!(double.0.verify_uncached(&dir, b"m").is_ok());
         assert_eq!(signatures_made() - before, 2);
-    }
-
-    #[test]
-    fn map_keeps_signatures() {
-        let (a, b, _, _) = setup();
-        let bytes = b"content".to_vec();
-        let double = SingleSigned::new(5u32, &bytes, &a).with_share(&bytes, &b);
-        let mapped = double.clone().map(|v| v as u64 + 1);
-        assert_eq!(mapped.content, 6u64);
-        assert_eq!(mapped.first, double.first);
-        assert_eq!(mapped.second, double.second);
-        assert_eq!(double.into_content(), 5u32);
     }
 }

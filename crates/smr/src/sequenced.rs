@@ -1242,7 +1242,7 @@ mod tests {
 
     /// Routes machine outputs through an in-order network until quiescence
     /// and returns the machines for inspection.
-    fn run_to_quiescence(machines: &mut [SequencedKv], mut queue: Vec<(MemberId, MachineOutput)>) {
+    fn run_until_drained(machines: &mut [SequencedKv], mut queue: Vec<(MemberId, MachineOutput)>) {
         while let Some((src, output)) = queue.pop() {
             match output.dest {
                 Endpoint::Peer(dest) => {
@@ -1279,7 +1279,7 @@ mod tests {
                 queue.extend(out.into_iter().map(|o| (MemberId(m), o)));
             }
         }
-        run_to_quiescence(&mut machines, queue);
+        run_until_drained(&mut machines, queue);
         assert_eq!(machines[0].delivered().len(), 12);
         for m in &machines[1..] {
             assert_eq!(m.delivered(), machines[0].delivered());
@@ -1500,7 +1500,7 @@ mod tests {
             SmrUpcall::from_wire(&out[1].bytes).unwrap(),
             SmrUpcall::Batch(ref b) if b.entries.len() == 4
         ));
-        run_to_quiescence(&mut machines, vec![(MemberId(0), out[0].clone())]);
+        run_until_drained(&mut machines, vec![(MemberId(0), out[0].clone())]);
         assert_eq!(machines[1].delivered(), machines[0].delivered());
         assert_eq!(machines[1].state_digest(), machines[0].state_digest());
     }
@@ -1566,7 +1566,7 @@ mod tests {
                 };
                 let out = machines[1].handle(&MachineInput::from_app(frame.to_wire()));
                 let queue = out.into_iter().map(|o| (MemberId(1), o)).collect();
-                run_to_quiescence(&mut machines, queue);
+                run_until_drained(&mut machines, queue);
                 seq += n;
             }
             machines
@@ -1588,7 +1588,7 @@ mod tests {
                 queue.extend(out.into_iter().map(|o| (MemberId(m), o)));
             }
         }
-        run_to_quiescence(machines, queue);
+        run_until_drained(machines, queue);
     }
 
     #[test]
@@ -1606,7 +1606,7 @@ mod tests {
         assert!(machines[2].delivered().is_empty());
         let out = machines[2].handle(&MachineInput::from_app(SmrClientMsg::Recover.to_wire()));
         assert!(machines[2].is_recovering());
-        run_to_quiescence(
+        run_until_drained(
             &mut machines,
             out.into_iter().map(|o| (MemberId(2), o)).collect(),
         );
@@ -1652,7 +1652,7 @@ mod tests {
             .handle(&MachineInput::from_peer(MemberId(1), submit.to_wire()))
             .is_empty());
 
-        run_to_quiescence(
+        run_until_drained(
             &mut machines,
             recovery.into_iter().map(|o| (MemberId(0), o)).collect(),
         );
@@ -1681,7 +1681,7 @@ mod tests {
         // carry nothing new but still clear the recovery flag, and the
         // rejoin still bumps the view.
         let out = machines[1].handle(&MachineInput::from_app(SmrClientMsg::Recover.to_wire()));
-        run_to_quiescence(
+        run_until_drained(
             &mut machines,
             out.into_iter().map(|o| (MemberId(1), o)).collect(),
         );
