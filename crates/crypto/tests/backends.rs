@@ -246,6 +246,60 @@ fn every_two_and_three_way_split_equals_one_shot() {
     }
 }
 
+/// The messages the protocol actually hashes, as `(what, header, body)`
+/// lengths: the signed statements, the candidate pair frame, the two
+/// benchmark bodies and the two external frames carrying them.
+const PROTOCOL_SHAPES: &[(&str, usize, usize)] = &[
+    ("fail-signal statement", 5, 0),
+    ("share statement", 22, 32),
+    ("candidate pair frame", 63, 32),
+    ("3 B body", 0, 3),
+    ("10 KiB body", 0, 10_240),
+    ("external frame, 3 B body", 103, 3),
+    ("external frame, 10 KiB body", 103, 10_240),
+];
+
+/// Every shape the protocol hashes gives the scalar oracle's digest and tag
+/// on every backend: one-shot, as `header ‖ body` in two `update`s, and in
+/// 1 KiB segments.
+#[test]
+fn protocol_shapes_hash_identically_on_both_backends() {
+    let key: Vec<u8> = (0..32u8).collect();
+    for &(what, header, body) in PROTOCOL_SHAPES {
+        let msg = pattern(header + body);
+        let digest = Sha256::digest_with_backend(CompressBackend::Scalar, &msg);
+        let tag = HmacKey::new_with_backend(CompressBackend::Scalar, &key).mac(&msg);
+        for backend in BACKENDS {
+            assert_eq!(
+                Sha256::digest_with_backend(backend, &msg),
+                digest,
+                "{what}, {backend:?}"
+            );
+            let hmac = HmacKey::new_with_backend(backend, &key);
+            assert_eq!(hmac.mac(&msg), tag, "{what}, {backend:?}");
+
+            let (head, tail) = msg.split_at(header);
+            let mut h = Sha256::new_with_backend(backend);
+            let mut m = hmac.hasher();
+            h.update(head);
+            h.update(tail);
+            m.update(head);
+            m.update(tail);
+            assert_eq!(h.finalize(), digest, "{what}, {backend:?}, two updates");
+            assert_eq!(m.finalize(), tag, "{what}, {backend:?}, two updates");
+
+            let mut h = Sha256::new_with_backend(backend);
+            let mut m = hmac.hasher();
+            for segment in msg.chunks(1024) {
+                h.update(segment);
+                m.update(segment);
+            }
+            assert_eq!(h.finalize(), digest, "{what}, {backend:?}, 1 KiB segments");
+            assert_eq!(m.finalize(), tag, "{what}, {backend:?}, 1 KiB segments");
+        }
+    }
+}
+
 #[test]
 fn digest_batch_matches_sequential_on_every_backend() {
     // Mixed lengths force the SIMD path through its group-by-length and
