@@ -2,17 +2,16 @@
 //!
 //! The paper signs middleware outputs with "MD5 using RSA encryption" through
 //! the Java security package (§4).  This suite substitutes keyed
-//! authenticators for public-key signatures (see DESIGN.md §5): assumption A5
-//! only requires that a correct node's signed messages cannot be generated or
-//! undetectably altered by another node, which HMAC over a per-signer secret
-//! provides in the simulated setting where verifiers obtain verification keys
-//! from a trusted [`crate::keys::KeyDirectory`].
+//! authenticators for public-key signatures: assumption A5 only requires
+//! that a correct node's signed messages cannot be generated or undetectably
+//! altered by another node, which HMAC over a per-signer secret provides in
+//! the simulated setting where verifiers obtain verification keys from a
+//! trusted [`crate::keys::KeyDirectory`].  What the simulated clock is
+//! charged for the paper's scheme is in [`crate::cost`]'s module docs; what
+//! is signed, in the README's "Signature shares" paragraph (under
+//! Performance).
 
-use crate::sha256::{
-    compress_blocks, compress_with_schedule, ct_eq, expand_schedule, state_to_digest,
-    CompressBackend, Digest, Sha256, BLOCK_LEN, DIGEST_LEN,
-};
-use crate::{shani, simd};
+use crate::sha256::{ct_eq, CompressBackend, Digest, Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// The length of an HMAC-SHA-256 tag in bytes.
 pub const TAG_LEN: usize = DIGEST_LEN;
@@ -100,32 +99,6 @@ impl HmacKey {
         ct_eq(self.mac(data).as_bytes(), tag)
     }
 
-    /// Computes the tags of `message` under every key in `keys` in one pass
-    /// (one message schedule expansion shared across the whole batch).
-    ///
-    /// `result[i]` is the tag under `keys[i]`; equivalent to calling
-    /// [`HmacKey::mac`] per key, and several times faster on the SIMD
-    /// backend's lane kernels (on a SHA-extensions CPU it *is* one
-    /// sequential kernel pass per key — see [`MacSchedule`]).
-    pub fn mac_batch(keys: &[&HmacKey], message: &[u8]) -> Vec<Digest> {
-        MacSchedule::new(message).mac_batch(keys)
-    }
-
-    /// Verifies `tags[i]` over `message` under `keys[i]` for every index in
-    /// constant time, sharing the message schedule across the batch.
-    ///
-    /// Per-index verdicts: `result[i]` reports on input `i` only; a bad tag
-    /// at one index never masks a good one elsewhere.  `keys` and `tags`
-    /// must have equal length.
-    pub fn verify_batch(keys: &[&HmacKey], message: &[u8], tags: &[&[u8]]) -> Vec<bool> {
-        assert_eq!(keys.len(), tags.len(), "one tag per key");
-        Self::mac_batch(keys, message)
-            .iter()
-            .zip(tags)
-            .map(|(expected, tag)| ct_eq(expected.as_bytes(), tag))
-            .collect()
-    }
-
     /// A 64-bit fingerprint identifying this key (derived from the
     /// precomputed inner state, so no extra hashing).  Two distinct keys
     /// collide with negligible probability; the signature layer uses this to
@@ -134,176 +107,6 @@ impl HmacKey {
     pub fn fingerprint(&self) -> u64 {
         self.inner.state_fingerprint()
     }
-}
-
-/// A message's precomputed inner-hash schedules, reusable across HMAC keys.
-///
-/// The SHA-256 message schedule depends only on the block bytes — never on
-/// the chaining state — and the HMAC inner hash absorbs the message at a
-/// block-aligned offset (right after the ipad block).  Both facts together
-/// mean the *entire* inner-hash schedule for one message (full blocks and
-/// the padded tail) is identical for every key, so it can be expanded once
-/// and replayed against each key's precomputed inner state.  Schedule
-/// expansion is roughly a third of the compress work; on the SIMD backend
-/// the remaining per-key rounds also run 4/8 keys lane-parallel, which is
-/// where the batch-verify speedup (`crypto.verify_batch8_ns_per_mac` against
-/// `crypto.verify_ns` in `benchmark/`) comes from.
-///
-/// None of that pays on a CPU with the SHA extensions, whose sequential
-/// kernel hashes a block faster than a precomputed schedule can be replayed:
-/// there (and on the scalar oracle backend) no schedule is expanded and
-/// every MAC is one sequential pass under the key — same tags, same API.
-///
-/// # Examples
-///
-/// ```
-/// use fs_crypto::hmac::{HmacKey, MacSchedule};
-///
-/// let keys: Vec<HmacKey> = (0..3).map(|i| HmacKey::new(&[i as u8; 16])).collect();
-/// let refs: Vec<&HmacKey> = keys.iter().collect();
-/// let schedule = MacSchedule::new(b"one message, n authenticators");
-/// let tags = schedule.mac_batch(&refs);
-/// for (key, tag) in keys.iter().zip(&tags) {
-///     assert_eq!(*tag, key.mac(b"one message, n authenticators"));
-/// }
-/// ```
-pub struct MacSchedule<'m> {
-    message: &'m [u8],
-    /// Expanded schedules for every post-ipad inner-hash block: the full
-    /// message blocks, then the padded tail block(s).  Empty in sequential
-    /// mode (scalar oracle backend, or a SHA-extensions CPU), where every
-    /// MAC takes the per-key incremental path instead.
-    schedules: Vec<[u32; 64]>,
-}
-
-impl<'m> MacSchedule<'m> {
-    /// Expands the inner-hash schedule for `message` on the process's active
-    /// backend.
-    pub fn new(message: &'m [u8]) -> Self {
-        Self::new_with_backend(CompressBackend::active(), message)
-    }
-
-    /// [`MacSchedule::new`] pinned to an explicit backend.
-    pub fn new_with_backend(backend: CompressBackend, message: &'m [u8]) -> Self {
-        let lanes = backend != CompressBackend::Scalar && !shani::available();
-        Self::build(lanes, message)
-    }
-
-    /// Builds the schedule in lane mode (`lanes`: expand every block once)
-    /// or in sequential mode (no precompute).
-    fn build(lanes: bool, message: &'m [u8]) -> Self {
-        let mut schedule = Self {
-            message,
-            schedules: Vec::new(),
-        };
-        if !lanes {
-            return schedule;
-        }
-        let full = message.len() - message.len() % BLOCK_LEN;
-        schedule.schedules.reserve(full / BLOCK_LEN + 2);
-        for block in message[..full].chunks_exact(BLOCK_LEN) {
-            schedule.schedules.push(expand_schedule(block));
-        }
-        // The inner hash has already absorbed the 64-byte ipad block, so its
-        // total length — and therefore the padding — covers 64 + len bytes.
-        let rem = message.len() - full;
-        let tail_total = if rem + 1 + 8 <= BLOCK_LEN {
-            BLOCK_LEN
-        } else {
-            2 * BLOCK_LEN
-        };
-        let bit_len = ((BLOCK_LEN + message.len()) as u64).wrapping_mul(8);
-        let mut padded = [0u8; 2 * BLOCK_LEN];
-        padded[..rem].copy_from_slice(&message[full..]);
-        padded[rem] = 0x80;
-        padded[tail_total - 8..tail_total].copy_from_slice(&bit_len.to_be_bytes());
-        for block in padded[..tail_total].chunks_exact(BLOCK_LEN) {
-            schedule.schedules.push(expand_schedule(block));
-        }
-        schedule
-    }
-
-    /// Sequential mode: nothing was precomputed (a padded message always
-    /// has at least one tail schedule otherwise).
-    fn sequential(&self) -> bool {
-        self.schedules.is_empty()
-    }
-
-    /// Computes the tag under one key, replaying the precomputed schedules
-    /// against the key's inner state.
-    pub fn mac(&self, key: &HmacKey) -> Digest {
-        if self.sequential() {
-            return key.mac(self.message);
-        }
-        let mut state = key.inner.state();
-        for w in &self.schedules {
-            compress_with_schedule(&mut state, w);
-        }
-        outer_finalize(key, &state_to_digest(&state))
-    }
-
-    /// Computes the tag under every key — lane-parallel over the shared
-    /// schedule, or one sequential pass per key in sequential mode.
-    ///
-    /// `result[i]` is the tag under `keys[i]`.
-    pub fn mac_batch(&self, keys: &[&HmacKey]) -> Vec<Digest> {
-        if self.sequential() {
-            return keys.iter().map(|k| self.mac(k)).collect();
-        }
-        let mut out = Vec::with_capacity(keys.len());
-        let mut rest = keys;
-        while rest.len() >= 8 {
-            out.extend(self.mac_lanes::<8>(rest));
-            rest = &rest[8..];
-        }
-        if rest.len() >= 4 {
-            out.extend(self.mac_lanes::<4>(rest));
-            rest = &rest[4..];
-        }
-        for key in rest {
-            out.push(self.mac(key));
-        }
-        out
-    }
-
-    /// One lane-parallel group: shared schedule into `N` per-key inner
-    /// states, then `N` per-key outer finalizations in one wide pass.
-    fn mac_lanes<const N: usize>(&self, keys: &[&HmacKey]) -> [Digest; N] {
-        let mut states: [[u32; 8]; N] = core::array::from_fn(|l| keys[l].inner.state());
-        for w in &self.schedules {
-            simd::compress_wide_shared(&mut states, w);
-        }
-        let blocks: [[u8; BLOCK_LEN]; N] =
-            core::array::from_fn(|l| outer_tail_block(&state_to_digest(&states[l])));
-        let mut outer_states: [[u32; 8]; N] = core::array::from_fn(|l| keys[l].outer.state());
-        simd::compress_wide(
-            &mut outer_states,
-            core::array::from_fn(|l| blocks[l].as_slice()),
-        );
-        core::array::from_fn(|l| state_to_digest(&outer_states[l]))
-    }
-}
-
-/// The single final block of the HMAC outer hash: the 32-byte inner digest,
-/// the 0x80 terminator, and the 768-bit total length (64-byte opad block +
-/// 32-byte digest).
-#[inline]
-fn outer_tail_block(inner_digest: &Digest) -> [u8; BLOCK_LEN] {
-    let mut block = [0u8; BLOCK_LEN];
-    block[..DIGEST_LEN].copy_from_slice(inner_digest.as_bytes());
-    block[DIGEST_LEN] = 0x80;
-    let bit_len = ((BLOCK_LEN + DIGEST_LEN) as u64).wrapping_mul(8);
-    block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
-    block
-}
-
-/// Finishes an HMAC from a computed inner digest: one compression of the
-/// outer tail block from the key's precomputed opad state.
-#[inline]
-fn outer_finalize(key: &HmacKey, inner_digest: &Digest) -> Digest {
-    let mut state = key.outer.state();
-    compress_blocks(&mut state, &outer_tail_block(inner_digest));
-    state_to_digest(&state)
 }
 
 /// An HMAC-SHA-256 keyed hasher.
@@ -515,53 +318,5 @@ mod tests {
         tag[0] ^= 1;
         assert!(!key.verify(b"m", &tag));
         assert!(!key.verify(b"m", &tag[..16]));
-    }
-
-    #[test]
-    fn mac_batch_matches_per_key_on_every_backend() {
-        // 11 keys exercises the 8-lane, 4-lane (via the 3 leftovers → no,
-        // 11 = 8 + 3 singles) and scalar-remainder grouping.
-        let keys: Vec<HmacKey> = (0..11u8).map(|i| HmacKey::new(&[i + 1; 20])).collect();
-        let refs: Vec<&HmacKey> = keys.iter().collect();
-        for len in [0usize, 3, 55, 56, 63, 64, 65, 127, 128, 129, 1000] {
-            let msg: Vec<u8> = (0..len).map(|x| (x % 251) as u8).collect();
-            for backend in [CompressBackend::Scalar, CompressBackend::Simd] {
-                let schedule = MacSchedule::new_with_backend(backend, &msg);
-                let tags = schedule.mac_batch(&refs);
-                assert_eq!(tags.len(), keys.len());
-                for (key, tag) in keys.iter().zip(&tags) {
-                    assert_eq!(*tag, key.mac(&msg), "len {len}, backend {backend:?}");
-                }
-                assert_eq!(schedule.mac(&keys[0]), keys[0].mac(&msg));
-            }
-        }
-    }
-
-    #[test]
-    fn verify_batch_reports_per_index() {
-        let keys: Vec<HmacKey> = (0..6u8).map(|i| HmacKey::new(&[i + 10; 16])).collect();
-        let refs: Vec<&HmacKey> = keys.iter().collect();
-        let msg = b"per-index verdicts";
-        let mut tags: Vec<Digest> = HmacKey::mac_batch(&refs, msg);
-        tags[2].0[0] ^= 1;
-        tags[5].0[31] ^= 0x80;
-        let tag_refs: Vec<&[u8]> = tags.iter().map(|t| t.as_bytes().as_slice()).collect();
-        let verdicts = HmacKey::verify_batch(&refs, msg, &tag_refs);
-        assert_eq!(verdicts, [true, true, false, true, true, false]);
-    }
-
-    /// Lane mode gives the tags of the sequential path (built directly: on
-    /// a SHA-extensions host the public constructors never choose it).
-    #[test]
-    fn lane_mode_matches_sequential_mode() {
-        let keys: Vec<HmacKey> = (0..9u8).map(|i| HmacKey::new(&[i + 3; 24])).collect();
-        let refs: Vec<&HmacKey> = keys.iter().collect();
-        for len in (0..=200).chain([10_240]) {
-            let msg: Vec<u8> = (0..len).map(|x| (x % 251) as u8).collect();
-            let expected: Vec<Digest> = keys.iter().map(|k| k.mac(&msg)).collect();
-            let schedule = MacSchedule::build(true, &msg);
-            assert_eq!(schedule.mac_batch(&refs), expected, "len {len}");
-            assert_eq!(schedule.mac(&keys[0]), expected[0], "len {len}");
-        }
     }
 }

@@ -6,43 +6,35 @@
 //! a cost model that charges the simulated clock for the (much more
 //! expensive) signature scheme the original paper used.
 //!
-//! See DESIGN.md §5 for the substitution rationale: the paper's assumption A5
-//! only requires unforgeable, verifiable message signatures, which the keyed
-//! authenticators provide in the simulated/threaded deployments where
-//! verification keys are distributed through a trusted directory at start-up.
+//! The substitution rationale is in [`cost`]'s module docs: the paper's
+//! assumption A5 only requires unforgeable, verifiable message signatures,
+//! which the keyed authenticators provide in the simulated/threaded
+//! deployments where verification keys are distributed through a trusted
+//! directory at start-up, and the simulated clock is still charged for the
+//! paper's scheme.
 //!
 //! ## Compression backends
 //!
-//! SHA-256 compression is pluggable behind [`sha256::CompressBackend`]:
-//! `Scalar` (the original path, kept as the differential oracle) and `Simd`
-//! (the default), which means "the best kernel this CPU has" — detected at
-//! run time, never configured: the x86-64 SHA extensions where present,
-//! otherwise the portable multi-block loop for sequential hashing plus
-//! portable lane-parallel 4-way/8-way compression (compiled under AVX2 where
-//! available) for the batch APIs — see the table in [`sha256`] and
-//! [`sha256::kernel_name`].  Select process-wide with the
-//! `FS_CRYPTO_BACKEND` environment variable (`scalar` | `simd`; any other
-//! value aborts at first use) or per call site with the `*_with_backend`
-//! constructors.  Every backend and kernel computes the identical function,
-//! so the choice can affect host wall-clock only — never a simulated clock,
-//! trace, or digest.
+//! Every hasher runs "the best kernel this CPU has" — detected at run time,
+//! never configured: the x86-64 SHA extensions where present, otherwise the
+//! portable multi-block loop (see the table in [`sha256`] and
+//! [`sha256::kernel_name`]).  The original one-block-at-a-time path stays
+//! as the differential oracle, [`sha256::CompressBackend::Scalar`], reached
+//! only per call through the `*_with_backend` constructors; nothing selects
+//! it process-wide, and the crate reads no environment variable.  Every
+//! backend and kernel computes the identical function, so the choice can
+//! affect host wall-clock only — never a simulated clock, trace, or digest.
 //!
 //! ## Unsafe policy
 //!
-//! The crate is `#![deny(unsafe_code)]`.  Exactly two modules carry a scoped
-//! `#![allow(unsafe_code)]`, each with its safety argument in its module
-//! docs:
-//!
-//! * [`simd`] — an AVX2 recompilation of the *portable* lane loops (no
-//!   intrinsics), entered only after `is_x86_feature_detected!("avx2")`;
-//! * `shani` (crate-private) — the SHA-extensions kernel: CPU features
-//!   detected before every call, unaligned `loadu`/`storeu` accesses only,
-//!   input length a checked (`assert!`) multiple of 64, and everything
-//!   behind `cfg(target_arch = "x86_64")` — other targets compile the
-//!   portable path and no `unsafe` at all from that module.
-//!
-//! Both are differential-tested against the scalar oracle; neither has a
-//! Cargo feature or a switch of its own.
+//! The crate is `#![deny(unsafe_code)]`.  Exactly one module lifts that
+//! lint with a scoped inner `allow`, with its safety argument in its module
+//! docs: `shani` (crate-private), the SHA-extensions kernel — CPU features
+//! detected before every call, unaligned `loadu`/`storeu` accesses only,
+//! input length a checked (`assert!`) multiple of 64, and everything behind
+//! `cfg(target_arch = "x86_64")`, so other targets compile the portable
+//! path and no `unsafe` at all.  It is differential-tested against the
+//! scalar oracle and has no Cargo feature or switch of its own.
 //!
 //! ## Hash once, sign the digest
 //!
@@ -66,28 +58,9 @@
 //! A double-signed message is two independent signatures — *shares* — by
 //! the two distinct signers of a pair over the same statement; nothing is
 //! nested, and each signer signs exactly once.  [`sig`]'s module docs say
-//! why that proves what a counter-signature would.
-//!
-//! ## Batch verification contract
-//!
-//! One frame carries one message and *n* authenticators, so the batch APIs
-//! share the message schedule across keys and differ only in verdict shape:
-//!
-//! * **Per-index verdicts:** [`hmac::HmacKey::mac_batch`] and
-//!   [`hmac::HmacKey::verify_batch`] return one entry per input
-//!   (`Vec<Digest>` / `Vec<bool>`); index `i` always reports on input `i`.
-//! * **All-or-nothing:** [`sig::Signature::verify_batch`] returns `Ok(())`
-//!   only when *every* authenticator in the batch verifies, and otherwise
-//!   the error for the lowest-indexed failing entry — byte-for-byte the same
-//!   error the sequential `verify` loop would have produced first, so
-//!   callers can switch between the two without changing failure handling.
-//!
-//! Both compose with the host-side verify memo: a memo hit is answered
-//! before any batch schedule is assembled, so re-verification of an
-//! already-seen authenticator stays O(memo lookup) in a batch too.  (The two
-//! shares of a double-signed output are two MACs over at most 54 bytes —
-//! too little to amortise a batch schedule — and are checked as two
-//! sequential memoised [`sig::Signature::verify`] calls.)
+//! why that proves what a counter-signature would.  A destination checks
+//! them as two sequential memoised [`sig::Signature::verify`] calls, each a
+//! MAC over at most 54 bytes.
 //!
 //! ## Example
 //!
@@ -113,8 +86,8 @@
 //! assert!(follower_share.verify(&directory, &bytes).is_ok());
 //! ```
 
-// `deny` rather than `forbid`: the two sanctioned exceptions (`simd`,
-// `shani`) carry scoped `allow`s — see "Unsafe policy" above.
+// `deny` rather than `forbid`: the one sanctioned exception (`shani`)
+// carries a scoped `allow` — see "Unsafe policy" above.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -124,10 +97,9 @@ pub mod keys;
 pub mod sha256;
 mod shani;
 pub mod sig;
-pub mod simd;
 
 pub use cost::CryptoCostModel;
-pub use hmac::{HmacKey, HmacSha256, MacSchedule};
+pub use hmac::{HmacKey, HmacSha256};
 pub use keys::{provision, KeyDirectory, SignerId, SigningKey, VerifyingKey};
 pub use sha256::{CompressBackend, Digest, Sha256};
 pub use sig::Signature;

@@ -11,28 +11,27 @@
 //! Two [`CompressBackend`]s produce byte-identical digests:
 //!
 //! * [`CompressBackend::Scalar`] — the original one-block-at-a-time path,
-//!   kept as the differential oracle (`FS_CRYPTO_BACKEND=scalar` forces it
-//!   process-wide, which is how CI keeps it tested);
-//! * [`CompressBackend::Simd`] — the default: "the best kernel this CPU
-//!   has".  Which kernel that is gets detected at run time, never
-//!   configured ([`kernel_name`] reports it):
+//!   kept as the differential oracle and reached only per call
+//!   ([`Sha256::new_with_backend`], [`Sha256::digest_with_backend`],
+//!   [`crate::hmac::HmacKey::new_with_backend`]);
+//! * [`CompressBackend::Simd`] — what every other hasher uses: "the best
+//!   kernel this CPU has".  Which kernel that is gets detected at run time,
+//!   never configured ([`kernel_name`] reports it):
 //!
-//! | detected kernel | sequential hashing (`update`, `digest`, `HmacKey::mac`) | batch APIs ([`Sha256::digest_batch`], [`crate::hmac::MacSchedule`]) |
-//! |---|---|---|
-//! | `sha-ni` (x86-64 SHA extensions) | the `sha256rnds2` kernel, whole block runs straight from the input slice | one sequential kernel pass per key/message — faster than any lane layout on such a CPU |
-//! | `avx2-lanes` | portable multi-block loop (state in locals across the run, no per-block copy) | shared message schedule + 4/8-way `u32` lanes compiled under AVX2 (see [`crate::simd`]) |
-//! | `portable` (anything else, every non-x86-64 target) | portable multi-block loop | the same lane code at the target's baseline |
+//! | detected kernel | hashing (`update`, `digest`, `HmacKey::mac`) |
+//! |---|---|
+//! | `sha-ni` (x86-64 SHA extensions) | the `sha256rnds2` kernel, whole block runs straight from the input slice |
+//! | `portable` (anything else, every non-x86-64 target) | portable multi-block loop (state in locals across the run, no per-block copy) |
 //!
 //! Because every backend and kernel computes the same function, the choice
 //! can never change a simulation result — only host wall-clock.
 
 use core::fmt;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use serde::{Deserialize, Serialize};
 
-use crate::{shani, simd};
+use crate::shani;
 
 /// The size of a SHA-256 digest in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -54,135 +53,48 @@ pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-/// Which SHA-256 compression implementation the process uses.
+/// Which SHA-256 compression implementation a hasher uses.
 ///
 /// Both backends compute the identical function (the differential suite in
-/// `tests/backends.rs` proves byte-identity on boundary vectors and random
-/// inputs), so the choice only affects host wall-clock — never simulated
-/// clocks, traces or digests.
-///
-/// Selection: the first call to [`CompressBackend::active`] reads the
-/// `FS_CRYPTO_BACKEND` environment variable (`scalar` or `simd`).  Unset
-/// means [`CompressBackend::Simd`]; set to anything else aborts the process
-/// (exit code 2) naming the variable, the value and the accepted names — a
-/// typo must not silently run the accelerated path under a job that
-/// believes it pinned the oracle.  Tests and benchmarks can override per
-/// hasher ([`Sha256::new_with_backend`]) or process-wide
-/// ([`CompressBackend::set_process_default`]).
+/// `tests/backends.rs` proves byte-identity on boundary vectors, the shapes
+/// the protocol hashes and random inputs), so the choice only affects host
+/// wall-clock — never simulated clocks, traces or digests.  There is no
+/// process-wide switch: [`CompressBackend::Scalar`] is reached only through
+/// the `*_with_backend` constructors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompressBackend {
     /// One block at a time through the hasher's internal buffer — the
     /// original implementation, kept as the differential oracle.
     Scalar,
     /// The best kernel the running CPU has (see the module docs): the SHA
-    /// extensions where present, otherwise the portable multi-block loop
-    /// for sequential hashing plus lane-parallel compression for the batch
-    /// APIs.
+    /// extensions where present, otherwise the portable multi-block loop.
     Simd,
 }
 
-/// The environment variable that pins the process-wide backend.
-const BACKEND_ENV: &str = "FS_CRYPTO_BACKEND";
-
-/// Process-wide backend override: 0 = unset (read the environment on first
-/// use), otherwise `backend as u8 + 1`.
-static ACTIVE_BACKEND: AtomicU8 = AtomicU8::new(0);
-
 impl CompressBackend {
-    /// Parses a backend name as accepted by `FS_CRYPTO_BACKEND`.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(Self::Scalar),
-            "simd" => Some(Self::Simd),
-            _ => None,
-        }
-    }
-
-    /// Resolves the `FS_CRYPTO_BACKEND` setting: unset is the default, set
-    /// must parse.  `Err` carries the user-facing message.
-    fn from_env_value(value: Result<String, std::env::VarError>) -> Result<Self, String> {
-        let raw = match value {
-            Err(std::env::VarError::NotPresent) => return Ok(Self::Simd),
-            Err(std::env::VarError::NotUnicode(raw)) => raw.to_string_lossy().into_owned(),
-            Ok(raw) => match Self::parse(&raw) {
-                Some(backend) => return Ok(backend),
-                None => raw,
-            },
-        };
-        Err(format!(
-            "unknown {BACKEND_ENV} backend `{raw}` (expected one of: scalar, simd)"
-        ))
-    }
-
-    /// The backend newly constructed hashers use.
-    ///
-    /// Resolved once per process from `FS_CRYPTO_BACKEND` (default
-    /// [`CompressBackend::Simd`]; a set-but-unrecognised value exits with
-    /// code 2); subsequently a single atomic load.
+    /// The backend [`Sha256::new`], [`Sha256::digest`] and
+    /// [`crate::hmac::HmacKey::new`] use: always [`CompressBackend::Simd`].
     pub fn active() -> Self {
-        match ACTIVE_BACKEND.load(Ordering::Relaxed) {
-            0 => {
-                let resolved =
-                    Self::from_env_value(std::env::var(BACKEND_ENV)).unwrap_or_else(|message| {
-                        // Straight to the stream: `eprintln!` would land in
-                        // the test harness's capture buffer, which `exit`
-                        // discards — exactly where this message matters.
-                        use std::io::Write;
-                        let _ = writeln!(std::io::stderr(), "{message}");
-                        std::process::exit(2);
-                    });
-                ACTIVE_BACKEND.store(resolved.encode(), Ordering::Relaxed);
-                resolved
-            }
-            v => Self::decode(v),
-        }
-    }
-
-    /// Overrides the process-wide default backend.
-    ///
-    /// Intended for differential tests and benchmarks that compare backends
-    /// inside one process; deployments select via `FS_CRYPTO_BACKEND`
-    /// instead.  Only affects hashers (and [`crate::hmac::HmacKey`]s)
-    /// constructed after the call.
-    pub fn set_process_default(backend: Self) {
-        ACTIVE_BACKEND.store(backend.encode(), Ordering::Relaxed);
-    }
-
-    fn encode(self) -> u8 {
-        match self {
-            Self::Scalar => 1,
-            Self::Simd => 2,
-        }
-    }
-
-    fn decode(v: u8) -> Self {
-        match v {
-            1 => Self::Scalar,
-            _ => Self::Simd,
-        }
+        Self::Simd
     }
 }
 
 /// The kernel [`CompressBackend::Simd`] resolves to on the running CPU:
-/// `"sha-ni"`, `"avx2-lanes"` or `"portable"` (see the module docs).
-/// Reported by the benchmarks so numbers from different hosts are never
-/// compared as if they came from the same kernel.
+/// `"sha-ni"` or `"portable"` (see the module docs).  Reported by the
+/// benchmarks so numbers from different hosts are never compared as if they
+/// came from the same kernel.
 pub fn kernel_name() -> &'static str {
     if shani::available() {
         "sha-ni"
-    } else if simd::avx2_available() {
-        "avx2-lanes"
     } else {
         "portable"
     }
 }
 
 /// Expands one 64-byte block into the 64-entry message schedule (FIPS 180-4
-/// §6.2.2 step 1).  The schedule depends only on the block bytes — not on
-/// the chaining state — which is what the shared-schedule batch-MAC path
-/// exploits: one expansion serves every key verifying the same message.
+/// §6.2.2 step 1).
 #[inline]
-pub(crate) fn expand_schedule(block: &[u8]) -> [u32; 64] {
+fn expand_schedule(block: &[u8]) -> [u32; 64] {
     debug_assert_eq!(block.len(), BLOCK_LEN);
     let mut w = [0u32; 64];
     for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
@@ -202,7 +114,7 @@ pub(crate) fn expand_schedule(block: &[u8]) -> [u32; 64] {
 /// Runs the 64 compression rounds with an already-expanded message schedule
 /// and folds the result into `state` (FIPS 180-4 §6.2.2 steps 2–4).
 #[inline]
-pub(crate) fn compress_with_schedule(state: &mut [u32; 8], w: &[u32; 64]) {
+fn compress_with_schedule(state: &mut [u32; 8], w: &[u32; 64]) {
     let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
     for i in 0..64 {
         let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
@@ -245,13 +157,11 @@ fn count_blocks(data: &[u8]) {
     BLOCKS_COMPRESSED.with(|n| n.set(n.get() + (data.len() / BLOCK_LEN) as u64));
 }
 
-/// How many 64-byte blocks the calling thread has compressed so far through
-/// the sequential hashing paths: every [`Sha256`] update, digest and
-/// [`crate::hmac`] MAC, on either backend (the lane-parallel batch kernels
-/// of [`crate::simd`] are not counted).  Differences of this counter are
-/// how tests count hash passes where they cannot hide — e.g. that an
-/// ordered delivery of a 10 KiB payload costs no more than a stated number
-/// of full-content passes (`tests/hash_passes.rs`).
+/// How many 64-byte blocks the calling thread has compressed so far: every
+/// [`Sha256`] update, digest and [`crate::hmac`] MAC, on either backend.
+/// Differences of this counter are how tests count hash passes where they
+/// cannot hide — e.g. that an ordered delivery of a 10 KiB payload costs no
+/// more than a stated number of full-content passes (`tests/hash_passes.rs`).
 pub fn blocks_compressed() -> u64 {
     BLOCKS_COMPRESSED.with(Cell::get)
 }
@@ -263,7 +173,7 @@ pub fn blocks_compressed() -> u64 {
 /// (probed per call; the probe is one cached atomic load) and the portable
 /// multi-block loop otherwise.
 #[inline]
-pub(crate) fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
+fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
     count_blocks(data);
     if !shani::try_compress_blocks(state, data) {
         compress_blocks_portable(state, data);
@@ -434,11 +344,6 @@ impl Sha256 {
         }
     }
 
-    /// The current chaining state (only meaningful at a block boundary).
-    pub(crate) fn state(&self) -> [u32; 8] {
-        self.state
-    }
-
     /// Convenience one-shot digest.
     pub fn digest(data: &[u8]) -> Digest {
         Self::digest_with_backend(CompressBackend::active(), data)
@@ -472,60 +377,6 @@ impl Sha256 {
         tail[total - 8..total].copy_from_slice(&bit_len.to_be_bytes());
         compress_blocks(&mut state, &tail[..total]);
         state_to_digest(&state)
-    }
-
-    /// Hashes `messages.len()` independent messages in one pass.
-    ///
-    /// On the SIMD backend without the SHA extensions, equal-length messages
-    /// are grouped into 8-way (then 4-way) lanes whose message schedules are
-    /// expanded lane-wise and compressed together; the scalar backend, and
-    /// a CPU whose sequential kernel outruns the lanes, hash one message
-    /// after another.  Output order
-    /// matches input order and every digest equals
-    /// [`Sha256::digest`] of the same message on any backend.
-    pub fn digest_batch(messages: &[&[u8]]) -> Vec<Digest> {
-        Self::digest_batch_with_backend(CompressBackend::active(), messages)
-    }
-
-    /// [`Sha256::digest_batch`] on an explicit backend.
-    pub fn digest_batch_with_backend(backend: CompressBackend, messages: &[&[u8]]) -> Vec<Digest> {
-        if backend == CompressBackend::Scalar || shani::available() {
-            return messages
-                .iter()
-                .map(|m| Self::digest_with_backend(backend, m))
-                .collect();
-        }
-        let mut out = vec![Digest([0u8; DIGEST_LEN]); messages.len()];
-        // Lane-parallel compression requires every lane to run the same
-        // block count, so group the batch by message length.
-        let mut by_len: std::collections::BTreeMap<usize, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for (i, m) in messages.iter().enumerate() {
-            by_len.entry(m.len()).or_default().push(i);
-        }
-        for idxs in by_len.values() {
-            let mut rest: &[usize] = idxs;
-            while rest.len() >= 8 {
-                let digests =
-                    digest_equal_len_wide::<8>(core::array::from_fn(|l| messages[rest[l]]));
-                for (l, &i) in rest[..8].iter().enumerate() {
-                    out[i] = digests[l];
-                }
-                rest = &rest[8..];
-            }
-            if rest.len() >= 4 {
-                let digests =
-                    digest_equal_len_wide::<4>(core::array::from_fn(|l| messages[rest[l]]));
-                for (l, &i) in rest[..4].iter().enumerate() {
-                    out[i] = digests[l];
-                }
-                rest = &rest[4..];
-            }
-            for &i in rest {
-                out[i] = Self::digest_with_backend(CompressBackend::Simd, messages[i]);
-            }
-        }
-        out
     }
 
     /// Compresses a run of whole blocks on this hasher's backend: one block
@@ -641,47 +492,6 @@ impl Sha256 {
     }
 }
 
-/// Hashes `N` equal-length messages lane-parallel (message schedules
-/// expanded lane-wise, one set of 64 rounds for all `N` chains).
-fn digest_equal_len_wide<const N: usize>(messages: [&[u8]; N]) -> [Digest; N] {
-    let len = messages[0].len();
-    debug_assert!(messages.iter().all(|m| m.len() == len));
-    let mut states = [H0; N];
-    let full = len - len % BLOCK_LEN;
-    let mut off = 0;
-    while off < full {
-        simd::compress_wide(
-            &mut states,
-            core::array::from_fn(|l| &messages[l][off..off + BLOCK_LEN]),
-        );
-        off += BLOCK_LEN;
-    }
-    // Equal lengths mean every lane pads to the same block count, so the
-    // tails stay lane-parallel too.
-    let rem = len - full;
-    let total = if rem + 1 + 8 <= BLOCK_LEN {
-        BLOCK_LEN
-    } else {
-        2 * BLOCK_LEN
-    };
-    let bit_len = (len as u64).wrapping_mul(8);
-    let mut tails = [[0u8; 2 * BLOCK_LEN]; N];
-    for (l, tail) in tails.iter_mut().enumerate() {
-        tail[..rem].copy_from_slice(&messages[l][full..]);
-        tail[rem] = 0x80;
-        tail[total - 8..total].copy_from_slice(&bit_len.to_be_bytes());
-    }
-    let mut t = 0;
-    while t < total {
-        simd::compress_wide(
-            &mut states,
-            core::array::from_fn(|l| &tails[l][t..t + BLOCK_LEN]),
-        );
-        t += BLOCK_LEN;
-    }
-    core::array::from_fn(|l| state_to_digest(&states[l]))
-}
-
 /// Constant-time equality comparison of two byte slices.
 ///
 /// Returns `false` when the lengths differ.  Used for authenticator and
@@ -795,27 +605,6 @@ mod tests {
             // that reason; single-byte ones must hit the nibble table.
             assert_eq!(Digest::from_hex(&bad), None, "{bad_char:?}");
         }
-    }
-
-    #[test]
-    fn backend_environment_value_is_strict() {
-        use std::env::VarError;
-        let resolve = CompressBackend::from_env_value;
-        assert_eq!(
-            resolve(Err(VarError::NotPresent)),
-            Ok(CompressBackend::Simd)
-        );
-        assert_eq!(resolve(Ok("scalar".into())), Ok(CompressBackend::Scalar));
-        assert_eq!(resolve(Ok(" SIMD ".into())), Ok(CompressBackend::Simd));
-        // A typo, the empty string and the retired backend all refuse, and
-        // the message names the variable, the value and the accepted names.
-        for bad in ["scaler", "", "multiblock"] {
-            let message = resolve(Ok(bad.into())).unwrap_err();
-            assert!(message.contains("FS_CRYPTO_BACKEND"), "{message}");
-            assert!(message.contains(&format!("`{bad}`")), "{message}");
-            assert!(message.contains("scalar, simd"), "{message}");
-        }
-        assert!(resolve(Err(VarError::NotUnicode("\u{fffd}".into()))).is_err());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! ## Safety argument
 //!
-//! This is one of the crate's two `#![allow(unsafe_code)]` modules (the other
-//! is [`crate::simd`]).  The single safe entry point,
+//! This is the crate's one `#![allow(unsafe_code)]` module.  The single
+//! safe entry point,
 //! [`try_compress_blocks`], upholds everything the `unsafe` inside relies on:
 //!
 //! * **feature detected before call** — the `#[target_feature]` kernel is

@@ -36,7 +36,7 @@ use fs_common::SignatureError;
 
 use crate::hmac::HmacKey;
 use crate::keys::{KeyDirectory, SignerId, SigningKey};
-use crate::sha256::{ct_eq, Digest};
+use crate::sha256::Digest;
 
 /// Upper bound on the host-side verification memo entry count; reaching it
 /// clears the memo (the working set of in-flight messages is far smaller).
@@ -219,66 +219,11 @@ impl Signature {
         self.check_tag(directory.lookup(self.signer)?.hmac(), message)
     }
 
-    /// Verifies every signature in `sigs` over the same `message` — the
-    /// authenticator-vector shape: one message, *n* MACs — sharing the inner
-    /// message schedule across the batch and running the per-key rounds
-    /// lane-parallel on the SIMD backend.
-    ///
-    /// All-or-nothing contract: returns `Ok(())` only when every signature
-    /// verifies, and otherwise exactly the error a sequential
-    /// [`Signature::verify`] loop would have produced first.  Memo hits are
-    /// answered before any batch work is assembled, and a fully successful
-    /// batch seeds the memo like the sequential path would.
-    ///
-    /// # Errors
-    ///
-    /// See [`Signature::verify`].
-    pub fn verify_batch(
-        sigs: &[&Signature],
-        directory: &KeyDirectory,
-        message: &[u8],
-    ) -> Result<(), SignatureError> {
-        // Resolve keys and probe the memo in index order.  A lookup failure
-        // stops resolution (the sequential loop never looks past it), but
-        // lower-indexed misses must still be verified first: an Invalid
-        // among them takes precedence over the lookup error.
-        let mut miss_sigs: Vec<&Signature> = Vec::new();
-        let mut miss_keys: Vec<&HmacKey> = Vec::new();
-        let mut lookup_err = None;
-        for sig in sigs {
-            match directory.lookup(sig.signer) {
-                Err(e) => {
-                    lookup_err = Some(e);
-                    break;
-                }
-                Ok(key) => {
-                    let memo_key = (sig.signer, key.hmac().fingerprint(), sig.tag);
-                    if !memo_matches(&memo_key, message) {
-                        miss_sigs.push(sig);
-                        miss_keys.push(key.hmac());
-                    }
-                }
-            }
-        }
-        if !miss_sigs.is_empty() {
-            let expected = HmacKey::mac_batch(&miss_keys, message);
-            for (sig, tag) in miss_sigs.iter().zip(&expected) {
-                if !ct_eq(tag.as_bytes(), sig.tag.as_bytes()) {
-                    return Err(SignatureError::Invalid);
-                }
-            }
-            for (sig, key) in miss_sigs.iter().zip(&miss_keys) {
-                memo_insert((sig.signer, key.fingerprint(), sig.tag), message);
-            }
-        }
-        match lookup_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// [`Signature::verify_batch`] bypassing the host-side memo — the
-    /// benchmark's view of the true batched verification cost.
+    /// [`Signature::verify_uncached`] of every signature in `sigs` over the
+    /// same `message`, in index order: `Ok(())` only when every one
+    /// verifies, and otherwise the first error — so a lower-indexed
+    /// [`SignatureError::Invalid`] outranks a later
+    /// [`SignatureError::UnknownSigner`].  `benchmark/` times it per MAC.
     ///
     /// # Errors
     ///
@@ -288,27 +233,8 @@ impl Signature {
         directory: &KeyDirectory,
         message: &[u8],
     ) -> Result<(), SignatureError> {
-        let mut keys: Vec<&HmacKey> = Vec::with_capacity(sigs.len());
-        let mut lookup_err = None;
-        for sig in sigs {
-            match directory.lookup(sig.signer) {
-                Err(e) => {
-                    lookup_err = Some(e);
-                    break;
-                }
-                Ok(key) => keys.push(key.hmac()),
-            }
-        }
-        let expected = HmacKey::mac_batch(&keys, message);
-        for (sig, tag) in sigs.iter().zip(&expected) {
-            if !ct_eq(tag.as_bytes(), sig.tag.as_bytes()) {
-                return Err(SignatureError::Invalid);
-            }
-        }
-        match lookup_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        sigs.iter()
+            .try_for_each(|sig| sig.verify_uncached(directory, message))
     }
 }
 
@@ -477,17 +403,12 @@ mod tests {
             .map(|k| Signature::sign(k, &msg))
             .collect();
         let refs: Vec<&Signature> = sigs.iter().collect();
-        assert!(Signature::verify_batch(&refs, &dir, &msg).is_ok());
         assert!(Signature::verify_batch_uncached(&refs, &dir, &msg).is_ok());
 
         // A tampered tag anywhere fails the whole batch with Invalid.
         let mut bad = sigs.clone();
         bad[1].tag = crate::sha256::Sha256::digest(b"forged");
         let bad_refs: Vec<&Signature> = bad.iter().collect();
-        assert_eq!(
-            Signature::verify_batch(&bad_refs, &dir, &msg).unwrap_err(),
-            SignatureError::Invalid
-        );
         assert_eq!(
             Signature::verify_batch_uncached(&bad_refs, &dir, &msg).unwrap_err(),
             SignatureError::Invalid
@@ -499,7 +420,7 @@ mod tests {
         mixed[2].signer = SignerId(ProcessId(99));
         let mixed_refs: Vec<&Signature> = mixed.iter().collect();
         assert_eq!(
-            Signature::verify_batch(&mixed_refs, &dir, &msg).unwrap_err(),
+            Signature::verify_batch_uncached(&mixed_refs, &dir, &msg).unwrap_err(),
             SignatureError::Invalid
         );
 
@@ -508,10 +429,6 @@ mod tests {
         unknown[2].signer = SignerId(ProcessId(99));
         let unknown_refs: Vec<&Signature> = unknown.iter().collect();
         assert_eq!(
-            Signature::verify_batch(&unknown_refs, &dir, &msg).unwrap_err(),
-            SignatureError::UnknownSigner
-        );
-        assert_eq!(
             Signature::verify_batch_uncached(&unknown_refs, &dir, &msg).unwrap_err(),
             SignatureError::UnknownSigner
         );
@@ -519,8 +436,8 @@ mod tests {
 
     #[test]
     fn verify_batch_spans_many_keys() {
-        // Enough signers to exercise the 8-lane + 4-lane + remainder split
-        // below the signature layer.
+        // Thirteen signers over a 1 500-byte message, then one tampered tag
+        // at the end.
         let mut rng = DetRng::new(7);
         let procs: Vec<ProcessId> = (0..13).map(ProcessId).collect();
         let (keys, dir) = crate::keys::provision(procs.clone(), &mut rng);
@@ -529,11 +446,17 @@ mod tests {
             .iter()
             .map(|p| Signature::sign(&keys[&SignerId(*p)], &msg))
             .collect();
-        let refs: Vec<&Signature> = sigs.iter().collect();
-        // Uncached exercises the full batch computation regardless of the
-        // memo seeded by signing.
+        let mut refs: Vec<&Signature> = sigs.iter().collect();
         assert!(Signature::verify_batch_uncached(&refs, &dir, &msg).is_ok());
-        assert!(Signature::verify_batch(&refs, &dir, &msg).is_ok());
+        let forged = Signature {
+            tag: crate::sha256::Sha256::digest(b"forged"),
+            ..sigs[12].clone()
+        };
+        refs[12] = &forged;
+        assert_eq!(
+            Signature::verify_batch_uncached(&refs, &dir, &msg),
+            Err(SignatureError::Invalid)
+        );
     }
 
     /// A memo hit requires the exact bytes: flipping any one byte of a
@@ -563,10 +486,6 @@ mod tests {
             );
             assert_eq!(
                 verify_shares(&double, &dir, &forged, pair),
-                Err(SignatureError::Invalid)
-            );
-            assert_eq!(
-                Signature::verify_batch(&[&double.0, &double.1], &dir, &forged),
                 Err(SignatureError::Invalid)
             );
         }

@@ -8,15 +8,14 @@
 //!    one-block and two-block padding cliffs) plus long messages, with
 //!    expected digests produced by an independent implementation (Python's
 //!    `hashlib`/`hmac`), checked against *each* backend separately.
-//! 2. **Internal differential:** properties asserting the scalar and SIMD
-//!    paths byte-identical on random (message, key, batch size) inputs,
-//!    including the batch and suffixed (co-signature-shaped) APIs.  (The
-//!    kernels *under* the SIMD backend — SHA extensions vs the portable
-//!    loop — are compared directly in the crate's `sha256` unit tests,
-//!    which can reach both on one host.)
+//! 2. **Internal differential:** the scalar and SIMD paths byte-identical
+//!    on every message shape the protocol hashes and on random inputs,
+//!    one-shot, incremental and keyed.  (The kernels *under* the SIMD
+//!    backend — SHA extensions vs the portable loop — are compared directly
+//!    in the crate's `shani` unit tests, which can reach both on one host.)
 
-use fs_crypto::hmac::{HmacKey, MacSchedule};
-use fs_crypto::sha256::{CompressBackend, Digest, Sha256};
+use fs_crypto::hmac::HmacKey;
+use fs_crypto::sha256::{CompressBackend, Sha256};
 use proptest::prelude::*;
 
 const BACKENDS: [CompressBackend; 2] = [CompressBackend::Scalar, CompressBackend::Simd];
@@ -118,20 +117,6 @@ const HMAC_BOUNDARY_VECTORS: &[(usize, &str)] = &[
     ),
 ];
 
-/// The forced-backend CI job sets `FS_CRYPTO_BACKEND`; if the pin were not
-/// honoured the whole job would silently test the default path instead.
-#[test]
-fn environment_pin_is_honoured() {
-    match std::env::var("FS_CRYPTO_BACKEND") {
-        Ok(raw) => assert_eq!(
-            Some(CompressBackend::active()),
-            CompressBackend::parse(&raw),
-            "FS_CRYPTO_BACKEND={raw} must select exactly that backend"
-        ),
-        Err(_) => assert_eq!(CompressBackend::active(), CompressBackend::Simd),
-    }
-}
-
 #[test]
 fn boundary_vectors_on_every_backend() {
     for &(len, expected) in SHA256_BOUNDARY_VECTORS {
@@ -163,23 +148,12 @@ fn long_message_vectors_on_every_backend() {
 #[test]
 fn hmac_boundary_vectors_on_every_backend() {
     let key_bytes: Vec<u8> = (0..32u8).collect();
-    let key = HmacKey::new(&key_bytes);
     for &(len, expected) in HMAC_BOUNDARY_VECTORS {
         let msg = pattern(len);
-        // Cached-key path (whatever backend the key was built with)...
-        assert_eq!(key.mac(&msg).to_hex(), expected, "len {len}");
-        // ...and the shared-schedule path on each explicit backend, single
-        // and batched.
         for backend in BACKENDS {
-            let schedule = MacSchedule::new_with_backend(backend, &msg);
+            let key = HmacKey::new_with_backend(backend, &key_bytes);
             assert_eq!(
-                schedule.mac(&key).to_hex(),
-                expected,
-                "len {len}, backend {backend:?}"
-            );
-            let batch = schedule.mac_batch(&[&key]);
-            assert_eq!(
-                batch[0].to_hex(),
+                key.mac(&msg).to_hex(),
                 expected,
                 "len {len}, backend {backend:?}"
             );
@@ -300,23 +274,6 @@ fn protocol_shapes_hash_identically_on_both_backends() {
     }
 }
 
-#[test]
-fn digest_batch_matches_sequential_on_every_backend() {
-    // Mixed lengths force the SIMD path through its group-by-length and
-    // 8/4/scalar remainder logic.
-    let lens = [0usize, 1, 55, 56, 63, 64, 65, 127, 128, 129, 300, 300, 300];
-    let messages: Vec<Vec<u8>> = lens.iter().map(|&l| pattern(l)).collect();
-    let refs: Vec<&[u8]> = messages.iter().map(|m| m.as_slice()).collect();
-    let expected: Vec<Digest> = refs.iter().map(|m| Sha256::digest(m)).collect();
-    for backend in BACKENDS {
-        assert_eq!(
-            Sha256::digest_batch_with_backend(backend, &refs),
-            expected,
-            "backend {backend:?}"
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -325,26 +282,6 @@ proptest! {
     fn random_digests_agree(msg in proptest::collection::vec(any::<u8>(), 0..600)) {
         let scalar = Sha256::digest_with_backend(CompressBackend::Scalar, &msg);
         prop_assert_eq!(Sha256::digest_with_backend(CompressBackend::Simd, &msg), scalar);
-    }
-
-    /// Random (message, key, batch size) inputs: the batched MAC equals the
-    /// scalar per-key MAC on every backend, including the suffixed form.
-    #[test]
-    fn random_mac_batches_agree(
-        msg in proptest::collection::vec(any::<u8>(), 0..400),
-        key_seed in any::<u64>(),
-        batch in 1usize..13,
-    ) {
-        let keys: Vec<HmacKey> = (0..batch)
-            .map(|i| HmacKey::new(&(key_seed.wrapping_add(i as u64)).to_le_bytes()))
-            .collect();
-        let refs: Vec<&HmacKey> = keys.iter().collect();
-        // Scalar oracle: the original per-key incremental path.
-        let expected: Vec<Digest> = keys.iter().map(|k| k.mac(&msg)).collect();
-        for backend in BACKENDS {
-            let schedule = MacSchedule::new_with_backend(backend, &msg);
-            prop_assert_eq!(&schedule.mac_batch(&refs), &expected, "backend {:?}", backend);
-        }
     }
 
     /// Random chunked incremental hashing agrees with one-shot per backend.

@@ -13,7 +13,9 @@
 //! they always were; and the memoised digest is the SHA-256 of the bytes
 //! whichever way the memo answers.
 //! (What each way *costs*, and the memo's bounds, are unit-tested beside it.)
-//! CI runs this file under `FS_CRYPTO_BACKEND=scalar` too.
+//! That the scalar oracle hashes these shapes identically is
+//! `crates/crypto/tests/backends.rs`'s
+//! `protocol_shapes_hash_identically_on_both_backends`.
 
 use fs_smr_suite::common::id::{FsId, MemberId, ProcessId};
 use fs_smr_suite::common::rng::DetRng;
