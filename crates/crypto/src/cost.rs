@@ -9,8 +9,14 @@
 //! simulated clock.  The model is configurable so that the benchmark harness
 //! can run ablations (e.g. "what if signatures were free?").
 //!
+//! The substitution itself is sound because the paper's assumption A5 only
+//! asks that a correct node's signed messages can be neither forged nor
+//! undetectably altered by another node; HMAC under a per-signer secret
+//! gives that wherever verifiers take their keys from a trusted directory
+//! provisioned at start-up, as every deployment here does.
+//!
 //! The model was always hash-then-sign — one hash pass over the message
-//! (`hash_per_byte`, `hash_per_block`) plus a fixed operation on the digest
+//! (`hash_per_byte`) plus a fixed operation on the digest
 //! (`sign_fixed`, `verify_fixed`) — which is the scheme the paper names, and
 //! the shape the host-side authenticator has too: the fail-signal layer
 //! signs `header ‖ SHA-256(body)`, hashing a body once.
@@ -41,12 +47,7 @@ use fs_common::time::SimDuration;
 /// node.
 ///
 /// Costs are affine in the message size: a fixed per-operation cost plus a
-/// per-byte hashing cost plus an optional per-64-byte-block term
-/// (`base + per_byte * len + per_block * ceil(len / 64)`).  The per-block
-/// term models compress-function-granular implementations — a real SHA-256
-/// pays per block compressed, not per byte — so backend ablations can charge
-/// scalar vs SIMD hashing honestly.  It defaults to zero in every stock
-/// model, which keeps all historical simulated timings byte-identical.
+/// per-byte hashing cost (`base + per_byte * len`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CryptoCostModel {
     /// Fixed cost of producing a signature (the RSA private-key operation in
@@ -58,9 +59,6 @@ pub struct CryptoCostModel {
     /// Additional cost per byte hashed (applies to both signing and
     /// verification, covering the MD5/SHA pass over the message).
     pub hash_per_byte: SimDuration,
-    /// Additional cost per 64-byte compression block, charged for
-    /// `ceil(len / 64)` blocks per hash pass.  Zero in all stock models.
-    pub hash_per_block: SimDuration,
 }
 
 impl CryptoCostModel {
@@ -75,7 +73,6 @@ impl CryptoCostModel {
             sign_fixed: SimDuration::from_micros(1_500),
             verify_fixed: SimDuration::from_micros(200),
             hash_per_byte: SimDuration::from_nanos(40),
-            hash_per_block: SimDuration::ZERO,
         }
     }
 
@@ -85,7 +82,6 @@ impl CryptoCostModel {
             sign_fixed: SimDuration::ZERO,
             verify_fixed: SimDuration::ZERO,
             hash_per_byte: SimDuration::ZERO,
-            hash_per_block: SimDuration::ZERO,
         }
     }
 
@@ -96,36 +92,12 @@ impl CryptoCostModel {
             sign_fixed: SimDuration::from_micros(1),
             verify_fixed: SimDuration::from_micros(1),
             hash_per_byte: SimDuration::from_nanos(1),
-            hash_per_block: SimDuration::ZERO,
         }
     }
 
-    /// A model charging at compression-block granularity, calibrated to the
-    /// measured scalar backend (~200 MB/s ⇒ ~300 ns per 64-byte block): no
-    /// per-byte term, a fixed microsecond, and the whole payload-dependent
-    /// cost on the block term.
-    pub fn scalar_sha256() -> Self {
-        Self {
-            sign_fixed: SimDuration::from_micros(1),
-            verify_fixed: SimDuration::from_micros(1),
-            hash_per_byte: SimDuration::ZERO,
-            hash_per_block: SimDuration::from_nanos(300),
-        }
-    }
-
-    /// [`CryptoCostModel::scalar_sha256`] with the per-block cost scaled to
-    /// the lane-parallel SIMD backend's measured amortized throughput.
-    pub fn simd_sha256() -> Self {
-        Self {
-            hash_per_block: SimDuration::from_nanos(100),
-            ..Self::scalar_sha256()
-        }
-    }
-
-    /// The payload-dependent hashing cost over `len` bytes:
-    /// `per_byte * len + per_block * ceil(len / 64)`.
+    /// The payload-dependent hashing cost over `len` bytes.
     fn hash_cost(&self, len: usize) -> SimDuration {
-        self.hash_per_byte * len as u64 + self.hash_per_block * len.div_ceil(64) as u64
+        self.hash_per_byte * len as u64
     }
 
     /// CPU time to sign a message of `len` bytes.
@@ -197,9 +169,9 @@ mod tests {
         assert!(m.sign_cost(1024) < old.sign_cost(1024));
     }
 
-    /// The stock models must keep a zero block term and produce exactly the
-    /// pre-block-term affine costs, so every historical simulated timing is
-    /// byte-identical (the determinism suite depends on this).
+    /// The stock models charge exactly their affine costs, so every
+    /// historical simulated timing is byte-identical (the determinism suite
+    /// depends on this).
     #[test]
     fn stock_models_charge_exactly_the_legacy_affine_costs() {
         for m in [
@@ -207,7 +179,6 @@ mod tests {
             CryptoCostModel::free(),
             CryptoCostModel::modern_hmac(),
         ] {
-            assert_eq!(m.hash_per_block, SimDuration::ZERO);
             for len in [0usize, 3, 64, 65, 1024, 10_240] {
                 assert_eq!(
                     m.sign_cost(len),
@@ -223,26 +194,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn block_term_charges_ceil_len_over_64() {
-        let m = CryptoCostModel::scalar_sha256();
-        // Zero-length messages hash zero blocks.
-        assert_eq!(m.verify_cost(0), m.verify_fixed);
-        // 1..=64 bytes all occupy one block.
-        assert_eq!(m.verify_cost(1), m.verify_cost(64));
-        assert_eq!(m.verify_cost(64), m.verify_fixed + m.hash_per_block);
-        // The 65th byte starts a second block.
-        assert_eq!(m.verify_cost(65), m.verify_fixed + m.hash_per_block * 2);
-        assert_eq!(m.sign_cost(10_240), m.sign_fixed + m.hash_per_block * 160);
-    }
-
-    #[test]
-    fn simd_model_is_cheaper_per_block_than_scalar() {
-        let scalar = CryptoCostModel::scalar_sha256();
-        let simd = CryptoCostModel::simd_sha256();
-        assert!(simd.verify_cost(10_240) < scalar.verify_cost(10_240));
-        assert_eq!(simd.verify_fixed, scalar.verify_fixed);
     }
 }
