@@ -1,8 +1,9 @@
 //! Per-figure experiment drivers.
 //!
 //! Each function regenerates one figure of the paper's evaluation (§4) as a
-//! table of rows — one row per x-axis point per system — plus ablations
-//! called out in DESIGN.md.  Absolute values are those of the calibrated
+//! table of rows — one row per x-axis point per system — plus the ablations
+//! the README's ablation commands run (`ablation_nodes`, `ablation_signcost`,
+//! `ablation_suspicion`).  Absolute values are those of the calibrated
 //! simulation; the *shape* (who wins, by what rough factor, where the knee
 //! falls) is what reproduces the paper.
 

@@ -2,7 +2,9 @@
 //!
 //! The benchmark harness reproducing the paper's evaluation (§4): workload
 //! generation, deployment measurement, per-figure experiment drivers
-//! (Figures 6–8) and the ablations listed in DESIGN.md.
+//! (Figures 6–8) and the ablations (node budget, signature cost, suspicion
+//! aggressiveness) whose commands are in the README's "Regenerating the
+//! paper's figures".
 //!
 //! Regenerate the figures with:
 //!

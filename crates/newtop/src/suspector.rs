@@ -40,7 +40,9 @@ impl SuspectorConfig {
     }
 
     /// An aggressive setting with small timeouts, prone to false suspicions
-    /// when delays spike (used by the suspicion ablation, A2 in DESIGN.md).
+    /// when delays spike (used by the suspicion ablation,
+    /// `fs_bench::experiment::ablation_false_suspicion`; the README's
+    /// ablation commands run it).
     pub fn aggressive(timeout: SimDuration) -> Self {
         Self {
             enabled: true,
