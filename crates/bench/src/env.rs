@@ -1,12 +1,12 @@
-//! Strict environment-knob parsing shared by the figure drivers.
+//! Strict environment-knob parsing shared by the figure drivers and examples.
 //!
-//! The two `FS_BENCH_*` knobs (`FS_BENCH_MESSAGES`, `FS_BENCH_DEGRADED`)
-//! follow one contract: an *unset* knob takes its documented default, but a
-//! *set* knob must parse — a malformed value aborts the run with exit code 2
-//! and a message naming the knob, the offending value and the expected
-//! shape.  CI diffs the drivers' output against the committed figures, so a
-//! typo'd knob silently falling back to its default would compare the wrong
-//! run.
+//! The two `FS_BENCH_*` knobs (`FS_BENCH_MESSAGES`, `FS_BENCH_DEGRADED`) and
+//! the examples' `RR_*` and `A2_*` variables follow one contract: an *unset*
+//! knob takes its documented default, but a *set* knob must parse — a
+//! malformed value aborts the run with exit code 2 and a message naming the
+//! knob, the offending value and the expected shape.  CI diffs the drivers'
+//! output against the committed figures, so a typo'd knob silently falling
+//! back to its default would compare the wrong run.
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -56,6 +56,15 @@ pub fn env_flag(name: &str, default: bool) -> bool {
         Err(_) => default,
         Ok(raw) => parse_flag(name, &raw).unwrap_or_else(|m| fail(&m)),
     }
+}
+
+/// A comma-separated `u64` list knob, each item read as [`env_u64`] reads.
+pub fn env_u64_list(name: &str, default: &[u64]) -> Vec<u64> {
+    let Ok(raw) = std::env::var(name) else {
+        return default.to_vec();
+    };
+    let list: Result<_, _> = raw.split(',').map(|s| parse_scalar(name, s)).collect();
+    list.unwrap_or_else(|m| fail(&m))
 }
 
 #[cfg(test)]

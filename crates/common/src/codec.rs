@@ -716,8 +716,7 @@ pub trait Wire: Sized {
     /// Encodes `self` once into an immutable, refcount-shared buffer.
     ///
     /// The returned [`Bytes`] can be cloned per multicast recipient without
-    /// copying the frame; the encoding is byte-identical to the legacy
-    /// [`Wire::to_wire_vec`] path (the determinism tests pin this down).
+    /// copying the frame.
     fn to_wire(&self) -> Bytes {
         let mut enc = Encoder::with_capacity(self.encoded_len());
         self.encode(&mut enc);
@@ -734,15 +733,6 @@ pub trait Wire: Sized {
         let mut enc = Encoder::splicing(self.encoded_len());
         self.encode(&mut enc);
         enc.finish_frame()
-    }
-
-    /// Encodes `self` into a fresh byte vector (the pre-`Bytes` path, kept
-    /// for callers that need to mutate the frame and as the reference
-    /// encoding in the wire-format-freeze tests).
-    fn to_wire_vec(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        self.encode(&mut enc);
-        enc.finish_vec()
     }
 
     /// Decodes a value from `bytes`, requiring the whole buffer to be
@@ -1027,17 +1017,9 @@ mod tests {
 
     #[test]
     fn wire_rejects_trailing() {
-        let mut bytes = 7u64.to_wire_vec();
+        let mut bytes = 7u64.to_wire().to_vec();
         bytes.push(0);
         assert!(u64::from_wire(&bytes).is_err());
-    }
-
-    #[test]
-    fn to_wire_matches_to_wire_vec() {
-        let ids = vec![MsgId::new(ProcessId(1), 2), MsgId::new(ProcessId(3), 4)];
-        assert_eq!(ids.to_wire(), ids.to_wire_vec());
-        let v: Vec<u8> = (0..200).collect();
-        assert_eq!(v.to_wire(), v.to_wire_vec());
     }
 
     #[test]
@@ -1208,7 +1190,6 @@ mod tests {
         assert_eq!(decoded, large);
         assert!(decoded.body.same_view(&large.body));
         // A contiguous encoder copies, whatever the size.
-        assert_eq!(large.to_wire(), large.to_wire_vec());
         assert!(!Mixed::from_wire_shared(&large.to_wire())
             .unwrap()
             .body
@@ -1258,7 +1239,7 @@ mod tests {
     #[test]
     fn every_segmentation_fails_like_the_contiguous_bytes() {
         let value = mixed(23);
-        let wire = value.to_wire_vec();
+        let wire = value.to_wire().to_vec();
         let mut hostile: Vec<Vec<u8>> = Vec::new();
         // Truncated at every length, and with trailing bytes.
         for keep in 0..wire.len() {

@@ -26,7 +26,8 @@
 //! cargo run --release --example a2_violation
 //! ```
 //!
-//! Environment knobs (used by CI to keep the sweep small):
+//! Environment knobs (used by CI to keep the sweep small; a malformed value
+//! exits with code 2 naming the variable):
 //! `A2_DELAYS_MS` (comma-separated, default `0,50,400,1600`),
 //! `A2_TIMEOUTS_MS` (default `200`), `A2_MESSAGES` (default `30`).
 
@@ -34,6 +35,7 @@ use std::io::Write as _;
 
 use serde::Serialize;
 
+use fs_smr_suite::bench::env::{env_u64, env_u64_list};
 use fs_smr_suite::common::config::TimingAssumptions;
 use fs_smr_suite::common::id::MemberId;
 use fs_smr_suite::common::time::{SimDuration, SimTime};
@@ -77,25 +79,6 @@ struct Report {
     messages_per_member: u64,
     fault_onset_ms: u64,
     rows: Vec<Row>,
-}
-
-fn env_list(name: &str, default: &[u64]) -> Vec<u64> {
-    std::env::var(name)
-        .ok()
-        .map(|raw| {
-            raw.split(',')
-                .filter_map(|tok| tok.trim().parse().ok())
-                .collect()
-        })
-        .filter(|list: &Vec<u64>| !list.is_empty())
-        .unwrap_or_else(|| default.to_vec())
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|raw| raw.trim().parse().ok())
-        .unwrap_or(default)
 }
 
 fn workload(messages: u64) -> Workload {
@@ -225,8 +208,8 @@ fn fs_smr(
 }
 
 fn main() {
-    let delays = env_list("A2_DELAYS_MS", &[0, 50, 400, 1600]);
-    let timeouts = env_list("A2_TIMEOUTS_MS", &[200]);
+    let delays = env_u64_list("A2_DELAYS_MS", &[0, 50, 400, 1600]);
+    let timeouts = env_u64_list("A2_TIMEOUTS_MS", &[200]);
     let messages = env_u64("A2_MESSAGES", 30);
 
     let mut rows = Vec::new();

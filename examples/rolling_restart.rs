@@ -34,7 +34,8 @@
 //! cargo run --release --example rolling_restart
 //! ```
 //!
-//! Environment knobs (used by CI to keep the run small):
+//! Environment knobs (used by CI to keep the run small; a malformed value
+//! exits with code 2 naming the variable):
 //! `RR_MESSAGES` (per-member Poisson arrivals, default `140`),
 //! `RR_THREADED` (`0` skips the threaded run, default `1`),
 //! `RR_SEED` (default `2003`).
@@ -43,6 +44,7 @@ use std::io::Write as _;
 
 use serde::Serialize;
 
+use fs_smr_suite::bench::env::{env_flag, env_u64};
 use fs_smr_suite::common::id::MemberId;
 use fs_smr_suite::common::time::{SimDuration, SimTime};
 use fs_smr_suite::harness::{
@@ -107,13 +109,6 @@ struct Report {
     messages_per_member: u64,
     outage_ms: u64,
     rows: Vec<Row>,
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|raw| raw.trim().parse().ok())
-        .unwrap_or(default)
 }
 
 fn ms(d: SimDuration) -> f64 {
@@ -296,7 +291,7 @@ fn run_cell(
 
 fn main() {
     let messages = env_u64("RR_MESSAGES", 140);
-    let threaded = env_u64("RR_THREADED", 1) != 0;
+    let threaded = env_flag("RR_THREADED", true);
     let seed = env_u64("RR_SEED", 2003);
 
     let rolling = rolling_plan(messages, seed);

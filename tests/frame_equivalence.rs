@@ -3,9 +3,8 @@
 //! For every wire type of the fail-signal layer and of NewTOP:
 //!
 //! * `to_frame()` — which splices a large byte string in by refcount — holds
-//!   exactly the bytes of `to_wire()` and of the legacy `to_wire_vec()`, at
-//!   body lengths from empty to twice the splice size and at the paper's
-//!   10 240 bytes;
+//!   exactly the bytes of `to_wire()`, at body lengths from empty to twice
+//!   the splice size and at the paper's 10 240 bytes;
 //! * a frame cut into segments at *every* offset decodes to what
 //!   `from_wire_shared` makes of the contiguous bytes — the same value, or
 //!   the same `CodecError` for truncated, over-long and trailing-byte input.
@@ -194,9 +193,8 @@ fn with_every_wire_type(
 
 /// The type-erased checks one wire value can run on itself.
 trait Probe {
-    /// `to_frame`, `to_wire` and `to_wire_vec` hold the same bytes; a body
-    /// at or above the splice size travels by refcount and comes back as
-    /// the very same buffer.
+    /// `to_frame` and `to_wire` hold the same bytes; a body at or above the
+    /// splice size travels by refcount and comes back as the very same buffer.
     fn check_encodings(&self, spliced: Option<&Bytes>);
     /// Every segmentation of the value's own bytes, and of hostile variants
     /// of them, decodes like the contiguous bytes.
@@ -207,7 +205,6 @@ impl<T: Wire + PartialEq + Debug> Probe for T {
     fn check_encodings(&self, spliced: Option<&Bytes>) {
         let wire = self.to_wire();
         let frame = self.to_frame();
-        assert_eq!(&wire[..], &self.to_wire_vec()[..], "{self:?}");
         assert_eq!(frame.to_bytes(), wire, "{self:?}");
         assert_eq!(frame, wire);
         assert_eq!(frame.len(), wire.len());
@@ -227,7 +224,7 @@ impl<T: Wire + PartialEq + Debug> Probe for T {
     }
 
     fn check_segmentations(&self) {
-        let wire = self.to_wire_vec();
+        let wire = self.to_wire().to_vec();
         let mut inputs: Vec<Vec<u8>> = vec![wire.clone()];
         // Truncated at every length; a trailing byte.
         inputs.extend((0..wire.len()).map(|keep| wire[..keep].to_vec()));
@@ -283,8 +280,8 @@ fn endpoint(tag: u8, member: u32) -> Endpoint {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `to_frame().to_bytes() == to_wire() == to_wire_vec()` for every wire
-    /// type, across the splice boundary.
+    /// `to_frame().to_bytes() == to_wire()` for every wire type, across the
+    /// splice boundary.
     #[test]
     fn frames_hold_the_wire_bytes(
         around in 0usize..3,
