@@ -876,4 +876,21 @@ mod tests {
         let faults = FaultSchedule::none().lossy_link(SimTime::ZERO, MemberId(0), MemberId(3), 0.5);
         let _ = crate::Cluster::new(2, 3).shard_faults(0, faults).build();
     }
+
+    #[test]
+    fn scenario_is_deterministic_per_seed() {
+        let build = |seed: u64| {
+            let mut run = Scenario::new(SmrKvService::new())
+                .members(3)
+                .seed(seed)
+                .workload(Workload::quick(3))
+                .build();
+            run.run_until(SimTime::from_secs(300));
+            (run.delivery_logs(), run.stats())
+        };
+        let (logs_a, stats_a) = build(7);
+        let (logs_b, stats_b) = build(7);
+        assert_eq!(logs_a, logs_b);
+        assert_eq!(stats_a, stats_b);
+    }
 }

@@ -1,15 +1,344 @@
-//! Batching is a framing optimisation, not a semantic change.  That a
-//! scenario is a deterministic function of its axes, on either scheduler,
-//! is the sweeper's heap replay (`tests/sweep.rs`).
+//! Determinism regression: a simulator-backed scenario is a deterministic
+//! function of its `Scenario` axes.  Two runs built from identical axes must
+//! produce byte-identical delivery logs, byte-identical serialized trace
+//! output, and identical network statistics — requirement R1 lifted from the
+//! single GC machine to the full system, for every service the harness
+//! deploys.
 
 use fs_smr_suite::common::time::{SimDuration, SimTime};
 use fs_smr_suite::harness::{
-    NewTopService, Protocol, Scenario, ServiceSpec, SmrKvService, Workload,
+    FaultSchedule, NewTopService, Protocol, Running, Scenario, ServiceSpec, SmrKvService, Workload,
 };
+use fs_smr_suite::simnet::sched::SchedulerKind;
+use fs_smr_suite::simnet::trace::NetStats;
 
-/// With a single sender, a batched run and an unbatched run of either
-/// service apply the identical command sequence (every member, same
-/// delivery log).
+fn quick_workload() -> Workload {
+    Workload::paper_default()
+        .messages(4)
+        .interval(SimDuration::from_millis(25))
+}
+
+fn scenario(service: impl ServiceSpec + 'static, members: u32, protocol: Protocol) -> Scenario {
+    Scenario::new(service)
+        .members(members)
+        .protocol(protocol)
+        .workload(quick_workload())
+}
+
+/// One full run: per-member delivery logs, the serialized trace, and the
+/// aggregate network statistics.
+struct RunFingerprint {
+    delivery_logs: Vec<Vec<(u32, u64)>>,
+    trace_json: String,
+    stats: NetStats,
+}
+
+fn fingerprint(mut run: Running) -> RunFingerprint {
+    let delivery_logs = run
+        .delivery_logs()
+        .into_iter()
+        .map(|log| log.into_iter().map(|(m, s)| (m.0, s)).collect())
+        .collect();
+    let trace_json = serde_json::to_string(run.trace().expect("tracing enabled")).unwrap();
+    let stats = run.stats();
+    RunFingerprint {
+        delivery_logs,
+        trace_json,
+        stats,
+    }
+}
+
+fn run_scenario(scenario: Scenario) -> RunFingerprint {
+    let mut run = scenario.build();
+    run.enable_trace();
+    run.run_until(SimTime::from_secs(120));
+    fingerprint(run)
+}
+
+fn run_fs_newtop_on(members: u32, scheduler: SchedulerKind) -> RunFingerprint {
+    run_scenario(scenario(NewTopService::new(), members, Protocol::FailSignal).scheduler(scheduler))
+}
+
+#[test]
+fn fs_newtop_runs_are_byte_identical() {
+    let a = run_scenario(scenario(NewTopService::new(), 3, Protocol::FailSignal));
+    let b = run_scenario(scenario(NewTopService::new(), 3, Protocol::FailSignal));
+
+    // The runs actually did something: every member delivered every message.
+    assert_eq!(a.delivery_logs[0].len(), 12, "3 members x 4 messages");
+    for log in &a.delivery_logs[1..] {
+        assert_eq!(log, &a.delivery_logs[0], "members agree on the total order");
+    }
+
+    assert_eq!(
+        a.delivery_logs, b.delivery_logs,
+        "delivery logs must be byte-identical"
+    );
+    assert_eq!(
+        a.trace_json, b.trace_json,
+        "trace output must be byte-identical"
+    );
+    assert_eq!(a.stats, b.stats, "network statistics must be identical");
+    assert!(!a.trace_json.is_empty());
+}
+
+#[test]
+fn newtop_baseline_runs_are_byte_identical() {
+    let a = run_scenario(scenario(NewTopService::new(), 3, Protocol::Crash));
+    let b = run_scenario(scenario(NewTopService::new(), 3, Protocol::Crash));
+    assert_eq!(a.delivery_logs, b.delivery_logs);
+    assert_eq!(a.trace_json, b.trace_json);
+    assert_eq!(a.stats, b.stats);
+}
+
+#[test]
+fn fs_smr_runs_are_byte_identical() {
+    // The second wrapped service is held to the same system-level R1 bar.
+    let a = run_scenario(scenario(SmrKvService::new(), 3, Protocol::FailSignal));
+    let b = run_scenario(scenario(SmrKvService::new(), 3, Protocol::FailSignal));
+    assert_eq!(a.delivery_logs[0].len(), 12);
+    assert_eq!(a.delivery_logs, b.delivery_logs);
+    assert_eq!(a.trace_json, b.trace_json);
+    assert_eq!(a.stats, b.stats);
+}
+
+#[test]
+fn different_seeds_still_agree_but_produce_different_schedules() {
+    // Determinism is a function of the axes: changing the seed changes the
+    // schedule (different trace), yet safety (agreement) is unaffected.
+    let base = run_scenario(scenario(NewTopService::new(), 3, Protocol::FailSignal));
+    let reseeded =
+        run_scenario(scenario(NewTopService::new(), 3, Protocol::FailSignal).seed(0xDEAD_BEEF));
+
+    for fp in [&base, &reseeded] {
+        for log in &fp.delivery_logs[1..] {
+            assert_eq!(log, &fp.delivery_logs[0]);
+        }
+    }
+    assert_ne!(
+        base.trace_json, reseeded.trace_json,
+        "a different seed must change the event schedule"
+    );
+}
+
+/// The scheduler is an implementation detail: the calendar queue (the
+/// default) and the legacy binary heap must drive the whole FS-NewTOP
+/// deployment through a byte-identical schedule — same delivery logs, same
+/// serialized trace, same statistics.  This is the system-level differential
+/// test backing the calendar-queue refactor (the raw queue-level equivalence
+/// is covered in `fs_simnet::sched` and in `tests/properties.rs`).
+#[test]
+fn calendar_and_legacy_heap_schedulers_trace_identically() {
+    let calendar = run_fs_newtop_on(3, SchedulerKind::CalendarQueue);
+    let legacy = run_fs_newtop_on(3, SchedulerKind::LegacyHeap);
+
+    assert_eq!(
+        calendar.delivery_logs[0].len(),
+        12,
+        "3 members x 4 messages"
+    );
+    assert_eq!(
+        calendar.delivery_logs, legacy.delivery_logs,
+        "delivery logs must not depend on the scheduler"
+    );
+    assert_eq!(
+        calendar.trace_json, legacy.trace_json,
+        "traces must be byte-identical across schedulers"
+    );
+    assert_eq!(calendar.stats, legacy.stats);
+
+    // The crash-tolerant baseline agrees as well.
+    let newtop_cal = run_scenario(
+        scenario(NewTopService::new(), 3, Protocol::Crash).scheduler(SchedulerKind::CalendarQueue),
+    );
+    let newtop_leg = run_scenario(
+        scenario(NewTopService::new(), 3, Protocol::Crash).scheduler(SchedulerKind::LegacyHeap),
+    );
+    assert_eq!(newtop_cal.delivery_logs, newtop_leg.delivery_logs);
+    assert_eq!(newtop_cal.trace_json, newtop_leg.trace_json);
+    assert_eq!(newtop_cal.stats, newtop_leg.stats);
+}
+
+/// The network fault plane is part of the deterministic event schedule: a
+/// scheduled partition-then-heal run must be byte-identical across repeats
+/// *and* across future-event-set schedulers, with the fault timeline and the
+/// induced drops recorded in the trace and the statistics.
+#[test]
+fn scheduled_partition_and_heal_traces_are_byte_identical_across_schedulers() {
+    use fs_smr_suite::common::id::MemberId;
+
+    let build = |scheduler: SchedulerKind| {
+        // Spread the workload so traffic crosses the partition window
+        // (2 s .. 4 s) while member 0 is cut off from members 1 and 2.
+        let workload = Workload::paper_default()
+            .messages(10)
+            .interval(SimDuration::from_millis(400));
+        let faults = FaultSchedule::none()
+            .partition_at(
+                SimTime::from_secs(2),
+                &[MemberId(0)],
+                &[MemberId(1), MemberId(2)],
+            )
+            .heal_at(
+                SimTime::from_secs(4),
+                &[MemberId(0)],
+                &[MemberId(1), MemberId(2)],
+            );
+        run_scenario(
+            Scenario::new(NewTopService::new())
+                .members(3)
+                .protocol(Protocol::FailSignal)
+                .workload(workload)
+                .faults(faults)
+                .scheduler(scheduler),
+        )
+    };
+
+    let calendar_a = build(SchedulerKind::CalendarQueue);
+    let calendar_b = build(SchedulerKind::CalendarQueue);
+    let legacy = build(SchedulerKind::LegacyHeap);
+
+    // The partition actually did something observable.
+    assert_eq!(calendar_a.stats.link_faults, 2, "sever + heal executed");
+    assert!(
+        calendar_a.stats.dropped_link > 0,
+        "traffic crossed the partition window"
+    );
+    assert!(
+        calendar_a.trace_json.contains("LinkFault"),
+        "fault timeline recorded in the trace"
+    );
+
+    // Byte-identical across repeats and across schedulers.
+    assert_eq!(calendar_a.delivery_logs, calendar_b.delivery_logs);
+    assert_eq!(calendar_a.trace_json, calendar_b.trace_json);
+    assert_eq!(calendar_a.stats, calendar_b.stats);
+    assert_eq!(calendar_a.delivery_logs, legacy.delivery_logs);
+    assert_eq!(
+        calendar_a.trace_json, legacy.trace_json,
+        "fault-plane traces must not depend on the scheduler"
+    );
+    assert_eq!(calendar_a.stats, legacy.stats);
+}
+
+/// The open-loop load plane is part of the deterministic schedule: a Poisson
+/// arrival process with admission control and request batching draws its
+/// inter-arrival gaps from the deterministic RNG, so two runs built from
+/// identical axes are byte-identical — and changing only the arrival seed
+/// changes the schedule without breaking agreement.
+#[test]
+fn poisson_open_loop_runs_are_byte_identical() {
+    let build = |arrival_seed: u64| {
+        let workload = Workload::paper_default()
+            .messages(8)
+            .interval(SimDuration::from_millis(10))
+            .poisson()
+            .arrival_seed(arrival_seed)
+            .clients(2)
+            .max_in_flight(2)
+            .batch_max(3)
+            .batch_linger(SimDuration::from_millis(5));
+        run_scenario(
+            Scenario::new(NewTopService::new())
+                .members(3)
+                .protocol(Protocol::FailSignal)
+                .workload(workload),
+        )
+    };
+
+    let a = build(7);
+    let b = build(7);
+    // The tight in-flight bound sheds a few bursty Poisson arrivals, so the
+    // log holds at most 3 members x 8 messages — deterministically.
+    assert!(
+        !a.delivery_logs[0].is_empty() && a.delivery_logs[0].len() <= 24,
+        "unexpected delivery count {}",
+        a.delivery_logs[0].len()
+    );
+    for log in &a.delivery_logs[1..] {
+        assert_eq!(log, &a.delivery_logs[0], "members agree on the total order");
+    }
+    assert_eq!(
+        a.delivery_logs, b.delivery_logs,
+        "Poisson delivery logs must be byte-identical under a fixed seed"
+    );
+    assert_eq!(
+        a.trace_json, b.trace_json,
+        "Poisson traces must be byte-identical under a fixed seed"
+    );
+    assert_eq!(a.stats, b.stats);
+
+    let reseeded = build(8);
+    for log in &reseeded.delivery_logs[1..] {
+        assert_eq!(log, &reseeded.delivery_logs[0]);
+    }
+    assert_ne!(
+        a.trace_json, reseeded.trace_json,
+        "a different arrival seed must draw different inter-arrival gaps"
+    );
+}
+
+/// The recovery plane is part of the deterministic event schedule too: a
+/// crash → recover → catch-up run (a member of the sequenced-KV group is
+/// down under load, rejoins, and converges by state transfer) must be
+/// byte-identical across repeats *and* across future-event-set schedulers,
+/// with the lifecycle timeline recorded in the trace and the statistics.
+#[test]
+fn crash_recover_catch_up_traces_are_byte_identical_across_schedulers() {
+    use fs_smr_suite::common::id::MemberId;
+
+    let build = |scheduler: SchedulerKind| {
+        // Spread the workload so traffic crosses member 1's outage window
+        // (300 ms .. 800 ms) and keeps flowing after the rejoin.
+        let workload = Workload::paper_default()
+            .messages(20)
+            .interval(SimDuration::from_millis(60));
+        let faults = FaultSchedule::none()
+            .crash_member_at(SimTime::from_millis(300), MemberId(1))
+            .recover_member_at(SimTime::from_millis(800), MemberId(1));
+        run_scenario(
+            Scenario::new(SmrKvService::new())
+                .members(3)
+                .protocol(Protocol::Crash)
+                .workload(workload)
+                .faults(faults)
+                .scheduler(scheduler),
+        )
+    };
+
+    let calendar_a = build(SchedulerKind::CalendarQueue);
+    let calendar_b = build(SchedulerKind::CalendarQueue);
+    let legacy = build(SchedulerKind::LegacyHeap);
+
+    // The outage and the rejoin actually happened.
+    assert!(
+        calendar_a.stats.lifecycle_events >= 2,
+        "crash + recover executed"
+    );
+    assert!(
+        calendar_a.stats.dropped_down > 0,
+        "traffic crossed the outage window"
+    );
+    assert!(
+        calendar_a.trace_json.contains("Lifecycle"),
+        "lifecycle timeline recorded in the trace"
+    );
+
+    // Byte-identical across repeats and across schedulers.
+    assert_eq!(calendar_a.delivery_logs, calendar_b.delivery_logs);
+    assert_eq!(calendar_a.trace_json, calendar_b.trace_json);
+    assert_eq!(calendar_a.stats, calendar_b.stats);
+    assert_eq!(calendar_a.delivery_logs, legacy.delivery_logs);
+    assert_eq!(
+        calendar_a.trace_json, legacy.trace_json,
+        "recovery-plane traces must not depend on the scheduler"
+    );
+    assert_eq!(calendar_a.stats, legacy.stats);
+}
+
+/// Batching is a framing optimisation, not a semantic change: with a single
+/// sender, a batched run and an unbatched run of either service apply the
+/// identical command sequence (every member, same delivery log).
 #[test]
 fn batched_and_unbatched_scenarios_deliver_the_same_commands() {
     fn logs(service: impl ServiceSpec + 'static, batch_max: u32) -> Vec<Vec<(u32, u64)>> {
@@ -19,16 +348,13 @@ fn batched_and_unbatched_scenarios_deliver_the_same_commands() {
             .senders(1)
             .batch_max(batch_max)
             .batch_linger(SimDuration::from_millis(8));
-        let mut run = Scenario::new(service)
-            .members(3)
-            .protocol(Protocol::FailSignal)
-            .workload(workload)
-            .build();
-        run.run_until(SimTime::from_secs(120));
-        run.delivery_logs()
-            .into_iter()
-            .map(|log| log.into_iter().map(|(m, s)| (m.0, s)).collect())
-            .collect()
+        run_scenario(
+            Scenario::new(service)
+                .members(3)
+                .protocol(Protocol::FailSignal)
+                .workload(workload),
+        )
+        .delivery_logs
     }
 
     for batch_max in [4, 6] {

@@ -1,10 +1,12 @@
-//! Workspace-level integration tests: end-to-end ordering through the
-//! `Scenario` harness for NewTOP's other service classes, the pair layouts
-//! and the real threaded runtime.  Every service, protocol and group size
-//! of 2 to 6 on the simulator is the sweeper's (`tests/sweep.rs`).
+//! Workspace-level integration tests: end-to-end total ordering through the
+//! `Scenario` harness on the simulator (both protocols, both services) and
+//! on the real threaded runtime, exercising the whole stack from application
+//! payload to delivery.
 
 use fs_smr_suite::common::time::{SimDuration, SimTime};
-use fs_smr_suite::harness::{NewTopService, Protocol, RuntimeKind, Scenario, Workload};
+use fs_smr_suite::harness::{
+    NewTopService, Protocol, Running, RuntimeKind, Scenario, ServiceSpec, SmrKvService, Workload,
+};
 use fs_smr_suite::newtop::suspector::SuspectorConfig;
 use fs_smr_suite::newtop::ServiceKind;
 
@@ -14,6 +16,47 @@ fn quick_workload(messages: u64) -> Workload {
         .interval(SimDuration::from_millis(25))
 }
 
+fn sim_scenario(
+    service: impl ServiceSpec + 'static,
+    members: u32,
+    protocol: Protocol,
+    messages: u64,
+) -> Running {
+    let mut run = Scenario::new(service)
+        .members(members)
+        .protocol(protocol)
+        .workload(quick_workload(messages))
+        .build();
+    run.run_until(SimTime::from_secs(3_000));
+    run
+}
+
+#[test]
+fn newtop_groups_of_various_sizes_agree() {
+    for members in [2u32, 4, 6] {
+        let mut run = sim_scenario(NewTopService::new(), members, Protocol::Crash, 6);
+        assert_eq!(run.check().unwrap().len() as u32, members * 6);
+    }
+}
+
+#[test]
+fn fs_newtop_groups_of_various_sizes_agree() {
+    for members in [2u32, 4, 6] {
+        let mut run = sim_scenario(NewTopService::new(), members, Protocol::FailSignal, 6);
+        assert_eq!(run.check().unwrap().len() as u32, members * 6);
+    }
+}
+
+#[test]
+fn smr_kv_groups_agree_under_both_protocols() {
+    for protocol in [Protocol::Crash, Protocol::FailSignal] {
+        for members in [2u32, 5] {
+            let mut run = sim_scenario(SmrKvService::new(), members, protocol, 4);
+            assert_eq!(run.check().unwrap().len() as u32, members * 4);
+        }
+    }
+}
+
 #[test]
 fn fs_newtop_asymmetric_and_causal_services_work_end_to_end() {
     for service in [
@@ -21,10 +64,12 @@ fn fs_newtop_asymmetric_and_causal_services_work_end_to_end() {
         ServiceKind::Causal,
         ServiceKind::Reliable,
     ] {
-        let mut run = Scenario::new(NewTopService::new().service_kind(service))
-            .workload(quick_workload(4))
-            .build();
-        run.run_until(SimTime::from_secs(3_000));
+        let mut run = sim_scenario(
+            NewTopService::new().service_kind(service),
+            3,
+            Protocol::FailSignal,
+            4,
+        );
         assert_eq!(
             run.check().unwrap().len(),
             12,

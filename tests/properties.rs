@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use fs_smr_suite::common::codec::Wire;
 use fs_smr_suite::common::id::{FsId, MemberId, ProcessId};
 use fs_smr_suite::common::rng::DetRng;
-use fs_smr_suite::common::time::SimDuration;
+use fs_smr_suite::common::time::{SimDuration, SimTime};
 use fs_smr_suite::common::Bytes;
 use fs_smr_suite::crypto::hmac::{HmacKey, HmacSha256};
 use fs_smr_suite::crypto::keys::{provision, SignerId};
@@ -23,10 +23,99 @@ use fs_smr_suite::harness::check::{self, MemberView, Role, Violation};
 use fs_smr_suite::newtop::gc::{GcConfig, GcCosts, GcMachine};
 use fs_smr_suite::newtop::message as newtop_msg;
 use fs_smr_suite::newtop::message::{AppRequest, GcMessage, ServiceKind};
+use fs_smr_suite::simnet::actor::{Actor, Context, TimerId};
+use fs_smr_suite::simnet::node::NodeConfig;
+use fs_smr_suite::simnet::sched::SchedulerKind;
+use fs_smr_suite::simnet::sim::Simulation;
 use fs_smr_suite::smr::command::{KvCommand, KvStore};
 use fs_smr_suite::smr::machine::{DeterministicMachine, Endpoint, MachineInput, MachineOutput};
 use fs_smr_suite::smr::replica::{Replica, Request};
 use fs_smr_suite::smr::RequestId;
+
+/// A bounded, deterministic workload actor for the scheduler differential
+/// test: sends random-sized messages to random peers, arms and occasionally
+/// cancels timers, and charges random CPU — exercising every event kind the
+/// simulator schedules (starts, deliveries, timers, stale timers).
+struct Chatter {
+    peers: Vec<fs_smr_suite::common::id::ProcessId>,
+    sends_left: u32,
+}
+
+impl Actor for Chatter {
+    fn on_start(&mut self, ctx: &mut dyn Context) {
+        let delay = SimDuration::from_micros(ctx.rng().below(5_000) + 1);
+        ctx.set_timer(delay, TimerId(1));
+        for peer in self.peers.clone() {
+            let size = ctx.rng().below(64) as usize;
+            ctx.send(peer, vec![0u8; size].into());
+        }
+    }
+    fn on_message(
+        &mut self,
+        ctx: &mut dyn Context,
+        from: fs_smr_suite::common::id::ProcessId,
+        _payload: fs_smr_suite::common::Frame,
+    ) {
+        if self.sends_left == 0 {
+            return;
+        }
+        self.sends_left -= 1;
+        let cpu = ctx.rng().below(300);
+        ctx.charge_cpu(SimDuration::from_micros(cpu));
+        let size = ctx.rng().below(48) as usize;
+        ctx.send(from, vec![1u8; size].into());
+        if ctx.rng().below(4) == 0 {
+            ctx.cancel_timer(TimerId(1));
+            let delay = SimDuration::from_micros(ctx.rng().below(2_000) + 1);
+            ctx.set_timer(delay, TimerId(1));
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut dyn Context, _timer: TimerId) {
+        if self.sends_left == 0 {
+            return;
+        }
+        self.sends_left -= 1;
+        let n = self.peers.len() as u64;
+        let peer = self.peers[ctx.rng().below(n) as usize];
+        let size = ctx.rng().below(32) as usize;
+        ctx.send(peer, vec![2u8; size].into());
+        let delay = SimDuration::from_micros(ctx.rng().below(10_000) + 1);
+        ctx.set_timer(delay, TimerId(1));
+    }
+}
+
+/// Runs one random Chatter scenario on the given scheduler and returns its
+/// full observable outcome.
+fn run_chatter(
+    seed: u64,
+    actors: u32,
+    sends: u32,
+    scheduler: SchedulerKind,
+) -> (String, String, u64) {
+    use fs_smr_suite::common::id::ProcessId;
+    use fs_smr_suite::simnet::link::Topology;
+    let mut sim = Simulation::with_scheduler(seed, Topology::default(), scheduler);
+    sim.enable_trace();
+    let nodes: Vec<_> = (0..actors)
+        .map(|_| sim.add_node(NodeConfig::era_2003()))
+        .collect();
+    let ids: Vec<ProcessId> = (0..actors).map(ProcessId).collect();
+    for (i, node) in nodes.iter().enumerate() {
+        let peers: Vec<ProcessId> = ids.iter().copied().filter(|p| p.0 != i as u32).collect();
+        sim.spawn_with(
+            ids[i],
+            *node,
+            Box::new(Chatter {
+                peers,
+                sends_left: sends,
+            }),
+        );
+    }
+    sim.run_until(SimTime::from_secs(60));
+    let trace = serde_json::to_string(sim.trace().expect("trace enabled")).unwrap();
+    let stats = format!("{:?}", sim.stats());
+    (trace, stats, sim.stats().events_processed)
+}
 
 /// Runs a group of machines to quiescence over an in-order network: each
 /// `(sender, request)` goes to the sender's machine as an application input,
@@ -417,6 +506,22 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Differential scheduler test at the raw simulator level: a randomised
+    /// workload of sends, timers, cancellations and CPU charges produces a
+    /// byte-identical trace and statistics on the calendar queue and on the
+    /// legacy binary heap.
+    #[test]
+    fn schedulers_are_interchangeable_on_random_workloads(
+        seed in any::<u64>(),
+        actors in 2u32..5,
+        sends in 1u32..25,
+    ) {
+        let calendar = run_chatter(seed, actors, sends, SchedulerKind::CalendarQueue);
+        let legacy = run_chatter(seed, actors, sends, SchedulerKind::LegacyHeap);
+        prop_assert!(calendar.2 > 0, "the workload must actually run");
+        prop_assert_eq!(calendar, legacy);
+    }
 
     /// `Bytes::slice` pins the upstream semantics: in-range slices are
     /// zero-copy views sharing the parent's storage (and `slice_ref` round
