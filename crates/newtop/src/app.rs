@@ -461,6 +461,13 @@ mod tests {
         assert!(parse_batch_payload(&vec![7].into()).is_none());
     }
 
+    /// A hostile count must not size the reservation: `ff ff ff ff` claims
+    /// four billion items in a 4-byte payload.
+    #[test]
+    fn batch_payload_with_a_hostile_count_is_rejected() {
+        assert!(parse_batch_payload(&vec![0xff; 4].into()).is_none());
+    }
+
     #[test]
     fn full_batch_flushes_in_one_multicast() {
         let cfg = config(4).batch_max(2);
