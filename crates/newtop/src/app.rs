@@ -68,7 +68,9 @@ pub fn build_batch_payload(items: &[Vec<u8>]) -> Vec<u8> {
 pub fn parse_batch_payload(bytes: &Bytes) -> Option<Vec<Bytes>> {
     let mut dec = Decoder::from_shared(bytes);
     let count = dec.get_u32().ok()?;
-    let mut items = Vec::with_capacity(count as usize);
+    // Every item costs at least its 4-byte length prefix, so the count read
+    // off the wire never reserves more than the payload can hold.
+    let mut items = Vec::with_capacity((count as usize).min(dec.remaining() / 4));
     for _ in 0..count {
         items.push(dec.get_bytes_shared().ok()?);
     }
