@@ -526,6 +526,42 @@ mod tests {
         assert_eq!(pair.leader.stats().fail_signals_sent, broadcasts as u64 + 2);
     }
 
+    /// Two failed wrappers must not answer each other's fail-signal for
+    /// ever: a fail-signal gets no reply, anything else still gets one.
+    #[test]
+    fn failed_wrapper_does_not_answer_a_fail_signal() {
+        let mut pair = Pair::new();
+        let wire = FsoInbound::Raw(b"x".to_vec().into()).to_frame();
+        pair.leader.on_message(&mut pair.leader_ctx, CLIENT, wire);
+        let timers: Vec<TimerId> = pair.leader_ctx.timers_set.iter().map(|(_, t)| *t).collect();
+        for t in timers {
+            pair.leader.on_timer(&mut pair.leader_ctx, t);
+        }
+        assert!(pair.leader.has_failed());
+        pair.leader_ctx.take_sent();
+
+        let mut rng = DetRng::new(5);
+        let (keys, _dir) = provision([UPSTREAM_A, UPSTREAM_B], &mut rng);
+        let (a, b) = (&keys[&SignerId(UPSTREAM_A)], &keys[&SignerId(UPSTREAM_B)]);
+        let signal = FsOutput::sign(UPSTREAM, FsContent::FailSignal, a, b);
+        let signal = FsoInbound::External(signal).to_frame();
+        pair.leader
+            .on_message(&mut pair.leader_ctx, UPSTREAM_A, signal);
+        assert!(
+            pair.leader_ctx.take_sent().is_empty(),
+            "no reply to a fail-signal"
+        );
+
+        let raw = FsoInbound::Raw(b"y".to_vec().into()).to_frame();
+        pair.leader.on_message(&mut pair.leader_ctx, CLIENT, raw);
+        let replies = pair.leader_ctx.take_sent();
+        assert_eq!(replies.len(), 1, "one fail-signal in reply to a raw input");
+        assert!(matches!(
+            FsoInbound::from_frame(&replies[0].payload),
+            Ok(FsoInbound::External(out)) if out.is_fail_signal()
+        ));
+    }
+
     #[test]
     fn forged_candidate_from_outsider_is_rejected() {
         let mut pair = Pair::new();
