@@ -22,8 +22,10 @@
 //!   normal service.
 //!
 //! A failed wrapper thereafter answers every incoming message with the
-//! fail-signal (property fs1); arbitrary fail-signal emission by a faulty
-//! node (property fs2) is exercised by the fault-injection crate.
+//! fail-signal (property fs1), except a frame that is itself a fail-signal:
+//! that one it drops, so two failed pairs never answer each other for ever.
+//! Arbitrary fail-signal emission by a faulty node (property fs2) is
+//! exercised by the fault-injection crate.
 //!
 //! ## Bodies are hashed once; everything else runs over the digest
 //!
@@ -624,8 +626,16 @@ impl FsoActor {
 impl Actor for FsoActor {
     fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Frame) {
         if self.failed {
-            // fs1: a failed FS process answers everything with its fail-signal.
-            self.reply_with_fail_signal(ctx, from);
+            // fs1: a failed FS process answers everything with its
+            // fail-signal, but a fail-signal: two failed wrappers would
+            // otherwise answer each other for ever.
+            let signal = matches!(
+                FsoInbound::from_frame(&payload),
+                Ok(FsoInbound::External(output)) if output.is_fail_signal()
+            );
+            if !signal {
+                self.reply_with_fail_signal(ctx, from);
+            }
             return;
         }
         // Zero-copy decode: byte-string fields of the inbound message are
