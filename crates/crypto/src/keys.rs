@@ -275,13 +275,13 @@ pub fn provision(
 mod tests {
     use super::*;
 
-    fn rng() -> DetRng {
+    fn test_rng() -> DetRng {
         DetRng::new(0xfeed)
     }
 
     #[test]
     fn generated_keys_are_distinct() {
-        let mut r = rng();
+        let mut r = test_rng();
         let a = SigningKey::generate(SignerId(ProcessId(1)), &mut r);
         let b = SigningKey::generate(SignerId(ProcessId(2)), &mut r);
         assert_ne!(a.secret(), b.secret());
@@ -298,7 +298,7 @@ mod tests {
 
     #[test]
     fn directory_lookup() {
-        let mut r = rng();
+        let mut r = test_rng();
         let key = SigningKey::generate(SignerId(ProcessId(9)), &mut r);
         let mut dir = KeyDirectory::new();
         assert!(dir.is_empty());
@@ -314,7 +314,7 @@ mod tests {
 
     #[test]
     fn provision_covers_all_processes() {
-        let mut r = rng();
+        let mut r = test_rng();
         let procs: Vec<ProcessId> = (0..6).map(ProcessId).collect();
         let (keys, dir) = provision(procs.clone(), &mut r);
         assert_eq!(keys.len(), 6);
@@ -327,7 +327,7 @@ mod tests {
 
     #[test]
     fn debug_never_prints_secret() {
-        let mut r = rng();
+        let mut r = test_rng();
         let key = SigningKey::generate(SignerId(ProcessId(1)), &mut r);
         let dbg = format!("{key:?}{:?}", key.verifying_key());
         for b in key.secret() {
@@ -340,7 +340,7 @@ mod tests {
 
     #[test]
     fn verifying_key_matches_signing_key_signer() {
-        let mut r = rng();
+        let mut r = test_rng();
         let key = SigningKey::generate(SignerId(ProcessId(5)), &mut r);
         assert_eq!(key.verifying_key().signer, SignerId(ProcessId(5)));
     }

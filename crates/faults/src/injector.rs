@@ -223,9 +223,6 @@ impl Context for FaultyContext<'_> {
     fn charge_cpu(&mut self, amount: SimDuration) {
         self.inner.charge_cpu(amount);
     }
-    fn rng(&mut self) -> &mut DetRng {
-        self.inner.rng()
-    }
     fn trace(&mut self, label: &str) {
         self.inner.trace(label);
     }

@@ -9,6 +9,12 @@
 //! figures) and on the real threaded runtime (used by the examples and the
 //! end-to-end tests).
 //!
+//! A handler is a function of its inputs — the actor's state, the call (a
+//! start, a recovery, a delivered frame, a fired timer) — and of
+//! [`Context::now`]; it has no other source of variation, no random stream
+//! included.  An actor that needs randomness owns a seeded
+//! [`fs_common::rng::DetRng`] of its own, so its draws are part of its state.
+//!
 //! # Payload convention
 //!
 //! The transport payload is a [`Frame`]: immutable, refcount-shared, and
@@ -38,7 +44,6 @@
 use std::any::Any;
 
 use fs_common::id::ProcessId;
-use fs_common::rng::DetRng;
 use fs_common::time::{SimDuration, SimTime};
 use fs_common::Frame;
 
@@ -92,9 +97,6 @@ pub trait Context {
     /// protocol-processing and cryptography costs shape the latency and
     /// throughput figures.
     fn charge_cpu(&mut self, amount: SimDuration);
-
-    /// A deterministic random number generator scoped to this actor.
-    fn rng(&mut self) -> &mut DetRng;
 
     /// Emits a trace annotation (a free-form label) for debugging and for
     /// the experiment reports.  Runtimes may ignore it.
@@ -166,7 +168,6 @@ pub struct TestContext {
     pub cpu: SimDuration,
     /// Trace labels emitted by the actor.
     pub traces: Vec<String>,
-    rng: DetRng,
 }
 
 impl TestContext {
@@ -180,7 +181,6 @@ impl TestContext {
             timers_cancelled: Vec::new(),
             cpu: SimDuration::ZERO,
             traces: Vec::new(),
-            rng: DetRng::new(u64::from(id.0) + 1),
         }
     }
 
@@ -218,9 +218,6 @@ impl Context for TestContext {
     }
     fn charge_cpu(&mut self, amount: SimDuration) {
         self.cpu += amount;
-    }
-    fn rng(&mut self) -> &mut DetRng {
-        &mut self.rng
     }
     fn trace(&mut self, label: &str) {
         self.traces.push(label.to_string());

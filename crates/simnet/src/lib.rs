@@ -21,9 +21,12 @@
 //! [`lifecycle::LifecycleSchedule`] of timed crash / recover / replace
 //! events takes processes down, warm-restarts them (running
 //! [`actor::Actor::on_recover`]) or cold-replaces them with fresh actors,
-//! again as deterministic simulator events and control-thread-driven actions
+//! again as deterministic simulator events and as node-thread agenda entries
 //! on the threaded runtime — the vehicle for rolling-restart and
-//! reconfiguration experiments.
+//! reconfiguration experiments.  Both hosts run the same process model
+//! (one transition, one timer check, one handler dispatch; see
+//! [`lifecycle`]), and faults enter both the same way: a pre-faulted
+//! topology, a link schedule and a lifecycle schedule.
 //!
 //! ## Example: two actors on a simulated LAN
 //!

@@ -611,14 +611,14 @@ fn ordered(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
 mod tests {
     use super::*;
 
-    fn rng() -> DetRng {
+    fn test_rng() -> DetRng {
         DetRng::new(42)
     }
 
     #[test]
     fn sync_lan_respects_worst_case() {
         let link = LinkModel::lan_100mbps();
-        let mut r = rng();
+        let mut r = test_rng();
         let bound = link.worst_case(1_000).unwrap();
         for _ in 0..1_000 {
             let d = link.delay(1_000, &mut r).expect("sync lan never drops");
@@ -633,7 +633,7 @@ mod tests {
             bandwidth_bps: 12_500_000,
             jitter_max: SimDuration::ZERO,
         };
-        let mut r = rng();
+        let mut r = test_rng();
         let d_small = link.delay(125, &mut r).unwrap();
         let d_big = link.delay(12_500, &mut r).unwrap();
         assert_eq!(d_small, SimDuration::from_micros(10));
@@ -649,7 +649,7 @@ mod tests {
             jitter_mean: SimDuration::from_millis(1),
             drop_prob: 1.0,
         };
-        let mut r = rng();
+        let mut r = test_rng();
         assert_eq!(link.delay(10, &mut r), None);
         assert_eq!(link.worst_case(10), None);
     }
@@ -657,7 +657,7 @@ mod tests {
     #[test]
     fn async_net_delay_positive_and_unbounded_in_type() {
         let link = LinkModel::wan();
-        let mut r = rng();
+        let mut r = test_rng();
         for _ in 0..100 {
             let d = link.delay(100, &mut r).unwrap();
             assert!(d >= SimDuration::from_millis(20));
@@ -667,7 +667,7 @@ mod tests {
     #[test]
     fn loopback_is_constant() {
         let link = LinkModel::loopback();
-        let mut r = rng();
+        let mut r = test_rng();
         assert_eq!(link.delay(1, &mut r), link.delay(100_000, &mut r));
     }
 
@@ -684,7 +684,7 @@ mod tests {
     #[test]
     fn severing_drops_messages_and_healing_restores() {
         let mut topo = Topology::default();
-        let mut r = rng();
+        let mut r = test_rng();
         assert!(topo.delay(NodeId(0), NodeId(1), 10, &mut r).is_some());
         topo.sever(NodeId(0), NodeId(1));
         assert!(topo.is_severed(NodeId(1), NodeId(0)));
@@ -741,7 +741,7 @@ mod tests {
             bandwidth_bps: 0,
             jitter_max: SimDuration::ZERO,
         });
-        let mut r = rng();
+        let mut r = test_rng();
         let healthy = topo.delay(NodeId(0), NodeId(1), 10, &mut r).unwrap();
         topo.apply_fault(
             &LinkScope::Pair {
@@ -769,7 +769,7 @@ mod tests {
             },
             &LinkFault::Loss { probability: 1.0 },
         );
-        let mut r = rng();
+        let mut r = test_rng();
         assert_eq!(topo.delay(NodeId(0), NodeId(1), 10, &mut r), None);
         // Heal clears the degradation too.
         topo.apply_fault(
@@ -798,7 +798,7 @@ mod tests {
                 bandwidth_bps: 1_000,
             },
         );
-        let mut r = rng();
+        let mut r = test_rng();
         // 1000 bytes at 1 kB/s = 1 s of store-and-forward time.
         assert_eq!(
             topo.delay(NodeId(0), NodeId(1), 1000, &mut r),
@@ -809,7 +809,7 @@ mod tests {
     #[test]
     fn fault_verdict_is_zero_on_healthy_links_and_overlay_only() {
         let mut topo = Topology::default();
-        let mut r = rng();
+        let mut r = test_rng();
         assert_eq!(
             topo.fault_verdict(NodeId(0), NodeId(1), 10, &mut r),
             Some(SimDuration::ZERO)
@@ -841,7 +841,7 @@ mod tests {
     #[test]
     fn one_way_sever_drops_only_the_faulted_direction() {
         let mut topo = Topology::default();
-        let mut r = rng();
+        let mut r = test_rng();
         let scope = LinkScope::OneWay {
             from: NodeId(0),
             to: NodeId(1),
@@ -867,7 +867,7 @@ mod tests {
     #[test]
     fn one_way_degradation_is_directional() {
         let mut topo = Topology::default();
-        let mut r = rng();
+        let mut r = test_rng();
         topo.apply_fault(
             &LinkScope::OneWay {
                 from: NodeId(2),

@@ -14,6 +14,14 @@
 //! calendar queue by default, the legacy binary heap as a differential
 //! oracle).
 //!
+//! Faults enter as schedules, as on the threaded runtime: a pre-faulted
+//! [`Topology`] ([`Simulation::with_topology`]), a [`LinkSchedule`]
+//! ([`Simulation::apply_link_schedule`]) and a [`LifecycleSchedule`]
+//! ([`Simulation::apply_lifecycle_schedule`]), each entry executing as an
+//! ordinary deterministic event.  A lifecycle event is
+//! [`crate::lifecycle`]'s `Process::apply`, the one transition both hosts
+//! share; a handler runs through its `Call::run`.
+//!
 //! Hot-path layout: actors live in a dense slab (`Vec<ActorSlot>`) addressed
 //! by a small integer handle; the `ProcessId → slot` mapping is consulted
 //! when an event is *enqueued* (and at the public inspection APIs), so
@@ -21,7 +29,6 @@
 //! FIFO delivery floors and per-process counters are likewise slab-indexed.
 
 use std::any::Any;
-use std::collections::BTreeMap;
 
 use fs_common::id::{NodeId, ProcessId};
 use fs_common::rng::DetRng;
@@ -29,8 +36,8 @@ use fs_common::time::{SimDuration, SimTime};
 use fs_common::Frame;
 
 use crate::actor::{Actor, Context, Outgoing, TimerId};
-use crate::lifecycle::replacement_rng;
-use crate::link::{LinkEvent, LinkFault, LinkSchedule, LinkScope, Topology};
+use crate::lifecycle::{Call, LifecycleEvent, LifecycleSchedule, Process, ProcessFate};
+use crate::link::{LinkEvent, LinkSchedule, Topology};
 use crate::node::{NodeConfig, NodeState};
 use crate::sched::{EventQueue, ScheduledEvent, SchedulerKind};
 use crate::trace::{NetStats, ProcessCount, ProcessCounters, TraceEvent, TraceLog};
@@ -39,10 +46,9 @@ use crate::trace::{NetStats, ProcessCount, ProcessCounters, TraceEvent, TraceLog
 /// enqueued (externally injected traffic) and is resolved at dispatch.
 const UNRESOLVED: u32 = u32::MAX;
 
-/// Process identifiers below this bound index a dense lookup table; larger
-/// (arbitrarily sparse) identifiers fall back to an ordered map so that
-/// `spawn_with` keeps accepting any id without huge allocations.
-const DENSE_ID_LIMIT: u32 = 1 << 20;
+/// Process identifiers index a dense table, so they stay below this bound
+/// (the largest deployment id is a shard base plus `PID_STRIDE`, 1 024).
+const MAX_PROCESS_ID: u32 = 1 << 20;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum EventKind {
@@ -57,10 +63,11 @@ enum EventKind {
         from: ProcessId,
         payload: Frame,
     },
+    /// A firing of an armed timer; it runs only while the process's armed
+    /// entry for `timer` still holds this event's `seq`.
     Timer {
         slot: u32,
         timer: TimerId,
-        generation: u64,
     },
     /// A scheduled link fault takes effect; the payload lives in the
     /// simulation's `link_events` table (faults carry probabilities, which
@@ -75,27 +82,6 @@ enum EventKind {
     Lifecycle {
         index: u32,
     },
-}
-
-/// The action a scheduled lifecycle event performs on its process.
-enum LifecycleAction {
-    /// Take the process down: subsequent deliveries are dropped and its
-    /// armed timers are lost, as in a real process crash.
-    Down,
-    /// Bring the process back up with its in-memory state intact (a warm
-    /// restart); [`Actor::on_recover`] runs so it can re-arm timers and
-    /// resynchronise.
-    Up,
-    /// Replace the process with a fresh actor under the same identity (a
-    /// cold replacement); [`Actor::on_start`] runs on the new incarnation.
-    /// The box is `take`n when the event executes.
-    Replace(Option<Box<dyn Actor>>),
-}
-
-/// One entry of the simulation's lifecycle side table.
-struct LifecycleEvent {
-    process: ProcessId,
-    action: LifecycleAction,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,15 +108,9 @@ impl ScheduledEvent for QueuedEvent {
 }
 
 struct ActorSlot {
-    id: ProcessId,
-    actor: Box<dyn Actor>,
+    process: Process,
     /// Dense index into the simulation's node table.
     node: u32,
-    rng: DetRng,
-    /// False between a scheduled crash and the matching recover/replace:
-    /// deliveries are dropped (and counted) and timers suppressed while down.
-    up: bool,
-    timer_generation: BTreeMap<TimerId, u64>,
     /// Per-destination-slot FIFO floor: the latest scheduled delivery time
     /// towards that slot.  Deliveries between a pair never overtake each
     /// other, modelling the FIFO TCP/IIOP connections the original
@@ -141,10 +121,9 @@ struct ActorSlot {
 }
 
 /// The execution context handed to actors by the simulator.
-struct SimContext<'a> {
+struct SimContext {
     now: SimTime,
     me: ProcessId,
-    rng: &'a mut DetRng,
     cpu: SimDuration,
     outgoing: Vec<Outgoing>,
     timers_set: Vec<(SimDuration, TimerId)>,
@@ -152,7 +131,7 @@ struct SimContext<'a> {
     labels: Vec<String>,
 }
 
-impl Context for SimContext<'_> {
+impl Context for SimContext {
     fn now(&self) -> SimTime {
         self.now
     }
@@ -171,9 +150,6 @@ impl Context for SimContext<'_> {
     fn charge_cpu(&mut self, amount: SimDuration) {
         self.cpu += amount;
     }
-    fn rng(&mut self) -> &mut DetRng {
-        self.rng
-    }
     fn trace(&mut self, label: &str) {
         self.labels.push(label.to_string());
     }
@@ -189,15 +165,15 @@ pub struct Simulation {
     /// Dense `ProcessId → slot` table ([`UNRESOLVED`] marks free ids);
     /// consulted at enqueue/registration time only.
     actor_index: Vec<u32>,
-    /// Fallback mapping for sparse process ids ≥ [`DENSE_ID_LIMIT`].
-    sparse_index: BTreeMap<ProcessId, u32>,
     /// Node slab, addressed by `NodeId` (handed out sequentially from 0).
     nodes: Vec<NodeState>,
     topology: Topology,
     /// Scheduled link faults, addressed by `EventKind::LinkFault::index`.
     link_events: Vec<LinkEvent>,
-    /// Scheduled lifecycle events, addressed by `EventKind::Lifecycle::index`.
-    lifecycle: Vec<LifecycleEvent>,
+    /// Scheduled lifecycle events, addressed by `EventKind::Lifecycle::index`;
+    /// each is taken when it executes.
+    lifecycle: Vec<Option<LifecycleEvent>>,
+    /// The stream of link-model jitter and loss draws.
     rng: DetRng,
     stats: NetStats,
     trace: Option<TraceLog>,
@@ -236,7 +212,8 @@ impl Simulation {
     }
 
     /// Creates an empty simulation with an explicit topology and the default
-    /// (calendar queue) scheduler.
+    /// (calendar queue) scheduler.  Faults already applied to `topology` are
+    /// in force from the start.
     pub fn with_topology(seed: u64, topology: Topology) -> Self {
         Self::with_scheduler(seed, topology, SchedulerKind::default())
     }
@@ -252,7 +229,6 @@ impl Simulation {
             seq: 0,
             actors: Vec::new(),
             actor_index: Vec::new(),
-            sparse_index: BTreeMap::new(),
             nodes: Vec::new(),
             topology,
             link_events: Vec::new(),
@@ -299,13 +275,9 @@ impl Simulation {
 
     /// The slab slot registered for `id`, if any.
     fn slot_of(&self, id: ProcessId) -> Option<usize> {
-        if id.0 < DENSE_ID_LIMIT {
-            match self.actor_index.get(id.0 as usize) {
-                Some(&slot) if slot != UNRESOLVED => Some(slot as usize),
-                _ => None,
-            }
-        } else {
-            self.sparse_index.get(&id).map(|&slot| slot as usize)
+        match self.actor_index.get(id.0 as usize) {
+            Some(&slot) if slot != UNRESOLVED => Some(slot as usize),
+            _ => None,
         }
     }
 
@@ -327,42 +299,36 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if the identifier is already in use or the node is unknown.
+    /// Panics if the identifier is already in use or not below 2^20, or the
+    /// node is unknown.
     pub fn spawn_with(&mut self, id: ProcessId, node: NodeId, actor: Box<dyn Actor>) {
         assert!((node.0 as usize) < self.nodes.len(), "unknown node {node}");
+        assert!(
+            id.0 < MAX_PROCESS_ID,
+            "process id {id} is not below the simulator's bound of 2^20"
+        );
         assert!(self.slot_of(id).is_none(), "process id {id} already in use");
         self.next_process = self.next_process.max(id.0 + 1);
-        let rng = self.rng.derive(0x5eed_0000 + u64::from(id.0));
         let slot = self.actors.len() as u32;
-        if id.0 < DENSE_ID_LIMIT {
-            if self.actor_index.len() <= id.0 as usize {
-                self.actor_index.resize(id.0 as usize + 1, UNRESOLVED);
-            }
-            self.actor_index[id.0 as usize] = slot;
-        } else {
-            self.sparse_index.insert(id, slot);
+        if self.actor_index.len() <= id.0 as usize {
+            self.actor_index.resize(id.0 as usize + 1, UNRESOLVED);
         }
+        self.actor_index[id.0 as usize] = slot;
         self.actors.push(ActorSlot {
-            id,
-            actor,
+            process: Process::new(id, actor),
             node: node.0,
-            rng,
-            up: true,
-            timer_generation: BTreeMap::new(),
             fifo_floor: Vec::new(),
             counters: ProcessCount::default(),
         });
-        let event = QueuedEvent {
-            at: self.clock,
-            seq: self.next_seq(),
-            kind: EventKind::Start { slot },
-        };
-        self.queue.push(event);
+        self.enqueue(self.clock, EventKind::Start { slot });
     }
 
-    fn next_seq(&mut self) -> u64 {
+    /// Queues `kind` at `at` under the next sequence number, and returns it.
+    fn enqueue(&mut self, at: SimTime, kind: EventKind) -> u64 {
         self.seq += 1;
-        self.seq
+        let seq = self.seq;
+        self.queue.push(QueuedEvent { at, seq, kind });
+        seq
     }
 
     /// Injects a message from an external source (e.g. a workload generator
@@ -379,20 +345,15 @@ impl Simulation {
         to: ProcessId,
         payload: impl Into<Frame>,
     ) {
-        let at = at.max(self.clock);
         // Destination resolution is deferred to dispatch: an actor spawned
         // between injection and delivery must still receive the message.
-        let event = QueuedEvent {
-            at,
-            seq: self.next_seq(),
-            kind: EventKind::Deliver {
-                to,
-                to_slot: UNRESOLVED,
-                from,
-                payload: payload.into(),
-            },
+        let kind = EventKind::Deliver {
+            to,
+            to_slot: UNRESOLVED,
+            from,
+            payload: payload.into(),
         };
-        self.queue.push(event);
+        self.enqueue(at.max(self.clock), kind);
     }
 
     /// Injects a message for delivery as soon as possible.
@@ -416,105 +377,42 @@ impl Simulation {
         let mut counters = ProcessCounters::new();
         for slot in &self.actors {
             if slot.counters != ProcessCount::default() {
-                counters.insert(slot.id, slot.counters);
+                counters.insert(slot.process.id, slot.counters);
             }
         }
         counters
     }
 
-    /// Mutable access to the topology.
-    ///
-    /// Prefer [`Simulation::schedule_link_fault`] /
-    /// [`Simulation::apply_link_schedule`] for mid-run interventions: a
-    /// scheduled fault executes as an ordinary deterministic event at an
-    /// exact simulated time and is recorded in the trace, whereas a direct
-    /// mutation takes effect "between" events and leaves no record.
-    pub fn topology_mut(&mut self) -> &mut Topology {
-        &mut self.topology
-    }
-
-    /// Schedules `fault` to take effect on `scope` at absolute simulated
-    /// time `at` (clamped to now).  The fault executes as an ordinary
-    /// deterministic event: runs are reproducible and the trace records the
-    /// exact moment it took effect.
-    pub fn schedule_link_fault(&mut self, at: SimTime, scope: LinkScope, fault: LinkFault) {
-        let index = self.link_events.len() as u32;
-        self.link_events.push(LinkEvent { at, scope, fault });
-        let event = QueuedEvent {
-            at: at.max(self.clock),
-            seq: self.next_seq(),
-            kind: EventKind::LinkFault { index },
-        };
-        self.queue.push(event);
-    }
-
-    /// Schedules every event of `schedule`, in time order.
+    /// Schedules every event of `schedule`, in time order (each clamped to
+    /// now).  A fault executes as an ordinary deterministic event: runs are
+    /// reproducible and the trace records the exact moment it took effect.
     pub fn apply_link_schedule(&mut self, schedule: &LinkSchedule) {
         for event in schedule.in_order() {
-            self.schedule_link_fault(event.at, event.scope, event.fault);
+            let (at, index) = (event.at.max(self.clock), self.link_events.len() as u32);
+            self.link_events.push(event);
+            self.enqueue(at, EventKind::LinkFault { index });
         }
     }
 
-    fn schedule_lifecycle(&mut self, at: SimTime, process: ProcessId, action: LifecycleAction) {
-        let index = self.lifecycle.len() as u32;
-        self.lifecycle.push(LifecycleEvent { process, action });
-        let event = QueuedEvent {
-            at: at.max(self.clock),
-            seq: self.next_seq(),
-            kind: EventKind::Lifecycle { index },
-        };
-        self.queue.push(event);
-    }
-
-    /// Schedules `process` to crash at absolute simulated time `at` (clamped
-    /// to now): from that instant deliveries to it are dropped (counted in
-    /// [`NetStats::dropped_down`]), its armed timers are lost, and its
-    /// handlers stop running until a matching [`Simulation::schedule_recover`]
-    /// or [`Simulation::schedule_replace`].  Like a scheduled link fault,
-    /// the crash executes as an ordinary deterministic event and is recorded
-    /// in the trace.
-    pub fn schedule_crash(&mut self, at: SimTime, process: ProcessId) {
-        self.schedule_lifecycle(at, process, LifecycleAction::Down);
-    }
-
-    /// Schedules `process` to come back up at `at` with its in-memory state
-    /// intact (a warm restart).  [`Actor::on_recover`] runs on the
-    /// transition; everything sent to the process while it was down is gone.
-    pub fn schedule_recover(&mut self, at: SimTime, process: ProcessId) {
-        self.schedule_lifecycle(at, process, LifecycleAction::Up);
-    }
-
-    /// Schedules a cold replacement of `process` at `at`: the fresh `actor`
-    /// takes over the same process identifier with none of the old
-    /// incarnation's state, and its [`Actor::on_start`] runs.  The
-    /// replacement draws a fresh deterministic RNG stream.
-    pub fn schedule_replace(&mut self, at: SimTime, process: ProcessId, actor: Box<dyn Actor>) {
-        self.schedule_lifecycle(at, process, LifecycleAction::Replace(Some(actor)));
+    /// Schedules every event of `schedule`, in time order (each clamped to
+    /// now) — the lifecycle counterpart of
+    /// [`Simulation::apply_link_schedule`].  Consumes the schedule because
+    /// replacement events carry their fresh actors.  A crashed process
+    /// drops its deliveries (counted in [`NetStats::dropped_down`]) and
+    /// loses its armed timers until a recover or replace; each event is
+    /// recorded in the trace.
+    pub fn apply_lifecycle_schedule(&mut self, schedule: LifecycleSchedule) {
+        for event in schedule.in_order() {
+            let (at, index) = (event.at.max(self.clock), self.lifecycle.len() as u32);
+            self.lifecycle.push(Some(event));
+            self.enqueue(at, EventKind::Lifecycle { index });
+        }
     }
 
     /// Whether `process` is currently up (false between a scheduled crash
     /// and the matching recover/replace).  `None` if never spawned.
     pub fn is_up(&self, process: ProcessId) -> Option<bool> {
-        self.slot_of(process).map(|s| self.actors[s].up)
-    }
-
-    /// Schedules every event of `schedule`, in time order — the lifecycle
-    /// counterpart of [`Simulation::apply_link_schedule`].  Consumes the
-    /// schedule because replacement events carry their fresh actors.
-    pub fn apply_lifecycle_schedule(&mut self, schedule: crate::lifecycle::LifecycleSchedule) {
-        for event in schedule.in_order() {
-            match event.fate {
-                crate::lifecycle::ProcessFate::Crash => {
-                    self.schedule_crash(event.at, event.process)
-                }
-                crate::lifecycle::ProcessFate::Recover => {
-                    self.schedule_recover(event.at, event.process)
-                }
-                crate::lifecycle::ProcessFate::Replace(actor) => {
-                    self.schedule_replace(event.at, event.process, actor)
-                }
-            }
-        }
+        self.slot_of(process).map(|s| self.actors[s].process.up())
     }
 
     /// Read access to the topology.
@@ -546,7 +444,7 @@ impl Simulation {
     /// inspection in tests and experiment harnesses.
     pub fn actor<T: Actor>(&self, process: ProcessId) -> Option<&T> {
         self.slot_of(process).and_then(|s| {
-            let any: &dyn Any = self.actors[s].actor.as_ref();
+            let any: &dyn Any = self.actors[s].process.actor.as_ref();
             any.downcast_ref::<T>()
         })
     }
@@ -555,7 +453,8 @@ impl Simulation {
     /// as the scenario harness) that defer the concrete downcast to a
     /// service-specific inspector.
     pub fn actor_dyn(&self, process: ProcessId) -> Option<&dyn Actor> {
-        self.slot_of(process).map(|s| self.actors[s].actor.as_ref())
+        self.slot_of(process)
+            .map(|s| self.actors[s].process.actor.as_ref())
     }
 
     /// Number of events waiting in the queue.
@@ -588,7 +487,7 @@ impl Simulation {
         self.clock = self.clock.max(event.at);
         match event.kind {
             EventKind::Start { slot } => {
-                self.run_handler(event.at, slot as usize, HandlerKind::Start);
+                self.run_handler(event.at, slot as usize, Call::Start);
             }
             EventKind::Deliver {
                 to,
@@ -607,37 +506,20 @@ impl Simulation {
                         }
                     }
                 };
-                if !self.actors[slot].up {
+                if !self.actors[slot].process.up() {
                     self.stats.drop_down();
                     return;
                 }
                 self.stats.messages_delivered += 1;
                 self.actors[slot].counters.received += 1;
-                self.run_handler(event.at, slot, HandlerKind::Message { from, payload });
+                self.run_handler(event.at, slot, Call::Message(from, payload));
             }
-            EventKind::Timer {
-                slot,
-                timer,
-                generation,
-            } => {
+            EventKind::Timer { slot, timer } => {
                 let slot = slot as usize;
-                let current = self.actors[slot]
-                    .timer_generation
-                    .get(&timer)
-                    .copied()
-                    .unwrap_or(0);
-                if current != generation {
-                    // Stale timer: it was cancelled or re-armed after this
-                    // firing was scheduled.
-                    return;
+                if self.actors[slot].process.armed.fires(timer, event.seq) {
+                    self.stats.timers_fired += 1;
+                    self.run_handler(event.at, slot, Call::Timer(timer));
                 }
-                if !self.actors[slot].up {
-                    // A down process fires no timers (its generations were
-                    // bumped at crash time; this is a defensive second gate).
-                    return;
-                }
-                self.stats.timers_fired += 1;
-                self.run_handler(event.at, slot, HandlerKind::Timer { timer });
             }
             EventKind::LinkFault { index } => {
                 let link_event = &self.link_events[index as usize];
@@ -658,68 +540,33 @@ impl Simulation {
     }
 
     fn run_lifecycle(&mut self, at: SimTime, index: usize) {
-        let process = self.lifecycle[index].process;
-        let Some(slot_idx) = self.slot_of(process) else {
+        let Some(LifecycleEvent { process, fate, .. }) = self.lifecycle[index].take() else {
+            return;
+        };
+        let Some(slot) = self.slot_of(process) else {
             return;
         };
         self.stats.lifecycle_events += 1;
-        // Resolve the action first (taking a replacement's box) so the side
-        // table borrow ends before any handler runs.
-        enum Resolved {
-            Down,
-            Up,
-            Replace(Option<Box<dyn Actor>>),
-        }
-        let resolved = match &mut self.lifecycle[index].action {
-            LifecycleAction::Down => Resolved::Down,
-            LifecycleAction::Up => Resolved::Up,
-            LifecycleAction::Replace(actor) => Resolved::Replace(actor.take()),
-        };
-        let description = match &resolved {
-            Resolved::Down => "crash",
-            Resolved::Up => "recover",
-            Resolved::Replace(_) => "replace",
-        };
         if let Some(trace) = &mut self.trace {
+            let description = match fate {
+                ProcessFate::Crash => "crash",
+                ProcessFate::Recover => "recover",
+                ProcessFate::Replace(_) => "replace",
+            };
             trace.push(TraceEvent::Lifecycle {
                 at,
                 process,
                 description: description.to_string(),
             });
         }
-        match resolved {
-            Resolved::Down => {
-                let slot = &mut self.actors[slot_idx];
-                slot.up = false;
-                // A crashed process loses its armed timers: bump every
-                // generation so pending firings go stale.
-                for g in slot.timer_generation.values_mut() {
-                    *g += 1;
-                }
-            }
-            Resolved::Up => {
-                if !self.actors[slot_idx].up {
-                    self.actors[slot_idx].up = true;
-                    self.run_handler(at, slot_idx, HandlerKind::Recover);
-                }
-            }
-            Resolved::Replace(actor) => {
-                let Some(fresh) = actor else { return };
-                let slot = &mut self.actors[slot_idx];
-                slot.actor = fresh;
-                slot.up = true;
-                for g in slot.timer_generation.values_mut() {
-                    *g += 1;
-                }
-                slot.rng = replacement_rng(&self.rng, process, index);
-                self.run_handler(at, slot_idx, HandlerKind::Start);
-            }
+        if let Some(call) = self.actors[slot].process.apply(fate) {
+            self.run_handler(at, slot, call);
         }
     }
 
-    fn run_handler(&mut self, arrival: SimTime, slot_idx: usize, kind: HandlerKind) {
+    fn run_handler(&mut self, arrival: SimTime, slot_idx: usize, call: Call) {
         let slot = &mut self.actors[slot_idx];
-        let process = slot.id;
+        let process = slot.process.id;
         let node_idx = slot.node;
         let node = &mut self.nodes[node_idx as usize];
 
@@ -727,35 +574,24 @@ impl Simulation {
         let (thread_idx, start) = node.admit(arrival);
 
         // Marshalling cost applies to message payloads only.
-        let marshal = match &kind {
-            HandlerKind::Message { payload, .. } => node.marshal_cost(payload.len()),
-            _ => SimDuration::ZERO,
+        let (marshal, delivered) = match &call {
+            Call::Message(from, payload) => (
+                node.marshal_cost(payload.len()),
+                Some((*from, payload.len())),
+            ),
+            _ => (SimDuration::ZERO, None),
         };
 
         let mut ctx = SimContext {
             now: start,
             me: process,
-            rng: &mut slot.rng,
             cpu: SimDuration::ZERO,
             outgoing: std::mem::take(&mut self.scratch.outgoing),
             timers_set: std::mem::take(&mut self.scratch.timers_set),
             timers_cancelled: std::mem::take(&mut self.scratch.timers_cancelled),
             labels: std::mem::take(&mut self.scratch.labels),
         };
-
-        let (from_for_trace, size_for_trace) = match &kind {
-            HandlerKind::Message { from, payload } => (Some(*from), payload.len()),
-            _ => (None, 0),
-        };
-
-        match kind {
-            HandlerKind::Start => slot.actor.on_start(&mut ctx),
-            HandlerKind::Recover => slot.actor.on_recover(&mut ctx),
-            HandlerKind::Message { from, payload } => {
-                slot.actor.on_message(&mut ctx, from, payload)
-            }
-            HandlerKind::Timer { timer } => slot.actor.on_timer(&mut ctx, timer),
-        }
+        call.run(slot.process.actor.as_mut(), &mut ctx);
 
         let SimContext {
             cpu,
@@ -771,12 +607,12 @@ impl Simulation {
         self.stats.events_processed += 1;
 
         if let Some(trace) = &mut self.trace {
-            if let Some(from) = from_for_trace {
+            if let Some((from, size)) = delivered {
                 trace.push(TraceEvent::Deliver {
                     at: start,
                     from,
                     to: process,
-                    size: size_for_trace,
+                    size,
                 })
             }
             for label in &labels {
@@ -788,28 +624,15 @@ impl Simulation {
             }
         }
 
-        // Timer cancellations and (re)arms: bump generations.
+        // Timer cancellations first, then (re)arms: each arm's token is the
+        // sequence number of the firing it queues.
         for timer in timers_cancelled.drain(..) {
-            let slot = &mut self.actors[slot_idx];
-            *slot.timer_generation.entry(timer).or_insert(0) += 1;
+            self.actors[slot_idx].process.armed.cancel(timer);
         }
         for (delay, timer) in timers_set.drain(..) {
-            let slot = &mut self.actors[slot_idx];
-            let generation = {
-                let g = slot.timer_generation.entry(timer).or_insert(0);
-                *g += 1;
-                *g
-            };
-            let event = QueuedEvent {
-                at: end + delay,
-                seq: self.next_seq(),
-                kind: EventKind::Timer {
-                    slot: slot_idx as u32,
-                    timer,
-                    generation,
-                },
-            };
-            self.queue.push(event);
+            let slot = slot_idx as u32;
+            let token = self.enqueue(end + delay, EventKind::Timer { slot, timer });
+            self.actors[slot_idx].process.armed.arm(timer, token);
         }
 
         // Outgoing messages leave the node when the handler's service
@@ -847,17 +670,13 @@ impl Simulation {
                     }
                     let arrival = (end + link_delay).max(floors[dest_slot]);
                     floors[dest_slot] = arrival;
-                    let event = QueuedEvent {
-                        at: arrival,
-                        seq: self.next_seq(),
-                        kind: EventKind::Deliver {
-                            to,
-                            to_slot: dest_slot as u32,
-                            from: process,
-                            payload,
-                        },
+                    let kind = EventKind::Deliver {
+                        to,
+                        to_slot: dest_slot as u32,
+                        from: process,
+                        payload,
                     };
-                    self.queue.push(event);
+                    self.enqueue(arrival, kind);
                 }
                 None => {
                     self.stats.drop_link();
@@ -873,13 +692,6 @@ impl Simulation {
         self.scratch.timers_cancelled = timers_cancelled;
         self.scratch.labels = labels;
     }
-}
-
-enum HandlerKind {
-    Start,
-    Recover,
-    Message { from: ProcessId, payload: Frame },
-    Timer { timer: TimerId },
 }
 
 #[cfg(test)]
@@ -959,7 +771,7 @@ mod tests {
         }
     }
 
-    fn ideal_sim() -> Simulation {
+    fn ideal_topology() -> Topology {
         let mut topo = Topology::new(LinkModel::SyncLan {
             base: SimDuration::from_micros(100),
             bandwidth_bps: 0,
@@ -968,7 +780,11 @@ mod tests {
         topo.set_loopback(LinkModel::Loopback {
             cost: SimDuration::from_micros(10),
         });
-        Simulation::with_topology(1, topo)
+        topo
+    }
+
+    fn ideal_sim() -> Simulation {
+        Simulation::with_topology(1, ideal_topology())
     }
 
     #[test]
@@ -1147,11 +963,12 @@ mod tests {
 
     #[test]
     fn severed_topology_drops_messages() {
-        let mut sim = ideal_sim();
+        let mut topology = ideal_topology();
+        topology.sever(NodeId(0), NodeId(1));
+        let mut sim = Simulation::with_topology(1, topology);
         let n0 = sim.add_node(NodeConfig::ideal());
         let n1 = sim.add_node(NodeConfig::ideal());
         let echo = sim.spawn(n0, Box::new(Echo::new()));
-        sim.topology_mut().sever(NodeId(0), NodeId(1));
         let burst = sim.spawn(
             n1,
             Box::new(Burst {
@@ -1214,8 +1031,10 @@ mod tests {
         let scope = LinkScope::Pair { a: n0, b: n1 };
         // Sever while messages 3 and 4 (t = 30, 40 ms) are in flight; heal
         // before message 5 (t = 50 ms) goes out.
-        sim.schedule_link_fault(SimTime::from_millis(25), scope.clone(), LinkFault::Sever);
-        sim.schedule_link_fault(SimTime::from_millis(45), scope, LinkFault::Heal);
+        let schedule = LinkSchedule::new()
+            .then(SimTime::from_millis(25), scope.clone(), LinkFault::Sever)
+            .then(SimTime::from_millis(45), scope, LinkFault::Heal);
+        sim.apply_link_schedule(&schedule);
         sim.run_until(SimTime::from_secs(1));
 
         assert_eq!(sim.stats().link_faults, 2);
@@ -1285,8 +1104,11 @@ mod tests {
             }),
         );
         // Down between t = 25 ms and t = 65 ms: messages 3..=6 are dropped.
-        sim.schedule_crash(SimTime::from_millis(25), target);
-        sim.schedule_recover(SimTime::from_millis(65), target);
+        sim.apply_lifecycle_schedule(
+            LifecycleSchedule::new()
+                .crash_at(SimTime::from_millis(25), target)
+                .recover_at(SimTime::from_millis(65), target),
+        );
         sim.run_until(SimTime::from_secs(1));
 
         let l = sim.actor::<Lifeline>(target).unwrap();
@@ -1321,9 +1143,12 @@ mod tests {
                 timer_fired: 0,
             }),
         );
-        sim.schedule_crash(SimTime::from_millis(35), target);
         // While down between 35 and 200 ms nothing fires; on_recover re-arms.
-        sim.schedule_recover(SimTime::from_millis(200), target);
+        sim.apply_lifecycle_schedule(
+            LifecycleSchedule::new()
+                .crash_at(SimTime::from_millis(35), target)
+                .recover_at(SimTime::from_millis(200), target),
+        );
         sim.run_until(SimTime::from_millis(245));
         let l = sim.actor::<Lifeline>(target).unwrap();
         // Fired at 10, 20, 30 ms; then down; then ~210, 220, 230, 240 ms.
@@ -1346,8 +1171,11 @@ mod tests {
                 replies: 0,
             }),
         );
-        sim.schedule_crash(SimTime::from_millis(25), target);
-        sim.schedule_replace(SimTime::from_millis(55), target, Box::new(Echo::new()));
+        sim.apply_lifecycle_schedule(
+            LifecycleSchedule::new()
+                .crash_at(SimTime::from_millis(25), target)
+                .replace_at(SimTime::from_millis(55), target, Box::new(Echo::new())),
+        );
         sim.run_until(SimTime::from_secs(1));
         let e = sim.actor::<Echo>(target).unwrap();
         // Messages 1-2 hit the old incarnation (state gone), 3-5 dropped

@@ -82,11 +82,14 @@
 //! A [`crate::lifecycle::LifecycleSchedule`] passed to
 //! [`ThreadedBuilder::with_lifecycle_schedule`] is split by hosting node;
 //! each node thread executes its actors' events at their wall-clock offsets
-//! from start: a crash takes the process down (deliveries dropped and
-//! counted, armed timers lost), a recover brings it back warm (running
-//! [`Actor::on_recover`]), a replace installs the scheduled fresh actor cold
-//! (running its [`Actor::on_start`]) — mirroring the simulator's
-//! deterministic execution of the same schedule.
+//! from start through [`crate::lifecycle`]'s `Process::apply`, the very
+//! transition the simulator runs: a crash takes the process down
+//! (deliveries dropped and counted, armed timers lost), a recover brings it
+//! back warm (running [`Actor::on_recover`]), a replace installs the
+//! scheduled fresh actor cold (running its [`Actor::on_start`]).  A node
+//! thread hosts `Process`es and runs every handler through `Call::run`, as
+//! the simulator does; what it keeps for itself is the agenda, the inbox
+//! and the flush.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -102,13 +105,13 @@ use fs_common::time::{SimDuration, SimTime};
 use fs_common::Frame;
 
 use crate::actor::{Actor, Context, TimerId};
-use crate::lifecycle::{replacement_rng, LifecycleSchedule, ProcessFate};
+use crate::lifecycle::{Armed, Call, LifecycleSchedule, Process, ProcessFate};
 use crate::link::{LinkEvent, LinkSchedule, Topology};
 use crate::trace::NetStats;
 
 /// What a node thread hands back at shutdown: its actors in registration
 /// order.
-type NodeActors = Vec<(ProcessId, Box<dyn Actor>)>;
+type HostedActors = Vec<(ProcessId, Box<dyn Actor>)>;
 
 /// How many envelopes one wake-up drains before re-publishing the agenda's
 /// head and running due entries again.  Draining greedily amortises the
@@ -140,14 +143,6 @@ enum Envelope {
         items: Vec<(ProcessId, Frame)>,
     },
     Stop,
-}
-
-/// A scheduled lifecycle action on one hosted actor (replacements carry the
-/// fresh actor and its pre-derived deterministic RNG).
-enum NodeLifecycle {
-    Down,
-    Up,
-    Replace(Box<dyn Actor>, DetRng),
 }
 
 /// One node's (or the external injector's) statistics, padded to its own
@@ -310,7 +305,8 @@ impl Shared {
 /// Configuration of the threaded runtime.
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadedConfig {
-    /// Random seed from which per-actor RNGs are derived.
+    /// Random seed from which each node's stream of link loss and jitter
+    /// draws is derived.
     pub seed: u64,
 }
 
@@ -482,25 +478,17 @@ impl ThreadedBuilder {
         let txs = Arc::new(txs);
         let node_of = Arc::new(node_of);
         let shared = Arc::new(Shared::with_nodes(self.nodes.len()));
-        let root_rng = DetRng::new(self.config.seed);
 
         // The lifecycle plane: each event goes to the node hosting its
-        // process (events naming nobody are dropped); replacements pre-derive
-        // their RNG stream exactly as the simulator does.
+        // process (events naming nobody are dropped).
         let mut lifecycle: Vec<Vec<(SimTime, Due)>> =
             self.nodes.iter().map(|_| Vec::new()).collect();
-        for (k, event) in self.lifecycle.in_order().into_iter().enumerate() {
+        for event in self.lifecycle.in_order() {
             let Some(&node) = node_of.get(&event.process) else {
                 continue;
             };
-            let action = match event.fate {
-                ProcessFate::Crash => NodeLifecycle::Down,
-                ProcessFate::Recover => NodeLifecycle::Up,
-                ProcessFate::Replace(actor) => {
-                    NodeLifecycle::Replace(actor, replacement_rng(&root_rng, event.process, k))
-                }
-            };
-            lifecycle[node].push((event.at, Due::Lifecycle(event.process, Box::new(action))));
+            let due = Due::Lifecycle(event.process, Box::new(event.fate));
+            lifecycle[node].push((event.at, due));
         }
 
         // The fault plane only materialises when it can actually do
@@ -534,17 +522,11 @@ impl ThreadedBuilder {
                 shared: Arc::clone(&shared),
                 epoch,
             };
-            let actors = actors
+            let processes = actors
                 .into_iter()
-                .map(|(id, actor)| NodeActor {
-                    id,
-                    actor,
-                    rng: root_rng.derive(u64::from(id.0)),
-                    armed: HashMap::new(),
-                    up: true,
-                })
+                .map(|(id, actor)| Process::new(id, actor))
                 .collect();
-            let mut node = Node::new(env, actors, topology.clone(), self.config.seed);
+            let mut node = Node::new(env, processes, topology.clone(), self.config.seed);
             for event in &schedule {
                 let fault = Due::LinkFault(Box::new(event.clone()));
                 node.agenda.push(node.env.wall(event.at), fault);
@@ -573,7 +555,7 @@ impl ThreadedBuilder {
 pub struct ThreadedRuntime {
     txs: Arc<Vec<Sender<Envelope>>>,
     node_of: Arc<HashMap<ProcessId, usize>>,
-    handles: Vec<JoinHandle<NodeActors>>,
+    handles: Vec<JoinHandle<HostedActors>>,
     epoch: Instant,
     shared: Arc<Shared>,
 }
@@ -766,9 +748,9 @@ impl ThreadedRuntime {
 /// the payloads of the other three are boxed so that every agenda entry
 /// stays as small as a timer's.
 enum Due {
-    /// A timer armed by the hosted actor at index `actor`; current only
-    /// while that actor's `armed` entry still names this agenda entry.
-    Timer { actor: usize, timer: TimerId },
+    /// A timer armed by the hosted process at index `process`; current only
+    /// while that process's armed entry still holds this entry's `seq`.
+    Timer { process: usize, timer: TimerId },
     /// A fault-delayed frame to re-inject into the inbox of node `node`.
     Release {
         node: usize,
@@ -776,8 +758,8 @@ enum Due {
     },
     /// A scheduled link fault to apply to this node's own topology.
     LinkFault(Box<LinkEvent>),
-    /// A scheduled lifecycle action on a hosted actor.
-    Lifecycle(ProcessId, Box<NodeLifecycle>),
+    /// A scheduled lifecycle event of a hosted process.
+    Lifecycle(ProcessId, Box<ProcessFate>),
 }
 
 /// One agenda entry.  Ordered by `(due, seq)`, earliest first out of the
@@ -844,15 +826,14 @@ impl Agenda {
 
 struct ThreadContext<'a> {
     me: ProcessId,
-    /// Index of `me` among its node's actors (what its timers are filed
+    /// Index of `me` among its node's processes (what its timers are filed
     /// under).
-    actor: usize,
+    process: usize,
     epoch: Instant,
     /// Sends buffered during the handler; flushed as one batch per
     /// destination node when the handler returns.
     outgoing: &'a mut Vec<(ProcessId, Frame)>,
-    rng: &'a mut DetRng,
-    armed: &'a mut HashMap<TimerId, u64>,
+    armed: &'a mut Armed,
     agenda: &'a mut Agenda,
 }
 
@@ -867,19 +848,16 @@ impl Context for ThreadContext<'_> {
         self.outgoing.push((to, payload));
     }
     fn set_timer(&mut self, delay: SimDuration, timer: TimerId) {
-        let actor = self.actor;
+        let process = self.process;
         let due = Instant::now() + Duration::from(delay);
-        let seq = self.agenda.push(due, Due::Timer { actor, timer });
-        self.armed.insert(timer, seq);
+        let seq = self.agenda.push(due, Due::Timer { process, timer });
+        self.armed.arm(timer, seq);
     }
     fn cancel_timer(&mut self, timer: TimerId) {
-        self.armed.remove(&timer);
+        self.armed.cancel(timer);
     }
     /// A no-op: handlers on real threads cost what they cost.
     fn charge_cpu(&mut self, _amount: SimDuration) {}
-    fn rng(&mut self) -> &mut DetRng {
-        self.rng
-    }
     fn trace(&mut self, _label: &str) {}
 }
 
@@ -917,32 +895,10 @@ struct LinkFifo {
     via_delay_line: bool,
 }
 
-struct NodeActor {
-    id: ProcessId,
-    actor: Box<dyn Actor>,
-    rng: DetRng,
-    /// Per timer, the sequence number of the agenda entry that will fire it.
-    /// Re-arming overwrites, cancelling removes and a crash clears, so every
-    /// other entry for the timer pops stale.
-    armed: HashMap<TimerId, u64>,
-    /// False between a scheduled crash and the matching recover/replace:
-    /// deliveries are dropped (and counted); its timers were lost at the
-    /// crash.
-    up: bool,
-}
-
-/// The handler a dispatch runs — the simulator's four.
-enum Call {
-    Start,
-    Recover,
-    Message(ProcessId, Frame),
-    Timer(TimerId),
-}
-
 /// A node thread's whole state.  Only `env` reaches outside the thread.
 struct Node {
     env: NodeEnv,
-    actors: Vec<NodeActor>,
+    processes: Vec<Process>,
     local_index: HashMap<ProcessId, usize>,
     agenda: Agenda,
     /// This node's own copy of the fault topology; `None` when no fault
@@ -959,10 +915,14 @@ struct Node {
 }
 
 impl Node {
-    fn new(env: NodeEnv, actors: Vec<NodeActor>, topology: Option<Topology>, seed: u64) -> Self {
+    fn new(env: NodeEnv, processes: Vec<Process>, topology: Option<Topology>, seed: u64) -> Self {
         Self {
-            local_index: actors.iter().enumerate().map(|(i, a)| (a.id, i)).collect(),
-            actors,
+            local_index: processes
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (p.id, i))
+                .collect(),
+            processes,
             agenda: Agenda::default(),
             topology,
             links: vec![
@@ -979,26 +939,22 @@ impl Node {
         }
     }
 
-    /// Runs one handler of the hosted actor at `idx`, then flushes what it
-    /// sent.
+    /// Runs one handler of the hosted process at `idx`, then flushes what
+    /// it sent.
     fn dispatch(&mut self, idx: usize, call: Call) {
-        let a = &mut self.actors[idx];
+        let Process {
+            id, actor, armed, ..
+        } = &mut self.processes[idx];
         let mut ctx = ThreadContext {
-            me: a.id,
-            actor: idx,
+            me: *id,
+            process: idx,
             epoch: self.env.epoch,
             outgoing: &mut self.outgoing,
-            rng: &mut a.rng,
-            armed: &mut a.armed,
+            armed,
             agenda: &mut self.agenda,
         };
-        match call {
-            Call::Start => a.actor.on_start(&mut ctx),
-            Call::Recover => a.actor.on_recover(&mut ctx),
-            Call::Message(from, payload) => a.actor.on_message(&mut ctx, from, payload),
-            Call::Timer(timer) => a.actor.on_timer(&mut ctx, timer),
-        }
-        let from = a.id;
+        call.run(actor.as_mut(), &mut ctx);
+        let from = *id;
         self.flush(from);
     }
 
@@ -1095,7 +1051,7 @@ impl Node {
         for (to, payload) in items {
             match self.local_index.get(&to) {
                 None => unknown += 1,
-                Some(&idx) if !self.actors[idx].up => down += 1,
+                Some(&idx) if !self.processes[idx].up() => down += 1,
                 Some(&idx) => {
                     self.dispatch(idx, Call::Message(from, payload));
                     delivered += 1;
@@ -1121,9 +1077,9 @@ impl Node {
         cell.processed.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Executes one scheduled lifecycle action; returns how many handlers it
+    /// Executes one scheduled lifecycle event; returns how many handlers it
     /// ran.
-    fn lifecycle(&mut self, process: ProcessId, action: NodeLifecycle) -> u64 {
+    fn lifecycle(&mut self, process: ProcessId, fate: ProcessFate) -> u64 {
         let Some(&idx) = self.local_index.get(&process) else {
             return 0;
         };
@@ -1131,24 +1087,9 @@ impl Node {
             .cell()
             .lifecycle_events
             .fetch_add(1, Ordering::Relaxed);
-        let a = &mut self.actors[idx];
-        let call = match action {
-            NodeLifecycle::Down => {
-                a.up = false;
-                // A crashed process loses its armed timers.
-                a.armed.clear();
-                return 0;
-            }
-            NodeLifecycle::Up if a.up => return 0,
-            NodeLifecycle::Up => Call::Recover,
-            NodeLifecycle::Replace(fresh, rng) => {
-                a.actor = fresh;
-                a.rng = rng;
-                a.armed.clear();
-                Call::Start
-            }
+        let Some(call) = self.processes[idx].apply(fate) else {
+            return 0;
         };
-        a.up = true;
         self.dispatch(idx, call);
         1
     }
@@ -1160,9 +1101,9 @@ impl Node {
         let mut hooks = 0u64;
         while let Some(entry) = self.agenda.pop_due(now) {
             match entry.what {
-                Due::Timer { actor, timer } => {
-                    if self.actors[actor].armed.get(&timer) == Some(&entry.seq) {
-                        self.dispatch(actor, Call::Timer(timer));
+                Due::Timer { process, timer } => {
+                    if self.processes[process].armed.fires(timer, entry.seq) {
+                        self.dispatch(process, Call::Timer(timer));
                         fired += 1;
                     }
                 }
@@ -1182,7 +1123,7 @@ impl Node {
                         self.env.cell().link_faults.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                Due::Lifecycle(process, action) => hooks += self.lifecycle(process, *action),
+                Due::Lifecycle(process, fate) => hooks += self.lifecycle(process, *fate),
             }
         }
         if fired + hooks == 0 {
@@ -1198,15 +1139,15 @@ impl Node {
 
     /// The node thread: start hooks, then alternate between the agenda and
     /// the inbox until told to stop.
-    fn run(mut self, rx: Receiver<Envelope>) -> NodeActors {
-        if !self.actors.is_empty() {
+    fn run(mut self, rx: Receiver<Envelope>) -> HostedActors {
+        if !self.processes.is_empty() {
             let start = Instant::now();
-            for idx in 0..self.actors.len() {
+            for idx in 0..self.processes.len() {
                 self.dispatch(idx, Call::Start);
             }
             let cell = self.env.cell();
             cell.events_processed
-                .fetch_add(self.actors.len() as u64, Ordering::Relaxed);
+                .fetch_add(self.processes.len() as u64, Ordering::Relaxed);
             cell.busy_ns
                 .fetch_add(nanos_since(start, Instant::now()), Ordering::Relaxed);
         }
@@ -1265,7 +1206,10 @@ impl Node {
                 break;
             }
         }
-        self.actors.into_iter().map(|a| (a.id, a.actor)).collect()
+        self.processes
+            .into_iter()
+            .map(|p| (p.id, p.actor))
+            .collect()
     }
 }
 

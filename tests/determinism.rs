@@ -82,45 +82,6 @@ fn fs_newtop_runs_are_byte_identical() {
     assert!(!a.trace_json.is_empty());
 }
 
-#[test]
-fn newtop_baseline_runs_are_byte_identical() {
-    let a = run_scenario(scenario(NewTopService::new(), 3, Protocol::Crash));
-    let b = run_scenario(scenario(NewTopService::new(), 3, Protocol::Crash));
-    assert_eq!(a.delivery_logs, b.delivery_logs);
-    assert_eq!(a.trace_json, b.trace_json);
-    assert_eq!(a.stats, b.stats);
-}
-
-#[test]
-fn fs_smr_runs_are_byte_identical() {
-    // The second wrapped service is held to the same system-level R1 bar.
-    let a = run_scenario(scenario(SmrKvService::new(), 3, Protocol::FailSignal));
-    let b = run_scenario(scenario(SmrKvService::new(), 3, Protocol::FailSignal));
-    assert_eq!(a.delivery_logs[0].len(), 12);
-    assert_eq!(a.delivery_logs, b.delivery_logs);
-    assert_eq!(a.trace_json, b.trace_json);
-    assert_eq!(a.stats, b.stats);
-}
-
-#[test]
-fn different_seeds_still_agree_but_produce_different_schedules() {
-    // Determinism is a function of the axes: changing the seed changes the
-    // schedule (different trace), yet safety (agreement) is unaffected.
-    let base = run_scenario(scenario(NewTopService::new(), 3, Protocol::FailSignal));
-    let reseeded =
-        run_scenario(scenario(NewTopService::new(), 3, Protocol::FailSignal).seed(0xDEAD_BEEF));
-
-    for fp in [&base, &reseeded] {
-        for log in &fp.delivery_logs[1..] {
-            assert_eq!(log, &fp.delivery_logs[0]);
-        }
-    }
-    assert_ne!(
-        base.trace_json, reseeded.trace_json,
-        "a different seed must change the event schedule"
-    );
-}
-
 /// The scheduler is an implementation detail: the calendar queue (the
 /// default) and the legacy binary heap must drive the whole FS-NewTOP
 /// deployment through a byte-identical schedule — same delivery logs, same

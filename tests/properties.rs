@@ -35,18 +35,20 @@ use fs_smr_suite::smr::RequestId;
 /// A bounded, deterministic workload actor for the scheduler differential
 /// test: sends random-sized messages to random peers, arms and occasionally
 /// cancels timers, and charges random CPU — exercising every event kind the
-/// simulator schedules (starts, deliveries, timers, stale timers).
+/// simulator schedules (starts, deliveries, timers, stale timers).  Its
+/// draws come from its own stream, seeded from the case's seed and its id.
 struct Chatter {
     peers: Vec<fs_smr_suite::common::id::ProcessId>,
     sends_left: u32,
+    rng: DetRng,
 }
 
 impl Actor for Chatter {
     fn on_start(&mut self, ctx: &mut dyn Context) {
-        let delay = SimDuration::from_micros(ctx.rng().below(5_000) + 1);
+        let delay = SimDuration::from_micros(self.rng.below(5_000) + 1);
         ctx.set_timer(delay, TimerId(1));
         for peer in self.peers.clone() {
-            let size = ctx.rng().below(64) as usize;
+            let size = self.rng.below(64) as usize;
             ctx.send(peer, vec![0u8; size].into());
         }
     }
@@ -60,13 +62,13 @@ impl Actor for Chatter {
             return;
         }
         self.sends_left -= 1;
-        let cpu = ctx.rng().below(300);
+        let cpu = self.rng.below(300);
         ctx.charge_cpu(SimDuration::from_micros(cpu));
-        let size = ctx.rng().below(48) as usize;
+        let size = self.rng.below(48) as usize;
         ctx.send(from, vec![1u8; size].into());
-        if ctx.rng().below(4) == 0 {
+        if self.rng.below(4) == 0 {
             ctx.cancel_timer(TimerId(1));
-            let delay = SimDuration::from_micros(ctx.rng().below(2_000) + 1);
+            let delay = SimDuration::from_micros(self.rng.below(2_000) + 1);
             ctx.set_timer(delay, TimerId(1));
         }
     }
@@ -76,10 +78,10 @@ impl Actor for Chatter {
         }
         self.sends_left -= 1;
         let n = self.peers.len() as u64;
-        let peer = self.peers[ctx.rng().below(n) as usize];
-        let size = ctx.rng().below(32) as usize;
+        let peer = self.peers[self.rng.below(n) as usize];
+        let size = self.rng.below(32) as usize;
         ctx.send(peer, vec![2u8; size].into());
-        let delay = SimDuration::from_micros(ctx.rng().below(10_000) + 1);
+        let delay = SimDuration::from_micros(self.rng.below(10_000) + 1);
         ctx.set_timer(delay, TimerId(1));
     }
 }
@@ -108,6 +110,7 @@ fn run_chatter(
             Box::new(Chatter {
                 peers,
                 sends_left: sends,
+                rng: DetRng::new(seed).derive(i as u64),
             }),
         );
     }
@@ -835,5 +838,173 @@ proptest! {
         prop_assert_eq!(hist.percentile(p), Some(sample));
         let summary = hist.summary().unwrap();
         prop_assert_eq!((summary.min, summary.p50, summary.max), (sample, sample, sample));
+    }
+}
+
+/// Valid encodings of every frame a node decodes off the wire: the seeds
+/// the hostile-bytes property mutates.
+fn wire_corpus() -> Vec<Vec<u8>> {
+    use fs_smr_suite::harness::ClusterMsg;
+    use fs_smr_suite::newtop::app::build_batch_payload;
+    use fs_smr_suite::smr::machine::Endpoint as Ep;
+    use fs_smr_suite::smr::sequenced::{
+        GroupView, SmrClientMsg, SmrDeliverBatch, SmrDeliverEntry, SmrOrderedEntry, SmrPeerMsg,
+        SmrUpcall,
+    };
+    use fs_smr_suite::smr::AppStateMachine;
+
+    let mut rng = DetRng::new(31);
+    let (mut keys, _dir) = provision([ProcessId(1), ProcessId(2)], &mut rng);
+    let key_a = keys.remove(&SignerId(ProcessId(1))).unwrap();
+    let key_b = keys.remove(&SignerId(ProcessId(2))).unwrap();
+    let body = Bytes::from(b"payload".to_vec());
+    let content = FsContent::Output {
+        output_seq: 9,
+        dest: Ep::Peer(MemberId(2)),
+        bytes: body.clone(),
+    };
+    let put = KvCommand::Put {
+        key: "k".into(),
+        value: vec![1, 2, 3],
+    }
+    .to_wire();
+    let mut store = KvStore::new();
+    store.apply(&put);
+    let members = vec![MemberId(0), MemberId(1)];
+    let delivered = vec![(MemberId(0), 0), (MemberId(1), 0)];
+    vec![
+        FsoInbound::External(FsOutput::sign(FsId(1), content, &key_a, &key_b)).to_wire(),
+        FsoInbound::Pair(PairMessage::Candidate {
+            output_seq: 9,
+            dest: Ep::Broadcast,
+            body_len: 7,
+            digest: Sha256::digest(&body),
+            signature: Signature::sign(&key_a, &body),
+        })
+        .to_wire(),
+        FsoInbound::Raw(body.clone()).to_wire(),
+        GcMessage::Data {
+            origin: MemberId(1),
+            seq: 3,
+            ts: 4,
+            vc: vec![1, 2],
+            service: ServiceKind::SymmetricTotal,
+            payload: body.clone(),
+        }
+        .to_wire(),
+        newtop_msg::Upcall::View(newtop_msg::ViewDeliver {
+            view_id: 2,
+            members: members.clone(),
+        })
+        .to_wire(),
+        AppRequest {
+            service: ServiceKind::Causal,
+            payload: body.clone(),
+        }
+        .to_wire(),
+        SmrClientMsg::Batch {
+            first_seq: 1,
+            commands: vec![put.clone(), put.clone()],
+        }
+        .to_wire(),
+        SmrPeerMsg::OrderedBatch {
+            first_global: 5,
+            origin: MemberId(1),
+            entries: vec![SmrOrderedEntry {
+                seq: 1,
+                command: put.clone(),
+            }],
+        }
+        .to_wire(),
+        SmrPeerMsg::Snapshot {
+            view: GroupView {
+                id: 1,
+                members: members.clone(),
+            },
+            next_global: 2,
+            next_apply: 2,
+            ordered_seq: delivered.clone(),
+            store: store.snapshot(),
+            delivered,
+        }
+        .to_wire(),
+        SmrUpcall::Batch(SmrDeliverBatch {
+            first_global: 5,
+            entries: vec![SmrDeliverEntry {
+                origin: MemberId(1),
+                seq: 1,
+                response: body.clone(),
+            }],
+        })
+        .to_wire(),
+        ClusterMsg::Submit {
+            router_seq: 1,
+            key: "k".into(),
+            value: vec![7],
+        }
+        .to_wire(),
+        put,
+        store.snapshot(),
+        build_batch_payload(&[b"one".to_vec(), b"two".to_vec()]).into(),
+    ]
+    .into_iter()
+    .map(|bytes: Bytes| bytes.to_vec())
+    .collect()
+}
+
+/// Hands `bytes` to every decoder reachable from the wire.  Each may return
+/// an error, `None` or a value; none may panic or abort.
+fn decode_everything(bytes: &[u8]) {
+    use fs_smr_suite::common::Frame;
+    use fs_smr_suite::harness::ClusterMsg;
+    use fs_smr_suite::newtop::app::parse_batch_payload;
+    use fs_smr_suite::smr::sequenced::{SmrClientMsg, SmrPeerMsg, SmrUpcall};
+
+    let shared = Bytes::from(bytes.to_vec());
+    let frame = Frame::from(shared.clone());
+    let _ = FsoInbound::from_frame(&frame);
+    let _ = FsoInbound::from_wire_shared(&shared);
+    let _ = GcMessage::from_frame(&frame);
+    let _ = newtop_msg::Upcall::from_frame(&frame);
+    let _ = AppRequest::from_frame(&frame);
+    let _ = SmrClientMsg::from_frame(&frame);
+    let _ = SmrPeerMsg::from_frame(&frame);
+    let _ = SmrUpcall::from_frame(&frame);
+    let _ = ClusterMsg::from_frame(&frame);
+    let _ = KvCommand::from_frame(&frame);
+    let _ = KvStore::restore(bytes);
+    let _ = parse_batch_payload(&shared);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases().max(256)))]
+
+    /// Hostile bytes: arbitrary byte strings, and valid encodings truncated,
+    /// with one byte changed, or with four bytes (a length prefix, when they
+    /// land on one) set to `u32::MAX`, never panic or abort a decoder.
+    /// CI runs 4 096 cases (`PROPTEST_CASES`).
+    #[test]
+    fn hostile_bytes_never_panic_a_decoder(
+        raw in proptest::collection::vec(any::<u8>(), 0..128),
+        pick in 0usize..64,
+        mutation in 0u8..4,
+        at in any::<u32>(),
+        byte in any::<u8>(),
+    ) {
+        decode_everything(&raw);
+        let corpus = wire_corpus();
+        let mut bytes = corpus[pick % corpus.len()].clone();
+        let at = at as usize % bytes.len();
+        match mutation {
+            0 => bytes.truncate(at),
+            1 => bytes[at] ^= byte | 1,
+            2 => {
+                let at = at.min(bytes.len().saturating_sub(4));
+                let end = bytes.len().min(at + 4);
+                bytes[at..end].fill(0xff);
+            }
+            _ => {}
+        }
+        decode_everything(&bytes);
     }
 }
