@@ -205,6 +205,29 @@ mod tests {
     }
 
     #[test]
+    fn upcalls_are_handed_up_in_delivery_order_and_stop_at_a_hole() {
+        let (mut i, mut ctx, leader_key, follower_key) = setup();
+        let mut upcall = |output_seq: u64| {
+            let content = FsContent::Output {
+                output_seq,
+                dest: Endpoint::LocalApp,
+                bytes: vec![output_seq as u8].into(),
+            };
+            let signed = FsOutput::sign(FsId(0), content, &leader_key, &follower_key);
+            i.on_message(&mut ctx, LEADER, FsoInbound::External(signed).to_frame());
+            let to_app = ctx.sent_to(APP);
+            to_app
+                .iter()
+                .map(|o| o.payload.to_bytes()[0])
+                .collect::<Vec<u8>>()
+        };
+        assert_eq!(upcall(1), [], "held until the one it overtook arrives");
+        assert_eq!(upcall(0), [0, 1]);
+        assert_eq!(upcall(0), [0, 1], "a copy of one already handed up");
+        assert_eq!(upcall(3), [0, 1], "2 was lost: stopped at the hole");
+    }
+
+    #[test]
     fn fail_signal_is_noted_not_forwarded() {
         let (mut i, mut ctx, leader_key, follower_key) = setup();
         let signal = FsOutput::sign(FsId(0), FsContent::FailSignal, &leader_key, &follower_key);

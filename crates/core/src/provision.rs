@@ -335,6 +335,46 @@ mod tests {
         assert_eq!(pair.leader.stats().mismatches, 0);
     }
 
+    /// A pair numbers its outputs per destination: a destination that gets
+    /// every other output of the pair still sees one stream 0, 1, 2, …, so
+    /// its window for the pair holds nothing above the watermark.
+    #[test]
+    fn each_destination_gets_its_own_contiguous_stream() {
+        /// Echoes its inputs to the application and to the group in turn.
+        struct Alternating(bool);
+        impl DeterministicMachine for Alternating {
+            fn handle(&mut self, input: &MachineInput) -> Vec<MachineOutput> {
+                self.0 = !self.0;
+                let dest = if self.0 {
+                    Endpoint::LocalApp
+                } else {
+                    Endpoint::Broadcast
+                };
+                vec![MachineOutput::new(dest, input.bytes.clone())]
+            }
+        }
+
+        let mut pair =
+            Pair::with_machines(Box::new(Alternating(false)), Box::new(Alternating(false)));
+        let mut seqs = Vec::new();
+        for i in 0..10_000u32 {
+            pair.client_input(&i.to_le_bytes());
+            for (to, payload) in std::mem::take(&mut pair.external) {
+                if to != DEST_A {
+                    continue;
+                }
+                if let Some(FsDelivery::Output { output_seq, .. }) =
+                    pair.receiver.accept_frame(&payload)
+                {
+                    seqs.push(output_seq);
+                }
+            }
+        }
+        assert_eq!(pair.receiver.accepted.sparse(), 0);
+        assert_eq!(seqs, (0..5_000).collect::<Vec<u64>>());
+        assert_eq!(pair.leader.stats().outputs_validated, 10_000);
+    }
+
     #[test]
     fn input_reaching_only_the_follower_is_forwarded_and_processed() {
         let mut pair = Pair::new();

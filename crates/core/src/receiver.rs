@@ -65,7 +65,7 @@ pub struct FsReceiver {
     /// messages from.
     known_pairs: BTreeMap<FsId, (SignerId, SignerId)>,
     /// What has been accepted so far.
-    accepted: Accepted,
+    pub(crate) accepted: Accepted,
     stats: ReceiverStats,
 }
 

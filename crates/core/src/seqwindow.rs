@@ -86,6 +86,12 @@ impl Accepted {
     pub(crate) fn failed(&self) -> &BTreeSet<FsId> {
         &self.failed
     }
+
+    /// How many accepted numbers sit above their window's watermark.
+    #[cfg(test)]
+    pub(crate) fn sparse(&self) -> usize {
+        self.outputs.values().map(|window| window.above.len()).sum()
+    }
 }
 
 #[cfg(test)]

@@ -1762,6 +1762,25 @@ mod tests {
         assert_eq!(grown.sequencer(), MemberId(0));
     }
 
+    /// A view with no member has no sequencer: a peer that sends one must
+    /// not be able to make the next input panic.
+    #[test]
+    fn a_peer_cannot_install_an_empty_view() {
+        let mut m = SequencedKv::new(MemberId(1), group(2));
+        let empty = GroupView {
+            id: 1,
+            members: vec![],
+        };
+        let change = SmrPeerMsg::ViewChange {
+            global: 0,
+            view: empty.clone(),
+        };
+        m.handle(&MachineInput::from_peer(MemberId(0), change.to_wire()));
+        m.handle(&MachineInput::from_app(put(MemberId(1), 0)));
+        assert!(GroupView::from_wire(&empty.to_wire()).is_err());
+        assert_eq!(m.view().sequencer(), MemberId(0));
+    }
+
     #[test]
     fn malformed_inputs_are_ignored() {
         let mut m = SequencedKv::new(MemberId(0), group(2));

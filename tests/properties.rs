@@ -976,13 +976,95 @@ fn decode_everything(bytes: &[u8]) {
     let _ = parse_batch_payload(&shared);
 }
 
+/// A valid encoding truncated (`mutation` 0), with one byte changed (1), with
+/// four bytes (a length prefix, when they land on one) set to `u32::MAX`
+/// (2), or as it is (3).
+fn mutated(mut bytes: Vec<u8>, mutation: u8, at: u32, byte: u8) -> Vec<u8> {
+    let at = at as usize % bytes.len();
+    match mutation {
+        0 => bytes.truncate(at),
+        1 => bytes[at] ^= byte | 1,
+        2 => {
+            let at = at.min(bytes.len().saturating_sub(4));
+            let end = bytes.len().min(at + 4);
+            bytes[at..end].fill(0xff);
+        }
+        _ => {}
+    }
+    bytes
+}
+
+/// Valid encodings of every frame a sequenced-KV member takes from a peer:
+/// the seeds the hostile-peer property interleaves and mutates.
+fn peer_corpus() -> Vec<Vec<u8>> {
+    use fs_smr_suite::smr::sequenced::{GroupView, SmrOrderedEntry, SmrPeerMsg};
+    use fs_smr_suite::smr::AppStateMachine;
+
+    let put = KvCommand::Put {
+        key: "k".into(),
+        value: vec![1],
+    }
+    .to_wire();
+    let mut store = KvStore::new();
+    store.apply(&put);
+    let view = GroupView {
+        id: 1,
+        members: vec![MemberId(0), MemberId(1), MemberId(2)],
+    };
+    let (m0, m1) = (MemberId(0), MemberId(1));
+    let entry = SmrOrderedEntry {
+        seq: 1,
+        command: put.clone(),
+    };
+    [
+        SmrPeerMsg::Submit {
+            origin: m1,
+            seq: 0,
+            command: put.clone(),
+        },
+        SmrPeerMsg::SubmitBatch {
+            origin: m1,
+            first_seq: 1,
+            commands: vec![put.clone(), put.clone()],
+        },
+        SmrPeerMsg::Ordered {
+            global: 0,
+            origin: m0,
+            seq: 0,
+            command: put.clone(),
+        },
+        SmrPeerMsg::OrderedBatch {
+            first_global: 1,
+            origin: m1,
+            entries: vec![entry],
+        },
+        SmrPeerMsg::CatchUpRequest {
+            member: MemberId(2),
+            view_id: 0,
+            have_applied: 0,
+        },
+        SmrPeerMsg::Snapshot {
+            view: view.clone(),
+            next_global: 2,
+            next_apply: 2,
+            ordered_seq: vec![(m0, 1)],
+            store: store.snapshot(),
+            delivered: vec![(m0, 0), (m1, 0)],
+        },
+        SmrPeerMsg::Rejoin { member: m1 },
+        SmrPeerMsg::ViewChange { global: 2, view },
+    ]
+    .iter()
+    .map(|msg| msg.to_wire().to_vec())
+    .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases().max(256)))]
 
-    /// Hostile bytes: arbitrary byte strings, and valid encodings truncated,
-    /// with one byte changed, or with four bytes (a length prefix, when they
-    /// land on one) set to `u32::MAX`, never panic or abort a decoder.
-    /// CI runs 4 096 cases (`PROPTEST_CASES`).
+    /// Hostile bytes: arbitrary byte strings, and valid encodings mutated
+    /// (see [`mutated`]), never panic or abort a decoder.  CI runs 4 096
+    /// cases (`PROPTEST_CASES`).
     #[test]
     fn hostile_bytes_never_panic_a_decoder(
         raw in proptest::collection::vec(any::<u8>(), 0..128),
@@ -993,18 +1075,44 @@ proptest! {
     ) {
         decode_everything(&raw);
         let corpus = wire_corpus();
-        let mut bytes = corpus[pick % corpus.len()].clone();
-        let at = at as usize % bytes.len();
-        match mutation {
-            0 => bytes.truncate(at),
-            1 => bytes[at] ^= byte | 1,
-            2 => {
-                let at = at.min(bytes.len().saturating_sub(4));
-                let end = bytes.len().min(at + 4);
-                bytes[at..end].fill(0xff);
-            }
-            _ => {}
+        decode_everything(&mutated(corpus[pick % corpus.len()].clone(), mutation, at, byte));
+    }
+
+    /// Hostile peers: a sequenced-KV member fed valid peer frames
+    /// interleaved with arbitrary and mutated ones, and then a client
+    /// request, never panics.  CI runs 4 096 cases (`PROPTEST_CASES`).
+    #[test]
+    fn hostile_peer_inputs_never_panic_the_kv_machine(
+        member in 0u32..3,
+        steps in proptest::collection::vec(
+            (
+                0u32..3,
+                0usize..64,
+                (any::<bool>(), proptest::collection::vec(any::<u8>(), 0..64)),
+                (0usize..64, 0u8..4, any::<u32>(), any::<u8>()),
+            ),
+            1..8,
+        ),
+    ) {
+        use fs_smr_suite::smr::sequenced::{SequencedKv, SmrClientMsg, SmrRequest};
+
+        let group: Vec<MemberId> = (0..3).map(MemberId).collect();
+        let mut machine = SequencedKv::new(MemberId(member), group);
+        let corpus = peer_corpus();
+        let from_peer = |from: u32, bytes: Vec<u8>| MachineInput::from_peer(MemberId(from), bytes);
+        for (from, valid, (arbitrary, raw), (pick, mutation, at, byte)) in steps {
+            machine.handle(&from_peer(from, corpus[valid % corpus.len()].clone()));
+            let hostile = if arbitrary {
+                raw
+            } else {
+                mutated(corpus[pick % corpus.len()].clone(), mutation, at, byte)
+            };
+            machine.handle(&from_peer(from, hostile));
         }
-        decode_everything(&bytes);
+        let request = SmrClientMsg::Request(SmrRequest {
+            seq: 0,
+            command: KvCommand::Put { key: "last".into(), value: vec![] }.to_wire(),
+        });
+        machine.handle(&MachineInput::from_app(request.to_wire()));
     }
 }
