@@ -23,13 +23,13 @@
 //! state and the comparison pools in memory, and the wrapper's recovery hook
 //! re-arms the lost deadlines.  A *cold* replacement of a wrapper is not
 //! supported: under assumption A1 the signing keys are provisioned before
-//! the run and every peer holds per-`(fs, output_seq)` dedup state tied to
-//! the original incarnation — a fresh wrapper could neither prove the old
-//! identity nor resynchronise the pair protocol.  Recovery scenarios
-//! therefore restart FS members warm (the service state inside the pair
-//! catches up through the service's own state-transfer path), while cold
-//! replacement is exercised on the crash-tolerant middleware deployment,
-//! which carries no signing state.
+//! the run and every peer holds per-`(fs, dest, output_seq)` dedup state
+//! tied to the original incarnation — a fresh wrapper could neither prove
+//! the old identity nor resynchronise the pair protocol.  Recovery
+//! scenarios therefore restart FS members warm (the service state inside
+//! the pair catches up through the service's own state-transfer path),
+//! while cold replacement is exercised on the crash-tolerant middleware
+//! deployment, which carries no signing state.
 
 use std::sync::Arc;
 

@@ -9,18 +9,21 @@
 //! [`FsInterceptor`] plays exactly that role on the application node, for
 //! *any* wrapped service: it fans the invocation layer's requests out to both
 //! wrappers of the local FS pair, and it verifies / deduplicates / strips the
-//! pair's double-signed upcalls before handing them to the application,
-//! keeping the wrapping completely transparent to both the application and
-//! the wrapped machine.  (It contains no NewTOP-specific code — which is why
-//! the generic group builder in [`crate::group`] reuses it unchanged for
-//! every service.)
+//! pair's double-signed upcalls and hands them to the application in the
+//! order the pair produced them, keeping the wrapping completely transparent
+//! to both the application and the wrapped machine.  (It contains no
+//! NewTOP-specific code — which is why the generic group builder in
+//! [`crate::group`] reuses it unchanged for every service.)  The upcalls are
+//! the pair's `LocalApp` stream, numbered 0, 1, 2, … (see [`crate::wrapper`]):
+//! one lost on both paths stops the application at the hole.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fs_common::codec::Wire;
 use fs_common::id::{FsId, ProcessId};
 use fs_common::time::SimDuration;
-use fs_common::Frame;
+use fs_common::{Bytes, Frame};
 use fs_crypto::keys::{KeyDirectory, SignerId};
 use fs_simnet::actor::{Actor, Context};
 
@@ -34,6 +37,8 @@ pub struct FsInterceptor {
     follower: ProcessId,
     local_fs: FsId,
     receiver: FsReceiver,
+    /// Upcalls that overtook the next one owed (`upcalls_delivered`).
+    held: BTreeMap<u64, Bytes>,
     local_fail_signalled: bool,
     requests_forwarded: u64,
     upcalls_delivered: u64,
@@ -68,6 +73,7 @@ impl FsInterceptor {
             follower,
             local_fs,
             receiver,
+            held: BTreeMap::new(),
             local_fail_signalled: false,
             requests_forwarded: 0,
             upcalls_delivered: 0,
@@ -116,9 +122,15 @@ impl Actor for FsInterceptor {
         // A (claimed) double-signed response from the local pair.
         ctx.charge_cpu(SimDuration::from_micros(100));
         match self.receiver.accept_frame(&payload) {
-            Some(FsDelivery::Output { bytes, .. }) => {
-                self.upcalls_delivered += 1;
-                ctx.send(self.app, bytes.into());
+            Some(FsDelivery::Output {
+                output_seq, bytes, ..
+            }) => {
+                // Fresh (the receiver drops copies), so not yet handed up.
+                self.held.insert(output_seq, bytes);
+                while let Some(bytes) = self.held.remove(&self.upcalls_delivered) {
+                    self.upcalls_delivered += 1;
+                    ctx.send(self.app, bytes.into());
+                }
             }
             Some(FsDelivery::FailSignal { fs }) if fs == self.local_fs => {
                 self.local_fail_signalled = true;

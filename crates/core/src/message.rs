@@ -22,7 +22,8 @@
 //! ```
 //!
 //! (integers little-endian) — that is [`signing_bytes`] with the body
-//! replaced by its digest.  Every signature is `HMAC(key, statement)`: a
+//! replaced by its digest; `output_seq` numbers the output in its (pair,
+//! `dest`) stream.  Every signature is `HMAC(key, statement)`: a
 //! double-signed output carries two such **shares**, one by each wrapper of
 //! the pair, over the same statement.  Nothing is nested.  A destination
 //! needs to know that *both* wrappers vouched for *this* output, and the
@@ -100,8 +101,8 @@ pub fn endpoint_len(endpoint: Endpoint) -> usize {
 pub enum FsContent {
     /// A normal output of the wrapped machine.
     Output {
-        /// The pair-wide output sequence number (assigned in the order the
-        /// machine produced the outputs; identical at both replicas).
+        /// The output's number in its (pair, `dest`) stream, 0, 1, 2, … in
+        /// the order the machine produced them (identical at both replicas).
         output_seq: u64,
         /// The logical destination of the output.
         dest: Endpoint,
@@ -440,7 +441,7 @@ pub enum PairMessage {
     /// [`Statement`] — not by its bytes, which the receiver produces itself
     /// — so it has one size whatever the output's.
     Candidate {
-        /// The pair-wide output sequence number.
+        /// The output's number in its (pair, `dest`) stream.
         output_seq: u64,
         /// The logical destination of the output.
         dest: Endpoint,

@@ -370,7 +370,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(pair.receiver.accepted.sparse(), 0);
+        assert_eq!(crate::seqwindow::tests::sparse(&pair.receiver.accepted), 0);
         assert_eq!(seqs, (0..5_000).collect::<Vec<u64>>());
         assert_eq!(pair.leader.stats().outputs_validated, 10_000);
     }

@@ -10,7 +10,8 @@
 //! the FS-NewTOP suspector turns into (never false) suspicions.
 //!
 //! An output is verified once: a frame claiming an already accepted
-//! `(fs, output_seq)` is dropped unverified (`Accepted` has the rule).
+//! `(fs, dest, output_seq)` is dropped unverified (`Accepted` has the rule);
+//! fresh ones are returned as they arrive, in any order.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -30,7 +31,7 @@ pub enum FsDelivery {
     Output {
         /// The emitting FS process.
         fs: FsId,
-        /// The pair-wide output sequence number.
+        /// The output's number in its (pair, destination) stream.
         output_seq: u64,
         /// The output bytes (signatures already stripped), refcount-shared
         /// with the decoded envelope.

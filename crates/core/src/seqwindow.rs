@@ -5,18 +5,17 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use fs_common::fasthash::FastSet;
 use fs_common::id::FsId;
+use fs_smr::machine::Endpoint;
 
 use crate::message::FsContent;
 
-/// The set of sequence numbers accepted from one source, stored as a
+/// The set of sequence numbers accepted from one stream, stored as a
 /// contiguous watermark plus the sparse numbers above it.
 ///
 /// Membership answers are exactly those of a plain set of every number ever
-/// inserted, under any insertion order.  When a source's numbers arrive
-/// contiguously up to reordering (FIFO links, two senders per source), only
-/// the numbers that overtook a missing one are held.  A number that never
-/// arrives — e.g. one the source spent on an output for another destination
-/// — pins the watermark, and everything above it stays in the sparse set.
+/// inserted, under any insertion order.  A pair numbers each destination's
+/// outputs without gaps (see [`crate::wrapper`]), so only the numbers that
+/// overtook a missing one are held, until it arrives.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SeqWindow {
     /// Every sequence number below this one has been inserted.
@@ -48,15 +47,15 @@ impl SeqWindow {
 }
 
 /// What a destination has accepted from its source FS processes: per
-/// source the output sequence numbers, and the sources whose fail-signal
-/// arrived.  Both wrappers of a source transmit every output (and a failed
-/// pair answers every message with its fail-signal), so a destination asks
-/// [`Accepted::contains`] *before* it verifies a frame — one already
-/// accepted is dropped unverified — and [`Accepted::insert`]s only what
-/// verified, so a forgery can suppress nothing not already delivered.
+/// source and `dest` stream the output numbers, and the sources whose
+/// fail-signal arrived.  Both wrappers of a source transmit every output
+/// (and a failed pair answers every message with its fail-signal), so a
+/// destination asks [`Accepted::contains`] *before* it verifies a frame —
+/// one already accepted is dropped unverified — and [`Accepted::insert`]s
+/// only what verified: a forgery can suppress nothing not already delivered.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Accepted {
-    outputs: BTreeMap<FsId, SeqWindow>,
+    outputs: BTreeMap<(FsId, Endpoint), SeqWindow>,
     failed: BTreeSet<FsId>,
 }
 
@@ -65,9 +64,11 @@ impl Accepted {
     pub(crate) fn contains(&self, fs: FsId, content: &FsContent) -> bool {
         match content {
             FsContent::FailSignal => self.failed.contains(&fs),
-            FsContent::Output { output_seq, .. } => self
+            FsContent::Output {
+                output_seq, dest, ..
+            } => self
                 .outputs
-                .get(&fs)
+                .get(&(fs, *dest))
                 .is_some_and(|seen| seen.contains(*output_seq)),
         }
     }
@@ -76,8 +77,11 @@ impl Accepted {
     pub(crate) fn insert(&mut self, fs: FsId, content: &FsContent) -> bool {
         match content {
             FsContent::FailSignal => self.failed.insert(fs),
-            FsContent::Output { output_seq, .. } => {
-                self.outputs.entry(fs).or_default().insert(*output_seq)
+            FsContent::Output {
+                output_seq, dest, ..
+            } => {
+                let window = self.outputs.entry((fs, *dest)).or_default();
+                window.insert(*output_seq)
             }
         }
     }
@@ -86,21 +90,24 @@ impl Accepted {
     pub(crate) fn failed(&self) -> &BTreeSet<FsId> {
         &self.failed
     }
-
-    /// How many accepted numbers sit above their window's watermark.
-    #[cfg(test)]
-    pub(crate) fn sparse(&self) -> usize {
-        self.outputs.values().map(|window| window.above.len()).sum()
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::collections::BTreeSet;
 
     use proptest::prelude::*;
 
     use super::*;
+
+    /// How many accepted numbers sit above their window's watermark.
+    pub(crate) fn sparse(accepted: &Accepted) -> usize {
+        accepted
+            .outputs
+            .values()
+            .map(|window| window.above.len())
+            .sum()
+    }
 
     #[test]
     fn in_order_and_mildly_reordered_streams_hold_only_the_overtakers() {

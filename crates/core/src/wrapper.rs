@@ -12,8 +12,8 @@
 //!   that signature — the wrapper's *share* — is sent to the partner with
 //!   the fields it covers ([`PairMessage::Candidate`]: sequence number,
 //!   destination, length, body digest; never the body).  When the partner's
-//!   share names the same destination, length and digest as the local
-//!   output, the two shares side by side *are* the double-signed output,
+//!   share for the same destination and number names the same length and
+//!   digest, the two shares side by side *are* the double-signed output,
 //!   which is transmitted to the destination(s): completing a comparison
 //!   signs nothing.  A mismatch, or a comparison that does not complete
 //!   within `2δ + κπ + στ` (leader) or `δ + κπ + στ` (follower), makes the
@@ -39,12 +39,12 @@
 //! three per 3-member multicast (the request, `Data`, `Deliver`) where
 //! signing the content itself cost ten.
 //!
-//! The pools hold what that leaves to hold: the ICM pool a local output's
-//! destination, digest, bytes (the bytes only to build the external frame
-//! once the comparison completes) and the wrapper's own share; the ECM pool
-//! a remote candidate as received and verified — destination, length,
-//! digest and the partner's share; the IRM pool and the processed-input set
-//! `(endpoint, body digest)` keys.
+//! The pools hold what that leaves to hold, the comparison pools keyed by
+//! `(dest, output_seq)` (a pair numbers each destination's outputs 0, 1, 2,
+//! …): the ICM pool a local output's digest, bytes (for the external frame)
+//! and own share; the ECM pool a verified remote candidate's length, digest
+//! and share; the IRM pool and the processed-input set `(endpoint, body
+//! digest)` keys.
 
 use std::collections::BTreeMap;
 
@@ -86,7 +86,6 @@ pub struct FsoStats {
 /// A locally produced, locally signed output.
 #[derive(Debug, Clone)]
 struct LocalOutput {
-    dest: Endpoint,
     /// The output bytes, kept for the external frame.
     bytes: Bytes,
     /// `SHA-256(bytes)`, from signing: the comparison runs over it, the
@@ -104,10 +103,9 @@ struct IcmpEntry {
 }
 
 /// A verified remote candidate awaiting the local output: what the
-/// partner's share covers, and the share.
+/// partner's share covers beyond its key, and the share.
 #[derive(Debug, Clone)]
 struct EcmpEntry {
-    dest: Endpoint,
     len: usize,
     digest: Digest,
     signature: Signature,
@@ -129,14 +127,17 @@ pub struct FsoPoolSizes {
 /// suppression: where it came from and the digest of its bytes.
 type InputKey = (Endpoint, Digest);
 
+/// What identifies an output: its destination and its number there.
+type OutputKey = (Endpoint, u64);
+
 #[derive(Debug, Clone)]
 struct IrmpEntry {
     timer: TimerId,
 }
 
 enum TimerPurpose {
-    /// An ICMP (output-comparison) deadline for the given output sequence.
-    OutputCompare(u64),
+    /// An ICMP (output-comparison) deadline for the given output.
+    OutputCompare(OutputKey),
     /// An IRMP (input-ordering) deadline for the given input.
     InputOrdering(InputKey),
 }
@@ -146,17 +147,15 @@ enum TimerPurpose {
 /// # Dedup state and its bounds
 ///
 /// Two structures suppress duplicates.  `accepted` keeps, per source FS
-/// process, a watermark over its output sequence numbers plus the sparse
-/// numbers above it: memory follows the reorder window wherever the numbers
-/// a source addresses to this wrapper are contiguous.  A source that also
-/// emits outputs for other destinations (FS-NewTOP's local upcalls) skips
-/// numbers, so there it still grows by eight bytes per accepted output;
-/// compacting across such gaps needs a per-destination sequence on the wire.
-/// `seen_inputs` is **still unbounded**: it identifies an input by its source
-/// endpoint and the digest of its content, which carry no sequence to compact
-/// on — the leader's external copy, the follower's `ForwardNew` copy and the
-/// leader's `Ordered` relay of one input share nothing else — so it grows by
-/// some 40 bytes per input ordered for the lifetime of the wrapper.  Bounding
+/// process and destination stream, a watermark over the stream's numbers
+/// plus the sparse numbers above it.  A source numbers each stream without
+/// gaps, so its memory follows the reorder window: only outputs that
+/// overtook a missing one are held.  `seen_inputs` is **still unbounded**:
+/// it identifies an input by its source endpoint and the digest of its
+/// content, which carry no sequence to compact on — the leader's external
+/// copy, the follower's `ForwardNew` copy and the leader's `Ordered` relay
+/// of one input share nothing else — so it grows by some 40 bytes per input
+/// ordered for the lifetime of the wrapper.  Bounding
 /// it needs a horizon agreed by the pair (e.g. the order index below which
 /// both halves have processed everything); that is the `seen_inputs` bound
 /// under ROADMAP's *liveness debt* item (unbounded-memory holes).
@@ -183,10 +182,11 @@ pub struct FsoActor {
     /// Follower only: externally received inputs awaiting the leader's order.
     irmp: BTreeMap<InputKey, IrmpEntry>,
     /// Locally produced outputs awaiting comparison.
-    icmp: BTreeMap<u64, IcmpEntry>,
+    icmp: BTreeMap<OutputKey, IcmpEntry>,
     /// Remote candidates awaiting the corresponding local output.
-    ecmp: BTreeMap<u64, EcmpEntry>,
-    output_seq: u64,
+    ecmp: BTreeMap<OutputKey, EcmpEntry>,
+    /// Per destination, the number of its next output.
+    next_output: BTreeMap<Endpoint, u64>,
     failed: bool,
     stats: FsoStats,
     next_timer: u64,
@@ -217,7 +217,7 @@ impl FsoActor {
             irmp: BTreeMap::new(),
             icmp: BTreeMap::new(),
             ecmp: BTreeMap::new(),
-            output_seq: 0,
+            next_output: BTreeMap::new(),
             failed: false,
             stats: FsoStats::default(),
             next_timer: 0,
@@ -410,8 +410,8 @@ impl FsoActor {
         bytes: Bytes,
         pi: SimDuration,
     ) {
-        let output_seq = self.output_seq;
-        self.output_seq += 1;
+        let output_seq = *self.next_output.entry(dest).or_default();
+        self.next_output.insert(dest, output_seq + 1);
 
         // One pass over the bytes at most (none when this buffer, or the
         // other replica's equal one, has been digested on this host), then
@@ -435,13 +435,13 @@ impl FsoActor {
         );
 
         let output = LocalOutput {
-            dest,
             bytes,
             digest,
             signature,
         };
-        if let Some(remote) = self.ecmp.remove(&output_seq) {
-            self.complete_comparison(ctx, output_seq, output, remote);
+        let key = (dest, output_seq);
+        if let Some(remote) = self.ecmp.remove(&key) {
+            self.complete_comparison(ctx, key, output, remote);
             return;
         }
 
@@ -450,42 +450,39 @@ impl FsoActor {
         } else {
             self.config.timing.follower_compare_timeout(pi, tau)
         };
-        let timer = self.alloc_timer(TimerPurpose::OutputCompare(output_seq));
+        let timer = self.alloc_timer(TimerPurpose::OutputCompare(key));
         ctx.set_timer(timeout, timer);
-        self.icmp.insert(output_seq, IcmpEntry { output, timer });
+        self.icmp.insert(key, IcmpEntry { output, timer });
     }
 
     /// Compares a local output with the remote candidate of the same
-    /// sequence number — destination, length and body digest, which is
-    /// everything the candidate's verified share covers.  On success the
+    /// destination and number — length and body digest, which with the key
+    /// is everything the candidate's verified share covers.  On success the
     /// two shares are the double signature: the output is assembled and
     /// transmitted, and nothing is signed or charged.  On mismatch the
     /// wrapper emits the fail-signal.
     fn complete_comparison(
         &mut self,
         ctx: &mut dyn Context,
-        output_seq: u64,
+        (dest, output_seq): OutputKey,
         local: LocalOutput,
         remote: EcmpEntry,
     ) {
-        if remote.dest != local.dest
-            || remote.len != local.bytes.len()
-            || remote.digest != local.digest
-        {
+        if remote.len != local.bytes.len() || remote.digest != local.digest {
             self.stats.mismatches += 1;
             self.fail(ctx, "output comparison mismatch");
             return;
         }
         let content = FsContent::Output {
             output_seq,
-            dest: local.dest,
+            dest,
             bytes: local.bytes,
         };
         // One encode of the external frame (header and shares around the
         // spliced output bytes), refcount-shared across every routed
         // destination.
         let wire = Self::assemble(&self.config, content, local.signature, remote.signature);
-        for process in self.config.routes.lookup(local.dest) {
+        for process in self.config.routes.lookup(dest) {
             ctx.send(*process, wire.clone());
         }
         self.stats.outputs_validated += 1;
@@ -553,22 +550,22 @@ impl FsoActor {
                     return;
                 }
                 let remote = EcmpEntry {
-                    dest,
                     len,
                     digest,
                     signature,
                 };
-                if let Some(local) = self.icmp.remove(&output_seq) {
+                let key = (dest, output_seq);
+                if let Some(local) = self.icmp.remove(&key) {
                     ctx.cancel_timer(local.timer);
                     self.timers.remove(&local.timer);
-                    self.complete_comparison(ctx, output_seq, local.output, remote);
-                } else if output_seq < self.output_seq {
+                    self.complete_comparison(ctx, key, local.output, remote);
+                } else if output_seq < self.next_output.get(&dest).copied().unwrap_or(0) {
                     // This output was already compared (its ICM entry is
                     // gone): a duplicate of the candidate that completed it,
                     // or a replay.  Nothing will ever look it up again.
                     self.stats.duplicates_suppressed += 1;
                 } else {
-                    self.ecmp.insert(output_seq, remote);
+                    self.ecmp.insert(key, remote);
                 }
             }
         }
@@ -675,8 +672,8 @@ impl Actor for FsoActor {
             return;
         };
         match purpose {
-            TimerPurpose::OutputCompare(output_seq) => {
-                if self.icmp.remove(&output_seq).is_some() {
+            TimerPurpose::OutputCompare(key) => {
+                if self.icmp.remove(&key).is_some() {
                     self.stats.timeouts += 1;
                     self.fail(ctx, "output comparison timeout");
                 }
@@ -700,11 +697,13 @@ impl Actor for FsoActor {
         // answers within the (restarted) window or the wrapper fail-signals.
         // The deadlines use the workload-independent base timeouts — the
         // per-input processing and signing charges were already paid before
-        // the crash.
+        // the crash.  Outputs are re-armed in the order they were produced,
+        // which is the order of their old timers.
         self.timers.clear();
-        let pending_outputs: Vec<u64> = self.icmp.keys().copied().collect();
-        for output_seq in pending_outputs {
-            let timer = self.alloc_timer(TimerPurpose::OutputCompare(output_seq));
+        let mut pending: Vec<_> = self.icmp.iter().map(|(k, e)| (e.timer, *k)).collect();
+        pending.sort_unstable();
+        for (_, key) in pending {
+            let timer = self.alloc_timer(TimerPurpose::OutputCompare(key));
             let timeout = if self.config.is_leader() {
                 self.config
                     .timing
@@ -715,7 +714,7 @@ impl Actor for FsoActor {
                     .follower_compare_timeout(SimDuration::ZERO, SimDuration::ZERO)
             };
             ctx.set_timer(timeout, timer);
-            if let Some(entry) = self.icmp.get_mut(&output_seq) {
+            if let Some(entry) = self.icmp.get_mut(&key) {
                 entry.timer = timer;
             }
         }

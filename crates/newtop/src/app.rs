@@ -11,8 +11,6 @@
 //! [`crate::nso::NsoActor`] for NewTOP, or at a fail-signal interceptor for
 //! FS-NewTOP.
 
-use std::collections::BTreeMap;
-
 use fs_common::codec::{Decoder, Encoder};
 use fs_common::id::{MemberId, ProcessId};
 use fs_common::time::SimTime;
@@ -94,10 +92,6 @@ pub struct AppProcess {
     last_delivery: Option<SimTime>,
     views_seen: Vec<u64>,
     delivery_log: Vec<(MemberId, u64)>,
-    /// Per service, the `order` of the next delivery to hand up.
-    next_order: BTreeMap<ServiceKind, u64>,
-    /// Deliveries that overtook the next one, by service and `order`.
-    held: BTreeMap<(ServiceKind, u64), AppDeliver>,
 }
 
 impl std::fmt::Debug for AppProcess {
@@ -134,8 +128,6 @@ impl AppProcess {
             last_delivery: None,
             views_seen: Vec::new(),
             delivery_log: Vec::new(),
-            next_order: BTreeMap::new(),
-            held: BTreeMap::new(),
         }
     }
 
@@ -231,7 +223,7 @@ impl AppProcess {
         ctx.send(self.middleware, request);
     }
 
-    /// Accounts one delivery handed up in order.
+    /// Accounts one delivery.
     fn deliver(&mut self, ctx: &mut dyn Context, delivery: &AppDeliver) {
         self.delivered_total += 1;
         let now = ctx.now();
@@ -297,25 +289,7 @@ impl Actor for AppProcess {
             return;
         }
         match self.invocation.unmarshal(&payload) {
-            Ok(Upcall::Deliver(delivery)) => {
-                // Upcalls are handed up in the GC's delivery order.  A lost
-                // one (a wrapper's copy lost on a lossy link while its
-                // partner never sent one) stops the application at the
-                // hole, as a lost `Data` stops the GC.
-                let mut key = (delivery.service, delivery.order);
-                let next = self.next_order.get(&key.0).copied().unwrap_or(0);
-                if key.1 > next {
-                    self.held.insert(key, delivery);
-                } else if key.1 == next {
-                    let mut ready = Some(delivery);
-                    while let Some(delivery) = ready {
-                        self.deliver(ctx, &delivery);
-                        key.1 += 1;
-                        ready = self.held.remove(&key);
-                    }
-                    self.next_order.insert(key.0, key.1);
-                }
-            }
+            Ok(Upcall::Deliver(delivery)) => self.deliver(ctx, &delivery),
             Ok(Upcall::View(view)) => {
                 self.views_seen.push(view.view_id);
             }
@@ -412,27 +386,6 @@ mod tests {
         assert_eq!(app.latencies().samples()[0], SimDuration::from_millis(30));
         assert!(app.first_delivery().is_some());
         assert!(app.last_delivery().is_some());
-    }
-
-    #[test]
-    fn upcalls_are_handed_up_in_delivery_order_and_stop_at_a_hole() {
-        let mut app = new_app(0, config(0));
-        let mut ctx = TestContext::new(ProcessId(1));
-        let mut upcall = |origin: u32, order: u64| {
-            let delivery = Upcall::Deliver(AppDeliver {
-                origin: MemberId(origin),
-                seq: 0,
-                order,
-                service: ServiceKind::SymmetricTotal,
-                payload: build_payload(MemberId(origin), 0, 3).into(),
-            });
-            app.on_message(&mut ctx, ProcessId(5), delivery.to_frame());
-            app.delivery_log().len()
-        };
-        assert_eq!(upcall(1, 1), 0, "held until the one it overtook arrives");
-        assert_eq!(upcall(0, 0), 2);
-        assert_eq!(upcall(0, 0), 2, "a copy of one already handed up");
-        assert_eq!(upcall(2, 3), 2, "order 2 was lost: stopped at the hole");
     }
 
     #[test]

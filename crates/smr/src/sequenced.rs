@@ -47,11 +47,12 @@ use crate::machine::{DeterministicMachine, Endpoint, MachineInput, MachineOutput
 
 /// A versioned membership view of the SMR group.
 ///
-/// The member list is ordered; the first entry is the sequencer.  Every view
-/// transition is itself an ordered entry in the global command stream (a
-/// [`SmrPeerMsg::ViewChange`] record), so all replicas install view `id + 1`
-/// at exactly the same point of the delivery order — the survivors *agree*
-/// on when a member rejoined, not merely observe it.
+/// The member list is ordered; the first entry is the sequencer, so
+/// decoding rejects an empty list.  Every view transition is itself an
+/// ordered entry in the global command stream (a [`SmrPeerMsg::ViewChange`]
+/// record), so all replicas install view `id + 1` at exactly the same point
+/// of the delivery order — the survivors *agree* on when a member rejoined,
+/// not merely observe it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupView {
     /// Monotonically increasing view number; the initial view is 0.
@@ -106,6 +107,13 @@ impl Wire for GroupView {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let id = dec.get_u64()?;
         let len = dec.get_u32()?;
+        if len == 0 {
+            // A list without a first member ends before its 4 bytes.
+            return Err(CodecError::UnexpectedEof {
+                wanted: 4,
+                available: 0,
+            });
+        }
         let mut members = Vec::with_capacity(len.min(4096) as usize);
         for _ in 0..len {
             members.push(dec.get_member()?);

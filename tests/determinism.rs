@@ -12,19 +12,6 @@ use fs_smr_suite::harness::{
 use fs_smr_suite::simnet::sched::SchedulerKind;
 use fs_smr_suite::simnet::trace::NetStats;
 
-fn quick_workload() -> Workload {
-    Workload::paper_default()
-        .messages(4)
-        .interval(SimDuration::from_millis(25))
-}
-
-fn scenario(service: impl ServiceSpec + 'static, members: u32, protocol: Protocol) -> Scenario {
-    Scenario::new(service)
-        .members(members)
-        .protocol(protocol)
-        .workload(quick_workload())
-}
-
 /// One full run: per-member delivery logs, the serialized trace, and the
 /// aggregate network statistics.
 struct RunFingerprint {
@@ -53,71 +40,6 @@ fn run_scenario(scenario: Scenario) -> RunFingerprint {
     run.enable_trace();
     run.run_until(SimTime::from_secs(120));
     fingerprint(run)
-}
-
-fn run_fs_newtop_on(members: u32, scheduler: SchedulerKind) -> RunFingerprint {
-    run_scenario(scenario(NewTopService::new(), members, Protocol::FailSignal).scheduler(scheduler))
-}
-
-#[test]
-fn fs_newtop_runs_are_byte_identical() {
-    let a = run_scenario(scenario(NewTopService::new(), 3, Protocol::FailSignal));
-    let b = run_scenario(scenario(NewTopService::new(), 3, Protocol::FailSignal));
-
-    // The runs actually did something: every member delivered every message.
-    assert_eq!(a.delivery_logs[0].len(), 12, "3 members x 4 messages");
-    for log in &a.delivery_logs[1..] {
-        assert_eq!(log, &a.delivery_logs[0], "members agree on the total order");
-    }
-
-    assert_eq!(
-        a.delivery_logs, b.delivery_logs,
-        "delivery logs must be byte-identical"
-    );
-    assert_eq!(
-        a.trace_json, b.trace_json,
-        "trace output must be byte-identical"
-    );
-    assert_eq!(a.stats, b.stats, "network statistics must be identical");
-    assert!(!a.trace_json.is_empty());
-}
-
-/// The scheduler is an implementation detail: the calendar queue (the
-/// default) and the legacy binary heap must drive the whole FS-NewTOP
-/// deployment through a byte-identical schedule — same delivery logs, same
-/// serialized trace, same statistics.  This is the system-level differential
-/// test backing the calendar-queue refactor (the raw queue-level equivalence
-/// is covered in `fs_simnet::sched` and in `tests/properties.rs`).
-#[test]
-fn calendar_and_legacy_heap_schedulers_trace_identically() {
-    let calendar = run_fs_newtop_on(3, SchedulerKind::CalendarQueue);
-    let legacy = run_fs_newtop_on(3, SchedulerKind::LegacyHeap);
-
-    assert_eq!(
-        calendar.delivery_logs[0].len(),
-        12,
-        "3 members x 4 messages"
-    );
-    assert_eq!(
-        calendar.delivery_logs, legacy.delivery_logs,
-        "delivery logs must not depend on the scheduler"
-    );
-    assert_eq!(
-        calendar.trace_json, legacy.trace_json,
-        "traces must be byte-identical across schedulers"
-    );
-    assert_eq!(calendar.stats, legacy.stats);
-
-    // The crash-tolerant baseline agrees as well.
-    let newtop_cal = run_scenario(
-        scenario(NewTopService::new(), 3, Protocol::Crash).scheduler(SchedulerKind::CalendarQueue),
-    );
-    let newtop_leg = run_scenario(
-        scenario(NewTopService::new(), 3, Protocol::Crash).scheduler(SchedulerKind::LegacyHeap),
-    );
-    assert_eq!(newtop_cal.delivery_logs, newtop_leg.delivery_logs);
-    assert_eq!(newtop_cal.trace_json, newtop_leg.trace_json);
-    assert_eq!(newtop_cal.stats, newtop_leg.stats);
 }
 
 /// The network fault plane is part of the deterministic event schedule: a
@@ -237,64 +159,6 @@ fn poisson_open_loop_runs_are_byte_identical() {
         a.trace_json, reseeded.trace_json,
         "a different arrival seed must draw different inter-arrival gaps"
     );
-}
-
-/// The recovery plane is part of the deterministic event schedule too: a
-/// crash → recover → catch-up run (a member of the sequenced-KV group is
-/// down under load, rejoins, and converges by state transfer) must be
-/// byte-identical across repeats *and* across future-event-set schedulers,
-/// with the lifecycle timeline recorded in the trace and the statistics.
-#[test]
-fn crash_recover_catch_up_traces_are_byte_identical_across_schedulers() {
-    use fs_smr_suite::common::id::MemberId;
-
-    let build = |scheduler: SchedulerKind| {
-        // Spread the workload so traffic crosses member 1's outage window
-        // (300 ms .. 800 ms) and keeps flowing after the rejoin.
-        let workload = Workload::paper_default()
-            .messages(20)
-            .interval(SimDuration::from_millis(60));
-        let faults = FaultSchedule::none()
-            .crash_member_at(SimTime::from_millis(300), MemberId(1))
-            .recover_member_at(SimTime::from_millis(800), MemberId(1));
-        run_scenario(
-            Scenario::new(SmrKvService::new())
-                .members(3)
-                .protocol(Protocol::Crash)
-                .workload(workload)
-                .faults(faults)
-                .scheduler(scheduler),
-        )
-    };
-
-    let calendar_a = build(SchedulerKind::CalendarQueue);
-    let calendar_b = build(SchedulerKind::CalendarQueue);
-    let legacy = build(SchedulerKind::LegacyHeap);
-
-    // The outage and the rejoin actually happened.
-    assert!(
-        calendar_a.stats.lifecycle_events >= 2,
-        "crash + recover executed"
-    );
-    assert!(
-        calendar_a.stats.dropped_down > 0,
-        "traffic crossed the outage window"
-    );
-    assert!(
-        calendar_a.trace_json.contains("Lifecycle"),
-        "lifecycle timeline recorded in the trace"
-    );
-
-    // Byte-identical across repeats and across schedulers.
-    assert_eq!(calendar_a.delivery_logs, calendar_b.delivery_logs);
-    assert_eq!(calendar_a.trace_json, calendar_b.trace_json);
-    assert_eq!(calendar_a.stats, calendar_b.stats);
-    assert_eq!(calendar_a.delivery_logs, legacy.delivery_logs);
-    assert_eq!(
-        calendar_a.trace_json, legacy.trace_json,
-        "recovery-plane traces must not depend on the scheduler"
-    );
-    assert_eq!(calendar_a.stats, legacy.stats);
 }
 
 /// Batching is a framing optimisation, not a semantic change: with a single

@@ -101,7 +101,7 @@ enum Family {
     CrashRestart,
     /// C1: an FS-SMR member crashes at an arbitrary instant and comes back.
     FsRestart,
-    /// C2: an FS-SMR member link loses frames, or is cut, for a while.
+    /// C2, C7: an FS-SMR member link loses frames, or is cut, for a while.
     FsLink,
     /// C3: the FS-SMR sequencer crashes, or its follower drops or corrupts.
     FsSequencerDown,
@@ -130,7 +130,7 @@ impl Family {
         match self {
             Clean | CrashStop | CrashRestart | FsDuplicatingLeader => None,
             FsRestart => Some(("2a, C1", 20, 1)),
-            FsLink => Some(("1, C2", 20, 1)),
+            FsLink => Some(("1, C7", 20, 1)),
             FsSequencerDown => Some(("2c, C3", 20, 1)),
             NewTopLink => Some(("1, C4", 20, 1)),
         }
@@ -499,10 +499,12 @@ fn catches() -> Vec<(Plan, Vec<Finding>)> {
         (Plan { family: FsRestart, service: Smr, protocol: FailSignal, members: 3, messages: 7, interval_ms: 12, poisson: true, batch: 3, seed: 3830502817, events: vec![Outage(2, 72846, 87046, Recover)] }, vec![Check(Behind(MemberId(2), Machine))]),
         // C1: the sequencer's member restarts; its leader keeps a command nobody else gets.
         (Plan { family: FsRestart, service: Smr, protocol: FailSignal, members: 2, messages: 8, interval_ms: 11, poisson: true, batch: 1, seed: 1137152568, events: vec![Outage(0, 95327, 97899, Recover)] }, vec![Check(Order(MemberId(0), Machine))]),
-        // C2: a 5.6 ms cut; member 0's driver hands up (2, 3) without (2, 2).
-        (Plan { family: FsLink, service: Smr, protocol: FailSignal, members: 3, messages: 4, interval_ms: 32, poisson: true, batch: 1, seed: 1569982164, events: vec![Link(1, 0, 149605, 155211, 1.0)] }, vec![Check(Order(MemberId(0), Delivery))]),
+        // C2 (a) (fixed): a 5.6 ms cut; member 0's interceptor holds (2, 3) until (2, 2), and degraded member 0 stops at the hole.
+        (Plan { family: FsLink, service: Smr, protocol: FailSignal, members: 3, messages: 4, interval_ms: 32, poisson: true, batch: 1, seed: 1569982164, events: vec![Link(1, 0, 149605, 155211, 1.0)] }, vec![]),
         // C2 (fixed): a 3.3 ms cut fails both pairs; their failed followers no longer answer each other's fail-signal.
         (Plan { family: FsLink, service: Smr, protocol: FailSignal, members: 2, messages: 10, interval_ms: 21, poisson: true, batch: 4, seed: 3792040986, events: vec![Link(1, 0, 91281, 94597, 1.0)] }, vec![]),
+        // C7: a 6.6 ms cut between the sequencer's leader and its follower (on member 1's node); the follower fail-signals an ordering gap, but the leader's machine has applied all three commands, which no other member ever commits.
+        (Plan { family: FsLink, service: Smr, protocol: FailSignal, members: 3, messages: 1, interval_ms: 21, poisson: false, batch: 3, seed: 2183170367, events: vec![Link(1, 0, 12760, 19329, 1.0)] }, vec![Check(Order(MemberId(0), Machine))]),
         // C3: the sequencer's follower drops outputs; the correct members stop at different points.
         (Plan { family: FsSequencerDown, service: Smr, protocol: FailSignal, members: 5, messages: 4, interval_ms: 25, poisson: true, batch: 1, seed: 2386653544, events: vec![Inject(0, Follower, Lose(0.163), 39)] }, vec![Check(Behind(MemberId(1), Delivery)), Check(Behind(MemberId(3), Delivery)), Check(Behind(MemberId(1), Machine)), Check(Behind(MemberId(3), Machine))]),
         // C3: the sequencer's member stops; its machine ends ahead of the others'.
