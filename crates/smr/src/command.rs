@@ -603,6 +603,73 @@ mod tests {
         assert!(KvStore::restore(&[0xff]).is_err());
     }
 
+    /// The snapshot bytes and digest of a fixed store, pinned: keys of 0, 1,
+    /// 17, 22 (non-ASCII), 23 and 300 bytes, two of them prefixes of others,
+    /// values of 0, 3 and 40 bytes, Puts in scrambled order with one
+    /// overwrite and one Delete.  Snapshots cross the wire in state
+    /// transfer, so how the store keeps its keys must never reach them.
+    #[test]
+    fn kv_store_snapshot_and_digest_are_pinned() {
+        const SNAPSHOT: &str = concat!(
+            "0900000000000000060000000000000003000000010203010000006100000000",
+            "2c0100006162636465666768696a6b6c6d6e6f707172737475767778797a6162",
+            "636465666768696a6b6c6d6e6f707172737475767778797a6162636465666768",
+            "696a6b6c6d6e6f707172737475767778797a6162636465666768696a6b6c6d6e",
+            "6f707172737475767778797a6162636465666768696a6b6c6d6e6f7071727374",
+            "75767778797a6162636465666768696a6b6c6d6e6f707172737475767778797a",
+            "6162636465666768696a6b6c6d6e6f707172737475767778797a616263646566",
+            "6768696a6b6c6d6e6f707172737475767778797a6162636465666768696a6b6c",
+            "6d6e6f707172737475767778797a6162636465666768696a6b6c6d6e6f707172",
+            "737475767778797a6162636465666768696a6b6c6d6e6f707172737475767778",
+            "797a6162636465666768696a6b6c6d6e28000000000102030405060708090a0b",
+            "0c0d0e0f101112131415161718191a1b1c1d1e1f202122232425262711000000",
+            "6b303030303030303030303030303066660300000078797a170000006b303030",
+            "303030303030303030303066662d7461696c7328000000000102030405060708",
+            "090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122232425262716",
+            "000000d0bad0bbd18ed1872dcebacebbceb5ceb9ceb4ceaf2103000000ff007f",
+        );
+        const DIGEST: u64 = 0x13ac_2195_b18b_1811;
+
+        let alphabet: String = (0..300u16)
+            .map(|i| char::from(b'a' + (i % 26) as u8))
+            .collect();
+        let (router, non_ascii, tail) = (
+            "k00000000000000ff",
+            "ключ-κλειδί!",
+            "k00000000000000ff-tails",
+        );
+        let lengths = ["", "a", router, non_ascii, tail, &alphabet].map(str::len);
+        assert_eq!(lengths, [0, 1, 17, 22, 23, 300]);
+        let put = |key: &str, value: &[u8]| {
+            KvCommand::Put {
+                key: key.into(),
+                value: value.to_vec(),
+            }
+            .to_wire()
+        };
+        let long: Vec<u8> = (0..40).collect();
+        let mut kv = KvStore::new();
+        for command in [
+            put(&alphabet, &long),
+            put(non_ascii, b"\xff\x00\x7f"),
+            put("", &long),
+            put(tail, &long),
+            put("doomed", b"abc"),
+            put("a", b""),
+            put(router, b"xyz"),
+            put("", &[1, 2, 3]),
+            KvCommand::Delete {
+                key: "doomed".into(),
+            }
+            .to_wire(),
+        ] {
+            kv.apply(&command);
+        }
+        let hex: String = kv.snapshot().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, SNAPSHOT);
+        assert_eq!(kv.state_digest(), DIGEST, "{:#018x}", kv.state_digest());
+    }
+
     #[test]
     fn kv_store_garbage_command_is_tolerated() {
         let mut kv = KvStore::new();

@@ -668,6 +668,63 @@ fn sequenced_group(
     check::views(&views, true)
 }
 
+/// A key from drawn code points: mostly `a`/`b`/`c`, so keys share
+/// prefixes, and now and then a two-byte UTF-8 character.
+fn drawn_key(points: &[u32]) -> String {
+    points
+        .iter()
+        .map(|&p| match p {
+            0..0x600 => char::from(b'a' + (p % 3) as u8),
+            _ => char::from_u32(p).expect("0x600..0x800 holds no surrogate"),
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases().max(256)))]
+
+    /// The store's canonical form: Puts and Deletes that each touch a
+    /// different key give the same snapshot bytes and `state_digest` in any
+    /// order, and a restored snapshot encodes to the same bytes.
+    #[test]
+    fn kv_snapshot_is_independent_of_the_order_of_distinct_key_commands(
+        keys in proptest::collection::vec(proptest::collection::vec(0u32..0x800, 0..40), 1..32),
+        fates in proptest::collection::vec((0u8..4, proptest::collection::vec(any::<u8>(), 0..48)), 32),
+        shuffle in any::<u64>(),
+    ) {
+        use fs_smr_suite::smr::AppStateMachine;
+
+        let keys: std::collections::BTreeSet<String> = keys.iter().map(|k| drawn_key(k)).collect();
+        // Every key is Put once up front; then each gets at most one more
+        // command: a Delete, an overwrite, or nothing.
+        let mut base = KvStore::new();
+        let mut commands = Vec::new();
+        for (key, (fate, value)) in keys.into_iter().zip(fates) {
+            base.apply(&KvCommand::Put { key: key.clone(), value: value.clone() }.to_wire());
+            match fate {
+                0 => commands.push(KvCommand::Delete { key }),
+                1 => commands.push(KvCommand::Put { key, value: value[value.len() / 2..].to_vec() }),
+                _ => {}
+            }
+        }
+        let in_order = |commands: &[KvCommand]| {
+            let mut store = KvStore::restore(&base.snapshot()).expect("a snapshot restores");
+            for command in commands {
+                store.apply(&command.to_wire());
+            }
+            store
+        };
+        let reference = in_order(&commands);
+        DetRng::new(shuffle).shuffle(&mut commands);
+        let shuffled = in_order(&commands);
+        prop_assert_eq!(shuffled.snapshot(), reference.snapshot());
+        prop_assert_eq!(shuffled.state_digest(), reference.state_digest());
+        let restored = KvStore::restore(&reference.snapshot()).expect("a snapshot restores");
+        prop_assert_eq!(restored.snapshot(), reference.snapshot());
+        prop_assert_eq!(restored.state_digest(), reference.state_digest());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
