@@ -1,4 +1,4 @@
-//! Structural hot-path guards: two properties of the host-side wire path,
+//! Structural hot-path guards: three properties of the host-side hot path,
 //! each checked as a comparison between two numbers of the *same run*, so
 //! the verdict depends on no committed reference, no environment variable
 //! and no other host.
@@ -40,6 +40,16 @@
 //!   reference, and the spliced 3 B round — which takes the contiguous path
 //!   inside the codec — costs at most 1.1× the reference.
 //!
+//! * **kv_apply** — the replicated application's per-command cost, which a
+//!   fail-signal member pays twice (once per wrapper): nanoseconds per
+//!   `KvStore::apply` of a Put (a router-style 17-byte `k{:016x}` key, a
+//!   3-byte value) into a store holding 1 Ki, 16 Ki or 64 Ki keys.  Every
+//!   row overwrites 256 of its resident keys, over and over, so only the
+//!   store grows from row to row.  *Guard:* a Put at 64 Ki resident keys
+//!   costs at most 1.35× a Put at 1 Ki — the hashed table read 0.91–1.25×
+//!   over 60 runs, the ordered tree over keys in their own allocations it
+//!   replaced 1.44–1.69× over 32 (a 2-vCPU Xeon, 4 MiB L2).
+//!
 //! Every timed row is the fastest of [`PASSES`] passes, and a pass times
 //! every row of its section once, one after the other: this class of host
 //! runs the same code at two speeds for stretches far longer than one pass,
@@ -64,6 +74,7 @@ use fs_crypto::sha256::kernel_name;
 use fs_crypto::sig::Signature;
 use fs_newtop::total_sym::SymmetricOrder;
 use fs_newtop::view::View;
+use fs_smr::command::{AppStateMachine, KvCommand, KvStore};
 use fs_smr::machine::Endpoint;
 
 /// Counts what the `frame_path` section allocates (one thread-local read
@@ -136,6 +147,13 @@ struct FramePathRow {
 }
 
 #[derive(Debug, Serialize)]
+struct KvApplyRow {
+    /// Keys in the store while the Puts land; each Put overwrites one.
+    resident_keys: usize,
+    put_ns: f64,
+}
+
+#[derive(Debug, Serialize)]
 struct HotpathReport {
     id: String,
     iterations: u64,
@@ -147,6 +165,8 @@ struct HotpathReport {
     /// One output round, contiguous reference vs spliced (see the module
     /// docs).
     frame_path: Vec<FramePathRow>,
+    /// One KV Put by resident key count (see the module docs).
+    kv_apply: Vec<KvApplyRow>,
 }
 
 /// The per-ack bookkeeping rows.
@@ -348,6 +368,61 @@ fn bench_frame_path() -> Vec<FramePathRow> {
         .collect()
 }
 
+/// Resident keys the timed Puts of every `kv_apply` row overwrite.
+const KV_TOUCHED: usize = 256;
+
+/// The `kv_apply` rows: each store filled with its resident keys, then
+/// timed overwriting [`KV_TOUCHED`] of them, drawn at random, in a scrambled
+/// order.  Every row replays a working set of the same size, so what grows
+/// from row to row is the store and nothing else: a table whose probe
+/// costs the same at any size stays flat, a search whose path deepens with
+/// the store does not.  The Puts to replay sit back to back in one buffer.
+fn bench_kv_apply() -> Vec<KvApplyRow> {
+    let per_pass = ITERATIONS / 4;
+    let mut rows: Vec<(usize, KvStore, Vec<u8>, usize)> = [1024usize, 16 * 1024, 64 * 1024]
+        .into_iter()
+        .map(|resident| {
+            let mut rng = DetRng::new(resident as u64);
+            let put = |key: u64| {
+                KvCommand::Put {
+                    key: format!("k{key:016x}"),
+                    value: vec![1, 2, 3],
+                }
+                .to_wire()
+            };
+            let mut keys: Vec<u64> = (0..resident).map(|_| rng.next_u64_raw()).collect();
+            let mut store = KvStore::new();
+            for &key in &keys {
+                store.apply(&put(key));
+            }
+            rng.shuffle(&mut keys);
+            let replay: Vec<u8> = keys[..KV_TOUCHED]
+                .iter()
+                .flat_map(|&key| put(key).to_vec())
+                .collect();
+            (resident, store, replay, 0)
+        })
+        .collect();
+    let put_len = rows[0].2.len() / KV_TOUCHED;
+    let best = fastest_of_interleaved(rows.len(), |at| {
+        let (_, store, replay, next) = &mut rows[at];
+        time_ns_per_op(per_pass, || {
+            *next = (*next + put_len) % replay.len();
+            black_box(store.apply(&replay[*next..*next + put_len]));
+        })
+    });
+    rows.into_iter()
+        .zip(best)
+        .map(|((resident_keys, store, _, _), put_ns)| {
+            assert_eq!(store.len(), resident_keys, "every Put overwrites");
+            KvApplyRow {
+                resident_keys,
+                put_ns,
+            }
+        })
+        .collect()
+}
+
 /// Fails the run (exit 3) when `fresh` exceeds `ceiling`.
 fn check_ceiling(label: &str, what: &str, unit: &str, fresh: f64, ceiling: f64, blame: &str) {
     if fresh > ceiling {
@@ -419,11 +494,33 @@ fn check_frame_path(fresh: &[FramePathRow]) {
     );
 }
 
+/// The store guard: a Put costs about the same whether 1 Ki or 64 Ki keys
+/// are resident (a search whose path deepens with the store does not).
+fn check_kv_apply(fresh: &[KvApplyRow]) {
+    let at = |resident: usize| {
+        fresh
+            .iter()
+            .find(|row| row.resident_keys == resident)
+            .map(|row| row.put_ns)
+            .expect("the kv_apply sweep covers 1 Ki and 64 Ki keys")
+    };
+    check_ceiling(
+        "kv_apply",
+        "Put at 64 Ki resident keys",
+        "ns",
+        at(64 * 1024),
+        1.35 * at(1024),
+        "a Put's cost grows with the store",
+    );
+}
+
 fn main() {
     eprintln!("hotpath: ack path ({ITERATIONS} acks per pass)...");
     let ack_path = bench_ack_path();
     eprintln!("hotpath: frame path...");
     let frame_path = bench_frame_path();
+    eprintln!("hotpath: kv apply...");
+    let kv_apply = bench_kv_apply();
 
     let sha256_kernel = kernel_name();
     println!("sha256 kernel: {sha256_kernel}");
@@ -455,12 +552,21 @@ fn main() {
         );
     }
 
+    println!();
+    for row in &kv_apply {
+        println!(
+            "kv_apply: Put, {:>5} resident keys  {:>7.1} ns",
+            row.resident_keys, row.put_ns
+        );
+    }
+
     let report = HotpathReport {
         id: "bench-hotpath".to_string(),
         iterations: ITERATIONS,
         sha256_kernel: sha256_kernel.to_string(),
         ack_path,
         frame_path,
+        kv_apply,
     };
     let dir = results_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {
@@ -481,4 +587,5 @@ fn main() {
     // After the report is on disk, so CI still uploads it.
     check_ack_path(&report.ack_path);
     check_frame_path(&report.frame_path);
+    check_kv_apply(&report.kv_apply);
 }

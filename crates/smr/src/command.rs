@@ -10,6 +10,7 @@
 
 use fs_common::codec::{Decoder, Encoder, Wire};
 use fs_common::error::CodecError;
+use fs_common::fasthash::FastMap;
 use fs_common::id::ProcessId;
 use fs_common::Bytes;
 
@@ -179,11 +180,103 @@ pub trait AppStateMachine: Send + 'static {
     }
 }
 
+/// Bytes a [`ByteStr`] holds in place.  Every key and value of the suite's
+/// KV workloads fits: the router's `k{:016x}` keys are 17 bytes, the
+/// drivers' `m{member}-{seq}` keys fewer, the values 3.
+const INLINE: usize = 22;
+
+/// A key or value of a [`KvStore`]: up to [`INLINE`] bytes held in place,
+/// longer ones in one boxed slice.  Equality, hashing and order are those
+/// of the bytes alone, so a key orders as the `String` it was decoded from
+/// (UTF-8 byte order is code-point order).
+#[derive(Clone)]
+enum ByteStr {
+    Inline(u8, [u8; INLINE]),
+    Heap(Box<[u8]>),
+}
+
+const _: () = assert!(std::mem::size_of::<ByteStr>() == 24);
+
+impl ByteStr {
+    fn new(bytes: &[u8]) -> Self {
+        if bytes.len() <= INLINE {
+            let mut inline = [0; INLINE];
+            inline[..bytes.len()].copy_from_slice(bytes);
+            ByteStr::Inline(bytes.len() as u8, inline)
+        } else {
+            ByteStr::Heap(bytes.into())
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            ByteStr::Inline(len, bytes) => &bytes[..usize::from(*len)],
+            ByteStr::Heap(bytes) => bytes,
+        }
+    }
+}
+
+impl PartialEq for ByteStr {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for ByteStr {}
+
+impl PartialOrd for ByteStr {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ByteStr {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl std::hash::Hash for ByteStr {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        // As `[u8]` hashes, so a table of `ByteStr` is probed by `&[u8]`.
+        self.as_bytes().hash(state);
+    }
+}
+
+impl std::borrow::Borrow<[u8]> for ByteStr {
+    fn borrow(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
+impl std::fmt::Debug for ByteStr {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_bytes().fmt(f)
+    }
+}
+
 /// A deterministic key-value store.
-#[derive(Debug, Clone, Default)]
+///
+/// The entries live in a hashed table, [`FastMap`], whose iteration order
+/// is seeded per thread; keys and values of up to 22 bytes sit inside the
+/// table's slots.  Only a snapshot and the state digest see every entry,
+/// and both take them through one private sorted view, in key-byte order:
+/// what a store encodes and digests depends on its content alone.  Keys
+/// come from clients; the table's hash seed is drawn from the operating
+/// system per thread, so a client cannot aim its keys at one bucket.
+#[derive(Clone, Default)]
 pub struct KvStore {
-    map: std::collections::BTreeMap<String, Vec<u8>>,
+    map: FastMap<ByteStr, ByteStr>,
     applied: u64,
+}
+
+impl std::fmt::Debug for KvStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KvStore")
+            .field("applied", &self.applied)
+            .field("map", &self.sorted())
+            .finish()
+    }
 }
 
 impl KvStore {
@@ -207,20 +300,30 @@ impl KvStore {
         self.map.is_empty()
     }
 
+    /// The entries in key-byte order: the one way the table is iterated.
+    fn sorted(&self) -> Vec<(&ByteStr, &ByteStr)> {
+        let mut entries: Vec<_> = self.map.iter().collect();
+        entries.sort_unstable_by_key(|&(key, _)| key);
+        entries
+    }
+
     /// Encodes the full store — key/value map plus the applied-command
     /// counter — into a canonical snapshot frame for state transfer.
     pub fn snapshot(&self) -> Bytes {
         let mut enc = Encoder::new();
         enc.put_u64(self.applied);
         enc.put_u32(self.map.len() as u32);
-        for (key, value) in &self.map {
-            enc.put_str(key);
-            enc.put_bytes(value);
+        for (key, value) in self.sorted() {
+            enc.put_bytes(key.as_bytes());
+            enc.put_bytes(value.as_bytes());
         }
         enc.finish()
     }
 
     /// Rebuilds a store from a [`KvStore::snapshot`] frame.
+    ///
+    /// The table grows as entries decode; the entry count it reads is never
+    /// trusted for a reservation.
     ///
     /// # Errors
     ///
@@ -229,10 +332,10 @@ impl KvStore {
         let mut dec = Decoder::new(bytes);
         let applied = dec.get_u64()?;
         let entries = dec.get_u32()?;
-        let mut map = std::collections::BTreeMap::new();
+        let mut map = FastMap::default();
         for _ in 0..entries {
-            let key = dec.get_str()?.to_owned();
-            let value = dec.get_bytes_owned()?;
+            let key = ByteStr::new(dec.get_str()?.as_bytes());
+            let value = ByteStr::new(dec.get_bytes()?);
             map.insert(key, value);
         }
         dec.finish()?;
@@ -240,36 +343,49 @@ impl KvStore {
     }
 }
 
+/// The encoded [`KvResponse::Ok`], one per thread: every Put and Delete
+/// answers with a refcount clone of it.
+fn ok_response() -> Bytes {
+    thread_local! {
+        static OK: Bytes = KvResponse::Ok.to_wire();
+    }
+    OK.with(Bytes::clone)
+}
+
 impl AppStateMachine for KvStore {
     fn apply(&mut self, command: &[u8]) -> Bytes {
         self.applied += 1;
-        let response = match KvCommand::from_wire(command) {
+        match KvCommand::from_wire(command) {
             Ok(KvCommand::Put { key, value }) => {
-                self.map.insert(key, value);
-                KvResponse::Ok
+                self.map
+                    .insert(ByteStr::new(key.as_bytes()), ByteStr::new(&value));
+                ok_response()
             }
-            Ok(KvCommand::Get { key }) => KvResponse::Value(self.map.get(&key).cloned()),
+            Ok(KvCommand::Get { key }) => {
+                let value = self.map.get(key.as_bytes());
+                KvResponse::Value(value.map(|v| v.as_bytes().to_vec())).to_wire()
+            }
             Ok(KvCommand::Delete { key }) => {
-                self.map.remove(&key);
-                KvResponse::Ok
+                self.map.remove(key.as_bytes());
+                ok_response()
             }
             Ok(KvCommand::Frontier) => KvResponse::Frontier {
                 applied: self.applied,
                 keys: self.map.len() as u64,
                 digest: self.state_digest(),
-            },
-            Err(_) => KvResponse::Value(None),
-        };
-        response.to_wire()
+            }
+            .to_wire(),
+            Err(_) => KvResponse::Value(None).to_wire(),
+        }
     }
 
     fn state_digest(&self) -> u64 {
         use fs_crypto::sha256::Sha256;
         let mut h = Sha256::new();
-        for (k, v) in &self.map {
+        for (k, v) in self.sorted() {
             h.update(k.as_bytes());
             h.update(&[0]);
-            h.update(v);
+            h.update(v.as_bytes());
             h.update(&[1]);
         }
         let d = h.finalize();
@@ -668,6 +784,18 @@ mod tests {
         let hex: String = kv.snapshot().iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(hex, SNAPSHOT);
         assert_eq!(kv.state_digest(), DIGEST, "{:#018x}", kv.state_digest());
+    }
+
+    /// A snapshot whose entry count claims more entries than its bytes can
+    /// hold is an error, not a reservation the allocator aborts on.
+    #[test]
+    fn restore_rejects_a_hostile_entry_count() {
+        let mut enc = Encoder::new();
+        enc.put_u64(1);
+        enc.put_u32(u32::MAX);
+        enc.put_str("k");
+        enc.put_bytes(b"v");
+        assert!(KvStore::restore(&enc.finish()).is_err());
     }
 
     #[test]

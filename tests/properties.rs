@@ -1002,11 +1002,20 @@ fn wire_corpus() -> Vec<Vec<u8>> {
         .to_wire(),
         put,
         store.snapshot(),
+        hostile_entry_count(&store.snapshot()),
         build_batch_payload(&[b"one".to_vec(), b"two".to_vec()]).into(),
     ]
     .into_iter()
     .map(|bytes: Bytes| bytes.to_vec())
     .collect()
+}
+
+/// A KV snapshot that claims `u32::MAX` entries and holds the entries of
+/// `snapshot`: a decoder that reserves by the count aborts on it.
+fn hostile_entry_count(snapshot: &[u8]) -> Bytes {
+    let mut bytes = snapshot.to_vec();
+    bytes[8..12].fill(0xff);
+    bytes.into()
 }
 
 /// Hands `bytes` to every decoder reachable from the wire.  Each may return
