@@ -1484,6 +1484,136 @@ mod tests {
         }
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// `value` encodes to exactly `pinned`, sizes it exactly, and decodes
+    /// back from it.
+    fn pin<T: Wire + PartialEq + std::fmt::Debug>(value: T, pinned: &str) {
+        assert_eq!(hex(&value.to_wire()), pinned, "{value:?}");
+        assert_eq!(value.encoded_len() * 2, pinned.len(), "{value:?}");
+        assert_eq!(T::from_wire(&unhex(pinned)).unwrap(), value);
+    }
+
+    /// The SMR-KV wire, byte for byte: the frame of one command, a
+    /// two-entry batch and the counted form of a one-entry batch, for the
+    /// client request, the submission, the ordered record and the upcall.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let b = |s: &str| Bytes::from(s.as_bytes());
+        let (m1, m2) = (MemberId(1), MemberId(2));
+        pin(
+            SmrClientMsg::Request(SmrRequest {
+                seq: 7,
+                command: b("a"),
+            }),
+            "0007000000000000000100000061",
+        );
+        pin(
+            SmrClientMsg::Batch {
+                first_seq: 7,
+                commands: vec![b("a"), b("bc")],
+            },
+            "010700000000000000020000000100000061020000006263",
+        );
+        pin(
+            SmrClientMsg::Batch {
+                first_seq: 7,
+                commands: vec![b("a")],
+            },
+            "010700000000000000010000000100000061",
+        );
+        pin(
+            SmrPeerMsg::Submit {
+                origin: m1,
+                seq: 7,
+                command: b("a"),
+            },
+            "000100000007000000000000000100000061",
+        );
+        pin(
+            SmrPeerMsg::SubmitBatch {
+                origin: m1,
+                first_seq: 7,
+                commands: vec![b("a"), b("bc")],
+            },
+            "02010000000700000000000000020000000100000061020000006263",
+        );
+        pin(
+            SmrPeerMsg::SubmitBatch {
+                origin: m1,
+                first_seq: 7,
+                commands: vec![b("a")],
+            },
+            "02010000000700000000000000010000000100000061",
+        );
+        let entry = |seq: u64, command: &str| SmrOrderedEntry {
+            seq,
+            command: b(command),
+        };
+        pin(
+            SmrPeerMsg::Ordered {
+                global: 9,
+                origin: m1,
+                seq: 7,
+                command: b("a"),
+            },
+            "0109000000000000000100000007000000000000000100000061",
+        );
+        pin(
+            SmrPeerMsg::OrderedBatch {
+                first_global: 9,
+                origin: m1,
+                entries: vec![entry(7, "a"), entry(8, "bc")],
+            },
+            "0309000000000000000100000002000000070000000000000001000000610800000000000000020000006263",
+        );
+        pin(
+            SmrPeerMsg::OrderedBatch {
+                first_global: 9,
+                origin: m1,
+                entries: vec![entry(7, "a")],
+            },
+            "030900000000000000010000000100000007000000000000000100000061",
+        );
+        let delivered = |origin: MemberId, seq: u64, response: &str| SmrDeliverEntry {
+            origin,
+            seq,
+            response: b(response),
+        };
+        pin(
+            SmrUpcall::Deliver(SmrDeliver {
+                global: 9,
+                origin: m1,
+                seq: 7,
+                response: b("ok"),
+            }),
+            "000900000000000000010000000700000000000000020000006f6b",
+        );
+        pin(
+            SmrUpcall::Batch(SmrDeliverBatch {
+                first_global: 9,
+                entries: vec![delivered(m1, 7, "ok"), delivered(m2, 3, "r")],
+            }),
+            "01090000000000000002000000010000000700000000000000020000006f6b0200000003000000000000000100000072",
+        );
+        pin(
+            SmrUpcall::Batch(SmrDeliverBatch {
+                first_global: 9,
+                entries: vec![delivered(m1, 7, "ok")],
+            }),
+            "01090000000000000001000000010000000700000000000000020000006f6b",
+        );
+    }
+
     #[test]
     fn batch_orders_every_command_in_one_frame() {
         let mut machines: Vec<SequencedKv> = group(2)
