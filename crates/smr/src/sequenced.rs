@@ -1900,6 +1900,128 @@ mod tests {
         assert_eq!(grown.sequencer(), MemberId(0));
     }
 
+    /// A peer's state-transfer reply with the given frontiers and an empty
+    /// store.
+    fn snapshot(view: GroupView, next_global: u64, next_apply: u64) -> Bytes {
+        SmrPeerMsg::Snapshot {
+            view,
+            next_global,
+            next_apply,
+            ordered_seq: vec![],
+            store: KvStore::new().snapshot(),
+            delivered: vec![],
+        }
+        .to_wire()
+    }
+
+    fn ordered_at(first_global: u64, seqs: std::ops::Range<u64>) -> Bytes {
+        SmrPeerMsg::OrderedBatch {
+            first_global,
+            origin: MemberId(0),
+            entries: seqs
+                .map(|seq| SmrOrderedEntry {
+                    seq,
+                    command: put_command(MemberId(0), seq),
+                })
+                .collect(),
+        }
+        .to_wire()
+    }
+
+    /// A submitted batch whose sequence numbers would pass `u64::MAX` is
+    /// dropped whole: none of it is ordered, and no wrapped number is
+    /// marked as ordered.
+    #[test]
+    fn a_batch_past_the_last_sequence_number_is_dropped() {
+        let mut seq = SequencedKv::new(MemberId(0), group(2));
+        let submit = |first_seq: u64, n: u64| {
+            let batch = SmrPeerMsg::SubmitBatch {
+                origin: MemberId(1),
+                first_seq,
+                commands: (0..n).map(|i| put_command(MemberId(1), i)).collect(),
+            };
+            MachineInput::from_peer(MemberId(1), batch.to_wire())
+        };
+        assert!(seq.handle(&submit(u64::MAX, 2)).is_empty());
+        assert!(seq.delivered().is_empty());
+        assert!(!seq.handle(&submit(0, 1)).is_empty());
+        assert_eq!(seq.delivered(), &[(MemberId(1), 0)]);
+    }
+
+    /// A batch of ordered records whose global indices would pass
+    /// `u64::MAX` is dropped whole; the follower keeps applying in order.
+    #[test]
+    fn a_record_batch_past_the_last_global_index_is_dropped() {
+        let mut m = SequencedKv::new(MemberId(1), group(3));
+        let from_seq = |bytes: Bytes| MachineInput::from_peer(MemberId(0), bytes);
+        assert!(m.handle(&from_seq(ordered_at(u64::MAX, 0..2))).is_empty());
+        assert!(m.handle(&from_seq(ordered_at(u64::MAX, 0..1))).is_empty());
+        let catch_up = SmrPeerMsg::CatchUpRequest {
+            member: MemberId(2),
+            view_id: 0,
+            have_applied: 0,
+        };
+        m.handle(&MachineInput::from_peer(MemberId(2), catch_up.to_wire()));
+        assert_eq!(m.handle(&from_seq(ordered_at(0, 0..1))).len(), 1);
+        assert_eq!(m.delivered(), &[(MemberId(0), 0)]);
+    }
+
+    /// A snapshot may claim the last global index is assigned; the
+    /// sequencer then orders nothing more rather than pass it.
+    #[test]
+    fn a_snapshot_cannot_push_the_assignment_frontier_past_the_last_index() {
+        let mut seq = SequencedKv::new(MemberId(0), group(2));
+        let claim = snapshot(GroupView::initial(group(2)), u64::MAX, 0);
+        seq.handle(&MachineInput::from_peer(MemberId(1), claim));
+        assert!(seq
+            .handle(&MachineInput::from_app(put(MemberId(0), 0)))
+            .is_empty());
+        let rejoin = SmrPeerMsg::Rejoin {
+            member: MemberId(1),
+        };
+        assert!(seq
+            .handle(&MachineInput::from_peer(MemberId(1), rejoin.to_wire()))
+            .is_empty());
+        assert!(seq.delivered().is_empty());
+    }
+
+    /// A snapshot may claim everything below the last global index is
+    /// applied; a record at that index is then dropped rather than applied
+    /// past it.
+    #[test]
+    fn a_snapshot_cannot_push_the_apply_frontier_past_the_last_index() {
+        let mut m = SequencedKv::new(MemberId(1), group(2));
+        let claim = snapshot(GroupView::initial(group(2)), 0, u64::MAX);
+        let from_seq = |bytes: Bytes| MachineInput::from_peer(MemberId(0), bytes);
+        m.handle(&from_seq(claim));
+        assert!(m.handle(&from_seq(ordered_at(u64::MAX, 0..1))).is_empty());
+        let change = SmrPeerMsg::ViewChange {
+            global: u64::MAX,
+            view: GroupView::initial(group(2)),
+        };
+        assert!(m.handle(&from_seq(change.to_wire())).is_empty());
+        assert!(m.delivered().is_empty());
+    }
+
+    /// A snapshot may install the last view id; the sequencer then orders
+    /// no further view change rather than pass it.
+    #[test]
+    fn a_snapshot_cannot_push_the_view_id_past_the_last_id() {
+        let mut seq = SequencedKv::new(MemberId(0), group(2));
+        let last = GroupView {
+            id: u64::MAX,
+            members: group(2),
+        };
+        seq.handle(&MachineInput::from_peer(MemberId(1), snapshot(last, 0, 0)));
+        let rejoin = SmrPeerMsg::Rejoin {
+            member: MemberId(1),
+        };
+        assert!(seq
+            .handle(&MachineInput::from_peer(MemberId(1), rejoin.to_wire()))
+            .is_empty());
+        assert_eq!(seq.view().id, u64::MAX);
+    }
+
     /// A view with no member has no sequencer: a peer that sends one must
     /// not be able to make the next input panic.
     #[test]
