@@ -34,7 +34,7 @@ use fs_simnet::actor::{Actor, Context, TimerId};
 use fs_simnet::load::{Admitted, LoadGen, LoadStats};
 use fs_simnet::trace::LatencyRecorder;
 use fs_smr::machine::{DeterministicMachine, Endpoint, MachineInput};
-use fs_smr::sequenced::{SequencedKv, SmrClientMsg, SmrDeliverEntry, SmrRequest, SmrUpcall};
+use fs_smr::sequenced::{SequencedKv, SmrClientMsg, SmrDeliverEntry, SmrUpcall};
 
 use crate::cluster::ClusterMsg;
 use crate::workload::Workload;
@@ -655,16 +655,9 @@ impl SmrDriver {
         if self.batch.is_empty() {
             return;
         }
-        let frame = if self.batch.len() == 1 {
-            SmrClientMsg::Request(SmrRequest {
-                seq: self.batch_first_seq,
-                command: self.batch.pop().expect("one buffered command"),
-            })
-        } else {
-            SmrClientMsg::Batch {
-                first_seq: self.batch_first_seq,
-                commands: std::mem::take(&mut self.batch),
-            }
+        let frame = SmrClientMsg::Batch {
+            first_seq: self.batch_first_seq,
+            commands: std::mem::take(&mut self.batch),
         };
         ctx.send(self.middleware, frame.to_wire().into());
     }
@@ -765,20 +758,12 @@ impl Actor for SmrDriver {
         if from != self.middleware {
             return;
         }
-        let Ok(upcall) = SmrUpcall::from_wire(&payload) else {
+        let Ok(upcall) = SmrUpcall::from_wire_shared(&payload) else {
             return;
         };
         let now = ctx.now();
         self.last_delivery = Some(now);
         match upcall {
-            SmrUpcall::Deliver(delivery) => {
-                let entry = SmrDeliverEntry {
-                    origin: delivery.origin,
-                    seq: delivery.seq,
-                    response: delivery.response,
-                };
-                self.deliver_entry(ctx, now, &entry);
-            }
             SmrUpcall::Batch(batch) => {
                 for entry in &batch.entries {
                     self.deliver_entry(ctx, now, entry);
@@ -853,16 +838,25 @@ mod tests {
         assert_eq!(ctx.sent_to(ProcessId(9)).len(), 2);
 
         // A delivery of its own first command records a latency sample.
-        let SmrClientMsg::Request(request) =
-            SmrClientMsg::from_frame(&ctx.sent[0].payload).unwrap()
+        let SmrClientMsg::Batch {
+            first_seq,
+            commands,
+        } = SmrClientMsg::from_frame(&ctx.sent[0].payload).unwrap()
         else {
-            panic!("unbatched workloads submit single requests");
+            panic!("the driver submits commands in batches");
         };
-        let upcall = SmrUpcall::Deliver(fs_smr::sequenced::SmrDeliver {
-            global: 0,
-            origin: MemberId(1),
-            seq: request.seq,
-            response: Bytes::from(&b"ok"[..]),
+        assert_eq!(
+            commands.len(),
+            1,
+            "an unbatched workload submits batches of one"
+        );
+        let upcall = SmrUpcall::Batch(fs_smr::sequenced::SmrDeliverBatch {
+            first_global: 0,
+            entries: vec![SmrDeliverEntry {
+                origin: MemberId(1),
+                seq: first_seq,
+                response: Bytes::from(&b"ok"[..]),
+            }],
         });
         driver.on_message(&mut ctx, ProcessId(9), upcall.to_frame());
         assert_eq!(driver.delivery_log(), &[(MemberId(1), 0)]);
@@ -885,14 +879,14 @@ mod tests {
         // and applied immediately.
         let mut host = spec.crash_middleware(MemberId(0), &group, &peers, ProcessId(2));
         let mut ctx = TestContext::new(ProcessId(0));
-        let request = SmrClientMsg::Request(SmrRequest {
-            seq: 0,
-            command: fs_smr::command::KvCommand::Put {
+        let request = SmrClientMsg::Batch {
+            first_seq: 0,
+            commands: vec![fs_smr::command::KvCommand::Put {
                 key: "k".into(),
                 value: vec![1],
             }
-            .to_wire(),
-        });
+            .to_wire()],
+        };
         host.on_message(&mut ctx, ProcessId(2), request.to_frame());
         assert_eq!(ctx.sent_to(ProcessId(3)).len(), 1, "Ordered multicast");
         assert_eq!(ctx.sent_to(ProcessId(2)).len(), 1, "local delivery upcall");

@@ -41,7 +41,7 @@ pub use command::{AppStateMachine, AuctionHouse, KvStore, RequestId};
 pub use machine::{DeterministicMachine, Endpoint, MachineInput, MachineOutput};
 pub use replica::{Replica, Request, Response};
 pub use sequenced::{
-    SequencedKv, SmrClientMsg, SmrDeliver, SmrDeliverBatch, SmrDeliverEntry, SmrOrderedEntry,
-    SmrPeerMsg, SmrRequest, SmrUpcall,
+    SequencedKv, SmrClientMsg, SmrDeliverBatch, SmrDeliverEntry, SmrOrderedEntry, SmrPeerMsg,
+    SmrUpcall,
 };
 pub use voter::{MajorityVoter, VoteOutcome};

@@ -8,18 +8,19 @@
 //! commands through a fixed sequencer — the asymmetric scheme of the paper's
 //! §2 discussion, stripped to its essence:
 //!
-//! * a member receiving a client command forwards it to the sequencer
-//!   (member 0) as a [`SmrPeerMsg::Submit`];
-//! * the sequencer assigns a global sequence number and multicasts the
-//!   resulting [`SmrPeerMsg::Ordered`] record to every peer;
-//! * every member applies `Ordered` records strictly in global order to its
-//!   local [`KvStore`] replica and raises a [`SmrDeliver`] upcall to its
+//! * a member receiving client commands forwards them to the sequencer
+//!   (member 0) as a [`SmrPeerMsg::SubmitBatch`];
+//! * the sequencer assigns global sequence numbers and multicasts the
+//!   resulting [`SmrPeerMsg::OrderedBatch`] record to every peer;
+//! * every member applies ordered records strictly in global order to its
+//!   local [`KvStore`] replica and raises an [`SmrUpcall::Batch`] to its
 //!   local application.
 //!
 //! # Request batching
 //!
-//! Clients may submit a whole [`SmrClientMsg::Batch`] of commands at once.
-//! A batch travels the ordering round as **one frame** end to end — one
+//! Every command travels in a batch, and a single command is a batch of
+//! one.  A batch travels the ordering round as **one frame** end to end —
+//! one [`SmrClientMsg::Batch`] from the application, one
 //! [`SmrPeerMsg::SubmitBatch`] to the sequencer, one
 //! [`SmrPeerMsg::OrderedBatch`] multicast, one [`SmrUpcall::Batch`] upcall —
 //! so under the fail-signal wrapper one signature covers all N commands
@@ -27,6 +28,15 @@
 //! batched command still gets its own global order index and its own
 //! at-most-once guard, so batched and unbatched runs apply the identical
 //! command sequence.
+//!
+//! A one-entry batch is written in the short form: its own tag and no
+//! entry count, so an unbatched command costs four bytes less on the wire
+//! and its frames are the ones the pinned traces of `tests/golden.rs` hold.
+//! Decoders accept the counted form of a one-entry batch too.
+//!
+//! Indices stop below `u64::MAX`: a batch whose sequence numbers or global
+//! indices would reach it is dropped whole, whoever sent it, so no counter
+//! wraps.
 //!
 //! [`SequencedKv`] implements [`DeterministicMachine`] and honours the R1
 //! determinism contract: it consults no clocks or random sources, and its
@@ -83,16 +93,16 @@ impl GroupView {
     /// The successor view after `member` (re)joins: the id is bumped and the
     /// member appended if absent.  A rejoin of a current member keeps the
     /// member list and still bumps the id — the new view number marks the
-    /// agreed rejoin epoch.
-    pub fn joined(&self, member: MemberId) -> Self {
+    /// agreed rejoin epoch.  `None` once the id is `u64::MAX`.
+    pub fn joined(&self, member: MemberId) -> Option<Self> {
         let mut members = self.members.clone();
         if !members.contains(&member) {
             members.push(member);
         }
-        Self {
-            id: self.id + 1,
+        Some(Self {
+            id: self.id.checked_add(1)?,
             members,
-        }
+        })
     }
 }
 
@@ -142,38 +152,48 @@ fn get_pairs(dec: &mut Decoder<'_>) -> Result<Vec<(MemberId, u64)>, CodecError> 
     Ok(pairs)
 }
 
-/// A client command as submitted by the local application: the client's own
-/// sequence number plus the encoded [`crate::command::KvCommand`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SmrRequest {
-    /// The submitting member's per-member sequence number.
-    pub seq: u64,
-    /// The encoded application command.
-    pub command: Bytes,
-}
-
-impl Wire for SmrRequest {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.seq);
-        enc.put_bytes(&self.command);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            seq: dec.get_u64()?,
-            command: dec.get_bytes_shared()?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        8 + 4 + self.command.len()
+/// Writes a batch frame: a tag, the frame's `head` fields, then the entries.
+/// The one place a batch picks its form: a one-entry batch is written short
+/// — the `short` tag and no entry count, the bytes of a single-command
+/// frame — and any other batch counted, under the `counted` tag.
+fn put_batch<T: Wire>(
+    enc: &mut Encoder,
+    (short, counted): (u8, u8),
+    head: impl FnOnce(&mut Encoder),
+    entries: &[T],
+) {
+    if let [entry] = entries {
+        enc.put_u8(short);
+        head(enc);
+        entry.encode(enc);
+    } else {
+        enc.put_u8(counted);
+        head(enc);
+        enc.put_u32(entries.len() as u32);
+        for entry in entries {
+            entry.encode(enc);
+        }
     }
 }
 
-/// The frame a local application sends to its service machine: either one
-/// command or a client-side batch of consecutive commands.
+/// The length [`put_batch`] writes for `entries`, tag and head excluded.
+fn batch_len<T: Wire>(entries: &[T]) -> usize {
+    let count = if entries.len() == 1 { 0 } else { 4 };
+    count + entries.iter().map(Wire::encoded_len).sum::<usize>()
+}
+
+/// Reads the entries of a batch frame in the form its tag announced.
+fn get_batch<T: Wire>(dec: &mut Decoder<'_>, counted: bool) -> Result<Vec<T>, CodecError> {
+    if counted {
+        Vec::<T>::decode(dec)
+    } else {
+        Ok(vec![T::decode(dec)?])
+    }
+}
+
+/// The frame a local application sends to its service machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SmrClientMsg {
-    /// A single command submission.
-    Request(SmrRequest),
     /// A batch of commands with consecutive per-member sequence numbers
     /// starting at `first_seq` (command `i` has sequence `first_seq + i`).
     Batch {
@@ -191,27 +211,18 @@ pub enum SmrClientMsg {
 impl Wire for SmrClientMsg {
     fn encode(&self, enc: &mut Encoder) {
         match self {
-            SmrClientMsg::Request(request) => {
-                enc.put_u8(0);
-                request.encode(enc);
-            }
             SmrClientMsg::Batch {
                 first_seq,
                 commands,
-            } => {
-                enc.put_u8(1);
-                enc.put_u64(*first_seq);
-                commands.encode(enc);
-            }
+            } => put_batch(enc, (0, 1), |enc| enc.put_u64(*first_seq), commands),
             SmrClientMsg::Recover => enc.put_u8(2),
         }
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         match dec.get_u8()? {
-            0 => Ok(SmrClientMsg::Request(SmrRequest::decode(dec)?)),
-            1 => Ok(SmrClientMsg::Batch {
+            tag @ (0 | 1) => Ok(SmrClientMsg::Batch {
                 first_seq: dec.get_u64()?,
-                commands: Vec::<Bytes>::decode(dec)?,
+                commands: get_batch(dec, tag == 1)?,
             }),
             2 => Ok(SmrClientMsg::Recover),
             t => Err(CodecError::UnknownTag(t)),
@@ -219,44 +230,9 @@ impl Wire for SmrClientMsg {
     }
     fn encoded_len(&self) -> usize {
         match self {
-            SmrClientMsg::Request(request) => 1 + request.encoded_len(),
-            SmrClientMsg::Batch { commands, .. } => 1 + 8 + commands.encoded_len(),
+            SmrClientMsg::Batch { commands, .. } => 1 + 8 + batch_len(commands),
             SmrClientMsg::Recover => 1,
         }
-    }
-}
-
-/// The delivery upcall raised to the local application once a command has
-/// been applied in global order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SmrDeliver {
-    /// The global order index assigned by the sequencer.
-    pub global: u64,
-    /// The member that submitted the command.
-    pub origin: MemberId,
-    /// The origin's per-member sequence number.
-    pub seq: u64,
-    /// The encoded application response.
-    pub response: Bytes,
-}
-
-impl Wire for SmrDeliver {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.global);
-        enc.put_member(self.origin);
-        enc.put_u64(self.seq);
-        enc.put_bytes(&self.response);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            global: dec.get_u64()?,
-            origin: dec.get_member()?,
-            seq: dec.get_u64()?,
-            response: dec.get_bytes_shared()?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        8 + 4 + 8 + 4 + self.response.len()
     }
 }
 
@@ -289,7 +265,7 @@ impl Wire for SmrDeliverEntry {
     }
 }
 
-/// A batched delivery upcall: entry `i` was applied at global order index
+/// A delivery upcall: entry `i` was applied at global order index
 /// `first_global + i`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SmrDeliverBatch {
@@ -297,22 +273,6 @@ pub struct SmrDeliverBatch {
     pub first_global: u64,
     /// The applied commands, in global order.
     pub entries: Vec<SmrDeliverEntry>,
-}
-
-impl Wire for SmrDeliverBatch {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.first_global);
-        self.entries.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            first_global: dec.get_u64()?,
-            entries: Vec::<SmrDeliverEntry>::decode(dec)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        8 + self.entries.encoded_len()
-    }
 }
 
 /// An installed view transition, raised to the local application at the
@@ -345,13 +305,10 @@ impl Wire for SmrViewInstall {
     }
 }
 
-/// The frame a service machine sends up to its local application: one
-/// delivery, or one frame covering a whole applied batch.
+/// The frame a service machine sends up to its local application.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SmrUpcall {
-    /// A single applied command.
-    Deliver(SmrDeliver),
-    /// Several commands applied back to back by one machine step.
+    /// The commands applied back to back by one machine step.
     Batch(SmrDeliverBatch),
     /// A membership view transition was applied at its global order slot.
     View(SmrViewInstall),
@@ -360,14 +317,12 @@ pub enum SmrUpcall {
 impl Wire for SmrUpcall {
     fn encode(&self, enc: &mut Encoder) {
         match self {
-            SmrUpcall::Deliver(deliver) => {
-                enc.put_u8(0);
-                deliver.encode(enc);
-            }
-            SmrUpcall::Batch(batch) => {
-                enc.put_u8(1);
-                batch.encode(enc);
-            }
+            SmrUpcall::Batch(batch) => put_batch(
+                enc,
+                (0, 1),
+                |enc| enc.put_u64(batch.first_global),
+                &batch.entries,
+            ),
             SmrUpcall::View(install) => {
                 enc.put_u8(2);
                 install.encode(enc);
@@ -376,16 +331,17 @@ impl Wire for SmrUpcall {
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         match dec.get_u8()? {
-            0 => Ok(SmrUpcall::Deliver(SmrDeliver::decode(dec)?)),
-            1 => Ok(SmrUpcall::Batch(SmrDeliverBatch::decode(dec)?)),
+            tag @ (0 | 1) => Ok(SmrUpcall::Batch(SmrDeliverBatch {
+                first_global: dec.get_u64()?,
+                entries: get_batch(dec, tag == 1)?,
+            })),
             2 => Ok(SmrUpcall::View(SmrViewInstall::decode(dec)?)),
             t => Err(CodecError::UnknownTag(t)),
         }
     }
     fn encoded_len(&self) -> usize {
         1 + match self {
-            SmrUpcall::Deliver(deliver) => deliver.encoded_len(),
-            SmrUpcall::Batch(batch) => batch.encoded_len(),
+            SmrUpcall::Batch(batch) => 8 + batch_len(&batch.entries),
             SmrUpcall::View(install) => install.encoded_len(),
         }
     }
@@ -419,26 +375,6 @@ impl Wire for SmrOrderedEntry {
 /// Messages exchanged between the service machines of different members.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SmrPeerMsg {
-    /// A command forwarded from its origin to the sequencer.
-    Submit {
-        /// The submitting member.
-        origin: MemberId,
-        /// The origin's per-member sequence number.
-        seq: u64,
-        /// The encoded application command.
-        command: Bytes,
-    },
-    /// An ordered record multicast by the sequencer.
-    Ordered {
-        /// The global order index.
-        global: u64,
-        /// The member that submitted the command.
-        origin: MemberId,
-        /// The origin's per-member sequence number.
-        seq: u64,
-        /// The encoded application command.
-        command: Bytes,
-    },
     /// A client batch forwarded from its origin to the sequencer in one
     /// frame (command `i` has sequence `first_seq + i`).
     SubmitBatch {
@@ -509,48 +445,32 @@ pub enum SmrPeerMsg {
 impl Wire for SmrPeerMsg {
     fn encode(&self, enc: &mut Encoder) {
         match self {
-            SmrPeerMsg::Submit {
-                origin,
-                seq,
-                command,
-            } => {
-                enc.put_u8(0);
-                enc.put_member(*origin);
-                enc.put_u64(*seq);
-                enc.put_bytes(command);
-            }
-            SmrPeerMsg::Ordered {
-                global,
-                origin,
-                seq,
-                command,
-            } => {
-                enc.put_u8(1);
-                enc.put_u64(*global);
-                enc.put_member(*origin);
-                enc.put_u64(*seq);
-                enc.put_bytes(command);
-            }
             SmrPeerMsg::SubmitBatch {
                 origin,
                 first_seq,
                 commands,
-            } => {
-                enc.put_u8(2);
-                enc.put_member(*origin);
-                enc.put_u64(*first_seq);
-                commands.encode(enc);
-            }
+            } => put_batch(
+                enc,
+                (0, 2),
+                |enc| {
+                    enc.put_member(*origin);
+                    enc.put_u64(*first_seq);
+                },
+                commands,
+            ),
             SmrPeerMsg::OrderedBatch {
                 first_global,
                 origin,
                 entries,
-            } => {
-                enc.put_u8(3);
-                enc.put_u64(*first_global);
-                enc.put_member(*origin);
-                entries.encode(enc);
-            }
+            } => put_batch(
+                enc,
+                (1, 3),
+                |enc| {
+                    enc.put_u64(*first_global);
+                    enc.put_member(*origin);
+                },
+                entries,
+            ),
             SmrPeerMsg::CatchUpRequest {
                 member,
                 view_id,
@@ -590,26 +510,15 @@ impl Wire for SmrPeerMsg {
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         match dec.get_u8()? {
-            0 => Ok(SmrPeerMsg::Submit {
-                origin: dec.get_member()?,
-                seq: dec.get_u64()?,
-                command: dec.get_bytes_shared()?,
-            }),
-            1 => Ok(SmrPeerMsg::Ordered {
-                global: dec.get_u64()?,
-                origin: dec.get_member()?,
-                seq: dec.get_u64()?,
-                command: dec.get_bytes_shared()?,
-            }),
-            2 => Ok(SmrPeerMsg::SubmitBatch {
+            tag @ (0 | 2) => Ok(SmrPeerMsg::SubmitBatch {
                 origin: dec.get_member()?,
                 first_seq: dec.get_u64()?,
-                commands: Vec::<Bytes>::decode(dec)?,
+                commands: get_batch(dec, tag == 2)?,
             }),
-            3 => Ok(SmrPeerMsg::OrderedBatch {
+            tag @ (1 | 3) => Ok(SmrPeerMsg::OrderedBatch {
                 first_global: dec.get_u64()?,
                 origin: dec.get_member()?,
-                entries: Vec::<SmrOrderedEntry>::decode(dec)?,
+                entries: get_batch(dec, tag == 3)?,
             }),
             4 => Ok(SmrPeerMsg::CatchUpRequest {
                 member: dec.get_member()?,
@@ -636,10 +545,8 @@ impl Wire for SmrPeerMsg {
     }
     fn encoded_len(&self) -> usize {
         match self {
-            SmrPeerMsg::Submit { command, .. } => 1 + 4 + 8 + 4 + command.len(),
-            SmrPeerMsg::Ordered { command, .. } => 1 + 8 + 4 + 8 + 4 + command.len(),
-            SmrPeerMsg::SubmitBatch { commands, .. } => 1 + 4 + 8 + commands.encoded_len(),
-            SmrPeerMsg::OrderedBatch { entries, .. } => 1 + 8 + 4 + entries.encoded_len(),
+            SmrPeerMsg::SubmitBatch { commands, .. } => 1 + 4 + 8 + batch_len(commands),
+            SmrPeerMsg::OrderedBatch { entries, .. } => 1 + 8 + 4 + batch_len(entries),
             SmrPeerMsg::CatchUpRequest { .. } => 1 + 4 + 8 + 8,
             SmrPeerMsg::Snapshot {
                 view,
@@ -770,90 +677,59 @@ impl SequencedKv {
         self.store.state_digest()
     }
 
-    /// Sequencer-side ordering: assigns the next global index and returns the
-    /// multicast record plus the local delivery.  While recovering, the
-    /// submission is parked instead — a sequencer must re-learn the
-    /// assignment frontier before it hands out indices.
-    fn order(&mut self, origin: MemberId, seq: u64, command: Bytes) -> Vec<MachineOutput> {
-        debug_assert!(self.is_sequencer());
-        if self.recovering {
-            self.backlog.push(Backlog::Cmd {
-                origin,
-                seq,
-                command,
-            });
-            return Vec::new();
-        }
-        if !self.ordered_seq.insert((origin, seq)) {
-            return Vec::new();
-        }
-        let global = self.next_global;
-        self.next_global += 1;
-        let record = SmrPeerMsg::Ordered {
-            global,
-            origin,
-            seq,
-            command: command.clone(),
-        };
-        let mut out = vec![MachineOutput::broadcast(record.to_wire())];
-        self.pending.insert(
-            global,
-            Pending::Cmd {
-                origin,
-                seq,
-                command,
-            },
-        );
-        out.extend(self.apply_ready());
-        out
-    }
-
-    /// Sequencer-side ordering of a client batch: every not-yet-ordered
-    /// command gets the next consecutive global index, and the whole batch
-    /// is multicast as a single [`SmrPeerMsg::OrderedBatch`] frame.
-    fn order_batch(
+    /// Sequencer-side ordering of a batch: every not-yet-ordered command
+    /// gets the next consecutive global index, and the batch is multicast
+    /// as one [`SmrPeerMsg::OrderedBatch`] record.  While recovering, the
+    /// commands are parked instead — a sequencer must re-learn the
+    /// assignment frontier before it hands out indices.  A batch whose
+    /// sequence numbers or global indices would pass `u64::MAX` is dropped.
+    fn order(
         &mut self,
         origin: MemberId,
         first_seq: u64,
         commands: Vec<Bytes>,
     ) -> Vec<MachineOutput> {
         debug_assert!(self.is_sequencer());
+        let n = commands.len() as u64;
+        let Some(end_seq) = first_seq.checked_add(n) else {
+            return Vec::new();
+        };
         if self.recovering {
-            for (i, command) in commands.into_iter().enumerate() {
+            for (seq, command) in (first_seq..end_seq).zip(commands) {
                 self.backlog.push(Backlog::Cmd {
                     origin,
-                    seq: first_seq + i as u64,
+                    seq,
                     command,
                 });
             }
             return Vec::new();
         }
-        let mut fresh = Vec::new();
-        for (i, command) in commands.into_iter().enumerate() {
-            let seq = first_seq + i as u64;
-            if self.ordered_seq.insert((origin, seq)) {
-                fresh.push(SmrOrderedEntry { seq, command });
-            }
-        }
-        if fresh.is_empty() {
+        if self.next_global.checked_add(n).is_none() {
             return Vec::new();
         }
         let first_global = self.next_global;
-        self.next_global += fresh.len() as u64;
-        for (i, entry) in fresh.iter().enumerate() {
-            self.pending.insert(
-                first_global + i as u64,
-                Pending::Cmd {
-                    origin,
-                    seq: entry.seq,
-                    command: entry.command.clone(),
-                },
-            );
+        let mut entries = Vec::with_capacity(commands.len());
+        for (seq, command) in (first_seq..end_seq).zip(commands) {
+            if self.ordered_seq.insert((origin, seq)) {
+                self.pending.insert(
+                    self.next_global,
+                    Pending::Cmd {
+                        origin,
+                        seq,
+                        command: command.clone(),
+                    },
+                );
+                self.next_global += 1;
+                entries.push(SmrOrderedEntry { seq, command });
+            }
+        }
+        if entries.is_empty() {
+            return Vec::new();
         }
         let record = SmrPeerMsg::OrderedBatch {
             first_global,
             origin,
-            entries: fresh,
+            entries,
         };
         let mut out = vec![MachineOutput::broadcast(record.to_wire())];
         out.extend(self.apply_ready());
@@ -869,9 +745,12 @@ impl SequencedKv {
             self.backlog.push(Backlog::Join(member));
             return Vec::new();
         }
-        let view = self.view.joined(member);
         let global = self.next_global;
-        self.next_global += 1;
+        let (Some(next_global), Some(view)) = (global.checked_add(1), self.view.joined(member))
+        else {
+            return Vec::new();
+        };
+        self.next_global = next_global;
         let record = SmrPeerMsg::ViewChange {
             global,
             view: view.clone(),
@@ -880,6 +759,26 @@ impl SequencedKv {
         self.pending.insert(global, Pending::View(view));
         out.extend(self.apply_ready());
         out
+    }
+
+    /// Follower-side ingest of sequenced records, record `i` at global
+    /// index `first_global + i`: buffers those not yet applied and applies
+    /// what is next in line.  Records whose indices would reach `u64::MAX`
+    /// are dropped whole, so `next_apply` never passes it.
+    fn ingest(
+        &mut self,
+        first_global: u64,
+        records: impl ExactSizeIterator<Item = Pending>,
+    ) -> Vec<MachineOutput> {
+        let Some(end) = first_global.checked_add(records.len() as u64) else {
+            return Vec::new();
+        };
+        for (global, record) in (first_global..end).zip(records) {
+            if global >= self.next_apply {
+                self.pending.insert(global, record);
+            }
+        }
+        self.apply_ready()
     }
 
     /// One past the highest global index this replica knows to be assigned,
@@ -984,7 +883,8 @@ impl SequencedKv {
         out
     }
 
-    /// Orders everything parked while recovering, in arrival order.
+    /// Orders everything parked while recovering, in arrival order, one
+    /// command per record.
     fn drain_backlog(&mut self) -> Vec<MachineOutput> {
         let parked = std::mem::take(&mut self.backlog);
         let mut out = Vec::new();
@@ -994,7 +894,7 @@ impl SequencedKv {
                     origin,
                     seq,
                     command,
-                } => out.extend(self.order(origin, seq, command)),
+                } => out.extend(self.order(origin, seq, vec![command])),
                 Backlog::Join(member) => out.extend(self.order_join(member)),
             }
         }
@@ -1003,10 +903,9 @@ impl SequencedKv {
 
     /// Applies every pending record whose global index is next in line.
     /// Runs of plain commands applied by one machine step go up in **one**
-    /// frame — a single [`SmrUpcall::Deliver`], or one [`SmrUpcall::Batch`]
-    /// when a batch (or a closed gap) applies several commands back to back;
-    /// a view transition in the run closes the current frame, installs the
-    /// view and raises its own [`SmrUpcall::View`] at the exact slot.
+    /// [`SmrUpcall::Batch`] frame; a view transition in the run closes the
+    /// current frame, installs the view and raises its own
+    /// [`SmrUpcall::View`] at the exact slot.
     fn apply_ready(&mut self) -> Vec<MachineOutput> {
         let mut out = Vec::new();
         let mut first_global = self.next_apply;
@@ -1048,27 +947,12 @@ impl SequencedKv {
         first_global: u64,
         entries: &mut Vec<SmrDeliverEntry>,
     ) {
-        match entries.len() {
-            0 => {}
-            1 => {
-                let entry = entries.pop().expect("one entry");
-                out.push(MachineOutput::to_app(
-                    SmrUpcall::Deliver(SmrDeliver {
-                        global: first_global,
-                        origin: entry.origin,
-                        seq: entry.seq,
-                        response: entry.response,
-                    })
-                    .to_wire(),
-                ));
-            }
-            _ => out.push(MachineOutput::to_app(
-                SmrUpcall::Batch(SmrDeliverBatch {
-                    first_global,
-                    entries: std::mem::take(entries),
-                })
-                .to_wire(),
-            )),
+        if !entries.is_empty() {
+            let batch = SmrDeliverBatch {
+                first_global,
+                entries: std::mem::take(entries),
+            };
+            out.push(MachineOutput::to_app(SmrUpcall::Batch(batch).to_wire()));
         }
     }
 }
@@ -1076,96 +960,46 @@ impl SequencedKv {
 impl DeterministicMachine for SequencedKv {
     fn handle(&mut self, input: &MachineInput) -> Vec<MachineOutput> {
         match input.source {
-            Endpoint::LocalApp => {
-                let Ok(msg) = SmrClientMsg::from_wire(&input.bytes) else {
-                    return Vec::new();
-                };
-                match msg {
-                    SmrClientMsg::Request(request) => {
-                        if self.is_sequencer() {
-                            self.order(self.member, request.seq, request.command)
-                        } else {
-                            let submit = SmrPeerMsg::Submit {
-                                origin: self.member,
-                                seq: request.seq,
-                                command: request.command,
-                            };
-                            vec![MachineOutput::to_peer(
-                                self.view.sequencer(),
-                                submit.to_wire(),
-                            )]
-                        }
+            Endpoint::LocalApp => match SmrClientMsg::from_wire_shared(&input.bytes) {
+                Ok(SmrClientMsg::Batch {
+                    first_seq,
+                    commands,
+                }) => {
+                    if self.is_sequencer() {
+                        self.order(self.member, first_seq, commands)
+                    } else {
+                        let submit = SmrPeerMsg::SubmitBatch {
+                            origin: self.member,
+                            first_seq,
+                            commands,
+                        };
+                        vec![MachineOutput::to_peer(
+                            self.view.sequencer(),
+                            submit.to_wire(),
+                        )]
                     }
-                    SmrClientMsg::Batch {
-                        first_seq,
-                        commands,
-                    } => {
-                        if self.is_sequencer() {
-                            self.order_batch(self.member, first_seq, commands)
-                        } else {
-                            let submit = SmrPeerMsg::SubmitBatch {
-                                origin: self.member,
-                                first_seq,
-                                commands,
-                            };
-                            vec![MachineOutput::to_peer(
-                                self.view.sequencer(),
-                                submit.to_wire(),
-                            )]
-                        }
-                    }
-                    SmrClientMsg::Recover => self.start_recovery(),
                 }
-            }
-            Endpoint::Peer(_) => match SmrPeerMsg::from_wire(&input.bytes) {
-                Ok(SmrPeerMsg::Submit {
-                    origin,
-                    seq,
-                    command,
-                }) if self.is_sequencer() => self.order(origin, seq, command),
+                Ok(SmrClientMsg::Recover) => self.start_recovery(),
+                Err(_) => Vec::new(),
+            },
+            Endpoint::Peer(_) => match SmrPeerMsg::from_wire_shared(&input.bytes) {
                 Ok(SmrPeerMsg::SubmitBatch {
                     origin,
                     first_seq,
                     commands,
-                }) if self.is_sequencer() => self.order_batch(origin, first_seq, commands),
-                Ok(SmrPeerMsg::Ordered {
-                    global,
-                    origin,
-                    seq,
-                    command,
-                }) if !self.is_sequencer() => {
-                    if global >= self.next_apply {
-                        self.pending.insert(
-                            global,
-                            Pending::Cmd {
-                                origin,
-                                seq,
-                                command,
-                            },
-                        );
-                    }
-                    self.apply_ready()
-                }
+                }) if self.is_sequencer() => self.order(origin, first_seq, commands),
                 Ok(SmrPeerMsg::OrderedBatch {
                     first_global,
                     origin,
                     entries,
-                }) if !self.is_sequencer() => {
-                    for (i, entry) in entries.into_iter().enumerate() {
-                        let global = first_global + i as u64;
-                        if global >= self.next_apply {
-                            self.pending.insert(
-                                global,
-                                Pending::Cmd {
-                                    origin,
-                                    seq: entry.seq,
-                                    command: entry.command,
-                                },
-                            );
-                        }
-                    }
-                    self.apply_ready()
-                }
+                }) if !self.is_sequencer() => self.ingest(
+                    first_global,
+                    entries.into_iter().map(|entry| Pending::Cmd {
+                        origin,
+                        seq: entry.seq,
+                        command: entry.command,
+                    }),
+                ),
                 Ok(SmrPeerMsg::CatchUpRequest { member, .. }) if member != self.member => {
                     // Any member serves state transfer; the reply is sent
                     // unconditionally so the requester always leaves
@@ -1192,10 +1026,7 @@ impl DeterministicMachine for SequencedKv {
                 ),
                 Ok(SmrPeerMsg::Rejoin { member }) if self.is_sequencer() => self.order_join(member),
                 Ok(SmrPeerMsg::ViewChange { global, view }) if !self.is_sequencer() => {
-                    if global >= self.next_apply {
-                        self.pending.insert(global, Pending::View(view));
-                    }
-                    self.apply_ready()
+                    self.ingest(global, std::iter::once(Pending::View(view)))
                 }
                 _ => Vec::new(),
             },
@@ -1240,11 +1071,22 @@ mod tests {
         .to_wire()
     }
 
+    /// The client frame submitting one command: a batch of one.
     fn put(member: MemberId, seq: u64) -> Bytes {
-        SmrClientMsg::Request(SmrRequest {
-            seq,
-            command: put_command(member, seq),
-        })
+        SmrClientMsg::Batch {
+            first_seq: seq,
+            commands: vec![put_command(member, seq)],
+        }
+        .to_wire()
+    }
+
+    /// A peer's submission of one command: a batch of one.
+    fn submit(origin: MemberId, seq: u64, command: Bytes) -> Bytes {
+        SmrPeerMsg::SubmitBatch {
+            origin,
+            first_seq: seq,
+            commands: vec![command],
+        }
         .to_wire()
     }
 
@@ -1298,30 +1140,11 @@ mod tests {
     #[test]
     fn out_of_order_records_are_buffered() {
         let mut m = SequencedKv::new(MemberId(1), group(2));
-        let late = SmrPeerMsg::Ordered {
-            global: 1,
-            origin: MemberId(0),
-            seq: 1,
-            command: KvCommand::Put {
-                key: "b".into(),
-                value: vec![2],
-            }
-            .to_wire(),
-        };
-        let early = SmrPeerMsg::Ordered {
-            global: 0,
-            origin: MemberId(0),
-            seq: 0,
-            command: KvCommand::Put {
-                key: "a".into(),
-                value: vec![1],
-            }
-            .to_wire(),
-        };
+        let (late, early) = (ordered_at(1, 1..2), ordered_at(0, 0..1));
         assert!(m
-            .handle(&MachineInput::from_peer(MemberId(0), late.to_wire()))
+            .handle(&MachineInput::from_peer(MemberId(0), late))
             .is_empty());
-        let out = m.handle(&MachineInput::from_peer(MemberId(0), early.to_wire()));
+        let out = m.handle(&MachineInput::from_peer(MemberId(0), early));
         assert_eq!(out.len(), 1, "closing the gap applies both in one frame");
         let upcall = SmrUpcall::from_wire(&out[0].bytes).unwrap();
         match upcall {
@@ -1339,18 +1162,10 @@ mod tests {
     #[test]
     fn sequencer_filters_duplicate_submissions() {
         let mut seq = SequencedKv::new(MemberId(0), group(2));
-        let submit = SmrPeerMsg::Submit {
-            origin: MemberId(1),
-            seq: 1,
-            command: KvCommand::Put {
-                key: "k".into(),
-                value: vec![9],
-            }
-            .to_wire(),
-        };
-        let first = seq.handle(&MachineInput::from_peer(MemberId(1), submit.to_wire()));
+        let submit = submit(MemberId(1), 1, put_command(MemberId(1), 1));
+        let first = seq.handle(&MachineInput::from_peer(MemberId(1), submit.clone()));
         assert!(!first.is_empty());
-        let dup = seq.handle(&MachineInput::from_peer(MemberId(1), submit.to_wire()));
+        let dup = seq.handle(&MachineInput::from_peer(MemberId(1), submit));
         assert!(dup.is_empty(), "replayed submission must not re-order");
         assert_eq!(seq.delivered().len(), 1);
     }
@@ -1364,16 +1179,7 @@ mod tests {
                 } else {
                     MachineInput::from_peer(
                         MemberId(1),
-                        SmrPeerMsg::Submit {
-                            origin: MemberId(1),
-                            seq: i,
-                            command: KvCommand::Put {
-                                key: format!("k{i}"),
-                                value: vec![i as u8],
-                            }
-                            .to_wire(),
-                        }
-                        .to_wire(),
+                        submit(MemberId(1), i, put_command(MemberId(1), i)),
                     )
                 }
             })
@@ -1384,103 +1190,73 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn wire_round_trips() {
-        let req = SmrRequest {
-            seq: 7,
-            command: Bytes::from(&b"cmd"[..]),
-        };
-        assert_eq!(SmrRequest::from_wire(&req.to_wire()).unwrap(), req);
-        assert_eq!(req.encoded_len(), req.to_wire().len());
-        let del = SmrDeliver {
-            global: 1,
-            origin: MemberId(2),
-            seq: 3,
-            response: Bytes::from(&b"ok"[..]),
-        };
-        assert_eq!(SmrDeliver::from_wire(&del.to_wire()).unwrap(), del);
-        assert_eq!(del.encoded_len(), del.to_wire().len());
-        for msg in [
-            SmrPeerMsg::Submit {
-                origin: MemberId(1),
-                seq: 4,
-                command: Bytes::from(&b"c"[..]),
-            },
-            SmrPeerMsg::Ordered {
-                global: 9,
-                origin: MemberId(1),
-                seq: 4,
-                command: Bytes::from(&b"c"[..]),
-            },
-        ] {
-            assert_eq!(SmrPeerMsg::from_wire(&msg.to_wire()).unwrap(), msg);
-            assert_eq!(msg.encoded_len(), msg.to_wire().len());
-        }
+    /// `value` round-trips through its encoding, and sizes it exactly.
+    fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
+        assert_eq!(T::from_wire(&value.to_wire()).unwrap(), value);
+        assert_eq!(value.encoded_len(), value.to_wire().len());
     }
 
+    /// The short form: a batch of one.
+    #[test]
+    fn wire_round_trips() {
+        let c = Bytes::from(&b"cmd"[..]);
+        round_trip(SmrClientMsg::Batch {
+            first_seq: 7,
+            commands: vec![c.clone()],
+        });
+        round_trip(SmrPeerMsg::SubmitBatch {
+            origin: MemberId(1),
+            first_seq: 4,
+            commands: vec![c.clone()],
+        });
+        round_trip(SmrPeerMsg::OrderedBatch {
+            first_global: 9,
+            origin: MemberId(1),
+            entries: vec![SmrOrderedEntry { seq: 4, command: c }],
+        });
+        round_trip(SmrUpcall::Batch(SmrDeliverBatch {
+            first_global: 1,
+            entries: vec![SmrDeliverEntry {
+                origin: MemberId(2),
+                seq: 3,
+                response: Bytes::from(&b"ok"[..]),
+            }],
+        }));
+    }
+
+    /// The counted form: an empty batch and a two-entry one.
     #[test]
     fn batched_wire_round_trips() {
-        let client = SmrClientMsg::Request(SmrRequest {
-            seq: 5,
-            command: Bytes::from(&b"one"[..]),
-        });
-        assert_eq!(SmrClientMsg::from_wire(&client.to_wire()).unwrap(), client);
-        assert_eq!(client.encoded_len(), client.to_wire().len());
-        let batch = SmrClientMsg::Batch {
-            first_seq: 10,
-            commands: vec![Bytes::from(&b"a"[..]), Bytes::from(&b"bb"[..])],
-        };
-        assert_eq!(SmrClientMsg::from_wire(&batch.to_wire()).unwrap(), batch);
-        assert_eq!(batch.encoded_len(), batch.to_wire().len());
-        for msg in [
-            SmrPeerMsg::SubmitBatch {
+        let (x, yz) = (Bytes::from(&b"x"[..]), Bytes::from(&b"yz"[..]));
+        for commands in [vec![], vec![x.clone(), yz.clone()]] {
+            round_trip(SmrClientMsg::Batch {
+                first_seq: 10,
+                commands: commands.clone(),
+            });
+            round_trip(SmrPeerMsg::SubmitBatch {
                 origin: MemberId(2),
                 first_seq: 3,
-                commands: vec![Bytes::from(&b"x"[..]), Bytes::from(&b"yz"[..])],
-            },
-            SmrPeerMsg::OrderedBatch {
+                commands,
+            });
+        }
+        let entries = [(3, x), (4, yz)].map(|(seq, command)| SmrOrderedEntry { seq, command });
+        for n in [0, 2] {
+            round_trip(SmrPeerMsg::OrderedBatch {
                 first_global: 11,
                 origin: MemberId(2),
-                entries: vec![
-                    SmrOrderedEntry {
-                        seq: 3,
-                        command: Bytes::from(&b"x"[..]),
-                    },
-                    SmrOrderedEntry {
-                        seq: 4,
-                        command: Bytes::from(&b"yz"[..]),
-                    },
-                ],
-            },
-        ] {
-            assert_eq!(SmrPeerMsg::from_wire(&msg.to_wire()).unwrap(), msg);
-            assert_eq!(msg.encoded_len(), msg.to_wire().len());
+                entries: entries[..n].to_vec(),
+            });
         }
-        for upcall in [
-            SmrUpcall::Deliver(SmrDeliver {
-                global: 0,
-                origin: MemberId(1),
-                seq: 0,
-                response: Bytes::from(&b"ok"[..]),
-            }),
-            SmrUpcall::Batch(SmrDeliverBatch {
+        let responses = [(6, "r1"), (7, "r2")].map(|(seq, response)| SmrDeliverEntry {
+            origin: MemberId(1),
+            seq,
+            response: Bytes::from(response.as_bytes()),
+        });
+        for n in [0, 2] {
+            round_trip(SmrUpcall::Batch(SmrDeliverBatch {
                 first_global: 4,
-                entries: vec![
-                    SmrDeliverEntry {
-                        origin: MemberId(1),
-                        seq: 6,
-                        response: Bytes::from(&b"r1"[..]),
-                    },
-                    SmrDeliverEntry {
-                        origin: MemberId(1),
-                        seq: 7,
-                        response: Bytes::from(&b"r2"[..]),
-                    },
-                ],
-            }),
-        ] {
-            assert_eq!(SmrUpcall::from_wire(&upcall.to_wire()).unwrap(), upcall);
-            assert_eq!(upcall.encoded_len(), upcall.to_wire().len());
+                entries: responses[..n].to_vec(),
+            }));
         }
     }
 
@@ -1503,115 +1279,84 @@ mod tests {
         assert_eq!(T::from_wire(&unhex(pinned)).unwrap(), value);
     }
 
-    /// The SMR-KV wire, byte for byte: the frame of one command, a
-    /// two-entry batch and the counted form of a one-entry batch, for the
-    /// client request, the submission, the ordered record and the upcall.
+    /// The SMR-KV wire, byte for byte, for the client request, the
+    /// submission, the ordered record and the upcall: a one-entry batch
+    /// is the frame a single command had before batching, a two-entry batch
+    /// is counted, and the counted form of a one-entry batch still decodes.
     #[test]
     fn wire_bytes_are_pinned() {
         let b = |s: &str| Bytes::from(s.as_bytes());
-        let (m1, m2) = (MemberId(1), MemberId(2));
+        let counted = |pinned: &str| unhex(pinned);
+        let client = |commands: &[&str]| SmrClientMsg::Batch {
+            first_seq: 7,
+            commands: commands.iter().map(|c| b(c)).collect(),
+        };
+        pin(client(&["a"]), "0007000000000000000100000061");
         pin(
-            SmrClientMsg::Request(SmrRequest {
-                seq: 7,
-                command: b("a"),
-            }),
-            "0007000000000000000100000061",
-        );
-        pin(
-            SmrClientMsg::Batch {
-                first_seq: 7,
-                commands: vec![b("a"), b("bc")],
-            },
+            client(&["a", "bc"]),
             "010700000000000000020000000100000061020000006263",
         );
+        let one = counted("010700000000000000010000000100000061");
+        assert_eq!(SmrClientMsg::from_wire(&one).unwrap(), client(&["a"]));
+
+        let submit = |commands: &[&str]| SmrPeerMsg::SubmitBatch {
+            origin: MemberId(1),
+            first_seq: 7,
+            commands: commands.iter().map(|c| b(c)).collect(),
+        };
+        pin(submit(&["a"]), "000100000007000000000000000100000061");
         pin(
-            SmrClientMsg::Batch {
-                first_seq: 7,
-                commands: vec![b("a")],
-            },
-            "010700000000000000010000000100000061",
-        );
-        pin(
-            SmrPeerMsg::Submit {
-                origin: m1,
-                seq: 7,
-                command: b("a"),
-            },
-            "000100000007000000000000000100000061",
-        );
-        pin(
-            SmrPeerMsg::SubmitBatch {
-                origin: m1,
-                first_seq: 7,
-                commands: vec![b("a"), b("bc")],
-            },
+            submit(&["a", "bc"]),
             "02010000000700000000000000020000000100000061020000006263",
         );
-        pin(
-            SmrPeerMsg::SubmitBatch {
-                origin: m1,
-                first_seq: 7,
-                commands: vec![b("a")],
-            },
-            "02010000000700000000000000010000000100000061",
-        );
-        let entry = |seq: u64, command: &str| SmrOrderedEntry {
-            seq,
-            command: b(command),
+        let one = counted("02010000000700000000000000010000000100000061");
+        assert_eq!(SmrPeerMsg::from_wire(&one).unwrap(), submit(&["a"]));
+
+        let ordered = |entries: &[(u64, &str)]| SmrPeerMsg::OrderedBatch {
+            first_global: 9,
+            origin: MemberId(1),
+            entries: entries
+                .iter()
+                .map(|&(seq, command)| SmrOrderedEntry {
+                    seq,
+                    command: b(command),
+                })
+                .collect(),
         };
         pin(
-            SmrPeerMsg::Ordered {
-                global: 9,
-                origin: m1,
-                seq: 7,
-                command: b("a"),
-            },
+            ordered(&[(7, "a")]),
             "0109000000000000000100000007000000000000000100000061",
         );
         pin(
-            SmrPeerMsg::OrderedBatch {
-                first_global: 9,
-                origin: m1,
-                entries: vec![entry(7, "a"), entry(8, "bc")],
-            },
+            ordered(&[(7, "a"), (8, "bc")]),
             "0309000000000000000100000002000000070000000000000001000000610800000000000000020000006263",
         );
-        pin(
-            SmrPeerMsg::OrderedBatch {
+        let one = counted("030900000000000000010000000100000007000000000000000100000061");
+        assert_eq!(SmrPeerMsg::from_wire(&one).unwrap(), ordered(&[(7, "a")]));
+
+        let upcall = |entries: &[(u32, u64, &str)]| {
+            SmrUpcall::Batch(SmrDeliverBatch {
                 first_global: 9,
-                origin: m1,
-                entries: vec![entry(7, "a")],
-            },
-            "030900000000000000010000000100000007000000000000000100000061",
-        );
-        let delivered = |origin: MemberId, seq: u64, response: &str| SmrDeliverEntry {
-            origin,
-            seq,
-            response: b(response),
+                entries: entries
+                    .iter()
+                    .map(|&(origin, seq, response)| SmrDeliverEntry {
+                        origin: MemberId(origin),
+                        seq,
+                        response: b(response),
+                    })
+                    .collect(),
+            })
         };
         pin(
-            SmrUpcall::Deliver(SmrDeliver {
-                global: 9,
-                origin: m1,
-                seq: 7,
-                response: b("ok"),
-            }),
+            upcall(&[(1, 7, "ok")]),
             "000900000000000000010000000700000000000000020000006f6b",
         );
         pin(
-            SmrUpcall::Batch(SmrDeliverBatch {
-                first_global: 9,
-                entries: vec![delivered(m1, 7, "ok"), delivered(m2, 3, "r")],
-            }),
+            upcall(&[(1, 7, "ok"), (2, 3, "r")]),
             "01090000000000000002000000010000000700000000000000020000006f6b0200000003000000000000000100000072",
         );
-        pin(
-            SmrUpcall::Batch(SmrDeliverBatch {
-                first_global: 9,
-                entries: vec![delivered(m1, 7, "ok")],
-            }),
-            "01090000000000000001000000010000000700000000000000020000006f6b",
-        );
+        let one = counted("01090000000000000001000000010000000700000000000000020000006f6b");
+        assert_eq!(SmrUpcall::from_wire(&one).unwrap(), upcall(&[(1, 7, "ok")]));
     }
 
     #[test]
@@ -1646,13 +1391,9 @@ mod tests {
     #[test]
     fn batch_filters_already_ordered_commands() {
         let mut seq = SequencedKv::new(MemberId(0), group(2));
-        let submit = SmrPeerMsg::Submit {
-            origin: MemberId(1),
-            seq: 1,
-            command: put_command(MemberId(1), 1),
-        };
+        let submit = submit(MemberId(1), 1, put_command(MemberId(1), 1));
         assert!(!seq
-            .handle(&MachineInput::from_peer(MemberId(1), submit.to_wire()))
+            .handle(&MachineInput::from_peer(MemberId(1), submit))
             .is_empty());
         // A batch overlapping the already ordered (origin 1, seq 1) only
         // orders the fresh commands.
@@ -1689,18 +1430,11 @@ mod tests {
             let mut seq = 0u64;
             while seq < 8 {
                 let n = batch_max.min(8 - seq);
-                let frame = if n == 1 {
-                    SmrClientMsg::Request(SmrRequest {
-                        seq,
-                        command: put_command(MemberId(1), seq),
-                    })
-                } else {
-                    SmrClientMsg::Batch {
-                        first_seq: seq,
-                        commands: (seq..seq + n)
-                            .map(|s| put_command(MemberId(1), s))
-                            .collect(),
-                    }
+                let frame = SmrClientMsg::Batch {
+                    first_seq: seq,
+                    commands: (seq..seq + n)
+                        .map(|s| put_command(MemberId(1), s))
+                        .collect(),
                 };
                 let out = machines[1].handle(&MachineInput::from_app(frame.to_wire()));
                 let queue = out.into_iter().map(|o| (MemberId(1), o)).collect();
@@ -1781,13 +1515,9 @@ mod tests {
         let recovery = machines[0].handle(&MachineInput::from_app(SmrClientMsg::Recover.to_wire()));
 
         // A submission arriving mid-recovery is parked, not ordered.
-        let submit = SmrPeerMsg::Submit {
-            origin: MemberId(1),
-            seq: 100,
-            command: put_command(MemberId(1), 100),
-        };
+        let submit = submit(MemberId(1), 100, put_command(MemberId(1), 100));
         assert!(machines[0]
-            .handle(&MachineInput::from_peer(MemberId(1), submit.to_wire()))
+            .handle(&MachineInput::from_peer(MemberId(1), submit))
             .is_empty());
 
         run_until_drained(
@@ -1891,11 +1621,11 @@ mod tests {
         assert!(v.contains(MemberId(2)));
         assert!(!v.contains(MemberId(3)));
         // Rejoin of a current member bumps the id, keeps the members.
-        let rejoined = v.joined(MemberId(2));
+        let rejoined = v.joined(MemberId(2)).unwrap();
         assert_eq!(rejoined.id, 1);
         assert_eq!(rejoined.members, v.members);
         // A genuinely new member is appended (never displacing the sequencer).
-        let grown = v.joined(MemberId(3));
+        let grown = v.joined(MemberId(3)).unwrap();
         assert_eq!(grown.members.len(), 4);
         assert_eq!(grown.sequencer(), MemberId(0));
     }

@@ -1,11 +1,12 @@
 //! Workspace-level integration tests: end-to-end total ordering through the
-//! `Scenario` harness on the simulator (both protocols, both services) and
-//! on the real threaded runtime, exercising the whole stack from application
-//! payload to delivery.
+//! `Scenario` harness on the simulator (both protocols) and on the real
+//! threaded runtime, exercising the whole stack from application payload to
+//! delivery.  SMR-KV groups of every size are the sweeper's `Clean` family
+//! (`tests/sweep.rs`).
 
 use fs_smr_suite::common::time::{SimDuration, SimTime};
 use fs_smr_suite::harness::{
-    NewTopService, Protocol, Running, RuntimeKind, Scenario, ServiceSpec, SmrKvService, Workload,
+    NewTopService, Protocol, Running, RuntimeKind, Scenario, ServiceSpec, Workload,
 };
 use fs_smr_suite::newtop::suspector::SuspectorConfig;
 use fs_smr_suite::newtop::ServiceKind;
@@ -44,16 +45,6 @@ fn fs_newtop_groups_of_various_sizes_agree() {
     for members in [2u32, 4, 6] {
         let mut run = sim_scenario(NewTopService::new(), members, Protocol::FailSignal, 6);
         assert_eq!(run.check().unwrap().len() as u32, members * 6);
-    }
-}
-
-#[test]
-fn smr_kv_groups_agree_under_both_protocols() {
-    for protocol in [Protocol::Crash, Protocol::FailSignal] {
-        for members in [2u32, 5] {
-            let mut run = sim_scenario(SmrKvService::new(), members, protocol, 4);
-            assert_eq!(run.check().unwrap().len() as u32, members * 4);
-        }
     }
 }
 

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use fs_smr_suite::common::codec::Wire;
+use fs_smr_suite::common::codec::{Encoder, Wire};
 use fs_smr_suite::common::id::{FsId, MemberId, ProcessId};
 use fs_smr_suite::common::rng::DetRng;
 use fs_smr_suite::common::time::{SimDuration, SimTime};
@@ -419,52 +419,41 @@ proptest! {
         check(&GcMessage::Nack { origin: MemberId(member), seq, from: MemberId(member + 1) });
         check(&newtop_msg::ControlInput::Suspect(MemberId(member)));
 
-        // smr sequenced frames: the batched client/peer/upcall shapes added
-        // with the load plane are held to the same freeze.
+        // smr sequenced frames: every command travels in a batch, and a
+        // batch of one (the short form) is held to the same freeze as a
+        // counted batch of `n_members`.
         {
             use fs_smr_suite::smr::sequenced::{
-                SmrClientMsg, SmrDeliver, SmrDeliverBatch, SmrDeliverEntry, SmrOrderedEntry,
-                SmrPeerMsg, SmrRequest, SmrUpcall,
+                SmrClientMsg, SmrDeliverBatch, SmrDeliverEntry, SmrOrderedEntry, SmrPeerMsg,
+                SmrUpcall,
             };
             let command = Bytes::from(payload.clone());
-            let commands: Vec<Bytes> = (0..n_members).map(|_| command.clone()).collect();
-            check(&SmrClientMsg::Request(SmrRequest { seq, command: command.clone() }));
-            check(&SmrClientMsg::Batch { first_seq: seq, commands: commands.clone() });
-            check(&SmrPeerMsg::Submit { origin: MemberId(member), seq, command: command.clone() });
-            check(&SmrPeerMsg::Ordered {
-                global: seq,
-                origin: MemberId(member),
-                seq,
-                command: command.clone(),
-            });
-            check(&SmrPeerMsg::SubmitBatch {
-                origin: MemberId(member),
-                first_seq: seq,
-                commands,
-            });
-            check(&SmrPeerMsg::OrderedBatch {
-                first_global: seq,
-                origin: MemberId(member),
-                entries: (0..n_members as u64)
-                    .map(|i| SmrOrderedEntry { seq: seq.wrapping_add(i), command: command.clone() })
-                    .collect(),
-            });
-            check(&SmrUpcall::Deliver(SmrDeliver {
-                global: seq,
-                origin: MemberId(member),
-                seq,
-                response: command.clone(),
-            }));
-            check(&SmrUpcall::Batch(SmrDeliverBatch {
-                first_global: seq,
-                entries: (0..n_members as u64)
-                    .map(|i| SmrDeliverEntry {
-                        origin: MemberId(member),
-                        seq: seq.wrapping_add(i),
-                        response: command.clone(),
-                    })
-                    .collect(),
-            }));
+            for n in [1, n_members as u64] {
+                let commands: Vec<Bytes> = (0..n).map(|_| command.clone()).collect();
+                check(&SmrClientMsg::Batch { first_seq: seq, commands: commands.clone() });
+                check(&SmrPeerMsg::SubmitBatch {
+                    origin: MemberId(member),
+                    first_seq: seq,
+                    commands,
+                });
+                check(&SmrPeerMsg::OrderedBatch {
+                    first_global: seq,
+                    origin: MemberId(member),
+                    entries: (0..n)
+                        .map(|i| SmrOrderedEntry { seq: seq.wrapping_add(i), command: command.clone() })
+                        .collect(),
+                });
+                check(&SmrUpcall::Batch(SmrDeliverBatch {
+                    first_global: seq,
+                    entries: (0..n)
+                        .map(|i| SmrDeliverEntry {
+                            origin: MemberId(member),
+                            seq: seq.wrapping_add(i),
+                            response: command.clone(),
+                        })
+                        .collect(),
+                }));
+            }
         }
 
         // failsignal::message
@@ -635,7 +624,7 @@ fn sequenced_group(
     members: u32,
     commands: &[(u32, Vec<u8>)],
 ) -> Result<Vec<(MemberId, u64)>, Vec<Violation>> {
-    use fs_smr_suite::smr::sequenced::{SequencedKv, SmrClientMsg, SmrRequest};
+    use fs_smr_suite::smr::sequenced::{SequencedKv, SmrClientMsg};
 
     let group: Vec<MemberId> = (0..members).map(MemberId).collect();
     let mut machines: Vec<SequencedKv> = group
@@ -649,14 +638,14 @@ fn sequenced_group(
             let sender = sender % members;
             let seq = next_seq[sender as usize];
             next_seq[sender as usize] += 1;
-            let request = SmrClientMsg::Request(SmrRequest {
-                seq,
-                command: KvCommand::Put {
+            let request = SmrClientMsg::Batch {
+                first_seq: seq,
+                commands: vec![KvCommand::Put {
                     key: format!("m{sender}-{seq}"),
                     value: value.clone(),
                 }
-                .to_wire(),
-            });
+                .to_wire()],
+            };
             (sender, request.to_wire())
         }),
     );
@@ -749,7 +738,7 @@ proptest! {
     fn sequenced_kv_machine_determinism(
         commands in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 1..20),
     ) {
-        use fs_smr_suite::smr::sequenced::{SequencedKv, SmrClientMsg, SmrPeerMsg, SmrRequest};
+        use fs_smr_suite::smr::sequenced::{SequencedKv, SmrClientMsg, SmrPeerMsg};
         use fs_smr_suite::smr::machine::check_determinism;
 
         let group = vec![MemberId(0), MemberId(1)];
@@ -760,12 +749,17 @@ proptest! {
                 let command = KvCommand::Put { key: format!("k{i}"), value: value.clone() }.to_wire();
                 if i % 2 == 0 {
                     MachineInput::from_app(
-                        SmrClientMsg::Request(SmrRequest { seq: i as u64, command }).to_wire(),
+                        SmrClientMsg::Batch { first_seq: i as u64, commands: vec![command] }.to_wire(),
                     )
                 } else {
                     MachineInput::from_peer(
                         MemberId(1),
-                        SmrPeerMsg::Submit { origin: MemberId(1), seq: i as u64, command }.to_wire(),
+                        SmrPeerMsg::SubmitBatch {
+                            origin: MemberId(1),
+                            first_seq: i as u64,
+                            commands: vec![command],
+                        }
+                        .to_wire(),
                     )
                 }
             })
@@ -898,6 +892,18 @@ proptest! {
     }
 }
 
+/// The counted form of a one-entry batch frame — `tag`, the `head` fields,
+/// a count of 1 and the entry — which encoders no longer write (they write
+/// the short form) but decoders still accept.
+fn counted_one<T: Wire>(tag: u8, head: impl FnOnce(&mut Encoder), entry: &T) -> Bytes {
+    let mut enc = Encoder::new();
+    enc.put_u8(tag);
+    head(&mut enc);
+    enc.put_u32(1);
+    entry.encode(&mut enc);
+    enc.finish()
+}
+
 /// Valid encodings of every frame a node decodes off the wire: the seeds
 /// the hostile-bytes property mutates.
 fn wire_corpus() -> Vec<Vec<u8>> {
@@ -905,8 +911,7 @@ fn wire_corpus() -> Vec<Vec<u8>> {
     use fs_smr_suite::newtop::app::build_batch_payload;
     use fs_smr_suite::smr::machine::Endpoint as Ep;
     use fs_smr_suite::smr::sequenced::{
-        GroupView, SmrClientMsg, SmrDeliverBatch, SmrDeliverEntry, SmrOrderedEntry, SmrPeerMsg,
-        SmrUpcall,
+        GroupView, SmrClientMsg, SmrDeliverEntry, SmrOrderedEntry, SmrPeerMsg,
     };
     use fs_smr_suite::smr::AppStateMachine;
 
@@ -964,15 +969,17 @@ fn wire_corpus() -> Vec<Vec<u8>> {
             commands: vec![put.clone(), put.clone()],
         }
         .to_wire(),
-        SmrPeerMsg::OrderedBatch {
-            first_global: 5,
-            origin: MemberId(1),
-            entries: vec![SmrOrderedEntry {
+        counted_one(
+            3,
+            |enc| {
+                enc.put_u64(5);
+                enc.put_member(MemberId(1));
+            },
+            &SmrOrderedEntry {
                 seq: 1,
                 command: put.clone(),
-            }],
-        }
-        .to_wire(),
+            },
+        ),
         SmrPeerMsg::Snapshot {
             view: GroupView {
                 id: 1,
@@ -985,15 +992,15 @@ fn wire_corpus() -> Vec<Vec<u8>> {
             delivered,
         }
         .to_wire(),
-        SmrUpcall::Batch(SmrDeliverBatch {
-            first_global: 5,
-            entries: vec![SmrDeliverEntry {
+        counted_one(
+            1,
+            |enc| enc.put_u64(5),
+            &SmrDeliverEntry {
                 origin: MemberId(1),
                 seq: 1,
                 response: body.clone(),
-            }],
-        })
-        .to_wire(),
+            },
+        ),
         ClusterMsg::Submit {
             router_seq: 1,
             key: "k".into(),
@@ -1082,27 +1089,32 @@ fn peer_corpus() -> Vec<Vec<u8>> {
         seq: 1,
         command: put.clone(),
     };
-    [
-        SmrPeerMsg::Submit {
+    let counted = counted_one(
+        3,
+        |enc| {
+            enc.put_u64(1);
+            enc.put_member(m1);
+        },
+        &entry,
+    );
+    let mut corpus = [
+        SmrPeerMsg::SubmitBatch {
             origin: m1,
-            seq: 0,
-            command: put.clone(),
+            first_seq: 0,
+            commands: vec![put.clone()],
         },
         SmrPeerMsg::SubmitBatch {
             origin: m1,
             first_seq: 1,
             commands: vec![put.clone(), put.clone()],
         },
-        SmrPeerMsg::Ordered {
-            global: 0,
-            origin: m0,
-            seq: 0,
-            command: put.clone(),
-        },
         SmrPeerMsg::OrderedBatch {
-            first_global: 1,
-            origin: m1,
-            entries: vec![entry],
+            first_global: 0,
+            origin: m0,
+            entries: vec![SmrOrderedEntry {
+                seq: 0,
+                command: put.clone(),
+            }],
         },
         SmrPeerMsg::CatchUpRequest {
             member: MemberId(2),
@@ -1122,7 +1134,9 @@ fn peer_corpus() -> Vec<Vec<u8>> {
     ]
     .iter()
     .map(|msg| msg.to_wire().to_vec())
-    .collect()
+    .collect::<Vec<_>>();
+    corpus.insert(3, counted.to_vec());
+    corpus
 }
 
 proptest! {
@@ -1160,7 +1174,7 @@ proptest! {
             1..8,
         ),
     ) {
-        use fs_smr_suite::smr::sequenced::{SequencedKv, SmrClientMsg, SmrRequest};
+        use fs_smr_suite::smr::sequenced::{SequencedKv, SmrClientMsg};
 
         let group: Vec<MemberId> = (0..3).map(MemberId).collect();
         let mut machine = SequencedKv::new(MemberId(member), group);
@@ -1175,10 +1189,10 @@ proptest! {
             };
             machine.handle(&from_peer(from, hostile));
         }
-        let request = SmrClientMsg::Request(SmrRequest {
-            seq: 0,
-            command: KvCommand::Put { key: "last".into(), value: vec![] }.to_wire(),
-        });
+        let request = SmrClientMsg::Batch {
+            first_seq: 0,
+            commands: vec![KvCommand::Put { key: "last".into(), value: vec![] }.to_wire()],
+        };
         machine.handle(&MachineInput::from_app(request.to_wire()));
     }
 }
