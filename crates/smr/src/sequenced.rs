@@ -162,17 +162,14 @@ fn put_batch<T: Wire>(
     head: impl FnOnce(&mut Encoder),
     entries: &[T],
 ) {
-    if let [entry] = entries {
-        enc.put_u8(short);
-        head(enc);
-        entry.encode(enc);
-    } else {
-        enc.put_u8(counted);
-        head(enc);
+    let short_form = entries.len() == 1;
+    enc.put_u8(if short_form { short } else { counted });
+    head(enc);
+    if !short_form {
         enc.put_u32(entries.len() as u32);
-        for entry in entries {
-            entry.encode(enc);
-        }
+    }
+    for entry in entries {
+        entry.encode(enc);
     }
 }
 
@@ -682,7 +679,7 @@ impl SequencedKv {
     /// as one [`SmrPeerMsg::OrderedBatch`] record.  While recovering, the
     /// commands are parked instead — a sequencer must re-learn the
     /// assignment frontier before it hands out indices.  A batch whose
-    /// sequence numbers or global indices would pass `u64::MAX` is dropped.
+    /// sequence numbers or global indices would reach `u64::MAX` is dropped.
     fn order(
         &mut self,
         origin: MemberId,
