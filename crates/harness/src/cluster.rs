@@ -59,7 +59,6 @@ use fs_common::rng::DetRng;
 use fs_common::time::{SimDuration, SimTime};
 use fs_common::Frame;
 use fs_simnet::actor::{Actor, Context, TimerId};
-use fs_simnet::link::Topology;
 use fs_simnet::load::{Admitted, LoadGen, LoadStats};
 use fs_simnet::node::NodeConfig;
 use fs_simnet::sched::SchedulerKind;
@@ -667,10 +666,8 @@ pub struct Cluster {
     partitioner: Option<Partitioner>,
     workload: Workload,
     shard_faults: BTreeMap<u32, FaultSchedule>,
-    node: NodeConfig,
     seed: u64,
     scheduler: SchedulerKind,
-    topology: Option<Topology>,
     snapshot_at: Option<SimTime>,
     command_deadline: Option<SimDuration>,
     max_retries: u32,
@@ -703,10 +700,8 @@ impl Cluster {
             partitioner: None,
             workload: Workload::paper_default(),
             shard_faults: BTreeMap::new(),
-            node: NodeConfig::era_2003(),
             seed: 2003,
             scheduler: SchedulerKind::default(),
-            topology: None,
             snapshot_at: None,
             command_deadline: None,
             max_retries: 2,
@@ -779,13 +774,6 @@ impl Cluster {
         self
     }
 
-    /// Sets the per-node configuration of every shard node.
-    #[must_use]
-    pub fn node_config(mut self, node: NodeConfig) -> Self {
-        self.node = node;
-        self
-    }
-
     /// Sets the deterministic seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
@@ -797,16 +785,6 @@ impl Cluster {
     #[must_use]
     pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
         self.scheduler = scheduler;
-        self
-    }
-
-    /// Sets the deployment topology explicitly (default: the paper's
-    /// lightly loaded 100 Mb/s LAN between every pair of nodes).  Node 0 is
-    /// the router; shard `s`'s members start at node `1 + s * k` where `k`
-    /// is the shard's node footprint.
-    #[must_use]
-    pub fn topology(mut self, topology: Topology) -> Self {
-        self.topology = Some(topology);
         self
     }
 
@@ -839,7 +817,6 @@ impl Cluster {
             .protocol(self.protocol)
             .workload(shard_workload)
             .faults(self.shard_faults.remove(&shard).unwrap_or_default())
-            .node_config(self.node)
             // Independent key-provisioning and fault streams per shard.
             .seed(self.seed ^ (u64::from(shard).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
     }
@@ -873,7 +850,6 @@ impl Cluster {
 
         let scenarios: Vec<Scenario> = (0..self.shards).map(|s| self.shard_scenario(s)).collect();
         let nodes_per_shard = self.nodes_per_shard();
-        let topology = self.topology.take();
         // The router fronts each shard's entry driver (member 0's).
         let router = |shard_members: &[Vec<MemberProcs>]| -> Box<dyn Actor> {
             Box::new(ClusterRouter::new(
@@ -888,7 +864,7 @@ impl Cluster {
             self.runtime,
             self.seed,
             self.scheduler,
-            topology,
+            None,
             Some(FrontEnd {
                 pid: ROUTER_PID,
                 node: NodeConfig::ideal(),
@@ -959,11 +935,6 @@ impl RunningCluster {
         self.protocol
     }
 
-    /// The runtime the cluster runs on.
-    pub fn runtime_kind(&self) -> RuntimeKind {
-        self.runtime
-    }
-
     /// The key → shard map this cluster routes by.
     pub fn partitioner(&self) -> &Partitioner {
         &self.partitioner
@@ -996,46 +967,28 @@ impl RunningCluster {
         self.slot.stats()
     }
 
-    /// Shard `shard`'s share of the network counters.
-    ///
-    /// On the simulator this is derived from the per-process counters, so
-    /// only the send / delivery / byte fields are attributable and the
-    /// runtime-global fields stay zero.  On the threaded runtime it folds
-    /// the shard's per-node stat cells (every full counter, including
-    /// `busy_ns`), since shard `s` owns the contiguous node range after the
-    /// router's node 0.
+    /// Shard `shard`'s share of the network counters: the fold of the
+    /// per-node stat cells of the contiguous node range the shard owns after
+    /// the router's node 0, on either runtime.  Every counter is attributed
+    /// as the cells attribute it (sends to the sending node, deliveries and
+    /// handler runs to the receiving node; see [`fs_simnet::sim`]).
     pub fn shard_net(&self, shard: u32) -> Option<NetStats> {
-        let members = self.shard_members.get(shard as usize)?;
-        if let Some(nodes) = self.slot.node_stats() {
-            let base = (1 + shard * self.nodes_per_shard) as usize;
-            let span = self.nodes_per_shard as usize;
-            let mut stats = NetStats::default();
-            for node in nodes.get(base..base + span)? {
-                stats.merge(node);
-            }
-            return Some(stats);
+        if shard >= self.shards() {
+            return None;
         }
-        let sim = self.slot.sim()?;
-        let counters = sim.counters();
-        let base = pid_base(shard);
-        let span = match self.protocol {
-            Protocol::Crash => 2 * members.len() as u32,
-            Protocol::FailSignal => 4 * members.len() as u32,
-        };
+        let base = (1 + shard * self.nodes_per_shard) as usize;
+        let nodes = self.slot.node_stats()?;
         let mut stats = NetStats::default();
-        for pid in base..base + span {
-            let c = counters.of(ProcessId(pid));
-            stats.messages_sent += c.sent;
-            stats.messages_delivered += c.received;
-            stats.bytes_sent += c.bytes_sent;
+        for node in nodes.get(base..base + self.nodes_per_shard as usize)? {
+            stats.merge(node);
         }
         Some(stats)
     }
 
     /// Every shard's [`RunningCluster::shard_net`] folded through
-    /// [`NetStats::merge`] — the cluster-level aggregation path (simulator
-    /// only).  Router traffic is not included, so the merged send count is
-    /// a lower bound on [`RunningCluster::stats`].
+    /// [`NetStats::merge`] — the cluster-level aggregation path.  Router
+    /// traffic and counters no node owns are not included, so every merged
+    /// field is a lower bound on [`RunningCluster::stats`].
     pub fn shards_net_merged(&self) -> Option<NetStats> {
         let mut merged = NetStats::default();
         for s in 0..self.shards() {
@@ -1235,7 +1188,7 @@ mod tests {
         assert!(cluster.latency_summary().is_some());
         let stats = cluster.stats();
         assert!(stats.messages_sent > 0);
-        let merged = cluster.shards_net_merged().expect("sim counters");
+        let merged = cluster.shards_net_merged().expect("sim cells");
         assert!(merged.messages_sent > 0);
         assert!(merged.messages_sent <= stats.messages_sent);
     }

@@ -193,7 +193,7 @@ impl RuntimeSlot {
     /// The runtime-wide network statistics; infallible on both runtimes.
     pub(crate) fn stats(&self) -> NetStats {
         if let Some(sim) = self.sim.as_ref() {
-            return sim.stats().clone();
+            return sim.stats();
         }
         if let Some(rt) = self.threaded.as_ref() {
             return rt.net_stats();
@@ -203,11 +203,18 @@ impl RuntimeSlot {
             .expect("threaded stats are frozen at settle time")
     }
 
-    /// The threaded runtime's per-node counter cells (`None` on the
-    /// simulator, which attributes per process instead — see
-    /// `Simulation::counters`).  Node indices follow the deployment order
-    /// of `ThreadedBuilder::add_node`.
+    /// The runtime's per-node counter cells, indexed in node creation
+    /// order (`Simulation::node_net_stats`,
+    /// `ThreadedRuntime::node_net_stats`).  `None` only on a slot that never
+    /// held a runtime.
     pub(crate) fn node_stats(&self) -> Option<Vec<NetStats>> {
+        if let Some(sim) = self.sim.as_ref() {
+            return Some(
+                (0..sim.node_count())
+                    .map(|node| sim.node_net_stats(node))
+                    .collect(),
+            );
+        }
         if let Some(rt) = self.threaded.as_ref() {
             return Some(
                 (0..rt.node_count())

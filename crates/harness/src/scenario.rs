@@ -96,7 +96,6 @@ pub struct Scenario {
     layout: PairLayout,
     timing: TimingAssumptions,
     crypto_costs: CryptoCostModel,
-    node: NodeConfig,
     seed: u64,
     scheduler: SchedulerKind,
     topology: Option<Topology>,
@@ -133,7 +132,6 @@ impl Scenario {
                 sigma: 4.0,
             },
             crypto_costs: CryptoCostModel::era_2003(),
-            node: NodeConfig::era_2003(),
             seed: 2003,
             scheduler: SchedulerKind::default(),
             topology: None,
@@ -196,13 +194,6 @@ impl Scenario {
         self
     }
 
-    /// Sets the per-node configuration.
-    #[must_use]
-    pub fn node_config(mut self, node: NodeConfig) -> Self {
-        self.node = node;
-        self
-    }
-
     /// Sets the deterministic seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
@@ -253,7 +244,7 @@ impl Scenario {
                 let params = FsGroupParams {
                     members: self.members,
                     layout: self.layout,
-                    node: self.node,
+                    node: NodeConfig::era_2003(),
                     timing: self.timing,
                     crypto_costs: self.crypto_costs,
                     seed: self.seed,
@@ -295,7 +286,7 @@ impl Scenario {
                 let mw_pid = |i: u32| ProcessId(pid_base + 2 * i + 1);
                 let mut members = Vec::new();
                 for i in 0..n {
-                    let node = host.add_host_node(&self.node);
+                    let node = host.add_host_node(&NodeConfig::era_2003());
                     let peers: BTreeMap<MemberId, ProcessId> = (0..n)
                         .filter(|j| *j != i)
                         .map(|j| (MemberId(j), mw_pid(j)))
@@ -491,11 +482,6 @@ impl Running {
     /// The protocol this scenario runs.
     pub fn protocol(&self) -> Protocol {
         self.protocol
-    }
-
-    /// The runtime this scenario runs on.
-    pub fn runtime_kind(&self) -> RuntimeKind {
-        self.runtime
     }
 
     /// The service's name.

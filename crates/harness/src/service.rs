@@ -26,7 +26,7 @@ use fs_common::id::{MemberId, ProcessId};
 use fs_common::time::{SimDuration, SimTime};
 use fs_common::{Bytes, Frame};
 use fs_newtop::app::AppProcess;
-use fs_newtop::gc::{GcConfig, GcCosts, GcMachine};
+use fs_newtop::gc::{GcConfig, GcMachine};
 use fs_newtop::message::{ControlInput, ServiceKind};
 use fs_newtop::nso::{AddressBook, NsoActor};
 use fs_newtop::suspector::SuspectorConfig;
@@ -163,7 +163,6 @@ impl ServiceSpec for Box<dyn ServiceSpec> {
 #[derive(Debug, Clone)]
 pub struct NewTopService {
     service: ServiceKind,
-    gc_costs: GcCosts,
     suspector: SuspectorConfig,
 }
 
@@ -179,7 +178,6 @@ impl NewTopService {
     pub fn new() -> Self {
         Self {
             service: ServiceKind::SymmetricTotal,
-            gc_costs: GcCosts::era_2003(),
             suspector: SuspectorConfig::large_timeouts(),
         }
     }
@@ -188,13 +186,6 @@ impl NewTopService {
     #[must_use]
     pub fn service_kind(mut self, service: ServiceKind) -> Self {
         self.service = service;
-        self
-    }
-
-    /// Returns a copy with a different GC cost model.
-    #[must_use]
-    pub fn gc_costs(mut self, gc_costs: GcCosts) -> Self {
-        self.gc_costs = gc_costs;
         self
     }
 
@@ -208,18 +199,14 @@ impl NewTopService {
 
 /// The wrapper-path view of NewTOP: GC machines plus the fail-signal →
 /// `Suspect` conversion of §3.1.
-struct NewTopFs {
-    gc_costs: GcCosts,
-}
+struct NewTopFs;
 
 impl FsService for NewTopFs {
     fn name(&self) -> &'static str {
         "newtop"
     }
     fn machine(&self, member: MemberId, group: &[MemberId]) -> Box<dyn DeterministicMachine> {
-        Box::new(GcMachine::new(
-            GcConfig::new(member, group.to_vec()).with_costs(self.gc_costs),
-        ))
+        Box::new(GcMachine::new(GcConfig::new(member, group.to_vec())))
     }
     fn fail_signal_input(&self, peer: MemberId) -> Option<Bytes> {
         Some(ControlInput::Suspect(peer).to_wire())
@@ -232,9 +219,7 @@ impl ServiceSpec for NewTopService {
     }
 
     fn fs_service(&self) -> Box<dyn FsService> {
-        Box::new(NewTopFs {
-            gc_costs: self.gc_costs,
-        })
+        Box::new(NewTopFs)
     }
 
     fn crash_middleware(
@@ -244,7 +229,7 @@ impl ServiceSpec for NewTopService {
         peers: &BTreeMap<MemberId, ProcessId>,
         app: ProcessId,
     ) -> Box<dyn Actor> {
-        let gc = GcConfig::new(member, group.to_vec()).with_costs(self.gc_costs);
+        let gc = GcConfig::new(member, group.to_vec());
         let addresses = AddressBook::new(app, peers.clone());
         Box::new(NsoActor::new(gc, addresses, self.suspector))
     }

@@ -11,7 +11,7 @@
 //! [`crate::nso::NsoActor`] for NewTOP, or at a fail-signal interceptor for
 //! FS-NewTOP.
 
-use fs_common::codec::{Decoder, Encoder};
+use fs_common::codec::{Decoder, Encoder, Wire};
 use fs_common::id::{MemberId, ProcessId};
 use fs_common::time::SimTime;
 use fs_common::{Bytes, Frame};
@@ -19,8 +19,7 @@ use fs_simnet::actor::{Actor, Context, TimerId};
 use fs_simnet::load::{Admitted, LoadGen, LoadStats, Workload};
 use fs_simnet::trace::LatencyRecorder;
 
-use crate::invocation::InvocationService;
-use crate::message::{AppDeliver, ServiceKind, Upcall};
+use crate::message::{AppDeliver, AppRequest, ServiceKind, Upcall};
 
 /// Timer used to pace the workload.
 pub const TIMER_SEND: TimerId = TimerId(100);
@@ -82,7 +81,6 @@ pub struct AppProcess {
     /// The NewTOP service class every multicast requests.
     service: ServiceKind,
     workload: Workload,
-    invocation: InvocationService,
     load: LoadGen,
     /// The open batch: `(seq, payload)` of buffered requests.
     batch: Vec<(u64, Vec<u8>)>,
@@ -119,7 +117,6 @@ impl AppProcess {
             middleware,
             service,
             workload: *workload,
-            invocation: InvocationService::new(),
             load: LoadGen::new(workload, u64::from(member.0)),
             batch: Vec::new(),
             delivered_total: 0,
@@ -219,8 +216,11 @@ impl AppProcess {
             let items: Vec<Vec<u8>> = self.batch.drain(..).map(|(_, p)| p).collect();
             build_batch_payload(&items)
         };
-        let request = self.invocation.marshal(self.service, payload);
-        ctx.send(self.middleware, request);
+        let request = AppRequest {
+            service: self.service,
+            payload: payload.into(),
+        };
+        ctx.send(self.middleware, request.to_frame());
     }
 
     /// Accounts one delivery.
@@ -288,7 +288,7 @@ impl Actor for AppProcess {
         if from != self.middleware {
             return;
         }
-        match self.invocation.unmarshal(&payload) {
+        match Upcall::from_frame(&payload) {
             Ok(Upcall::Deliver(delivery)) => self.deliver(ctx, &delivery),
             Ok(Upcall::View(view)) => {
                 self.views_seen.push(view.view_id);
@@ -309,7 +309,6 @@ impl Actor for AppProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fs_common::codec::Wire;
     use fs_simnet::actor::TestContext;
 
     use fs_common::time::SimDuration;

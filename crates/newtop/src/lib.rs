@@ -7,8 +7,6 @@
 //! * the deterministic **GC machine** ([`gc::GcMachine`]) composing symmetric
 //!   total order, asymmetric (sequencer) total order, causal order, reliable
 //!   and simple multicast, and partitionable membership;
-//! * the **invocation layer** ([`invocation`]) that marshals application
-//!   payloads, mirroring NewTOP's CORBA `any` marshalling;
 //! * the timeout-based **failure suspector** ([`suspector`]) whose (possibly
 //!   false) suspicions drive view changes in the crash-tolerant deployment;
 //! * the **NSO adapter** ([`nso::NsoActor`]) that hosts the GC machine on a
@@ -56,7 +54,6 @@
 pub mod app;
 pub mod causal;
 pub mod gc;
-pub mod invocation;
 pub mod message;
 pub mod nso;
 pub mod reliable;
@@ -67,7 +64,6 @@ pub mod view;
 
 pub use app::AppProcess;
 pub use gc::{GcConfig, GcCosts, GcMachine};
-pub use invocation::InvocationService;
 pub use message::{
     AppDeliver, AppRequest, ControlInput, GcMessage, ServiceKind, Upcall, ViewDeliver,
 };

@@ -2,10 +2,10 @@
 //!
 //! Three layers of vocabulary are defined here:
 //!
-//! * **application ↔ invocation layer**: [`AppRequest`] (the marshalled
-//!   multicast request, the analogue of NewTOP's generic CORBA `any`
-//!   argument) and [`AppDeliver`] / [`ViewDeliver`] (what the invocation
-//!   layer hands back to the application);
+//! * **application ↔ GC**: [`AppRequest`] (the marshalled multicast
+//!   request, the analogue of NewTOP's generic CORBA `any` argument, which
+//!   the application encodes itself) and [`AppDeliver`] / [`ViewDeliver`]
+//!   (what the GC object hands back to the application);
 //! * **GC ↔ GC**: [`GcMessage`] — the protocol messages exchanged between
 //!   group communication objects (data, symmetric-order acknowledgements,
 //!   sequencer orders, ping/pong, suspicion notices);
@@ -73,7 +73,7 @@ impl Wire for ServiceKind {
     }
 }
 
-/// A multicast request marshalled by the invocation layer and handed to the
+/// A multicast request marshalled by the application and handed to the
 /// GC object (the analogue of the CORBA `any`-typed invocation in NewTOP).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppRequest {
@@ -100,8 +100,7 @@ impl Wire for AppRequest {
     }
 }
 
-/// A message delivered by the GC object to the local application through the
-/// invocation layer.
+/// A message delivered by the GC object to the local application.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppDeliver {
     /// The member that multicast the message.
@@ -170,7 +169,7 @@ impl Wire for ViewDeliver {
     }
 }
 
-/// Everything the invocation layer can hand up to the application.
+/// Everything the GC object can hand up to the application.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Upcall {
     /// An ordinary message delivery.

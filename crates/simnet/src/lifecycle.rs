@@ -79,16 +79,19 @@ pub(crate) struct Armed(FastMap<TimerId, u64>);
 
 impl Armed {
     /// Arms `timer` for the firing `token`; an earlier firing goes stale.
+    #[inline]
     pub(crate) fn arm(&mut self, timer: TimerId, token: u64) {
         self.0.insert(timer, token);
     }
 
     /// Disarms `timer`; every pending firing of it goes stale.
+    #[inline]
     pub(crate) fn cancel(&mut self, timer: TimerId) {
         self.0.remove(&timer);
     }
 
     /// Whether the firing `token` of `timer` is the current one.
+    #[inline]
     pub(crate) fn fires(&self, timer: TimerId, token: u64) -> bool {
         self.0.get(&timer) == Some(&token)
     }

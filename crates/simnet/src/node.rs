@@ -13,6 +13,8 @@ use serde::{Deserialize, Serialize};
 
 use fs_common::time::{SimDuration, SimTime};
 
+use crate::trace::NetStats;
+
 /// Static configuration of a simulated node.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NodeConfig {
@@ -75,14 +77,15 @@ impl Default for NodeConfig {
     }
 }
 
-/// Runtime state of a node: when each pool thread becomes free.
+/// Runtime state of a node: when each pool thread becomes free, and the
+/// node's counter cell.
 #[derive(Debug, Clone)]
 pub struct NodeState {
     config: NodeConfig,
     /// `available[i]` is the earliest time thread `i` can start new work.
     available: Vec<SimTime>,
-    /// Number of events handled, for reporting.
-    handled: u64,
+    /// The counters attributed to this node (see [`crate::sim`]).
+    stats: NetStats,
     /// Total busy time accumulated across threads, for utilisation reporting.
     busy: SimDuration,
 }
@@ -93,7 +96,7 @@ impl NodeState {
         Self {
             available: vec![SimTime::ZERO; config.threads.max(1)],
             config,
-            handled: 0,
+            stats: NetStats::default(),
             busy: SimDuration::ZERO,
         }
     }
@@ -123,12 +126,12 @@ impl NodeState {
     }
 
     /// Marks thread `idx` busy from `start` for `service` time (which must
-    /// already include dispatch overhead and charged CPU); returns the
-    /// completion time.
+    /// already include dispatch overhead and charged CPU) and counts one
+    /// event processed; returns the completion time.
     pub fn complete(&mut self, idx: usize, start: SimTime, service: SimDuration) -> SimTime {
         let end = start + service;
         self.available[idx] = end;
-        self.handled += 1;
+        self.stats.events_processed += 1;
         self.busy += service;
         end
     }
@@ -143,9 +146,13 @@ impl NodeState {
         self.config.marshal_cost(len)
     }
 
-    /// Number of events handled so far.
-    pub fn handled(&self) -> u64 {
-        self.handled
+    /// The counters attributed to this node so far.
+    pub fn stats(&self) -> &NetStats {
+        &self.stats
+    }
+
+    pub(crate) fn stats_mut(&mut self) -> &mut NetStats {
+        &mut self.stats
     }
 
     /// Total thread busy time accumulated so far.
@@ -189,7 +196,7 @@ mod tests {
         assert_eq!(s1, t(10));
         let e1 = node.complete(i1, s1, d(5));
         assert_eq!(e1, t(15));
-        assert_eq!(node.handled(), 2);
+        assert_eq!(node.stats().events_processed, 2);
         assert_eq!(node.busy_time(), d(15));
     }
 

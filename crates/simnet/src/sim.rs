@@ -26,7 +26,16 @@
 //! by a small integer handle; the `ProcessId → slot` mapping is consulted
 //! when an event is *enqueued* (and at the public inspection APIs), so
 //! dispatching an event is a direct vector index, not a tree walk.  Per-pair
-//! FIFO delivery floors and per-process counters are likewise slab-indexed.
+//! FIFO delivery floors are likewise slab-indexed.
+//!
+//! Counters live in one [`NetStats`] cell per node, attributed as the
+//! threaded runtime's cells are: sends, bytes, unknown-destination drops at
+//! send time and link drops to the sender's node; deliveries, down-drops,
+//! handler runs, timer firings and lifecycle events to the node hosting the
+//! process.  One more cell holds what no node owns: injected frames to an
+//! unknown process and executed link-fault events.
+//! [`Simulation::stats`] folds the cells; [`Simulation::node_net_stats`]
+//! reads one.
 
 use std::any::Any;
 
@@ -40,7 +49,7 @@ use crate::lifecycle::{Call, LifecycleEvent, LifecycleSchedule, Process, Process
 use crate::link::{LinkEvent, LinkSchedule, Topology};
 use crate::node::{NodeConfig, NodeState};
 use crate::sched::{EventQueue, ScheduledEvent, SchedulerKind};
-use crate::trace::{NetStats, ProcessCount, ProcessCounters, TraceEvent, TraceLog};
+use crate::trace::{NetStats, TraceEvent, TraceLog};
 
 /// Sentinel slot index: the destination was unknown when the event was
 /// enqueued (externally injected traffic) and is resolved at dispatch.
@@ -116,8 +125,6 @@ struct ActorSlot {
     /// other, modelling the FIFO TCP/IIOP connections the original
     /// middleware runs over.  Indexed by destination slot, grown on demand.
     fifo_floor: Vec<SimTime>,
-    /// Send/receive counters for this process.
-    counters: ProcessCount,
 }
 
 /// The execution context handed to actors by the simulator.
@@ -175,7 +182,9 @@ pub struct Simulation {
     lifecycle: Vec<Option<LifecycleEvent>>,
     /// The stream of link-model jitter and loss draws.
     rng: DetRng,
-    stats: NetStats,
+    /// The counter cell no node owns: injected frames to an unknown process
+    /// and executed link-fault events.
+    unowned: NetStats,
     trace: Option<TraceLog>,
     next_node: u32,
     next_process: u32,
@@ -234,7 +243,7 @@ impl Simulation {
             link_events: Vec::new(),
             lifecycle: Vec::new(),
             rng: DetRng::new(seed),
-            stats: NetStats::default(),
+            unowned: NetStats::default(),
             trace: None,
             next_node: 0,
             next_process: 0,
@@ -318,7 +327,6 @@ impl Simulation {
             process: Process::new(id, actor),
             node: node.0,
             fifo_floor: Vec::new(),
-            counters: ProcessCount::default(),
         });
         self.enqueue(self.clock, EventKind::Start { slot });
     }
@@ -366,21 +374,28 @@ impl Simulation {
         self.clock
     }
 
-    /// The aggregate network statistics so far.
-    pub fn stats(&self) -> &NetStats {
-        &self.stats
+    /// The aggregate network statistics so far, folded from the per-node
+    /// cells and the cell no node owns — the simulator counterpart of
+    /// [`crate::threaded::ThreadedRuntime::net_stats`].
+    pub fn stats(&self) -> NetStats {
+        let mut stats = self.unowned.clone();
+        for node in &self.nodes {
+            stats.merge(node.stats());
+        }
+        stats
     }
 
-    /// Per-process send/receive counters, assembled from the slab-resident
-    /// counters the hot path maintains.
-    pub fn counters(&self) -> ProcessCounters {
-        let mut counters = ProcessCounters::new();
-        for slot in &self.actors {
-            if slot.counters != ProcessCount::default() {
-                counters.insert(slot.process.id, slot.counters);
-            }
-        }
-        counters
+    /// One node's own statistics, with the threaded runtime's contract (see
+    /// [`crate::threaded::ThreadedRuntime::node_net_stats`]): the per-node
+    /// views sum, together with the cell no node owns (injected frames to an
+    /// unknown process, link-fault events), to [`Simulation::stats`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `node >= self.node_count()`.
+    pub fn node_net_stats(&self, node: usize) -> NetStats {
+        assert!(node < self.node_count(), "node {node} out of range");
+        self.nodes[node].stats().clone()
     }
 
     /// Schedules every event of `schedule`, in time order (each clamped to
@@ -425,7 +440,7 @@ impl Simulation {
         self.slot_of(process).map(|s| NodeId(self.actors[s].node))
     }
 
-    /// Read access to a node's runtime state (thread pool, counters).
+    /// Read access to a node's runtime state (thread pool, counter cell).
     pub fn node_state(&self, node: NodeId) -> Option<&NodeState> {
         self.nodes.get(node.0 as usize)
     }
@@ -501,23 +516,20 @@ impl Simulation {
                     match self.slot_of(to) {
                         Some(slot) => slot,
                         None => {
-                            self.stats.drop_unknown_dest();
+                            self.unowned.drop_unknown_dest();
                             return;
                         }
                     }
                 };
                 if !self.actors[slot].process.up() {
-                    self.stats.drop_down();
+                    self.stats_of(slot).drop_down();
                     return;
                 }
-                self.stats.messages_delivered += 1;
-                self.actors[slot].counters.received += 1;
                 self.run_handler(event.at, slot, Call::Message(from, payload));
             }
             EventKind::Timer { slot, timer } => {
                 let slot = slot as usize;
                 if self.actors[slot].process.armed.fires(timer, event.seq) {
-                    self.stats.timers_fired += 1;
                     self.run_handler(event.at, slot, Call::Timer(timer));
                 }
             }
@@ -525,7 +537,7 @@ impl Simulation {
                 let link_event = &self.link_events[index as usize];
                 self.topology
                     .apply_fault(&link_event.scope, &link_event.fault);
-                self.stats.link_faults += 1;
+                self.unowned.link_faults += 1;
                 if let Some(trace) = &mut self.trace {
                     trace.push(TraceEvent::LinkFault {
                         at: event.at,
@@ -539,6 +551,11 @@ impl Simulation {
         }
     }
 
+    /// The counter cell of the node hosting slot `slot`.
+    fn stats_of(&mut self, slot: usize) -> &mut NetStats {
+        self.nodes[self.actors[slot].node as usize].stats_mut()
+    }
+
     fn run_lifecycle(&mut self, at: SimTime, index: usize) {
         let Some(LifecycleEvent { process, fate, .. }) = self.lifecycle[index].take() else {
             return;
@@ -546,7 +563,7 @@ impl Simulation {
         let Some(slot) = self.slot_of(process) else {
             return;
         };
-        self.stats.lifecycle_events += 1;
+        self.stats_of(slot).lifecycle_events += 1;
         if let Some(trace) = &mut self.trace {
             let description = match fate {
                 ProcessFate::Crash => "crash",
@@ -575,10 +592,15 @@ impl Simulation {
 
         // Marshalling cost applies to message payloads only.
         let (marshal, delivered) = match &call {
-            Call::Message(from, payload) => (
-                node.marshal_cost(payload.len()),
-                Some((*from, payload.len())),
-            ),
+            Call::Message(from, payload) => {
+                node.stats_mut().messages_delivered += 1;
+                let size = payload.len();
+                (node.marshal_cost(size), Some((*from, size)))
+            }
+            Call::Timer(_) => {
+                node.stats_mut().timers_fired += 1;
+                (SimDuration::ZERO, None)
+            }
             _ => (SimDuration::ZERO, None),
         };
 
@@ -604,7 +626,9 @@ impl Simulation {
 
         let service = node.dispatch_overhead() + marshal + cpu;
         let end = node.complete(thread_idx, start, service);
-        self.stats.events_processed += 1;
+        let stats = node.stats_mut();
+        stats.messages_sent += outgoing.len() as u64;
+        stats.bytes_sent += outgoing.iter().map(|o| o.payload.len() as u64).sum::<u64>();
 
         if let Some(trace) = &mut self.trace {
             if let Some((from, size)) = delivered {
@@ -638,13 +662,6 @@ impl Simulation {
         // Outgoing messages leave the node when the handler's service
         // completes and then traverse the link to the destination node.
         for Outgoing { to, payload } in outgoing.drain(..) {
-            self.stats.messages_sent += 1;
-            self.stats.bytes_sent += payload.len() as u64;
-            {
-                let counters = &mut self.actors[slot_idx].counters;
-                counters.sent += 1;
-                counters.bytes_sent += payload.len() as u64;
-            }
             if let Some(trace) = &mut self.trace {
                 trace.push(TraceEvent::Send {
                     at: end,
@@ -654,7 +671,9 @@ impl Simulation {
                 });
             }
             let Some(dest_slot) = self.slot_of(to) else {
-                self.stats.drop_unknown_dest();
+                self.nodes[node_idx as usize]
+                    .stats_mut()
+                    .drop_unknown_dest();
                 continue;
             };
             let dest_node = NodeId(self.actors[dest_slot].node);
@@ -679,7 +698,7 @@ impl Simulation {
                     self.enqueue(arrival, kind);
                 }
                 None => {
-                    self.stats.drop_link();
+                    self.nodes[node_idx as usize].stats_mut().drop_link();
                 }
             }
         }
@@ -904,7 +923,8 @@ mod tests {
         // Both messages are handled back to back: at least 20 ms of busy time.
         assert!(end >= SimTime::from_millis(20));
         let node = sim.node_state(n_echo).unwrap();
-        assert_eq!(node.handled(), 3); // one start hook + two messages... start hooks exist per actor on the node
+        // One start hook and two messages.
+        assert_eq!(node.stats().events_processed, 3);
         assert!(node.busy_time() >= SimDuration::from_millis(20));
     }
 
@@ -1183,6 +1203,95 @@ mod tests {
         assert_eq!(e.received.len(), 3, "replacement starts from empty state");
         assert_eq!(sim.stats().dropped_down, 3);
         assert_eq!(sim.is_up(target), Some(true));
+    }
+
+    #[test]
+    fn counters_land_on_the_node_that_owns_them() {
+        use crate::link::{LinkFault, LinkScope};
+
+        let mut sim = ideal_sim();
+        sim.enable_trace();
+        let n0 = sim.add_node(NodeConfig::ideal());
+        let n1 = sim.add_node(NodeConfig::ideal());
+        let echo = sim.spawn(n0, Box::new(Echo::new()));
+        sim.spawn(
+            n1,
+            Box::new(Pacer {
+                dest: echo,
+                interval: SimDuration::from_millis(10),
+                count: 10,
+                sent: 0,
+                replies: 0,
+            }),
+        );
+        // An external sender: the echo's reply to it has nowhere to go.
+        sim.inject_at(SimTime::from_millis(5), ProcessId(900), echo, vec![1, 2]);
+        // A frame to a process nobody hosts.
+        sim.inject_at(
+            SimTime::from_millis(5),
+            ProcessId(900),
+            ProcessId(901),
+            vec![3],
+        );
+        // Messages 3 and 4 cross the cut; 6 and 7 find the echo down.
+        let scope = LinkScope::Pair { a: n0, b: n1 };
+        sim.apply_link_schedule(
+            &LinkSchedule::new()
+                .then(SimTime::from_millis(25), scope.clone(), LinkFault::Sever)
+                .then(SimTime::from_millis(45), scope, LinkFault::Heal),
+        );
+        sim.apply_lifecycle_schedule(
+            LifecycleSchedule::new()
+                .crash_at(SimTime::from_millis(55), echo)
+                .recover_at(SimTime::from_millis(75), echo),
+        );
+        sim.run_until(SimTime::from_secs(1));
+
+        let (echo_node, pacer_node) = (sim.node_net_stats(0), sim.node_net_stats(1));
+        // Sender side: sends, bytes, send-time unknown destinations, link drops.
+        assert_eq!(echo_node.messages_sent, 7, "six replies and one to nowhere");
+        assert_eq!(echo_node.bytes_sent, 6 + 2);
+        assert_eq!(echo_node.dropped_unknown_dest, 1);
+        assert_eq!(pacer_node.messages_sent, 10);
+        assert_eq!(pacer_node.bytes_sent, 10);
+        assert_eq!(pacer_node.dropped_link, 2);
+        // Host side: deliveries, down-drops, handler runs, timers, lifecycle.
+        assert_eq!(echo_node.messages_delivered, 7);
+        assert_eq!(echo_node.dropped_down, 2);
+        assert_eq!(echo_node.lifecycle_events, 2);
+        assert_eq!(
+            echo_node.events_processed,
+            1 + 7 + 1,
+            "start, deliveries, recover"
+        );
+        assert_eq!(pacer_node.messages_delivered, 6);
+        assert_eq!(pacer_node.timers_fired, 11);
+        assert_eq!(pacer_node.events_processed, 1 + 11 + 6);
+        assert_eq!(echo_node.timers_fired + pacer_node.link_faults, 0);
+        // What no node owns: the frame to nobody and the link-fault events.
+        let unowned = &sim.unowned;
+        assert_eq!(unowned.dropped_unknown_dest, 1);
+        assert_eq!(unowned.link_faults, 2);
+        assert_eq!(unowned.messages_sent + unowned.events_processed, 0);
+
+        // The cells fold, field for field, into the aggregate ...
+        let mut folded = unowned.clone();
+        folded.merge(&echo_node);
+        folded.merge(&pacer_node);
+        let stats = sim.stats();
+        assert_eq!(folded, stats);
+        // ... which agrees with the trace.
+        let events = sim.trace().unwrap().events();
+        let count = |f: fn(&TraceEvent) -> bool| events.iter().filter(|e| f(e)).count() as u64;
+        assert_eq!(
+            stats.messages_sent,
+            count(|e| matches!(e, TraceEvent::Send { .. }))
+        );
+        assert_eq!(
+            stats.messages_delivered,
+            count(|e| matches!(e, TraceEvent::Deliver { .. }))
+        );
+        assert_eq!(stats.messages_dropped, 1 + 2 + 2 + 1);
     }
 
     #[test]

@@ -1,4 +1,9 @@
 //! Tracing, counters and latency statistics for simulation runs.
+//!
+//! [`NetStats`] is the one counter shape of both hosts: each keeps one cell
+//! per node (plus one for traffic no node owns) and folds the cells into the
+//! aggregate on demand — [`crate::sim::Simulation::stats`],
+//! [`crate::threaded::ThreadedRuntime::net_stats`].
 
 use std::collections::BTreeMap;
 
@@ -7,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use fs_common::id::ProcessId;
 use fs_common::time::{SimDuration, SimTime};
 
-/// Aggregate counters maintained by a simulation run.
+/// Network counters: one node's cell, or the fold of every cell of a run.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NetStats {
     /// Messages handed to the transport by actors.
@@ -454,61 +459,6 @@ impl LatencyHistogram {
     }
 }
 
-/// Per-process message counters, useful for asserting protocol message
-/// complexity in tests (e.g. the symmetric total-order protocol is
-/// "significantly message intensive", §4).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct ProcessCounters {
-    per_process: BTreeMap<ProcessId, ProcessCount>,
-}
-
-/// Counters for one process.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProcessCount {
-    /// Messages sent by the process.
-    pub sent: u64,
-    /// Messages delivered to the process.
-    pub received: u64,
-    /// Bytes sent by the process.
-    pub bytes_sent: u64,
-}
-
-impl ProcessCounters {
-    /// Creates an empty counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a send by `p` of `bytes` bytes.
-    pub fn on_send(&mut self, p: ProcessId, bytes: usize) {
-        let c = self.per_process.entry(p).or_default();
-        c.sent += 1;
-        c.bytes_sent += bytes as u64;
-    }
-
-    /// Records a delivery to `p`.
-    pub fn on_receive(&mut self, p: ProcessId) {
-        self.per_process.entry(p).or_default().received += 1;
-    }
-
-    /// Inserts (replaces) the counters of one process — used by runtimes
-    /// that keep per-process counters in their own dense tables and
-    /// assemble a `ProcessCounters` view on demand.
-    pub fn insert(&mut self, p: ProcessId, count: ProcessCount) {
-        self.per_process.insert(p, count);
-    }
-
-    /// Returns the counters of `p` (zero if never seen).
-    pub fn of(&self, p: ProcessId) -> ProcessCount {
-        self.per_process.get(&p).copied().unwrap_or_default()
-    }
-
-    /// Total messages sent across all processes.
-    pub fn total_sent(&self) -> u64 {
-        self.per_process.values().map(|c| c.sent).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -700,18 +650,5 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert_eq!(a.samples()[0], SimDuration::from_millis(3));
         assert_eq!(a.samples()[1], SimDuration::from_millis(7));
-    }
-
-    #[test]
-    fn process_counters_accumulate() {
-        let mut c = ProcessCounters::new();
-        c.on_send(ProcessId(1), 100);
-        c.on_send(ProcessId(1), 50);
-        c.on_receive(ProcessId(2));
-        assert_eq!(c.of(ProcessId(1)).sent, 2);
-        assert_eq!(c.of(ProcessId(1)).bytes_sent, 150);
-        assert_eq!(c.of(ProcessId(2)).received, 1);
-        assert_eq!(c.of(ProcessId(9)), ProcessCount::default());
-        assert_eq!(c.total_sent(), 2);
     }
 }

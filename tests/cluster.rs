@@ -10,6 +10,7 @@ use fs_smr_suite::harness::{
     Cluster, FaultSchedule, Partitioner, Protocol, RunningCluster, RuntimeKind, Workload,
 };
 use fs_smr_suite::simnet::sched::SchedulerKind;
+use fs_smr_suite::simnet::trace::NetStats;
 
 /// Offered commands across the whole cluster in the deterministic tests.
 const MESSAGES: u64 = 80;
@@ -203,17 +204,39 @@ fn key_range_cluster_snapshot_and_stats() {
     }
 
     // Per-shard network counters fold through NetStats::merge into a lower
-    // bound on the runtime-wide statistics (router traffic excluded).
-    let merged = cluster.shards_net_merged().expect("sim counters");
+    // bound, in every field, on the runtime-wide statistics (router traffic
+    // excluded).
+    let merged = cluster.shards_net_merged().expect("sim cells");
     let total = cluster.stats();
     assert!(merged.messages_sent > 0);
-    assert!(merged.messages_sent <= total.messages_sent);
-    assert!(merged.bytes_sent <= total.bytes_sent);
+    assert!(within(&merged, &total), "{merged:?} exceeds {total:?}");
     for s in 0..4 {
-        let net = cluster.shard_net(s).expect("sim counters");
+        let net = cluster.shard_net(s).expect("sim cells");
         assert!(net.messages_sent > 0, "shard {s} generated traffic");
+        assert!(net.events_processed > 0, "shard {s} ran no handler?");
     }
     assert!(cluster.latency_summary().is_some());
+}
+
+/// `part` is at most `whole` in every [`NetStats`] field.
+fn within(part: &NetStats, whole: &NetStats) -> bool {
+    let fields = |s: &NetStats| {
+        [
+            s.messages_sent,
+            s.messages_delivered,
+            s.messages_dropped,
+            s.dropped_unknown_dest,
+            s.dropped_link,
+            s.link_faults,
+            s.dropped_down,
+            s.lifecycle_events,
+            s.bytes_sent,
+            s.timers_fired,
+            s.events_processed,
+            s.busy_ns,
+        ]
+    };
+    fields(part).iter().zip(fields(whole)).all(|(p, w)| *p <= w)
 }
 
 fn restart_cluster_16(runtime: RuntimeKind, protocol: Protocol) -> RunningCluster {

@@ -1,8 +1,8 @@
 //! Workspace-level integration tests: end-to-end total ordering through the
 //! `Scenario` harness on the simulator (both protocols) and on the real
 //! threaded runtime, exercising the whole stack from application payload to
-//! delivery.  SMR-KV groups of every size are the sweeper's `Clean` family
-//! (`tests/sweep.rs`).
+//! delivery.  NewTOP and SMR-KV groups of every size, under both
+//! protocols, are the sweeper's `Clean` family (`tests/sweep.rs`).
 
 use fs_smr_suite::common::time::{SimDuration, SimTime};
 use fs_smr_suite::harness::{
@@ -30,22 +30,6 @@ fn sim_scenario(
         .build();
     run.run_until(SimTime::from_secs(3_000));
     run
-}
-
-#[test]
-fn newtop_groups_of_various_sizes_agree() {
-    for members in [2u32, 4, 6] {
-        let mut run = sim_scenario(NewTopService::new(), members, Protocol::Crash, 6);
-        assert_eq!(run.check().unwrap().len() as u32, members * 6);
-    }
-}
-
-#[test]
-fn fs_newtop_groups_of_various_sizes_agree() {
-    for members in [2u32, 4, 6] {
-        let mut run = sim_scenario(NewTopService::new(), members, Protocol::FailSignal, 6);
-        assert_eq!(run.check().unwrap().len() as u32, members * 6);
-    }
 }
 
 #[test]
