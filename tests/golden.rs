@@ -141,6 +141,42 @@ fn crash_newtop_trace_matches_golden_digest() {
     );
 }
 
+/// The crash pin above only ever pings.  Here the detector fires: member 2
+/// crash-stops at 300 ms and never returns, the survivors' pings to it go
+/// unanswered, each survivor traces `suspect MemberId(2)`, feeds the
+/// suspicion to its GC object and installs the two-member view.
+#[test]
+fn crash_newtop_detector_trace_matches_golden_pin() {
+    let mut run = Scenario::new(
+        NewTopService::new().suspector(SuspectorConfig::aggressive(SimDuration::from_millis(200))),
+    )
+    .members(3)
+    .protocol(Protocol::Crash)
+    .workload(
+        Workload::paper_default()
+            .messages(8)
+            .interval(SimDuration::from_millis(50)),
+    )
+    .faults(FaultSchedule::none().crash_member_at(SimTime::from_millis(300), MemberId(2)))
+    .seed(2003)
+    .build();
+    run.enable_trace();
+    run.run_until(SimTime::from_secs(2));
+    let agreed = run.check().unwrap().len();
+    let trace = run.trace().expect("tracing enabled");
+    let suspect = format!("suspect {}", MemberId(2));
+    for survivor in &run.members()[..2] {
+        assert!(trace
+            .labels_of(survivor.middleware)
+            .contains(&suspect.as_str()));
+    }
+    let trace_json = serde_json::to_string(trace).unwrap();
+    assert_eq!(
+        format!("{} agreed={agreed}", oracle_hex(trace_json.as_bytes())),
+        "a8a8776237071f6ba49f31edd44c9b6b821047fa7edb19ffaf2706811824878a agreed=22"
+    );
+}
+
 #[test]
 fn fs_newtop_trace_matches_golden_digest() {
     assert_eq!(
