@@ -844,6 +844,37 @@ mod tests {
         assert!(gc.handle(&MachineInput::from_env(vec![0xff])).is_empty());
     }
 
+    /// A peer's `Order` at the last global sequence number, then a takeover
+    /// that makes this member the sequencer: the order space is exhausted,
+    /// so nothing more is assigned — and nothing overflows.
+    #[test]
+    fn an_order_at_the_last_global_seq_survives_a_takeover() {
+        let group: Vec<MemberId> = (0..3).map(MemberId).collect();
+        let mut gc = GcMachine::new(GcConfig::new(MemberId(1), group).with_costs(GcCosts::free()));
+        let order = GcMessage::Order {
+            sequencer: MemberId(2),
+            global_seq: u64::MAX,
+            origin: MemberId(2),
+            seq: 0,
+        };
+        gc.handle(&MachineInput::from_peer(MemberId(2), order.to_wire()));
+        let data = GcMessage::Data {
+            origin: MemberId(2),
+            seq: 1,
+            ts: 0,
+            vc: vec![],
+            service: ServiceKind::AsymmetricTotal,
+            payload: b"x".to_vec().into(),
+        };
+        gc.handle(&MachineInput::from_peer(MemberId(2), data.to_wire()));
+        let suspect = ControlInput::Suspect(MemberId(0)).to_wire();
+        let outputs = gc.handle(&MachineInput::from_env(suspect));
+        assert_eq!(gc.view().id, 1, "member 0 left the view");
+        assert!(outputs
+            .iter()
+            .all(|o| !matches!(GcMessage::from_wire(&o.bytes), Ok(GcMessage::Order { .. }))));
+    }
+
     #[test]
     fn ping_is_answered_with_pong() {
         let group = vec![MemberId(0), MemberId(1)];
