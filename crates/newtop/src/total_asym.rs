@@ -114,10 +114,12 @@ impl SequencerOrder {
     pub fn on_view_change(&mut self, view: &View) -> (Vec<GcMessage>, Vec<AppDeliver>) {
         let mut to_send = Vec::new();
         if self.is_sequencer(view) {
-            // Continue the global sequence after the highest order we know of.
+            // Continue the global sequence after the highest order we know
+            // of.  A peer may claim the last one: the space is then
+            // exhausted, and `assign` hands out nothing more.
             let max_known = self.orders.keys().next_back().copied();
             if let Some(max) = max_known {
-                self.next_assign = self.next_assign.max(max + 1);
+                self.next_assign = self.next_assign.max(max.saturating_add(1));
             }
             self.next_assign = self.next_assign.max(self.next_deliver);
             let unsequenced: Vec<(MemberId, u64)> = self
@@ -140,7 +142,10 @@ impl SequencerOrder {
             return Vec::new();
         }
         let global_seq = self.next_assign;
-        self.next_assign += 1;
+        let Some(next) = global_seq.checked_add(1) else {
+            return Vec::new();
+        };
+        self.next_assign = next;
         self.assigned.insert((origin, seq), global_seq);
         self.orders.insert(global_seq, (origin, seq));
         vec![GcMessage::Order {
@@ -157,6 +162,9 @@ impl SequencerOrder {
             let Some(payload) = self.waiting_data.get(&(origin, seq)) else {
                 break;
             };
+            let Some(next) = self.next_deliver.checked_add(1) else {
+                break;
+            };
             out.push(AppDeliver {
                 origin,
                 seq,
@@ -166,7 +174,7 @@ impl SequencerOrder {
             });
             self.waiting_data.remove(&(origin, seq));
             self.orders.remove(&self.next_deliver);
-            self.next_deliver += 1;
+            self.next_deliver = next;
         }
         out
     }
