@@ -41,7 +41,7 @@ use fs_simnet::trace::{NetStats, TraceLog};
 use crate::check::{self, Violation};
 use crate::deployment::{deploy, stamp_workload, RuntimeSlot, ShardAt};
 use crate::faults::{FaultSchedule, MemberFate};
-use crate::service::ServiceSpec;
+use crate::service::{PlainHost, ServiceSpec};
 use crate::workload::Workload;
 
 /// The fault-tolerance protocol axis.
@@ -281,19 +281,14 @@ impl Scenario {
             Protocol::Crash => {
                 let n = self.members;
                 assert!(n >= 1, "a group needs at least one member");
-                let group: Vec<MemberId> = (0..n).map(MemberId).collect();
                 let app_pid = |i: u32| ProcessId(pid_base + 2 * i);
                 let mw_pid = |i: u32| ProcessId(pid_base + 2 * i + 1);
+                let hosts: BTreeMap<MemberId, ProcessId> =
+                    (0..n).map(|j| (MemberId(j), mw_pid(j))).collect();
                 let mut members = Vec::new();
                 for i in 0..n {
                     let node = host.add_host_node(&NodeConfig::era_2003());
-                    let peers: BTreeMap<MemberId, ProcessId> = (0..n)
-                        .filter(|j| *j != i)
-                        .map(|j| (MemberId(j), mw_pid(j)))
-                        .collect();
-                    let mut middleware =
-                        self.service
-                            .crash_middleware(MemberId(i), &group, &peers, app_pid(i));
+                    let mut middleware = self.crash_host(MemberId(i), &hosts, app_pid(i));
                     if let Some(entry) = self.faults.for_middleware(MemberId(i)) {
                         middleware =
                             Box::new(FaultyActor::new(middleware, entry.plan.clone(), entry.seed));
@@ -319,6 +314,27 @@ impl Scenario {
                 members
             }
         }
+    }
+
+    /// The crash-protocol host of `member`, for a fresh deploy and for a
+    /// `Replace` alike: the service's machine, built by the factory the
+    /// fail-signal pair uses, in a [`PlainHost`] with the service's failure
+    /// detector.  `hosts` maps every member to its host process.
+    fn crash_host(
+        &self,
+        member: MemberId,
+        hosts: &BTreeMap<MemberId, ProcessId>,
+        app: ProcessId,
+    ) -> Box<dyn Actor> {
+        let group: Vec<MemberId> = hosts.keys().copied().collect();
+        let mut peers = hosts.clone();
+        peers.remove(&member);
+        Box::new(PlainHost::new(
+            self.service.fs_service().machine(member, &group),
+            app,
+            &peers,
+            self.service.failure_detector(),
+        ))
     }
 
     /// The member's own processes under the current protocol, in
@@ -375,15 +391,8 @@ impl Scenario {
                         }
                     }
                     Protocol::Crash => {
-                        let group: Vec<MemberId> = members.iter().map(|p| p.member).collect();
-                        let peers: BTreeMap<MemberId, ProcessId> = members
-                            .iter()
-                            .filter(|p| p.member != entry.member)
-                            .map(|p| (p.member, p.middleware))
-                            .collect();
-                        let middleware =
-                            self.service
-                                .crash_middleware(entry.member, &group, &peers, procs.app);
+                        let hosts = members.iter().map(|p| (p.member, p.middleware)).collect();
+                        let middleware = self.crash_host(entry.member, &hosts, procs.app);
                         schedule.push(entry.at, procs.middleware, ProcessFate::Replace(middleware));
                         // The replacement incarnation observes rather than
                         // drives load: its predecessor's per-member sequence
@@ -716,6 +725,32 @@ mod tests {
         run.run_until(SimTime::from_secs(300));
         assert_eq!(run.check().unwrap().len(), 12);
         assert!(run.interceptor(0).is_none());
+    }
+
+    /// A warm restart clears a process's armed timers: the crash host must
+    /// re-arm its detector, or the recovered member never suspects again.
+    /// Member 1 is down for 25 ms — shorter than a ping round, so no peer
+    /// misses a pong from it — and member 2 crash-stops later.
+    #[test]
+    fn a_recovered_crash_newtop_member_still_suspects() {
+        let faults = FaultSchedule::none()
+            .crash_member_at(SimTime::from_millis(520), MemberId(1))
+            .recover_member_at(SimTime::from_millis(545), MemberId(1))
+            .crash_member_at(SimTime::from_millis(1_000), MemberId(2));
+        let mut run = Scenario::new(
+            NewTopService::new()
+                .suspector(SuspectorConfig::aggressive(SimDuration::from_millis(200))),
+        )
+        .members(3)
+        .protocol(Protocol::Crash)
+        .workload(Workload::quick(0))
+        .faults(faults)
+        .build();
+        run.enable_trace();
+        run.run_until(SimTime::from_secs(2));
+        let trace = run.trace().expect("tracing enabled");
+        let labels = trace.labels_of(run.members()[1].middleware);
+        assert_eq!(labels, [format!("suspect {}", MemberId(2))]);
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! A [`ServiceSpec`] bundles everything the scenario builder needs to deploy
 //! one kind of deterministic group service under **either** protocol:
 //!
-//! * the [`FsService`] used by the fail-signal lift (the wrapper path is
-//!   fully generic — see [`failsignal::group::build_fs_group`]);
-//! * a factory for the service's native crash-tolerant middleware actor;
+//! * the [`FsService`] whose machine factory both protocols share: the
+//!   fail-signal lift wraps each machine in a pair (fully generic — see
+//!   [`failsignal::group::build_fs_group`]), the crash protocol hosts it in
+//!   a [`PlainHost`];
+//! * the [`FailureDetector`] plugged into the crash host, if any;
 //! * a factory for the per-member workload driver, and the inspector that
 //!   reads its delivery log back out.
 //!
@@ -28,12 +30,13 @@ use fs_common::{Bytes, Frame};
 use fs_newtop::app::AppProcess;
 use fs_newtop::gc::{GcConfig, GcMachine};
 use fs_newtop::message::{ControlInput, ServiceKind};
-use fs_newtop::nso::{AddressBook, NsoActor};
-use fs_newtop::suspector::SuspectorConfig;
+use fs_newtop::suspector::{PingSuspector, SuspectorConfig};
 use fs_simnet::actor::{Actor, Context, TimerId};
 use fs_simnet::load::{Admitted, LoadGen, LoadStats};
 use fs_simnet::trace::LatencyRecorder;
-use fs_smr::machine::{DeterministicMachine, Endpoint, MachineInput};
+use fs_smr::machine::{
+    DeterministicMachine, Endpoint, FailureDetector, MachineInput, MachineOutput,
+};
 use fs_smr::sequenced::{SequencedKv, SmrClientMsg, SmrDeliverEntry, SmrUpcall};
 
 use crate::cluster::ClusterMsg;
@@ -49,16 +52,11 @@ pub trait ServiceSpec: Send {
     /// fail-signal conversion) — see the R1 contract on [`FsService`].
     fn fs_service(&self) -> Box<dyn FsService>;
 
-    /// The service's native crash-tolerant middleware actor for `member`,
-    /// given the middleware process of every peer and the local application
-    /// process.
-    fn crash_middleware(
-        &self,
-        member: MemberId,
-        group: &[MemberId],
-        peers: &BTreeMap<MemberId, ProcessId>,
-        app: ProcessId,
-    ) -> Box<dyn Actor>;
+    /// The failure detector plugged into each member's crash-protocol
+    /// [`PlainHost`].  The default plugs none.
+    fn failure_detector(&self) -> Option<Box<dyn FailureDetector>> {
+        None
+    }
 
     /// The per-member application / workload-driver actor.
     fn driver(
@@ -103,53 +101,6 @@ pub trait ServiceSpec: Send {
     fn load_stats_of(&self, driver: &dyn Actor) -> Option<LoadStats> {
         let _ = driver;
         None
-    }
-}
-
-impl ServiceSpec for Box<dyn ServiceSpec> {
-    fn name(&self) -> &'static str {
-        self.as_ref().name()
-    }
-    fn fs_service(&self) -> Box<dyn FsService> {
-        self.as_ref().fs_service()
-    }
-    fn crash_middleware(
-        &self,
-        member: MemberId,
-        group: &[MemberId],
-        peers: &BTreeMap<MemberId, ProcessId>,
-        app: ProcessId,
-    ) -> Box<dyn Actor> {
-        self.as_ref().crash_middleware(member, group, peers, app)
-    }
-    fn driver(
-        &self,
-        member: MemberId,
-        middleware: ProcessId,
-        workload: &Workload,
-    ) -> Box<dyn Actor> {
-        self.as_ref().driver(member, middleware, workload)
-    }
-    fn replacement_driver(
-        &self,
-        member: MemberId,
-        middleware: ProcessId,
-        workload: &Workload,
-    ) -> Box<dyn Actor> {
-        self.as_ref()
-            .replacement_driver(member, middleware, workload)
-    }
-    fn delivery_log_of(&self, driver: &dyn Actor) -> Option<Vec<(MemberId, u64)>> {
-        self.as_ref().delivery_log_of(driver)
-    }
-    fn total_order(&self) -> bool {
-        self.as_ref().total_order()
-    }
-    fn latencies_of(&self, driver: &dyn Actor) -> Option<LatencyRecorder> {
-        self.as_ref().latencies_of(driver)
-    }
-    fn load_stats_of(&self, driver: &dyn Actor) -> Option<LoadStats> {
-        self.as_ref().load_stats_of(driver)
     }
 }
 
@@ -222,16 +173,10 @@ impl ServiceSpec for NewTopService {
         Box::new(NewTopFs)
     }
 
-    fn crash_middleware(
-        &self,
-        member: MemberId,
-        group: &[MemberId],
-        peers: &BTreeMap<MemberId, ProcessId>,
-        app: ProcessId,
-    ) -> Box<dyn Actor> {
-        let gc = GcConfig::new(member, group.to_vec());
-        let addresses = AddressBook::new(app, peers.clone());
-        Box::new(NsoActor::new(gc, addresses, self.suspector))
+    fn failure_detector(&self) -> Option<Box<dyn FailureDetector>> {
+        self.suspector
+            .enabled
+            .then(|| Box::new(PingSuspector::new(self.suspector)) as Box<dyn FailureDetector>)
     }
 
     fn driver(
@@ -305,31 +250,6 @@ impl ServiceSpec for SmrKvService {
         Box::new(SmrKvFs)
     }
 
-    fn crash_middleware(
-        &self,
-        member: MemberId,
-        group: &[MemberId],
-        peers: &BTreeMap<MemberId, ProcessId>,
-        app: ProcessId,
-    ) -> Box<dyn Actor> {
-        let mut sources = BTreeMap::new();
-        sources.insert(app, Endpoint::LocalApp);
-        let mut routes = RouteTable::new();
-        routes.set(Endpoint::LocalApp, vec![app]);
-        let mut broadcast = Vec::new();
-        for (&peer, &pid) in peers {
-            sources.insert(pid, Endpoint::Peer(peer));
-            routes.set(Endpoint::Peer(peer), vec![pid]);
-            broadcast.push(pid);
-        }
-        routes.set(Endpoint::Broadcast, broadcast);
-        Box::new(PlainHost::new(
-            Box::new(SequencedKv::new(member, group.to_vec())),
-            sources,
-            routes,
-        ))
-    }
-
     fn driver(
         &self,
         member: MemberId,
@@ -367,18 +287,24 @@ impl ServiceSpec for SmrKvService {
 }
 
 // ---------------------------------------------------------------------------
-// Generic crash-protocol host + SMR workload driver
+// The crash-protocol host + SMR workload driver
 // ---------------------------------------------------------------------------
 
-/// A plain, unwrapped adapter hosting a [`DeterministicMachine`] — the
-/// crash-protocol counterpart of the fail-signal wrapper pair.  It maps
-/// physical senders to logical endpoints on the way in and logical output
-/// destinations to physical processes on the way out, charging the machine's
-/// processing cost; nothing is signed or compared.
+/// Timer of a [`PlainHost`]'s detector round.
+const TIMER_DETECTOR: TimerId = TimerId(1);
+
+/// The one crash-protocol host: a plain, unwrapped adapter around a
+/// [`DeterministicMachine`] — the crash-protocol counterpart of the
+/// fail-signal wrapper pair.  It maps physical senders to logical endpoints
+/// on the way in and logical output destinations to physical processes on
+/// the way out, charging the machine's processing cost; nothing is signed
+/// or compared.  A [`FailureDetector`], if plugged, turns its suspicions
+/// into environment inputs.
 pub struct PlainHost {
     machine: Box<dyn DeterministicMachine>,
     sources: BTreeMap<ProcessId, Endpoint>,
     routes: RouteTable,
+    detector: Option<Box<dyn FailureDetector>>,
 }
 
 impl std::fmt::Debug for PlainHost {
@@ -391,17 +317,27 @@ impl std::fmt::Debug for PlainHost {
 }
 
 impl PlainHost {
-    /// Hosts `machine`, treating inbound messages per `sources` and routing
-    /// outputs per `routes`.
+    /// Hosts `machine` for the local application `app`; `peers` names the
+    /// host process of every other member.
     pub fn new(
         machine: Box<dyn DeterministicMachine>,
-        sources: BTreeMap<ProcessId, Endpoint>,
-        routes: RouteTable,
+        app: ProcessId,
+        peers: &BTreeMap<MemberId, ProcessId>,
+        detector: Option<Box<dyn FailureDetector>>,
     ) -> Self {
+        let mut sources = BTreeMap::from([(app, Endpoint::LocalApp)]);
+        let mut routes = RouteTable::new();
+        routes.set(Endpoint::LocalApp, vec![app]);
+        for (&peer, &pid) in peers {
+            sources.insert(pid, Endpoint::Peer(peer));
+            routes.set(Endpoint::Peer(peer), vec![pid]);
+        }
+        routes.set(Endpoint::Broadcast, peers.values().copied().collect());
         Self {
             machine,
             sources,
             routes,
+            detector,
         }
     }
 
@@ -410,21 +346,73 @@ impl PlainHost {
     pub fn machine(&self) -> &dyn DeterministicMachine {
         self.machine.as_ref()
     }
+
+    /// The plugged failure detector, if any.
+    pub fn detector(&self) -> Option<&dyn FailureDetector> {
+        self.detector.as_deref()
+    }
+
+    fn arm_detector(&self, ctx: &mut dyn Context) {
+        if let Some(detector) = &self.detector {
+            ctx.set_timer(detector.interval(), TIMER_DETECTOR);
+        }
+    }
+
+    fn feed(&mut self, ctx: &mut dyn Context, input: MachineInput) {
+        ctx.charge_cpu(self.machine.processing_cost(&input));
+        for output in self.machine.handle(&input) {
+            self.route(ctx, output);
+        }
+    }
+
+    fn route(&self, ctx: &mut dyn Context, output: MachineOutput) {
+        match self.routes.lookup(output.dest) {
+            [to] => ctx.send(*to, output.bytes.into()),
+            all => {
+                for &to in all {
+                    ctx.send(to, output.bytes.clone().into());
+                }
+            }
+        }
+    }
 }
 
 impl Actor for PlainHost {
+    fn on_start(&mut self, ctx: &mut dyn Context) {
+        self.arm_detector(ctx);
+    }
+
+    fn on_recover(&mut self, ctx: &mut dyn Context) {
+        // The crash cleared the detector's timer; its state survived.
+        self.arm_detector(ctx);
+    }
+
     fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Frame) {
+        // The machine takes one contiguous buffer: free for a frame that is
+        // one (every peer message), the one copy of a spliced request.
         let payload = payload.into_bytes();
-        let Some(&endpoint) = self.sources.get(&from) else {
+        let Some(&source) = self.sources.get(&from) else {
             return; // unknown sender: dropped
         };
-        let input = MachineInput::new(endpoint, payload);
-        ctx.charge_cpu(self.machine.processing_cost(&input));
-        for output in self.machine.handle(&input) {
-            for &to in self.routes.lookup(output.dest) {
-                ctx.send(to, output.bytes.clone().into());
-            }
+        if let (Endpoint::Peer(peer), Some(detector)) = (source, &mut self.detector) {
+            detector.observe(peer, &payload);
         }
+        self.feed(ctx, MachineInput::new(source, payload));
+    }
+
+    fn on_timer(&mut self, ctx: &mut dyn Context, timer: TimerId) {
+        let Some(detector) = self.detector.as_mut().filter(|_| timer == TIMER_DETECTOR) else {
+            return;
+        };
+        let (probes, suspicions) = detector.round(ctx.now(), self.machine.as_ref());
+        for probe in probes {
+            self.route(ctx, probe);
+        }
+        for (suspect, input) in suspicions {
+            ctx.trace(&format!("suspect {suspect}"));
+            self.feed(ctx, MachineInput::from_env(input));
+        }
+        self.arm_detector(ctx);
     }
 
     fn name(&self) -> String {
@@ -776,6 +764,7 @@ impl Actor for SmrDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fs_newtop::message::{AppRequest, GcMessage, Upcall};
     use fs_simnet::actor::TestContext;
 
     #[test]
@@ -854,15 +843,51 @@ mod tests {
         assert_eq!(driver.name(), "smr-driver-1");
     }
 
+    fn peers(pairs: &[(u32, u32)]) -> BTreeMap<MemberId, ProcessId> {
+        pairs
+            .iter()
+            .map(|&(m, p)| (MemberId(m), ProcessId(p)))
+            .collect()
+    }
+
+    /// The crash host of NewTOP member 0 among `group`, serving the
+    /// application at process 10, with peer `m` hosted at process `10 + m`.
+    fn newtop_host(group: u32, suspector: SuspectorConfig) -> PlainHost {
+        let spec = NewTopService::new().suspector(suspector);
+        let members: Vec<MemberId> = (0..group).map(MemberId).collect();
+        let peers: BTreeMap<MemberId, ProcessId> = (1..group)
+            .map(|m| (MemberId(m), ProcessId(10 + m)))
+            .collect();
+        PlainHost::new(
+            spec.fs_service().machine(MemberId(0), &members),
+            ProcessId(10),
+            &peers,
+            spec.failure_detector(),
+        )
+    }
+
+    fn gc(host: &PlainHost) -> &GcMachine {
+        let any: &dyn Any = host.machine();
+        any.downcast_ref().expect("a GC machine")
+    }
+
+    fn suspected(host: &PlainHost) -> &BTreeSet<MemberId> {
+        host.detector().expect("a detector").suspected()
+    }
+
     #[test]
     fn plain_host_maps_sources_and_routes() {
         let group = vec![MemberId(0), MemberId(1)];
-        let spec = SmrKvService::new();
-        let peers: BTreeMap<MemberId, ProcessId> =
-            [(MemberId(1), ProcessId(3))].into_iter().collect();
         // Member 0 is the sequencer: a local command is ordered, multicast
         // and applied immediately.
-        let mut host = spec.crash_middleware(MemberId(0), &group, &peers, ProcessId(2));
+        let mut host = PlainHost::new(
+            SmrKvService::new()
+                .fs_service()
+                .machine(MemberId(0), &group),
+            ProcessId(2),
+            &peers(&[(1, 3)]),
+            None,
+        );
         let mut ctx = TestContext::new(ProcessId(0));
         let request = SmrClientMsg::Batch {
             first_seq: 0,
@@ -879,5 +904,134 @@ mod tests {
         let before = ctx.sent.len();
         host.on_message(&mut ctx, ProcessId(77), Frame::from(&b"x"[..]));
         assert_eq!(ctx.sent.len(), before);
+    }
+
+    #[test]
+    fn app_request_is_multicast_to_peers() {
+        let mut host = newtop_host(3, SuspectorConfig::disabled());
+        let mut ctx = TestContext::new(ProcessId(20));
+        let request = AppRequest {
+            service: ServiceKind::SymmetricTotal,
+            payload: b"hi".to_vec().into(),
+        };
+        host.on_message(&mut ctx, ProcessId(10), request.to_frame());
+        // One data message to each of the two peers.
+        assert_eq!(ctx.sent_to(ProcessId(11)).len(), 1);
+        assert_eq!(ctx.sent_to(ProcessId(12)).len(), 1);
+        // CPU was charged for the protocol processing.
+        assert!(ctx.cpu > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn peer_data_produces_acks_and_unknown_senders_are_ignored() {
+        let mut host = newtop_host(2, SuspectorConfig::disabled());
+        let mut ctx = TestContext::new(ProcessId(20));
+        let data = GcMessage::Data {
+            origin: MemberId(1),
+            seq: 0,
+            ts: 1,
+            vc: vec![],
+            service: ServiceKind::SymmetricTotal,
+            payload: b"x".to_vec().into(),
+        };
+        host.on_message(&mut ctx, ProcessId(11), data.to_frame());
+        // The ack goes back to the peer; with both acks in hand the delivery
+        // goes up to the app.
+        assert_eq!(ctx.sent_to(ProcessId(11)).len(), 1);
+        let to_app = ctx.sent_to(ProcessId(10));
+        assert_eq!(to_app.len(), 1);
+        assert!(matches!(
+            Upcall::from_frame(&to_app[0].payload).unwrap(),
+            Upcall::Deliver(_)
+        ));
+
+        // A message from an unknown process does nothing.
+        let before = ctx.sent.len();
+        host.on_message(&mut ctx, ProcessId(99), b"junk"[..].into());
+        assert_eq!(ctx.sent.len(), before);
+    }
+
+    #[test]
+    fn suspector_timer_sends_pings_then_suspicions() {
+        let mut host = newtop_host(
+            2,
+            SuspectorConfig::aggressive(SimDuration::from_millis(100)),
+        );
+        let mut ctx = TestContext::new(ProcessId(20));
+        host.on_start(&mut ctx);
+        assert_eq!(ctx.timers_set.len(), 1);
+
+        // First round: a ping to the peer.
+        host.on_timer(&mut ctx, TIMER_DETECTOR);
+        assert_eq!(ctx.sent_to(ProcessId(11)).len(), 1);
+
+        // No pong arrives; past the timeout the peer is suspected and a view
+        // change (plus gossip) is produced.
+        ctx.advance(SimDuration::from_millis(500));
+        host.on_timer(&mut ctx, TIMER_DETECTOR);
+        assert!(suspected(&host).contains(&MemberId(1)));
+        assert_eq!(gc(&host).view().id, 1);
+        // The view change is delivered to the application.
+        let view_upcalls = ctx
+            .sent_to(ProcessId(10))
+            .iter()
+            .filter(|o| matches!(Upcall::from_frame(&o.payload), Ok(Upcall::View(_))))
+            .count();
+        assert_eq!(view_upcalls, 1);
+    }
+
+    #[test]
+    fn pong_clears_outstanding_ping() {
+        let mut host = newtop_host(
+            2,
+            SuspectorConfig::aggressive(SimDuration::from_millis(100)),
+        );
+        let mut ctx = TestContext::new(ProcessId(20));
+        host.on_start(&mut ctx);
+        host.on_timer(&mut ctx, TIMER_DETECTOR);
+        // The peer answers with the right nonce (nonce 0 is the first one).
+        let pong = GcMessage::Pong {
+            from: MemberId(1),
+            nonce: 0,
+        };
+        host.on_message(&mut ctx, ProcessId(11), pong.to_frame());
+        ctx.advance(SimDuration::from_millis(500));
+        host.on_timer(&mut ctx, TIMER_DETECTOR);
+        assert!(suspected(&host).is_empty());
+        assert_eq!(gc(&host).view().id, 0);
+    }
+
+    /// Member 1 answers member 2's ping in member 2's name: the pong counts
+    /// for member 1, the process that sent it, so it clears nothing and
+    /// member 2's silence is still noticed.
+    #[test]
+    fn a_pong_counts_for_the_member_that_sent_it() {
+        let mut host = newtop_host(
+            3,
+            SuspectorConfig::aggressive(SimDuration::from_millis(100)),
+        );
+        let mut ctx = TestContext::new(ProcessId(20));
+        host.on_start(&mut ctx);
+        // Nonce 0 pings member 1, nonce 1 member 2.
+        host.on_timer(&mut ctx, TIMER_DETECTOR);
+        let spoofed = GcMessage::Pong {
+            from: MemberId(2),
+            nonce: 1,
+        };
+        host.on_message(&mut ctx, ProcessId(11), spoofed.to_frame());
+        ctx.advance(SimDuration::from_millis(500));
+        host.on_timer(&mut ctx, TIMER_DETECTOR);
+        assert!(suspected(&host).contains(&MemberId(2)));
+    }
+
+    #[test]
+    fn disabled_suspector_sets_no_timer() {
+        let mut host = newtop_host(2, SuspectorConfig::disabled());
+        assert!(host.detector().is_none());
+        let mut ctx = TestContext::new(ProcessId(20));
+        host.on_start(&mut ctx);
+        host.on_recover(&mut ctx);
+        assert!(ctx.timers_set.is_empty());
+        assert_eq!(host.name(), "host(newtop-gc-0)");
     }
 }

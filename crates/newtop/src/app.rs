@@ -7,9 +7,8 @@
 //! delivery back to itself) and (b) the time of every delivery it receives,
 //! from which the benchmark harness derives the throughput figures.
 //!
-//! The same actor drives both baselines: point it at a crash-tolerant
-//! [`crate::nso::NsoActor`] for NewTOP, or at a fail-signal interceptor for
-//! FS-NewTOP.
+//! The same actor drives both baselines: point it at the crash host of a
+//! GC machine for NewTOP, or at a fail-signal interceptor for FS-NewTOP.
 
 use fs_common::codec::{Decoder, Encoder, Wire};
 use fs_common::id::{MemberId, ProcessId};

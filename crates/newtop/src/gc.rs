@@ -7,8 +7,8 @@
 //! implemented as a single-threaded, deterministic application"), the very
 //! same object can be:
 //!
-//! * hosted directly by an [`crate::nso::NsoActor`] to form crash-tolerant
-//!   NewTOP, or
+//! * hosted directly by the one crash host (`fs_harness::PlainHost`) to
+//!   form crash-tolerant NewTOP, or
 //! * wrapped by the fail-signal pair of the `failsignal` crate to form
 //!   FS-NewTOP, with no change to this code.
 

@@ -8,9 +8,10 @@
 //!   total order, asymmetric (sequencer) total order, causal order, reliable
 //!   and simple multicast, and partitionable membership;
 //! * the timeout-based **failure suspector** ([`suspector`]) whose (possibly
-//!   false) suspicions drive view changes in the crash-tolerant deployment;
-//! * the **NSO adapter** ([`nso::NsoActor`]) that hosts the GC machine on a
-//!   simulated or threaded node — the baseline system measured in the paper;
+//!   false) suspicions drive view changes in the crash-tolerant deployment —
+//!   the baseline system measured in the paper, where the harness's one
+//!   crash host (`fs_harness::PlainHost`) runs the GC machine on a simulated
+//!   or threaded node with the suspector plugged in as its failure detector;
 //! * the **application workload process** ([`app::AppProcess`]) used by the
 //!   benchmark harness to reproduce Figures 6–8.
 //!
@@ -55,7 +56,6 @@ pub mod app;
 pub mod causal;
 pub mod gc;
 pub mod message;
-pub mod nso;
 pub mod reliable;
 pub mod suspector;
 pub mod total_asym;
@@ -67,6 +67,5 @@ pub use gc::{GcConfig, GcCosts, GcMachine};
 pub use message::{
     AppDeliver, AppRequest, ControlInput, GcMessage, ServiceKind, Upcall, ViewDeliver,
 };
-pub use nso::{AddressBook, NsoActor};
 pub use suspector::{PingSuspector, SuspectorConfig};
 pub use view::{MembershipState, View};

@@ -8,12 +8,19 @@
 //! by replacing this module with a fail-signal-driven one.
 //!
 //! The suspector is deliberately time-driven and therefore lives in the
-//! hosting adapter (the NSO actor), not inside the deterministic GC machine.
+//! crash host, plugged in as its failure detector, not inside the
+//! deterministic GC machine.
 
+use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 
+use fs_common::codec::Wire;
 use fs_common::id::MemberId;
 use fs_common::time::{SimDuration, SimTime};
+use fs_smr::machine::{DetectorRound, DeterministicMachine, FailureDetector, MachineOutput};
+
+use crate::gc::GcMachine;
+use crate::message::{ControlInput, GcMessage};
 
 /// Configuration of the ping-based suspector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,22 +105,6 @@ impl PingSuspector {
         }
     }
 
-    /// The configured ping interval (how often the adapter should call
-    /// [`PingSuspector::tick`]).
-    pub fn interval(&self) -> SimDuration {
-        self.config.interval
-    }
-
-    /// Whether the suspector is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.config.enabled
-    }
-
-    /// The peers reported as suspected so far.
-    pub fn suspected(&self) -> &BTreeSet<MemberId> {
-        &self.suspected
-    }
-
     /// Runs one suspector round at time `now` over the given peers
     /// (the current view, excluding the local member).
     pub fn tick(&mut self, now: SimTime, peers: &[MemberId]) -> SuspectorActions {
@@ -164,6 +155,47 @@ impl PingSuspector {
     }
 }
 
+/// The crash host's plug: rounds of [`PingSuspector::tick`] over the hosted
+/// [`GcMachine`]'s current view, pinged and suspected in `GcMessage` form.
+impl FailureDetector for PingSuspector {
+    fn interval(&self) -> SimDuration {
+        self.config.interval
+    }
+
+    fn observe(&mut self, peer: MemberId, frame: &[u8]) {
+        // Only the tag is read, so only a pong is decoded.  A pong counts
+        // for the peer that sent it: one naming another member would clear
+        // that member's ping and hide its crash.
+        match GcMessage::decode_pong(frame) {
+            Some((from, nonce)) if from == peer => self.on_pong(peer, nonce),
+            _ => {}
+        }
+    }
+
+    fn round(&mut self, now: SimTime, machine: &dyn DeterministicMachine) -> DetectorRound {
+        let any: &dyn Any = machine;
+        let Some(gc) = any.downcast_ref::<GcMachine>() else {
+            return DetectorRound::default();
+        };
+        let me = gc.member();
+        let mut peers = gc.view().members_sorted();
+        peers.retain(|m| *m != me);
+        let actions = self.tick(now, &peers);
+        let ping = |(peer, nonce)| {
+            MachineOutput::to_peer(peer, GcMessage::Ping { from: me, nonce }.to_wire())
+        };
+        let suspect = |m| (m, ControlInput::Suspect(m).to_wire());
+        (
+            actions.pings.into_iter().map(ping).collect(),
+            actions.suspicions.into_iter().map(suspect).collect(),
+        )
+    }
+
+    fn suspected(&self) -> &BTreeSet<MemberId> {
+        &self.suspected
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,7 +210,6 @@ mod tests {
         let actions = s.tick(SimTime::ZERO, &peers(3));
         assert!(actions.pings.is_empty());
         assert!(actions.suspicions.is_empty());
-        assert!(!s.is_enabled());
     }
 
     #[test]

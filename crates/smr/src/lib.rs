@@ -38,7 +38,9 @@ pub mod voter;
 
 pub use client::ReplicatedClient;
 pub use command::{AppStateMachine, AuctionHouse, KvStore, RequestId};
-pub use machine::{DeterministicMachine, Endpoint, MachineInput, MachineOutput};
+pub use machine::{
+    DetectorRound, DeterministicMachine, Endpoint, FailureDetector, MachineInput, MachineOutput,
+};
 pub use replica::{Replica, Request, Response};
 pub use sequenced::{
     SequencedKv, SmrClientMsg, SmrDeliverBatch, SmrDeliverEntry, SmrOrderedEntry, SmrPeerMsg,

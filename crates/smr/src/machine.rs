@@ -12,8 +12,11 @@
 //! endpoints so the wrapper can compare replica outputs byte-for-byte and
 //! route them to physical processes.
 
+use std::any::Any;
+use std::collections::BTreeSet;
+
 use fs_common::id::MemberId;
-use fs_common::time::SimDuration;
+use fs_common::time::{SimDuration, SimTime};
 use fs_common::Bytes;
 
 /// A logical endpoint of a machine input or output.
@@ -114,7 +117,9 @@ impl MachineOutput {
 /// hidden input inside [`DeterministicMachine::handle`]; all nondeterminism
 /// must arrive as explicit inputs (which the fail-signal Order processes then
 /// deliver to both replicas in the same order).
-pub trait DeterministicMachine: Send + 'static {
+///
+/// `Any` lets a [`FailureDetector`] and the tests downcast a hosted machine.
+pub trait DeterministicMachine: Any + Send {
     /// Processes one input and returns the outputs it generates, in order.
     fn handle(&mut self, input: &MachineInput) -> Vec<MachineOutput>;
 
@@ -143,6 +148,25 @@ pub trait DeterministicMachine: Send + 'static {
     fn app_digest(&self) -> Option<u64> {
         None
     }
+}
+
+/// What a [`FailureDetector::round`] wants done: probes to route like
+/// machine outputs, then each newly suspected member with the environment
+/// input that reports it to the machine.
+pub type DetectorRound = (Vec<MachineOutput>, Vec<(MemberId, Bytes)>);
+
+/// The failure detector a crash-tolerant host plugs in beside its machine:
+/// it sees every peer frame before the machine does and runs a round every
+/// [`FailureDetector::interval`].
+pub trait FailureDetector: Send {
+    /// The time between two rounds.
+    fn interval(&self) -> SimDuration;
+    /// Looks at one frame from `peer`, the member whose host sent it.
+    fn observe(&mut self, peer: MemberId, frame: &[u8]);
+    /// One round at `now` over the hosted machine.
+    fn round(&mut self, now: SimTime, machine: &dyn DeterministicMachine) -> DetectorRound;
+    /// The members suspected so far.
+    fn suspected(&self) -> &BTreeSet<MemberId>;
 }
 
 /// Drives two instances of the same machine with the same inputs and checks

@@ -41,9 +41,8 @@ use fs_smr_suite::common::id::MemberId;
 use fs_smr_suite::common::time::{SimDuration, SimTime};
 use fs_smr_suite::faults::{FaultKind, FaultPlan};
 use fs_smr_suite::harness::{
-    FaultSchedule, NewTopService, Protocol, Running, Scenario, SmrKvService, Workload,
+    FaultSchedule, NewTopService, PlainHost, Protocol, Running, Scenario, SmrKvService, Workload,
 };
-use fs_smr_suite::newtop::nso::NsoActor;
 use fs_smr_suite::newtop::suspector::SuspectorConfig;
 use fs_smr_suite::simnet::trace::TraceEvent;
 
@@ -149,9 +148,11 @@ fn crash_newtop(
         if Some(member.member) == crash {
             continue; // the crashed member's suspector is not a witness
         }
-        if let Some(nso) = sim.actor::<NsoActor>(member.middleware) {
-            false_suspicions += nso
-                .suspector()
+        if let Some(detector) = sim
+            .actor::<PlainHost>(member.middleware)
+            .and_then(PlainHost::detector)
+        {
+            false_suspicions += detector
                 .suspected()
                 .iter()
                 .filter(|suspect| Some(**suspect) != crash)

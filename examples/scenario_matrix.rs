@@ -9,14 +9,14 @@
 
 use fs_smr_suite::common::time::{SimDuration, SimTime};
 use fs_smr_suite::harness::{
-    NewTopService, Protocol, RuntimeKind, Scenario, ServiceSpec, SmrKvService, Workload,
+    NewTopService, Protocol, RuntimeKind, Scenario, SmrKvService, Workload,
 };
 use fs_smr_suite::newtop::suspector::SuspectorConfig;
 
-fn service(name: &str) -> Box<dyn ServiceSpec> {
-    match name {
-        "newtop" => Box::new(NewTopService::new().suspector(SuspectorConfig::disabled())),
-        _ => Box::new(SmrKvService::new()),
+fn scenario(service: &str) -> Scenario {
+    match service {
+        "newtop" => Scenario::new(NewTopService::new().suspector(SuspectorConfig::disabled())),
+        _ => Scenario::new(SmrKvService::new()),
     }
 }
 
@@ -27,7 +27,7 @@ fn main() {
             for runtime in [RuntimeKind::Sim, RuntimeKind::Threaded] {
                 for (label, messages) in [("3 msgs", 3u64), ("6 msgs", 6)] {
                     let workload = Workload::quick(messages).interval(SimDuration::from_millis(8));
-                    let mut run = Scenario::new(service(service_name))
+                    let mut run = scenario(service_name)
                         .members(3)
                         .protocol(protocol)
                         .runtime(runtime)

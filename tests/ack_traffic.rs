@@ -14,7 +14,6 @@
 //! ordered exactly as fast as it was, to the nanosecond of the ack's four
 //! fewer bytes on the wire.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -24,7 +23,6 @@ use fs_smr_suite::common::Bytes;
 use fs_smr_suite::failsignal::service::FsService;
 use fs_smr_suite::harness::{Admission, NewTopService, Protocol, Scenario, ServiceSpec, Workload};
 use fs_smr_suite::newtop::gc::{GcConfig, GcMachine};
-use fs_smr_suite::newtop::nso::NsoActor;
 use fs_smr_suite::newtop::suspector::SuspectorConfig;
 use fs_smr_suite::simnet::actor::Actor;
 use fs_smr_suite::simnet::trace::LatencyRecorder;
@@ -35,9 +33,9 @@ const MEMBERS: u32 = 9;
 /// `acks[i]`: `Ack` messages member `i`'s GC object has received.
 type AckCounts = Arc<Vec<AtomicU64>>;
 
-/// A GC object that publishes its `ack` receipt count: under the
-/// fail-signal protocol the machine sits inside the wrapper pair, which
-/// hands out only a `dyn DeterministicMachine`.
+/// A GC object that publishes its `ack` receipt count: the machine sits
+/// inside a wrapper pair or a crash host, both built from the service's
+/// machine factory.
 struct CountedGc {
     gc: GcMachine,
     acks: AckCounts,
@@ -58,7 +56,7 @@ impl DeterministicMachine for CountedGc {
     }
 }
 
-/// [`NewTopService`], its fail-signal machines wrapped in [`CountedGc`].
+/// [`NewTopService`], its machines wrapped in [`CountedGc`].
 struct CountedNewTop {
     inner: NewTopService,
     acks: AckCounts,
@@ -93,15 +91,6 @@ impl ServiceSpec for CountedNewTop {
             inner: self.inner.fs_service(),
             acks: Arc::clone(&self.acks),
         })
-    }
-    fn crash_middleware(
-        &self,
-        member: MemberId,
-        group: &[MemberId],
-        peers: &BTreeMap<MemberId, ProcessId>,
-        app: ProcessId,
-    ) -> Box<dyn Actor> {
-        self.inner.crash_middleware(member, group, peers, app)
     }
     fn driver(
         &self,
@@ -143,27 +132,9 @@ fn run(protocol: Protocol, workload: Workload) -> Observed {
     .build();
     run.run_until(SimTime::from_secs(600));
 
-    let messages = run.check().unwrap().len() as u64;
-    let acks = match protocol {
-        Protocol::FailSignal => acks.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
-        Protocol::Crash => {
-            let sim = run.sim().expect("simulator run");
-            run.members()
-                .iter()
-                .map(|procs| {
-                    let nso = sim.actor::<NsoActor>(procs.middleware).expect("NSO");
-                    nso.machine()
-                        .message_counts()
-                        .get("ack")
-                        .copied()
-                        .unwrap_or(0)
-                })
-                .collect()
-        }
-    };
     Observed {
-        messages,
-        acks,
+        messages: run.check().unwrap().len() as u64,
+        acks: acks.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
         mean_latency: run.latency_summary().expect("latency samples").mean,
     }
 }

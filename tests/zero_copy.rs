@@ -29,10 +29,11 @@ use fs_smr_suite::bench::alloc_count::{count_allocs, AllocCounts, CountingAlloc}
 use fs_smr_suite::common::codec::Wire;
 use fs_smr_suite::common::id::{MemberId, ProcessId};
 use fs_smr_suite::common::time::{SimDuration, SimTime};
-use fs_smr_suite::harness::{NewTopService, Protocol, Scenario, Workload};
-use fs_smr_suite::newtop::gc::GcConfig;
+use std::any::Any;
+
+use fs_smr_suite::harness::{NewTopService, PlainHost, Protocol, Scenario, ServiceSpec, Workload};
+use fs_smr_suite::newtop::gc::GcMachine;
 use fs_smr_suite::newtop::message::{GcMessage, ServiceKind};
-use fs_smr_suite::newtop::nso::{AddressBook, NsoActor};
 use fs_smr_suite::newtop::suspector::SuspectorConfig;
 use fs_smr_suite::simnet::actor::{Actor, TestContext};
 
@@ -109,19 +110,22 @@ fn a_3_byte_delivery_allocates_no_more_than_the_parent() {
     );
 }
 
-/// The crash path's adapter used to decode every peer message in full —
-/// copying a `Data` payload — only to spot pongs, before the machine decoded
-/// the same bytes again (a second copy).  Now the adapter looks at the tag
-/// and the machine's decode hands out a view: a 10 KiB `Data` costs no
-/// payload-sized allocation at all.
+/// The crash path's host (the NewTOP service object, NSO) used to decode
+/// every peer message in full — copying a `Data` payload — only to spot
+/// pongs, before the machine decoded the same bytes again (a second copy).
+/// Now the detector looks at the tag and the machine's decode hands out a
+/// view: a 10 KiB `Data` costs no payload-sized allocation at all.
 #[test]
 fn nso_handles_a_10k_data_message_without_a_payload_sized_allocation() {
     let group: Vec<MemberId> = (0..3).map(MemberId).collect();
     let peers = [(MemberId(1), ProcessId(11)), (MemberId(2), ProcessId(12))];
-    let mut nso = NsoActor::new(
-        GcConfig::new(MemberId(0), group),
-        AddressBook::new(ProcessId(10), peers.into_iter().collect()),
-        SuspectorConfig::disabled(),
+    // The detector is plugged in, so the pong check runs on the frame.
+    let spec = NewTopService::new().suspector(SuspectorConfig::large_timeouts());
+    let mut nso = PlainHost::new(
+        spec.fs_service().machine(MemberId(0), &group),
+        ProcessId(10),
+        &peers.into_iter().collect(),
+        spec.failure_detector(),
     );
     let mut ctx = TestContext::new(ProcessId(20));
     let data = GcMessage::Data {
@@ -139,7 +143,9 @@ fn nso_handles_a_10k_data_message_without_a_payload_sized_allocation() {
     // The message was handled: its ack went to both peers, and it awaits
     // the third member's ack.
     assert_eq!(ctx.sent.len(), 2);
-    assert_eq!(nso.machine().message_counts().get("data"), Some(&1));
+    let gc: &dyn Any = nso.machine();
+    let gc: &GcMachine = gc.downcast_ref().expect("a GC machine");
+    assert_eq!(gc.message_counts().get("data"), Some(&1));
     assert!(counts.allocs > 0, "the counting allocator is installed");
     assert_eq!(counts.large_allocs, 0, "{counts:?}");
 }
