@@ -332,7 +332,7 @@ impl Scenario {
         Box::new(PlainHost::new(
             self.service.fs_service().machine(member, &group),
             app,
-            &peers,
+            peers,
             self.service.failure_detector(),
         ))
     }
@@ -729,8 +729,8 @@ mod tests {
 
     /// A warm restart clears a process's armed timers: the crash host must
     /// re-arm its detector, or the recovered member never suspects again.
-    /// Member 1 is down for 25 ms — shorter than a ping round, so no peer
-    /// misses a pong from it — and member 2 crash-stops later.
+    /// Member 1 is down for 25 ms between two ping rounds, so no ping to it
+    /// is lost, and member 2 crash-stops later.
     #[test]
     fn a_recovered_crash_newtop_member_still_suspects() {
         let faults = FaultSchedule::none()

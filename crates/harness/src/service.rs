@@ -21,7 +21,6 @@
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 
-use failsignal::config::RouteTable;
 use failsignal::service::FsService;
 use fs_common::codec::Wire;
 use fs_common::id::{MemberId, ProcessId};
@@ -300,10 +299,14 @@ const TIMER_DETECTOR: TimerId = TimerId(1);
 /// the way out, charging the machine's processing cost; nothing is signed
 /// or compared.  A [`FailureDetector`], if plugged, turns its suspicions
 /// into environment inputs.
+///
+/// Endpoints resolve in place against the local application and the
+/// peers' hosts: a routing table per member, one vector per endpoint,
+/// doubled the time to deploy a 9-member crash group.
 pub struct PlainHost {
     machine: Box<dyn DeterministicMachine>,
-    sources: BTreeMap<ProcessId, Endpoint>,
-    routes: RouteTable,
+    app: ProcessId,
+    peers: BTreeMap<MemberId, ProcessId>,
     detector: Option<Box<dyn FailureDetector>>,
 }
 
@@ -311,7 +314,7 @@ impl std::fmt::Debug for PlainHost {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlainHost")
             .field("machine", &self.machine.name())
-            .field("sources", &self.sources.len())
+            .field("peers", &self.peers.len())
             .finish()
     }
 }
@@ -322,21 +325,13 @@ impl PlainHost {
     pub fn new(
         machine: Box<dyn DeterministicMachine>,
         app: ProcessId,
-        peers: &BTreeMap<MemberId, ProcessId>,
+        peers: BTreeMap<MemberId, ProcessId>,
         detector: Option<Box<dyn FailureDetector>>,
     ) -> Self {
-        let mut sources = BTreeMap::from([(app, Endpoint::LocalApp)]);
-        let mut routes = RouteTable::new();
-        routes.set(Endpoint::LocalApp, vec![app]);
-        for (&peer, &pid) in peers {
-            sources.insert(pid, Endpoint::Peer(peer));
-            routes.set(Endpoint::Peer(peer), vec![pid]);
-        }
-        routes.set(Endpoint::Broadcast, peers.values().copied().collect());
         Self {
             machine,
-            sources,
-            routes,
+            app,
+            peers,
             detector,
         }
     }
@@ -365,14 +360,28 @@ impl PlainHost {
         }
     }
 
+    fn source(&self, from: ProcessId) -> Option<Endpoint> {
+        if from == self.app {
+            return Some(Endpoint::LocalApp);
+        }
+        let (&peer, _) = self.peers.iter().find(|(_, &pid)| pid == from)?;
+        Some(Endpoint::Peer(peer))
+    }
+
     fn route(&self, ctx: &mut dyn Context, output: MachineOutput) {
-        match self.routes.lookup(output.dest) {
-            [to] => ctx.send(*to, output.bytes.into()),
-            all => {
-                for &to in all {
+        match output.dest {
+            Endpoint::LocalApp => ctx.send(self.app, output.bytes.into()),
+            Endpoint::Peer(peer) => {
+                if let Some(&to) = self.peers.get(&peer) {
+                    ctx.send(to, output.bytes.into());
+                }
+            }
+            Endpoint::Broadcast => {
+                for &to in self.peers.values() {
                     ctx.send(to, output.bytes.clone().into());
                 }
             }
+            Endpoint::Environment => {}
         }
     }
 }
@@ -391,7 +400,7 @@ impl Actor for PlainHost {
         // The machine takes one contiguous buffer: free for a frame that is
         // one (every peer message), the one copy of a spliced request.
         let payload = payload.into_bytes();
-        let Some(&source) = self.sources.get(&from) else {
+        let Some(source) = self.source(from) else {
             return; // unknown sender: dropped
         };
         if let (Endpoint::Peer(peer), Some(detector)) = (source, &mut self.detector) {
@@ -861,7 +870,7 @@ mod tests {
         PlainHost::new(
             spec.fs_service().machine(MemberId(0), &members),
             ProcessId(10),
-            &peers,
+            peers,
             spec.failure_detector(),
         )
     }
@@ -885,7 +894,7 @@ mod tests {
                 .fs_service()
                 .machine(MemberId(0), &group),
             ProcessId(2),
-            &peers(&[(1, 3)]),
+            peers(&[(1, 3)]),
             None,
         );
         let mut ctx = TestContext::new(ProcessId(0));

@@ -124,7 +124,7 @@ fn nso_handles_a_10k_data_message_without_a_payload_sized_allocation() {
     let mut nso = PlainHost::new(
         spec.fs_service().machine(MemberId(0), &group),
         ProcessId(10),
-        &peers.into_iter().collect(),
+        peers.into_iter().collect(),
         spec.failure_detector(),
     );
     let mut ctx = TestContext::new(ProcessId(20));
