@@ -852,13 +852,6 @@ mod tests {
         assert_eq!(driver.name(), "smr-driver-1");
     }
 
-    fn peers(pairs: &[(u32, u32)]) -> BTreeMap<MemberId, ProcessId> {
-        pairs
-            .iter()
-            .map(|&(m, p)| (MemberId(m), ProcessId(p)))
-            .collect()
-    }
-
     /// The crash host of NewTOP member 0 among `group`, serving the
     /// application at process 10, with peer `m` hosted at process `10 + m`.
     fn newtop_host(group: u32, suspector: SuspectorConfig) -> PlainHost {
@@ -894,7 +887,7 @@ mod tests {
                 .fs_service()
                 .machine(MemberId(0), &group),
             ProcessId(2),
-            peers(&[(1, 3)]),
+            BTreeMap::from([(MemberId(1), ProcessId(3))]),
             None,
         );
         let mut ctx = TestContext::new(ProcessId(0));
