@@ -7,7 +7,7 @@
 //! them into the process's unique fail-signal.
 //!
 //! The injector wraps any actor — typically one wrapper object of a
-//! fail-signal pair, or a crash-tolerant NSO — and tampers with its
+//! fail-signal pair, or a crash-protocol host — and tampers with its
 //! behaviour according to a [`FaultPlan`]: corrupting, dropping or
 //! duplicating its outputs, crashing it silently, or making it babble
 //! arbitrary messages (which, aimed at a destination with the fail-signal
