@@ -37,9 +37,10 @@ use fs_smr_suite::crypto::keys::{provision, SignerId};
 use fs_smr_suite::crypto::sha256::{CompressBackend, Sha256};
 use fs_smr_suite::crypto::sig::Signature;
 use fs_smr_suite::failsignal::message::{FsContent, FsOutput, FsoInbound, PairMessage, Statement};
+use fs_smr_suite::faults::{FaultKind, FaultPlan};
 use fs_smr_suite::harness::{
-    Admission, Cluster, FaultSchedule, LoadStats, NewTopService, Protocol, Scenario, SmrKvService,
-    Workload,
+    Admission, Cluster, FaultSchedule, LoadStats, NewTopService, PairLayout, Protocol, Scenario,
+    SmrKvService, Workload,
 };
 use fs_smr_suite::newtop::suspector::SuspectorConfig;
 use fs_smr_suite::simnet::trace::TraceLog;
@@ -193,6 +194,79 @@ fn fs_newtop_n9_trace_matches_golden_digest() {
     assert_eq!(
         newtop_trace_hex(Protocol::FailSignal, 9),
         "161917ce5644acfd8e3cfd66001bcf8d1319a738b7f9c9f18cb524fd821bf20e"
+    );
+}
+
+/// A fail-signal that reaches its peers: FS-NewTOP in the Figure 4 layout
+/// (each follower on a node of its own), member 1's follower corrupting
+/// every output after a clean warm-up, so its pair fail-signals.  The pin
+/// covers where `fail()` sends the signal, how each peer wrapper resolves
+/// the signal's sender, the `Suspect` it is converted into, what the
+/// checker makes of the run and which members' interceptors learned that
+/// their own pair failed.
+#[test]
+fn fs_newtop_fail_signal_trace_matches_golden_pin() {
+    let corrupt = FaultPlan::after(20, FaultKind::CorruptOutputs { probability: 1.0 });
+    let mut run = Scenario::new(NewTopService::new())
+        .members(3)
+        .protocol(Protocol::FailSignal)
+        .layout(PairLayout::Full)
+        .workload(
+            Workload::paper_default()
+                .messages(4)
+                .interval(SimDuration::from_millis(25)),
+        )
+        .faults(FaultSchedule::none().follower(MemberId(1), corrupt))
+        .seed(2003)
+        .build();
+    run.enable_trace();
+    run.run_until(SimTime::from_secs(120));
+    let agreed = run.check().map(|agreed| agreed.len());
+    let signalled: Vec<u32> = (0..3)
+        .filter(|&i| {
+            run.interceptor(i)
+                .is_some_and(|icp| icp.local_fail_signalled())
+        })
+        .collect();
+    let trace_json = serde_json::to_string(run.trace().expect("tracing enabled")).unwrap();
+    assert_eq!(
+        format!(
+            "{} check={agreed:?} signalled={signalled:?}",
+            oracle_hex(trace_json.as_bytes())
+        ),
+        "8a8bdc57d36056690f5825570fa3147d765e516504087ef81c8c2856f3b5b9f3 \
+         check=Ok(9) signalled=[1]"
+    );
+}
+
+/// A cold replacement under the crash protocol: SMR-KV member 2 is
+/// crash-stopped, then replaced by a fresh host and a rejoining driver,
+/// which catch up by state transfer.  The pin covers the replacement
+/// host's view of where every endpoint lives.
+#[test]
+fn crash_smr_kv_cold_replacement_trace_matches_golden_pin() {
+    let faults = FaultSchedule::none()
+        .crash_member_at(SimTime::from_millis(300), MemberId(2))
+        .replace_member_at(SimTime::from_millis(700), MemberId(2));
+    let mut run = Scenario::new(SmrKvService::new())
+        .members(3)
+        .protocol(Protocol::Crash)
+        .workload(Workload::quick(25))
+        .faults(faults)
+        .seed(2003)
+        .build();
+    run.enable_trace();
+    run.run_until(SimTime::from_secs(600));
+    let agreed = run.check().map(|agreed| agreed.len());
+    let replica = run.machine_log(2).map(|log| log.len());
+    let trace_json = serde_json::to_string(run.trace().expect("tracing enabled")).unwrap();
+    assert_eq!(
+        format!(
+            "{} check={agreed:?} replacement_log={replica:?}",
+            oracle_hex(trace_json.as_bytes())
+        ),
+        "6821980f4dd655283418a00070d88bf289f5eadac0b40c9c470b8617526b5605 \
+         check=Ok(62) replacement_log=Some(62)"
     );
 }
 
