@@ -324,6 +324,17 @@ mod tests {
         assert!(receipt.missing.is_empty(), "frontier caught up");
     }
 
+    /// A peer's frame names whatever seq it likes.  One receipt far ahead
+    /// of the frontier NACKs the lowest missing seqs, 64 of them at most,
+    /// not every seq up to the one received.
+    #[test]
+    fn a_receipt_far_ahead_nacks_at_most_the_window() {
+        let mut r = ReliableMulticast::new();
+        let receipt = r.on_data(MemberId(1), 1_000_000, b"x".to_vec());
+        assert_eq!(receipt.missing, (0..64).collect::<Vec<u64>>());
+        assert_eq!(r.nacks_sent(), 64);
+    }
+
     #[test]
     fn gaps_are_tracked_per_origin() {
         let mut r = ReliableMulticast::new();
