@@ -23,6 +23,12 @@ use fs_common::Bytes;
 
 use crate::message::{AppDeliver, GcMessage, ServiceKind};
 
+/// The most seqs one receipt NACKs: the lowest ones still missing above
+/// the origin's contiguous frontier.  A peer names whatever seq it likes,
+/// so a gap wider than this is NACKed a window at a time, by the receipts
+/// that keep exposing it.
+pub const NACK_WINDOW: u64 = 64;
+
 /// What a [`ReliableMulticast::on_data`] receipt produced.
 #[derive(Debug, Clone, Default)]
 pub struct ReliableReceipt {
@@ -30,9 +36,10 @@ pub struct ReliableReceipt {
     pub relay: Option<GcMessage>,
     /// The local delivery (first receipt only).
     pub deliver: Option<AppDeliver>,
-    /// Per-origin sequence numbers this receipt revealed as missing: every
-    /// seq below the received one that has not been seen yet.  The caller
-    /// NACKs these back to the peer the data came from.
+    /// Per-origin sequence numbers this receipt revealed as missing: the
+    /// seqs below the received one not seen yet, at most [`NACK_WINDOW`] of
+    /// them above the frontier.  The caller NACKs these back to the peer
+    /// the data came from.
     pub missing: Vec<u64>,
 }
 
@@ -128,9 +135,11 @@ impl ReliableMulticast {
         self.retained.insert((origin, seq), payload.clone());
         // Gap scan: everything from the contiguous frontier up to (but not
         // including) this seq that is still unseen is missing in flight —
-        // per-origin seqs are assigned contiguously at the origin.
+        // per-origin seqs are assigned contiguously at the origin.  The scan
+        // stops a window above the frontier, wherever the seq points.
         let frontier = self.contiguous.entry(origin).or_insert(0);
-        let missing: Vec<u64> = (*frontier..seq)
+        let end = seq.min(frontier.saturating_add(NACK_WINDOW));
+        let missing: Vec<u64> = (*frontier..end)
             .filter(|s| !self.seen.contains(&(origin, *s)))
             .collect();
         while self.seen.contains(&(origin, *frontier)) {
@@ -331,8 +340,11 @@ mod tests {
     fn a_receipt_far_ahead_nacks_at_most_the_window() {
         let mut r = ReliableMulticast::new();
         let receipt = r.on_data(MemberId(1), 1_000_000, b"x".to_vec());
-        assert_eq!(receipt.missing, (0..64).collect::<Vec<u64>>());
-        assert_eq!(r.nacks_sent(), 64);
+        assert_eq!(receipt.missing, (0..NACK_WINDOW).collect::<Vec<u64>>());
+        assert_eq!(r.nacks_sent(), NACK_WINDOW);
+        // The last seq there is returns too, with the same window.
+        let receipt = r.on_data(MemberId(2), u64::MAX, b"y".to_vec());
+        assert_eq!(receipt.missing.len() as u64, NACK_WINDOW);
     }
 
     #[test]
