@@ -12,8 +12,8 @@
 //! pair's double-signed upcalls and hands them to the application in the
 //! order the pair produced them, keeping the wrapping completely transparent
 //! to both the application and the wrapped machine.  (It contains no
-//! NewTOP-specific code — which is why the generic group builder in
-//! [`crate::group`] reuses it unchanged for every service.)  The upcalls are
+//! NewTOP-specific code — which is why the scenario harness places it
+//! unchanged as every fail-signal member's local process.)  The upcalls are
 //! the pair's `LocalApp` stream, numbered 0, 1, 2, … (see [`crate::wrapper`]):
 //! one lost on both paths stops the application at the hole.
 

@@ -15,9 +15,9 @@ use fs_common::Bytes;
 use fs_crypto::cost::CryptoCostModel;
 use fs_crypto::keys::{KeyDirectory, SignerId, SigningKey};
 use fs_crypto::sig::Signature;
-use fs_smr::machine::{DeterministicMachine, Endpoint};
+use fs_smr::machine::{AddressMap, DeterministicMachine};
 
-use crate::config::{FsoConfig, RouteTable, SourceSpec};
+use crate::config::FsoConfig;
 use crate::message::Statement;
 use crate::wrapper::FsoActor;
 
@@ -54,9 +54,8 @@ pub struct FsPairBuilder {
     spec: FsPairSpec,
     timing: TimingAssumptions,
     crypto_costs: CryptoCostModel,
-    sources: BTreeMap<ProcessId, SourceSpec>,
+    addresses: AddressMap,
     fail_signal_inputs: BTreeMap<FsId, Bytes>,
-    routes: RouteTable,
 }
 
 impl FsPairBuilder {
@@ -67,9 +66,8 @@ impl FsPairBuilder {
             spec,
             timing: TimingAssumptions::default(),
             crypto_costs: CryptoCostModel::era_2003(),
-            sources: BTreeMap::new(),
+            addresses: AddressMap::default(),
             fail_signal_inputs: BTreeMap::new(),
-            routes: RouteTable::new(),
         }
     }
 
@@ -85,31 +83,14 @@ impl FsPairBuilder {
         self
     }
 
-    /// Declares a trusted co-located client whose raw messages are fed to
-    /// the machine as coming from `endpoint`.
-    pub fn trust_client(mut self, process: ProcessId, endpoint: Endpoint) -> Self {
-        self.sources
-            .insert(process, SourceSpec::TrustedClient { endpoint });
-        self
-    }
-
-    /// Declares another FS process as a source: messages from either of its
-    /// wrapper processes must be valid double-signed outputs of `signers`,
-    /// and are fed to the machine as coming from `endpoint`.
-    pub fn accept_fs_source(
-        mut self,
-        wrapper_processes: (ProcessId, ProcessId),
-        fs: FsId,
-        signers: (SignerId, SignerId),
-        endpoint: Endpoint,
-    ) -> Self {
-        let spec = SourceSpec::FsProcess {
-            fs,
-            signers,
-            endpoint,
-        };
-        self.sources.insert(wrapper_processes.0, spec.clone());
-        self.sources.insert(wrapper_processes.1, spec);
+    /// Sets where the pair's endpoints live: its local process is the one
+    /// trusted client (its raw messages are the machine's
+    /// [`fs_smr::machine::Endpoint::LocalApp`] inputs), and each peer
+    /// member `m` is the FS process `FsId(m)`, signed for by the two
+    /// processes that speak for it.  The default map knows no process: the
+    /// pair accepts nothing from outside and sends nothing out.
+    pub fn addresses(mut self, addresses: AddressMap) -> Self {
+        self.addresses = addresses;
         self
     }
 
@@ -117,12 +98,6 @@ impl FsPairBuilder {
     /// when the fail-signal of source `fs` is received.
     pub fn on_fail_signal(mut self, fs: FsId, injected: impl Into<Bytes>) -> Self {
         self.fail_signal_inputs.insert(fs, injected.into());
-        self
-    }
-
-    /// Routes a logical output destination to a set of physical processes.
-    pub fn route(mut self, endpoint: Endpoint, processes: Vec<ProcessId>) -> Self {
-        self.routes.set(endpoint, processes);
         self
     }
 
@@ -155,9 +130,8 @@ impl FsPairBuilder {
             partner_signer: SignerId(self.spec.follower),
             prearmed_fail_signal: leader_prearmed,
             directory: Arc::clone(&directory),
-            sources: self.sources.clone(),
+            addresses: self.addresses.clone(),
             fail_signal_inputs: self.fail_signal_inputs.clone(),
-            routes: self.routes.clone(),
             timing: self.timing,
             crypto_costs: self.crypto_costs,
         };
@@ -170,9 +144,8 @@ impl FsPairBuilder {
             partner_signer: SignerId(self.spec.leader),
             prearmed_fail_signal: follower_prearmed,
             directory,
-            sources: self.sources,
+            addresses: self.addresses,
             fail_signal_inputs: self.fail_signal_inputs,
-            routes: self.routes,
             timing: self.timing,
             crypto_costs: self.crypto_costs,
         };
@@ -190,18 +163,41 @@ mod tests {
     use crate::receiver::{FsDelivery, FsReceiver};
     use crate::wrapper::FsoStats;
     use fs_common::codec::Wire;
+    use fs_common::id::MemberId;
     use fs_common::rng::DetRng;
     use fs_common::time::SimDuration;
     use fs_common::Frame;
     use fs_crypto::keys::provision;
     use fs_simnet::actor::{Actor, Outgoing, TestContext, TimerId};
-    use fs_smr::machine::{EchoMachine, MachineInput, MachineOutput};
+    use fs_smr::machine::{EchoMachine, Endpoint, MachineInput, MachineOutput};
 
     const LEADER: ProcessId = ProcessId(0);
     const FOLLOWER: ProcessId = ProcessId(1);
-    const CLIENT: ProcessId = ProcessId(10);
-    const DEST_A: ProcessId = ProcessId(20);
-    const DEST_B: ProcessId = ProcessId(21);
+    /// The pair's local process: its client, and where its outputs to the
+    /// local application go.
+    const LOCAL: ProcessId = ProcessId(10);
+    /// Peer member 0, whose two wrappers receive the pair's outputs to the
+    /// group.
+    const PEER: MemberId = MemberId(0);
+    const PEER_LEADER: ProcessId = ProcessId(20);
+    const PEER_FOLLOWER: ProcessId = ProcessId(21);
+
+    /// Member 1's map of a two-member group: the pair under test (FS
+    /// process 1) and the peer member 0 that speaks through `peer`.
+    fn addresses(peer: [ProcessId; 2]) -> AddressMap {
+        let speakers: Arc<[ProcessId]> = Arc::new([peer[0], peer[1], LEADER, FOLLOWER]);
+        AddressMap::new(speakers, 2, MemberId(1), LOCAL)
+    }
+
+    /// Echoes every input to the peer: its two wrappers are the pair's
+    /// external destinations.
+    struct EchoToPeer;
+
+    impl DeterministicMachine for EchoToPeer {
+        fn handle(&mut self, input: &MachineInput) -> Vec<MachineOutput> {
+            vec![MachineOutput::to_peer(PEER, input.bytes.clone())]
+        }
+    }
 
     /// A two-wrapper harness driven by hand through `TestContext`s.
     struct Pair {
@@ -216,7 +212,7 @@ mod tests {
 
     impl Pair {
         fn new() -> Self {
-            Self::with_machines(Box::new(EchoMachine::new(0)), Box::new(EchoMachine::new(0)))
+            Self::with_machines(Box::new(EchoToPeer), Box::new(EchoToPeer))
         }
 
         fn with_machines(
@@ -230,8 +226,7 @@ mod tests {
             let spec = FsPairSpec::new(FsId(1), LEADER, FOLLOWER);
             let builder = FsPairBuilder::new(spec)
                 .crypto_costs(CryptoCostModel::free())
-                .trust_client(CLIENT, Endpoint::LocalApp)
-                .route(Endpoint::LocalApp, vec![DEST_A, DEST_B]);
+                .addresses(addresses([PEER_LEADER, PEER_FOLLOWER]));
             let (leader, follower) = builder.build(
                 leader_key,
                 follower_key,
@@ -255,9 +250,9 @@ mod tests {
         fn client_input(&mut self, bytes: &[u8]) {
             let wire = FsoInbound::Raw(bytes.to_vec().into()).to_frame();
             self.leader
-                .on_message(&mut self.leader_ctx, CLIENT, wire.clone());
+                .on_message(&mut self.leader_ctx, LOCAL, wire.clone());
             self.follower
-                .on_message(&mut self.follower_ctx, CLIENT, wire);
+                .on_message(&mut self.follower_ctx, LOCAL, wire);
             self.settle();
         }
 
@@ -303,8 +298,8 @@ mod tests {
     fn pair_produces_one_valid_output_per_input() {
         let mut pair = Pair::new();
         pair.client_input(b"request-1");
-        // Each wrapper transmits its double-signed copy to both destinations:
-        // 2 wrappers × 2 destinations = 4 transmissions.
+        // Each wrapper transmits its double-signed copy to both of the
+        // peer's wrappers: 2 wrappers × 2 destinations = 4 transmissions.
         assert_eq!(pair.external.len(), 4);
         let deliveries = pair.accepted();
         // Only one survives verification + duplicate suppression.
@@ -360,7 +355,7 @@ mod tests {
         for i in 0..10_000u32 {
             pair.client_input(&i.to_le_bytes());
             for (to, payload) in std::mem::take(&mut pair.external) {
-                if to != DEST_A {
+                if to != PEER_LEADER {
                     continue;
                 }
                 if let Some(FsDelivery::Output { output_seq, .. }) =
@@ -381,7 +376,7 @@ mod tests {
         // The client copy to the leader is lost; only the follower hears it.
         let wire = FsoInbound::Raw(b"lonely".to_vec().into()).to_frame();
         pair.follower
-            .on_message(&mut pair.follower_ctx, CLIENT, wire);
+            .on_message(&mut pair.follower_ctx, LOCAL, wire);
         pair.settle();
         let deliveries = pair.accepted();
         assert_eq!(deliveries.len(), 1);
@@ -440,7 +435,7 @@ mod tests {
         // Deliver the input to the leader only and do NOT relay pair traffic,
         // simulating a follower that has stopped responding.
         let wire = FsoInbound::Raw(b"unanswered".to_vec().into()).to_frame();
-        pair.leader.on_message(&mut pair.leader_ctx, CLIENT, wire);
+        pair.leader.on_message(&mut pair.leader_ctx, LOCAL, wire);
         // The leader armed a comparison timer for its pending output.
         let timers: Vec<TimerId> = pair.leader_ctx.timers_set.iter().map(|(_, t)| *t).collect();
         assert!(!timers.is_empty());
@@ -449,7 +444,8 @@ mod tests {
         }
         assert!(pair.leader.has_failed());
         assert_eq!(pair.leader.stats().timeouts, 1);
-        // The fail-signal went to every routed destination.
+        // The fail-signal went to every process the map knows: the local
+        // process and both of the peer's wrappers.
         let signals: Vec<&Outgoing> = pair
             .leader_ctx
             .sent
@@ -461,7 +457,7 @@ mod tests {
                 )
             })
             .collect();
-        assert_eq!(signals.len(), 2);
+        assert_eq!(signals.len(), 3);
     }
 
     #[test]
@@ -469,7 +465,7 @@ mod tests {
         let mut pair = Pair::new();
         let wire = FsoInbound::Raw(b"ignored-by-leader".to_vec().into()).to_frame();
         pair.follower
-            .on_message(&mut pair.follower_ctx, CLIENT, wire);
+            .on_message(&mut pair.follower_ctx, LOCAL, wire);
         // The follower forwarded the input and armed the t2 = 2δ timer; the
         // leader never answers, so firing the timer must fail-signal.
         let timers: Vec<TimerId> = pair
@@ -488,7 +484,7 @@ mod tests {
     fn recovery_rearms_pending_comparison_deadlines() {
         let mut pair = Pair::new();
         let wire = FsoInbound::Raw(b"in-flight".to_vec().into()).to_frame();
-        pair.leader.on_message(&mut pair.leader_ctx, CLIENT, wire);
+        pair.leader.on_message(&mut pair.leader_ctx, LOCAL, wire);
         assert_eq!(pair.leader_ctx.timers_set.len(), 1);
         // A warm restart loses the armed deadline (the runtime drops every
         // timer of a downed process), so the wrapper re-arms one per pending
@@ -515,7 +511,7 @@ mod tests {
         let mut pair = Pair::new();
         let wire = FsoInbound::Raw(b"unordered".to_vec().into()).to_frame();
         pair.follower
-            .on_message(&mut pair.follower_ctx, CLIENT, wire);
+            .on_message(&mut pair.follower_ctx, LOCAL, wire);
         assert_eq!(pair.follower_ctx.timers_set.len(), 1);
         pair.follower_ctx.timers_set.clear();
         pair.follower.on_recover(&mut pair.follower_ctx);
@@ -535,7 +531,7 @@ mod tests {
         let mut pair = Pair::new();
         let wire = FsoInbound::Raw(b"x".to_vec().into()).to_frame();
         pair.leader
-            .on_message(&mut pair.leader_ctx, CLIENT, wire.clone());
+            .on_message(&mut pair.leader_ctx, LOCAL, wire.clone());
         let timers: Vec<TimerId> = pair.leader_ctx.timers_set.iter().map(|(_, t)| *t).collect();
         for t in timers {
             pair.leader.on_timer(&mut pair.leader_ctx, t);
@@ -548,9 +544,9 @@ mod tests {
         // Any later message gets the fail-signal back — the very frame that
         // was broadcast on failure, not a re-signed, re-encoded copy.
         pair.leader
-            .on_message(&mut pair.leader_ctx, CLIENT, wire.clone());
-        pair.leader.on_message(&mut pair.leader_ctx, CLIENT, wire);
-        let replies = pair.leader_ctx.sent_to(CLIENT);
+            .on_message(&mut pair.leader_ctx, LOCAL, wire.clone());
+        pair.leader.on_message(&mut pair.leader_ctx, LOCAL, wire);
+        let replies = pair.leader_ctx.sent_to(LOCAL);
         assert_eq!(replies.len(), 2);
         for reply in &replies {
             let Ok(FsoInbound::External(out)) = FsoInbound::from_frame(&reply.payload) else {
@@ -572,7 +568,7 @@ mod tests {
     fn failed_wrapper_does_not_answer_a_fail_signal() {
         let mut pair = Pair::new();
         let wire = FsoInbound::Raw(b"x".to_vec().into()).to_frame();
-        pair.leader.on_message(&mut pair.leader_ctx, CLIENT, wire);
+        pair.leader.on_message(&mut pair.leader_ctx, LOCAL, wire);
         let timers: Vec<TimerId> = pair.leader_ctx.timers_set.iter().map(|(_, t)| *t).collect();
         for t in timers {
             pair.leader.on_timer(&mut pair.leader_ctx, t);
@@ -593,7 +589,7 @@ mod tests {
         );
 
         let raw = FsoInbound::Raw(b"y".to_vec().into()).to_frame();
-        pair.leader.on_message(&mut pair.leader_ctx, CLIENT, raw);
+        pair.leader.on_message(&mut pair.leader_ctx, LOCAL, raw);
         let replies = pair.leader_ctx.take_sent();
         assert_eq!(replies.len(), 1, "one fail-signal in reply to a raw input");
         assert!(matches!(
@@ -647,11 +643,13 @@ mod tests {
 
     const UPSTREAM_A: ProcessId = ProcessId(30);
     const UPSTREAM_B: ProcessId = ProcessId(31);
-    const UPSTREAM: FsId = FsId(7);
+    /// Peer member 0 as an FS process: `FsId(0)`.
+    const UPSTREAM: FsId = FsId(PEER.0);
 
-    /// A leader that accepts the upstream FS process 7 (wrappers 30 and 31)
-    /// and converts its fail-signal into an environment input, driven by
-    /// hand; plus an attacker who holds a key of its own only.
+    /// A leader that accepts the upstream FS process 0 (peer member 0,
+    /// wrappers 30 and 31) and converts its fail-signal into an environment
+    /// input, driven by hand; plus an attacker who holds a key of its own
+    /// only.
     struct Downstream {
         leader: FsoActor,
         ctx: TestContext,
@@ -673,14 +671,8 @@ mod tests {
             let (leader, _follower) =
                 FsPairBuilder::new(FsPairSpec::new(FsId(1), LEADER, FOLLOWER))
                     .crypto_costs(costs)
-                    .accept_fs_source(
-                        (UPSTREAM_A, UPSTREAM_B),
-                        UPSTREAM,
-                        (SignerId(UPSTREAM_A), SignerId(UPSTREAM_B)),
-                        Endpoint::Peer(fs_common::id::MemberId(3)),
-                    )
-                    .on_fail_signal(UPSTREAM, b"SUSPECT:3".to_vec())
-                    .route(Endpoint::LocalApp, vec![DEST_A])
+                    .addresses(addresses([UPSTREAM_A, UPSTREAM_B]))
+                    .on_fail_signal(UPSTREAM, b"SUSPECT:0".to_vec())
                     .build(
                         leader_key,
                         follower_key,

@@ -53,12 +53,13 @@ use fs_common::fasthash::FastSet;
 use fs_common::id::{FsId, ProcessId, Role};
 use fs_common::time::SimDuration;
 use fs_common::{Bytes, Frame};
+use fs_crypto::keys::SignerId;
 use fs_crypto::sha256::Digest;
 use fs_crypto::sig::Signature;
 use fs_simnet::actor::{Actor, Context, TimerId};
 use fs_smr::machine::{DeterministicMachine, Endpoint, MachineInput, MachineOutput};
 
-use crate::config::{FsoConfig, SourceSpec};
+use crate::config::FsoConfig;
 use crate::digest::body_digest;
 use crate::message::{FsContent, FsOutput, FsoInbound, PairMessage, Statement};
 use crate::seqwindow::Accepted;
@@ -319,7 +320,7 @@ impl FsoActor {
         ctx.trace(&format!("fail-signal: {reason}"));
         ctx.charge_cpu(self.config.crypto_costs.sign_cost(64));
         let signal = self.fail_signal_frame();
-        for process in self.config.routes.all_processes() {
+        for process in self.config.addresses.fail_signal_targets() {
             ctx.send(process, signal.clone());
             self.stats.fail_signals_sent += 1;
         }
@@ -482,8 +483,8 @@ impl FsoActor {
         // spliced output bytes), refcount-shared across every routed
         // destination.
         let wire = Self::assemble(&self.config, content, local.signature, remote.signature);
-        for process in self.config.routes.lookup(dest) {
-            ctx.send(*process, wire.clone());
+        for process in self.config.addresses.targets(dest) {
+            ctx.send(process, wire.clone());
         }
         self.stats.outputs_validated += 1;
     }
@@ -572,19 +573,18 @@ impl FsoActor {
     }
 
     fn on_external_message(&mut self, ctx: &mut dyn Context, from: ProcessId, output: FsOutput) {
-        let Some(spec) = self.config.sources.get(&from).cloned() else {
+        // Only a peer member's pair speaks double-signed: peer `m` is the
+        // FS process `FsId(m)`, and its two wrappers are its signers.
+        let addresses = &self.config.addresses;
+        let Some(endpoint @ Endpoint::Peer(member)) = addresses.source(from) else {
             self.stats.rejected_inputs += 1;
             return;
         };
-        let SourceSpec::FsProcess {
-            fs,
-            signers,
-            endpoint,
-        } = spec
-        else {
+        let &[leader, follower] = addresses.processes(member) else {
             self.stats.rejected_inputs += 1;
             return;
         };
+        let (fs, signers) = (FsId(member.0), (SignerId(leader), SignerId(follower)));
         if output.fs != fs {
             self.stats.rejected_inputs += 1;
             return;
@@ -651,16 +651,15 @@ impl Actor for FsoActor {
                 self.on_pair_message(ctx, message);
             }
             FsoInbound::External(output) => self.on_external_message(ctx, from, output),
-            FsoInbound::Raw(bytes) => match self.config.sources.get(&from) {
-                Some(SourceSpec::TrustedClient { endpoint }) => {
-                    let endpoint = *endpoint;
+            FsoInbound::Raw(bytes) => {
+                // Only the trusted local process speaks raw.
+                if self.config.addresses.source(from) == Some(Endpoint::LocalApp) {
                     let digest = body_digest(&bytes);
-                    self.on_external_input(ctx, endpoint, bytes, digest);
-                }
-                _ => {
+                    self.on_external_input(ctx, Endpoint::LocalApp, bytes, digest);
+                } else {
                     self.stats.rejected_inputs += 1;
                 }
-            },
+            }
         }
     }
 

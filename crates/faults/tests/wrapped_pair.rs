@@ -25,22 +25,28 @@ use fs_simnet::actor::{Actor, Context, TimerId};
 use fs_simnet::node::NodeConfig;
 use fs_simnet::sim::Simulation;
 use fs_simnet::trace::TraceEvent;
-use fs_smr::machine::{EchoMachine, Endpoint};
+use fs_smr::machine::{AddressMap, EchoMachine};
 
 const LEADER: ProcessId = ProcessId(0);
 const FOLLOWER: ProcessId = ProcessId(1);
-const CLIENT: ProcessId = ProcessId(2);
-const DESTINATION: ProcessId = ProcessId(3);
+/// The pair's local process: it feeds the requests and receives what the
+/// pair emits.
+const LOCAL: ProcessId = ProcessId(2);
 const REQUESTS: u32 = 10;
 
-/// Collects and validates whatever the FS pair emits.
-struct Destination {
+/// Feeds a fixed number of requests to both wrappers at a fixed cadence,
+/// and collects and validates whatever the FS pair emits.
+struct Local {
+    sent: u32,
     receiver: FsReceiver,
     outputs: Vec<Vec<u8>>,
     fail_signals: Vec<FsId>,
 }
 
-impl Actor for Destination {
+impl Actor for Local {
+    fn on_start(&mut self, ctx: &mut dyn Context) {
+        ctx.set_timer(SimDuration::from_millis(5), TimerId(1));
+    }
     fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, payload: Frame) {
         match self.receiver.accept_frame(&payload) {
             Some(FsDelivery::Output { bytes, .. }) => self.outputs.push(bytes.to_vec()),
@@ -48,18 +54,6 @@ impl Actor for Destination {
             None => {}
         }
     }
-}
-
-/// Feeds a fixed number of requests to both wrappers at a fixed cadence.
-struct Client {
-    sent: u32,
-}
-
-impl Actor for Client {
-    fn on_start(&mut self, ctx: &mut dyn Context) {
-        ctx.set_timer(SimDuration::from_millis(5), TimerId(1));
-    }
-    fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Frame) {}
     fn on_timer(&mut self, ctx: &mut dyn Context, _timer: TimerId) {
         if self.sent >= REQUESTS {
             return;
@@ -95,8 +89,7 @@ fn run_pair(wrap: impl FnOnce(FsoActor, SigningKey) -> Box<dyn Actor>) -> Simula
     let (leader, follower) = FsPairBuilder::new(spec)
         .timing(timing)
         .crypto_costs(CryptoCostModel::modern_hmac())
-        .trust_client(CLIENT, Endpoint::LocalApp)
-        .route(Endpoint::LocalApp, vec![DESTINATION])
+        .addresses(AddressMap::local_only(LOCAL))
         .build(
             keys.remove(&SignerId(LEADER)).unwrap(),
             follower_key.clone(),
@@ -111,13 +104,13 @@ fn run_pair(wrap: impl FnOnce(FsoActor, SigningKey) -> Box<dyn Actor>) -> Simula
     let node_c = sim.add_node(NodeConfig::era_2003());
     sim.spawn_with(LEADER, node_a, Box::new(leader));
     sim.spawn_with(FOLLOWER, node_b, wrap(follower, follower_key));
-    sim.spawn_with(CLIENT, node_c, Box::new(Client { sent: 0 }));
     let mut receiver = FsReceiver::new(directory);
     receiver.register_source(FsId(1), spec.signers());
     sim.spawn_with(
-        DESTINATION,
+        LOCAL,
         node_c,
-        Box::new(Destination {
+        Box::new(Local {
+            sent: 0,
             receiver,
             outputs: Vec::new(),
             fail_signals: Vec::new(),
@@ -137,7 +130,7 @@ fn run_wrapped_pair(plan: FaultPlan) -> Outcome {
         .actor::<FaultyActor>(FOLLOWER)
         .expect("wrapped follower")
         .stats();
-    let destination = sim.actor::<Destination>(DESTINATION).expect("destination");
+    let destination = sim.actor::<Local>(LOCAL).expect("local process");
     let leader = sim.actor::<FsoActor>(LEADER).expect("leader");
     Outcome {
         stats,
@@ -324,7 +317,7 @@ fn leader_failure_after_tampering(resign: bool) -> (SimTime, String, FsoStats) {
     let leader = sim.actor::<FsoActor>(LEADER).expect("leader");
     assert!(leader.has_failed());
     assert_eq!(leader.stats().outputs_validated, 3);
-    let destination = sim.actor::<Destination>(DESTINATION).expect("destination");
+    let destination = sim.actor::<Local>(LOCAL).expect("local process");
     assert_eq!(destination.fail_signals, vec![FsId(1)]);
     let first_label = sim
         .trace()
@@ -385,7 +378,7 @@ fn crash_counts_swallowed_events_and_triggers_fail_signal() {
 #[test]
 fn babble_counts_garbage_and_is_rejected_by_validation() {
     let outcome = run_wrapped_pair(FaultPlan::immediate(FaultKind::Babble {
-        target: DESTINATION,
+        target: LOCAL,
         payload: b"not a valid double-signed output"[..].into(),
     }));
     assert!(outcome.stats.babbled > 0, "babble fault must fire");

@@ -10,7 +10,6 @@
 use std::borrow::Borrow;
 use std::collections::HashMap;
 
-use failsignal::group::GroupHost;
 use failsignal::wrapper::FsoActor;
 use fs_common::id::ProcessId;
 use fs_common::time::SimTime;
@@ -23,6 +22,7 @@ use fs_simnet::sim::Simulation;
 use fs_simnet::threaded::{ThreadedBuilder, ThreadedConfig, ThreadedRuntime};
 use fs_simnet::trace::{NetStats, TraceLog};
 
+use crate::group::GroupHost;
 use crate::scenario::{MemberProcs, Protocol, RuntimeKind, Scenario};
 use crate::service::PlainHost;
 use crate::workload::Workload;

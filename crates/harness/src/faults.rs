@@ -145,7 +145,7 @@ pub enum MemberFate {
     /// compiles to a warm [`MemberFate::Recover`] — an FS pair cannot be
     /// replaced cold, because assumption **A1** pre-provisions its keys and
     /// the peers' replay guards pin its message sequence (see
-    /// [`failsignal::group`]).
+    /// [`crate::group`]).
     Replace,
 }
 

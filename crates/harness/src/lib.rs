@@ -53,6 +53,7 @@ pub mod check;
 pub mod cluster;
 mod deployment;
 pub mod faults;
+pub mod group;
 pub mod scenario;
 pub mod service;
 pub mod workload;
@@ -62,11 +63,11 @@ pub use cluster::{
     Cluster, ClusterMsg, ClusterRouter, ClusterSnapshot, Partitioner, RunningCluster,
     ShardFrontier, ShardLoad,
 };
-pub use failsignal::group::PairLayout;
 pub use faults::{
     FaultEntry, FaultSchedule, FaultTarget, LinkFaultEntry, MemberFate, MemberLifecycleEntry,
     MemberLinkScope,
 };
+pub use group::{GroupHost, PairLayout};
 pub use scenario::{MemberProcs, Protocol, Running, RuntimeKind, Scenario};
 pub use service::{NewTopService, PlainHost, ServiceSpec, SmrDriver, SmrKvService};
 pub use workload::{Admission, Arrival, LoadStats, Workload};

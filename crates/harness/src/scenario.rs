@@ -22,13 +22,16 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use failsignal::group::{build_fs_group, FsGroupParams, GroupHost, PairLayout};
 use failsignal::interceptor::FsInterceptor;
+use failsignal::provision::{FsPairBuilder, FsPairSpec};
 use fs_common::config::TimingAssumptions;
-use fs_common::id::{MemberId, ProcessId};
+use fs_common::id::{FsId, MemberId, ProcessId, Role};
+use fs_common::rng::DetRng;
 use fs_common::time::{SimDuration, SimTime};
 use fs_crypto::cost::CryptoCostModel;
+use fs_crypto::keys::{provision, KeyDirectory, SignerId, SigningKey};
 use fs_faults::FaultyActor;
 use fs_simnet::actor::Actor;
 use fs_simnet::lifecycle::{LifecycleSchedule, ProcessFate};
@@ -37,10 +40,12 @@ use fs_simnet::node::NodeConfig;
 use fs_simnet::sched::SchedulerKind;
 use fs_simnet::sim::Simulation;
 use fs_simnet::trace::{NetStats, TraceLog};
+use fs_smr::machine::AddressMap;
 
 use crate::check::{self, Violation};
 use crate::deployment::{deploy, stamp_workload, RuntimeSlot, ShardAt};
-use crate::faults::{FaultSchedule, MemberFate};
+use crate::faults::{FaultEntry, FaultSchedule, MemberFate};
+use crate::group::{GroupHost, PairLayout};
 use crate::service::{PlainHost, ServiceSpec};
 use crate::workload::Workload;
 
@@ -234,107 +239,171 @@ impl Scenario {
     /// share one runtime without identifier collisions.  Nodes are created
     /// in the same order as the standalone assembly, so within the shard
     /// member `i`'s primary node is the `i`-th node this call creates.
+    ///
+    /// One loop places every member under either protocol: it gives the
+    /// member its view of the group's one [`AddressMap`], places the
+    /// member's middleware processes — the [`PlainHost`] under
+    /// [`Protocol::Crash`]; the leader wrapper, the follower wrapper and
+    /// the interceptor under [`Protocol::FailSignal`] — and then its
+    /// driver.  Signing keys and the follower nodes of
+    /// [`PairLayout::Full`] are the fail-signal protocol's alone.
     pub(crate) fn assemble_at<H: GroupHost>(
         &self,
         host: &mut H,
         pid_base: u32,
     ) -> Vec<MemberProcs> {
-        match self.protocol {
-            Protocol::FailSignal => {
-                let params = FsGroupParams {
-                    members: self.members,
-                    layout: self.layout,
-                    node: NodeConfig::era_2003(),
-                    timing: self.timing,
-                    crypto_costs: self.crypto_costs,
-                    seed: self.seed,
-                    pid_base,
-                };
-                let fs_service = self.service.fs_service();
-                let service = &*self.service;
-                let workload = self.workload;
-                let faults = &self.faults;
-                build_fs_group(
-                    host,
-                    &params,
-                    fs_service.as_ref(),
-                    |member, interceptor| {
-                        service.driver(member, interceptor, &workload.for_member(member))
-                    },
-                    |member, role, actor| match faults.for_wrapper(member, role) {
-                        Some(entry) => {
-                            Box::new(FaultyActor::new(actor, entry.plan.clone(), entry.seed))
-                        }
-                        None => actor,
-                    },
-                )
-                .into_iter()
-                .map(|h| MemberProcs {
-                    member: h.member,
-                    app: h.app,
-                    middleware: h.interceptor,
-                    leader: h.leader,
-                    follower: h.follower,
-                })
-                .collect()
+        let n = self.members;
+        assert!(n >= 1, "a group needs at least one member");
+        let members: Vec<MemberProcs> = (0..n)
+            .map(|i| self.member_procs(pid_base, MemberId(i)))
+            .collect();
+        let group: Vec<MemberId> = members.iter().map(|p| p.member).collect();
+        let (speakers, width) = self.speakers(&members);
+        let node = NodeConfig::era_2003();
+        let nodes: Vec<H::Node> = (0..n).map(|_| host.add_host_node(&node)).collect();
+        let mut pairs = (self.protocol == Protocol::FailSignal).then(|| {
+            // Provision signing keys for every wrapper process (start-up
+            // step, A1/A5).
+            let wrappers = members.iter().flat_map(|p| [p.leader, p.follower]);
+            let (keys, directory) = provision(wrappers, &mut DetRng::new(self.seed ^ 0x5157_3a11));
+            let followers = match self.layout {
+                PairLayout::Full => (0..n).map(|_| host.add_host_node(&node)).collect(),
+                // Member i's follower lives on member (i + 1) % n's node.
+                PairLayout::Collapsed => (0..n).map(|i| nodes[((i + 1) % n) as usize]).collect(),
+            };
+            Pairs {
+                keys,
+                directory,
+                followers,
             }
-            Protocol::Crash => {
-                let n = self.members;
-                assert!(n >= 1, "a group needs at least one member");
-                let app_pid = |i: u32| ProcessId(pid_base + 2 * i);
-                let mw_pid = |i: u32| ProcessId(pid_base + 2 * i + 1);
-                let hosts: BTreeMap<MemberId, ProcessId> =
-                    (0..n).map(|j| (MemberId(j), mw_pid(j))).collect();
-                let mut members = Vec::new();
-                for i in 0..n {
-                    let node = host.add_host_node(&NodeConfig::era_2003());
-                    let mut middleware = self.crash_host(MemberId(i), &hosts, app_pid(i));
-                    if let Some(entry) = self.faults.for_middleware(MemberId(i)) {
-                        middleware =
-                            Box::new(FaultyActor::new(middleware, entry.plan.clone(), entry.seed));
-                    }
-                    host.place(mw_pid(i), node, middleware);
-                    host.place(
-                        app_pid(i),
-                        node,
-                        self.service.driver(
-                            MemberId(i),
-                            mw_pid(i),
-                            &self.workload.for_member(MemberId(i)),
-                        ),
-                    );
-                    members.push(MemberProcs {
-                        member: MemberId(i),
-                        app: app_pid(i),
-                        middleware: mw_pid(i),
-                        leader: mw_pid(i),
-                        follower: mw_pid(i),
-                    });
+        });
+        for (i, procs) in members.iter().enumerate() {
+            let member = procs.member;
+            match &mut pairs {
+                None => {
+                    let addresses =
+                        AddressMap::new(Arc::clone(&speakers), width, member, procs.app);
+                    let middleware = self.crash_host(addresses, &group);
+                    let middleware = inject(self.faults.for_middleware(member), middleware);
+                    host.place(procs.middleware, nodes[i], middleware);
                 }
-                members
+                Some(pairs) => {
+                    let addresses =
+                        AddressMap::new(Arc::clone(&speakers), width, member, procs.middleware);
+                    let (leader, follower) = self.fs_pair(procs, addresses, &group, pairs);
+                    let leader = inject(self.faults.for_wrapper(member, Role::Leader), leader);
+                    let follower =
+                        inject(self.faults.for_wrapper(member, Role::Follower), follower);
+                    host.place(procs.leader, nodes[i], leader);
+                    host.place(procs.follower, pairs.followers[i], follower);
+                    let directory = Arc::clone(&pairs.directory);
+                    let interceptor = FsInterceptor::new(
+                        procs.app,
+                        FsId(member.0),
+                        procs.leader,
+                        procs.follower,
+                        directory,
+                    );
+                    host.place(procs.middleware, nodes[i], Box::new(interceptor));
+                }
             }
+            let workload = self.workload.for_member(member);
+            let driver = self.service.driver(member, procs.middleware, &workload);
+            host.place(procs.app, nodes[i], driver);
+        }
+        members
+    }
+
+    /// Member `member`'s process identities: from `pid_base` on, 2 per
+    /// member under [`Protocol::Crash`] (driver, host) and 4 under
+    /// [`Protocol::FailSignal`] (driver, interceptor, leader, follower).
+    fn member_procs(&self, pid_base: u32, member: MemberId) -> MemberProcs {
+        let at = |stride: u32, k: u32| ProcessId(pid_base + stride * member.0 + k);
+        match self.protocol {
+            Protocol::Crash => MemberProcs {
+                member,
+                app: at(2, 0),
+                middleware: at(2, 1),
+                leader: at(2, 1),
+                follower: at(2, 1),
+            },
+            Protocol::FailSignal => MemberProcs {
+                member,
+                app: at(4, 0),
+                middleware: at(4, 1),
+                leader: at(4, 2),
+                follower: at(4, 3),
+            },
         }
     }
 
-    /// The crash-protocol host of `member`, for a fresh deploy and for a
-    /// `Replace` alike: the service's machine, built by the factory the
-    /// fail-signal pair uses, in a [`PlainHost`] with the service's failure
-    /// detector.  `hosts` maps every member to its host process.
-    fn crash_host(
-        &self,
-        member: MemberId,
-        hosts: &BTreeMap<MemberId, ProcessId>,
-        app: ProcessId,
-    ) -> Box<dyn Actor> {
-        let group: Vec<MemberId> = hosts.keys().copied().collect();
-        let mut peers = hosts.clone();
-        peers.remove(&member);
+    /// The group's table of who speaks for each member, with its width:
+    /// each member's host under [`Protocol::Crash`], its leader and its
+    /// follower under [`Protocol::FailSignal`].
+    fn speakers(&self, members: &[MemberProcs]) -> (Arc<[ProcessId]>, usize) {
+        match self.protocol {
+            Protocol::Crash => (members.iter().map(|p| p.middleware).collect(), 1),
+            Protocol::FailSignal => (
+                members
+                    .iter()
+                    .flat_map(|p| [p.leader, p.follower])
+                    .collect(),
+                2,
+            ),
+        }
+    }
+
+    /// The crash-protocol host of `addresses.me()`, for a fresh deploy and
+    /// for a `Replace` alike: the service's machine in a [`PlainHost`] with
+    /// the service's failure detector.
+    fn crash_host(&self, addresses: AddressMap, group: &[MemberId]) -> Box<dyn Actor> {
         Box::new(PlainHost::new(
-            self.service.fs_service().machine(member, &group),
-            app,
-            peers,
+            self.service.machine(addresses.me(), group),
+            addresses,
             self.service.failure_detector(),
         ))
+    }
+
+    /// The fail-signal pair of `addresses.me()`: two replicas of the
+    /// service's machine, the pair's keys taken from `pairs`, and each
+    /// peer's fail-signal turned into the service's input for it.
+    fn fs_pair<N>(
+        &self,
+        procs: &MemberProcs,
+        addresses: AddressMap,
+        group: &[MemberId],
+        pairs: &mut Pairs<N>,
+    ) -> (Box<dyn Actor>, Box<dyn Actor>) {
+        let member = procs.member;
+        let mut builder = FsPairBuilder::new(FsPairSpec::new(
+            FsId(member.0),
+            procs.leader,
+            procs.follower,
+        ))
+        .timing(self.timing)
+        .crypto_costs(self.crypto_costs)
+        .addresses(addresses);
+        for &peer in group.iter().filter(|&&peer| peer != member) {
+            if let Some(input) = self.service.fail_signal_input(peer) {
+                builder = builder.on_fail_signal(FsId(peer.0), input);
+            }
+        }
+        let mut key = |pid| {
+            pairs
+                .keys
+                .remove(&SignerId(pid))
+                .expect("a provisioned key")
+        };
+        let (leader, follower) = builder.build(
+            key(procs.leader),
+            key(procs.follower),
+            Arc::clone(&pairs.directory),
+            (
+                self.service.machine(member, group),
+                self.service.machine(member, group),
+            ),
+        );
+        (Box::new(leader), Box::new(follower))
     }
 
     /// The member's own processes under the current protocol, in
@@ -360,7 +429,7 @@ impl Scenario {
     ///   must rebuild it); under [`Protocol::FailSignal`] it compiles to a
     ///   warm `Recover` — an FS pair cannot be replaced cold, because
     ///   assumption A1 pre-provisions its keys and the peers' replay guards
-    ///   pin its message sequence (see [`failsignal::group`]).
+    ///   pin its message sequence (see [`crate::group`]).
     pub(crate) fn compile_lifecycle(&self, members: &[MemberProcs]) -> LifecycleSchedule {
         let mut schedule = LifecycleSchedule::new();
         for entry in self.faults.lifecycle_entries() {
@@ -391,8 +460,10 @@ impl Scenario {
                         }
                     }
                     Protocol::Crash => {
-                        let hosts = members.iter().map(|p| (p.member, p.middleware)).collect();
-                        let middleware = self.crash_host(entry.member, &hosts, procs.app);
+                        let (speakers, width) = self.speakers(members);
+                        let group: Vec<MemberId> = members.iter().map(|p| p.member).collect();
+                        let addresses = AddressMap::new(speakers, width, entry.member, procs.app);
+                        let middleware = self.crash_host(addresses, &group);
                         schedule.push(entry.at, procs.middleware, ProcessFate::Replace(middleware));
                         // The replacement incarnation observes rather than
                         // drives load: its predecessor's per-member sequence
@@ -448,6 +519,23 @@ impl Scenario {
             faults: self.faults,
             slot,
         }
+    }
+}
+
+/// What only the fail-signal members of a group share: the wrappers'
+/// signing keys, provisioned before the run, and the node each member's
+/// follower runs on.
+struct Pairs<N> {
+    keys: BTreeMap<SignerId, SigningKey>,
+    directory: Arc<KeyDirectory>,
+    followers: Vec<N>,
+}
+
+/// `actor` behind the fault injector `entry` names, if any.
+fn inject(entry: Option<&FaultEntry>, actor: Box<dyn Actor>) -> Box<dyn Actor> {
+    match entry {
+        Some(entry) => Box::new(FaultyActor::new(actor, entry.plan.clone(), entry.seed)),
+        None => actor,
     }
 }
 

@@ -1,14 +1,16 @@
 //! The service axis of the scenario matrix: pluggable service
-//! specifications, plus the generic actors the crash-protocol deployments
-//! are assembled from.
+//! specifications, plus the crash-protocol host and the SMR workload
+//! driver.
 //!
 //! A [`ServiceSpec`] bundles everything the scenario builder needs to deploy
 //! one kind of deterministic group service under **either** protocol:
 //!
-//! * the [`FsService`] whose machine factory both protocols share: the
-//!   fail-signal lift wraps each machine in a pair (fully generic — see
-//!   [`failsignal::group::build_fs_group`]), the crash protocol hosts it in
-//!   a [`PlainHost`];
+//! * the machine factory ([`ServiceSpec::machine`]) both protocols share:
+//!   the crash protocol hosts each machine in a [`PlainHost`], the
+//!   fail-signal lift wraps two of them in a pair — the same per-member
+//!   assembly places either, with no service-specific code;
+//! * the machine input a peer's fail-signal turns into, if any
+//!   ([`ServiceSpec::fail_signal_input`]);
 //! * the [`FailureDetector`] plugged into the crash host, if any;
 //! * a factory for the per-member workload driver, and the inspector that
 //!   reads its delivery log back out.
@@ -21,7 +23,6 @@
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 
-use failsignal::service::FsService;
 use fs_common::codec::Wire;
 use fs_common::id::{MemberId, ProcessId};
 use fs_common::time::{SimDuration, SimTime};
@@ -34,7 +35,7 @@ use fs_simnet::actor::{Actor, Context, TimerId};
 use fs_simnet::load::{Admitted, LoadGen, LoadStats};
 use fs_simnet::trace::LatencyRecorder;
 use fs_smr::machine::{
-    DeterministicMachine, Endpoint, FailureDetector, MachineInput, MachineOutput,
+    AddressMap, DeterministicMachine, Endpoint, FailureDetector, MachineInput, MachineOutput,
 };
 use fs_smr::sequenced::{SequencedKv, SmrClientMsg, SmrDeliverEntry, SmrUpcall};
 
@@ -47,9 +48,47 @@ pub trait ServiceSpec: Send {
     /// A short human-readable name, used in reports.
     fn name(&self) -> &'static str;
 
-    /// The wrapper-path view of the service (machine factory plus
-    /// fail-signal conversion) — see the R1 contract on [`FsService`].
-    fn fs_service(&self) -> Box<dyn FsService>;
+    /// Creates a fresh replica of member `member`'s service machine.
+    ///
+    /// Called once per crash-protocol host, and twice per fail-signal
+    /// member — once for the leader wrapper, once for the follower — so the
+    /// two replicas of the pair start identical.
+    ///
+    /// # The R1 determinism contract
+    ///
+    /// The machines returned here **must** satisfy the paper's requirement
+    /// R1 (§2.1): *the execution of an operation in a given state and with
+    /// a given set of arguments must always produce the same result*.
+    /// Concretely:
+    ///
+    /// * two machines created by `machine(m, group)` with the same
+    ///   arguments must start in identical states;
+    /// * fed the same input sequence, they must produce **byte-identical**
+    ///   output sequences;
+    /// * implementations must not consult wall clocks, random sources,
+    ///   thread identity, ambient global state, or anything else that is
+    ///   not an explicit input — all nondeterminism must arrive as
+    ///   [`MachineInput`]s, which the wrapper pair's Order processes then
+    ///   deliver to both replicas in the same order.
+    ///
+    /// Violating R1 is indistinguishable from a Byzantine fault: the pair's
+    /// Compare processes will see diverging outputs and convert the service
+    /// into its fail-signal.  [`fs_smr::machine::check_determinism`] is the
+    /// cheap self-test for new implementations.
+    fn machine(&self, member: MemberId, group: &[MemberId]) -> Box<dyn DeterministicMachine>;
+
+    /// The machine input (fed from [`Endpoint::Environment`]) to inject
+    /// into every *other* member's machine when `peer`'s fail-signal is
+    /// received, or `None` if the service has no use for failure
+    /// notifications.
+    ///
+    /// FS-NewTOP returns the GC `Suspect(peer)` control input here — the
+    /// paper's conversion of trustworthy fail-signals into never-false
+    /// suspicions.
+    fn fail_signal_input(&self, peer: MemberId) -> Option<Bytes> {
+        let _ = peer;
+        None
+    }
 
     /// The failure detector plugged into each member's crash-protocol
     /// [`PlainHost`].  The default plugs none.
@@ -147,29 +186,18 @@ impl NewTopService {
     }
 }
 
-/// The wrapper-path view of NewTOP: GC machines plus the fail-signal →
-/// `Suspect` conversion of §3.1.
-struct NewTopFs;
-
-impl FsService for NewTopFs {
-    fn name(&self) -> &'static str {
-        "newtop"
-    }
-    fn machine(&self, member: MemberId, group: &[MemberId]) -> Box<dyn DeterministicMachine> {
-        Box::new(GcMachine::new(GcConfig::new(member, group.to_vec())))
-    }
-    fn fail_signal_input(&self, peer: MemberId) -> Option<Bytes> {
-        Some(ControlInput::Suspect(peer).to_wire())
-    }
-}
-
 impl ServiceSpec for NewTopService {
     fn name(&self) -> &'static str {
         "newtop"
     }
 
-    fn fs_service(&self) -> Box<dyn FsService> {
-        Box::new(NewTopFs)
+    fn machine(&self, member: MemberId, group: &[MemberId]) -> Box<dyn DeterministicMachine> {
+        Box::new(GcMachine::new(GcConfig::new(member, group.to_vec())))
+    }
+
+    /// The fail-signal → `Suspect` conversion of §3.1.
+    fn fail_signal_input(&self, peer: MemberId) -> Option<Bytes> {
+        Some(ControlInput::Suspect(peer).to_wire())
     }
 
     fn failure_detector(&self) -> Option<Box<dyn FailureDetector>> {
@@ -229,24 +257,13 @@ impl SmrKvService {
     }
 }
 
-struct SmrKvFs;
-
-impl FsService for SmrKvFs {
-    fn name(&self) -> &'static str {
-        "smr-kv"
-    }
-    fn machine(&self, member: MemberId, group: &[MemberId]) -> Box<dyn DeterministicMachine> {
-        Box::new(SequencedKv::new(member, group.to_vec()))
-    }
-}
-
 impl ServiceSpec for SmrKvService {
     fn name(&self) -> &'static str {
         "smr-kv"
     }
 
-    fn fs_service(&self) -> Box<dyn FsService> {
-        Box::new(SmrKvFs)
+    fn machine(&self, member: MemberId, group: &[MemberId]) -> Box<dyn DeterministicMachine> {
+        Box::new(SequencedKv::new(member, group.to_vec()))
     }
 
     fn driver(
@@ -296,17 +313,13 @@ const TIMER_DETECTOR: TimerId = TimerId(1);
 /// [`DeterministicMachine`] — the crash-protocol counterpart of the
 /// fail-signal wrapper pair.  It maps physical senders to logical endpoints
 /// on the way in and logical output destinations to physical processes on
-/// the way out, charging the machine's processing cost; nothing is signed
-/// or compared.  A [`FailureDetector`], if plugged, turns its suspicions
-/// into environment inputs.
-///
-/// Endpoints resolve in place against the local application and the
-/// peers' hosts: a routing table per member, one vector per endpoint,
-/// doubled the time to deploy a 9-member crash group.
+/// the way out, through the same [`AddressMap`] type the pair uses, and
+/// charges the machine's processing cost; nothing is signed or compared.
+/// A [`FailureDetector`], if plugged, turns its suspicions into
+/// environment inputs.
 pub struct PlainHost {
     machine: Box<dyn DeterministicMachine>,
-    app: ProcessId,
-    peers: BTreeMap<MemberId, ProcessId>,
+    addresses: AddressMap,
     detector: Option<Box<dyn FailureDetector>>,
 }
 
@@ -314,24 +327,22 @@ impl std::fmt::Debug for PlainHost {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlainHost")
             .field("machine", &self.machine.name())
-            .field("peers", &self.peers.len())
+            .field("member", &self.addresses.me())
             .finish()
     }
 }
 
 impl PlainHost {
-    /// Hosts `machine` for the local application `app`; `peers` names the
-    /// host process of every other member.
+    /// Hosts `machine` at `addresses`: the local process is the member's
+    /// application, and one host process speaks for each member.
     pub fn new(
         machine: Box<dyn DeterministicMachine>,
-        app: ProcessId,
-        peers: BTreeMap<MemberId, ProcessId>,
+        addresses: AddressMap,
         detector: Option<Box<dyn FailureDetector>>,
     ) -> Self {
         Self {
             machine,
-            app,
-            peers,
+            addresses,
             detector,
         }
     }
@@ -360,28 +371,16 @@ impl PlainHost {
         }
     }
 
-    fn source(&self, from: ProcessId) -> Option<Endpoint> {
-        if from == self.app {
-            return Some(Endpoint::LocalApp);
-        }
-        let (&peer, _) = self.peers.iter().find(|(_, &pid)| pid == from)?;
-        Some(Endpoint::Peer(peer))
-    }
-
+    /// Sends `output` to every process its destination maps to; the last
+    /// one gets the buffer itself, the others a refcount clone.
     fn route(&self, ctx: &mut dyn Context, output: MachineOutput) {
-        match output.dest {
-            Endpoint::LocalApp => ctx.send(self.app, output.bytes.into()),
-            Endpoint::Peer(peer) => {
-                if let Some(&to) = self.peers.get(&peer) {
-                    ctx.send(to, output.bytes.into());
-                }
+        let mut targets = self.addresses.targets(output.dest).peekable();
+        while let Some(to) = targets.next() {
+            if targets.peek().is_none() {
+                ctx.send(to, output.bytes.into());
+                return;
             }
-            Endpoint::Broadcast => {
-                for &to in self.peers.values() {
-                    ctx.send(to, output.bytes.clone().into());
-                }
-            }
-            Endpoint::Environment => {}
+            ctx.send(to, output.bytes.clone().into());
         }
     }
 }
@@ -400,7 +399,7 @@ impl Actor for PlainHost {
         // The machine takes one contiguous buffer: free for a frame that is
         // one (every peer message), the one copy of a spliced request.
         let payload = payload.into_bytes();
-        let Some(source) = self.source(from) else {
+        let Some(source) = self.addresses.source(from) else {
             return; // unknown sender: dropped
         };
         if let (Endpoint::Peer(peer), Some(detector)) = (source, &mut self.detector) {
@@ -779,11 +778,10 @@ mod tests {
     #[test]
     fn newtop_spec_exposes_gc_machines_and_suspect_conversion() {
         let spec = NewTopService::new().suspector(SuspectorConfig::disabled());
-        let fs = spec.fs_service();
-        assert_eq!(fs.name(), "newtop");
+        assert_eq!(spec.name(), "newtop");
         let group = [MemberId(0), MemberId(1)];
-        assert_eq!(fs.machine(MemberId(0), &group).name(), "newtop-gc-0");
-        let injected = fs.fail_signal_input(MemberId(1)).expect("suspect input");
+        assert_eq!(spec.machine(MemberId(0), &group).name(), "newtop-gc-0");
+        let injected = spec.fail_signal_input(MemberId(1)).expect("suspect input");
         assert_eq!(
             ControlInput::from_wire(&injected).unwrap(),
             ControlInput::Suspect(MemberId(1))
@@ -793,11 +791,35 @@ mod tests {
     #[test]
     fn smr_spec_wraps_sequenced_kv() {
         let spec = SmrKvService::new();
-        let fs = spec.fs_service();
-        assert_eq!(fs.name(), "smr-kv");
-        assert!(fs.fail_signal_input(MemberId(1)).is_none());
+        assert_eq!(spec.name(), "smr-kv");
+        assert!(spec.fail_signal_input(MemberId(1)).is_none());
         let group = [MemberId(0), MemberId(1)];
-        assert_eq!(fs.machine(MemberId(1), &group).name(), "smr-kv-1");
+        assert_eq!(spec.machine(MemberId(1), &group).name(), "smr-kv-1");
+    }
+
+    /// A spec that implements only what it must feeds no input on a
+    /// peer's fail-signal.
+    #[test]
+    fn default_fail_signal_input_is_none() {
+        struct EchoService;
+        impl ServiceSpec for EchoService {
+            fn name(&self) -> &'static str {
+                "echo"
+            }
+            fn machine(&self, _m: MemberId, _g: &[MemberId]) -> Box<dyn DeterministicMachine> {
+                Box::new(fs_smr::machine::EchoMachine::new(0))
+            }
+            fn driver(&self, m: MemberId, mw: ProcessId, w: &Workload) -> Box<dyn Actor> {
+                SmrKvService.driver(m, mw, w)
+            }
+            fn delivery_log_of(&self, _driver: &dyn Actor) -> Option<Vec<(MemberId, u64)>> {
+                None
+            }
+        }
+        let service = EchoService;
+        assert_eq!(service.name(), "echo");
+        assert!(service.fail_signal_input(MemberId(1)).is_none());
+        assert_eq!(service.machine(MemberId(0), &[MemberId(0)]).name(), "echo");
     }
 
     #[test]
@@ -852,18 +874,25 @@ mod tests {
         assert_eq!(driver.name(), "smr-driver-1");
     }
 
-    /// The crash host of NewTOP member 0 among `group`, serving the
-    /// application at process 10, with peer `m` hosted at process `10 + m`.
+    /// Member 0's map of a crash-protocol group whose member `m` is hosted
+    /// by `hosts[m]`, with the application at `app`.
+    fn crash_map(hosts: &[u32], app: u32) -> AddressMap {
+        let speakers = hosts.iter().map(|&p| ProcessId(p)).collect();
+        AddressMap::new(speakers, 1, MemberId(0), ProcessId(app))
+    }
+
+    /// The crash host of NewTOP member 0 among `group`, hosted at process
+    /// 20 and serving the application at process 10, with peer `m` hosted
+    /// at process `10 + m`.
     fn newtop_host(group: u32, suspector: SuspectorConfig) -> PlainHost {
         let spec = NewTopService::new().suspector(suspector);
         let members: Vec<MemberId> = (0..group).map(MemberId).collect();
-        let peers: BTreeMap<MemberId, ProcessId> = (1..group)
-            .map(|m| (MemberId(m), ProcessId(10 + m)))
+        let hosts: Vec<u32> = (0..group)
+            .map(|m| if m == 0 { 20 } else { 10 + m })
             .collect();
         PlainHost::new(
-            spec.fs_service().machine(MemberId(0), &members),
-            ProcessId(10),
-            peers,
+            spec.machine(MemberId(0), &members),
+            crash_map(&hosts, 10),
             spec.failure_detector(),
         )
     }
@@ -883,11 +912,8 @@ mod tests {
         // Member 0 is the sequencer: a local command is ordered, multicast
         // and applied immediately.
         let mut host = PlainHost::new(
-            SmrKvService::new()
-                .fs_service()
-                .machine(MemberId(0), &group),
-            ProcessId(2),
-            BTreeMap::from([(MemberId(1), ProcessId(3))]),
+            SmrKvService::new().machine(MemberId(0), &group),
+            crash_map(&[0, 3], 2),
             None,
         );
         let mut ctx = TestContext::new(ProcessId(0));

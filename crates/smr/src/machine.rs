@@ -14,17 +14,19 @@
 
 use std::any::Any;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use fs_common::id::MemberId;
+use fs_common::id::{MemberId, ProcessId};
 use fs_common::time::{SimDuration, SimTime};
 use fs_common::Bytes;
 
 /// A logical endpoint of a machine input or output.
 ///
-/// Logical, not physical: the adapter hosting the machine (a plain NewTOP
-/// service object or a fail-signal wrapper pair) decides which physical
-/// process(es) each endpoint maps to.  That indirection is exactly what makes
-/// wrapping "transparent to GC" (§3.1).
+/// Logical, not physical: the host of the machine (a plain crash-protocol
+/// host or a fail-signal wrapper pair) maps each endpoint to physical
+/// processes through its [`AddressMap`], the same map type under either
+/// protocol.  That indirection is exactly what makes wrapping "transparent
+/// to GC" (§3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Endpoint {
     /// The middleware peer serving group member `m` (another GC object).
@@ -37,6 +39,116 @@ pub enum Endpoint {
     /// The environment: start-up configuration, injected control inputs,
     /// converted fail-signals, and (in crash-tolerant mode) timer ticks.
     Environment,
+}
+
+/// Where one member's endpoints live: its local process, and for every
+/// member of its group the processes that speak for that member — the host
+/// under the crash protocol, the leader and the follower wrapper under the
+/// fail-signal protocol.  Both hosts resolve through it: which endpoint a
+/// sender is ([`AddressMap::source`]), which processes an output goes to
+/// ([`AddressMap::targets`]) and which a fail-signal goes to
+/// ([`AddressMap::fail_signal_targets`]).
+///
+/// Members are numbered from 0; member `m` speaks through
+/// `speakers[m * width..(m + 1) * width]`.  One group shares one table:
+/// each member's map is the same `Arc` with its own member and local
+/// process.  The default map knows no process at all.
+#[derive(Debug, Clone, Default)]
+pub struct AddressMap {
+    speakers: Arc<[ProcessId]>,
+    width: usize,
+    me: MemberId,
+    local: Option<ProcessId>,
+}
+
+impl AddressMap {
+    /// Member `me`'s map of a group whose member `m` speaks through
+    /// `speakers[m * width..(m + 1) * width]`; `local` is the one process
+    /// above `me`'s machine (its application, or its interceptor).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `width` is 0 or does not divide `speakers.len()`.
+    pub fn new(speakers: Arc<[ProcessId]>, width: usize, me: MemberId, local: ProcessId) -> Self {
+        assert!(
+            width > 0 && speakers.len().is_multiple_of(width),
+            "{} speakers do not split into members of {width}",
+            speakers.len()
+        );
+        Self {
+            speakers,
+            width,
+            me,
+            local: Some(local),
+        }
+    }
+
+    /// A map that knows only `local`: the host of a lone machine, with no
+    /// peers to receive from or send to.
+    pub fn local_only(local: ProcessId) -> Self {
+        Self {
+            local: Some(local),
+            ..Self::default()
+        }
+    }
+
+    /// The member whose map this is.
+    pub fn me(&self) -> MemberId {
+        self.me
+    }
+
+    /// The processes that speak for `member`, in the order the group was
+    /// given them (leader first under the fail-signal protocol); empty for
+    /// a member outside the group.
+    pub fn processes(&self, member: MemberId) -> &[ProcessId] {
+        let start = member.0 as usize * self.width;
+        self.speakers
+            .get(start..start + self.width)
+            .unwrap_or_default()
+    }
+
+    /// The endpoint a frame from `from` comes from: the local process is
+    /// [`Endpoint::LocalApp`], a process speaking for another member is
+    /// that member's [`Endpoint::Peer`], anything else (this member's own
+    /// speakers included) is no endpoint.
+    pub fn source(&self, from: ProcessId) -> Option<Endpoint> {
+        if self.local == Some(from) {
+            return Some(Endpoint::LocalApp);
+        }
+        let at = self.speakers.iter().position(|&p| p == from)?;
+        let member = MemberId((at / self.width) as u32);
+        (member != self.me).then_some(Endpoint::Peer(member))
+    }
+
+    /// The processes an output to `dest` goes to: the local process, every
+    /// process of one peer, or every peer's processes in member order for
+    /// [`Endpoint::Broadcast`].  `Peer(me)` and [`Endpoint::Environment`]
+    /// go nowhere.
+    pub fn targets(&self, dest: Endpoint) -> impl Iterator<Item = ProcessId> + '_ {
+        let (first, second): (&[ProcessId], &[ProcessId]) = match dest {
+            Endpoint::LocalApp => (self.local.as_slice(), &[]),
+            Endpoint::Peer(peer) if peer != self.me => (self.processes(peer), &[]),
+            Endpoint::Broadcast => {
+                let start = (self.me.0 as usize * self.width).min(self.speakers.len());
+                let (before, mine_and_after) = self.speakers.split_at(start);
+                (before, mine_and_after.get(self.width..).unwrap_or_default())
+            }
+            Endpoint::Peer(_) | Endpoint::Environment => (&[], &[]),
+        };
+        first.iter().chain(second).copied()
+    }
+
+    /// The processes a fail-signal goes to: the local process and every
+    /// peer's processes, each once, in ascending order.
+    pub fn fail_signal_targets(&self) -> Vec<ProcessId> {
+        let mut out: Vec<ProcessId> = self
+            .targets(Endpoint::LocalApp)
+            .chain(self.targets(Endpoint::Broadcast))
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
 }
 
 /// One input to a deterministic machine.
@@ -293,6 +405,122 @@ mod tests {
             Endpoint::Peer(MemberId(1))
         );
         assert_eq!(MachineOutput::to_app(vec![]).dest, Endpoint::LocalApp);
+    }
+
+    /// Member 1's map of a 3-member group laid out as the scenario
+    /// harness lays groups out from pid 100: `stride` pids per member, the
+    /// local process at offset `local` and the speakers at `speakers`.
+    fn group_map(stride: u32, local: u32, speakers: &[u32]) -> AddressMap {
+        let table: Arc<[ProcessId]> = (0..3)
+            .flat_map(|m| {
+                speakers
+                    .iter()
+                    .map(move |k| ProcessId(100 + stride * m + k))
+            })
+            .collect();
+        AddressMap::new(
+            table,
+            speakers.len(),
+            MemberId(1),
+            ProcessId(100 + stride + local),
+        )
+    }
+
+    fn sources(map: &AddressMap, pids: std::ops::Range<u32>) -> Vec<Option<Endpoint>> {
+        pids.map(|p| map.source(ProcessId(p))).collect()
+    }
+
+    fn targets(map: &AddressMap, dest: Endpoint) -> Vec<u32> {
+        map.targets(dest).map(|p| p.0).collect()
+    }
+
+    const fn peer(m: u32) -> Option<Endpoint> {
+        Some(Endpoint::Peer(MemberId(m)))
+    }
+
+    /// The crash protocol's shape: per member the application, then the
+    /// host that speaks for it; the application is the local process.
+    #[test]
+    fn a_crash_shaped_map_resolves_every_process_and_endpoint() {
+        let map = group_map(2, 0, &[1]);
+        assert_eq!(map.me(), MemberId(1));
+        let app = Some(Endpoint::LocalApp);
+        // Member 0's application and host, member 1's, member 2's, beyond.
+        assert_eq!(
+            sources(&map, 99..107),
+            [None, None, peer(0), app, None, None, peer(2), None]
+        );
+        assert_eq!(targets(&map, Endpoint::LocalApp), [102]);
+        assert_eq!(targets(&map, Endpoint::Peer(MemberId(0))), [101]);
+        assert_eq!(targets(&map, Endpoint::Peer(MemberId(2))), [105]);
+        assert_eq!(targets(&map, Endpoint::Broadcast), [101, 105]);
+        assert!(targets(&map, Endpoint::Peer(MemberId(1))).is_empty());
+        assert!(targets(&map, Endpoint::Peer(MemberId(3))).is_empty());
+        assert!(targets(&map, Endpoint::Environment).is_empty());
+        assert_eq!(map.fail_signal_targets(), [101, 102, 105].map(ProcessId));
+    }
+
+    /// The fail-signal protocol's shape: per member the application, the
+    /// interceptor, the leader and the follower; the interceptor is the
+    /// local process, and the pair speaks for the member, leader first.
+    #[test]
+    fn an_fs_shaped_map_resolves_every_process_and_endpoint() {
+        let map = group_map(4, 1, &[2, 3]);
+        assert_eq!(map.processes(MemberId(2)), [ProcessId(110), ProcessId(111)]);
+        assert!(map.processes(MemberId(3)).is_empty());
+        let icp = Some(Endpoint::LocalApp);
+        #[rustfmt::skip]
+        assert_eq!(
+            sources(&map, 99..113),
+            [
+                None,
+                None, None, peer(0), peer(0),
+                None, icp, None, None,
+                None, None, peer(2), peer(2),
+                None,
+            ]
+        );
+        assert_eq!(targets(&map, Endpoint::LocalApp), [105]);
+        assert_eq!(targets(&map, Endpoint::Peer(MemberId(0))), [102, 103]);
+        assert_eq!(targets(&map, Endpoint::Peer(MemberId(2))), [110, 111]);
+        assert_eq!(targets(&map, Endpoint::Broadcast), [102, 103, 110, 111]);
+        assert!(targets(&map, Endpoint::Peer(MemberId(1))).is_empty());
+        assert!(targets(&map, Endpoint::Environment).is_empty());
+        // Each process once, in ascending pid order: the local process
+        // falls between the peers'.
+        assert_eq!(
+            map.fail_signal_targets(),
+            [102, 103, 105, 110, 111].map(ProcessId)
+        );
+    }
+
+    #[test]
+    fn the_default_map_knows_no_process_and_a_local_only_map_one() {
+        let dests = [
+            Endpoint::LocalApp,
+            Endpoint::Peer(MemberId(0)),
+            Endpoint::Broadcast,
+            Endpoint::Environment,
+        ];
+        let map = AddressMap::default();
+        assert_eq!(map.source(ProcessId(0)), None);
+        for dest in dests {
+            assert!(targets(&map, dest).is_empty());
+        }
+        assert!(map.fail_signal_targets().is_empty());
+
+        let map = AddressMap::local_only(ProcessId(4));
+        assert_eq!(map.source(ProcessId(4)), Some(Endpoint::LocalApp));
+        assert_eq!(map.source(ProcessId(0)), None);
+        for dest in dests {
+            let expected: &[u32] = if dest == Endpoint::LocalApp {
+                &[4]
+            } else {
+                &[]
+            };
+            assert_eq!(targets(&map, dest), expected);
+        }
+        assert_eq!(map.fail_signal_targets(), [ProcessId(4)]);
     }
 
     #[test]

@@ -25,22 +25,31 @@ use fs_smr_suite::faults::{FaultKind, FaultPlan, FaultyActor};
 use fs_smr_suite::simnet::actor::{Actor, Context};
 use fs_smr_suite::simnet::node::NodeConfig;
 use fs_smr_suite::simnet::sim::Simulation;
-use fs_smr_suite::smr::machine::{EchoMachine, Endpoint};
+use fs_smr_suite::smr::machine::{AddressMap, EchoMachine};
 
 const LEADER: ProcessId = ProcessId(0);
 const FOLLOWER: ProcessId = ProcessId(1);
-const CLIENT: ProcessId = ProcessId(2);
-const DESTINATION: ProcessId = ProcessId(3);
+/// The pair's local process: it feeds the requests and receives what the
+/// pair emits.
+const LOCAL: ProcessId = ProcessId(2);
 
-/// A destination process: verifies, deduplicates and logs what the FS
-/// process emits.
-struct Destination {
+/// The client of the FS process: feeds a few requests to both wrappers of
+/// the pair, then verifies, deduplicates and logs what the pair emits.
+struct Local {
+    to_send: u32,
+    sent: u32,
     receiver: FsReceiver,
     outputs: Vec<Vec<u8>>,
     fail_signals: Vec<FsId>,
 }
 
-impl Actor for Destination {
+impl Actor for Local {
+    fn on_start(&mut self, ctx: &mut dyn Context) {
+        ctx.set_timer(
+            SimDuration::from_millis(10),
+            fs_smr_suite::simnet::TimerId(1),
+        );
+    }
     fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, payload: Frame) {
         match self.receiver.accept_frame(&payload) {
             Some(FsDelivery::Output { bytes, .. }) => self.outputs.push(bytes.to_vec()),
@@ -48,30 +57,13 @@ impl Actor for Destination {
             None => {}
         }
     }
-}
-
-/// A client that feeds a few requests to both wrappers of the pair.
-struct Client {
-    targets: (ProcessId, ProcessId),
-    to_send: u32,
-    sent: u32,
-}
-
-impl Actor for Client {
-    fn on_start(&mut self, ctx: &mut dyn Context) {
-        ctx.set_timer(
-            SimDuration::from_millis(10),
-            fs_smr_suite::simnet::TimerId(1),
-        );
-    }
-    fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Frame) {}
     fn on_timer(&mut self, ctx: &mut dyn Context, _timer: fs_smr_suite::simnet::TimerId) {
         if self.sent >= self.to_send {
             return;
         }
         let request = FsoInbound::Raw(format!("request-{}", self.sent).into()).to_frame();
-        ctx.send(self.targets.0, request.clone());
-        ctx.send(self.targets.1, request);
+        ctx.send(LEADER, request.clone());
+        ctx.send(FOLLOWER, request);
         self.sent += 1;
         ctx.set_timer(
             SimDuration::from_millis(20),
@@ -88,8 +80,7 @@ fn run_scenario(title: &str, fault: Option<FaultPlan>) {
     let spec = FsPairSpec::new(FsId(1), LEADER, FOLLOWER);
     let (leader, follower) = FsPairBuilder::new(spec)
         .crypto_costs(CryptoCostModel::era_2003())
-        .trust_client(CLIENT, Endpoint::LocalApp)
-        .route(Endpoint::LocalApp, vec![DESTINATION])
+        .addresses(AddressMap::local_only(LOCAL))
         .build(
             keys.remove(&SignerId(LEADER)).unwrap(),
             keys.remove(&SignerId(FOLLOWER)).unwrap(),
@@ -109,22 +100,14 @@ fn run_scenario(title: &str, fault: Option<FaultPlan>) {
         None => Box::new(follower),
     };
     sim.spawn_with(FOLLOWER, node_b, follower_actor);
-    sim.spawn_with(
-        CLIENT,
-        node_c,
-        Box::new(Client {
-            targets: (LEADER, FOLLOWER),
-            to_send: 5,
-            sent: 0,
-        }),
-    );
-
     let mut receiver = FsReceiver::new(directory);
     receiver.register_source(FsId(1), spec.signers());
     sim.spawn_with(
-        DESTINATION,
+        LOCAL,
         node_c,
-        Box::new(Destination {
+        Box::new(Local {
+            to_send: 5,
+            sent: 0,
             receiver,
             outputs: Vec::new(),
             fail_signals: Vec::new(),
@@ -133,9 +116,7 @@ fn run_scenario(title: &str, fault: Option<FaultPlan>) {
 
     sim.run_until(SimTime::from_secs(30));
 
-    let destination = sim
-        .actor::<Destination>(DESTINATION)
-        .expect("destination exists");
+    let destination = sim.actor::<Local>(LOCAL).expect("local process exists");
     println!(
         "valid outputs accepted by the destination: {}",
         destination.outputs.len()

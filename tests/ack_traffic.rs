@@ -20,7 +20,6 @@ use std::sync::Arc;
 use fs_smr_suite::common::id::{MemberId, ProcessId};
 use fs_smr_suite::common::time::{SimDuration, SimTime};
 use fs_smr_suite::common::Bytes;
-use fs_smr_suite::failsignal::service::FsService;
 use fs_smr_suite::harness::{Admission, NewTopService, Protocol, Scenario, ServiceSpec, Workload};
 use fs_smr_suite::newtop::gc::{GcConfig, GcMachine};
 use fs_smr_suite::newtop::suspector::SuspectorConfig;
@@ -62,12 +61,7 @@ struct CountedNewTop {
     acks: AckCounts,
 }
 
-struct CountedFs {
-    inner: Box<dyn FsService>,
-    acks: AckCounts,
-}
-
-impl FsService for CountedFs {
+impl ServiceSpec for CountedNewTop {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
@@ -79,18 +73,6 @@ impl FsService for CountedFs {
     }
     fn fail_signal_input(&self, peer: MemberId) -> Option<Bytes> {
         self.inner.fail_signal_input(peer)
-    }
-}
-
-impl ServiceSpec for CountedNewTop {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-    fn fs_service(&self) -> Box<dyn FsService> {
-        Box::new(CountedFs {
-            inner: self.inner.fs_service(),
-            acks: Arc::clone(&self.acks),
-        })
     }
     fn driver(
         &self,

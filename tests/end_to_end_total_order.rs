@@ -85,7 +85,7 @@ fn fs_newtop_keeps_one_order_under_link_loss() {
 
 #[test]
 fn full_and_collapsed_layouts_use_the_expected_node_counts() {
-    use fs_smr_suite::failsignal::group::PairLayout;
+    use fs_smr_suite::harness::PairLayout;
     let build = |protocol: Protocol, layout: PairLayout| {
         Scenario::new(NewTopService::new())
             .members(3)

@@ -26,21 +26,28 @@ use fs_smr_suite::faults::{FaultKind, FaultPlan, FaultyActor};
 use fs_smr_suite::simnet::actor::{Actor, Context, TimerId};
 use fs_smr_suite::simnet::node::NodeConfig;
 use fs_smr_suite::simnet::sim::Simulation;
-use fs_smr_suite::smr::machine::{EchoMachine, Endpoint};
+use fs_smr_suite::smr::machine::{AddressMap, EchoMachine};
 
 const LEADER: ProcessId = ProcessId(0);
 const FOLLOWER: ProcessId = ProcessId(1);
-const CLIENT: ProcessId = ProcessId(2);
-const DESTINATION: ProcessId = ProcessId(3);
+/// The pair's local process: it feeds the requests and receives what the
+/// pair emits.
+const LOCAL: ProcessId = ProcessId(2);
 
-/// Collects and validates whatever the FS pair emits.
-struct Destination {
+/// Feeds a fixed number of requests to both wrappers at a fixed cadence,
+/// and collects and validates whatever the FS pair emits.
+struct Local {
+    requests: u32,
+    sent: u32,
     receiver: FsReceiver,
     outputs: Vec<Vec<u8>>,
     fail_signals: Vec<FsId>,
 }
 
-impl Actor for Destination {
+impl Actor for Local {
+    fn on_start(&mut self, ctx: &mut dyn Context) {
+        ctx.set_timer(SimDuration::from_millis(5), TimerId(1));
+    }
     fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, payload: Frame) {
         match self.receiver.accept_frame(&payload) {
             Some(FsDelivery::Output { bytes, .. }) => self.outputs.push(bytes.to_vec()),
@@ -48,19 +55,6 @@ impl Actor for Destination {
             None => {}
         }
     }
-}
-
-/// Feeds a fixed number of requests to both wrappers at a fixed cadence.
-struct Client {
-    requests: u32,
-    sent: u32,
-}
-
-impl Actor for Client {
-    fn on_start(&mut self, ctx: &mut dyn Context) {
-        ctx.set_timer(SimDuration::from_millis(5), TimerId(1));
-    }
-    fn on_message(&mut self, _ctx: &mut dyn Context, _from: ProcessId, _payload: Frame) {}
     fn on_timer(&mut self, ctx: &mut dyn Context, _timer: TimerId) {
         if self.sent >= self.requests {
             return;
@@ -84,8 +78,7 @@ fn run_campaign(fault: Option<FaultPlan>, requests: u32) -> (Vec<Vec<u8>>, Vec<F
     let (leader, follower) = FsPairBuilder::new(spec)
         .timing(timing)
         .crypto_costs(CryptoCostModel::modern_hmac())
-        .trust_client(CLIENT, Endpoint::LocalApp)
-        .route(Endpoint::LocalApp, vec![DESTINATION])
+        .addresses(AddressMap::local_only(LOCAL))
         .build(
             keys.remove(&SignerId(LEADER)).unwrap(),
             keys.remove(&SignerId(FOLLOWER)).unwrap(),
@@ -103,13 +96,14 @@ fn run_campaign(fault: Option<FaultPlan>, requests: u32) -> (Vec<Vec<u8>>, Vec<F
         None => Box::new(follower),
     };
     sim.spawn_with(FOLLOWER, node_b, follower_actor);
-    sim.spawn_with(CLIENT, node_c, Box::new(Client { requests, sent: 0 }));
     let mut receiver = FsReceiver::new(directory);
     receiver.register_source(FsId(1), spec.signers());
     sim.spawn_with(
-        DESTINATION,
+        LOCAL,
         node_c,
-        Box::new(Destination {
+        Box::new(Local {
+            requests,
+            sent: 0,
             receiver,
             outputs: Vec::new(),
             fail_signals: Vec::new(),
@@ -117,7 +111,7 @@ fn run_campaign(fault: Option<FaultPlan>, requests: u32) -> (Vec<Vec<u8>>, Vec<F
     );
 
     sim.run_until(SimTime::from_secs(60));
-    let destination = sim.actor::<Destination>(DESTINATION).expect("destination");
+    let destination = sim.actor::<Local>(LOCAL).expect("local process");
     (
         destination.outputs.clone(),
         destination.fail_signals.clone(),
@@ -179,7 +173,7 @@ fn babbling_garbage_at_the_destination_is_rejected_by_validation() {
     // destination; the validity check drops it all, and the pair's real
     // outputs still get through.
     let fault = FaultPlan::immediate(FaultKind::Babble {
-        target: DESTINATION,
+        target: LOCAL,
         payload: b"not a valid double-signed output"[..].into(),
     });
     let (outputs, fail_signals) = run_campaign(Some(fault), 8);

@@ -42,7 +42,7 @@ use fs_smr_suite::harness::{
     NewTopService, Protocol, Running, Scenario, ServiceSpec, SmrKvService, Workload,
 };
 use fs_smr_suite::simnet::actor::{Actor, TestContext};
-use fs_smr_suite::smr::machine::{EchoMachine, Endpoint};
+use fs_smr_suite::smr::machine::{AddressMap, EchoMachine};
 
 /// `outputs_validated` summed over every wrapper of the run, which must all
 /// be correct and — the window edges are quiescent — hold nothing.
@@ -102,8 +102,8 @@ fn fs_smr_signs_once_per_validated_output_per_wrapper() {
 
 const LEADER: ProcessId = ProcessId(0);
 const FOLLOWER: ProcessId = ProcessId(1);
-const CLIENT: ProcessId = ProcessId(10);
-const DESTINATION: ProcessId = ProcessId(20);
+/// The pair's local process: it sends the request and receives the output.
+const LOCAL: ProcessId = ProcessId(10);
 
 /// One echoed request of `payload` bytes through a hand-driven pair:
 /// the candidate frames the wrappers exchanged and the external frame each
@@ -113,8 +113,7 @@ fn one_output(payload: usize) -> (Vec<Frame>, Frame, Frame) {
     let (mut keys, directory) = provision([LEADER, FOLLOWER], &mut rng);
     let (mut leader, mut follower) = FsPairBuilder::new(FsPairSpec::new(FsId(1), LEADER, FOLLOWER))
         .crypto_costs(CryptoCostModel::free())
-        .trust_client(CLIENT, Endpoint::LocalApp)
-        .route(Endpoint::LocalApp, vec![DESTINATION])
+        .addresses(AddressMap::local_only(LOCAL))
         .build(
             keys.remove(&SignerId(LEADER)).unwrap(),
             keys.remove(&SignerId(FOLLOWER)).unwrap(),
@@ -123,8 +122,8 @@ fn one_output(payload: usize) -> (Vec<Frame>, Frame, Frame) {
         );
     let (mut leader_ctx, mut follower_ctx) = (TestContext::new(LEADER), TestContext::new(FOLLOWER));
     let request = FsoInbound::Raw(vec![0x5a; payload].into()).to_frame();
-    leader.on_message(&mut leader_ctx, CLIENT, request.clone());
-    follower.on_message(&mut follower_ctx, CLIENT, request);
+    leader.on_message(&mut leader_ctx, LOCAL, request.clone());
+    follower.on_message(&mut follower_ctx, LOCAL, request);
     let (mut candidates, mut external) = (Vec::new(), [None, None]);
     loop {
         let (from_leader, from_follower) = (leader_ctx.take_sent(), follower_ctx.take_sent());
@@ -133,7 +132,7 @@ fn one_output(payload: usize) -> (Vec<Frame>, Frame, Frame) {
         }
         for (half, sent) in [from_leader, from_follower].into_iter().enumerate() {
             for out in sent {
-                if out.to == DESTINATION {
+                if out.to == LOCAL {
                     assert!(external[half].replace(out.payload).is_none());
                     continue;
                 }

@@ -30,12 +30,14 @@ use fs_smr_suite::common::codec::Wire;
 use fs_smr_suite::common::id::{MemberId, ProcessId};
 use fs_smr_suite::common::time::{SimDuration, SimTime};
 use std::any::Any;
+use std::sync::Arc;
 
 use fs_smr_suite::harness::{NewTopService, PlainHost, Protocol, Scenario, ServiceSpec, Workload};
 use fs_smr_suite::newtop::gc::GcMachine;
 use fs_smr_suite::newtop::message::{GcMessage, ServiceKind};
 use fs_smr_suite::newtop::suspector::SuspectorConfig;
 use fs_smr_suite::simnet::actor::{Actor, TestContext};
+use fs_smr_suite::smr::machine::AddressMap;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -118,13 +120,15 @@ fn a_3_byte_delivery_allocates_no_more_than_the_parent() {
 #[test]
 fn nso_handles_a_10k_data_message_without_a_payload_sized_allocation() {
     let group: Vec<MemberId> = (0..3).map(MemberId).collect();
-    let peers = [(MemberId(1), ProcessId(11)), (MemberId(2), ProcessId(12))];
+    // Member 0 is hosted at process 20 and serves the application at 10;
+    // its peers are hosted at 11 and 12.
+    let hosts: Arc<[ProcessId]> = Arc::new([ProcessId(20), ProcessId(11), ProcessId(12)]);
+    let addresses = AddressMap::new(hosts, 1, MemberId(0), ProcessId(10));
     // The detector is plugged in, so the pong check runs on the frame.
     let spec = NewTopService::new().suspector(SuspectorConfig::large_timeouts());
     let mut nso = PlainHost::new(
-        spec.fs_service().machine(MemberId(0), &group),
-        ProcessId(10),
-        peers.into_iter().collect(),
+        spec.machine(MemberId(0), &group),
+        addresses,
         spec.failure_detector(),
     );
     let mut ctx = TestContext::new(ProcessId(20));
