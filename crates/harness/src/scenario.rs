@@ -290,21 +290,11 @@ impl Scenario {
                 Some(pairs) => {
                     let addresses =
                         AddressMap::new(Arc::clone(&speakers), width, member, procs.middleware);
-                    let (leader, follower) = self.fs_pair(procs, addresses, &group, pairs);
-                    let leader = inject(self.faults.for_wrapper(member, Role::Leader), leader);
-                    let follower =
-                        inject(self.faults.for_wrapper(member, Role::Follower), follower);
+                    let [leader, follower, interceptor] =
+                        self.fs_member(procs, addresses, &group, pairs);
                     host.place(procs.leader, nodes[i], leader);
                     host.place(procs.follower, pairs.followers[i], follower);
-                    let directory = Arc::clone(&pairs.directory);
-                    let interceptor = FsInterceptor::new(
-                        procs.app,
-                        FsId(member.0),
-                        procs.leader,
-                        procs.follower,
-                        directory,
-                    );
-                    host.place(procs.middleware, nodes[i], Box::new(interceptor));
+                    host.place(procs.middleware, nodes[i], interceptor);
                 }
             }
             let workload = self.workload.for_member(member);
@@ -364,46 +354,47 @@ impl Scenario {
         ))
     }
 
-    /// The fail-signal pair of `addresses.me()`: two replicas of the
-    /// service's machine, the pair's keys taken from `pairs`, and each
-    /// peer's fail-signal turned into the service's input for it.
-    fn fs_pair<N>(
+    /// The fail-signal member `procs`, as its leader wrapper, follower
+    /// wrapper and interceptor: two replicas of the service's machine in a
+    /// pair keyed from `pairs`, each peer's fail-signal turned into the
+    /// service's input for it, each wrapper behind its fault injector if
+    /// the schedule names one.
+    fn fs_member<N>(
         &self,
         procs: &MemberProcs,
         addresses: AddressMap,
         group: &[MemberId],
         pairs: &mut Pairs<N>,
-    ) -> (Box<dyn Actor>, Box<dyn Actor>) {
+    ) -> [Box<dyn Actor>; 3] {
         let member = procs.member;
-        let mut builder = FsPairBuilder::new(FsPairSpec::new(
-            FsId(member.0),
-            procs.leader,
-            procs.follower,
-        ))
-        .timing(self.timing)
-        .crypto_costs(self.crypto_costs)
-        .addresses(addresses);
+        let fs = FsId(member.0);
+        let mut builder = FsPairBuilder::new(FsPairSpec::new(fs, procs.leader, procs.follower))
+            .timing(self.timing)
+            .crypto_costs(self.crypto_costs)
+            .addresses(addresses);
         for &peer in group.iter().filter(|&&peer| peer != member) {
             if let Some(input) = self.service.fail_signal_input(peer) {
                 builder = builder.on_fail_signal(FsId(peer.0), input);
             }
         }
-        let mut key = |pid| {
-            pairs
-                .keys
-                .remove(&SignerId(pid))
-                .expect("a provisioned key")
-        };
+        let keys = &mut pairs.keys;
+        let mut key = |pid| keys.remove(&SignerId(pid)).expect("a provisioned key");
+        let machine = || self.service.machine(member, group);
         let (leader, follower) = builder.build(
             key(procs.leader),
             key(procs.follower),
             Arc::clone(&pairs.directory),
-            (
-                self.service.machine(member, group),
-                self.service.machine(member, group),
-            ),
+            (machine(), machine()),
         );
-        (Box::new(leader), Box::new(follower))
+        let directory = Arc::clone(&pairs.directory);
+        let interceptor =
+            FsInterceptor::new(procs.app, fs, procs.leader, procs.follower, directory);
+        let faults = |role| self.faults.for_wrapper(member, role);
+        [
+            inject(faults(Role::Leader), Box::new(leader)),
+            inject(faults(Role::Follower), Box::new(follower)),
+            Box::new(interceptor),
+        ]
     }
 
     /// The member's own processes under the current protocol, in

@@ -16,7 +16,7 @@
 //! | [`simnet`] | `fs-simnet` | discrete-event simulator, node/link models, threaded runtime, the load plane ([`simnet::load::Workload`], [`simnet::load::LoadGen`]) |
 //! | [`smr`] | `fs-smr` | deterministic machines, application replicas, majority voting, sequenced KV |
 //! | [`newtop`] | `fs-newtop` | the crash-tolerant NewTOP group-communication service |
-//! | [`failsignal`] | `failsignal` | the fail-signal wrapper pair and the generic group lift (the paper's contribution) |
+//! | [`failsignal`] | `failsignal` | the fail-signal wrapper pair, the interceptor and the destinations' validity check (the paper's contribution) |
 //! | [`harness`] | `fs-harness` | the [`harness::Scenario`] builder: service × runtime × workload × faults × protocol — the only way to deploy NewTOP, FS-NewTOP or any other wrapped service — and the sharded [`harness::Cluster`] |
 //! | [`faults`] | `fs-faults` | fault injection |
 //! | [`mod@bench`] | `fs-bench` | figure-regeneration harness, ablations and the structural `hotpath` guards (host cost is measured by the standalone `benchmark/` package) |
