@@ -480,8 +480,10 @@ impl FsoActor {
             bytes: local.bytes,
         };
         // One encode of the external frame (header and shares around the
-        // spliced output bytes), refcount-shared across every routed
-        // destination.
+        // spliced output bytes), refcount-shared across every process the
+        // destination maps to — both wrappers of a peer pair (§2.1: each
+        // Compare process transmits the output to both replicas of the
+        // destination FS process).
         let wire = Self::assemble(&self.config, content, local.signature, remote.signature);
         for process in self.config.addresses.targets(dest) {
             ctx.send(process, wire.clone());
