@@ -115,13 +115,18 @@ impl NodeState {
     /// arrivals in time order).  The thread is *not* yet marked busy — call
     /// [`NodeState::complete`] once the handler's total charge is known.
     pub fn admit(&mut self, arrival: SimTime) -> (usize, SimTime) {
-        let (idx, avail) = self
-            .available
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by_key(|&(_, t)| t)
-            .expect("node has at least one thread");
+        // A plain loop, not `min_by_key`: whether that adaptor's `fold` was
+        // inlined into `Simulation::run_handler` depended on how the crate
+        // happened to be split into codegen units, and the build that left
+        // it outlined measured up to 17 % more CPU per simulated delivery
+        // (2-core x86-64 host).
+        let mut idx = 0;
+        for (i, &free) in self.available.iter().enumerate().skip(1) {
+            if free < self.available[idx] {
+                idx = i;
+            }
+        }
+        let avail = self.available[idx];
         (idx, if avail > arrival { avail } else { arrival })
     }
 

@@ -9,12 +9,12 @@
 //! unbounded inbox per node, shared by every actor placed on it (by default
 //! each actor gets its own node, preserving the one-thread-per-actor
 //! behaviour).  Node threads are the only threads a deployment has.  Sends
-//! performed by a handler are buffered and flushed when the handler returns
-//! as **one channel message per destination node**: a multicast of the same
-//! refcount-shared frame to several co-hosted recipients costs a single
-//! crossbeam send carrying the shared buffer plus one `(recipient,
-//! refcount-clone)` pair per destination — the threaded analogue of the
-//! simulator's encode-once/share-per-recipient delivery.
+//! are buffered for a whole wake-up — the start hooks, the due agenda
+//! entries, or a burst of up to `BURST_MAX` envelopes — and flushed at its
+//! end as **one channel message per destination node**, whichever hosted
+//! actors sent them: one crossbeam send carrying one `(sender, recipient,
+//! refcount-clone)` item per delivery, in send order — the threaded analogue
+//! of the simulator's encode-once/share-per-recipient delivery.
 //!
 //! CPU charges reported by handlers are ignored: they model 2003-era costs,
 //! and on real threads a handler costs what it costs.
@@ -55,9 +55,10 @@
 //! Quiescence is tracked by a per-cell `enqueued`/`processed` balance: an
 //! envelope is counted `enqueued` (by its sender) before it is handed to an
 //! inbox or parked in the agenda and `processed` (by its receiver) only after
-//! its handlers and their flushes complete, so "every cell drained" is the
-//! exact condition `Σ processed == Σ enqueued`, read processed-before-enqueued
-//! so a racing probe can only over-estimate the backlog, never settle early.
+//! its burst's handlers ran and their sends were flushed, so "every cell
+//! drained" is the exact condition `Σ processed == Σ enqueued`, read
+//! processed-before-enqueued so a racing probe can only over-estimate the
+//! backlog, never settle early.
 //! [`ThreadedRuntime::run_until_settled`] parks on a condvar that node
 //! threads signal when they observe the whole deployment quiescent, instead
 //! of sleep-polling.
@@ -119,6 +120,9 @@ type HostedActors = Vec<(ProcessId, Box<dyn Actor>)>;
 /// backlog instead of paying it per message.
 const BURST_MAX: usize = 64;
 
+/// The smallest agenda a sweep for dead timer entries looks at.
+const SWEEP_MIN: usize = 1024;
+
 /// Locks a mutex, recovering the guard from a poisoned lock: every critical
 /// section here is a handful of pointer/counter writes that cannot leave the
 /// state torn, so a panicking peer must not cascade.
@@ -135,13 +139,14 @@ fn nanos_since(epoch: Instant, at: Instant) -> u64 {
         .min(u64::MAX as u128) as u64
 }
 
+/// One send: sender, recipient, frame.
+type Item = (ProcessId, ProcessId, Frame);
+
 enum Envelope {
-    /// A batch of deliveries from one sender to recipients on this node,
-    /// all sharing their payload buffers with the sender (refcount clones).
-    Batch {
-        from: ProcessId,
-        items: Vec<(ProcessId, Frame)>,
-    },
+    /// Deliveries to recipients on this node, in send order: what one node
+    /// sent this node during one wake-up (or one injected or fault-delayed
+    /// frame), the payloads refcount clones of the senders' buffers.
+    Batch(Vec<Item>),
     Stop,
 }
 
@@ -596,10 +601,7 @@ impl ThreadedRuntime {
             .fetch_add(payload.len() as u64, Ordering::Relaxed);
         cell.enqueued.fetch_add(1, Ordering::SeqCst);
         self.txs[node]
-            .send(Envelope::Batch {
-                from,
-                items: vec![(to, payload)],
-            })
+            .send(Envelope::Batch(vec![(from, to, payload)]))
             .map_err(|_| {
                 cell.processed.fetch_add(1, Ordering::SeqCst);
                 fs_common::Error::Disconnected(to)
@@ -797,6 +799,9 @@ impl Ord for AgendaEntry {
 struct Agenda {
     heap: BinaryHeap<AgendaEntry>,
     seq: u64,
+    /// The heap size at which [`Agenda::sweep`] next looks for dead timer
+    /// entries (never below `SWEEP_MIN`).
+    sweep_at: usize,
 }
 
 impl Agenda {
@@ -822,6 +827,28 @@ impl Agenda {
         }
         self.heap.pop()
     }
+
+    /// Drops the timer entries that can no longer fire (cancelled, re-armed
+    /// or lost in a crash) once the heap has reached `sweep_at` and they are
+    /// at least half of it; otherwise each would wait out its deadline.  A
+    /// dead entry never comes back to life (tokens are never reused), so no
+    /// handler runs or stops running because of a sweep.  The next sweep
+    /// waits for the heap to double, which keeps the scans amortised O(1)
+    /// per entry pushed.
+    fn sweep(&mut self, processes: &[Process]) {
+        if self.heap.len() < self.sweep_at.max(SWEEP_MIN) {
+            return;
+        }
+        let live = |entry: &AgendaEntry| match entry.what {
+            Due::Timer { process, timer } => processes[process].armed.fires(timer, entry.seq),
+            _ => true,
+        };
+        let dead = self.heap.iter().filter(|entry| !live(entry)).count();
+        if 2 * dead >= self.heap.len() {
+            self.heap.retain(live);
+        }
+        self.sweep_at = 2 * self.heap.len();
+    }
 }
 
 struct ThreadContext<'a> {
@@ -830,9 +857,9 @@ struct ThreadContext<'a> {
     /// under).
     process: usize,
     epoch: Instant,
-    /// Sends buffered during the handler; flushed as one batch per
-    /// destination node when the handler returns.
-    outgoing: &'a mut Vec<(ProcessId, Frame)>,
+    /// Sends buffered during the wake-up; flushed at its end as one batch
+    /// per destination node.
+    outgoing: &'a mut Vec<Item>,
     armed: &'a mut Armed,
     agenda: &'a mut Agenda,
 }
@@ -845,7 +872,7 @@ impl Context for ThreadContext<'_> {
         self.me
     }
     fn send(&mut self, to: ProcessId, payload: Frame) {
-        self.outgoing.push((to, payload));
+        self.outgoing.push((self.me, to, payload));
     }
     fn set_timer(&mut self, delay: SimDuration, timer: TimerId) {
         let process = self.process;
@@ -907,11 +934,11 @@ struct Node {
     links: Vec<LinkFifo>,
     /// The node's deterministic stream of loss and jitter draws.
     rng: DetRng,
-    /// Sends buffered by the running handler.
-    outgoing: Vec<(ProcessId, Frame)>,
+    /// Sends buffered by the handlers of the current wake-up.
+    outgoing: Vec<Item>,
     /// Flush scratch: per-destination-node batches, drained every flush
     /// (the outer vector's capacity is retained across flushes).
-    batches: Vec<(usize, Vec<(ProcessId, Frame)>)>,
+    batches: Vec<(usize, Vec<Item>)>,
 }
 
 impl Node {
@@ -939,8 +966,8 @@ impl Node {
         }
     }
 
-    /// Runs one handler of the hosted process at `idx`, then flushes what
-    /// it sent.
+    /// Runs one handler of the hosted process at `idx`; what it sends waits
+    /// in `outgoing` for the flush that ends the wake-up.
     fn dispatch(&mut self, idx: usize, call: Call) {
         let Process {
             id, actor, armed, ..
@@ -954,19 +981,17 @@ impl Node {
             agenda: &mut self.agenda,
         };
         call.run(actor.as_mut(), &mut ctx);
-        let from = *id;
-        self.flush(from);
     }
 
-    /// Flushes the sends buffered during one handler.  When a fault plane is
+    /// Flushes the sends buffered during one wake-up.  When a fault plane is
     /// configured every cross-node send is judged by this node's own
     /// topology: severed or lossy links drop it, degraded links park it in
     /// the agenda behind the per-link FIFO floor.  The surviving immediate
-    /// items are grouped by destination node and each node receives a single
-    /// [`Envelope::Batch`] whose payloads are refcount clones of the sender's
-    /// buffers.  Counters are accumulated locally and published with one
-    /// relaxed add each per flush.
-    fn flush(&mut self, from: ProcessId) {
+    /// items are grouped by destination node, in send order, and each node
+    /// receives a single [`Envelope::Batch`] whose payloads are refcount
+    /// clones of the senders' buffers.  Counters are accumulated locally and
+    /// published with one relaxed add each per flush.
+    fn flush(&mut self) {
         if self.outgoing.is_empty() {
             return;
         }
@@ -986,7 +1011,7 @@ impl Node {
         let mut unknown = 0u64;
         let mut dropped = 0u64;
         let mut flush_now: Option<Instant> = None;
-        for (to, payload) in outgoing.drain(..) {
+        for (from, to, payload) in outgoing.drain(..) {
             sent += 1;
             bytes += payload.len() as u64;
             let Some(&node) = env.node_of.get(&to) else {
@@ -1010,8 +1035,8 @@ impl Node {
             let link = &mut links[node];
             if extra.is_zero() && !link.via_delay_line {
                 match batches.iter_mut().find(|(n, _)| *n == node) {
-                    Some((_, items)) => items.push((to, payload)),
-                    None => batches.push((node, vec![(to, payload)])),
+                    Some((_, items)) => items.push((from, to, payload)),
+                    None => batches.push((node, vec![(from, to, payload)])),
                 }
                 continue;
             }
@@ -1019,13 +1044,12 @@ impl Node {
             let now = *flush_now.get_or_insert_with(Instant::now);
             link.floor = link.floor.max(now + Duration::from(extra));
             cell.enqueued.fetch_add(1, Ordering::SeqCst);
-            let items = vec![(to, payload)];
-            let envelope = Box::new(Envelope::Batch { from, items });
+            let envelope = Box::new(Envelope::Batch(vec![(from, to, payload)]));
             agenda.push(link.floor, Due::Release { node, envelope });
         }
         for (node, items) in batches.drain(..) {
             cell.enqueued.fetch_add(1, Ordering::SeqCst);
-            if env.txs[node].send(Envelope::Batch { from, items }).is_err() {
+            if env.txs[node].send(Envelope::Batch(items)).is_err() {
                 cell.processed.fetch_add(1, Ordering::SeqCst);
             }
         }
@@ -1042,22 +1066,37 @@ impl Node {
         }
     }
 
-    /// Processes one batch to completion (handlers plus the flushes they
-    /// cause), then counts it `processed`.
-    fn deliver(&mut self, from: ProcessId, items: Vec<(ProcessId, Frame)>) {
-        let mut delivered = 0u64;
-        let mut unknown = 0u64;
-        let mut down = 0u64;
-        for (to, payload) in items {
-            match self.local_index.get(&to) {
-                None => unknown += 1,
-                Some(&idx) if !self.processes[idx].up() => down += 1,
-                Some(&idx) => {
-                    self.dispatch(idx, Call::Message(from, payload));
-                    delivered += 1;
+    /// Handles `first` and up to `BURST_MAX - 1` more envelopes already in
+    /// the inbox, flushes what their handlers sent, and only then counts
+    /// them `processed` (with their deliveries and drops), so the balance
+    /// never reads drained while a send is still buffered.  Returns false
+    /// when a stop request ends the burst.
+    fn burst(&mut self, first: Envelope, rx: &Receiver<Envelope>) -> bool {
+        let start = Instant::now();
+        let (mut envelopes, mut delivered, mut unknown, mut down) = (0, 0, 0, 0);
+        let mut next = Some(first);
+        let mut running = true;
+        while let Some(envelope) = next.take() {
+            let Envelope::Batch(items) = envelope else {
+                running = false;
+                break;
+            };
+            for (from, to, payload) in items {
+                match self.local_index.get(&to) {
+                    None => unknown += 1,
+                    Some(&idx) if !self.processes[idx].up() => down += 1,
+                    Some(&idx) => {
+                        self.dispatch(idx, Call::Message(from, payload));
+                        delivered += 1;
+                    }
                 }
             }
+            envelopes += 1;
+            if envelopes < BURST_MAX as u64 {
+                next = rx.try_recv().ok();
+            }
         }
+        self.flush();
         let cell = self.env.cell();
         if delivered != 0 {
             cell.messages_delivered
@@ -1072,9 +1111,10 @@ impl Node {
         if down != 0 {
             cell.dropped_down.fetch_add(down, Ordering::Relaxed);
         }
-        // The envelope is fully processed (and any sends it caused are
-        // already counted) before it stops balancing its enqueue.
-        cell.processed.fetch_add(1, Ordering::SeqCst);
+        cell.processed.fetch_add(envelopes, Ordering::SeqCst);
+        cell.busy_ns
+            .fetch_add(nanos_since(start, Instant::now()), Ordering::Relaxed);
+        running
     }
 
     /// Executes one scheduled lifecycle event; returns how many handlers it
@@ -1095,7 +1135,9 @@ impl Node {
     }
 
     /// Runs every agenda entry due at or before `now`, in `(due, seq)`
-    /// order.  Busy time is charged only when a handler ran.
+    /// order, then flushes what their handlers sent.  A scheduled link fault
+    /// flushes first, so every send is judged by the topology in force when
+    /// its handler ran.  Busy time is charged only when a handler ran.
     fn run_due(&mut self, now: Instant) {
         let mut fired = 0u64;
         let mut hooks = 0u64;
@@ -1115,6 +1157,7 @@ impl Node {
                     }
                 }
                 Due::LinkFault(event) => {
+                    self.flush();
                     if let Some(topology) = &mut self.topology {
                         topology.apply_fault(&event.scope, &event.fault);
                     }
@@ -1126,6 +1169,7 @@ impl Node {
                 Due::Lifecycle(process, fate) => hooks += self.lifecycle(process, *fate),
             }
         }
+        self.flush();
         if fired + hooks == 0 {
             return;
         }
@@ -1145,6 +1189,7 @@ impl Node {
             for idx in 0..self.processes.len() {
                 self.dispatch(idx, Call::Start);
             }
+            self.flush();
             let cell = self.env.cell();
             cell.events_processed
                 .fetch_add(self.processes.len() as u64, Ordering::Relaxed);
@@ -1156,6 +1201,7 @@ impl Node {
         let deadline = &shared.deadlines[self.env.idx];
         loop {
             self.run_due(Instant::now());
+            self.agenda.sweep(&self.processes);
 
             // Publish the agenda's head for the quiescence probe (u64::MAX =
             // nothing pending), signal any settler that might now be done,
@@ -1181,28 +1227,7 @@ impl Node {
             // a timer armed by this burst awaits publication at the top of
             // the loop.
             deadline.store(0, Ordering::SeqCst);
-            let burst_start = Instant::now();
-            let mut next = Some(first);
-            let mut burst = 0usize;
-            let mut stop = false;
-            while let Some(envelope) = next.take() {
-                match envelope {
-                    Envelope::Batch { from, items } => self.deliver(from, items),
-                    Envelope::Stop => {
-                        stop = true;
-                        break;
-                    }
-                }
-                burst += 1;
-                if burst < BURST_MAX {
-                    next = rx.try_recv().ok();
-                }
-            }
-            self.env
-                .cell()
-                .busy_ns
-                .fetch_add(nanos_since(burst_start, Instant::now()), Ordering::Relaxed);
-            if stop {
+            if !self.burst(first, &rx) {
                 break;
             }
         }
@@ -1693,6 +1718,154 @@ mod tests {
             rec.order, expected,
             "per-link deliveries must never overtake each other"
         );
+    }
+
+    /// Records, per sender, the numbers carried by its frames in arrival
+    /// order.
+    struct PerSenderRecorder {
+        seen: HashMap<ProcessId, Vec<u32>>,
+        shared: Arc<AtomicUsize>,
+    }
+
+    impl Actor for PerSenderRecorder {
+        fn on_message(&mut self, _ctx: &mut dyn Context, from: ProcessId, payload: Frame) {
+            let number = u32::from_le_bytes(payload.to_bytes()[..4].try_into().unwrap());
+            self.seen.entry(from).or_default().push(number);
+            self.shared.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// On each poke carrying a hop count, sends `per_hop` numbered frames to
+    /// `dest` and, below `hops`, pokes `peer` with the next hop count.
+    struct Relay {
+        peer: ProcessId,
+        dest: ProcessId,
+        next: u32,
+        per_hop: u32,
+        hops: u32,
+    }
+
+    impl Actor for Relay {
+        fn on_message(&mut self, ctx: &mut dyn Context, _from: ProcessId, payload: Frame) {
+            for _ in 0..self.per_hop {
+                ctx.send(self.dest, self.next.to_le_bytes().to_vec().into());
+                self.next += 1;
+            }
+            let hop = u32::from_le_bytes(payload.to_bytes()[..4].try_into().unwrap());
+            if hop < self.hops {
+                ctx.send(self.peer, (hop + 1).to_le_bytes().to_vec().into());
+            }
+        }
+    }
+
+    /// Two relays share a node and cascade pokes between themselves while
+    /// each streams numbered frames to a receiver on another node: every
+    /// frame arrives, each sender's frames arrive in send order, and the
+    /// count is complete the moment `run_until_settled` returns.
+    #[test]
+    fn cohosted_senders_keep_per_link_order_and_settle_complete() {
+        const CHAINS: u32 = 20;
+        const HOPS: u32 = 50;
+        const PER_HOP: u32 = 3;
+        let shared = Arc::new(AtomicUsize::new(0));
+        let mut builder = ThreadedBuilder::default();
+        let senders = builder.add_node();
+        let (a, b, receiver) = (ProcessId(0), ProcessId(1), ProcessId(2));
+        for (me, peer) in [(a, b), (b, a)] {
+            let relay = Relay {
+                peer,
+                dest: receiver,
+                next: 0,
+                per_hop: PER_HOP,
+                hops: HOPS,
+            };
+            builder.add_with_on(me, senders, Box::new(relay));
+        }
+        builder.add_with(
+            receiver,
+            Box::new(PerSenderRecorder {
+                seen: HashMap::new(),
+                shared: Arc::clone(&shared),
+            }),
+        );
+        let rt = builder.start();
+        for _ in 0..CHAINS {
+            for sender in [a, b] {
+                rt.send(ProcessId(99), sender, 0u32.to_le_bytes().to_vec())
+                    .unwrap();
+            }
+        }
+        let horizon = rt.now() + SimDuration::from_secs(30);
+        let reached = rt.run_until_settled(horizon);
+        let expected = (2 * CHAINS * (HOPS + 1) * PER_HOP) as usize;
+        assert_eq!(
+            shared.load(Ordering::SeqCst),
+            expected,
+            "every frame is delivered before the deployment reads settled"
+        );
+        assert!(reached < horizon, "settled well before the horizon");
+        let stats = rt.net_stats();
+        assert_eq!(stats.messages_delivered, stats.messages_sent);
+        let rec = rt.shutdown_and_take::<PerSenderRecorder>(receiver).unwrap();
+        // Each relay handles as many pokes as the other, so each sends half.
+        let per_sender = (expected / 2) as u32;
+        for sender in [a, b] {
+            assert_eq!(
+                rec.seen[&sender],
+                (0..per_sender).collect::<Vec<_>>(),
+                "frames from {sender} arrive complete and in send order"
+            );
+        }
+    }
+
+    /// Arm-then-cancel cycles (an FS comparison timer's usual life) leave
+    /// dead entries behind; sweeping keeps the heap bounded while the live
+    /// entries, re-armed timers and other kinds of entry alike, still pop
+    /// in `(due, seq)` order.
+    #[test]
+    fn agenda_sweep_bounds_dead_timers_and_keeps_live_order() {
+        let actor = Counter {
+            seen: 0,
+            shared: Arc::new(AtomicUsize::new(0)),
+        };
+        let mut processes = vec![Process::new(ProcessId(0), Box::new(actor))];
+        let mut agenda = Agenda::default();
+        let base = Instant::now();
+        let at = |ms: u64| base + Duration::from_millis(ms);
+        let mut live = Vec::new();
+        for (timer, ms) in [(1, 30), (2, 10), (3, 30), (1, 20), (4, 10)] {
+            let timer = TimerId(timer);
+            let seq = agenda.push(at(ms), Due::Timer { process: 0, timer });
+            // Re-arming timer 1 kills its first entry.
+            live.retain(|&(_, _, t)| t != timer);
+            live.push((at(ms), seq, timer));
+            processes[0].armed.arm(timer, seq);
+        }
+        let fate = Box::new(ProcessFate::Recover);
+        let event_seq = agenda.push(at(20), Due::Lifecycle(ProcessId(0), fate));
+        for _ in 0..100_000 {
+            let timer = TimerId(99);
+            let seq = agenda.push(at(240_000), Due::Timer { process: 0, timer });
+            processes[0].armed.arm(timer, seq);
+            processes[0].armed.cancel(timer);
+            agenda.sweep(&processes);
+            assert!(agenda.heap.len() <= SWEEP_MIN, "{}", agenda.heap.len());
+        }
+        let mut popped = Vec::new();
+        while let Some(entry) = agenda.pop_due(at(240_000)) {
+            match entry.what {
+                Due::Timer { process, timer } => {
+                    if processes[process].armed.fires(timer, entry.seq) {
+                        popped.push((entry.due, entry.seq, Some(timer)));
+                    }
+                }
+                _ => popped.push((entry.due, entry.seq, None)),
+            }
+        }
+        let mut expected: Vec<_> = live.into_iter().map(|(d, s, t)| (d, s, Some(t))).collect();
+        expected.push((at(20), event_seq, None));
+        expected.sort_by_key(|&(due, seq, _)| (due, seq));
+        assert_eq!(popped, expected);
     }
 
     #[test]
