@@ -115,18 +115,18 @@ impl NodeState {
     /// arrivals in time order).  The thread is *not* yet marked busy — call
     /// [`NodeState::complete`] once the handler's total charge is known.
     pub fn admit(&mut self, arrival: SimTime) -> (usize, SimTime) {
-        // A plain loop, not `min_by_key`: whether that adaptor's `fold` was
-        // inlined into `Simulation::run_handler` depended on how the crate
-        // happened to be split into codegen units, and the build that left
-        // it outlined measured up to 17 % more CPU per simulated delivery
-        // (2-core x86-64 host).
-        let mut idx = 0;
+        // A loop of selects, not `min_by_key`: whether that adaptor's `fold`
+        // was inlined into `Simulation::run_handler` depended on how the
+        // crate happened to be split into codegen units (the build that left
+        // it outlined measured up to 17 % more CPU per simulated delivery on
+        // a 2-core x86-64 host), and a branch per thread mispredicts, since
+        // which thread frees up first depends on the data.
+        let (mut idx, mut avail) = (0, self.available[0]);
         for (i, &free) in self.available.iter().enumerate().skip(1) {
-            if free < self.available[idx] {
-                idx = i;
-            }
+            let earlier = free < avail;
+            idx = std::hint::select_unpredictable(earlier, i, idx);
+            avail = std::hint::select_unpredictable(earlier, free, avail);
         }
-        let avail = self.available[idx];
         (idx, if avail > arrival { avail } else { arrival })
     }
 
