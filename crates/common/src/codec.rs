@@ -17,8 +17,7 @@ use std::sync::Arc;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::error::CodecError;
-use crate::id::{GroupId, MemberId, MsgId, NodeId, ProcessId};
-use crate::time::{SimDuration, SimTime};
+use crate::id::{MemberId, MsgId, ProcessId};
 
 /// Maximum length accepted for a single length-prefixed field (16 MiB).
 ///
@@ -298,12 +297,6 @@ impl Encoder {
         self.buf.put_u8(v);
     }
 
-    /// Appends a little-endian `u16`.
-    #[inline]
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.put_u16_le(v);
-    }
-
     /// Appends a little-endian `u32`.
     #[inline]
     pub fn put_u32(&mut self, v: u32) {
@@ -314,12 +307,6 @@ impl Encoder {
     #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.put_u64_le(v);
-    }
-
-    /// Appends a boolean as one byte (0 or 1).
-    #[inline]
-    pub fn put_bool(&mut self, v: bool) {
-        self.buf.put_u8(v as u8);
     }
 
     /// Appends a length-prefixed byte string.
@@ -357,18 +344,6 @@ impl Encoder {
         self.put_u32(v.0);
     }
 
-    /// Appends a [`NodeId`].
-    #[inline]
-    pub fn put_node(&mut self, v: NodeId) {
-        self.put_u32(v.0);
-    }
-
-    /// Appends a [`GroupId`].
-    #[inline]
-    pub fn put_group(&mut self, v: GroupId) {
-        self.put_u32(v.0);
-    }
-
     /// Appends a [`MemberId`].
     #[inline]
     pub fn put_member(&mut self, v: MemberId) {
@@ -380,18 +355,6 @@ impl Encoder {
     pub fn put_msg_id(&mut self, v: MsgId) {
         self.put_u32(v.origin.0);
         self.put_u64(v.seq);
-    }
-
-    /// Appends a [`SimTime`].
-    #[inline]
-    pub fn put_time(&mut self, v: SimTime) {
-        self.put_u64(v.as_nanos());
-    }
-
-    /// Appends a [`SimDuration`].
-    #[inline]
-    pub fn put_duration(&mut self, v: SimDuration) {
-        self.put_u64(v.as_nanos());
     }
 
     /// Returns the number of bytes written so far.
@@ -563,13 +526,6 @@ impl<'a> Decoder<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a little-endian `u16`.
-    #[inline]
-    pub fn get_u16(&mut self) -> Result<u16, CodecError> {
-        let mut b = self.take(2)?;
-        Ok(b.get_u16_le())
-    }
-
     /// Reads a little-endian `u32`.
     #[inline]
     pub fn get_u32(&mut self) -> Result<u32, CodecError> {
@@ -582,21 +538,6 @@ impl<'a> Decoder<'a> {
     pub fn get_u64(&mut self) -> Result<u64, CodecError> {
         let mut b = self.take(8)?;
         Ok(b.get_u64_le())
-    }
-
-    /// Reads a boolean encoded as one byte.
-    ///
-    /// # Errors
-    ///
-    /// Any byte other than 0 or 1 is rejected with [`CodecError::UnknownTag`]
-    /// so that a Byzantine sender cannot smuggle extra state into a boolean.
-    #[inline]
-    pub fn get_bool(&mut self) -> Result<bool, CodecError> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(CodecError::UnknownTag(other)),
-        }
     }
 
     /// Reads a length-prefixed byte string.
@@ -650,18 +591,6 @@ impl<'a> Decoder<'a> {
         Ok(ProcessId(self.get_u32()?))
     }
 
-    /// Reads a [`NodeId`].
-    #[inline]
-    pub fn get_node(&mut self) -> Result<NodeId, CodecError> {
-        Ok(NodeId(self.get_u32()?))
-    }
-
-    /// Reads a [`GroupId`].
-    #[inline]
-    pub fn get_group(&mut self) -> Result<GroupId, CodecError> {
-        Ok(GroupId(self.get_u32()?))
-    }
-
     /// Reads a [`MemberId`].
     #[inline]
     pub fn get_member(&mut self) -> Result<MemberId, CodecError> {
@@ -674,18 +603,6 @@ impl<'a> Decoder<'a> {
         let origin = self.get_process()?;
         let seq = self.get_u64()?;
         Ok(MsgId { origin, seq })
-    }
-
-    /// Reads a [`SimTime`].
-    #[inline]
-    pub fn get_time(&mut self) -> Result<SimTime, CodecError> {
-        Ok(SimTime::from_nanos(self.get_u64()?))
-    }
-
-    /// Reads a [`SimDuration`].
-    #[inline]
-    pub fn get_duration(&mut self) -> Result<SimDuration, CodecError> {
-        Ok(SimDuration::from_nanos(self.get_u64()?))
     }
 }
 
@@ -904,22 +821,16 @@ mod tests {
     fn primitive_round_trip() {
         let mut enc = Encoder::new();
         enc.put_u8(0xab);
-        enc.put_u16(0x1234);
         enc.put_u32(0xdeadbeef);
         enc.put_u64(0x0123_4567_89ab_cdef);
-        enc.put_bool(true);
-        enc.put_bool(false);
         enc.put_bytes(b"payload");
         enc.put_str("group-1");
         let bytes = enc.finish();
 
         let mut dec = Decoder::new(&bytes);
         assert_eq!(dec.get_u8().unwrap(), 0xab);
-        assert_eq!(dec.get_u16().unwrap(), 0x1234);
         assert_eq!(dec.get_u32().unwrap(), 0xdeadbeef);
         assert_eq!(dec.get_u64().unwrap(), 0x0123_4567_89ab_cdef);
-        assert!(dec.get_bool().unwrap());
-        assert!(!dec.get_bool().unwrap());
         assert_eq!(dec.get_bytes().unwrap(), b"payload");
         assert_eq!(dec.get_str().unwrap(), "group-1");
         assert!(dec.finish().is_ok());
@@ -929,22 +840,14 @@ mod tests {
     fn id_round_trip() {
         let mut enc = Encoder::new();
         enc.put_process(ProcessId(3));
-        enc.put_node(NodeId(4));
-        enc.put_group(GroupId(5));
         enc.put_member(MemberId(6));
         enc.put_msg_id(MsgId::new(ProcessId(7), 42));
-        enc.put_time(SimTime::from_millis(8));
-        enc.put_duration(SimDuration::from_micros(9));
         let bytes = enc.finish();
 
         let mut dec = Decoder::new(&bytes);
         assert_eq!(dec.get_process().unwrap(), ProcessId(3));
-        assert_eq!(dec.get_node().unwrap(), NodeId(4));
-        assert_eq!(dec.get_group().unwrap(), GroupId(5));
         assert_eq!(dec.get_member().unwrap(), MemberId(6));
         assert_eq!(dec.get_msg_id().unwrap(), MsgId::new(ProcessId(7), 42));
-        assert_eq!(dec.get_time().unwrap(), SimTime::from_millis(8));
-        assert_eq!(dec.get_duration().unwrap(), SimDuration::from_micros(9));
     }
 
     #[test]
@@ -958,12 +861,6 @@ mod tests {
                 available: 2
             }
         );
-    }
-
-    #[test]
-    fn bad_bool_is_rejected() {
-        let mut dec = Decoder::new(&[7]);
-        assert_eq!(dec.get_bool().unwrap_err(), CodecError::UnknownTag(7));
     }
 
     #[test]
@@ -1097,7 +994,6 @@ mod tests {
         name: String,
         body: Bytes,
         ids: Vec<MsgId>,
-        flag: bool,
     }
 
     impl Wire for Mixed {
@@ -1107,7 +1003,6 @@ mod tests {
             enc.put_str(&self.name);
             enc.put_shared(&self.body);
             self.ids.encode(enc);
-            enc.put_bool(self.flag);
         }
         fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
             Ok(Self {
@@ -1116,11 +1011,10 @@ mod tests {
                 name: dec.get_str()?.to_owned(),
                 body: dec.get_bytes_shared()?,
                 ids: Vec::decode(dec)?,
-                flag: dec.get_bool()?,
             })
         }
         fn encoded_len(&self) -> usize {
-            1 + 8 + 4 + self.name.len() + 4 + self.body.len() + self.ids.encoded_len() + 1
+            1 + 8 + 4 + self.name.len() + 4 + self.body.len() + self.ids.encoded_len()
         }
     }
 
@@ -1134,7 +1028,6 @@ mod tests {
                 .collect::<Vec<u8>>()
                 .into(),
             ids: vec![MsgId::new(ProcessId(3), 9)],
-            flag: true,
         }
     }
 
@@ -1246,16 +1139,14 @@ mod tests {
             hostile.push(wire[..keep].to_vec());
         }
         hostile.push([&wire[..], &[0, 1]].concat());
-        // An over-long length prefix on the shared field and on the string.
-        for prefix_at in [1 + 8, 1 + 8 + 4 + 2] {
+        // An over-long length prefix on the shared field, on the string and
+        // on the list.
+        for prefix_at in [1 + 8, 1 + 8 + 4 + 2, 1 + 8 + 4 + 2 + 4 + 23] {
             let mut long = wire.clone();
             long[prefix_at..prefix_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
             hostile.push(long);
         }
-        // A bad boolean and bad UTF-8.
-        let mut bad = wire.clone();
-        *bad.last_mut().unwrap() = 7;
-        hostile.push(bad);
+        // Bad UTF-8.
         let mut bad = wire.clone();
         bad[1 + 8 + 4] = 0xff;
         hostile.push(bad);

@@ -1,10 +1,10 @@
 //! A small seeded multiply-fold hasher for host-side tables.
 //!
-//! The suite's hashed tables — the crypto memos, the wrapper's dedup sets
-//! and the KV application's store — are probed once or more per protocol
-//! message or command, some with keys as long as a whole payload.  The
-//! standard library's SipHash-1-3 runs at
-//! about one byte per cycle; over a 10 KiB key that is more time than the
+//! The suite's hashed tables — the crypto memos, the wrapper's dedup set,
+//! the numbered-stream windows and the KV application's store — are probed
+//! once or more per protocol message or command, some with keys as long as
+//! a whole payload.  The standard library's SipHash-1-3 runs at about one
+//! byte per cycle; over a 10 KiB key that is more time than the
 //! SHA-NI pass the memo exists to save.  [`FastHasher`] folds 64 bytes per
 //! step through four independent 64×64→128-bit multiplies (the wyhash /
 //! foldhash construction), which is 8–16 bytes per cycle on current x86-64
@@ -21,10 +21,11 @@
 //! per run.  Membership, `get`, `insert`, `remove` and `clear` are order-free.
 //! A table whose every entry must reach an output goes through one private
 //! *sorted view*: collect the entries, sort them by key, and let nothing
-//! else iterate the table.  `fs_smr::KvStore` is the user: a snapshot and
-//! the state digest are its only walks over the store, and both take the
-//! entries in key-byte order, so what a replica encodes and digests
-//! depends on its content alone.
+//! else iterate the table.  Two tables have one: `fs_smr::KvStore`, whose
+//! snapshot and state digest are its only walks over the store, both in
+//! key-byte order, so what a replica encodes and digests depends on its
+//! content alone; and [`crate::seqwindow::SeqWindow::iter`], the only walk
+//! over a stream's sparse numbers, ascending (the SMR guard's snapshot).
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};

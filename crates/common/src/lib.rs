@@ -6,9 +6,10 @@
 //! Benefits"*, Mpoeleng, Ezhilchelvan & Speirs, DSN 2003).
 //!
 //! This crate contains no protocol logic: it provides the identifiers, the
-//! simulated-time types, the canonical wire codec, the deterministic RNG and
-//! the shared configuration (the paper's timing assumptions A2–A4 and the
-//! node-budget arithmetic) that every other crate builds on.
+//! simulated-time types, the canonical wire codec, the numbered-stream
+//! window ([`SeqWindow`]), the deterministic RNG and the shared
+//! configuration (the paper's timing assumptions A2–A4 and the node-budget
+//! arithmetic) that every other crate builds on.
 //!
 //! ## Example
 //!
@@ -38,6 +39,7 @@ pub mod error;
 pub mod fasthash;
 pub mod id;
 pub mod rng;
+pub mod seqwindow;
 pub mod time;
 
 pub use bytes::Bytes;
@@ -46,4 +48,5 @@ pub use config::{NodeBudget, TimingAssumptions};
 pub use error::{CodecError, Error, Result, SignatureError};
 pub use id::{FsId, GroupId, MemberId, MsgId, NodeId, ProcessId, Role};
 pub use rng::DetRng;
+pub use seqwindow::SeqWindow;
 pub use time::{SimDuration, SimTime};

@@ -1,0 +1,232 @@
+//! What arrived on a numbered stream, in memory proportional to the
+//! reorder window.
+//!
+//! A stream's origin issues 0, 1, 2, …; its receiver asks which arrived.
+//! Fail-signal destinations accept each `(fs, dest, output_seq)` once
+//! (paper §2.1), reliable multicast NACKs each origin's gaps, the SMR
+//! sequencer orders each `(origin, seq)` once, and the interceptor holds
+//! back the upcalls that overtook a hole: all four keep a [`SeqWindow`].
+
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+
+use crate::fasthash::FastMap;
+
+/// The numbers inserted on one stream: a contiguous frontier and the
+/// sparse numbers above it, each holding a value until the frontier passes.
+///
+/// Membership answers are exactly those of a plain set of every number ever
+/// inserted, under any insertion order.  A plain `SeqWindow` holds no values.
+#[derive(Debug, Clone, Default)]
+pub struct SeqWindow<T = ()> {
+    /// Every number below this one has been inserted.
+    next: u64,
+    /// Inserted numbers above `next` (or at it, for `u64::MAX`), with their
+    /// held values.  Iterated only through the sorted view of
+    /// [`SeqWindow::iter`].
+    above: FastMap<u64, T>,
+}
+
+impl<T> SeqWindow<T> {
+    /// The contiguous frontier: every number below it has been inserted.
+    #[inline]
+    pub fn frontier(&self) -> u64 {
+        self.next
+    }
+
+    /// How many inserted numbers sit above the frontier.
+    #[inline]
+    pub fn sparse_len(&self) -> usize {
+        self.above.len()
+    }
+
+    /// True when `seq` has been inserted.
+    #[inline]
+    pub fn contains(&self, seq: u64) -> bool {
+        seq < self.next || self.above.contains_key(&seq)
+    }
+
+    /// Records `seq` with `value`; returns `true` when `seq` is new.  If the
+    /// frontier reaches `seq`, `release` receives `value` and then every
+    /// held value the frontier passes, in number order.  A repeat below the
+    /// frontier is dropped; a repeat above it replaces the held value.
+    /// `u64::MAX` is held for good: the frontier never passes it.
+    #[inline]
+    pub fn insert_then(&mut self, seq: u64, value: T, mut release: impl FnMut(T)) -> bool {
+        if seq < self.next {
+            return false;
+        }
+        if seq > self.next || seq == u64::MAX {
+            return self.above.insert(seq, value).is_none();
+        }
+        release(value);
+        // Exact, not saturated: the frontier steps only from below u64::MAX.
+        self.next = seq.saturating_add(1);
+        while self.next < u64::MAX {
+            let Some(value) = self.above.remove(&self.next) else {
+                break;
+            };
+            release(value);
+            self.next = self.next.saturating_add(1);
+        }
+        true
+    }
+
+    /// The numbers below `below` not inserted yet, lowest first, at most
+    /// `window` of them: the scan stops `window` above the frontier,
+    /// wherever `below` points.
+    pub fn missing(&self, below: u64, window: u64) -> Vec<u64> {
+        let end = below.min(self.next.saturating_add(window));
+        (self.next..end)
+            .filter(|seq| !self.above.contains_key(seq))
+            .collect()
+    }
+
+    /// Every inserted number, ascending: the frontier's prefix, then the
+    /// sparse numbers sorted, so the order never depends on the table's.
+    pub fn iter(&self) -> impl Iterator<Item = u64> {
+        let mut above: Vec<u64> = self.above.keys().copied().collect();
+        above.sort_unstable();
+        (0..self.next).chain(above)
+    }
+}
+
+impl SeqWindow {
+    /// Records `seq`; returns `true` when it had not been recorded before.
+    #[inline]
+    pub fn insert(&mut self, seq: u64) -> bool {
+        self.insert_then(seq, (), drop)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use proptest::prelude::*;
+
+    use super::*;
+
+    #[test]
+    fn in_order_and_mildly_reordered_streams_hold_only_the_overtakers() {
+        let mut window = SeqWindow::default();
+        for seq in [0u64, 1, 3, 4, 2, 5, 7, 6] {
+            assert!(window.insert(seq));
+            assert!(!window.insert(seq));
+        }
+        assert_eq!(window.frontier(), 8);
+        assert_eq!(window.sparse_len(), 0);
+        // A permanent gap pins the frontier; answers stay exact.
+        for seq in 9..100 {
+            assert!(window.insert(seq));
+        }
+        assert_eq!(window.frontier(), 8);
+        assert_eq!(window.sparse_len(), 91);
+        assert!(!window.insert(50));
+        assert_eq!(window.missing(100, 64), [8]);
+        assert!(window.iter().eq((0..8).chain(9..100)));
+        assert!(window.insert(8));
+        assert_eq!(window.frontier(), 100);
+        assert_eq!(window.sparse_len(), 0);
+    }
+
+    /// The interceptor's hold-back before it shared this type: a map of the
+    /// upcalls that overtook the next one owed, drained from that one on.
+    #[derive(Default)]
+    struct HoldBackModel {
+        held: BTreeMap<u64, u32>,
+        delivered: u64,
+    }
+
+    impl HoldBackModel {
+        fn insert(&mut self, seq: u64, value: u32) -> Vec<u32> {
+            self.held.insert(seq, value);
+            let mut out = Vec::new();
+            while let Some(value) = self.held.remove(&self.delivered) {
+                self.delivered = self.delivered.saturating_add(1);
+                out.push(value);
+            }
+            out
+        }
+    }
+
+    /// Reliable multicast's gap scan before it shared this type: from the
+    /// contiguous frontier, at most `window` seqs, those not seen yet.
+    fn scan_model(seen: &BTreeSet<u64>, frontier: u64, below: u64, window: u64) -> Vec<u64> {
+        let end = below.min(frontier.saturating_add(window));
+        (frontier..end).filter(|s| !seen.contains(s)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary order, duplicates and gaps: every answer equals the
+        /// model set's, and the representation stays canonical.
+        #[test]
+        fn answers_match_a_set_model(
+            seqs in proptest::collection::vec(0u64..48, 0..200),
+            far in proptest::collection::vec(any::<u64>(), 0..4),
+        ) {
+            let mut window = SeqWindow::default();
+            let mut model = BTreeSet::new();
+            for seq in seqs.into_iter().chain(far).chain([u64::MAX]) {
+                prop_assert_eq!(window.contains(seq), model.contains(&seq), "seq {}", seq);
+                prop_assert_eq!(window.insert(seq), model.insert(seq), "seq {}", seq);
+                prop_assert!(window.contains(seq));
+                prop_assert!(!window.above.contains_key(&window.next));
+                prop_assert!((0..window.next).all(|s| model.contains(&s)));
+                prop_assert_eq!(
+                    Some(model.len()),
+                    usize::try_from(window.next).ok().and_then(|n| n.checked_add(window.sparse_len()))
+                );
+                prop_assert!(window.iter().eq(model.iter().copied()));
+            }
+        }
+
+        /// Held values come back exactly as the old hold-back map released
+        /// them, in the same batches, repeats and gaps included.
+        #[test]
+        fn released_values_match_the_hold_back_map(
+            seqs in proptest::collection::vec(0u64..40, 0..150),
+        ) {
+            let mut window = SeqWindow::default();
+            let mut model = HoldBackModel::default();
+            for (value, seq) in (0u32..).zip(seqs) {
+                let mut released = Vec::new();
+                window.insert_then(seq, value, |v| released.push(v));
+                prop_assert_eq!(released, model.insert(seq, value), "seq {}", seq);
+                prop_assert_eq!(window.frontier(), model.delivered);
+            }
+        }
+
+        /// The gap list equals the old reliable scan after every receipt
+        /// from a peer origin, wherever the receipt's seq points.
+        #[test]
+        fn missing_matches_the_reliable_scan(
+            seqs in proptest::collection::vec(0u64..120, 0..150),
+            far in any::<u64>(),
+            nack_window in 1u64..80,
+        ) {
+            let mut window = SeqWindow::default();
+            let mut seen = BTreeSet::new();
+            let mut frontier = 0u64;
+            for seq in seqs.into_iter().chain([far]) {
+                let fresh = seen.insert(seq);
+                prop_assert_eq!(window.insert(seq), fresh);
+                if !fresh {
+                    continue;
+                }
+                let expected = scan_model(&seen, frontier, seq, nack_window);
+                while seen.contains(&frontier) {
+                    frontier = frontier.saturating_add(1);
+                }
+                prop_assert_eq!(window.missing(seq, nack_window), expected, "seq {}", seq);
+                prop_assert_eq!(window.frontier(), frontier);
+            }
+        }
+    }
+}

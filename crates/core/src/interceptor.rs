@@ -17,13 +17,12 @@
 //! the pair's `LocalApp` stream, numbered 0, 1, 2, … (see [`crate::wrapper`]):
 //! one lost on both paths stops the application at the hole.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fs_common::codec::Wire;
 use fs_common::id::{FsId, ProcessId};
 use fs_common::time::SimDuration;
-use fs_common::{Bytes, Frame};
+use fs_common::{Bytes, Frame, SeqWindow};
 use fs_crypto::keys::{KeyDirectory, SignerId};
 use fs_simnet::actor::{Actor, Context};
 
@@ -37,11 +36,11 @@ pub struct FsInterceptor {
     follower: ProcessId,
     local_fs: FsId,
     receiver: FsReceiver,
-    /// Upcalls that overtook the next one owed (`upcalls_delivered`).
-    held: BTreeMap<u64, Bytes>,
+    /// The `LocalApp` stream: its frontier counts the upcalls handed up,
+    /// and it holds those that overtook the next one owed.
+    upcalls: SeqWindow<Bytes>,
     local_fail_signalled: bool,
     requests_forwarded: u64,
-    upcalls_delivered: u64,
 }
 
 impl std::fmt::Debug for FsInterceptor {
@@ -49,7 +48,7 @@ impl std::fmt::Debug for FsInterceptor {
         f.debug_struct("FsInterceptor")
             .field("fs", &self.local_fs)
             .field("requests_forwarded", &self.requests_forwarded)
-            .field("upcalls_delivered", &self.upcalls_delivered)
+            .field("upcalls_delivered", &self.upcalls_delivered())
             .field("local_fail_signalled", &self.local_fail_signalled)
             .finish()
     }
@@ -73,10 +72,9 @@ impl FsInterceptor {
             follower,
             local_fs,
             receiver,
-            held: BTreeMap::new(),
+            upcalls: SeqWindow::default(),
             local_fail_signalled: false,
             requests_forwarded: 0,
-            upcalls_delivered: 0,
         }
     }
 
@@ -92,7 +90,7 @@ impl FsInterceptor {
 
     /// Upcalls delivered from the pair to the application.
     pub fn upcalls_delivered(&self) -> u64 {
-        self.upcalls_delivered
+        self.upcalls.frontier()
     }
 
     /// The verification/duplicate counters of the underlying receiver.
@@ -126,11 +124,8 @@ impl Actor for FsInterceptor {
                 output_seq, bytes, ..
             }) => {
                 // Fresh (the receiver drops copies), so not yet handed up.
-                self.held.insert(output_seq, bytes);
-                while let Some(bytes) = self.held.remove(&self.upcalls_delivered) {
-                    self.upcalls_delivered += 1;
-                    ctx.send(self.app, bytes.into());
-                }
+                self.upcalls
+                    .insert_then(output_seq, bytes, |bytes| ctx.send(self.app, bytes.into()));
             }
             Some(FsDelivery::FailSignal { fs }) if fs == self.local_fs => {
                 self.local_fail_signalled = true;

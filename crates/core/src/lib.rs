@@ -78,13 +78,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod accepted;
 pub mod config;
 pub mod digest;
 pub mod interceptor;
 pub mod message;
 pub mod provision;
 pub mod receiver;
-mod seqwindow;
 pub mod wrapper;
 
 pub use config::FsoConfig;

@@ -21,8 +21,8 @@ use fs_common::id::FsId;
 use fs_common::{Bytes, Frame};
 use fs_crypto::keys::{KeyDirectory, SignerId};
 
+use crate::accepted::Accepted;
 use crate::message::{FsContent, FsOutput, FsoInbound};
-use crate::seqwindow::Accepted;
 
 /// What a destination learns from one accepted message.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -59,10 +59,10 @@ use fs_crypto::sig::Signature;
 use fs_simnet::actor::{Actor, Context, TimerId};
 use fs_smr::machine::{DeterministicMachine, Endpoint, MachineInput, MachineOutput};
 
+use crate::accepted::Accepted;
 use crate::config::FsoConfig;
 use crate::digest::body_digest;
 use crate::message::{FsContent, FsOutput, FsoInbound, PairMessage, Statement};
-use crate::seqwindow::Accepted;
 
 /// Counters describing what a wrapper has done; used by tests and benches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -16,10 +16,10 @@
 //! The simple service delivers whatever arrives, with no relaying and no
 //! duplicate suppression beyond per-`(origin, seq)` bookkeeping.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use fs_common::id::MemberId;
-use fs_common::Bytes;
+use fs_common::{Bytes, SeqWindow};
 
 use crate::message::{AppDeliver, GcMessage, ServiceKind};
 
@@ -46,10 +46,10 @@ pub struct ReliableReceipt {
 /// Per-member state of the reliable-multicast service.
 #[derive(Debug, Clone, Default)]
 pub struct ReliableMulticast {
-    seen: BTreeSet<(MemberId, u64)>,
-    /// Lowest per-origin seq not yet seen contiguously from 0 — the gap scan
-    /// starts here, so detection stays O(gap) rather than O(history).
-    contiguous: BTreeMap<MemberId, u64>,
+    /// Per origin, the seqs seen: this member's own as it multicasts them,
+    /// a peer's as they arrive.  The gap scan starts at the frontier, so
+    /// detection stays O(gap) rather than O(history).
+    seen: BTreeMap<MemberId, SeqWindow>,
     /// Delivered payloads, retained to answer NACKs.
     retained: BTreeMap<(MemberId, u64), Bytes>,
     delivered: u64,
@@ -95,7 +95,7 @@ impl ReliableMulticast {
         let payload: Bytes = payload.into();
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.seen.insert((me, seq));
+        self.seen.entry(me).or_default().insert(seq);
         self.retained.insert((me, seq), payload.clone());
         let data = GcMessage::Data {
             origin: me,
@@ -129,22 +129,14 @@ impl ReliableMulticast {
         payload: impl Into<Bytes>,
     ) -> ReliableReceipt {
         let payload: Bytes = payload.into();
-        if !self.seen.insert((origin, seq)) {
+        let seen = self.seen.entry(origin).or_default();
+        if !seen.insert(seq) {
             return ReliableReceipt::default(); // duplicate or retransmit of a seen message
         }
+        // Per-origin seqs are assigned contiguously at the origin: what is
+        // still unseen below this one is missing in flight.
+        let missing = seen.missing(seq, NACK_WINDOW);
         self.retained.insert((origin, seq), payload.clone());
-        // Gap scan: everything from the contiguous frontier up to (but not
-        // including) this seq that is still unseen is missing in flight —
-        // per-origin seqs are assigned contiguously at the origin.  The scan
-        // stops a window above the frontier, wherever the seq points.
-        let frontier = self.contiguous.entry(origin).or_insert(0);
-        let end = seq.min(frontier.saturating_add(NACK_WINDOW));
-        let missing: Vec<u64> = (*frontier..end)
-            .filter(|s| !self.seen.contains(&(origin, *s)))
-            .collect();
-        while self.seen.contains(&(origin, *frontier)) {
-            *frontier += 1;
-        }
         self.nacks_sent += missing.len() as u64;
         let relay = GcMessage::Data {
             origin,
@@ -345,6 +337,40 @@ mod tests {
         // The last seq there is returns too, with the same window.
         let receipt = r.on_data(MemberId(2), u64::MAX, b"y".to_vec());
         assert_eq!(receipt.missing.len() as u64, NACK_WINDOW);
+    }
+
+    /// A member's own stream advances as it multicasts, so a forged `Data`
+    /// naming it as origin NACKs at most the window above its real
+    /// frontier, not the seqs it sent itself.
+    #[test]
+    fn a_forged_own_origin_receipt_nacks_above_the_own_frontier() {
+        let mut r = ReliableMulticast::new();
+        for _ in 0..100 {
+            r.multicast(MemberId(0), b"mine".to_vec());
+        }
+        let receipt = r.on_data(MemberId(0), 1_000_000, b"forged".to_vec());
+        assert_eq!(
+            receipt.missing,
+            (100..100 + NACK_WINDOW).collect::<Vec<u64>>()
+        );
+        let receipt = r.on_data(MemberId(0), 103, b"forged".to_vec());
+        assert_eq!(receipt.missing, [100, 101, 102]);
+    }
+
+    /// In-order streams cost one frontier per origin, however long they run.
+    #[test]
+    fn in_order_streams_hold_no_sparse_seqs() {
+        let mut r = ReliableMulticast::new();
+        for seq in 0..10_000 {
+            r.multicast(MemberId(0), b"mine".to_vec());
+            let receipt = r.on_data(MemberId(1), seq, b"peer".to_vec());
+            assert!(receipt.missing.is_empty());
+        }
+        assert_eq!(r.seen.len(), 2);
+        for window in r.seen.values() {
+            assert_eq!(window.frontier(), 10_000);
+            assert_eq!(window.sparse_len(), 0);
+        }
     }
 
     #[test]

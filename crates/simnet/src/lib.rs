@@ -98,6 +98,4 @@ pub use node::{NodeConfig, NodeState};
 pub use sched::{CalendarQueue, EventQueue, ScheduledEvent, SchedulerKind};
 pub use sim::Simulation;
 pub use threaded::{ThreadedBuilder, ThreadedConfig, ThreadedRuntime};
-pub use trace::{
-    LatencyHistogram, LatencyRecorder, LatencySummary, NetStats, TraceEvent, TraceLog,
-};
+pub use trace::{LatencyRecorder, LatencySummary, NetStats, TraceEvent, TraceLog};

@@ -5,8 +5,6 @@
 //! aggregate on demand — [`crate::sim::Simulation::stats`],
 //! [`crate::threaded::ThreadedRuntime::net_stats`].
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use fs_common::id::ProcessId;
@@ -322,143 +320,6 @@ pub struct LatencySummary {
     pub max: SimDuration,
 }
 
-/// A constant-memory latency histogram with geometric buckets.
-///
-/// Buckets grow by a factor of `2^(1/8)` (eight sub-buckets per octave), so a
-/// reported percentile is within ~9 % of the exact sample value while the
-/// whole histogram stays a few hundred counters regardless of how many
-/// samples an open-loop saturation run produces.  Histograms merge cheaply
-/// across members and across runs; [`LatencyRecorder`] keeps every sample and
-/// is exact, this trades exactness for bounded memory.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LatencyHistogram {
-    /// `buckets[i]` counts samples whose nanosecond value falls in bucket
-    /// `i`; bucket boundaries follow [`LatencyHistogram::bucket_index`].
-    buckets: BTreeMap<u32, u64>,
-    count: u64,
-    total_nanos: u64,
-    min: Option<SimDuration>,
-    max: Option<SimDuration>,
-}
-
-/// Mantissa bits kept per sample: values below `2^MANTISSA_BITS` ns get exact
-/// buckets; above that the relative bucket width is `2^-MANTISSA_BITS`
-/// (≈ 0.4 %).
-const MANTISSA_BITS: u32 = 8;
-
-impl LatencyHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn bucket_index(nanos: u64) -> u32 {
-        if nanos < (1 << MANTISSA_BITS) {
-            return nanos as u32;
-        }
-        let e = 63 - nanos.leading_zeros();
-        let frac = ((nanos >> (e - MANTISSA_BITS)) as u32) & ((1 << MANTISSA_BITS) - 1);
-        ((e - MANTISSA_BITS + 1) << MANTISSA_BITS) + frac
-    }
-
-    /// The inclusive upper bound of bucket `index`, used as its
-    /// representative value (so reported percentiles never under-state).
-    fn bucket_value(index: u32) -> u64 {
-        if index < (1 << MANTISSA_BITS) {
-            return u64::from(index);
-        }
-        let e = (index >> MANTISSA_BITS) + MANTISSA_BITS - 1;
-        let frac = u64::from(index) & ((1 << MANTISSA_BITS) - 1);
-        ((((1 << MANTISSA_BITS) | frac) + 1) << (e - MANTISSA_BITS)) - 1
-    }
-
-    /// Records one latency sample.
-    pub fn record(&mut self, sample: SimDuration) {
-        self.record_n(sample, 1);
-    }
-
-    /// Records `n` identical latency samples at once — the folding path for
-    /// runtimes that pre-bucket samples in fixed atomic counters and only
-    /// materialise a histogram on snapshot.
-    pub fn record_n(&mut self, sample: SimDuration, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let nanos = sample.as_nanos();
-        *self.buckets.entry(Self::bucket_index(nanos)).or_insert(0) += n;
-        self.count += n;
-        self.total_nanos = self.total_nanos.saturating_add(nanos.saturating_mul(n));
-        self.min = Some(self.min.map_or(sample, |m| m.min(sample)));
-        self.max = Some(self.max.map_or(sample, |m| m.max(sample)));
-    }
-
-    /// Number of samples recorded.
-    pub fn len(&self) -> u64 {
-        self.count
-    }
-
-    /// Returns true when no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (b, c) in &other.buckets {
-            *self.buckets.entry(*b).or_insert(0) += c;
-        }
-        self.count += other.count;
-        self.total_nanos = self.total_nanos.saturating_add(other.total_nanos);
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-    }
-
-    /// The nearest-rank percentile, reported as the representative value of
-    /// the bucket holding that rank (within one bucket width of the exact
-    /// sample).  Returns `None` when empty.
-    pub fn percentile(&self, p: f64) -> Option<SimDuration> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((p * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0;
-        for (b, c) in &self.buckets {
-            seen += c;
-            if seen >= rank {
-                let v = Self::bucket_value(*b);
-                // Clamp to the observed extremes so single-sample and
-                // boundary buckets never report outside [min, max].
-                let v = SimDuration::from_nanos(v);
-                return Some(v.clamp(self.min?, self.max?));
-            }
-        }
-        self.max
-    }
-
-    /// Summarises the histogram; returns `None` when empty.
-    pub fn summary(&self) -> Option<LatencySummary> {
-        if self.count == 0 {
-            return None;
-        }
-        Some(LatencySummary {
-            count: self.count as usize,
-            mean: SimDuration::from_nanos(self.total_nanos / self.count),
-            min: self.min?,
-            p50: self.percentile(0.50)?,
-            p95: self.percentile(0.95)?,
-            p99: self.percentile(0.99)?,
-            p999: self.percentile(0.999)?,
-            max: self.max?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,19 +366,6 @@ mod tests {
                 busy_ns: 18,
             }
         );
-    }
-
-    #[test]
-    fn histogram_record_n_matches_repeated_record() {
-        let mut bulk = LatencyHistogram::new();
-        bulk.record_n(SimDuration::from_micros(7), 5);
-        bulk.record_n(SimDuration::from_millis(2), 0);
-        let mut single = LatencyHistogram::new();
-        for _ in 0..5 {
-            single.record(SimDuration::from_micros(7));
-        }
-        assert_eq!(bulk, single);
-        assert_eq!(bulk.len(), 5);
     }
 
     #[test]
@@ -574,70 +422,6 @@ mod tests {
         let s = rec.summary().unwrap();
         let x = SimDuration::from_micros(123);
         assert_eq!((s.min, s.p50, s.p99, s.p999, s.max), (x, x, x, x, x));
-    }
-
-    #[test]
-    fn histogram_buckets_round_trip() {
-        // Every sample must land in a bucket whose representative value is
-        // >= the sample and within the documented relative width.
-        for nanos in (0u64..2000).chain([4_095, 4_096, 1 << 20, (1 << 40) + 12_345]) {
-            let idx = LatencyHistogram::bucket_index(nanos);
-            let high = LatencyHistogram::bucket_value(idx);
-            assert!(high >= nanos, "bucket high {high} < sample {nanos}");
-            let width_bound = (nanos >> MANTISSA_BITS).max(1);
-            assert!(
-                high - nanos < width_bound + 1,
-                "bucket high {high} too far above sample {nanos}"
-            );
-        }
-    }
-
-    #[test]
-    fn histogram_percentiles_track_recorder() {
-        let mut rec = LatencyRecorder::new();
-        let mut hist = LatencyHistogram::new();
-        assert!(hist.summary().is_none());
-        assert!(hist.percentile(0.5).is_none());
-        for i in 1..=1000u64 {
-            rec.record(SimDuration::from_micros(i));
-        }
-        let mut halves = (LatencyHistogram::new(), LatencyHistogram::new());
-        for (k, s) in rec.samples().iter().enumerate() {
-            if k % 2 == 0 {
-                halves.0.record(*s);
-            } else {
-                halves.1.record(*s);
-            }
-        }
-        hist.merge(&halves.0);
-        hist.merge(&halves.1);
-        assert_eq!(hist.len(), 1000);
-        let exact = rec.summary().unwrap();
-        let approx = hist.summary().unwrap();
-        assert_eq!(approx.count, exact.count);
-        assert_eq!(approx.min, exact.min);
-        assert_eq!(approx.max, exact.max);
-        for (a, e) in [
-            (approx.p50, exact.p50),
-            (approx.p99, exact.p99),
-            (approx.p999, exact.p999),
-        ] {
-            let (a, e) = (a.as_nanos() as f64, e.as_nanos() as f64);
-            assert!(a >= e, "histogram percentile {a} under-states exact {e}");
-            assert!(a <= e * 1.01, "histogram percentile {a} too far above {e}");
-        }
-    }
-
-    #[test]
-    fn histogram_single_sample_is_exact() {
-        let mut hist = LatencyHistogram::new();
-        hist.record(SimDuration::from_nanos(123_457));
-        let s = hist.summary().unwrap();
-        // One sample: the observed-extreme clamp makes every statistic exact.
-        assert_eq!(s.min, s.max);
-        assert_eq!(s.p50, s.max);
-        assert_eq!(s.p999, s.max);
-        assert_eq!(s.max, SimDuration::from_nanos(123_457));
     }
 
     #[test]

@@ -50,7 +50,7 @@ use fs_common::codec::{Decoder, Encoder, Wire};
 use fs_common::error::CodecError;
 use fs_common::id::MemberId;
 use fs_common::time::SimDuration;
-use fs_common::Bytes;
+use fs_common::{Bytes, SeqWindow};
 
 use crate::command::{AppStateMachine, KvStore};
 use crate::machine::{DeterministicMachine, Endpoint, MachineInput, MachineOutput};
@@ -582,10 +582,9 @@ pub struct SequencedKv {
     next_apply: u64,
     /// Ordered records received ahead of `next_apply`.
     pending: BTreeMap<u64, Pending>,
-    /// Every `(origin, seq)` ordered so far (sequencer-side at-most-once
-    /// guard; a set rather than a high-water mark so that submissions
-    /// arriving out of order are still each ordered exactly once).
-    ordered_seq: std::collections::BTreeSet<(MemberId, u64)>,
+    /// Per origin, the seqs ordered so far: the sequencer's at-most-once
+    /// guard, exact under out-of-order submissions.
+    ordered_seq: BTreeMap<MemberId, SeqWindow>,
     store: KvStore,
     delivered: Vec<(MemberId, u64)>,
     /// True between a [`SmrClientMsg::Recover`] and the first
@@ -631,7 +630,7 @@ impl SequencedKv {
             next_global: 0,
             next_apply: 0,
             pending: BTreeMap::new(),
-            ordered_seq: std::collections::BTreeSet::new(),
+            ordered_seq: BTreeMap::new(),
             store: KvStore::new(),
             delivered: Vec::new(),
             recovering: false,
@@ -707,7 +706,7 @@ impl SequencedKv {
         let first_global = self.next_global;
         let mut entries = Vec::with_capacity(commands.len());
         for (seq, command) in (first_seq..end_seq).zip(commands) {
-            if self.ordered_seq.insert((origin, seq)) {
+            if self.ordered_seq.entry(origin).or_default().insert(seq) {
                 self.pending.insert(
                     self.next_global,
                     Pending::Cmd {
@@ -791,7 +790,11 @@ impl SequencedKv {
             view: self.view.clone(),
             next_global: self.assign_frontier(),
             next_apply: self.next_apply,
-            ordered_seq: self.ordered_seq.iter().copied().collect(),
+            ordered_seq: self
+                .ordered_seq
+                .iter()
+                .flat_map(|(origin, seqs)| seqs.iter().map(move |seq| (*origin, seq)))
+                .collect(),
             store: self.store.snapshot(),
             delivered: self.delivered.clone(),
         }
@@ -852,7 +855,10 @@ impl SequencedKv {
                     self.store = restored;
                     self.view = view;
                     self.next_apply = next_apply;
-                    self.ordered_seq = ordered_seq.into_iter().collect();
+                    self.ordered_seq = BTreeMap::new();
+                    for (origin, seq) in ordered_seq {
+                        self.ordered_seq.entry(origin).or_default().insert(seq);
+                    }
                     self.delivered = delivered;
                     // Anything buffered below the installed frontier is
                     // already covered by the snapshot — including, possibly,
@@ -1165,6 +1171,24 @@ mod tests {
         let dup = seq.handle(&MachineInput::from_peer(MemberId(1), submit));
         assert!(dup.is_empty(), "replayed submission must not re-order");
         assert_eq!(seq.delivered().len(), 1);
+    }
+
+    /// In-order submissions cost the guard one frontier per origin, however
+    /// many commands it has ordered.
+    #[test]
+    fn in_order_submissions_hold_no_sparse_seqs_in_the_guard() {
+        let mut seq = SequencedKv::new(MemberId(0), group(2));
+        for n in 0..10_000u64 {
+            seq.handle(&MachineInput::from_app(put(MemberId(0), n)));
+            let submit = submit(MemberId(1), n, put_command(MemberId(1), n));
+            seq.handle(&MachineInput::from_peer(MemberId(1), submit));
+        }
+        assert_eq!(seq.delivered().len(), 20_000);
+        assert_eq!(seq.ordered_seq.len(), 2);
+        for window in seq.ordered_seq.values() {
+            assert_eq!(window.frontier(), 10_000);
+            assert_eq!(window.sparse_len(), 0);
+        }
     }
 
     #[test]

@@ -771,8 +771,8 @@ proptest! {
     }
 }
 
-/// Exact nearest-rank percentile over raw samples — the oracle the
-/// constant-memory histogram is checked against.
+/// Exact nearest-rank percentile over raw samples — the oracle the latency
+/// recorder is checked against.
 fn naive_percentile(samples: &[SimDuration], p: f64) -> Option<SimDuration> {
     if samples.is_empty() {
         return None;
@@ -786,109 +786,125 @@ fn naive_percentile(samples: &[SimDuration], p: f64) -> Option<SimDuration> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The geometric-bucket latency histogram must agree with the exact
-    /// sorted-rank oracle at every percentile, up to one bucket width: the
-    /// reported value never under-states the exact nearest-rank sample and
-    /// overshoots it by at most the bucket's relative width (2^-8), while
-    /// staying clamped to the observed [min, max].  Splitting the samples
-    /// across two histograms and merging must report identically.
+    /// The latency recorder keeps every sample, so it must equal the sorted-
+    /// rank oracle exactly at every percentile, its summary must quote the
+    /// oracle at the named points, and splitting the samples across two
+    /// recorders and merging must report identically.
     #[test]
     fn histogram_percentiles_match_sorted_rank_oracle(
         nanos in proptest::collection::vec(0u64..5_000_000_000, 0..300),
         p_mille in 0u32..1001,
         split in 0usize..301,
     ) {
-        use fs_smr_suite::simnet::trace::{LatencyHistogram, LatencyRecorder};
+        use fs_smr_suite::simnet::trace::LatencyRecorder;
 
         let samples: Vec<SimDuration> =
             nanos.iter().map(|n| SimDuration::from_nanos(*n)).collect();
         let p = f64::from(p_mille) / 1000.0;
 
         let mut recorder = LatencyRecorder::new();
-        let mut hist = LatencyHistogram::new();
         for s in &samples {
             recorder.record(*s);
-            hist.record(*s);
         }
 
         let exact = naive_percentile(&samples, p);
-        // The recorder keeps every sample: it must be *exactly* the oracle.
         prop_assert_eq!(recorder.percentile(p), exact);
 
         match exact {
-            None => {
-                prop_assert!(hist.percentile(p).is_none());
-                prop_assert!(hist.summary().is_none());
-                prop_assert!(recorder.summary().is_none());
-            }
-            Some(exact) => {
-                let approx = hist.percentile(p).expect("non-empty histogram");
-                prop_assert!(
-                    approx >= exact,
-                    "histogram must not under-state: {approx:?} < {exact:?}"
-                );
-                let bound = exact.as_nanos() + exact.as_nanos() / 256 + 1;
-                prop_assert!(
-                    approx.as_nanos() <= bound,
-                    "histogram overshoot: {approx:?} vs exact {exact:?}"
-                );
-                let lo = *samples.iter().min().unwrap();
-                let hi = *samples.iter().max().unwrap();
-                prop_assert!(approx >= lo && approx <= hi, "clamped to [min, max]");
-
-                // The summary quotes the same estimator at the named points,
-                // and its extremes are exact.
-                let summary = hist.summary().unwrap();
+            None => prop_assert!(recorder.summary().is_none()),
+            Some(_) => {
+                let summary = recorder.summary().unwrap();
                 prop_assert_eq!(summary.count, samples.len());
-                prop_assert_eq!(summary.min, lo);
-                prop_assert_eq!(summary.max, hi);
-                prop_assert_eq!(Some(summary.p50), hist.percentile(0.50));
-                prop_assert_eq!(Some(summary.p999), hist.percentile(0.999));
-
-                // The exact recorder summary equals the oracle at the named
-                // percentiles.
-                let exact_summary = recorder.summary().unwrap();
-                prop_assert_eq!(Some(exact_summary.p50), naive_percentile(&samples, 0.50));
-                prop_assert_eq!(Some(exact_summary.p95), naive_percentile(&samples, 0.95));
-                prop_assert_eq!(Some(exact_summary.p99), naive_percentile(&samples, 0.99));
-                prop_assert_eq!(Some(exact_summary.p999), naive_percentile(&samples, 0.999));
-
-                // Merge invariance: recording a prefix and a suffix into two
-                // histograms and merging reports the same percentile.
-                let cut = split.min(samples.len());
-                let mut left = LatencyHistogram::new();
-                let mut right = LatencyHistogram::new();
-                for s in &samples[..cut] {
-                    left.record(*s);
-                }
-                for s in &samples[cut..] {
-                    right.record(*s);
-                }
-                left.merge(&right);
-                prop_assert_eq!(left.percentile(p), Some(approx));
+                prop_assert_eq!(summary.min, *samples.iter().min().unwrap());
+                prop_assert_eq!(summary.max, *samples.iter().max().unwrap());
+                prop_assert_eq!(Some(summary.p50), naive_percentile(&samples, 0.50));
+                prop_assert_eq!(Some(summary.p95), naive_percentile(&samples, 0.95));
+                prop_assert_eq!(Some(summary.p99), naive_percentile(&samples, 0.99));
+                prop_assert_eq!(Some(summary.p999), naive_percentile(&samples, 0.999));
             }
         }
+
+        // Merge invariance: a prefix and a suffix recorded apart and merged
+        // report the same percentile.
+        let cut = split.min(samples.len());
+        let mut left = LatencyRecorder::new();
+        let mut right = LatencyRecorder::new();
+        for s in &samples[..cut] {
+            left.record(*s);
+        }
+        for s in &samples[cut..] {
+            right.record(*s);
+        }
+        left.merge(&right);
+        prop_assert_eq!(left.percentile(p), exact);
     }
 
-    /// A single-sample distribution reports that sample at every percentile,
-    /// from both the exact recorder and the histogram.
+    /// A single-sample distribution reports that sample at every percentile.
     #[test]
     fn single_sample_percentiles_are_that_sample(
         nanos in 0u64..5_000_000_000,
         p_mille in 0u32..1001,
     ) {
-        use fs_smr_suite::simnet::trace::{LatencyHistogram, LatencyRecorder};
+        use fs_smr_suite::simnet::trace::LatencyRecorder;
 
         let sample = SimDuration::from_nanos(nanos);
         let p = f64::from(p_mille) / 1000.0;
         let mut recorder = LatencyRecorder::new();
         recorder.record(sample);
-        let mut hist = LatencyHistogram::new();
-        hist.record(sample);
         prop_assert_eq!(recorder.percentile(p), Some(sample));
-        prop_assert_eq!(hist.percentile(p), Some(sample));
-        let summary = hist.summary().unwrap();
+        let summary = recorder.summary().unwrap();
         prop_assert_eq!((summary.min, summary.p50, summary.max), (sample, sample, sample));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The sequencer's at-most-once guard, as its snapshot states it: under
+    /// out-of-order and repeated submissions the `ordered_seq` list is every
+    /// `(origin, seq)` ever submitted, sorted and once each — a `BTreeSet`
+    /// model's — and a replica that installs the snapshot states it again
+    /// byte for byte.
+    #[test]
+    fn snapshot_guard_matches_a_set_model(
+        submissions in proptest::collection::vec((1u32..3, 0u64..40, 1usize..4), 1..60),
+    ) {
+        use std::collections::BTreeSet;
+
+        use fs_smr_suite::smr::sequenced::{SequencedKv, SmrClientMsg, SmrPeerMsg};
+
+        let group: Vec<MemberId> = (0..3).map(MemberId).collect();
+        let mut sequencer = SequencedKv::new(MemberId(0), group.clone());
+        let mut model = BTreeSet::new();
+        for (origin, first_seq, n) in submissions {
+            let commands = (0..n)
+                .map(|i| KvCommand::Put { key: format!("k{i}"), value: vec![] }.to_wire())
+                .collect();
+            let submit = SmrPeerMsg::SubmitBatch { origin: MemberId(origin), first_seq, commands };
+            sequencer.handle(&MachineInput::from_peer(MemberId(origin), submit.to_wire()));
+            model.extend((first_seq..first_seq + n as u64).map(|seq| (MemberId(origin), seq)));
+        }
+        let snapshot_of = |machine: &mut SequencedKv, asker: u32| {
+            let request = SmrPeerMsg::CatchUpRequest {
+                member: MemberId(asker),
+                view_id: 0,
+                have_applied: 0,
+            };
+            let reply = machine.handle(&MachineInput::from_peer(MemberId(asker), request.to_wire()));
+            assert_eq!(reply.len(), 1);
+            reply[0].bytes.clone()
+        };
+        let snapshot = snapshot_of(&mut sequencer, 1);
+        let Ok(SmrPeerMsg::Snapshot { ordered_seq, .. }) = SmrPeerMsg::from_wire(&snapshot) else {
+            panic!("a catch-up request is answered with a snapshot");
+        };
+        prop_assert_eq!(ordered_seq, model.into_iter().collect::<Vec<_>>());
+
+        let mut replica = SequencedKv::new(MemberId(2), group);
+        replica.handle(&MachineInput::from_app(SmrClientMsg::Recover.to_wire()));
+        replica.handle(&MachineInput::from_peer(MemberId(0), snapshot.clone()));
+        prop_assert!(!replica.is_recovering());
+        prop_assert_eq!(snapshot_of(&mut replica, 1), snapshot);
     }
 }
 
