@@ -73,24 +73,6 @@ impl PartialEq for SigningKey {
 
 impl Eq for SigningKey {}
 
-impl Serialize for SigningKey {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("signer".to_string(), self.signer.to_value()),
-            ("secret".to_string(), self.secret.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for SigningKey {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let m = serde::value_as_map(v, "SigningKey")?;
-        let signer = SignerId::from_value(serde::map_field(m, "signer", "SigningKey")?)?;
-        let secret = <[u8; KEY_LEN]>::from_value(serde::map_field(m, "secret", "SigningKey")?)?;
-        Ok(Self::from_bytes(signer, secret))
-    }
-}
-
 impl SigningKey {
     /// Generates a fresh key for `signer` from the given deterministic RNG.
     pub fn generate(signer: SignerId, rng: &mut DetRng) -> Self {
@@ -151,29 +133,6 @@ impl PartialEq for VerifyingKey {
 }
 
 impl Eq for VerifyingKey {}
-
-impl Serialize for VerifyingKey {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("signer".to_string(), self.signer.to_value()),
-            ("secret".to_string(), self.secret.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for VerifyingKey {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let m = serde::value_as_map(v, "VerifyingKey")?;
-        let signer = SignerId::from_value(serde::map_field(m, "signer", "VerifyingKey")?)?;
-        let secret = <[u8; KEY_LEN]>::from_value(serde::map_field(m, "secret", "VerifyingKey")?)?;
-        let hmac = HmacKey::new(&secret);
-        Ok(Self {
-            signer,
-            secret,
-            hmac,
-        })
-    }
-}
 
 impl VerifyingKey {
     /// The precomputed HMAC state for this key.

@@ -566,10 +566,15 @@ impl ClusterRouter {
         }
     }
 
-    /// Accounts one completion echoed back by shard `shard`.
+    /// Accounts one completion echoed back by shard `shard`.  Only the
+    /// shard the command was routed to can complete it: crediting another
+    /// would push that shard's `completed` past its `submitted`.
     fn on_done(&mut self, ctx: &mut dyn Context, shard: u32, router_seq: u64) {
+        if self.shard_of_seq.get(&router_seq) != Some(&shard) {
+            return; // duplicate, unknown, or another shard's command
+        }
         let Some(done) = self.load.complete(router_seq, ctx.now()) else {
-            return; // duplicate or unknown completion
+            return;
         };
         self.shard_of_seq.remove(&router_seq);
         self.pending.remove(&router_seq);
@@ -985,18 +990,6 @@ impl RunningCluster {
         Some(stats)
     }
 
-    /// Every shard's [`RunningCluster::shard_net`] folded through
-    /// [`NetStats::merge`] — the cluster-level aggregation path.  Router
-    /// traffic and counters no node owns are not included, so every merged
-    /// field is a lower bound on [`RunningCluster::stats`].
-    pub fn shards_net_merged(&self) -> Option<NetStats> {
-        let mut merged = NetStats::default();
-        for s in 0..self.shards() {
-            merged.merge(&self.shard_net(s)?);
-        }
-        Some(merged)
-    }
-
     /// Shuts down the threaded runtime (if any) and collects its actors
     /// for inspection.  Idempotent; a no-op on the simulator.
     pub fn settle(&mut self) {
@@ -1097,6 +1090,7 @@ impl RunningCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fs_simnet::actor::TestContext;
 
     #[test]
     fn cluster_msg_round_trips() {
@@ -1154,6 +1148,40 @@ mod tests {
         let _ = Partitioner::key_range(vec!["p".into(), "g".into()]);
     }
 
+    /// A `Done` from an entry the command was not routed to completes
+    /// nothing; the owning entry's `Done` completes it.
+    #[test]
+    fn router_credits_a_completion_only_to_the_routed_shard() {
+        let entries = vec![ProcessId(10), ProcessId(20)];
+        let mut router = ClusterRouter::new(
+            Workload::quick(1),
+            Partitioner::hash(2),
+            entries.clone(),
+            None,
+            None,
+        );
+        let mut ctx = TestContext::new(ProcessId(0));
+        router.on_start(&mut ctx);
+        router.on_timer(&mut ctx, TIMER_ARRIVAL);
+        let [routed] = ctx.take_sent().try_into().expect("one command routed");
+        let Ok(ClusterMsg::Submit { router_seq, .. }) =
+            ClusterMsg::from_wire(&routed.payload.to_bytes())
+        else {
+            panic!("the router submits the command");
+        };
+        let owner = entries.iter().position(|&e| e == routed.to).unwrap();
+        let done = || Frame::from(ClusterMsg::Done { router_seq }.to_wire());
+
+        router.on_message(&mut ctx, entries[1 - owner], done());
+        assert_eq!(router.completed(), 0);
+        assert_eq!(router.shard_loads()[owner].in_flight(), 1);
+        assert_eq!(router.shard_loads()[1 - owner], ShardLoad::default());
+
+        router.on_message(&mut ctx, entries[owner], done());
+        assert_eq!(router.completed(), 1);
+        assert_eq!(router.shard_loads()[owner].in_flight(), 0);
+    }
+
     #[test]
     fn router_key_stream_is_deterministic() {
         assert_eq!(router_keys(9, 8), router_keys(9, 8));
@@ -1188,7 +1216,10 @@ mod tests {
         assert!(cluster.latency_summary().is_some());
         let stats = cluster.stats();
         assert!(stats.messages_sent > 0);
-        let merged = cluster.shards_net_merged().expect("sim cells");
+        let mut merged = NetStats::default();
+        for shard in 0..2 {
+            merged.merge(&cluster.shard_net(shard).expect("sim cells"));
+        }
         assert!(merged.messages_sent > 0);
         assert!(merged.messages_sent <= stats.messages_sent);
     }

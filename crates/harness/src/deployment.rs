@@ -158,12 +158,10 @@ pub(crate) struct RuntimeSlot {
     sim: Option<Simulation>,
     threaded: Option<ThreadedRuntime>,
     collected: HashMap<ProcessId, Box<dyn Actor>>,
-    /// The threaded runtime's final statistics, captured at settle time so
-    /// [`RuntimeSlot::stats`] keeps working after shutdown.
-    collected_stats: Option<NetStats>,
-    /// The threaded runtime's per-node statistics, captured at settle time
-    /// so [`RuntimeSlot::node_stats`] keeps working after shutdown.
-    collected_node_stats: Option<Vec<NetStats>>,
+    /// The threaded runtime's counter cells (one per node, then the cell no
+    /// node owns), frozen at settle time so [`RuntimeSlot::stats`] and
+    /// [`RuntimeSlot::node_stats`] keep working after shutdown.
+    frozen_cells: Option<Vec<NetStats>>,
 }
 
 impl RuntimeSlot {
@@ -195,12 +193,11 @@ impl RuntimeSlot {
         if let Some(sim) = self.sim.as_ref() {
             return sim.stats();
         }
-        if let Some(rt) = self.threaded.as_ref() {
-            return rt.net_stats();
+        let mut stats = NetStats::default();
+        for cell in self.threaded_cells().iter().flatten() {
+            stats.merge(cell);
         }
-        self.collected_stats
-            .clone()
-            .expect("threaded stats are frozen at settle time")
+        stats
     }
 
     /// The runtime's per-node counter cells, indexed in node creation
@@ -215,26 +212,25 @@ impl RuntimeSlot {
                     .collect(),
             );
         }
-        if let Some(rt) = self.threaded.as_ref() {
-            return Some(
-                (0..rt.node_count())
-                    .map(|node| rt.node_net_stats(node))
-                    .collect(),
-            );
+        let mut cells = self.threaded_cells()?;
+        cells.pop(); // the cell no node owns
+        Some(cells)
+    }
+
+    /// The threaded runtime's counter cells, live or as frozen at settle:
+    /// one per node, then the cell no node owns.
+    fn threaded_cells(&self) -> Option<Vec<NetStats>> {
+        match &self.threaded {
+            Some(rt) => Some(rt.net_cells()),
+            None => self.frozen_cells.clone(),
         }
-        self.collected_node_stats.clone()
     }
 
     /// Shuts down the threaded runtime (if any) and collects its actors for
     /// inspection.  Idempotent; a no-op on the simulator.
     pub(crate) fn settle(&mut self) {
         if let Some(rt) = self.threaded.take() {
-            self.collected_stats = Some(rt.net_stats());
-            self.collected_node_stats = Some(
-                (0..rt.node_count())
-                    .map(|node| rt.node_net_stats(node))
-                    .collect(),
-            );
+            self.frozen_cells = Some(rt.net_cells());
             self.collected = rt.shutdown();
         }
     }

@@ -36,10 +36,11 @@ use fs_faults::FaultyActor;
 use fs_simnet::actor::Actor;
 use fs_simnet::lifecycle::{LifecycleSchedule, ProcessFate};
 use fs_simnet::link::{LinkModel, Topology};
+use fs_simnet::load::{LoadGen, LoadStats};
 use fs_simnet::node::NodeConfig;
 use fs_simnet::sched::SchedulerKind;
 use fs_simnet::sim::Simulation;
-use fs_simnet::trace::{NetStats, TraceLog};
+use fs_simnet::trace::{LatencyRecorder, NetStats, TraceLog};
 use fs_smr::machine::AddressMap;
 
 use crate::check::{self, Violation};
@@ -609,19 +610,22 @@ impl Running {
         self.slot.stats()
     }
 
+    /// The load generators of the members' drivers, in member order.  Call
+    /// [`Running::settle`] first on the threaded runtime.
+    fn driver_loads(&self) -> impl Iterator<Item = &LoadGen> {
+        self.members
+            .iter()
+            .filter_map(|member| self.service.load_of(self.actor_ref(member.app)?))
+    }
+
     /// The merged ordering-latency recorder of every member's driver — the
     /// source of the p50/p99/p999 figures.  On the threaded runtime this
     /// shuts the runtime down first.
-    pub fn latencies(&mut self) -> fs_simnet::trace::LatencyRecorder {
+    pub fn latencies(&mut self) -> LatencyRecorder {
         self.settle();
-        let mut merged = fs_simnet::trace::LatencyRecorder::new();
-        for i in 0..self.members.len() {
-            let pid = self.members[i].app;
-            if let Some(driver) = self.actor_ref(pid) {
-                if let Some(rec) = self.service.latencies_of(driver) {
-                    merged.merge(&rec);
-                }
-            }
+        let mut merged = LatencyRecorder::new();
+        for load in self.driver_loads() {
+            merged.merge(load.latencies());
         }
         merged
     }
@@ -634,16 +638,11 @@ impl Running {
 
     /// The merged open-loop admission counters of every member's driver.
     /// On the threaded runtime this shuts the runtime down first.
-    pub fn load_stats(&mut self) -> crate::workload::LoadStats {
+    pub fn load_stats(&mut self) -> LoadStats {
         self.settle();
-        let mut merged = crate::workload::LoadStats::default();
-        for i in 0..self.members.len() {
-            let pid = self.members[i].app;
-            if let Some(driver) = self.actor_ref(pid) {
-                if let Some(stats) = self.service.load_stats_of(driver) {
-                    merged.merge(&stats);
-                }
-            }
+        let mut merged = LoadStats::default();
+        for load in self.driver_loads() {
+            merged.merge(&load.stats());
         }
         merged
     }

@@ -32,7 +32,7 @@ use fs_newtop::gc::{GcConfig, GcMachine};
 use fs_newtop::message::{ControlInput, ServiceKind};
 use fs_newtop::suspector::{PingSuspector, SuspectorConfig};
 use fs_simnet::actor::{Actor, Context, TimerId};
-use fs_simnet::load::{Admitted, LoadGen, LoadStats};
+use fs_simnet::load::{Admitted, LoadGen};
 use fs_simnet::trace::LatencyRecorder;
 use fs_smr::machine::{
     AddressMap, DeterministicMachine, Endpoint, FailureDetector, MachineInput, MachineOutput,
@@ -127,16 +127,9 @@ pub trait ServiceSpec: Send {
         true
     }
 
-    /// Reads the ordering-latency recorder out of a driver actor (`None` if
-    /// the actor is of the wrong type).
-    fn latencies_of(&self, driver: &dyn Actor) -> Option<LatencyRecorder> {
-        let _ = driver;
-        None
-    }
-
-    /// Reads the open-loop admission counters out of a driver actor (`None`
-    /// if the actor is of the wrong type).
-    fn load_stats_of(&self, driver: &dyn Actor) -> Option<LoadStats> {
+    /// The load generator a driver actor owns — its ordering latencies and
+    /// admission counters (`None` if the actor is of the wrong type).
+    fn load_of<'a>(&self, driver: &'a dyn Actor) -> Option<&'a LoadGen> {
         let _ = driver;
         None
     }
@@ -228,15 +221,9 @@ impl ServiceSpec for NewTopService {
         )
     }
 
-    fn latencies_of(&self, driver: &dyn Actor) -> Option<LatencyRecorder> {
+    fn load_of<'a>(&self, driver: &'a dyn Actor) -> Option<&'a LoadGen> {
         let any: &dyn Any = driver;
-        any.downcast_ref::<AppProcess>()
-            .map(|app| app.latencies().clone())
-    }
-
-    fn load_stats_of(&self, driver: &dyn Actor) -> Option<LoadStats> {
-        let any: &dyn Any = driver;
-        any.downcast_ref::<AppProcess>().map(|app| app.load_stats())
+        any.downcast_ref::<AppProcess>().map(AppProcess::load)
     }
 }
 
@@ -290,15 +277,9 @@ impl ServiceSpec for SmrKvService {
             .map(|d| d.delivery_log().to_vec())
     }
 
-    fn latencies_of(&self, driver: &dyn Actor) -> Option<LatencyRecorder> {
+    fn load_of<'a>(&self, driver: &'a dyn Actor) -> Option<&'a LoadGen> {
         let any: &dyn Any = driver;
-        any.downcast_ref::<SmrDriver>()
-            .map(|d| d.latencies().clone())
-    }
-
-    fn load_stats_of(&self, driver: &dyn Actor) -> Option<LoadStats> {
-        let any: &dyn Any = driver;
-        any.downcast_ref::<SmrDriver>().map(|d| d.load_stats())
+        any.downcast_ref::<SmrDriver>().map(SmrDriver::load)
     }
 }
 
@@ -540,14 +521,14 @@ impl SmrDriver {
         self.load.latencies()
     }
 
+    /// This driver's load generator.
+    pub fn load(&self) -> &LoadGen {
+        &self.load
+    }
+
     /// Time of the last delivery received, if any.
     pub fn last_delivery(&self) -> Option<SimTime> {
         self.last_delivery
-    }
-
-    /// The admission counters of this driver's load generator.
-    pub fn load_stats(&self) -> LoadStats {
-        self.load.stats()
     }
 
     /// The view installs this driver observed, as `(global slot, view id)`

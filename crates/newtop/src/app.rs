@@ -179,6 +179,11 @@ impl AppProcess {
         self.load.stats()
     }
 
+    /// This application's load generator.
+    pub fn load(&self) -> &LoadGen {
+        &self.load
+    }
+
     /// One tick of the arrival process: buffer the request if it was
     /// admitted, and re-arm the arrival timer.
     fn next_arrival(&mut self, ctx: &mut dyn Context) {

@@ -28,12 +28,13 @@
 //! [`lifecycle`]), and faults enter both the same way: a pre-faulted
 //! topology, a link schedule and a lifecycle schedule.
 //!
-//! And both count traffic the same way: one [`trace::NetStats`] cell per
-//! node plus one for traffic no node owns, attributed to the sending node
-//! (sends, bytes, link drops) or to the node hosting the process
-//! (deliveries, handler runs, timers, lifecycle events), folded into the
-//! aggregate on demand.  `node_net_stats(node)` reads one cell on either
-//! host; the cells plus the extra one add up to the aggregate.
+//! And both count traffic the same way: each node counts into a plain
+//! [`trace::NetStats`] with the same field increments and `drop_*` helpers
+//! (a node thread publishes its copy once per wake-up).  There is one cell
+//! per node plus one for what no node owns; sends, bytes and link drops go
+//! to the sending node, deliveries, handler runs, timers and lifecycle
+//! events to the hosting node.  `node_net_stats(node)` reads one cell on
+//! either host; all the cells fold into the aggregate.
 //!
 //! ## Example: two actors on a simulated LAN
 //!

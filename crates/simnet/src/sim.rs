@@ -28,12 +28,14 @@
 //! dispatching an event is a direct vector index, not a tree walk.  Per-pair
 //! FIFO delivery floors are likewise slab-indexed.
 //!
-//! Counters live in one [`NetStats`] cell per node, attributed as the
-//! threaded runtime's cells are: sends, bytes, unknown-destination drops at
-//! send time and link drops to the sender's node; deliveries, down-drops,
-//! handler runs, timer firings and lifecycle events to the node hosting the
-//! process.  One more cell holds what no node owns: injected frames to an
-//! unknown process and executed link-fault events.
+//! Counters live in one [`NetStats`] cell per node.  A threaded node thread
+//! counts into its own `NetStats` with the same calls (the same field
+//! increments and `drop_*` helpers), so both hosts attribute alike: sends,
+//! bytes, unknown-destination drops at send time and link drops to the
+//! sender's node; deliveries, down-drops, handler runs, timer firings and
+//! lifecycle events to the node hosting the process.  One more cell holds
+//! what no node owns: injected frames (here, those to an unknown process)
+//! and executed link-fault events.
 //! [`Simulation::stats`] folds the cells; [`Simulation::node_net_stats`]
 //! reads one.
 

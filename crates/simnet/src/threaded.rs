@@ -45,20 +45,23 @@
 //!   serializes behind another node's.  Per-link FIFO floors are sender-local
 //!   state, preserving the simulator's TCP-like in-order contract across
 //!   heals.
-//! - **Per-node stat cells.**  Every counter lives in a cache-line-padded
-//!   per-node cell ([`ThreadedRuntime::node_net_stats`] exposes them);
-//!   [`ThreadedRuntime::net_stats`] folds the cells into one [`NetStats`] on
-//!   demand.  A node thread only ever writes its own cell, so counters never
-//!   bounce between cores.  The cells also carry `busy_ns` (wall-clock time
-//!   inside handlers).
+//! - **Per-node counters.**  A node thread counts into its own plain
+//!   [`NetStats`] with the calls the simulator's nodes make (the same field
+//!   increments and `drop_*` helpers, attributed as [`crate::sim`]
+//!   describes), plus `busy_ns` (wall-clock time inside handlers), and
+//!   copies it into its cache-line-padded cell once per wake-up.
+//!   [`ThreadedRuntime::node_net_stats`] reads one published cell and
+//!   [`ThreadedRuntime::net_stats`] folds them all, with the cell no node
+//!   owns (external injection, link-fault events).
 //!
 //! Quiescence is tracked by a per-cell `enqueued`/`processed` balance: an
 //! envelope is counted `enqueued` (by its sender) before it is handed to an
 //! inbox or parked in the agenda and `processed` (by its receiver) only after
-//! its burst's handlers ran and their sends were flushed, so "every cell
-//! drained" is the exact condition `Σ processed == Σ enqueued`, read
-//! processed-before-enqueued so a racing probe can only over-estimate the
-//! backlog, never settle early.
+//! its burst's handlers ran, their sends were flushed and the node's counters
+//! were published, so "every cell drained" is the exact condition
+//! `Σ processed == Σ enqueued`, read processed-before-enqueued so a racing
+//! probe can only over-estimate the backlog, never settle early, and a
+//! settled deployment's counters are final.
 //! [`ThreadedRuntime::run_until_settled`] parks on a condvar that node
 //! threads signal when they observe the whole deployment quiescent, instead
 //! of sleep-polling.
@@ -76,7 +79,8 @@
 //! schedule drives both runtimes.  Only the fault overlay applies — base
 //! link-model latencies stay simulated-only, since real channel transport
 //! already has a cost.  Each scheduled entry is counted once in
-//! [`NetStats::link_faults`] (by node 0; every node applies it).
+//! [`NetStats::link_faults`], in the cell no node owns as on the simulator
+//! (every node applies it; node 0 counts it).
 //!
 //! ## The process lifecycle plane
 //!
@@ -150,10 +154,8 @@ enum Envelope {
     Stop,
 }
 
-/// One node's (or the external injector's) statistics, padded to its own
-/// cache lines so a node thread's counter updates never contend with another
-/// core.  Everything except the quiescence balance is maintained with
-/// relaxed ordering and batched per flush/burst.
+/// One node's (or the external injector's) counter cell, padded to its own
+/// cache lines so one node's publications never contend with another core.
 #[repr(align(128))]
 #[derive(Default)]
 struct StatCell {
@@ -164,51 +166,25 @@ struct StatCell {
     /// done).  `Σ processed == Σ enqueued` across all cells means no
     /// envelope is in flight anywhere.
     processed: AtomicU64,
-    messages_sent: AtomicU64,
-    messages_delivered: AtomicU64,
-    dropped_unknown_dest: AtomicU64,
-    dropped_link: AtomicU64,
-    dropped_down: AtomicU64,
-    link_faults: AtomicU64,
-    lifecycle_events: AtomicU64,
-    bytes_sent: AtomicU64,
-    timers_fired: AtomicU64,
-    /// Handler invocations (messages + timers + start/recover hooks); also
-    /// the probe's activity counter for settle confirmation.
-    events_processed: AtomicU64,
-    /// Wall-clock nanoseconds spent running handlers on this node.
-    busy_ns: AtomicU64,
+    /// The owner's counters as last published: a node thread copies its own
+    /// [`NetStats`] here once per wake-up; the runtime handle counts
+    /// injections and the link faults applied at start here directly.
+    published: Mutex<NetStats>,
 }
 
 impl StatCell {
-    /// Folds this cell into `stats` (the per-node → aggregate reduction).
-    fn fold_into(&self, stats: &mut NetStats) {
-        let unknown = self.dropped_unknown_dest.load(Ordering::Relaxed);
-        let link = self.dropped_link.load(Ordering::Relaxed);
-        let down = self.dropped_down.load(Ordering::Relaxed);
-        stats.messages_sent += self.messages_sent.load(Ordering::Relaxed);
-        stats.messages_delivered += self.messages_delivered.load(Ordering::Relaxed);
-        stats.messages_dropped += unknown + link + down;
-        stats.dropped_unknown_dest += unknown;
-        stats.dropped_link += link;
-        stats.dropped_down += down;
-        stats.link_faults += self.link_faults.load(Ordering::Relaxed);
-        stats.lifecycle_events += self.lifecycle_events.load(Ordering::Relaxed);
-        stats.bytes_sent += self.bytes_sent.load(Ordering::Relaxed);
-        stats.timers_fired += self.timers_fired.load(Ordering::Relaxed);
-        stats.events_processed += self.events_processed.load(Ordering::Relaxed);
-        stats.busy_ns += self.busy_ns.load(Ordering::Relaxed);
+    fn read(&self) -> NetStats {
+        lock_unpoisoned(&self.published).clone()
     }
 }
 
 /// Counters and quiescence probes shared by every node thread and the
 /// runtime handle.  All mutable state is split into per-node [`StatCell`]s
-/// (plus one trailing cell for external injection) so the hot path never
-/// writes a shared cache line.
+/// (plus one trailing cell no node owns) so the hot path never writes a
+/// shared cache line.
 struct Shared {
-    /// One cell per node, plus a trailing cell owned by the runtime handle
-    /// ([`ThreadedRuntime::send`], and the link faults
-    /// [`ThreadedBuilder::start`] applies itself).
+    /// One cell per node, plus a trailing cell no node owns: external
+    /// injection ([`ThreadedRuntime::send`]) and executed link-fault events.
     cells: Vec<StatCell>,
     /// Per node: when the head of its agenda (earliest armed timer, delayed
     /// frame or scheduled link/lifecycle event) falls due, as nanoseconds
@@ -234,21 +210,9 @@ impl Shared {
         }
     }
 
-    /// The trailing cell charged for external injection.
+    /// The trailing cell no node owns.
     fn external(&self) -> &StatCell {
         &self.cells[self.deadlines.len()]
-    }
-
-    fn cell(&self, node: usize) -> &StatCell {
-        &self.cells[node]
-    }
-
-    fn snapshot(&self) -> NetStats {
-        let mut stats = NetStats::default();
-        for cell in &self.cells {
-            cell.fold_into(&mut stats);
-        }
-        stats
     }
 
     /// True when no envelope is in flight anywhere: every enqueue was
@@ -511,11 +475,8 @@ impl ThreadedBuilder {
             if let Some(topology) = &mut topology {
                 topology.apply_fault(&event.scope, &event.fault);
             }
-            shared
-                .external()
-                .link_faults
-                .fetch_add(1, Ordering::Relaxed);
         }
+        lock_unpoisoned(&shared.external().published).link_faults += due_at_start as u64;
 
         let mut handles = Vec::new();
         let per_node = self.nodes.into_iter().zip(rxs).zip(lifecycle);
@@ -576,8 +537,7 @@ impl std::fmt::Debug for ThreadedRuntime {
 
 impl ThreadedRuntime {
     /// Injects a message into the running system, as if sent by `from`.
-    /// External injection is charged to a dedicated stat cell, not to any
-    /// node's.
+    /// External injection is charged to the cell no node owns.
     ///
     /// # Errors
     ///
@@ -596,9 +556,11 @@ impl ThreadedRuntime {
             .ok_or(fs_common::Error::UnknownProcess(to))?;
         let payload = payload.into();
         let cell = self.shared.external();
-        cell.messages_sent.fetch_add(1, Ordering::Relaxed);
-        cell.bytes_sent
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
+        {
+            let mut stats = lock_unpoisoned(&cell.published);
+            stats.messages_sent += 1;
+            stats.bytes_sent += payload.len() as u64;
+        }
         cell.enqueued.fetch_add(1, Ordering::SeqCst);
         self.txs[node]
             .send(Envelope::Batch(vec![(from, to, payload)]))
@@ -611,10 +573,21 @@ impl ThreadedRuntime {
     /// The aggregate network statistics so far: sends, deliveries, drops
     /// (split into unknown-destination and link-fault drops), executed
     /// link-fault events and handler busy time — the threaded counterpart of
-    /// [`crate::sim::Simulation::stats`], folded from the per-node cells on
-    /// demand.
+    /// [`crate::sim::Simulation::stats`], folded from
+    /// [`ThreadedRuntime::net_cells`] on demand.
     pub fn net_stats(&self) -> NetStats {
-        self.shared.snapshot()
+        let mut stats = NetStats::default();
+        for cell in &self.shared.cells {
+            stats.merge(&cell.read());
+        }
+        stats
+    }
+
+    /// Every counter cell as last published: one per node, in node order,
+    /// then the cell no node owns (external injection, link-fault events).
+    /// They fold into [`ThreadedRuntime::net_stats`].
+    pub fn net_cells(&self) -> Vec<NetStats> {
+        self.shared.cells.iter().map(StatCell::read).collect()
     }
 
     /// The number of nodes (worker threads) in this deployment.
@@ -622,18 +595,17 @@ impl ThreadedRuntime {
         self.shared.deadlines.len()
     }
 
-    /// One node's own statistics: sends are charged to the sending node,
-    /// deliveries to the receiving node, so per-node views sum (together
-    /// with the external-injection cell) to [`ThreadedRuntime::net_stats`].
+    /// One node's own statistics, attributed as the simulator attributes
+    /// them (see [`crate::sim`]): sends to the sending node, deliveries to
+    /// the receiving node, so per-node views sum (together with the cell no
+    /// node owns) to [`ThreadedRuntime::net_stats`].
     ///
     /// # Panics
     ///
     /// Panics when `node >= self.node_count()`.
     pub fn node_net_stats(&self, node: usize) -> NetStats {
         assert!(node < self.node_count(), "node {node} out of range");
-        let mut stats = NetStats::default();
-        self.shared.cell(node).fold_into(&mut stats);
-        stats
+        self.shared.cells[node].read()
     }
 
     /// True when the runtime is quiescent with respect to `horizon`: every
@@ -648,13 +620,10 @@ impl ThreadedRuntime {
         self.shared.probe(horizon.as_nanos())
     }
 
-    /// Total handler invocations so far (messages, timers and start hooks).
+    /// Total handler invocations so far (messages, timers and start hooks),
+    /// as published.
     pub fn handled_count(&self) -> u64 {
-        self.shared
-            .cells
-            .iter()
-            .map(|cell| cell.events_processed.load(Ordering::SeqCst))
-            .sum()
+        self.net_stats().events_processed
     }
 
     /// Sleeps until the wall clock reaches `horizon`, returning early once
@@ -906,7 +875,7 @@ impl NodeEnv {
     }
 
     fn cell(&self) -> &StatCell {
-        self.shared.cell(self.idx)
+        &self.shared.cells[self.idx]
     }
 }
 
@@ -939,6 +908,9 @@ struct Node {
     /// Flush scratch: per-destination-node batches, drained every flush
     /// (the outer vector's capacity is retained across flushes).
     batches: Vec<(usize, Vec<Item>)>,
+    /// This node's counters, kept as the simulator's `NodeState` keeps
+    /// them and published to its [`StatCell`] once per wake-up.
+    stats: NetStats,
 }
 
 impl Node {
@@ -962,8 +934,16 @@ impl Node {
             rng: DetRng::new(seed ^ 0x11f7_9a7e).derive(env.idx as u64),
             outgoing: Vec::new(),
             batches: Vec::new(),
+            stats: NetStats::default(),
             env,
         }
+    }
+
+    /// Publishes this node's counters.  Every wake-up calls it before it
+    /// adds to `processed`, so a settler that reads the balance drained also
+    /// reads final counts.
+    fn publish(&self) {
+        *lock_unpoisoned(&self.env.cell().published) = self.stats.clone();
     }
 
     /// Runs one handler of the hosted process at `idx`; what it sends waits
@@ -989,8 +969,8 @@ impl Node {
     /// the agenda behind the per-link FIFO floor.  The surviving immediate
     /// items are grouped by destination node, in send order, and each node
     /// receives a single [`Envelope::Batch`] whose payloads are refcount
-    /// clones of the senders' buffers.  Counters are accumulated locally and
-    /// published with one relaxed add each per flush.
+    /// clones of the senders' buffers.  Sends and drops are counted in the
+    /// node's own [`NetStats`], published when the wake-up ends.
     fn flush(&mut self) {
         if self.outgoing.is_empty() {
             return;
@@ -1003,19 +983,16 @@ impl Node {
             rng,
             outgoing,
             batches,
+            stats,
             ..
         } = self;
         let cell = env.cell();
-        let mut sent = 0u64;
-        let mut bytes = 0u64;
-        let mut unknown = 0u64;
-        let mut dropped = 0u64;
         let mut flush_now: Option<Instant> = None;
         for (from, to, payload) in outgoing.drain(..) {
-            sent += 1;
-            bytes += payload.len() as u64;
+            stats.messages_sent += 1;
+            stats.bytes_sent += payload.len() as u64;
             let Some(&node) = env.node_of.get(&to) else {
-                unknown += 1;
+                stats.drop_unknown_dest();
                 continue;
             };
             // Same-node delivery is never faulted.
@@ -1029,7 +1006,7 @@ impl Node {
                 _ => Some(SimDuration::ZERO),
             };
             let Some(extra) = verdict else {
-                dropped += 1;
+                stats.drop_link();
                 continue;
             };
             let link = &mut links[node];
@@ -1053,27 +1030,16 @@ impl Node {
                 cell.processed.fetch_add(1, Ordering::SeqCst);
             }
         }
-        cell.messages_sent.fetch_add(sent, Ordering::Relaxed);
-        if bytes != 0 {
-            cell.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-        }
-        if unknown != 0 {
-            cell.dropped_unknown_dest
-                .fetch_add(unknown, Ordering::Relaxed);
-        }
-        if dropped != 0 {
-            cell.dropped_link.fetch_add(dropped, Ordering::Relaxed);
-        }
     }
 
     /// Handles `first` and up to `BURST_MAX - 1` more envelopes already in
-    /// the inbox, flushes what their handlers sent, and only then counts
-    /// them `processed` (with their deliveries and drops), so the balance
-    /// never reads drained while a send is still buffered.  Returns false
-    /// when a stop request ends the burst.
+    /// the inbox, flushes what their handlers sent, publishes the node's
+    /// counters and only then counts the envelopes `processed`, so the
+    /// balance never reads drained while a send is still buffered or a
+    /// count unpublished.  Returns false when a stop request ends the burst.
     fn burst(&mut self, first: Envelope, rx: &Receiver<Envelope>) -> bool {
         let start = Instant::now();
-        let (mut envelopes, mut delivered, mut unknown, mut down) = (0, 0, 0, 0);
+        let mut envelopes = 0;
         let mut next = Some(first);
         let mut running = true;
         while let Some(envelope) = next.take() {
@@ -1083,11 +1049,12 @@ impl Node {
             };
             for (from, to, payload) in items {
                 match self.local_index.get(&to) {
-                    None => unknown += 1,
-                    Some(&idx) if !self.processes[idx].up() => down += 1,
+                    None => self.stats.drop_unknown_dest(),
+                    Some(&idx) if !self.processes[idx].up() => self.stats.drop_down(),
                     Some(&idx) => {
                         self.dispatch(idx, Call::Message(from, payload));
-                        delivered += 1;
+                        self.stats.messages_delivered += 1;
+                        self.stats.events_processed += 1;
                     }
                 }
             }
@@ -1097,56 +1064,43 @@ impl Node {
             }
         }
         self.flush();
-        let cell = self.env.cell();
-        if delivered != 0 {
-            cell.messages_delivered
-                .fetch_add(delivered, Ordering::Relaxed);
-            cell.events_processed
-                .fetch_add(delivered, Ordering::Relaxed);
-        }
-        if unknown != 0 {
-            cell.dropped_unknown_dest
-                .fetch_add(unknown, Ordering::Relaxed);
-        }
-        if down != 0 {
-            cell.dropped_down.fetch_add(down, Ordering::Relaxed);
-        }
-        cell.processed.fetch_add(envelopes, Ordering::SeqCst);
-        cell.busy_ns
-            .fetch_add(nanos_since(start, Instant::now()), Ordering::Relaxed);
+        self.stats.busy_ns += nanos_since(start, Instant::now());
+        self.publish();
+        self.env
+            .cell()
+            .processed
+            .fetch_add(envelopes, Ordering::SeqCst);
         running
     }
 
-    /// Executes one scheduled lifecycle event; returns how many handlers it
-    /// ran.
-    fn lifecycle(&mut self, process: ProcessId, fate: ProcessFate) -> u64 {
+    /// Executes one scheduled lifecycle event of a hosted process.
+    fn lifecycle(&mut self, process: ProcessId, fate: ProcessFate) {
         let Some(&idx) = self.local_index.get(&process) else {
-            return 0;
+            return;
         };
-        self.env
-            .cell()
-            .lifecycle_events
-            .fetch_add(1, Ordering::Relaxed);
-        let Some(call) = self.processes[idx].apply(fate) else {
-            return 0;
-        };
-        self.dispatch(idx, call);
-        1
+        self.stats.lifecycle_events += 1;
+        if let Some(call) = self.processes[idx].apply(fate) {
+            self.dispatch(idx, call);
+            self.stats.events_processed += 1;
+        }
     }
 
     /// Runs every agenda entry due at or before `now`, in `(due, seq)`
-    /// order, then flushes what their handlers sent.  A scheduled link fault
-    /// flushes first, so every send is judged by the topology in force when
-    /// its handler ran.  Busy time is charged only when a handler ran.
+    /// order, flushes what their handlers sent and publishes the node's
+    /// counters.  A scheduled link fault flushes first, so every send is
+    /// judged by the topology in force when its handler ran.  Busy time is
+    /// charged only when a handler ran.
     fn run_due(&mut self, now: Instant) {
-        let mut fired = 0u64;
-        let mut hooks = 0u64;
+        let handled = self.stats.events_processed;
+        let mut ran = false;
         while let Some(entry) = self.agenda.pop_due(now) {
+            ran = true;
             match entry.what {
                 Due::Timer { process, timer } => {
                     if self.processes[process].armed.fires(timer, entry.seq) {
                         self.dispatch(process, Call::Timer(timer));
-                        fired += 1;
+                        self.stats.timers_fired += 1;
+                        self.stats.events_processed += 1;
                     }
                 }
                 Due::Release { node, envelope } => {
@@ -1161,24 +1115,23 @@ impl Node {
                     if let Some(topology) = &mut self.topology {
                         topology.apply_fault(&event.scope, &event.fault);
                     }
-                    // Every node applies the entry; one of them counts it.
+                    // Every node applies the entry; node 0 counts it in the
+                    // cell no node owns, as the simulator does.
                     if self.env.idx == 0 {
-                        self.env.cell().link_faults.fetch_add(1, Ordering::Relaxed);
+                        lock_unpoisoned(&self.env.shared.external().published).link_faults += 1;
                     }
                 }
-                Due::Lifecycle(process, fate) => hooks += self.lifecycle(process, *fate),
+                Due::Lifecycle(process, fate) => self.lifecycle(process, *fate),
             }
         }
-        self.flush();
-        if fired + hooks == 0 {
+        if !ran {
             return;
         }
-        let cell = self.env.cell();
-        cell.timers_fired.fetch_add(fired, Ordering::Relaxed);
-        cell.events_processed
-            .fetch_add(fired + hooks, Ordering::Relaxed);
-        cell.busy_ns
-            .fetch_add(nanos_since(now, Instant::now()), Ordering::Relaxed);
+        self.flush();
+        if self.stats.events_processed != handled {
+            self.stats.busy_ns += nanos_since(now, Instant::now());
+        }
+        self.publish();
     }
 
     /// The node thread: start hooks, then alternate between the agenda and
@@ -1190,11 +1143,9 @@ impl Node {
                 self.dispatch(idx, Call::Start);
             }
             self.flush();
-            let cell = self.env.cell();
-            cell.events_processed
-                .fetch_add(self.processes.len() as u64, Ordering::Relaxed);
-            cell.busy_ns
-                .fetch_add(nanos_since(start, Instant::now()), Ordering::Relaxed);
+            self.stats.events_processed += self.processes.len() as u64;
+            self.stats.busy_ns += nanos_since(start, Instant::now());
+            self.publish();
         }
 
         let shared = Arc::clone(&self.env.shared);
@@ -1294,15 +1245,19 @@ mod tests {
         }
     }
 
-    fn wait_for(shared: &Arc<AtomicUsize>, target: usize, timeout_ms: u64) -> bool {
+    fn wait_until(timeout_ms: u64, done: impl Fn() -> bool) -> bool {
         let start = Instant::now();
         while start.elapsed() < Duration::from_millis(timeout_ms) {
-            if shared.load(Ordering::SeqCst) >= target {
+            if done() {
                 return true;
             }
             std::thread::sleep(Duration::from_millis(1));
         }
         false
+    }
+
+    fn wait_for(shared: &Arc<AtomicUsize>, target: usize, timeout_ms: u64) -> bool {
+        wait_until(timeout_ms, || shared.load(Ordering::SeqCst) >= target)
     }
 
     #[test]
@@ -2104,60 +2059,101 @@ mod tests {
         rt.shutdown();
     }
 
-    /// Per-node stat cells: sends are charged to the sending node,
-    /// deliveries to the receiving node, and the per-node views (plus the
-    /// external-injection cell) fold into the aggregate.
+    /// Per-node counters land where the simulator puts them
+    /// (`sim::tests::counters_land_on_the_node_that_owns_them`): sends,
+    /// bytes and send-time unknown destinations on the sending node;
+    /// deliveries, down-drops, handler runs, timers and lifecycle events on
+    /// the hosting node; injections and link-fault events in the cell no
+    /// node owns.  The cells fold, as whole structs, into the aggregate.
     #[test]
     fn per_node_stat_cells_fold_into_the_aggregate() {
-        let shared = Arc::new(AtomicUsize::new(0));
-        let mut builder = ThreadedBuilder::default();
-        let caster = ProcessId(0);
-        let counter = ProcessId(1);
-        builder.add_with(
-            caster,
-            Box::new(Multicaster {
-                dests: vec![counter],
-            }),
-        );
-        builder.add_with(
-            counter,
-            Box::new(Counter {
-                seen: 0,
-                shared: Arc::clone(&shared),
-            }),
-        );
+        let delivered = Arc::new(AtomicUsize::new(0));
+        let recoveries = Arc::new(AtomicUsize::new(0));
+        let fired = Arc::new(AtomicUsize::new(0));
+        let (caster, target, ticker) = (ProcessId(0), ProcessId(1), ProcessId(2));
+        // Two link faults that change nothing: one applied by `start`, one
+        // by the node threads.
+        let scope = LinkScope::Pair {
+            a: NodeId(0),
+            b: NodeId(1),
+        };
+        let schedule = LinkSchedule::new()
+            .then(SimTime::ZERO, scope.clone(), LinkFault::Heal)
+            .then(SimTime::from_millis(20), scope, LinkFault::Heal);
+        // The target is down from its node's first wake-up until 500 ms.
+        let lifecycle = LifecycleSchedule::new()
+            .crash_at(SimTime::ZERO, target)
+            .recover_at(SimTime::from_millis(500), target);
+        let mut builder = ThreadedBuilder::default()
+            .with_link_schedule(schedule)
+            .with_lifecycle_schedule(lifecycle);
+        let (n0, n1) = (builder.add_node(), builder.add_node());
+        let fan_out = Multicaster {
+            dests: vec![target, ProcessId(77)],
+        };
+        builder.add_with_on(caster, n0, Box::new(fan_out));
+        let life = LifeCounter {
+            seen: 0,
+            shared: Arc::clone(&delivered),
+            recoveries: Arc::clone(&recoveries),
+        };
+        builder.add_with_on(target, n1, Box::new(life));
+        let once = TimerOnce {
+            fired: Arc::clone(&fired),
+        };
+        builder.add_with_on(ticker, n1, Box::new(once));
         let rt = builder.start();
         assert_eq!(rt.node_count(), 2);
-        for _ in 0..8 {
-            rt.send(ProcessId(99), caster, b"frame".to_vec()).unwrap();
+        // A poke while the target is down: its fan-out finds the target down
+        // and process 77 unknown.  One after the recover is delivered.
+        assert!(wait_until(2_000, || rt.node_net_stats(1).lifecycle_events == 1));
+        rt.send(ProcessId(99), caster, b"xy".to_vec()).unwrap();
+        assert!(wait_until(2_000, || rt.node_net_stats(1).dropped_down == 1));
+        assert!(wait_for(&recoveries, 1, 2_000), "on_recover ran");
+        rt.send(ProcessId(99), caster, b"xy".to_vec()).unwrap();
+        assert!(wait_for(&delivered, 1, 2_000));
+        assert!(wait_for(&fired, 1, 2_000));
+        rt.run_until_settled(rt.now() + SimDuration::from_secs(10));
+
+        let cells = rt.net_cells();
+        assert_eq!(cells.len(), 3, "two nodes and the cell no node owns");
+        let caster_node = NetStats {
+            messages_sent: 4,
+            bytes_sent: 8,
+            messages_dropped: 2,
+            dropped_unknown_dest: 2,
+            messages_delivered: 2,
+            events_processed: 1 + 2,
+            busy_ns: cells[0].busy_ns,
+            ..NetStats::default()
+        };
+        let host_node = NetStats {
+            messages_delivered: 1,
+            messages_dropped: 1,
+            dropped_down: 1,
+            lifecycle_events: 2,
+            timers_fired: 1,
+            events_processed: 2 + 1 + 1 + 1,
+            busy_ns: cells[1].busy_ns,
+            ..NetStats::default()
+        };
+        let unowned = NetStats {
+            messages_sent: 2,
+            bytes_sent: 4,
+            link_faults: 2,
+            ..NetStats::default()
+        };
+        assert_eq!(cells, [caster_node, host_node, unowned]);
+        assert!(cells[0].busy_ns > 0 && cells[1].busy_ns > 0);
+        for (node, cell) in cells.iter().take(2).enumerate() {
+            assert_eq!(&rt.node_net_stats(node), cell);
         }
-        assert!(wait_for(&shared, 8, 2_000));
-        let caster_stats = rt.node_net_stats(0);
-        let counter_stats = rt.node_net_stats(1);
-        let total = rt.net_stats();
-        assert_eq!(
-            caster_stats.messages_sent, 8,
-            "fan-out sends charge the sending node"
-        );
-        assert_eq!(caster_stats.messages_delivered, 8);
-        assert_eq!(
-            counter_stats.messages_delivered, 8,
-            "deliveries charge the receiving node"
-        );
-        assert_eq!(counter_stats.messages_sent, 0);
-        // node cells + the external injection cell = the aggregate.
-        assert_eq!(
-            caster_stats.messages_sent + counter_stats.messages_sent + 8,
-            total.messages_sent
-        );
-        assert_eq!(
-            caster_stats.messages_delivered + counter_stats.messages_delivered,
-            total.messages_delivered
-        );
-        assert!(
-            total.busy_ns > 0,
-            "handler time accumulates into the folded busy_ns"
-        );
+        let mut folded = NetStats::default();
+        for cell in &cells {
+            folded.merge(cell);
+        }
+        assert_eq!(folded, rt.net_stats());
+        assert_eq!(rt.handled_count(), folded.events_processed);
         rt.shutdown();
     }
 }

@@ -1,8 +1,12 @@
 //! Tracing, counters and latency statistics for simulation runs.
 //!
-//! [`NetStats`] is the one counter shape of both hosts: each keeps one cell
-//! per node (plus one for traffic no node owns) and folds the cells into the
-//! aggregate on demand — [`crate::sim::Simulation::stats`],
+//! [`NetStats`] is the one counter shape of both hosts, and both count into
+//! it with the same calls: a simulated node and a node thread each own a
+//! plain `NetStats` and bump its fields or call its `drop_*` helpers (a node
+//! thread publishes its copy once per wake-up).  Each host keeps one cell per
+//! node plus one for what no node owns (injected traffic, link-fault events)
+//! and folds the cells into the aggregate on demand —
+//! [`crate::sim::Simulation::stats`],
 //! [`crate::threaded::ThreadedRuntime::net_stats`].
 
 use serde::{Deserialize, Serialize};

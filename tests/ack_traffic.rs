@@ -24,7 +24,7 @@ use fs_smr_suite::harness::{Admission, NewTopService, Protocol, Scenario, Servic
 use fs_smr_suite::newtop::gc::{GcConfig, GcMachine};
 use fs_smr_suite::newtop::suspector::SuspectorConfig;
 use fs_smr_suite::simnet::actor::Actor;
-use fs_smr_suite::simnet::trace::LatencyRecorder;
+use fs_smr_suite::simnet::load::LoadGen;
 use fs_smr_suite::smr::machine::{DeterministicMachine, MachineInput, MachineOutput};
 
 const MEMBERS: u32 = 9;
@@ -85,8 +85,8 @@ impl ServiceSpec for CountedNewTop {
     fn delivery_log_of(&self, driver: &dyn Actor) -> Option<Vec<(MemberId, u64)>> {
         self.inner.delivery_log_of(driver)
     }
-    fn latencies_of(&self, driver: &dyn Actor) -> Option<LatencyRecorder> {
-        self.inner.latencies_of(driver)
+    fn load_of<'a>(&self, driver: &'a dyn Actor) -> Option<&'a LoadGen> {
+        self.inner.load_of(driver)
     }
 }
 

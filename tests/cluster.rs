@@ -206,15 +206,15 @@ fn key_range_cluster_snapshot_and_stats() {
     // Per-shard network counters fold through NetStats::merge into a lower
     // bound, in every field, on the runtime-wide statistics (router traffic
     // excluded).
-    let merged = cluster.shards_net_merged().expect("sim cells");
-    let total = cluster.stats();
-    assert!(merged.messages_sent > 0);
-    assert!(within(&merged, &total), "{merged:?} exceeds {total:?}");
+    let mut merged = NetStats::default();
     for s in 0..4 {
         let net = cluster.shard_net(s).expect("sim cells");
         assert!(net.messages_sent > 0, "shard {s} generated traffic");
         assert!(net.events_processed > 0, "shard {s} ran no handler?");
+        merged.merge(&net);
     }
+    let total = cluster.stats();
+    assert!(within(&merged, &total), "{merged:?} exceeds {total:?}");
     assert!(cluster.latency_summary().is_some());
 }
 
