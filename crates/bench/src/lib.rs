@@ -19,11 +19,12 @@
 //!
 //! What the suite costs on the host — capacity, CPU per ordered delivery,
 //! per-layer unit costs — is measured by the standalone `benchmark/` package
-//! and by nothing here.  The one other binary, `hotpath`, checks two
-//! structural properties of the wire path as ratios inside a single run
-//! (`on_ack` flat in the pending count; the spliced frame path copies no
-//! payload and is no slower than the contiguous one), exits 3 when one
-//! breaks, and writes `results/bench-hotpath.json`:
+//! and by nothing here.  The one other binary, `hotpath`, checks three
+//! structural properties as ratios inside a single run (`on_ack` flat in
+//! the pending count; the spliced frame path copies no payload and is no
+//! slower than the contiguous one; a KV Put flat in the store's size),
+//! exits 3 when one breaks, and writes this host's timings to
+//! `results/bench-hotpath.json` — untracked, since every run rewrites it:
 //!
 //! ```text
 //! cargo run --release -p fs-bench --bin hotpath

@@ -16,25 +16,158 @@
 //! the operating system (via [`std::collections::hash_map::RandomState`]),
 //! so bucket placement cannot be predicted from outside the process.
 //!
-//! Tables built on it must never be *iterated* where the order could reach
-//! a trace, a wire frame or a statistic: the seed differs per thread and
-//! per run.  Membership, `get`, `insert`, `remove` and `clear` are order-free.
-//! A table whose every entry must reach an output goes through one private
-//! *sorted view*: collect the entries, sort them by key, and let nothing
-//! else iterate the table.  Two tables have one: `fs_smr::KvStore`, whose
-//! snapshot and state digest are its only walks over the store, both in
-//! key-byte order, so what a replica encodes and digests depends on its
-//! content alone; and [`crate::seqwindow::SeqWindow::iter`], the only walk
-//! over a stream's sparse numbers, ascending (the SMR guard's snapshot).
+//! [`FastMap`] and [`FastSet`], the tables built on it, hold the replicas'
+//! determinism (assumption R1) by type: the seed differs per thread and per
+//! run, so they offer only order-free operations and one walk, `sorted()`,
+//! in key order.  No hash order can reach a trace, a frame or a statistic:
+//!
+//! ```compile_fail
+//! # let mut map = fs_common::fasthash::FastMap::<u64, u8>::default();
+//! let _ = map.iter(); // no such method
+//! ```
+//!
+//! ```compile_fail
+//! # let mut map = fs_common::fasthash::FastMap::<u64, u8>::default();
+//! let _ = map.keys(); // no such method
+//! ```
+//!
+//! ```compile_fail
+//! # let mut map = fs_common::fasthash::FastMap::<u64, u8>::default();
+//! for _ in &map {} // `&FastMap` is not `IntoIterator`
+//! ```
+//!
+//! ```
+//! # let mut map = fs_common::fasthash::FastMap::<u64, u8>::default();
+//! let _ = map.sorted(); // the twin of all three: the one walk
+//! ```
 
+use std::borrow::Borrow;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, Hasher};
+use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
 
-/// A `HashMap` probed through [`FastHasher`].
-pub type FastMap<K, V> = HashMap<K, V, FastState>;
+/// A hashed map probed through [`FastHasher`]; see the module docs.
+#[derive(Clone)]
+pub struct FastMap<K, V>(HashMap<K, V, FastState>);
 
-/// A `HashSet` probed through [`FastHasher`].
-pub type FastSet<K> = HashSet<K, FastState>;
+/// A hashed set probed through [`FastHasher`]; see the module docs.
+#[derive(Clone)]
+pub struct FastSet<K>(HashSet<K, FastState>);
+
+impl<K, V> Default for FastMap<K, V> {
+    #[inline]
+    fn default() -> Self {
+        Self(HashMap::default())
+    }
+}
+
+impl<K> Default for FastSet<K> {
+    #[inline]
+    fn default() -> Self {
+        Self(HashSet::default())
+    }
+}
+
+impl<K: Eq + Hash, V> FastMap<K, V> {
+    /// The value under `key`.
+    #[inline]
+    pub fn get<Q: Hash + Eq + ?Sized>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+    {
+        self.0.get(key)
+    }
+
+    /// True when `key` has an entry.
+    #[inline]
+    pub fn contains_key(&self, key: &K) -> bool {
+        self.0.contains_key(key)
+    }
+
+    /// Inserts `value` under `key`; returns the value it replaced.
+    #[inline]
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        self.0.insert(key, value)
+    }
+
+    /// Removes `key`'s entry; returns its value.
+    #[inline]
+    pub fn remove<Q: Hash + Eq + ?Sized>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+    {
+        self.0.remove(key)
+    }
+
+    /// `key`'s entry, for in-place insertion or update.
+    #[inline]
+    pub fn entry(&mut self, key: K) -> Entry<'_, K, V> {
+        self.0.entry(key)
+    }
+
+    /// Number of entries.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when the map holds no entry.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Removes every entry, keeping the allocation.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// The table's hasher builder, for a key derived with the same seed.
+    #[inline]
+    pub fn hasher(&self) -> &FastState {
+        self.0.hasher()
+    }
+}
+
+impl<K: Eq + Hash> FastSet<K> {
+    /// True when `key` is a member.
+    #[inline]
+    pub fn contains(&self, key: &K) -> bool {
+        self.0.contains(key)
+    }
+
+    /// Adds `key`; returns `true` when it was not a member.
+    #[inline]
+    pub fn insert(&mut self, key: K) -> bool {
+        self.0.insert(key)
+    }
+}
+
+impl<K: Ord, V> FastMap<K, V> {
+    /// Every entry, in key order: the one walk over the map.
+    pub fn sorted(&self) -> Vec<(&K, &V)> {
+        let mut entries: Vec<_> = self.0.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        entries
+    }
+}
+
+impl<K: Ord> FastSet<K> {
+    /// Every member, in order: the one walk over the set.
+    pub fn sorted(&self) -> Vec<&K> {
+        let mut members: Vec<_> = self.0.iter().collect();
+        members.sort_unstable();
+        members
+    }
+}
+
+impl<K: Ord + fmt::Debug, V: fmt::Debug> fmt::Debug for FastMap<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.sorted()).finish()
+    }
+}
 
 /// Odd 64-bit multipliers (the wyhash secrets); one per lane.
 const LANE_KEYS: [u64; 4] = [
@@ -190,7 +323,6 @@ impl Hasher for FastHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::hash::Hash;
 
     fn hash_of<T: Hash + ?Sized>(state: FastState, value: &T) -> u64 {
         state.hash_one(value)
@@ -258,10 +390,21 @@ mod tests {
             map.insert((i % 7, vec![i as u8; (i % 90) as usize]), u64::from(i));
         }
         assert_eq!(map.get(&(3, vec![3u8; 3])), Some(&3));
+        let walk = map.sorted();
+        assert_eq!(walk.len(), map.len());
+        assert!(walk.windows(2).all(|w| w[0].0 < w[1].0));
         let mut set: FastSet<u64> = FastSet::default();
         assert!(set.insert(5));
         assert!(!set.insert(5));
-        assert!(set.remove(&5));
-        assert!(set.is_empty());
+        for k in [9, 1, 7] {
+            set.insert(k);
+        }
+        assert_eq!(set.sorted(), [&1, &5, &7, &9]);
+        assert!(set.contains(&7) && !set.contains(&2));
+        let mut small = FastMap::default();
+        for (k, v) in [(9u8, 'c'), (1, 'a'), (5, 'b')] {
+            small.insert(k, v);
+        }
+        assert_eq!(format!("{small:?}"), "{1: 'a', 5: 'b', 9: 'c'}");
     }
 }

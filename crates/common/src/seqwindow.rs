@@ -26,8 +26,7 @@ pub struct SeqWindow<T = ()> {
     /// Every number below this one has been inserted.
     next: u64,
     /// Inserted numbers above `next` (or at it, for `u64::MAX`), with their
-    /// held values.  Iterated only through the sorted view of
-    /// [`SeqWindow::iter`].
+    /// held values.
     above: FastMap<u64, T>,
 }
 
@@ -87,11 +86,9 @@ impl<T> SeqWindow<T> {
     }
 
     /// Every inserted number, ascending: the frontier's prefix, then the
-    /// sparse numbers sorted, so the order never depends on the table's.
-    pub fn iter(&self) -> impl Iterator<Item = u64> {
-        let mut above: Vec<u64> = self.above.keys().copied().collect();
-        above.sort_unstable();
-        (0..self.next).chain(above)
+    /// sparse numbers in the table's one walk, [`FastMap::sorted`].
+    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.next).chain(self.above.sorted().into_iter().map(|(&seq, _)| seq))
     }
 }
 

@@ -192,8 +192,11 @@ mod tests {
             assert_eq!(memo.by_buffer.len(), 2);
             assert_eq!(memo.bytes_held, 2 * len);
             // Pinned by refcount, not copied.
-            assert!(memo.by_buffer.values().any(|(b, _)| b.same_view(&own)));
-            assert!(memo.by_buffer.values().any(|(b, _)| b.same_view(&distinct)));
+            for body in [&own, &distinct] {
+                let identity = (body.as_ptr() as usize, body.len());
+                let pinned = memo.by_buffer.get(&identity);
+                assert!(pinned.is_some_and(|(b, _)| b.same_view(body)));
+            }
         });
         // A window is never pinned: content route every time, no new entry.
         let frame = Bytes::from([&[9u8; 11][..], &own].concat());

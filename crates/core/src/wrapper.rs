@@ -161,10 +161,9 @@ enum TimerPurpose {
 /// both halves have processed everything); that is the `seen_inputs` bound
 /// under ROADMAP's *liveness debt* item (unbounded-memory holes).
 ///
-/// Both are hashed tables whose bucket order depends on a per-thread random
-/// seed; they answer membership only and are never iterated.  Everything
-/// that *is* iterated (`irmp`, `icmp` on recovery) is ordered, so timer ids
-/// and therefore traces cannot depend on the host's hash seed.
+/// `seen_inputs` is a [`FastSet`], which offers no walk in hash order;
+/// everything that *is* iterated (`irmp`, `icmp` on recovery) is ordered,
+/// so timer ids and therefore traces cannot depend on the host's hash seed.
 pub struct FsoActor {
     config: FsoConfig,
     machine: Box<dyn DeterministicMachine>,

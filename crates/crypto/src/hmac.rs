@@ -38,7 +38,9 @@ pub const TAG_LEN: usize = DIGEST_LEN;
 /// assert_eq!(tag, HmacSha256::mac(b"key", b"the quick brown fox"));
 /// assert!(key.verify(b"the quick brown fox", tag.as_bytes()));
 /// ```
-#[derive(Debug, Clone)]
+///
+/// Its `Debug` prints no state: each midstate is as good as the key.
+#[derive(Clone)]
 pub struct HmacKey {
     /// SHA-256 state after absorbing the ipad-xored key block.
     inner: Sha256,
@@ -109,6 +111,12 @@ impl HmacKey {
     }
 }
 
+impl core::fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str("HmacKey(..)")
+    }
+}
+
 /// An HMAC-SHA-256 keyed hasher.
 ///
 /// The one-shot constructors rebuild the key schedule on every call; code
@@ -124,7 +132,9 @@ impl HmacKey {
 /// assert!(HmacSha256::verify(b"key", b"the quick brown fox", tag.as_bytes()));
 /// assert!(!HmacSha256::verify(b"key", b"tampered", tag.as_bytes()));
 /// ```
-#[derive(Debug, Clone)]
+///
+/// Keyed like [`HmacKey`], it has no `Debug`: its states are the key's.
+#[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
     outer: Sha256,

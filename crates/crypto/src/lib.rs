@@ -1,10 +1,12 @@
 //! # fs-crypto
 //!
 //! Message authentication for the fail-signal suite: a from-scratch SHA-256,
-//! HMAC-SHA-256 keyed authenticators, a start-up-provisioned key directory,
-//! message signatures with the two-share rule for double-signed outputs, and
-//! a cost model that charges the simulated clock for the (much more
-//! expensive) signature scheme the original paper used.
+//! HMAC-SHA-256 keyed authenticators, an opaque start-up-provisioned key
+//! directory (assumption A5 held by type: no key from chosen bytes, no key
+//! handed out — see [`keys`]), message signatures with the two-share rule
+//! for double-signed outputs, and a cost model that charges the simulated
+//! clock for the (much more expensive) signature scheme the original paper
+//! used.
 //!
 //! The substitution rationale is in [`cost`]'s module docs: the paper's
 //! assumption A5 only requires unforgeable, verifiable message signatures,
@@ -100,6 +102,6 @@ pub mod sig;
 
 pub use cost::CryptoCostModel;
 pub use hmac::{HmacKey, HmacSha256};
-pub use keys::{provision, KeyDirectory, SignerId, SigningKey, VerifyingKey};
+pub use keys::{provision, KeyDirectory, SignerId, SigningKey};
 pub use sha256::{CompressBackend, Digest, Sha256};
 pub use sig::Signature;

@@ -185,11 +185,11 @@ impl Signature {
     /// * [`SignatureError::Invalid`] — the tag does not verify.
     pub fn verify(&self, directory: &KeyDirectory, message: &[u8]) -> Result<(), SignatureError> {
         let key = directory.lookup(self.signer)?;
-        let memo_key = (self.signer, key.hmac().fingerprint(), self.tag);
+        let memo_key = (self.signer, key.fingerprint(), self.tag);
         if memo_matches(&memo_key, message) {
             return Ok(());
         }
-        self.check_tag(key.hmac(), message)?;
+        self.check_tag(key, message)?;
         memo_insert(memo_key, message);
         Ok(())
     }
@@ -216,7 +216,7 @@ impl Signature {
         directory: &KeyDirectory,
         message: &[u8],
     ) -> Result<(), SignatureError> {
-        self.check_tag(directory.lookup(self.signer)?.hmac(), message)
+        self.check_tag(directory.lookup(self.signer)?, message)
     }
 
     /// [`Signature::verify_uncached`] of every signature in `sigs` over the
@@ -298,7 +298,7 @@ mod tests {
     #[test]
     fn unknown_signer_is_rejected() {
         let (a, _, _, _) = setup();
-        let empty = KeyDirectory::new();
+        let (_, empty) = crate::keys::provision([], &mut DetRng::new(1));
         let sig = Signature::sign(&a, b"m");
         assert_eq!(
             sig.verify(&empty, b"m").unwrap_err(),

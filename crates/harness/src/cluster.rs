@@ -22,7 +22,7 @@
 //! a shard's crash stalls only the keys it owns: the router's in-flight
 //! count for that shard grows while every other shard keeps serving — the
 //! deployment-scale availability argument, observable in
-//! [`RunningCluster::shard_load`].
+//! [`ClusterRouter::shard_loads`].
 //!
 //! # Retry and expiry
 //!
@@ -62,7 +62,7 @@ use fs_simnet::actor::{Actor, Context, TimerId};
 use fs_simnet::load::{Admitted, LoadGen, LoadStats};
 use fs_simnet::node::NodeConfig;
 use fs_simnet::sched::SchedulerKind;
-use fs_simnet::trace::{LatencyRecorder, LatencySummary, NetStats, TraceLog};
+use fs_simnet::trace::{LatencyRecorder, NetStats, TraceLog};
 
 use crate::check::{self, Violation};
 use crate::deployment::{deploy, stamp_workload, FrontEnd, RuntimeSlot, ShardAt};
@@ -1007,43 +1007,6 @@ impl RunningCluster {
             .expect("ROUTER_PID hosts the cluster router")
     }
 
-    /// Per-shard submitted/completed counters, indexed by shard.
-    pub fn shard_loads(&mut self) -> Vec<ShardLoad> {
-        self.router().shard_loads().to_vec()
-    }
-
-    /// Shard `shard`'s router-side load counters.
-    pub fn shard_load(&mut self, shard: u32) -> Option<ShardLoad> {
-        self.router().shard_loads().get(shard as usize).copied()
-    }
-
-    /// Completions received across every shard.
-    pub fn completed(&mut self) -> u64 {
-        self.router().completed()
-    }
-
-    /// The aggregated end-to-end latency summary across every shard,
-    /// `None` when nothing completed.
-    pub fn latency_summary(&mut self) -> Option<LatencySummary> {
-        self.router().latencies().summary()
-    }
-
-    /// Shard `shard`'s end-to-end latency summary, `None` when the shard
-    /// completed nothing.
-    pub fn shard_latency_summary(&mut self, shard: u32) -> Option<LatencySummary> {
-        self.router().shard_latencies(shard)?.summary()
-    }
-
-    /// The router's admission counters.
-    pub fn load_stats(&mut self) -> LoadStats {
-        self.router().load_stats()
-    }
-
-    /// The completed multi-shard snapshots, in completion order.
-    pub fn snapshots(&mut self) -> Vec<ClusterSnapshot> {
-        self.router().snapshots().to_vec()
-    }
-
     /// Member `member` of shard `shard`'s machine-level state digest (see
     /// [`crate::Running::machine_digest`]).
     pub fn machine_digest(&mut self, shard: u32, member: u32) -> Option<u64> {
@@ -1197,8 +1160,10 @@ mod tests {
             .seed(7)
             .build();
         cluster.run_until(SimTime::from_secs(300));
-        assert_eq!(cluster.completed(), 20, "every routed command completed");
-        let loads = cluster.shard_loads();
+        let router = cluster.router();
+        assert_eq!(router.completed(), 20, "every routed command completed");
+        assert!(router.latencies().summary().is_some());
+        let loads = router.shard_loads().to_vec();
         assert_eq!(loads.iter().map(|l| l.submitted).sum::<u64>(), 20);
         assert!(loads.iter().all(|l| l.in_flight() == 0));
         // Both shards made progress and their members agree internally.
@@ -1213,7 +1178,6 @@ mod tests {
             cluster.machine_digest(1, 0),
             "different key sets yield different state"
         );
-        assert!(cluster.latency_summary().is_some());
         let stats = cluster.stats();
         assert!(stats.messages_sent > 0);
         let mut merged = NetStats::default();
@@ -1232,7 +1196,7 @@ mod tests {
             .snapshot_at(SimTime::from_secs(2))
             .build();
         cluster.run_until(SimTime::from_secs(300));
-        let snapshots = cluster.snapshots();
+        let snapshots = cluster.router().snapshots();
         assert_eq!(snapshots.len(), 1);
         let snap = &snapshots[0];
         assert_eq!(snap.shards.len(), 2);

@@ -16,6 +16,13 @@
 //! The simple service delivers whatever arrives, with no relaying and no
 //! duplicate suppression beyond per-`(origin, seq)` bookkeeping.
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+
 use std::collections::BTreeMap;
 
 use fs_common::id::MemberId;
@@ -94,7 +101,7 @@ impl ReliableMulticast {
     ) -> (GcMessage, AppDeliver) {
         let payload: Bytes = payload.into();
         let seq = self.next_seq;
-        self.next_seq += 1;
+        self.next_seq = self.next_seq.saturating_add(1);
         self.seen.entry(me).or_default().insert(seq);
         self.retained.insert((me, seq), payload.clone());
         let data = GcMessage::Data {
@@ -106,7 +113,7 @@ impl ReliableMulticast {
             payload: payload.clone(),
         };
         let order = self.delivered;
-        self.delivered += 1;
+        self.delivered = self.delivered.saturating_add(1);
         (
             data,
             AppDeliver {
@@ -137,7 +144,7 @@ impl ReliableMulticast {
         // still unseen below this one is missing in flight.
         let missing = seen.missing(seq, NACK_WINDOW);
         self.retained.insert((origin, seq), payload.clone());
-        self.nacks_sent += missing.len() as u64;
+        self.nacks_sent = self.nacks_sent.saturating_add(missing.len() as u64);
         let relay = GcMessage::Data {
             origin,
             seq,
@@ -146,9 +153,9 @@ impl ReliableMulticast {
             service: ServiceKind::Reliable,
             payload: payload.clone(),
         };
-        self.relayed += 1;
+        self.relayed = self.relayed.saturating_add(1);
         let order = self.delivered;
-        self.delivered += 1;
+        self.delivered = self.delivered.saturating_add(1);
         let deliver = AppDeliver {
             origin,
             seq,
@@ -167,7 +174,7 @@ impl ReliableMulticast {
     /// this member still retains the payload, `None` otherwise.
     pub fn on_nack(&mut self, origin: MemberId, seq: u64) -> Option<GcMessage> {
         let payload = self.retained.get(&(origin, seq))?.clone();
-        self.retransmits += 1;
+        self.retransmits = self.retransmits.saturating_add(1);
         Some(GcMessage::Data {
             origin,
             seq,
@@ -206,7 +213,7 @@ impl SimpleMulticast {
     ) -> (GcMessage, AppDeliver) {
         let payload: Bytes = payload.into();
         let seq = self.next_seq;
-        self.next_seq += 1;
+        self.next_seq = self.next_seq.saturating_add(1);
         let data = GcMessage::Data {
             origin: me,
             seq,
@@ -216,7 +223,7 @@ impl SimpleMulticast {
             payload: payload.clone(),
         };
         let order = self.delivered;
-        self.delivered += 1;
+        self.delivered = self.delivered.saturating_add(1);
         (
             data,
             AppDeliver {
@@ -234,7 +241,7 @@ impl SimpleMulticast {
     pub fn on_data(&mut self, origin: MemberId, seq: u64, payload: impl Into<Bytes>) -> AppDeliver {
         let payload: Bytes = payload.into();
         let order = self.delivered;
-        self.delivered += 1;
+        self.delivered = self.delivered.saturating_add(1);
         AppDeliver {
             origin,
             seq,
@@ -254,7 +261,7 @@ mod tests {
         let mut r = ReliableMulticast::new();
         let receipt = r.on_data(MemberId(1), 0, b"x".to_vec());
         assert!(receipt.relay.is_some());
-        assert_eq!(receipt.deliver.unwrap().payload, b"x");
+        assert!(receipt.deliver.is_some_and(|d| d.payload == b"x"[..]));
         assert!(receipt.missing.is_empty());
         assert_eq!(r.delivered_count(), 1);
         assert_eq!(r.relayed_count(), 1);
@@ -389,12 +396,11 @@ mod tests {
         r.on_data(MemberId(1), 0, b"relayed".to_vec());
         let (_, _) = r.multicast(MemberId(0), b"own".to_vec());
         // Both relayed and own messages are retained and retransmittable.
-        let data = r.on_nack(MemberId(1), 0).expect("retained relay");
-        let GcMessage::Data {
+        let Some(GcMessage::Data {
             payload, service, ..
-        } = data
+        }) = r.on_nack(MemberId(1), 0)
         else {
-            unreachable!()
+            panic!("a retained relay is retransmitted as data")
         };
         assert_eq!(payload, b"relayed");
         assert_eq!(service, ServiceKind::Reliable);

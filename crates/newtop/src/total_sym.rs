@@ -59,7 +59,6 @@ pub struct SymmetricOrder {
     sent: u64,
     /// Payloads of the messages awaiting order, in delivery order.
     pending: BTreeMap<OrderKey, Bytes>,
-    /// Hashed, and therefore never iterated.
     heard: FastMap<MemberId, Heard>,
     delivered: u64,
     gaps: u64,

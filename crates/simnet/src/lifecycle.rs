@@ -73,7 +73,7 @@ impl Call {
 }
 
 /// A process's armed timers: per timer, the token of the one firing that is
-/// current.  Never iterated.
+/// current.
 #[derive(Default)]
 pub(crate) struct Armed(FastMap<TimerId, u64>);
 

@@ -257,26 +257,18 @@ impl std::fmt::Debug for ByteStr {
 
 /// A deterministic key-value store.
 ///
-/// The entries live in a hashed table, [`FastMap`], whose iteration order
-/// is seeded per thread; keys and values of up to 22 bytes sit inside the
+/// The entries live in a hashed table, [`FastMap`], whose hash order is
+/// seeded per thread and which therefore offers no walk but
+/// [`FastMap::sorted`]; keys and values of up to 22 bytes sit inside the
 /// table's slots.  Only a snapshot and the state digest see every entry,
-/// and both take them through one private sorted view, in key-byte order:
-/// what a store encodes and digests depends on its content alone.  Keys
-/// come from clients; the table's hash seed is drawn from the operating
-/// system per thread, so a client cannot aim its keys at one bucket.
-#[derive(Clone, Default)]
+/// both through that walk, in key-byte order: what a store encodes and
+/// digests depends on its content alone.  Keys come from clients; the
+/// table's hash seed is drawn from the operating system per thread, so a
+/// client cannot aim its keys at one bucket.
+#[derive(Debug, Clone, Default)]
 pub struct KvStore {
     map: FastMap<ByteStr, ByteStr>,
     applied: u64,
-}
-
-impl std::fmt::Debug for KvStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KvStore")
-            .field("applied", &self.applied)
-            .field("map", &self.sorted())
-            .finish()
-    }
 }
 
 impl KvStore {
@@ -300,20 +292,13 @@ impl KvStore {
         self.map.is_empty()
     }
 
-    /// The entries in key-byte order: the one way the table is iterated.
-    fn sorted(&self) -> Vec<(&ByteStr, &ByteStr)> {
-        let mut entries: Vec<_> = self.map.iter().collect();
-        entries.sort_unstable_by_key(|&(key, _)| key);
-        entries
-    }
-
     /// Encodes the full store — key/value map plus the applied-command
     /// counter — into a canonical snapshot frame for state transfer.
     pub fn snapshot(&self) -> Bytes {
         let mut enc = Encoder::new();
         enc.put_u64(self.applied);
         enc.put_u32(self.map.len() as u32);
-        for (key, value) in self.sorted() {
+        for (key, value) in self.map.sorted() {
             enc.put_bytes(key.as_bytes());
             enc.put_bytes(value.as_bytes());
         }
@@ -382,7 +367,7 @@ impl AppStateMachine for KvStore {
     fn state_digest(&self) -> u64 {
         use fs_crypto::sha256::Sha256;
         let mut h = Sha256::new();
-        for (k, v) in self.sorted() {
+        for (k, v) in self.map.sorted() {
             h.update(k.as_bytes());
             h.update(&[0]);
             h.update(v.as_bytes());

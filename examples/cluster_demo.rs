@@ -35,17 +35,19 @@ fn main() {
             .build();
         cluster.run_until(SimTime::from_secs(300));
 
-        assert_eq!(cluster.completed(), MESSAGES, "every command completed");
         // Every shard's members hold the same log and state.
         cluster.check().expect("a fault-free cluster is correct");
-        let snapshots = cluster.snapshots();
+        let router = cluster.router();
+        assert_eq!(router.completed(), MESSAGES, "every command completed");
+        let snapshots = router.snapshots();
         assert_eq!(snapshots.len(), 1, "the scheduled snapshot assembled");
         let snapshot = &snapshots[0];
 
         for shard in 0..SHARDS {
-            let load = cluster.shard_load(shard).expect("shard exists");
-            let p50 = cluster
-                .shard_latency_summary(shard)
+            let load = router.shard_loads()[shard as usize];
+            let p50 = router
+                .shard_latencies(shard)
+                .and_then(|l| l.summary())
                 .map(|s| s.p50.as_nanos() as f64 / 1e6)
                 .unwrap_or(0.0);
             let frontier = snapshot.shards[shard as usize];

@@ -49,6 +49,7 @@ fn cluster_is_deterministic_across_schedulers() {
         cluster.run_until(SimTime::from_secs(300));
         let trace_json = serde_json::to_string(cluster.trace().expect("tracing enabled")).unwrap();
         let loads: Vec<(u64, u64)> = cluster
+            .router()
             .shard_loads()
             .iter()
             .map(|l| (l.submitted, l.completed))
@@ -110,8 +111,8 @@ fn four_shard_parity_with_one_shard_restarting() {
     assert_eq!(sim.stats().lifecycle_events, 4);
     assert_eq!(threaded.stats().lifecycle_events, 4);
 
-    let sim_loads = sim.shard_loads();
-    let threaded_loads = threaded.shard_loads();
+    let sim_loads = sim.router().shard_loads().to_vec();
+    let threaded_loads = threaded.router().shard_loads().to_vec();
     // The open-loop router admits everything (no in-flight bound), so both
     // runtimes route the identical command stream.
     assert_eq!(sim_loads.iter().map(|l| l.submitted).sum::<u64>(), MESSAGES);
@@ -179,8 +180,8 @@ fn key_range_cluster_snapshot_and_stats() {
         .build();
     cluster.run_until(SimTime::from_secs(300));
 
-    assert_eq!(cluster.completed(), MESSAGES);
-    let loads = cluster.shard_loads();
+    assert_eq!(cluster.router().completed(), MESSAGES);
+    let loads = cluster.router().shard_loads();
     assert_eq!(
         loads.iter().map(|l| l.submitted).collect::<Vec<_>>(),
         predicted_submitted(&partitioner, MESSAGES),
@@ -189,7 +190,7 @@ fn key_range_cluster_snapshot_and_stats() {
 
     // The snapshot assembled one frontier per shard, each a consistent cut
     // of its shard's ordered history.
-    let snapshots = cluster.snapshots();
+    let snapshots = cluster.router().snapshots();
     assert_eq!(snapshots.len(), 1);
     let snap = &snapshots[0];
     assert_eq!(snap.shards.len(), 4);
@@ -215,7 +216,7 @@ fn key_range_cluster_snapshot_and_stats() {
     }
     let total = cluster.stats();
     assert!(within(&merged, &total), "{merged:?} exceeds {total:?}");
-    assert!(cluster.latency_summary().is_some());
+    assert!(cluster.router().latencies().summary().is_some());
 }
 
 /// `part` is at most `whole` in every [`NetStats`] field.
@@ -271,8 +272,8 @@ fn sixteen_shard_parity(protocol: Protocol) {
     assert_eq!(threaded.stats().lifecycle_events, lifecycle);
 
     // Identical deterministic key stream ⇒ identical per-shard routing.
-    let sim_loads = sim.shard_loads();
-    let threaded_loads = threaded.shard_loads();
+    let sim_loads = sim.router().shard_loads().to_vec();
+    let threaded_loads = threaded.router().shard_loads().to_vec();
     assert_eq!(
         sim_loads.iter().map(|l| l.submitted).sum::<u64>(),
         2 * MESSAGES
@@ -350,7 +351,7 @@ fn command_deadline_retries_drain_the_outage_window() {
         .build();
     cluster.run_until(SimTime::from_secs(600));
 
-    let loads = cluster.shard_loads();
+    let loads = cluster.router().shard_loads();
     let submitted: u64 = loads.iter().map(|l| l.submitted).sum();
     let completed: u64 = loads.iter().map(|l| l.completed).sum();
     let expired: u64 = loads.iter().map(|l| l.expired).sum();
@@ -390,7 +391,7 @@ fn command_deadline_expires_commands_lost_to_a_dead_shard() {
         .build();
     cluster.run_until(SimTime::from_secs(600));
 
-    let loads = cluster.shard_loads();
+    let loads = cluster.router().shard_loads();
     assert!(loads[1].expired > 0, "dead-shard commands must expire");
     assert!(
         loads.iter().all(|l| l.in_flight() == 0),

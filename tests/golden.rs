@@ -377,9 +377,12 @@ fn gated_cluster_trace_matches_golden_pin() {
         .build();
     cluster.enable_trace();
     cluster.run_until(SimTime::from_secs(600));
-    let (stats, samples) = (cluster.load_stats(), cluster.router().latencies().len());
-    let loads = cluster.shard_loads();
-    assert!(loads[1].expired > 0, "the outage must expire commands");
+    let router = cluster.router();
+    let (stats, samples) = (router.load_stats(), router.latencies().len());
+    assert!(
+        router.shard_loads()[1].expired > 0,
+        "the outage must expire commands"
+    );
     assert_eq!(
         load_pin(cluster.trace().expect("tracing enabled"), stats, samples),
         "463a1651e6131656773a3210c19b0ecb5adbdaa2ad95f6aadb6a5f8f6b792006 \

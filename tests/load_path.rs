@@ -33,7 +33,8 @@ fn one_workload_balances_through_every_generator() {
     let through_router = || {
         let mut cluster = Cluster::new(2, 3).workload(workload).build();
         cluster.run_until(horizon);
-        (cluster.load_stats(), cluster.router().latencies().len(), 40)
+        let router = cluster.router();
+        (router.load_stats(), router.latencies().len(), 40)
     };
     let table = [
         (

@@ -136,12 +136,14 @@ fn output_signatures_cover_the_statement() {
     }
 }
 
-/// The second share is a plain HMAC-SHA-256 of the statement under the
-/// second signer's key: both tags below were computed by an independent
-/// implementation (Python's `hmac`) over the 54 statement bytes spelled
-/// out here.
+/// Each share is a plain signature of the statement spelled out here by
+/// its own signer: the first by the first key, the second by the second.
+/// That a signature is HMAC-SHA-256 under the key, with the tags an
+/// independent implementation computes over these very bytes, is pinned
+/// beside the key type (`fs_crypto::keys`), where a key from fixed bytes
+/// can be built.
 #[test]
-fn both_shares_match_an_independent_hmac() {
+fn both_shares_are_signatures_of_the_statement() {
     let fs = FsId(0x0102_0304);
     let content = FsContent::Output {
         output_seq: 11,
@@ -159,17 +161,12 @@ fn both_shares_match_an_independent_hmac() {
         "04030201000b00000000000000010100000003000000\
          762069bc07a6e1b5df123a5ae7bd91c10daa04694fbaa17fba0cd6a8dcce8f22"
     );
-    let key_a = SigningKey::from_bytes(SignerId(ProcessId(1)), [7u8; 32]);
-    let key_b = SigningKey::from_bytes(SignerId(ProcessId(2)), [9u8; 32]);
+    let mut rng = DetRng::new(7);
+    let key_a = SigningKey::generate(SignerId(ProcessId(1)), &mut rng);
+    let key_b = SigningKey::generate(SignerId(ProcessId(2)), &mut rng);
     let output = FsOutput::sign(fs, content, &key_a, &key_b);
-    assert_eq!(
-        output.first.tag.to_hex(),
-        "26e1298fb36ed928d0a6fc9ea131efb75138ab1161e860887da83469aaa2dd1c"
-    );
-    assert_eq!(
-        output.second.tag.to_hex(),
-        "29bbd31273f0ea818aa85c16546d5317c684d651a90946185ca83a035c3016c9"
-    );
+    assert_eq!(output.first, Signature::sign(&key_a, statement.as_bytes()));
+    assert_eq!(output.second, Signature::sign(&key_b, statement.as_bytes()));
 }
 
 /// Who may sign: the two distinct signers of the pair, and only they.
@@ -195,7 +192,7 @@ fn shares_must_come_from_both_signers_of_the_pair_and_nobody_else() {
         assert_eq!(output.verify_uncached(&dir, pair), verdict);
     }
     // A signer the directory has never heard of is no better.
-    let stranger = SigningKey::from_bytes(SignerId(ProcessId(99)), [1u8; 32]);
+    let stranger = SigningKey::generate(SignerId(ProcessId(99)), &mut DetRng::new(99));
     let output = FsOutput::sign(FsId(4), content(), &a, &stranger);
     assert_eq!(
         output.verify(&dir, (a.signer, stranger.signer)),
@@ -337,20 +334,15 @@ fn the_statement_binds_every_field_and_every_body_byte() {
 }
 
 /// The pre-armed fail-signal signature is byte-for-byte what it was
-/// before statements existed — `HMAC(key, fs ‖ 1)`, the tag pinned from
-/// an independent HMAC-SHA-256 implementation.
+/// before statements existed — `HMAC(key, fs ‖ 1)`; its tag under a fixed
+/// key, from an independent HMAC-SHA-256 implementation, is pinned beside
+/// the key type (`fs_crypto::keys`).
 #[test]
 fn fail_signal_signatures_are_over_the_five_header_bytes() {
     let fs = FsId(0x0102_0304);
     let raw = [0x04, 0x03, 0x02, 0x01, 0x01];
     assert_eq!(Statement::fail_signal(fs).as_bytes(), raw);
     assert_eq!(signing_bytes(fs, &FsContent::FailSignal), raw);
-    let key = SigningKey::from_bytes(SignerId(ProcessId(2)), [7u8; 32]);
-    let prearmed = Signature::sign(&key, Statement::fail_signal(fs).as_bytes());
-    assert_eq!(
-        prearmed.tag.to_hex(),
-        "895b4d51d9749351bde0f759b2b426959fa21a4d38a3e4bc2e1aa057bd396f71"
-    );
     let (a, b, _, dir) = keys();
     let signal = FsOutput::sign(fs, FsContent::FailSignal, &b, &a);
     assert_eq!(signal.first, Signature::sign(&b, &raw));
