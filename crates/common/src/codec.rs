@@ -316,6 +316,13 @@ impl Encoder {
         self.buf.put_slice(v);
     }
 
+    /// Appends `v` as it is, with no length prefix: the rest of a field
+    /// whose prefix the caller wrote.
+    #[inline]
+    pub fn put_raw(&mut self, v: &[u8]) {
+        self.buf.put_slice(v);
+    }
+
     /// Appends a length-prefixed byte string the caller holds as a shared
     /// buffer.  On the wire this is exactly [`Encoder::put_bytes`]; a
     /// splicing encoder takes a large `v` by refcount instead of copying it.

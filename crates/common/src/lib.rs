@@ -7,9 +7,9 @@
 //!
 //! This crate contains no protocol logic: it provides the identifiers, the
 //! simulated-time types, the canonical wire codec, the numbered-stream
-//! window ([`SeqWindow`]), the deterministic RNG and the shared
-//! configuration (the paper's timing assumptions A2–A4 and the node-budget
-//! arithmetic) that every other crate builds on.
+//! window ([`SeqWindow`]) and ring ([`SeqSlots`]), the deterministic RNG
+//! and the shared configuration (the paper's timing assumptions A2–A4 and
+//! the node-budget arithmetic) that every other crate builds on.
 //!
 //! ## Example
 //!
@@ -39,6 +39,7 @@ pub mod error;
 pub mod fasthash;
 pub mod id;
 pub mod rng;
+pub mod seqslots;
 pub mod seqwindow;
 pub mod time;
 
@@ -48,5 +49,6 @@ pub use config::{NodeBudget, TimingAssumptions};
 pub use error::{CodecError, Error, Result, SignatureError};
 pub use id::{FsId, GroupId, MemberId, MsgId, NodeId, ProcessId, Role};
 pub use rng::DetRng;
+pub use seqslots::SeqSlots;
 pub use seqwindow::SeqWindow;
 pub use time::{SimDuration, SimTime};

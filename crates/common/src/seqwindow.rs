@@ -4,8 +4,9 @@
 //! A stream's origin issues 0, 1, 2, …; its receiver asks which arrived.
 //! Fail-signal destinations accept each `(fs, dest, output_seq)` once
 //! (paper §2.1), reliable multicast NACKs each origin's gaps, the SMR
-//! sequencer orders each `(origin, seq)` once, and the interceptor holds
-//! back the upcalls that overtook a hole: all four keep a [`SeqWindow`].
+//! sequencer orders each `(origin, seq)` once, every SMR replica holds
+//! back the ordered records that overtook a hole, and so does the
+//! interceptor with its upcalls: all five keep a [`SeqWindow`].
 
 #![deny(
     clippy::arithmetic_side_effects,
@@ -21,13 +22,22 @@ use crate::fasthash::FastMap;
 ///
 /// Membership answers are exactly those of a plain set of every number ever
 /// inserted, under any insertion order.  A plain `SeqWindow` holds no values.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SeqWindow<T = ()> {
     /// Every number below this one has been inserted.
     next: u64,
     /// Inserted numbers above `next` (or at it, for `u64::MAX`), with their
     /// held values.
     above: FastMap<u64, T>,
+}
+
+impl<T> Default for SeqWindow<T> {
+    fn default() -> Self {
+        Self {
+            next: 0,
+            above: FastMap::default(),
+        }
+    }
 }
 
 impl<T> SeqWindow<T> {
@@ -51,28 +61,68 @@ impl<T> SeqWindow<T> {
 
     /// Records `seq` with `value`; returns `true` when `seq` is new.  If the
     /// frontier reaches `seq`, `release` receives `value` and then every
-    /// held value the frontier passes, in number order.  A repeat below the
-    /// frontier is dropped; a repeat above it replaces the held value.
-    /// `u64::MAX` is held for good: the frontier never passes it.
+    /// held value the frontier passes, each with its number, in number
+    /// order.  A repeat below the frontier is dropped; a repeat above it
+    /// replaces the held value.  `u64::MAX` is held for good: the frontier
+    /// never passes it.
     #[inline]
-    pub fn insert_then(&mut self, seq: u64, value: T, mut release: impl FnMut(T)) -> bool {
+    pub fn insert_then(&mut self, seq: u64, value: T, mut release: impl FnMut(u64, T)) -> bool {
         if seq < self.next {
             return false;
         }
         if seq > self.next || seq == u64::MAX {
             return self.above.insert(seq, value).is_none();
         }
-        release(value);
+        release(seq, value);
         // Exact, not saturated: the frontier steps only from below u64::MAX.
         self.next = seq.saturating_add(1);
-        while self.next < u64::MAX {
+        self.release_held(release);
+        true
+    }
+
+    /// Moves the frontier up to `frontier`, as a state-transfer install
+    /// does: the held values below it are dropped unreleased, and then
+    /// `release` receives every held value the frontier reaches from there,
+    /// in number order, as in [`SeqWindow::insert_then`].  A `frontier` at
+    /// or below the current one changes nothing.
+    pub fn advance_then(&mut self, frontier: u64, release: impl FnMut(u64, T)) {
+        if frontier <= self.next {
+            return;
+        }
+        let passed: Vec<u64> = self
+            .above
+            .sorted()
+            .into_iter()
+            .map(|(&seq, _)| seq)
+            .take_while(|&seq| seq < frontier)
+            .collect();
+        for seq in passed {
+            self.above.remove(&seq);
+        }
+        self.next = frontier;
+        self.release_held(release);
+    }
+
+    /// The highest number inserted, if any: a held one, or else the one
+    /// just below the frontier.
+    pub fn highest(&self) -> Option<u64> {
+        match self.above.sorted().last() {
+            Some((&seq, _)) => Some(seq),
+            None => self.next.checked_sub(1),
+        }
+    }
+
+    /// Releases the held values from the frontier on, while they run
+    /// contiguously.  An empty table is the common case and probes nothing.
+    #[inline]
+    fn release_held(&mut self, mut release: impl FnMut(u64, T)) {
+        while self.next < u64::MAX && !self.above.is_empty() {
             let Some(value) = self.above.remove(&self.next) else {
                 break;
             };
-            release(value);
+            release(self.next, value);
             self.next = self.next.saturating_add(1);
         }
-        true
     }
 
     /// The numbers below `below` not inserted yet, lowest first, at most
@@ -96,7 +146,7 @@ impl SeqWindow {
     /// Records `seq`; returns `true` when it had not been recorded before.
     #[inline]
     pub fn insert(&mut self, seq: u64) -> bool {
-        self.insert_then(seq, (), drop)
+        self.insert_then(seq, (), |_, ()| {})
     }
 }
 
@@ -149,6 +199,22 @@ mod tests {
             }
             out
         }
+
+        /// The SMR replica's snapshot install before it shared this type:
+        /// drop what the new frontier passes, then drain from it.
+        fn advance(&mut self, frontier: u64) -> Vec<u32> {
+            if frontier <= self.delivered {
+                return Vec::new();
+            }
+            self.held = self.held.split_off(&frontier);
+            self.delivered = frontier;
+            let mut out = Vec::new();
+            while let Some(value) = self.held.remove(&self.delivered) {
+                self.delivered = self.delivered.saturating_add(1);
+                out.push(value);
+            }
+            out
+        }
     }
 
     /// Reliable multicast's gap scan before it shared this type: from the
@@ -194,9 +260,40 @@ mod tests {
             let mut model = HoldBackModel::default();
             for (value, seq) in (0u32..).zip(seqs) {
                 let mut released = Vec::new();
-                window.insert_then(seq, value, |v| released.push(v));
+                window.insert_then(seq, value, |_, v| released.push(v));
                 prop_assert_eq!(released, model.insert(seq, value), "seq {}", seq);
                 prop_assert_eq!(window.frontier(), model.delivered);
+            }
+        }
+
+        /// Frontier jumps interleaved with receipts release and drop
+        /// exactly what the old hold-back map did, and the highest number
+        /// inserted is the map's last key or the one below the frontier.
+        #[test]
+        fn advancing_matches_the_hold_back_map(
+            steps in proptest::collection::vec((any::<bool>(), 0u64..60), 0..150),
+        ) {
+            let mut window = SeqWindow::default();
+            let mut model = HoldBackModel::default();
+            for (value, (jump, seq)) in (0u32..).zip(steps) {
+                let mut released = Vec::new();
+                let expected = if jump {
+                    window.advance_then(seq, |_, v| released.push(v));
+                    model.advance(seq)
+                } else {
+                    window.insert_then(seq, value, |_, v| released.push(v));
+                    // The replica buffered only what was not applied yet.
+                    if seq >= model.delivered {
+                        model.insert(seq, value)
+                    } else {
+                        Vec::new()
+                    }
+                };
+                prop_assert_eq!(released, expected, "seq {}", seq);
+                prop_assert_eq!(window.frontier(), model.delivered);
+                prop_assert_eq!(window.sparse_len(), model.held.len());
+                let highest = model.held.keys().next_back().copied();
+                prop_assert_eq!(window.highest(), highest.or(model.delivered.checked_sub(1)));
             }
         }
 

@@ -124,8 +124,9 @@ impl Actor for FsInterceptor {
                 output_seq, bytes, ..
             }) => {
                 // Fresh (the receiver drops copies), so not yet handed up.
-                self.upcalls
-                    .insert_then(output_seq, bytes, |bytes| ctx.send(self.app, bytes.into()));
+                self.upcalls.insert_then(output_seq, bytes, |_, bytes| {
+                    ctx.send(self.app, bytes.into())
+                });
             }
             Some(FsDelivery::FailSignal { fs }) if fs == self.local_fs => {
                 self.local_fail_signalled = true;

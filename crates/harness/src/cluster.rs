@@ -57,7 +57,7 @@ use fs_common::error::CodecError;
 use fs_common::id::{MemberId, ProcessId};
 use fs_common::rng::DetRng;
 use fs_common::time::{SimDuration, SimTime};
-use fs_common::Frame;
+use fs_common::{Bytes, Frame, SeqSlots};
 use fs_simnet::actor::{Actor, Context, TimerId};
 use fs_simnet::load::{Admitted, LoadGen, LoadStats};
 use fs_simnet::node::NodeConfig;
@@ -68,7 +68,7 @@ use crate::check::{self, Violation};
 use crate::deployment::{deploy, stamp_workload, FrontEnd, RuntimeSlot, ShardAt};
 use crate::faults::FaultSchedule;
 use crate::scenario::{MemberProcs, Protocol, RuntimeKind, Scenario};
-use crate::service::{put_value, SmrKvService};
+use crate::service::{put_value_into, SmrKvService};
 use crate::workload::Workload;
 
 /// The router's fixed process identifier (shard pids start at
@@ -139,16 +139,22 @@ impl Partitioner {
     /// The shard owning `key`.  Pure and total: the same key always maps to
     /// the same shard, so tests can pin assignments byte-for-byte.
     pub fn shard_of(&self, key: &str) -> u32 {
+        self.shard_of_bytes(key.as_bytes())
+    }
+
+    /// [`Partitioner::shard_of`] of a key held as its bytes (a string's
+    /// order is its bytes' order).
+    fn shard_of_bytes(&self, key: &[u8]) -> u32 {
         match self {
             Partitioner::Hash { shards } => {
                 let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
-                for b in key.as_bytes() {
+                for b in key {
                     acc = (acc ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3);
                 }
                 (acc % u64::from(*shards)) as u32
             }
             Partitioner::KeyRange { bounds } => {
-                bounds.partition_point(|b| b.as_str() <= key) as u32
+                bounds.partition_point(|b| b.as_bytes() <= key) as u32
             }
         }
     }
@@ -167,8 +173,37 @@ impl Partitioner {
 pub fn router_keys(arrival_seed: u64, count: usize) -> Vec<String> {
     let mut rng = DetRng::new(arrival_seed ^ 0x6b65_7973); // "keys"
     (0..count)
-        .map(|_| format!("k{:016x}", rng.next_u64_raw()))
+        .map(|_| {
+            key_of(rng.next_u64_raw())
+                .iter()
+                .map(|&b| char::from(b))
+                .collect()
+        })
         .collect()
+}
+
+/// The router key of one draw, `format!("k{draw:016x}")`, as bytes on the
+/// stack.
+fn key_of(draw: u64) -> [u8; 17] {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut key = [b'k'; 17];
+    for (i, byte) in key[1..].iter_mut().enumerate() {
+        *byte = HEX[(draw >> (60 - 4 * i)) as usize & 0xf];
+    }
+    key
+}
+
+/// The bytes of [`ClusterMsg::Submit`] for router command `router_seq`:
+/// `key` and the generated value of `size` bytes (see
+/// [`put_value_into`](crate::service::put_value_into)), written into one
+/// exactly sized buffer.
+fn submit_wire(router_seq: u64, key: &[u8], size: usize) -> Bytes {
+    let mut enc = Encoder::with_capacity(1 + 8 + 4 + key.len() + 4 + size);
+    enc.put_u8(0);
+    enc.put_u64(router_seq);
+    enc.put_bytes(key);
+    put_value_into(&mut enc, router_seq, size);
+    enc.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -248,26 +283,96 @@ impl Wire for ClusterMsg {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        match dec.get_u8()? {
-            0 => Ok(ClusterMsg::Submit {
+        Ok(match ClusterFrame::decode(dec)? {
+            ClusterFrame::Submit {
+                router_seq,
+                key,
+                value,
+            } => ClusterMsg::Submit {
+                router_seq,
+                key: key.to_owned(),
+                value: value.to_vec(),
+            },
+            ClusterFrame::Done { router_seq } => ClusterMsg::Done { router_seq },
+            ClusterFrame::SnapRead { req } => ClusterMsg::SnapRead { req },
+            ClusterFrame::SnapResp {
+                req,
+                applied,
+                keys,
+                digest,
+            } => ClusterMsg::SnapResp {
+                req,
+                applied,
+                keys,
+                digest,
+            },
+        })
+    }
+
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            ClusterMsg::Submit { key, value, .. } => 8 + 4 + key.len() + 4 + value.len(),
+            ClusterMsg::Done { .. } => 8,
+            ClusterMsg::SnapRead { .. } => 8,
+            ClusterMsg::SnapResp { .. } => 8 * 4,
+        }
+    }
+}
+
+/// A [`ClusterMsg`] read in place: a `Submit`'s key and value borrow the
+/// frame.  The one decoder of the router's wire: [`ClusterMsg`] decodes
+/// through it, and a shard's driver reads its `Submit`s with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ClusterFrame<'a> {
+    /// [`ClusterMsg::Submit`].
+    Submit {
+        router_seq: u64,
+        key: &'a str,
+        value: &'a [u8],
+    },
+    /// [`ClusterMsg::Done`].
+    Done { router_seq: u64 },
+    /// [`ClusterMsg::SnapRead`].
+    SnapRead { req: u64 },
+    /// [`ClusterMsg::SnapResp`].
+    SnapResp {
+        req: u64,
+        applied: u64,
+        keys: u64,
+        digest: u64,
+    },
+}
+
+impl<'a> ClusterFrame<'a> {
+    fn decode(dec: &mut Decoder<'a>) -> Result<Self, CodecError> {
+        Ok(match dec.get_u8()? {
+            0 => ClusterFrame::Submit {
                 router_seq: dec.get_u64()?,
-                key: dec.get_str()?.to_owned(),
-                value: dec.get_bytes_owned()?,
-            }),
-            1 => Ok(ClusterMsg::Done {
+                key: dec.get_str()?,
+                value: dec.get_bytes()?,
+            },
+            1 => ClusterFrame::Done {
                 router_seq: dec.get_u64()?,
-            }),
-            2 => Ok(ClusterMsg::SnapRead {
+            },
+            2 => ClusterFrame::SnapRead {
                 req: dec.get_u64()?,
-            }),
-            3 => Ok(ClusterMsg::SnapResp {
+            },
+            3 => ClusterFrame::SnapResp {
                 req: dec.get_u64()?,
                 applied: dec.get_u64()?,
                 keys: dec.get_u64()?,
                 digest: dec.get_u64()?,
-            }),
-            t => Err(CodecError::UnknownTag(t)),
-        }
+            },
+            t => return Err(CodecError::UnknownTag(t)),
+        })
+    }
+
+    /// Reads one whole frame; `None` when it is malformed.
+    pub(crate) fn read(payload: &'a [u8]) -> Option<Self> {
+        let mut dec = Decoder::new(payload);
+        let frame = Self::decode(&mut dec).ok()?;
+        dec.finish().ok()?;
+        Some(frame)
     }
 }
 
@@ -331,12 +436,21 @@ impl ShardLoad {
     }
 }
 
-/// A routed command awaiting completion, kept for deadline-triggered
-/// resubmission (only when the cluster configures a command deadline).
+/// A routed command awaiting completion.
 #[derive(Debug, Clone)]
-struct PendingCommand {
-    key: String,
-    value: Vec<u8>,
+struct Routed {
+    /// The shard the command was routed to: the only one that completes it.
+    shard: u32,
+    /// What a deadline-triggered resubmission needs; only when the cluster
+    /// configures a command deadline.
+    retry: Option<Box<Retry>>,
+}
+
+/// A routed command's resubmission state.
+#[derive(Debug, Clone)]
+struct Retry {
+    /// The command's `Submit` frame, sent again as it is.
+    frame: Bytes,
     attempts: u32,
     due: SimTime,
 }
@@ -347,18 +461,16 @@ struct PendingCommand {
 pub struct ClusterRouter {
     workload: Workload,
     partitioner: Partitioner,
-    /// Shard → entry driver (member 0's workload driver).
+    /// Shard → entry driver (member 0's workload driver); a completion's
+    /// sender is looked up here.
     entries: Vec<ProcessId>,
-    /// Reverse map: entry driver → shard, for classifying completions.
-    shard_of_entry: BTreeMap<ProcessId, u32>,
     load: LoadGen,
     key_rng: DetRng,
-    shard_of_seq: BTreeMap<u64, u32>,
+    /// The commands in flight, by router sequence.
+    routed: SeqSlots<Routed>,
     /// Per-command deadline and retry budget; `None` disables the retry
-    /// plane entirely (no pending copies, no sweep timer).
+    /// plane entirely (no frame kept for resubmission, no sweep timer).
     retry: Option<(SimDuration, u32)>,
-    /// In-flight commands kept for resubmission, by router sequence.
-    pending: BTreeMap<u64, PendingCommand>,
     loads: Vec<ShardLoad>,
     shard_latencies: Vec<LatencyRecorder>,
     snapshot_at: Option<SimTime>,
@@ -388,21 +500,14 @@ impl ClusterRouter {
         retry: Option<(SimDuration, u32)>,
     ) -> Self {
         let shards = entries.len();
-        let shard_of_entry = entries
-            .iter()
-            .enumerate()
-            .map(|(s, &pid)| (pid, s as u32))
-            .collect();
         Self {
             load: LoadGen::new(&workload, 0x7075_7465), // "route"
             key_rng: DetRng::new(workload.arrival_seed ^ 0x6b65_7973),
             workload,
             partitioner,
             entries,
-            shard_of_entry,
-            shard_of_seq: BTreeMap::new(),
+            routed: SeqSlots::default(),
             retry,
-            pending: BTreeMap::new(),
             loads: vec![ShardLoad::default(); shards],
             shard_latencies: vec![LatencyRecorder::new(); shards],
             snapshot_at,
@@ -478,33 +583,19 @@ impl ClusterRouter {
     /// Keys, routes and tracks one admitted command.
     fn submit(&mut self, ctx: &mut dyn Context, request: Admitted) {
         let seq = request.seq;
-        let key = format!("k{:016x}", self.key_rng.next_u64_raw());
-        let shard = self.partitioner.shard_of(&key);
-        let value = put_value(seq, self.workload.payload_size);
-        let now = ctx.now();
-        self.shard_of_seq.insert(seq, shard);
+        let key = key_of(self.key_rng.next_u64_raw());
+        let shard = self.partitioner.shard_of_bytes(&key);
+        let frame = submit_wire(seq, &key, self.workload.payload_size);
+        let retry = self.retry.map(|(deadline, _)| {
+            Box::new(Retry {
+                frame: frame.clone(),
+                attempts: 0,
+                due: ctx.now().saturating_add(deadline),
+            })
+        });
+        self.routed.insert(seq, Routed { shard, retry });
         self.loads[shard as usize].submitted += 1;
-        if let Some((deadline, _)) = self.retry {
-            self.pending.insert(
-                seq,
-                PendingCommand {
-                    key: key.clone(),
-                    value: value.clone(),
-                    attempts: 0,
-                    due: now.saturating_add(deadline),
-                },
-            );
-        }
-        ctx.send(
-            self.entries[shard as usize],
-            ClusterMsg::Submit {
-                router_seq: seq,
-                key,
-                value,
-            }
-            .to_wire()
-            .into(),
-        );
+        ctx.send(self.entries[shard as usize], frame.into());
     }
 
     /// Scans the in-flight window for commands past their deadline:
@@ -517,31 +608,26 @@ impl ClusterRouter {
         };
         let now = ctx.now();
         let due: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.due <= now)
-            .map(|(&seq, _)| seq)
+            .routed
+            .iter_mut()
+            .filter(|(_, routed)| routed.retry.as_ref().is_some_and(|r| r.due <= now))
+            .map(|(seq, _)| seq)
             .collect();
         for seq in due {
-            let shard = self.shard_of_seq[&seq] as usize;
-            let entry = self.pending.get_mut(&seq).expect("swept seq is pending");
-            if entry.attempts < max_retries {
-                entry.attempts += 1;
-                entry.due = now.saturating_add(deadline);
+            let Some(routed) = self.routed.get_mut(seq) else {
+                continue;
+            };
+            let shard = routed.shard as usize;
+            let Some(retry) = routed.retry.as_mut() else {
+                continue;
+            };
+            if retry.attempts < max_retries {
+                retry.attempts += 1;
+                retry.due = now.saturating_add(deadline);
                 self.loads[shard].retried += 1;
-                ctx.send(
-                    self.entries[shard],
-                    ClusterMsg::Submit {
-                        router_seq: seq,
-                        key: entry.key.clone(),
-                        value: entry.value.clone(),
-                    }
-                    .to_wire()
-                    .into(),
-                );
+                ctx.send(self.entries[shard], retry.frame.clone().into());
             } else {
-                self.pending.remove(&seq);
-                self.shard_of_seq.remove(&seq);
+                self.routed.remove(seq);
                 self.loads[shard].expired += 1;
                 if let Some(request) = self.load.abandon(seq, now) {
                     self.submit(ctx, request);
@@ -550,7 +636,7 @@ impl ClusterRouter {
         }
         // Keep sweeping while anything can still enter or leave the window;
         // going quiet once the run has drained lets the runtimes settle.
-        if !self.pending.is_empty() || self.offered() < self.workload.messages {
+        if !self.routed.is_empty() || self.offered() < self.workload.messages {
             ctx.set_timer(deadline / 2, TIMER_RETRY);
         }
     }
@@ -570,14 +656,13 @@ impl ClusterRouter {
     /// shard the command was routed to can complete it: crediting another
     /// would push that shard's `completed` past its `submitted`.
     fn on_done(&mut self, ctx: &mut dyn Context, shard: u32, router_seq: u64) {
-        if self.shard_of_seq.get(&router_seq) != Some(&shard) {
+        if self.routed.get(router_seq).map(|routed| routed.shard) != Some(shard) {
             return; // duplicate, unknown, or another shard's command
         }
         let Some(done) = self.load.complete(router_seq, ctx.now()) else {
             return;
         };
-        self.shard_of_seq.remove(&router_seq);
-        self.pending.remove(&router_seq);
+        self.routed.remove(router_seq);
         self.loads[shard as usize].completed += 1;
         self.shard_latencies[shard as usize].record(done.span);
         if let Some(request) = done.refill {
@@ -615,9 +700,10 @@ impl Actor for ClusterRouter {
 
     fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Frame) {
         let payload = payload.into_bytes();
-        let Some(&shard) = self.shard_of_entry.get(&from) else {
+        let Some(shard) = self.entries.iter().position(|&entry| entry == from) else {
             return; // not a shard entry: dropped
         };
+        let shard = shard as u32;
         match ClusterMsg::from_wire(&payload) {
             Ok(ClusterMsg::Done { router_seq }) => self.on_done(ctx, shard, router_seq),
             Ok(ClusterMsg::SnapResp {
@@ -1053,6 +1139,7 @@ impl RunningCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::put_value;
     use fs_simnet::actor::TestContext;
 
     #[test]
@@ -1076,6 +1163,49 @@ mod tests {
             assert_eq!(ClusterMsg::from_wire(&m.to_wire()).unwrap(), m);
         }
         assert!(ClusterMsg::from_wire(&[0xff]).is_err());
+    }
+
+    /// The router writes the bytes `ClusterMsg::Submit` encodes, for keys
+    /// drawn as `format!` would print them and values of every size class
+    /// (shorter than the sequence number, filler past one chunk); the
+    /// driver reads them back borrowed, and a frame with trailing bytes
+    /// not at all.
+    #[test]
+    fn router_frames_are_written_and_read_in_place() {
+        for (draw, size) in [
+            (0, 0),
+            (0x0123_4567_89ab_cdef, 3),
+            (u64::MAX, 8),
+            (7, 9),
+            (9, 200),
+        ] {
+            let key = format!("k{draw:016x}");
+            assert_eq!(key.as_bytes(), key_of(draw));
+            let seq = draw.rotate_left(7);
+            let msg = ClusterMsg::Submit {
+                router_seq: seq,
+                key: key.clone(),
+                value: put_value(seq, size),
+            };
+            let wire = submit_wire(seq, &key_of(draw), size);
+            assert_eq!(wire, msg.to_wire());
+            assert_eq!(
+                ClusterFrame::read(&wire),
+                Some(ClusterFrame::Submit {
+                    router_seq: seq,
+                    key: &key,
+                    value: &put_value(seq, size),
+                })
+            );
+        }
+        let read = ClusterMsg::SnapRead { req: 5 }.to_wire();
+        assert_eq!(
+            ClusterFrame::read(&read),
+            Some(ClusterFrame::SnapRead { req: 5 })
+        );
+        let mut trailing = read.to_vec();
+        trailing.push(0);
+        assert_eq!(ClusterFrame::read(&trailing), None);
     }
 
     #[test]

@@ -21,12 +21,12 @@
 //! NewTOP-specific code.
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use fs_common::codec::Wire;
+use fs_common::codec::{Encoder, Wire};
 use fs_common::id::{MemberId, ProcessId};
 use fs_common::time::{SimDuration, SimTime};
-use fs_common::{Bytes, Frame};
+use fs_common::{Bytes, Frame, SeqSlots};
 use fs_newtop::app::AppProcess;
 use fs_newtop::gc::{GcConfig, GcMachine};
 use fs_newtop::message::{ControlInput, ServiceKind};
@@ -39,7 +39,7 @@ use fs_smr::machine::{
 };
 use fs_smr::sequenced::{SequencedKv, SmrClientMsg, SmrDeliverEntry, SmrUpcall};
 
-use crate::cluster::ClusterMsg;
+use crate::cluster::{ClusterFrame, ClusterMsg};
 use crate::workload::Workload;
 
 /// A deployable service: everything the scenario builder needs to assemble
@@ -420,6 +420,22 @@ pub(crate) fn put_value(seq: u64, size: usize) -> Vec<u8> {
     value
 }
 
+/// Writes [`put_value`]`(seq, size)` as one length-prefixed field, without
+/// building it.
+pub(crate) fn put_value_into(enc: &mut Encoder, seq: u64, size: usize) {
+    const FILLER: [u8; 64] = [0xa5; 64];
+    enc.put_u32(size as u32);
+    let seq = seq.to_le_bytes();
+    let head = &seq[..size.min(seq.len())];
+    enc.put_raw(head);
+    let mut left = size - head.len();
+    while left > 0 {
+        let n = left.min(FILLER.len());
+        enc.put_raw(&FILLER[..n]);
+        left -= n;
+    }
+}
+
 /// Timer used by [`SmrDriver`] to pace its workload.
 const TIMER_SEND: TimerId = TimerId(200);
 
@@ -453,16 +469,24 @@ pub struct SmrDriver {
     /// Time from the last `Recover` to the view install that re-admitted
     /// this member — the driver-observed recovery time.
     rejoin_latency: Option<SimDuration>,
-    /// Router bookkeeping (cluster deployments): local sequence → the
-    /// router's own sequence number, echoed back on ordered delivery.
-    routed_of_seq: BTreeMap<u64, u64>,
+    /// Router bookkeeping (cluster deployments): what each command the
+    /// router asked for is, by the local sequence it was submitted under.
+    routed: SeqSlots<RoutedCommand>,
     /// Router sequences already accepted, so a deadline-triggered resubmit
     /// of a command that is still in the ordering pipeline (or already
-    /// applied) is not submitted twice.
+    /// applied) is not submitted twice.  An ordered set: a shard sees a
+    /// sparse slice of the router's sequences.
     routed_seen: BTreeSet<u64>,
-    /// Local sequence → snapshot request id, for in-flight frontier reads
-    /// fanned out by the cluster router.
-    snap_of_seq: BTreeMap<u64, u64>,
+}
+
+/// A command a [`SmrDriver`] submitted for the cluster router, answered on
+/// its ordered delivery.
+#[derive(Debug, Clone, Copy)]
+enum RoutedCommand {
+    /// A keyed `Put`: its completion echoes the router's sequence number.
+    Put(u64),
+    /// A frontier read for snapshot request `req`.
+    Snap(u64),
 }
 
 impl std::fmt::Debug for SmrDriver {
@@ -491,9 +515,8 @@ impl SmrDriver {
             recover_sent_at: None,
             views: Vec::new(),
             rejoin_latency: None,
-            routed_of_seq: BTreeMap::new(),
+            routed: SeqSlots::default(),
             routed_seen: BTreeSet::new(),
-            snap_of_seq: BTreeMap::new(),
         }
     }
 
@@ -585,8 +608,8 @@ impl SmrDriver {
     /// submit on this shard, or a frontier read for a multi-shard snapshot.
     /// Malformed frames are dropped, like any other unparseable input.
     fn on_router_msg(&mut self, ctx: &mut dyn Context, payload: &[u8]) {
-        match ClusterMsg::from_wire(payload) {
-            Ok(ClusterMsg::Submit {
+        match ClusterFrame::read(payload) {
+            Some(ClusterFrame::Submit {
                 router_seq,
                 key,
                 value,
@@ -599,13 +622,13 @@ impl SmrDriver {
                     return;
                 }
                 let seq = self.load.reserve_seq();
-                self.routed_of_seq.insert(seq, router_seq);
-                let command = fs_smr::command::KvCommand::Put { key, value };
-                self.push_command(ctx, seq, command.to_wire());
+                self.routed.insert(seq, RoutedCommand::Put(router_seq));
+                let command = fs_smr::command::KvCommand::put_wire(key, value);
+                self.push_command(ctx, seq, command);
             }
-            Ok(ClusterMsg::SnapRead { req }) => {
+            Some(ClusterFrame::SnapRead { req }) => {
                 let seq = self.load.reserve_seq();
-                self.snap_of_seq.insert(seq, req);
+                self.routed.insert(seq, RoutedCommand::Snap(req));
                 self.push_command(ctx, seq, fs_smr::command::KvCommand::Frontier.to_wire());
             }
             _ => {}
@@ -617,9 +640,10 @@ impl SmrDriver {
         if self.batch.is_empty() {
             return;
         }
+        let next = Vec::with_capacity(self.batch.capacity());
         let frame = SmrClientMsg::Batch {
             first_seq: self.batch_first_seq,
-            commands: std::mem::take(&mut self.batch),
+            commands: std::mem::replace(&mut self.batch, next),
         };
         ctx.send(self.middleware, frame.to_wire().into());
     }
@@ -631,30 +655,33 @@ impl SmrDriver {
             return;
         }
         if let Some(router) = self.workload.router {
-            if let Some(router_seq) = self.routed_of_seq.remove(&entry.seq) {
-                ctx.send(router, ClusterMsg::Done { router_seq }.to_wire().into());
-                return;
-            }
-            if let Some(req) = self.snap_of_seq.remove(&entry.seq) {
-                if let Ok(fs_smr::command::KvResponse::Frontier {
-                    applied,
-                    keys,
-                    digest,
-                }) = fs_smr::command::KvResponse::from_wire(&entry.response)
-                {
-                    ctx.send(
-                        router,
-                        ClusterMsg::SnapResp {
-                            req,
-                            applied,
-                            keys,
-                            digest,
-                        }
-                        .to_wire()
-                        .into(),
-                    );
+            match self.routed.remove(entry.seq) {
+                Some(RoutedCommand::Put(router_seq)) => {
+                    ctx.send(router, ClusterMsg::Done { router_seq }.to_wire().into());
+                    return;
                 }
-                return;
+                Some(RoutedCommand::Snap(req)) => {
+                    if let Ok(fs_smr::command::KvResponse::Frontier {
+                        applied,
+                        keys,
+                        digest,
+                    }) = fs_smr::command::KvResponse::from_wire(&entry.response)
+                    {
+                        ctx.send(
+                            router,
+                            ClusterMsg::SnapResp {
+                                req,
+                                applied,
+                                keys,
+                                digest,
+                            }
+                            .to_wire()
+                            .into(),
+                        );
+                    }
+                    return;
+                }
+                None => {}
             }
         }
         if let Some(request) = self

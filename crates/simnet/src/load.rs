@@ -29,13 +29,12 @@
 //! same driver code behaves identically on the discrete-event simulator and
 //! on the threaded runtime.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use fs_common::id::{MemberId, ProcessId};
 use fs_common::rng::DetRng;
 use fs_common::time::{SimDuration, SimTime};
+use fs_common::SeqSlots;
 
 use crate::trace::LatencyRecorder;
 
@@ -513,8 +512,9 @@ pub struct LoadGen {
     /// Arrivals generated so far (admitted or not).
     offered: u64,
     next_seq: u64,
-    /// The in-flight window: `seq → (submitted at, client)`.
-    window: BTreeMap<u64, (SimTime, u32)>,
+    /// The in-flight window: `seq → (submitted at, client)`, from the
+    /// oldest request in flight on.
+    window: SeqSlots<(SimTime, u32)>,
     latencies: LatencyRecorder,
     first_submit_at: Option<SimTime>,
     last_done_at: Option<SimTime>,
@@ -533,7 +533,7 @@ impl LoadGen {
             gate: AdmissionGate::new(workload.clients, workload.max_in_flight, workload.admission),
             offered: 0,
             next_seq: 0,
-            window: BTreeMap::new(),
+            window: SeqSlots::default(),
             latencies: LatencyRecorder::new(),
             first_submit_at: None,
             last_done_at: None,
@@ -558,7 +558,7 @@ impl LoadGen {
     /// when one waits.  `None` for a sequence number that is not in flight
     /// (unknown, abandoned or already completed).
     pub fn complete(&mut self, seq: u64, now: SimTime) -> Option<Completed> {
-        let (sent_at, client) = self.window.remove(&seq)?;
+        let (sent_at, client) = self.window.remove(seq)?;
         let span = now.duration_since(sent_at);
         self.latencies.record(span);
         self.last_done_at = Some(now);
@@ -573,7 +573,7 @@ impl LoadGen {
     /// as one in [`LoadStats::completed`] — so the blocked arrival that
     /// inherits it, if any, is returned for submission.
     pub fn abandon(&mut self, seq: u64, now: SimTime) -> Option<Admitted> {
-        let (_, client) = self.window.remove(&seq)?;
+        let (_, client) = self.window.remove(seq)?;
         self.release(client, now)
     }
 

@@ -109,6 +109,25 @@ impl Wire for KvCommand {
             t => Err(CodecError::UnknownTag(t)),
         }
     }
+    fn encoded_len(&self) -> usize {
+        match self {
+            KvCommand::Put { key, value } => 1 + 4 + key.len() + 4 + value.len(),
+            KvCommand::Get { key } | KvCommand::Delete { key } => 1 + 4 + key.len(),
+            KvCommand::Frontier => 1,
+        }
+    }
+}
+
+impl KvCommand {
+    /// The bytes of `KvCommand::Put { key, value }`, written from borrowed
+    /// parts into one exactly sized buffer.
+    pub fn put_wire(key: &str, value: &[u8]) -> Bytes {
+        let mut enc = Encoder::with_capacity(1 + 4 + key.len() + 4 + value.len());
+        enc.put_u8(0);
+        enc.put_str(key);
+        enc.put_bytes(value);
+        enc.finish()
+    }
 }
 
 /// Responses produced by the key-value application machine.
@@ -160,6 +179,13 @@ impl Wire for KvResponse {
                 digest: dec.get_u64()?,
             }),
             t => Err(CodecError::UnknownTag(t)),
+        }
+    }
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            KvResponse::Ok => 0,
+            KvResponse::Value(value) => value.encoded_len(),
+            KvResponse::Frontier { .. } => 8 + 8 + 8,
         }
     }
 }
@@ -446,6 +472,13 @@ impl Wire for AuctionCommand {
             t => Err(CodecError::UnknownTag(t)),
         }
     }
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            AuctionCommand::Open { item, .. } => 4 + item.len() + 8,
+            AuctionCommand::Bid { item, .. } => 4 + item.len() + 4 + 8,
+            AuctionCommand::Close { item } => 4 + item.len(),
+        }
+    }
 }
 
 /// The outcome of an auction command.
@@ -490,6 +523,13 @@ impl Wire for AuctionResponse {
                 t => Err(CodecError::UnknownTag(t)),
             },
             t => Err(CodecError::UnknownTag(t)),
+        }
+    }
+    fn encoded_len(&self) -> usize {
+        match self {
+            AuctionResponse::Ok | AuctionResponse::Rejected => 1,
+            AuctionResponse::Closed(None) => 1 + 1,
+            AuctionResponse::Closed(Some(_)) => 1 + 1 + 4 + 8,
         }
     }
 }

@@ -44,6 +44,13 @@
 //! identical inputs therefore produce byte-identical outputs — exactly what
 //! the fail-signal wrapper pair compares.
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+
 use std::collections::BTreeMap;
 
 use fs_common::codec::{Decoder, Encoder, Wire};
@@ -78,6 +85,11 @@ impl GroupView {
     }
 
     /// The member acting as sequencer in this view.
+    #[expect(
+        clippy::expect_used,
+        reason = "a view off the wire has a member (decoding rejects an empty list), \
+                  a joined view adds one, and the initial view is the caller's group"
+    )]
     pub fn sequencer(&self) -> MemberId {
         *self
             .members
@@ -131,7 +143,7 @@ impl Wire for GroupView {
         Ok(Self { id, members })
     }
     fn encoded_len(&self) -> usize {
-        8 + 4 + 4 * self.members.len()
+        self.members.len().saturating_mul(4).saturating_add(8 + 4)
     }
 }
 
@@ -174,9 +186,14 @@ fn put_batch<T: Wire>(
 }
 
 /// The length [`put_batch`] writes for `entries`, tag and head excluded.
+/// Here and in every `encoded_len` of this module lengths saturate: a
+/// length past `usize::MAX` belongs to no encoding that fits in memory.
 fn batch_len<T: Wire>(entries: &[T]) -> usize {
     let count = if entries.len() == 1 { 0 } else { 4 };
-    count + entries.iter().map(Wire::encoded_len).sum::<usize>()
+    entries
+        .iter()
+        .map(Wire::encoded_len)
+        .fold(count, usize::saturating_add)
 }
 
 /// Reads the entries of a batch frame in the form its tag announced.
@@ -227,7 +244,7 @@ impl Wire for SmrClientMsg {
     }
     fn encoded_len(&self) -> usize {
         match self {
-            SmrClientMsg::Batch { commands, .. } => 1 + 8 + batch_len(commands),
+            SmrClientMsg::Batch { commands, .. } => batch_len(commands).saturating_add(1 + 8),
             SmrClientMsg::Recover => 1,
         }
     }
@@ -258,7 +275,7 @@ impl Wire for SmrDeliverEntry {
         })
     }
     fn encoded_len(&self) -> usize {
-        4 + 8 + 4 + self.response.len()
+        self.response.len().saturating_add(4 + 8 + 4)
     }
 }
 
@@ -298,7 +315,7 @@ impl Wire for SmrViewInstall {
         })
     }
     fn encoded_len(&self) -> usize {
-        8 + self.view.encoded_len()
+        self.view.encoded_len().saturating_add(8)
     }
 }
 
@@ -337,9 +354,9 @@ impl Wire for SmrUpcall {
         }
     }
     fn encoded_len(&self) -> usize {
-        1 + match self {
-            SmrUpcall::Batch(batch) => 8 + batch_len(&batch.entries),
-            SmrUpcall::View(install) => install.encoded_len(),
+        match self {
+            SmrUpcall::Batch(batch) => batch_len(&batch.entries).saturating_add(1 + 8),
+            SmrUpcall::View(install) => install.encoded_len().saturating_add(1),
         }
     }
 }
@@ -365,7 +382,7 @@ impl Wire for SmrOrderedEntry {
         })
     }
     fn encoded_len(&self) -> usize {
-        8 + 4 + self.command.len()
+        self.command.len().saturating_add(8 + 4)
     }
 }
 
@@ -459,15 +476,7 @@ impl Wire for SmrPeerMsg {
                 first_global,
                 origin,
                 entries,
-            } => put_batch(
-                enc,
-                (1, 3),
-                |enc| {
-                    enc.put_u64(*first_global);
-                    enc.put_member(*origin);
-                },
-                entries,
-            ),
+            } => put_ordered(enc, *first_global, *origin, entries),
             SmrPeerMsg::CatchUpRequest {
                 member,
                 view_id,
@@ -542,8 +551,10 @@ impl Wire for SmrPeerMsg {
     }
     fn encoded_len(&self) -> usize {
         match self {
-            SmrPeerMsg::SubmitBatch { commands, .. } => 1 + 4 + 8 + batch_len(commands),
-            SmrPeerMsg::OrderedBatch { entries, .. } => 1 + 8 + 4 + batch_len(entries),
+            SmrPeerMsg::SubmitBatch { commands, .. } => {
+                batch_len(commands).saturating_add(1 + 4 + 8)
+            }
+            SmrPeerMsg::OrderedBatch { entries, .. } => ordered_len(entries),
             SmrPeerMsg::CatchUpRequest { .. } => 1 + 4 + 8 + 8,
             SmrPeerMsg::Snapshot {
                 view,
@@ -551,18 +562,44 @@ impl Wire for SmrPeerMsg {
                 store,
                 delivered,
                 ..
-            } => {
-                1 + view.encoded_len()
-                    + 8
-                    + 8
-                    + (4 + 12 * ordered_seq.len())
-                    + (4 + store.len())
-                    + (4 + 12 * delivered.len())
-            }
+            } => [
+                view.encoded_len(),
+                ordered_seq.len().saturating_mul(12),
+                store.len(),
+                delivered.len().saturating_mul(12),
+            ]
+            .into_iter()
+            .fold(1 + 8 + 8 + 4 + 4 + 4, usize::saturating_add),
             SmrPeerMsg::Rejoin { .. } => 1 + 4,
-            SmrPeerMsg::ViewChange { view, .. } => 1 + 8 + view.encoded_len(),
+            SmrPeerMsg::ViewChange { view, .. } => view.encoded_len().saturating_add(1 + 8),
         }
     }
+}
+
+/// Writes a [`SmrPeerMsg::OrderedBatch`] from its parts.
+fn put_ordered(
+    enc: &mut Encoder,
+    first_global: u64,
+    origin: MemberId,
+    entries: &[SmrOrderedEntry],
+) {
+    let head = |enc: &mut Encoder| {
+        enc.put_u64(first_global);
+        enc.put_member(origin);
+    };
+    put_batch(enc, (1, 3), head, entries);
+}
+
+/// The length [`put_ordered`] writes.
+fn ordered_len(entries: &[SmrOrderedEntry]) -> usize {
+    batch_len(entries).saturating_add(1 + 8 + 4)
+}
+
+/// The bytes of a [`SmrPeerMsg::OrderedBatch`], written from its parts.
+fn ordered_batch_wire(first_global: u64, origin: MemberId, entries: &[SmrOrderedEntry]) -> Bytes {
+    let mut enc = Encoder::with_capacity(ordered_len(entries));
+    put_ordered(&mut enc, first_global, origin, entries);
+    enc.finish()
 }
 
 /// The sequenced replicated key-value machine of one group member.
@@ -578,10 +615,11 @@ pub struct SequencedKv {
     view: GroupView,
     /// Next global index the sequencer will assign.
     next_global: u64,
-    /// Next global index this replica will apply.
-    next_apply: u64,
-    /// Ordered records received ahead of `next_apply`.
-    pending: BTreeMap<u64, Pending>,
+    /// The ordered records that overtook a hole, by global index.  Its
+    /// frontier is the next global index this replica applies: a record
+    /// that is next in line is applied as it arrives and never stored, and
+    /// an index chosen by a peer never sizes an allocation.
+    pending: SeqWindow<Pending>,
     /// Per origin, the seqs ordered so far: the sequencer's at-most-once
     /// guard, exact under out-of-order submissions.
     ordered_seq: BTreeMap<MemberId, SeqWindow>,
@@ -596,7 +634,7 @@ pub struct SequencedKv {
     backlog: Vec<Backlog>,
 }
 
-/// An entry buffered at a global order slot ahead of `next_apply`.
+/// An entry at a global order slot, applied when the slot is next in line.
 #[derive(Debug, Clone)]
 enum Pending {
     /// An ordinary ordered command.
@@ -620,6 +658,64 @@ enum Backlog {
     Join(MemberId),
 }
 
+/// Applies the records `pending` releases, in global order, and frames
+/// their upcalls.  Runs of plain commands applied by one machine step go up
+/// in **one** [`SmrUpcall::Batch`] frame; a view transition in the run
+/// closes the current frame, installs the view and raises its own
+/// [`SmrUpcall::View`] at the exact slot.
+struct Applier<'a> {
+    store: &'a mut KvStore,
+    delivered: &'a mut Vec<(MemberId, u64)>,
+    view: &'a mut GroupView,
+    out: &'a mut Vec<MachineOutput>,
+    /// The open frame: the commands applied from `first_global` on.
+    first_global: u64,
+    entries: Vec<SmrDeliverEntry>,
+}
+
+impl Applier<'_> {
+    /// Applies the record at global index `global`.
+    fn apply(&mut self, global: u64, record: Pending) {
+        match record {
+            Pending::Cmd {
+                origin,
+                seq,
+                command,
+            } => {
+                if self.entries.is_empty() {
+                    self.first_global = global;
+                }
+                let response = self.store.apply(&command);
+                self.delivered.push((origin, seq));
+                self.entries.push(SmrDeliverEntry {
+                    origin,
+                    seq,
+                    response,
+                });
+            }
+            Pending::View(view) => {
+                self.close_frame();
+                *self.view = view.clone();
+                let install = SmrViewInstall { global, view };
+                self.out
+                    .push(MachineOutput::to_app(SmrUpcall::View(install).to_wire()));
+            }
+        }
+    }
+
+    /// Closes the open run of applied commands into one upcall frame.
+    fn close_frame(&mut self) {
+        if !self.entries.is_empty() {
+            let batch = SmrDeliverBatch {
+                first_global: self.first_global,
+                entries: std::mem::take(&mut self.entries),
+            };
+            self.out
+                .push(MachineOutput::to_app(SmrUpcall::Batch(batch).to_wire()));
+        }
+    }
+}
+
 impl SequencedKv {
     /// Creates the machine replica of `member` in `group`.  Member 0 of the
     /// group (its first entry) acts as the sequencer.
@@ -628,8 +724,7 @@ impl SequencedKv {
             member,
             view: GroupView::initial(group),
             next_global: 0,
-            next_apply: 0,
-            pending: BTreeMap::new(),
+            pending: SeqWindow::default(),
             ordered_seq: BTreeMap::new(),
             store: KvStore::new(),
             delivered: Vec::new(),
@@ -673,12 +768,64 @@ impl SequencedKv {
         self.store.state_digest()
     }
 
+    /// The next global index this replica applies.
+    fn next_apply(&self) -> u64 {
+        self.pending.frontier()
+    }
+
+    /// Runs `feed` against `pending`, applying every record it releases,
+    /// and closes the last upcall frame into `out`; `expected` sizes the
+    /// frame's entry list.
+    fn apply_released(
+        &mut self,
+        out: &mut Vec<MachineOutput>,
+        expected: usize,
+        feed: impl FnOnce(&mut SeqWindow<Pending>, &mut Applier<'_>),
+    ) {
+        let Self {
+            pending,
+            store,
+            delivered,
+            view,
+            ..
+        } = self;
+        let mut applier = Applier {
+            store,
+            delivered,
+            view,
+            out,
+            first_global: 0,
+            entries: Vec::with_capacity(expected),
+        };
+        feed(pending, &mut applier);
+        applier.close_frame();
+    }
+
+    /// Holds or applies `records`, record `i` at global index
+    /// `first_global + i`; `end` is one past the last index.
+    fn hold_or_apply(
+        &mut self,
+        first_global: u64,
+        end: u64,
+        records: impl ExactSizeIterator<Item = Pending>,
+        out: &mut Vec<MachineOutput>,
+    ) {
+        self.apply_released(out, records.len(), |pending, applier| {
+            for (global, record) in (first_global..end).zip(records) {
+                pending.insert_then(global, record, |global, record| {
+                    applier.apply(global, record);
+                });
+            }
+        });
+    }
+
     /// Sequencer-side ordering of a batch: every not-yet-ordered command
     /// gets the next consecutive global index, and the batch is multicast
-    /// as one [`SmrPeerMsg::OrderedBatch`] record.  While recovering, the
-    /// commands are parked instead — a sequencer must re-learn the
-    /// assignment frontier before it hands out indices.  A batch whose
-    /// sequence numbers or global indices would reach `u64::MAX` is dropped.
+    /// as one [`SmrPeerMsg::OrderedBatch`] record ahead of its upcall.
+    /// While recovering, the commands are parked instead — a sequencer must
+    /// re-learn the assignment frontier before it hands out indices.  A
+    /// batch whose sequence numbers or global indices would reach
+    /// `u64::MAX` is dropped.
     fn order(
         &mut self,
         origin: MemberId,
@@ -700,35 +847,39 @@ impl SequencedKv {
             }
             return Vec::new();
         }
-        if self.next_global.checked_add(n).is_none() {
+        if commands.is_empty() {
             return Vec::new();
         }
         let first_global = self.next_global;
-        let mut entries = Vec::with_capacity(commands.len());
-        for (seq, command) in (first_seq..end_seq).zip(commands) {
-            if self.ordered_seq.entry(origin).or_default().insert(seq) {
-                self.pending.insert(
-                    self.next_global,
-                    Pending::Cmd {
-                        origin,
-                        seq,
-                        command: command.clone(),
-                    },
-                );
-                self.next_global += 1;
-                entries.push(SmrOrderedEntry { seq, command });
-            }
+        if first_global.checked_add(n).is_none() {
+            return Vec::new();
         }
+        let guard = self.ordered_seq.entry(origin).or_default();
+        let mut entries = Vec::with_capacity(commands.len());
+        entries.extend(
+            (first_seq..end_seq)
+                .zip(commands)
+                .filter(|&(seq, _)| guard.insert(seq))
+                .map(|(seq, command)| SmrOrderedEntry { seq, command }),
+        );
         if entries.is_empty() {
             return Vec::new();
         }
-        let record = SmrPeerMsg::OrderedBatch {
+        // At most `n` fresh entries, and `first_global + n` does not wrap.
+        let end = first_global.saturating_add(entries.len() as u64);
+        self.next_global = end;
+        let mut out = Vec::with_capacity(2);
+        out.push(MachineOutput::broadcast(ordered_batch_wire(
             first_global,
             origin,
-            entries,
-        };
-        let mut out = vec![MachineOutput::broadcast(record.to_wire())];
-        out.extend(self.apply_ready());
+            &entries,
+        )));
+        let records = entries.into_iter().map(|entry| Pending::Cmd {
+            origin,
+            seq: entry.seq,
+            command: entry.command,
+        });
+        self.hold_or_apply(first_global, end, records, &mut out);
         out
     }
 
@@ -752,15 +903,15 @@ impl SequencedKv {
             view: view.clone(),
         };
         let mut out = vec![MachineOutput::broadcast(record.to_wire())];
-        self.pending.insert(global, Pending::View(view));
-        out.extend(self.apply_ready());
+        let records = std::iter::once(Pending::View(view));
+        self.hold_or_apply(global, next_global, records, &mut out);
         out
     }
 
     /// Follower-side ingest of sequenced records, record `i` at global
-    /// index `first_global + i`: buffers those not yet applied and applies
-    /// what is next in line.  Records whose indices would reach `u64::MAX`
-    /// are dropped whole, so `next_apply` never passes it.
+    /// index `first_global + i`: applies what is next in line and holds
+    /// those that overtook a hole.  Records whose indices would reach
+    /// `u64::MAX` are dropped whole, so the apply frontier never passes it.
     fn ingest(
         &mut self,
         first_global: u64,
@@ -769,19 +920,16 @@ impl SequencedKv {
         let Some(end) = first_global.checked_add(records.len() as u64) else {
             return Vec::new();
         };
-        for (global, record) in (first_global..end).zip(records) {
-            if global >= self.next_apply {
-                self.pending.insert(global, record);
-            }
-        }
-        self.apply_ready()
+        let mut out = Vec::new();
+        self.hold_or_apply(first_global, end, records, &mut out);
+        out
     }
 
     /// One past the highest global index this replica knows to be assigned,
-    /// counting both applied entries and records still buffered in `pending`.
+    /// counting both applied entries and records still held in `pending`.
     fn assign_frontier(&self) -> u64 {
-        let buffered = self.pending.keys().next_back().map_or(0, |g| g + 1);
-        self.next_global.max(self.next_apply).max(buffered)
+        let held = self.pending.highest().map_or(0, |g| g.saturating_add(1));
+        self.next_global.max(self.next_apply()).max(held)
     }
 
     /// The state-transfer reply describing this replica's applied state.
@@ -789,7 +937,7 @@ impl SequencedKv {
         SmrPeerMsg::Snapshot {
             view: self.view.clone(),
             next_global: self.assign_frontier(),
-            next_apply: self.next_apply,
+            next_apply: self.next_apply(),
             ordered_seq: self
                 .ordered_seq
                 .iter()
@@ -812,7 +960,7 @@ impl SequencedKv {
         let request = SmrPeerMsg::CatchUpRequest {
             member: self.member,
             view_id: self.view.id,
-            have_applied: self.next_apply,
+            have_applied: self.next_apply(),
         };
         let mut out = vec![MachineOutput::broadcast(request.to_wire())];
         if self.is_sequencer() {
@@ -831,10 +979,13 @@ impl SequencedKv {
         out
     }
 
-    /// Installs a state-transfer snapshot if it is ahead of this replica,
-    /// then resumes any parked sequencer work.  Every snapshot — installed
-    /// or not — raises the assignment frontier, so a recovered sequencer
-    /// never re-assigns a global index a peer has already seen.
+    /// Installs a state-transfer snapshot if it is ahead of this replica —
+    /// a higher apply frontier, or the same one in a later view — then
+    /// resumes any parked sequencer work.  A snapshot never moves the apply
+    /// frontier back: the slots between would be applied twice.  Every
+    /// snapshot — installed or not — raises the assignment frontier, so a
+    /// recovered sequencer never re-assigns a global index a peer has
+    /// already seen.
     #[allow(clippy::too_many_arguments)]
     fn install_snapshot(
         &mut self,
@@ -849,37 +1000,40 @@ impl SequencedKv {
         self.recovering = false;
         self.next_global = self.next_global.max(next_global);
         let mut out = Vec::new();
-        if next_apply > self.next_apply || view.id > self.view.id {
+        if (next_apply, view.id) > (self.next_apply(), self.view.id) {
             match KvStore::restore(&store) {
                 Ok(restored) => {
                     self.store = restored;
                     self.view = view;
-                    self.next_apply = next_apply;
                     self.ordered_seq = BTreeMap::new();
                     for (origin, seq) in ordered_seq {
                         self.ordered_seq.entry(origin).or_default().insert(seq);
                     }
                     self.delivered = delivered;
-                    // Anything buffered below the installed frontier is
-                    // already covered by the snapshot — including, possibly,
-                    // the ViewChange record of our own rejoin.  Announce the
-                    // installed view so the local application always gets
-                    // its catch-up-complete signal, even when the snapshot
-                    // swallowed the transition slot.
-                    self.pending = self.pending.split_off(&self.next_apply);
+                    // Announce the installed view so the local application
+                    // always gets its catch-up-complete signal, even when
+                    // the snapshot swallowed the transition slot.
                     if was_recovering {
                         let install = SmrViewInstall {
-                            global: self.next_apply,
+                            global: next_apply,
                             view: self.view.clone(),
                         };
                         out.push(MachineOutput::to_app(SmrUpcall::View(install).to_wire()));
                     }
+                    // Anything held below the installed frontier is already
+                    // covered by the snapshot — including, possibly, the
+                    // ViewChange record of our own rejoin; what is held from
+                    // it on applies now.
+                    self.apply_released(&mut out, 0, |pending, applier| {
+                        pending.advance_then(next_apply, |global, record| {
+                            applier.apply(global, record);
+                        });
+                    });
                 }
                 // A malformed snapshot is ignored; another reply will serve.
                 Err(_) => self.recovering = was_recovering,
             }
         }
-        out.extend(self.apply_ready());
         if was_recovering && !self.recovering {
             out.extend(self.drain_backlog());
         }
@@ -902,61 +1056,6 @@ impl SequencedKv {
             }
         }
         out
-    }
-
-    /// Applies every pending record whose global index is next in line.
-    /// Runs of plain commands applied by one machine step go up in **one**
-    /// [`SmrUpcall::Batch`] frame; a view transition in the run closes the
-    /// current frame, installs the view and raises its own
-    /// [`SmrUpcall::View`] at the exact slot.
-    fn apply_ready(&mut self) -> Vec<MachineOutput> {
-        let mut out = Vec::new();
-        let mut first_global = self.next_apply;
-        let mut entries: Vec<SmrDeliverEntry> = Vec::new();
-        while let Some(pending) = self.pending.remove(&self.next_apply) {
-            let global = self.next_apply;
-            self.next_apply += 1;
-            match pending {
-                Pending::Cmd {
-                    origin,
-                    seq,
-                    command,
-                } => {
-                    let response = self.store.apply(&command);
-                    self.delivered.push((origin, seq));
-                    entries.push(SmrDeliverEntry {
-                        origin,
-                        seq,
-                        response,
-                    });
-                }
-                Pending::View(view) => {
-                    Self::flush_frame(&mut out, first_global, &mut entries);
-                    self.view = view.clone();
-                    out.push(MachineOutput::to_app(
-                        SmrUpcall::View(SmrViewInstall { global, view }).to_wire(),
-                    ));
-                    first_global = self.next_apply;
-                }
-            }
-        }
-        Self::flush_frame(&mut out, first_global, &mut entries);
-        out
-    }
-
-    /// Closes a run of applied commands into one upcall frame.
-    fn flush_frame(
-        out: &mut Vec<MachineOutput>,
-        first_global: u64,
-        entries: &mut Vec<SmrDeliverEntry>,
-    ) {
-        if !entries.is_empty() {
-            let batch = SmrDeliverBatch {
-                first_global,
-                entries: std::mem::take(entries),
-            };
-            out.push(MachineOutput::to_app(SmrUpcall::Batch(batch).to_wire()));
-        }
     }
 }
 
@@ -1057,6 +1156,13 @@ impl DeterministicMachine for SequencedKv {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "tests index, count and unwrap what they built themselves"
+)]
 mod tests {
     use super::*;
     use crate::command::KvCommand;

@@ -8,6 +8,8 @@
 #                    convention the test module is the last item of a file)
 #   panic_sites      unwrap / expect / panic! sites under crates/*/src, outside
 #                    inline `#[cfg(test)]` modules (the same filter)
+#   panic_sites_code the same, outside doc comments too (`///` and `//!`
+#                    lines, whose examples run as doctests, not in a node)
 #   fs_knobs         distinct FS_* environment knobs named anywhere in the
 #                    sources, the benchmark and CI
 #
@@ -26,8 +28,13 @@ non_test='FNR == 1 { in_tests = 0 }
 non_test_lines="$(find crates -name '*.rs' -not -path '*/tests/*' -print0 |
     xargs -0 awk "$non_test" | wc -l)"
 
-panic_sites="$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk "$non_test" |
-    grep -Eo 'unwrap\(|expect\(|panic!' | wc -l)"
+# Prints the non-test source lines under crates/*/src.
+src_lines() {
+    find crates/*/src -name '*.rs' -print0 | xargs -0 awk "$non_test"
+}
+sites='unwrap\(|expect\(|panic!'
+panic_sites="$(src_lines | grep -Eo "$sites" | wc -l)"
+panic_sites_code="$(src_lines | grep -Ev '^[[:space:]]*//[/!]' | grep -Eo "$sites" | wc -l)"
 
 fs_knobs="$(grep -rhoE '\bFS_[A-Z][A-Z0-9_]*[A-Z0-9]\b' crates src tests examples benchmark/src benchmark/run.sh \
     .github/workflows 2>/dev/null | sort -u | wc -l)"
@@ -35,4 +42,5 @@ fs_knobs="$(grep -rhoE '\bFS_[A-Z][A-Z0-9_]*[A-Z0-9]\b' crates src tests example
 printf 'crates_lines    %s\n' "$crates_lines"
 printf 'non_test_lines  %s\n' "$non_test_lines"
 printf 'panic_sites     %s\n' "$panic_sites"
+printf 'panic_sites_code %s\n' "$panic_sites_code"
 printf 'fs_knobs        %s\n' "$fs_knobs"

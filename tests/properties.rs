@@ -493,6 +493,36 @@ proptest! {
             replica: MemberId(member),
             payload: shared_payload,
         });
+
+        // The KV and auction application frames and the router's frames,
+        // every variant; the `Put` writer from parts matches the enum's.
+        {
+            use fs_smr_suite::harness::ClusterMsg;
+            use fs_smr_suite::smr::command::{AuctionCommand, AuctionResponse, KvResponse};
+            let key = String::from_utf8_lossy(&payload).into_owned();
+            let value = payload.clone();
+            let put = KvCommand::Put { key: key.clone(), value: value.clone() };
+            check(&put);
+            prop_assert_eq!(KvCommand::put_wire(&key, &value), put.to_wire());
+            check(&KvCommand::Get { key: key.clone() });
+            check(&KvCommand::Delete { key: key.clone() });
+            check(&KvCommand::Frontier);
+            check(&KvResponse::Ok);
+            check(&KvResponse::Value(None));
+            check(&KvResponse::Value(Some(value.clone())));
+            check(&KvResponse::Frontier { applied: seq, keys: seq, digest: seq });
+            check(&AuctionCommand::Open { item: key.clone(), reserve: seq });
+            check(&AuctionCommand::Bid { item: key.clone(), bidder: ProcessId(member), amount: seq });
+            check(&AuctionCommand::Close { item: key.clone() });
+            check(&AuctionResponse::Ok);
+            check(&AuctionResponse::Rejected);
+            check(&AuctionResponse::Closed(None));
+            check(&AuctionResponse::Closed(Some((ProcessId(member), seq))));
+            check(&ClusterMsg::Submit { router_seq: seq, key, value });
+            check(&ClusterMsg::Done { router_seq: seq });
+            check(&ClusterMsg::SnapRead { req: seq });
+            check(&ClusterMsg::SnapResp { req: seq, applied: seq, keys: seq, digest: seq });
+        }
     }
 }
 
@@ -1147,6 +1177,12 @@ fn peer_corpus() -> Vec<Vec<u8>> {
         },
         SmrPeerMsg::Rejoin { member: m1 },
         SmrPeerMsg::ViewChange { global: 2, view },
+        // A batch whose last index is the one below `u64::MAX`.
+        SmrPeerMsg::OrderedBatch {
+            first_global: u64::MAX - 2,
+            origin: m0,
+            entries: vec![entry.clone(), entry.clone()],
+        },
     ]
     .iter()
     .map(|msg| msg.to_wire().to_vec())
