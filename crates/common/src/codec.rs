@@ -81,11 +81,12 @@ pub fn segments_eq(a: &[&[u8]], b: &[&[u8]]) -> bool {
 /// three-segment rope `head ‖ body ‖ tail` whose `body` is a refcount of a
 /// byte string the sender already held.
 ///
-/// Every frame of the fail-signal layer wraps exactly one opaque byte string
-/// (a request, a machine output) in a few header and trailer bytes.  Copying
-/// that string into each new frame is what made a 10 kB delivery move its
-/// payload some thirty times; a frame encoder ([`Wire::to_frame`]) instead
-/// splices a large field in as `body` and writes only the bytes around it.
+/// Every frame that carries a payload (a request, a machine's `Data` or
+/// upcall, a fail-signal envelope) wraps exactly one opaque byte string in
+/// a few header and trailer bytes.  Copying that string into each new
+/// frame is what made a 10 kB delivery move its payload some thirty times;
+/// a frame encoder ([`Wire::to_frame`]) instead splices a large field in as
+/// `body` and writes only the bytes around it.
 /// The logical content is always the concatenation of the segments:
 /// [`Frame::to_bytes`] of a spliced frame equals [`Wire::to_wire`] byte for
 /// byte, `len()` is the wire length, and the decoder ([`Wire::from_frame`])

@@ -399,7 +399,7 @@ mod tests {
                 let mut out = self.inner.handle(input);
                 if self.count > self.after {
                     for o in &mut out {
-                        let mut corrupted = o.bytes.to_vec();
+                        let mut corrupted = o.bytes.to_bytes().to_vec();
                         corrupted.push(0xEE);
                         o.bytes = corrupted.into();
                     }

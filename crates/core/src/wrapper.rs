@@ -387,7 +387,8 @@ impl FsoActor {
     }
 
     /// Runs the wrapped machine on one ordered input and submits every output
-    /// for comparison.
+    /// for comparison.  An output the machine spliced is flattened here,
+    /// once: its digest and the external frame take one contiguous buffer.
     fn process_input(&mut self, ctx: &mut dyn Context, endpoint: Endpoint, bytes: Bytes) {
         let input = MachineInput::new(endpoint, bytes);
         let pi = self.machine.processing_cost(&input);
@@ -395,7 +396,7 @@ impl FsoActor {
         self.stats.inputs_processed += 1;
         let outputs = self.machine.handle(&input);
         for MachineOutput { dest, bytes } in outputs {
-            self.produce_output(ctx, dest, bytes, pi);
+            self.produce_output(ctx, dest, bytes.into_bytes(), pi);
         }
     }
 

@@ -352,16 +352,17 @@ impl PlainHost {
         }
     }
 
-    /// Sends `output` to every process its destination maps to; the last
-    /// one gets the buffer itself, the others a refcount clone.
+    /// Sends `output` to every process its destination maps to, segmented
+    /// as the machine encoded it; the last one gets the frame itself, the
+    /// others a refcount clone.
     fn route(&self, ctx: &mut dyn Context, output: MachineOutput) {
         let mut targets = self.addresses.targets(output.dest).peekable();
         while let Some(to) = targets.next() {
             if targets.peek().is_none() {
-                ctx.send(to, output.bytes.into());
+                ctx.send(to, output.bytes);
                 return;
             }
-            ctx.send(to, output.bytes.clone().into());
+            ctx.send(to, output.bytes.clone());
         }
     }
 }
@@ -377,9 +378,9 @@ impl Actor for PlainHost {
     }
 
     fn on_message(&mut self, ctx: &mut dyn Context, from: ProcessId, payload: Frame) {
-        // The machine takes one contiguous buffer: free for a frame that is
-        // one (every peer message), the one copy of a spliced request.
-        let payload = payload.into_bytes();
+        // The machine takes the frame as it arrived: a payload spliced into
+        // a request or a peer's `Data` reaches it, and leaves it, by
+        // refcount.
         let Some(source) = self.addresses.source(from) else {
             return; // unknown sender: dropped
         };

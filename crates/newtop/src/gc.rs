@@ -12,12 +12,19 @@
 //! * wrapped by the fail-signal pair of the `failsignal` crate to form
 //!   FS-NewTOP, with no change to this code.
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+
 use std::collections::BTreeMap;
 
 use fs_common::codec::Wire;
 use fs_common::id::MemberId;
 use fs_common::time::SimDuration;
-use fs_common::Bytes;
+use fs_common::Frame;
 use fs_smr::machine::{DeterministicMachine, Endpoint, MachineInput, MachineOutput};
 
 use crate::causal::CausalOrder;
@@ -58,9 +65,10 @@ impl GcCosts {
         }
     }
 
-    /// The cost of handling an input of `len` bytes.
+    /// The cost of handling an input of `len` bytes, saturating.
     pub fn cost(&self, len: usize) -> SimDuration {
-        self.base + self.per_byte * len as u64
+        let per_byte = self.per_byte.checked_mul(len as u64);
+        per_byte.map_or(SimDuration::MAX, |d| self.base.saturating_add(d))
     }
 }
 
@@ -195,14 +203,15 @@ impl GcMachine {
     }
 
     fn count(&mut self, what: &'static str) {
-        *self.message_counts.entry(what).or_insert(0) += 1;
+        let count = self.message_counts.entry(what).or_insert(0);
+        *count = count.saturating_add(1);
     }
 
     fn multicast_to_view(&self, msg: &GcMessage, outputs: &mut Vec<MachineOutput>) {
         // One logical multicast is one machine output (and therefore one
         // signature in the fail-signal wrapper); the hosting adapter fans it
         // out to the physical peers.
-        outputs.push(MachineOutput::broadcast(msg.to_wire()));
+        outputs.push(MachineOutput::broadcast(msg.to_frame()));
     }
 
     fn deliver_up(&mut self, deliveries: Vec<AppDeliver>, outputs: &mut Vec<MachineOutput>) {
@@ -213,15 +222,14 @@ impl GcMachine {
                 service: d.service,
                 payload_len: d.payload.len(),
             });
-            // A machine output is a new byte string around the payload: the
-            // one copy on the delivery path.
-            outputs.push(MachineOutput::to_app(Upcall::Deliver(d).to_wire()));
+            // A new frame around the payload, which it carries by refcount.
+            outputs.push(MachineOutput::to_app(Upcall::Deliver(d).to_frame()));
         }
     }
 
-    fn handle_app_request(&mut self, bytes: &Bytes) -> Vec<MachineOutput> {
+    fn handle_app_request(&mut self, frame: &Frame) -> Vec<MachineOutput> {
         let mut outputs = Vec::new();
-        let Ok(request) = AppRequest::from_wire_shared(bytes) else {
+        let Ok(request) = AppRequest::from_frame(frame) else {
             return outputs; // a malformed local request is dropped
         };
         let AppRequest { service, payload } = request;
@@ -257,10 +265,10 @@ impl GcMachine {
         outputs
     }
 
-    fn handle_peer_message(&mut self, from: MemberId, bytes: &Bytes) -> Vec<MachineOutput> {
+    fn handle_peer_message(&mut self, from: MemberId, frame: &Frame) -> Vec<MachineOutput> {
         let mut outputs = Vec::new();
         // Zero-copy decode: a `Data` payload is a view of the input.
-        let Ok(message) = GcMessage::from_wire_shared(bytes) else {
+        let Ok(message) = GcMessage::from_frame(frame) else {
             return outputs; // a malformed peer message cannot be processed
         };
         self.count(message.kind());
@@ -375,7 +383,7 @@ impl GcMachine {
                 from: requester,
             } => {
                 if let Some(data) = self.reliable.on_nack(origin, seq) {
-                    outputs.push(MachineOutput::to_peer(requester, data.to_wire()));
+                    outputs.push(MachineOutput::to_peer(requester, data.to_frame()));
                 }
             }
         }
@@ -385,9 +393,9 @@ impl GcMachine {
         outputs
     }
 
-    fn handle_control(&mut self, bytes: &[u8]) -> Vec<MachineOutput> {
+    fn handle_control(&mut self, frame: &Frame) -> Vec<MachineOutput> {
         let mut outputs = Vec::new();
-        let Ok(control) = ControlInput::from_wire(bytes) else {
+        let Ok(control) = ControlInput::from_frame(frame) else {
             return outputs;
         };
         match control {
@@ -454,6 +462,13 @@ impl DeterministicMachine for GcMachine {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "tests index, count and unwrap what they built themselves"
+)]
 mod tests {
     use super::*;
 
@@ -520,7 +535,7 @@ mod tests {
                         }
                     }
                     Endpoint::LocalApp => {
-                        if let Ok(Upcall::Deliver(d)) = Upcall::from_wire_shared(&output.bytes) {
+                        if let Ok(Upcall::Deliver(d)) = Upcall::from_frame(&output.bytes) {
                             let idx = self.index_of(src);
                             self.upcalls[idx].push(d);
                         }
@@ -872,7 +887,7 @@ mod tests {
         assert_eq!(gc.view().id, 1, "member 0 left the view");
         assert!(outputs
             .iter()
-            .all(|o| !matches!(GcMessage::from_wire(&o.bytes), Ok(GcMessage::Order { .. }))));
+            .all(|o| !matches!(GcMessage::from_frame(&o.bytes), Ok(GcMessage::Order { .. }))));
     }
 
     #[test]
@@ -887,7 +902,7 @@ mod tests {
         let out = gc.handle(&MachineInput::from_peer(MemberId(1), ping));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].dest, Endpoint::Peer(MemberId(1)));
-        let pong = GcMessage::from_wire(&out[0].bytes).unwrap();
+        let pong = GcMessage::from_frame(&out[0].bytes).unwrap();
         assert_eq!(
             pong,
             GcMessage::Pong {

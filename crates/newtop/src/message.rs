@@ -15,7 +15,7 @@
 use fs_common::codec::{Decoder, Encoder, Wire};
 use fs_common::error::CodecError;
 use fs_common::id::MemberId;
-use fs_common::Bytes;
+use fs_common::{Bytes, Frame};
 
 /// Which NewTOP service a multicast requests (§3: the Invocation service
 /// "allows the application to specify the type of NewTOP service needed").
@@ -291,14 +291,17 @@ impl GcMessage {
     /// The wire tag of [`GcMessage::Pong`].
     const TAG_PONG: u8 = 4;
 
-    /// `Some((from, nonce))` when `bytes` encode a [`GcMessage::Pong`].
-    /// Looks at the tag first, so asking this of a `Data` message costs one
-    /// byte compare — the hosting adapter asks it of every peer message.
-    pub fn decode_pong(bytes: &[u8]) -> Option<(MemberId, u64)> {
-        if bytes.first() != Some(&Self::TAG_PONG) {
+    /// `Some((from, nonce))` when `frame` encodes a [`GcMessage::Pong`].
+    /// Looks at the tag first (the first non-empty segment's first byte),
+    /// so asking this of a `Data` message costs one byte compare and never
+    /// flattens its payload — the hosting adapter asks it of every peer
+    /// message.
+    pub fn decode_pong(frame: &Frame) -> Option<(MemberId, u64)> {
+        let tag = frame.segments().into_iter().find_map(<[u8]>::first);
+        if tag != Some(&Self::TAG_PONG) {
             return None;
         }
-        match Self::from_wire(bytes) {
+        match Self::from_frame(frame) {
             Ok(GcMessage::Pong { from, nonce }) => Some((from, nonce)),
             _ => None,
         }

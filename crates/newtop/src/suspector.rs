@@ -17,6 +17,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use fs_common::codec::Wire;
 use fs_common::id::MemberId;
 use fs_common::time::{SimDuration, SimTime};
+use fs_common::Frame;
 use fs_smr::machine::{DetectorRound, DeterministicMachine, FailureDetector, MachineOutput};
 
 use crate::gc::GcMachine;
@@ -162,7 +163,7 @@ impl FailureDetector for PingSuspector {
         self.config.interval
     }
 
-    fn observe(&mut self, peer: MemberId, frame: &[u8]) {
+    fn observe(&mut self, peer: MemberId, frame: &Frame) {
         // Only the tag is read, so only a pong is decoded.  A pong counts
         // for the peer that sent it: one naming another member would clear
         // that member's ping and hide its crash.

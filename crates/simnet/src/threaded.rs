@@ -1066,11 +1066,18 @@ impl Node {
         self.flush();
         self.stats.busy_ns += nanos_since(start, Instant::now());
         self.publish();
-        self.env
-            .cell()
-            .processed
-            .fetch_add(envelopes, Ordering::SeqCst);
+        self.count_processed(envelopes);
         running
+    }
+
+    /// Counts a burst's `envelopes` processed: its last step, after the
+    /// flush and the publication (see [`Node::burst`]; debug builds check).
+    #[inline]
+    fn count_processed(&self, envelopes: u64) {
+        let cell = self.env.cell();
+        debug_assert!(self.outgoing.is_empty(), "counted before the flush");
+        debug_assert_eq!(*lock_unpoisoned(&cell.published), self.stats);
+        cell.processed.fetch_add(envelopes, Ordering::SeqCst);
     }
 
     /// Executes one scheduled lifecycle event of a hosted process.

@@ -8,7 +8,7 @@
 //! Anything satisfying [`DeterministicMachine`] can be wrapped by the
 //! fail-signal layer in the `failsignal` crate: the NewTOP group
 //! communication object, an application server, or a toy machine used in
-//! tests.  Inputs and outputs are plain byte strings tagged with logical
+//! tests.  Inputs and outputs are transport frames tagged with logical
 //! endpoints so the wrapper can compare replica outputs byte-for-byte and
 //! route them to physical processes.
 
@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use fs_common::id::{MemberId, ProcessId};
 use fs_common::time::{SimDuration, SimTime};
-use fs_common::Bytes;
+use fs_common::{Bytes, Frame};
 
 /// A logical endpoint of a machine input or output.
 ///
@@ -156,14 +156,15 @@ impl AddressMap {
 pub struct MachineInput {
     /// Where the input came from.
     pub source: Endpoint,
-    /// The input bytes (canonical wire encoding of a protocol message),
-    /// refcount-shared with the transport that delivered them.
-    pub bytes: Bytes,
+    /// The input frame (canonical wire encoding of a protocol message),
+    /// refcount-shared with the transport that delivered it and segmented
+    /// as it arrived; decode it with `Wire::from_frame`.
+    pub bytes: Frame,
 }
 
 impl MachineInput {
     /// Creates an input from `source` carrying `bytes`.
-    pub fn new(source: Endpoint, bytes: impl Into<Bytes>) -> Self {
+    pub fn new(source: Endpoint, bytes: impl Into<Frame>) -> Self {
         Self {
             source,
             bytes: bytes.into(),
@@ -171,17 +172,17 @@ impl MachineInput {
     }
 
     /// Convenience constructor for an input from the local application.
-    pub fn from_app(bytes: impl Into<Bytes>) -> Self {
+    pub fn from_app(bytes: impl Into<Frame>) -> Self {
         Self::new(Endpoint::LocalApp, bytes)
     }
 
     /// Convenience constructor for an input from peer `m`.
-    pub fn from_peer(m: MemberId, bytes: impl Into<Bytes>) -> Self {
+    pub fn from_peer(m: MemberId, bytes: impl Into<Frame>) -> Self {
         Self::new(Endpoint::Peer(m), bytes)
     }
 
     /// Convenience constructor for an environment input.
-    pub fn from_env(bytes: impl Into<Bytes>) -> Self {
+    pub fn from_env(bytes: impl Into<Frame>) -> Self {
         Self::new(Endpoint::Environment, bytes)
     }
 }
@@ -191,15 +192,16 @@ impl MachineInput {
 pub struct MachineOutput {
     /// Where the output should go.
     pub dest: Endpoint,
-    /// The output bytes.  An output produced once is signed, compared and
-    /// transmitted to every destination without re-encoding, so the buffer
-    /// is immutable and refcount-shared.
-    pub bytes: Bytes,
+    /// The output frame.  An output produced once is signed, compared and
+    /// transmitted to every destination without re-encoding, so its
+    /// segments are immutable and refcount-shared; a large payload it
+    /// carries is the very buffer the machine received it in.
+    pub bytes: Frame,
 }
 
 impl MachineOutput {
     /// Creates an output destined for `dest` carrying `bytes`.
-    pub fn new(dest: Endpoint, bytes: impl Into<Bytes>) -> Self {
+    pub fn new(dest: Endpoint, bytes: impl Into<Frame>) -> Self {
         Self {
             dest,
             bytes: bytes.into(),
@@ -207,17 +209,17 @@ impl MachineOutput {
     }
 
     /// Convenience constructor for an output to the local application.
-    pub fn to_app(bytes: impl Into<Bytes>) -> Self {
+    pub fn to_app(bytes: impl Into<Frame>) -> Self {
         Self::new(Endpoint::LocalApp, bytes)
     }
 
     /// Convenience constructor for an output to peer `m`.
-    pub fn to_peer(m: MemberId, bytes: impl Into<Bytes>) -> Self {
+    pub fn to_peer(m: MemberId, bytes: impl Into<Frame>) -> Self {
         Self::new(Endpoint::Peer(m), bytes)
     }
 
     /// Convenience constructor for an output multicast to every peer.
-    pub fn broadcast(bytes: impl Into<Bytes>) -> Self {
+    pub fn broadcast(bytes: impl Into<Frame>) -> Self {
         Self::new(Endpoint::Broadcast, bytes)
     }
 }
@@ -274,7 +276,7 @@ pub trait FailureDetector: Send {
     /// The time between two rounds.
     fn interval(&self) -> SimDuration;
     /// Looks at one frame from `peer`, the member whose host sent it.
-    fn observe(&mut self, peer: MemberId, frame: &[u8]);
+    fn observe(&mut self, peer: MemberId, frame: &Frame);
     /// One round at `now` over the hosted machine.
     fn round(&mut self, now: SimTime, machine: &dyn DeterministicMachine) -> DetectorRound;
     /// The members suspected so far.
@@ -304,7 +306,7 @@ where
 /// the source, plus a copy to the local application every `fanout`-th input.
 #[derive(Debug, Clone, Default)]
 pub struct EchoMachine {
-    log: Vec<Bytes>,
+    log: Vec<Frame>,
     /// Emit a delivery to the local application every `fanout` inputs
     /// (0 = never).
     pub fanout: usize,
@@ -320,7 +322,7 @@ impl EchoMachine {
     }
 
     /// The inputs processed so far.
-    pub fn log(&self) -> &[Bytes] {
+    pub fn log(&self) -> &[Frame] {
         &self.log
     }
 }
@@ -363,7 +365,7 @@ mod tests {
             out,
             vec![MachineOutput::to_peer(MemberId(2), b"abc".to_vec())]
         );
-        assert_eq!(m.log(), &[Bytes::from(&b"abc"[..])]);
+        assert_eq!(m.log(), &[Frame::from(&b"abc"[..])]);
     }
 
     #[test]

@@ -1062,7 +1062,7 @@ impl SequencedKv {
 impl DeterministicMachine for SequencedKv {
     fn handle(&mut self, input: &MachineInput) -> Vec<MachineOutput> {
         match input.source {
-            Endpoint::LocalApp => match SmrClientMsg::from_wire_shared(&input.bytes) {
+            Endpoint::LocalApp => match SmrClientMsg::from_frame(&input.bytes) {
                 Ok(SmrClientMsg::Batch {
                     first_seq,
                     commands,
@@ -1084,7 +1084,7 @@ impl DeterministicMachine for SequencedKv {
                 Ok(SmrClientMsg::Recover) => self.start_recovery(),
                 Err(_) => Vec::new(),
             },
-            Endpoint::Peer(_) => match SmrPeerMsg::from_wire_shared(&input.bytes) {
+            Endpoint::Peer(_) => match SmrPeerMsg::from_frame(&input.bytes) {
                 Ok(SmrPeerMsg::SubmitBatch {
                     origin,
                     first_seq,
@@ -1255,7 +1255,7 @@ mod tests {
             .is_empty());
         let out = m.handle(&MachineInput::from_peer(MemberId(0), early));
         assert_eq!(out.len(), 1, "closing the gap applies both in one frame");
-        let upcall = SmrUpcall::from_wire(&out[0].bytes).unwrap();
+        let upcall = SmrUpcall::from_frame(&out[0].bytes).unwrap();
         match upcall {
             SmrUpcall::Batch(batch) => {
                 assert_eq!(batch.first_global, 0);
@@ -1502,12 +1502,12 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert!(matches!(out[0].dest, Endpoint::Broadcast));
         assert!(matches!(
-            SmrPeerMsg::from_wire(&out[0].bytes).unwrap(),
+            SmrPeerMsg::from_frame(&out[0].bytes).unwrap(),
             SmrPeerMsg::OrderedBatch { first_global: 0, ref entries, .. } if entries.len() == 4
         ));
         assert!(matches!(out[1].dest, Endpoint::LocalApp));
         assert!(matches!(
-            SmrUpcall::from_wire(&out[1].bytes).unwrap(),
+            SmrUpcall::from_frame(&out[1].bytes).unwrap(),
             SmrUpcall::Batch(ref b) if b.entries.len() == 4
         ));
         run_until_drained(&mut machines, vec![(MemberId(0), out[0].clone())]);
@@ -1531,7 +1531,7 @@ mod tests {
         };
         let out = seq.handle(&MachineInput::from_peer(MemberId(1), batch.to_wire()));
         assert!(matches!(
-            SmrPeerMsg::from_wire(&out[0].bytes).unwrap(),
+            SmrPeerMsg::from_frame(&out[0].bytes).unwrap(),
             SmrPeerMsg::OrderedBatch { ref entries, .. }
                 if entries.iter().map(|e| e.seq).collect::<Vec<_>>() == vec![0, 2]
         ));

@@ -297,7 +297,7 @@ fn upcalls(machine: &mut SequencedKv, input: MachineInput) -> Vec<SmrUpcall> {
         .handle(&input)
         .into_iter()
         .filter(|output| output.dest == Endpoint::LocalApp)
-        .map(|output| SmrUpcall::from_wire(&output.bytes).expect("an upcall frame"))
+        .map(|output| SmrUpcall::from_frame(&output.bytes).expect("an upcall frame"))
         .collect()
 }
 
@@ -372,7 +372,7 @@ proptest! {
         let [output] = reply.as_slice() else {
             panic!("one reply, got {reply:?}");
         };
-        match SmrPeerMsg::from_wire(&output.bytes).expect("a peer frame") {
+        match SmrPeerMsg::from_frame(&output.bytes).expect("a peer frame") {
             SmrPeerMsg::Snapshot { view, next_global, next_apply, delivered, .. } => {
                 prop_assert_eq!(view, model.view.clone());
                 prop_assert_eq!(next_global, model.assign_frontier());

@@ -13,7 +13,7 @@ use fs_smr_suite::common::codec::{Encoder, Wire};
 use fs_smr_suite::common::id::{FsId, MemberId, ProcessId};
 use fs_smr_suite::common::rng::DetRng;
 use fs_smr_suite::common::time::{SimDuration, SimTime};
-use fs_smr_suite::common::Bytes;
+use fs_smr_suite::common::{Bytes, Frame};
 use fs_smr_suite::crypto::hmac::{HmacKey, HmacSha256};
 use fs_smr_suite::crypto::keys::{provision, SignerId};
 use fs_smr_suite::crypto::sha256::Sha256;
@@ -925,7 +925,7 @@ proptest! {
             reply[0].bytes.clone()
         };
         let snapshot = snapshot_of(&mut sequencer, 1);
-        let Ok(SmrPeerMsg::Snapshot { ordered_seq, .. }) = SmrPeerMsg::from_wire(&snapshot) else {
+        let Ok(SmrPeerMsg::Snapshot { ordered_seq, .. }) = SmrPeerMsg::from_frame(&snapshot) else {
             panic!("a catch-up request is answered with a snapshot");
         };
         prop_assert_eq!(ordered_seq, model.into_iter().collect::<Vec<_>>());
@@ -1191,6 +1191,148 @@ fn peer_corpus() -> Vec<Vec<u8>> {
     corpus
 }
 
+/// `bytes` cut into three segments at `a` and `b`, each taken modulo one
+/// more than its length: any segment may be empty, and a cut may fall
+/// inside a field.
+fn cut(bytes: &Bytes, a: u32, b: u32) -> Frame {
+    let points = bytes.len() as u32 + 1;
+    let (a, b) = ((a % points) as usize, (b % points) as usize);
+    let (a, b) = (a.min(b), a.max(b));
+    Frame::from_segments(bytes.slice(..a), bytes.slice(a..b), bytes.slice(b..))
+}
+
+/// Feeds `whole` each picked input of `corpus` as it is and `split` the same
+/// input cut at the step's points: the two must answer with the same
+/// outputs, by logical bytes, step after step.
+fn splits_change_no_output<M: DeterministicMachine>(
+    mut whole: M,
+    mut split: M,
+    corpus: &[MachineInput],
+    steps: &[(usize, u32, u32)],
+) {
+    for &(pick, a, b) in steps {
+        let input = &corpus[pick % corpus.len()];
+        let bytes = input.bytes.to_bytes();
+        let cut_input = MachineInput::new(input.source, cut(&bytes, a, b));
+        assert_eq!(
+            split.handle(&cut_input),
+            whole.handle(input),
+            "{:?} cut at {a}, {b}",
+            cut_input.bytes.segments().map(<[u8]>::len)
+        );
+    }
+}
+
+/// Valid inputs of member 0 of a three-member NewTOP group: requests for
+/// every service, every peer message from member 1 and a suspicion, each
+/// payload in a small and a spliceable size.
+fn gc_input_corpus() -> Vec<MachineInput> {
+    let payloads = [Bytes::from(b"small".to_vec()), Bytes::from(vec![9u8; 2048])];
+    let services = [
+        ServiceKind::SymmetricTotal,
+        ServiceKind::AsymmetricTotal,
+        ServiceKind::Reliable,
+        ServiceKind::Unreliable,
+        ServiceKind::Causal,
+    ];
+    let m1 = MemberId(1);
+    let mut corpus = Vec::new();
+    for payload in &payloads {
+        for (seq, &service) in services.iter().enumerate() {
+            let request = AppRequest {
+                service,
+                payload: payload.clone(),
+            };
+            corpus.push(MachineInput::from_app(request.to_wire()));
+            let data = GcMessage::Data {
+                origin: m1,
+                seq: seq as u64,
+                ts: seq as u64 + 1,
+                vc: if service == ServiceKind::Causal {
+                    vec![0, 1, 0]
+                } else {
+                    vec![]
+                },
+                service,
+                payload: payload.clone(),
+            };
+            corpus.push(MachineInput::from_peer(m1, data.to_wire()));
+        }
+    }
+    let peer = [
+        GcMessage::Ack {
+            from: m1,
+            clock: 3,
+            sent_count: 1,
+        },
+        GcMessage::Order {
+            sequencer: MemberId(0),
+            global_seq: 0,
+            origin: m1,
+            seq: 1,
+        },
+        GcMessage::Ping { from: m1, nonce: 7 },
+        GcMessage::Pong { from: m1, nonce: 7 },
+        GcMessage::Suspect {
+            suspect: MemberId(2),
+            from: m1,
+        },
+        GcMessage::Nack {
+            origin: MemberId(0),
+            seq: 0,
+            from: m1,
+        },
+    ];
+    corpus.extend(
+        peer.iter()
+            .map(|msg| MachineInput::from_peer(m1, msg.to_wire())),
+    );
+    corpus.push(MachineInput::from_env(
+        newtop_msg::ControlInput::Suspect(MemberId(2)).to_wire(),
+    ));
+    corpus
+}
+
+/// Valid inputs of a sequenced-KV member: client batches (one holding a
+/// spliceable command), a recovery request, and every peer frame of
+/// [`peer_corpus`] from member 1 and from member 2.
+fn kv_input_corpus() -> Vec<MachineInput> {
+    use fs_smr_suite::smr::sequenced::SmrClientMsg;
+
+    let put = |value: Vec<u8>| {
+        KvCommand::Put {
+            key: "k".into(),
+            value,
+        }
+        .to_wire()
+    };
+    let mut corpus = vec![
+        MachineInput::from_app(
+            SmrClientMsg::Batch {
+                first_seq: 0,
+                commands: vec![put(vec![1])],
+            }
+            .to_wire(),
+        ),
+        MachineInput::from_app(
+            SmrClientMsg::Batch {
+                first_seq: 1,
+                commands: vec![put(vec![2; 2048]), put(vec![3])],
+            }
+            .to_wire(),
+        ),
+        MachineInput::from_app(SmrClientMsg::Recover.to_wire()),
+    ];
+    for from in [MemberId(1), MemberId(2)] {
+        corpus.extend(
+            peer_corpus()
+                .into_iter()
+                .map(|bytes| MachineInput::from_peer(from, bytes)),
+        );
+    }
+    corpus
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases().max(256)))]
 
@@ -1208,6 +1350,47 @@ proptest! {
         decode_everything(&raw);
         let corpus = wire_corpus();
         decode_everything(&mutated(corpus[pick % corpus.len()].clone(), mutation, at, byte));
+    }
+
+    /// Hostile segmentation: valid inputs cut at arbitrary points — inside
+    /// a field, around it, into empty segments — make `GcMachine` and
+    /// `SequencedKv` answer exactly as the contiguous inputs do, and a cut
+    /// pong reaches the crash host's `PingSuspector` as a whole one does.
+    /// CI runs 4 096 cases (`PROPTEST_CASES`).
+    #[test]
+    fn hostile_segmentation_changes_no_machine_output(
+        member in 0u32..3,
+        steps in proptest::collection::vec((0usize..64, any::<u32>(), any::<u32>()), 1..12),
+        pong in (1u32..3, 1u32..3, 0u64..3),
+        (a, b) in (0u32..32, 0u32..32),
+    ) {
+        use fs_smr_suite::newtop::suspector::{PingSuspector, SuspectorConfig};
+        use fs_smr_suite::smr::machine::FailureDetector;
+        use fs_smr_suite::smr::sequenced::SequencedKv;
+
+        let group: Vec<MemberId> = (0..3).map(MemberId).collect();
+        let gc = || GcMachine::new(GcConfig::new(MemberId(0), group.clone()).with_costs(GcCosts::free()));
+        splits_change_no_output(gc(), gc(), &gc_input_corpus(), &steps);
+        let kv = || SequencedKv::new(MemberId(member), group.clone());
+        splits_change_no_output(kv(), kv(), &kv_input_corpus(), &steps);
+
+        // Both peers pinged (nonces 0 and 1); `peer` answers with a pong
+        // naming `named` and `nonce`, whole to one suspector and cut to the
+        // other; a round past the timeout then shows what each made of it.
+        let (peer, named, nonce) = pong;
+        let peers = [MemberId(1), MemberId(2)];
+        let config = SuspectorConfig::aggressive(SimDuration::from_millis(10));
+        let (mut whole, mut split) = (PingSuspector::new(config), PingSuspector::new(config));
+        let start = SimTime::from_millis(1);
+        prop_assert_eq!(whole.tick(start, &peers), split.tick(start, &peers));
+        let frame = GcMessage::Pong { from: MemberId(named), nonce }.to_wire();
+        whole.observe(MemberId(peer), &frame.clone().into());
+        split.observe(MemberId(peer), &cut(&frame, a, b));
+        let later = SimTime::from_millis(20);
+        let actions = whole.tick(later, &peers);
+        prop_assert_eq!(&split.tick(later, &peers), &actions);
+        let answered = named == peer && nonce == u64::from(peer - 1);
+        prop_assert_eq!(actions.suspicions.contains(&MemberId(peer)), !answered);
     }
 
     /// Hostile peers: a sequenced-KV member fed valid peer frames

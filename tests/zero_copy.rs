@@ -7,23 +7,34 @@
 //! size in this system.  The counting allocator
 //! (`fs_bench::alloc_count`) is installed for this test binary only.
 //!
-//! Measured on the simulator, FS-NewTOP, 3 members, seed 2003, over the
-//! steady-state window 0.8 s – 2.0 s of simulated time (266 ordered
-//! deliveries at 10 KiB, 270 at 3 B; the counts are exact and repeat):
+//! Measured on the simulator, NewTOP, 3 members, seed 2003, over the
+//! steady-state window 0.8 s – 2.0 s of simulated time (the counts are
+//! exact and repeat):
 //!
-//! | | parent commit (PR 13) | this change |
-//! |---|---|---|
-//! | 10 KiB payloads: allocations ≥ 8 KiB per ordered delivery | 31.6 (8 396) | 3.4 (900) |
-//! | 3 B payloads: allocations (any size) per ordered delivery | 87.8 (23 703) | 84.0 (22 686) |
+//! | allocations per ordered delivery | before | now |
+//! |---|---:|---:|
+//! | FS, 10 KiB payloads, ≥ 8 KiB | 31.6 (contiguous frames) | 3.47 (915 / 264) |
+//! | FS, 3 B payloads, any size | 87.8 | 31.4 (8 490 / 270) |
+//! | crash, 10 KiB payloads, ≥ 8 KiB | 1.97 (a flattening host; 531 / 270) | 0.33 (90 / 270) |
 //!
-//! The ceilings below are a quarter of the parent's first number (this file
-//! compiles on the parent and fails there: 31.6 > 7.9) and the parent's
-//! second number.  The 3.4 that remain are, per multicast in a group of
+//! The FS ceilings are a quarter of the first "before" (7.9) and the second
+//! as it was; the crash ceiling, 0.5, lies between the application's own
+//! payload and one copy per delivery.
+//!
+//! On the crash path a frame goes from the application's request to every
+//! member's upcall as it was encoded: the host hands the machine the frame
+//! it received and sends the frames the machine produced, and `GcMachine`
+//! splices the payload into `Data` and `Upcall::Deliver` by refcount.  What
+//! remains is the application building its payload, one per multicast: a
+//! third per ordered delivery.
+//!
+//! On the FS path the 3.47 that remain are, per multicast in a group of
 //! three: the application building the payload (1), the request flattened
-//! once where it enters the pair (1), and each machine encoding a *new* byte
-//! string around the payload — `Data` at the origin, `Upcall::Deliver` at
-//! every member, per replica and so twice per pair (2 + 6).  Ten per three
-//! ordered deliveries.
+//! once where it enters the pair (1), and each wrapper flattening the frame
+//! its machine spliced around the payload — `Data` at the origin,
+//! `Upcall::Deliver` at every member, per replica and so twice per pair
+//! (2 + 6) — because the output's digest and the external frame take one
+//! contiguous buffer.  About ten per three ordered deliveries.
 
 use fs_smr_suite::bench::alloc_count::{count_allocs, AllocCounts, CountingAlloc};
 use fs_smr_suite::common::codec::Wire;
@@ -47,7 +58,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const PAYLOAD_SIZED: usize = 8 * 1024;
 
 /// A quarter of the 31.6 payload-sized allocations per ordered delivery the
-/// parent commit makes in [`steady_state`] at 10 KiB.
+/// fail-signal [`steady_state`] made at 10 KiB with contiguous frames.
 const PAYLOAD_COPIES_PER_DELIVERY_MAX: f64 = 7.9;
 
 /// Half a payload-sized allocation per ordered delivery in the crash
@@ -55,8 +66,8 @@ const PAYLOAD_COPIES_PER_DELIVERY_MAX: f64 = 7.9;
 /// below any copy per delivery (the flattening host made 1.97).
 const CRASH_PAYLOAD_COPIES_PER_DELIVERY_MAX: f64 = 0.5;
 
-/// The 87.8 allocations per ordered delivery the parent commit makes in
-/// [`steady_state`] at 3 B.
+/// The 87.8 allocations per ordered delivery the fail-signal
+/// [`steady_state`] made at 3 B with contiguous frames.
 const SMALL_ALLOCS_PER_DELIVERY_MAX: f64 = 87.8;
 
 /// NewTOP under `protocol`, 3 members, one multicast per member every 40
@@ -138,11 +149,6 @@ fn a_10k_crash_delivery_allocates_only_the_applications_payload() {
     );
 }
 
-/// The crash path's host (the NewTOP service object, NSO) used to decode
-/// every peer message in full — copying a `Data` payload — only to spot
-/// pongs, before the machine decoded the same bytes again (a second copy).
-/// Now the detector looks at the tag and the machine's decode hands out a
-/// view: a 10 KiB `Data` costs no payload-sized allocation at all.
 /// Member 0's NSO, with its failure detector plugged in so the pong check
 /// runs on every frame, handles `data` — a 10 KiB `Data` from member 1 —
 /// and acks it; the allocations it made doing so.
@@ -172,6 +178,7 @@ fn nso_handles(data: Frame) -> AllocCounts {
     counts
 }
 
+/// A 10 KiB symmetric-order `Data` from member 1.
 fn data_10k() -> GcMessage {
     GcMessage::Data {
         origin: MemberId(1),
@@ -183,6 +190,11 @@ fn data_10k() -> GcMessage {
     }
 }
 
+/// The crash path's host (the NewTOP service object, NSO) used to decode
+/// every peer message in full — copying a `Data` payload — only to spot
+/// pongs, before the machine decoded the same bytes again (a second copy).
+/// Now the detector looks at the tag and the machine's decode hands out a
+/// view: a 10 KiB `Data` costs no payload-sized allocation at all.
 #[test]
 fn nso_handles_a_10k_data_message_without_a_payload_sized_allocation() {
     let counts = nso_handles(data_10k().to_wire().into());
@@ -191,8 +203,8 @@ fn nso_handles_a_10k_data_message_without_a_payload_sized_allocation() {
 
 /// The same message as a peer's encoder sends it — the payload spliced in
 /// by refcount — and cut by hand into an empty first segment, the header
-/// and the payload.  The host hands each
-/// to the machine as it is; none is flattened.
+/// and the payload.  The host hands each to the machine as it is; none is
+/// flattened.
 #[test]
 fn nso_handles_a_spliced_10k_data_message_without_a_payload_sized_allocation() {
     let spliced = data_10k().to_frame();
