@@ -17,6 +17,13 @@
 //! the pair's `LocalApp` stream, numbered 0, 1, 2, … (see [`crate::wrapper`]):
 //! one lost on both paths stops the application at the hole.
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+
 use std::sync::Arc;
 
 use fs_common::codec::Wire;
@@ -107,7 +114,7 @@ impl Actor for FsInterceptor {
             // ordering).  The request becomes one opaque byte string here —
             // the only copy of a spliced request on its way to the machines
             // — and the envelope is then spliced around it.
-            self.requests_forwarded += 1;
+            self.requests_forwarded = self.requests_forwarded.saturating_add(1);
             ctx.charge_cpu(SimDuration::from_micros(50));
             let wrapped = FsoInbound::Raw(payload.into_bytes()).to_frame();
             ctx.send(self.leader, wrapped.clone());
@@ -142,6 +149,13 @@ impl Actor for FsInterceptor {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "tests index, count and unwrap what they built themselves"
+)]
 mod tests {
     use super::*;
     use crate::message::{FsContent, FsOutput};

@@ -1,27 +1,27 @@
 //! One definition of a correct run.
 //!
-//! [`Running::check`](crate::Running::check) and
-//! [`RunningCluster::check`](crate::RunningCluster::check) settle a run and
-//! decide whether it behaved correctly.  Each member's [`Role`] comes from
-//! the [`FaultSchedule`] the run was built with, so callers pass nothing
+//! [`Running::check`](crate::Running::check) settles a run and decides
+//! whether one group behaved correctly; a cluster's
+//! [`RunningCluster::check`](crate::RunningCluster::check) is the same
+//! check on each shard's `Running` view.  Each member's [`Role`] comes from
+//! the [`FaultSchedule`] its group was built with, so callers pass nothing
 //! (README "Scenario API" has the roles as a table).
 //!
 //! The reference is the longest log among correct members, else among the
 //! other compared ones.  A compared log holds each `(origin, seq)` at most
 //! once, and equal machine logs mean equal digests.  Without total order
-//! ([`ServiceSpec::total_order`]) logs compare as sets.  [`views`] is the
-//! pure core.  Not checked yet: fs1, containment, view monotonicity.
+//! ([`ServiceSpec::total_order`](crate::ServiceSpec::total_order)) logs
+//! compare as sets.  [`views`] is the pure core.  Not checked yet: fs1,
+//! containment, view monotonicity.
 
-use std::any::Any;
 use std::collections::BTreeSet;
 
 use failsignal::interceptor::FsInterceptor;
 use fs_common::id::MemberId;
 
-use crate::deployment::RuntimeSlot;
+use crate::deployment::{Group, Runtime};
 use crate::faults::{FaultSchedule, MemberFate};
-use crate::scenario::{MemberProcs, Protocol};
-use crate::service::ServiceSpec;
+use crate::scenario::Running;
 
 /// One delivery: `(origin, seq)`.
 pub type Entry = (MemberId, u64);
@@ -193,37 +193,23 @@ fn compare<'a>(
     reference
 }
 
-/// Settles `slot` and checks one group on it: `members`, deployed as
-/// `service` under `protocol` with `faults`.
-pub(crate) fn group(
-    slot: &mut RuntimeSlot,
-    service: &dyn ServiceSpec,
-    protocol: Protocol,
-    members: &[MemberProcs],
-    faults: &FaultSchedule,
-) -> Result<Vec<Entry>, Vec<Violation>> {
-    slot.settle();
-    let mut seen = Vec::new();
-    for procs in members {
-        let (machine_log, digest) = slot
-            .machine_at(protocol, procs)
-            .map_or((None, None), |m| (m.delivered_log(), m.app_digest()));
-        let middleware = slot.actor_ref(procs.middleware);
-        let interceptor = middleware.and_then(|a| (a as &dyn Any).downcast_ref());
-        let fail_signalled = interceptor.is_some_and(FsInterceptor::local_fail_signalled);
-        seen.push(MemberView {
+/// Settles `runtime` and checks `group` on it.
+pub(crate) fn group(runtime: &mut Runtime, group: &Group) -> Result<Vec<Entry>, Vec<Violation>> {
+    let mut run = Running { runtime, group };
+    let seen: Vec<MemberView> = (0..)
+        .zip(&group.members)
+        .map(|(i, procs)| MemberView {
             member: procs.member,
-            role: Role::of(faults, procs.member),
-            delivery_log: slot
-                .actor_ref(procs.app)
-                .and_then(|driver| service.delivery_log_of(driver))
-                .expect("the driver actor is inspectable"),
-            machine_log,
-            digest,
-            fail_signalled,
-        });
-    }
-    views(&seen, service.total_order())
+            role: Role::of(&group.faults, procs.member),
+            delivery_log: run.delivery_log(i),
+            machine_log: run.machine_log(i),
+            digest: run.machine_digest(i),
+            fail_signalled: run
+                .interceptor(i)
+                .is_some_and(FsInterceptor::local_fail_signalled),
+        })
+        .collect();
+    views(&seen, group.service.total_order())
 }
 
 #[cfg(test)]

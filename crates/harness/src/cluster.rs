@@ -50,7 +50,9 @@
 //! different wall-clock moments, but every per-shard view is internally
 //! exact and reproducible from its `(applied, digest)` pair.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 
 use fs_common::codec::{Decoder, Encoder, Wire};
 use fs_common::error::CodecError;
@@ -62,12 +64,12 @@ use fs_simnet::actor::{Actor, Context, TimerId};
 use fs_simnet::load::{Admitted, LoadGen, LoadStats};
 use fs_simnet::node::NodeConfig;
 use fs_simnet::sched::SchedulerKind;
-use fs_simnet::trace::{LatencyRecorder, NetStats, TraceLog};
+use fs_simnet::trace::{LatencyRecorder, NetStats};
 
-use crate::check::{self, Violation};
-use crate::deployment::{deploy, stamp_workload, FrontEnd, RuntimeSlot, ShardAt};
+use crate::check::Violation;
+use crate::deployment::{deploy, stamp_workload, FrontEnd, Group, Runtime, ShardAt};
 use crate::faults::FaultSchedule;
-use crate::scenario::{MemberProcs, Protocol, RuntimeKind, Scenario};
+use crate::scenario::{MemberProcs, Protocol, Running, RuntimeKind, Scenario};
 use crate::service::{put_value_into, SmrKvService};
 use crate::workload::Workload;
 
@@ -475,8 +477,9 @@ pub struct ClusterRouter {
     shard_latencies: Vec<LatencyRecorder>,
     snapshot_at: Option<SimTime>,
     next_snap_req: u64,
-    snap_requested_at: BTreeMap<u64, SimTime>,
-    snap_pending: BTreeMap<u64, BTreeMap<u32, ShardFrontier>>,
+    /// The snapshots fanned out and not yet complete: when each was
+    /// requested and the frontiers received so far.
+    snap_pending: BTreeMap<u64, (SimTime, BTreeMap<u32, ShardFrontier>)>,
     snapshots: Vec<ClusterSnapshot>,
 }
 
@@ -490,6 +493,12 @@ impl std::fmt::Debug for ClusterRouter {
     }
 }
 
+#[deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
 impl ClusterRouter {
     /// Creates a router over the given per-shard entry drivers.
     fn new(
@@ -512,7 +521,6 @@ impl ClusterRouter {
             shard_latencies: vec![LatencyRecorder::new(); shards],
             snapshot_at,
             next_snap_req: 0,
-            snap_requested_at: BTreeMap::new(),
             snap_pending: BTreeMap::new(),
             snapshots: Vec::new(),
         }
@@ -585,6 +593,14 @@ impl ClusterRouter {
         let seq = request.seq;
         let key = key_of(self.key_rng.next_u64_raw());
         let shard = self.partitioner.shard_of_bytes(&key);
+        // The partitioner covers exactly the entries (`Cluster::build`
+        // asserts it).
+        let (Some(load), Some(&entry)) = (
+            self.loads.get_mut(shard as usize),
+            self.entries.get(shard as usize),
+        ) else {
+            return;
+        };
         let frame = submit_wire(seq, &key, self.workload.payload_size);
         let retry = self.retry.map(|(deadline, _)| {
             Box::new(Retry {
@@ -594,8 +610,8 @@ impl ClusterRouter {
             })
         });
         self.routed.insert(seq, Routed { shard, retry });
-        self.loads[shard as usize].submitted += 1;
-        ctx.send(self.entries[shard as usize], frame.into());
+        load.submitted = load.submitted.saturating_add(1);
+        ctx.send(entry, frame.into());
     }
 
     /// Scans the in-flight window for commands past their deadline:
@@ -618,17 +634,21 @@ impl ClusterRouter {
                 continue;
             };
             let shard = routed.shard as usize;
-            let Some(retry) = routed.retry.as_mut() else {
+            let (Some(retry), Some(load), Some(&entry)) = (
+                routed.retry.as_mut(),
+                self.loads.get_mut(shard),
+                self.entries.get(shard),
+            ) else {
                 continue;
             };
             if retry.attempts < max_retries {
-                retry.attempts += 1;
+                retry.attempts = retry.attempts.saturating_add(1);
                 retry.due = now.saturating_add(deadline);
-                self.loads[shard].retried += 1;
-                ctx.send(self.entries[shard], retry.frame.clone().into());
+                load.retried = load.retried.saturating_add(1);
+                ctx.send(entry, retry.frame.clone().into());
             } else {
+                load.expired = load.expired.saturating_add(1);
                 self.routed.remove(seq);
-                self.loads[shard].expired += 1;
                 if let Some(request) = self.load.abandon(seq, now) {
                     self.submit(ctx, request);
                 }
@@ -637,16 +657,16 @@ impl ClusterRouter {
         // Keep sweeping while anything can still enter or leave the window;
         // going quiet once the run has drained lets the runtimes settle.
         if !self.routed.is_empty() || self.offered() < self.workload.messages {
-            ctx.set_timer(deadline / 2, TIMER_RETRY);
+            let half = SimDuration::from_nanos(deadline.as_nanos() / 2);
+            ctx.set_timer(half, TIMER_RETRY);
         }
     }
 
     /// Fans one sequenced frontier read to every shard.
     fn fan_snapshot(&mut self, ctx: &mut dyn Context) {
         let req = self.next_snap_req;
-        self.next_snap_req += 1;
-        self.snap_requested_at.insert(req, ctx.now());
-        self.snap_pending.insert(req, BTreeMap::new());
+        self.next_snap_req = req.saturating_add(1);
+        self.snap_pending.insert(req, (ctx.now(), BTreeMap::new()));
         for &entry in &self.entries {
             ctx.send(entry, ClusterMsg::SnapRead { req }.to_wire().into());
         }
@@ -663,8 +683,12 @@ impl ClusterRouter {
             return;
         };
         self.routed.remove(router_seq);
-        self.loads[shard as usize].completed += 1;
-        self.shard_latencies[shard as usize].record(done.span);
+        if let Some(load) = self.loads.get_mut(shard as usize) {
+            load.completed = load.completed.saturating_add(1);
+        }
+        if let Some(latencies) = self.shard_latencies.get_mut(shard as usize) {
+            latencies.record(done.span);
+        }
         if let Some(request) = done.refill {
             // The completion hands its slot to a blocked arrival.
             self.submit(ctx, request);
@@ -672,6 +696,12 @@ impl ClusterRouter {
     }
 }
 
+#[deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
 impl Actor for ClusterRouter {
     fn on_start(&mut self, ctx: &mut dyn Context) {
         if self.workload.messages > 0 {
@@ -718,20 +748,17 @@ impl Actor for ClusterRouter {
                     keys,
                     digest,
                 };
-                if let Some(pending) = self.snap_pending.get_mut(&req) {
-                    pending.insert(shard, frontier);
-                    if pending.len() == self.entries.len() {
-                        let pending = self.snap_pending.remove(&req).expect("pending");
-                        let requested_at = self
-                            .snap_requested_at
-                            .remove(&req)
-                            .expect("snapshot request time");
-                        self.snapshots.push(ClusterSnapshot {
-                            requested_at,
-                            completed_at: ctx.now(),
-                            shards: pending.into_values().collect(),
-                        });
-                    }
+                let Entry::Occupied(mut snap) = self.snap_pending.entry(req) else {
+                    return; // unknown or already complete
+                };
+                snap.get_mut().1.insert(shard, frontier);
+                if snap.get().1.len() == self.entries.len() {
+                    let (requested_at, pending) = snap.remove();
+                    self.snapshots.push(ClusterSnapshot {
+                        requested_at,
+                        completed_at: ctx.now(),
+                        shards: pending.into_values().collect(),
+                    });
                 }
             }
             _ => {}
@@ -751,14 +778,12 @@ impl Actor for ClusterRouter {
 /// [`SmrKvService`] groups on one runtime, driven by one [`ClusterRouter`].
 pub struct Cluster {
     shards: u32,
-    members_per_shard: u32,
-    runtime: RuntimeKind,
-    protocol: Protocol,
+    /// The shard template every shard is assembled from: its members,
+    /// runtime, protocol, seed and scheduler, and the cluster-wide
+    /// workload.
+    shard: Scenario,
     partitioner: Option<Partitioner>,
-    workload: Workload,
     shard_faults: BTreeMap<u32, FaultSchedule>,
-    seed: u64,
-    scheduler: SchedulerKind,
     snapshot_at: Option<SimTime>,
     command_deadline: Option<SimDuration>,
     max_retries: u32,
@@ -768,31 +793,26 @@ impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster")
             .field("shards", &self.shards)
-            .field("members_per_shard", &self.members_per_shard)
-            .field("runtime", &self.runtime)
-            .field("protocol", &self.protocol)
+            .field("shard", &self.shard)
             .finish()
     }
 }
 
 impl Cluster {
     /// Starts a cluster of `shards` groups of `members_per_shard` members
-    /// each, with hash partitioning, the paper's defaults on every other
-    /// axis, and an idealised (cost-free) router node so the load generator
-    /// never caps the scaling curve.
+    /// each, with hash partitioning, the crash protocol, the paper's
+    /// defaults on every other axis, and an idealised (cost-free) router
+    /// node so the load generator never caps the scaling curve.
     pub fn new(shards: u32, members_per_shard: u32) -> Self {
         assert!(shards >= 1, "a cluster needs at least one shard");
         assert!(members_per_shard >= 1, "a shard needs at least one member");
         Self {
             shards,
-            members_per_shard,
-            runtime: RuntimeKind::Sim,
-            protocol: Protocol::Crash,
+            shard: Scenario::new(SmrKvService::new())
+                .members(members_per_shard)
+                .protocol(Protocol::Crash),
             partitioner: None,
-            workload: Workload::paper_default(),
             shard_faults: BTreeMap::new(),
-            seed: 2003,
-            scheduler: SchedulerKind::default(),
             snapshot_at: None,
             command_deadline: None,
             max_retries: 2,
@@ -807,8 +827,18 @@ impl Cluster {
     /// without a deadline, commands stranded by a shard outage pin
     /// [`ShardLoad::in_flight`] forever, which is the fault-isolation
     /// observable the no-retry scenarios assert on.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a deadline under 2 ns: the router sweeps every
+    /// half-deadline, and a zero sweep period would re-arm at the same
+    /// instant forever.
     #[must_use]
     pub fn command_deadline(mut self, deadline: SimDuration) -> Self {
+        assert!(
+            deadline / 2 > SimDuration::ZERO,
+            "a command deadline needs at least 2 ns (the router sweeps every half-deadline)"
+        );
         self.command_deadline = Some(deadline);
         self
     }
@@ -824,14 +854,14 @@ impl Cluster {
     /// Selects the runtime.
     #[must_use]
     pub fn runtime(mut self, runtime: RuntimeKind) -> Self {
-        self.runtime = runtime;
+        self.shard.runtime = runtime;
         self
     }
 
     /// Selects the fault-tolerance protocol every shard runs.
     #[must_use]
     pub fn protocol(mut self, protocol: Protocol) -> Self {
-        self.protocol = protocol;
+        self.shard.protocol = protocol;
         self
     }
 
@@ -852,7 +882,7 @@ impl Cluster {
     /// (shards then share that stream per the partitioner).
     #[must_use]
     pub fn workload(mut self, workload: Workload) -> Self {
-        self.workload = workload;
+        self.shard.workload = workload;
         self
     }
 
@@ -868,14 +898,14 @@ impl Cluster {
     /// Sets the deterministic seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.shard.seed = seed;
         self
     }
 
     /// Selects the simulator's future-event-set scheduler.
     #[must_use]
     pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
+        self.shard.scheduler = scheduler;
         self
     }
 
@@ -887,31 +917,6 @@ impl Cluster {
         self
     }
 
-    /// Nodes one shard occupies: one per member under either protocol (the
-    /// collapsed FS layout is the scenario default, and the cluster layer
-    /// does not expose the Full layout).
-    fn nodes_per_shard(&self) -> u32 {
-        self.members_per_shard
-    }
-
-    /// The shard-local [`Scenario`] used to assemble shard `shard`; it takes
-    /// the shard's fault schedule.
-    fn shard_scenario(&mut self, shard: u32) -> Scenario {
-        // Shard drivers generate no load of their own (messages = 0): every
-        // command arrives from the router.  Batch policy and payload shape
-        // still come from the cluster workload.
-        let mut shard_workload = self.workload;
-        shard_workload.messages = 0;
-        shard_workload.router = Some(ROUTER_PID);
-        Scenario::new(SmrKvService::new())
-            .members(self.members_per_shard)
-            .protocol(self.protocol)
-            .workload(shard_workload)
-            .faults(self.shard_faults.remove(&shard).unwrap_or_default())
-            // Independent key-provisioning and fault streams per shard.
-            .seed(self.seed ^ (u64::from(shard).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-    }
-
     /// Builds and starts the cluster, returning the running handle.
     ///
     /// # Panics
@@ -920,10 +925,22 @@ impl Cluster {
     /// cluster's, or when a shard's fault schedule targets processes its
     /// protocol does not deploy.
     pub fn build(mut self) -> RunningCluster {
-        stamp_workload(&mut self.workload, self.seed, self.runtime);
+        let shard = &mut self.shard;
+        stamp_workload(&mut shard.workload, shard.seed, shard.runtime);
+        // The router drives the cluster workload.  Shard drivers generate
+        // no load of their own (messages = 0): every command arrives from
+        // the router.  Batch policy and payload shape still come from the
+        // cluster workload.
+        let workload = shard.workload;
+        shard.workload.messages = 0;
+        shard.workload.router = Some(ROUTER_PID);
+        // Nodes one shard occupies: one per member under either protocol
+        // (the collapsed FS layout is the scenario default, and the cluster
+        // layer does not expose the Full layout).
+        let (seed, nodes_per_shard) = (shard.seed, shard.members);
         let partitioner = self
             .partitioner
-            .clone()
+            .take()
             .unwrap_or_else(|| Partitioner::hash(self.shards));
         assert_eq!(
             partitioner.shards(),
@@ -939,91 +956,80 @@ impl Cluster {
             );
         }
 
-        let scenarios: Vec<Scenario> = (0..self.shards).map(|s| self.shard_scenario(s)).collect();
-        let nodes_per_shard = self.nodes_per_shard();
         // The router fronts each shard's entry driver (member 0's).
-        let router = |shard_members: &[Vec<MemberProcs>]| -> Box<dyn Actor> {
+        let router = |groups: &[Group]| -> Box<dyn Actor> {
             Box::new(ClusterRouter::new(
-                self.workload,
+                workload,
                 partitioner.clone(),
-                shard_members.iter().map(|members| members[0].app).collect(),
+                groups.iter().map(|group| group.members[0].app).collect(),
                 self.snapshot_at,
                 self.command_deadline.map(|d| (d, self.max_retries)),
             ))
         };
-        let (slot, shard_members) = deploy(
-            self.runtime,
-            self.seed,
-            self.scheduler,
-            None,
-            Some(FrontEnd {
-                pid: ROUTER_PID,
-                node: NodeConfig::ideal(),
-                actor: &router,
-            }),
-            (0..).zip(&scenarios).map(|(s, scenario)| ShardAt {
-                scenario,
-                pid_base: pid_base(s),
-                // The router occupies node 0.
-                node_base: 1 + s * nodes_per_shard,
-            }),
-        );
-
+        let mut shard_faults = std::mem::take(&mut self.shard_faults);
+        let shards = (0..self.shards).map(|s| ShardAt {
+            faults: shard_faults.remove(&s).unwrap_or_default(),
+            // Independent key-provisioning streams per shard.
+            seed: seed ^ (u64::from(s).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            pid_base: (s + 1) * PID_STRIDE,
+            // The router occupies node 0.
+            node_base: 1 + s * nodes_per_shard,
+        });
+        let front = FrontEnd {
+            pid: ROUTER_PID,
+            node: NodeConfig::ideal(),
+            actor: &router,
+        };
+        let (runtime, groups) = deploy(self.shard, Some(front), shards);
         RunningCluster {
-            protocol: self.protocol,
-            runtime: self.runtime,
             partitioner,
-            shard_members,
-            shard_faults: scenarios.into_iter().map(|s| s.faults).collect(),
+            groups,
             nodes_per_shard,
-            slot,
+            runtime,
         }
     }
-}
-
-/// The pid block base of shard `s`.
-fn pid_base(s: u32) -> u32 {
-    (s + 1) * PID_STRIDE
 }
 
 // ---------------------------------------------------------------------------
 // Running handle
 // ---------------------------------------------------------------------------
 
-/// A deployed, runnable cluster: the sharded counterpart of
-/// [`crate::Running`], sharing its internal `RuntimeSlot`
-/// drive/settle/inspect machinery.
+/// A deployed, runnable cluster: one [`Runtime`], which it dereferences to,
+/// and one [`Group`] per shard, each inspected through its
+/// [`RunningCluster::shard`] view.
 pub struct RunningCluster {
-    protocol: Protocol,
-    runtime: RuntimeKind,
     partitioner: Partitioner,
-    shard_members: Vec<Vec<MemberProcs>>,
-    /// Each shard's fault schedule: what [`RunningCluster::check`] expects
-    /// of its members.
-    shard_faults: Vec<FaultSchedule>,
+    groups: Vec<Group>,
     nodes_per_shard: u32,
-    slot: RuntimeSlot,
+    runtime: Runtime,
 }
 
 impl std::fmt::Debug for RunningCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunningCluster")
-            .field("shards", &self.shard_members.len())
-            .field("protocol", &self.protocol)
-            .field("runtime", &self.runtime)
+            .field("shards", &self.groups)
             .finish()
+    }
+}
+
+impl Deref for RunningCluster {
+    type Target = Runtime;
+
+    fn deref(&self) -> &Runtime {
+        &self.runtime
+    }
+}
+
+impl DerefMut for RunningCluster {
+    fn deref_mut(&mut self) -> &mut Runtime {
+        &mut self.runtime
     }
 }
 
 impl RunningCluster {
     /// Number of shards deployed.
     pub fn shards(&self) -> u32 {
-        self.shard_members.len() as u32
-    }
-
-    /// The protocol every shard runs.
-    pub fn protocol(&self) -> Protocol {
-        self.protocol
+        self.groups.len() as u32
     }
 
     /// The key → shard map this cluster routes by.
@@ -1033,29 +1039,18 @@ impl RunningCluster {
 
     /// Shard `shard`'s member handles, in member order.
     pub fn shard_procs(&self, shard: u32) -> Option<&[MemberProcs]> {
-        self.shard_members.get(shard as usize).map(Vec::as_slice)
+        Some(&self.groups.get(shard as usize)?.members)
     }
 
-    /// Drives the cluster until `horizon` and returns the reached time
-    /// (same semantics as [`crate::Running::run_until`]).
-    pub fn run_until(&mut self, horizon: SimTime) -> SimTime {
-        self.slot.run_until(horizon)
-    }
-
-    /// Enables event tracing (simulator only).  Call before
-    /// [`RunningCluster::run_until`].
-    pub fn enable_trace(&mut self) {
-        self.slot.enable_trace();
-    }
-
-    /// The recorded trace, when tracing was enabled on the simulator.
-    pub fn trace(&self) -> Option<&TraceLog> {
-        self.slot.trace()
-    }
-
-    /// The runtime-wide aggregate network statistics (both runtimes).
-    pub fn stats(&self) -> NetStats {
-        self.slot.stats()
+    /// Shard `shard`'s handle: a [`Running`] view of its group on the
+    /// cluster's runtime, with every per-member inspection and
+    /// [`Running::check`].
+    pub fn shard(&mut self, shard: u32) -> Option<Running<&mut Runtime, &Group>> {
+        let group = self.groups.get(shard as usize)?;
+        Some(Running {
+            runtime: &mut self.runtime,
+            group,
+        })
     }
 
     /// Shard `shard`'s share of the network counters: the fold of the
@@ -1068,7 +1063,7 @@ impl RunningCluster {
             return None;
         }
         let base = (1 + shard * self.nodes_per_shard) as usize;
-        let nodes = self.slot.node_stats()?;
+        let nodes = self.runtime.node_stats()?;
         let mut stats = NetStats::default();
         for node in nodes.get(base..base + self.nodes_per_shard as usize)? {
             stats.merge(node);
@@ -1076,41 +1071,25 @@ impl RunningCluster {
         Some(stats)
     }
 
-    /// Shuts down the threaded runtime (if any) and collects its actors
-    /// for inspection.  Idempotent; a no-op on the simulator.
-    pub fn settle(&mut self) {
-        self.slot.settle();
-    }
-
     /// The router actor, for load/latency/snapshot inspection.  On the
     /// threaded runtime this shuts the runtime down first.
     pub fn router(&mut self) -> &ClusterRouter {
         let any: &dyn std::any::Any = self
-            .slot
+            .runtime
             .actor_dyn(ROUTER_PID)
             .expect("cluster router exists");
         any.downcast_ref::<ClusterRouter>()
             .expect("ROUTER_PID hosts the cluster router")
     }
 
-    /// Member `member` of shard `shard`'s machine-level state digest (see
-    /// [`crate::Running::machine_digest`]).
+    /// [`Running::machine_digest`] of member `member` of shard `shard`.
     pub fn machine_digest(&mut self, shard: u32, member: u32) -> Option<u64> {
-        let procs = *self
-            .shard_members
-            .get(shard as usize)?
-            .get(member as usize)?;
-        self.slot.machine_at(self.protocol, &procs)?.app_digest()
+        self.shard(shard)?.machine_digest(member)
     }
 
-    /// Member `member` of shard `shard`'s machine-level delivery log (see
-    /// [`crate::Running::machine_log`]).
+    /// [`Running::machine_log`] of member `member` of shard `shard`.
     pub fn machine_log(&mut self, shard: u32, member: u32) -> Option<Vec<(MemberId, u64)>> {
-        let procs = *self
-            .shard_members
-            .get(shard as usize)?
-            .get(member as usize)?;
-        self.slot.machine_at(self.protocol, &procs)?.delivered_log()
+        self.shard(shard)?.machine_log(member)
     }
 
     /// The node footprint of one shard (the router occupies node 0; shard
@@ -1119,18 +1098,12 @@ impl RunningCluster {
         self.nodes_per_shard
     }
 
-    /// [`crate::Running::check`] for every shard, each against its own
-    /// fault schedule: every violation found, with the shard it was found
-    /// in.
+    /// [`Running::check`] on every shard: every violation found, with the
+    /// shard it was found in.
     pub fn check(&mut self) -> Result<(), Vec<(u32, Violation)>> {
-        let (slot, protocol) = (&mut self.slot, self.protocol);
-        let shards = self.shard_members.iter().zip(&self.shard_faults);
-        let violations: Vec<_> = (0..)
-            .zip(shards)
-            .flat_map(|(shard, (members, faults))| {
-                let found = check::group(slot, &SmrKvService, protocol, members, faults);
-                found.err().into_iter().flatten().map(move |v| (shard, v))
-            })
+        let violations: Vec<_> = (0..self.shards())
+            .filter_map(|s| Some((s, self.shard(s)?.check().err()?)))
+            .flat_map(|(s, found)| found.into_iter().map(move |v| (s, v)))
             .collect();
         violations.is_empty().then_some(()).ok_or(violations)
     }
@@ -1273,6 +1246,106 @@ mod tests {
         router.on_message(&mut ctx, entries[owner], done());
         assert_eq!(router.completed(), 1);
         assert_eq!(router.shard_loads()[owner].in_flight(), 0);
+    }
+
+    /// Completions and snapshot responses from entries and from strangers,
+    /// `u64::MAX` and unknown sequence numbers, duplicates, and every
+    /// truncation of a valid frame, interleaved with retry sweeps that
+    /// expire commands: nothing panics, and no shard ever has more
+    /// commands completed or expired than it was sent.
+    #[test]
+    fn hostile_frames_never_panic_the_router_or_overcount_a_shard() {
+        let entries = [ProcessId(10), ProcessId(20)];
+        let stranger = ProcessId(99);
+        let deadline = SimDuration::from_millis(4);
+        let mut router = ClusterRouter::new(
+            Workload::quick(6),
+            Partitioner::hash(2),
+            entries.to_vec(),
+            Some(SimTime::ZERO),
+            Some((deadline, 1)),
+        );
+        let mut ctx = TestContext::new(ROUTER_PID);
+        router.on_start(&mut ctx);
+        for _ in 0..6 {
+            router.on_timer(&mut ctx, TIMER_ARRIVAL);
+        }
+        router.on_timer(&mut ctx, TIMER_SNAPSHOT);
+        let routed: Vec<(ProcessId, u64)> = ctx
+            .take_sent()
+            .iter()
+            .filter_map(
+                |sent| match ClusterMsg::from_wire(&sent.payload.to_bytes()) {
+                    Ok(ClusterMsg::Submit { router_seq, .. }) => Some((sent.to, router_seq)),
+                    _ => None,
+                },
+            )
+            .collect();
+        assert_eq!(routed.len(), 6);
+
+        let done = |router_seq| ClusterMsg::Done { router_seq }.to_wire();
+        let resp = |req| {
+            let msg = ClusterMsg::SnapResp {
+                req,
+                applied: u64::MAX,
+                keys: u64::MAX,
+                digest: 0,
+            };
+            msg.to_wire()
+        };
+        let mut frames = Vec::new();
+        for &(owner, seq) in &routed {
+            let other = if owner == entries[0] {
+                entries[1]
+            } else {
+                entries[0]
+            };
+            for from in [other, stranger, owner, owner] {
+                frames.push((from, done(seq)));
+            }
+        }
+        for from in [entries[0], stranger, entries[0], entries[1], entries[1]] {
+            frames.push((from, resp(0)));
+        }
+        for from in [entries[0], entries[1], stranger] {
+            frames.push((from, done(u64::MAX)));
+            frames.push((from, done(1 << 40)));
+            frames.push((from, resp(u64::MAX)));
+            frames.push((from, resp(7)));
+        }
+        let valid = [
+            done(routed[0].1),
+            resp(0),
+            ClusterMsg::SnapRead { req: 0 }.to_wire(),
+            submit_wire(u64::MAX, b"k0", 9),
+        ];
+        for wire in &valid {
+            for len in 0..wire.len() {
+                frames.push((entries[0], wire.slice(..len)));
+            }
+            frames.push((entries[1], wire.clone()));
+        }
+
+        for (i, (from, wire)) in frames.into_iter().enumerate() {
+            router.on_message(&mut ctx, from, wire.into());
+            if i % 5 == 0 {
+                ctx.advance(SimDuration::from_millis(3));
+                router.on_timer(&mut ctx, TIMER_RETRY);
+            }
+            for load in router.shard_loads() {
+                assert!(load.completed + load.expired <= load.submitted, "{load:?}");
+            }
+        }
+        let loads = router.shard_loads();
+        assert!(loads.iter().any(|load| load.completed > 0), "{loads:?}");
+        assert!(loads.iter().any(|load| load.expired > 0), "{loads:?}");
+        assert_eq!(router.snapshots().len(), 1, "one snapshot, completed once");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2 ns")]
+    fn command_deadline_under_2_ns_panics() {
+        let _ = Cluster::new(1, 3).command_deadline(SimDuration::from_nanos(1));
     }
 
     #[test]

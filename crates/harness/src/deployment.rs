@@ -1,30 +1,30 @@
 //! The one path from a described deployment to a running one.
 //!
 //! A [`Scenario`] is one group; a cluster is several groups and a router on
-//! one runtime.  Both go through [`deploy`]: it creates the runtime, places
-//! every shard's processes at the shard's process-id and node base,
-//! compiles the shards' link and lifecycle fault schedules against those
-//! bases, and hands back the [`RuntimeSlot`] that [`Running`](crate::Running)
-//! and [`RunningCluster`](crate::RunningCluster) drive and inspect.
+//! one runtime.  Both go through [`deploy`]: it creates the runtime from one
+//! template scenario's runtime, seed, scheduler and topology, places every
+//! shard's processes at the shard's process-id and node base, compiles the
+//! shards' link and lifecycle fault schedules against those bases, and
+//! hands back the [`Runtime`] and one [`Group`] per shard: the two halves of
+//! a [`Running`](crate::Running) handle.
 
-use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use failsignal::wrapper::FsoActor;
 use fs_common::id::ProcessId;
 use fs_common::time::SimTime;
 use fs_simnet::actor::Actor;
 use fs_simnet::lifecycle::LifecycleSchedule;
 use fs_simnet::link::{LinkModel, LinkSchedule, Topology};
 use fs_simnet::node::NodeConfig;
-use fs_simnet::sched::SchedulerKind;
 use fs_simnet::sim::Simulation;
 use fs_simnet::threaded::{ThreadedBuilder, ThreadedConfig, ThreadedRuntime};
 use fs_simnet::trace::{NetStats, TraceLog};
 
+use crate::faults::FaultSchedule;
 use crate::group::GroupHost;
 use crate::scenario::{MemberProcs, Protocol, RuntimeKind, Scenario};
-use crate::service::PlainHost;
+use crate::service::ServiceSpec;
 use crate::workload::Workload;
 
 /// Completes a workload for deployment under `seed` on `runtime`.
@@ -43,10 +43,13 @@ pub(crate) fn stamp_workload(workload: &mut Workload, seed: u64, runtime: Runtim
     }
 }
 
-/// One shard of a deployment and where it sits on the shared runtime.
-pub(crate) struct ShardAt<S> {
-    /// The group to assemble.
-    pub(crate) scenario: S,
+/// What one shard of a deployment has of its own, and where it sits on the
+/// shared runtime; everything else comes from the template scenario.
+pub(crate) struct ShardAt {
+    /// The shard's fault schedule.
+    pub(crate) faults: FaultSchedule,
+    /// The seed the shard's signing keys are provisioned from.
+    pub(crate) seed: u64,
     /// Offset of every process identifier of the shard.
     pub(crate) pid_base: u32,
     /// The node the shard's first member lands on (nodes are created in
@@ -54,119 +57,147 @@ pub(crate) struct ShardAt<S> {
     pub(crate) node_base: u32,
 }
 
-/// Builds a front-end actor from the member handles of the assembled shards.
-pub(crate) type FrontActor<'a> = &'a dyn Fn(&[Vec<MemberProcs>]) -> Box<dyn Actor>;
+/// One deployed group: the service its members run, under which protocol,
+/// their process identities, and the fault schedule the run was built with
+/// (what [`Running::check`](crate::Running::check) expects of each member).
+/// The group half of a [`Running`](crate::Running) handle.
+pub struct Group {
+    pub(crate) service: Arc<dyn ServiceSpec>,
+    pub(crate) protocol: Protocol,
+    pub(crate) members: Vec<MemberProcs>,
+    pub(crate) faults: FaultSchedule,
+}
+
+impl std::fmt::Debug for Group {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Group")
+            .field("service", &self.service.name())
+            .field("protocol", &self.protocol)
+            .field("members", &self.members.len())
+            .finish()
+    }
+}
 
 /// The front end of a sharded deployment: one process on a node of its own,
-/// created before the shards' nodes and spawned after them.
+/// created before the shards' nodes and built from them once they are
+/// assembled.
 pub(crate) struct FrontEnd<'a> {
     pub(crate) pid: ProcessId,
     pub(crate) node: NodeConfig,
-    pub(crate) actor: FrontActor<'a>,
+    pub(crate) actor: &'a dyn Fn(&[Group]) -> Box<dyn Actor>,
 }
 
-/// Assembles `front` and every shard on `host`; returns the member handles
-/// per shard and the runtime-wide link and lifecycle schedules.
+/// Assembles `front` and every shard of `template` on `host`; returns the
+/// groups and the runtime-wide link and lifecycle schedules.
 ///
 /// # Panics
 ///
 /// Panics when a shard's fault schedule targets processes it does not
 /// deploy (see `FaultSchedule::assert_deployable`).
-fn assemble<H: GroupHost, S: Borrow<Scenario>>(
+fn assemble<H: GroupHost>(
     host: &mut H,
+    template: &Scenario,
     front: Option<FrontEnd<'_>>,
-    shards: impl IntoIterator<Item = ShardAt<S>>,
-) -> (Vec<Vec<MemberProcs>>, LinkSchedule, LifecycleSchedule) {
+    shards: impl IntoIterator<Item = ShardAt>,
+) -> (Vec<Group>, LinkSchedule, LifecycleSchedule) {
     let front = front.map(|front| (host.add_host_node(&front.node), front));
-    let mut members = Vec::new();
+    let mut groups = Vec::new();
     let mut links = LinkSchedule::new();
     let mut lifecycle = LifecycleSchedule::new();
     for (index, shard) in shards.into_iter().enumerate() {
-        let scenario = shard.scenario.borrow();
-        scenario
+        shard
             .faults
-            .assert_deployable(index, scenario.members, scenario.protocol);
-        let procs = scenario.assemble_at(host, shard.pid_base);
-        let shard_links = scenario
+            .assert_deployable(index, template.members, template.protocol);
+        let members = template.assemble_at(host, &shard);
+        let shard_links = shard
             .faults
             .compile_link_schedule_with_base(shard.node_base);
         for event in shard_links.events() {
             links.push(event.clone());
         }
-        lifecycle.extend(scenario.compile_lifecycle(&procs));
-        members.push(procs);
+        lifecycle.extend(template.compile_lifecycle(&members, &shard.faults));
+        groups.push(Group {
+            service: Arc::clone(&template.service),
+            protocol: template.protocol,
+            members,
+            faults: shard.faults,
+        });
     }
     if let Some((node, front)) = front {
-        host.place(front.pid, node, (front.actor)(&members));
+        host.place(front.pid, node, (front.actor)(&groups));
     }
-    (members, links, lifecycle)
+    (groups, links, lifecycle)
 }
 
-/// Builds and starts a deployment of `shards` (plus `front`, if any) on a
-/// fresh runtime; `topology` defaults to the paper's lightly loaded
-/// 100 Mb/s LAN between every pair of nodes.
+/// Builds and starts a deployment of `shards` of `template` (plus `front`,
+/// if any) on a fresh runtime of the template's kind, seed and scheduler;
+/// its topology defaults to the paper's lightly loaded 100 Mb/s LAN between
+/// every pair of nodes.
 ///
 /// # Panics
 ///
 /// See [`assemble`]; also when a member-lifecycle entry names a member its
 /// shard does not deploy.
-pub(crate) fn deploy<S: Borrow<Scenario>>(
-    runtime: RuntimeKind,
-    seed: u64,
-    scheduler: SchedulerKind,
-    topology: Option<Topology>,
+pub(crate) fn deploy(
+    mut template: Scenario,
     front: Option<FrontEnd<'_>>,
-    shards: impl IntoIterator<Item = ShardAt<S>>,
-) -> (RuntimeSlot, Vec<Vec<MemberProcs>>) {
-    let topology = topology.unwrap_or_else(|| Topology::new(LinkModel::lan_100mbps()));
-    match runtime {
+    shards: impl IntoIterator<Item = ShardAt>,
+) -> (Runtime, Vec<Group>) {
+    let topology = template
+        .topology
+        .take()
+        .unwrap_or_else(|| Topology::new(LinkModel::lan_100mbps()));
+    let seed = template.seed;
+    let mut runtime = Runtime::default();
+    let groups = match template.runtime {
         RuntimeKind::Sim => {
-            let mut sim = Simulation::with_scheduler(seed, topology, scheduler);
-            let (members, links, lifecycle) = assemble(&mut sim, front, shards);
+            let mut sim = Simulation::with_scheduler(seed, topology, template.scheduler);
+            let (groups, links, lifecycle) = assemble(&mut sim, &template, front, shards);
             sim.apply_link_schedule(&links);
             sim.apply_lifecycle_schedule(lifecycle);
-            let slot = RuntimeSlot {
-                sim: Some(sim),
-                ..RuntimeSlot::default()
-            };
-            (slot, members)
+            runtime.sim = Some(sim);
+            groups
         }
         RuntimeKind::Threaded => {
             let mut builder = ThreadedBuilder::new(ThreadedConfig { seed }).with_topology(topology);
-            let (members, links, lifecycle) = assemble(&mut builder, front, shards);
-            let slot = RuntimeSlot {
-                threaded: Some(
-                    builder
-                        .with_link_schedule(links)
-                        .with_lifecycle_schedule(lifecycle)
-                        .start(),
-                ),
-                ..RuntimeSlot::default()
-            };
-            (slot, members)
+            let (groups, links, lifecycle) = assemble(&mut builder, &template, front, shards);
+            let builder = builder
+                .with_link_schedule(links)
+                .with_lifecycle_schedule(lifecycle);
+            runtime.threaded = Some(builder.start());
+            groups
         }
-    }
+    };
+    (runtime, groups)
 }
 
-/// The runtime-holding half of a running deployment: either a simulator or
-/// a started threaded runtime, plus the actors and statistics collected at
-/// settle time.  `Running` and the cluster layer's `RunningCluster` both
-/// contain exactly one slot, so driving, settling, statistics and actor
-/// inspection share this one code path.
+/// The runtime half of a running deployment: either a simulator or a
+/// started threaded runtime, plus the actors and statistics collected at
+/// settle time.  [`Running`](crate::Running) and
+/// [`RunningCluster`](crate::RunningCluster) both dereference to their one
+/// `Runtime`, so driving, settling and statistics have this one
+/// definition.
 #[derive(Default)]
-pub(crate) struct RuntimeSlot {
+pub struct Runtime {
     sim: Option<Simulation>,
     threaded: Option<ThreadedRuntime>,
     collected: HashMap<ProcessId, Box<dyn Actor>>,
     /// The threaded runtime's counter cells (one per node, then the cell no
-    /// node owns), frozen at settle time so [`RuntimeSlot::stats`] and
-    /// [`RuntimeSlot::node_stats`] keep working after shutdown.
+    /// node owns), frozen at settle time so [`Runtime::stats`] and
+    /// [`Runtime::node_stats`] keep working after shutdown.
     frozen_cells: Option<Vec<NetStats>>,
 }
 
-impl RuntimeSlot {
-    /// Drives the runtime until `horizon` and returns the reached time.
-    pub(crate) fn run_until(&mut self, horizon: SimTime) -> SimTime {
+impl Runtime {
+    /// Drives the deployment until `horizon` and returns the reached time.
+    ///
+    /// Simulator: runs the event loop (returns early on quiescence).
+    /// Threaded runtime: sleeps until the wall clock reaches `horizon`
+    /// relative to the runtime's start (1 simulated second = 1 real
+    /// second), returning early once the deployment has settled — nothing
+    /// in flight and no timer due before the horizon (see
+    /// [`ThreadedRuntime::run_until_settled`]).
+    pub fn run_until(&mut self, horizon: SimTime) -> SimTime {
         if let Some(sim) = self.sim.as_mut() {
             return sim.run_until(horizon);
         }
@@ -176,20 +207,25 @@ impl RuntimeSlot {
         horizon
     }
 
-    /// Enables event tracing (simulator only).
-    pub(crate) fn enable_trace(&mut self) {
+    /// Enables event tracing (simulator only; a no-op on the threaded
+    /// runtime).  Call before [`Runtime::run_until`].
+    pub fn enable_trace(&mut self) {
         if let Some(sim) = self.sim.as_mut() {
             sim.enable_trace();
         }
     }
 
     /// The recorded trace, when tracing was enabled on the simulator.
-    pub(crate) fn trace(&self) -> Option<&TraceLog> {
+    pub fn trace(&self) -> Option<&TraceLog> {
         self.sim.as_ref().and_then(|s| s.trace())
     }
 
-    /// The runtime-wide network statistics; infallible on both runtimes.
-    pub(crate) fn stats(&self) -> NetStats {
+    /// The aggregate network statistics, on either runtime: sends,
+    /// deliveries, drops (split into unknown-destination and link-fault
+    /// drops) and executed link-fault events.  On the threaded runtime the
+    /// counters are sampled live while running and frozen at
+    /// [`Runtime::settle`] time.
+    pub fn stats(&self) -> NetStats {
         if let Some(sim) = self.sim.as_ref() {
             return sim.stats();
         }
@@ -202,8 +238,8 @@ impl RuntimeSlot {
 
     /// The runtime's per-node counter cells, indexed in node creation
     /// order (`Simulation::node_net_stats`,
-    /// `ThreadedRuntime::node_net_stats`).  `None` only on a slot that never
-    /// held a runtime.
+    /// `ThreadedRuntime::node_net_stats`).  `None` only on a runtime that
+    /// never held one.
     pub(crate) fn node_stats(&self) -> Option<Vec<NetStats>> {
         if let Some(sim) = self.sim.as_ref() {
             return Some(
@@ -228,7 +264,7 @@ impl RuntimeSlot {
 
     /// Shuts down the threaded runtime (if any) and collects its actors for
     /// inspection.  Idempotent; a no-op on the simulator.
-    pub(crate) fn settle(&mut self) {
+    pub fn settle(&mut self) {
         if let Some(rt) = self.threaded.take() {
             self.frozen_cells = Some(rt.net_cells());
             self.collected = rt.shutdown();
@@ -236,7 +272,7 @@ impl RuntimeSlot {
     }
 
     /// The actor registered under `process`, as a trait object.  Call
-    /// [`RuntimeSlot::settle`] first on the threaded runtime.
+    /// [`Runtime::settle`] first on the threaded runtime.
     pub(crate) fn actor_ref(&self, process: ProcessId) -> Option<&dyn Actor> {
         if let Some(sim) = self.sim.as_ref() {
             return sim.actor_dyn(process);
@@ -244,41 +280,21 @@ impl RuntimeSlot {
         self.collected.get(&process).map(|b| b.as_ref())
     }
 
-    /// [`RuntimeSlot::settle`] followed by [`RuntimeSlot::actor_ref`].
+    /// [`Runtime::settle`] followed by [`Runtime::actor_ref`].
     pub(crate) fn actor_dyn(&mut self, process: ProcessId) -> Option<&dyn Actor> {
         self.settle();
         self.actor_ref(process)
     }
 
-    pub(crate) fn sim(&self) -> Option<&Simulation> {
+    /// Direct access to the underlying simulator, for link surgery and other
+    /// scenario-specific interventions (`None` on the threaded runtime).
+    pub fn sim(&self) -> Option<&Simulation> {
         self.sim.as_ref()
     }
 
-    pub(crate) fn sim_mut(&mut self) -> Option<&mut Simulation> {
+    /// Mutable variant of [`Runtime::sim`].
+    pub fn sim_mut(&mut self) -> Option<&mut Simulation> {
         self.sim.as_mut()
-    }
-
-    /// The service machine of the member described by `procs`, when the
-    /// deployment exposes one: the machine hosted by its [`PlainHost`]
-    /// under [`Protocol::Crash`], the leader replica of its FS pair under
-    /// [`Protocol::FailSignal`].  `None` when the process is wrapped by a
-    /// fault injector or is of another shape.
-    pub(crate) fn machine_at(
-        &mut self,
-        protocol: Protocol,
-        procs: &MemberProcs,
-    ) -> Option<&dyn fs_smr::machine::DeterministicMachine> {
-        self.settle();
-        match protocol {
-            Protocol::Crash => {
-                let any: &dyn std::any::Any = self.actor_ref(procs.middleware)?;
-                Some(any.downcast_ref::<PlainHost>()?.machine())
-            }
-            Protocol::FailSignal => {
-                let any: &dyn std::any::Any = self.actor_ref(procs.leader)?;
-                Some(any.downcast_ref::<FsoActor>()?.machine())
-            }
-        }
     }
 }
 

@@ -88,6 +88,8 @@ mod tests {
     use fs_simnet::link::{LinkModel, Topology};
     use fs_smr::machine::{DeterministicMachine, EchoMachine};
 
+    use crate::deployment::ShardAt;
+    use crate::faults::FaultSchedule;
     use crate::scenario::{MemberProcs, Scenario};
     use crate::service::ServiceSpec;
     use crate::workload::Workload;
@@ -162,9 +164,14 @@ mod tests {
             .layout(layout)
             .crypto_costs(fs_crypto::cost::CryptoCostModel::free())
             .timing(fs_common::config::TimingAssumptions::default())
-            .workload(Workload::quick(messages))
-            .seed(11);
-        let procs = scenario.assemble_at(&mut sim, pid_base);
+            .workload(Workload::quick(messages));
+        let shard = ShardAt {
+            faults: FaultSchedule::none(),
+            seed: 11,
+            pid_base,
+            node_base: 0,
+        };
+        let procs = scenario.assemble_at(&mut sim, &shard);
         (sim, procs)
     }
 

@@ -13,13 +13,18 @@
 //! There is one path from a description to a running deployment:
 //! a [`Workload`] describes the load, every load-driving actor owns one
 //! [`fs_simnet::load::LoadGen`] built from it, [`Scenario::build`] (one
-//! group) and [`Cluster::build`] (several groups behind a router) place
-//! their processes through the same internal `deploy`, and the result is
-//! driven and inspected through [`Running`] / [`RunningCluster`].  Crash
-//! tolerance and fail-signal tolerance are two values of the protocol
-//! axis, not two builders.  Whether a settled run behaved correctly is one
-//! call, [`Running::check`] / [`RunningCluster::check`], which reads what
-//! each member may do from the fault schedule (see [`check`]).
+//! group) and [`Cluster::build`] (several groups behind a router, each
+//! assembled from one shard-template `Scenario`) place their processes
+//! through the same internal `deploy`.  There is one running handle:
+//! [`Running`] is a [`Runtime`] (which drives the run and reports its
+//! statistics and trace, and which the handle dereferences to) and a
+//! [`Group`] on it (whose members the handle inspects).  A
+//! [`RunningCluster`] dereferences to its one runtime and lends each shard
+//! as a `Running` view, [`RunningCluster::shard`].  Crash tolerance and
+//! fail-signal tolerance are two values of the protocol axis, not two
+//! builders.  Whether a settled run behaved correctly is one call,
+//! [`Running::check`] / [`RunningCluster::check`], which reads what each
+//! member may do from the fault schedule (see [`check`]).
 //!
 //! | axis | type | shipped values |
 //! |---|---|---|
@@ -63,6 +68,7 @@ pub use cluster::{
     Cluster, ClusterMsg, ClusterRouter, ClusterSnapshot, Partitioner, RunningCluster,
     ShardFrontier, ShardLoad,
 };
+pub use deployment::{Group, Runtime};
 pub use faults::{
     FaultEntry, FaultSchedule, FaultTarget, LinkFaultEntry, MemberFate, MemberLifecycleEntry,
     MemberLinkScope,

@@ -21,15 +21,19 @@
 //! assert_eq!(run.check().map(|agreed| agreed.len()), Ok(6));
 //! ```
 
+use std::any::Any;
+use std::borrow::{Borrow, BorrowMut};
 use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use failsignal::interceptor::FsInterceptor;
 use failsignal::provision::{FsPairBuilder, FsPairSpec};
+use failsignal::wrapper::FsoActor;
 use fs_common::config::TimingAssumptions;
 use fs_common::id::{FsId, MemberId, ProcessId, Role};
 use fs_common::rng::DetRng;
-use fs_common::time::{SimDuration, SimTime};
+use fs_common::time::SimDuration;
 use fs_crypto::cost::CryptoCostModel;
 use fs_crypto::keys::{provision, KeyDirectory, SignerId, SigningKey};
 use fs_faults::FaultyActor;
@@ -39,12 +43,11 @@ use fs_simnet::link::{LinkModel, Topology};
 use fs_simnet::load::{LoadGen, LoadStats};
 use fs_simnet::node::NodeConfig;
 use fs_simnet::sched::SchedulerKind;
-use fs_simnet::sim::Simulation;
-use fs_simnet::trace::{LatencyRecorder, NetStats, TraceLog};
-use fs_smr::machine::AddressMap;
+use fs_simnet::trace::LatencyRecorder;
+use fs_smr::machine::{AddressMap, DeterministicMachine};
 
 use crate::check::{self, Violation};
-use crate::deployment::{deploy, stamp_workload, RuntimeSlot, ShardAt};
+use crate::deployment::{deploy, stamp_workload, Group, Runtime, ShardAt};
 use crate::faults::{FaultEntry, FaultSchedule, MemberFate};
 use crate::group::{GroupHost, PairLayout};
 use crate::service::{PlainHost, ServiceSpec};
@@ -93,18 +96,18 @@ pub struct MemberProcs {
 /// scenario is fully described by the calls that differ from the paper's
 /// set-up.
 pub struct Scenario {
-    service: Box<dyn ServiceSpec>,
+    pub(crate) service: Arc<dyn ServiceSpec>,
     pub(crate) members: u32,
-    runtime: RuntimeKind,
+    pub(crate) runtime: RuntimeKind,
     pub(crate) protocol: Protocol,
-    workload: Workload,
-    pub(crate) faults: FaultSchedule,
+    pub(crate) workload: Workload,
+    faults: FaultSchedule,
     layout: PairLayout,
     timing: TimingAssumptions,
     crypto_costs: CryptoCostModel,
-    seed: u64,
-    scheduler: SchedulerKind,
-    topology: Option<Topology>,
+    pub(crate) seed: u64,
+    pub(crate) scheduler: SchedulerKind,
+    pub(crate) topology: Option<Topology>,
 }
 
 impl std::fmt::Debug for Scenario {
@@ -125,7 +128,7 @@ impl Scenario {
     /// no faults, seed 2003.
     pub fn new(service: impl ServiceSpec + 'static) -> Self {
         Self {
-            service: Box::new(service),
+            service: Arc::new(service),
             members: 3,
             runtime: RuntimeKind::Sim,
             protocol: Protocol::FailSignal,
@@ -235,11 +238,12 @@ impl Scenario {
         self.topology(Topology::new(link))
     }
 
-    /// Assembles the scenario on `host` with every process identifier
-    /// offset by `pid_base`, so several scenarios (cluster shards) can
-    /// share one runtime without identifier collisions.  Nodes are created
-    /// in the same order as the standalone assembly, so within the shard
-    /// member `i`'s primary node is the `i`-th node this call creates.
+    /// Assembles `shard` of this scenario on `host`: with the shard's fault
+    /// schedule and key seed, and every process identifier offset by its
+    /// `pid_base`, so several shards can share one runtime without
+    /// identifier collisions.  Nodes are created in the same order as the
+    /// standalone assembly, so within the shard member `i`'s primary node
+    /// is the `i`-th node this call creates.
     ///
     /// One loop places every member under either protocol: it gives the
     /// member its view of the group's one [`AddressMap`], places the
@@ -251,12 +255,12 @@ impl Scenario {
     pub(crate) fn assemble_at<H: GroupHost>(
         &self,
         host: &mut H,
-        pid_base: u32,
+        shard: &ShardAt,
     ) -> Vec<MemberProcs> {
         let n = self.members;
         assert!(n >= 1, "a group needs at least one member");
         let members: Vec<MemberProcs> = (0..n)
-            .map(|i| self.member_procs(pid_base, MemberId(i)))
+            .map(|i| self.member_procs(shard.pid_base, MemberId(i)))
             .collect();
         let group: Vec<MemberId> = members.iter().map(|p| p.member).collect();
         let (speakers, width) = self.speakers(&members);
@@ -266,7 +270,7 @@ impl Scenario {
             // Provision signing keys for every wrapper process (start-up
             // step, A1/A5).
             let wrappers = members.iter().flat_map(|p| [p.leader, p.follower]);
-            let (keys, directory) = provision(wrappers, &mut DetRng::new(self.seed ^ 0x5157_3a11));
+            let (keys, directory) = provision(wrappers, &mut DetRng::new(shard.seed ^ 0x5157_3a11));
             let followers = match self.layout {
                 PairLayout::Full => (0..n).map(|_| host.add_host_node(&node)).collect(),
                 // Member i's follower lives on member (i + 1) % n's node.
@@ -285,14 +289,14 @@ impl Scenario {
                     let addresses =
                         AddressMap::new(Arc::clone(&speakers), width, member, procs.app);
                     let middleware = self.crash_host(addresses, &group);
-                    let middleware = inject(self.faults.for_middleware(member), middleware);
+                    let middleware = inject(shard.faults.for_middleware(member), middleware);
                     host.place(procs.middleware, nodes[i], middleware);
                 }
                 Some(pairs) => {
                     let addresses =
                         AddressMap::new(Arc::clone(&speakers), width, member, procs.middleware);
                     let [leader, follower, interceptor] =
-                        self.fs_member(procs, addresses, &group, pairs);
+                        self.fs_member(procs, addresses, &group, pairs, &shard.faults);
                     host.place(procs.leader, nodes[i], leader);
                     host.place(procs.follower, pairs.followers[i], follower);
                     host.place(procs.middleware, nodes[i], interceptor);
@@ -359,13 +363,14 @@ impl Scenario {
     /// wrapper and interceptor: two replicas of the service's machine in a
     /// pair keyed from `pairs`, each peer's fail-signal turned into the
     /// service's input for it, each wrapper behind its fault injector if
-    /// the schedule names one.
+    /// `faults` names one.
     fn fs_member<N>(
         &self,
         procs: &MemberProcs,
         addresses: AddressMap,
         group: &[MemberId],
         pairs: &mut Pairs<N>,
+        faults: &FaultSchedule,
     ) -> [Box<dyn Actor>; 3] {
         let member = procs.member;
         let fs = FsId(member.0);
@@ -390,7 +395,7 @@ impl Scenario {
         let directory = Arc::clone(&pairs.directory);
         let interceptor =
             FsInterceptor::new(procs.app, fs, procs.leader, procs.follower, directory);
-        let faults = |role| self.faults.for_wrapper(member, role);
+        let faults = |role| faults.for_wrapper(member, role);
         [
             inject(faults(Role::Leader), Box::new(leader)),
             inject(faults(Role::Follower), Box::new(follower)),
@@ -410,7 +415,7 @@ impl Scenario {
         pids
     }
 
-    /// Compiles the member-lifecycle entries of the fault schedule to the
+    /// Compiles the member-lifecycle entries of `faults` to the
     /// process-level schedule both runtimes execute.
     ///
     /// * `Crash` takes down every process of the member.
@@ -422,9 +427,13 @@ impl Scenario {
     ///   warm `Recover` — an FS pair cannot be replaced cold, because
     ///   assumption A1 pre-provisions its keys and the peers' replay guards
     ///   pin its message sequence (see [`crate::group`]).
-    pub(crate) fn compile_lifecycle(&self, members: &[MemberProcs]) -> LifecycleSchedule {
+    pub(crate) fn compile_lifecycle(
+        &self,
+        members: &[MemberProcs],
+        faults: &FaultSchedule,
+    ) -> LifecycleSchedule {
         let mut schedule = LifecycleSchedule::new();
-        for entry in self.faults.lifecycle_entries() {
+        for entry in faults.lifecycle_entries() {
             let procs = members
                 .iter()
                 .find(|p| p.member == entry.member)
@@ -489,27 +498,16 @@ impl Scenario {
     /// vacuously.
     pub fn build(mut self) -> Running {
         stamp_workload(&mut self.workload, self.seed, self.runtime);
-        let topology = self.topology.take();
-        let placed = ShardAt {
-            scenario: &self,
+        let shard = ShardAt {
+            faults: std::mem::take(&mut self.faults),
+            seed: self.seed,
             pid_base: 0,
             node_base: 0,
         };
-        let (slot, mut shards) = deploy(
-            self.runtime,
-            self.seed,
-            self.scheduler,
-            topology,
-            None,
-            std::iter::once(placed),
-        );
+        let (runtime, mut groups) = deploy(self, None, [shard]);
         Running {
-            protocol: self.protocol,
-            runtime: self.runtime,
-            members: shards.pop().expect("one shard was deployed"),
-            service: self.service,
-            faults: self.faults,
-            slot,
+            runtime,
+            group: groups.pop().expect("one shard was deployed"),
         }
     }
 }
@@ -531,98 +529,84 @@ fn inject(entry: Option<&FaultEntry>, actor: Box<dyn Actor>) -> Box<dyn Actor> {
     }
 }
 
-/// A deployed, runnable scenario: the uniform handle over both runtimes.
+/// A deployed, runnable group: the uniform handle over both runtimes.
 ///
-/// On the simulator, [`Running::run_until`] executes events up to the given
-/// simulated horizon; on the threaded runtime it lets the wall clock reach
-/// the same horizon (1 simulated second = 1 real second).  Inspection
-/// methods ([`Running::delivery_log`], [`Running::app`],
-/// [`Running::fail_signalled`], [`Running::check`]) work on both; on the
-/// threaded runtime the first inspection shuts the node threads down and
-/// collects the actors.
-pub struct Running {
-    service: Box<dyn ServiceSpec>,
-    protocol: Protocol,
-    runtime: RuntimeKind,
-    members: Vec<MemberProcs>,
-    /// The schedule the run was built with: what [`Running::check`] expects
-    /// of each member.
-    faults: FaultSchedule,
-    slot: RuntimeSlot,
+/// A handle is a [`Runtime`] and a [`Group`] on it.  It dereferences to its
+/// runtime, which drives the run ([`Runtime::run_until`]) and reports its
+/// network statistics and trace; the methods below inspect the group's
+/// members.  [`Scenario::build`] returns one that owns both halves, and
+/// [`RunningCluster::shard`](crate::RunningCluster::shard) lends one per
+/// shard, borrowing the cluster's runtime.  Inspection works on both
+/// runtimes; on the threaded runtime the first inspection shuts the node
+/// threads down and collects the actors.
+pub struct Running<R = Runtime, G = Group> {
+    pub(crate) runtime: R,
+    pub(crate) group: G,
 }
 
-impl std::fmt::Debug for Running {
+impl<R, G: Borrow<Group>> std::fmt::Debug for Running<R, G> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Running")
-            .field("service", &self.service.name())
-            .field("protocol", &self.protocol)
-            .field("runtime", &self.runtime)
-            .field("members", &self.members.len())
-            .finish()
+        f.debug_tuple("Running").field(self.group.borrow()).finish()
     }
 }
 
-impl Running {
+impl<R: Borrow<Runtime>, G> Deref for Running<R, G> {
+    type Target = Runtime;
+
+    fn deref(&self) -> &Runtime {
+        self.runtime.borrow()
+    }
+}
+
+impl<R: BorrowMut<Runtime>, G> DerefMut for Running<R, G> {
+    fn deref_mut(&mut self) -> &mut Runtime {
+        self.runtime.borrow_mut()
+    }
+}
+
+impl<R: BorrowMut<Runtime>, G: Borrow<Group>> Running<R, G> {
     /// The deployed members, in member order.
     pub fn members(&self) -> &[MemberProcs] {
-        &self.members
+        &self.group.borrow().members
     }
 
-    /// The protocol this scenario runs.
+    /// The protocol this group runs.
     pub fn protocol(&self) -> Protocol {
-        self.protocol
+        self.group.borrow().protocol
     }
 
     /// The service's name.
     pub fn service_name(&self) -> &'static str {
-        self.service.name()
+        self.group.borrow().service.name()
     }
 
-    /// Drives the scenario until `horizon` and returns the reached time.
-    ///
-    /// Simulator: runs the event loop (returns early on quiescence).
-    /// Threaded runtime: sleeps until the wall clock reaches `horizon`
-    /// relative to the runtime's start, returning early once the deployment
-    /// has settled — nothing in flight and no timer due before the horizon
-    /// (see [`fs_simnet::threaded::ThreadedRuntime::run_until_settled`]).
-    pub fn run_until(&mut self, horizon: SimTime) -> SimTime {
-        self.slot.run_until(horizon)
+    /// The two halves, borrowed apart.
+    fn parts(&mut self) -> (&mut Runtime, &Group) {
+        (self.runtime.borrow_mut(), self.group.borrow())
     }
 
-    /// Enables event tracing (simulator only; a no-op on the threaded
-    /// runtime).  Call before [`Running::run_until`].
-    pub fn enable_trace(&mut self) {
-        self.slot.enable_trace();
+    /// The actor of the process `pick` selects from member `i`'s (settling
+    /// the runtime first).
+    fn actor(&mut self, i: u32, pick: fn(&MemberProcs) -> ProcessId) -> Option<&dyn Actor> {
+        let (runtime, group) = self.parts();
+        runtime.actor_dyn(pick(group.members.get(i as usize)?))
     }
 
-    /// The recorded trace, when tracing was enabled on the simulator.
-    pub fn trace(&self) -> Option<&TraceLog> {
-        self.slot.trace()
-    }
-
-    /// The aggregate network statistics, on either runtime: sends,
-    /// deliveries, drops (split into unknown-destination and link-fault
-    /// drops) and executed link-fault events.  On the threaded runtime the
-    /// counters are sampled live while running and frozen at
-    /// [`Running::settle`] time.  Infallible: every cell of the scenario
-    /// matrix reports statistics.
-    pub fn stats(&self) -> NetStats {
-        self.slot.stats()
-    }
-
-    /// The load generators of the members' drivers, in member order.  Call
-    /// [`Running::settle`] first on the threaded runtime.
-    fn driver_loads(&self) -> impl Iterator<Item = &LoadGen> {
-        self.members
+    /// The load generators of the members' drivers, in member order.
+    fn driver_loads(&mut self) -> impl Iterator<Item = &LoadGen> {
+        let (runtime, group) = self.parts();
+        runtime.settle();
+        let runtime = &*runtime;
+        group
+            .members
             .iter()
-            .filter_map(|member| self.service.load_of(self.actor_ref(member.app)?))
+            .filter_map(move |member| group.service.load_of(runtime.actor_ref(member.app)?))
     }
 
     /// The merged ordering-latency recorder of every member's driver — the
     /// source of the p50/p99/p999 figures.  On the threaded runtime this
     /// shuts the runtime down first.
     pub fn latencies(&mut self) -> LatencyRecorder {
-        self.settle();
         let mut merged = LatencyRecorder::new();
         for load in self.driver_loads() {
             merged.merge(load.latencies());
@@ -639,7 +623,6 @@ impl Running {
     /// The merged open-loop admission counters of every member's driver.
     /// On the threaded runtime this shuts the runtime down first.
     pub fn load_stats(&mut self) -> LoadStats {
-        self.settle();
         let mut merged = LoadStats::default();
         for load in self.driver_loads() {
             merged.merge(&load.stats());
@@ -647,40 +630,11 @@ impl Running {
         merged
     }
 
-    /// Direct access to the underlying simulator, for link surgery and other
-    /// scenario-specific interventions (`None` on the threaded runtime).
-    pub fn sim(&self) -> Option<&Simulation> {
-        self.slot.sim()
-    }
-
-    /// Mutable variant of [`Running::sim`].
-    pub fn sim_mut(&mut self) -> Option<&mut Simulation> {
-        self.slot.sim_mut()
-    }
-
-    /// Shuts down the threaded runtime (if any) and collects its actors for
-    /// inspection.  Idempotent; a no-op on the simulator.
-    pub fn settle(&mut self) {
-        self.slot.settle();
-    }
-
-    /// The actor registered under `process`, as a trait object.  Call
-    /// [`Running::settle`] first on the threaded runtime.
-    fn actor_ref(&self, process: ProcessId) -> Option<&dyn Actor> {
-        self.slot.actor_ref(process)
-    }
-
-    /// [`Running::settle`] followed by [`Running::actor_ref`].
-    fn actor_dyn(&mut self, process: ProcessId) -> Option<&dyn Actor> {
-        self.slot.actor_dyn(process)
-    }
-
     /// Downcasts member `i`'s application / workload-driver actor.
     ///
     /// On the threaded runtime this shuts the runtime down first.
     pub fn app<T: Actor>(&mut self, i: u32) -> Option<&T> {
-        let pid = self.members.get(i as usize)?.app;
-        let any: &dyn std::any::Any = self.actor_dyn(pid)?;
+        let any: &dyn Any = self.actor(i, |p| p.app)?;
         any.downcast_ref::<T>()
     }
 
@@ -693,17 +647,17 @@ impl Running {
     /// Panics when `i` is out of range or the driver actor cannot be
     /// inspected (which would be a harness bug).
     pub fn delivery_log(&mut self, i: u32) -> Vec<(MemberId, u64)> {
-        self.settle();
-        let pid = self.members[i as usize].app;
-        let driver = self.actor_ref(pid).expect("driver actor exists");
-        self.service
-            .delivery_log_of(driver)
+        let (runtime, group) = self.parts();
+        let driver = runtime.actor_dyn(group.members[i as usize].app);
+        group
+            .service
+            .delivery_log_of(driver.expect("driver actor exists"))
             .expect("driver actor is inspectable")
     }
 
     /// Every member's delivery log, in member order.
     pub fn delivery_logs(&mut self) -> Vec<Vec<(MemberId, u64)>> {
-        (0..self.members.len() as u32)
+        (0..self.members().len() as u32)
             .map(|i| self.delivery_log(i))
             .collect()
     }
@@ -714,9 +668,17 @@ impl Running {
     /// `None` when the process is wrapped by a fault injector or is of
     /// another shape.  On the threaded runtime this shuts the runtime down
     /// first.
-    fn machine_of(&mut self, i: u32) -> Option<&dyn fs_smr::machine::DeterministicMachine> {
-        let procs = *self.members.get(i as usize)?;
-        self.slot.machine_at(self.protocol, &procs)
+    fn machine(&mut self, i: u32) -> Option<&dyn DeterministicMachine> {
+        match self.protocol() {
+            Protocol::Crash => {
+                let any: &dyn Any = self.actor(i, |p| p.middleware)?;
+                Some(any.downcast_ref::<PlainHost>()?.machine())
+            }
+            Protocol::FailSignal => {
+                let any: &dyn Any = self.actor(i, |p| p.leader)?;
+                Some(any.downcast_ref::<FsoActor>()?.machine())
+            }
+        }
     }
 
     /// Member `i`'s **machine-level** committed delivery log, which
@@ -728,34 +690,30 @@ impl Running {
     /// the rejoiner's driver never saw the missed upcalls.  `None` when the
     /// service machine keeps no such log or cannot be inspected.
     pub fn machine_log(&mut self, i: u32) -> Option<Vec<(MemberId, u64)>> {
-        self.machine_of(i)?.delivered_log()
+        self.machine(i)?.delivered_log()
     }
 
     /// A digest of member `i`'s machine-level application state (see
     /// [`Running::machine_log`]); `None` when the machine exposes none.
     pub fn machine_digest(&mut self, i: u32) -> Option<u64> {
-        self.machine_of(i)?.app_digest()
+        self.machine(i)?.app_digest()
     }
 
     /// Member `i`'s interceptor (fail-signal protocol only).
     pub fn interceptor(&mut self, i: u32) -> Option<&FsInterceptor> {
-        if self.protocol != Protocol::FailSignal {
+        if self.protocol() != Protocol::FailSignal {
             return None;
         }
-        let pid = self.members.get(i as usize)?.middleware;
-        let any: &dyn std::any::Any = self.actor_dyn(pid)?;
+        let any: &dyn Any = self.actor(i, |p| p.middleware)?;
         any.downcast_ref::<FsInterceptor>()
     }
 
     /// True when any member's local FS pair has emitted its fail-signal
     /// (always false under [`Protocol::Crash`]).
     pub fn fail_signalled(&mut self) -> bool {
-        if self.protocol != Protocol::FailSignal {
-            return false;
-        }
-        (0..self.members.len() as u32).any(|i| {
+        (0..self.members().len() as u32).any(|i| {
             self.interceptor(i)
-                .is_some_and(|x| x.local_fail_signalled())
+                .is_some_and(FsInterceptor::local_fail_signalled)
         })
     }
 
@@ -764,13 +722,8 @@ impl Running {
     /// are in [`crate::check`]).  Returns the agreed delivery log, or every
     /// violation found.  Only reads, so nothing the run reports moves.
     pub fn check(&mut self) -> Result<Vec<(MemberId, u64)>, Vec<Violation>> {
-        check::group(
-            &mut self.slot,
-            &*self.service,
-            self.protocol,
-            &self.members,
-            &self.faults,
-        )
+        let (runtime, group) = self.parts();
+        check::group(runtime, group)
     }
 }
 
@@ -778,6 +731,7 @@ impl Running {
 mod tests {
     use super::*;
     use crate::service::{NewTopService, SmrKvService};
+    use fs_common::time::SimTime;
     use fs_newtop::suspector::SuspectorConfig;
 
     #[test]

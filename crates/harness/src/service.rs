@@ -44,7 +44,7 @@ use crate::workload::Workload;
 
 /// A deployable service: everything the scenario builder needs to assemble
 /// it under the crash protocol or lift it to fail-signal form.
-pub trait ServiceSpec: Send {
+pub trait ServiceSpec: Send + Sync {
     /// A short human-readable name, used in reports.
     fn name(&self) -> &'static str;
 

@@ -8,6 +8,13 @@
 //! order.  Compared with the symmetric service this needs O(n) messages per
 //! multicast instead of O(n²), at the price of a sequencing bottleneck.
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+
 use std::collections::BTreeMap;
 
 use fs_common::id::MemberId;
@@ -60,6 +67,10 @@ impl SequencerOrder {
 
     /// Multicasts `payload`.  Returns the messages to send to the other view
     /// members and any local deliveries that become possible.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`next_seq` grows by one per local multicast: 2^64 of them are out of reach"
+    )]
     pub fn multicast(
         &mut self,
         payload: impl Into<Bytes>,
@@ -181,6 +192,13 @@ impl SequencerOrder {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "tests index, count and unwrap what they built themselves"
+)]
 mod tests {
     use super::*;
 

@@ -11,6 +11,13 @@
 //! a fresh view number (a deliberate reconfiguration, not a partition
 //! merge).
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+
 use std::collections::BTreeSet;
 
 use fs_common::id::MemberId;
@@ -65,7 +72,8 @@ impl View {
     }
 
     /// Installs a successor view that excludes `removed`.  Returns `None`
-    /// when `removed` is not a member (no change).
+    /// when `removed` is not a member or the view ids are spent (no
+    /// change).
     pub fn without(&self, removed: MemberId) -> Option<View> {
         if !self.members.contains(&removed) {
             return None;
@@ -73,13 +81,14 @@ impl View {
         let mut members = self.members.clone();
         members.remove(&removed);
         Some(View {
-            id: self.id + 1,
+            id: self.id.checked_add(1)?,
             members,
         })
     }
 
     /// Installs a successor view that re-admits `added`.  Returns `None`
-    /// when `added` is already a member (no change).
+    /// when `added` is already a member or the view ids are spent (no
+    /// change).
     pub fn with(&self, added: MemberId) -> Option<View> {
         if self.members.contains(&added) {
             return None;
@@ -87,7 +96,7 @@ impl View {
         let mut members = self.members.clone();
         members.insert(added);
         Some(View {
-            id: self.id + 1,
+            id: self.id.checked_add(1)?,
             members,
         })
     }
@@ -179,6 +188,13 @@ impl MembershipState {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "tests index, count and unwrap what they built themselves"
+)]
 mod tests {
     use super::*;
 

@@ -6,6 +6,8 @@
 #                    outside inline `#[cfg(test)]` modules (counted from the
 #                    attribute to the end of the file: by this repository's
 #                    convention the test module is the last item of a file)
+#   non_test_lines_code the same, outside doc comments too (`///` and `//!`
+#                    lines)
 #   panic_sites      unwrap / expect / panic! sites under crates/*/src, outside
 #                    inline `#[cfg(test)]` modules (the same filter)
 #   panic_sites_code the same, outside doc comments too (`///` and `//!`
@@ -25,8 +27,14 @@ non_test='FNR == 1 { in_tests = 0 }
           /^#\[cfg\(test\)\]/ { in_tests = 1 }
           !in_tests'
 
-non_test_lines="$(find crates -name '*.rs' -not -path '*/tests/*' -print0 |
-    xargs -0 awk "$non_test" | wc -l)"
+# Prints the non-test source lines under crates/, tests/ directories aside.
+non_test_src() {
+    find crates -name '*.rs' -not -path '*/tests/*' -print0 | xargs -0 awk "$non_test"
+}
+# Drops doc-comment lines (`///` and `//!`).
+code='^[[:space:]]*//[/!]'
+non_test_lines="$(non_test_src | wc -l)"
+non_test_lines_code="$(non_test_src | grep -Evc "$code")"
 
 # Prints the non-test source lines under crates/*/src.
 src_lines() {
@@ -34,13 +42,14 @@ src_lines() {
 }
 sites='unwrap\(|expect\(|panic!'
 panic_sites="$(src_lines | grep -Eo "$sites" | wc -l)"
-panic_sites_code="$(src_lines | grep -Ev '^[[:space:]]*//[/!]' | grep -Eo "$sites" | wc -l)"
+panic_sites_code="$(src_lines | grep -Ev "$code" | grep -Eo "$sites" | wc -l)"
 
 fs_knobs="$(grep -rhoE '\bFS_[A-Z][A-Z0-9_]*[A-Z0-9]\b' crates src tests examples benchmark/src benchmark/run.sh \
     .github/workflows 2>/dev/null | sort -u | wc -l)"
 
 printf 'crates_lines    %s\n' "$crates_lines"
 printf 'non_test_lines  %s\n' "$non_test_lines"
+printf 'non_test_lines_code %s\n' "$non_test_lines_code"
 printf 'panic_sites     %s\n' "$panic_sites"
 printf 'panic_sites_code %s\n' "$panic_sites_code"
 printf 'fs_knobs        %s\n' "$fs_knobs"

@@ -5,6 +5,7 @@
 
 use fs_smr_suite::common::id::MemberId;
 use fs_smr_suite::common::time::{SimDuration, SimTime};
+use fs_smr_suite::faults::{FaultKind, FaultPlan};
 use fs_smr_suite::harness::cluster::router_keys;
 use fs_smr_suite::harness::{
     Cluster, FaultSchedule, Partitioner, Protocol, RunningCluster, RuntimeKind, Workload,
@@ -402,4 +403,70 @@ fn command_deadline_expires_commands_lost_to_a_dead_shard() {
         MESSAGES
     );
     assert_eq!(loads[0].expired, 0, "the healthy shard lost nothing");
+}
+
+/// A shard's handle is a `Running` view of the cluster's runtime: per
+/// shard, its members, machine logs, digests and check answer as the
+/// cluster's own accessors do, its fail-signal members' interceptors are
+/// reachable, and the cluster's check is the union of the shards' checks.
+/// Shard 1's member 1 has a corrupting follower, so that shard, and only
+/// it, fail-signals.  On the simulator an unscheduled cut also isolates
+/// shard 0's member 2, which makes the union non-empty and confines it to
+/// shard 0.
+fn shard_views_answer_for_the_cluster(runtime: RuntimeKind) {
+    let corrupt = FaultPlan::after(2, FaultKind::CorruptOutputs { probability: 1.0 });
+    let mut cluster = Cluster::new(2, 3)
+        .runtime(runtime)
+        .protocol(Protocol::FailSignal)
+        .workload(Workload::quick(20).interval(SimDuration::from_millis(10)))
+        .shard_faults(1, FaultSchedule::none().follower(MemberId(1), corrupt))
+        .seed(SEED)
+        .build();
+    if let Some(sim) = cluster.sim_mut() {
+        let cut = FaultSchedule::none().partition_at(
+            SimTime::ZERO,
+            &[MemberId(2)],
+            &[MemberId(0), MemberId(1)],
+        );
+        // Shard 0's nodes follow the router's node 0.
+        sim.apply_link_schedule(&cut.compile_link_schedule_with_base(1));
+    }
+    cluster.run_until(SimTime::from_secs(6));
+
+    let mut union = Vec::new();
+    for s in 0..cluster.shards() {
+        let procs = cluster.shard_procs(s).expect("shard exists").to_vec();
+        let logs: Vec<_> = (0..3).map(|m| cluster.machine_log(s, m)).collect();
+        let digests: Vec<_> = (0..3).map(|m| cluster.machine_digest(s, m)).collect();
+        let mut shard = cluster.shard(s).expect("shard exists");
+        assert_eq!(shard.members(), procs.as_slice());
+        assert_eq!(shard.protocol(), Protocol::FailSignal);
+        for m in 0..3 {
+            assert_eq!(shard.machine_log(m), logs[m as usize]);
+            assert_eq!(shard.machine_digest(m), digests[m as usize]);
+            let signalled = shard.interceptor(m).map(|x| x.local_fail_signalled());
+            assert_eq!(signalled, Some(s == 1 && m == 1), "shard {s} member {m}");
+        }
+        assert!(shard.interceptor(3).is_none());
+        assert_eq!(shard.fail_signalled(), s == 1, "shard {s}");
+        let found = shard.check().err().unwrap_or_default();
+        union.extend(found.into_iter().map(|v| (s, v)));
+    }
+    assert!(cluster.shard(2).is_none());
+    let expected = union.is_empty().then_some(()).ok_or(union.clone());
+    assert_eq!(cluster.check(), expected);
+    if runtime == RuntimeKind::Sim {
+        assert!(!union.is_empty(), "the cut shows");
+        assert!(union.iter().all(|(s, _)| *s == 0), "{union:?}");
+    }
+}
+
+#[test]
+fn shard_views_answer_for_the_cluster_on_the_simulator() {
+    shard_views_answer_for_the_cluster(RuntimeKind::Sim);
+}
+
+#[test]
+fn shard_views_answer_for_the_cluster_on_threads() {
+    shard_views_answer_for_the_cluster(RuntimeKind::Threaded);
 }
