@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use crate::id::{GroupId, MsgId, NodeId, ProcessId};
+use crate::id::ProcessId;
 
 /// The error type returned by the public APIs of the suite.
 ///
@@ -13,46 +13,10 @@ use crate::id::{GroupId, MsgId, NodeId, ProcessId};
 pub enum Error {
     /// A destination process is unknown to the transport.
     UnknownProcess(ProcessId),
-    /// A destination node is unknown to the deployment.
-    UnknownNode(NodeId),
-    /// A group is unknown to the membership service.
-    UnknownGroup(GroupId),
-    /// The caller is not a member of the group it tried to multicast in.
-    NotAMember {
-        /// The group concerned.
-        group: GroupId,
-        /// The process that is not a member.
-        process: ProcessId,
-    },
-    /// A message failed signature verification.
-    BadSignature {
-        /// The offending message.
-        msg: MsgId,
-        /// Why verification failed.
-        reason: SignatureError,
-    },
-    /// A wire-format message could not be decoded.
-    Codec(CodecError),
-    /// The fail-signal process has already emitted its fail-signal; no
-    /// further service is provided.
-    FailSignalled(ProcessId),
-    /// An operation was attempted against a view the process has already
-    /// abandoned (membership changed underneath the caller).
-    StaleView {
-        /// The view number the caller operated on.
-        expected: u64,
-        /// The view number currently installed.
-        actual: u64,
-    },
     /// A configuration value was invalid (e.g. κ < 1 or a zero-size group).
     InvalidConfig(String),
     /// The threaded runtime's channel to a peer was disconnected.
     Disconnected(ProcessId),
-    /// An operation timed out (threaded runtime only; the simulator never
-    /// blocks).
-    Timeout,
-    /// Any other error with a message; used sparingly at integration edges.
-    Other(String),
 }
 
 /// Why a signature check failed.
@@ -132,41 +96,13 @@ impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Error::UnknownProcess(p) => write!(f, "unknown process {p}"),
-            Error::UnknownNode(n) => write!(f, "unknown node {n}"),
-            Error::UnknownGroup(g) => write!(f, "unknown group {g}"),
-            Error::NotAMember { group, process } => {
-                write!(f, "process {process} is not a member of {group}")
-            }
-            Error::BadSignature { msg, reason } => {
-                write!(f, "message {msg} failed authentication: {reason}")
-            }
-            Error::Codec(e) => write!(f, "codec error: {e}"),
-            Error::FailSignalled(p) => write!(f, "fail-signal process {p} has signalled failure"),
-            Error::StaleView { expected, actual } => {
-                write!(f, "stale view: expected {expected}, current is {actual}")
-            }
             Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             Error::Disconnected(p) => write!(f, "channel to process {p} disconnected"),
-            Error::Timeout => write!(f, "operation timed out"),
-            Error::Other(msg) => write!(f, "{msg}"),
         }
     }
 }
 
-impl std::error::Error for Error {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Error::Codec(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<CodecError> for Error {
-    fn from(e: CodecError) -> Self {
-        Error::Codec(e)
-    }
-}
+impl std::error::Error for Error {}
 
 /// Convenient result alias used across the workspace.
 pub type Result<T, E = Error> = core::result::Result<T, E>;
@@ -174,7 +110,6 @@ pub type Result<T, E = Error> = core::result::Result<T, E>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::id::ProcessId;
 
     #[test]
     fn errors_are_send_sync() {
@@ -186,15 +121,12 @@ mod tests {
 
     #[test]
     fn display_messages_are_lowercase() {
-        let samples = vec![
+        let samples = [
             Error::UnknownProcess(ProcessId(1)).to_string(),
-            Error::Timeout.to_string(),
-            Error::Codec(CodecError::InvalidUtf8).to_string(),
-            Error::BadSignature {
-                msg: MsgId::new(ProcessId(0), 1),
-                reason: SignatureError::Invalid,
-            }
-            .to_string(),
+            Error::InvalidConfig("kappa must be at least 1".into()).to_string(),
+            Error::Disconnected(ProcessId(2)).to_string(),
+            CodecError::InvalidUtf8.to_string(),
+            SignatureError::DuplicateSigner.to_string(),
         ];
         for s in samples {
             let first = s.chars().next().unwrap();
@@ -207,17 +139,9 @@ mod tests {
     }
 
     #[test]
-    fn codec_error_is_source() {
+    fn errors_have_no_source() {
         use std::error::Error as _;
-        let e = Error::Codec(CodecError::UnknownTag(0xff));
-        assert!(e.source().is_some());
-        let e = Error::Timeout;
-        assert!(e.source().is_none());
-    }
-
-    #[test]
-    fn from_codec_error() {
-        let e: Error = CodecError::TrailingBytes(4).into();
-        assert_eq!(e, Error::Codec(CodecError::TrailingBytes(4)));
+        assert!(Error::Disconnected(ProcessId(3)).source().is_none());
+        assert!(CodecError::UnknownTag(0xff).source().is_none());
     }
 }

@@ -29,12 +29,6 @@ pub struct NodeId(pub u32);
 )]
 pub struct ProcessId(pub u32);
 
-/// Identifies a process group (the unit of multicast in NewTOP).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-pub struct GroupId(pub u32);
-
 /// Identifies an application-level member within a group (the index of
 /// `A_i` in the paper's figures).
 #[derive(
@@ -137,7 +131,7 @@ macro_rules! impl_display_and_from {
     };
 }
 
-impl_display_and_from!(NodeId, ProcessId, GroupId, MemberId, FsId);
+impl_display_and_from!(NodeId, ProcessId, MemberId, FsId);
 
 impl fmt::Display for MsgId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

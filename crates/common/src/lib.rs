@@ -47,7 +47,7 @@ pub use bytes::Bytes;
 pub use codec::{Decoder, Encoder, Frame, Wire};
 pub use config::{NodeBudget, TimingAssumptions};
 pub use error::{CodecError, Error, Result, SignatureError};
-pub use id::{FsId, GroupId, MemberId, MsgId, NodeId, ProcessId, Role};
+pub use id::{FsId, MemberId, MsgId, NodeId, ProcessId, Role};
 pub use rng::DetRng;
 pub use seqslots::SeqSlots;
 pub use seqwindow::SeqWindow;

@@ -13,6 +13,13 @@
 //! `(fs, dest, output_seq)` is dropped unverified (`Accepted` has the rule);
 //! fresh ones are returned as they arrive, in any order.
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -115,7 +122,7 @@ impl FsReceiver {
             Ok(_) | Err(_) => {
                 // Destinations outside the pair only ever accept external
                 // (double-signed) traffic.
-                self.stats.rejected += 1;
+                self.stats.rejected = self.stats.rejected.saturating_add(1);
                 return None;
             }
         };
@@ -125,27 +132,27 @@ impl FsReceiver {
     /// Processes an already-decoded FS output.
     pub fn accept_output(&mut self, output: FsOutput) -> Option<FsDelivery> {
         let Some(&signers) = self.known_pairs.get(&output.fs) else {
-            self.stats.rejected += 1;
+            self.stats.rejected = self.stats.rejected.saturating_add(1);
             return None;
         };
         if self.accepted.contains(output.fs, &output.content) {
-            self.stats.duplicates += 1;
+            self.stats.duplicates = self.stats.duplicates.saturating_add(1);
             return None;
         }
         if output.verify(&self.directory, signers).is_err() {
-            self.stats.rejected += 1;
+            self.stats.rejected = self.stats.rejected.saturating_add(1);
             return None;
         }
         self.accepted.insert(output.fs, &output.content);
         match output.content {
             FsContent::FailSignal => {
-                self.stats.fail_signals += 1;
+                self.stats.fail_signals = self.stats.fail_signals.saturating_add(1);
                 Some(FsDelivery::FailSignal { fs: output.fs })
             }
             FsContent::Output {
                 output_seq, bytes, ..
             } => {
-                self.stats.accepted += 1;
+                self.stats.accepted = self.stats.accepted.saturating_add(1);
                 Some(FsDelivery::Output {
                     fs: output.fs,
                     output_seq,
@@ -157,6 +164,13 @@ impl FsReceiver {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "tests index, count and unwrap what they built themselves"
+)]
 mod tests {
     use super::*;
     use fs_common::id::ProcessId;

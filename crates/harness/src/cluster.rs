@@ -33,9 +33,9 @@
 //! commands (same router sequence number — the entry driver deduplicates,
 //! and a keyed `Put` is idempotent anyway) up to
 //! [`Cluster::max_retries`] times, then expires them, freeing the issuing
-//! client's admission slot.  [`ShardLoad`] accounts the outcome per shard
-//! (`retried`/`expired`), and `in_flight()` drains to zero even when the
-//! shard never comes back.
+//! client's admission slot.  [`ClusterRouter::shard_loads`] accounts the
+//! outcome per shard (`retried`/`expired`), and `in_flight()` drains to zero
+//! even when the shard never comes back.
 //!
 //! # Snapshot consistency contract
 //!
@@ -412,32 +412,6 @@ pub struct ClusterSnapshot {
 // Router actor
 // ---------------------------------------------------------------------------
 
-/// Per-shard router-side load tracking.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardLoad {
-    /// Commands routed to the shard.
-    pub submitted: u64,
-    /// Completions received back from the shard.
-    pub completed: u64,
-    /// Deadline-triggered resubmissions of still-pending commands (counted
-    /// per resubmission, not per command; zero unless the cluster sets a
-    /// command deadline).
-    pub retried: u64,
-    /// Commands abandoned after exhausting their retry budget.
-    pub expired: u64,
-}
-
-impl ShardLoad {
-    /// Commands submitted but neither completed nor expired.  Without a
-    /// command deadline this grows without bound while the shard is down —
-    /// exactly the observable the fault-isolation scenarios assert on; with
-    /// one, expiry returns the window to zero and the loss shows up in
-    /// [`ShardLoad::expired`] instead.
-    pub fn in_flight(&self) -> u64 {
-        self.submitted - self.completed - self.expired
-    }
-}
-
 /// A routed command awaiting completion.
 #[derive(Debug, Clone)]
 struct Routed {
@@ -473,7 +447,8 @@ pub struct ClusterRouter {
     /// Per-command deadline and retry budget; `None` disables the retry
     /// plane entirely (no frame kept for resubmission, no sweep timer).
     retry: Option<(SimDuration, u32)>,
-    loads: Vec<ShardLoad>,
+    /// Per shard: commands routed, completed, retried and expired.
+    loads: Vec<LoadStats>,
     shard_latencies: Vec<LatencyRecorder>,
     snapshot_at: Option<SimTime>,
     next_snap_req: u64,
@@ -517,7 +492,7 @@ impl ClusterRouter {
             entries,
             routed: SeqSlots::default(),
             retry,
-            loads: vec![ShardLoad::default(); shards],
+            loads: vec![LoadStats::default(); shards],
             shard_latencies: vec![LatencyRecorder::new(); shards],
             snapshot_at,
             next_snap_req: 0,
@@ -541,8 +516,17 @@ impl ClusterRouter {
         self.loads.iter().map(|l| l.completed).sum()
     }
 
-    /// Per-shard submitted/completed counters, indexed by shard.
-    pub fn shard_loads(&self) -> &[ShardLoad] {
+    /// Per-shard outcomes, indexed by shard: commands routed to the shard
+    /// (`submitted`), completed by it, resubmitted to it on a deadline
+    /// (`retried`, zero unless the cluster sets a command deadline) and
+    /// abandoned (`expired`).  The admission fields (`offered`, `shed`,
+    /// `blocked`) stay 0: admission happens once, at the router, and is
+    /// counted in [`ClusterRouter::load_stats`].
+    ///
+    /// Without a command deadline a shard's `in_flight()` grows without
+    /// bound while the shard is down — the fault-isolation observable; with
+    /// one, expiry returns it to zero and the loss shows up in `expired`.
+    pub fn shard_loads(&self) -> &[LoadStats] {
         &self.loads
     }
 
@@ -823,9 +807,9 @@ impl Cluster {
     /// not completed within this budget is resubmitted (up to
     /// [`Cluster::max_retries`] times, same router sequence — the shard-side
     /// driver deduplicates) and then abandoned, surfacing as
-    /// [`ShardLoad::retried`] / [`ShardLoad::expired`].  Off by default:
-    /// without a deadline, commands stranded by a shard outage pin
-    /// [`ShardLoad::in_flight`] forever, which is the fault-isolation
+    /// `retried` / `expired` in [`ClusterRouter::shard_loads`].  Off by
+    /// default: without a deadline, commands stranded by a shard outage pin
+    /// that shard's `in_flight()` forever, which is the fault-isolation
     /// observable the no-retry scenarios assert on.
     ///
     /// # Panics
@@ -1063,12 +1047,13 @@ impl RunningCluster {
             return None;
         }
         let base = (1 + shard * self.nodes_per_shard) as usize;
-        let nodes = self.runtime.node_stats()?;
-        let mut stats = NetStats::default();
-        for node in nodes.get(base..base + self.nodes_per_shard as usize)? {
-            stats.merge(node);
-        }
-        Some(stats)
+        let nodes = self.runtime.node_stats();
+        Some(
+            nodes
+                .get(base..base + self.nodes_per_shard as usize)?
+                .iter()
+                .sum(),
+        )
     }
 
     /// The router actor, for load/latency/snapshot inspection.  On the
@@ -1241,7 +1226,7 @@ mod tests {
         router.on_message(&mut ctx, entries[1 - owner], done());
         assert_eq!(router.completed(), 0);
         assert_eq!(router.shard_loads()[owner].in_flight(), 1);
-        assert_eq!(router.shard_loads()[1 - owner], ShardLoad::default());
+        assert_eq!(router.shard_loads()[1 - owner], LoadStats::default());
 
         router.on_message(&mut ctx, entries[owner], done());
         assert_eq!(router.completed(), 1);
@@ -1381,14 +1366,39 @@ mod tests {
             cluster.machine_digest(1, 0),
             "different key sets yield different state"
         );
-        let stats = cluster.stats();
-        assert!(stats.messages_sent > 0);
-        let mut merged = NetStats::default();
-        for shard in 0..2 {
-            merged.merge(&cluster.shard_net(shard).expect("sim cells"));
+        assert!(cluster.stats().messages_sent > 0);
+        assert_cells_add_up(&cluster);
+    }
+
+    #[test]
+    fn a_threaded_clusters_cells_add_up() {
+        let mut cluster = Cluster::new(2, 3)
+            .runtime(RuntimeKind::Threaded)
+            .workload(Workload::quick(20).interval(SimDuration::from_millis(10)))
+            .seed(7)
+            .build();
+        cluster.run_until(SimTime::from_secs(60));
+        assert_eq!(cluster.router().completed(), 20);
+        assert_cells_add_up(&cluster);
+    }
+
+    /// On a settled cluster, the router node's cell, every shard's
+    /// [`RunningCluster::shard_net`] and the cell no node owns add up, field
+    /// by field, to `stats()`: the node layout `shard_net` slices
+    /// (`1 + s * nodes_per_shard`) covers every node once.
+    fn assert_cells_add_up(cluster: &RunningCluster) {
+        let cells = cluster.cells();
+        let shards = cluster.shards();
+        assert_eq!(cells.len() as u32, 1 + shards * cluster.nodes_per_shard + 1);
+        let mut sum = cells[0].clone();
+        for shard in 0..shards {
+            let net = cluster.shard_net(shard).unwrap();
+            assert!(net.messages_sent > 0, "shard {shard} sent nothing");
+            sum.merge(&net);
         }
-        assert!(merged.messages_sent > 0);
-        assert!(merged.messages_sent <= stats.messages_sent);
+        sum.merge(&cells[cells.len() - 1]);
+        assert_eq!(sum, cluster.stats());
+        assert_eq!(cluster.shard_net(shards), None);
     }
 
     #[test]

@@ -148,15 +148,13 @@ pub(crate) fn deploy(
         .take()
         .unwrap_or_else(|| Topology::new(LinkModel::lan_100mbps()));
     let seed = template.seed;
-    let mut runtime = Runtime::default();
-    let groups = match template.runtime {
+    match template.runtime {
         RuntimeKind::Sim => {
             let mut sim = Simulation::with_scheduler(seed, topology, template.scheduler);
             let (groups, links, lifecycle) = assemble(&mut sim, &template, front, shards);
             sim.apply_link_schedule(&links);
             sim.apply_lifecycle_schedule(lifecycle);
-            runtime.sim = Some(sim);
-            groups
+            (Runtime(Host::Sim(sim)), groups)
         }
         RuntimeKind::Threaded => {
             let mut builder = ThreadedBuilder::new(ThreadedConfig { seed }).with_topology(topology);
@@ -164,28 +162,33 @@ pub(crate) fn deploy(
             let builder = builder
                 .with_link_schedule(links)
                 .with_lifecycle_schedule(lifecycle);
-            runtime.threaded = Some(builder.start());
-            groups
+            (Runtime(Host::Live(builder.start())), groups)
         }
-    };
-    (runtime, groups)
+    }
 }
 
-/// The runtime half of a running deployment: either a simulator or a
-/// started threaded runtime, plus the actors and statistics collected at
-/// settle time.  [`Running`](crate::Running) and
+/// The runtime half of a running deployment: a simulator, or a threaded
+/// runtime that is live or settled.  [`Running`](crate::Running) and
 /// [`RunningCluster`](crate::RunningCluster) both dereference to their one
 /// `Runtime`, so driving, settling and statistics have this one
 /// definition.
-#[derive(Default)]
-pub struct Runtime {
-    sim: Option<Simulation>,
-    threaded: Option<ThreadedRuntime>,
-    collected: HashMap<ProcessId, Box<dyn Actor>>,
-    /// The threaded runtime's counter cells (one per node, then the cell no
-    /// node owns), frozen at settle time so [`Runtime::stats`] and
-    /// [`Runtime::node_stats`] keep working after shutdown.
-    frozen_cells: Option<Vec<NetStats>>,
+pub struct Runtime(Host);
+
+/// Where a deployment runs.
+#[allow(
+    clippy::large_enum_variant,
+    reason = "one per deployment: boxing the simulator saves a few hundred bytes \
+              on threads and adds an indirection to every simulator call"
+)]
+enum Host {
+    Sim(Simulation),
+    Live(ThreadedRuntime),
+    /// A threaded runtime after [`Runtime::settle`]: its actors, and its
+    /// counter cells as they were at shutdown.
+    Settled {
+        actors: HashMap<ProcessId, Box<dyn Actor>>,
+        cells: Vec<NetStats>,
+    },
 }
 
 impl Runtime {
@@ -198,86 +201,74 @@ impl Runtime {
     /// in flight and no timer due before the horizon (see
     /// [`ThreadedRuntime::run_until_settled`]).
     pub fn run_until(&mut self, horizon: SimTime) -> SimTime {
-        if let Some(sim) = self.sim.as_mut() {
-            return sim.run_until(horizon);
+        match &mut self.0 {
+            Host::Sim(sim) => sim.run_until(horizon),
+            Host::Live(rt) => rt.run_until_settled(horizon),
+            Host::Settled { .. } => horizon,
         }
-        if let Some(rt) = self.threaded.as_ref() {
-            return rt.run_until_settled(horizon);
-        }
-        horizon
     }
 
     /// Enables event tracing (simulator only; a no-op on the threaded
     /// runtime).  Call before [`Runtime::run_until`].
     pub fn enable_trace(&mut self) {
-        if let Some(sim) = self.sim.as_mut() {
+        if let Some(sim) = self.sim_mut() {
             sim.enable_trace();
         }
     }
 
     /// The recorded trace, when tracing was enabled on the simulator.
     pub fn trace(&self) -> Option<&TraceLog> {
-        self.sim.as_ref().and_then(|s| s.trace())
+        self.sim().and_then(Simulation::trace)
     }
 
     /// The aggregate network statistics, on either runtime: sends,
     /// deliveries, drops (split into unknown-destination and link-fault
-    /// drops) and executed link-fault events.  On the threaded runtime the
-    /// counters are sampled live while running and frozen at
-    /// [`Runtime::settle`] time.
+    /// drops) and executed link-fault events — the sum of the runtime's
+    /// counter cells.  On the threaded runtime the cells are sampled live
+    /// while running and frozen at [`Runtime::settle`] time.
     pub fn stats(&self) -> NetStats {
-        if let Some(sim) = self.sim.as_ref() {
-            return sim.stats();
-        }
-        let mut stats = NetStats::default();
-        for cell in self.threaded_cells().iter().flatten() {
-            stats.merge(cell);
-        }
-        stats
+        self.cells().iter().sum()
     }
 
     /// The runtime's per-node counter cells, indexed in node creation
-    /// order (`Simulation::node_net_stats`,
-    /// `ThreadedRuntime::node_net_stats`).  `None` only on a runtime that
-    /// never held one.
-    pub(crate) fn node_stats(&self) -> Option<Vec<NetStats>> {
-        if let Some(sim) = self.sim.as_ref() {
-            return Some(
-                (0..sim.node_count())
-                    .map(|node| sim.node_net_stats(node))
-                    .collect(),
-            );
-        }
-        let mut cells = self.threaded_cells()?;
-        cells.pop(); // the cell no node owns
-        Some(cells)
+    /// order: every cell but the one no node owns.
+    pub(crate) fn node_stats(&self) -> Vec<NetStats> {
+        let mut cells = self.cells();
+        cells.pop();
+        cells
     }
 
-    /// The threaded runtime's counter cells, live or as frozen at settle:
-    /// one per node, then the cell no node owns.
-    fn threaded_cells(&self) -> Option<Vec<NetStats>> {
-        match &self.threaded {
-            Some(rt) => Some(rt.net_cells()),
-            None => self.frozen_cells.clone(),
+    /// The runtime's counter cells, live or as frozen at settle: one per
+    /// node, then the cell no node owns.
+    pub(crate) fn cells(&self) -> Vec<NetStats> {
+        match &self.0 {
+            Host::Sim(sim) => sim.net_cells(),
+            Host::Live(rt) => rt.net_cells(),
+            Host::Settled { cells, .. } => cells.clone(),
         }
     }
 
     /// Shuts down the threaded runtime (if any) and collects its actors for
     /// inspection.  Idempotent; a no-op on the simulator.
     pub fn settle(&mut self) {
-        if let Some(rt) = self.threaded.take() {
-            self.frozen_cells = Some(rt.net_cells());
-            self.collected = rt.shutdown();
-        }
+        let (actors, cells) = (HashMap::new(), Vec::new());
+        self.0 = match std::mem::replace(&mut self.0, Host::Settled { actors, cells }) {
+            Host::Live(rt) => Host::Settled {
+                cells: rt.net_cells(),
+                actors: rt.shutdown(),
+            },
+            host => host,
+        };
     }
 
     /// The actor registered under `process`, as a trait object.  Call
     /// [`Runtime::settle`] first on the threaded runtime.
     pub(crate) fn actor_ref(&self, process: ProcessId) -> Option<&dyn Actor> {
-        if let Some(sim) = self.sim.as_ref() {
-            return sim.actor_dyn(process);
+        match &self.0 {
+            Host::Sim(sim) => sim.actor_dyn(process),
+            Host::Live(_) => None,
+            Host::Settled { actors, .. } => actors.get(&process).map(|b| b.as_ref()),
         }
-        self.collected.get(&process).map(|b| b.as_ref())
     }
 
     /// [`Runtime::settle`] followed by [`Runtime::actor_ref`].
@@ -289,12 +280,18 @@ impl Runtime {
     /// Direct access to the underlying simulator, for link surgery and other
     /// scenario-specific interventions (`None` on the threaded runtime).
     pub fn sim(&self) -> Option<&Simulation> {
-        self.sim.as_ref()
+        match &self.0 {
+            Host::Sim(sim) => Some(sim),
+            _ => None,
+        }
     }
 
     /// Mutable variant of [`Runtime::sim`].
     pub fn sim_mut(&mut self) -> Option<&mut Simulation> {
-        self.sim.as_mut()
+        match &mut self.0 {
+            Host::Sim(sim) => Some(sim),
+            _ => None,
+        }
     }
 }
 

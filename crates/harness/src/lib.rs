@@ -65,8 +65,7 @@ pub mod workload;
 
 pub use check::Violation;
 pub use cluster::{
-    Cluster, ClusterMsg, ClusterRouter, ClusterSnapshot, Partitioner, RunningCluster,
-    ShardFrontier, ShardLoad,
+    Cluster, ClusterMsg, ClusterRouter, ClusterSnapshot, Partitioner, RunningCluster, ShardFrontier,
 };
 pub use deployment::{Group, Runtime};
 pub use faults::{

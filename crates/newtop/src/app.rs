@@ -84,8 +84,6 @@ pub struct AppProcess {
     /// The open batch: `(seq, payload)` of buffered requests.
     batch: Vec<(u64, Vec<u8>)>,
     delivered_total: u64,
-    delivered_own: u64,
-    first_delivery: Option<SimTime>,
     last_delivery: Option<SimTime>,
     views_seen: Vec<u64>,
     delivery_log: Vec<(MemberId, u64)>,
@@ -119,8 +117,6 @@ impl AppProcess {
             load: LoadGen::new(workload, u64::from(member.0)),
             batch: Vec::new(),
             delivered_total: 0,
-            delivered_own: 0,
-            first_delivery: None,
             last_delivery: None,
             views_seen: Vec::new(),
             delivery_log: Vec::new(),
@@ -142,19 +138,9 @@ impl AppProcess {
         self.delivered_total
     }
 
-    /// Deliveries of this application's own multicasts.
-    pub fn delivered_own(&self) -> u64 {
-        self.delivered_own
-    }
-
     /// Ordering latencies of this application's own messages.
     pub fn latencies(&self) -> &LatencyRecorder {
         self.load.latencies()
-    }
-
-    /// Time of the first delivery received, if any.
-    pub fn first_delivery(&self) -> Option<SimTime> {
-        self.first_delivery
     }
 
     /// Time of the last delivery received, if any.
@@ -231,7 +217,6 @@ impl AppProcess {
     fn deliver(&mut self, ctx: &mut dyn Context, delivery: &AppDeliver) {
         self.delivered_total += 1;
         let now = ctx.now();
-        self.first_delivery.get_or_insert(now);
         self.last_delivery = Some(now);
         if self.workload.batch_max > 1 {
             // Batched payloads expand into per-request deliveries; the total
@@ -265,7 +250,6 @@ impl AppProcess {
 
     /// Accounts the delivery of this application's own request `seq`.
     fn deliver_own(&mut self, ctx: &mut dyn Context, now: SimTime, seq: u64) {
-        self.delivered_own += 1;
         if let Some(request) = self.load.complete(seq, now).and_then(|done| done.refill) {
             // The completion hands its slot to a blocked arrival.
             self.enqueue(ctx, request);
@@ -384,10 +368,8 @@ mod tests {
         app.on_message(&mut ctx, ProcessId(5), other.to_frame());
 
         assert_eq!(app.delivered_total(), 2);
-        assert_eq!(app.delivered_own(), 1);
-        assert_eq!(app.latencies().len(), 1);
+        assert_eq!(app.latencies().len(), 1, "one own completion");
         assert_eq!(app.latencies().samples()[0], SimDuration::from_millis(30));
-        assert!(app.first_delivery().is_some());
         assert!(app.last_delivery().is_some());
     }
 
@@ -454,8 +436,7 @@ mod tests {
         });
         app.on_message(&mut ctx, ProcessId(5), delivered.to_frame());
         assert_eq!(app.delivered_total(), 2);
-        assert_eq!(app.delivered_own(), 2);
-        assert_eq!(app.latencies().len(), 2);
+        assert_eq!(app.latencies().len(), 2, "two own completions");
         assert_eq!(app.delivery_log(), &[(MemberId(0), 0), (MemberId(0), 1)]);
     }
 

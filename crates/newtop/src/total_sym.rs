@@ -26,6 +26,17 @@
 //! while the others, who need only its clock, carry on; a lost `Ack` is
 //! covered by its sender's next message.  State is one entry per peer plus
 //! the pending payloads; nobody can grow it by acking what was never sent.
+//!
+//! Clocks and counters saturate: a peer can push the clock to `u64::MAX`
+//! with one `Ack`, and the next local `Data` is then stamped `u64::MAX`
+//! too, never below a clock this member already sent.
+
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
 
 use std::collections::BTreeMap;
 
@@ -107,11 +118,11 @@ impl SymmetricOrder {
         view: &View,
     ) -> (GcMessage, Vec<AppDeliver>) {
         let payload: Bytes = payload.into();
-        self.lamport += 1;
+        self.lamport = self.lamport.saturating_add(1);
         let ts = self.lamport;
         self.sent = ts;
         let seq = self.next_seq;
-        self.next_seq += 1;
+        self.next_seq = seq.saturating_add(1);
         self.pending.insert((ts, self.me, seq), payload.clone());
         let data = GcMessage::Data {
             origin: self.me,
@@ -141,12 +152,12 @@ impl SymmetricOrder {
             return (None, Vec::new()); // a duplicate, or not from a peer
         }
         if seq == heard.next_seq {
-            heard.next_seq += 1;
+            heard.next_seq = seq.saturating_add(1);
             heard.clock = heard.clock.max(ts);
             self.pending.insert((ts, origin, seq), payload.into());
         } else {
             // An earlier `Data` of `origin` was lost: undeliverable, not kept.
-            self.gaps += 1;
+            self.gaps = self.gaps.saturating_add(1);
         }
         // The others need this member's clock whether or not it can deliver.
         self.lamport = self.lamport.max(ts).saturating_add(1);
@@ -173,7 +184,7 @@ impl SymmetricOrder {
         self.lamport = self.lamport.max(clock);
         let heard = self.heard.entry(from).or_default();
         if sent_count > heard.next_seq {
-            self.gaps += 1;
+            self.gaps = self.gaps.saturating_add(1);
             return Vec::new();
         }
         heard.clock = heard.clock.max(clock);
@@ -204,13 +215,20 @@ impl SymmetricOrder {
                 service: ServiceKind::SymmetricTotal,
                 payload: head.remove(),
             });
-            self.delivered += 1;
+            self.delivered = self.delivered.saturating_add(1);
         }
         out
     }
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "tests index, count and unwrap what they built themselves"
+)]
 mod tests {
     use std::collections::VecDeque;
 
@@ -419,6 +437,37 @@ mod tests {
         assert_eq!(dels[0].payload, b"solo");
         assert_eq!(dels[0].order, 0);
         assert_eq!(s.delivered_count(), 1);
+    }
+
+    /// After one hostile `Ack` at `u64::MAX` the clock saturates instead of
+    /// overflowing, and every later `Data` is stamped no lower than a clock
+    /// the member already sent.
+    #[test]
+    fn a_clock_at_u64_max_saturates_instead_of_wrapping() {
+        let mut s = SymmetricOrder::new(MemberId(0));
+        let v = view(2);
+        let (first, _) = s.multicast(b"a".to_vec(), &v);
+        assert_eq!(data_fields(first).2, 1);
+        assert_eq!(
+            s.on_ack(MemberId(1), u64::MAX, 0, &v).len(),
+            1,
+            "`a` is acked"
+        );
+        for seq in 1..3 {
+            let (data, _) = s.multicast(b"b".to_vec(), &v);
+            assert_eq!(data_fields(data), (MemberId(0), seq, u64::MAX));
+        }
+        assert_eq!(s.clock(), u64::MAX);
+        // A peer's `Data` at the top of the clock saturates the reply too.
+        let (ack, _) = s.on_data(MemberId(1), 0, u64::MAX, b"c".to_vec(), &v);
+        assert!(matches!(
+            ack,
+            Some(GcMessage::Ack {
+                clock: u64::MAX,
+                ..
+            })
+        ));
+        assert_eq!(s.clock(), u64::MAX);
     }
 
     #[test]

@@ -33,8 +33,9 @@
 //! (a node thread publishes its copy once per wake-up).  There is one cell
 //! per node plus one for what no node owns; sends, bytes and link drops go
 //! to the sending node, deliveries, handler runs, timers and lifecycle
-//! events to the hosting node.  `node_net_stats(node)` reads one cell on
-//! either host; all the cells fold into the aggregate.
+//! events to the hosting node.  `net_cells()` lists the cells on either
+//! host, one per node in creation order and then the unowned one; their sum
+//! is the aggregate.
 //!
 //! ## Example: two actors on a simulated LAN
 //!

@@ -366,7 +366,7 @@ impl ArrivalPacer {
 }
 
 /// Counters describing how an open-loop generator's offered load was
-/// admitted, shed or blocked.
+/// admitted, shed or blocked, and how its submitted requests ended.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LoadStats {
     /// Arrivals generated by the arrival process.
@@ -380,6 +380,12 @@ pub struct LoadStats {
     pub blocked: u64,
     /// Submitted requests whose response came back to the issuing client.
     pub completed: u64,
+    /// Deadline-triggered resubmissions of still-pending requests (counted
+    /// per resubmission, not per request); only a driver with a retry plane
+    /// counts them.
+    pub retried: u64,
+    /// Requests abandoned after exhausting their retry budget.
+    pub expired: u64,
 }
 
 impl LoadStats {
@@ -390,6 +396,16 @@ impl LoadStats {
         self.shed += other.shed;
         self.blocked += other.blocked;
         self.completed += other.completed;
+        self.retried += other.retried;
+        self.expired += other.expired;
+    }
+
+    /// Requests submitted but neither completed nor expired (0 rather than
+    /// an underflow on counts that do not add up).
+    pub fn in_flight(&self) -> u64 {
+        self.submitted
+            .saturating_sub(self.completed)
+            .saturating_sub(self.expired)
     }
 }
 
@@ -406,7 +422,6 @@ pub struct AdmissionGate {
     policy: Admission,
     in_flight: Vec<u32>,
     waiting: Vec<u32>,
-    arrivals: u64,
     stats: LoadStats,
 }
 
@@ -420,7 +435,6 @@ impl AdmissionGate {
             policy,
             in_flight: vec![0; clients],
             waiting: vec![0; clients],
-            arrivals: 0,
             stats: LoadStats::default(),
         }
     }
@@ -429,8 +443,7 @@ impl AdmissionGate {
     /// submitted for, or `None` when the client is at its bound (the arrival
     /// was shed or blocked according to the policy).
     pub fn arrive(&mut self) -> Option<u32> {
-        let c = (self.arrivals % self.in_flight.len() as u64) as usize;
-        self.arrivals += 1;
+        let c = (self.stats.offered % self.in_flight.len() as u64) as usize;
         self.stats.offered += 1;
         if self.max_in_flight == 0 || self.in_flight[c] < self.max_in_flight {
             self.in_flight[c] += 1;
@@ -509,8 +522,6 @@ pub struct LoadGen {
     messages: u64,
     pacer: ArrivalPacer,
     gate: AdmissionGate,
-    /// Arrivals generated so far (admitted or not).
-    offered: u64,
     next_seq: u64,
     /// The in-flight window: `seq → (submitted at, client)`, from the
     /// oldest request in flight on.
@@ -531,7 +542,6 @@ impl LoadGen {
             pacer: ArrivalPacer::with_rng(workload.arrival, workload.interval, rng)
                 .anchored(workload.drift_free_pacing),
             gate: AdmissionGate::new(workload.clients, workload.max_in_flight, workload.admission),
-            offered: 0,
             next_seq: 0,
             window: SeqSlots::default(),
             latencies: LatencyRecorder::new(),
@@ -545,10 +555,9 @@ impl LoadGen {
     /// delay after which the arrival timer fires next (`None` once every
     /// arrival has been offered).
     pub fn on_arrival(&mut self, now: SimTime) -> (Option<Admitted>, Option<SimDuration>) {
-        if self.offered >= self.messages {
+        if self.offered() >= self.messages {
             return (None, None);
         }
-        self.offered += 1;
         let admitted = self.gate.arrive().map(|client| self.admit(client, now));
         (admitted, self.next_gap(now))
     }
@@ -607,7 +616,7 @@ impl LoadGen {
 
     /// Arrivals generated so far (admitted or not).
     pub fn offered(&self) -> u64 {
-        self.offered
+        self.gate.stats.offered
     }
 
     /// Sequence numbers handed out so far.
@@ -637,7 +646,7 @@ impl LoadGen {
 
     /// The delay to the next arrival, while there is one left to offer.
     fn next_gap(&mut self, now: SimTime) -> Option<SimDuration> {
-        (self.offered < self.messages).then(|| self.pacer.next_gap_from(now))
+        (self.offered() < self.messages).then(|| self.pacer.next_gap_from(now))
     }
 
     /// Opens the window entry of a request the gate just admitted.
@@ -762,20 +771,25 @@ mod tests {
             shed: 0,
             blocked: 0,
             completed: 1,
+            retried: 0,
+            expired: 0,
         };
         let b = LoadStats {
             offered: 4,
             submitted: 2,
             shed: 2,
             blocked: 1,
-            completed: 2,
+            completed: 0,
+            retried: 3,
+            expired: 1,
         };
         a.merge(&b);
-        assert_eq!(a.offered, 5);
-        assert_eq!(a.submitted, 3);
-        assert_eq!(a.shed, 2);
-        assert_eq!(a.blocked, 1);
-        assert_eq!(a.completed, 3);
+        let sum = (a.offered, a.submitted, a.shed, a.blocked, a.completed);
+        assert_eq!(sum, (5, 3, 2, 1, 1));
+        assert_eq!((a.retried, a.expired, a.in_flight()), (3, 1, 1));
+        // Counts that do not add up read 0 in flight, not an underflow.
+        a.completed = 4;
+        assert_eq!(a.in_flight(), 0);
     }
 
     fn at(ms: u64) -> SimTime {

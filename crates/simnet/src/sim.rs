@@ -36,8 +36,8 @@
 //! lifecycle events to the node hosting the process.  One more cell holds
 //! what no node owns: injected frames (here, those to an unknown process)
 //! and executed link-fault events.
-//! [`Simulation::stats`] folds the cells; [`Simulation::node_net_stats`]
-//! reads one.
+//! [`Simulation::net_cells`] lists the cells; [`Simulation::stats`] sums
+//! them.
 
 use std::any::Any;
 
@@ -376,28 +376,20 @@ impl Simulation {
         self.clock
     }
 
-    /// The aggregate network statistics so far, folded from the per-node
-    /// cells and the cell no node owns — the simulator counterpart of
+    /// The aggregate network statistics so far: the sum of
+    /// [`Simulation::net_cells`] — the simulator counterpart of
     /// [`crate::threaded::ThreadedRuntime::net_stats`].
     pub fn stats(&self) -> NetStats {
-        let mut stats = self.unowned.clone();
-        for node in &self.nodes {
-            stats.merge(node.stats());
-        }
-        stats
+        self.net_cells().iter().sum()
     }
 
-    /// One node's own statistics, with the threaded runtime's contract (see
-    /// [`crate::threaded::ThreadedRuntime::node_net_stats`]): the per-node
-    /// views sum, together with the cell no node owns (injected frames to an
-    /// unknown process, link-fault events), to [`Simulation::stats`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `node >= self.node_count()`.
-    pub fn node_net_stats(&self, node: usize) -> NetStats {
-        assert!(node < self.node_count(), "node {node} out of range");
-        self.nodes[node].stats().clone()
+    /// Every counter cell, with the threaded runtime's contract (see
+    /// [`crate::threaded::ThreadedRuntime::net_cells`]): one per node, in
+    /// creation order, then the cell no node owns (injected frames to an
+    /// unknown process, link-fault events).
+    pub fn net_cells(&self) -> Vec<NetStats> {
+        let nodes = self.nodes.iter().map(NodeState::stats);
+        nodes.chain([&self.unowned]).cloned().collect()
     }
 
     /// Schedules every event of `schedule`, in time order (each clamped to
@@ -1249,7 +1241,7 @@ mod tests {
         );
         sim.run_until(SimTime::from_secs(1));
 
-        let (echo_node, pacer_node) = (sim.node_net_stats(0), sim.node_net_stats(1));
+        let [echo_node, pacer_node, unowned] = <[NetStats; 3]>::try_from(sim.net_cells()).unwrap();
         // Sender side: sends, bytes, send-time unknown destinations, link drops.
         assert_eq!(echo_node.messages_sent, 7, "six replies and one to nowhere");
         assert_eq!(echo_node.bytes_sent, 6 + 2);
@@ -1271,7 +1263,7 @@ mod tests {
         assert_eq!(pacer_node.events_processed, 1 + 11 + 6);
         assert_eq!(echo_node.timers_fired + pacer_node.link_faults, 0);
         // What no node owns: the frame to nobody and the link-fault events.
-        let unowned = &sim.unowned;
+        assert_eq!(unowned, sim.unowned);
         assert_eq!(unowned.dropped_unknown_dest, 1);
         assert_eq!(unowned.link_faults, 2);
         assert_eq!(unowned.messages_sent + unowned.events_processed, 0);

@@ -50,9 +50,9 @@
 //!   increments and `drop_*` helpers, attributed as [`crate::sim`]
 //!   describes), plus `busy_ns` (wall-clock time inside handlers), and
 //!   copies it into its cache-line-padded cell once per wake-up.
-//!   [`ThreadedRuntime::node_net_stats`] reads one published cell and
-//!   [`ThreadedRuntime::net_stats`] folds them all, with the cell no node
-//!   owns (external injection, link-fault events).
+//!   [`ThreadedRuntime::net_cells`] lists the published cells, then the
+//!   cell no node owns (external injection, link-fault events), and
+//!   [`ThreadedRuntime::net_stats`] sums that list.
 //!
 //! Quiescence is tracked by a per-cell `enqueued`/`processed` balance: an
 //! envelope is counted `enqueued` (by its sender) before it is handed to an
@@ -573,19 +573,14 @@ impl ThreadedRuntime {
     /// The aggregate network statistics so far: sends, deliveries, drops
     /// (split into unknown-destination and link-fault drops), executed
     /// link-fault events and handler busy time — the threaded counterpart of
-    /// [`crate::sim::Simulation::stats`], folded from
-    /// [`ThreadedRuntime::net_cells`] on demand.
+    /// [`crate::sim::Simulation::stats`]: the sum of
+    /// [`ThreadedRuntime::net_cells`].
     pub fn net_stats(&self) -> NetStats {
-        let mut stats = NetStats::default();
-        for cell in &self.shared.cells {
-            stats.merge(&cell.read());
-        }
-        stats
+        self.net_cells().iter().sum()
     }
 
     /// Every counter cell as last published: one per node, in node order,
     /// then the cell no node owns (external injection, link-fault events).
-    /// They fold into [`ThreadedRuntime::net_stats`].
     pub fn net_cells(&self) -> Vec<NetStats> {
         self.shared.cells.iter().map(StatCell::read).collect()
     }
@@ -593,19 +588,6 @@ impl ThreadedRuntime {
     /// The number of nodes (worker threads) in this deployment.
     pub fn node_count(&self) -> usize {
         self.shared.deadlines.len()
-    }
-
-    /// One node's own statistics, attributed as the simulator attributes
-    /// them (see [`crate::sim`]): sends to the sending node, deliveries to
-    /// the receiving node, so per-node views sum (together with the cell no
-    /// node owns) to [`ThreadedRuntime::net_stats`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `node >= self.node_count()`.
-    pub fn node_net_stats(&self, node: usize) -> NetStats {
-        assert!(node < self.node_count(), "node {node} out of range");
-        self.shared.cells[node].read()
     }
 
     /// True when the runtime is quiescent with respect to `horizon`: every
@@ -2113,9 +2095,9 @@ mod tests {
         assert_eq!(rt.node_count(), 2);
         // A poke while the target is down: its fan-out finds the target down
         // and process 77 unknown.  One after the recover is delivered.
-        assert!(wait_until(2_000, || rt.node_net_stats(1).lifecycle_events == 1));
+        assert!(wait_until(2_000, || rt.net_cells()[1].lifecycle_events == 1));
         rt.send(ProcessId(99), caster, b"xy".to_vec()).unwrap();
-        assert!(wait_until(2_000, || rt.node_net_stats(1).dropped_down == 1));
+        assert!(wait_until(2_000, || rt.net_cells()[1].dropped_down == 1));
         assert!(wait_for(&recoveries, 1, 2_000), "on_recover ran");
         rt.send(ProcessId(99), caster, b"xy".to_vec()).unwrap();
         assert!(wait_for(&delivered, 1, 2_000));
@@ -2152,9 +2134,6 @@ mod tests {
         };
         assert_eq!(cells, [caster_node, host_node, unowned]);
         assert!(cells[0].busy_ns > 0 && cells[1].busy_ns > 0);
-        for (node, cell) in cells.iter().take(2).enumerate() {
-            assert_eq!(&rt.node_net_stats(node), cell);
-        }
         let mut folded = NetStats::default();
         for cell in &cells {
             folded.merge(cell);

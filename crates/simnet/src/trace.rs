@@ -4,9 +4,9 @@
 //! it with the same calls: a simulated node and a node thread each own a
 //! plain `NetStats` and bump its fields or call its `drop_*` helpers (a node
 //! thread publishes its copy once per wake-up).  Each host keeps one cell per
-//! node plus one for what no node owns (injected traffic, link-fault events)
-//! and folds the cells into the aggregate on demand —
-//! [`crate::sim::Simulation::stats`],
+//! node plus one for what no node owns (injected traffic, link-fault events),
+//! lists them in that order (`net_cells`) and sums the list into the
+//! aggregate on demand — [`crate::sim::Simulation::stats`],
 //! [`crate::threaded::ThreadedRuntime::net_stats`].
 
 use serde::{Deserialize, Serialize};
@@ -68,11 +68,8 @@ impl NetStats {
         self.dropped_down += 1;
     }
 
-    /// Adds another counter set into this one, field by field.
-    ///
-    /// This is the single aggregation path shared by `Running::stats` and the
-    /// cluster layer's per-shard roll-up, so a new counter added to
-    /// `NetStats` only needs its merge rule stated once.
+    /// Adds another counter set into this one, field by field: the one
+    /// aggregation rule, under every sum of cells (see the `Sum` impl).
     pub fn merge(&mut self, other: &NetStats) {
         self.messages_sent += other.messages_sent;
         self.messages_delivered += other.messages_delivered;
@@ -86,6 +83,17 @@ impl NetStats {
         self.timers_fired += other.timers_fired;
         self.events_processed += other.events_processed;
         self.busy_ns += other.busy_ns;
+    }
+}
+
+/// Folds cells into their aggregate with [`NetStats::merge`]: how every
+/// host's `stats` is written over its cell list.
+impl<'a> std::iter::Sum<&'a NetStats> for NetStats {
+    fn sum<I: Iterator<Item = &'a NetStats>>(cells: I) -> Self {
+        cells.fold(NetStats::default(), |mut stats, cell| {
+            stats.merge(cell);
+            stats
+        })
     }
 }
 

@@ -1191,6 +1191,94 @@ fn peer_corpus() -> Vec<Vec<u8>> {
     corpus
 }
 
+/// Valid frames a GC member takes from its peers, each with the peer that
+/// sends it (a symmetric-order `Data` or an `Ack` is believed only from the
+/// member it names): a `Data` of every service, the orders, probes,
+/// suspicions and NACKs, and their `u64::MAX` and `u32::MAX` fields.  The
+/// seeds the GC hostile-peer property interleaves and mutates.
+fn gc_peer_corpus() -> Vec<(MemberId, Vec<u8>)> {
+    let mut corpus = Vec::new();
+    for m in [MemberId(1), MemberId(2)] {
+        let data = |seq, ts, vc: Vec<u64>, service| GcMessage::Data {
+            origin: m,
+            seq,
+            ts,
+            vc,
+            service,
+            payload: Bytes::from(b"p".to_vec()),
+        };
+        let mut frames = vec![
+            GcMessage::Ack {
+                from: m,
+                clock: 2,
+                sent_count: 1,
+            },
+            GcMessage::Ack {
+                from: m,
+                clock: u64::MAX,
+                sent_count: 0,
+            },
+            GcMessage::Ack {
+                from: m,
+                clock: u64::MAX,
+                sent_count: u64::MAX,
+            },
+            GcMessage::Order {
+                sequencer: MemberId(0),
+                global_seq: 0,
+                origin: m,
+                seq: 0,
+            },
+            GcMessage::Order {
+                sequencer: MemberId(0),
+                global_seq: u64::MAX,
+                origin: MemberId(u32::MAX),
+                seq: u64::MAX,
+            },
+            GcMessage::Ping { from: m, nonce: 7 },
+            GcMessage::Pong {
+                from: m,
+                nonce: u64::MAX,
+            },
+            GcMessage::Suspect {
+                suspect: MemberId(2),
+                from: m,
+            },
+            GcMessage::Suspect {
+                suspect: MemberId(u32::MAX),
+                from: m,
+            },
+            GcMessage::Nack {
+                origin: MemberId(0),
+                seq: 0,
+                from: m,
+            },
+            GcMessage::Nack {
+                origin: MemberId(u32::MAX),
+                seq: u64::MAX,
+                from: MemberId(u32::MAX),
+            },
+        ];
+        for service in [
+            ServiceKind::SymmetricTotal,
+            ServiceKind::AsymmetricTotal,
+            ServiceKind::Reliable,
+            ServiceKind::Unreliable,
+            ServiceKind::Causal,
+        ] {
+            let vc = if service == ServiceKind::Causal {
+                vec![0, 1, 0]
+            } else {
+                Vec::new()
+            };
+            frames.push(data(0, 1, vc, service));
+            frames.push(data(u64::MAX, u64::MAX, vec![u64::MAX; 3], service));
+        }
+        corpus.extend(frames.iter().map(|msg| (m, msg.to_wire().to_vec())));
+    }
+    corpus
+}
+
 /// `bytes` cut into three segments at `a` and `b`, each taken modulo one
 /// more than its length: any segment may be empty, and a cut may fall
 /// inside a field.
@@ -1429,5 +1517,49 @@ proptest! {
             commands: vec![KvCommand::Put { key: "last".into(), value: vec![] }.to_wire()],
         };
         machine.handle(&MachineInput::from_app(request.to_wire()));
+    }
+
+    /// Hostile peers into a GC member: valid frames of every service, order,
+    /// probe, suspicion and NACK (among them an `Ack` at clock `u64::MAX`
+    /// and a `Data` at `seq` and `ts` `u64::MAX`), each followed by an
+    /// arbitrary or mutated one, then a local multicast of every service.
+    /// Nothing may panic.
+    #[test]
+    fn hostile_peer_inputs_never_panic_the_gc_machine(
+        member in 0u32..3,
+        steps in proptest::collection::vec(
+            (
+                0u32..3,
+                0usize..64,
+                (any::<bool>(), proptest::collection::vec(any::<u8>(), 0..64)),
+                (0usize..64, 0u8..4, any::<u32>(), any::<u8>()),
+            ),
+            1..8,
+        ),
+    ) {
+        let group: Vec<MemberId> = (0..3).map(MemberId).collect();
+        let config = GcConfig::new(MemberId(member), group).with_costs(GcCosts::free());
+        let mut machine = GcMachine::new(config);
+        let corpus = gc_peer_corpus();
+        for (from, valid, (arbitrary, raw), (pick, mutation, at, byte)) in steps {
+            let (sender, frame) = corpus[valid % corpus.len()].clone();
+            machine.handle(&MachineInput::from_peer(sender, frame));
+            let hostile = if arbitrary {
+                raw
+            } else {
+                mutated(corpus[pick % corpus.len()].1.clone(), mutation, at, byte)
+            };
+            machine.handle(&MachineInput::from_peer(MemberId(from), hostile));
+        }
+        for service in [
+            ServiceKind::SymmetricTotal,
+            ServiceKind::AsymmetricTotal,
+            ServiceKind::Reliable,
+            ServiceKind::Unreliable,
+            ServiceKind::Causal,
+        ] {
+            let request = AppRequest { service, payload: Bytes::from(b"last".to_vec()) };
+            machine.handle(&MachineInput::from_app(request.to_wire()));
+        }
     }
 }
