@@ -11,45 +11,50 @@
 //! steady-state window 0.8 s – 2.0 s of simulated time (the counts are
 //! exact and repeat):
 //!
-//! | allocations per ordered delivery | before | now |
-//! |---|---:|---:|
-//! | FS, 10 KiB payloads, ≥ 8 KiB | 31.6 (contiguous frames) | 3.47 (915 / 264) |
-//! | FS, 3 B payloads, any size | 87.8 | 31.4 (8 490 / 270) |
-//! | crash, 10 KiB payloads, ≥ 8 KiB | 1.97 (a flattening host; 531 / 270) | 0.33 (90 / 270) |
+//! | allocations per ordered delivery | contiguous frames | flattening FS host | now |
+//! |---|---:|---:|---:|
+//! | FS, 10 KiB payloads, ≥ 8 KiB | 31.6 | 3.47 (915 / 264) | 0.33 (see the test output) |
+//! | FS, 3 B payloads, any size | 87.8 | 31.4 (8 490 / 270) | (see the test output) |
+//! | crash, 10 KiB payloads, ≥ 8 KiB | 1.97 (531 / 270) | — | 0.33 (90 / 270) |
 //!
-//! The FS ceilings are a quarter of the first "before" (7.9) and the second
-//! as it was; the crash ceiling, 0.5, lies between the application's own
-//! payload and one copy per delivery.
+//! Both 10 KiB ceilings are 0.5: between the application's own payload —
+//! a third per ordered delivery in a group of three — and one copy per
+//! delivery.  The 3 B ceiling is the contiguous-frame count, as it was.
 //!
-//! On the crash path a frame goes from the application's request to every
-//! member's upcall as it was encoded: the host hands the machine the frame
-//! it received and sends the frames the machine produced, and `GcMachine`
-//! splices the payload into `Data` and `Upcall::Deliver` by refcount.  What
-//! remains is the application building its payload, one per multicast: a
-//! third per ordered delivery.
-//!
-//! On the FS path the 3.47 that remain are, per multicast in a group of
-//! three: the application building the payload (1), the request flattened
-//! once where it enters the pair (1), and each wrapper flattening the frame
-//! its machine spliced around the payload — `Data` at the origin,
-//! `Upcall::Deliver` at every member, per replica and so twice per pair
-//! (2 + 6) — because the output's digest and the external frame take one
-//! contiguous buffer.  About ten per three ordered deliveries.
+//! On both paths a frame goes from the application's request to every
+//! member's upcall as it was encoded, and what remains is the application
+//! building its payload, one per multicast.  On the crash path the host
+//! hands the machine the frame it received and sends the frames the
+//! machine produced, and `GcMachine` splices the payload into `Data` and
+//! `Upcall::Deliver` by refcount.  On the fail-signal path the interceptor
+//! wraps the request around the application's frame, the wrappers hand the
+//! machine the sub-frame an envelope carries, digest, compare and transmit
+//! each output rope as it is, and the interceptor hands the application the
+//! sub-frame of its upcall: no layer flattens a payload.  (The flattening
+//! FS host made 3.47: each wrapper flattened every output its machine
+//! spliced, `Data` at the origin and `Upcall::Deliver` at every member, per
+//! replica, and the interceptor flattened every request — about ten copies
+//! per three ordered deliveries.)
 
 use fs_smr_suite::bench::alloc_count::{count_allocs, AllocCounts, CountingAlloc};
 use fs_smr_suite::common::codec::Wire;
-use fs_smr_suite::common::id::{MemberId, ProcessId};
+use fs_smr_suite::common::id::{FsId, MemberId, ProcessId};
+use fs_smr_suite::common::rng::DetRng;
 use fs_smr_suite::common::time::{SimDuration, SimTime};
 use fs_smr_suite::common::{Bytes, Frame};
 use std::any::Any;
 use std::sync::Arc;
 
+use fs_smr_suite::crypto::cost::CryptoCostModel;
+use fs_smr_suite::crypto::keys::{provision, SignerId};
+use fs_smr_suite::failsignal::message::{FsContent, FsOutput, FsoInbound};
+use fs_smr_suite::failsignal::provision::{FsPairBuilder, FsPairSpec};
 use fs_smr_suite::harness::{NewTopService, PlainHost, Protocol, Scenario, ServiceSpec, Workload};
 use fs_smr_suite::newtop::gc::GcMachine;
 use fs_smr_suite::newtop::message::{GcMessage, ServiceKind};
 use fs_smr_suite::newtop::suspector::SuspectorConfig;
-use fs_smr_suite::simnet::actor::{Actor, TestContext};
-use fs_smr_suite::smr::machine::AddressMap;
+use fs_smr_suite::simnet::actor::{Actor, Outgoing, TestContext};
+use fs_smr_suite::smr::machine::{AddressMap, Endpoint};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -57,9 +62,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// An allocation this large holds a copy of a 10 KiB payload.
 const PAYLOAD_SIZED: usize = 8 * 1024;
 
-/// A quarter of the 31.6 payload-sized allocations per ordered delivery the
-/// fail-signal [`steady_state`] made at 10 KiB with contiguous frames.
-const PAYLOAD_COPIES_PER_DELIVERY_MAX: f64 = 7.9;
+/// Half a payload-sized allocation per ordered delivery in the fail-signal
+/// [`steady_state`] at 10 KiB: above the application's own third, below
+/// any copy per delivery (the flattening FS host made 3.47).
+const PAYLOAD_COPIES_PER_DELIVERY_MAX: f64 = 0.5;
 
 /// Half a payload-sized allocation per ordered delivery in the crash
 /// protocol's [`steady_state`] at 10 KiB: above the application's own third,
@@ -100,17 +106,21 @@ fn steady_state(protocol: Protocol, payload: usize) -> (u64, AllocCounts) {
     (deliveries, counts)
 }
 
+/// A frame travels from the application's request through the interceptor,
+/// both wrappers of every pair and their machines to every member's upcall
+/// by refcount: the one payload-sized allocation left is the application
+/// building its payload, as on the crash path.
 #[test]
-fn a_10k_delivery_copies_its_payload_a_quarter_as_often_as_the_parent() {
+fn a_10k_fs_delivery_allocates_only_the_applications_payload() {
     let (deliveries, counts) = steady_state(Protocol::FailSignal, 10 * 1024);
     let per_delivery = counts.large_allocs as f64 / deliveries as f64;
     println!(
-        "FS, 10 KiB: {} payload-sized allocations over {deliveries} deliveries = {per_delivery:.1} each",
+        "FS, 10 KiB: {} payload-sized allocations over {deliveries} deliveries = {per_delivery:.2} each",
         counts.large_allocs
     );
     assert!(
         per_delivery <= PAYLOAD_COPIES_PER_DELIVERY_MAX,
-        "{per_delivery:.1} payload-sized allocations per ordered delivery \
+        "{per_delivery:.2} payload-sized allocations per ordered delivery \
          (ceiling {PAYLOAD_COPIES_PER_DELIVERY_MAX})"
     );
 }
@@ -221,4 +231,116 @@ fn nso_handles_a_spliced_10k_data_message_without_a_payload_sized_allocation() {
     );
     let counts = nso_handles(split);
     assert_eq!(counts.large_allocs, 0, "split by hand: {counts:?}");
+}
+
+/// The wrappers of member 0's pair (FS process 0), its local process, and
+/// member 1's pair, which sends it a `Data`.
+const LEADER: ProcessId = ProcessId(20);
+const FOLLOWER: ProcessId = ProcessId(21);
+const LOCAL: ProcessId = ProcessId(10);
+const PEER_LEADER: ProcessId = ProcessId(22);
+const PEER_FOLLOWER: ProcessId = ProcessId(23);
+
+/// Member 0 of a group of three as a fail-signal pair around two GC
+/// replicas receives `data`, a `Data` from member 1, double-signed by
+/// member 1's pair and spliced into its envelope, at both wrappers; the
+/// pair then orders it, runs both machines, compares the `Deliver` upcall
+/// they produce and transmits it to the local process.  The allocations
+/// the two wrappers made doing all that.
+fn pair_handles(data: &GcMessage) -> AllocCounts {
+    let group: Vec<MemberId> = (0..3).map(MemberId).collect();
+    let mut rng = DetRng::new(7);
+    let (mut keys, directory) = provision([LEADER, FOLLOWER, PEER_LEADER, PEER_FOLLOWER], &mut rng);
+    let mut key = |p: ProcessId| keys.remove(&SignerId(p)).expect("provisioned");
+    let (leader_key, follower_key) = (key(LEADER), key(FOLLOWER));
+    let signed = FsOutput::sign(
+        FsId(1),
+        FsContent::Output {
+            output_seq: 0,
+            dest: Endpoint::Broadcast,
+            bytes: data.to_wire(),
+        },
+        &key(PEER_LEADER),
+        &key(PEER_FOLLOWER),
+    );
+    let envelope = FsoInbound::External(signed).to_frame();
+    assert!(!envelope.is_contiguous(), "the Data is spliced in");
+
+    let speakers: Arc<[ProcessId]> = Arc::new([
+        LEADER,
+        FOLLOWER,
+        PEER_LEADER,
+        PEER_FOLLOWER,
+        ProcessId(24),
+        ProcessId(25),
+    ]);
+    let spec = NewTopService::new();
+    let (mut leader, mut follower) = FsPairBuilder::new(FsPairSpec::new(FsId(0), LEADER, FOLLOWER))
+        .crypto_costs(CryptoCostModel::free())
+        .addresses(AddressMap::new(speakers, 2, MemberId(0), LOCAL))
+        .build(
+            leader_key,
+            follower_key,
+            directory,
+            (spec.machine(MemberId(0), &group), spec.machine(MemberId(0), &group)),
+        );
+    let (mut leader_ctx, mut follower_ctx) = (TestContext::new(LEADER), TestContext::new(FOLLOWER));
+    let mut upcalls = Vec::new();
+    let ((), counts) = count_allocs(PAYLOAD_SIZED, || {
+        leader.on_message(&mut leader_ctx, PEER_LEADER, envelope.clone());
+        follower.on_message(&mut follower_ctx, PEER_LEADER, envelope);
+        // Pair traffic until nothing is in flight.
+        loop {
+            let sent: Vec<(ProcessId, Outgoing)> = leader_ctx
+                .take_sent()
+                .into_iter()
+                .map(|o| (LEADER, o))
+                .chain(follower_ctx.take_sent().into_iter().map(|o| (FOLLOWER, o)))
+                .collect();
+            if sent.is_empty() {
+                break;
+            }
+            for (from, Outgoing { to, payload }) in sent {
+                match to {
+                    FOLLOWER => follower.on_message(&mut follower_ctx, from, payload),
+                    LEADER => leader.on_message(&mut leader_ctx, from, payload),
+                    _ => upcalls.push((to, payload)),
+                }
+            }
+        }
+    });
+    // Both replicas delivered the `Data` and the pair agreed on it: each
+    // wrapper transmitted the double-signed upcall to the local process.
+    for wrapper in [&leader, &follower] {
+        assert!(!wrapper.has_failed(), "{wrapper:?}");
+        assert_eq!(wrapper.stats().outputs_validated, 1, "{wrapper:?}");
+    }
+    assert_eq!(upcalls.iter().filter(|(to, _)| *to == LOCAL).count(), 2);
+    assert!(counts.allocs > 0, "the counting allocator is installed");
+    counts
+}
+
+/// A 10 KiB unreliable-multicast `Data` from member 1: delivered on
+/// receipt, so the pair's machines answer it with a `Deliver` upcall
+/// carrying the payload.
+fn unreliable_data_10k() -> GcMessage {
+    GcMessage::Data {
+        origin: MemberId(1),
+        seq: 0,
+        ts: 1,
+        vc: vec![],
+        service: ServiceKind::Unreliable,
+        payload: vec![7u8; 10 * 1024].into(),
+    }
+}
+
+/// A wrapper hands its machine the `Data` the envelope carries, digests,
+/// signs and compares the `Deliver` rope its machine spliced around the
+/// payload, and splices that rope into the upcall's envelope: no
+/// payload-sized allocation anywhere in the pair (the flattening wrappers
+/// made one per replica).
+#[test]
+fn a_pair_orders_compares_and_transmits_a_10k_upcall_without_a_payload_sized_allocation() {
+    let counts = pair_handles(&unreliable_data_10k());
+    assert_eq!(counts.large_allocs, 0, "{counts:?}");
 }
