@@ -68,7 +68,7 @@ use fs_bench::report::results_dir;
 use fs_common::codec::Wire;
 use fs_common::id::{FsId, MemberId, ProcessId};
 use fs_common::rng::DetRng;
-use fs_common::{Bytes, Frame};
+use fs_common::Frame;
 use fs_crypto::keys::{provision, SignerId};
 use fs_crypto::sha256::kernel_name;
 use fs_crypto::sig::Signature;
@@ -223,8 +223,8 @@ struct OutputRound {
     leader: fs_crypto::keys::SigningKey,
     follower: fs_crypto::keys::SigningKey,
     directory: std::sync::Arc<fs_crypto::keys::KeyDirectory>,
-    leader_copy: Bytes,
-    follower_copy: Bytes,
+    leader_copy: Frame,
+    follower_copy: Frame,
 }
 
 impl OutputRound {
@@ -242,7 +242,7 @@ impl OutputRound {
         }
     }
 
-    fn content(&self, output_seq: u64, bytes: &Bytes) -> FsContent {
+    fn content(&self, output_seq: u64, bytes: &Frame) -> FsContent {
         FsContent::Output {
             output_seq,
             dest: Endpoint::Broadcast,
@@ -251,7 +251,7 @@ impl OutputRound {
     }
 
     /// The round; returns the bytes the destination accepted.
-    fn run(&self, output_seq: u64, spliced: bool) -> Bytes {
+    fn run(&self, output_seq: u64, spliced: bool) -> Frame {
         let pair = (self.leader.signer, self.follower.signer);
         let statement = |content: &FsContent| Statement::of(self.fs, content, body_digest);
         let encode = |message: FsoInbound| {

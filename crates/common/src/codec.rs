@@ -41,37 +41,49 @@ pub const MAX_FIELD_LEN: usize = 16 * 1024 * 1024;
 const SPLICE_MIN: usize = 1024;
 
 /// Initial head capacity of a splicing encoder whose frame is large enough
-/// to splice: every fail-signal header and trailer fits.
-const SPLICE_HEAD_CAPACITY: usize = 128;
+/// to splice: every fail-signal header and trailer fits, with the head and
+/// tail of a machine's rope spliced inside them.
+const SPLICE_HEAD_CAPACITY: usize = 256;
 
 /// True when the logical concatenations of `a` and `b` hold the same bytes,
 /// whatever their split points.  Stretches that are the very same memory
 /// (one refcounted buffer seen through two lists) are not compared byte by
 /// byte.
 pub fn segments_eq(a: &[&[u8]], b: &[&[u8]]) -> bool {
+    unshared_len_if_eq(a, b).is_some()
+}
+
+/// [`segments_eq`], counting: `Some(n)` when `a` and `b` hold the same
+/// bytes, `n` of them in different memory (the bytes a comparison had to
+/// read); `None` when they differ.
+pub fn unshared_len_if_eq(a: &[&[u8]], b: &[&[u8]]) -> Option<usize> {
     let total = |parts: &[&[u8]]| parts.iter().map(|p| p.len()).sum::<usize>();
     if total(a) != total(b) {
-        return false;
+        return None;
     }
     let (mut rest_a, mut rest_b) = (a.iter(), b.iter());
     let (mut x, mut y): (&[u8], &[u8]) = (&[], &[]);
+    let mut unshared = 0;
     loop {
         while x.is_empty() {
             match rest_a.next() {
                 Some(part) => x = part,
                 // Equal totals: `b` has only empty stretches left.
-                None => return true,
+                None => return Some(unshared),
             }
         }
         while y.is_empty() {
             match rest_b.next() {
                 Some(part) => y = part,
-                None => return true,
+                None => return Some(unshared),
             }
         }
         let n = x.len().min(y.len());
-        if !std::ptr::eq(x.as_ptr(), y.as_ptr()) && x[..n] != y[..n] {
-            return false;
+        if !std::ptr::eq(x.as_ptr(), y.as_ptr()) {
+            if x[..n] != y[..n] {
+                return None;
+            }
+            unshared += n;
         }
         (x, y) = (&x[n..], &y[n..]);
     }
@@ -133,6 +145,12 @@ impl Frame {
         self.rest.is_none()
     }
 
+    /// The segments, absent ones skipped, in wire order.
+    #[inline]
+    fn parts(&self) -> impl Iterator<Item = &Bytes> {
+        std::iter::once(&self.head).chain(self.later())
+    }
+
     /// The segments after the first.
     #[inline]
     fn later(&self) -> &[Bytes] {
@@ -164,6 +182,11 @@ impl Frame {
         flat.into()
     }
 
+    /// The logical bytes copied into a fresh vector.
+    pub fn to_vec(&self) -> Vec<u8> {
+        self.segments().concat()
+    }
+
     /// [`Frame::to_bytes`], consuming the frame.
     #[inline]
     pub fn into_bytes(self) -> Bytes {
@@ -184,6 +207,12 @@ impl From<Bytes> for Frame {
 
 impl From<Vec<u8>> for Frame {
     fn from(v: Vec<u8>) -> Self {
+        Bytes::from(v).into()
+    }
+}
+
+impl From<String> for Frame {
+    fn from(v: String) -> Self {
         Bytes::from(v).into()
     }
 }
@@ -330,6 +359,28 @@ impl Encoder {
     #[inline]
     pub fn put_shared(&mut self, v: &Bytes) {
         self.put_u32(v.len() as u32);
+        self.put_segment(v);
+    }
+
+    /// Appends a length-prefixed byte string the caller holds as a
+    /// [`Frame`].  On the wire this is exactly [`Encoder::put_bytes`] of its
+    /// logical bytes; a splicing encoder takes the frame's first large
+    /// segment — a rope's body — by refcount and copies only the bytes
+    /// around it, so a rope nested in a rope still carries its payload
+    /// without a copy.
+    #[inline]
+    pub fn put_frame(&mut self, v: &Frame) {
+        self.put_u32(v.len() as u32);
+        for part in v.parts() {
+            self.put_segment(part);
+        }
+    }
+
+    /// Appends `v` with no length prefix: spliced by refcount when this is
+    /// a splicing encoder that has spliced nothing yet and `v` is large,
+    /// copied otherwise.
+    #[inline]
+    fn put_segment(&mut self, v: &Bytes) {
         if matches!(self.splice, Splice::Armed) && v.len() >= SPLICE_MIN {
             self.splice = Splice::At {
                 at: self.buf.len(),
@@ -422,11 +473,13 @@ impl Encoder {
 /// views instead of copies — the receive path uses this everywhere.
 ///
 /// Over a multi-segment [`Frame`] the decoder moves from one segment to the
-/// next as reads reach a boundary.  A read that would *straddle* a boundary
-/// (no frame this crate's encoder produces has one) cannot be served as a
-/// borrowed slice; it is flagged, and [`Wire::from_frame`] then decodes the
-/// flattened frame instead, so every segmentation of the same bytes decodes
-/// to the same value or the same error.
+/// next as reads reach a boundary.  [`Decoder::get_frame`] hands out a
+/// field that spans segments as a sub-frame sharing them — which is how a
+/// rope nested in a rope decodes.  Any other read that would *straddle* a
+/// boundary (no frame this crate's encoder produces has one) cannot be
+/// served as a borrowed slice; it is flagged, and [`Wire::from_frame`] then
+/// decodes the flattened frame instead, so every segmentation of the same
+/// bytes decodes to the same value or the same error.
 #[derive(Debug)]
 pub struct Decoder<'a> {
     /// The segment being read.
@@ -499,17 +552,21 @@ impl<'a> Decoder<'a> {
         if self.remaining() < n {
             return Err(short);
         }
-        while self.pos == self.buf.len() {
-            let Some((next, later)) = self.later.split_first() else {
-                break;
-            };
-            (self.buf, self.pos, self.shared, self.later) = (next, 0, Some(next), later);
-        }
+        while self.pos == self.buf.len() && self.next_segment() {}
         if self.buf.len() - self.pos < n {
             self.straddled = true;
             return Err(short);
         }
         Ok(())
+    }
+
+    /// Steps into the next segment; false when there is none.
+    fn next_segment(&mut self) -> bool {
+        let Some((next, later)) = self.later.split_first() else {
+            return false;
+        };
+        (self.buf, self.pos, self.shared, self.later) = (next, 0, Some(next), later);
+        true
     }
 
     /// Returns the number of bytes not yet consumed.
@@ -548,9 +605,9 @@ impl<'a> Decoder<'a> {
         Ok(b.get_u64_le())
     }
 
-    /// Reads a length-prefixed byte string.
+    /// Reads a length prefix, refusing one above [`MAX_FIELD_LEN`].
     #[inline]
-    pub fn get_bytes(&mut self) -> Result<&'a [u8], CodecError> {
+    fn get_len(&mut self) -> Result<usize, CodecError> {
         let len = self.get_u32()? as usize;
         if len > MAX_FIELD_LEN {
             return Err(CodecError::LengthOverflow {
@@ -558,6 +615,13 @@ impl<'a> Decoder<'a> {
                 max: MAX_FIELD_LEN,
             });
         }
+        Ok(len)
+    }
+
+    /// Reads a length-prefixed byte string.
+    #[inline]
+    pub fn get_bytes(&mut self) -> Result<&'a [u8], CodecError> {
+        let len = self.get_len()?;
         self.take(len)
     }
 
@@ -584,6 +648,51 @@ impl<'a> Decoder<'a> {
             Some(segment) => Ok(segment.slice(self.pos - bytes.len()..self.pos)),
             None => Ok(Bytes::copy_from_slice(bytes)),
         }
+    }
+
+    /// Reads a length-prefixed byte string as a [`Frame`] that shares the
+    /// segments the field spans: one zero-copy view when it lies in one
+    /// segment, a rope of views when it spans several — a field written by
+    /// [`Encoder::put_frame`] comes back with the rope's body the very
+    /// buffer that was spliced in.  No segmentation is flattened.  Only a
+    /// decoder over a bare `&[u8]` copies.
+    pub fn get_frame(&mut self) -> Result<Frame, CodecError> {
+        let len = self.get_len()?;
+        let Some(segment) = self.shared else {
+            return self.take(len).map(Frame::from);
+        };
+        if self.buf.len() - self.pos >= len {
+            let start = self.pos;
+            self.pos += len;
+            return Ok(segment.slice(start..self.pos).into());
+        }
+        if self.remaining() < len {
+            return Err(CodecError::UnexpectedEof {
+                wanted: len,
+                available: self.remaining(),
+            });
+        }
+        // A frame has at most three segments, so the field spans at most
+        // three; empty stretches are skipped.
+        let mut parts: [Bytes; 3] = Default::default();
+        let (mut found, mut left) = (0, len);
+        for part in &mut parts {
+            while self.pos == self.buf.len() && self.next_segment() {}
+            let (Some(segment), true) = (self.shared, left > 0) else {
+                break;
+            };
+            let here = left.min(self.buf.len() - self.pos);
+            *part = segment.slice(self.pos..self.pos + here);
+            self.pos += here;
+            left -= here;
+            found += 1;
+        }
+        debug_assert_eq!(left, 0, "a field spans at most three segments");
+        let [first, second, third] = parts;
+        Ok(match found {
+            0 | 1 => first.into(),
+            _ => Frame::from_segments(first, second, third),
+        })
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -731,6 +840,18 @@ impl Wire for Bytes {
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         dec.get_bytes_shared()
+    }
+    fn encoded_len(&self) -> usize {
+        4 + self.len()
+    }
+}
+
+impl Wire for Frame {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_frame(self);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        dec.get_frame()
     }
     fn encoded_len(&self) -> usize {
         4 + self.len()

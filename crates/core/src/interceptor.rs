@@ -29,7 +29,7 @@ use std::sync::Arc;
 use fs_common::codec::Wire;
 use fs_common::id::{FsId, ProcessId};
 use fs_common::time::SimDuration;
-use fs_common::{Bytes, Frame, SeqWindow};
+use fs_common::{Frame, SeqWindow};
 use fs_crypto::keys::{KeyDirectory, SignerId};
 use fs_simnet::actor::{Actor, Context};
 
@@ -45,7 +45,7 @@ pub struct FsInterceptor {
     receiver: FsReceiver,
     /// The `LocalApp` stream: its frontier counts the upcalls handed up,
     /// and it holds those that overtook the next one owed.
-    upcalls: SeqWindow<Bytes>,
+    upcalls: SeqWindow<Frame>,
     local_fail_signalled: bool,
     requests_forwarded: u64,
 }
@@ -111,12 +111,12 @@ impl Actor for FsInterceptor {
         if from == self.app {
             // A request from the invocation layer: submit it to both wrapper
             // objects (the leader orders it, the follower checks the
-            // ordering).  The request becomes one opaque byte string here —
-            // the only copy of a spliced request on its way to the machines
-            // — and the envelope is then spliced around it.
+            // ordering).  The envelope is written around the request frame
+            // as it arrived; a payload spliced into it stays the
+            // application's own buffer.
             self.requests_forwarded = self.requests_forwarded.saturating_add(1);
             ctx.charge_cpu(SimDuration::from_micros(50));
-            let wrapped = FsoInbound::Raw(payload.into_bytes()).to_frame();
+            let wrapped = FsoInbound::Raw(payload).to_frame();
             ctx.send(self.leader, wrapped.clone());
             ctx.send(self.follower, wrapped);
             return;
@@ -131,9 +131,8 @@ impl Actor for FsInterceptor {
                 output_seq, bytes, ..
             }) => {
                 // Fresh (the receiver drops copies), so not yet handed up.
-                self.upcalls.insert_then(output_seq, bytes, |_, bytes| {
-                    ctx.send(self.app, bytes.into())
-                });
+                self.upcalls
+                    .insert_then(output_seq, bytes, |_, bytes| ctx.send(self.app, bytes));
             }
             Some(FsDelivery::FailSignal { fs }) if fs == self.local_fs => {
                 self.local_fail_signalled = true;
@@ -205,7 +204,7 @@ mod tests {
         let content = FsContent::Output {
             output_seq: 0,
             dest: Endpoint::LocalApp,
-            bytes: b"upcall"[..].into(),
+            bytes: Frame::from(&b"upcall"[..]),
         };
         let from_leader = FsOutput::sign(FsId(0), content.clone(), &leader_key, &follower_key);
         let from_follower = FsOutput::sign(FsId(0), content, &follower_key, &leader_key);
@@ -233,7 +232,7 @@ mod tests {
             let content = FsContent::Output {
                 output_seq,
                 dest: Endpoint::LocalApp,
-                bytes: vec![output_seq as u8].into(),
+                bytes: Frame::from(vec![output_seq as u8]),
             };
             let signed = FsOutput::sign(FsId(0), content, &leader_key, &follower_key);
             i.on_message(&mut ctx, LEADER, FsoInbound::External(signed).to_frame());
@@ -252,7 +251,12 @@ mod tests {
     #[test]
     fn fail_signal_is_noted_not_forwarded() {
         let (mut i, mut ctx, leader_key, follower_key) = setup();
-        let signal = FsOutput::sign(FsId(0), FsContent::FailSignal, &leader_key, &follower_key);
+        let signal = FsOutput::sign(
+            FsId(0),
+            FsContent::<Frame>::FailSignal,
+            &leader_key,
+            &follower_key,
+        );
         i.on_message(&mut ctx, LEADER, FsoInbound::External(signal).to_frame());
         assert!(i.local_fail_signalled());
         assert!(ctx.sent_to(APP).is_empty());
@@ -270,7 +274,7 @@ mod tests {
             FsContent::Output {
                 output_seq: 1,
                 dest: Endpoint::LocalApp,
-                bytes: b"x"[..].into(),
+                bytes: Frame::from(&b"x"[..]),
             },
             &leader_key,
             &leader_key,

@@ -41,16 +41,23 @@
 //! every sign, candidate check, comparison, destination check and duplicate
 //! test runs over at most 54 bytes.
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+
 use fs_common::codec::{Decoder, Encoder, Wire};
 use fs_common::error::CodecError;
 use fs_common::id::{FsId, MemberId};
-use fs_common::{Bytes, SignatureError};
+use fs_common::{Bytes, Frame, SignatureError};
 use fs_crypto::keys::{KeyDirectory, SignerId, SigningKey};
-use fs_crypto::sha256::{Digest, Sha256, DIGEST_LEN};
+use fs_crypto::sha256::{Digest, DIGEST_LEN};
 use fs_crypto::sig::{check_share_signers, Signature};
 use fs_smr::machine::Endpoint;
 
-use crate::digest::body_digest;
+use crate::digest::{body_digest, uncached_digest};
 
 /// The wire form of a logical endpoint (defined in `fs-smr`): a tag byte
 /// and, for a peer, its member number.  The one place the tags are chosen —
@@ -97,8 +104,16 @@ pub fn endpoint_len(endpoint: Endpoint) -> usize {
 }
 
 /// The content of an FS-process output.
+///
+/// The body is a [`Frame`]: the wrappers carry a machine's output as the
+/// rope it produced, and a destination decodes it as a sub-frame of the
+/// envelope, so a payload spliced into the output is never copied.  A
+/// caller that holds the body as one contiguous buffer may build an
+/// `FsContent<Bytes>` and hand it to [`FsOutput::sign`] or
+/// [`signing_bytes`], which take either; everything else, the wire
+/// included, uses the default.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FsContent {
+pub enum FsContent<B = Frame> {
     /// A normal output of the wrapped machine.
     Output {
         /// The output's number in its (pair, `dest`) stream, 0, 1, 2, … in
@@ -108,10 +123,29 @@ pub enum FsContent {
         dest: Endpoint,
         /// The output bytes produced by the wrapped machine (refcount-shared
         /// with the comparison pools and the transport).
-        bytes: Bytes,
+        bytes: B,
     },
     /// The fail-signal unique to this FS process.
     FailSignal,
+}
+
+impl<B: Into<Frame>> FsContent<B> {
+    /// The same content with its body as a [`Frame`] (a refcount move, no
+    /// copy).
+    fn into_frame(self) -> FsContent {
+        match self {
+            FsContent::Output {
+                output_seq,
+                dest,
+                bytes,
+            } => FsContent::Output {
+                output_seq,
+                dest,
+                bytes: bytes.into(),
+            },
+            FsContent::FailSignal => FsContent::FailSignal,
+        }
+    }
 }
 
 impl Wire for FsContent {
@@ -125,7 +159,7 @@ impl Wire for FsContent {
                 enc.put_u8(0);
                 enc.put_u64(*output_seq);
                 encode_endpoint(*dest, enc);
-                enc.put_shared(bytes);
+                enc.put_frame(bytes);
             }
             FsContent::FailSignal => enc.put_u8(1),
         }
@@ -135,17 +169,19 @@ impl Wire for FsContent {
             0 => Ok(FsContent::Output {
                 output_seq: dec.get_u64()?,
                 dest: decode_endpoint(dec)?,
-                bytes: dec.get_bytes_shared()?,
+                bytes: dec.get_frame()?,
             }),
             1 => Ok(FsContent::FailSignal),
             t => Err(CodecError::UnknownTag(t)),
         }
     }
     fn encoded_len(&self) -> usize {
-        1 + match self {
-            FsContent::Output { dest, bytes, .. } => 8 + endpoint_len(*dest) + 4 + bytes.len(),
+        1_usize.saturating_add(match self {
+            FsContent::Output { dest, bytes, .. } => endpoint_len(*dest)
+                .saturating_add(8 + 4)
+                .saturating_add(bytes.len()),
             FsContent::FailSignal => 0,
-        }
+        })
     }
 }
 
@@ -182,8 +218,9 @@ fn get_signature(dec: &mut Decoder<'_>) -> Result<Signature, CodecError> {
 /// length the simulated cost model charges a hash pass over.  It
 /// materialises a copy of the output bytes; the wrapper, interceptor and
 /// receiver never call it.
-pub fn signing_bytes(fs: FsId, content: &FsContent) -> Bytes {
-    let mut enc = Encoder::with_capacity(4 + content.encoded_len());
+pub fn signing_bytes<B: Clone + Into<Frame>>(fs: FsId, content: &FsContent<B>) -> Bytes {
+    let content = content.clone().into_frame();
+    let mut enc = Encoder::with_capacity(content.encoded_len().saturating_add(4));
     enc.put_u32(fs.0);
     content.encode(&mut enc);
     enc.finish()
@@ -221,7 +258,7 @@ impl Statement {
             statement.put(&m.0.to_le_bytes());
         }
         statement.put(&(body_len as u32).to_le_bytes());
-        statement.signed_len = statement.len + body_len;
+        statement.signed_len = statement.len.saturating_add(body_len);
         statement.put(body_digest.as_bytes());
         statement
     }
@@ -233,9 +270,9 @@ impl Statement {
     }
 
     /// The statement for `content`, its body digested by `digest_of` —
-    /// [`body_digest`] on the memoised paths, [`Sha256::digest`] on the
+    /// [`body_digest`] on the memoised paths, [`uncached_digest`] on the
     /// reference ones.
-    pub fn of(fs: FsId, content: &FsContent, digest_of: impl FnOnce(&Bytes) -> Digest) -> Self {
+    pub fn of(fs: FsId, content: &FsContent, digest_of: impl FnOnce(&Frame) -> Digest) -> Self {
         match content {
             FsContent::Output {
                 output_seq,
@@ -257,12 +294,23 @@ impl Statement {
         statement
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "a statement writes at most STATEMENT_MAX bytes: a 5-byte header, then \
+                  for an output an 8-byte number, a 1- or 5-byte endpoint, a 4-byte \
+                  length and a 32-byte digest"
+    )]
     fn put(&mut self, bytes: &[u8]) {
         self.bytes[self.len..self.len + bytes.len()].copy_from_slice(bytes);
         self.len += bytes.len();
     }
 
     /// The bytes the signatures cover.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`len` only grows through `put`, which keeps it within STATEMENT_MAX"
+    )]
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes[..self.len]
     }
@@ -306,11 +354,12 @@ impl FsOutput {
     /// in the partner's share as received; the outputs are identical.)
     pub fn sign(
         fs: FsId,
-        content: FsContent,
+        content: FsContent<impl Into<Frame>>,
         first_key: &SigningKey,
         second_key: &SigningKey,
     ) -> Self {
-        let statement = Statement::of(fs, &content, |body| Sha256::digest(body));
+        let content = content.into_frame();
+        let statement = Statement::of(fs, &content, uncached_digest);
         Self {
             fs,
             first: Signature::sign(first_key, statement.as_bytes()),
@@ -375,7 +424,7 @@ impl FsOutput {
         pair: (SignerId, SignerId),
     ) -> Result<(), SignatureError> {
         check_share_signers(&self.first, &self.second, pair)?;
-        let statement = Statement::of(self.fs, &self.content, |body| Sha256::digest(body));
+        let statement = Statement::of(self.fs, &self.content, uncached_digest);
         self.first
             .verify_uncached(directory, statement.as_bytes())?;
         self.second.verify_uncached(directory, statement.as_bytes())
@@ -409,7 +458,9 @@ impl Wire for FsOutput {
         })
     }
     fn encoded_len(&self) -> usize {
-        4 + self.content.encoded_len() + 2 * SIGNATURE_LEN
+        self.content
+            .encoded_len()
+            .saturating_add(4 + 2 * SIGNATURE_LEN)
     }
 }
 
@@ -425,7 +476,7 @@ pub enum PairMessage {
         /// The logical source endpoint the input came from.
         source: Endpoint,
         /// The input bytes (already verified and stripped by the leader).
-        bytes: Bytes,
+        bytes: Frame,
     },
     /// Follower → leader: an input the follower received externally but has
     /// not yet seen ordered by the leader (t1 = 0 in the appendix).
@@ -433,7 +484,7 @@ pub enum PairMessage {
         /// The logical source endpoint the input came from.
         source: Endpoint,
         /// The input bytes (already verified and stripped by the follower).
-        bytes: Bytes,
+        bytes: Frame,
     },
     /// Either direction: the sender's signature share over a locally
     /// produced output, submitted for comparison by the remote Compare
@@ -477,12 +528,12 @@ impl Wire for PairMessage {
                 enc.put_u8(0);
                 enc.put_u64(*order_index);
                 encode_endpoint(*source, enc);
-                enc.put_shared(bytes);
+                enc.put_frame(bytes);
             }
             PairMessage::ForwardNew { source, bytes } => {
                 enc.put_u8(1);
                 encode_endpoint(*source, enc);
-                enc.put_shared(bytes);
+                enc.put_frame(bytes);
             }
             PairMessage::Candidate {
                 output_seq,
@@ -505,11 +556,11 @@ impl Wire for PairMessage {
             0 => Ok(PairMessage::Ordered {
                 order_index: dec.get_u64()?,
                 source: decode_endpoint(dec)?,
-                bytes: dec.get_bytes_shared()?,
+                bytes: dec.get_frame()?,
             }),
             1 => Ok(PairMessage::ForwardNew {
                 source: decode_endpoint(dec)?,
-                bytes: dec.get_bytes_shared()?,
+                bytes: dec.get_frame()?,
             }),
             2 => Ok(PairMessage::Candidate {
                 output_seq: dec.get_u64()?,
@@ -522,15 +573,17 @@ impl Wire for PairMessage {
         }
     }
     fn encoded_len(&self) -> usize {
-        1 + match self {
-            PairMessage::Ordered { source, bytes, .. } => {
-                8 + endpoint_len(*source) + 4 + bytes.len()
-            }
-            PairMessage::ForwardNew { source, bytes } => endpoint_len(*source) + 4 + bytes.len(),
+        1_usize.saturating_add(match self {
+            PairMessage::Ordered { source, bytes, .. } => endpoint_len(*source)
+                .saturating_add(8 + 4)
+                .saturating_add(bytes.len()),
+            PairMessage::ForwardNew { source, bytes } => endpoint_len(*source)
+                .saturating_add(4)
+                .saturating_add(bytes.len()),
             PairMessage::Candidate { dest, .. } => {
-                8 + endpoint_len(*dest) + 4 + DIGEST_FIELD_LEN + SIGNATURE_LEN
+                endpoint_len(*dest).saturating_add(8 + 4 + DIGEST_FIELD_LEN + SIGNATURE_LEN)
             }
-        }
+        })
     }
 }
 
@@ -544,7 +597,7 @@ pub enum FsoInbound {
     /// A (claimed) double-signed output from another FS process.
     External(FsOutput),
     /// A raw input from a trusted, co-located client process.
-    Raw(Bytes),
+    Raw(Frame),
 }
 
 impl Wire for FsoInbound {
@@ -560,7 +613,7 @@ impl Wire for FsoInbound {
             }
             FsoInbound::Raw(bytes) => {
                 enc.put_u8(2);
-                enc.put_shared(bytes);
+                enc.put_frame(bytes);
             }
         }
     }
@@ -568,25 +621,33 @@ impl Wire for FsoInbound {
         match dec.get_u8()? {
             0 => Ok(FsoInbound::Pair(PairMessage::decode(dec)?)),
             1 => Ok(FsoInbound::External(FsOutput::decode(dec)?)),
-            2 => Ok(FsoInbound::Raw(dec.get_bytes_shared()?)),
+            2 => Ok(FsoInbound::Raw(dec.get_frame()?)),
             t => Err(CodecError::UnknownTag(t)),
         }
     }
     fn encoded_len(&self) -> usize {
-        1 + match self {
+        1_usize.saturating_add(match self {
             FsoInbound::Pair(m) => m.encoded_len(),
             FsoInbound::External(o) => o.encoded_len(),
-            FsoInbound::Raw(bytes) => 4 + bytes.len(),
-        }
+            FsoInbound::Raw(bytes) => bytes.len().saturating_add(4),
+        })
     }
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "tests index, count and unwrap what they built themselves"
+)]
 mod tests {
     use super::*;
     use fs_common::id::ProcessId;
     use fs_common::rng::DetRng;
     use fs_crypto::keys::provision;
+    use fs_crypto::sha256::Sha256;
 
     fn keys() -> (
         SigningKey,
@@ -628,7 +689,7 @@ mod tests {
             FsContent::Output {
                 output_seq: 3,
                 dest: Endpoint::Peer(MemberId(1)),
-                bytes: vec![1, 2].into(),
+                bytes: Frame::from(vec![1, 2]),
             },
             FsContent::FailSignal,
         ];
@@ -643,7 +704,7 @@ mod tests {
         let content = FsContent::Output {
             output_seq: 0,
             dest: Endpoint::LocalApp,
-            bytes: b"out".to_vec().into(),
+            bytes: Frame::from(b"out".to_vec()),
         };
         let output = FsOutput::sign(FsId(4), content.clone(), &a, &b);
         assert!(output.verify(&dir, (a.signer, b.signer)).is_ok());
@@ -666,14 +727,14 @@ mod tests {
         let content = FsContent::Output {
             output_seq: 0,
             dest: Endpoint::LocalApp,
-            bytes: b"out".to_vec().into(),
+            bytes: Frame::from(b"out".to_vec()),
         };
         let mut output = FsOutput::sign(FsId(4), content, &a, &b);
         // Tamper with the content after signing.
         output.content = FsContent::Output {
             output_seq: 0,
             dest: Endpoint::LocalApp,
-            bytes: b"OUT".to_vec().into(),
+            bytes: Frame::from(b"OUT".to_vec()),
         };
         assert!(output.verify(&dir, (a.signer, b.signer)).is_err());
     }
@@ -683,7 +744,7 @@ mod tests {
         let (a, b, _, dir) = keys();
         let fs = FsId(9);
         // At start-up, wrapper A is handed B's share of the fail-signal.
-        let bytes = signing_bytes(fs, &FsContent::FailSignal);
+        let bytes = signing_bytes(fs, &FsContent::<Frame>::FailSignal);
         let prearmed = Signature::sign(&b, &bytes);
         // When A decides to fail it adds its own share and emits.
         let signal = FsOutput {
@@ -694,13 +755,16 @@ mod tests {
         };
         assert!(signal.is_fail_signal());
         assert!(signal.verify(&dir, (a.signer, b.signer)).is_ok());
-        assert_eq!(signal, FsOutput::sign(fs, FsContent::FailSignal, &a, &b));
+        assert_eq!(
+            signal,
+            FsOutput::sign(fs, FsContent::<Frame>::FailSignal, &a, &b)
+        );
     }
 
     #[test]
     fn forged_double_signature_is_rejected() {
         let (a, b, c, dir) = keys();
-        let content = FsContent::FailSignal;
+        let content = FsContent::<Frame>::FailSignal;
         // c tries to forge a fail-signal for the pair (a, b).
         let forged = FsOutput::sign(FsId(1), content, &c, &c);
         assert!(forged.verify(&dir, (a.signer, b.signer)).is_err());
@@ -714,11 +778,11 @@ mod tests {
             PairMessage::Ordered {
                 order_index: 5,
                 source: Endpoint::LocalApp,
-                bytes: vec![1].into(),
+                bytes: Frame::from(vec![1]),
             },
             PairMessage::ForwardNew {
                 source: Endpoint::Peer(MemberId(2)),
-                bytes: vec![2, 3].into(),
+                bytes: Frame::from(vec![2, 3]),
             },
             PairMessage::Candidate {
                 output_seq: 7,
@@ -746,7 +810,7 @@ mod tests {
             FsContent::Output {
                 output_seq: 0,
                 dest: Endpoint::LocalApp,
-                bytes: vec![1].into(),
+                bytes: Frame::from(vec![1]),
             },
             &a,
             &b,
@@ -754,7 +818,7 @@ mod tests {
         let inbounds = vec![
             FsoInbound::Pair(PairMessage::ForwardNew {
                 source: Endpoint::LocalApp,
-                bytes: vec![].into(),
+                bytes: Frame::from(Vec::new()),
             }),
             FsoInbound::External(output),
             FsoInbound::Raw(b"app request".to_vec().into()),

@@ -307,7 +307,7 @@ mod tests {
         match &deliveries[0] {
             FsDelivery::Output { fs, bytes, .. } => {
                 assert_eq!(*fs, FsId(1));
-                assert_eq!(bytes, b"request-1");
+                assert_eq!(*bytes, b"request-1");
             }
             other => panic!("unexpected delivery {other:?}"),
         }
@@ -579,7 +579,7 @@ mod tests {
         let mut rng = DetRng::new(5);
         let (keys, _dir) = provision([UPSTREAM_A, UPSTREAM_B], &mut rng);
         let (a, b) = (&keys[&SignerId(UPSTREAM_A)], &keys[&SignerId(UPSTREAM_B)]);
-        let signal = FsOutput::sign(UPSTREAM, FsContent::FailSignal, a, b);
+        let signal = FsOutput::sign(UPSTREAM, FsContent::<Frame>::FailSignal, a, b);
         let signal = FsoInbound::External(signal).to_frame();
         pair.leader
             .on_message(&mut pair.leader_ctx, UPSTREAM_A, signal);
@@ -694,7 +694,7 @@ mod tests {
             let content = FsContent::Output {
                 output_seq: seq,
                 dest: Endpoint::LocalApp,
-                bytes: body.to_vec().into(),
+                bytes: Frame::from(body.to_vec()),
             };
             FsoInbound::External(FsOutput::sign(UPSTREAM, content, keys.0, keys.1)).to_frame()
         }
@@ -712,7 +712,7 @@ mod tests {
         let mut d = Downstream::new(CryptoCostModel::era_2003());
         let signal = FsoInbound::External(FsOutput::sign(
             UPSTREAM,
-            FsContent::FailSignal,
+            FsContent::<Frame>::FailSignal,
             &d.up_a,
             &d.up_b,
         ))

@@ -40,9 +40,9 @@ pub enum FsDelivery {
         fs: FsId,
         /// The output's number in its (pair, destination) stream.
         output_seq: u64,
-        /// The output bytes (signatures already stripped), refcount-shared
-        /// with the decoded envelope.
-        bytes: Bytes,
+        /// The output bytes (signatures already stripped): the sub-frame of
+        /// the delivered envelope that carries them, sharing its segments.
+        bytes: Frame,
     },
     /// The first valid fail-signal received from the given FS process.
     FailSignal {
@@ -195,7 +195,7 @@ mod tests {
             FsContent::Output {
                 output_seq: seq,
                 dest: Endpoint::LocalApp,
-                bytes: vec![seq as u8].into(),
+                bytes: Frame::from(vec![seq as u8]),
             },
             a,
             b,
@@ -214,7 +214,7 @@ mod tests {
             Some(FsDelivery::Output {
                 fs: FsId(1),
                 output_seq: 0,
-                bytes: vec![0].into()
+                bytes: Frame::from(vec![0])
             })
         );
         // The second copy — here with its shares in the other order — is
@@ -239,7 +239,7 @@ mod tests {
         // Zero payload copies on the receive path: the delivered bytes share
         // the frame's storage — refcount bumps only (the delivered view,
         // plus the verification memos pinning the content), no new allocation.
-        assert!(bytes.shares_storage(&frame));
+        assert!(bytes.is_contiguous() && bytes.to_bytes().shares_storage(&frame));
         assert!(frame.ref_count() > refs_before);
     }
 
@@ -264,7 +264,7 @@ mod tests {
         let Some(FsDelivery::Output { bytes, .. }) = r.accept_frame(&frame) else {
             panic!("valid output must be accepted");
         };
-        assert!(bytes.same_view(&payload));
+        assert!(bytes.is_contiguous() && bytes.to_bytes().same_view(&payload));
         // The contiguous form of the same frame is the same message: a
         // duplicate.
         assert_eq!(r.accept(&frame.to_bytes()), None);
@@ -303,7 +303,7 @@ mod tests {
         let (a, b, _, dir) = setup();
         let mut r = FsReceiver::new(dir);
         r.register_source(FsId(1), (a.signer, b.signer));
-        let signal = FsOutput::sign(FsId(1), FsContent::FailSignal, &b, &a);
+        let signal = FsOutput::sign(FsId(1), FsContent::<Frame>::FailSignal, &b, &a);
         assert_eq!(
             r.accept_output(signal.clone()),
             Some(FsDelivery::FailSignal { fs: FsId(1) })
@@ -338,7 +338,7 @@ mod tests {
             content: FsContent::Output {
                 output_seq: 0,
                 dest: Endpoint::LocalApp,
-                bytes: b"evil".to_vec().into(),
+                bytes: Frame::from(b"evil".to_vec()),
             },
             ..output(1, 0, &a, &b)
         };

@@ -41,10 +41,27 @@
 //!
 //! The pools hold what that leaves to hold, the comparison pools keyed by
 //! `(dest, output_seq)` (a pair numbers each destination's outputs 0, 1, 2,
-//! …): the ICM pool a local output's digest, bytes (for the external frame)
-//! and own share; the ECM pool a verified remote candidate's length, digest
-//! and share; the IRM pool and the processed-input set `(endpoint, body
-//! digest)` keys.
+//! …): the ICM pool a local output's digest, own share and the output
+//! itself — the rope its machine produced, kept by refcount for the
+//! external frame; the ECM pool a verified remote candidate's length,
+//! digest and share; the IRM pool and the processed-input set `(endpoint,
+//! body digest)` keys.
+//!
+//! ## Frames end to end
+//!
+//! An input reaches the machine as the sub-frame of the envelope that
+//! carried it, and each output leaves as the rope the machine produced:
+//! digested over its segments, spliced whole into the external frame.  A
+//! payload the machine spliced into an output is therefore never copied
+//! here — the same buffer the application sent reaches every member's
+//! upcall.
+
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
 
 use std::collections::BTreeMap;
 
@@ -52,7 +69,7 @@ use fs_common::codec::Wire;
 use fs_common::fasthash::FastSet;
 use fs_common::id::{FsId, ProcessId, Role};
 use fs_common::time::SimDuration;
-use fs_common::{Bytes, Frame};
+use fs_common::Frame;
 use fs_crypto::keys::SignerId;
 use fs_crypto::sha256::Digest;
 use fs_crypto::sig::Signature;
@@ -87,8 +104,8 @@ pub struct FsoStats {
 /// A locally produced, locally signed output.
 #[derive(Debug, Clone)]
 struct LocalOutput {
-    /// The output bytes, kept for the external frame.
-    bytes: Bytes,
+    /// The output as the machine produced it, kept for the external frame.
+    bytes: Frame,
     /// `SHA-256(bytes)`, from signing: the comparison runs over it, the
     /// bytes are not hashed again.
     digest: Digest,
@@ -262,10 +279,17 @@ impl FsoActor {
     }
 
     fn alloc_timer(&mut self, purpose: TimerPurpose) -> TimerId {
-        self.next_timer += 1;
-        let id = TimerId(1000 + self.next_timer);
+        self.next_timer = self.next_timer.saturating_add(1);
+        let id = TimerId(self.next_timer.saturating_add(1000));
         self.timers.insert(id, purpose);
         id
+    }
+
+    /// How long a follower waits for the leader to order an input it
+    /// forwarded: `t2 = 2δ`.
+    fn ordering_timeout(&self) -> SimDuration {
+        let delta = self.config.timing.delta;
+        delta.saturating_add(delta)
     }
 
     fn send_pair(&self, ctx: &mut dyn Context, message: PairMessage) {
@@ -321,7 +345,7 @@ impl FsoActor {
         let signal = self.fail_signal_frame();
         for process in self.config.addresses.fail_signal_targets() {
             ctx.send(process, signal.clone());
-            self.stats.fail_signals_sent += 1;
+            self.stats.fail_signals_sent = self.stats.fail_signals_sent.saturating_add(1);
         }
         // Outstanding comparisons are abandoned.
         self.icmp.clear();
@@ -332,7 +356,7 @@ impl FsoActor {
     fn reply_with_fail_signal(&mut self, ctx: &mut dyn Context, to: ProcessId) {
         let signal = self.fail_signal_frame();
         ctx.send(to, signal);
-        self.stats.fail_signals_sent += 1;
+        self.stats.fail_signals_sent = self.stats.fail_signals_sent.saturating_add(1);
     }
 
     /// Handles an input that has been authenticated (if necessary) and
@@ -342,19 +366,19 @@ impl FsoActor {
         &mut self,
         ctx: &mut dyn Context,
         endpoint: Endpoint,
-        bytes: Bytes,
+        bytes: Frame,
         digest: Digest,
     ) {
         let key = (endpoint, digest);
         if self.seen_inputs.contains(&key) {
-            self.stats.duplicates_suppressed += 1;
+            self.stats.duplicates_suppressed = self.stats.duplicates_suppressed.saturating_add(1);
             return;
         }
         match self.config.role {
             Role::Leader => {
                 self.seen_inputs.insert(key);
                 let order_index = self.order_index;
-                self.order_index += 1;
+                self.order_index = self.order_index.saturating_add(1);
                 self.send_pair(
                     ctx,
                     PairMessage::Ordered {
@@ -369,7 +393,8 @@ impl FsoActor {
                 // t1 = 0: forward immediately to the leader, then wait up to
                 // t2 = 2δ for the leader to order it.
                 if self.irmp.contains_key(&key) {
-                    self.stats.duplicates_suppressed += 1;
+                    self.stats.duplicates_suppressed =
+                        self.stats.duplicates_suppressed.saturating_add(1);
                     return;
                 }
                 self.send_pair(
@@ -380,23 +405,24 @@ impl FsoActor {
                     },
                 );
                 let timer = self.alloc_timer(TimerPurpose::InputOrdering(key));
-                ctx.set_timer(self.config.timing.delta * 2, timer);
+                ctx.set_timer(self.ordering_timeout(), timer);
                 self.irmp.insert(key, IrmpEntry { timer });
             }
         }
     }
 
     /// Runs the wrapped machine on one ordered input and submits every output
-    /// for comparison.  An output the machine spliced is flattened here,
-    /// once: its digest and the external frame take one contiguous buffer.
-    fn process_input(&mut self, ctx: &mut dyn Context, endpoint: Endpoint, bytes: Bytes) {
+    /// for comparison.  The machine gets the input frame as it arrived, and
+    /// each output goes on as the frame the machine produced: a payload it
+    /// spliced in stays the buffer it came in.
+    fn process_input(&mut self, ctx: &mut dyn Context, endpoint: Endpoint, bytes: Frame) {
         let input = MachineInput::new(endpoint, bytes);
         let pi = self.machine.processing_cost(&input);
         ctx.charge_cpu(pi);
-        self.stats.inputs_processed += 1;
+        self.stats.inputs_processed = self.stats.inputs_processed.saturating_add(1);
         let outputs = self.machine.handle(&input);
         for MachineOutput { dest, bytes } in outputs {
-            self.produce_output(ctx, dest, bytes.into_bytes(), pi);
+            self.produce_output(ctx, dest, bytes, pi);
         }
     }
 
@@ -408,13 +434,13 @@ impl FsoActor {
         &mut self,
         ctx: &mut dyn Context,
         dest: Endpoint,
-        bytes: Bytes,
+        bytes: Frame,
         pi: SimDuration,
     ) {
         let output_seq = *self.next_output.entry(dest).or_default();
-        self.next_output.insert(dest, output_seq + 1);
+        self.next_output.insert(dest, output_seq.saturating_add(1));
 
-        // One pass over the bytes at most (none when this buffer, or the
+        // One pass over the bytes at most (none when this rope, or the
         // other replica's equal one, has been digested on this host), then
         // the signature over the statement.  The payload itself is only
         // ever refcount-cloned.
@@ -470,7 +496,7 @@ impl FsoActor {
         remote: EcmpEntry,
     ) {
         if remote.len != local.bytes.len() || remote.digest != local.digest {
-            self.stats.mismatches += 1;
+            self.stats.mismatches = self.stats.mismatches.saturating_add(1);
             self.fail(ctx, "output comparison mismatch");
             return;
         }
@@ -479,16 +505,17 @@ impl FsoActor {
             dest,
             bytes: local.bytes,
         };
-        // One encode of the external frame (header and shares around the
-        // spliced output bytes), refcount-shared across every process the
-        // destination maps to — both wrappers of a peer pair (§2.1: each
-        // Compare process transmits the output to both replicas of the
-        // destination FS process).
+        // One encode of the external frame — the header, the output rope's
+        // head, its body spliced by refcount, its tail and the shares —
+        // refcount-shared across every process the destination maps to:
+        // both wrappers of a peer pair (§2.1: each Compare process
+        // transmits the output to both replicas of the destination FS
+        // process).
         let wire = Self::assemble(&self.config, content, local.signature, remote.signature);
         for process in self.config.addresses.targets(dest) {
             ctx.send(process, wire.clone());
         }
-        self.stats.outputs_validated += 1;
+        self.stats.outputs_validated = self.stats.outputs_validated.saturating_add(1);
     }
 
     fn on_pair_message(&mut self, ctx: &mut dyn Context, message: PairMessage) {
@@ -507,7 +534,7 @@ impl FsoActor {
                     self.fail(ctx, "leader ordering gap");
                     return;
                 }
-                self.order_index += 1;
+                self.order_index = self.order_index.saturating_add(1);
                 let key = (source, body_digest(&bytes));
                 if let Some(entry) = self.irmp.remove(&key) {
                     ctx.cancel_timer(entry.timer);
@@ -516,7 +543,8 @@ impl FsoActor {
                 if self.seen_inputs.insert(key) {
                     self.process_input(ctx, source, bytes);
                 } else {
-                    self.stats.duplicates_suppressed += 1;
+                    self.stats.duplicates_suppressed =
+                        self.stats.duplicates_suppressed.saturating_add(1);
                 }
             }
             PairMessage::ForwardNew { source, bytes } => {
@@ -548,7 +576,7 @@ impl FsoActor {
                         .verify(&self.config.directory, statement.as_bytes())
                         .is_err()
                 {
-                    self.stats.rejected_inputs += 1;
+                    self.stats.rejected_inputs = self.stats.rejected_inputs.saturating_add(1);
                     self.fail(ctx, "invalid candidate signature");
                     return;
                 }
@@ -566,7 +594,8 @@ impl FsoActor {
                     // This output was already compared (its ICM entry is
                     // gone): a duplicate of the candidate that completed it,
                     // or a replay.  Nothing will ever look it up again.
-                    self.stats.duplicates_suppressed += 1;
+                    self.stats.duplicates_suppressed =
+                        self.stats.duplicates_suppressed.saturating_add(1);
                 } else {
                     self.ecmp.insert(key, remote);
                 }
@@ -579,28 +608,28 @@ impl FsoActor {
         // FS process `FsId(m)`, and its two wrappers are its signers.
         let addresses = &self.config.addresses;
         let Some(endpoint @ Endpoint::Peer(member)) = addresses.source(from) else {
-            self.stats.rejected_inputs += 1;
+            self.stats.rejected_inputs = self.stats.rejected_inputs.saturating_add(1);
             return;
         };
         let &[leader, follower] = addresses.processes(member) else {
-            self.stats.rejected_inputs += 1;
+            self.stats.rejected_inputs = self.stats.rejected_inputs.saturating_add(1);
             return;
         };
         let (fs, signers) = (FsId(member.0), (SignerId(leader), SignerId(follower)));
         if output.fs != fs {
-            self.stats.rejected_inputs += 1;
+            self.stats.rejected_inputs = self.stats.rejected_inputs.saturating_add(1);
             return;
         }
         // Verify once: what this frame claims to be is looked up before
         // anything is checked or charged (see [`Accepted`]).
         if self.accepted.contains(fs, &output.content) {
-            self.stats.duplicates_suppressed += 1;
+            self.stats.duplicates_suppressed = self.stats.duplicates_suppressed.saturating_add(1);
             return;
         }
         ctx.charge_cpu(self.config.crypto_costs.verify_double_cost(64));
         // The check hands back the body digest it ran over.
         let Ok(digest) = output.verify_digesting(&self.config.directory, signers) else {
-            self.stats.rejected_inputs += 1;
+            self.stats.rejected_inputs = self.stats.rejected_inputs.saturating_add(1);
             return;
         };
         self.accepted.insert(fs, &output.content);
@@ -609,7 +638,8 @@ impl FsoActor {
                 // A validated fail-signal is converted into the
                 // pre-configured environment input (FS-NewTOP turns it
                 // into a suspicion) and ordered like any other input.
-                if let Some(injected) = self.config.fail_signal_inputs.get(&fs).cloned() {
+                if let Some(injected) = self.config.fail_signal_inputs.get(&fs) {
+                    let injected = Frame::from(injected.clone());
                     let digest = body_digest(&injected);
                     self.on_external_input(ctx, Endpoint::Environment, injected, digest);
                 }
@@ -641,13 +671,13 @@ impl Actor for FsoActor {
         // views of the delivered frame's segments (a spliced body is the
         // sender's own buffer).
         let Ok(inbound) = FsoInbound::from_frame(&payload) else {
-            self.stats.rejected_inputs += 1;
+            self.stats.rejected_inputs = self.stats.rejected_inputs.saturating_add(1);
             return;
         };
         match inbound {
             FsoInbound::Pair(message) => {
                 if from != self.config.partner {
-                    self.stats.rejected_inputs += 1;
+                    self.stats.rejected_inputs = self.stats.rejected_inputs.saturating_add(1);
                     return;
                 }
                 self.on_pair_message(ctx, message);
@@ -659,7 +689,7 @@ impl Actor for FsoActor {
                     let digest = body_digest(&bytes);
                     self.on_external_input(ctx, Endpoint::LocalApp, bytes, digest);
                 } else {
-                    self.stats.rejected_inputs += 1;
+                    self.stats.rejected_inputs = self.stats.rejected_inputs.saturating_add(1);
                 }
             }
         }
@@ -675,13 +705,13 @@ impl Actor for FsoActor {
         match purpose {
             TimerPurpose::OutputCompare(key) => {
                 if self.icmp.remove(&key).is_some() {
-                    self.stats.timeouts += 1;
+                    self.stats.timeouts = self.stats.timeouts.saturating_add(1);
                     self.fail(ctx, "output comparison timeout");
                 }
             }
             TimerPurpose::InputOrdering(key) => {
                 if self.irmp.remove(&key).is_some() {
-                    self.stats.timeouts += 1;
+                    self.stats.timeouts = self.stats.timeouts.saturating_add(1);
                     self.fail(ctx, "leader failed to order an input in time");
                 }
             }
@@ -722,7 +752,7 @@ impl Actor for FsoActor {
         let pending_inputs: Vec<InputKey> = self.irmp.keys().copied().collect();
         for key in pending_inputs {
             let timer = self.alloc_timer(TimerPurpose::InputOrdering(key));
-            ctx.set_timer(self.config.timing.delta * 2, timer);
+            ctx.set_timer(self.ordering_timeout(), timer);
             if let Some(entry) = self.irmp.get_mut(&key) {
                 entry.timer = timer;
             }

@@ -70,18 +70,18 @@ fn with_every_wire_type(
     let content = FsContent::Output {
         output_seq: seq,
         dest: endpoint,
-        bytes: body.clone(),
+        bytes: Frame::from(body.clone()),
     };
     let output = FsOutput::sign(FsId(3), content.clone(), &a, &b);
-    let signal = FsOutput::sign(FsId(3), FsContent::FailSignal, &b, &a);
+    let signal = FsOutput::sign(FsId(3), FsContent::<Frame>::FailSignal, &b, &a);
     let ordered = PairMessage::Ordered {
         order_index: seq,
         source: endpoint,
-        bytes: body.clone(),
+        bytes: body.clone().into(),
     };
     let forward = PairMessage::ForwardNew {
         source: endpoint,
-        bytes: body.clone(),
+        bytes: body.clone().into(),
     };
     let candidate = PairMessage::Candidate {
         output_seq: seq,
@@ -116,7 +116,7 @@ fn with_every_wire_type(
     check(&FsoInbound::Pair(candidate.clone()), None);
     check(&FsoInbound::External(output.clone()), spliced);
     check(&FsoInbound::External(signal.clone()), None);
-    check(&FsoInbound::Raw(body.clone()), spliced);
+    check(&FsoInbound::Raw(body.clone().into()), spliced);
 
     // newtop::message
     check(&ServiceKind::Causal, None);
@@ -343,11 +343,13 @@ fn frames_hold_the_wire_bytes_at_10_240_and_at_the_boundary() {
 #[test]
 fn spliced_frames_decode_to_the_senders_buffer() {
     let body = body(10_240, 0);
-    let frame = FsoInbound::Raw(body.clone()).to_frame();
+    let frame = FsoInbound::Raw(body.clone().into()).to_frame();
     let Ok(FsoInbound::Raw(decoded)) = FsoInbound::from_frame(&frame) else {
         panic!("own frame decodes");
     };
-    assert!(decoded.same_view(&body));
+    let [carried, ..] = decoded.segments();
+    assert!(decoded.is_contiguous());
+    assert!(std::ptr::eq(carried, &body[..]));
     let request = AppRequest {
         service: ServiceKind::SymmetricTotal,
         payload: body.clone(),

@@ -32,10 +32,11 @@ use fs_smr_suite::common::codec::Wire;
 use fs_smr_suite::common::id::{FsId, MemberId, ProcessId};
 use fs_smr_suite::common::rng::DetRng;
 use fs_smr_suite::common::time::{SimDuration, SimTime};
-use fs_smr_suite::common::Bytes;
+use fs_smr_suite::common::{Bytes, Frame};
 use fs_smr_suite::crypto::keys::{provision, SignerId};
 use fs_smr_suite::crypto::sha256::{CompressBackend, Sha256};
 use fs_smr_suite::crypto::sig::Signature;
+use fs_smr_suite::failsignal::digest::uncached_digest;
 use fs_smr_suite::failsignal::message::{FsContent, FsOutput, FsoInbound, PairMessage, Statement};
 use fs_smr_suite::faults::{FaultKind, FaultPlan};
 use fs_smr_suite::harness::{
@@ -66,7 +67,7 @@ fn frames(payload_len: usize) -> (Bytes, Bytes) {
     let content = FsContent::Output {
         output_seq: 7,
         dest: Endpoint::Peer(MemberId(2)),
-        bytes: payload.clone(),
+        bytes: Frame::from(payload.clone()),
     };
     let candidate = FsoInbound::Pair(PairMessage::Candidate {
         output_seq: 7,
@@ -75,7 +76,7 @@ fn frames(payload_len: usize) -> (Bytes, Bytes) {
         digest: Sha256::digest(&payload),
         signature: Signature::sign(
             &follower,
-            Statement::of(fs, &content, |body| Sha256::digest(body)).as_bytes(),
+            Statement::of(fs, &content, uncached_digest).as_bytes(),
         ),
     });
     let external = FsoInbound::External(FsOutput::sign(fs, content, &leader, &follower));

@@ -56,7 +56,7 @@
 use fs_smr_suite::common::id::{FsId, ProcessId};
 use fs_smr_suite::common::rng::DetRng;
 use fs_smr_suite::common::time::{SimDuration, SimTime};
-use fs_smr_suite::common::Bytes;
+use fs_smr_suite::common::Frame;
 use fs_smr_suite::crypto::keys::{provision, SignerId};
 use fs_smr_suite::crypto::sha256::{blocks_compressed, Digest};
 use fs_smr_suite::crypto::sig::Signature;
@@ -181,15 +181,15 @@ fn signing_an_already_digested_10k_body_hashes_no_body_block() {
         Signature::sign(key, statement.as_bytes());
     };
     // One wrapper's signing round: digest the body, sign the statement.
-    let round = |body: &Bytes| counted(&|| sign(body.len(), body_digest(body)));
+    let round = |body: &Frame| counted(&|| sign(body.len(), body_digest(body)));
 
-    let own = Bytes::from(vec![0x33u8; 10 * 1024]);
+    let own = Frame::from(vec![0x33u8; 10 * 1024]);
     let signing = counted(&|| sign(own.len(), Digest([0u8; 32])));
     // A 3-byte body is under the memo's floor: its one block, every time.
-    let small = round(&Bytes::from(vec![0x33u8; 3]));
+    let small = round(&Frame::from(vec![0x33u8; 3]));
     let unseen = round(&own);
     let same_buffer = round(&own);
-    let equal_content = round(&Bytes::copy_from_slice(&own));
+    let equal_content = round(&Frame::from(own.to_vec()));
     println!(
         "blocks per signing round: statement alone {signing}, 3 B {small}, 10 KiB unseen \
          {unseen}, same buffer {same_buffer}, equal content {equal_content}"

@@ -461,7 +461,7 @@ proptest! {
         let content = FsContent::Output {
             output_seq: seq,
             dest: endpoint,
-            bytes: shared_payload.clone(),
+            bytes: Frame::from(shared_payload.clone()),
         };
         check(&content);
         check(&FsContent::FailSignal);
@@ -470,9 +470,9 @@ proptest! {
         check(&PairMessage::Ordered {
             order_index: seq,
             source: endpoint,
-            bytes: shared_payload.clone(),
+            bytes: shared_payload.clone().into(),
         });
-        check(&PairMessage::ForwardNew { source: endpoint, bytes: shared_payload.clone() });
+        check(&PairMessage::ForwardNew { source: endpoint, bytes: shared_payload.clone().into() });
         check(&PairMessage::Candidate {
             output_seq: seq,
             dest: endpoint,
@@ -480,9 +480,9 @@ proptest! {
             digest: Sha256::digest(&shared_payload),
             signature: Signature::sign(&key_a, &shared_payload),
         });
-        check(&FsoInbound::Pair(PairMessage::ForwardNew { source: endpoint, bytes: shared_payload.clone() }));
+        check(&FsoInbound::Pair(PairMessage::ForwardNew { source: endpoint, bytes: shared_payload.clone().into() }));
         check(&FsoInbound::External(output));
-        check(&FsoInbound::Raw(shared_payload.clone()));
+        check(&FsoInbound::Raw(shared_payload.clone().into()));
 
         // smr client/replica frames (the other per-message hot path).
         let id = RequestId::new(ProcessId(member), seq);
@@ -599,13 +599,13 @@ proptest! {
         let content = FsContent::Output {
             output_seq: seq,
             dest: Ep::Peer(MemberId(member)),
-            bytes: shared_payload.clone(),
+            bytes: Frame::from(shared_payload.clone()),
         };
         let frame = content.to_wire();
         let shared = FsContent::from_wire_shared(&frame).unwrap();
         prop_assert_eq!(&shared, &FsContent::from_wire(&frame).unwrap());
         let FsContent::Output { bytes, .. } = &shared else { unreachable!() };
-        prop_assert!(bytes.shares_storage(&frame), "decoded payload must be a frame view");
+        prop_assert!(is_view_of(bytes, &frame), "decoded payload must be a frame view");
 
         // The full inbound envelope, as the wrapper receives it.
         let output = FsOutput::sign(FsId(member), content, &key_a, &key_b);
@@ -615,7 +615,7 @@ proptest! {
         prop_assert_eq!(&shared, &FsoInbound::from_wire(&frame).unwrap());
         if let FsoInbound::External(o) = &shared {
             if let FsContent::Output { bytes, .. } = &o.content {
-                prop_assert!(bytes.shares_storage(&frame));
+                prop_assert!(is_view_of(bytes, &frame));
             }
         }
 
@@ -623,20 +623,20 @@ proptest! {
         let pair = FsoInbound::Pair(PairMessage::Ordered {
             order_index: seq,
             source: Ep::Broadcast,
-            bytes: shared_payload.clone(),
+            bytes: shared_payload.clone().into(),
         });
         let frame = pair.to_wire();
         let shared = FsoInbound::from_wire_shared(&frame).unwrap();
         prop_assert_eq!(&shared, &FsoInbound::from_wire(&frame).unwrap());
         if let FsoInbound::Pair(PairMessage::Ordered { bytes, .. }) = &shared {
-            prop_assert!(bytes.shares_storage(&frame));
+            prop_assert!(is_view_of(bytes, &frame));
         }
-        let raw = FsoInbound::Raw(shared_payload.clone());
+        let raw = FsoInbound::Raw(shared_payload.clone().into());
         let frame = raw.to_wire();
         let shared = FsoInbound::from_wire_shared(&frame).unwrap();
         prop_assert_eq!(&shared, &FsoInbound::from_wire(&frame).unwrap());
         if let FsoInbound::Raw(bytes) = &shared {
-            prop_assert!(bytes.shares_storage(&frame));
+            prop_assert!(is_view_of(bytes, &frame));
         }
 
         // The SMR client/replica frames.
@@ -990,7 +990,7 @@ fn wire_corpus() -> Vec<Vec<u8>> {
             signature: Signature::sign(&key_a, &body),
         })
         .to_wire(),
-        FsoInbound::Raw(body.clone()).to_wire(),
+        FsoInbound::Raw(body.clone().into()).to_wire(),
         GcMessage::Data {
             origin: MemberId(1),
             seq: 3,
@@ -1069,6 +1069,12 @@ fn hostile_entry_count(snapshot: &[u8]) -> Bytes {
     let mut bytes = snapshot.to_vec();
     bytes[8..12].fill(0xff);
     bytes.into()
+}
+
+/// True when `field` was decoded as one view of `frame`'s storage, not a
+/// copy.
+fn is_view_of(field: &Frame, frame: &Bytes) -> bool {
+    field.is_contiguous() && field.to_bytes().shares_storage(frame)
 }
 
 /// Hands `bytes` to every decoder reachable from the wire.  Each may return
@@ -1421,6 +1427,274 @@ fn kv_input_corpus() -> Vec<MachineInput> {
     corpus
 }
 
+/// Fail-signal member 0 of a group of three, hosted as a pair (leader 20,
+/// follower 21) around two GC replicas, with its interceptor (process 30)
+/// serving the application at process 10.  Member 1's pair is 22 and 23;
+/// 99 holds a key nobody registered as a wrapper of anything.
+struct FsMember {
+    leader: fs_smr_suite::failsignal::FsoActor,
+    follower: fs_smr_suite::failsignal::FsoActor,
+    interceptor: fs_smr_suite::failsignal::FsInterceptor,
+    leader_ctx: fs_smr_suite::simnet::actor::TestContext,
+    follower_ctx: fs_smr_suite::simnet::actor::TestContext,
+    interceptor_ctx: fs_smr_suite::simnet::actor::TestContext,
+}
+
+const PAIR_LEADER: ProcessId = ProcessId(20);
+const PAIR_FOLLOWER: ProcessId = ProcessId(21);
+const PEER_PAIR_LEADER: ProcessId = ProcessId(22);
+const PEER_PAIR_FOLLOWER: ProcessId = ProcessId(23);
+const MEMBER_APP: ProcessId = ProcessId(10);
+const MEMBER_INTERCEPTOR: ProcessId = ProcessId(30);
+const STRANGER: ProcessId = ProcessId(99);
+
+/// The keys of every process that signs in [`fs_member_corpus`].
+fn fs_keys() -> (
+    std::collections::BTreeMap<SignerId, fs_smr_suite::crypto::keys::SigningKey>,
+    std::sync::Arc<fs_smr_suite::crypto::keys::KeyDirectory>,
+) {
+    let signers = [
+        PAIR_LEADER,
+        PAIR_FOLLOWER,
+        PEER_PAIR_LEADER,
+        PEER_PAIR_FOLLOWER,
+        STRANGER,
+    ];
+    let (keys, directory) = provision(signers, &mut DetRng::new(41));
+    (keys.into_iter().collect(), directory)
+}
+
+impl FsMember {
+    fn new() -> Self {
+        use fs_smr_suite::crypto::cost::CryptoCostModel;
+        use fs_smr_suite::failsignal::provision::{FsPairBuilder, FsPairSpec};
+        use fs_smr_suite::failsignal::FsInterceptor;
+        use fs_smr_suite::simnet::actor::TestContext;
+        use fs_smr_suite::smr::machine::AddressMap;
+
+        let (mut keys, directory) = fs_keys();
+        let group: Vec<MemberId> = (0..3).map(MemberId).collect();
+        let machine = || -> Box<dyn DeterministicMachine> {
+            let config = GcConfig::new(MemberId(0), group.clone()).with_costs(GcCosts::free());
+            Box::new(GcMachine::new(config))
+        };
+        let speakers: std::sync::Arc<[ProcessId]> = std::sync::Arc::new([
+            PAIR_LEADER,
+            PAIR_FOLLOWER,
+            PEER_PAIR_LEADER,
+            PEER_PAIR_FOLLOWER,
+            ProcessId(24),
+            ProcessId(25),
+        ]);
+        let (leader, follower) =
+            FsPairBuilder::new(FsPairSpec::new(FsId(0), PAIR_LEADER, PAIR_FOLLOWER))
+                .crypto_costs(CryptoCostModel::free())
+                .addresses(AddressMap::new(speakers, 2, MemberId(0), MEMBER_INTERCEPTOR))
+                .build(
+                    keys.remove(&SignerId(PAIR_LEADER)).unwrap(),
+                    keys.remove(&SignerId(PAIR_FOLLOWER)).unwrap(),
+                    directory.clone(),
+                    (machine(), machine()),
+                );
+        Self {
+            leader,
+            follower,
+            interceptor: FsInterceptor::new(MEMBER_APP, FsId(0), PAIR_LEADER, PAIR_FOLLOWER, directory),
+            leader_ctx: TestContext::new(PAIR_LEADER),
+            follower_ctx: TestContext::new(PAIR_FOLLOWER),
+            interceptor_ctx: TestContext::new(MEMBER_INTERCEPTOR),
+        }
+    }
+
+    /// Hands `frame` from `from` to the wrapper or interceptor `to` picks
+    /// (0 the leader, 1 the follower, else the interceptor).
+    fn deliver(&mut self, to: u8, from: ProcessId, frame: Frame) {
+        match to {
+            0 => self.leader.on_message(&mut self.leader_ctx, from, frame),
+            1 => self
+                .follower
+                .on_message(&mut self.follower_ctx, from, frame),
+            _ => self
+                .interceptor
+                .on_message(&mut self.interceptor_ctx, from, frame),
+        }
+    }
+
+    /// Everything the three sent since the last call, by logical bytes, and
+    /// what the wrappers and the interceptor count.
+    fn observe(&mut self) -> impl PartialEq + std::fmt::Debug {
+        let sent = [
+            &mut self.leader_ctx,
+            &mut self.follower_ctx,
+            &mut self.interceptor_ctx,
+        ]
+        .map(|ctx| {
+            ctx.take_sent()
+                .into_iter()
+                .map(|o| (o.to, o.payload.to_vec()))
+                .collect::<Vec<_>>()
+        });
+        let stats = (self.leader.stats(), self.follower.stats());
+        let pools = (self.leader.pool_sizes(), self.follower.pool_sizes());
+        let interceptor = (
+            self.interceptor.receiver_stats(),
+            self.interceptor.requests_forwarded(),
+            self.interceptor.upcalls_delivered(),
+            self.interceptor.local_fail_signalled(),
+        );
+        (sent, stats, pools, interceptor)
+    }
+}
+
+/// Valid frames a fail-signal member's wrappers and interceptor take, each
+/// with its sender: member 1's double-signed `Data` (small, and large
+/// enough to be spliced; one numbered `u64::MAX`; one signed by a stranger)
+/// and fail-signal, the partner's orderings (at index 0 and `u64::MAX`),
+/// forwards and candidates (numbered `u64::MAX`, one signed by a
+/// stranger), the application's raw request, and the pair's own upcalls
+/// (one numbered `u64::MAX`).  The seeds the FS hostile-peer property
+/// mutates and cuts.
+fn fs_member_corpus() -> Vec<(ProcessId, Bytes)> {
+    use fs_smr_suite::smr::machine::Endpoint as Ep;
+
+    let (keys, _) = fs_keys();
+    let key = |p: ProcessId| &keys[&SignerId(p)];
+    let data = |seq: u64, len: usize| {
+        GcMessage::Data {
+            origin: MemberId(1),
+            seq,
+            ts: seq.wrapping_add(1),
+            vc: vec![],
+            service: ServiceKind::Unreliable,
+            payload: vec![0x5a; len].into(),
+        }
+        .to_frame()
+    };
+    let external = |fs: u32, seq: u64, dest: Ep, body: Frame, signers: (ProcessId, ProcessId)| {
+        let content = FsContent::Output {
+            output_seq: seq,
+            dest,
+            bytes: body,
+        };
+        FsoInbound::External(FsOutput::sign(
+            FsId(fs),
+            content,
+            key(signers.0),
+            key(signers.1),
+        ))
+        .to_frame()
+    };
+    let peer = (PEER_PAIR_LEADER, PEER_PAIR_FOLLOWER);
+    let own = (PAIR_LEADER, PAIR_FOLLOWER);
+    let candidate = |seq: u64, signer: ProcessId| {
+        let body = data(0, 3);
+        let digest = fs_smr_suite::failsignal::digest::uncached_digest(&body);
+        let statement = fs_smr_suite::failsignal::message::Statement::output(
+            FsId(0),
+            seq,
+            Ep::Broadcast,
+            body.len(),
+            &digest,
+        );
+        FsoInbound::Pair(PairMessage::Candidate {
+            output_seq: seq,
+            dest: Ep::Broadcast,
+            body_len: body.len() as u32,
+            digest,
+            signature: Signature::sign(key(signer), statement.as_bytes()),
+        })
+        .to_frame()
+    };
+    let upcall = |seq: u64| {
+        let deliver = newtop_msg::Upcall::Deliver(newtop_msg::AppDeliver {
+            origin: MemberId(1),
+            seq,
+            order: seq,
+            service: ServiceKind::Unreliable,
+            payload: b"p".to_vec().into(),
+        });
+        external(0, seq, Ep::LocalApp, deliver.to_frame(), own)
+    };
+    let request = AppRequest {
+        service: ServiceKind::Unreliable,
+        payload: vec![0x33; 2048].into(),
+    };
+    let frames = vec![
+        (
+            PEER_PAIR_LEADER,
+            external(1, 0, Ep::Broadcast, data(0, 3), peer),
+        ),
+        (
+            PEER_PAIR_FOLLOWER,
+            external(1, 1, Ep::Broadcast, data(1, 2048), peer),
+        ),
+        (
+            PEER_PAIR_LEADER,
+            external(1, u64::MAX, Ep::Broadcast, data(u64::MAX, 3), peer),
+        ),
+        (
+            PEER_PAIR_LEADER,
+            external(
+                1,
+                2,
+                Ep::Broadcast,
+                data(2, 3),
+                (PEER_PAIR_LEADER, STRANGER),
+            ),
+        ),
+        (
+            PEER_PAIR_FOLLOWER,
+            FsoInbound::External(FsOutput::sign(
+                FsId(1),
+                FsContent::<Frame>::FailSignal,
+                key(PEER_PAIR_FOLLOWER),
+                key(PEER_PAIR_LEADER),
+            ))
+            .to_frame(),
+        ),
+        (
+            PAIR_LEADER,
+            FsoInbound::Pair(PairMessage::Ordered {
+                order_index: 0,
+                source: Ep::Peer(MemberId(1)),
+                bytes: data(3, 2048),
+            })
+            .to_frame(),
+        ),
+        (
+            PAIR_LEADER,
+            FsoInbound::Pair(PairMessage::Ordered {
+                order_index: u64::MAX,
+                source: Ep::Peer(MemberId(1)),
+                bytes: data(4, 3),
+            })
+            .to_frame(),
+        ),
+        (
+            PAIR_FOLLOWER,
+            FsoInbound::Pair(PairMessage::ForwardNew {
+                source: Ep::LocalApp,
+                bytes: request.to_frame(),
+            })
+            .to_frame(),
+        ),
+        (PAIR_FOLLOWER, candidate(u64::MAX, PAIR_FOLLOWER)),
+        (PAIR_LEADER, candidate(0, PAIR_LEADER)),
+        (PAIR_FOLLOWER, candidate(1, STRANGER)),
+        (
+            MEMBER_INTERCEPTOR,
+            FsoInbound::Raw(request.to_frame()).to_frame(),
+        ),
+        (MEMBER_APP, request.to_frame()),
+        (PAIR_LEADER, upcall(0)),
+        (PAIR_FOLLOWER, upcall(u64::MAX)),
+    ];
+    frames
+        .into_iter()
+        .map(|(from, frame)| (from, frame.to_bytes()))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases().max(256)))]
 
@@ -1517,6 +1791,37 @@ proptest! {
             commands: vec![KvCommand::Put { key: "last".into(), value: vec![] }.to_wire()],
         };
         machine.handle(&MachineInput::from_app(request.to_wire()));
+    }
+
+    /// Hostile peers into a fail-signal member: its leader, its follower
+    /// and its interceptor, each fed valid and then mutated frames of every
+    /// kind they take (see [`fs_member_corpus`]: `u64::MAX` order indices
+    /// and output numbers, wrong signers, and, mutated, truncations and
+    /// over-long lengths), from the sender each names or from another.  A
+    /// twin member gets every frame cut at two arbitrary points.  Nothing
+    /// may panic, and the twins must send the same bytes and count the same
+    /// after every frame.  CI runs 4 096 cases (`PROPTEST_CASES`).
+    #[test]
+    fn hostile_peer_frames_never_panic_the_wrapper_or_the_interceptor(
+        steps in proptest::collection::vec(
+            (
+                (0usize..64, 0u8..3, any::<bool>()),
+                (0u8..4, any::<u32>(), any::<u8>()),
+                (any::<u32>(), any::<u32>()),
+            ),
+            1..10,
+        ),
+    ) {
+        let corpus = fs_member_corpus();
+        let (mut whole, mut split) = (FsMember::new(), FsMember::new());
+        for ((pick, to, impostor), (mutation, at, byte), (a, b)) in steps {
+            let (sender, frame) = &corpus[pick % corpus.len()];
+            let from = if impostor { STRANGER } else { *sender };
+            let frame = Bytes::from(mutated(frame.to_vec(), mutation, at, byte));
+            whole.deliver(to, from, frame.clone().into());
+            split.deliver(to, from, cut(&frame, a, b));
+            prop_assert_eq!(split.observe(), whole.observe());
+        }
     }
 
     /// Hostile peers into a GC member: valid frames of every service, order,

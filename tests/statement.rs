@@ -19,11 +19,11 @@
 
 use fs_smr_suite::common::id::{FsId, MemberId, ProcessId};
 use fs_smr_suite::common::rng::DetRng;
-use fs_smr_suite::common::{Bytes, SignatureError};
+use fs_smr_suite::common::{Bytes, Frame, SignatureError};
 use fs_smr_suite::crypto::keys::{provision, KeyDirectory, SignerId, SigningKey};
 use fs_smr_suite::crypto::sha256::Sha256;
 use fs_smr_suite::crypto::sig::Signature;
-use fs_smr_suite::failsignal::digest::body_digest;
+use fs_smr_suite::failsignal::digest::{body_digest, uncached_digest};
 use fs_smr_suite::failsignal::message::{
     endpoint_len, signing_bytes, FsContent, FsOutput, Statement,
 };
@@ -69,14 +69,14 @@ fn statement_is_the_signed_header_then_the_body_digest() {
             let content = FsContent::Output {
                 output_seq: 0x1122_3344_5566_7788,
                 dest,
-                bytes: body.clone(),
+                bytes: Frame::from(body.clone()),
             };
             let full = signing_bytes(fs, &content);
             let header = &full[..full.len() - len];
             assert_eq!(header.len(), 17 + endpoint_len(dest));
             let expected = [header, Sha256::digest(&body).as_bytes()].concat();
             for statement in [
-                Statement::of(fs, &content, |b| Sha256::digest(b)),
+                Statement::of(fs, &content, uncached_digest),
                 Statement::of(fs, &content, body_digest),
             ] {
                 assert_eq!(statement.as_bytes(), expected, "{dest:?}, {len} B");
@@ -87,7 +87,7 @@ fn statement_is_the_signed_header_then_the_body_digest() {
     let signal = Statement::fail_signal(fs);
     assert_eq!(
         signal.as_bytes(),
-        &signing_bytes(fs, &FsContent::FailSignal)[..]
+        &signing_bytes(fs, &FsContent::<Frame>::FailSignal)[..]
     );
     assert_eq!(signal.signed_len(), 5);
 }
@@ -108,7 +108,7 @@ fn output_signatures_cover_the_statement() {
         let content = FsContent::Output {
             output_seq: 11,
             dest: Endpoint::Peer(MemberId(1)),
-            bytes: body.clone(),
+            bytes: Frame::from(body.clone()),
         };
         let output = FsOutput::sign(fs, content.clone(), &a, &b);
         let statement = Statement::output(
@@ -150,7 +150,7 @@ fn both_shares_are_signatures_of_the_statement() {
         dest: Endpoint::Peer(MemberId(1)),
         bytes: b"out"[..].into(),
     };
-    let statement = Statement::of(fs, &content, |b| Sha256::digest(b));
+    let statement = Statement::of(fs, &content, uncached_digest);
     let hex: String = statement
         .as_bytes()
         .iter()
@@ -177,7 +177,7 @@ fn shares_must_come_from_both_signers_of_the_pair_and_nobody_else() {
     let content = || FsContent::Output {
         output_seq: 3,
         dest: Endpoint::LocalApp,
-        bytes: b"out"[..].into(),
+        bytes: Frame::from(&b"out"[..]),
     };
     for (first, second, verdict) in [
         (&a, &b, Ok(())),
@@ -212,7 +212,7 @@ fn shares_of_two_different_statements_never_verify_together() {
         let content = FsContent::Output {
             output_seq: seq,
             dest,
-            bytes: body.to_vec().into(),
+            bytes: Frame::from(body),
         };
         FsOutput::sign(FsId(fs), content, &a, &b)
     };
@@ -224,7 +224,7 @@ fn shares_of_two_different_statements_never_verify_together() {
         output(4, 11, Endpoint::Broadcast, b"out"),
         output(4, 11, Endpoint::LocalApp, b"ouT"),
         output(4, 11, Endpoint::LocalApp, b"out!"),
-        FsOutput::sign(FsId(4), FsContent::FailSignal, &a, &b),
+        FsOutput::sign(FsId(4), FsContent::<Frame>::FailSignal, &a, &b),
     ] {
         assert!(other.verify(&dir, pair).is_ok());
         for (around, first, second) in [
@@ -263,7 +263,7 @@ fn the_statement_binds_every_field_and_every_body_byte() {
             FsContent::Output {
                 output_seq: 11,
                 dest,
-                bytes: body.clone().into(),
+                bytes: Frame::from(body.clone()),
             },
             &a,
             &b,
@@ -342,9 +342,9 @@ fn fail_signal_signatures_are_over_the_five_header_bytes() {
     let fs = FsId(0x0102_0304);
     let raw = [0x04, 0x03, 0x02, 0x01, 0x01];
     assert_eq!(Statement::fail_signal(fs).as_bytes(), raw);
-    assert_eq!(signing_bytes(fs, &FsContent::FailSignal), raw);
+    assert_eq!(signing_bytes(fs, &FsContent::<Frame>::FailSignal), raw);
     let (a, b, _, dir) = keys();
-    let signal = FsOutput::sign(fs, FsContent::FailSignal, &b, &a);
+    let signal = FsOutput::sign(fs, FsContent::<Frame>::FailSignal, &b, &a);
     assert_eq!(signal.first, Signature::sign(&b, &raw));
     assert_eq!(signal.second, Signature::sign(&a, &raw));
     assert!(signal.verify(&dir, (a.signer, b.signer)).is_ok());
@@ -368,16 +368,17 @@ fn every_route_gives_the_sha256_of_the_bytes() {
         // Twice each: the second presentation takes whichever memo
         // route the first one opened.
         for body in [&own, &own, &distinct, &distinct, &window, &window] {
-            assert_eq!(body_digest(body), expected, "len {len}");
+            assert_eq!(body_digest(&body.clone().into()), expected, "len {len}");
         }
-        assert_eq!(body_digest(&window.compact()), expected, "len {len}");
+        assert_eq!(body_digest(&window.compact().into()), expected, "len {len}");
         // The other order: a window first, then buffers of their own.
         let data = pattern(len, 0x5a);
         let expected = Sha256::digest(&data);
         let frame = Bytes::from([&[1u8, 2, 3][..], &data].concat());
         let window = frame.slice(3..);
+        let window = Frame::from(window);
         assert_eq!(body_digest(&window), expected, "len {len}");
-        assert_eq!(body_digest(&Bytes::from(data)), expected, "len {len}");
+        assert_eq!(body_digest(&Frame::from(data)), expected, "len {len}");
         assert_eq!(body_digest(&window), expected, "len {len}");
     }
 }
@@ -390,7 +391,7 @@ fn a_buffer_differing_in_one_byte_never_hits() {
     for len in [1024, 10 * 1024] {
         let base = pattern(len, 4);
         assert_eq!(
-            body_digest(&Bytes::from(base.clone())),
+            body_digest(&Frame::from(base.clone())),
             Sha256::digest(&base)
         );
         // The caller dropped its buffer above; the memo still pins it.
@@ -398,7 +399,7 @@ fn a_buffer_differing_in_one_byte_never_hits() {
             let mut forged = base.clone();
             forged[flip] ^= 0x01;
             let expected = Sha256::digest(&forged);
-            let forged = Bytes::from(forged);
+            let forged = Frame::from(forged);
             assert_eq!(body_digest(&forged), expected, "len {len}, byte {flip}");
             assert_eq!(body_digest(&forged), expected, "len {len}, byte {flip}");
             assert_ne!(expected, Sha256::digest(&base));

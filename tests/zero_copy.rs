@@ -282,7 +282,10 @@ fn pair_handles(data: &GcMessage) -> AllocCounts {
             leader_key,
             follower_key,
             directory,
-            (spec.machine(MemberId(0), &group), spec.machine(MemberId(0), &group)),
+            (
+                spec.machine(MemberId(0), &group),
+                spec.machine(MemberId(0), &group),
+            ),
         );
     let (mut leader_ctx, mut follower_ctx) = (TestContext::new(LEADER), TestContext::new(FOLLOWER));
     let mut upcalls = Vec::new();
