@@ -675,7 +675,7 @@ impl<'a> Decoder<'a> {
         // A frame has at most three segments, so the field spans at most
         // three; empty stretches are skipped.
         let mut parts: [Bytes; 3] = Default::default();
-        let (mut found, mut left) = (0, len);
+        let mut left = len;
         for part in &mut parts {
             while self.pos == self.buf.len() && self.next_segment() {}
             let (Some(segment), true) = (self.shared, left > 0) else {
@@ -685,14 +685,10 @@ impl<'a> Decoder<'a> {
             *part = segment.slice(self.pos..self.pos + here);
             self.pos += here;
             left -= here;
-            found += 1;
         }
         debug_assert_eq!(left, 0, "a field spans at most three segments");
         let [first, second, third] = parts;
-        Ok(match found {
-            0 | 1 => first.into(),
-            _ => Frame::from_segments(first, second, third),
-        })
+        Ok(Frame::from_segments(first, second, third))
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -840,18 +836,6 @@ impl Wire for Bytes {
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         dec.get_bytes_shared()
-    }
-    fn encoded_len(&self) -> usize {
-        4 + self.len()
-    }
-}
-
-impl Wire for Frame {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_frame(self);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        dec.get_frame()
     }
     fn encoded_len(&self) -> usize {
         4 + self.len()

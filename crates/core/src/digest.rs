@@ -20,7 +20,8 @@
 //!   no payload byte;
 //! * **equal content in another rope** (the other replica's output, or an
 //!   envelope's sub-frame of it) — one [`fs_common::fasthash`] to find the
-//!   bucket and one [`segments_eq`] to confirm, which skips every stretch
+//!   bucket and one compare to confirm
+//!   ([`fs_common::codec::unshared_len_if_eq`]), which skips every stretch
 //!   the two ropes hold in the same memory: two outputs around one shared
 //!   payload compare only their few header bytes.  The rope is then
 //!   remembered by identity too.  The bucket hash covers the length and

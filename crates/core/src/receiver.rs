@@ -113,9 +113,9 @@ impl FsReceiver {
     /// delivery it produces, if any.
     ///
     /// The payload is the frame exactly as delivered by the transport; the
-    /// decoded output bytes handed back in [`FsDelivery::Output`] are a
-    /// zero-copy view of it (of its spliced body — the sender's own buffer —
-    /// when it has one).
+    /// decoded output bytes handed back in [`FsDelivery::Output`] are the
+    /// sub-frame that carries them, sharing the payload's segments — a
+    /// payload the sender's machine spliced in is the sender's own buffer.
     pub fn accept_frame(&mut self, payload: &Frame) -> Option<FsDelivery> {
         let output = match FsoInbound::from_frame(payload) {
             Ok(FsoInbound::External(output)) => output,

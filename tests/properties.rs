@@ -1489,7 +1489,12 @@ impl FsMember {
         let (leader, follower) =
             FsPairBuilder::new(FsPairSpec::new(FsId(0), PAIR_LEADER, PAIR_FOLLOWER))
                 .crypto_costs(CryptoCostModel::free())
-                .addresses(AddressMap::new(speakers, 2, MemberId(0), MEMBER_INTERCEPTOR))
+                .addresses(AddressMap::new(
+                    speakers,
+                    2,
+                    MemberId(0),
+                    MEMBER_INTERCEPTOR,
+                ))
                 .build(
                     keys.remove(&SignerId(PAIR_LEADER)).unwrap(),
                     keys.remove(&SignerId(PAIR_FOLLOWER)).unwrap(),
@@ -1499,7 +1504,13 @@ impl FsMember {
         Self {
             leader,
             follower,
-            interceptor: FsInterceptor::new(MEMBER_APP, FsId(0), PAIR_LEADER, PAIR_FOLLOWER, directory),
+            interceptor: FsInterceptor::new(
+                MEMBER_APP,
+                FsId(0),
+                PAIR_LEADER,
+                PAIR_FOLLOWER,
+                directory,
+            ),
             leader_ctx: TestContext::new(PAIR_LEADER),
             follower_ctx: TestContext::new(PAIR_FOLLOWER),
             interceptor_ctx: TestContext::new(MEMBER_INTERCEPTOR),

@@ -13,9 +13,15 @@
 //!
 //! | allocations per ordered delivery | contiguous frames | flattening FS host | now |
 //! |---|---:|---:|---:|
-//! | FS, 10 KiB payloads, ≥ 8 KiB | 31.6 | 3.47 (915 / 264) | 0.33 (see the test output) |
-//! | FS, 3 B payloads, any size | 87.8 | 31.4 (8 490 / 270) | (see the test output) |
+//! | FS, 10 KiB payloads, ≥ 8 KiB | 31.6 | 3.47 (915 / 264) | 0.42 (111 / 264) |
+//! | FS, 3 B payloads, any size | 87.8 | 31.4 (8 490 / 270) | 31.4 (8 490 / 270) |
 //! | crash, 10 KiB payloads, ≥ 8 KiB | 1.97 (531 / 270) | — | 0.33 (90 / 270) |
+//!
+//! Of the FS 111, 90 are the application's payloads (1 per multicast, as
+//! on the crash path) and 21 are tables doubling past 8 KiB in the window,
+//! none of them a payload: 12 are the six wrappers' `seen_inputs` sets
+//! (256 and then 512 entries of 40 bytes), the rest the simulator's and
+//! the digest memo's tables.
 //!
 //! Both 10 KiB ceilings are 0.5: between the application's own payload —
 //! a third per ordered delivery in a group of three — and one copy per
@@ -47,6 +53,8 @@ use std::sync::Arc;
 
 use fs_smr_suite::crypto::cost::CryptoCostModel;
 use fs_smr_suite::crypto::keys::{provision, SignerId};
+use fs_smr_suite::crypto::sha256::{blocks_compressed, Sha256};
+use fs_smr_suite::failsignal::digest::body_digest;
 use fs_smr_suite::failsignal::message::{FsContent, FsOutput, FsoInbound};
 use fs_smr_suite::failsignal::provision::{FsPairBuilder, FsPairSpec};
 use fs_smr_suite::harness::{NewTopService, PlainHost, Protocol, Scenario, ServiceSpec, Workload};
@@ -346,4 +354,24 @@ fn unreliable_data_10k() -> GcMessage {
 fn a_pair_orders_compares_and_transmits_a_10k_upcall_without_a_payload_sized_allocation() {
     let counts = pair_handles(&unreliable_data_10k());
     assert_eq!(counts.large_allocs, 0, "{counts:?}");
+}
+
+/// The second of two replicas' outputs around one shared 10 KiB payload is
+/// a content hit of the digest memo that compares only the bytes the two
+/// ropes hold apart: no block compressed, nothing payload-sized allocated.
+#[test]
+fn a_content_hit_on_ropes_sharing_a_payload_hashes_nothing_and_copies_nothing() {
+    let payload = Bytes::from(vec![9u8; 10 * 1024]);
+    let rope = || {
+        let around = Bytes::from(vec![1u8; 48]);
+        Frame::from_segments(around.slice(..40), payload.clone(), around.slice(40..))
+    };
+    let (leader, follower) = (rope(), rope());
+    let expected = body_digest(&leader);
+    let before = blocks_compressed();
+    let (digest, counts) = count_allocs(PAYLOAD_SIZED, || body_digest(&follower));
+    assert_eq!(blocks_compressed() - before, 0, "a content hit");
+    assert_eq!(counts.large_allocs, 0, "{counts:?}");
+    assert_eq!(digest, expected);
+    assert_eq!(digest, Sha256::digest(&follower.to_vec()));
 }
